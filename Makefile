@@ -4,7 +4,7 @@ GO ?= go
 BENCH_GATE = BenchmarkEngineCachedVsCold|BenchmarkPredictBatchParallel|BenchmarkEnginePredictTracing|BenchmarkQueryTRTracing|BenchmarkQueryTREnsemble|BenchmarkWALAppend|BenchmarkRecover
 FUZZTIME ?= 20s
 
-.PHONY: build test race vet lint cover bench benchstat benchbase bench-serve bench-serve-base bench-serve-wal bench-fleet bench-fleet-base fuzz golden chaos crash
+.PHONY: build test race vet lint loc cover bench benchstat benchbase bench-serve bench-serve-base bench-serve-wal bench-fleet bench-fleet-base fuzz golden golden-update chaos crash
 
 build:
 	$(GO) build ./...
@@ -13,9 +13,11 @@ build:
 # golden-trace regression, the fuzz seed corpora (replayed as plain unit
 # tests by `go test`), and a race-detector pass over the concurrent layers:
 # networking, fault injection, the prediction engine, the monitor, and the
-# metrics/accuracy registry.
+# metrics/accuracy registry. bench/ is a module of its own that pins this
+# module's API; vetting it here makes an API break fail locally.
 test: golden lint crash
 	$(GO) test ./...
+	$(GO) -C bench vet ./...
 	$(GO) test -race ./internal/ishare/... ./internal/faultnet/... \
 		./internal/predict/... ./internal/monitor/... ./internal/obs/... \
 		./internal/otrace/... ./internal/durable/... ./internal/fleetsim/...
@@ -32,6 +34,13 @@ vet:
 lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/doccheck
+
+# The two size numbers ROADMAP tracks: non-test Go lines of this module
+# (bench/ is its own module), and exported symbols of the doccheck-audited
+# packages.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs cat | wc -l | xargs echo 'non-test Go lines:'
+	@$(GO) run ./cmd/doccheck | grep 'exported symbols'
 
 # Per-package statement coverage summary.
 cover:

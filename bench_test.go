@@ -506,20 +506,20 @@ func BenchmarkEngineCachedVsCold(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			e := predict.NewEngine(predict.EngineConfig{})
-			if _, err := e.Predict(p, sp.Train, w); err != nil {
+			if _, err := e.PredictCtx(context.Background(), p, sp.Train, w); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("warm", func(b *testing.B) {
 		e := predict.NewEngine(predict.EngineConfig{})
-		if _, err := e.Predict(p, sp.Train, w); err != nil {
+		if _, err := e.PredictCtx(context.Background(), p, sp.Train, w); err != nil {
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := e.Predict(p, sp.Train, w); err != nil {
+			if _, err := e.PredictCtx(context.Background(), p, sp.Train, w); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -586,7 +586,7 @@ func BenchmarkEnginePredictTracing(b *testing.B) {
 	p := predict.SMP{Cfg: avail.DefaultConfig()}
 	w := predict.Window{Start: 8 * time.Hour, Length: 2 * time.Hour}
 	e := predict.NewEngine(predict.EngineConfig{})
-	if _, err := e.Predict(p, sp.Train, w); err != nil {
+	if _, err := e.PredictCtx(context.Background(), p, sp.Train, w); err != nil {
 		b.Fatal(err)
 	}
 	b.Run("off", func(b *testing.B) {

@@ -1,0 +1,158 @@
+// Package registrytest holds the tests that add to the process-global
+// predictor registry. It is a test binary of its own so that no other suite's
+// registered set — golden tables, router candidate lists, transcripts —
+// changes with it.
+package registrytest
+
+import (
+	"context"
+	"errors"
+	"testing"
+	"time"
+
+	"fgcs/internal/avail"
+	"fgcs/internal/ishare"
+	"fgcs/internal/otrace"
+	"fgcs/internal/predict"
+	"fgcs/internal/simclock"
+	"fgcs/internal/trace"
+)
+
+const (
+	machine    = "lab-01"
+	period     = trace.DefaultPeriod
+	ninthName  = "CONST"
+	ninthTR    = 0.25
+	brokenName = "BROKEN"
+)
+
+var (
+	monday    = time.Date(2005, 8, 22, 0, 0, 0, 0, time.UTC)
+	idle      = trace.Sample{CPU: 5, FreeMemMB: 400, Up: true}
+	errBroken = errors.New("registrytest: no TR for any window")
+)
+
+// constant is the smallest possible predictor: the same TR for every window.
+type constant struct{}
+
+func (constant) Name() string                                   { return ninthName }
+func (constant) PredictTR(predict.PluginInput) (float64, error) { return ninthTR, nil }
+
+// broken never produces a TR.
+type broken struct{}
+
+func (broken) Name() string                                   { return brokenName }
+func (broken) PredictTR(predict.PluginInput) (float64, error) { return 0, errBroken }
+
+func init() {
+	predict.RegisterPlugin(ninthName, func(predict.PluginOptions) predict.Plugin { return constant{} })
+	predict.RegisterPlugin(brokenName, func(predict.PluginOptions) predict.Plugin { return broken{} })
+}
+
+// newManager builds a state manager over eleven idle history days, with its
+// clock at 08:30 on the following day and one live sample recorded.
+func newManager(t *testing.T, deps ishare.SharedDeps) (*ishare.StateManager, *simclock.Virtual) {
+	t.Helper()
+	history := trace.NewMachine(machine, period)
+	for i := 0; i < 11; i++ {
+		d := trace.NewDay(monday.AddDate(0, 0, i), period)
+		for j := range d.Samples {
+			d.Samples[j] = idle
+		}
+		if err := history.AddDay(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	now := monday.AddDate(0, 0, 11).Add(8*time.Hour + 30*time.Minute)
+	clock := simclock.NewVirtual(now)
+	sm, err := ishare.NewStateManagerShared(machine, period, avail.DefaultConfig(), clock, history, 0, deps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sm.Record(now, idle)
+	return sm, clock
+}
+
+// TestNinthPluginEndToEnd is docs/PREDICTORS.md's "registration is the only
+// wiring step", checked: a plugin registered beside the eight built-ins is
+// listed by a default router, evaluated and scored on every QueryTR, and
+// served when forced.
+func TestNinthPluginEndToEnd(t *testing.T) {
+	obs := ishare.NewNodeObs()
+	router := ishare.NewRouter(obs.Tracker, ishare.RouterConfig{})
+	listed := false
+	for _, name := range router.Predictors() {
+		listed = listed || name == ninthName
+	}
+	if !listed {
+		t.Fatalf("zero-value RouterConfig candidates %v omit %s", router.Predictors(), ninthName)
+	}
+	sm, clock := newManager(t, ishare.SharedDeps{Obs: obs, Router: router})
+
+	ctx := context.Background()
+	req := ishare.QueryTRReq{LengthSeconds: 3600, GuestMemMB: 100}
+	if _, err := sm.QueryTR(ctx, req); err != nil {
+		t.Fatal(err)
+	}
+	// The window's outcome is observed once the monitor passes its deadline;
+	// only an evaluated predictor has a prediction there to score.
+	clock.Advance(time.Hour + period)
+	sm.Record(clock.Now(), idle)
+	if row := obs.Tracker.Stats(machine, ninthName); row.Resolved != 1 || row.MeanTR != ninthTR {
+		t.Fatalf("tracker row for %s = %+v, want 1 resolved prediction of TR %v", ninthName, row, ninthTR)
+	}
+
+	if err := sm.ForcePredictor(ninthName); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := sm.QueryTR(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Predictor != ninthName || resp.TR != ninthTR {
+		t.Fatalf("forced %s served by %q with TR %v, want TR %v", ninthName, resp.Predictor, resp.TR, ninthTR)
+	}
+}
+
+// TestForcedPredictorFallsBack forces a predictor that has no TR for the
+// window: SMP answers, and the sampled span says which predictor failed and
+// why.
+func TestForcedPredictorFallsBack(t *testing.T) {
+	sm, _ := newManager(t, ishare.SharedDeps{})
+	req := ishare.QueryTRReq{LengthSeconds: 3600, GuestMemMB: 100}
+	want, err := sm.QueryTR(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sm.ForcePredictor(brokenName); err != nil {
+		t.Fatal(err)
+	}
+	tracer := otrace.New(otrace.Config{SampleRate: 1, Recorder: otrace.NewRecorder(4)})
+	ctx, root := tracer.Start(context.Background(), "test.query-tr")
+	resp, err := sm.QueryTR(ctx, req)
+	root.End()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Predictor != "SMP" || resp.TR != want.TR {
+		t.Fatalf("fallback served by %q with TR %v, want SMP with TR %v", resp.Predictor, resp.TR, want.TR)
+	}
+	for _, rec := range tracer.Recorder().Traces(0) {
+		for _, span := range rec.Spans {
+			for _, ev := range span.Events {
+				if ev.Name != "ensemble-fallback" {
+					continue
+				}
+				got := map[string]string{}
+				for _, a := range ev.Attrs {
+					got[a.Key] = a.Value
+				}
+				if got["predictor"] != brokenName || got["error"] != errBroken.Error() {
+					t.Fatalf("ensemble-fallback attrs = %v, want predictor %s and error %q", got, brokenName, errBroken)
+				}
+				return
+			}
+		}
+	}
+	t.Fatal("no ensemble-fallback event on the query's span")
+}

@@ -40,8 +40,8 @@ func (c RouterConfig) withDefaults() RouterConfig {
 		c.Predictors = predict.PluginNames()
 	} else {
 		c.Predictors = append([]string(nil), c.Predictors...)
-		sort.Strings(c.Predictors)
 	}
+	sort.Strings(c.Predictors)
 	if c.MinSamples <= 0 {
 		c.MinSamples = 16
 	}

@@ -15,14 +15,15 @@ import (
 	"fgcs/internal/otrace"
 	"fgcs/internal/predict"
 	"fgcs/internal/simclock"
-	"fgcs/internal/timeseries"
 	"fgcs/internal/trace"
 )
 
 // StateManager stores history logs and predicts resource availability
 // (Figure 2). It receives every monitor sample, maintains the machine's
 // current availability state, and answers temporal-reliability queries from
-// the gateway using the SMP predictor.
+// the gateway by running every predictor in the predict plugin registry:
+// each one is evaluated and scored by the accuracy tracker, and the query is
+// answered by SMP, the forced predictor, or the router's choice.
 //
 // Queries run through a prediction engine that memoizes fitted kernels, so
 // repeated or concurrent QueryTR calls for the same clock window reuse one
@@ -41,25 +42,26 @@ type StateManager struct {
 	preloaded *trace.Machine // history from previous runs (may be nil)
 	recent    []trace.Sample // ring of recent samples for current-state tracking
 	recentCap int
-	predictor predict.SMP
+	// historyDays bounds every predictor's day pool (0 = all).
+	historyDays int
+	// plugins is every registered predictor, built for cfg, in registration
+	// order (the order QueryTR evaluates and scores them in).
+	plugins   []servedPlugin
 	engine    *predict.Engine
 	obsv      *NodeObs
-	baselines []timeseries.Fitter
-	fft       predict.Spectral
-	pct       predict.Percentile
-	router    *Router // nil = single-predictor serving
-	forced    string  // non-empty pins serving to one predictor
+	router    *Router       // nil = single-predictor serving
+	forced    string        // non-empty pins serving to one predictor
 	stateBuf  []avail.State // scratch for per-sample classification (under mu)
 	curState  avail.State   // last classified state, valid when recent is non-empty (under mu)
 	sampleVer atomic.Uint64 // bumped on every recorded sample
 
-	// The baseline forecasts in recordPredictions depend only on the queried
-	// window, the effective config and today's recorded samples, so repeated
-	// queries between samples refit nothing. The memo is invalidated
-	// wholesale whenever a sample lands (sampleVer moves).
-	baseMu   sync.Mutex
-	baseVer  uint64
-	baseMemo map[baselineKey][]baselinePred
+	// The forecast-origin predictions depend only on the queried window, the
+	// effective config and today's recorded samples, so repeated queries
+	// between samples refit nothing. The memo is invalidated wholesale
+	// whenever a sample lands (sampleVer moves).
+	liveMu   sync.Mutex
+	liveVer  uint64
+	liveMemo map[liveKey][]liveTR
 
 	histMu    sync.Mutex
 	histDays  []*trace.Day // completed days, stable across queries
@@ -120,34 +122,67 @@ func NewStateManagerShared(machineID string, period time.Duration, cfg avail.Con
 		obsv = NewNodeObs()
 	}
 	recentCap := int(cfg.SuspendLimit/period) + 4
-	fft := predict.DefaultSpectral()
-	fft.Cfg = cfg
-	fft.HistoryDays = historyDays
-	pct := predict.DefaultPercentile()
-	pct.Cfg = cfg
-	pct.HistoryDays = historyDays
 	sm := &StateManager{
-		machineID: machineID,
-		cfg:       cfg,
-		period:    period,
-		clock:     clock,
-		recorder:  monitor.NewRecorder(machineID, period, 0),
-		preloaded: preloaded,
-		recentCap: recentCap,
-		predictor: predict.SMP{Cfg: cfg, HistoryDays: historyDays},
-		engine:    deps.Engine,
-		obsv:      obsv,
-		baselines: timeseries.ReferenceSuite(),
-		fft:       fft,
-		pct:       pct,
-		router:    deps.Router,
-		stateBuf:  make([]avail.State, 0, recentCap),
+		machineID:   machineID,
+		cfg:         cfg,
+		period:      period,
+		clock:       clock,
+		recorder:    monitor.NewRecorder(machineID, period, 0),
+		preloaded:   preloaded,
+		recentCap:   recentCap,
+		historyDays: historyDays,
+		engine:      deps.Engine,
+		obsv:        obsv,
+		router:      deps.Router,
+		stateBuf:    make([]avail.State, 0, recentCap),
+	}
+	opts := predict.PluginOptions{Cfg: cfg, HistoryDays: historyDays}
+	for _, name := range predict.PluginNames() {
+		pl, _ := predict.NewPlugin(name, opts)
+		// The engine memoizes SMP (kernel entries) and Cacheable plugins
+		// itself; the rest forecast from the live origin.
+		_, cacheable := pl.(predict.Cacheable)
+		_, isSMP := pl.(predict.SMP)
+		sm.plugins = append(sm.plugins, servedPlugin{name: name, plugin: pl, live: !cacheable && !isSMP})
 	}
 	if sm.engine == nil {
 		sm.engine = predict.NewEngine(predict.EngineConfig{})
 		sm.engine.SetMetrics(obsv.Engine)
 	}
 	return sm, nil
+}
+
+// fallbackPredictor is the paper's estimator: it answers when no other
+// predictor is forced or routed, and when the chosen one has no TR for the
+// window. It is the only predictor whose failure fails the query.
+const fallbackPredictor = "SMP"
+
+// servedPlugin is one registry-built predictor as QueryTR runs it.
+type servedPlugin struct {
+	// name is the registered name, resolved once: the tracker retains it in
+	// every pending prediction, and TimeSeries.Name formats a fresh string
+	// per call.
+	name   string
+	plugin predict.Plugin
+	// live marks a forecast-origin predictor — one the engine does not
+	// memoize because it reads PluginInput.Prev — whose result is memoized
+	// per recorded sample instead (see liveForecasts).
+	live bool
+}
+
+// pluginsFor returns the predictor list configured for cfg: the list built
+// at construction, or a fresh build from the registry when a query overrides
+// the guest memory.
+func (sm *StateManager) pluginsFor(cfg avail.Config) []servedPlugin {
+	if cfg == sm.cfg {
+		return sm.plugins
+	}
+	out := append([]servedPlugin(nil), sm.plugins...)
+	opts := predict.PluginOptions{Cfg: cfg, HistoryDays: sm.historyDays}
+	for i := range out {
+		out[i].plugin, _ = predict.NewPlugin(out[i].name, opts)
+	}
+	return out
 }
 
 // SetLogger routes the history recorder's dropped-sample warnings through
@@ -169,10 +204,12 @@ func (sm *StateManager) Router() *Router { return sm.router }
 // (shadow scoring of the others continues). Empty restores the default.
 // Call before queries flow; the name must be registered.
 func (sm *StateManager) ForcePredictor(name string) error {
-	if name != "" {
-		if _, ok := predict.NewPlugin(name, predict.PluginOptions{Cfg: sm.cfg}); !ok {
-			return fmt.Errorf("ishare: unknown predictor %q (registered: %s)", name, strings.Join(predict.PluginNames(), ", "))
-		}
+	known := name == ""
+	for _, sp := range sm.plugins {
+		known = known || sp.name == name
+	}
+	if !known {
+		return fmt.Errorf("ishare: unknown predictor %q (registered: %s)", name, strings.Join(predict.PluginNames(), ", "))
 	}
 	sm.forced = name
 	return nil
@@ -185,8 +222,17 @@ func (sm *StateManager) ForcePredictor(name string) error {
 // does not allocate at steady state.
 func (sm *StateManager) Record(t time.Time, s trace.Sample) {
 	sm.recorder.Record(t, s)
+	up := sm.pushRecent(s)
+	sm.obsv.Monitor.Samples.Inc()
+	sm.obsv.Tracker.Observe(sm.machineID, t, up)
+}
+
+// pushRecent appends samples to the recent ring, trims it to recentCap,
+// re-classifies it and refreshes the current state; it reports whether the
+// machine is now in a recoverable state (true while the ring is empty).
+func (sm *StateManager) pushRecent(samples ...trace.Sample) bool {
 	sm.mu.Lock()
-	sm.recent = append(sm.recent, s)
+	sm.recent = append(sm.recent, samples...)
 	if len(sm.recent) > sm.recentCap {
 		sm.recent = sm.recent[len(sm.recent)-sm.recentCap:]
 	}
@@ -198,8 +244,7 @@ func (sm *StateManager) Record(t time.Time, s trace.Sample) {
 	}
 	sm.mu.Unlock()
 	sm.sampleVer.Add(1)
-	sm.obsv.Monitor.Samples.Inc()
-	sm.obsv.Tracker.Observe(sm.machineID, t, up)
+	return up
 }
 
 // RestoreSample is the WAL-replay twin of Record: it applies one recovered
@@ -211,17 +256,7 @@ func (sm *StateManager) Record(t time.Time, s trace.Sample) {
 // recorder, recent ring and current state bit-identically.
 func (sm *StateManager) RestoreSample(t time.Time, s trace.Sample) {
 	sm.recorder.Record(t, s)
-	sm.mu.Lock()
-	sm.recent = append(sm.recent, s)
-	if len(sm.recent) > sm.recentCap {
-		sm.recent = sm.recent[len(sm.recent)-sm.recentCap:]
-	}
-	sm.stateBuf = avail.ClassifyInto(sm.stateBuf, sm.recent, sm.cfg, sm.period)
-	if n := len(sm.stateBuf); n > 0 {
-		sm.curState = sm.stateBuf[n-1]
-	}
-	sm.mu.Unlock()
-	sm.sampleVer.Add(1)
+	sm.pushRecent(s)
 }
 
 // ExportHistory deep-copies the state a durable snapshot must carry to
@@ -245,16 +280,9 @@ func (sm *StateManager) RestoreHistory(m *trace.Machine, last time.Time, recent 
 		return err
 	}
 	sm.mu.Lock()
-	sm.recent = append(sm.recent[:0], recent...)
-	if len(sm.recent) > sm.recentCap {
-		sm.recent = sm.recent[len(sm.recent)-sm.recentCap:]
-	}
-	sm.stateBuf = avail.ClassifyInto(sm.stateBuf, sm.recent, sm.cfg, sm.period)
-	if n := len(sm.stateBuf); n > 0 {
-		sm.curState = sm.stateBuf[n-1]
-	}
+	sm.recent = sm.recent[:0]
 	sm.mu.Unlock()
-	sm.sampleVer.Add(1)
+	sm.pushRecent(recent...)
 	return nil
 }
 
@@ -391,48 +419,84 @@ func (sm *StateManager) QueryTR(ctx context.Context, req QueryTRReq) (QueryTRRes
 	}
 	w := predict.Window{Start: start, Length: length}
 
-	cfg := sm.predictor
+	cfg := sm.cfg
 	if req.GuestMemMB > 0 {
-		cfg.Cfg.GuestMemMB = req.GuestMemMB
+		cfg.GuestMemMB = req.GuestMemMB
 	}
+	plugins := sm.pluginsFor(cfg)
 	// History: same-type days strictly before today, drawn from the stable
 	// snapshot so the engine can recognize repeated queries.
 	_, days := sm.completedDays(midnight)
+	resp := QueryTRResp{HistoryWindows: len(days), CurrentState: cur.String()}
+	// serving names the predictor that answers. Without history nothing can
+	// be fitted, so the fallback answers and the router is not consulted.
+	serving := fallbackPredictor
+	if sm.forced != "" || sm.router != nil {
+		resp.Predictor = fallbackPredictor
+		if len(days) > 0 {
+			serving = sm.servingPredictor()
+		}
+	}
 	if len(days) == 0 {
-		// No history yet: report optimistic full availability; the
-		// scheduler treats all such machines equally. The ensemble serves
-		// its fallback here — no predictor has anything to fit on.
 		span.AddEvent("no-history")
-		resp := QueryTRResp{TR: 1, HistoryWindows: 0, CurrentState: cur.String()}
-		if sm.forced != "" || sm.router != nil {
-			resp.Predictor = "SMP"
+	}
+
+	// One pass over the registry: evaluate, register with the accuracy
+	// tracker — the paper's Section 5 comparison, scored online as each
+	// window's outcome is observed by the monitor, and the signal the router
+	// selects on — and pick out the fallback's and the serving predictor's TR.
+	in := predict.PluginInput{Days: days, Window: w, Period: sm.period, State: cur, HaveState: true}
+	issued := midnight.Add(w.Start)
+	live := sm.liveForecasts(ctx, midnight, in, cfg, plugins)
+	var fallbackTR float64
+	var servingErr error
+	served := false
+	for i := range plugins {
+		sp := &plugins[i]
+		var tr float64
+		var err error
+		switch {
+		case sp.live:
+			tr, err = live[i].tr, live[i].err
+		case len(days) > 0:
+			tr, err = sm.engine.PredictPluginCtx(ctx, sp.plugin, in)
+		case sp.name == fallbackPredictor:
+			// No history yet: report optimistic full availability; the
+			// scheduler treats all such machines equally.
+			tr = 1
+		default:
+			continue
 		}
-		st := sm.engine.Stats()
-		resp.CacheHits, resp.CacheMisses = st.Hits, st.Misses
-		sm.recordPredictions(ctx, midnight, w, cfg.Cfg, 1, nil)
-		return resp, nil
-	}
-	tr, err := sm.engine.PredictFromCtx(ctx, cfg, days, w, cur)
-	if err != nil {
-		span.SetError(err)
-		return QueryTRResp{}, err
-	}
-	resp := QueryTRResp{TR: tr, HistoryWindows: len(days), CurrentState: cur.String()}
-	shadows := sm.recordPredictions(ctx, midnight, w, cfg.Cfg, tr, days)
-	// Ensemble serving: a forced predictor (operator override) or the
-	// router's per-machine selection replaces the SMP answer, falling back
-	// to SMP when the chosen predictor produced nothing for this window.
-	if serving := sm.servingPredictor(); serving != "" {
-		resp.Predictor = "SMP"
-		if serving != "SMP" {
-			for _, sp := range shadows {
-				if sp.name == serving {
-					resp.TR, resp.Predictor = sp.p, serving
-					span.AddEvent("ensemble-routed", otrace.String("predictor", serving))
-					break
-				}
+		if err != nil {
+			if sp.name == fallbackPredictor {
+				span.SetError(err)
+				return QueryTRResp{}, err
 			}
+			if sp.name == serving {
+				servingErr = err
+			}
+			continue
 		}
+		sm.obsv.Tracker.RecordPrediction(sm.machineID, sp.name, tr, issued, w.Length)
+		if sp.name == fallbackPredictor {
+			fallbackTR = tr
+		}
+		if sp.name == serving {
+			resp.TR, served = tr, true
+		}
+	}
+	switch {
+	case !served:
+		// The forced or routed predictor produced no TR for this window.
+		resp.TR = fallbackTR
+		reason := "predictor not registered"
+		if servingErr != nil {
+			reason = servingErr.Error()
+		}
+		span.AddEvent("ensemble-fallback", otrace.String("predictor", serving), otrace.String("error", reason))
+	case serving != fallbackPredictor:
+		resp.Predictor = serving
+		span.AddEvent("ensemble-routed", otrace.String("predictor", serving))
 	}
 	st := sm.engine.Stats()
 	resp.CacheHits, resp.CacheMisses = st.Hits, st.Misses
@@ -440,131 +504,72 @@ func (sm *StateManager) QueryTR(ctx context.Context, req QueryTRReq) (QueryTRRes
 }
 
 // servingPredictor names the plugin that should answer the current query:
-// the forced override, the router's choice, or "" for plain SMP serving.
+// the forced override or the router's choice.
 func (sm *StateManager) servingPredictor() string {
 	if sm.forced != "" {
 		return sm.forced
 	}
-	if sm.router != nil {
-		return sm.router.Route(sm.machineID)
-	}
-	return ""
+	return sm.router.Route(sm.machineID)
 }
 
-// recordPredictions registers the SMP prediction for the issued window with
-// the accuracy tracker, alongside every shadow predictor: the Table 1
-// linear baselines (AR, BM, MA, ARMA, LAST) forecast from the window
-// immediately preceding the query window in today's live log, plus the
-// ensemble's spectral (FFT) and percentile (PCT) plugins fitted on the
-// completed-day history — the paper's Section 5 comparison, scored online
-// as each window's outcome is observed by the monitor, and the signal the
-// ensemble router selects on. The shadow list is returned so the serving
-// path can answer with whichever predictor the router picked.
-func (sm *StateManager) recordPredictions(ctx context.Context, midnight time.Time, w predict.Window, cfg avail.Config, smpTR float64, days []*trace.Day) []baselinePred {
-	tracker := sm.obsv.Tracker
-	start := midnight.Add(w.Start)
-	tracker.RecordPrediction(sm.machineID, "SMP", smpTR, start, w.Length)
-	shadows := sm.shadowPredictions(ctx, midnight, w, cfg, days)
-	for _, bp := range shadows {
-		tracker.RecordPrediction(sm.machineID, bp.name, bp.p, start, w.Length)
-	}
-	return shadows
-}
-
-// shadowPredictions produces every shadow predictor's TR for the query
-// window: the memoized linear baselines plus the FFT and PCT plugins, which
-// run through the prediction engine so their day-structured fits are
-// memoized in the kernel LRU exactly like SMP's (repeated queries for the
-// same window hit the cache; the plugin name and config salt keep entries
-// isolated). days carries the same stable snapshot the SMP path used — nil
-// when the machine has no completed history, in which case the
-// day-structured shadows are skipped.
-func (sm *StateManager) shadowPredictions(ctx context.Context, midnight time.Time, w predict.Window, cfg avail.Config, days []*trace.Day) []baselinePred {
-	preds := sm.baselinePredictions(midnight, w, cfg)
-	if len(days) == 0 {
-		return preds
-	}
-	// Copying the plugin value and setting Cfg folds the per-query config
-	// (guest memory) into the cache salt — the Cacheable contract.
-	in := predict.PluginInput{Days: days, Window: w, Period: sm.period}
-	fft := sm.fft
-	fft.Cfg = cfg
-	pct := sm.pct
-	pct.Cfg = cfg
-	// preds aliases the memoized baseline slice; append must not grow it in
-	// place or concurrent queries sharing the memo entry would race.
-	out := make([]baselinePred, len(preds), len(preds)+2)
-	copy(out, preds)
-	if tr, err := sm.engine.PredictPluginCtx(ctx, fft, in); err == nil {
-		out = append(out, baselinePred{name: fft.Name(), p: tr})
-	}
-	if tr, err := sm.engine.PredictPluginCtx(ctx, pct, in); err == nil {
-		out = append(out, baselinePred{name: pct.Name(), p: tr})
-	}
-	return out
-}
-
-// baselineKey identifies one baseline forecast: the query window, the day it
-// targets, and the effective estimator config. The recorded-sample version
-// is carried beside the memo, not in the key: a new sample invalidates every
-// entry at once.
-type baselineKey struct {
+// liveKey identifies one set of forecast-origin predictions: the query
+// window, the day it targets, and the effective estimator config. The
+// recorded-sample version is carried beside the memo, not in the key: a new
+// sample invalidates every entry at once.
+type liveKey struct {
 	midnight int64
 	window   predict.Window
 	cfg      avail.Config
 }
 
-type baselinePred struct {
-	name string
-	p    float64
+// liveTR is one forecast-origin predictor's outcome for a liveKey.
+type liveTR struct {
+	tr  float64
+	err error
 }
 
-// baselinePredictions fits the Table 1 linear estimators (AR, BM, MA, ARMA,
-// LAST) over the window preceding the query window in today's live log. The
-// fits are pure functions of (window, config, today's samples), and the
-// serving path repeats the same handful of queries between monitor samples,
-// so the results are memoized until the next sample lands — on the hot path
-// this removes the dominant per-query CPU cost (the refits) entirely.
-func (sm *StateManager) baselinePredictions(midnight time.Time, w predict.Window, cfg avail.Config) []baselinePred {
-	key := baselineKey{midnight: midnight.Unix(), window: w, cfg: cfg}
+// liveForecasts evaluates the forecast-origin predictors — the Table 1
+// linear estimators (AR, BM, MA, ARMA, LAST) and any registered plugin the
+// engine does not memoize — over the window preceding the query window in
+// today's live log. The result is indexed like plugins (entries of
+// engine-memoized plugins stay zero). The fits are pure functions of (window,
+// config, today's samples, current state), and the serving path repeats the
+// same handful of queries between monitor samples, so the results are
+// memoized until the next sample lands — on the hot path this removes the
+// dominant per-query CPU cost (the refits) entirely.
+func (sm *StateManager) liveForecasts(ctx context.Context, midnight time.Time, in predict.PluginInput, cfg avail.Config, plugins []servedPlugin) []liveTR {
+	key := liveKey{midnight: midnight.Unix(), window: in.Window, cfg: cfg}
 	ver := sm.sampleVer.Load()
-	sm.baseMu.Lock()
-	if sm.baseVer != ver || sm.baseMemo == nil {
-		sm.baseVer = ver
-		sm.baseMemo = make(map[baselineKey][]baselinePred)
+	sm.liveMu.Lock()
+	if sm.liveVer != ver || sm.liveMemo == nil {
+		sm.liveVer = ver
+		sm.liveMemo = make(map[liveKey][]liveTR)
 	}
-	preds, hit := sm.baseMemo[key]
-	sm.baseMu.Unlock()
+	out, hit := sm.liveMemo[key]
+	sm.liveMu.Unlock()
 	if hit {
-		return preds
+		return out
 	}
 
-	prevStart := w.Start - w.Length
+	prevStart := in.Window.Start - in.Window.Length
 	if prevStart < 0 {
 		prevStart = 0
 	}
-	prev := sm.recorder.DayWindow(midnight, prevStart, w.Start-prevStart)
-	preds = make([]baselinePred, 0, len(sm.baselines))
-	for _, f := range sm.baselines {
-		ts := predict.TimeSeries{Cfg: cfg, Fitter: f}
-		survives, err := ts.PredictWindow(prev, w, sm.period)
-		if err != nil {
-			continue
+	in.Prev = sm.recorder.DayWindow(midnight, prevStart, in.Window.Start-prevStart)
+	out = make([]liveTR, len(plugins))
+	for i, sp := range plugins {
+		if sp.live {
+			out[i].tr, out[i].err = sm.engine.PredictPluginCtx(ctx, sp.plugin, in)
 		}
-		p := 0.0
-		if survives {
-			p = 1
-		}
-		preds = append(preds, baselinePred{name: f.Name(), p: p})
 	}
 
-	sm.baseMu.Lock()
+	sm.liveMu.Lock()
 	// Re-check the version: a sample may have landed mid-fit, making this
 	// result stale for future queries (it is still the right answer for
 	// this one). The size cap only guards against adversarial query mixes.
-	if sm.baseVer == ver && len(sm.baseMemo) < 512 {
-		sm.baseMemo[key] = preds
+	if sm.liveVer == ver && len(sm.liveMemo) < 512 {
+		sm.liveMemo[key] = out
 	}
-	sm.baseMu.Unlock()
-	return preds
+	sm.liveMu.Unlock()
+	return out
 }

@@ -9,7 +9,7 @@
 //
 //   - Zero overhead when off. A nil *Tracer and a nil *Span are fully inert:
 //     every method no-ops, StartSpan returns the context unchanged, and the
-//     instrumented-but-unsampled hot paths (Engine.Predict, QueryTR) stay at
+//     instrumented-but-unsampled hot paths (Engine.PredictCtx, QueryTR) stay at
 //     0 allocs/op. Sampling is decided once, at the root; an unsampled trace
 //     never materializes a span object at all.
 //

@@ -20,9 +20,9 @@ import (
 // Engine is a concurrent batch-prediction service over the SMP predictor: it
 // memoizes estimated kernels (and their solved reliabilities) in an LRU
 // keyed by (history fingerprint, window, estimator configuration), serves
-// any number of concurrent Predict/PredictFrom queries against the cache,
-// and fans PredictBatch request slices across a bounded worker pool. Cache
-// misses run on pooled scratch buffers, so the extraction and
+// any number of concurrent PredictCtx/PredictFromCtx queries against the
+// cache, and fans PredictBatch request slices across a bounded worker pool.
+// Cache misses run on pooled scratch buffers, so the extraction and
 // backward-recursion hot paths allocate nothing at steady state beyond the
 // cached kernel itself.
 //
@@ -197,18 +197,13 @@ func (e *Engine) Stats() EngineStats {
 	}
 }
 
-// Predict is SMP.Predict through the cache: bit-identical results, but
+// PredictCtx is SMP.Predict through the cache: bit-identical results, but
 // repeated queries for the same (history, window, config) reuse the fitted
 // kernel and its solved reliabilities instead of re-running extraction,
-// estimation and the Equation (3) recursion.
-func (e *Engine) Predict(p SMP, history []*trace.Day, w Window) (Prediction, error) {
-	return e.PredictCtx(context.Background(), p, history, w)
-}
-
-// PredictCtx is Predict with trace instrumentation: when ctx carries a
-// sampled span, the lookup marks a cache-hit or cache-miss event on it and a
-// miss records engine.fit/engine.solve child spans. With an untraced context
-// the instrumentation is two pointer reads — the cached warm path stays at 0
+// estimation and the Equation (3) recursion. When ctx carries a sampled span,
+// the lookup marks a cache-hit or cache-miss event on it and a miss records
+// engine.fit/engine.solve child spans. With an untraced context the
+// instrumentation is two pointer reads — the cached warm path stays at 0
 // allocs/op.
 func (e *Engine) PredictCtx(ctx context.Context, p SMP, history []*trace.Day, w Window) (Prediction, error) {
 	entry, err := e.lookup(ctx, p, history, w)
@@ -218,15 +213,10 @@ func (e *Engine) PredictCtx(ctx context.Context, p SMP, history []*trace.Day, w 
 	return entry.pred, nil
 }
 
-// PredictFrom is SMP.PredictFrom through the cache: TR for a job starting in
-// the given (recoverable) current state. A PredictFrom after a Predict for
-// the same query (or vice versa) is a cache hit — both are served from the
-// same solved kernel.
-func (e *Engine) PredictFrom(p SMP, history []*trace.Day, w Window, init avail.State) (float64, error) {
-	return e.PredictFromCtx(context.Background(), p, history, w, init)
-}
-
-// PredictFromCtx is PredictFrom with trace instrumentation (see PredictCtx).
+// PredictFromCtx is SMP.PredictFrom through the cache: TR for a job starting
+// in the given (recoverable) current state. A PredictFromCtx after a
+// PredictCtx for the same query (or vice versa) is a cache hit — both are
+// served from the same solved kernel.
 func (e *Engine) PredictFromCtx(ctx context.Context, p SMP, history []*trace.Day, w Window, init avail.State) (float64, error) {
 	entry, err := e.lookup(ctx, p, history, w)
 	if err != nil {
@@ -273,7 +263,7 @@ func (e *Engine) PredictBatch(p SMP, reqs []BatchRequest) []BatchResult {
 	}
 	if workers <= 1 {
 		for i, r := range reqs {
-			pred, err := e.Predict(p, r.History, r.Window)
+			pred, err := e.PredictCtx(context.Background(), p, r.History, r.Window)
 			out[i] = BatchResult{Machine: r.Machine, Window: r.Window, Prediction: pred, Err: err}
 		}
 		return out
@@ -290,7 +280,7 @@ func (e *Engine) PredictBatch(p SMP, reqs []BatchRequest) []BatchResult {
 					return
 				}
 				r := reqs[i]
-				pred, err := e.Predict(p, r.History, r.Window)
+				pred, err := e.PredictCtx(context.Background(), p, r.History, r.Window)
 				out[i] = BatchResult{Machine: r.Machine, Window: r.Window, Prediction: pred, Err: err}
 			}
 		}()
@@ -299,20 +289,26 @@ func (e *Engine) PredictBatch(p SMP, reqs []BatchRequest) []BatchResult {
 	return out
 }
 
-// lookup resolves a query to a cache entry, computing and caching it on a
-// miss. Concurrent misses for the same key are coalesced: one goroutine
-// estimates, the rest wait and share the result (counted as hits — they did
-// not pay for the estimation). The span in ctx (if any) gets a cache-hit or
-// cache-miss event; the unsampled path adds no allocations.
+// lookup resolves an SMP query to its kernel entry. The HistoryDays
+// truncation is folded into the fingerprint, so the key carries the
+// normalized configuration.
 func (e *Engine) lookup(ctx context.Context, p SMP, history []*trace.Day, w Window) (*engineEntry, error) {
-	span := otrace.FromContext(ctx)
-	days := history
-	if p.HistoryDays > 0 && len(days) > p.HistoryDays {
-		days = days[len(days)-p.HistoryDays:]
-	}
+	days := truncDays(history, p.HistoryDays)
 	norm := p
-	norm.HistoryDays = 0 // the truncation is already folded into the fingerprint
+	norm.HistoryDays = 0
 	key := engineKey{fp: e.fingerprint(days), window: w, pred: norm, plugin: "SMP"}
+	return e.memo(ctx, key, func(span *otrace.Span, m *EngineMetrics) (*engineEntry, error) {
+		return e.compute(span, m, norm, days, w)
+	})
+}
+
+// memo resolves key to a cache entry, running fit and caching its result on
+// a miss. Concurrent misses for the same key are coalesced: one goroutine
+// fits, the rest wait and share the result (counted as hits — they did not
+// pay for the fit). The span in ctx (if any) gets a cache-hit or cache-miss
+// event; the unsampled path adds no allocations. Errors are never cached.
+func (e *Engine) memo(ctx context.Context, key engineKey, fit func(*otrace.Span, *EngineMetrics) (*engineEntry, error)) (*engineEntry, error) {
+	span := otrace.FromContext(ctx)
 	m := e.metrics.Load()
 	if e.cacheSize < 0 {
 		e.misses.Add(1)
@@ -320,7 +316,7 @@ func (e *Engine) lookup(ctx context.Context, p SMP, history []*trace.Day, w Wind
 			m.Misses.Inc()
 		}
 		span.AddEvent("cache-miss")
-		return e.compute(span, m, norm, days, w)
+		return fit(span, m)
 	}
 	e.mu.Lock()
 	if el, ok := e.items[key]; ok {
@@ -344,7 +340,7 @@ func (e *Engine) lookup(ctx context.Context, p SMP, history []*trace.Day, w Wind
 		if m != nil {
 			m.Hits.Inc()
 		}
-		// Coalesced wait: served by another goroutine's estimation.
+		// Coalesced wait: served by another goroutine's fit.
 		span.AddEvent("cache-hit", otrace.String("via", "inflight"))
 		return call.entry, nil
 	}
@@ -357,122 +353,68 @@ func (e *Engine) lookup(ctx context.Context, p SMP, history []*trace.Day, w Wind
 	}
 	span.AddEvent("cache-miss")
 
-	entry, err := e.compute(span, m, norm, days, w)
+	entry, err := fit(span, m)
 	call.entry, call.err = entry, err
 
 	e.mu.Lock()
 	delete(e.inflight, key)
 	if err == nil {
-		e.insertLocked(key, entry, m)
+		entry.key = key
+		e.items[key] = e.lru.PushFront(entry)
+		for len(e.items) > e.cacheSize {
+			oldest := e.lru.Back()
+			e.lru.Remove(oldest)
+			delete(e.items, oldest.Value.(*engineEntry).key)
+			e.evictions.Add(1)
+			if m != nil {
+				m.Evictions.Inc()
+			}
+		}
+		if m != nil {
+			m.Entries.Set(float64(len(e.items)))
+		}
 	}
 	e.mu.Unlock()
 	close(call.done)
 	return entry, err
 }
 
-// insertLocked files a freshly computed entry under key and applies the LRU
-// bound. Callers hold e.mu.
-func (e *Engine) insertLocked(key engineKey, entry *engineEntry, m *EngineMetrics) {
-	entry.key = key
-	e.items[key] = e.lru.PushFront(entry)
-	for len(e.items) > e.cacheSize {
-		oldest := e.lru.Back()
-		e.lru.Remove(oldest)
-		delete(e.items, oldest.Value.(*engineEntry).key)
-		e.evictions.Add(1)
-		if m != nil {
-			m.Evictions.Inc()
-		}
-	}
-	if m != nil {
-		m.Entries.Set(float64(len(e.items)))
-	}
-}
-
-// PredictPlugin is PredictPluginCtx with a background context.
-func (e *Engine) PredictPlugin(pl Plugin, in PluginInput) (float64, error) {
-	return e.PredictPluginCtx(context.Background(), pl, in)
-}
-
-// PredictPluginCtx evaluates an ensemble plugin through the engine. Plugins
-// that implement Cacheable are memoized in the same LRU as the SMP kernels,
+// PredictPluginCtx evaluates a registered predictor through the engine. SMP
+// lands on the same kernel entries as PredictCtx/PredictFromCtx (conditioned
+// on in.State when the caller knows it, the historical initial-state mix
+// otherwise). Plugins that implement Cacheable are memoized in the same LRU,
 // keyed by (history fingerprint, window, plugin name, configuration salt) —
-// the plugin identity in the key guarantees predictors never cross-serve —
-// with concurrent misses for the same key coalesced exactly like kernel
-// estimations. Non-cacheable plugins (the forecast-origin baselines, whose
-// output depends on the live Prev samples) are evaluated directly.
+// the plugin identity in the key guarantees predictors never cross-serve.
+// Everything else (the forecast-origin baselines, whose output depends on
+// the live Prev samples) is evaluated directly.
 func (e *Engine) PredictPluginCtx(ctx context.Context, pl Plugin, in PluginInput) (float64, error) {
+	if p, ok := pl.(SMP); ok {
+		if in.HaveState && in.State.Recoverable() {
+			return e.PredictFromCtx(ctx, p, in.Days, in.Window, in.State)
+		}
+		pred, err := e.PredictCtx(ctx, p, in.Days, in.Window)
+		return pred.TR, err
+	}
 	c, cacheable := pl.(Cacheable)
 	if !cacheable {
 		return pl.PredictTR(in)
 	}
-	span := otrace.FromContext(ctx)
-	m := e.metrics.Load()
-	if e.cacheSize < 0 {
-		e.misses.Add(1)
-		if m != nil {
-			m.Misses.Inc()
-		}
-		span.AddEvent("cache-miss")
-		return pl.PredictTR(in)
-	}
 	key := engineKey{fp: e.fingerprint(in.Days), window: in.Window, plugin: pl.Name(), salt: c.CacheSalt()}
-	e.mu.Lock()
-	if el, ok := e.items[key]; ok {
-		e.lru.MoveToFront(el)
-		entry := el.Value.(*engineEntry)
-		e.mu.Unlock()
-		e.hits.Add(1)
-		if m != nil {
-			m.Hits.Inc()
+	entry, err := e.memo(ctx, key, func(*otrace.Span, *EngineMetrics) (*engineEntry, error) {
+		tr, err := pl.PredictTR(in)
+		if err != nil {
+			return nil, err
 		}
-		span.AddEvent("cache-hit")
-		return entry.pred.TR, nil
-	}
-	if call, ok := e.inflight[key]; ok {
-		e.mu.Unlock()
-		<-call.done
-		if call.err != nil {
-			return 0, call.err
-		}
-		e.hits.Add(1)
-		if m != nil {
-			m.Hits.Inc()
-		}
-		span.AddEvent("cache-hit", otrace.String("via", "inflight"))
-		return call.entry.pred.TR, nil
-	}
-	call := &inflightCall{done: make(chan struct{})}
-	e.inflight[key] = call
-	e.mu.Unlock()
-	e.misses.Add(1)
-	if m != nil {
-		m.Misses.Inc()
-	}
-	span.AddEvent("cache-miss")
-
-	tr, err := pl.PredictTR(in)
-	var entry *engineEntry
-	if err == nil {
-		entry = &engineEntry{pred: Prediction{TR: tr}}
-	}
-	call.entry, call.err = entry, err
-
-	e.mu.Lock()
-	delete(e.inflight, key)
-	if err == nil {
-		e.insertLocked(key, entry, m)
-	}
-	e.mu.Unlock()
-	close(call.done)
+		return &engineEntry{pred: Prediction{TR: tr}}, nil
+	})
 	if err != nil {
 		return 0, err
 	}
-	return tr, nil
+	return entry.pred.TR, nil
 }
 
 // compute runs the full prediction pipeline on pooled scratch buffers. The
-// metrics pointer is threaded in from lookup so the cold path is timed only
+// metrics pointer is threaded in from memo so the cold path is timed only
 // when someone is watching; a sampled span gets engine.fit/engine.solve
 // child spans covering the same intervals the histograms observe.
 func (e *Engine) compute(span *otrace.Span, m *EngineMetrics, p SMP, days []*trace.Day, w Window) (*engineEntry, error) {

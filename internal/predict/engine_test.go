@@ -1,6 +1,7 @@
 package predict
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"sync"
@@ -48,7 +49,7 @@ func TestEngineMatchesSMP(t *testing.T) {
 			}
 			// Twice: the second answer comes from the cache.
 			for pass := 0; pass < 2; pass++ {
-				got, err := e.Predict(p, days, w)
+				got, err := e.PredictCtx(context.Background(), p, days, w)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -61,7 +62,7 @@ func TestEngineMatchesSMP(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				gotTR, err := e.PredictFrom(p, days, w, init)
+				gotTR, err := e.PredictFromCtx(context.Background(), p, days, w, init)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -71,7 +72,7 @@ func TestEngineMatchesSMP(t *testing.T) {
 			}
 		}
 	}
-	if _, err := e.PredictFrom(defaultSMP(), days, windows[0], avail.S5); err == nil {
+	if _, err := e.PredictFromCtx(context.Background(), defaultSMP(), days, windows[0], avail.S5); err == nil {
 		t.Fatal("failure initial state accepted")
 	}
 }
@@ -81,16 +82,16 @@ func TestEngineCacheCounters(t *testing.T) {
 	w := Window{Start: 8 * time.Hour, Length: 2 * time.Hour}
 	e := NewEngine(EngineConfig{})
 	p := defaultSMP()
-	if _, err := e.Predict(p, days, w); err != nil {
+	if _, err := e.PredictCtx(context.Background(), p, days, w); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		if _, err := e.Predict(p, days, w); err != nil {
+		if _, err := e.PredictCtx(context.Background(), p, days, w); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// PredictFrom on the same query is served from the same entry.
-	if _, err := e.PredictFrom(p, days, w, avail.S1); err != nil {
+	if _, err := e.PredictFromCtx(context.Background(), p, days, w, avail.S1); err != nil {
 		t.Fatal(err)
 	}
 	st := e.Stats()
@@ -103,10 +104,10 @@ func TestEngineCacheCounters(t *testing.T) {
 	// the same cache entry.
 	limited := p
 	limited.HistoryDays = 6
-	if _, err := e.Predict(limited, days, w); err != nil {
+	if _, err := e.PredictCtx(context.Background(), limited, days, w); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Predict(p, days[len(days)-6:], w); err != nil {
+	if _, err := e.PredictCtx(context.Background(), p, days[len(days)-6:], w); err != nil {
 		t.Fatal(err)
 	}
 	st = e.Stats()
@@ -120,14 +121,14 @@ func TestEngineInvalidationOnNewDay(t *testing.T) {
 	w := Window{Start: 8 * time.Hour, Length: 2 * time.Hour}
 	e := NewEngine(EngineConfig{})
 	p := defaultSMP()
-	first, err := e.Predict(p, days, w)
+	first, err := e.PredictCtx(context.Background(), p, days, w)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A new day arrives: the extended pool is a different fingerprint, so
 	// the stale entry cannot be served.
 	grown := append(append([]*trace.Day{}, days...), failAt(idleDay(8), 9*time.Hour, time.Hour))
-	second, err := e.Predict(p, grown, w)
+	second, err := e.PredictCtx(context.Background(), p, grown, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +144,7 @@ func TestEngineInvalidationOnNewDay(t *testing.T) {
 	for i, d := range days {
 		clones[i] = d.Clone()
 	}
-	got, err := e.Predict(p, clones, w)
+	got, err := e.PredictCtx(context.Background(), p, clones, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +166,7 @@ func TestEngineLRUEviction(t *testing.T) {
 		{Start: 10 * time.Hour, Length: time.Hour},
 	}
 	for _, w := range ws {
-		if _, err := e.Predict(p, days, w); err != nil {
+		if _, err := e.PredictCtx(context.Background(), p, days, w); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -175,11 +176,11 @@ func TestEngineLRUEviction(t *testing.T) {
 	}
 	// ws[0] was evicted (least recent); ws[1] and ws[2] still hit.
 	for _, w := range ws[1:] {
-		if _, err := e.Predict(p, days, w); err != nil {
+		if _, err := e.PredictCtx(context.Background(), p, days, w); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := e.Predict(p, days, ws[0]); err != nil {
+	if _, err := e.PredictCtx(context.Background(), p, days, ws[0]); err != nil {
 		t.Fatal(err)
 	}
 	st = e.Stats()
@@ -193,7 +194,7 @@ func TestEngineErrorsNotCached(t *testing.T) {
 	p := defaultSMP()
 	bad := Window{Start: -time.Hour, Length: time.Hour}
 	for i := 0; i < 2; i++ {
-		if _, err := e.Predict(p, failHistory(3, 0), bad); err == nil {
+		if _, err := e.PredictCtx(context.Background(), p, failHistory(3, 0), bad); err == nil {
 			t.Fatal("invalid window accepted")
 		}
 	}
@@ -213,7 +214,7 @@ func TestEngineCachingDisabled(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		got, err := e.Predict(p, days, w)
+		got, err := e.PredictCtx(context.Background(), p, days, w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -258,7 +259,7 @@ func TestEngineConcurrent(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
 				i := (g + r) % len(windows)
-				got, err := e.Predict(p, days, windows[i])
+				got, err := e.PredictCtx(context.Background(), p, days, windows[i])
 				if err != nil {
 					errs <- err
 					return

@@ -61,9 +61,8 @@ func (p Percentile) PredictTR(in PluginInput) (float64, error) {
 		return 0, err
 	}
 	// Cacheable contract: only Days, Window and the receiver's own knobs
-	// may influence the result (in.Cfg/Prev/State are ignored) — the cache
-	// salt covers exactly the receiver. Callers wanting a per-query config
-	// copy the struct and set Cfg before calling.
+	// may influence the result (in.Prev/State are ignored) — the cache
+	// salt covers exactly the receiver.
 	cfg := p.Cfg
 	if err := cfg.Validate(); err != nil {
 		return 0, err

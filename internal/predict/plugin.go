@@ -2,7 +2,6 @@ package predict
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -51,19 +50,14 @@ type PluginInput struct {
 	State avail.State
 	// HaveState reports whether State is meaningful.
 	HaveState bool
-	// Cfg is the availability-model configuration (thresholds, guest
-	// memory) the prediction must respect.
-	Cfg avail.Config
 }
 
 // Cacheable marks plugins whose PredictTR is a pure function of (Days,
 // Window) plus the plugin's own configuration — ignoring the request-scoped
-// Prev, State and Cfg fields entirely — so the engine may memoize their
-// results in the kernel LRU keyed by (history fingerprint, window, plugin
-// name, CacheSalt). CacheSalt must fold every knob that changes the output;
-// two configurations with different predictions must never share a salt.
-// Callers wanting a per-query availability config copy the plugin value and
-// set its Cfg field before the call, which changes the salt with it.
+// Prev and State fields entirely — so the engine may memoize their results in
+// the kernel LRU keyed by (history fingerprint, window, plugin name,
+// CacheSalt). CacheSalt must fold every knob that changes the output; two
+// configurations with different predictions must never share a salt.
 type Cacheable interface {
 	// CacheSalt digests the plugin's configuration for the cache key.
 	CacheSalt() uint64
@@ -85,6 +79,7 @@ type PluginFactory func(opts PluginOptions) Plugin
 
 var (
 	pluginMu        sync.RWMutex
+	pluginOrder     []string
 	pluginFactories = map[string]PluginFactory{}
 )
 
@@ -103,18 +98,17 @@ func RegisterPlugin(name string, f PluginFactory) {
 		panic(fmt.Sprintf("predict: plugin %q registered twice", name))
 	}
 	pluginFactories[name] = f
+	pluginOrder = append(pluginOrder, name)
 }
 
-// PluginNames returns the registered predictor names, sorted.
+// PluginNames returns the registered predictor names in registration order:
+// the built-ins as this package's init registers them, then external
+// predictors. The serving path evaluates and scores predictors in this
+// order, so it is part of the deterministic transcript.
 func PluginNames() []string {
 	pluginMu.RLock()
 	defer pluginMu.RUnlock()
-	names := make([]string, 0, len(pluginFactories))
-	for n := range pluginFactories {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+	return append([]string(nil), pluginOrder...)
 }
 
 // NewPlugin constructs the named plugin, reporting false for unknown names.
@@ -130,8 +124,14 @@ func NewPlugin(name string, opts PluginOptions) (Plugin, bool) {
 
 func init() {
 	RegisterPlugin("SMP", func(opts PluginOptions) Plugin {
-		return smpPlugin{p: SMP{Cfg: opts.Cfg, HistoryDays: opts.HistoryDays}}
+		return SMP{Cfg: opts.Cfg, HistoryDays: opts.HistoryDays}
 	})
+	for _, f := range timeseries.ReferenceSuite() {
+		fitter := f
+		RegisterPlugin(fitter.Name(), func(opts PluginOptions) Plugin {
+			return TimeSeries{Cfg: opts.Cfg, Fitter: fitter}
+		})
+	}
 	RegisterPlugin("FFT", func(opts PluginOptions) Plugin {
 		s := DefaultSpectral()
 		s.Cfg = opts.Cfg
@@ -144,29 +144,12 @@ func init() {
 		p.HistoryDays = opts.HistoryDays
 		return p
 	})
-	for _, f := range timeseries.ReferenceSuite() {
-		fitter := f
-		RegisterPlugin(fitter.Name(), func(opts PluginOptions) Plugin {
-			return timeSeriesPlugin{ts: TimeSeries{Cfg: opts.Cfg, Fitter: fitter}}
-		})
-	}
 }
 
-// smpPlugin adapts the paper's SMP predictor onto the plugin surface. When
-// the caller knows the current state (a live query) the prediction is
-// conditioned on it; otherwise the historical initial-state mix weights the
-// two recoverable starts, exactly as SMP.Predict.
-type smpPlugin struct {
-	p SMP
-}
-
-func (s smpPlugin) Name() string { return s.p.Name() }
-
-func (s smpPlugin) PredictTR(in PluginInput) (float64, error) {
-	p := s.p
-	if in.Cfg != (avail.Config{}) {
-		p.Cfg = in.Cfg
-	}
+// PredictTR implements Plugin. When the caller knows the current state (a
+// live query) the prediction is conditioned on it; otherwise the historical
+// initial-state mix weights the two recoverable starts, exactly as Predict.
+func (p SMP) PredictTR(in PluginInput) (float64, error) {
 	if in.HaveState && in.State.Recoverable() {
 		return p.PredictFrom(in.Days, in.Window, in.State)
 	}
@@ -177,21 +160,10 @@ func (s smpPlugin) PredictTR(in PluginInput) (float64, error) {
 	return pred.TR, nil
 }
 
-// timeSeriesPlugin adapts the linear baselines (AR/BM/MA/ARMA/LAST) onto
-// the plugin surface. The underlying models classify a forecast trajectory
-// into survive/fail, so the TR they emit is binary {0, 1}.
-type timeSeriesPlugin struct {
-	ts TimeSeries
-}
-
-func (t timeSeriesPlugin) Name() string { return t.ts.Name() }
-
-func (t timeSeriesPlugin) PredictTR(in PluginInput) (float64, error) {
-	ts := t.ts
-	if in.Cfg != (avail.Config{}) {
-		ts.Cfg = in.Cfg
-	}
-	survives, err := ts.PredictWindow(in.Prev, in.Window, in.Period)
+// PredictTR implements Plugin over PredictWindow. The linear models classify
+// a forecast trajectory into survive/fail, so the TR is binary {0, 1}.
+func (t TimeSeries) PredictTR(in PluginInput) (float64, error) {
+	survives, err := t.PredictWindow(in.Prev, in.Window, in.Period)
 	if err != nil {
 		return 0, err
 	}

@@ -1,18 +1,20 @@
 package predict
 
 import (
+	"context"
 	"testing"
 	"time"
 
 	"fgcs/internal/avail"
 )
 
-// TestPluginRegistry pins the built-in predictor set: the ensemble's docs,
-// router candidate lists and the doccheck cross-check all key off these
-// names.
+// TestPluginRegistry pins the built-in predictor set and its registration
+// order: the ensemble's docs, router candidate lists and the doccheck
+// cross-check all key off these names, and the serving path evaluates and
+// scores in this order (the tracker's pending queue evicts by arrival).
 func TestPluginRegistry(t *testing.T) {
 	names := PluginNames()
-	want := []string{"AR(8)", "ARMA(8,8)", "BM(8)", "FFT", "LAST", "MA(8)", "PCT", "SMP"}
+	want := []string{"SMP", "AR(8)", "BM(8)", "MA(8)", "ARMA(8,8)", "LAST", "FFT", "PCT"}
 	if len(names) != len(want) {
 		t.Fatalf("registered plugins = %v, want %v", names, want)
 	}
@@ -38,7 +40,7 @@ func TestPluginRegistry(t *testing.T) {
 			t.Fatal("duplicate registration did not panic")
 		}
 	}()
-	RegisterPlugin("SMP", func(PluginOptions) Plugin { return smpPlugin{} })
+	RegisterPlugin("SMP", func(PluginOptions) Plugin { return SMP{} })
 }
 
 // TestPluginDeterminism repeats every day-structured plugin on the same
@@ -85,11 +87,11 @@ func TestPluginCacheSaltIsolation(t *testing.T) {
 	if plain.CacheSalt() == margined.CacheSalt() {
 		t.Fatal("different MarginFraction, same cache salt")
 	}
-	trPlain, err := e.PredictPlugin(plain, in)
+	trPlain, err := e.PredictPluginCtx(context.Background(), plain, in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	trMargined, err := e.PredictPlugin(margined, in)
+	trMargined, err := e.PredictPluginCtx(context.Background(), margined, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +100,7 @@ func TestPluginCacheSaltIsolation(t *testing.T) {
 	}
 	misses := e.Stats().Misses
 	for i := 0; i < 3; i++ {
-		again, err := e.PredictPlugin(plain, in)
+		again, err := e.PredictPluginCtx(context.Background(), plain, in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,15 +115,66 @@ func TestPluginCacheSaltIsolation(t *testing.T) {
 	// The plugin name is part of the key, so two plugins over the same days
 	// and window can never share an entry.
 	pct := DefaultPercentile()
-	trPct, err := e.PredictPlugin(pct, in)
+	trPct, err := e.PredictPluginCtx(context.Background(), pct, in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := e.PredictPlugin(plain, in)
+	again, err := e.PredictPluginCtx(context.Background(), plain, in)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if again != trPlain {
 		t.Fatalf("FFT entry clobbered by PCT: %v != %v (pct %v)", again, trPlain, trPct)
+	}
+}
+
+// TestEnginePluginDifferential runs every registered plugin through the
+// engine and directly: the engine may memoize but never alter a prediction,
+// with caching on or off, whether or not the caller knows the current state.
+// An SMP plugin call lands on the kernel entry PredictFromCtx filled.
+func TestEnginePluginDifferential(t *testing.T) {
+	ctx := context.Background()
+	days := failHistory(10, 3)
+	w := Window{Start: 8 * time.Hour, Length: 2 * time.Hour}
+	base := PluginInput{
+		Days:   days,
+		Prev:   days[len(days)-1].Window(w.Start-w.Length, w.Length),
+		Window: w,
+		Period: period,
+	}
+	s1, s2 := base, base
+	s1.State, s1.HaveState = avail.S1, true
+	s2.State, s2.HaveState = avail.S2, true
+	opts := PluginOptions{Cfg: avail.DefaultConfig(), HistoryDays: 7}
+	for _, cacheSize := range []int{0, -1} {
+		e := NewEngine(EngineConfig{CacheSize: cacheSize})
+		for _, name := range PluginNames() {
+			pl, _ := NewPlugin(name, opts)
+			for _, in := range []PluginInput{base, s1, s2} {
+				want, wantErr := pl.PredictTR(in)
+				// Twice: with caching on, the second answer is a hit.
+				for pass := 0; pass < 2; pass++ {
+					got, err := e.PredictPluginCtx(ctx, pl, in)
+					if got != want || (err == nil) != (wantErr == nil) {
+						t.Fatalf("%s cache %d pass %d: engine (%v, %v) != direct (%v, %v)", name, cacheSize, pass, got, err, want, wantErr)
+					}
+				}
+			}
+		}
+	}
+
+	e := NewEngine(EngineConfig{})
+	p := SMP{Cfg: opts.Cfg, HistoryDays: opts.HistoryDays}
+	want, err := e.PredictFromCtx(ctx, p, days, w, avail.S2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := e.Stats()
+	got, err := e.PredictPluginCtx(ctx, p, s2)
+	if err != nil || got != want {
+		t.Fatalf("PredictPluginCtx(SMP) = (%v, %v), PredictFromCtx gave %v", got, err, want)
+	}
+	if after := e.Stats(); after.Hits != before.Hits+1 || after.Misses != before.Misses {
+		t.Fatalf("PredictPluginCtx(SMP) after PredictFromCtx was not a hit: %+v -> %+v", before, after)
 	}
 }

@@ -91,9 +91,8 @@ func (s Spectral) PredictTR(in PluginInput) (float64, error) {
 		return 0, err
 	}
 	// Cacheable contract: only Days, Window and the receiver's own knobs
-	// may influence the result (in.Cfg/Prev/State are ignored) — the cache
-	// salt covers exactly the receiver. Callers wanting a per-query config
-	// copy the struct and set Cfg before calling.
+	// may influence the result (in.Prev/State are ignored) — the cache
+	// salt covers exactly the receiver.
 	cfg := s.Cfg
 	if err := cfg.Validate(); err != nil {
 		return 0, err
