@@ -20,7 +20,8 @@ test: golden lint crash
 	$(GO) -C bench vet ./...
 	$(GO) test -race ./internal/ishare/... ./internal/faultnet/... \
 		./internal/predict/... ./internal/monitor/... ./internal/obs/... \
-		./internal/otrace/... ./internal/durable/... ./internal/fleetsim/...
+		./internal/otrace/... ./internal/durable/... ./internal/fleetsim/... \
+		./internal/wire/...
 
 race:
 	$(GO) test -race ./...
@@ -99,8 +100,10 @@ bench-fleet-base:
 	$(GO) run ./cmd/fleetsim -machines 100000 -out BENCH_fleet.json
 	$(GO) run ./cmd/benchgate -fleet -in BENCH_fleet.json -baseline BENCH_fleet_base.json -write
 
-# Short fuzz pass over the wire-protocol and trace-codec decoders. The seed
-# corpora under testdata/fuzz also run as plain unit tests in `make test`.
+# Short fuzz pass over every decoder: wire protocol, trace codecs, WAL and
+# snapshot readers, and the internal/wire formats. The seed corpora (under
+# testdata/fuzz or built by the target) also run as plain unit tests in
+# `make test`.
 fuzz:
 	$(GO) test ./internal/ishare/ -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ishare/ -run '^$$' -fuzz '^FuzzDecodeResponse$$' -fuzztime $(FUZZTIME)
@@ -110,6 +113,10 @@ fuzz:
 	$(GO) test ./internal/durable/ -run '^$$' -fuzz '^FuzzReadSegment$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/durable/ -run '^$$' -fuzz '^FuzzReadSnapshot$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/obs/ -run '^$$' -fuzz '^FuzzDecodeObsSnapshot$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/obs/ -run '^$$' -fuzz '^FuzzRestoreBinary$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/ishare/ -run '^$$' -fuzz '^FuzzDecodeNodeSnapshot$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/ishare/ -run '^$$' -fuzz '^FuzzDecodeRegSnapshot$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/durable/ -run '^$$' -fuzz '^FuzzDecodeRecords$$' -fuzztime $(FUZZTIME)
 
 # Golden-trace regression: fixed-seed workload, bit-exact predictor outputs.
 # Use `make golden-update` only when a numerical change is intended.

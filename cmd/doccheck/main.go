@@ -40,7 +40,7 @@ import (
 
 func main() {
 	var (
-		pkgs       = flag.String("pkgs", "internal/ishare,internal/predict,internal/obs,internal/otrace,internal/fleetsim", "comma-separated package directories audited for exported-symbol doc comments")
+		pkgs       = flag.String("pkgs", "internal/ishare,internal/predict,internal/obs,internal/otrace,internal/fleetsim,internal/wire", "comma-separated package directories audited for exported-symbol doc comments")
 		flagDirs   = flag.String("flagdirs", "cmd/ishared,cmd/isharec,cmd/fleetsim", "comma-separated command directories whose registered flags must appear in the README")
 		readme     = flag.String("readme", "README.md", "operator document that must mention every registered flag")
 		metricDirs = flag.String("metricdirs", "internal/ishare,internal/predict,internal/monitor,internal/obs,internal/fleetsim", "comma-separated package directories audited for metrics hygiene")

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"fgcs/internal/trace"
+	"fgcs/internal/wire"
 )
 
 // Record types used by the iShare components. The seal type 0xFF is
@@ -140,107 +141,64 @@ func (c *SampleCoder) Decode(p []byte) (time.Time, trace.Sample, error) {
 	return time.UnixMilli(c.lastMs).UTC(), s, nil
 }
 
-// appendString appends a length-prefixed string.
-func appendString(buf []byte, s string) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(s)))
-	return append(buf, s...)
-}
-
-// readString consumes a length-prefixed string, bounding the claimed length
-// by the bytes actually present.
-func readString(p []byte) (string, []byte, error) {
-	n, vn := binary.Uvarint(p)
-	if vn <= 0 || n > uint64(len(p)-vn) {
-		return "", nil, fmt.Errorf("durable: malformed string field")
-	}
-	return string(p[vn : vn+int(n)]), p[vn+int(n):], nil
-}
-
 // EncodeRegister appends a registry-upsert payload: machine, addr and the
 // absolute expiry in unix milliseconds (0 = never expires).
 func EncodeRegister(buf []byte, machine, addr string, expiresUnixMs int64) []byte {
-	buf = appendString(buf, machine)
-	buf = appendString(buf, addr)
-	return binary.AppendVarint(buf, expiresUnixMs)
+	buf = wire.AppendString(buf, machine)
+	buf = wire.AppendString(buf, addr)
+	return wire.AppendVarint(buf, expiresUnixMs)
+}
+
+// ReadRegister consumes one EncodeRegister payload from r. It is the body of
+// a RecRegister record and the element of a registry snapshot alike.
+func ReadRegister(r *wire.Reader) (machine, addr string, expiresUnixMs int64) {
+	return r.String(), r.String(), r.Varint()
 }
 
 // DecodeRegister parses a RecRegister payload.
 func DecodeRegister(p []byte) (machine, addr string, expiresUnixMs int64, err error) {
-	if machine, p, err = readString(p); err != nil {
-		return "", "", 0, err
-	}
-	if addr, p, err = readString(p); err != nil {
-		return "", "", 0, err
-	}
-	v, n := binary.Varint(p)
-	if n <= 0 || len(p) != n {
-		return "", "", 0, fmt.Errorf("durable: malformed register record")
-	}
-	return machine, addr, v, nil
+	r := wire.NewReader(p, "durable: register record")
+	machine, addr, expiresUnixMs = ReadRegister(&r)
+	return machine, addr, expiresUnixMs, r.Done()
 }
 
 // EncodeUnregister appends a registry-removal payload.
 func EncodeUnregister(buf []byte, machine string) []byte {
-	return appendString(buf, machine)
+	return wire.AppendString(buf, machine)
 }
 
 // DecodeUnregister parses a RecUnregister payload.
 func DecodeUnregister(p []byte) (machine string, err error) {
-	machine, rest, err := readString(p)
-	if err != nil {
-		return "", err
-	}
-	if len(rest) != 0 {
-		return "", fmt.Errorf("durable: malformed unregister record")
-	}
-	return machine, nil
+	r := wire.NewReader(p, "durable: unregister record")
+	machine = r.String()
+	return machine, r.Done()
 }
 
 // EncodeSubmitKey appends an accepted-submit payload: the idempotency key
 // (may be empty) and the job ID it mapped to.
 func EncodeSubmitKey(buf []byte, key, jobID string) []byte {
-	buf = appendString(buf, key)
-	return appendString(buf, jobID)
+	return wire.AppendString(wire.AppendString(buf, key), jobID)
 }
 
 // DecodeSubmitKey parses a RecSubmitKey payload.
 func DecodeSubmitKey(p []byte) (key, jobID string, err error) {
-	if key, p, err = readString(p); err != nil {
-		return "", "", err
-	}
-	if jobID, p, err = readString(p); err != nil {
-		return "", "", err
-	}
-	if len(p) != 0 {
-		return "", "", fmt.Errorf("durable: malformed submit-key record")
-	}
-	return key, jobID, nil
+	r := wire.NewReader(p, "durable: submit-key record")
+	key, jobID = r.String(), r.String()
+	return key, jobID, r.Done()
 }
 
 // EncodeAccuracy appends a resolved-prediction payload: the (machine,
 // predictor) key, the predicted TR (exact float64 bits, so restored tracker
 // sums match the live ones bit for bit) and the observed outcome.
 func EncodeAccuracy(buf []byte, machine, predictor string, tr float64, survived bool) []byte {
-	buf = appendString(buf, machine)
-	buf = appendString(buf, predictor)
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(tr))
-	if survived {
-		return append(buf, 1)
-	}
-	return append(buf, 0)
+	buf = wire.AppendString(buf, machine)
+	buf = wire.AppendString(buf, predictor)
+	return wire.AppendBool(wire.AppendFloat64(buf, tr), survived)
 }
 
 // DecodeAccuracy parses a RecAccuracy payload.
 func DecodeAccuracy(p []byte) (machine, predictor string, tr float64, survived bool, err error) {
-	if machine, p, err = readString(p); err != nil {
-		return "", "", 0, false, err
-	}
-	if predictor, p, err = readString(p); err != nil {
-		return "", "", 0, false, err
-	}
-	if len(p) != 9 {
-		return "", "", 0, false, fmt.Errorf("durable: malformed accuracy record")
-	}
-	tr = math.Float64frombits(binary.LittleEndian.Uint64(p))
-	return machine, predictor, tr, p[8] == 1, nil
+	r := wire.NewReader(p, "durable: accuracy record")
+	machine, predictor, tr, survived = r.String(), r.String(), r.Float64(), r.Bool()
+	return machine, predictor, tr, survived, r.Done()
 }

@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"fgcs/internal/wire/wiretest"
 )
 
 // fuzzMaxRecord caps claimed record lengths during fuzzing so a lying length
@@ -112,19 +114,21 @@ func FuzzReadSegment(f *testing.F) {
 	})
 }
 
-// FuzzReadSnapshot hammers the snapshot reader. Invariants: never panics,
-// and anything that decodes re-encodes byte-identically (the format is
-// canonical), so a decoded snapshot can always be re-persisted.
+// FuzzReadSnapshot hammers the snapshot reader. Invariants: never panics or
+// allocates out of proportion (wiretest.Bounded), and anything that decodes
+// re-encodes byte-identically (the format is canonical), so a decoded
+// snapshot can always be re-persisted.
 func FuzzReadSnapshot(f *testing.F) {
 	for _, seed := range snapSeeds() {
 		f.Add(seed)
 	}
+	recode := byteCodecs[len(byteCodecs)-1].recode // ReadSnapshot, then encodeSnapshot
 	f.Fuzz(func(t *testing.T, data []byte) {
-		seq, off, payload, err := ReadSnapshot(data)
-		if err != nil {
+		var again []byte
+		if wiretest.Bounded(t, data, func(p []byte) (err error) { again, err = recode(p); return }) != nil {
 			return
 		}
-		if again := encodeSnapshot(seq, off, payload); !bytes.Equal(again, data) {
+		if !bytes.Equal(again, data) {
 			t.Fatalf("snapshot encoding not canonical:\ngot  %x\nwant %x", again, data)
 		}
 	})

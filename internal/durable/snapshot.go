@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+
+	"fgcs/internal/wire"
 )
 
 // Snapshot file layout:
@@ -54,60 +56,33 @@ func parseSegmentName(name string) (seq uint64, ok bool) {
 // encodeSnapshot frames payload as a snapshot covering (seq, offset).
 func encodeSnapshot(seq uint64, offset int64, payload []byte) []byte {
 	buf := make([]byte, 0, len(payload)+32)
-	buf = append(buf, snapMagic[:]...)
-	buf = append(buf, snapVersion)
-	buf = binary.AppendUvarint(buf, seq)
-	buf = binary.AppendUvarint(buf, uint64(offset))
-	buf = binary.AppendUvarint(buf, uint64(len(payload)))
-	buf = append(buf, payload...)
-	sum := crc32.Checksum(buf, castagnoli)
-	return binary.LittleEndian.AppendUint32(buf, sum)
+	buf = wire.AppendHeader(buf, snapMagic, snapVersion)
+	buf = wire.AppendUvarint(buf, seq)
+	buf = wire.AppendUvarint(buf, uint64(offset))
+	buf = wire.AppendBytes(buf, payload)
+	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
 }
 
 // ReadSnapshot validates a snapshot file and returns the WAL position it
 // covers and its payload (aliasing data). Any damage — bad magic, claimed
-// length beyond the file, checksum mismatch — returns ErrCorrupt; snapshots
-// are published atomically, so unlike the active segment there is no torn
-// state to tolerate. The claimed payload length is checked against the
-// actual file size before use, so the reader never allocates from untrusted
-// counts.
+// length beyond the file, bytes between payload and checksum, checksum
+// mismatch — returns ErrCorrupt; snapshots are published atomically, so
+// unlike the active segment there is no torn state to tolerate.
 func ReadSnapshot(data []byte) (seq uint64, offset int64, payload []byte, err error) {
-	if len(data) < 5 {
+	if len(data) < 4 {
 		return 0, 0, nil, fmt.Errorf("%w: short snapshot", ErrCorrupt)
 	}
-	if [4]byte(data[:4]) != snapMagic {
-		return 0, 0, nil, fmt.Errorf("%w: bad snapshot magic", ErrCorrupt)
+	body, sum := data[:len(data)-4], binary.LittleEndian.Uint32(data[len(data)-4:])
+	r := wire.NewReader(body, "snapshot")
+	r.Header(snapMagic, snapVersion)
+	seq, off, payload := r.Uvarint(), r.Uvarint(), r.Bytes()
+	if r.Done() == nil && crc32.Checksum(body, castagnoli) != sum {
+		r.Fail("checksum mismatch")
 	}
-	if data[4] != snapVersion {
-		return 0, 0, nil, fmt.Errorf("%w: snapshot version %d", ErrCorrupt, data[4])
+	if err := r.Err(); err != nil {
+		return 0, 0, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	rest := data[5:]
-	seq, n := binary.Uvarint(rest)
-	if n <= 0 {
-		return 0, 0, nil, fmt.Errorf("%w: malformed snapshot seq", ErrCorrupt)
-	}
-	rest = rest[n:]
-	off, n := binary.Uvarint(rest)
-	if n <= 0 {
-		return 0, 0, nil, fmt.Errorf("%w: malformed snapshot offset", ErrCorrupt)
-	}
-	rest = rest[n:]
-	plen, n := binary.Uvarint(rest)
-	if n <= 0 {
-		return 0, 0, nil, fmt.Errorf("%w: malformed snapshot length", ErrCorrupt)
-	}
-	rest = rest[n:]
-	if plen > uint64(len(rest)) {
-		return 0, 0, nil, fmt.Errorf("%w: snapshot payload length %d beyond file", ErrCorrupt, plen)
-	}
-	if len(rest) != int(plen)+4 {
-		return 0, 0, nil, fmt.Errorf("%w: snapshot trailing garbage", ErrCorrupt)
-	}
-	want := binary.LittleEndian.Uint32(rest[plen:])
-	if crc32.Checksum(data[:len(data)-4], castagnoli) != want {
-		return 0, 0, nil, fmt.Errorf("%w: snapshot checksum mismatch", ErrCorrupt)
-	}
-	return seq, int64(off), rest[:plen], nil
+	return seq, int64(off), payload, nil
 }
 
 // writeSnapshotFile publishes an encoded snapshot atomically: tmp file,

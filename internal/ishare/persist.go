@@ -2,10 +2,8 @@ package ishare
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"log/slog"
-	"math"
 	"sort"
 	"sync"
 	"time"
@@ -14,6 +12,7 @@ import (
 	"fgcs/internal/monitor"
 	"fgcs/internal/obs"
 	"fgcs/internal/trace"
+	"fgcs/internal/wire"
 )
 
 // Persister wires a host node's mutable state — the monitor's history log,
@@ -223,20 +222,14 @@ func (p *Persister) encodeNodeSnapshot() ([]byte, error) {
 	if err := trace.WriteBinary(&hist, &trace.Dataset{Machines: []*trace.Machine{machine}}); err != nil {
 		return nil, err
 	}
-	buf := append([]byte(nil), nodeSnapMagic[:]...)
-	buf = append(buf, nodeSnapVersion)
-	buf = binary.AppendUvarint(buf, uint64(hist.Len()))
-	buf = append(buf, hist.Bytes()...)
-	buf = binary.AppendVarint(buf, timeToMs(last))
-	buf = binary.AppendUvarint(buf, uint64(len(recent)))
+	buf := wire.AppendHeader(nil, nodeSnapMagic, nodeSnapVersion)
+	buf = wire.AppendBytes(buf, hist.Bytes())
+	buf = wire.AppendVarint(buf, timeToMs(last))
+	buf = wire.AppendUvarint(buf, uint64(len(recent)))
 	for _, s := range recent {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(s.CPU))
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(s.FreeMemMB))
-		if s.Up {
-			buf = append(buf, 1)
-		} else {
-			buf = append(buf, 0)
-		}
+		buf = wire.AppendFloat64(buf, s.CPU)
+		buf = wire.AppendFloat64(buf, s.FreeMemMB)
+		buf = wire.AppendBool(buf, s.Up)
 	}
 	submitted, nextID := p.gw.ExportSubmitted()
 	keys := make([]string, 0, len(submitted))
@@ -244,96 +237,49 @@ func (p *Persister) encodeNodeSnapshot() ([]byte, error) {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	buf = binary.AppendUvarint(buf, uint64(len(keys)))
+	buf = wire.AppendUvarint(buf, uint64(len(keys)))
 	for _, k := range keys {
-		buf = appendSnapString(buf, k)
-		buf = appendSnapString(buf, submitted[k])
+		buf = wire.AppendString(buf, k)
+		buf = wire.AppendString(buf, submitted[k])
 	}
-	buf = binary.AppendUvarint(buf, uint64(nextID))
-	blob := p.tracker.ExportBinary()
-	buf = binary.AppendUvarint(buf, uint64(len(blob)))
-	buf = append(buf, blob...)
-	return buf, nil
+	buf = wire.AppendUvarint(buf, uint64(nextID))
+	return wire.AppendBytes(buf, p.tracker.ExportBinary()), nil
 }
 
 // decodeNodeSnapshot installs a recovered snapshot payload into the
 // components.
 func (p *Persister) decodeNodeSnapshot(data []byte) error {
-	if len(data) < 5 || [4]byte(data[:4]) != nodeSnapMagic {
-		return fmt.Errorf("bad magic")
+	r := wire.NewReader(data, "FGNS")
+	r.Header(nodeSnapMagic, nodeSnapVersion)
+	hist := r.Bytes()
+	lastMs := r.Varint()
+	recent := make([]trace.Sample, r.Count(17, "recent samples"))
+	for i := range recent {
+		recent[i] = trace.Sample{CPU: r.Float64(), FreeMemMB: r.Float64(), Up: r.Bool()}
 	}
-	if data[4] != nodeSnapVersion {
-		return fmt.Errorf("version %d", data[4])
+	nkeys := r.Count(2, "submit keys")
+	submitted := make(map[string]string, nkeys)
+	for ; nkeys > 0 && r.Err() == nil; nkeys-- {
+		k, v := r.String(), r.String()
+		submitted[k] = v
 	}
-	rest := data[5:]
-	hlen, n := binary.Uvarint(rest)
-	if n <= 0 || hlen > uint64(len(rest)-n) {
-		return fmt.Errorf("malformed history length")
+	nextID := r.Uvarint()
+	blob := r.Bytes()
+	if err := r.Done(); err != nil {
+		return err
 	}
-	rest = rest[n:]
-	ds, err := trace.ReadBinary(bytes.NewReader(rest[:hlen]))
+	ds, err := trace.ReadBinary(bytes.NewReader(hist))
 	if err != nil {
 		return fmt.Errorf("history: %w", err)
 	}
 	if len(ds.Machines) != 1 {
 		return fmt.Errorf("history carries %d machines", len(ds.Machines))
 	}
-	rest = rest[hlen:]
-	lastMs, n := binary.Varint(rest)
-	if n <= 0 {
-		return fmt.Errorf("malformed last-sample time")
-	}
-	rest = rest[n:]
-	count, n := binary.Uvarint(rest)
-	if n <= 0 || count > uint64(len(rest)-n)/17 {
-		return fmt.Errorf("malformed recent-ring count")
-	}
-	rest = rest[n:]
-	recent := make([]trace.Sample, 0, count)
-	for i := uint64(0); i < count; i++ {
-		s := trace.Sample{
-			CPU:       math.Float64frombits(binary.LittleEndian.Uint64(rest)),
-			FreeMemMB: math.Float64frombits(binary.LittleEndian.Uint64(rest[8:])),
-			Up:        rest[16] == 1,
-		}
-		rest = rest[17:]
-		recent = append(recent, s)
-	}
-	nkeys, n := binary.Uvarint(rest)
-	if n <= 0 {
-		return fmt.Errorf("malformed submit-key count")
-	}
-	rest = rest[n:]
-	submitted := make(map[string]string, nkeys)
-	for i := uint64(0); i < nkeys; i++ {
-		var k, v string
-		if k, rest, err = readSnapString(rest); err != nil {
-			return err
-		}
-		if v, rest, err = readSnapString(rest); err != nil {
-			return err
-		}
-		submitted[k] = v
-	}
-	nextID, n := binary.Uvarint(rest)
-	if n <= 0 {
-		return fmt.Errorf("malformed next job id")
-	}
-	rest = rest[n:]
-	blen, n := binary.Uvarint(rest)
-	if n <= 0 || blen != uint64(len(rest)-n) {
-		return fmt.Errorf("malformed tracker blob length")
-	}
-	blob := rest[n:]
-
 	if err := p.sm.RestoreHistory(ds.Machines[0], msToTime(lastMs), recent); err != nil {
 		return err
 	}
 	p.gw.RestoreSubmitted(submitted, int(nextID))
-	if err := p.tracker.RestoreBinary(blob); err != nil {
-		return err
-	}
-	return nil
+	return p.tracker.RestoreBinary(blob)
 }
 
 // timeToMs maps a timestamp to unix milliseconds, keeping the zero time at
@@ -352,19 +298,6 @@ func msToTime(ms int64) time.Time {
 		return time.Time{}
 	}
 	return time.UnixMilli(ms).UTC()
-}
-
-func appendSnapString(buf []byte, s string) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(s)))
-	return append(buf, s...)
-}
-
-func readSnapString(p []byte) (string, []byte, error) {
-	n, vn := binary.Uvarint(p)
-	if vn <= 0 || n > uint64(len(p)-vn) {
-		return "", nil, fmt.Errorf("malformed string")
-	}
-	return string(p[vn : vn+int(n)]), p[vn+int(n):], nil
 }
 
 // RegState is the registry-shaped surface the RegPersister restores into:
@@ -501,9 +434,8 @@ func (rp *RegPersister) Close() error { return rp.st.Close() }
 
 // encodeRegSnapshot serializes a sorted entry set (Export sorts).
 func encodeRegSnapshot(entries []RegEntry) []byte {
-	buf := append([]byte(nil), regSnapMagic[:]...)
-	buf = append(buf, regSnapVersion)
-	buf = binary.AppendUvarint(buf, uint64(len(entries)))
+	buf := wire.AppendHeader(nil, regSnapMagic, regSnapVersion)
+	buf = wire.AppendUvarint(buf, uint64(len(entries)))
 	for _, e := range entries {
 		buf = durable.EncodeRegister(buf, e.Machine, e.Addr, timeToMs(e.Expires))
 	}
@@ -512,39 +444,14 @@ func encodeRegSnapshot(entries []RegEntry) []byte {
 
 // decodeRegSnapshot parses a registry snapshot payload.
 func decodeRegSnapshot(data []byte) ([]RegEntry, error) {
-	if len(data) < 5 || [4]byte(data[:4]) != regSnapMagic {
-		return nil, fmt.Errorf("bad magic")
+	r := wire.NewReader(data, "FGRS")
+	r.Header(regSnapMagic, regSnapVersion)
+	entries := make([]RegEntry, r.Count(3, "entries"))
+	for i := range entries {
+		machine, addr, expMs := durable.ReadRegister(&r)
+		entries[i] = RegEntry{Machine: machine, Addr: addr, Expires: msToTime(expMs)}
 	}
-	if data[4] != regSnapVersion {
-		return nil, fmt.Errorf("version %d", data[4])
-	}
-	rest := data[5:]
-	count, n := binary.Uvarint(rest)
-	if n <= 0 || count > uint64(len(rest)-n) {
-		return nil, fmt.Errorf("malformed entry count")
-	}
-	rest = rest[n:]
-	entries := make([]RegEntry, 0, count)
-	for i := uint64(0); i < count; i++ {
-		var machine, addr string
-		var err error
-		if machine, rest, err = readSnapString(rest); err != nil {
-			return nil, err
-		}
-		if addr, rest, err = readSnapString(rest); err != nil {
-			return nil, err
-		}
-		expMs, vn := binary.Varint(rest)
-		if vn <= 0 {
-			return nil, fmt.Errorf("malformed expiry")
-		}
-		rest = rest[vn:]
-		entries = append(entries, RegEntry{Machine: machine, Addr: addr, Expires: msToTime(expMs)})
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("trailing bytes")
-	}
-	return entries, nil
+	return entries, r.Done()
 }
 
 // Assert the sink chain shapes at compile time.

@@ -429,49 +429,19 @@ type AccuracyStats struct {
 // statistics.
 func RollingWindowSize() int { return rollingWindow }
 
+// summary is the reportable view of one key: the figures AccSums.Stats
+// derives from the sums, plus the rolling ones only this node's ring holds.
 func (st *accStats) summary(key trackerKey) AccuracyStats {
-	out := AccuracyStats{
-		Machine:   key.Machine,
-		Predictor: key.Predictor,
-		Resolved:  st.resolved,
-		Survived:  st.survived,
-	}
-	if st.resolved > 0 {
-		n := float64(st.resolved)
-		out.MeanTR = st.sumTR / n
-		out.Empirical = float64(st.survived) / n
-		out.Brier = st.brierSum / n
-		out.Accuracy = float64(st.correct) / n
-	}
+	out := st.sums(key).Stats(true)
 	if len(st.ring) > 0 {
-		var brier float64
 		var correct int
-		for i := 0; i < len(st.ring); i++ {
-			e := st.ring[i]
-			outcome := 0.0
-			if e.survived {
-				outcome = 1
-			}
-			d := e.tr - outcome
-			brier += d * d
+		for _, e := range st.ring {
 			if (e.tr >= 0.5) == e.survived {
 				correct++
 			}
 		}
-		out.RollingBrier = brier / float64(len(st.ring))
+		out.RollingBrier, _ = st.rollingBrier()
 		out.RollingAccuracy = float64(correct) / float64(len(st.ring))
-	}
-	for b := 0; b < CalibrationBuckets; b++ {
-		cb := CalibrationBucket{
-			Lo:    float64(b) / CalibrationBuckets,
-			Hi:    float64(b+1) / CalibrationBuckets,
-			Count: st.calibCount[b],
-		}
-		if cb.Count > 0 {
-			cb.MeanTR = st.calibSumTR[b] / float64(cb.Count)
-			cb.Empirical = float64(st.calibSurvived[b]) / float64(cb.Count)
-		}
-		out.Calibration = append(out.Calibration, cb)
 	}
 	return out
 }

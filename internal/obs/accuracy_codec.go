@@ -1,10 +1,9 @@
 package obs
 
 import (
-	"encoding/binary"
-	"fmt"
-	"math"
 	"sort"
+
+	"fgcs/internal/wire"
 )
 
 // Binary snapshot of a Tracker's resolved statistics, for the durable
@@ -19,69 +18,81 @@ var accMagic = [4]byte{'F', 'G', 'A', 'T'}
 // accVersion is the tracker snapshot format version.
 const accVersion = 1
 
-func appendAccString(buf []byte, s string) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(s)))
-	return append(buf, s...)
+// accSumsMinBytes is the smallest encoding of one key's sums: two empty
+// strings, three uvarints, two floats and the calibration buckets.
+const accSumsMinBytes = 2 + 3 + 2*8 + CalibrationBuckets*(1+1+8)
+
+// sums is the mergeable view of one key's statistics: everything but the
+// rolling ring.
+func (st *accStats) sums(key trackerKey) AccSums {
+	return AccSums{
+		Machine:       key.Machine,
+		Predictor:     key.Predictor,
+		Resolved:      st.resolved,
+		Survived:      st.survived,
+		Correct:       st.correct,
+		SumTR:         st.sumTR,
+		BrierSum:      st.brierSum,
+		CalibCount:    st.calibCount,
+		CalibSurvived: st.calibSurvived,
+		CalibSumTR:    st.calibSumTR,
+	}
 }
 
-func readAccString(p []byte) (string, []byte, error) {
-	n, vn := binary.Uvarint(p)
-	if vn <= 0 || n > uint64(len(p)-vn) {
-		return "", nil, fmt.Errorf("obs: malformed string in tracker snapshot")
+// appendAccSums encodes one key's sums; FGAT and FGOS share the layout.
+func appendAccSums(buf []byte, a *AccSums) []byte {
+	buf = wire.AppendString(buf, a.Machine)
+	buf = wire.AppendString(buf, a.Predictor)
+	buf = wire.AppendUvarint(buf, a.Resolved)
+	buf = wire.AppendUvarint(buf, a.Survived)
+	buf = wire.AppendUvarint(buf, a.Correct)
+	buf = wire.AppendFloat64(buf, a.SumTR)
+	buf = wire.AppendFloat64(buf, a.BrierSum)
+	for b := 0; b < CalibrationBuckets; b++ {
+		buf = wire.AppendUvarint(buf, a.CalibCount[b])
+		buf = wire.AppendUvarint(buf, a.CalibSurvived[b])
+		buf = wire.AppendFloat64(buf, a.CalibSumTR[b])
 	}
-	return string(p[vn : vn+int(n)]), p[vn+int(n):], nil
+	return buf
 }
 
-func readAccUvarint(p []byte) (uint64, []byte, error) {
-	v, n := binary.Uvarint(p)
-	if n <= 0 {
-		return 0, nil, fmt.Errorf("obs: malformed varint in tracker snapshot")
+// readAccSums decodes what appendAccSums wrote.
+func readAccSums(r *wire.Reader) (a AccSums) {
+	a.Machine = r.String()
+	a.Predictor = r.String()
+	a.Resolved = r.Uvarint()
+	a.Survived = r.Uvarint()
+	a.Correct = r.Uvarint()
+	a.SumTR = r.Float64()
+	a.BrierSum = r.Float64()
+	for b := 0; b < CalibrationBuckets; b++ {
+		a.CalibCount[b] = r.Uvarint()
+		a.CalibSurvived[b] = r.Uvarint()
+		a.CalibSumTR[b] = r.Float64()
 	}
-	return v, p[n:], nil
-}
-
-func readAccFloat(p []byte) (float64, []byte, error) {
-	if len(p) < 8 {
-		return 0, nil, fmt.Errorf("obs: short float in tracker snapshot")
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(p)), p[8:], nil
+	return a
 }
 
 // ExportBinary serializes the tracker's resolved statistics.
 func (t *Tracker) ExportBinary() []byte {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	buf := append([]byte(nil), accMagic[:]...)
-	buf = append(buf, accVersion)
-	buf = binary.AppendUvarint(buf, t.resolved)
-	buf = binary.AppendUvarint(buf, t.dropped)
-	buf = binary.AppendUvarint(buf, uint64(len(t.keys)))
+	buf := wire.AppendHeader(nil, accMagic, accVersion)
+	buf = wire.AppendUvarint(buf, t.resolved)
+	buf = wire.AppendUvarint(buf, t.dropped)
+	buf = wire.AppendUvarint(buf, uint64(len(t.keys)))
 	for _, key := range t.keys {
 		st := t.stats[key]
-		buf = appendAccString(buf, key.Machine)
-		buf = appendAccString(buf, key.Predictor)
-		buf = binary.AppendUvarint(buf, st.resolved)
-		buf = binary.AppendUvarint(buf, st.survived)
-		buf = binary.AppendUvarint(buf, st.correct)
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(st.sumTR))
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(st.brierSum))
-		for b := 0; b < CalibrationBuckets; b++ {
-			buf = binary.AppendUvarint(buf, st.calibCount[b])
-			buf = binary.AppendUvarint(buf, st.calibSurvived[b])
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(st.calibSumTR[b]))
-		}
-		buf = binary.AppendUvarint(buf, uint64(len(st.ring)))
-		buf = binary.AppendUvarint(buf, uint64(st.ringNext))
+		a := st.sums(key)
+		buf = appendAccSums(buf, &a)
+		buf = wire.AppendUvarint(buf, uint64(len(st.ring)))
+		buf = wire.AppendUvarint(buf, uint64(st.ringNext))
 		// Occupied entries live at indices [0, len(ring)): the ring grows
 		// lazily, so before it wraps those are exactly the filled slots,
 		// and once it wraps its length is the whole window.
-		for i := 0; i < len(st.ring); i++ {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(st.ring[i].tr))
-			if st.ring[i].survived {
-				buf = append(buf, 1)
-			} else {
-				buf = append(buf, 0)
-			}
+		for _, e := range st.ring {
+			buf = wire.AppendFloat64(buf, e.tr)
+			buf = wire.AppendBool(buf, e.survived)
 		}
 	}
 	return buf
@@ -91,106 +102,45 @@ func (t *Tracker) ExportBinary() []byte {
 // produced by ExportBinary. Pending predictions are untouched (normally
 // empty at restore time).
 func (t *Tracker) RestoreBinary(data []byte) error {
-	if len(data) < 5 || [4]byte(data[:4]) != accMagic {
-		return fmt.Errorf("obs: bad tracker snapshot magic")
-	}
-	if data[4] != accVersion {
-		return fmt.Errorf("obs: tracker snapshot version %d", data[4])
-	}
-	p := data[5:]
-	var err error
-	var resolved, dropped, nkeys uint64
-	if resolved, p, err = readAccUvarint(p); err != nil {
-		return err
-	}
-	if dropped, p, err = readAccUvarint(p); err != nil {
-		return err
-	}
-	if nkeys, p, err = readAccUvarint(p); err != nil {
-		return err
-	}
-	if nkeys > uint64(len(p)) {
-		return fmt.Errorf("obs: tracker snapshot claims %d keys in %d bytes", nkeys, len(p))
-	}
+	r := wire.NewReader(data, "obs: tracker snapshot")
+	r.Header(accMagic, accVersion)
+	resolved, dropped := r.Uvarint(), r.Uvarint()
+	nkeys := r.Count(accSumsMinBytes+2, "keys") // sums, ring length, ring cursor
 	stats := make(map[trackerKey]*accStats, nkeys)
 	keys := make([]trackerKey, 0, nkeys)
-	for k := uint64(0); k < nkeys; k++ {
-		var key trackerKey
-		if key.Machine, p, err = readAccString(p); err != nil {
-			return err
-		}
-		if key.Predictor, p, err = readAccString(p); err != nil {
-			return err
-		}
-		st := &accStats{}
-		if st.resolved, p, err = readAccUvarint(p); err != nil {
-			return err
-		}
-		if st.survived, p, err = readAccUvarint(p); err != nil {
-			return err
-		}
-		if st.correct, p, err = readAccUvarint(p); err != nil {
-			return err
-		}
-		if st.sumTR, p, err = readAccFloat(p); err != nil {
-			return err
-		}
-		if st.brierSum, p, err = readAccFloat(p); err != nil {
-			return err
-		}
-		for b := 0; b < CalibrationBuckets; b++ {
-			if st.calibCount[b], p, err = readAccUvarint(p); err != nil {
-				return err
-			}
-			if st.calibSurvived[b], p, err = readAccUvarint(p); err != nil {
-				return err
-			}
-			if st.calibSumTR[b], p, err = readAccFloat(p); err != nil {
-				return err
-			}
-		}
-		var ringLen, ringNext uint64
-		if ringLen, p, err = readAccUvarint(p); err != nil {
-			return err
-		}
-		if ringNext, p, err = readAccUvarint(p); err != nil {
-			return err
-		}
+	for k := 0; k < nkeys && r.Err() == nil; k++ {
+		a := readAccSums(&r)
+		ringLen, ringNext := r.Count(9, "ring entries"), r.Uvarint()
 		if ringLen > rollingWindow || ringNext >= rollingWindow {
-			return fmt.Errorf("obs: tracker snapshot ring out of range")
+			r.Fail("ring out of range")
+			break
 		}
-		st.ring = make([]ringEntry, ringLen)
+		st := &accStats{
+			resolved: a.Resolved, survived: a.Survived, correct: a.Correct,
+			sumTR: a.SumTR, brierSum: a.BrierSum,
+			calibCount: a.CalibCount, calibSurvived: a.CalibSurvived, calibSumTR: a.CalibSumTR,
+			ring: make([]ringEntry, ringLen),
+		}
 		// The wrap cursor only means anything once the ring is full; a
 		// partially-filled ring appends at its length (snapshots from the
 		// fixed-array format stored the append position here).
-		if int(ringLen) == rollingWindow {
+		if ringLen == rollingWindow {
 			st.ringNext = int(ringNext)
 		}
-		for i := 0; i < len(st.ring); i++ {
-			if st.ring[i].tr, p, err = readAccFloat(p); err != nil {
-				return err
-			}
-			if len(p) < 1 {
-				return fmt.Errorf("obs: short ring entry in tracker snapshot")
-			}
-			st.ring[i].survived = p[0] == 1
-			p = p[1:]
+		for i := range st.ring {
+			st.ring[i] = ringEntry{tr: r.Float64(), survived: r.Bool()}
 		}
+		key := trackerKey{Machine: a.Machine, Predictor: a.Predictor}
 		if _, dup := stats[key]; dup {
-			return fmt.Errorf("obs: duplicate key in tracker snapshot")
+			r.Fail("duplicate key")
 		}
 		stats[key] = st
 		keys = append(keys, key)
 	}
-	if len(p) != 0 {
-		return fmt.Errorf("obs: trailing bytes in tracker snapshot")
+	if err := r.Done(); err != nil {
+		return err
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Machine != keys[j].Machine {
-			return keys[i].Machine < keys[j].Machine
-		}
-		return keys[i].Predictor < keys[j].Predictor
-	})
+	sort.Slice(keys, func(i, j int) bool { return keyLess(keys[i], keys[j]) })
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.resolved = resolved

@@ -1,13 +1,13 @@
 package obs
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"strconv"
 	"time"
+
+	"fgcs/internal/wire"
 )
 
 // Fleet aggregation: one peer's observability state as a mergeable value.
@@ -104,19 +104,7 @@ func (t *Tracker) ExportSums() (resolved, dropped uint64, sums []AccSums) {
 	defer t.mu.Unlock()
 	sums = make([]AccSums, 0, len(t.keys))
 	for _, key := range t.keys {
-		st := t.stats[key]
-		sums = append(sums, AccSums{
-			Machine:       key.Machine,
-			Predictor:     key.Predictor,
-			Resolved:      st.resolved,
-			Survived:      st.survived,
-			Correct:       st.correct,
-			SumTR:         st.sumTR,
-			BrierSum:      st.brierSum,
-			CalibCount:    st.calibCount,
-			CalibSurvived: st.calibSurvived,
-			CalibSumTR:    st.calibSumTR,
-		})
+		sums = append(sums, t.stats[key].sums(key))
 	}
 	return t.resolved, t.dropped, sums
 }
@@ -169,25 +157,7 @@ const obsVersion = 1
 // maxObsBounds caps the histogram bucket count a decoded snapshot may claim.
 const maxObsBounds = 4096
 
-func sortedKeysU64(m map[string]uint64) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func sortedKeysF64(m map[string]float64) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func sortedKeysHist(m map[string]HistogramSnapshot) []string {
+func sortedKeys[V any](m map[string]V) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {
 		out = append(out, k)
@@ -200,267 +170,130 @@ func sortedKeysHist(m map[string]HistogramSnapshot) []string {
 // encoding is canonical: series, keys and alerts appear in sorted order, so
 // equal states produce identical bytes.
 func (p *PeerObs) EncodeBinary() []byte {
-	buf := append([]byte(nil), obsMagic[:]...)
-	buf = append(buf, obsVersion)
-	buf = appendAccString(buf, p.Peer)
+	buf := wire.AppendHeader(nil, obsMagic, obsVersion)
+	buf = wire.AppendString(buf, p.Peer)
 
-	buf = binary.AppendUvarint(buf, uint64(len(p.Metrics.Counters)))
-	for _, k := range sortedKeysU64(p.Metrics.Counters) {
-		buf = appendAccString(buf, k)
-		buf = binary.AppendUvarint(buf, p.Metrics.Counters[k])
+	buf = wire.AppendUvarint(buf, uint64(len(p.Metrics.Counters)))
+	for _, k := range sortedKeys(p.Metrics.Counters) {
+		buf = wire.AppendString(buf, k)
+		buf = wire.AppendUvarint(buf, p.Metrics.Counters[k])
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(p.Metrics.Gauges)))
-	for _, k := range sortedKeysF64(p.Metrics.Gauges) {
-		buf = appendAccString(buf, k)
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(p.Metrics.Gauges[k]))
+	buf = wire.AppendUvarint(buf, uint64(len(p.Metrics.Gauges)))
+	for _, k := range sortedKeys(p.Metrics.Gauges) {
+		buf = wire.AppendString(buf, k)
+		buf = wire.AppendFloat64(buf, p.Metrics.Gauges[k])
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(p.Metrics.Histograms)))
-	for _, k := range sortedKeysHist(p.Metrics.Histograms) {
+	buf = wire.AppendUvarint(buf, uint64(len(p.Metrics.Histograms)))
+	for _, k := range sortedKeys(p.Metrics.Histograms) {
 		h := p.Metrics.Histograms[k]
-		buf = appendAccString(buf, k)
-		buf = binary.AppendUvarint(buf, uint64(len(h.Bounds)))
+		buf = wire.AppendString(buf, k)
+		buf = wire.AppendUvarint(buf, uint64(len(h.Bounds)))
 		for _, b := range h.Bounds {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(b))
+			buf = wire.AppendFloat64(buf, b)
 		}
 		for _, c := range h.Counts {
-			buf = binary.AppendUvarint(buf, c)
+			buf = wire.AppendUvarint(buf, c)
 		}
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(h.Sum))
-		buf = binary.AppendUvarint(buf, h.Count)
+		buf = wire.AppendFloat64(buf, h.Sum)
+		buf = wire.AppendUvarint(buf, h.Count)
 	}
 
-	buf = binary.AppendUvarint(buf, p.Resolved)
-	buf = binary.AppendUvarint(buf, p.Dropped)
-	buf = binary.AppendUvarint(buf, uint64(len(p.Accuracy)))
-	for _, a := range p.Accuracy {
-		buf = appendAccString(buf, a.Machine)
-		buf = appendAccString(buf, a.Predictor)
-		buf = binary.AppendUvarint(buf, a.Resolved)
-		buf = binary.AppendUvarint(buf, a.Survived)
-		buf = binary.AppendUvarint(buf, a.Correct)
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(a.SumTR))
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(a.BrierSum))
-		for b := 0; b < CalibrationBuckets; b++ {
-			buf = binary.AppendUvarint(buf, a.CalibCount[b])
-			buf = binary.AppendUvarint(buf, a.CalibSurvived[b])
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(a.CalibSumTR[b]))
-		}
+	buf = wire.AppendUvarint(buf, p.Resolved)
+	buf = wire.AppendUvarint(buf, p.Dropped)
+	buf = wire.AppendUvarint(buf, uint64(len(p.Accuracy)))
+	for i := range p.Accuracy {
+		buf = appendAccSums(buf, &p.Accuracy[i])
 	}
 
-	buf = binary.AppendUvarint(buf, uint64(len(p.Alerts)))
+	buf = wire.AppendUvarint(buf, uint64(len(p.Alerts)))
 	for _, a := range p.Alerts {
-		buf = binary.AppendUvarint(buf, a.Seq)
-		buf = appendAccString(buf, a.Kind)
-		buf = appendAccString(buf, a.Machine)
-		buf = appendAccString(buf, a.Predictor)
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(a.Value))
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(a.Threshold))
-		buf = appendAccString(buf, a.Message)
-		buf = binary.AppendUvarint(buf, uint64(a.Time.UnixNano()))
+		buf = wire.AppendUvarint(buf, a.Seq)
+		buf = wire.AppendString(buf, a.Kind)
+		buf = wire.AppendString(buf, a.Machine)
+		buf = wire.AppendString(buf, a.Predictor)
+		buf = wire.AppendFloat64(buf, a.Value)
+		buf = wire.AppendFloat64(buf, a.Threshold)
+		buf = wire.AppendString(buf, a.Message)
+		buf = wire.AppendUvarint(buf, uint64(a.Time.UnixNano()))
 	}
 	return buf
 }
 
 // DecodeObsSnapshot parses a PeerObs encoded by EncodeBinary. The decoder
-// trusts nothing: every claimed count is bounded by the bytes that remain,
-// series may not repeat, histogram layouts are size-capped, and trailing
-// bytes are rejected.
+// trusts nothing: wire.Reader bounds every claimed count by the bytes that
+// remain and rejects trailing bytes; on top of that series may not repeat
+// and histogram layouts are size-capped. Each Count argument is the size of
+// that element's smallest encoding (empty strings, one-byte uvarints).
 func DecodeObsSnapshot(data []byte) (*PeerObs, error) {
-	if len(data) < 5 || [4]byte(data[:4]) != obsMagic {
-		return nil, fmt.Errorf("obs: bad obs snapshot magic")
-	}
-	if data[4] != obsVersion {
-		return nil, fmt.Errorf("obs: obs snapshot version %d", data[4])
-	}
-	p := data[5:]
-	out := &PeerObs{Metrics: emptySnapshot()}
-	var err error
-	if out.Peer, p, err = readAccString(p); err != nil {
-		return nil, err
-	}
+	r := wire.NewReader(data, "obs: obs snapshot")
+	r.Header(obsMagic, obsVersion)
+	out := &PeerObs{Metrics: emptySnapshot(), Peer: r.String()}
 
-	var n uint64
-	if n, p, err = readAccUvarint(p); err != nil {
-		return nil, err
-	}
-	if n > uint64(len(p)) {
-		return nil, fmt.Errorf("obs: obs snapshot claims %d counters in %d bytes", n, len(p))
-	}
-	for i := uint64(0); i < n; i++ {
-		var k string
-		var v uint64
-		if k, p, err = readAccString(p); err != nil {
-			return nil, err
-		}
-		if v, p, err = readAccUvarint(p); err != nil {
-			return nil, err
-		}
+	for n := r.Count(2, "counters"); n > 0 && r.Err() == nil; n-- {
+		k, v := r.String(), r.Uvarint()
 		if _, dup := out.Metrics.Counters[k]; dup {
-			return nil, fmt.Errorf("obs: duplicate counter series %q", k)
+			r.Fail("duplicate counter series %q", k)
 		}
 		out.Metrics.Counters[k] = v
 	}
-
-	if n, p, err = readAccUvarint(p); err != nil {
-		return nil, err
-	}
-	if n > uint64(len(p)) {
-		return nil, fmt.Errorf("obs: obs snapshot claims %d gauges in %d bytes", n, len(p))
-	}
-	for i := uint64(0); i < n; i++ {
-		var k string
-		var v float64
-		if k, p, err = readAccString(p); err != nil {
-			return nil, err
-		}
-		if v, p, err = readAccFloat(p); err != nil {
-			return nil, err
-		}
+	for n := r.Count(9, "gauges"); n > 0 && r.Err() == nil; n-- {
+		k, v := r.String(), r.Float64()
 		if _, dup := out.Metrics.Gauges[k]; dup {
-			return nil, fmt.Errorf("obs: duplicate gauge series %q", k)
+			r.Fail("duplicate gauge series %q", k)
 		}
 		out.Metrics.Gauges[k] = v
 	}
-
-	if n, p, err = readAccUvarint(p); err != nil {
-		return nil, err
-	}
-	if n > uint64(len(p)) {
-		return nil, fmt.Errorf("obs: obs snapshot claims %d histograms in %d bytes", n, len(p))
-	}
-	for i := uint64(0); i < n; i++ {
-		var k string
-		if k, p, err = readAccString(p); err != nil {
-			return nil, err
-		}
-		var nb uint64
-		if nb, p, err = readAccUvarint(p); err != nil {
-			return nil, err
-		}
-		if nb > maxObsBounds || nb > uint64(len(p))/8 {
-			return nil, fmt.Errorf("obs: obs snapshot histogram claims %d bounds in %d bytes", nb, len(p))
+	for n := r.Count(12, "histograms"); n > 0 && r.Err() == nil; n-- {
+		k := r.String()
+		nb := r.Count(8, "histogram bounds")
+		if nb > maxObsBounds {
+			r.Fail("histogram claims %d bounds", nb)
+			break
 		}
 		h := HistogramSnapshot{Bounds: make([]float64, nb), Counts: make([]uint64, nb+1)}
 		for j := range h.Bounds {
-			if h.Bounds[j], p, err = readAccFloat(p); err != nil {
-				return nil, err
-			}
+			h.Bounds[j] = r.Float64()
 			if j > 0 && h.Bounds[j] <= h.Bounds[j-1] {
-				return nil, fmt.Errorf("obs: obs snapshot histogram bounds not increasing")
+				r.Fail("histogram bounds not increasing")
 			}
 		}
 		for j := range h.Counts {
-			if h.Counts[j], p, err = readAccUvarint(p); err != nil {
-				return nil, err
-			}
+			h.Counts[j] = r.Uvarint()
 		}
-		if h.Sum, p, err = readAccFloat(p); err != nil {
-			return nil, err
-		}
-		if h.Count, p, err = readAccUvarint(p); err != nil {
-			return nil, err
-		}
+		h.Sum, h.Count = r.Float64(), r.Uvarint()
 		if _, dup := out.Metrics.Histograms[k]; dup {
-			return nil, fmt.Errorf("obs: duplicate histogram series %q", k)
+			r.Fail("duplicate histogram series %q", k)
 		}
 		out.Metrics.Histograms[k] = h
 	}
 
-	if out.Resolved, p, err = readAccUvarint(p); err != nil {
-		return nil, err
-	}
-	if out.Dropped, p, err = readAccUvarint(p); err != nil {
-		return nil, err
-	}
-	if n, p, err = readAccUvarint(p); err != nil {
-		return nil, err
-	}
-	if n > uint64(len(p)) {
-		return nil, fmt.Errorf("obs: obs snapshot claims %d accuracy keys in %d bytes", n, len(p))
-	}
+	out.Resolved, out.Dropped = r.Uvarint(), r.Uvarint()
+	n := r.Count(accSumsMinBytes, "accuracy keys")
 	seen := make(map[trackerKey]bool, n)
 	out.Accuracy = make([]AccSums, 0, n)
-	for i := uint64(0); i < n; i++ {
-		var a AccSums
-		if a.Machine, p, err = readAccString(p); err != nil {
-			return nil, err
-		}
-		if a.Predictor, p, err = readAccString(p); err != nil {
-			return nil, err
-		}
-		if a.Resolved, p, err = readAccUvarint(p); err != nil {
-			return nil, err
-		}
-		if a.Survived, p, err = readAccUvarint(p); err != nil {
-			return nil, err
-		}
-		if a.Correct, p, err = readAccUvarint(p); err != nil {
-			return nil, err
-		}
-		if a.SumTR, p, err = readAccFloat(p); err != nil {
-			return nil, err
-		}
-		if a.BrierSum, p, err = readAccFloat(p); err != nil {
-			return nil, err
-		}
-		for b := 0; b < CalibrationBuckets; b++ {
-			if a.CalibCount[b], p, err = readAccUvarint(p); err != nil {
-				return nil, err
-			}
-			if a.CalibSurvived[b], p, err = readAccUvarint(p); err != nil {
-				return nil, err
-			}
-			if a.CalibSumTR[b], p, err = readAccFloat(p); err != nil {
-				return nil, err
-			}
-		}
+	for ; n > 0 && r.Err() == nil; n-- {
+		a := readAccSums(&r)
 		key := trackerKey{Machine: a.Machine, Predictor: a.Predictor}
 		if seen[key] {
-			return nil, fmt.Errorf("obs: duplicate accuracy key in obs snapshot")
+			r.Fail("duplicate accuracy key")
 		}
 		seen[key] = true
 		out.Accuracy = append(out.Accuracy, a)
 	}
 
-	if n, p, err = readAccUvarint(p); err != nil {
-		return nil, err
+	n = r.Count(22, "alerts")
+	if n > maxAlertCap {
+		r.Fail("claims %d alerts, cap %d", n, maxAlertCap)
 	}
-	if n > maxAlertCap || n > uint64(len(p)) {
-		return nil, fmt.Errorf("obs: obs snapshot claims %d alerts in %d bytes", n, len(p))
-	}
-	out.Alerts = make([]Alert, 0, n)
-	for i := uint64(0); i < n; i++ {
-		var a Alert
-		if a.Seq, p, err = readAccUvarint(p); err != nil {
-			return nil, err
-		}
-		if a.Kind, p, err = readAccString(p); err != nil {
-			return nil, err
-		}
-		if a.Machine, p, err = readAccString(p); err != nil {
-			return nil, err
-		}
-		if a.Predictor, p, err = readAccString(p); err != nil {
-			return nil, err
-		}
-		if a.Value, p, err = readAccFloat(p); err != nil {
-			return nil, err
-		}
-		if a.Threshold, p, err = readAccFloat(p); err != nil {
-			return nil, err
-		}
-		if a.Message, p, err = readAccString(p); err != nil {
-			return nil, err
-		}
-		var ns uint64
-		if ns, p, err = readAccUvarint(p); err != nil {
-			return nil, err
-		}
-		a.Time = time.Unix(0, int64(ns)).UTC()
+	out.Alerts = make([]Alert, 0, min(n, maxAlertCap))
+	for ; n > 0 && r.Err() == nil; n-- {
+		a := Alert{Seq: r.Uvarint(), Kind: r.String(), Machine: r.String(), Predictor: r.String(),
+			Value: r.Float64(), Threshold: r.Float64(), Message: r.String()}
+		a.Time = time.Unix(0, int64(r.Uvarint())).UTC()
 		out.Alerts = append(out.Alerts, a)
 	}
-	if len(p) != 0 {
-		return nil, fmt.Errorf("obs: trailing bytes in obs snapshot")
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -628,17 +461,17 @@ func (f *FleetSnapshot) WriteText(w io.Writer) error {
 			return err
 		}
 	}
-	for _, k := range sortedKeysU64(f.Metrics.Counters) {
+	for _, k := range sortedKeys(f.Metrics.Counters) {
 		if _, err := fmt.Fprintf(w, "%s %d\n", k, f.Metrics.Counters[k]); err != nil {
 			return err
 		}
 	}
-	for _, k := range sortedKeysF64(f.Metrics.Gauges) {
+	for _, k := range sortedKeys(f.Metrics.Gauges) {
 		if _, err := fmt.Fprintf(w, "%s %s\n", k, formatFloat(f.Metrics.Gauges[k])); err != nil {
 			return err
 		}
 	}
-	for _, k := range sortedKeysHist(f.Metrics.Histograms) {
+	for _, k := range sortedKeys(f.Metrics.Histograms) {
 		if err := writeHistText(w, k, f.Metrics.Histograms[k]); err != nil {
 			return err
 		}

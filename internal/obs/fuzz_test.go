@@ -4,13 +4,16 @@ import (
 	"bytes"
 	"testing"
 	"time"
+
+	"fgcs/internal/wire/wiretest"
 )
 
 // FuzzDecodeObsSnapshot hammers the peer-obs wire decoder — the code path a
 // federated gateway runs on every query-obs response from a (possibly
-// compromised) peer — with arbitrary bytes. No input may panic it, and any
-// input it accepts must re-encode to a canonical fixpoint: encode(decode(x))
-// decodes again and re-encodes byte-identically.
+// compromised) peer — with arbitrary bytes. No input may panic it or make it
+// allocate out of proportion before it is rejected, and any input it accepts
+// must re-encode to a canonical fixpoint: encode(decode(x)) decodes again
+// and re-encodes byte-identically.
 func FuzzDecodeObsSnapshot(f *testing.F) {
 	// A full export: counters, gauges, a histogram, accuracy sums, alerts.
 	f.Add(samplePeerObs("gw01").EncodeBinary())
@@ -30,8 +33,8 @@ func FuzzDecodeObsSnapshot(f *testing.F) {
 	f.Add([]byte{'F', 'G', 'O', 'S', 1, 0xFF, 0xFF, 0xFF})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		p, err := DecodeObsSnapshot(data)
-		if err != nil {
+		var p *PeerObs
+		if wiretest.Bounded(t, data, func(b []byte) (err error) { p, err = DecodeObsSnapshot(b); return }) != nil {
 			return
 		}
 		enc := p.EncodeBinary()
@@ -50,6 +53,34 @@ func FuzzDecodeObsSnapshot(f *testing.F) {
 		var buf bytes.Buffer
 		if err := fs.WriteText(&buf); err != nil {
 			t.Fatalf("merged fuzz snapshot failed to render: %v", err)
+		}
+	})
+}
+
+// FuzzRestoreBinary hammers the FGAT decoder, which reads the tracker blob
+// of a node snapshot from disk. No input may panic it or allocate out of
+// proportion before it is rejected; an accepted input yields a tracker whose
+// export restores to the same export.
+func FuzzRestoreBinary(f *testing.F) {
+	good := sampleTracker(wrapped).ExportBinary()
+	f.Add(good)
+	f.Add(NewTracker().ExportBinary())
+	f.Add(good[:len(good)/3])
+	f.Add(append(append([]byte(nil), good...), 0x01))
+	f.Add([]byte{'F', 'G', 'A', 'T', 1, 0, 0, 0xFF, 0xFF, 0x03})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr := NewTracker()
+		if wiretest.Bounded(t, data, tr.RestoreBinary) != nil {
+			return
+		}
+		enc := tr.ExportBinary()
+		again, err := restoreTracker(enc)
+		if err != nil {
+			t.Fatalf("export of an accepted snapshot rejected: %v", err)
+		}
+		if !bytes.Equal(again.ExportBinary(), enc) {
+			t.Fatal("export does not restore to the same export")
 		}
 	})
 }
