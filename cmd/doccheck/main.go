@@ -4,8 +4,9 @@
 //   - every exported symbol in the audited packages (-pkgs) carries a doc
 //     comment, so `go doc` is never blank on API surface;
 //   - every command-line flag registered by the audited binaries (-flagdirs)
-//     is mentioned in the README flag reference (-readme), so the operator
-//     docs cannot silently fall behind the binaries;
+//     is mentioned in the README flag reference (-readme) and every flag
+//     table row there names a registered flag, so the operator docs can
+//     neither fall behind the binaries nor outlive a deleted flag;
 //   - every metric registered in the audited packages (-metricdirs) is
 //     hygienic: a literal fgcs_-prefixed snake_case name, help text that is
 //     a sentence ending in a period, and no label key whose cardinality
@@ -187,16 +188,20 @@ var flagFuncs = map[string]bool{
 	"Uint": true, "Uint64": true, "Float64": true, "Duration": true,
 }
 
+// flagRow matches one README flag-table row: "| `-name` | default | ...".
+var flagRow = regexp.MustCompile("(?m)^\\| `-([\\w-]+)` \\|")
+
 // staleFlags parses every non-test file in the given command directories,
 // collects the name of each registered flag, and reports the ones the
 // README never mentions (as `-name` inside a code span or slash-joined
-// flag list).
+// flag list), then the README flag-table rows whose flag none registers.
 func staleFlags(dirs []string, readmePath string) ([]string, error) {
 	readme, err := os.ReadFile(readmePath)
 	if err != nil {
 		return nil, err
 	}
 	var out []string
+	registered := map[string]bool{}
 	for _, dir := range dirs {
 		dir = strings.TrimSpace(dir)
 		if dir == "" {
@@ -238,6 +243,7 @@ func staleFlags(dirs []string, readmePath string) ([]string, error) {
 		}
 		sort.Strings(sorted)
 		for _, name := range sorted {
+			registered[name] = true
 			// Match -name after a backtick or a slash (the `-a/-b` list
 			// style), not followed by more flag-name characters, so -retry
 			// is not satisfied by -retry-base.
@@ -245,6 +251,11 @@ func staleFlags(dirs []string, readmePath string) ([]string, error) {
 			if !re.Match(readme) {
 				out = append(out, fmt.Sprintf("%s: flag -%s of %s is not documented in %s", dir, name, filepath.Base(dir), readmePath))
 			}
+		}
+	}
+	for _, m := range flagRow.FindAllSubmatch(readme, -1) {
+		if name := string(m[1]); !registered[name] {
+			out = append(out, fmt.Sprintf("%s: table row for flag -%s, which no audited command registers", readmePath, name))
 		}
 	}
 	return out, nil

@@ -4,7 +4,7 @@
 //
 //	ishared -id lab-01 -listen :7070 -registry registry-host:7000
 //	ishared -id lab-01 -listen :7070 -source replay -trace testbed.trace
-//	ishared -registry-only -listen :7000     # run a registry instead
+//	ishared -registry-only -listen :7000     # run a registry: a federation ring of one
 //	ishared -id gw1 -listen :7000 \
 //	    -peers gw1=host1:7000,gw2=host2:7000,gw3=host3:7000   # federation peer
 //
@@ -64,7 +64,7 @@ func main() {
 		id           = flag.String("id", hostnameOr("node"), "machine id")
 		listen       = flag.String("listen", "127.0.0.1:7070", "gateway listen address")
 		registry     = flag.String("registry", "", "registry address to publish to")
-		registryOnly = flag.Bool("registry-only", false, "run a registry instead of a host node")
+		registryOnly = flag.Bool("registry-only", false, "run a registry instead of a host node: a federation ring whose only peer is -id at -listen")
 		source       = flag.String("source", "proc", "load source: proc or replay")
 		traceFile    = flag.String("trace", "", "trace file for -source replay / preloaded history")
 		heartbeat    = flag.String("heartbeat", "", "t_monitor heartbeat file path")
@@ -73,7 +73,6 @@ func main() {
 		archiveEvery = flag.Duration("archive-every", 10*time.Minute, "archive interval")
 		ttl          = flag.Duration("ttl", 90*time.Second, "registration TTL; re-registered by the heartbeat (0 = register once, never expires)")
 		hbEvery      = flag.Duration("heartbeat-every", 30*time.Second, "registry re-registration interval")
-		reapEvery    = flag.Duration("reap-every", time.Minute, "registry-only: eviction sweep interval for expired registrations (0 = lazy only)")
 		peers        = flag.String("peers", "", "comma-separated id=addr federation ring membership; enables federation mode (the list must include this peer's -id)")
 		vnodes       = flag.Int("vnodes", ishare.DefaultVnodes, "federation: virtual nodes per peer on the consistent-hash ring")
 		replicas     = flag.Int("replicas", ishare.DefaultReplicas, "federation: successor peers mirroring each registry entry (-1 = none)")
@@ -104,7 +103,7 @@ func main() {
 		id: *id, listen: *listen, registry: *registry, registryOnly: *registryOnly,
 		source: *source, traceFile: *traceFile, heartbeat: *heartbeat, histDays: *histDays,
 		archive: *archive, archiveEvery: *archiveEvery,
-		ttl: *ttl, hbEvery: *hbEvery, reapEvery: *reapEvery, obsAddr: *obsAddr,
+		ttl: *ttl, hbEvery: *hbEvery, obsAddr: *obsAddr,
 		peers: *peers, vnodes: *vnodes, replicas: *replicas, syncEvery: *syncEvery,
 		traceSample: *traceSample, traceSeed: *traceSeed, flight: flight, logger: logger,
 		slo: *sloSpecs, obsEvery: *obsEvery,
@@ -129,7 +128,6 @@ type runConfig struct {
 	histDays                     int
 	archive                      string
 	archiveEvery, ttl, hbEvery   time.Duration
-	reapEvery                    time.Duration
 	obsAddr                      string
 	peers                        string
 	vnodes, replicas             int
@@ -464,42 +462,11 @@ func run(rc runConfig) error {
 	source, traceFile, heartbeat := rc.source, rc.traceFile, rc.heartbeat
 	histDays, archive, archiveEvery := rc.histDays, rc.archive, rc.archiveEvery
 	logger := rc.logger
+	if rc.registryOnly && rc.peers == "" {
+		rc.peers = id + "=" + listen // a standalone registry is a ring of one
+	}
 	if rc.peers != "" {
 		return runFed(rc)
-	}
-	if rc.registryOnly {
-		reg := ishare.NewRegistry()
-		st, rec, err := openDurable(rc, logger)
-		if err != nil {
-			return err
-		}
-		var persist *ishare.RegPersister
-		if st != nil {
-			if persist, err = ishare.NewRegPersister(st, rec, reg, logger); err != nil {
-				return err
-			}
-			stop := persist.StartSnapshots(rc.snapEvery)
-			defer stop()
-		}
-		srv, err := reg.Serve(listen)
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
-		if rc.reapEvery > 0 {
-			stop := reg.StartReaper(rc.reapEvery)
-			defer stop()
-		}
-		logger.Info("registry listening",
-			slog.String("addr", srv.Addr()), slog.Duration("reap_every", rc.reapEvery))
-		waitForSignal(logger)
-		if persist != nil {
-			if err := persist.Flush(); err != nil {
-				return fmt.Errorf("final registry snapshot: %w", err)
-			}
-			logger.Info("durable state flushed", slog.String("dir", rc.dataDir))
-		}
-		return nil
 	}
 
 	var preloaded *trace.Machine

@@ -73,7 +73,11 @@ func TestEndToEndPipeline(t *testing.T) {
 	//    discovered and ranked by the client scheduler.
 	now := loaded.Machines[0].Days[20].Date.Add(9 * time.Hour)
 	clock := simclock.NewVirtual(now)
-	reg := ishare.NewRegistry()
+	self := ishare.Peer{ID: "registry", Addr: "registry.invalid:1"} // a ring of one never dials
+	reg, err := ishare.NewFedGateway(ishare.FedConfig{Self: self, Peers: []ishare.Peer{self}, Clock: clock})
+	if err != nil {
+		t.Fatal(err)
+	}
 	regSrv, err := reg.Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -99,7 +103,7 @@ func TestEndToEndPipeline(t *testing.T) {
 		defer srv.Close()
 		gateways = append(gateways, node.Gateway)
 	}
-	sched, err := ishare.FromRegistry(context.Background(), regSrv.Addr(), 2*time.Second)
+	sched, err := ishare.FromRegistryWith(context.Background(), nil, regSrv.Addr(), 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,9 @@
 // replicated to each machine's successor peers, and any peer transparently
 // forwards machine-scoped RPCs it cannot serve from its own shard. Peer
 // hops ride the same Caller retry/breaker/trace stack as every other RPC,
-// so a forwarded request renders as one stitched span tree.
+// so a forwarded request renders as one stitched span tree. A standalone
+// registry is the same type with a one-member ring: every key's candidate
+// set is the peer itself, so it serves from its shard and never dials.
 package ishare
 
 import (
@@ -203,12 +205,6 @@ type FedConfig struct {
 	Obs *NodeObs
 }
 
-// fedEntry is one stored registry entry.
-type fedEntry struct {
-	res     Resource
-	expires time.Time // zero = never
-}
-
 // FedGateway is one peer of the federated control plane. It stores the
 // shard of the machine registry it owns or replicates, serves machine
 // RPCs for machines in that shard by proxying to the machine's host
@@ -229,7 +225,7 @@ type FedGateway struct {
 	obs      *NodeObs
 
 	mu                                          sync.Mutex
-	entries                                     map[string]fedEntry
+	entries                                     map[string]RegEntry
 	lastSync                                    map[string]time.Time
 	served, forwarded, syncPushed, syncAccepted uint64
 
@@ -252,7 +248,7 @@ type FedGateway struct {
 	// concurrent snapshot's captured WAL position is already in that
 	// snapshot's Export, and one logged after it is replayed on recovery
 	// as an idempotent upsert.
-	sink func(e RegEntry, removed bool)
+	sink func(e RegEntry)
 }
 
 // NewFedGateway validates the membership and builds the peer. The ring is
@@ -312,7 +308,7 @@ func NewFedGateway(cfg FedConfig) (*FedGateway, error) {
 		logger:   cfg.Logger,
 		tracer:   cfg.Tracer,
 		obs:      cfg.Obs,
-		entries:  make(map[string]fedEntry),
+		entries:  make(map[string]RegEntry),
 		lastSync: make(map[string]time.Time),
 	}, nil
 }
@@ -333,23 +329,20 @@ func (f *FedGateway) Candidates(machine string) []Peer {
 // store upserts a registry entry with an absolute expiry built from ttl
 // (<= 0 = never expires).
 func (f *FedGateway) store(machine, addr string, ttl time.Duration) {
-	var expires time.Time
-	if ttl > 0 {
-		expires = f.clock.Now().Add(ttl)
-	}
+	e := newRegEntry(machine, addr, ttl, f.clock.Now())
 	f.mu.Lock()
-	f.entries[machine] = fedEntry{res: Resource{MachineID: machine, Addr: addr}, expires: expires}
+	f.entries[machine] = e
 	sink := f.sink
 	f.mu.Unlock()
 	if sink != nil {
-		sink(RegEntry{Machine: machine, Addr: addr, Expires: expires}, false)
+		sink(e)
 	}
 }
 
 // SetSink installs the persistence hook for shard changes. Call before the
 // peer starts serving. Lazy expiry reaps are not reported — the persisted
 // absolute deadlines re-expire on their own after a restart.
-func (f *FedGateway) SetSink(fn func(e RegEntry, removed bool)) {
+func (f *FedGateway) SetSink(fn func(e RegEntry)) {
 	f.mu.Lock()
 	f.sink = fn
 	f.mu.Unlock()
@@ -361,8 +354,8 @@ func (f *FedGateway) Export() []RegEntry {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	out := make([]RegEntry, 0, len(f.entries))
-	for id, ent := range f.entries {
-		out = append(out, RegEntry{Machine: id, Addr: ent.res.Addr, Expires: ent.expires})
+	for _, e := range f.entries {
+		out = append(out, e)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Machine < out[j].Machine })
 	return out
@@ -370,7 +363,7 @@ func (f *FedGateway) Export() []RegEntry {
 
 // Restore upserts recovered shard entries without firing the sink or
 // counting them as sync traffic. Already-expired entries are installed and
-// left to the lazy reap, mirroring Registry.Restore.
+// left to the lazy eviction, keeping restore trivial and deterministic.
 func (f *FedGateway) Restore(entries []RegEntry) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -378,14 +371,12 @@ func (f *FedGateway) Restore(entries []RegEntry) {
 		if e.Machine == "" {
 			continue
 		}
-		f.entries[e.Machine] = fedEntry{
-			res:     Resource{MachineID: e.Machine, Addr: e.Addr},
-			expires: e.Expires,
-		}
+		f.entries[e.Machine] = e
 	}
 }
 
-// RestoreRemove replays a logged removal without firing the sink.
+// RestoreRemove replays a logged removal without firing the sink; only WALs
+// written by older binaries hold such records.
 func (f *FedGateway) RestoreRemove(machine string) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -394,19 +385,16 @@ func (f *FedGateway) RestoreRemove(machine string) {
 
 // lookup returns the live entry for a machine, treating expired entries as
 // absent (they are reaped lazily here and in SyncOnce).
-func (f *FedGateway) lookup(machine string) (fedEntry, bool) {
+func (f *FedGateway) lookup(machine string) (RegEntry, bool) {
 	now := f.clock.Now()
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	ent, ok := f.entries[machine]
-	if !ok {
-		return fedEntry{}, false
-	}
-	if !ent.expires.IsZero() && !now.Before(ent.expires) {
+	if ok && ent.expired(now) {
 		delete(f.entries, machine)
-		return fedEntry{}, false
+		ok = false
 	}
-	return ent, true
+	return ent, ok
 }
 
 // localResources lists the live entries in this peer's shard, sorted by
@@ -416,11 +404,11 @@ func (f *FedGateway) localResources() []Resource {
 	f.mu.Lock()
 	out := make([]Resource, 0, len(f.entries))
 	for id, ent := range f.entries {
-		if !ent.expires.IsZero() && !now.Before(ent.expires) {
+		if ent.expired(now) {
 			delete(f.entries, id)
 			continue
 		}
-		out = append(out, ent.res)
+		out = append(out, Resource{MachineID: id, Addr: ent.Addr})
 	}
 	f.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].MachineID < out[j].MachineID })
@@ -473,16 +461,16 @@ func (f *FedGateway) register(ctx context.Context, reg RegisterReq) error {
 	if reg.MachineID == "" || reg.Addr == "" {
 		return fmt.Errorf("fed: registration needs machine id and address")
 	}
-	ttl := time.Duration(reg.TTLSeconds * float64(time.Second))
-	if reg.Forwarded {
-		f.store(reg.MachineID, reg.Addr, ttl)
-		f.replicateEntry(ctx, reg.MachineID, reg.Addr, ttl)
-		return nil
+	ttl, err := ttlDuration(reg.TTLSeconds)
+	if err != nil {
+		return err
 	}
-	for _, p := range f.Candidates(reg.MachineID) {
-		if p.ID == f.self.ID {
+	cands := f.Candidates(reg.MachineID)
+	for _, p := range cands {
+		// A forwarded registration is stored where it lands.
+		if reg.Forwarded || p.ID == f.self.ID {
 			f.store(reg.MachineID, reg.Addr, ttl)
-			f.replicateEntry(ctx, reg.MachineID, reg.Addr, ttl)
+			f.replicateEntry(ctx, cands, reg.MachineID, reg.Addr, ttl)
 			return nil
 		}
 		fwd := reg
@@ -502,14 +490,14 @@ func (f *FedGateway) register(ctx context.Context, reg RegisterReq) error {
 	return nil
 }
 
-// replicateEntry pushes one entry to the other members of its replica set,
-// best effort: a dead replica is only logged (anti-entropy retries later).
-func (f *FedGateway) replicateEntry(ctx context.Context, machine, addr string, ttl time.Duration) {
+// replicateEntry pushes one entry to the other members of its replica set
+// cands, best effort: a dead replica is only logged (anti-entropy retries).
+func (f *FedGateway) replicateEntry(ctx context.Context, cands []Peer, machine, addr string, ttl time.Duration) {
 	ent := FedEntry{MachineID: machine, Addr: addr, TTLSeconds: ttl.Seconds()}
 	if ttl <= 0 {
 		ent.TTLSeconds = 0
 	}
-	for _, p := range f.Candidates(machine) {
+	for _, p := range cands {
 		if p.ID == f.self.ID {
 			continue
 		}
@@ -535,21 +523,19 @@ func (f *FedGateway) fedSync(req FedSyncReq) FedSyncResp {
 	var applied []RegEntry
 	accepted := 0
 	for _, e := range req.Entries {
-		if e.MachineID == "" || e.Addr == "" {
+		ttl, err := ttlDuration(e.TTLSeconds)
+		if e.MachineID == "" || e.Addr == "" || err != nil {
 			continue
 		}
-		var expires time.Time
-		if e.TTLSeconds > 0 {
-			expires = now.Add(time.Duration(e.TTLSeconds * float64(time.Second)))
-		}
+		ent := newRegEntry(e.MachineID, e.Addr, ttl, now)
 		cur, ok := f.entries[e.MachineID]
-		if ok && !fresher(cur, expires, now) {
+		if ok && !fresher(cur, ent.Expires, now) {
 			continue
 		}
-		f.entries[e.MachineID] = fedEntry{res: Resource{MachineID: e.MachineID, Addr: e.Addr}, expires: expires}
+		f.entries[e.MachineID] = ent
 		accepted++
 		if f.sink != nil {
-			applied = append(applied, RegEntry{Machine: e.MachineID, Addr: e.Addr, Expires: expires})
+			applied = append(applied, ent)
 		}
 	}
 	f.syncAccepted += uint64(accepted)
@@ -557,7 +543,7 @@ func (f *FedGateway) fedSync(req FedSyncReq) FedSyncResp {
 	f.mu.Unlock()
 	if sink != nil {
 		for _, e := range applied {
-			sink(e, false)
+			sink(e)
 		}
 	}
 	return FedSyncResp{Accepted: accepted}
@@ -573,14 +559,14 @@ const fedFreshSlack = 500 * time.Millisecond
 
 // fresher reports whether an incoming entry expiring at `expires` should
 // replace cur.
-func fresher(cur fedEntry, expires time.Time, now time.Time) bool {
-	if !cur.expires.IsZero() && !now.Before(cur.expires) {
-		return true // current entry already expired
+func fresher(cur RegEntry, expires time.Time, now time.Time) bool {
+	if cur.expired(now) {
+		return true
 	}
-	if cur.expires.IsZero() {
+	if cur.Expires.IsZero() {
 		return false // current entry never expires
 	}
-	return expires.IsZero() || expires.After(cur.expires.Add(fedFreshSlack))
+	return expires.IsZero() || expires.After(cur.Expires.Add(fedFreshSlack))
 }
 
 // SyncOnce runs one anti-entropy round: every live local entry is pushed,
@@ -595,13 +581,13 @@ func (f *FedGateway) SyncOnce(ctx context.Context) int {
 	addrs := make(map[string]Peer)
 	f.mu.Lock()
 	for id, ent := range f.entries {
-		if !ent.expires.IsZero() && !now.Before(ent.expires) {
+		if ent.expired(now) {
 			delete(f.entries, id)
 			continue
 		}
-		we := FedEntry{MachineID: id, Addr: ent.res.Addr}
-		if !ent.expires.IsZero() {
-			we.TTLSeconds = ent.expires.Sub(now).Seconds()
+		we := FedEntry{MachineID: id, Addr: ent.Addr}
+		if !ent.Expires.IsZero() {
+			we.TTLSeconds = ent.Expires.Sub(now).Seconds()
 		}
 		for _, p := range f.Candidates(id) {
 			if p.ID == f.self.ID {
@@ -649,19 +635,7 @@ func (f *FedGateway) StartSync(every time.Duration) (stop func()) {
 	if every <= 0 {
 		every = 30 * time.Second
 	}
-	done := make(chan struct{})
-	go func() {
-		for {
-			select {
-			case <-done:
-				return
-			case <-f.clock.After(every):
-				f.SyncOnce(context.Background())
-			}
-		}
-	}()
-	var once sync.Once
-	return func() { once.Do(func() { close(done) }) }
+	return startLoop(f.clock, every, func() { f.SyncOnce(context.Background()) })
 }
 
 // route serves one machine-scoped request: from the local shard when this
@@ -680,7 +654,7 @@ func (f *FedGateway) route(ctx context.Context, machine string, local bool, fedT
 			return fmt.Errorf("%s: %q", fedUnknownMachine, machine)
 		}
 		f.addServed()
-		return serve(ent.res.Addr)
+		return serve(ent.Addr)
 	}
 	var lastErr error
 	for _, p := range f.Candidates(machine) {
@@ -690,7 +664,7 @@ func (f *FedGateway) route(ctx context.Context, machine string, local bool, fedT
 				continue
 			}
 			f.addServed()
-			return serve(ent.res.Addr)
+			return serve(ent.Addr)
 		}
 		err := f.callPeer(ctx, p, fedType, fedReq, out, retry)
 		if err == nil {
@@ -706,7 +680,7 @@ func (f *FedGateway) route(ctx context.Context, machine string, local bool, fedT
 	// Off-placement stray (every candidate was down at register time)?
 	if ent, ok := f.lookup(machine); ok {
 		f.addServed()
-		return serve(ent.res.Addr)
+		return serve(ent.Addr)
 	}
 	if lastErr != nil {
 		return fmt.Errorf("fed: machine %q unreachable on every replica: %w", machine, lastErr)
@@ -842,7 +816,7 @@ func (f *FedGateway) RingStats() *RingStats {
 	ownerCount := make(map[string]int)
 	f.mu.Lock()
 	for id, ent := range f.entries {
-		if !ent.expires.IsZero() && !now.Before(ent.expires) {
+		if ent.expired(now) {
 			continue
 		}
 		st.Entries++

@@ -3,7 +3,9 @@ package ishare
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -405,7 +407,7 @@ func TestFedSyncOnceHealsRestartedPeer(t *testing.T) {
 	// Simulate an amnesiac restart: wipe one candidate's shard.
 	victim := pickPeer(t, nodes, "m-heal", true)
 	nodes[victim].gw.mu.Lock()
-	nodes[victim].gw.entries = make(map[string]fedEntry)
+	nodes[victim].gw.entries = make(map[string]RegEntry)
 	nodes[victim].gw.mu.Unlock()
 	if _, ok := nodes[victim].gw.lookup("m-heal"); ok {
 		t.Fatal("victim still holds the entry after wipe")
@@ -461,18 +463,6 @@ func TestFedQueryStatsCarriesRing(t *testing.T) {
 	if holderHas := st.Ring.Entries; holderHas > 0 && ownedTotal != holderHas {
 		t.Errorf("owned-entries sum %d != entries %d", ownedTotal, holderHas)
 	}
-
-	// A plain registry answer must NOT carry ring state (field is fed-only).
-	reg := NewRegistry()
-	srv, err := NewServer("127.0.0.1:0", reg.Handler())
-	if err != nil {
-		t.Fatalf("registry server: %v", err)
-	}
-	defer srv.Close()
-	var dr DiscoverResp
-	if err := (&Caller{}).Call(context.Background(), srv.Addr(), MsgDiscover, DiscoverReq{}, &dr, time.Second); err != nil {
-		t.Fatalf("registry discover with payload: %v", err)
-	}
 }
 
 func TestFedGatewayConfigValidation(t *testing.T) {
@@ -499,5 +489,46 @@ func TestFedGatewayConfigValidation(t *testing.T) {
 	}
 	if got := len(gw.Candidates("anything")); got != 2 {
 		t.Errorf("candidates = %d, want 2 (replicas capped at peers-1)", got)
+	}
+}
+
+// failingDialer fails the test on any dial.
+type failingDialer struct{ t *testing.T }
+
+func (d failingDialer) DialTimeout(network, addr string, timeout time.Duration) (net.Conn, error) {
+	d.t.Errorf("ring of one dialed %s", addr)
+	return nil, errors.New("dial refused by test")
+}
+
+// TestRingOfOneNeverDials drives every registry-side operation of a
+// one-member ring: each key's candidate set is the peer itself, so nothing
+// may leave the process. (Proxying a query to a registered machine is the
+// one operation that dials, and it dials the machine, not a peer.)
+func TestRingOfOneNeverDials(t *testing.T) {
+	ctx := context.Background()
+	gw := ringOfOne(t, FedConfig{Caller: &Caller{Dialer: failingDialer{t}}})
+	if _, err := gw.FedRank(ctx, FedRankReq{LengthSeconds: 3600}); err == nil || !strings.Contains(err.Error(), "no machines") {
+		t.Errorf("FedRank on an empty shard: %v", err)
+	}
+	regTTL(t, gw, "m-1", "10.0.0.1:7", time.Minute)
+	regTTL(t, gw, "m-2", "10.0.0.2:7", 0)
+	if err := gw.register(ctx, RegisterReq{MachineID: "m-3", Addr: "10.0.0.3:7", Forwarded: true}); err != nil {
+		t.Fatal(err)
+	}
+	h := gw.Handler()
+	for _, payload := range []string{`{}`, `{"local":true}`} {
+		resp, err := h(Request{Type: MsgDiscover, Payload: json.RawMessage(payload)})
+		if err != nil || len(resp.(DiscoverResp).Resources) != 3 {
+			t.Errorf("discover %s = %+v, %v", payload, resp, err)
+		}
+	}
+	if sent := gw.SyncOnce(ctx); sent != 0 {
+		t.Errorf("SyncOnce pushed %d entries to nobody", sent)
+	}
+	if _, err := gw.FedQueryTR(ctx, FedQueryTRReq{Machine: "m-unknown"}); !isUnknownMachine(err) {
+		t.Errorf("fed-query-tr for an unknown machine: %v", err)
+	}
+	if st := gw.RingStats(); st.Entries != 3 || st.Owned != 3 || st.Forwarded != 0 || st.SyncPushed != 0 {
+		t.Errorf("ring stats = %+v", st)
 	}
 }

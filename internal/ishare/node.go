@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
-	"sync"
 	"time"
 
 	"fgcs/internal/avail"
@@ -151,7 +150,7 @@ func (n *HostNode) Serve(addr, registryAddr string) (*Server, error) {
 		return nil, err
 	}
 	if registryAddr != "" {
-		if err := RegisterWith(registryAddr, n.Gateway.MachineID(), srv.Addr(), 5*time.Second); err != nil {
+		if err := RegisterWithTTL(context.Background(), nil, registryAddr, n.Gateway.MachineID(), srv.Addr(), 0, 5*time.Second); err != nil {
 			_ = srv.Close()
 			return nil, err
 		}
@@ -166,19 +165,9 @@ func (n *HostNode) Serve(addr, registryAddr string) (*Server, error) {
 // a missed heartbeat is exactly the signal the TTL is there to catch. The
 // returned stop function ends the heartbeat (idempotent).
 func (n *HostNode) StartHeartbeat(caller *Caller, registryAddr, gatewayAddr string, ttl, every time.Duration, timeout time.Duration) (stop func()) {
-	done := make(chan struct{})
-	var once sync.Once
-	go func() {
-		for {
-			select {
-			case <-done:
-				return
-			case <-n.clock.After(every):
-				_ = RegisterWithTTL(context.Background(), caller, registryAddr, n.Gateway.MachineID(), gatewayAddr, ttl, timeout)
-			}
-		}
-	}()
-	return func() { once.Do(func() { close(done) }) }
+	return startLoop(n.clock, every, func() {
+		_ = RegisterWithTTL(context.Background(), caller, registryAddr, n.Gateway.MachineID(), gatewayAddr, ttl, timeout)
+	})
 }
 
 // FeedDay drives the node synchronously through one simulated day of

@@ -296,13 +296,17 @@ func (f *FedGateway) SetRecoveryPending(pending bool) {
 // Ready reports nil when the peer can serve authoritatively: durable-state
 // recovery (if any) has finished, and the last anti-entropy round delivered
 // every push with nothing newly accepted — the ring has converged on this
-// peer's shard. Serve /readyz from it; the fleet simulator's restart phase
-// polls it instead of counting sync deltas by hand.
+// peer's shard. A ring of one has no other member to converge with, so only
+// recovery gates it. Serve /readyz from it; the fleet simulator's restart
+// phase polls it instead of counting sync deltas by hand.
 func (f *FedGateway) Ready() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.recoveryPending {
 		return fmt.Errorf("durable-state recovery in flight")
+	}
+	if f.ring.Len() == 1 {
+		return nil
 	}
 	if f.syncRounds == 0 {
 		return fmt.Errorf("registry sync pending: no anti-entropy round completed")

@@ -202,3 +202,27 @@ func TestFedReadyTransitions(t *testing.T) {
 		t.Fatalf("gateway not ready after convergence: %v", err)
 	}
 }
+
+// TestFedReadyRingOfOne: a peer with no other ring member has nothing to
+// converge with, so only recovery gates its readiness; a second member
+// brings the sync conditions back.
+func TestFedReadyRingOfOne(t *testing.T) {
+	solo := ringOfOne(t, FedConfig{})
+	solo.SetRecoveryPending(true)
+	if err := solo.Ready(); err == nil || !strings.Contains(err.Error(), "recovery") {
+		t.Fatalf("recovering ring of one: %v", err)
+	}
+	solo.SetRecoveryPending(false)
+	if err := solo.Ready(); err != nil {
+		t.Fatalf("ring of one not ready without a sync round: %v", err)
+	}
+
+	pair := buildFederation(t, 2, 1, nil)[0].gw
+	if err := pair.Ready(); err == nil || !strings.Contains(err.Error(), "sync pending") {
+		t.Fatalf("ring of two ready before any round: %v", err)
+	}
+	pair.SyncOnce(context.Background())
+	if err := pair.Ready(); err != nil {
+		t.Fatalf("ring of two not ready after a clean round: %v", err)
+	}
+}

@@ -11,6 +11,7 @@ import (
 	"fgcs/internal/durable"
 	"fgcs/internal/monitor"
 	"fgcs/internal/obs"
+	"fgcs/internal/simclock"
 	"fgcs/internal/trace"
 	"fgcs/internal/wire"
 )
@@ -32,11 +33,10 @@ import (
 // mutation the export already saw (components mutate, then log), and one
 // appended after it is replayed on recovery as an idempotent upsert.
 type Persister struct {
-	st      *durable.Store
+	snapshotter
 	sm      *StateManager
 	gw      *Gateway
 	tracker *obs.Tracker
-	logger  *slog.Logger
 
 	mu    sync.Mutex
 	coder durable.SampleCoder
@@ -58,10 +58,8 @@ func NewPersister(st *durable.Store, rec *durable.Recovery, sm *StateManager, gw
 	if st == nil || sm == nil || gw == nil {
 		return nil, fmt.Errorf("ishare: persister needs store, state manager and gateway")
 	}
-	if logger != nil {
-		logger = logger.With(slog.String("component", "persist"))
-	}
-	p := &Persister{st: st, sm: sm, gw: gw, tracker: sm.Obs().Tracker, logger: logger}
+	p := &Persister{sm: sm, gw: gw, tracker: sm.Obs().Tracker}
+	p.snapshotter = newSnapshotter(st, p.Snapshot, logger)
 	if rec != nil {
 		if err := p.restore(rec); err != nil {
 			return nil, err
@@ -128,52 +126,76 @@ func (p *Persister) Snapshot() error {
 	return nil
 }
 
-// StartSnapshots writes a snapshot every interval until the returned stop
-// function is called. Failures are logged and retried next round.
-func (p *Persister) StartSnapshots(every time.Duration) (stop func()) {
-	if every <= 0 {
-		every = 5 * time.Minute
-	}
-	done := make(chan struct{})
-	var once sync.Once
-	go func() {
-		ticker := time.NewTicker(every)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-ticker.C:
-				if err := p.Snapshot(); err != nil {
-					p.warn("periodic snapshot failed", slog.String("err", err.Error()))
-				}
-			}
-		}
-	}()
-	return func() { once.Do(func() { close(done) }) }
-}
-
 // Sync forces the WAL to stable storage (used by weaker fsync policies at
 // shutdown).
 func (p *Persister) Sync() error { return p.st.Sync() }
 
-// Close flushes and closes the WAL. Call after the monitor has stopped.
-func (p *Persister) Close() error { return p.st.Close() }
-
-// Flush writes a final snapshot and closes the store — the clean-shutdown
-// path: a node restarted from this state replays zero WAL records.
-func (p *Persister) Flush() error {
-	if err := p.Snapshot(); err != nil {
-		_ = p.st.Close()
-		return err
-	}
-	return p.st.Close()
+// snapshotter is the snapshot lifecycle Persister and RegPersister share:
+// the periodic loop, the clean-shutdown flush, and the nil-safe logger.
+type snapshotter struct {
+	st       *durable.Store
+	snapshot func() error
+	logger   *slog.Logger
 }
 
-func (p *Persister) warn(msg string, args ...interface{}) {
-	if p.logger != nil {
-		p.logger.Warn(msg, args...)
+func newSnapshotter(st *durable.Store, snapshot func() error, logger *slog.Logger) snapshotter {
+	if logger != nil {
+		logger = logger.With(slog.String("component", "persist"))
 	}
+	return snapshotter{st: st, snapshot: snapshot, logger: logger}
+}
+
+// StartSnapshots writes a snapshot every interval (<= 0 = 5 minutes) until
+// the returned stop function is called. Failures are logged and retried next
+// round.
+func (s *snapshotter) StartSnapshots(every time.Duration) (stop func()) {
+	if every <= 0 {
+		every = 5 * time.Minute
+	}
+	return startLoop(simclock.Real{}, every, func() {
+		if err := s.snapshot(); err != nil {
+			s.warn("periodic snapshot failed", slog.String("err", err.Error()))
+		}
+	})
+}
+
+// Flush writes a final snapshot and closes the store — the clean-shutdown
+// path: a process restarted from this state replays zero WAL records.
+func (s *snapshotter) Flush() error {
+	if err := s.snapshot(); err != nil {
+		_ = s.st.Close()
+		return err
+	}
+	return s.st.Close()
+}
+
+// Close flushes and closes the WAL without a final snapshot. On a host node,
+// call it after the monitor has stopped.
+func (s *snapshotter) Close() error { return s.st.Close() }
+
+func (s *snapshotter) warn(msg string, args ...interface{}) {
+	if s.logger != nil {
+		s.logger.Warn(msg, args...)
+	}
+}
+
+// startLoop calls fn every interval on clock, on its own goroutine, until
+// the returned stop function is called; stop is idempotent and does not wait
+// for a call in flight. Snapshots, anti-entropy and heartbeats all run on it.
+func startLoop(clock simclock.Clock, every time.Duration, fn func()) (stop func()) {
+	done := make(chan struct{})
+	var once sync.Once
+	go func() {
+		for {
+			select {
+			case <-done:
+				return
+			case <-clock.After(every):
+				fn()
+			}
+		}
+	}()
+	return func() { once.Do(func() { close(done) }) }
 }
 
 // restore applies recovered state: the snapshot payload, then the WAL tail
@@ -300,11 +322,11 @@ func msToTime(ms int64) time.Time {
 	return time.UnixMilli(ms).UTC()
 }
 
-// RegState is the registry-shaped surface the RegPersister restores into:
-// both the standalone Registry and a federation peer's shard implement it.
+// RegState is the registry-shaped surface the RegPersister restores into: a
+// federation peer's shard implements it, and tests substitute a fake.
 type RegState interface {
-	// SetSink installs the persistence hook for entry changes.
-	SetSink(fn func(e RegEntry, removed bool))
+	// SetSink installs the persistence hook for entry upserts.
+	SetSink(fn func(e RegEntry))
 	// Export snapshots every entry for durable storage.
 	Export() []RegEntry
 	// Restore upserts recovered entries without firing the sink.
@@ -319,14 +341,14 @@ var regSnapMagic = [4]byte{'F', 'G', 'R', 'S'}
 // regSnapVersion is the registry snapshot payload version.
 const regSnapVersion = 1
 
-// RegPersister wires a registry-shaped component (standalone Registry or a
-// federation peer's shard) onto a durable.Store: entry upserts and removals
-// append WAL records, and Snapshot publishes the full entry set. Expiries
-// are persisted as absolute deadlines, so a restart does not extend TTLs.
+// RegPersister wires a federation peer's shard onto a durable.Store: entry
+// upserts append WAL records, and Snapshot publishes the full entry set.
+// Expiries are persisted as absolute deadlines, so a restart does not extend
+// TTLs, and an entry evicted on expiry is simply absent from the next
+// snapshot.
 type RegPersister struct {
-	st     *durable.Store
-	reg    RegState
-	logger *slog.Logger
+	snapshotter
+	reg RegState
 }
 
 // NewRegPersister restores recovered state into reg (snapshot, then WAL
@@ -335,10 +357,8 @@ func NewRegPersister(st *durable.Store, rec *durable.Recovery, reg RegState, log
 	if st == nil || reg == nil {
 		return nil, fmt.Errorf("ishare: reg persister needs store and registry")
 	}
-	if logger != nil {
-		logger = logger.With(slog.String("component", "persist"))
-	}
-	rp := &RegPersister{st: st, reg: reg, logger: logger}
+	rp := &RegPersister{reg: reg}
+	rp.snapshotter = newSnapshotter(st, rp.Snapshot, logger)
 	if rec != nil {
 		if rec.SnapshotPayload != nil {
 			entries, err := decodeRegSnapshot(rec.SnapshotPayload)
@@ -355,16 +375,14 @@ func NewRegPersister(st *durable.Store, rec *durable.Recovery, reg RegState, log
 					return nil, fmt.Errorf("ishare: replay record %d: %w", i, err)
 				}
 				reg.Restore([]RegEntry{{Machine: machine, Addr: addr, Expires: msToTime(expMs)}})
-			case durable.RecUnregister:
+			case durable.RecUnregister: // written only by older binaries
 				machine, err := durable.DecodeUnregister(r.Payload)
 				if err != nil {
 					return nil, fmt.Errorf("ishare: replay record %d: %w", i, err)
 				}
 				reg.RestoreRemove(machine)
 			default:
-				if logger != nil {
-					logger.Warn("skipping unknown WAL record type", slog.Int("type", int(r.Type)))
-				}
+				rp.warn("skipping unknown WAL record type", slog.Int("type", int(r.Type)))
 			}
 		}
 	}
@@ -372,16 +390,10 @@ func NewRegPersister(st *durable.Store, rec *durable.Recovery, reg RegState, log
 	return rp, nil
 }
 
-// sink appends one entry change to the WAL.
-func (rp *RegPersister) sink(e RegEntry, removed bool) {
-	var err error
-	if removed {
-		err = rp.st.Append(durable.RecUnregister, durable.EncodeUnregister(nil, e.Machine))
-	} else {
-		err = rp.st.Append(durable.RecRegister, durable.EncodeRegister(nil, e.Machine, e.Addr, timeToMs(e.Expires)))
-	}
-	if err != nil && rp.logger != nil {
-		rp.logger.Warn("registry append failed", slog.String("machine", e.Machine), slog.String("err", err.Error()))
+// sink appends one entry upsert to the WAL.
+func (rp *RegPersister) sink(e RegEntry) {
+	if err := rp.st.Append(durable.RecRegister, durable.EncodeRegister(nil, e.Machine, e.Addr, timeToMs(e.Expires))); err != nil {
+		rp.warn("registry append failed", slog.String("machine", e.Machine), slog.String("err", err.Error()))
 	}
 }
 
@@ -394,43 +406,6 @@ func (rp *RegPersister) Snapshot() error {
 	seq, off := rp.st.Position()
 	return rp.st.WriteSnapshotAt(seq, off, encodeRegSnapshot(rp.reg.Export()))
 }
-
-// StartSnapshots writes a snapshot every interval until the returned stop
-// function is called.
-func (rp *RegPersister) StartSnapshots(every time.Duration) (stop func()) {
-	if every <= 0 {
-		every = 5 * time.Minute
-	}
-	done := make(chan struct{})
-	var once sync.Once
-	go func() {
-		ticker := time.NewTicker(every)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-ticker.C:
-				if err := rp.Snapshot(); err != nil && rp.logger != nil {
-					rp.logger.Warn("periodic snapshot failed", slog.String("err", err.Error()))
-				}
-			}
-		}
-	}()
-	return func() { once.Do(func() { close(done) }) }
-}
-
-// Flush writes a final snapshot and closes the store (clean shutdown).
-func (rp *RegPersister) Flush() error {
-	if err := rp.Snapshot(); err != nil {
-		_ = rp.st.Close()
-		return err
-	}
-	return rp.st.Close()
-}
-
-// Close closes the store without a final snapshot.
-func (rp *RegPersister) Close() error { return rp.st.Close() }
 
 // encodeRegSnapshot serializes a sorted entry set (Export sorts).
 func encodeRegSnapshot(entries []RegEntry) []byte {
@@ -457,6 +432,5 @@ func decodeRegSnapshot(data []byte) ([]RegEntry, error) {
 // Assert the sink chain shapes at compile time.
 var (
 	_ monitor.Sink = (*Persister)(nil)
-	_ RegState     = (*Registry)(nil)
 	_ RegState     = (*FedGateway)(nil)
 )

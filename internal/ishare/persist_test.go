@@ -3,7 +3,10 @@ package ishare
 import (
 	"bytes"
 	"context"
+	"encoding/hex"
 	"fmt"
+	"os"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -317,22 +320,18 @@ func TestRegPersisterSnapshotExportRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := NewRegistryClock(clock)
+	reg := ringOfOne(t, FedConfig{Clock: clock})
 	wrapped := &raceRegState{RegState: reg}
 	rp, err := NewRegPersister(st, rec, wrapped, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := reg.Register(Resource{MachineID: "m-pre", Addr: "a:1"}); err != nil {
-		t.Fatal(err)
-	}
+	regTTL(t, reg, "m-pre", "a:1", 0)
 	// The interleaving under test: the registration (mutation + WAL append)
 	// completes between the snapshot's Export and its WriteSnapshot call.
 	wrapped.onExport = func() {
 		wrapped.onExport = nil
-		if err := reg.Register(Resource{MachineID: "m-inflight", Addr: "b:2"}); err != nil {
-			t.Errorf("in-flight register: %v", err)
-		}
+		regTTL(t, reg, "m-inflight", "b:2", 0)
 	}
 	if err := rp.Snapshot(); err != nil {
 		t.Fatal(err)
@@ -345,7 +344,7 @@ func TestRegPersisterSnapshotExportRace(t *testing.T) {
 	if err != nil {
 		t.Fatalf("recovery: %v", err)
 	}
-	reg2 := NewRegistryClock(clock)
+	reg2 := ringOfOne(t, FedConfig{Clock: clock})
 	rp2, err := NewRegPersister(st2, rec2, reg2, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -371,7 +370,7 @@ func TestRegPersisterSnapshotChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := NewRegistryClock(clock)
+	reg := ringOfOne(t, FedConfig{Clock: clock})
 	rp, err := NewRegPersister(st, rec, reg, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -395,10 +394,7 @@ func TestRegPersisterSnapshotChurn(t *testing.T) {
 	}()
 	const n = 300
 	for i := 0; i < n; i++ {
-		res := Resource{MachineID: fmt.Sprintf("m-%03d", i), Addr: fmt.Sprintf("10.0.0.%d:7", i%250)}
-		if err := reg.Register(res); err != nil {
-			t.Fatal(err)
-		}
+		regTTL(t, reg, fmt.Sprintf("m-%03d", i), fmt.Sprintf("10.0.0.%d:7", i%250), 0)
 	}
 	close(stop)
 	wg.Wait()
@@ -410,7 +406,7 @@ func TestRegPersisterSnapshotChurn(t *testing.T) {
 	if err != nil {
 		t.Fatalf("recovery after churn: %v", err)
 	}
-	reg2 := NewRegistryClock(clock)
+	reg2 := ringOfOne(t, FedConfig{Clock: clock})
 	rp2, err := NewRegPersister(st2, rec2, reg2, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -428,8 +424,9 @@ func TestRegPersisterSnapshotChurn(t *testing.T) {
 }
 
 // TestRegPersisterRoundTrip covers the registry durability path: snapshot +
-// WAL replay reconstruct the entry set, absolute expiries survive, and a
-// logged unregister stays gone.
+// WAL replay reconstruct the entry set, absolute expiries survive, a logged
+// unregister (a record only older binaries wrote) stays gone, and an entry
+// evicted on expiry is not persisted again.
 func TestRegPersisterRoundTrip(t *testing.T) {
 	fs := durable.NewMemFS()
 	clock := simclock.NewVirtual(monday)
@@ -437,25 +434,22 @@ func TestRegPersisterRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := NewRegistryClock(clock)
+	reg := ringOfOne(t, FedConfig{Clock: clock})
 	rp, err := NewRegPersister(st, rec, reg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := reg.Register(Resource{MachineID: "m-a", Addr: "a:1"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := reg.RegisterTTL(Resource{MachineID: "m-b", Addr: "b:2"}, time.Hour); err != nil {
-		t.Fatal(err)
-	}
+	regTTL(t, reg, "m-a", "a:1", 0)
+	regTTL(t, reg, "m-b", "b:2", time.Hour)
 	if err := rp.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
 	// Post-snapshot churn lands in the WAL tail.
-	if err := reg.Register(Resource{MachineID: "m-c", Addr: "c:3"}); err != nil {
+	regTTL(t, reg, "m-c", "c:3", 0)
+	if err := st.Append(durable.RecUnregister, durable.EncodeUnregister(nil, "m-a")); err != nil {
 		t.Fatal(err)
 	}
-	reg.Unregister("m-a")
+	reg.RestoreRemove("m-a")
 	want := reg.Export()
 	if err := rp.Close(); err != nil {
 		t.Fatal(err)
@@ -468,7 +462,7 @@ func TestRegPersisterRoundTrip(t *testing.T) {
 	if rec2.SnapshotPayload == nil || len(rec2.Records) == 0 {
 		t.Fatalf("recovery shape: snapshot=%v records=%d", rec2.SnapshotPayload != nil, len(rec2.Records))
 	}
-	reg2 := NewRegistryClock(clock)
+	reg2 := ringOfOne(t, FedConfig{Clock: clock})
 	rp2, err := NewRegPersister(st2, rec2, reg2, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -485,16 +479,15 @@ func TestRegPersisterRoundTrip(t *testing.T) {
 	// The TTL deadline is absolute: advancing past it expires the restored
 	// entry without any re-registration.
 	clock.Advance(2 * time.Hour)
-	for _, res := range reg2.Resources() {
-		if res.MachineID == "m-b" {
-			t.Fatal("expired TTL entry still discoverable after restore")
-		}
+	if res := reg2.localResources(); len(res) != 1 || res[0].MachineID != "m-c" {
+		t.Fatalf("live entries after the restored TTL ran out = %+v, want m-c only", res)
 	}
 	if err := rp2.Flush(); err != nil {
 		t.Fatal(err)
 	}
 
-	// Third generation boots from the Flush snapshot alone.
+	// Third generation boots from the Flush snapshot alone, which no longer
+	// carries the entry that discovery evicted.
 	st3, rec3, err := durable.Open(persistStoreCfg(fs))
 	if err != nil {
 		t.Fatal(err)
@@ -502,11 +495,69 @@ func TestRegPersisterRoundTrip(t *testing.T) {
 	if len(rec3.Records) != 0 {
 		t.Fatalf("clean registry shutdown left %d WAL records", len(rec3.Records))
 	}
-	reg3 := NewRegistryClock(clock)
+	reg3 := ringOfOne(t, FedConfig{Clock: clock})
 	if _, err := NewRegPersister(st3, rec3, reg3, nil); err != nil {
 		t.Fatal(err)
 	}
-	if len(reg3.Export()) != len(want) {
-		t.Fatalf("third generation entries = %+v", reg3.Export())
+	if got := reg3.Export(); len(got) != 1 || got[0].Machine != "m-c" {
+		t.Fatalf("third generation entries = %+v, want m-c only", got)
+	}
+}
+
+// TestRegPersisterParentFormatDataDir recovers a data directory shaped like
+// the ones the standalone registry wrote before it became a ring of one: the
+// FGRS golden as snapshot, then a register and an unregister record.
+func TestRegPersisterParentFormatDataDir(t *testing.T) {
+	text, err := os.ReadFile("testdata/golden/fgrs.hex")
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := hex.DecodeString(strings.TrimSpace(string(text)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := durable.NewMemFS()
+	st, _, err := durable.Open(persistStoreCfg(fs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.WriteSnapshot(snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Append(durable.RecRegister, durable.EncodeRegister(nil, "lab-03", "10.0.0.3:7171", 0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Append(durable.RecUnregister, durable.EncodeUnregister(nil, "lab-02")); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st2, rec, err := durable.Open(persistStoreCfg(fs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := ringOfOne(t, FedConfig{Clock: simclock.NewVirtual(codecStart)})
+	rp, err := NewRegPersister(st2, rec, reg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rp.Close()
+	want := []RegEntry{
+		{Machine: "lab-01", Addr: "10.0.0.1:7171", Expires: codecStart.Add(90 * time.Second)},
+		{Machine: "lab-03", Addr: "10.0.0.3:7171"},
+	}
+	got := reg.Export()
+	if len(got) != len(want) {
+		t.Fatalf("recovered %+v, want %+v", got, want)
+	}
+	for i := range want {
+		if !got[i].Expires.Equal(want[i].Expires) || got[i].Machine != want[i].Machine || got[i].Addr != want[i].Addr {
+			t.Fatalf("entry %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+	if res := reg.localResources(); len(res) != 2 {
+		t.Fatalf("discover after recovery = %+v", res)
 	}
 }

@@ -2,227 +2,45 @@ package ishare
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"sort"
-	"sync"
+	"math"
 	"time"
-
-	"fgcs/internal/simclock"
 )
 
-// Registry is the resource publication/discovery service. The paper's
-// deployment uses a P2P network [24]; a registry provides the same
-// publish/discover contract for the prediction framework with a fraction of
-// the machinery.
-//
-// Registrations may carry a TTL: a gateway that stops heartbeating (host
-// revoked, owner reboot, partition) expires and is no longer handed out by
-// Discover, so clients never rank dead addresses. A TTL of zero preserves
-// the original semantics: the registration never expires.
-type Registry struct {
-	mu        sync.Mutex
-	clock     simclock.Clock
-	resources map[string]registration
-
-	// sink, when set, is told about every accepted registration change so
-	// the persistence layer can log it. Invoked after r.mu is released: a
-	// record logged before a concurrent snapshot's captured WAL position is
-	// already in that snapshot's Export, and one logged after it is
-	// replayed on recovery as an idempotent upsert.
-	sink func(e RegEntry, removed bool)
-}
-
-// RegEntry is one registry entry in durable form, shared by the standalone
-// Registry and the federated FedGateway shard: the machine, its gateway
-// address, and the absolute expiry (zero = never). Absolute expiries make
-// replay deterministic — a restart does not restart TTL clocks.
+// RegEntry is one registry entry as a federation peer's shard stores it, in
+// memory and in durable form: the machine, its gateway address, and the
+// absolute expiry (zero = never). Absolute expiries make replay
+// deterministic — a restart does not restart TTL clocks.
 type RegEntry struct {
 	Machine string
 	Addr    string
 	Expires time.Time
 }
 
-type registration struct {
-	res     Resource
-	expires time.Time // zero = never
-}
-
-// NewRegistry returns an empty registry on the wall clock.
-func NewRegistry() *Registry {
-	return NewRegistryClock(nil)
-}
-
-// NewRegistryClock returns an empty registry whose TTLs are judged against
-// the given clock (nil = wall clock); simulations pass a virtual clock.
-func NewRegistryClock(clock simclock.Clock) *Registry {
-	if clock == nil {
-		clock = simclock.Real{}
-	}
-	return &Registry{clock: clock, resources: make(map[string]registration)}
-}
-
-// Register publishes (or refreshes) a resource with no expiry.
-func (r *Registry) Register(res Resource) error {
-	return r.RegisterTTL(res, 0)
-}
-
-// RegisterTTL publishes (or refreshes) a resource that expires after ttl
-// unless re-registered; ttl <= 0 means no expiry.
-func (r *Registry) RegisterTTL(res Resource, ttl time.Duration) error {
-	if res.MachineID == "" || res.Addr == "" {
-		return fmt.Errorf("ishare: register needs machine id and address")
-	}
-	reg := registration{res: res}
+// newRegEntry builds an entry expiring ttl after now (ttl <= 0 = never).
+func newRegEntry(machine, addr string, ttl time.Duration, now time.Time) RegEntry {
+	e := RegEntry{Machine: machine, Addr: addr}
 	if ttl > 0 {
-		reg.expires = r.clock.Now().Add(ttl)
+		e.Expires = now.Add(ttl)
 	}
-	r.mu.Lock()
-	r.resources[res.MachineID] = reg
-	sink := r.sink
-	r.mu.Unlock()
-	if sink != nil {
-		sink(RegEntry{Machine: res.MachineID, Addr: res.Addr, Expires: reg.expires}, false)
+	return e
+}
+
+// expired reports whether the entry's TTL has run out at now: a gateway that
+// stops heartbeating is no longer handed out, so clients never rank it.
+func (e RegEntry) expired(now time.Time) bool {
+	return !e.Expires.IsZero() && !now.Before(e.Expires)
+}
+
+// ttlDuration converts a wire ttl_seconds into a Duration. Values <= 0 mean
+// "no expiry" to every caller; NaN, infinities and anything that does not
+// fit a Duration are refused, because Go leaves that conversion undefined.
+func ttlDuration(seconds float64) (time.Duration, error) {
+	ns := seconds * float64(time.Second)
+	if !(ns >= math.MinInt64 && ns < math.MaxInt64) { // false for NaN too
+		return 0, fmt.Errorf("fed: ttl_seconds %v does not fit a duration", seconds)
 	}
-	return nil
-}
-
-// Unregister removes a resource (owner leave).
-func (r *Registry) Unregister(machineID string) {
-	r.mu.Lock()
-	delete(r.resources, machineID)
-	sink := r.sink
-	r.mu.Unlock()
-	if sink != nil {
-		sink(RegEntry{Machine: machineID}, true)
-	}
-}
-
-// SetSink installs the persistence hook for registration changes. Call
-// before the registry starts serving. Expired entries reaped lazily are not
-// reported — expiry is derivable from the persisted absolute deadline.
-func (r *Registry) SetSink(fn func(e RegEntry, removed bool)) {
-	r.mu.Lock()
-	r.sink = fn
-	r.mu.Unlock()
-}
-
-// Export snapshots every registration (including expired ones not yet
-// reaped) in sorted order for durable storage.
-func (r *Registry) Export() []RegEntry {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]RegEntry, 0, len(r.resources))
-	for id, reg := range r.resources {
-		out = append(out, RegEntry{Machine: id, Addr: reg.res.Addr, Expires: reg.expires})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Machine < out[j].Machine })
-	return out
-}
-
-// Restore upserts recovered entries without firing the sink. Entries whose
-// absolute expiry has already passed are still installed — the normal lazy
-// reap path removes them, keeping restore logic trivial and deterministic.
-func (r *Registry) Restore(entries []RegEntry) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, e := range entries {
-		if e.Machine == "" {
-			continue
-		}
-		r.resources[e.Machine] = registration{
-			res:     Resource{MachineID: e.Machine, Addr: e.Addr},
-			expires: e.Expires,
-		}
-	}
-}
-
-// RestoreRemove replays a logged unregister without firing the sink.
-func (r *Registry) RestoreRemove(machineID string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	delete(r.resources, machineID)
-}
-
-// Resources lists the live (non-expired) resources sorted by machine ID.
-func (r *Registry) Resources() []Resource {
-	now := r.clock.Now()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]Resource, 0, len(r.resources))
-	for _, reg := range r.resources {
-		if !reg.expires.IsZero() && !now.Before(reg.expires) {
-			continue
-		}
-		out = append(out, reg.res)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].MachineID < out[j].MachineID })
-	return out
-}
-
-// Reap evicts expired registrations and returns how many were removed.
-// Discover already filters expired entries lazily; the reaper keeps the map
-// itself from accumulating dead gateways.
-func (r *Registry) Reap() int {
-	now := r.clock.Now()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := 0
-	for id, reg := range r.resources {
-		if !reg.expires.IsZero() && !now.Before(reg.expires) {
-			delete(r.resources, id)
-			n++
-		}
-	}
-	return n
-}
-
-// StartReaper evicts expired registrations every interval until the
-// returned stop function is called.
-func (r *Registry) StartReaper(every time.Duration) (stop func()) {
-	done := make(chan struct{})
-	var once sync.Once
-	go func() {
-		for {
-			select {
-			case <-done:
-				return
-			case <-r.clock.After(every):
-				r.Reap()
-			}
-		}
-	}()
-	return func() { once.Do(func() { close(done) }) }
-}
-
-// Handler serves the registry protocol.
-func (r *Registry) Handler() Handler {
-	return func(req Request) (interface{}, error) {
-		switch req.Type {
-		case MsgRegister:
-			var reg RegisterReq
-			if err := json.Unmarshal(req.Payload, &reg); err != nil {
-				return nil, fmt.Errorf("malformed register payload")
-			}
-			ttl := time.Duration(reg.TTLSeconds * float64(time.Second))
-			return nil, r.RegisterTTL(Resource{MachineID: reg.MachineID, Addr: reg.Addr}, ttl)
-		case MsgDiscover:
-			return DiscoverResp{Resources: r.Resources()}, nil
-		default:
-			return nil, fmt.Errorf("registry: unknown request type %q", req.Type)
-		}
-	}
-}
-
-// Serve starts a TCP registry on addr.
-func (r *Registry) Serve(addr string) (*Server, error) {
-	return NewServer(addr, r.Handler())
-}
-
-// RegisterWith publishes a gateway at gatewayAddr to a remote registry,
-// with no expiry.
-func RegisterWith(registryAddr, machineID, gatewayAddr string, timeout time.Duration) error {
-	return RegisterWithTTL(context.Background(), nil, registryAddr, machineID, gatewayAddr, 0, timeout)
+	return time.Duration(ns), nil
 }
 
 // RegisterWithTTL publishes a gateway with a TTL through an optional Caller
@@ -233,12 +51,8 @@ func RegisterWithTTL(ctx context.Context, caller *Caller, registryAddr, machineI
 	return caller.CallRetry(ctx, registryAddr, MsgRegister, req, nil, timeout)
 }
 
-// Discover fetches the published resources from a remote registry.
-func Discover(registryAddr string, timeout time.Duration) ([]Resource, error) {
-	return DiscoverWith(context.Background(), nil, registryAddr, timeout)
-}
-
-// DiscoverWith is Discover through an optional Caller with retries.
+// DiscoverWith fetches the published resources from a remote registry
+// through an optional Caller with retries.
 func DiscoverWith(ctx context.Context, caller *Caller, registryAddr string, timeout time.Duration) ([]Resource, error) {
 	var resp DiscoverResp
 	if err := caller.CallRetry(ctx, registryAddr, MsgDiscover, nil, &resp, timeout); err != nil {

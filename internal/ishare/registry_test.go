@@ -3,6 +3,7 @@ package ishare
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -10,72 +11,90 @@ import (
 	"fgcs/internal/simclock"
 )
 
+// ringOfOne builds the standalone-registry configuration: a federation ring
+// whose only member is the peer itself.
+func ringOfOne(t *testing.T, cfg FedConfig) *FedGateway {
+	t.Helper()
+	cfg.Self = Peer{ID: "reg", Addr: "reg.invalid:1"}
+	cfg.Peers = []Peer{cfg.Self}
+	gw, err := NewFedGateway(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return gw
+}
+
+// regTTL registers a machine in-process (ttl 0 = never expires).
+func regTTL(t *testing.T, gw *FedGateway, machine, addr string, ttl time.Duration) {
+	t.Helper()
+	req := RegisterReq{MachineID: machine, Addr: addr, TTLSeconds: ttl.Seconds()}
+	if err := gw.register(context.Background(), req); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// stored counts the shard's map entries, expired or not.
+func stored(gw *FedGateway) int {
+	gw.mu.Lock()
+	defer gw.mu.Unlock()
+	return len(gw.entries)
+}
+
 func TestRegistryTTLExpiry(t *testing.T) {
 	clock := simclock.NewVirtual(monday)
-	reg := NewRegistryClock(clock)
-	if err := reg.RegisterTTL(Resource{MachineID: "a", Addr: "10.0.0.1:1"}, time.Minute); err != nil {
-		t.Fatal(err)
-	}
-	if err := reg.Register(Resource{MachineID: "forever", Addr: "10.0.0.2:1"}); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(reg.Resources()); got != 2 {
+	reg := ringOfOne(t, FedConfig{Clock: clock})
+	regTTL(t, reg, "a", "10.0.0.1:1", time.Minute)
+	regTTL(t, reg, "b", "10.0.0.3:1", 2*time.Minute)
+	regTTL(t, reg, "forever", "10.0.0.2:1", 0)
+	if got := len(reg.localResources()); got != 3 {
 		t.Fatalf("live resources = %d", got)
 	}
 	// Just before expiry: still live.
 	clock.Advance(time.Minute - time.Second)
-	if got := len(reg.Resources()); got != 2 {
+	if got := len(reg.localResources()); got != 3 {
 		t.Fatalf("resources before expiry = %d", got)
 	}
-	// At expiry, the TTL'd entry vanishes from discovery; the TTL-less
-	// registration stays forever.
+	// At expiry, the TTL'd entry vanishes from discovery, and discovery
+	// itself evicts it; the TTL-less registration stays forever.
 	clock.Advance(time.Second)
-	res := reg.Resources()
-	if len(res) != 1 || res[0].MachineID != "forever" {
+	if res := reg.localResources(); len(res) != 2 || res[0].MachineID != "b" || res[1].MachineID != "forever" {
 		t.Fatalf("resources after expiry = %+v", res)
 	}
-	// Discovery filtered lazily; Reap actually evicts the map entry.
-	if n := reg.Reap(); n != 1 {
-		t.Fatalf("reaped = %d, want 1", n)
+	if n := stored(reg); n != 2 {
+		t.Fatalf("stored entries after discover = %d, want 2", n)
 	}
-	if n := reg.Reap(); n != 0 {
-		t.Fatalf("second reap = %d, want 0", n)
+	// Without any query, the anti-entropy round is the sweep.
+	clock.Advance(time.Minute)
+	reg.SyncOnce(context.Background())
+	if n := stored(reg); n != 1 {
+		t.Fatalf("stored entries after sync round = %d, want 1", n)
 	}
 }
 
 func TestRegistryReRegisterRefreshesTTL(t *testing.T) {
 	clock := simclock.NewVirtual(monday)
-	reg := NewRegistryClock(clock)
-	if err := reg.RegisterTTL(Resource{MachineID: "a", Addr: "10.0.0.1:1"}, time.Minute); err != nil {
-		t.Fatal(err)
-	}
+	reg := ringOfOne(t, FedConfig{Clock: clock})
+	regTTL(t, reg, "a", "10.0.0.1:1", time.Minute)
 	// Heartbeat at t+40s pushes expiry to t+100s.
 	clock.Advance(40 * time.Second)
-	if err := reg.RegisterTTL(Resource{MachineID: "a", Addr: "10.0.0.1:1"}, time.Minute); err != nil {
-		t.Fatal(err)
-	}
+	regTTL(t, reg, "a", "10.0.0.1:1", time.Minute)
 	clock.Advance(50 * time.Second) // t+90s: past the original expiry
-	if got := len(reg.Resources()); got != 1 {
+	if got := len(reg.localResources()); got != 1 {
 		t.Fatal("refreshed registration expired on the original TTL")
 	}
 	clock.Advance(10 * time.Second) // t+100s
-	if got := len(reg.Resources()); got != 0 {
+	if got := len(reg.localResources()); got != 0 {
 		t.Fatalf("resources after refreshed TTL = %d", got)
 	}
 }
 
 func TestRegistryTTLOverTCP(t *testing.T) {
 	clock := simclock.NewVirtual(monday)
-	reg := NewRegistryClock(clock)
-	srv, err := reg.Serve("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	srv := buildFederation(t, 1, 0, clock)[0].srv // a ring of one over TCP
 	if err := RegisterWithTTL(context.Background(), nil, srv.Addr(), "lab-01", "10.0.0.1:9000", 30*time.Second, time.Second); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Discover(srv.Addr(), time.Second)
+	res, err := DiscoverWith(context.Background(), nil, srv.Addr(), time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +102,7 @@ func TestRegistryTTLOverTCP(t *testing.T) {
 		t.Fatalf("discovered = %+v", res)
 	}
 	clock.Advance(31 * time.Second)
-	res, err = Discover(srv.Addr(), time.Second)
+	res, err = DiscoverWith(context.Background(), nil, srv.Addr(), time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,24 +111,46 @@ func TestRegistryTTLOverTCP(t *testing.T) {
 	}
 }
 
-func TestRegistryReaper(t *testing.T) {
-	clock := simclock.NewVirtual(monday)
-	reg := NewRegistryClock(clock)
-	_ = reg.RegisterTTL(Resource{MachineID: "a", Addr: "10.0.0.1:1"}, 10*time.Second)
-	stop := reg.StartReaper(5 * time.Second)
-	defer stop()
-	// Let the reaper goroutine arm its timer before advancing.
-	waitFor(t, func() bool { return clock.PendingTimers() > 0 })
-	clock.Advance(5 * time.Second) // first tick: nothing expired yet
-	waitFor(t, func() bool { return clock.PendingTimers() > 0 })
-	clock.Advance(10 * time.Second) // second tick at t+15: entry expired
-	waitFor(t, func() bool {
-		reg.mu.Lock()
-		defer reg.mu.Unlock()
-		return len(reg.resources) == 0
-	})
-	stop()
-	stop() // idempotent
+// TestTTLDuration pins the ttl_seconds conversion: the unchecked
+// float-to-Duration conversion it replaces stored 1e10 s as "never expires"
+// on the owner and as an expiry in 1733 on its replicas.
+func TestTTLDuration(t *testing.T) {
+	for _, tc := range []struct {
+		seconds float64
+		want    time.Duration
+		ok      bool
+	}{
+		{60, time.Minute, true},
+		{0, 0, true},
+		{-5, -5 * time.Second, true}, // <= 0: no expiry to every caller
+		{9.3e9, 0, false},
+		{1e300, 0, false},
+		{math.NaN(), 0, false},
+		{math.Inf(1), 0, false},
+	} {
+		got, err := ttlDuration(tc.seconds)
+		if (err == nil) != tc.ok || got != tc.want {
+			t.Errorf("ttlDuration(%v) = %v, %v; want %v, ok=%v", tc.seconds, got, err, tc.want, tc.ok)
+		}
+	}
+	// Through the two call sites: register refuses, fed-sync skips.
+	reg := ringOfOne(t, FedConfig{Clock: simclock.NewVirtual(monday)})
+	for _, ttl := range []float64{-5, 9.3e9} {
+		err := reg.register(context.Background(), RegisterReq{MachineID: "m", Addr: "a:1", TTLSeconds: ttl})
+		if (err == nil) != (ttl < 0) {
+			t.Errorf("register ttl_seconds=%v: err = %v", ttl, err)
+		}
+	}
+	if e, ok := reg.lookup("m"); !ok || !e.Expires.IsZero() {
+		t.Errorf("ttl_seconds=-5 stored as %+v, want a never-expiring entry", e)
+	}
+	sr := reg.fedSync(FedSyncReq{Entries: []FedEntry{
+		{MachineID: "huge", Addr: "b:1", TTLSeconds: 1e10},
+		{MachineID: "fine", Addr: "c:1", TTLSeconds: 60},
+	}})
+	if _, ok := reg.lookup("huge"); ok || sr.Accepted != 1 {
+		t.Errorf("fed-sync applied an out-of-range ttl (accepted=%d)", sr.Accepted)
+	}
 }
 
 // waitFor polls cond with a real-time deadline; used to sync with
@@ -127,12 +168,8 @@ func waitFor(t *testing.T, cond func() bool) {
 
 func TestHostNodeHeartbeat(t *testing.T) {
 	clock := simclock.NewVirtual(monday)
-	reg := NewRegistryClock(clock)
-	regSrv, err := reg.Serve("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer regSrv.Close()
+	ring := buildFederation(t, 1, 0, clock)[0]
+	reg, regSrv := ring.gw, ring.srv
 
 	node := testNode(t, clock, nil)
 	gwSrv, err := node.Gateway.Serve("127.0.0.1:0")
@@ -157,27 +194,28 @@ func TestHostNodeHeartbeat(t *testing.T) {
 		waitFor(t, func() bool {
 			reg.mu.Lock()
 			defer reg.mu.Unlock()
-			r, ok := reg.resources["lab-01"]
-			return ok && !r.expires.Before(deadline)
+			e, ok := reg.entries["lab-01"]
+			return ok && !e.Expires.Before(deadline)
 		})
 	}
-	if got := len(reg.Resources()); got != 1 {
+	if got := len(reg.localResources()); got != 1 {
 		t.Fatalf("heartbeating gateway dropped: resources = %d", got)
 	}
 	// Stop the heartbeat: the registration expires one TTL later — this is
 	// exactly how a revoked host vanishes from discovery.
 	stop()
+	stop() // idempotent
 	clock.Advance(ttl + time.Second)
-	if got := len(reg.Resources()); got != 0 {
+	if got := len(reg.localResources()); got != 0 {
 		t.Fatalf("dead gateway still discoverable after TTL: resources = %d", got)
 	}
 }
 
-// TestRegistryConcurrentAccess hammers register/discover/reap from many
-// goroutines; run under -race this is the registry's thread-safety proof.
+// TestRegistryConcurrentAccess hammers register/discover/export/sweep from
+// many goroutines; run under -race this is the shard's thread-safety proof.
 func TestRegistryConcurrentAccess(t *testing.T) {
 	clock := simclock.NewVirtual(monday)
-	reg := NewRegistryClock(clock)
+	reg := ringOfOne(t, FedConfig{Clock: clock})
 	h := reg.Handler()
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -187,16 +225,17 @@ func TestRegistryConcurrentAccess(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				switch i % 4 {
 				case 0:
-					_ = reg.RegisterTTL(Resource{
-						MachineID: fmt.Sprintf("m-%d-%d", w, i%16),
-						Addr:      "10.0.0.1:1",
-					}, time.Duration(1+i%30)*time.Second)
+					_ = reg.register(context.Background(), RegisterReq{
+						MachineID:  fmt.Sprintf("m-%d-%d", w, i%16),
+						Addr:       "10.0.0.1:1",
+						TTLSeconds: float64(1 + i%30),
+					})
 				case 1:
 					_, _ = h(Request{Type: MsgDiscover})
 				case 2:
-					reg.Reap()
+					reg.SyncOnce(context.Background())
 				case 3:
-					reg.Unregister(fmt.Sprintf("m-%d-%d", w, (i+1)%16))
+					reg.Export()
 				}
 			}
 		}(w)

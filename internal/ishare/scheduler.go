@@ -146,22 +146,18 @@ type Scheduler struct {
 	Breakers *BreakerSet
 }
 
-// FromRegistry builds a scheduler from the resources published at a
-// registry address, with plain single-attempt clients.
-func FromRegistry(ctx context.Context, registryAddr string, timeout time.Duration) (*Scheduler, error) {
-	return FromRegistryWith(ctx, nil, registryAddr, timeout)
-}
-
-// FromRegistryWith is FromRegistry with a shared Caller: discovery itself is
-// retried under the caller's policy (Discover is idempotent), and every
-// candidate gateway client inherits the caller's transport and retries.
+// FromRegistryWith builds a scheduler from the resources published at a
+// registry address through an optional shared Caller (nil = plain
+// single-attempt clients): discovery itself is retried under the caller's
+// policy (discover is idempotent), and every candidate gateway client
+// inherits the caller's transport and retries.
 func FromRegistryWith(ctx context.Context, caller *Caller, registryAddr string, timeout time.Duration) (*Scheduler, error) {
-	var resp DiscoverResp
-	if err := caller.CallRetry(ctx, registryAddr, MsgDiscover, nil, &resp, timeout); err != nil {
+	resources, err := DiscoverWith(ctx, caller, registryAddr, timeout)
+	if err != nil {
 		return nil, err
 	}
 	s := &Scheduler{}
-	for _, res := range resp.Resources {
+	for _, res := range resources {
 		s.Candidates = append(s.Candidates, Candidate{
 			MachineID: res.MachineID,
 			API:       RemoteGateway{Addr: res.Addr, Timeout: timeout, Caller: caller},

@@ -15,20 +15,16 @@ import (
 )
 
 func TestRegistryOverTCP(t *testing.T) {
-	reg := NewRegistry()
-	srv, err := reg.Serve("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	ctx := context.Background()
+	srv := buildFederation(t, 1, 0, nil)[0].srv // a ring of one over TCP
 
-	if err := RegisterWith(srv.Addr(), "lab-01", "10.0.0.1:9000", time.Second); err != nil {
+	if err := RegisterWithTTL(ctx, nil, srv.Addr(), "lab-01", "10.0.0.1:9000", 0, time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if err := RegisterWith(srv.Addr(), "lab-02", "10.0.0.2:9000", time.Second); err != nil {
+	if err := RegisterWithTTL(ctx, nil, srv.Addr(), "lab-02", "10.0.0.2:9000", 0, time.Second); err != nil {
 		t.Fatal(err)
 	}
-	resources, err := Discover(srv.Addr(), time.Second)
+	resources, err := DiscoverWith(ctx, nil, srv.Addr(), time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,31 +32,28 @@ func TestRegistryOverTCP(t *testing.T) {
 		t.Fatalf("resources = %+v", resources)
 	}
 	// Re-registration refreshes, not duplicates.
-	if err := RegisterWith(srv.Addr(), "lab-01", "10.0.0.1:9999", time.Second); err != nil {
+	if err := RegisterWithTTL(ctx, nil, srv.Addr(), "lab-01", "10.0.0.1:9999", 0, time.Second); err != nil {
 		t.Fatal(err)
 	}
-	resources, _ = Discover(srv.Addr(), time.Second)
+	resources, _ = DiscoverWith(ctx, nil, srv.Addr(), time.Second)
 	if len(resources) != 2 || resources[0].Addr != "10.0.0.1:9999" {
 		t.Fatalf("after refresh: %+v", resources)
-	}
-	reg.Unregister("lab-01")
-	resources, _ = Discover(srv.Addr(), time.Second)
-	if len(resources) != 1 {
-		t.Fatalf("after unregister: %+v", resources)
 	}
 }
 
 func TestRegistryRejectsBadRequests(t *testing.T) {
-	reg := NewRegistry()
-	if err := reg.Register(Resource{}); err == nil {
+	reg := ringOfOne(t, FedConfig{})
+	if err := reg.register(context.Background(), RegisterReq{}); err == nil {
 		t.Fatal("empty resource accepted")
 	}
 	h := reg.Handler()
 	if _, err := h(Request{Type: "bogus"}); err == nil {
 		t.Fatal("unknown type accepted")
 	}
-	if _, err := h(Request{Type: MsgRegister, Payload: json.RawMessage(`{`)}); err == nil {
-		t.Fatal("malformed payload accepted")
+	for _, typ := range []string{MsgRegister, MsgDiscover} {
+		if _, err := h(Request{Type: typ, Payload: json.RawMessage(`{`)}); err == nil {
+			t.Fatalf("malformed %s payload accepted", typ)
+		}
 	}
 }
 
@@ -79,19 +72,14 @@ func TestGatewayOverTCPEndToEnd(t *testing.T) {
 	}
 	node.Gateway.Record(now, sample(5, 400))
 
-	reg := NewRegistry()
-	regSrv, err := reg.Serve("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer regSrv.Close()
+	regSrv := buildFederation(t, 1, 0, nil)[0].srv
 	gwSrv, err := node.Serve("127.0.0.1:0", regSrv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer gwSrv.Close()
 
-	sched, err := FromRegistry(context.Background(), regSrv.Addr(), time.Second)
+	sched, err := FromRegistryWith(context.Background(), nil, regSrv.Addr(), time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
