@@ -14,10 +14,12 @@ build:
 # tests by `go test`), and a race-detector pass over the concurrent layers:
 # networking, fault injection, the prediction engine, the monitor, and the
 # metrics/accuracy registry. bench/ is a module of its own that pins this
-# module's API; vetting it here makes an API break fail locally.
+# module's API and checks its contracts (answers, engine miss counts, every
+# layer measured); vetting and testing it here makes a break fail locally.
 test: golden lint crash
 	$(GO) test ./...
 	$(GO) -C bench vet ./...
+	$(GO) -C bench test ./...
 	$(GO) test -race ./internal/ishare/... ./internal/faultnet/... \
 		./internal/predict/... ./internal/monitor/... ./internal/obs/... \
 		./internal/otrace/... ./internal/durable/... ./internal/fleetsim/... \
@@ -101,10 +103,11 @@ bench-fleet-base:
 	$(GO) run ./cmd/benchgate -fleet -in BENCH_fleet.json -baseline BENCH_fleet_base.json -write
 
 # Short fuzz pass over every decoder: wire protocol, trace codecs, WAL and
-# snapshot readers, and the internal/wire formats. The seed corpora (under
-# testdata/fuzz or built by the target) also run as plain unit tests in
-# `make test`.
+# snapshot readers, and the internal/wire formats; and over the Equation (3)
+# solver against its dense reference. The seed corpora (under testdata/fuzz
+# or built by the target) also run as plain unit tests in `make test`.
 fuzz:
+	$(GO) test ./internal/smp/ -run '^$$' -fuzz '^FuzzSolverMatchesDense$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ishare/ -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ishare/ -run '^$$' -fuzz '^FuzzDecodeResponse$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ishare/ -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime $(FUZZTIME)

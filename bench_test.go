@@ -227,8 +227,8 @@ func BenchmarkS7MonitorOverhead(b *testing.B) {
 // ------------------------------------------------------------ ablations ----
 
 // BenchmarkAblationSolver compares the paper's dense Equation (3) recursion
-// with the sparse-support convolution (identical results, different cost
-// class).
+// (Kernel.Solve, the Figure 4 subject) with the sparse-support convolution
+// every serving entry point runs (identical results, different cost class).
 func BenchmarkAblationSolver(b *testing.B) {
 	sp := benchSplit(b)
 	cfg := avail.DefaultConfig()
@@ -251,7 +251,7 @@ func BenchmarkAblationSolver(b *testing.B) {
 	})
 	b.Run("sparse", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := kernel.SolveSparseTR(avail.S1, units); err != nil {
+			if _, _, err := kernel.Reliabilities(units); err != nil {
 				b.Fatal(err)
 			}
 		}

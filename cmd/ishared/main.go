@@ -437,7 +437,7 @@ func runFed(rc runConfig) error {
 		slog.String("addr", srv.Addr()),
 		slog.Int("peers", len(peers)),
 		slog.Int("vnodes", rc.vnodes),
-		slog.Int("replicas", rc.replicas),
+		slog.Int("replicas", gw.RingStats().Replicas), // what the ring uses: capped at peers-1
 		slog.Duration("sync_every", rc.syncEvery))
 	waitForSignal(rc.logger)
 	if obsSrv != nil {

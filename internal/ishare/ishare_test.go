@@ -3,11 +3,13 @@ package ishare
 import (
 	"context"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"fgcs/internal/avail"
+	"fgcs/internal/otrace"
 	"fgcs/internal/simclock"
 	"fgcs/internal/trace"
 )
@@ -276,6 +278,68 @@ func TestStateManagerQueryTR(t *testing.T) {
 	}
 	if resp2.TR != 1 {
 		t.Fatalf("solid machine TR = %v, want 1", resp2.TR)
+	}
+}
+
+// movedQueries drives a state manager the way a live node is driven: advance
+// one period, record a sample, query a one-hour window starting now — a
+// window no earlier query asked for, so every cached predictor misses.
+func movedQueries(ctx context.Context, t *testing.T, sm *StateManager, clock *simclock.Virtual, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		clock.Advance(period)
+		sm.Record(clock.Now(), sample(5, 400))
+		if _, err := sm.QueryTR(ctx, QueryTRReq{LengthSeconds: 3600, GuestMemMB: 100}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestQueryTRMovedWindowAllocCeiling is a tripwire for per-query work that
+// grows with the day history: when every cold FFT window classified and
+// transformed the whole pool again, a moved one-hour window on this
+// 19-weekday pool allocated ≈5 MB; it measures ≈375 KB with the spectrum
+// fitted once per pool, and the ceiling leaves 2× head-room over that.
+func TestQueryTRMovedWindowAllocCeiling(t *testing.T) {
+	clock := simclock.NewVirtual(time.Date(2005, 9, 16, 8, 30, 0, 0, time.UTC)) // a Friday
+	sm, err := NewStateManager("m", period, avail.DefaultConfig(), clock, historyMachine("m", 25, 9), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	movedQueries(ctx, t, sm, clock, 2) // fit the spectrum, size the engine's scratch buffers
+	const n = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	movedQueries(ctx, t, sm, clock, n)
+	runtime.ReadMemStats(&after)
+	const ceiling = 768 << 10
+	if perQuery := (after.TotalAlloc - before.TotalAlloc) / n; perQuery > ceiling {
+		t.Fatalf("a moved-window QueryTR allocates %d KB, ceiling %d KB", perQuery>>10, ceiling>>10)
+	}
+}
+
+// TestQueryTRTraceShowsSpectrumFitOrHit: under a sampled state.query-tr span
+// a trace says whether an FFT miss paid for a transform of the day history
+// (spectrum-fit, with the pool size) or reused the pool's fit (spectrum-hit).
+func TestQueryTRTraceShowsSpectrumFitOrHit(t *testing.T) {
+	clock := simclock.NewVirtual(time.Date(2005, 9, 2, 8, 30, 0, 0, time.UTC))
+	sm, err := NewStateManager("m", period, avail.DefaultConfig(), clock, historyMachine("m", 11, 9), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := otrace.NewRecorder(4)
+	tracer := otrace.New(otrace.Config{SampleRate: 1, Recorder: rec})
+	for _, want := range []string{"@ spectrum-fit history-days=9", "@ spectrum-hit"} {
+		ctx, root := tracer.Start(context.Background(), "test")
+		movedQueries(ctx, t, sm, clock, 1)
+		root.End()
+		got := otrace.RenderTraceString(rec.Traces(1), otrace.RenderOptions{})
+		for _, line := range []string{"state.query-tr", "@ cache-miss", want} {
+			if !strings.Contains(got, line) {
+				t.Fatalf("trace of a moved-window query is missing %q:\n%s", line, got)
+			}
+		}
 	}
 }
 

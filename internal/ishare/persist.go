@@ -126,10 +126,6 @@ func (p *Persister) Snapshot() error {
 	return nil
 }
 
-// Sync forces the WAL to stable storage (used by weaker fsync policies at
-// shutdown).
-func (p *Persister) Sync() error { return p.st.Sync() }
-
 // snapshotter is the snapshot lifecycle Persister and RegPersister share:
 // the periodic loop, the clean-shutdown flush, and the nil-safe logger.
 type snapshotter struct {

@@ -392,7 +392,8 @@ func (sm *StateManager) Archive(path string) error {
 // QueryTR predicts the probability that this machine stays available for a
 // guest job of the given length and memory footprint starting now. Under a
 // sampled trace the query runs in a "state.query-tr" span; the prediction
-// engine marks cache hits and misses on it.
+// engine marks cache hits and misses on it, and for an FFT miss whether the
+// spectrum was fitted or reused.
 func (sm *StateManager) QueryTR(ctx context.Context, req QueryTRReq) (QueryTRResp, error) {
 	if req.LengthSeconds <= 0 {
 		return QueryTRResp{}, fmt.Errorf("ishare: non-positive job length")

@@ -26,6 +26,12 @@ import (
 // backward-recursion hot paths allocate nothing at steady state beyond the
 // cached kernel itself.
 //
+// The LRU holds three kinds of entry under one key type: an SMP kernel with
+// its solved reliabilities per (pool, window, estimator configuration); a
+// bare TR per (pool, window, plugin name, salt) for every other Cacheable
+// plugin; and, per (pool, "FFT", salt) with no window, the fitted spectrum
+// that all of a pool's Spectral windows are evaluated from.
+//
 // Cache coherence rests on one rule: history days are immutable once handed
 // to the engine. The fingerprint memoizes a per-*trace.Day content hash by
 // pointer, so mutating a day in place after its first query yields stale
@@ -128,6 +134,8 @@ type engineEntry struct {
 	key    engineKey
 	kernel *smp.Kernel
 	pred   Prediction // fully populated: TR, TRByInit, InitProb, HistoryWindows
+	// spectrum is set instead on a Spectral fit entry (see Engine.spectrum).
+	spectrum *spectrum
 }
 
 type inflightCall struct {
@@ -302,58 +310,41 @@ func (e *Engine) lookup(ctx context.Context, p SMP, history []*trace.Day, w Wind
 	})
 }
 
-// memo resolves key to a cache entry, running fit and caching its result on
-// a miss. Concurrent misses for the same key are coalesced: one goroutine
-// fits, the rest wait and share the result (counted as hits — they did not
-// pay for the fit). The span in ctx (if any) gets a cache-hit or cache-miss
-// event; the unsampled path adds no allocations. Errors are never cached.
-func (e *Engine) memo(ctx context.Context, key engineKey, fit func(*otrace.Span, *EngineMetrics) (*engineEntry, error)) (*engineEntry, error) {
-	span := otrace.FromContext(ctx)
-	m := e.metrics.Load()
+// memoOutcome says how resolve produced its entry.
+type memoOutcome int
+
+const (
+	memoHit    memoOutcome = iota // found in the LRU
+	memoWaited                    // served by another goroutine's in-flight fit
+	memoFitted                    // this call ran fit
+)
+
+// resolve returns the entry cached under key, running fit and caching its
+// result when there is none. Concurrent calls for one uncached key are
+// coalesced: one goroutine fits, the rest wait and share the result. Errors
+// are never cached. With caching disabled every call fits.
+func (e *Engine) resolve(key engineKey, fit func() (*engineEntry, error)) (*engineEntry, memoOutcome, error) {
 	if e.cacheSize < 0 {
-		e.misses.Add(1)
-		if m != nil {
-			m.Misses.Inc()
-		}
-		span.AddEvent("cache-miss")
-		return fit(span, m)
+		entry, err := fit()
+		return entry, memoFitted, err
 	}
 	e.mu.Lock()
 	if el, ok := e.items[key]; ok {
 		e.lru.MoveToFront(el)
 		entry := el.Value.(*engineEntry)
 		e.mu.Unlock()
-		e.hits.Add(1)
-		if m != nil {
-			m.Hits.Inc()
-		}
-		span.AddEvent("cache-hit")
-		return entry, nil
+		return entry, memoHit, nil
 	}
 	if call, ok := e.inflight[key]; ok {
 		e.mu.Unlock()
 		<-call.done
-		if call.err != nil {
-			return nil, call.err
-		}
-		e.hits.Add(1)
-		if m != nil {
-			m.Hits.Inc()
-		}
-		// Coalesced wait: served by another goroutine's fit.
-		span.AddEvent("cache-hit", otrace.String("via", "inflight"))
-		return call.entry, nil
+		return call.entry, memoWaited, call.err
 	}
 	call := &inflightCall{done: make(chan struct{})}
 	e.inflight[key] = call
 	e.mu.Unlock()
-	e.misses.Add(1)
-	if m != nil {
-		m.Misses.Inc()
-	}
-	span.AddEvent("cache-miss")
 
-	entry, err := fit(span, m)
+	entry, err := fit()
 	call.entry, call.err = entry, err
 
 	e.mu.Lock()
@@ -361,6 +352,7 @@ func (e *Engine) memo(ctx context.Context, key engineKey, fit func(*otrace.Span,
 	if err == nil {
 		entry.key = key
 		e.items[key] = e.lru.PushFront(entry)
+		m := e.metrics.Load()
 		for len(e.items) > e.cacheSize {
 			oldest := e.lru.Back()
 			e.lru.Remove(oldest)
@@ -376,7 +368,38 @@ func (e *Engine) memo(ctx context.Context, key engineKey, fit func(*otrace.Span,
 	}
 	e.mu.Unlock()
 	close(call.done)
-	return entry, err
+	return entry, memoFitted, err
+}
+
+// memo resolves a query's (pool, window, predictor) key and accounts for the
+// outcome: Stats and EngineMetrics count a miss when this call ran fit and a
+// hit when the entry was cached or another goroutine's in-flight fit served
+// it (it did not pay for the fit). The span in ctx (if any) gets a cache-hit
+// or cache-miss event; the unsampled path adds no allocations.
+func (e *Engine) memo(ctx context.Context, key engineKey, fit func(*otrace.Span, *EngineMetrics) (*engineEntry, error)) (*engineEntry, error) {
+	span := otrace.FromContext(ctx)
+	m := e.metrics.Load()
+	entry, how, err := e.resolve(key, func() (*engineEntry, error) {
+		e.misses.Add(1)
+		if m != nil {
+			m.Misses.Inc()
+		}
+		span.AddEvent("cache-miss")
+		return fit(span, m)
+	})
+	if err != nil || how == memoFitted {
+		return entry, err
+	}
+	e.hits.Add(1)
+	if m != nil {
+		m.Hits.Inc()
+	}
+	if how == memoWaited {
+		span.AddEvent("cache-hit", otrace.String("via", "inflight"))
+	} else {
+		span.AddEvent("cache-hit")
+	}
+	return entry, nil
 }
 
 // PredictPluginCtx evaluates a registered predictor through the engine. SMP
@@ -385,8 +408,9 @@ func (e *Engine) memo(ctx context.Context, key engineKey, fit func(*otrace.Span,
 // otherwise). Plugins that implement Cacheable are memoized in the same LRU,
 // keyed by (history fingerprint, window, plugin name, configuration salt) —
 // the plugin identity in the key guarantees predictors never cross-serve.
-// Everything else (the forecast-origin baselines, whose output depends on
-// the live Prev samples) is evaluated directly.
+// Spectral additionally shares its fitted spectrum between the windows of one
+// day pool (see spectrum). Everything else (the forecast-origin baselines,
+// whose output depends on the live Prev samples) is evaluated directly.
 func (e *Engine) PredictPluginCtx(ctx context.Context, pl Plugin, in PluginInput) (float64, error) {
 	if p, ok := pl.(SMP); ok {
 		if in.HaveState && in.State.Recoverable() {
@@ -400,8 +424,16 @@ func (e *Engine) PredictPluginCtx(ctx context.Context, pl Plugin, in PluginInput
 		return pl.PredictTR(in)
 	}
 	key := engineKey{fp: e.fingerprint(in.Days), window: in.Window, plugin: pl.Name(), salt: c.CacheSalt()}
-	entry, err := e.memo(ctx, key, func(*otrace.Span, *EngineMetrics) (*engineEntry, error) {
-		tr, err := pl.PredictTR(in)
+	entry, err := e.memo(ctx, key, func(span *otrace.Span, _ *EngineMetrics) (*engineEntry, error) {
+		var tr float64
+		var err error
+		if s, ok := pl.(Spectral); ok {
+			tr, err = s.predictTR(in, func(days []*trace.Day) (*spectrum, error) {
+				return e.spectrum(span, s, key, days)
+			})
+		} else {
+			tr, err = pl.PredictTR(in)
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -411,6 +443,33 @@ func (e *Engine) PredictPluginCtx(ctx context.Context, pl Plugin, in PluginInput
 		return 0, err
 	}
 	return entry.pred.TR, nil
+}
+
+// spectrum is Spectral.fit through the cache: the fit reads the day pool and
+// the knobs but not the window, so it is held under the query's key with the
+// window zeroed (no valid window is zero) and every cold window of one pool
+// evaluates the same fitted spectrum instead of transforming the history
+// again. A new sealed day changes the fingerprint and refits. The lookup is
+// not a query outcome, so it counts into neither Hits nor Misses; a sampled
+// span shows it as a spectrum-fit or spectrum-hit event next to the window's
+// cache-miss.
+func (e *Engine) spectrum(span *otrace.Span, s Spectral, key engineKey, days []*trace.Day) (*spectrum, error) {
+	key.window = Window{}
+	entry, how, err := e.resolve(key, func() (*engineEntry, error) {
+		span.AddEvent("spectrum-fit", otrace.Int("history-days", len(days)))
+		sp, err := s.fit(days)
+		if err != nil {
+			return nil, err
+		}
+		return &engineEntry{spectrum: sp}, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	if how != memoFitted {
+		span.AddEvent("spectrum-hit")
+	}
+	return entry.spectrum, nil
 }
 
 // compute runs the full prediction pipeline on pooled scratch buffers. The

@@ -76,13 +76,14 @@ func (p Percentile) PredictTR(in PluginInput) (float64, error) {
 		return 0, fmt.Errorf("predict: percentile: no history days")
 	}
 	scores := make([]float64, 0, len(days))
+	var states []avail.State // one classification buffer serves every day
 	for _, d := range days {
 		samples := d.Window(w.Start, w.Length)
 		if len(samples) == 0 {
 			continue
 		}
 		up := 0
-		states := avail.Classify(samples, cfg, d.Period)
+		states = avail.ClassifyInto(states, samples, cfg, d.Period)
 		for _, st := range states {
 			if st.Recoverable() {
 				up++

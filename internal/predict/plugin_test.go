@@ -126,6 +126,28 @@ func TestPluginCacheSaltIsolation(t *testing.T) {
 	if again != trPlain {
 		t.Fatalf("FFT entry clobbered by PCT: %v != %v (pct %v)", again, trPlain, trPct)
 	}
+
+	// Two Spectral values that differ in any one knob share neither a salt
+	// nor a fitted spectrum: on the pool `plain` already fitted, each
+	// variant's first window pays for a fit of its own.
+	salts := map[uint64]string{plain.CacheSalt(): "default"}
+	for name, s := range oneKnobVariants() {
+		if name == "default" {
+			continue
+		}
+		if other, dup := salts[s.CacheSalt()]; dup {
+			t.Fatalf("knob %s shares a cache salt with %s", name, other)
+		}
+		salts[s.CacheSalt()] = name
+		ev := eventCounts(t, func(ctx context.Context) {
+			if _, err := e.PredictPluginCtx(ctx, s, in); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if ev["spectrum-fit"] != 1 || ev["spectrum-hit"] != 0 {
+			t.Fatalf("knob %s: events %v, want a spectrum-fit of its own", name, ev)
+		}
+	}
 }
 
 // TestEnginePluginDifferential runs every registered plugin through the

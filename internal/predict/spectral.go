@@ -5,8 +5,10 @@ import (
 	"math"
 	"math/cmplx"
 	"sort"
+	"time"
 
 	"fgcs/internal/avail"
+	"fgcs/internal/trace"
 )
 
 // Spectral is the FFT predictor: it treats the machine's availability as a
@@ -84,8 +86,18 @@ func (s Spectral) CacheSalt() uint64 {
 	return h
 }
 
-// PredictTR implements Plugin.
+// PredictTR implements Plugin: fit the spectrum of the day pool, then evaluate
+// it over the window.
 func (s Spectral) PredictTR(in PluginInput) (float64, error) {
+	return s.predictTR(in, s.fit)
+}
+
+// predictTR is PredictTR with the window-independent half supplied by fit:
+// s.fit itself when the plugin is called directly, the engine's memo of it
+// (Engine.spectrum) when the call comes through PredictPluginCtx. Refusals keep
+// one precedence either way: window, configuration, no days, a window shorter
+// than the sampling period, and only then whatever fit reports.
+func (s Spectral) predictTR(in PluginInput, fit func([]*trace.Day) (*spectrum, error)) (float64, error) {
 	w := in.Window
 	if err := w.Validate(); err != nil {
 		return 0, err
@@ -93,30 +105,57 @@ func (s Spectral) PredictTR(in PluginInput) (float64, error) {
 	// Cacheable contract: only Days, Window and the receiver's own knobs
 	// may influence the result (in.Prev/State are ignored) — the cache
 	// salt covers exactly the receiver.
-	cfg := s.Cfg
-	if err := cfg.Validate(); err != nil {
+	if err := s.Cfg.Validate(); err != nil {
 		return 0, err
 	}
 	days := truncDays(in.Days, s.HistoryDays)
 	if len(days) == 0 {
 		return 0, fmt.Errorf("predict: spectral: no history days")
 	}
-	period := periodOf(days)
-	units := w.Units(period)
-	if units < 1 {
+	if w.Units(periodOf(days)) < 1 {
 		return 0, fmt.Errorf("predict: spectral: window %v shorter than the sampling period", w)
 	}
-	// Binary availability signal, concatenated oldest-first.
+	sp, err := fit(days)
+	if err != nil {
+		return 0, err
+	}
+	return s.evaluate(sp, w), nil
+}
+
+// spectrum is a fitted Spectral model: everything PredictTR derives from the
+// day pool and the knobs before it looks at the window. It is immutable once
+// built, so the engine shares one across queries.
+type spectrum struct {
+	total  int           // samples in the concatenated history signal
+	period time.Duration // sampling period of the history
+	mean   float64       // mean of the resampled signal (the DC term)
+	items  []spectrumItem
+}
+
+// spectrumItem is one kept frequency component: its bin in the
+// spectralSignalLen-point transform and the bin's value.
+type spectrumItem struct {
+	bin    int
+	re, im float64
+}
+
+// fit runs the window-independent pipeline over the (already truncated,
+// non-empty) day pool: classify, concatenate oldest-first, box-resample to
+// spectralSignalLen, remove the mean, transform, keep the dominant bins.
+func (s Spectral) fit(days []*trace.Day) (*spectrum, error) {
 	total := 0
 	for _, d := range days {
 		total += len(d.Samples)
 	}
 	if total == 0 {
-		return 0, fmt.Errorf("predict: spectral: history days carry no samples")
+		return nil, fmt.Errorf("predict: spectral: history days carry no samples")
 	}
+	// Binary availability signal; one classification buffer serves every day.
 	signal := make([]float64, 0, total)
+	var states []avail.State
 	for _, d := range days {
-		for _, st := range avail.Classify(d.Samples, cfg, d.Period) {
+		states = avail.ClassifyInto(states, d.Samples, s.Cfg, d.Period)
+		for _, st := range states {
 			if st.Recoverable() {
 				signal = append(signal, 1)
 			} else {
@@ -135,22 +174,31 @@ func (s Spectral) PredictTR(in PluginInput) (float64, error) {
 		buf[i] = complex(v-mean, 0)
 	}
 	fftRadix2(buf)
-	items := s.selectSpectrum(buf)
-	// Evaluate the truncated series at the query window's positions on
-	// the day after the history. Positions are expressed in original
-	// signal coordinates then scaled into resampled coordinates; the
-	// series is periodic so the next-day positions wrap onto the diurnal
-	// structure the dominant harmonics encode.
-	m := float64(len(resampled))
-	scale := m / float64(total)
+	bins := s.selectSpectrum(buf)
+	sp := &spectrum{total: total, period: periodOf(days), mean: mean, items: make([]spectrumItem, 0, len(bins))}
+	for _, bin := range bins {
+		sp.items = append(sp.items, spectrumItem{bin: bin, re: real(buf[bin]), im: imag(buf[bin])})
+	}
+	return sp, nil
+}
+
+// evaluate reconstructs the truncated series at the query window's positions
+// on the day after the history and returns the window's worst value, less the
+// margin, as the TR. Positions are expressed in original signal coordinates
+// then scaled into resampled coordinates; the series is periodic so the
+// next-day positions wrap onto the diurnal structure the dominant harmonics
+// encode. The cost is units × items evaluations.
+func (s Spectral) evaluate(sp *spectrum, w Window) float64 {
+	m := float64(spectralSignalLen)
+	scale := m / float64(sp.total)
 	tr := math.Inf(1)
-	for j := 0; j < units; j++ {
-		pos := float64(total) + (float64(w.Start)+(float64(j)+0.5)*float64(period))/float64(period)
+	for j, units := 0, w.Units(sp.period); j < units; j++ {
+		pos := float64(sp.total) + (float64(w.Start)+(float64(j)+0.5)*float64(sp.period))/float64(sp.period)
 		u := pos * scale
-		v := mean
-		for _, it := range items {
-			v += 2 / m * (real(buf[it])*math.Cos(2*math.Pi*float64(it)*u/m) -
-				imag(buf[it])*math.Sin(2*math.Pi*float64(it)*u/m))
+		v := sp.mean
+		for _, it := range sp.items {
+			sin, cos := math.Sincos(2 * math.Pi * float64(it.bin) * u / m)
+			v += 2 / m * (it.re*cos - it.im*sin)
 		}
 		if v < tr {
 			tr = v
@@ -163,7 +211,7 @@ func (s Spectral) PredictTR(in PluginInput) (float64, error) {
 	if tr > 1 {
 		tr = 1
 	}
-	return tr, nil
+	return tr
 }
 
 // selectSpectrum picks the dominant frequency bins of the half-spectrum per

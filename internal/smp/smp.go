@@ -326,54 +326,64 @@ type Result struct {
 }
 
 // Solve computes the temporal reliability for a job starting in init (S1 or
-// S2) over a window of the given number of discretization units, by the
-// sparsity-optimized recursion of Equation (3).
+// S2) over a window of the given number of discretization units, by the dense
+// recursion of Equation (3) exactly as the paper states it: every holding time
+// 1..m-1 enters the convolution at step m. Its Ops count is what the Figure 4
+// cost experiment plots, and it is the reference the serving solver (TR,
+// Reliabilities, ReliabilitiesWS, FullInterval) is differential-tested
+// against: the two agree bit for bit.
 func (k *Kernel) Solve(init avail.State, units int) (Result, error) {
-	if fromIndex(init) < 0 {
-		return Result{}, fmt.Errorf("smp: initial state %v is not recoverable", init)
+	fi, err := k.checkQuery(init, units)
+	if err != nil {
+		return Result{}, err
 	}
-	if units < 0 {
-		return Result{}, fmt.Errorf("smp: negative window")
-	}
-	if units > k.horizon {
-		return Result{}, fmt.Errorf("smp: window of %d units exceeds kernel horizon %d", units, k.horizon)
-	}
-	sol := k.solve(units)
-	var res Result
-	res.Units = units
-	res.Ops = sol.ops
-	fi := fromIndex(init)
-	total := 0.0
+	sol, ops := k.solveDense(units)
+	res := Result{Units: units, Ops: ops, TR: sol.tr(fi, units)}
 	for ji := 0; ji < 3; ji++ {
-		p := sol.p[fi][ji][units]
-		res.PFail[ji] = p
-		total += p
+		res.PFail[ji] = sol.p[fi][ji][units]
 	}
-	tr := 1 - total
-	if tr < 0 {
-		tr = 0
-	}
-	if tr > 1 {
-		tr = 1
-	}
-	res.TR = tr
 	return res, nil
 }
 
-// TR is a convenience wrapper around Solve returning only the temporal
-// reliability.
+// TR returns the temporal reliability for a job starting in init over a
+// window of the given number of units: Solve's TR, bit for bit, computed over
+// the observed holding times only.
 func (k *Kernel) TR(init avail.State, units int) (float64, error) {
-	r, err := k.Solve(init, units)
+	fi, err := k.checkQuery(init, units)
 	if err != nil {
 		return 0, err
 	}
-	return r.TR, nil
+	return k.solve(nil, units).tr(fi, units), nil
 }
 
+// checkQuery validates a (init, units) query and returns init's from-index.
+func (k *Kernel) checkQuery(init avail.State, units int) (int, error) {
+	fi := fromIndex(init)
+	if fi < 0 {
+		return 0, fmt.Errorf("smp: initial state %v is not recoverable", init)
+	}
+	if units < 0 {
+		return 0, fmt.Errorf("smp: negative window")
+	}
+	if units > k.horizon {
+		return 0, fmt.Errorf("smp: window of %d units exceeds kernel horizon %d", units, k.horizon)
+	}
+	return fi, nil
+}
+
+// solution holds the six interval transition probabilities into the failure
+// states: p[fi][ji][m], fi 0/1 for S1/S2, ji 0..2 for S3..S5.
 type solution struct {
-	// p[fi][ji][m]: fi 0/1 for S1/S2, ji 0..2 for S3..S5.
-	p   [2][3][]float64
-	ops int64
+	p [2][3][]float64
+}
+
+// tr is Equation (2) at the given horizon for initial state fi.
+func (sol *solution) tr(fi, units int) float64 {
+	total := 0.0
+	for ji := 0; ji < 3; ji++ {
+		total += sol.p[fi][ji][units]
+	}
+	return clamp01(1 - total)
 }
 
 // Workspace holds reusable buffers for the Equation (3) recursion, so a
@@ -383,6 +393,10 @@ type solution struct {
 type Workspace struct {
 	sol solution
 	cum [2][3][]float64
+	// The non-zero support of the cross kernels q₁₂ (index 0) and q₂₁
+	// (index 1) inside the window: holding times ascending, and their mass.
+	crossL [2][]int
+	crossQ [2][]float64
 }
 
 // grow sizes the workspace buffers for n = units+1 entries, reusing capacity
@@ -394,7 +408,6 @@ func (ws *Workspace) grow(n int) {
 			ws.cum[fi][ji] = growZeroHead(ws.cum[fi][ji], n)
 		}
 	}
-	ws.sol.ops = 0
 }
 
 // growZeroHead returns a slice of length n reusing buf's storage when
@@ -411,94 +424,62 @@ func growZeroHead(buf []float64, n int) []float64 {
 	return buf
 }
 
-// solve runs the dynamic program of Equation (3) for m = 0..units. The six
-// sequences P_{1,j}, P_{2,j} are mutually recursive through the recoverable
-// cross terms q_{1,2} and q_{2,1}; the direct failure terms accumulate as
-// prefix sums. The inner convolution makes the total cost Θ(units²) — the
-// superlinear growth measured in Figure 4.
-func (k *Kernel) solve(units int) *solution {
-	return k.solveMode(nil, units, false)
-}
-
-// solveSparse is the ablation variant: it convolves only over the nonzero
-// support of the cross-transition kernels (the observed holding times),
-// trading the paper's simple dense recursion for near-linear cost on sparse
-// history data. Results are numerically identical.
-func (k *Kernel) solveSparse(units int) *solution {
-	return k.solveMode(nil, units, true)
-}
-
-// nonzero returns the indices l with qs[l] != 0, limited to 1..units.
-func nonzero(qs []float64, units int) []int {
-	var idx []int
-	for l := 1; l < len(qs) && l <= units; l++ {
-		if qs[l] != 0 {
-			idx = append(idx, l)
-		}
-	}
-	return idx
-}
-
-func (k *Kernel) solveMode(ws *Workspace, units int, sparse bool) *solution {
-	var sol *solution
-	var directCum [2][3][]float64
-	if ws != nil {
-		ws.grow(units + 1)
-		sol = &ws.sol
-		directCum = ws.cum
-	} else {
-		sol = &solution{}
-		for fi := 0; fi < 2; fi++ {
-			for ji := 0; ji < 3; ji++ {
-				sol.p[fi][ji] = make([]float64, units+1)
-				directCum[fi][ji] = make([]float64, units+1)
-			}
-		}
-	}
-	// directCum[fi][ji][m] = Σ_{l=1..m} q_{fi,j}(l): probability of a
-	// direct absorption into j within m units.
+// directCum fills cum[fi][ji][m] = Σ_{l=1..m} q_{fi,j}(l), the probability of
+// a direct absorption into j within m units, for m = 1..units.
+func (k *Kernel) directCum(cum *[2][3][]float64, units int) {
 	for fi := 0; fi < 2; fi++ {
 		for ji := 0; ji < 3; ji++ {
 			to := avail.State(ji + 3)
-			cum := directCum[fi][ji]
 			run := 0.0
 			for m := 1; m <= units; m++ {
 				run += k.qAt(fi, to, m)
-				cum[m] = run
+				cum[fi][ji][m] = run
 			}
-			sol.ops += int64(units)
 		}
 	}
-	// Cross-transition kernels, padded to units+1 so the inner loop needs
-	// no bounds logic.
-	crossQ := [2][]float64{pad(k.q[0][avail.S2], units+1), pad(k.q[1][avail.S1], units+1)}
-	var crossNZ [2][]int
-	if sparse {
-		crossNZ[0] = nonzero(crossQ[0], units)
-		crossNZ[1] = nonzero(crossQ[1], units)
+}
+
+// solve runs the dynamic program of Equation (3) for m = 0..units into ws (a
+// fresh workspace when nil). The six sequences P_{1,j}, P_{2,j} are mutually
+// recursive through the recoverable cross terms q_{1,2} and q_{2,1}; the
+// direct failure terms accumulate as prefix sums. The convolution runs over
+// the non-zero support of the cross kernels only — the observed holding
+// times, the sparsity Section 4 relies on — in ascending l. A term it skips
+// is 0·P with P ∈ [0, 1], exactly +0, so the result equals solveDense's bit
+// for bit at a cost proportional to units × distinct holding times.
+func (k *Kernel) solve(ws *Workspace, units int) *solution {
+	if ws == nil {
+		ws = &Workspace{}
+	}
+	ws.grow(units + 1)
+	sol := &ws.sol
+	k.directCum(&ws.cum, units)
+	for fi, qs := range [2][]float64{k.q[0][avail.S2], k.q[1][avail.S1]} {
+		ls, vs := ws.crossL[fi][:0], ws.crossQ[fi][:0]
+		// Step m reads l < m ≤ units, so l = units is never used.
+		for l := 1; l < len(qs) && l < units; l++ {
+			if qs[l] != 0 {
+				ls, vs = append(ls, l), append(vs, qs[l])
+			}
+		}
+		ws.crossL[fi], ws.crossQ[fi] = ls, vs
 	}
 	for m := 1; m <= units; m++ {
 		for fi := 0; fi < 2; fi++ {
-			other := 1 - fi
-			q := crossQ[fi]
+			// The two reslices let the compiler drop the inner loop's
+			// bounds checks (a third off the solve on the bench history).
+			ls, vs := ws.crossL[fi], ws.crossQ[fi]
+			vs = vs[:len(ls)]
 			for ji := 0; ji < 3; ji++ {
-				acc := directCum[fi][ji][m]
-				po := sol.p[other][ji]
+				acc := ws.cum[fi][ji][m]
+				po := sol.p[1-fi][ji][:m]
 				// Convolution with the path through the other
 				// recoverable state.
-				if sparse {
-					for _, l := range crossNZ[fi] {
-						if l >= m {
-							break
-						}
-						acc += q[l] * po[m-l]
+				for i, l := range ls {
+					if l >= m {
+						break
 					}
-					sol.ops += int64(len(crossNZ[fi]))
-				} else {
-					for l := 1; l < m; l++ {
-						acc += q[l] * po[m-l]
-					}
-					sol.ops += int64(m)
+					acc += vs[i] * po[m-l]
 				}
 				if acc > 1 {
 					acc = 1
@@ -510,6 +491,39 @@ func (k *Kernel) solveMode(ws *Workspace, units int, sparse bool) *solution {
 	return sol
 }
 
+// solveDense is the recursion as the paper writes it: the inner convolution
+// visits every l in 1..m-1, which makes the total cost Θ(units²) — the
+// superlinear growth measured in Figure 4. It also returns the number of
+// multiply-accumulate operations performed.
+func (k *Kernel) solveDense(units int) (*solution, int64) {
+	ws := &Workspace{}
+	ws.grow(units + 1)
+	sol, cum := &ws.sol, &ws.cum
+	k.directCum(cum, units)
+	ops := int64(6 * units)
+	// Cross-transition kernels, padded to units+1 so the inner loop needs
+	// no bounds logic.
+	crossQ := [2][]float64{pad(k.q[0][avail.S2], units+1), pad(k.q[1][avail.S1], units+1)}
+	for m := 1; m <= units; m++ {
+		for fi := 0; fi < 2; fi++ {
+			q := crossQ[fi]
+			for ji := 0; ji < 3; ji++ {
+				acc := cum[fi][ji][m]
+				po := sol.p[1-fi][ji]
+				for l := 1; l < m; l++ {
+					acc += q[l] * po[m-l]
+				}
+				ops += int64(m)
+				if acc > 1 {
+					acc = 1
+				}
+				sol.p[fi][ji][m] = acc
+			}
+		}
+	}
+	return sol, ops
+}
+
 // pad returns qs extended with zeros to length n (aliasing qs when long
 // enough).
 func pad(qs []float64, n int) []float64 {
@@ -519,30 +533,6 @@ func pad(qs []float64, n int) []float64 {
 	out := make([]float64, n)
 	copy(out, qs)
 	return out
-}
-
-// SolveSparseTR is the sparse-convolution ablation entry point: numerically
-// identical to Solve but with cost proportional to the number of distinct
-// observed holding times instead of the window length.
-func (k *Kernel) SolveSparseTR(init avail.State, units int) (Result, error) {
-	if fromIndex(init) < 0 {
-		return Result{}, fmt.Errorf("smp: initial state %v is not recoverable", init)
-	}
-	if units < 0 || units > k.horizon {
-		return Result{}, fmt.Errorf("smp: window of %d units outside kernel horizon %d", units, k.horizon)
-	}
-	sol := k.solveSparse(units)
-	var res Result
-	res.Units = units
-	res.Ops = sol.ops
-	fi := fromIndex(init)
-	total := 0.0
-	for ji := 0; ji < 3; ji++ {
-		res.PFail[ji] = sol.p[fi][ji][units]
-		total += sol.p[fi][ji][units]
-	}
-	res.TR = clamp01(1 - total)
-	return res, nil
 }
 
 func clamp01(x float64) float64 {
@@ -570,23 +560,8 @@ func (k *Kernel) ReliabilitiesWS(ws *Workspace, units int) (trS1, trS2 float64, 
 	if units < 0 || units > k.horizon {
 		return 0, 0, fmt.Errorf("smp: window of %d units outside kernel horizon %d", units, k.horizon)
 	}
-	sol := k.solveMode(ws, units, false)
-	trs := [2]float64{}
-	for fi := 0; fi < 2; fi++ {
-		total := 0.0
-		for ji := 0; ji < 3; ji++ {
-			total += sol.p[fi][ji][units]
-		}
-		tr := 1 - total
-		if tr < 0 {
-			tr = 0
-		}
-		if tr > 1 {
-			tr = 1
-		}
-		trs[fi] = tr
-	}
-	return trs[0], trs[1], nil
+	sol := k.solve(ws, units)
+	return sol.tr(0, units), sol.tr(1, units), nil
 }
 
 // Interval is the full interval-transition-probability row set of Figure 3:
@@ -618,7 +593,7 @@ func (k *Kernel) FullInterval(units int) (*Interval, error) {
 		}
 	}
 	// Failure columns from the standard solver.
-	sol := k.solve(units)
+	sol := k.solve(nil, units)
 	for fi := 0; fi < 2; fi++ {
 		for ji := 0; ji < 3; ji++ {
 			copy(iv.P[fi][ji+2], sol.p[fi][ji])

@@ -4,9 +4,12 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"fgcs/internal/avail"
 	"fgcs/internal/rng"
+	"fgcs/internal/trace"
+	"fgcs/internal/workload"
 )
 
 func TestLegalTransitions(t *testing.T) {
@@ -562,40 +565,198 @@ func TestSolveOpsGrowSuperlinearly(t *testing.T) {
 	}
 }
 
-// TestSparseSolverMatchesDense: the ablation solver must be numerically
-// identical to the dense Equation (3) recursion.
-func TestSparseSolverMatchesDense(t *testing.T) {
-	for trial := 0; trial < 10; trial++ {
-		k := randomKernel(rng.New(uint64(trial)+77), 60)
-		for _, init := range []avail.State{avail.S1, avail.S2} {
-			for _, units := range []int{0, 1, 7, 33, 60} {
-				dense, err := k.Solve(init, units)
-				if err != nil {
-					t.Fatal(err)
+// requireSolversAgree fails unless the serving solver and the dense reference
+// agree bit for bit at the given horizon: all six P_{i,j}(m) columns at every
+// m, and TR through every public entry point.
+func requireSolversAgree(t *testing.T, k *Kernel, ws *Workspace, units int) {
+	t.Helper()
+	dense, _ := k.solveDense(units)
+	sparse := k.solve(ws, units)
+	for fi := 0; fi < 2; fi++ {
+		for ji := 0; ji < 3; ji++ {
+			for m := 0; m <= units; m++ {
+				d, s := dense.p[fi][ji][m], sparse.p[fi][ji][m]
+				if math.Float64bits(d) != math.Float64bits(s) {
+					t.Fatalf("units %d: P[%d][%d](%d): dense %v != sparse %v", units, fi, ji, m, d, s)
 				}
-				sp, err := k.SolveSparseTR(init, units)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if math.Abs(dense.TR-sp.TR) > 1e-12 {
-					t.Fatalf("trial %d init %v units %d: dense %v != sparse %v",
-						trial, init, units, dense.TR, sp.TR)
-				}
-				if sp.Ops > dense.Ops {
-					t.Fatalf("sparse solver did more work than dense: %d > %d", sp.Ops, dense.Ops)
-				}
+			}
+		}
+	}
+	tr1, tr2, err := k.ReliabilitiesWS(ws, units)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for fi, init := range []avail.State{avail.S1, avail.S2} {
+		ref, err := k.Solve(init, units)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := k.TR(init, units)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, got := range map[string]float64{"TR": tr, "ReliabilitiesWS": [2]float64{tr1, tr2}[fi]} {
+			if math.Float64bits(got) != math.Float64bits(ref.TR) {
+				t.Fatalf("units %d init %v: %s %v != Solve %v", units, init, name, got, ref.TR)
 			}
 		}
 	}
 }
 
+// TestSparseSolverMatchesDense: the serving solver must be bit-identical to
+// the dense Equation (3) recursion, also when one workspace is reused across
+// kernels and horizons.
+func TestSparseSolverMatchesDense(t *testing.T) {
+	ws := &Workspace{}
+	for trial := 0; trial < 10; trial++ {
+		k := randomKernel(rng.New(uint64(trial)+77), 60)
+		for _, units := range []int{60, 0, 1, 7, 33, 60} {
+			requireSolversAgree(t, k, ws, units)
+			requireSolversAgree(t, k, nil, units)
+		}
+	}
+}
+
+// TestSparseSolverMatchesDenseGolden runs the differential over kernels
+// estimated the way the predictor estimates them, from the golden workload of
+// internal/predict (seed 7, one-minute sampling) at the window lengths of
+// Figure 4.
+func TestSparseSolverMatchesDenseGolden(t *testing.T) {
+	ds, err := workload.Generate(workload.Params{
+		Machines:         2,
+		Days:             12,
+		Start:            time.Date(2005, 8, 22, 0, 0, 0, 0, time.UTC),
+		Period:           time.Minute,
+		Seed:             7,
+		TotalMemMB:       512,
+		ActivityScale:    1.0,
+		RebootProb:       0.07,
+		DailyFailureProb: 0.08,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := avail.DefaultConfig()
+	ex := avail.NewExtractor(cfg, time.Minute)
+	ws := &Workspace{}
+	for _, m := range ds.Machines {
+		for _, length := range []time.Duration{time.Hour, 5 * time.Hour, 10 * time.Hour} {
+			ex.Reset(cfg, time.Minute)
+			for _, d := range m.DaysOfType(trace.Weekday) {
+				ex.AddWindow(d.Window(8*time.Hour, length), false)
+			}
+			units := int(length / time.Minute)
+			k, err := Estimator{Horizon: units}.Estimate(ex.Seqs())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if k.Q(avail.S1, avail.S2) == 0 {
+				t.Fatalf("%s %v: no cross mass, the convolution is not exercised", m.ID, length)
+			}
+			requireSolversAgree(t, k, ws, units)
+		}
+	}
+}
+
+// fuzzKernel builds a kernel of the given horizon from raw bytes: byte
+// 8*(l-1)+i is the mass, in 1/255ths, of LegalTransitions[i] at holding time
+// l (missing bytes are zero), scaled down per from-state when it sums past 1.
+func fuzzKernel(horizon int, data []byte) *Kernel {
+	k := &Kernel{horizon: horizon}
+	var total [2]float64
+	for i, p := range LegalTransitions {
+		fi := fromIndex(p[0])
+		qs := make([]float64, horizon+1)
+		for l := 1; l <= horizon; l++ {
+			if at := 8*(l-1) + i; at < len(data) {
+				qs[l] = float64(data[at]) / 255
+				total[fi] += qs[l]
+			}
+		}
+		k.q[fi][p[1]] = qs
+	}
+	for _, p := range LegalTransitions {
+		if fi := fromIndex(p[0]); total[fi] > 1 {
+			for l := range k.q[fi][p[1]] {
+				k.q[fi][p[1]][l] /= total[fi]
+			}
+		}
+	}
+	return k
+}
+
+// FuzzSolverMatchesDense: whatever the kernel's support looks like, the
+// serving solver equals the dense reference bit for bit.
+func FuzzSolverMatchesDense(f *testing.F) {
+	const h = 24
+	seed := func(mass func(i, l int) byte) []byte {
+		data := make([]byte, 8*h)
+		for l := 1; l <= h; l++ {
+			for i := 0; i < 8; i++ {
+				data[8*(l-1)+i] = mass(i, l)
+			}
+		}
+		return data
+	}
+	cross := func(i int) bool { return i == 0 || i == 4 } // S1→S2, S2→S1
+	// An all-zero cross kernel: only direct absorption.
+	f.Add(uint8(h), uint8(h), seed(func(i, l int) byte {
+		if cross(i) {
+			return 0
+		}
+		return byte(l)
+	}))
+	// A fully dense one: every holding time of every transition observed.
+	f.Add(uint8(h), uint8(h), seed(func(i, l int) byte { return byte(1 + 7*i + l) }))
+	// Cross mass only at l = units, which no step of the recursion reads.
+	f.Add(uint8(h), uint8(h), seed(func(i, l int) byte {
+		if cross(i) == (l == h) {
+			return 40
+		}
+		return 0
+	}))
+	// A window shorter than the horizon, and the empty window.
+	f.Add(uint8(h), uint8(5), seed(func(i, l int) byte { return byte(i * l) }))
+	f.Add(uint8(1), uint8(0), []byte{255})
+	f.Fuzz(func(t *testing.T, horizon, units uint8, data []byte) {
+		if horizon == 0 || units > horizon {
+			t.Skip()
+		}
+		requireSolversAgree(t, fuzzKernel(int(horizon), data), nil, int(units))
+	})
+}
+
+// TestReliabilitiesWSWarmAllocatesNothing: the non-zero index lives in the
+// workspace, so the engine's miss path solves without allocating.
+func TestReliabilitiesWSWarmAllocatesNothing(t *testing.T) {
+	k := randomKernel(rng.New(9), 400)
+	ws := &Workspace{}
+	if _, _, err := k.ReliabilitiesWS(ws, 400); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, _, err := k.ReliabilitiesWS(ws, 400); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("warmed ReliabilitiesWS allocates %v times per solve", allocs)
+	}
+}
+
 func TestSparseSolverErrors(t *testing.T) {
 	k, _ := Estimator{Horizon: 10}.Estimate(nil)
-	if _, err := k.SolveSparseTR(avail.S4, 5); err == nil {
+	if _, err := k.TR(avail.S4, 5); err == nil {
 		t.Fatal("failure initial state accepted")
 	}
-	if _, err := k.SolveSparseTR(avail.S1, 11); err == nil {
+	if _, err := k.TR(avail.S1, 11); err == nil {
 		t.Fatal("window beyond horizon accepted")
+	}
+	if _, err := k.TR(avail.S1, -1); err == nil {
+		t.Fatal("negative window accepted")
+	}
+	if _, _, err := k.ReliabilitiesWS(&Workspace{}, -1); err == nil {
+		t.Fatal("negative window accepted by ReliabilitiesWS")
 	}
 }
 
