@@ -137,9 +137,10 @@ chaos:
 	$(GO) test -race -count=1 -v -run 'TestChaos' ./internal/ishare/...
 
 # Crash-injection harness: kill the WAL at every byte offset (durable layer)
-# and at seeded offsets under a live node (ishare layer), then prove recovery
+# — as a process kill and as a power loss that keeps only synced bytes — and
+# at seeded offsets under a live node (ishare layer), then prove recovery
 # is prefix-consistent, refuses silent corruption, and answers QueryTR
 # exactly as the pre-crash state. Byte-deterministic under fixed seeds.
 crash:
-	$(GO) test -count=1 -run 'TestCrash|TestBitFlip' ./internal/durable/
+	$(GO) test -count=1 -run 'TestCrash|TestBitFlip|TestPowerLoss' ./internal/durable/
 	$(GO) test -count=1 -run 'TestPersisterCrash' ./internal/ishare/

@@ -2,10 +2,61 @@ package durable
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"testing"
 
+	"fgcs/internal/wire"
 	"fgcs/internal/wire/wiretest"
 )
+
+// encodeSnapshot frames payload as a snapshot covering (seq, offset) in one
+// buffer, as the store did before it streamed the three parts: the reference
+// the streamed file is held to.
+func encodeSnapshot(seq uint64, offset int64, payload []byte) []byte {
+	buf := make([]byte, 0, len(payload)+32)
+	buf = wire.AppendHeader(buf, snapMagic, snapVersion)
+	buf = wire.AppendUvarint(buf, seq)
+	buf = wire.AppendUvarint(buf, uint64(offset))
+	buf = wire.AppendBytes(buf, payload)
+	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
+}
+
+// TestSnapshotFileMatchesReference compares the file WriteSnapshotAt leaves
+// behind with the single-buffer encoding, byte for byte.
+func TestSnapshotFileMatchesReference(t *testing.T) {
+	for _, size := range []int{0, 1, 4095, 1 << 20} {
+		fs := NewMemFS()
+		st, _, err := Open(Config{FS: fs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Append(RecSample, []byte("moves the position off the segment header")); err != nil {
+			t.Fatal(err)
+		}
+		payload := make([]byte, size)
+		for i := range payload {
+			payload[i] = byte(i * 31)
+		}
+		seq, off := st.Position()
+		if err := st.WriteSnapshotAt(seq, off, payload); err != nil {
+			t.Fatal(err)
+		}
+		got, err := fs.ReadFile(snapshotName(seq, off))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := encodeSnapshot(seq, off, payload); !bytes.Equal(got, want) {
+			t.Fatalf("%d-byte payload: snapshot file is %d bytes, reference %d, or differs in content", size, len(got), len(want))
+		}
+		if names, _ := fs.List(); len(names) != 2 {
+			t.Fatalf("%d-byte payload: files %v, want one segment and one snapshot", size, names)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
 
 // byteCodecs lists the slice-decoded formats of this package — the four
 // component record payloads and the snapshot file — each with one seeded

@@ -35,7 +35,8 @@ type File interface {
 type FS interface {
 	// Append opens name for appending, creating it when absent.
 	Append(name string) (File, error)
-	// ReadFile returns the full contents of name.
+	// ReadFile returns the full contents of name in a slice that belongs to
+	// the caller: the FS keeps no reference to it and never writes to it.
 	ReadFile(name string) ([]byte, error)
 	// Truncate shortens name to size bytes.
 	Truncate(name string, size int64) error

@@ -53,16 +53,6 @@ func parseSegmentName(name string) (seq uint64, ok bool) {
 	return s, true
 }
 
-// encodeSnapshot frames payload as a snapshot covering (seq, offset).
-func encodeSnapshot(seq uint64, offset int64, payload []byte) []byte {
-	buf := make([]byte, 0, len(payload)+32)
-	buf = wire.AppendHeader(buf, snapMagic, snapVersion)
-	buf = wire.AppendUvarint(buf, seq)
-	buf = wire.AppendUvarint(buf, uint64(offset))
-	buf = wire.AppendBytes(buf, payload)
-	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
-}
-
 // ReadSnapshot validates a snapshot file and returns the WAL position it
 // covers and its payload (aliasing data). Any damage — bad magic, claimed
 // length beyond the file, bytes between payload and checksum, checksum
@@ -85,25 +75,34 @@ func ReadSnapshot(data []byte) (seq uint64, offset int64, payload []byte, err er
 	return seq, int64(off), payload, nil
 }
 
-// writeSnapshotFile publishes an encoded snapshot atomically: tmp file,
-// sync, rename into place.
-func writeSnapshotFile(fs FS, name string, encoded []byte) error {
+// writeSnapshotFile publishes payload as the snapshot covering (seq, offset)
+// atomically: tmp file, sync, rename into place. The payload is never copied
+// into a frame: header, payload and checksum trailer are written in turn, the
+// CRC32C running over the first two.
+func writeSnapshotFile(fs FS, seq uint64, offset int64, payload []byte) error {
+	name := snapshotName(seq, offset)
 	tmp := name + ".tmp"
 	f, err := fs.Append(tmp)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(encoded); err != nil {
-		_ = f.Close()
-		_ = fs.Remove(tmp)
-		return err
+	hdr := wire.AppendHeader(make([]byte, 0, 5+3*binary.MaxVarintLen64), snapMagic, snapVersion)
+	hdr = wire.AppendUvarint(hdr, seq)
+	hdr = wire.AppendUvarint(hdr, uint64(offset))
+	hdr = wire.AppendUvarint(hdr, uint64(len(payload)))
+	sum := crc32.Update(crc32.Update(0, castagnoli, hdr), castagnoli, payload)
+	for _, part := range [][]byte{hdr, payload, binary.LittleEndian.AppendUint32(nil, sum)} {
+		if _, err = f.Write(part); err != nil {
+			break
+		}
 	}
-	if err := f.Sync(); err != nil {
-		_ = f.Close()
-		_ = fs.Remove(tmp)
-		return err
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := f.Close(); err != nil {
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		_ = fs.Remove(tmp)
 		return err
 	}

@@ -62,7 +62,8 @@ type Config struct {
 // Recovery reports what Open reconstructed from the data directory.
 type Recovery struct {
 	// SnapshotPayload is the newest valid snapshot's application state (nil
-	// when no snapshot was usable).
+	// when no snapshot was usable). It aliases the file Open read and
+	// validated, not a copy of it.
 	SnapshotPayload []byte
 	// SnapshotSeq / SnapshotOffset is the WAL position the snapshot covers.
 	SnapshotSeq    uint64
@@ -152,7 +153,7 @@ func Open(cfg Config) (*Store, *Recovery, error) {
 			rec.SnapshotsSkipped++
 			continue
 		}
-		rec.SnapshotPayload = append([]byte(nil), payload...)
+		rec.SnapshotPayload = payload
 		rec.SnapshotSeq, rec.SnapshotOffset = seq, off
 		break
 	}
@@ -390,7 +391,7 @@ func (st *Store) WriteSnapshotAt(seq uint64, offset int64, payload []byte) error
 	return st.writeSnapshotLocked(seq, offset, payload)
 }
 
-// writeSnapshotLocked publishes an encoded snapshot at (seq, offset) and
+// writeSnapshotLocked publishes payload as a snapshot at (seq, offset) and
 // prunes. Callers hold st.mu with seq/offset at or before the current
 // position.
 func (st *Store) writeSnapshotLocked(seq uint64, offset int64, payload []byte) error {
@@ -402,8 +403,7 @@ func (st *Store) writeSnapshotLocked(seq uint64, offset int64, payload []byte) e
 			return err
 		}
 	}
-	name := snapshotName(seq, offset)
-	if err := writeSnapshotFile(st.cfg.FS, name, encodeSnapshot(seq, offset, payload)); err != nil {
+	if err := writeSnapshotFile(st.cfg.FS, seq, offset, payload); err != nil {
 		return err
 	}
 	st.prune()

@@ -2,6 +2,7 @@ package ishare
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"log/slog"
 	"sort"
@@ -232,37 +233,53 @@ func (p *Persister) restore(rec *durable.Recovery) error {
 }
 
 // encodeNodeSnapshot serializes the node state. Callers hold p.mu; the
-// component exports take their own locks. The output is deterministic for
-// a given state (sorted submit keys), which the crash harness relies on.
+// component exports take their own locks. The small tail (submit keys,
+// tracker blob) comes first so that one buffer can be sized for everything;
+// the history log is then encoded into it straight from the recorder. The
+// output is deterministic for a given state (sorted submit keys), which the
+// crash harness relies on.
 func (p *Persister) encodeNodeSnapshot() ([]byte, error) {
-	machine, last, recent := p.sm.ExportHistory()
-	var hist bytes.Buffer
-	if err := trace.WriteBinary(&hist, &trace.Dataset{Machines: []*trace.Machine{machine}}); err != nil {
-		return nil, err
-	}
-	buf := wire.AppendHeader(nil, nodeSnapMagic, nodeSnapVersion)
-	buf = wire.AppendBytes(buf, hist.Bytes())
-	buf = wire.AppendVarint(buf, timeToMs(last))
-	buf = wire.AppendUvarint(buf, uint64(len(recent)))
-	for _, s := range recent {
-		buf = wire.AppendFloat64(buf, s.CPU)
-		buf = wire.AppendFloat64(buf, s.FreeMemMB)
-		buf = wire.AppendBool(buf, s.Up)
-	}
 	submitted, nextID := p.gw.ExportSubmitted()
 	keys := make([]string, 0, len(submitted))
 	for k := range submitted {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	buf = wire.AppendUvarint(buf, uint64(len(keys)))
+	tail := wire.AppendUvarint(nil, uint64(len(keys)))
 	for _, k := range keys {
-		buf = wire.AppendString(buf, k)
-		buf = wire.AppendString(buf, submitted[k])
+		tail = wire.AppendString(tail, k)
+		tail = wire.AppendString(tail, submitted[k])
 	}
-	buf = wire.AppendUvarint(buf, uint64(nextID))
-	return wire.AppendBytes(buf, p.tracker.ExportBinary()), nil
+	tail = wire.AppendUvarint(tail, uint64(nextID))
+	tail = wire.AppendBytes(tail, p.tracker.ExportBinary())
+
+	var buf []byte
+	var err error
+	recent := p.sm.viewHistory(func(m *trace.Machine, last time.Time) {
+		hist := trace.Dataset{Machines: []*trace.Machine{m}}
+		n := trace.BinarySize(&hist)
+		// Header, three varints, the history, a full recent ring, the tail.
+		buf = make([]byte, 0, 5+3*binary.MaxVarintLen64+n+recentSampleBytes*p.sm.recentCap+len(tail))
+		buf = wire.AppendHeader(buf, nodeSnapMagic, nodeSnapVersion)
+		buf = wire.AppendUvarint(buf, uint64(n))
+		if buf, err = trace.AppendBinary(buf, &hist); err != nil {
+			return
+		}
+		buf = wire.AppendVarint(buf, timeToMs(last))
+	})
+	if err != nil {
+		return nil, err
+	}
+	buf = wire.AppendUvarint(buf, uint64(len(recent)))
+	for _, s := range recent {
+		buf = wire.AppendFloat64(buf, s.CPU)
+		buf = wire.AppendFloat64(buf, s.FreeMemMB)
+		buf = wire.AppendBool(buf, s.Up)
+	}
+	return append(buf, tail...), nil
 }
+
+const recentSampleBytes = 17 // one recent-ring sample: two float64 and a bool
 
 // decodeNodeSnapshot installs a recovered snapshot payload into the
 // components.
@@ -271,7 +288,7 @@ func (p *Persister) decodeNodeSnapshot(data []byte) error {
 	r.Header(nodeSnapMagic, nodeSnapVersion)
 	hist := r.Bytes()
 	lastMs := r.Varint()
-	recent := make([]trace.Sample, r.Count(17, "recent samples"))
+	recent := make([]trace.Sample, r.Count(recentSampleBytes, "recent samples"))
 	for i := range recent {
 		recent[i] = trace.Sample{CPU: r.Float64(), FreeMemMB: r.Float64(), Up: r.Bool()}
 	}

@@ -233,8 +233,10 @@ func (sm *StateManager) Record(t time.Time, s trace.Sample) {
 func (sm *StateManager) pushRecent(samples ...trace.Sample) bool {
 	sm.mu.Lock()
 	sm.recent = append(sm.recent, samples...)
-	if len(sm.recent) > sm.recentCap {
-		sm.recent = sm.recent[len(sm.recent)-sm.recentCap:]
+	if over := len(sm.recent) - sm.recentCap; over > 0 {
+		// Shift down in place: reslicing forward would give up a slot of
+		// capacity per sample and reallocate the ring every few samples.
+		sm.recent = sm.recent[:copy(sm.recent, sm.recent[over:])]
 	}
 	sm.stateBuf = avail.ClassifyInto(sm.stateBuf, sm.recent, sm.cfg, sm.period)
 	up := true
@@ -259,16 +261,16 @@ func (sm *StateManager) RestoreSample(t time.Time, s trace.Sample) {
 	sm.pushRecent(s)
 }
 
-// ExportHistory deep-copies the state a durable snapshot must carry to
-// rebuild this manager: the recorded log, the last-sample timestamp and the
-// recent ring (which differs from the log tail — gap back-fill writes down
-// samples into the log that never enter the ring).
-func (sm *StateManager) ExportHistory() (*trace.Machine, time.Time, []trace.Sample) {
-	m, last := sm.recorder.Export()
+// viewHistory reads the state a durable snapshot must carry to rebuild this
+// manager: fn sees the recorded log and the last-sample timestamp in place,
+// under the recorder's lock (monitor.Recorder.View: fn retains nothing); the
+// recent ring is copied once fn has returned. The ring differs from the log
+// tail — gap back-fill writes down samples into the log that never enter it.
+func (sm *StateManager) viewHistory(fn func(m *trace.Machine, last time.Time)) []trace.Sample {
+	sm.recorder.View(fn)
 	sm.mu.Lock()
-	recent := append([]trace.Sample(nil), sm.recent...)
-	sm.mu.Unlock()
-	return m, last, recent
+	defer sm.mu.Unlock()
+	return append([]trace.Sample(nil), sm.recent...)
 }
 
 // RestoreHistory installs recovered snapshot state: the recorded log, the
@@ -362,7 +364,7 @@ func (sm *StateManager) completedDays(today time.Time) ([]*trace.Day, []*trace.D
 // A node restarted with the archive as its Preloaded history resumes with
 // everything it ever learned.
 func (sm *StateManager) Archive(path string) error {
-	merged := trace.NewMachine(sm.recorder.Snapshot().ID, sm.period)
+	merged := trace.NewMachine(sm.machineID, sm.period)
 	byDate := map[int64]*trace.Day{}
 	var order []int64
 	add := func(d *trace.Day) {

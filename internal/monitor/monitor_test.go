@@ -216,6 +216,36 @@ func TestRecorderBackfillsGapsAsDowntime(t *testing.T) {
 	}
 }
 
+// TestRecorderViewSeesAConsistentLog reads the live log through View while
+// samples land from another goroutine. Every sample carries its index, and a
+// view must find exactly the samples up to the last-sample timestamp it is
+// handed. Under -race this is the test that fails if View reads unlocked.
+func TestRecorderViewSeesAConsistentLog(t *testing.T) {
+	const n = 2000
+	r := NewRecorder("lab-01", 6*time.Second, 0)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 1; i <= n; i++ {
+			r.Record(epoch.Add(time.Duration(i)*6*time.Second), trace.Sample{CPU: float64(i), Up: true})
+		}
+	}()
+	for seen := 0; seen < n; {
+		r.View(func(m *trace.Machine, last time.Time) {
+			if last.IsZero() {
+				return
+			}
+			seen = int(last.Sub(epoch) / (6 * time.Second))
+			day := m.Days[0].Samples
+			if day[seen].CPU != float64(seen) || day[seen+1].CPU != 0 {
+				t.Errorf("view at sample %d: log holds %v then %v", seen, day[seen].CPU, day[seen+1].CPU)
+				seen = n
+			}
+		})
+	}
+	<-done
+}
+
 func TestRecorderIgnoresOutOfOrder(t *testing.T) {
 	r := NewRecorder("lab-01", 6*time.Second, 0)
 	r.Record(epoch.Add(24*time.Hour), trace.Sample{Up: true})

@@ -134,13 +134,15 @@ func (r *Recorder) DayWindow(date time.Time, start, length time.Duration) []trac
 	return nil
 }
 
-// Export returns a deep copy of the accumulated log together with the
-// timestamp of the most recent recorded sample — the two pieces of state a
-// durable snapshot needs to rebuild the recorder exactly.
-func (r *Recorder) Export() (*trace.Machine, time.Time) {
+// View runs fn on the live log and the timestamp of the most recent recorded
+// sample — the two pieces of state a durable snapshot needs to rebuild the
+// recorder exactly — under the recorder's lock, copying nothing. Every
+// sample waits while fn runs, so fn is brief, does not call the recorder, and
+// retains neither m nor anything reachable from it.
+func (r *Recorder) View(fn func(m *trace.Machine, last time.Time)) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.machine.Clone(), r.lastSample
+	fn(r.machine, r.lastSample)
 }
 
 // Restore replaces the recorder's state with a log recovered from durable

@@ -9,6 +9,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -20,104 +21,122 @@ import (
 
 const binaryMagic = "FGCSTRC1"
 
-// WriteBinary encodes the dataset in the compact binary format.
+const (
+	sampleBytes = 9    // one sample record: float32 CPU, float32 free memory, an up byte
+	readChunk   = 4096 // sample records ReadBinary reads and decodes at a time
+)
+
+// WriteBinary encodes the dataset in the compact binary format, a day a Write.
 func WriteBinary(w io.Writer, ds *Dataset) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(binaryMagic); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, uint32(len(ds.Machines))); err != nil {
-		return err
-	}
-	for _, m := range ds.Machines {
-		if len(m.ID) > math.MaxUint16 {
-			return fmt.Errorf("trace: machine id too long")
-		}
-		if err := binary.Write(bw, binary.LittleEndian, uint16(len(m.ID))); err != nil {
-			return err
-		}
-		if _, err := bw.WriteString(m.ID); err != nil {
-			return err
-		}
-		if err := binary.Write(bw, binary.LittleEndian, m.Period.Nanoseconds()); err != nil {
-			return err
-		}
-		if err := binary.Write(bw, binary.LittleEndian, uint32(len(m.Days))); err != nil {
-			return err
-		}
-		for _, d := range m.Days {
-			if err := binary.Write(bw, binary.LittleEndian, d.Date.Unix()); err != nil {
-				return err
-			}
-			if err := binary.Write(bw, binary.LittleEndian, uint32(len(d.Samples))); err != nil {
-				return err
-			}
-			for _, s := range d.Samples {
-				up := uint8(0)
-				if s.Up {
-					up = 1
-				}
-				rec := sampleRec{CPU: float32(s.CPU), Mem: float32(s.FreeMemMB), Up: up}
-				if err := binary.Write(bw, binary.LittleEndian, rec); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return bw.Flush()
+	_, err := encodeBinary(nil, ds, func(buf []byte) ([]byte, error) {
+		_, err := w.Write(buf)
+		return buf[:0], err
+	})
+	return err
 }
 
-type sampleRec struct {
-	CPU float32
-	Mem float32
-	Up  uint8
+// AppendBinary appends the bytes WriteBinary writes for ds to buf. Sizing buf
+// by BinarySize first makes it the only allocation.
+func AppendBinary(buf []byte, ds *Dataset) ([]byte, error) {
+	return encodeBinary(buf, ds, func(buf []byte) ([]byte, error) { return buf, nil })
+}
+
+// BinarySize returns the number of bytes WriteBinary and AppendBinary produce
+// for ds.
+func BinarySize(ds *Dataset) int {
+	n := len(binaryMagic) + 4
+	for _, m := range ds.Machines {
+		n += 2 + len(m.ID) + 8 + 4
+		for _, d := range m.Days {
+			n += 8 + 4 + sampleBytes*len(d.Samples)
+		}
+	}
+	return n
+}
+
+// encodeBinary is the one encoder of the binary format. It appends ds to buf
+// and passes buf through flush after every day and at the end; flush returns
+// the buffer to continue in.
+func encodeBinary(buf []byte, ds *Dataset, flush func([]byte) ([]byte, error)) ([]byte, error) {
+	le := binary.LittleEndian
+	buf = append(buf, binaryMagic...)
+	buf = le.AppendUint32(buf, uint32(len(ds.Machines)))
+	for _, m := range ds.Machines {
+		if len(m.ID) > math.MaxUint16 {
+			return nil, fmt.Errorf("trace: machine id too long")
+		}
+		buf = le.AppendUint16(buf, uint16(len(m.ID)))
+		buf = append(buf, m.ID...)
+		buf = le.AppendUint64(buf, uint64(m.Period.Nanoseconds()))
+		buf = le.AppendUint32(buf, uint32(len(m.Days)))
+		for _, d := range m.Days {
+			buf = le.AppendUint64(buf, uint64(d.Date.Unix()))
+			buf = le.AppendUint32(buf, uint32(len(d.Samples)))
+			off := len(buf)
+			buf = slices.Grow(buf, sampleBytes*len(d.Samples))[:off+sampleBytes*len(d.Samples)]
+			for _, s := range d.Samples {
+				rec := buf[off : off+sampleBytes : off+sampleBytes]
+				le.PutUint32(rec, math.Float32bits(float32(s.CPU)))
+				le.PutUint32(rec[4:], math.Float32bits(float32(s.FreeMemMB)))
+				rec[8] = 0
+				if s.Up {
+					rec[8] = 1
+				}
+				off += sampleBytes
+			}
+			var err error
+			if buf, err = flush(buf); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return flush(buf)
 }
 
 // ReadBinary decodes a dataset written by WriteBinary.
 func ReadBinary(r io.Reader) (*Dataset, error) {
 	br := bufio.NewReader(r)
-	magic := make([]byte, len(binaryMagic))
+	le := binary.LittleEndian
+	// Scratch: field takes the fixed-width header fields, chunk sample records.
+	field := make([]byte, 12)
+	var chunk []byte
+	magic := field[:len(binaryMagic)]
 	if _, err := io.ReadFull(br, magic); err != nil {
 		return nil, fmt.Errorf("trace: reading magic: %w", err)
 	}
 	if string(magic) != binaryMagic {
 		return nil, fmt.Errorf("trace: bad magic %q", magic)
 	}
-	var nm uint32
-	if err := binary.Read(br, binary.LittleEndian, &nm); err != nil {
+	if _, err := io.ReadFull(br, field[:4]); err != nil {
 		return nil, err
 	}
+	nm := le.Uint32(field)
 	ds := &Dataset{}
 	for i := uint32(0); i < nm; i++ {
-		var idLen uint16
-		if err := binary.Read(br, binary.LittleEndian, &idLen); err != nil {
+		if _, err := io.ReadFull(br, field[:2]); err != nil {
 			return nil, err
 		}
-		id := make([]byte, idLen)
+		id := make([]byte, le.Uint16(field))
 		if _, err := io.ReadFull(br, id); err != nil {
 			return nil, err
 		}
-		var periodNS int64
-		if err := binary.Read(br, binary.LittleEndian, &periodNS); err != nil {
+		if _, err := io.ReadFull(br, field[:8]); err != nil {
 			return nil, err
 		}
+		periodNS := int64(le.Uint64(field))
 		if periodNS <= 0 {
 			return nil, fmt.Errorf("trace: invalid period %d", periodNS)
 		}
 		m := NewMachine(string(id), time.Duration(periodNS))
-		var nd uint32
-		if err := binary.Read(br, binary.LittleEndian, &nd); err != nil {
+		if _, err := io.ReadFull(br, field[:4]); err != nil {
 			return nil, err
 		}
+		nd := le.Uint32(field)
 		for j := uint32(0); j < nd; j++ {
-			var unix int64
-			if err := binary.Read(br, binary.LittleEndian, &unix); err != nil {
+			if _, err := io.ReadFull(br, field[:12]); err != nil {
 				return nil, err
 			}
-			var ns uint32
-			if err := binary.Read(br, binary.LittleEndian, &ns); err != nil {
-				return nil, err
-			}
+			unix, ns := int64(le.Uint64(field)), le.Uint32(field[8:])
 			if plausible := 7 * 24 * time.Hour / m.Period; plausible < math.MaxUint32 && ns > uint32(plausible) {
 				return nil, fmt.Errorf("trace: implausible sample count %d", ns)
 			}
@@ -129,12 +148,24 @@ func ReadBinary(r io.Reader) (*Dataset, error) {
 				capHint = 1 << 16
 			}
 			d := &Day{Date: time.Unix(unix, 0).UTC(), Period: m.Period, Samples: make([]Sample, 0, capHint)}
-			for k := uint32(0); k < ns; k++ {
-				var rec sampleRec
-				if err := binary.Read(br, binary.LittleEndian, &rec); err != nil {
+			for left := int(ns); left > 0; {
+				n := min(left, readChunk)
+				left -= n
+				chunk = slices.Grow(chunk[:0], n*sampleBytes)[:n*sampleBytes]
+				if _, err := io.ReadFull(br, chunk); err != nil {
 					return nil, err
 				}
-				d.Samples = append(d.Samples, Sample{CPU: float64(rec.CPU), FreeMemMB: float64(rec.Mem), Up: rec.Up != 0})
+				// The records are here, so the slice may grow by them.
+				at := len(d.Samples)
+				d.Samples = slices.Grow(d.Samples, n)[:at+n]
+				for k, out := 0, d.Samples[at:]; k < n; k++ {
+					rec := chunk[k*sampleBytes : (k+1)*sampleBytes : (k+1)*sampleBytes]
+					out[k] = Sample{
+						CPU:       float64(math.Float32frombits(le.Uint32(rec))),
+						FreeMemMB: float64(math.Float32frombits(le.Uint32(rec[4:]))),
+						Up:        rec[8] != 0,
+					}
+				}
 			}
 			if err := m.AddDay(d); err != nil {
 				return nil, err
@@ -266,32 +297,38 @@ func ReadText(r io.Reader) (*Dataset, error) {
 // SaveFile writes the dataset to path, choosing the codec by extension:
 // ".txt" for text, ".gz" for gzip-compressed binary (what the state manager
 // archives — a machine-day of float32 samples compresses ~10x), anything
-// else for plain binary.
+// else for plain binary. The file is written under path + ".tmp", synced and
+// renamed into place, so a failed save leaves the previous file as it was.
 func SaveFile(path string, ds *Dataset) error {
-	f, err := os.Create(path)
+	tmp := path + ".tmp"
+	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
 	switch filepath.Ext(path) {
 	case ".txt":
-		if err := WriteText(f, ds); err != nil {
-			return err
-		}
+		err = WriteText(f, ds)
 	case ".gz":
 		zw := gzip.NewWriter(f)
-		if err := WriteBinary(zw, ds); err != nil {
-			return err
-		}
-		if err := zw.Close(); err != nil {
-			return err
+		if err = WriteBinary(zw, ds); err == nil {
+			err = zw.Close()
 		}
 	default:
-		if err := WriteBinary(f, ds); err != nil {
-			return err
-		}
+		err = WriteBinary(f, ds)
 	}
-	return f.Close()
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+	}
+	return err
 }
 
 // LoadFile reads a dataset from path, choosing the codec by extension.

@@ -1,16 +1,22 @@
 package trace
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"fgcs/internal/rng"
+	"fgcs/internal/wire/wiretest"
 )
 
 // randomDataset builds an arbitrary small dataset from a seed, for round-trip
@@ -239,3 +245,255 @@ func TestGzipActuallyCompresses(t *testing.T) {
 		t.Fatalf("gzip size %d not much smaller than plain %d", zs.Size(), ps.Size())
 	}
 }
+
+// TestSaveFileKeepsPreviousOnError is the archive's crash contract: a save
+// that fails — the encoder refuses the dataset, or the disk is full — leaves
+// the file of the previous save loadable and no temporary file behind.
+func TestSaveFileKeepsPreviousOnError(t *testing.T) {
+	good := randomDataset(99)
+	unencodable := &Dataset{Machines: []*Machine{NewMachine(strings.Repeat("x", math.MaxUint16+1), DefaultPeriod)}}
+	for _, name := range []string{"trace.bin", "trace.bin.gz", "trace.txt"} {
+		path := filepath.Join(t.TempDir(), name)
+		if err := SaveFile(path, good); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		check := func(what string) {
+			t.Helper()
+			got, err := LoadFile(path)
+			if err != nil || !datasetsEqual(good, got, 1e-3) {
+				t.Fatalf("%s: previous file lost after %s (%v)", name, what, err)
+			}
+			if _, err := os.Lstat(path + ".tmp"); !os.IsNotExist(err) {
+				t.Fatalf("%s: temporary file left after %s (%v)", name, what, err)
+			}
+		}
+		// The text format has no length field to overflow.
+		if name != "trace.txt" {
+			if err := SaveFile(path, unencodable); err == nil {
+				t.Fatalf("%s: a 65 536-byte machine id was saved", name)
+			}
+			check("an encode error")
+		}
+		// A temporary file that is a link to /dev/full takes no byte.
+		if _, err := os.Stat("/dev/full"); err != nil {
+			continue
+		}
+		if err := os.Symlink("/dev/full", path+".tmp"); err != nil {
+			t.Fatal(err)
+		}
+		if err := SaveFile(path, good); err == nil {
+			t.Fatalf("%s: saved to a full disk", name)
+		}
+		check("a full disk")
+	}
+}
+
+// TestReadBinaryCapsInitialCapacity pins the two guards on a day's declared
+// sample count: one beyond a week of periods is refused outright, and a
+// plausible one with no record behind it costs at most the 65 536-sample
+// initial capacity before the read fails.
+func TestReadBinaryCapsInitialCapacity(t *testing.T) {
+	header := func(samples uint32) []byte {
+		m := NewMachine("m", time.Millisecond)
+		m.Days = []*Day{{Date: monday, Period: m.Period}}
+		b, err := AppendBinary(nil, &Dataset{Machines: []*Machine{m}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		binary.LittleEndian.PutUint32(b[len(b)-4:], samples)
+		return b
+	}
+	week := uint32(7 * 24 * time.Hour / time.Millisecond)
+	for _, read := range []func(io.Reader) (*Dataset, error){ReadBinary, referenceReadBinary} {
+		if _, err := read(bytes.NewReader(header(week + 1))); err == nil || !strings.Contains(err.Error(), "implausible sample count") {
+			t.Fatalf("oversized count: %v", err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := read(bytes.NewReader(header(week)))
+		runtime.ReadMemStats(&after)
+		if err != io.EOF {
+			t.Fatalf("count with no record behind it: %v", err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 2<<20 {
+			t.Fatalf("a %d-sample claim allocated %d bytes", week, grew)
+		}
+	}
+}
+
+// goldenDataset is small enough to read in hex and holds what a format change
+// would most likely disturb: a machine with no day, days shorter than their
+// period allows, and samples whose float32 forms are NaN, +Inf, -Inf, -0, an
+// overflow to +Inf, a subnormal, and a down sample.
+func goldenDataset() *Dataset {
+	m := NewMachine("lab-01", time.Hour)
+	for i, samples := range [][]Sample{
+		{
+			{CPU: 12.5, FreeMemMB: 300.25, Up: true},
+			{CPU: math.NaN(), FreeMemMB: math.Inf(1), Up: true},
+			{CPU: math.Inf(-1), FreeMemMB: math.Copysign(0, -1), Up: true},
+			{},
+		},
+		{
+			{CPU: 2 * math.MaxFloat32, FreeMemMB: 1e-40, Up: true},
+			{CPU: 99.99, FreeMemMB: 0.1},
+		},
+	} {
+		if err := m.AddDay(&Day{Date: monday.AddDate(0, 0, i), Period: m.Period, Samples: samples}); err != nil {
+			panic(err)
+		}
+	}
+	return &Dataset{Machines: []*Machine{NewMachine("idle", DefaultPeriod), m}}
+}
+
+// TestBinaryGolden pins the binary format, sample records included, to bytes
+// written by the reflective encoder of the commit before AppendBinary existed.
+func TestBinaryGolden(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, goldenDataset()); err != nil {
+		t.Fatal(err)
+	}
+	wiretest.Golden(t, "testdata/golden/fgcstrc1.hex", buf.Bytes())
+	got, err := ReadBinary(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var again bytes.Buffer
+	if err := WriteBinary(&again, got); err != nil || !bytes.Equal(again.Bytes(), buf.Bytes()) {
+		t.Fatalf("decode and re-encode differs from the original (%v)", err)
+	}
+}
+
+// referenceSampleRec is the fixed-width sample record as the reference codec
+// hands it to encoding/binary.
+type referenceSampleRec struct {
+	CPU float32
+	Mem float32
+	Up  uint8
+}
+
+// referenceWriteBinary is WriteBinary as it was before the format had a
+// non-reflective encoder: one binary.Write per field and per sample. The
+// differential tests hold the codec to its bytes.
+func referenceWriteBinary(w io.Writer, ds *Dataset) error {
+	bw := bufio.NewWriter(w)
+	if _, err := bw.WriteString(binaryMagic); err != nil {
+		return err
+	}
+	if err := binary.Write(bw, binary.LittleEndian, uint32(len(ds.Machines))); err != nil {
+		return err
+	}
+	for _, m := range ds.Machines {
+		if len(m.ID) > math.MaxUint16 {
+			return fmt.Errorf("trace: machine id too long")
+		}
+		if err := binary.Write(bw, binary.LittleEndian, uint16(len(m.ID))); err != nil {
+			return err
+		}
+		if _, err := bw.WriteString(m.ID); err != nil {
+			return err
+		}
+		if err := binary.Write(bw, binary.LittleEndian, m.Period.Nanoseconds()); err != nil {
+			return err
+		}
+		if err := binary.Write(bw, binary.LittleEndian, uint32(len(m.Days))); err != nil {
+			return err
+		}
+		for _, d := range m.Days {
+			if err := binary.Write(bw, binary.LittleEndian, d.Date.Unix()); err != nil {
+				return err
+			}
+			if err := binary.Write(bw, binary.LittleEndian, uint32(len(d.Samples))); err != nil {
+				return err
+			}
+			for _, s := range d.Samples {
+				up := uint8(0)
+				if s.Up {
+					up = 1
+				}
+				rec := referenceSampleRec{CPU: float32(s.CPU), Mem: float32(s.FreeMemMB), Up: up}
+				if err := binary.Write(bw, binary.LittleEndian, rec); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	return bw.Flush()
+}
+
+// referenceReadBinary is ReadBinary as it was before it read records in
+// chunks: one binary.Read per field and per sample.
+func referenceReadBinary(r io.Reader) (*Dataset, error) {
+	br := bufio.NewReader(r)
+	magic := make([]byte, len(binaryMagic))
+	if _, err := io.ReadFull(br, magic); err != nil {
+		return nil, fmt.Errorf("trace: reading magic: %w", err)
+	}
+	if string(magic) != binaryMagic {
+		return nil, fmt.Errorf("trace: bad magic %q", magic)
+	}
+	var nm uint32
+	if err := binary.Read(br, binary.LittleEndian, &nm); err != nil {
+		return nil, err
+	}
+	ds := &Dataset{}
+	for i := uint32(0); i < nm; i++ {
+		var idLen uint16
+		if err := binary.Read(br, binary.LittleEndian, &idLen); err != nil {
+			return nil, err
+		}
+		id := make([]byte, idLen)
+		if _, err := io.ReadFull(br, id); err != nil {
+			return nil, err
+		}
+		var periodNS int64
+		if err := binary.Read(br, binary.LittleEndian, &periodNS); err != nil {
+			return nil, err
+		}
+		if periodNS <= 0 {
+			return nil, fmt.Errorf("trace: invalid period %d", periodNS)
+		}
+		m := NewMachine(string(id), time.Duration(periodNS))
+		var nd uint32
+		if err := binary.Read(br, binary.LittleEndian, &nd); err != nil {
+			return nil, err
+		}
+		for j := uint32(0); j < nd; j++ {
+			var unix int64
+			if err := binary.Read(br, binary.LittleEndian, &unix); err != nil {
+				return nil, err
+			}
+			var ns uint32
+			if err := binary.Read(br, binary.LittleEndian, &ns); err != nil {
+				return nil, err
+			}
+			if plausible := 7 * 24 * time.Hour / m.Period; plausible < math.MaxUint32 && ns > uint32(plausible) {
+				return nil, fmt.Errorf("trace: implausible sample count %d", ns)
+			}
+			capHint := ns
+			if capHint > 1<<16 {
+				capHint = 1 << 16
+			}
+			d := &Day{Date: time.Unix(unix, 0).UTC(), Period: m.Period, Samples: make([]Sample, 0, capHint)}
+			for k := uint32(0); k < ns; k++ {
+				var rec referenceSampleRec
+				if err := binary.Read(br, binary.LittleEndian, &rec); err != nil {
+					return nil, err
+				}
+				d.Samples = append(d.Samples, Sample{CPU: float64(rec.CPU), FreeMemMB: float64(rec.Mem), Up: rec.Up != 0})
+			}
+			if err := m.AddDay(d); err != nil {
+				return nil, err
+			}
+		}
+		ds.Machines = append(ds.Machines, m)
+	}
+	return ds, nil
+}
+
+// The differential tests need internal/workload, which imports this package,
+// so they live in the external test package and reach the references here.
+var (
+	ReferenceWriteBinary = referenceWriteBinary
+	ReferenceReadBinary  = referenceReadBinary
+)

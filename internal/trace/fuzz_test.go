@@ -32,6 +32,11 @@ func FuzzReadBinary(f *testing.F) {
 		if _, err := ReadBinary(bytes.NewReader(out.Bytes())); err != nil {
 			t.Fatalf("round trip rejected: %v", err)
 		}
+		// The three faces of the encoder agree.
+		appended, err := AppendBinary(nil, got)
+		if err != nil || !bytes.Equal(appended, out.Bytes()) || BinarySize(got) != out.Len() {
+			t.Fatalf("AppendBinary gave %d bytes (%v), WriteBinary %d, BinarySize %d", len(appended), err, out.Len(), BinarySize(got))
+		}
 	})
 }
 
