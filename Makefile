@@ -103,9 +103,11 @@ bench-fleet-base:
 	$(GO) run ./cmd/benchgate -fleet -in BENCH_fleet.json -baseline BENCH_fleet_base.json -write
 
 # Short fuzz pass over every decoder: wire protocol, trace codecs, WAL and
-# snapshot readers, and the internal/wire formats; and over the Equation (3)
-# solver against its dense reference. The seed corpora (under testdata/fuzz
-# or built by the target) also run as plain unit tests in `make test`.
+# snapshot readers, and the internal/wire formats; and over the two
+# differential pairs: the Equation (3) solver against its dense reference and
+# the tracker's pending ring against its slice reference. The seed corpora
+# (under testdata/fuzz or built by the target) also run as plain unit tests in
+# `make test`.
 fuzz:
 	$(GO) test ./internal/smp/ -run '^$$' -fuzz '^FuzzSolverMatchesDense$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ishare/ -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime $(FUZZTIME)
@@ -117,6 +119,7 @@ fuzz:
 	$(GO) test ./internal/durable/ -run '^$$' -fuzz '^FuzzReadSnapshot$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/obs/ -run '^$$' -fuzz '^FuzzDecodeObsSnapshot$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/obs/ -run '^$$' -fuzz '^FuzzRestoreBinary$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/obs/ -run '^$$' -fuzz '^FuzzTrackerMatchesReference$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ishare/ -run '^$$' -fuzz '^FuzzDecodeNodeSnapshot$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ishare/ -run '^$$' -fuzz '^FuzzDecodeRegSnapshot$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/durable/ -run '^$$' -fuzz '^FuzzDecodeRecords$$' -fuzztime $(FUZZTIME)

@@ -6,10 +6,10 @@ import (
 	"testing"
 )
 
-// FuzzDecodeRequest hammers the server-side request decoder — the exact code
-// path every untrusted TCP connection reaches — with arbitrary bytes. A
-// successful decode must survive a marshal/decode round trip, and no input
-// may panic the decoder under any byte cap.
+// FuzzDecodeRequest hammers the capped request decoder (DecodeRequest's
+// comment says who reads with it) with arbitrary bytes. A successful decode
+// must survive a marshal/decode round trip, and no input may panic the
+// decoder under any byte cap.
 func FuzzDecodeRequest(f *testing.F) {
 	f.Add([]byte(`{"type":"query-tr","payload":{"length_seconds":3600,"guest_mem_mb":100}}`))
 	f.Add([]byte(`{"type":"submit","payload":{"name":"sim1","work_seconds":7200,"mem_mb":100,"idempotency_key":"a/b-k1"}}`))

@@ -2,14 +2,21 @@ package ishare
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"path/filepath"
+	"reflect"
 	"runtime"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"fgcs/internal/avail"
 	"fgcs/internal/otrace"
+	"fgcs/internal/predict"
+	"fgcs/internal/rng"
 	"fgcs/internal/simclock"
 	"fgcs/internal/trace"
 )
@@ -296,11 +303,16 @@ func movedQueries(ctx context.Context, t *testing.T, sm *StateManager, clock *si
 }
 
 // TestQueryTRMovedWindowAllocCeiling is a tripwire for per-query work that
-// grows with the day history: when every cold FFT window classified and
-// transformed the whole pool again, a moved one-hour window on this
-// 19-weekday pool allocated ≈5 MB; it measures ≈375 KB with the spectrum
-// fitted once per pool, and the ceiling leaves 2× head-room over that.
+// grows with the day history or rebuilds what the engine's scratch holds:
+// when every cold FFT window classified and transformed the whole pool
+// again, a moved one-hour window on this 19-weekday pool allocated ≈5 MB;
+// with the spectrum fitted once per pool but each of the five baselines
+// building its own series, forecast, samples and ARMA design matrix, ≈375 KB;
+// it measures ≈90 KB with those in scratch, and the ceiling sits between.
 func TestQueryTRMovedWindowAllocCeiling(t *testing.T) {
+	if raceDetector {
+		t.Skip("sync.Pool drops puts at random under -race; the plain run measures")
+	}
 	clock := simclock.NewVirtual(time.Date(2005, 9, 16, 8, 30, 0, 0, time.UTC)) // a Friday
 	sm, err := NewStateManager("m", period, avail.DefaultConfig(), clock, historyMachine("m", 25, 9), 0)
 	if err != nil {
@@ -313,9 +325,123 @@ func TestQueryTRMovedWindowAllocCeiling(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	movedQueries(ctx, t, sm, clock, n)
 	runtime.ReadMemStats(&after)
-	const ceiling = 768 << 10
+	const ceiling = 256 << 10
 	if perQuery := (after.TotalAlloc - before.TotalAlloc) / n; perQuery > ceiling {
 		t.Fatalf("a moved-window QueryTR allocates %d KB, ceiling %d KB", perQuery>>10, ceiling>>10)
+	}
+}
+
+// TestSharedEngineScratchDoesNotEscape: the forecast-origin baselines build
+// their series, forecast and classification in scratch borrowed from the
+// engine's pool, which two managers on one engine share with each other and
+// with SMP's cold fits. Four goroutines, two a manager, ask for windows
+// nobody asked for before; every answer — the served one per query, and all
+// eight predictors' as the tracker resolves them — must be what the same
+// manager answers alone on an engine of its own. Under -race this is what
+// catches a model or a result that keeps a scratch buffer past its call.
+func TestSharedEngineScratchDoesNotEscape(t *testing.T) {
+	now := time.Date(2005, 9, 16, 12, 0, 0, 0, time.UTC) // a Friday
+	midnight := now.Truncate(24 * time.Hour)
+	type fixture struct {
+		sm        *StateManager
+		resolved  []string // "predictor tr-bits", in resolution order
+		mu        sync.Mutex
+		answerFor map[float64]float64 // served TR by LengthSeconds, under mu
+	}
+	// build makes one manager with half a day of live samples behind it; "a"
+	// serves ARMA, the baseline that borrows the most, "b" serves SMP.
+	build := func(id string, engine *predict.Engine) *fixture {
+		sm, err := NewStateManagerShared(id, period, avail.DefaultConfig(), simclock.NewVirtual(now),
+			historyMachine(id, 25, 13), 0, SharedDeps{Engine: engine}) // fails daily at 13:00: SMP's TR depends on the length
+		if err != nil {
+			t.Fatal(err)
+		}
+		if id == "a" {
+			if err := sm.ForcePredictor("ARMA(8,8)"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		f := &fixture{sm: sm, answerFor: make(map[float64]float64)}
+		sm.Obs().Tracker.SetResolutionSink(func(_, predictor string, tr float64, _ bool) {
+			f.resolved = append(f.resolved, fmt.Sprintf("%s %x", predictor, math.Float64bits(tr)))
+		})
+		// A busy spell before the query — "a" 10:40–11:55, "b" 09:30–11:30 —
+		// so that a mean-reverting model's forecast crosses Th2 for some
+		// window lengths and not for others. The last minutes are idle: the
+		// machine is in a recoverable state when asked.
+		busyFrom, busyTo := 10*time.Hour+40*time.Minute, 11*time.Hour+55*time.Minute
+		if id == "b" {
+			busyFrom, busyTo = 9*time.Hour+30*time.Minute, 11*time.Hour+30*time.Minute
+		}
+		r := rng.New(uint64(id[0]))
+		for at := midnight; !at.After(now); at = at.Add(period) {
+			level := 15.0
+			if off := at.Sub(midnight); off >= busyFrom && off < busyTo {
+				level = 82
+			}
+			sm.Record(at, sample(math.Max(level+r.Normal(0, 4), 0), 400))
+		}
+		return f
+	}
+	// lengths are the windows goroutine g asks for: distinct across the
+	// goroutines of one manager, six minutes to three and a half hours.
+	lengths := func(g int) []float64 {
+		var out []float64
+		for j := 0; j < 8; j++ {
+			out = append(out, float64((g+1)*360+j*1440))
+		}
+		return out
+	}
+	ask := func(f *fixture, seconds []float64) {
+		for _, s := range seconds {
+			resp, err := f.sm.QueryTR(context.Background(), QueryTRReq{LengthSeconds: s, GuestMemMB: 100})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			f.mu.Lock()
+			f.answerFor[s] = resp.TR
+			f.mu.Unlock()
+		}
+	}
+	// finish resolves every pending prediction and sorts what the sink saw.
+	finish := func(f *fixture) {
+		f.sm.Record(now.Add(5*time.Hour), sample(10, 400))
+		sort.Strings(f.resolved)
+	}
+
+	shared := predict.NewEngine(predict.EngineConfig{})
+	together := [2]*fixture{build("a", shared), build("b", shared)}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ask(together[g%2], lengths(g))
+		}()
+	}
+	wg.Wait()
+	for i, id := range [2]string{"a", "b"} {
+		alone := build(id, nil)
+		ask(alone, append(lengths(i), lengths(i+2)...))
+		finish(alone)
+		finish(together[i])
+		if !reflect.DeepEqual(together[i].answerFor, alone.answerFor) {
+			t.Errorf("manager %s: answers on the shared engine %v, alone %v", id, together[i].answerFor, alone.answerFor)
+		}
+		if !reflect.DeepEqual(together[i].resolved, alone.resolved) {
+			t.Errorf("manager %s: the predictors' resolved claims differ:\nshared %v\nalone  %v", id, together[i].resolved, alone.resolved)
+		}
+		if n := len(alone.resolved); n != 16*len(predict.PluginNames()) {
+			t.Errorf("manager %s: %d claims resolved, want every predictor's for 16 queries", id, n)
+		}
+		distinct := make(map[float64]bool)
+		for _, tr := range alone.answerFor {
+			distinct[tr] = true
+		}
+		if len(distinct) < 2 {
+			t.Errorf("manager %s answers %v to every window: the check cannot tell answers apart", id, alone.answerFor)
+		}
 	}
 }
 

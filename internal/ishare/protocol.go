@@ -316,9 +316,10 @@ var ErrMessageTooLarge = errors.New("ishare: message too large")
 const maxResponseBytes = 8 << 20
 
 // DecodeRequest reads one request envelope from r, enforcing the byte cap
-// (maxBytes <= 0 uses the server's 1 MiB default). This is the exact decode
-// path Server.serve runs against untrusted connections, and the entry point
-// the protocol fuzz tests exercise.
+// (maxBytes <= 0 uses the server's 1 MiB default). It is how a transport
+// that hands over one message at a time reads a request — fleetsim's
+// in-memory network — and the entry point the protocol fuzz tests exercise;
+// Server reads its line-delimited JSON connections with readLineCapped.
 func DecodeRequest(r io.Reader, maxBytes int64) (Request, error) {
 	var req Request
 	if err := decodeCapped(r, maxBytes, &req); err != nil {
@@ -341,12 +342,14 @@ func DecodeResponse(r io.Reader, maxBytes int64) (Response, error) {
 	return resp, nil
 }
 
+// decodeCapped decodes one JSON value from at most maxBytes of r. The
+// decoder buffers for itself, so r is not wrapped in a bufio.Reader.
 func decodeCapped(r io.Reader, maxBytes int64, out interface{}) error {
 	if maxBytes <= 0 {
 		maxBytes = 1 << 20
 	}
 	limited := &io.LimitedReader{R: r, N: maxBytes}
-	if err := json.NewDecoder(bufio.NewReader(limited)).Decode(out); err != nil {
+	if err := json.NewDecoder(limited).Decode(out); err != nil {
 		if limited.N <= 0 {
 			return ErrMessageTooLarge
 		}
@@ -658,13 +661,25 @@ func (s *Server) dispatchLoop() {
 	}
 }
 
+// connReaders recycles serve's read buffers: a dial-per-RPC JSON client
+// costs one accepted connection per request, and a fresh 4 KiB reader for
+// each was half of what such a request allocated.
+var connReaders = sync.Pool{New: func() interface{} { return bufio.NewReader(nil) }}
+
 // serve sniffs the connection's protocol by its first byte and runs the
 // matching loop until the connection closes.
 func (s *Server) serve(conn net.Conn) {
 	defer s.untrack(conn)
 	defer conn.Close()
 	_ = conn.SetReadDeadline(time.Now().Add(s.cfg.connDeadline()))
-	br := bufio.NewReader(conn)
+	br := connReaders.Get().(*bufio.Reader)
+	br.Reset(conn)
+	// Runs once the protocol loop has returned — for serveBinary, after its
+	// last handler — and both loops copy what they keep out of br's buffer.
+	defer func() {
+		br.Reset(nil)
+		connReaders.Put(br)
+	}()
 	first, err := br.Peek(1)
 	if err != nil {
 		return

@@ -267,6 +267,22 @@ func TestServerMaxRequestBytes(t *testing.T) {
 	}
 }
 
+// TestDecodeRequestByteCap pins the cap of the envelope decoder that reads
+// straight from the connection: a message that fits decodes, one byte more
+// is ErrMessageTooLarge, and a message cut short inside the cap is malformed.
+func TestDecodeRequestByteCap(t *testing.T) {
+	msg := `{"type":"discover","payload":"` + strings.Repeat("x", 5000) + `"}`
+	if req, err := DecodeRequest(strings.NewReader(msg), int64(len(msg))); err != nil || req.Type != "discover" {
+		t.Fatalf("message of exactly the cap: %+v, %v", req.Type, err)
+	}
+	if _, err := DecodeRequest(strings.NewReader(msg), int64(len(msg))-1); !errors.Is(err, ErrMessageTooLarge) {
+		t.Fatalf("message one byte over the cap: %v, want ErrMessageTooLarge", err)
+	}
+	if _, err := DecodeResponse(strings.NewReader(msg[:40]), 64); err == nil || errors.Is(err, ErrMessageTooLarge) {
+		t.Fatalf("truncated message under the cap: %v, want a malformed-message error", err)
+	}
+}
+
 func TestServerConnDeadlineConfigurable(t *testing.T) {
 	srv, err := NewServerConfig("127.0.0.1:0", echoHandler, ServerConfig{ConnDeadline: 50 * time.Millisecond})
 	if err != nil {

@@ -120,19 +120,32 @@ func LeastSquares(a *Matrix, b []float64, ridge float64) ([]float64, error) {
 	if len(b) != a.Rows {
 		return nil, errors.New("linalg: LeastSquares rhs dimension mismatch")
 	}
+	return LeastSquaresRows(a.Rows, a.Cols, ridge, func(i int, row []float64) float64 {
+		copy(row, a.Data[i*a.Cols:(i+1)*a.Cols])
+		return b[i]
+	})
+}
+
+// LeastSquaresRows is LeastSquares over a design that is never materialized:
+// fill(i, row) writes row i of A into row (length cols) and returns b[i],
+// for i = 0..rows-1 in order. The normal equations only ever read one row at
+// a time, so a caller whose rows are windows onto a series (the ARMA fit)
+// needs no rows×cols matrix.
+func LeastSquaresRows(rows, cols int, ridge float64, fill func(i int, row []float64) float64) ([]float64, error) {
 	if ridge < 0 {
 		return nil, errors.New("linalg: negative ridge")
 	}
-	n := a.Cols
+	n := cols
 	ata := NewMatrix(n, n)
 	atb := make([]float64, n)
-	for i := 0; i < a.Rows; i++ {
-		row := a.Data[i*n : (i+1)*n]
+	row := make([]float64, n)
+	for i := 0; i < rows; i++ {
+		bi := fill(i, row)
 		for j := 0; j < n; j++ {
 			if row[j] == 0 {
 				continue
 			}
-			atb[j] += row[j] * b[i]
+			atb[j] += row[j] * bi
 			for k := j; k < n; k++ {
 				ata.Data[j*n+k] += row[j] * row[k]
 			}

@@ -236,3 +236,77 @@ func TestSolveLURoundTripProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// matrixLeastSquares is the normal-equation accumulation as it was when the
+// design had to be a materialized *Matrix: the reference LeastSquaresRows
+// must match bit for bit, because an ARMA coefficient that differs in its
+// last place can move a forecast across a threshold.
+func matrixLeastSquares(a *Matrix, b []float64, ridge float64) ([]float64, error) {
+	n := a.Cols
+	ata := NewMatrix(n, n)
+	atb := make([]float64, n)
+	for i := 0; i < a.Rows; i++ {
+		row := a.Data[i*n : (i+1)*n]
+		for j := 0; j < n; j++ {
+			if row[j] == 0 {
+				continue
+			}
+			atb[j] += row[j] * b[i]
+			for k := j; k < n; k++ {
+				ata.Data[j*n+k] += row[j] * row[k]
+			}
+		}
+	}
+	for j := 0; j < n; j++ {
+		for k := j + 1; k < n; k++ {
+			ata.Data[k*n+j] = ata.Data[j*n+k]
+		}
+		ata.Data[j*n+j] += ridge
+	}
+	return SolveLU(ata, atb)
+}
+
+// TestLeastSquaresRowsMatchesMatrixForm: seeded designs — tall and square,
+// with exact zeros (which the accumulation skips) and with and without a
+// ridge — solved from rows produced on demand and from the matrix.
+func TestLeastSquaresRowsMatchesMatrixForm(t *testing.T) {
+	r := rng.New(7)
+	for trial := 0; trial < 200; trial++ {
+		cols := 1 + r.Intn(16)
+		rows := cols + r.Intn(40)
+		ridge := 0.0
+		if trial%2 == 0 {
+			ridge = 1e-8
+		}
+		a := NewMatrix(rows, cols)
+		b := make([]float64, rows)
+		for i := range a.Data {
+			if r.Intn(4) != 0 {
+				a.Data[i] = r.Uniform(-50, 50)
+			}
+		}
+		for i := range b {
+			b[i] = r.Uniform(-50, 50)
+		}
+		want, wantErr := matrixLeastSquares(a, b, ridge)
+		calls := 0
+		got, err := LeastSquaresRows(rows, cols, ridge, func(i int, row []float64) float64 {
+			if i != calls || len(row) != cols {
+				t.Fatalf("trial %d: fill(%d, len %d), want row %d of length %d", trial, i, len(row), calls, cols)
+			}
+			calls++
+			copy(row, a.Data[i*cols:(i+1)*cols])
+			return b[i]
+		})
+		if (err == nil) != (wantErr == nil) || calls != rows {
+			t.Fatalf("trial %d: err %v after %d rows, matrix form %v", trial, err, calls, wantErr)
+		}
+		viaMatrix, _ := LeastSquares(a, b, ridge)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) || math.Float64bits(viaMatrix[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("trial %d (%dx%d, ridge %g): x[%d] = %x from rows, %x through LeastSquares, %x from the matrix form",
+					trial, rows, cols, ridge, i, math.Float64bits(got[i]), math.Float64bits(viaMatrix[i]), math.Float64bits(want[i]))
+			}
+		}
+	}
+}

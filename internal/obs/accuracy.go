@@ -24,9 +24,13 @@ import (
 // predicted TR against the empirical survival rate, and a 10-bucket
 // calibration table.
 //
-// Observe with no due predictions is a mutex acquire plus a slice scan of
-// the machine's pending window (usually a handful of entries) and allocates
-// nothing, so it is safe to call from the monitor's sampling tick.
+// Every query records one prediction per registered predictor, so a served
+// machine's pending queue sits at its cap and the costs that matter are the
+// ones there: RecordPrediction is a mutex acquire, a map lookup and one slot
+// write into a ring that allocates only while doubling up to the cap, and
+// Observe of an up sample with nothing due is the same two plus one
+// comparison against the ring's earliest deadline. Only a sample at or past
+// that deadline, or a failure sample, walks the ring — once, in issue order.
 //
 // Memory is bounded at fleet scale: rolling state grows lazily up to the
 // rolling-window cap per (machine, predictor), and a RetentionPolicy
@@ -79,20 +83,59 @@ func keyLess(a, b trackerKey) bool {
 	return a.Predictor < b.Predictor
 }
 
+// pendingPred is one unresolved prediction in its machine's ring, laid out
+// as RecordPrediction describes.
 type pendingPred struct {
-	key      trackerKey
-	tr       float64
-	start    time.Time
-	deadline time.Time
-	failed   bool
+	predictor string
+	tr        float64
+	start     int64 // window start, UnixNano
+	deadline  int64 // window end (exclusive), UnixNano
+	failed    bool
 }
 
-// machineState is one machine's tracked state: its pending-prediction
-// window and the timestamp of its most recent activity (sample observed or
+// machineState is one machine's tracked state: its pending-prediction ring
+// and the timestamp of its most recent activity (sample observed or
 // prediction issued), which drives idle eviction.
 type machineState struct {
-	preds      []pendingPred
+	// ring holds the n pending predictions in issue order from head.
+	ring    []pendingPred
+	head, n int
+	// earliest is a lower bound on the pending deadlines: exact after a
+	// walk, stale-low once a cap drop has overwritten the entry that set it,
+	// which costs the next Observe past it one walk that resolves nothing.
+	earliest   int64
 	lastActive time.Time
+}
+
+// push appends p in issue order, growing the ring by doubling up to limit
+// slots; at limit it overwrites the oldest entry and reports the drop.
+func (ms *machineState) push(p pendingPred, limit int) (dropped bool) {
+	if ms.n == 0 || p.deadline < ms.earliest {
+		ms.earliest = p.deadline
+	}
+	if ms.n == len(ms.ring) && ms.n < limit {
+		// head is still 0 here: only the overwrite below moves it, and
+		// that needs a ring already at limit.
+		grown := make([]pendingPred, min(max(2*ms.n, 4), limit))
+		copy(grown, ms.ring)
+		ms.ring = grown
+	}
+	if ms.n == len(ms.ring) {
+		ms.ring[ms.head] = p
+		ms.head = ms.next(ms.head)
+		return true
+	}
+	ms.ring[(ms.head+ms.n)%len(ms.ring)] = p
+	ms.n++
+	return false
+}
+
+// next is the ring index after i.
+func (ms *machineState) next(i int) int {
+	if i++; i == len(ms.ring) {
+		return 0
+	}
+	return i
 }
 
 // accStats accumulates resolved outcomes for one (machine, predictor).
@@ -152,6 +195,10 @@ func (t *Tracker) SetRetention(p RetentionPolicy) {
 
 // RecordPrediction registers one issued prediction: predictor claimed
 // probability tr that machine stays available over [start, start+length).
+// A queue at the cap holds 4 096 of these per machine, so the entry is kept
+// small: the machine is the queue's map key, not a field, and the window is
+// two UnixNano integers — 48 bytes where the key pair and two time.Time came
+// to 96. start must therefore lie in the years UnixNano covers, 1678 to 2262.
 func (t *Tracker) RecordPrediction(machine, predictor string, tr float64, start time.Time, length time.Duration) {
 	if t == nil || length <= 0 {
 		return
@@ -171,16 +218,10 @@ func (t *Tracker) RecordPrediction(machine, predictor string, tr float64, start 
 	if ms.lastActive.Before(start) {
 		ms.lastActive = start
 	}
-	if len(ms.preds) >= t.maxPending {
-		ms.preds = ms.preds[1:]
+	at := start.UnixNano()
+	if ms.push(pendingPred{predictor: predictor, tr: tr, start: at, deadline: at + int64(length)}, t.maxPending) {
 		t.dropped++
 	}
-	ms.preds = append(ms.preds, pendingPred{
-		key:      trackerKey{Machine: machine, Predictor: predictor},
-		tr:       tr,
-		start:    start,
-		deadline: start.Add(length),
-	})
 }
 
 // Observe feeds one classified monitor sample: at time now the machine was
@@ -201,30 +242,41 @@ func (t *Tracker) Observe(machine string, now time.Time, up bool) {
 	if ms.lastActive.Before(now) {
 		ms.lastActive = now
 	}
-	kept := ms.preds[:0]
-	for i := range ms.preds {
-		p := ms.preds[i]
-		if !now.Before(p.deadline) {
-			t.resolve(p, !p.failed)
+	at := now.UnixNano()
+	if ms.n == 0 || (up && at < ms.earliest) {
+		t.mu.Unlock()
+		return
+	}
+	// Resolve what is due and compact the rest toward head, in issue order.
+	kept, earliest := 0, int64(0)
+	for i, from, to := 0, ms.head, ms.head; i < ms.n; i, from = i+1, ms.next(from) {
+		p := ms.ring[from]
+		if at >= p.deadline {
+			t.resolve(machine, p.predictor, p.tr, !p.failed)
 			if t.resolutionSink != nil {
 				logged = append(logged, p)
 			}
 			continue
 		}
-		if !up && !now.Before(p.start) {
+		if !up && at >= p.start {
 			// Failure inside the window: the outcome is decided, but hold
 			// the entry until its deadline so duplicate failures are cheap
 			// no-ops — resolving early would double-count re-predictions.
 			p.failed = true
 		}
-		kept = append(kept, p)
+		if kept == 0 || p.deadline < earliest {
+			earliest = p.deadline
+		}
+		ms.ring[to] = p
+		to = ms.next(to)
+		kept++
 	}
-	ms.preds = kept
+	ms.n, ms.earliest = kept, earliest
 	sink := t.resolutionSink
 	t.mu.Unlock()
 	if sink != nil {
 		for _, p := range logged {
-			sink(p.key.Machine, p.key.Predictor, p.tr, !p.failed)
+			sink(machine, p.predictor, p.tr, !p.failed)
 		}
 	}
 }
@@ -248,14 +300,14 @@ func (t *Tracker) RestoreResolution(machine, predictor string, tr float64, survi
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.resolve(pendingPred{key: trackerKey{Machine: machine, Predictor: predictor}, tr: tr, failed: !survived}, survived)
+	t.resolve(machine, predictor, tr, survived)
 }
 
 // resolve folds one outcome into the (machine, predictor) stats and the
 // all-machines aggregate. Callers hold t.mu.
-func (t *Tracker) resolve(p pendingPred, survived bool) {
+func (t *Tracker) resolve(machine, predictor string, tr float64, survived bool) {
 	t.resolved++
-	for _, key := range [2]trackerKey{p.key, {Machine: "_all", Predictor: p.key.Predictor}} {
+	for _, key := range [2]trackerKey{{Machine: machine, Predictor: predictor}, {Machine: "_all", Predictor: predictor}} {
 		st, ok := t.stats[key]
 		if !ok {
 			st = &accStats{}
@@ -277,7 +329,7 @@ func (t *Tracker) resolve(p pendingPred, survived bool) {
 				}
 			}
 		}
-		st.add(p.tr, survived)
+		st.add(tr, survived)
 	}
 }
 
@@ -356,7 +408,7 @@ func (t *Tracker) EvictIdle(now time.Time) int {
 		return 0
 	}
 	for name := range evict {
-		t.dropped += uint64(len(t.machines[name].preds))
+		t.dropped += uint64(t.machines[name].n)
 		delete(t.machines, name)
 	}
 	kept := t.keys[:0]
@@ -614,7 +666,7 @@ func (t *Tracker) Pending() int {
 	defer t.mu.Unlock()
 	n := 0
 	for _, ms := range t.machines {
-		n += len(ms.preds)
+		n += ms.n
 	}
 	return n
 }
@@ -644,7 +696,7 @@ func (t *Tracker) WriteText(w io.Writer) error {
 	t.mu.Lock()
 	pending := 0
 	for _, ms := range t.machines {
-		pending += len(ms.preds)
+		pending += ms.n
 	}
 	resolved, dropped := t.resolved, t.dropped
 	t.mu.Unlock()

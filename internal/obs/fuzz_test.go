@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -82,5 +83,29 @@ func FuzzRestoreBinary(f *testing.F) {
 		if !bytes.Equal(again.ExportBinary(), enc) {
 			t.Fatal("export does not restore to the same export")
 		}
+	})
+}
+
+// FuzzTrackerMatchesReference is TestTrackerMatchesReference with the
+// operation stream taken from the fuzz input: whatever the schedule of
+// records, bursts, samples and evictions, and whatever the cap, the ring
+// and the slice-based reference queue resolve the same predictions in the
+// same order into the same sums.
+func FuzzTrackerMatchesReference(f *testing.F) {
+	seeded := make([]byte, trackerOpBytes*96)
+	rand.New(rand.NewSource(4)).Read(seeded)
+	f.Add(uint8(2), seeded)
+	f.Add(uint8(15), seeded[:trackerOpBytes*48])
+	// Fill to the cap, drop the earliest deadline, then sample past it.
+	f.Add(uint8(3), []byte{0, 0, 0, 3, 0, 0, 4, 0, 5, 4, 0, 6, 4, 0, 7})
+	// Bursts on one machine, a failure, a long step, an eviction.
+	f.Add(uint8(99), []byte{3, 15, 1, 3, 15, 1, 6, 1, 4, 3, 15, 1, 5, 1, 7, 7, 0, 0, 5, 1, 7})
+	f.Add(uint8(0), []byte{3, 1, 2, 4, 2, 6})
+
+	// Caps of 1 to 256 keep an execution near a millisecond — the fuzzer
+	// minimizes every input that finds new coverage, an execution per byte
+	// it tries to drop; TestTrackerMatchesReference covers the production cap.
+	f.Fuzz(func(t *testing.T, maxPending uint8, ops []byte) {
+		driveTrackers(t, 1+int(maxPending), ops)
 	})
 }

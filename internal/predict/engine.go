@@ -409,15 +409,22 @@ func (e *Engine) memo(ctx context.Context, key engineKey, fit func(*otrace.Span,
 // keyed by (history fingerprint, window, plugin name, configuration salt) —
 // the plugin identity in the key guarantees predictors never cross-serve.
 // Spectral additionally shares its fitted spectrum between the windows of one
-// day pool (see spectrum). Everything else (the forecast-origin baselines,
-// whose output depends on the live Prev samples) is evaluated directly.
+// day pool (see spectrum). The forecast-origin baselines, whose output
+// depends on the live Prev samples, are not memoized but build their series,
+// forecast and classification in pooled scratch; any other plugin is
+// evaluated directly.
 func (e *Engine) PredictPluginCtx(ctx context.Context, pl Plugin, in PluginInput) (float64, error) {
-	if p, ok := pl.(SMP); ok {
+	switch p := pl.(type) {
+	case SMP:
 		if in.HaveState && in.State.Recoverable() {
 			return e.PredictFromCtx(ctx, p, in.Days, in.Window, in.State)
 		}
 		pred, err := e.PredictCtx(ctx, p, in.Days, in.Window)
 		return pred.TR, err
+	case TimeSeries:
+		sc := e.scratchPool.Get().(*scratch)
+		defer e.scratchPool.Put(sc)
+		return p.predictTR(sc, in)
 	}
 	c, cacheable := pl.(Cacheable)
 	if !cacheable {

@@ -163,7 +163,12 @@ func (p SMP) PredictTR(in PluginInput) (float64, error) {
 // PredictTR implements Plugin over PredictWindow. The linear models classify
 // a forecast trajectory into survive/fail, so the TR is binary {0, 1}.
 func (t TimeSeries) PredictTR(in PluginInput) (float64, error) {
-	survives, err := t.PredictWindow(in.Prev, in.Window, in.Period)
+	return t.predictTR(&scratch{}, in)
+}
+
+// predictTR is PredictTR on sc's buffers (see predictWindow).
+func (t TimeSeries) predictTR(sc *scratch, in PluginInput) (float64, error) {
+	survives, err := t.predictWindow(sc, in.Prev, in.Window, in.Period)
 	if err != nil {
 		return 0, err
 	}

@@ -18,6 +18,7 @@ package predict
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"fgcs/internal/avail"
@@ -150,10 +151,18 @@ func periodOf(days []*trace.Day) time.Duration {
 }
 
 // scratch bundles the reusable per-query buffers of the engine's hot path:
-// the classification/extraction arena and the solver workspace.
+// the classification/extraction arena and the solver workspace for SMP, and
+// for a forecast-origin baseline the training series, its forecast, the
+// forecast as samples and their classification. The zero value is what a
+// call outside the engine starts from.
 type scratch struct {
 	ex *avail.Extractor
 	ws *smp.Workspace
+
+	series    []float64
+	forecast  []float64
+	predicted []trace.Sample
+	states    []avail.State
 }
 
 // prepare extracts sojourn sequences from the history windows and estimates
@@ -279,6 +288,13 @@ func (t TimeSeries) PredictDay(day *trace.Day, w Window) (bool, error) {
 // state manager score the linear baselines online, where "today" exists only
 // as the recorder's growing sample log rather than a completed trace day.
 func (t TimeSeries) PredictWindow(prev []trace.Sample, w Window, period time.Duration) (bool, error) {
+	return t.predictWindow(&scratch{}, prev, w, period)
+}
+
+// predictWindow is PredictWindow on sc's buffers, which it may grow and
+// leaves dirty; nothing it returns, and nothing the fitted model keeps,
+// aliases them. The result does not depend on what sc held.
+func (t TimeSeries) predictWindow(sc *scratch, prev []trace.Sample, w Window, period time.Duration) (bool, error) {
 	if err := w.Validate(); err != nil {
 		return false, err
 	}
@@ -288,38 +304,34 @@ func (t TimeSeries) PredictWindow(prev []trace.Sample, w Window, period time.Dur
 	if t.Fitter == nil {
 		return false, fmt.Errorf("predict: no fitter configured")
 	}
+	if len(prev) > 0 && !prev[len(prev)-1].Up {
+		// Machine is down at the forecast origin: the only sensible
+		// prediction for the window is failure.
+		return false, nil
+	}
 	// Build the training series from reachable samples; machine-down
 	// samples carry no load observation.
-	var series []float64
+	series := slices.Grow(sc.series[:0], len(prev)+1)
 	lastFree := t.Cfg.GuestMemMB + 1 // optimistic default when unobserved
-	upAtOrigin := true
 	for _, s := range prev {
 		if s.Up {
 			series = append(series, s.CPU)
 			lastFree = s.FreeMemMB
 		}
 	}
-	if len(prev) > 0 {
-		upAtOrigin = prev[len(prev)-1].Up
-	}
-	if !upAtOrigin {
-		// Machine is down at the forecast origin: the only sensible
-		// prediction for the window is failure.
-		return false, nil
-	}
 	if len(series) == 0 {
 		// Nothing observed before the window (e.g. a window starting at
 		// midnight after an outage): predict idle.
-		series = []float64{0}
+		series = append(series, 0)
 	}
+	sc.series = series
 	model, err := t.Fitter.Fit(series)
 	if err != nil {
 		return false, err
 	}
-	units := w.Units(period)
-	forecast := model.Forecast(units)
-	predicted := make([]trace.Sample, len(forecast))
-	for i, cpu := range forecast {
+	sc.forecast = model.Forecast(sc.forecast[:0], w.Units(period))
+	predicted := slices.Grow(sc.predicted[:0], len(sc.forecast))
+	for _, cpu := range sc.forecast {
 		if cpu < 0 {
 			cpu = 0
 		}
@@ -329,9 +341,13 @@ func (t TimeSeries) PredictWindow(prev []trace.Sample, w Window, period time.Dur
 		// CPU is forecast by the linear model; memory and machine-up
 		// follow the persistence forecast, as RPS models only the load
 		// signal.
-		predicted[i] = trace.Sample{CPU: cpu, FreeMemMB: lastFree, Up: true}
+		predicted = append(predicted, trace.Sample{CPU: cpu, FreeMemMB: lastFree, Up: true})
 	}
-	return avail.WindowSurvives(predicted, t.Cfg, period), nil
+	sc.predicted = predicted
+	// The trajectory survives when no sample of it classifies as a failure
+	// state, which is what avail.WindowSurvives computes.
+	sc.states = avail.ClassifyInto(sc.states, predicted, t.Cfg, period)
+	return !slices.ContainsFunc(sc.states, avail.State.Failure), nil
 }
 
 // Predict aggregates PredictDay over a set of days: the predicted temporal

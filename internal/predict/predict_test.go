@@ -1,11 +1,15 @@
 package predict
 
 import (
+	"context"
+	"fmt"
 	"math"
+	"sort"
 	"testing"
 	"time"
 
 	"fgcs/internal/avail"
+	"fgcs/internal/rng"
 	"fgcs/internal/timeseries"
 	"fgcs/internal/trace"
 )
@@ -305,6 +309,129 @@ func TestTimeSeriesErrors(t *testing.T) {
 	ts.Fitter = timeseries.Last{}
 	if _, err := ts.PredictDay(idleDay(0), Window{Start: -1, Length: time.Hour}); err == nil {
 		t.Fatal("invalid window accepted")
+	}
+}
+
+// materializedPredictWindow is PredictWindow the way it was written before
+// it ran on scratch: a fresh series, a fresh forecast, the forecast as fresh
+// samples, and avail.WindowSurvives over them.
+func materializedPredictWindow(ts TimeSeries, prev []trace.Sample, w Window) (bool, error) {
+	var series []float64
+	lastFree := ts.Cfg.GuestMemMB + 1
+	for _, s := range prev {
+		if s.Up {
+			series = append(series, s.CPU)
+			lastFree = s.FreeMemMB
+		}
+	}
+	if len(prev) > 0 && !prev[len(prev)-1].Up {
+		return false, nil
+	}
+	if len(series) == 0 {
+		series = []float64{0}
+	}
+	model, err := ts.Fitter.Fit(series)
+	if err != nil {
+		return false, err
+	}
+	var predicted []trace.Sample
+	for _, cpu := range model.Forecast(nil, w.Units(period)) {
+		predicted = append(predicted, trace.Sample{CPU: math.Min(math.Max(cpu, 0), 100), FreeMemMB: lastFree, Up: true})
+	}
+	return avail.WindowSurvives(predicted, ts.Cfg, period), nil
+}
+
+// prevWindows returns the seeded windows the baselines are checked on: load
+// that wanders across Th2 with outages and memory dips, at the bench's three
+// lengths and a few awkward ones, plus the degenerate shapes.
+func prevWindows() map[string][]trace.Sample {
+	wander := func(seed uint64, n int) []trace.Sample {
+		r := rng.New(seed)
+		out := make([]trace.Sample, n)
+		level, cpu := r.Uniform(20, 70), 0.0
+		for i := range out {
+			if r.Intn(200) == 0 {
+				level = r.Uniform(5, 90)
+			}
+			cpu = 0.8*cpu + 0.2*level + r.Normal(0, 6)
+			out[i] = trace.Sample{CPU: math.Min(math.Max(cpu, 0), 100), FreeMemMB: r.Uniform(80, 400), Up: r.Intn(150) != 0}
+		}
+		return out
+	}
+	constant := make([]trace.Sample, 600)
+	for i := range constant {
+		constant[i] = trace.Sample{CPU: 37.5, FreeMemMB: 400, Up: true}
+	}
+	downAtOrigin := wander(1, 600)
+	downAtOrigin[len(downAtOrigin)-1].Up = false
+	out := map[string][]trace.Sample{
+		"empty":                nil,
+		"constant":             constant,
+		"down-at-origin":       downAtOrigin,
+		"one-sample":           wander(2, 1),
+		"shorter-than-long-AR": wander(3, 7), // ARMA(8,8)'s long AR wants 20 lags of n/3 = 2
+	}
+	for seed := uint64(10); seed < 16; seed++ {
+		out[fmt.Sprintf("1h/%d", seed)] = wander(seed, 600)
+		out[fmt.Sprintf("5h/%d", seed)] = wander(seed, 3000)
+		out[fmt.Sprintf("10h/%d", seed)] = wander(seed, 6000)
+		out[fmt.Sprintf("47min/%d", seed)] = wander(seed, 470)
+	}
+	return out
+}
+
+// TestTimeSeriesScratchMatchesMaterialized: for the five reference fitters
+// over prevWindows, PredictWindow, the same call on one scratch reused across
+// every case (so its buffers are dirty and were usually larger), the engine's
+// routing of the plugin, and the materialized reference all agree.
+func TestTimeSeriesScratchMatchesMaterialized(t *testing.T) {
+	windows := prevWindows()
+	// Longest first, so that most cases find the scratch larger than needed.
+	names := make([]string, 0, len(windows))
+	for name := range windows {
+		names = append(names, name)
+	}
+	sort.Slice(names, func(i, j int) bool {
+		if a, b := len(windows[names[i]]), len(windows[names[j]]); a != b {
+			return a > b
+		}
+		return names[i] < names[j]
+	})
+	e := NewEngine(EngineConfig{})
+	sc := &scratch{}
+	cfg := avail.DefaultConfig()
+	for _, fit := range timeseries.ReferenceSuite() {
+		ts := TimeSeries{Cfg: cfg, Fitter: fit}
+		outcomes := map[bool]int{}
+		for _, name := range names {
+			prev := windows[name]
+			// The query window has prev's length, as in PredictDay, and
+			// starts where prev ends.
+			length := time.Duration(len(prev)) * period
+			if length == 0 {
+				length = time.Hour
+			}
+			w := Window{Start: 10 * time.Hour, Length: length}
+			want, err := materializedPredictWindow(ts, prev, w)
+			if err != nil {
+				t.Fatalf("%s %s: reference: %v", fit.Name(), name, err)
+			}
+			plain, err1 := ts.PredictWindow(prev, w, period)
+			scratched, err2 := ts.predictWindow(sc, prev, w, period)
+			tr, err3 := e.PredictPluginCtx(context.Background(), ts, PluginInput{Prev: prev, Window: w, Period: period})
+			if err1 != nil || err2 != nil || err3 != nil {
+				t.Fatalf("%s %s: errors %v / %v / %v", fit.Name(), name, err1, err2, err3)
+			}
+			if plain != want || scratched != want || (tr == 1) != want || (tr != 0 && tr != 1) {
+				t.Errorf("%s %s: PredictWindow %v, on dirty scratch %v, through the engine TR %v; materialized reference %v",
+					fit.Name(), name, plain, scratched, tr, want)
+			}
+			outcomes[want]++
+		}
+		// down-at-origin is false without a forecast: ask for more.
+		if outcomes[true] < 2 || outcomes[false] < 2 {
+			t.Errorf("%s: outcomes %v — the forecasts do not exercise both answers", fit.Name(), outcomes)
+		}
 	}
 }
 

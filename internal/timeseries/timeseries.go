@@ -13,6 +13,7 @@ package timeseries
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"fgcs/internal/linalg"
 	"fgcs/internal/stats"
@@ -23,10 +24,11 @@ import (
 type Model interface {
 	// Name identifies the model, e.g. "AR(8)".
 	Name() string
-	// Forecast predicts the next `steps` values following the training
-	// series (multi-step-ahead: predictions feed back into the model
-	// state, as RPS does).
-	Forecast(steps int) []float64
+	// Forecast appends to dst the next `steps` values following the
+	// training series (multi-step-ahead: predictions feed back into the
+	// model state, as RPS does) and returns the extended slice. The values
+	// do not depend on dst; pass nil for a fresh slice.
+	Forecast(dst []float64, steps int) []float64
 }
 
 // Fitter builds a Model from a training series.
@@ -64,12 +66,12 @@ type constModel struct {
 }
 
 func (m constModel) Name() string { return m.name }
-func (m constModel) Forecast(steps int) []float64 {
-	out := make([]float64, steps)
-	for i := range out {
-		out[i] = m.value
+func (m constModel) Forecast(dst []float64, steps int) []float64 {
+	dst = slices.Grow(dst, steps)
+	for s := 0; s < steps; s++ {
+		dst = append(dst, m.value)
 	}
-	return out
+	return dst
 }
 
 // ------------------------------------------------------------------ BM ----
@@ -148,20 +150,20 @@ type arModel struct {
 
 func (m *arModel) Name() string { return m.name }
 
-func (m *arModel) Forecast(steps int) []float64 {
-	out := make([]float64, steps)
+func (m *arModel) Forecast(dst []float64, steps int) []float64 {
+	dst = slices.Grow(dst, steps)
 	hist := append([]float64(nil), m.tail...)
 	for s := 0; s < steps; s++ {
 		pred := 0.0
 		for i, c := range m.coeffs {
 			pred += c * hist[i]
 		}
-		out[s] = pred + m.mean
+		dst = append(dst, pred+m.mean)
 		// Shift the prediction into the history.
 		copy(hist[1:], hist[:len(hist)-1])
 		hist[0] = pred
 	}
-	return out
+	return dst
 }
 
 // ------------------------------------------------------------------ MA ----
@@ -262,8 +264,8 @@ type maModel struct {
 
 func (m *maModel) Name() string { return m.name }
 
-func (m *maModel) Forecast(steps int) []float64 {
-	out := make([]float64, steps)
+func (m *maModel) Forecast(dst []float64, steps int) []float64 {
+	dst = slices.Grow(dst, steps)
 	for s := 0; s < steps; s++ {
 		pred := 0.0
 		for i, th := range m.theta {
@@ -277,9 +279,9 @@ func (m *maModel) Forecast(steps int) []float64 {
 				}
 			}
 		}
-		out[s] = pred + m.mean
+		dst = append(dst, pred+m.mean)
 	}
-	return out
+	return dst
 }
 
 // ---------------------------------------------------------------- ARMA ----
@@ -328,21 +330,18 @@ func (a ARMA) Fit(series []float64) (Model, error) {
 	if start >= n {
 		return constModel{name: a.Name(), value: mean}, nil
 	}
-	rows := n - start
-	cols := a.P + a.Q
-	design := linalg.NewMatrix(rows, cols)
-	target := make([]float64, rows)
-	for t := start; t < n; t++ {
-		r := t - start
+	// Each design row is a window onto series and resid, so the rows are
+	// produced as the normal equations consume them rather than stored.
+	coef, err := linalg.LeastSquaresRows(n-start, a.P+a.Q, 1e-8, func(r int, row []float64) float64 {
+		t := start + r
 		for i := 0; i < a.P; i++ {
-			design.Set(r, i, series[t-1-i]-mean)
+			row[i] = series[t-1-i] - mean
 		}
 		for j := 0; j < a.Q; j++ {
-			design.Set(r, a.P+j, resid[t-1-j])
+			row[a.P+j] = resid[t-1-j]
 		}
-		target[r] = series[t] - mean
-	}
-	coef, err := linalg.LeastSquares(design, target, 1e-8)
+		return series[t] - mean
+	})
 	if err != nil {
 		return constModel{name: a.Name(), value: mean}, nil
 	}
@@ -367,8 +366,8 @@ type armaModel struct {
 
 func (m *armaModel) Name() string { return m.name }
 
-func (m *armaModel) Forecast(steps int) []float64 {
-	out := make([]float64, steps)
+func (m *armaModel) Forecast(dst []float64, steps int) []float64 {
+	dst = slices.Grow(dst, steps)
 	hist := append([]float64(nil), m.tail...)
 	for s := 0; s < steps; s++ {
 		pred := 0.0
@@ -384,11 +383,11 @@ func (m *armaModel) Forecast(steps int) []float64 {
 				}
 			}
 		}
-		out[s] = pred + m.mean
+		dst = append(dst, pred+m.mean)
 		copy(hist[1:], hist[:len(hist)-1])
 		hist[0] = pred
 	}
-	return out
+	return dst
 }
 
 // ReferenceSuite returns the Table 1 model suite with the parameters used in

@@ -54,7 +54,7 @@ func TestLastForecast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range m.Forecast(5) {
+	for _, v := range m.Forecast(nil, 5) {
 		if v != 42 {
 			t.Fatalf("LAST forecast = %v, want 42", v)
 		}
@@ -66,14 +66,14 @@ func TestBMForecast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range m.Forecast(4) {
+	for _, v := range m.Forecast(nil, 4) {
 		if v != 2 {
 			t.Fatalf("BM(3) forecast = %v, want mean of last 3 = 2", v)
 		}
 	}
 	// Window longer than series: use everything.
 	m, _ = BM{P: 50}.Fit([]float64{2, 4})
-	if got := m.Forecast(1)[0]; got != 3 {
+	if got := m.Forecast(nil, 1)[0]; got != 3 {
 		t.Fatalf("BM long window = %v, want 3", got)
 	}
 }
@@ -87,7 +87,7 @@ func TestConstantSeriesProperty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", f.Name(), err)
 		}
-		for i, v := range m.Forecast(20) {
+		for i, v := range m.Forecast(nil, 20) {
 			if math.Abs(v-37.5) > 1e-6 {
 				t.Fatalf("%s forecast[%d] = %v on a constant series", f.Name(), i, v)
 			}
@@ -114,7 +114,7 @@ func TestARRecoversAR1Process(t *testing.T) {
 		t.Fatalf("AR(1) coefficient = %v, want ~%v", am.coeffs[0], phi)
 	}
 	// Multi-step forecasts must decay geometrically toward the mean.
-	f := m.Forecast(50)
+	f := m.Forecast(nil, 50)
 	last := series[len(series)-1] - am.mean
 	for s := 0; s < 50; s++ {
 		want := am.mean + last*math.Pow(am.coeffs[0], float64(s+1))
@@ -131,7 +131,7 @@ func TestARForecastConvergesToMean(t *testing.T) {
 		series[i] = 0.6*series[i-1] + r.Normal(0, 1)
 	}
 	m, _ := AR{P: 4}.Fit(series)
-	f := m.Forecast(500)
+	f := m.Forecast(nil, 500)
 	mean := stats.Mean(series)
 	if math.Abs(f[499]-mean) > 0.1 {
 		t.Fatalf("long-horizon AR forecast %v did not converge to mean %v", f[499], mean)
@@ -159,7 +159,7 @@ func TestMAOneStepBeatsMeanOnMA1Process(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pred := m.Forecast(1)[0]
+		pred := m.Forecast(nil, 1)[0]
 		actual := series[cut]
 		errMA += (pred - actual) * (pred - actual)
 		mean := stats.Mean(series[:cut])
@@ -181,7 +181,7 @@ func TestMAForecastBeyondOrderIsMean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := m.Forecast(10)
+	f := m.Forecast(nil, 10)
 	mean := stats.Mean(series)
 	for s := 3; s < 10; s++ {
 		if math.Abs(f[s]-mean) > 1e-9 {
@@ -228,7 +228,7 @@ func TestARMAOneStepAccuracy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pred := m.Forecast(1)[0]
+		pred := m.Forecast(nil, 1)[0]
 		actual := series[cut]
 		errARMA += (pred - actual) * (pred - actual)
 		mean := stats.Mean(series[:cut])
@@ -246,7 +246,7 @@ func TestShortSeriesDegradeGracefully(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s failed on a single-sample series: %v", f.Name(), err)
 		}
-		got := m.Forecast(3)
+		got := m.Forecast(nil, 3)
 		for _, v := range got {
 			if v != 5 {
 				t.Fatalf("%s forecast on singleton = %v, want 5", f.Name(), v)
@@ -268,7 +268,7 @@ func TestForecastLengthProperty(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			fc := m.Forecast(steps)
+			fc := m.Forecast(nil, steps)
 			if len(fc) != steps {
 				return false
 			}
@@ -313,5 +313,48 @@ func TestInnovationsKnownMA1(t *testing.T) {
 	}
 	if math.Abs(got[0]-theta/(1+theta*theta)) > 1e-12 {
 		t.Fatalf("first innovations estimate = %v", got[0])
+	}
+}
+
+// TestForecastAppendsWithoutReadingDst: Forecast into a dirty, reused dst —
+// with spare capacity, with none, and behind a prefix it must keep — gives
+// bit for bit the values Forecast(nil, ...) gives, for every reference model
+// on noisy, constant and too-short series (the last two are the constant
+// fallbacks).
+func TestForecastAppendsWithoutReadingDst(t *testing.T) {
+	r := rng.New(23)
+	noisy := make([]float64, 400)
+	for i := range noisy {
+		noisy[i] = 40 + 25*math.Sin(float64(i)/9) + r.Normal(0, 5)
+	}
+	dirty := make([]float64, 0, 256)
+	for _, series := range [][]float64{noisy, constant(12, 90), noisy[:2]} {
+		for _, f := range ReferenceSuite() {
+			m, err := f.Fit(series)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, steps := range []int{0, 1, 100, 600} {
+				want := m.Forecast(nil, steps)
+				if len(want) != steps {
+					t.Fatalf("%s: Forecast(nil, %d) returned %d values", f.Name(), steps, len(want))
+				}
+				dirty = dirty[:cap(dirty)]
+				for i := range dirty {
+					dirty[i] = math.NaN()
+				}
+				dirty = m.Forecast(dirty[:0], steps) // reuses or outgrows the last case's storage
+				prefixed := m.Forecast([]float64{-1, -2}, steps)
+				if len(dirty) != steps || len(prefixed) != steps+2 || prefixed[0] != -1 || prefixed[1] != -2 {
+					t.Fatalf("%s, %d steps: lengths %d and %d, prefix %v", f.Name(), steps, len(dirty), len(prefixed), prefixed[:2])
+				}
+				for i := range want {
+					if math.Float64bits(dirty[i]) != math.Float64bits(want[i]) || math.Float64bits(prefixed[i+2]) != math.Float64bits(want[i]) {
+						t.Fatalf("%s, %d steps: value %d is %v into a dirty dst, %v behind a prefix, %v into nil",
+							f.Name(), steps, i, dirty[i], prefixed[i+2], want[i])
+					}
+				}
+			}
+		}
 	}
 }
