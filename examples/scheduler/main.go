@@ -1,13 +1,14 @@
 // Scheduler example: proactive, availability-aware job placement on a
 // simulated FGCS testbed (the motivating application of the paper).
 //
-// A client must place a stream of compute jobs on lab machines. The
-// TR-aware scheduler queries each machine's gateway for its predicted
-// temporal reliability over the job's execution window and picks the most
-// reliable machine; the baseline picks machines round-robin. Both run
-// against the same future (the actual recorded days), so the comparison
-// shows exactly what the prediction buys: fewer guest kills and fewer
-// wasted compute hours.
+// A client must place a stream of compute jobs on lab machines. The first
+// half prints experiment X1 (experiments.RunX1, the same rows as
+// `experiments -run x1`): the TR-aware policy picks the machine with the
+// highest predicted temporal reliability over the job's window, next to an
+// oracle, round-robin and random placement on the same recorded futures, so
+// the comparison shows exactly what the prediction buys: fewer guest kills
+// and fewer wasted compute hours. The second half makes one such decision
+// through the real iShare components.
 //
 //	go run ./examples/scheduler
 package main
@@ -21,15 +22,7 @@ import (
 	"fgcs/internal/avail"
 	"fgcs/internal/experiments"
 	"fgcs/internal/ishare"
-	"fgcs/internal/predict"
 	"fgcs/internal/trace"
-	"fgcs/internal/workload"
-)
-
-const (
-	nMachines = 6
-	histDays  = 60 // days of history the predictor sees
-	jobHours  = 3
 )
 
 func main() {
@@ -40,87 +33,28 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	params := workload.DefaultParams()
-	params.Days = 90
-	cfg := avail.DefaultConfig()
-	smp := predict.SMP{Cfg: cfg}
-
-	// Jobs arrive on each test day at these hours.
-	startHours := []int{9, 13, 17}
-
-	type tally struct{ completed, killed int }
-	var trAware, roundRobin tally
-	rrNext := 0
-
-	for dayIdx := histDays; dayIdx < params.Days; dayIdx++ {
-		date := params.Start.AddDate(0, 0, dayIdx)
-		if trace.TypeOfDate(date) != trace.Weekday {
-			continue
-		}
-		for _, hour := range startHours {
-			w := predict.Window{Start: time.Duration(hour) * time.Hour, Length: jobHours * time.Hour}
-
-			// The TR-aware scheduler: predict each machine's TR over
-			// the window from its history, pick the best.
-			best, bestTR := -1, -1.0
-			for mi, m := range ds.Machines {
-				var hist []*trace.Day
-				for _, d := range m.Days[:dayIdx] {
-					if d.Type() == trace.Weekday {
-						hist = append(hist, d)
-					}
-				}
-				pred, err := smp.Predict(hist, w)
-				if err != nil {
-					continue
-				}
-				if pred.TR > bestTR {
-					best, bestTR = mi, pred.TR
-				}
-			}
-
-			// Both schedulers face the same ground truth: does the
-			// chosen machine actually stay available?
-			outcome := func(mi int) bool {
-				day := ds.Machines[mi].Days[dayIdx]
-				return avail.WindowSurvives(day.Window(w.Start, w.Length), cfg, day.Period)
-			}
-			if best >= 0 {
-				if outcome(best) {
-					trAware.completed++
-				} else {
-					trAware.killed++
-				}
-			}
-			pick := rrNext % nMachines
-			rrNext++
-			if outcome(pick) {
-				roundRobin.completed++
-			} else {
-				roundRobin.killed++
-			}
-		}
+	cfg := experiments.DefaultX1Config()
+	rows, err := experiments.RunX1(ds, cfg)
+	if err != nil {
+		log.Fatal(err)
 	}
-
-	fmt.Printf("placed %d jobs of %dh on %d machines (%d days of history)\n\n",
-		trAware.completed+trAware.killed, jobHours, nMachines, histDays)
-	report := func(name string, t tally) {
-		total := t.completed + t.killed
-		fmt.Printf("%-22s completed %3d / %3d (%.0f%%), killed %d\n",
-			name, t.completed, total, 100*float64(t.completed)/float64(total), t.killed)
+	fmt.Printf("%dh jobs at %v o'clock on %d machines, after %d days of history\n\n",
+		cfg.JobHours, cfg.StartHours, len(ds.Machines), cfg.HistoryDays)
+	for _, r := range rows {
+		total := r.Completed + r.Killed
+		fmt.Printf("%-12s completed %3d / %3d (%.0f%%), killed %d, wasted %.0f h\n",
+			r.Policy+":", r.Completed, total, 100*float64(r.Completed)/float64(total), r.Killed, r.WastedHours)
 	}
-	report("TR-aware scheduler:", trAware)
-	report("round-robin baseline:", roundRobin)
 
 	// The same decision through the real iShare components, end to end:
 	// gateways + state managers on an in-process testbed.
 	fmt.Println("\n--- live query through the iShare gateway stack ---")
-	demoLiveQuery(ds, cfg)
+	demoLiveQuery(ds, cfg.Cfg, cfg.JobHours)
 }
 
 // demoLiveQuery wires real gateways/state managers for each machine and lets
 // the client-side scheduler rank them, exactly as cmd/isharec does over TCP.
-func demoLiveQuery(ds *trace.Dataset, cfg avail.Config) {
+func demoLiveQuery(ds *trace.Dataset, cfg avail.Config, jobHours int) {
 	// "Now": 09:00 on the first test weekday.
 	now := time.Date(2005, 11, 14, 9, 0, 0, 0, time.UTC)
 	sched := &ishare.Scheduler{}
@@ -139,7 +73,7 @@ func demoLiveQuery(ds *trace.Dataset, cfg avail.Config) {
 		node.Gateway.Record(now, trace.Sample{CPU: 10, FreeMemMB: 300, Up: true})
 		sched.Candidates = append(sched.Candidates, ishare.Candidate{MachineID: m.ID, API: node.Gateway})
 	}
-	job := ishare.SubmitReq{Name: "live-job", WorkSeconds: jobHours * 3600, MemMB: 100}
+	job := ishare.SubmitReq{Name: "live-job", WorkSeconds: float64(jobHours) * 3600, MemMB: 100}
 	ranked, _, err := sched.Rank(context.Background(), job)
 	if err != nil {
 		log.Fatal(err)

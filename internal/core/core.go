@@ -109,17 +109,7 @@ func (p *Predictor) TRAt(start time.Time, jobLength time.Duration) (float64, err
 	if jobLength <= 0 {
 		return 0, fmt.Errorf("core: non-positive job length")
 	}
-	start = start.UTC()
-	midnight := time.Date(start.Year(), start.Month(), start.Day(), 0, 0, 0, 0, time.UTC)
-	offset := start.Sub(midnight).Truncate(p.machine.Period)
-	length := jobLength.Truncate(p.machine.Period)
-	if length < p.machine.Period {
-		length = p.machine.Period
-	}
-	if offset+length > 24*time.Hour {
-		length = 24*time.Hour - offset
-	}
-	w := predict.Window{Start: offset, Length: length}
+	midnight, w := predict.WindowAt(start, jobLength, p.machine.Period)
 	dayType := trace.TypeOfDate(midnight)
 	var days []*trace.Day
 	for _, d := range p.machine.Days {

@@ -20,7 +20,6 @@ import (
 
 	"fgcs/internal/avail"
 	"fgcs/internal/ishare"
-	"fgcs/internal/predict"
 	"fgcs/internal/rng"
 	"fgcs/internal/simclock"
 	"fgcs/internal/trace"
@@ -30,8 +29,9 @@ import (
 type Policy int
 
 const (
-	// PolicyTRAware ranks the free machines by predicted temporal
-	// reliability over the job's remaining work and picks the best.
+	// PolicyTRAware places through the scheduler that ships: ishare.Scheduler
+	// asks every free machine's gateway for its temporal reliability over
+	// the job's remaining work and memory footprint and submits to the best.
 	PolicyTRAware Policy = iota
 	// PolicyRandom picks a free machine uniformly.
 	PolicyRandom
@@ -128,7 +128,6 @@ type activeJob struct {
 	lost       float64 // compute seconds lost to kills
 	kills      int
 	machines   []string
-	placed     bool
 	done       bool
 	doneAt     time.Time
 }
@@ -157,15 +156,18 @@ func Run(cfg Config, jobs []JobSpec) (Result, error) {
 	period := cfg.Dataset.Machines[0].Period
 	clock := simclock.NewVirtual(cfg.Dataset.Machines[0].Days[cfg.StartDay].Date)
 	r := rng.New(cfg.Seed)
-	predictor := predict.SMP{Cfg: cfg.Cfg, HistoryDays: cfg.HistoryDays}
 
-	// Wire a gateway per machine.
+	// Wire a gateway per machine; the days before StartDay are the history
+	// its state manager predicts from until the replayed days accumulate.
 	var machines []*machineState
-	for _, m := range cfg.Dataset.Machines {
-		sm, err := ishare.NewStateManager(m.ID, period, cfg.Cfg, clock, nil, cfg.HistoryDays)
+	byID := make(map[string]int, len(cfg.Dataset.Machines))
+	for mi, m := range cfg.Dataset.Machines {
+		hist := &trace.Machine{ID: m.ID, Period: m.Period, Days: m.Days[:cfg.StartDay:cfg.StartDay]}
+		sm, err := ishare.NewStateManager(m.ID, period, cfg.Cfg, clock, hist, cfg.HistoryDays)
 		if err != nil {
 			return Result{}, err
 		}
+		byID[m.ID] = mi
 		gw, err := ishare.NewGateway(m.ID, cfg.Cfg, period, clock, sm)
 		if err != nil {
 			return Result{}, err
@@ -184,7 +186,7 @@ func Run(cfg Config, jobs []JobSpec) (Result, error) {
 	sort.SliceStable(table, func(a, b int) bool { return table[a].spec.Arrival.Before(table[b].spec.Arrival) })
 
 	rrNext := 0
-	place := func(now time.Time, ji int) bool {
+	place := func(ji int) bool {
 		job := table[ji]
 		// Free machines in a recoverable state only — the scheduler's
 		// QueryTR reports the current state, and no client submits to a
@@ -198,38 +200,38 @@ func Run(cfg Config, jobs []JobSpec) (Result, error) {
 		if len(free) == 0 {
 			return false
 		}
-		pick := -1
-		switch cfg.Policy {
-		case PolicyRandom:
-			pick = free[r.Intn(len(free))]
-		case PolicyRoundRobin:
-			pick = free[rrNext%len(free)]
-			rrNext++
-		default: // PolicyTRAware
-			bestTR := -1.0
-			for _, mi := range free {
-				tr := predictTR(predictor, machines[mi].machine, now,
-					time.Duration(job.spec.Work.Seconds()-job.checkpoint)*time.Second)
-				if tr > bestTR {
-					bestTR, pick = tr, mi
-				}
-			}
-		}
-		if pick < 0 {
-			return false
-		}
-		resp, err := machines[pick].gateway.Submit(context.Background(), ishare.SubmitReq{
+		req := ishare.SubmitReq{
 			Name:                   job.spec.ID,
 			WorkSeconds:            job.spec.Work.Seconds(),
 			MemMB:                  job.spec.MemMB,
 			InitialProgressSeconds: job.checkpoint,
-		})
+		}
+		var pick int
+		var resp ishare.SubmitResp
+		var err error
+		switch cfg.Policy {
+		case PolicyRandom:
+			pick = free[r.Intn(len(free))]
+			resp, err = machines[pick].gateway.Submit(context.Background(), req)
+		case PolicyRoundRobin:
+			pick = free[rrNext%len(free)]
+			rrNext++
+			resp, err = machines[pick].gateway.Submit(context.Background(), req)
+		default: // PolicyTRAware
+			sched := ishare.Scheduler{}
+			for _, mi := range free {
+				sched.Candidates = append(sched.Candidates,
+					ishare.Candidate{MachineID: machines[mi].machine.ID, API: machines[mi].gateway})
+			}
+			var best ishare.Ranked
+			best, resp, err = sched.SubmitBest(context.Background(), req)
+			pick = byID[best.MachineID]
+		}
 		if err != nil {
 			return false
 		}
 		machines[pick].jobIdx = ji
 		machines[pick].jobID = resp.JobID
-		job.placed = true
 		job.machines = append(job.machines, machines[pick].machine.ID)
 		return true
 	}
@@ -264,8 +266,8 @@ func Run(cfg Config, jobs []JobSpec) (Result, error) {
 				case "killed":
 					job.kills++
 					job.lost += st.ProgressSeconds - job.checkpoint
+					queue = append(queue, ms.jobIdx)
 					ms.jobIdx = -1
-					queue = append(queue, indexOf(table, job))
 				default:
 					if st.ProgressSeconds-job.checkpoint >= ckptIv {
 						job.checkpoint = st.ProgressSeconds
@@ -279,7 +281,7 @@ func Run(cfg Config, jobs []JobSpec) (Result, error) {
 			}
 			// Place queued jobs, FIFO.
 			for len(queue) > 0 {
-				if !place(now, queue[0]) {
+				if !place(queue[0]) {
 					break
 				}
 				queue = queue[1:]
@@ -313,45 +315,6 @@ func Run(cfg Config, jobs []JobSpec) (Result, error) {
 		res.P95Response = time.Duration(responses[idx] * float64(time.Second))
 	}
 	return res, nil
-}
-
-func indexOf(table []*activeJob, job *activeJob) int {
-	for i, j := range table {
-		if j == job {
-			return i
-		}
-	}
-	return -1
-}
-
-// predictTR computes the machine's TR for a window starting now, from its
-// history days strictly before today.
-func predictTR(p predict.SMP, m *trace.Machine, now time.Time, length time.Duration) float64 {
-	midnight := time.Date(now.Year(), now.Month(), now.Day(), 0, 0, 0, 0, time.UTC)
-	start := now.Sub(midnight).Truncate(m.Period)
-	if length < m.Period {
-		length = m.Period
-	}
-	if start+length > 24*time.Hour {
-		length = 24*time.Hour - start
-	}
-	if length < m.Period {
-		return 0
-	}
-	var hist []*trace.Day
-	for _, d := range m.Days {
-		if d.Date.Before(midnight) && d.Type() == trace.TypeOfDate(midnight) {
-			hist = append(hist, d)
-		}
-	}
-	if len(hist) == 0 {
-		return 1
-	}
-	pred, err := p.Predict(hist, predict.Window{Start: start, Length: length})
-	if err != nil {
-		return 0
-	}
-	return pred.TR
 }
 
 // PoissonJobs draws a job stream: arrivals uniform over the working hours of

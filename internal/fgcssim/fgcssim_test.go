@@ -197,3 +197,50 @@ func TestResponseTimeBenefit(t *testing.T) {
 		t.Errorf("tr-aware redone compute %v far above random %v", tr.TotalLost, rnd.TotalLost)
 	}
 }
+
+// TestTRAwareHonoursGuestMemory pins that TR-aware placement asks the
+// gateways about the job it submits, memory footprint included. The tight
+// machine is idle, but every morning its free memory dips below what a
+// 180 MB guest needs, and on the test day it stays there; the roomy machine
+// always has room but a load spike on two of its five history weekdays. A
+// scheduler blind to the footprint sees no failure on the tight machine,
+// prefers it, and loses the job there at zero progress every time it
+// re-places it.
+func TestTRAwareHonoursGuestMemory(t *testing.T) {
+	const days, startDay = 8, 7 // a Monday with five weekdays of history
+	monday := time.Date(2005, 8, 22, 0, 0, 0, 0, time.UTC)
+	build := func(id string, mark func(di int, s *trace.Sample)) *trace.Machine {
+		m := trace.NewMachine(id, trace.DefaultPeriod)
+		for di := 0; di < days; di++ {
+			d := trace.NewDay(monday.AddDate(0, 0, di), m.Period)
+			for i := range d.Samples {
+				d.Samples[i] = trace.Sample{CPU: 5, FreeMemMB: 300, Up: true}
+				if i >= d.IndexAt(10*time.Hour+5*time.Minute) && i < d.IndexAt(10*time.Hour+10*time.Minute) || di == startDay {
+					mark(di, &d.Samples[i])
+				}
+			}
+			if err := m.AddDay(d); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return m
+	}
+	ds := &trace.Dataset{Machines: []*trace.Machine{
+		build("tight", func(_ int, s *trace.Sample) { s.FreeMemMB = 150 }),
+		build("roomy", func(di int, s *trace.Sample) {
+			if di < 2 {
+				s.CPU = 95
+			}
+		}),
+	}}
+	jobs := []JobSpec{{ID: "big", Arrival: monday.AddDate(0, 0, startDay).Add(10 * time.Hour), Work: 30 * time.Minute, MemMB: 180}}
+	res, err := Run(Config{Dataset: ds, Cfg: avail.DefaultConfig(), StartDay: startDay, Policy: PolicyTRAware}, jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jr := res.Jobs[0]
+	if !jr.Completed || jr.Kills != 0 || len(jr.Machines) != 1 || jr.Machines[0] != "roomy" {
+		t.Fatalf("180 MB job: completed=%v kills=%d placements=%d first on %s, want one clean run on roomy",
+			jr.Completed, jr.Kills, len(jr.Machines), jr.Machines[0])
+	}
+}

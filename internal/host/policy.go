@@ -85,135 +85,23 @@ type PolicyResult struct {
 // adjusted dynamically by the policy from a 6-second moving observation of
 // the host load — the same signal the resource monitor samples.
 func SimulatePolicy(m Machine, hosts []Proc, policy GuestPolicy, th1, th2 float64, d time.Duration, seed uint64) (PolicyResult, error) {
-	if m.Tick <= 0 {
-		return PolicyResult{}, fmt.Errorf("host: non-positive tick")
+	guest := Guest{Nice: policy.nice(0, th1, th2)}
+	renice := func(loadPct float64) int { return policy.nice(loadPct, th1, th2) }
+	con, meanNice, err := simulate(m, hosts, &guest, renice, d, seed)
+	if err != nil {
+		return PolicyResult{}, err
 	}
-	if d < m.Tick {
-		return PolicyResult{}, fmt.Errorf("host: duration shorter than a tick")
-	}
-	states := make([]*procState, len(hosts))
-	for i, h := range hosts {
-		if h.IsolatedCPU <= 0 || h.IsolatedCPU > 1 {
-			return PolicyResult{}, fmt.Errorf("host: process %q isolated CPU %v out of (0,1]", h.Name, h.IsolatedCPU)
-		}
-		if h.BurstMS == 0 {
-			h.BurstMS = defaultBurstMS
-		}
-		states[i] = &procState{spec: h, reservoir: reservoirTicks}
-	}
-	r := rng.New(seed)
-	ticks := int(d / m.Tick)
-	tickMS := float64(m.Tick) / float64(time.Millisecond)
-	obsWindow := int(6 * 1000 / tickMS) // 6 s of ticks
-	if obsWindow < 1 {
-		obsWindow = 1
-	}
-
-	guestTicks := 0.0
-	hostBusy := 0 // host ticks within the current observation window
-	obsAge := 0
-	loadPct := 0.0
-	niceSum := 0.0
-	guestNice := policy.nice(0, th1, th2)
-
-	for t := 0; t < ticks; t++ {
-		best := 1e18
-		var runnable []*procState
-		for _, ps := range states {
-			if !ps.computing {
-				ps.sleepLeft--
-				ps.reservoir += 1
-				if ps.reservoir > reservoirTicks {
-					ps.reservoir = reservoirTicks
-				}
-				if ps.sleepLeft <= 0 {
-					ps.computing = true
-					ps.workLeft = r.Exp(ps.spec.BurstMS) / tickMS
-					if ps.workLeft < 1 {
-						ps.workLeft = 1
-					}
-				}
-			}
-			if ps.computing {
-				if ps.burstWork == 0 {
-					ps.burstWork = ps.workLeft
-				}
-				if e := ps.effNice(); e < best {
-					best = e
-				}
-				runnable = append(runnable, ps)
-			}
-		}
-		var winner *procState
-		if len(runnable) > 0 {
-			var top []*procState
-			for _, ps := range runnable {
-				if ps.effNice() <= best+0.5 {
-					top = append(top, ps)
-				}
-			}
-			winner = top[r.Intn(len(top))]
-		}
-		guestEff := float64(guestNice) + bonusLevels
-		guestRuns := false
-		switch {
-		case winner == nil:
-			guestRuns = true
-		case guestEff < best-0.5:
-			guestRuns = true
-		case guestEff <= best+0.5:
-			guestRuns = r.Intn(len(runnable)+1) == 0
-		default:
-			guestRuns = r.Bool(guestFloorProb)
-		}
-		if guestRuns {
-			guestTicks++
-		} else if winner != nil {
-			winner.usedTicks++
-			winner.workLeft--
-			winner.reservoir--
-			if winner.reservoir < 0 {
-				winner.reservoir = 0
-			}
-			hostBusy++
-			if winner.workLeft <= 0 {
-				winner.computing = false
-				winner.sleepLeft = winner.burstWork * (1/winner.spec.IsolatedCPU - 1)
-				winner.burstWork = 0
-				if winner.sleepLeft < 1 {
-					winner.sleepLeft = 1
-				}
-			}
-		}
-		niceSum += float64(guestNice)
-		obsAge++
-		if obsAge >= obsWindow {
-			// The monitor publishes a fresh load reading; the policy
-			// reacts, as the gateway renices the guest.
-			loadPct = 100 * float64(hostBusy) / float64(obsWindow)
-			guestNice = policy.nice(loadPct, th1, th2)
-			hostBusy = 0
-			obsAge = 0
-		}
-	}
-
-	res := PolicyResult{Policy: policy, MeanNice: niceSum / float64(ticks)}
-	total := float64(ticks)
-	for _, ps := range states {
-		res.HostCPU += 100 * ps.usedTicks / total
-	}
-	res.GuestCPU = 100 * guestTicks / total
 	iso, err := Simulate(m, hosts, nil, d, seed)
 	if err != nil {
 		return PolicyResult{}, err
 	}
-	if iso.HostCPU > 0 {
-		res.Reduction = (iso.HostCPU - res.HostCPU) / iso.HostCPU
-		if res.Reduction < 0 {
-			res.Reduction = 0
-		}
-	}
-	return res, nil
+	return PolicyResult{
+		Policy:    policy,
+		HostCPU:   con.HostCPU,
+		GuestCPU:  con.GuestCPU,
+		Reduction: reductionRate(iso.HostCPU, con.HostCPU),
+		MeanNice:  meanNice,
+	}, nil
 }
 
 // E1bRow is one (policy, load level) cell of the alternatives study.

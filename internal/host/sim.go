@@ -122,20 +122,35 @@ func (p *procState) effNice() float64 {
 // Simulate runs host processes (optionally with a guest) for the given
 // duration and returns the measured CPU usages.
 func Simulate(m Machine, hosts []Proc, guest *Guest, d time.Duration, seed uint64) (Result, error) {
+	res, _, err := simulate(m, hosts, guest, nil, d, seed)
+	return res, err
+}
+
+// simulate is the one tick loop of the package. renice, when non-nil, is the
+// gateway's side of guest control: every 6 s — the resource monitor's period
+// — it is handed the host load (percent) observed over that window and
+// returns the guest's new nice level; with a nil renice the guest keeps its
+// priority. The second result is the guest's time-averaged nice level.
+//
+// The random draws per tick are, in order: a burst length for each host that
+// wakes, the winner among the hosts in the best priority slot, and — only
+// when a guest contends with a runnable host at or below its priority — the
+// arbitration draw. Results are pure functions of the seed on that order.
+func simulate(m Machine, hosts []Proc, guest *Guest, renice func(loadPct float64) int, d time.Duration, seed uint64) (Result, float64, error) {
 	if m.Tick <= 0 {
-		return Result{}, fmt.Errorf("host: non-positive tick")
+		return Result{}, 0, fmt.Errorf("host: non-positive tick")
 	}
 	if d < m.Tick {
-		return Result{}, fmt.Errorf("host: duration shorter than a tick")
+		return Result{}, 0, fmt.Errorf("host: duration shorter than a tick")
 	}
 	states := make([]*procState, len(hosts))
 	var residentMB float64 = m.KernelMemMB
 	for i, h := range hosts {
 		if h.IsolatedCPU <= 0 || h.IsolatedCPU > 1 {
-			return Result{}, fmt.Errorf("host: process %q isolated CPU %v out of (0,1]", h.Name, h.IsolatedCPU)
+			return Result{}, 0, fmt.Errorf("host: process %q isolated CPU %v out of (0,1]", h.Name, h.IsolatedCPU)
 		}
 		if h.Nice < 0 || h.Nice > 19 {
-			return Result{}, fmt.Errorf("host: process %q nice %d out of [0,19]", h.Name, h.Nice)
+			return Result{}, 0, fmt.Errorf("host: process %q nice %d out of [0,19]", h.Name, h.Nice)
 		}
 		if h.BurstMS == 0 {
 			h.BurstMS = defaultBurstMS
@@ -143,25 +158,27 @@ func Simulate(m Machine, hosts []Proc, guest *Guest, d time.Duration, seed uint6
 		states[i] = &procState{spec: h, reservoir: reservoirTicks}
 		residentMB += h.MemMB
 	}
-	guestTicks := 0.0
+	guestNice := 0
 	if guest != nil {
 		if guest.Nice < 0 || guest.Nice > 19 {
-			return Result{}, fmt.Errorf("host: guest nice %d out of [0,19]", guest.Nice)
+			return Result{}, 0, fmt.Errorf("host: guest nice %d out of [0,19]", guest.Nice)
 		}
+		guestNice = guest.Nice
 		residentMB += guest.MemMB
 	}
 	thrashing := residentMB > m.TotalMemMB
 	r := rng.New(seed)
 	ticks := int(d / m.Tick)
 	tickMS := float64(m.Tick) / float64(time.Millisecond)
-
-	// The guest is CPU-bound: its reservoir is empty, so its effective
-	// nice sits at the bottom of its band.
-	guestEff := 0.0
-	if guest != nil {
-		guestEff = float64(guest.Nice) + bonusLevels
+	obsWindow := int(6 * 1000 / tickMS) // the monitor's 6 s, in ticks
+	if obsWindow < 1 {
+		obsWindow = 1
 	}
 
+	guestTicks := 0.0
+	niceSum := 0.0
+	hostBusy := 0 // ticks a host ran within the current observation window
+	obsAge := 0
 	for t := 0; t < ticks; t++ {
 		// Advance sleep cycles and collect runnable hosts.
 		best := 1e18
@@ -203,6 +220,9 @@ func Simulate(m Machine, hosts []Proc, guest *Guest, d time.Duration, seed uint6
 			}
 			winner = top[r.Intn(len(top))]
 		}
+		// The guest is CPU-bound: its reservoir is empty, so its effective
+		// nice sits at the bottom of its band.
+		guestEff := float64(guestNice) + bonusLevels
 		guestRuns := false
 		switch {
 		case guest == nil:
@@ -225,9 +245,8 @@ func Simulate(m Machine, hosts []Proc, guest *Guest, d time.Duration, seed uint6
 		}
 		if guestRuns {
 			guestTicks += progress
-			continue
-		}
-		if winner != nil {
+		} else if winner != nil {
+			hostBusy++
 			winner.usedTicks += progress
 			winner.workLeft -= progress
 			winner.reservoir -= 1
@@ -245,6 +264,15 @@ func Simulate(m Machine, hosts []Proc, guest *Guest, d time.Duration, seed uint6
 				}
 			}
 		}
+		niceSum += float64(guestNice)
+		if obsAge++; obsAge >= obsWindow {
+			// The monitor publishes a fresh load reading; the gateway
+			// reacts by renicing the guest.
+			if renice != nil {
+				guestNice = renice(100 * float64(hostBusy) / float64(obsWindow))
+			}
+			hostBusy, obsAge = 0, 0
+		}
 	}
 
 	res := Result{PerProc: make([]float64, len(states)), Thrashing: thrashing}
@@ -254,7 +282,7 @@ func Simulate(m Machine, hosts []Proc, guest *Guest, d time.Duration, seed uint6
 		res.HostCPU += res.PerProc[i]
 	}
 	res.GuestCPU = 100 * guestTicks / total
-	return res, nil
+	return res, niceSum / total, nil
 }
 
 // Reduction measures the paper's metric: the reduction rate of host CPU
@@ -272,12 +300,13 @@ func Reduction(m Machine, hosts []Proc, guest Guest, d time.Duration, seed uint6
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	if iso.HostCPU <= 0 {
-		return iso.HostCPU, con.HostCPU, 0, nil
+	return iso.HostCPU, con.HostCPU, reductionRate(iso.HostCPU, con.HostCPU), nil
+}
+
+// reductionRate is (isolated - contended) / isolated, floored at zero.
+func reductionRate(isolated, contended float64) float64 {
+	if isolated <= 0 || contended > isolated {
+		return 0
 	}
-	red := (iso.HostCPU - con.HostCPU) / iso.HostCPU
-	if red < 0 {
-		red = 0
-	}
-	return iso.HostCPU, con.HostCPU, red, nil
+	return (isolated - contended) / isolated
 }

@@ -336,6 +336,12 @@ func TestSimulatePolicyValidation(t *testing.T) {
 	if _, err := SimulatePolicy(m, bad, PolicyTwoThreshold, 20, 60, time.Minute, 1); err == nil {
 		t.Fatal("invalid proc accepted")
 	}
+	for _, nice := range []int{-1, 20} {
+		rude := []Proc{{Name: "h", IsolatedCPU: 0.5, Nice: nice}}
+		if _, err := SimulatePolicy(m, rude, PolicyTwoThreshold, 20, 60, time.Minute, 1); err == nil {
+			t.Fatalf("host nice %d accepted", nice)
+		}
+	}
 	if _, err := RunE1b(m, []float64{0.5}, 0, time.Minute, 1); err == nil {
 		t.Fatal("zero trials accepted")
 	}

@@ -79,11 +79,15 @@ func (c FedClient) Discover(ctx context.Context) ([]Resource, error) {
 }
 
 // Rank asks the entry peer for a federation-wide TR ranking for a
-// prospective job.
+// prospective job, over the work the job has left (see Scheduler.Rank).
 func (c FedClient) Rank(ctx context.Context, job SubmitReq) (FedRankResp, error) {
 	var resp FedRankResp
-	req := FedRankReq{LengthSeconds: job.WorkSeconds, GuestMemMB: job.MemMB}
-	err := c.Caller.CallRetry(ctx, c.Addr, MsgFedRank, req, &resp, c.timeout())
+	left, err := job.remainingSeconds()
+	if err != nil {
+		return resp, err
+	}
+	req := FedRankReq{LengthSeconds: left, GuestMemMB: job.MemMB}
+	err = c.Caller.CallRetry(ctx, c.Addr, MsgFedRank, req, &resp, c.timeout())
 	return resp, err
 }
 

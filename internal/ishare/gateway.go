@@ -258,14 +258,11 @@ func (g *Gateway) QueryTraces(ctx context.Context, req QueryTracesReq) (QueryTra
 // machine (Section 3.2), so a second submission is rejected while one is
 // active.
 func (g *Gateway) Submit(ctx context.Context, req SubmitReq) (SubmitResp, error) {
-	if req.WorkSeconds <= 0 {
-		return SubmitResp{}, fmt.Errorf("ishare: job needs positive work")
+	if _, err := req.remainingSeconds(); err != nil {
+		return SubmitResp{}, err
 	}
 	if req.MemMB < 0 {
 		return SubmitResp{}, fmt.Errorf("ishare: negative job memory")
-	}
-	if req.InitialProgressSeconds < 0 || req.InitialProgressSeconds >= req.WorkSeconds {
-		return SubmitResp{}, fmt.Errorf("ishare: checkpoint progress out of range")
 	}
 	g.mu.Lock()
 	// Idempotent replay: a client retrying a submit whose ACK was lost

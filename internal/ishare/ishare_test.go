@@ -648,3 +648,40 @@ func TestStateManagerArchiveLiveWinsOnOverlap(t *testing.T) {
 		t.Fatalf("days = %d, want merged 1", len(ds.Machines[0].Days))
 	}
 }
+
+// TestStateManagerPoolsOverlappingDaysOnce: a node restarted over its data
+// dir with its own archive as preloaded history holds the archived days
+// twice. Each date must be pooled once, from the live copy, in date order.
+func TestStateManagerPoolsOverlappingDaysOnce(t *testing.T) {
+	now := monday.AddDate(0, 0, 8).Add(8*time.Hour + 30*time.Minute) // Tuesday week two
+	clock := simclock.NewVirtual(now)
+	pre := historyMachine("lab-01", 5, 9) // Monday to Friday
+	sm, err := NewStateManager("lab-01", period, avail.DefaultConfig(), clock, pre, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The recovered log: Thursday and Friday again, then on to today.
+	for tt := monday.AddDate(0, 0, 3); !tt.After(now); tt = tt.Add(period) {
+		sm.RestoreSample(tt, sample(11, 400))
+	}
+
+	hist := sm.History()
+	if len(hist) != 9 {
+		t.Fatalf("History holds %d days, want 8 distinct completed days + today", len(hist))
+	}
+	for i, d := range hist {
+		if i > 0 && !d.Date.After(hist[i-1].Date) {
+			t.Fatalf("History out of date order or repeated at %d: %v after %v", i, d.Date, hist[i-1].Date)
+		}
+	}
+	if got := hist[3].Samples[0].CPU; got != 11 {
+		t.Fatalf("Thursday came from the preloaded copy (CPU %v), want the live one (11)", got)
+	}
+	resp, err := sm.QueryTR(context.Background(), QueryTRReq{LengthSeconds: 3600})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.HistoryWindows != 6 {
+		t.Fatalf("HistoryWindows = %d, want 6 distinct weekdays", resp.HistoryWindows)
+	}
+}

@@ -173,6 +173,20 @@ type SubmitReq struct {
 	IdempotencyKey string `json:"idempotency_key,omitempty"`
 }
 
+// remainingSeconds is the compute a placement of the job still has to run:
+// its length less the checkpointed progress it resumes from. It is the length
+// a scheduler ranks machines over and the range check a gateway admits a
+// submit by, so a checkpoint no gateway would accept fails before any query.
+func (r SubmitReq) remainingSeconds() (float64, error) {
+	if r.WorkSeconds <= 0 {
+		return 0, fmt.Errorf("ishare: job needs positive work")
+	}
+	if r.InitialProgressSeconds < 0 || r.InitialProgressSeconds >= r.WorkSeconds {
+		return 0, fmt.Errorf("ishare: checkpoint progress out of range")
+	}
+	return r.WorkSeconds - r.InitialProgressSeconds, nil
+}
+
 // SubmitResp acknowledges a launch.
 type SubmitResp struct {
 	JobID string `json:"job_id"`

@@ -169,13 +169,20 @@ func FromRegistryWith(ctx context.Context, caller *Caller, registryAddr string, 
 // Rank queries every candidate's TR for the job and returns them sorted by
 // decreasing reliability, together with one RankFailure per machine that
 // could not be ranked (breaker-open, unreachable, or query rejected). The
-// error is non-nil only when no machine answered at all. Under a sampled
+// window queried is the work the job has left — its length less the
+// checkpointed progress it resumes from — so a migrated job is ranked over
+// what it will actually run. The error is non-nil only when the checkpoint is
+// out of range or no machine answered at all. Under a sampled
 // trace, the ranking runs in a "scheduler.rank" span whose per-machine query
 // spans carry the RPC attempts; machines skipped by an open breaker appear
 // as "breaker-open" span events — no RPC, just the shedding decision.
 func (s *Scheduler) Rank(ctx context.Context, job SubmitReq) ([]Ranked, []RankFailure, error) {
 	if len(s.Candidates) == 0 {
 		return nil, nil, fmt.Errorf("ishare: no candidate machines")
+	}
+	left, err := job.remainingSeconds()
+	if err != nil {
+		return nil, nil, err
 	}
 	ctx, span := otrace.StartSpan(ctx, "scheduler.rank")
 	defer span.End()
@@ -191,7 +198,7 @@ func (s *Scheduler) Rank(ctx context.Context, job SubmitReq) ([]Ranked, []RankFa
 		if qspan != nil {
 			qspan.SetAttr(otrace.String("machine", c.MachineID))
 		}
-		resp, err := c.API.QueryTR(qctx, QueryTRReq{LengthSeconds: job.WorkSeconds, GuestMemMB: job.MemMB})
+		resp, err := c.API.QueryTR(qctx, QueryTRReq{LengthSeconds: left, GuestMemMB: job.MemMB})
 		qspan.SetError(err)
 		if err == nil && qspan != nil {
 			qspan.SetAttr(otrace.Float("tr", resp.TR))

@@ -301,15 +301,34 @@ func (sm *StateManager) CurrentState() avail.State {
 	return sm.curState
 }
 
-// History returns the full day history available for prediction: preloaded
-// days followed by the live-recorded ones.
+// History returns the full day history available for prediction: the
+// preloaded and the live-recorded days, merged chronologically with live data
+// winning on overlap.
 func (sm *StateManager) History() []*trace.Day {
-	var days []*trace.Day
+	var pre []*trace.Day
 	if sm.preloaded != nil {
-		days = append(days, sm.preloaded.Days...)
+		pre = sm.preloaded.Days
 	}
-	days = append(days, sm.recorder.Snapshot().Days...)
-	return days
+	return mergeDays(pre, sm.recorder.Snapshot().Days)
+}
+
+// mergeDays merges two date-ordered day lists into one. A date both lists
+// hold (a node restarted over a data dir with its own archive as preloaded
+// history) is taken from live only: pooled twice, the day would count double
+// in every estimate and halve the distinct days a history bound admits.
+func mergeDays(pre, live []*trace.Day) []*trace.Day {
+	out := make([]*trace.Day, 0, len(pre)+len(live))
+	for _, d := range live {
+		for len(pre) > 0 && pre[0].Date.Before(d.Date) {
+			out = append(out, pre[0])
+			pre = pre[1:]
+		}
+		if len(pre) > 0 && pre[0].Date.Equal(d.Date) {
+			pre = pre[1:]
+		}
+		out = append(out, d)
+	}
+	return append(out, pre...)
 }
 
 // completedDays returns the history days strictly before today, from a
@@ -333,17 +352,14 @@ func (sm *StateManager) completedDays(today time.Time) ([]*trace.Day, []*trace.D
 	}
 	// Rebuild from sealed live days (stable pointers, no clone — the
 	// Snapshot deep copy here was a full-history copy per machine per
-	// rollover, the dominant rollover stall at fleet scale) plus the
-	// preloaded days, both filtered to strictly before today.
-	kept := make([]*trace.Day, 0, live)
+	// rollover, the dominant rollover stall at fleet scale) merged with the
+	// preloaded days, both cut to strictly before today.
+	var pre []*trace.Day
 	if sm.preloaded != nil {
-		for _, d := range sm.preloaded.Days {
-			if d.Date.Before(today) {
-				kept = append(kept, d)
-			}
-		}
+		pre = sm.preloaded.Days
+		pre = pre[:sort.Search(len(pre), func(i int) bool { return !pre[i].Date.Before(today) })]
 	}
-	kept = append(kept, sm.recorder.DaysBefore(today)...)
+	kept := mergeDays(pre, sm.recorder.DaysBefore(today))
 	tt := trace.TypeOfDate(today)
 	typed := make([]*trace.Day, 0, len(kept))
 	for _, d := range kept {
@@ -365,26 +381,8 @@ func (sm *StateManager) completedDays(today time.Time) ([]*trace.Day, []*trace.D
 // everything it ever learned.
 func (sm *StateManager) Archive(path string) error {
 	merged := trace.NewMachine(sm.machineID, sm.period)
-	byDate := map[int64]*trace.Day{}
-	var order []int64
-	add := func(d *trace.Day) {
-		key := d.Date.Unix()
-		if _, seen := byDate[key]; !seen {
-			order = append(order, key)
-		}
-		byDate[key] = d
-	}
-	if sm.preloaded != nil {
-		for _, d := range sm.preloaded.Days {
-			add(d)
-		}
-	}
-	for _, d := range sm.recorder.Snapshot().Days {
-		add(d)
-	}
-	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
-	for _, key := range order {
-		if err := merged.AddDay(byDate[key]); err != nil {
+	for _, d := range sm.History() {
+		if err := merged.AddDay(d); err != nil {
 			return err
 		}
 	}
@@ -402,25 +400,13 @@ func (sm *StateManager) QueryTR(ctx context.Context, req QueryTRReq) (QueryTRRes
 	}
 	ctx, span := otrace.StartSpan(ctx, "state.query-tr")
 	defer span.End()
-	now := sm.clock.Now().UTC()
+	now := sm.clock.Now()
 	cur := sm.CurrentState()
 	if !cur.Recoverable() {
 		span.AddEvent("unrecoverable-state", otrace.String("state", cur.String()))
 		return QueryTRResp{TR: 0, CurrentState: cur.String()}, nil
 	}
-	midnight := time.Date(now.Year(), now.Month(), now.Day(), 0, 0, 0, 0, time.UTC)
-	start := now.Sub(midnight).Truncate(sm.period)
-	length := time.Duration(req.LengthSeconds * float64(time.Second)).Truncate(sm.period)
-	if length < sm.period {
-		length = sm.period
-	}
-	// Clip to midnight: the day-structured estimator pools same-clock
-	// windows, which do not wrap (windows beyond midnight would mix day
-	// types).
-	if start+length > 24*time.Hour {
-		length = 24*time.Hour - start
-	}
-	w := predict.Window{Start: start, Length: length}
+	midnight, w := predict.WindowAt(now, time.Duration(req.LengthSeconds*float64(time.Second)), sm.period)
 
 	cfg := sm.cfg
 	if req.GuestMemMB > 0 {

@@ -430,3 +430,76 @@ func TestSupervisorSustainedUnreachabilityMigrates(t *testing.T) {
 		t.Fatalf("TransientErrors = %d, want 1", run.TransientErrors)
 	}
 }
+
+// recordingAPI is a scripted GatewayAPI: it answers every TR query with tr
+// and records the length it was asked about, accepts every submit and
+// records its checkpoint, and reports the statuses in order, one per poll.
+type recordingAPI struct {
+	GatewayAPI // Kill is never called
+	tr         float64
+	statuses   []JobStatusResp
+	queried    []float64
+	resumed    []float64
+}
+
+func (r *recordingAPI) QueryTR(_ context.Context, req QueryTRReq) (QueryTRResp, error) {
+	r.queried = append(r.queried, req.LengthSeconds)
+	return QueryTRResp{TR: r.tr, CurrentState: "S1"}, nil
+}
+
+func (r *recordingAPI) Submit(_ context.Context, req SubmitReq) (SubmitResp, error) {
+	r.resumed = append(r.resumed, req.InitialProgressSeconds)
+	return SubmitResp{JobID: fmt.Sprintf("job-%d", len(r.resumed))}, nil
+}
+
+func (r *recordingAPI) JobStatus(_ context.Context, req JobStatusReq) (JobStatusResp, error) {
+	st := r.statuses[0]
+	r.statuses = r.statuses[1:]
+	st.JobID = req.JobID
+	return st, nil
+}
+
+// TestSupervisorRanksMigrationOverRemainingWork: a job killed 400 s into
+// 1000 s of work is re-placed with its checkpoint, so the second ranking must
+// ask every machine about the 600 s that are left, not the full length.
+func TestSupervisorRanksMigrationOverRemainingWork(t *testing.T) {
+	first := &recordingAPI{tr: 0.9, statuses: []JobStatusResp{
+		{State: "killed", Reason: "host CPU load steadily above Th2 (UEC, S3)", ProgressSeconds: 400, WorkSeconds: 1000},
+		{State: "completed", ProgressSeconds: 1000, WorkSeconds: 1000},
+	}}
+	second := &recordingAPI{tr: 0.5}
+	sched := &Scheduler{Candidates: []Candidate{{MachineID: "first", API: first}, {MachineID: "second", API: second}}}
+	sv := &Supervisor{Sched: sched, Clock: &stepClock{now: time.Date(2005, 9, 2, 8, 0, 0, 0, time.UTC)}, PollInterval: period}
+	run, err := sv.Run(context.Background(), SubmitReq{Name: "job", WorkSeconds: 1000, MemMB: 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !run.Completed() || run.Migrations != 1 {
+		t.Fatalf("run = %+v, want one migration to completion", run)
+	}
+	for _, api := range []*recordingAPI{first, second} {
+		if len(api.queried) != 2 || api.queried[0] != 1000 || api.queried[1] != 600 {
+			t.Fatalf("query-tr lengths = %v, want [1000 600]", api.queried)
+		}
+	}
+	if len(first.resumed) != 2 || first.resumed[1] != 400 {
+		t.Fatalf("submitted checkpoints = %v, want [0 400]", first.resumed)
+	}
+
+	// A checkpoint no gateway's Submit would admit fails before any query.
+	for _, bad := range []SubmitReq{
+		{WorkSeconds: 100, InitialProgressSeconds: 100},
+		{WorkSeconds: 100, InitialProgressSeconds: -1},
+		{WorkSeconds: 0},
+	} {
+		if _, _, err := sched.Rank(context.Background(), bad); err == nil {
+			t.Errorf("Scheduler.Rank accepted %+v", bad)
+		}
+		if _, err := (FedClient{}).Rank(context.Background(), bad); err == nil {
+			t.Errorf("FedClient.Rank accepted %+v", bad)
+		}
+	}
+	if len(first.queried) != 2 {
+		t.Fatalf("out-of-range checkpoints were queried: %v", first.queried)
+	}
+}

@@ -52,6 +52,25 @@ func (w Window) Validate() error {
 	return nil
 }
 
+// WindowAt places a job of the given length starting at wall-clock time t on
+// its day: it returns the UTC midnight of that day and the window from t
+// (truncated to the period) over the job's length (truncated to the period,
+// at least one period). A window that would cross midnight is clipped there:
+// the day-structured estimator pools same-clock windows, which do not wrap
+// (windows beyond midnight would mix day types).
+func WindowAt(t time.Time, length, period time.Duration) (time.Time, Window) {
+	t = t.UTC()
+	midnight := time.Date(t.Year(), t.Month(), t.Day(), 0, 0, 0, 0, time.UTC)
+	w := Window{Start: t.Sub(midnight).Truncate(period), Length: length.Truncate(period)}
+	if w.Length < period {
+		w.Length = period
+	}
+	if w.Start+w.Length > 24*time.Hour {
+		w.Length = 24*time.Hour - w.Start
+	}
+	return midnight, w
+}
+
 // Units converts the window length into discretization intervals of the
 // given period (d in the paper; equal to the monitoring period).
 func (w Window) Units(period time.Duration) int {

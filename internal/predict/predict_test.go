@@ -82,6 +82,53 @@ func TestWindowStringAndUnits(t *testing.T) {
 	}
 }
 
+// TestWindowAtMatchesTheTwoClipsItReplaced checks WindowAt against the
+// arithmetic StateManager.QueryTR and core.TRAt each carried before it
+// existed (the two were the same formula), at the edges of the day.
+func TestWindowAtMatchesTheTwoClipsItReplaced(t *testing.T) {
+	const period = 6 * time.Second
+	reference := func(now time.Time, length time.Duration) (time.Time, Window) {
+		now = now.UTC()
+		midnight := time.Date(now.Year(), now.Month(), now.Day(), 0, 0, 0, 0, time.UTC)
+		start := now.Sub(midnight).Truncate(period)
+		length = length.Truncate(period)
+		if length < period {
+			length = period
+		}
+		if start+length > 24*time.Hour {
+			length = 24*time.Hour - start
+		}
+		return midnight, Window{Start: start, Length: length}
+	}
+	day := time.Date(2005, 9, 2, 0, 0, 0, 0, time.UTC)
+	for _, tc := range []struct {
+		at     time.Duration
+		length time.Duration
+		want   Window
+	}{
+		{0, 2 * time.Hour, Window{0, 2 * time.Hour}},
+		{0, 25 * time.Hour, Window{0, 24 * time.Hour}},
+		{23*time.Hour + 54*time.Minute, time.Hour, Window{23*time.Hour + 54*time.Minute, 6 * time.Minute}},
+		{23*time.Hour + 59*time.Minute + 59*time.Second, time.Hour, Window{24*time.Hour - period, period}},
+		{10 * time.Hour, 3 * time.Second, Window{10 * time.Hour, period}},
+		{10*time.Hour + 5*time.Second, 20 * time.Second, Window{10 * time.Hour, 18 * time.Second}},
+		{22 * time.Hour, 25 * time.Hour, Window{22 * time.Hour, 2 * time.Hour}},
+	} {
+		for _, loc := range []*time.Location{time.UTC, time.FixedZone("west", -5*3600)} {
+			now := day.Add(tc.at).In(loc)
+			midnight, w := WindowAt(now, tc.length, period)
+			refMidnight, refW := reference(now, tc.length)
+			if !midnight.Equal(day) || w != tc.want || !midnight.Equal(refMidnight) || w != refW {
+				t.Errorf("WindowAt(%v, %v) = %v, %v; want %v, %v (reference %v, %v)",
+					now, tc.length, midnight, w, day, tc.want, refMidnight, refW)
+			}
+			if err := w.Validate(); err != nil {
+				t.Errorf("WindowAt(%v, %v) = %v: %v", now, tc.length, w, err)
+			}
+		}
+	}
+}
+
 func TestSMPPredictDeterministicFailureRate(t *testing.T) {
 	// 10 history days; on 4 of them the machine fails at 9:00 within the
 	// 8:00-10:00 window. Predicted TR for that window should be ~0.6.
