@@ -4,7 +4,7 @@ GO ?= go
 BENCH_GATE = BenchmarkEngineCachedVsCold|BenchmarkPredictBatchParallel|BenchmarkEnginePredictTracing|BenchmarkQueryTRTracing|BenchmarkQueryTREnsemble|BenchmarkWALAppend|BenchmarkRecover
 FUZZTIME ?= 20s
 
-.PHONY: build test race vet lint loc cover bench benchstat benchbase bench-serve bench-serve-base bench-serve-wal bench-fleet bench-fleet-base fuzz golden golden-update chaos crash
+.PHONY: build test race vet lint loc dead cover bench benchstat benchbase bench-serve bench-serve-base bench-serve-wal bench-fleet bench-fleet-base fuzz golden golden-update chaos crash
 
 build:
 	$(GO) build ./...
@@ -44,6 +44,30 @@ lint:
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs cat | wc -l | xargs echo 'non-test Go lines:'
 	@$(GO) run ./cmd/doccheck | grep 'exported symbols'
+
+# The third size number: functions declared under internal/ that the linker
+# keeps in none of the commands, the examples or the bench binary (built with
+# inlining off, so a function that is only ever inlined still shows). Test
+# harness (faultnet, CrashFS, wiretest, simclock's test hooks) is in the count
+# by design; the list is left in $(DEAD)/unreached.txt.
+DEAD = .bench_build/dead
+dead:
+	@rm -rf $(DEAD) && mkdir -p $(DEAD)/bin
+	@$(GO) build -gcflags=all=-l -o $(DEAD)/bin/ ./cmd/... ./examples/...
+	@$(GO) -C bench build -gcflags=all=-l -o ../$(DEAD)/bin/bench .
+	@for b in $(DEAD)/bin/*; do $(GO) tool nm $$b; done \
+		| sed -nE 's/^ *[0-9a-f]+ +[A-Za-z] +(fgcs\/internal\/[^[]*).*/\1/p' \
+		| sed -E 's/(\.func[0-9]+|\.gowrap[0-9]+|\.deferwrap[0-9]+|-fm|\.[0-9]+)+$$//' \
+		| sort -u > $(DEAD)/linked.txt
+	@for f in $$(find internal -name '*.go' ! -name '*_test.go'); do \
+		sed -nE -e 's/\[[^]]*\]//g' \
+			-e 's/^func \(([A-Za-z_0-9]+ )?\*([A-Za-z_0-9]+)\) ([A-Za-z_0-9]+).*/(*\2).\3/p;t' \
+			-e 's/^func \(([A-Za-z_0-9]+ )?([A-Za-z_0-9]+)\) ([A-Za-z_0-9]+).*/\2.\3/p;t' \
+			-e 's/^func ([A-Za-z_0-9]+).*/\1/p' $$f | sed "s|^|fgcs/$$(dirname $$f).|"; \
+	done | sort -u > $(DEAD)/declared.txt
+	@comm -23 $(DEAD)/declared.txt $(DEAD)/linked.txt > $(DEAD)/unreached.txt
+	@$(MAKE) -s loc
+	@echo "unreached internal functions: $$(wc -l < $(DEAD)/unreached.txt) of $$(wc -l < $(DEAD)/declared.txt) declared ($(DEAD)/unreached.txt)"
 
 # Per-package statement coverage summary.
 cover:

@@ -232,18 +232,7 @@ func run(cl client, cmd string, args []string) error {
 				if err != nil {
 					return err
 				}
-				fmt.Printf("federation entry %s ranked %d machine(s)\n", ranking.Entry, len(ranking.Ranked))
-				fmt.Printf("%-12s %-8s %-8s %s\n", "machine", "TR", "state", "history")
-				for _, r := range ranking.Ranked {
-					fmt.Printf("%-12s %-8.4f %-8s %d days\n", r.MachineID, r.TR, r.CurrentState, r.HistoryWindows)
-				}
-				for _, f := range ranking.Failures {
-					kind := "rejected"
-					if f.Transient {
-						kind = "unreachable"
-					}
-					fmt.Printf("%-12s %-8s %v\n", f.MachineID, kind, f.Err)
-				}
+				printRanking(ranking)
 				return nil
 			}
 			best, resp, err := fc.SubmitBest(ctx, job)
@@ -265,17 +254,16 @@ func run(cl client, cmd string, args []string) error {
 			if err != nil {
 				return err
 			}
-			fmt.Printf("%-12s %-8s %-8s %s\n", "machine", "TR", "state", "history")
+			var ranking ishare.FedRankResp // the shape printRanking takes; no entry peer
 			for _, r := range ranked {
-				fmt.Printf("%-12s %-8.4f %-8s %d days\n", r.MachineID, r.TR, r.CurrentState, r.HistoryWindows)
+				ranking.Ranked = append(ranking.Ranked, ishare.FedRanked{
+					MachineID: r.MachineID, TR: r.TR, HistoryWindows: r.HistoryWindows, CurrentState: r.CurrentState})
 			}
 			for _, f := range fails {
-				kind := "rejected"
-				if f.Transient() {
-					kind = "unreachable"
-				}
-				fmt.Printf("%-12s %-8s %v\n", f.MachineID, kind, f.Err)
+				ranking.Failures = append(ranking.Failures, ishare.FedRankFailure{
+					MachineID: f.MachineID, Err: f.Err.Error(), Transient: f.Transient()})
 			}
+			printRanking(ranking)
 			return nil
 		}
 		best, resp, err := sched.SubmitBest(ctx, job)
@@ -358,12 +346,7 @@ func run(cl client, cmd string, args []string) error {
 				return fmt.Errorf("peer %s returned no fleet view (not a federation peer?)", resp.Peer)
 			}
 			if *asJSON {
-				out, err := json.MarshalIndent(resp.Fleet, "", "  ")
-				if err != nil {
-					return err
-				}
-				fmt.Println(string(out))
-				return nil
+				return printJSON(resp.Fleet)
 			}
 			printFleet(resp.Peer, resp.Fleet)
 			return nil
@@ -374,12 +357,7 @@ func run(cl client, cmd string, args []string) error {
 			return err
 		}
 		if *asJSON {
-			out, err := json.MarshalIndent(st, "", "  ")
-			if err != nil {
-				return err
-			}
-			fmt.Println(string(out))
-			return nil
+			return printJSON(st)
 		}
 		printStats(st)
 		if *verbose {
@@ -413,12 +391,7 @@ func run(cl client, cmd string, args []string) error {
 			alerts = alerts[len(alerts)-*limit:]
 		}
 		if *asJSON {
-			out, err := json.MarshalIndent(alerts, "", "  ")
-			if err != nil {
-				return err
-			}
-			fmt.Println(string(out))
-			return nil
+			return printJSON(alerts)
 		}
 		fmt.Printf("node %s: %d alert(s) retained\n", resp.Peer, len(po.Alerts))
 		printAlerts(alerts)
@@ -446,17 +419,41 @@ func run(cl client, cmd string, args []string) error {
 			return err
 		}
 		if *asJSON {
-			out, err := json.MarshalIndent(resp, "", "  ")
-			if err != nil {
-				return err
-			}
-			fmt.Println(string(out))
-			return nil
+			return printJSON(resp)
 		}
 		printTraces(resp, otrace.RenderOptions{Timings: *timings})
 		return nil
 	default:
 		return fmt.Errorf("unknown command %q", cmd)
+	}
+}
+
+// printJSON writes v to stdout as indented JSON (the -json form of a command).
+func printJSON(v interface{}) error {
+	out, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return err
+	}
+	fmt.Println(string(out))
+	return nil
+}
+
+// printRanking renders a TR ranking, best machine first, then the machines
+// that could not be ranked; Entry is set when a federation peer produced it.
+func printRanking(ranking ishare.FedRankResp) {
+	if ranking.Entry != "" {
+		fmt.Printf("federation entry %s ranked %d machine(s)\n", ranking.Entry, len(ranking.Ranked))
+	}
+	fmt.Printf("%-12s %-8s %-8s %s\n", "machine", "TR", "state", "history")
+	for _, r := range ranking.Ranked {
+		fmt.Printf("%-12s %-8.4f %-8s %d days\n", r.MachineID, r.TR, r.CurrentState, r.HistoryWindows)
+	}
+	for _, f := range ranking.Failures {
+		kind := "rejected"
+		if f.Transient {
+			kind = "unreachable"
+		}
+		fmt.Printf("%-12s %-8s %v\n", f.MachineID, kind, f.Err)
 	}
 }
 

@@ -56,6 +56,7 @@ import (
 	"fgcs/internal/monitor"
 	"fgcs/internal/obs"
 	"fgcs/internal/otrace"
+	"fgcs/internal/simclock"
 	"fgcs/internal/trace"
 )
 
@@ -156,6 +157,15 @@ type runConfig struct {
 	serveCfg ishare.ServerConfig
 }
 
+// tracer builds the served-request tracer over the flight recorder, or nil
+// (tracing off) at -trace-sample 0.
+func (rc runConfig) tracer() *otrace.Tracer {
+	if rc.traceSample <= 0 {
+		return nil
+	}
+	return otrace.New(otrace.Config{SampleRate: rc.traceSample, Seed: rc.traceSeed, Recorder: rc.flight})
+}
+
 // obsDrainTimeout bounds how long shutdown waits for in-flight /metrics,
 // pprof and /traces responses to finish before closing the listener.
 const obsDrainTimeout = 5 * time.Second
@@ -166,9 +176,12 @@ const obsDrainTimeout = 5 * time.Second
 // recorder's /traces endpoints on a mux of its own, so profiling never
 // shares a port with the gateway protocol. The server carries read/write
 // timeouts (a stuck scraper cannot pin a connection open forever) and is
-// returned so shutdown can drain it cleanly.
-func serveObs(addr string, o *ishare.NodeObs, flight *otrace.Recorder, logger *slog.Logger,
-	ready func() error, fleet func(*http.Request) (*obs.FleetSnapshot, error)) (*http.Server, net.Listener, error) {
+// returned so shutdown can drain it cleanly; without -obs-addr it is nil.
+func serveObs(rc runConfig, o *ishare.NodeObs, logger *slog.Logger,
+	ready func() error, fleet func(*http.Request) (*obs.FleetSnapshot, error)) (*http.Server, error) {
+	if rc.obsAddr == "" {
+		return nil, nil
+	}
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", obs.FleetHandler(o.Registry, o.Tracker, fleet))
 	mux.Handle("/healthz", obs.HealthHandler())
@@ -179,12 +192,12 @@ func serveObs(addr string, o *ishare.NodeObs, flight *otrace.Recorder, logger *s
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	traces := otrace.HTTPHandler(flight)
+	traces := otrace.HTTPHandler(rc.flight)
 	mux.Handle("/traces", traces)
 	mux.Handle("/traces/", traces)
-	ln, err := net.Listen("tcp", addr)
+	ln, err := net.Listen("tcp", rc.obsAddr)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	srv := &http.Server{
 		Handler: mux,
@@ -200,7 +213,34 @@ func serveObs(addr string, o *ishare.NodeObs, flight *otrace.Recorder, logger *s
 			logger.Error("obs server stopped", slog.String("err", err.Error()))
 		}
 	}()
-	return srv, ln, nil
+	logger.Info("observability listening",
+		slog.String("addr", ln.Addr().String()),
+		slog.String("endpoints", "/metrics /healthz /readyz /alerts /debug/pprof/ /traces"))
+	return srv, nil
+}
+
+// awaitShutdown is the tail every mode ends on: block until SIGINT or
+// SIGTERM, drain the obs endpoint, flush the mode's durable state (flush is
+// nil without -data-dir) and save the flight recorder for the next boot.
+func awaitShutdown(rc runConfig, logger *slog.Logger, obsSrv *http.Server, flush func() error) error {
+	waitForSignal(rc.logger)
+	if obsSrv != nil {
+		// Drain in-flight /metrics, pprof and /traces responses before the
+		// listener closes, so a scrape racing the SIGTERM completes.
+		ctx, cancel := context.WithTimeout(context.Background(), obsDrainTimeout)
+		if err := obsSrv.Shutdown(ctx); err != nil {
+			logger.Warn("obs drain incomplete", slog.String("err", err.Error()))
+		}
+		cancel()
+	}
+	if flush != nil {
+		if err := flush(); err != nil {
+			return fmt.Errorf("final durable snapshot: %w", err)
+		}
+		logger.Info("durable state flushed", slog.String("dir", rc.dataDir))
+	}
+	saveFlight(rc, logger)
+	return nil
 }
 
 // setupObsOps installs the -slo monitors, bridges every fired alert into a
@@ -230,20 +270,7 @@ func setupObsOps(o *ishare.NodeObs, sloSpecs string, every time.Duration, logger
 	if every <= 0 {
 		return func() {}, nil
 	}
-	done := make(chan struct{})
-	go func() {
-		t := time.NewTicker(every)
-		defer t.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case now := <-t.C:
-				o.StepObs(now)
-			}
-		}
-	}()
-	return func() { close(done) }, nil
+	return ishare.StartLoop(simclock.Real{}, every, func() { o.StepObs(time.Now()) }), nil
 }
 
 // flightFile is the persisted flight-recorder snapshot inside -data-dir.
@@ -358,13 +385,7 @@ func runFed(rc runConfig) error {
 	}
 	fedLogger := rc.logger.With(slog.String("peer", self.ID))
 	nodeObs := ishare.NewNodeObs()
-	if rc.traceSample > 0 {
-		nodeObs.SetTracing(otrace.New(otrace.Config{
-			SampleRate: rc.traceSample,
-			Seed:       rc.traceSeed,
-			Recorder:   rc.flight,
-		}))
-	}
+	nodeObs.SetTracing(rc.tracer())
 	// Peer hops and machine proxying share one retried caller; the breaker
 	// set quarantines dead peers so routing skips them without burning a
 	// dial timeout per request.
@@ -421,17 +442,11 @@ func runFed(rc runConfig) error {
 		stop := gw.StartSync(rc.syncEvery)
 		defer stop()
 	}
-	var obsSrv *http.Server
-	if rc.obsAddr != "" {
-		fleet := func(req *http.Request) (*obs.FleetSnapshot, error) {
-			return gw.FleetObs(req.Context()), nil
-		}
-		httpSrv, ln, err := serveObs(rc.obsAddr, nodeObs, rc.flight, fedLogger, gw.Ready, fleet)
-		if err != nil {
-			return err
-		}
-		obsSrv = httpSrv
-		fedLogger.Info("observability listening", slog.String("addr", ln.Addr().String()))
+	obsSrv, err := serveObs(rc, nodeObs, fedLogger, gw.Ready, func(req *http.Request) (*obs.FleetSnapshot, error) {
+		return gw.FleetObs(req.Context()), nil
+	})
+	if err != nil {
+		return err
 	}
 	fedLogger.Info("federation peer up",
 		slog.String("addr", srv.Addr()),
@@ -439,22 +454,11 @@ func runFed(rc runConfig) error {
 		slog.Int("vnodes", rc.vnodes),
 		slog.Int("replicas", gw.RingStats().Replicas), // what the ring uses: capped at peers-1
 		slog.Duration("sync_every", rc.syncEvery))
-	waitForSignal(rc.logger)
-	if obsSrv != nil {
-		ctx, cancel := context.WithTimeout(context.Background(), obsDrainTimeout)
-		if err := obsSrv.Shutdown(ctx); err != nil {
-			fedLogger.Warn("obs drain incomplete", slog.String("err", err.Error()))
-		}
-		cancel()
-	}
+	var flush func() error
 	if persist != nil {
-		if err := persist.Flush(); err != nil {
-			return fmt.Errorf("final shard snapshot: %w", err)
-		}
-		fedLogger.Info("durable state flushed", slog.String("dir", rc.dataDir))
+		flush = persist.Flush
 	}
-	saveFlight(rc, fedLogger)
-	return nil
+	return awaitShutdown(rc, fedLogger, obsSrv, flush)
 }
 
 func run(rc runConfig) error {
@@ -538,13 +542,7 @@ func run(rc runConfig) error {
 	}
 	defer stopObsOps()
 	loadPrevFlight(rc, node.Obs(), nodeLogger)
-	if rc.traceSample > 0 {
-		node.Obs().SetTracing(otrace.New(otrace.Config{
-			SampleRate: rc.traceSample,
-			Seed:       rc.traceSeed,
-			Recorder:   rc.flight,
-		}))
-	}
+	node.Obs().SetTracing(rc.tracer())
 	srv, err := node.Gateway.ServeConfig(listen, rc.serveCfg)
 	if err != nil {
 		return err
@@ -560,16 +558,9 @@ func run(rc runConfig) error {
 		}
 		return nil
 	}
-	var obsSrv *http.Server
-	if rc.obsAddr != "" {
-		httpSrv, ln, err := serveObs(rc.obsAddr, node.Obs(), rc.flight, nodeLogger, readyCheck, nil)
-		if err != nil {
-			return err
-		}
-		obsSrv = httpSrv
-		nodeLogger.Info("observability listening",
-			slog.String("addr", ln.Addr().String()),
-			slog.String("endpoints", "/metrics /healthz /readyz /alerts /debug/pprof/ /traces"))
+	obsSrv, err := serveObs(rc, node.Obs(), nodeLogger, readyCheck, nil)
+	if err != nil {
+		return err
 	}
 	if registry != "" {
 		// Registration failures here are fatal (the operator asked to
@@ -598,31 +589,25 @@ func run(rc runConfig) error {
 			slog.Duration("ttl", rc.ttl), slog.Duration("heartbeat_every", rc.hbEvery))
 	}
 	if archive != "" {
-		stop := make(chan struct{})
-		defer close(stop)
-		go func() {
-			for {
-				select {
-				case <-stop:
-					return
-				case <-time.After(archiveEvery):
-					if err := node.SM.Archive(archive); err != nil {
-						nodeLogger.Error("archive failed",
-							slog.String("component", "archiver"), slog.String("err", err.Error()))
-					}
-				}
+		stop := ishare.StartLoop(simclock.Real{}, archiveEvery, func() {
+			if err := node.SM.Archive(archive); err != nil {
+				nodeLogger.Error("archive failed",
+					slog.String("component", "archiver"), slog.String("err", err.Error()))
 			}
-		}()
+		})
+		defer stop()
 	}
-	waitForSignal(logger)
-	if obsSrv != nil {
-		// Drain in-flight /metrics, pprof and /traces responses before the
-		// listener closes, so a scrape racing the SIGTERM completes.
-		ctx, cancel := context.WithTimeout(context.Background(), obsDrainTimeout)
-		if err := obsSrv.Shutdown(ctx); err != nil {
-			nodeLogger.Warn("obs drain incomplete", slog.String("err", err.Error()))
+	var flush func() error
+	if node.Persist != nil {
+		flush = func() error {
+			// Stop the monitor before the final snapshot so no sample lands
+			// between snapshot and close; the next boot then replays nothing.
+			node.Stop()
+			return node.Persist.Flush()
 		}
-		cancel()
+	}
+	if err := awaitShutdown(rc, nodeLogger, obsSrv, flush); err != nil {
+		return err
 	}
 	if archive != "" {
 		if err := node.SM.Archive(archive); err != nil {
@@ -630,16 +615,6 @@ func run(rc runConfig) error {
 		}
 		nodeLogger.Info("history archived", slog.String("path", archive))
 	}
-	if node.Persist != nil {
-		// Stop the monitor before the final snapshot so no sample lands
-		// between snapshot and close; the next boot then replays nothing.
-		node.Stop()
-		if err := node.Persist.Flush(); err != nil {
-			return fmt.Errorf("final durable snapshot: %w", err)
-		}
-		nodeLogger.Info("durable state flushed", slog.String("dir", rc.dataDir))
-	}
-	saveFlight(rc, nodeLogger)
 	return nil
 }
 

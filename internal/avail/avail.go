@@ -234,11 +234,6 @@ type Sojourn struct {
 	Units int
 }
 
-// Duration converts the holding time back to wall time.
-func (s Sojourn) Duration(period time.Duration) time.Duration {
-	return time.Duration(s.Units) * period
-}
-
 // ExtractSojourns compresses the classified window into a sequence of
 // sojourns, stopping after the first failure state: S3, S4 and S5 are
 // unrecoverable for a guest job, so the semi-Markov process is absorbed

@@ -193,9 +193,6 @@ func TestExtractSojournsAbsorbsAtFirstFailure(t *testing.T) {
 			t.Fatalf("sojourn %d = %v, want %v", i, sojs[i], want[i])
 		}
 	}
-	if sojs[2].Duration(period) != 90*time.Second {
-		t.Fatalf("Duration = %v", sojs[2].Duration(period))
-	}
 }
 
 func TestWindowSurvives(t *testing.T) {

@@ -37,8 +37,9 @@ const segHeaderLen = 4 + 1 + 8
 // Append rejects it.
 const recSeal = 0xFF
 
-// DefaultMaxRecordBytes caps one record's frame; reads treat larger claimed
-// lengths as corruption rather than allocating from untrusted input.
+// DefaultMaxRecordBytes caps one record's frame in a Store: Append refuses a
+// larger record, and reads treat larger claimed lengths as corruption rather
+// than allocating from untrusted input.
 const DefaultMaxRecordBytes = 1 << 20
 
 // castagnoli is the CRC32C table shared by all framing.

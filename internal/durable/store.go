@@ -42,8 +42,6 @@ type Config struct {
 	// SegmentBytes rotates the active segment once it exceeds this size
 	// (0 = 4 MiB).
 	SegmentBytes int64
-	// MaxRecordBytes caps a single record frame (0 = DefaultMaxRecordBytes).
-	MaxRecordBytes int
 	// KeepSnapshots retains this many newest snapshots; older ones and the
 	// segments only they need are pruned after each successful snapshot
 	// (0 = 2).
@@ -111,9 +109,6 @@ func Open(cfg Config) (*Store, *Recovery, error) {
 	}
 	if cfg.SegmentBytes <= 0 {
 		cfg.SegmentBytes = 4 << 20
-	}
-	if cfg.MaxRecordBytes <= 0 {
-		cfg.MaxRecordBytes = DefaultMaxRecordBytes
 	}
 	if cfg.KeepSnapshots <= 0 {
 		cfg.KeepSnapshots = 2
@@ -199,7 +194,7 @@ func Open(cfg Config) (*Store, *Recovery, error) {
 		if rec.SnapshotPayload != nil && seq == rec.SnapshotSeq {
 			from = rec.SnapshotOffset
 		}
-		sc, err := ReadSegment(data, last, cfg.MaxRecordBytes, func(off int64, r Record) error {
+		sc, err := ReadSegment(data, last, DefaultMaxRecordBytes, func(off int64, r Record) error {
 			if off >= from {
 				rec.Records = append(rec.Records, Record{Type: r.Type, Payload: append([]byte(nil), r.Payload...)})
 			}
@@ -302,8 +297,8 @@ func (st *Store) Append(typ byte, payload []byte) error {
 	if typ == recSeal {
 		return fmt.Errorf("durable: record type %#x is reserved", typ)
 	}
-	if 1+len(payload) > st.cfg.MaxRecordBytes {
-		return fmt.Errorf("durable: record of %d bytes exceeds cap %d", len(payload), st.cfg.MaxRecordBytes)
+	if 1+len(payload) > DefaultMaxRecordBytes {
+		return fmt.Errorf("durable: record of %d bytes exceeds cap %d", len(payload), DefaultMaxRecordBytes)
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()

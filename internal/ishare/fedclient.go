@@ -20,19 +20,10 @@ type FedClient struct {
 	Caller  *Caller
 }
 
-func (c FedClient) timeout() time.Duration {
-	if c.Timeout <= 0 {
-		return 5 * time.Second
-	}
-	return c.Timeout
-}
-
 // QueryTR asks the federation for the named machine's temporal
 // reliability. Idempotent: retried under the caller's policy.
 func (c FedClient) QueryTR(ctx context.Context, machine string, req QueryTRReq) (QueryTRResp, error) {
-	var resp QueryTRResp
-	err := c.Caller.CallRetry(ctx, c.Addr, MsgFedQueryTR, FedQueryTRReq{Machine: machine, Query: req}, &resp, c.timeout())
-	return resp, err
+	return rpc[QueryTRResp](ctx, c.Caller, c.Addr, MsgFedQueryTR, FedQueryTRReq{Machine: machine, Query: req}, c.Timeout, true)
 }
 
 // Submit launches a guest job on the named machine through the
@@ -41,54 +32,37 @@ func (c FedClient) QueryTR(ctx context.Context, machine string, req QueryTRReq) 
 // is replay-safe across the client hop, the peer hop, and the machine
 // hop; without retries it gets a single attempt.
 func (c FedClient) Submit(ctx context.Context, machine string, req SubmitReq) (SubmitResp, error) {
-	var resp SubmitResp
-	fed := FedSubmitReq{Machine: machine, Job: req}
-	if c.Caller != nil && c.Caller.Retry.MaxAttempts > 1 {
-		if fed.Job.IdempotencyKey == "" {
-			fed.Job.IdempotencyKey = c.Caller.NextKey("fed/" + machine)
-		}
-		err := c.Caller.CallRetry(ctx, c.Addr, MsgFedSubmit, fed, &resp, c.timeout())
-		return resp, err
-	}
-	err := c.Caller.Call(ctx, c.Addr, MsgFedSubmit, fed, &resp, c.timeout())
-	return resp, err
+	retry := c.Caller.keyed(&req, "fed/"+machine)
+	return rpc[SubmitResp](ctx, c.Caller, c.Addr, MsgFedSubmit, FedSubmitReq{Machine: machine, Job: req}, c.Timeout, retry)
 }
 
 // JobStatus queries a job on the named machine. Idempotent: retried under
 // the caller's policy.
 func (c FedClient) JobStatus(ctx context.Context, machine string, req JobStatusReq) (JobStatusResp, error) {
-	var resp JobStatusResp
-	err := c.Caller.CallRetry(ctx, c.Addr, MsgFedJobStatus, FedJobReq{Machine: machine, Job: req}, &resp, c.timeout())
-	return resp, err
+	return rpc[JobStatusResp](ctx, c.Caller, c.Addr, MsgFedJobStatus, FedJobReq{Machine: machine, Job: req}, c.Timeout, true)
 }
 
 // Kill terminates a job on the named machine. Single attempt end to end
 // (see FedGateway.FedKill); confirm a lost ACK with JobStatus.
 func (c FedClient) Kill(ctx context.Context, machine string, req JobStatusReq) (JobStatusResp, error) {
-	var resp JobStatusResp
-	err := c.Caller.Call(ctx, c.Addr, MsgFedKill, FedJobReq{Machine: machine, Job: req}, &resp, c.timeout())
-	return resp, err
+	return rpc[JobStatusResp](ctx, c.Caller, c.Addr, MsgFedKill, FedJobReq{Machine: machine, Job: req}, c.Timeout, false)
 }
 
 // Discover lists every machine registered anywhere in the federation (the
 // entry peer merges all reachable shards).
 func (c FedClient) Discover(ctx context.Context) ([]Resource, error) {
-	var resp DiscoverResp
-	err := c.Caller.CallRetry(ctx, c.Addr, MsgDiscover, DiscoverReq{}, &resp, c.timeout())
+	resp, err := rpc[DiscoverResp](ctx, c.Caller, c.Addr, MsgDiscover, DiscoverReq{}, c.Timeout, true)
 	return resp.Resources, err
 }
 
 // Rank asks the entry peer for a federation-wide TR ranking for a
 // prospective job, over the work the job has left (see Scheduler.Rank).
 func (c FedClient) Rank(ctx context.Context, job SubmitReq) (FedRankResp, error) {
-	var resp FedRankResp
 	left, err := job.remainingSeconds()
 	if err != nil {
-		return resp, err
+		return FedRankResp{}, err
 	}
-	req := FedRankReq{LengthSeconds: left, GuestMemMB: job.MemMB}
-	err = c.Caller.CallRetry(ctx, c.Addr, MsgFedRank, req, &resp, c.timeout())
-	return resp, err
+	return rpc[FedRankResp](ctx, c.Caller, c.Addr, MsgFedRank, FedRankReq{LengthSeconds: left, GuestMemMB: job.MemMB}, c.Timeout, true)
 }
 
 // SubmitBest ranks the federation and submits to the most reliable

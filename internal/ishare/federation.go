@@ -11,7 +11,6 @@ package ishare
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"log/slog"
 	"sort"
@@ -635,7 +634,7 @@ func (f *FedGateway) StartSync(every time.Duration) (stop func()) {
 	if every <= 0 {
 		every = 30 * time.Second
 	}
-	return startLoop(f.clock, every, func() { f.SyncOnce(context.Background()) })
+	return StartLoop(f.clock, every, func() { f.SyncOnce(context.Background()) })
 }
 
 // route serves one machine-scoped request: from the local shard when this
@@ -860,142 +859,47 @@ func (f *FedGateway) addServed()             { f.mu.Lock(); f.served++; f.mu.Unl
 func (f *FedGateway) addForwarded()          { f.mu.Lock(); f.forwarded++; f.mu.Unlock() }
 func (f *FedGateway) addSyncPushed(n uint64) { f.mu.Lock(); f.syncPushed += n; f.mu.Unlock() }
 
-// Handler wires the peer into a protocol server, mirroring the host
-// gateway's serving shell: every request gets a fed.dispatch span stitched
-// to the caller's trace, and outcomes feed the node metric families when
-// observability is attached.
-func (f *FedGateway) Handler() Handler {
-	return func(req Request) (interface{}, error) {
-		start := time.Now()
-		ctx, span := f.tracer.StartRemote(context.Background(), req.Trace.Link(), "fed.dispatch")
-		if span != nil {
-			span.SetAttr(otrace.String("peer", f.self.ID), otrace.String("rpc", req.Type))
-		}
-		payload, err := f.dispatch(ctx, req)
-		span.SetError(err)
-		span.End()
-		if f.obs != nil {
-			f.obs.observeRPC(req.Type, err, time.Since(start))
-		}
-		return payload, err
-	}
+// fedRoutes is every RPC a federation peer serves.
+var fedRoutes = []route[*FedGateway]{
+	on(MsgRegister, "register", false, func(f *FedGateway, ctx context.Context, reg RegisterReq) (interface{}, error) {
+		return nil, f.register(ctx, reg) // acknowledged without a payload
+	}),
+	on(MsgDiscover, "discover", true, (*FedGateway).discover),
+	on(MsgFedQueryTR, "fed query", false, (*FedGateway).FedQueryTR),
+	on(MsgFedSubmit, "fed submit", false, (*FedGateway).FedSubmit),
+	on(MsgFedJobStatus, "fed status", false, (*FedGateway).FedJobStatus),
+	on(MsgFedKill, "fed kill", false, (*FedGateway).FedKill),
+	on(MsgFedRank, "fed rank", true, (*FedGateway).FedRank),
+	on(MsgFedSync, "fed sync", false, func(f *FedGateway, _ context.Context, req FedSyncReq) (FedSyncResp, error) {
+		return f.fedSync(req), nil
+	}),
+	on(MsgQueryStats, "stats", true, (*FedGateway).queryStats),
+	on(MsgQueryObs, "obs", true, (*FedGateway).queryObs),
+	on(MsgQueryTraces, "traces", true, func(f *FedGateway, _ context.Context, req QueryTracesReq) (QueryTracesResp, error) {
+		return queryTraces(f.self.ID, f.tracer.Recorder(), f.obs.PrevFlight(), req)
+	}),
 }
 
-func (f *FedGateway) dispatch(ctx context.Context, req Request) (interface{}, error) {
-	switch req.Type {
-	case MsgRegister:
-		var reg RegisterReq
-		if err := json.Unmarshal(req.Payload, &reg); err != nil {
-			return nil, fmt.Errorf("malformed register payload")
-		}
-		return nil, f.register(ctx, reg)
-	case MsgDiscover:
-		var d DiscoverReq
-		if req.Payload != nil {
-			if err := json.Unmarshal(req.Payload, &d); err != nil {
-				return nil, fmt.Errorf("malformed discover payload")
-			}
-		}
-		if d.Local {
-			return DiscoverResp{Resources: f.localResources()}, nil
-		}
-		return DiscoverResp{Resources: f.globalResources(ctx)}, nil
-	case MsgFedQueryTR:
-		var r FedQueryTRReq
-		if err := json.Unmarshal(req.Payload, &r); err != nil {
-			return nil, fmt.Errorf("malformed fed query payload")
-		}
-		return f.FedQueryTR(ctx, r)
-	case MsgFedSubmit:
-		var r FedSubmitReq
-		if err := json.Unmarshal(req.Payload, &r); err != nil {
-			return nil, fmt.Errorf("malformed fed submit payload")
-		}
-		return f.FedSubmit(ctx, r)
-	case MsgFedJobStatus:
-		var r FedJobReq
-		if err := json.Unmarshal(req.Payload, &r); err != nil {
-			return nil, fmt.Errorf("malformed fed status payload")
-		}
-		return f.FedJobStatus(ctx, r)
-	case MsgFedKill:
-		var r FedJobReq
-		if err := json.Unmarshal(req.Payload, &r); err != nil {
-			return nil, fmt.Errorf("malformed fed kill payload")
-		}
-		return f.FedKill(ctx, r)
-	case MsgFedRank:
-		var r FedRankReq
-		if req.Payload != nil {
-			if err := json.Unmarshal(req.Payload, &r); err != nil {
-				return nil, fmt.Errorf("malformed fed rank payload")
-			}
-		}
-		return f.FedRank(ctx, r)
-	case MsgFedSync:
-		var r FedSyncReq
-		if err := json.Unmarshal(req.Payload, &r); err != nil {
-			return nil, fmt.Errorf("malformed fed sync payload")
-		}
-		return f.fedSync(r), nil
-	case MsgQueryStats:
-		resp := QueryStatsResp{MachineID: f.self.ID, Ring: f.RingStats()}
-		if f.obs != nil {
-			resp.Requests, resp.Errors = f.obs.requestCounts()
-			resp.Wire = f.obs.wireStats()
-			resp.SLO = f.obs.SLOStatuses()
-		}
-		return resp, nil
-	case MsgQueryObs:
-		var r QueryObsReq
-		if req.Payload != nil {
-			if err := json.Unmarshal(req.Payload, &r); err != nil {
-				return nil, fmt.Errorf("malformed obs payload")
-			}
-		}
-		if r.Local {
-			return QueryObsResp{Peer: f.self.ID, Snapshot: f.obs.ExportObs(f.self.ID)}, nil
-		}
-		v := f.FleetObs(ctx).View(r.MaxAlerts)
-		return QueryObsResp{Peer: f.self.ID, Fleet: &v}, nil
-	case MsgQueryTraces:
-		var r QueryTracesReq
-		if req.Payload != nil {
-			if err := json.Unmarshal(req.Payload, &r); err != nil {
-				return nil, fmt.Errorf("malformed traces payload")
-			}
-		}
-		return f.queryTraces(r)
-	default:
-		return nil, fmt.Errorf("fed: unknown request type %q", req.Type)
+// discover lists this peer's shard (the peer-to-peer fan-out form) or the
+// merged federation-wide view served to clients.
+func (f *FedGateway) discover(ctx context.Context, req DiscoverReq) (DiscoverResp, error) {
+	if req.Local {
+		return DiscoverResp{Resources: f.localResources()}, nil
 	}
+	return DiscoverResp{Resources: f.globalResources(ctx)}, nil
 }
 
-// queryTraces serves the peer's flight recorder (empty when tracing is
-// off, mirroring the host gateway's behavior).
-func (f *FedGateway) queryTraces(req QueryTracesReq) (QueryTracesResp, error) {
-	if req.Previous {
-		return prevFlightResp(f.self.ID, f.obs.PrevFlight(), req)
-	}
-	rec := f.tracer.Recorder()
-	resp := QueryTracesResp{MachineID: f.self.ID, TotalRecorded: rec.Total()}
-	if req.TraceID != "" {
-		id, err := otrace.ParseTraceID(req.TraceID)
-		if err != nil {
-			return QueryTracesResp{}, fmt.Errorf("bad trace id %q", req.TraceID)
-		}
-		records, ok := rec.Trace(id)
-		if !ok {
-			return QueryTracesResp{}, fmt.Errorf("trace %s not retained", req.TraceID)
-		}
-		resp.Traces = records
-	} else {
-		resp.Traces = rec.Traces(req.Limit)
-	}
-	if req.Events {
-		resp.Events = rec.Events(req.Limit)
-	}
+// queryStats is a peer's query-stats: its ring view beside the serving-path
+// figures every node reports.
+func (f *FedGateway) queryStats(context.Context, QueryStatsReq) (QueryStatsResp, error) {
+	resp := QueryStatsResp{MachineID: f.self.ID, Ring: f.RingStats()}
+	f.obs.servingStats(&resp)
 	return resp, nil
+}
+
+// Handler serves fedRoutes behind the shared serving shell (serveRoutes).
+func (f *FedGateway) Handler() Handler {
+	return serveRoutes(f, fedRoutes, "fed", "peer", f.self.ID, func() *otrace.Tracer { return f.tracer }, f.obs)
 }
 
 // Serve starts a protocol server for the peer on addr, with the peer's
@@ -1006,8 +910,5 @@ func (f *FedGateway) Serve(addr string) (*Server, error) {
 
 // ServeConfig is Serve with explicit admission-control and deadline bounds.
 func (f *FedGateway) ServeConfig(addr string, cfg ServerConfig) (*Server, error) {
-	if cfg.Metrics == nil {
-		cfg.Metrics = f.obs.serverMetrics()
-	}
-	return NewServerConfig(addr, f.Handler(), cfg)
+	return listenRoutes(addr, f.Handler(), cfg, f.obs)
 }

@@ -2,13 +2,11 @@ package ishare
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"sync"
 	"time"
 
 	"fgcs/internal/avail"
-	"fgcs/internal/otrace"
 	"fgcs/internal/predict"
 	"fgcs/internal/simclock"
 	"fgcs/internal/trace"
@@ -209,9 +207,7 @@ func (g *Gateway) QueryStats(ctx context.Context, req QueryStatsReq) (QueryStats
 		PendingPredictions: o.Tracker.Pending(),
 		Accuracy:           o.Tracker.All(),
 	}
-	resp.Requests, resp.Errors = o.requestCounts()
-	resp.Wire = o.wireStats()
-	resp.SLO = o.SLOStatuses()
+	o.servingStats(&resp)
 	if r := g.sm.Router(); r != nil {
 		snap := r.Snapshot()
 		resp.Routing = &snap
@@ -225,33 +221,10 @@ func (g *Gateway) QueryStats(ctx context.Context, req QueryStatsReq) (QueryStats
 	return resp, nil
 }
 
-// QueryTraces serves the node's flight recorder: the recent-trace listing,
-// or every retained record of one trace when the request names a trace ID.
-// With tracing disabled (no recorder installed) it returns an empty snapshot
-// rather than an error, so operator tooling degrades gracefully.
+// QueryTraces serves the node's flight recorder (see queryTraces).
 func (g *Gateway) QueryTraces(ctx context.Context, req QueryTracesReq) (QueryTracesResp, error) {
-	if req.Previous {
-		return prevFlightResp(g.machineID, g.sm.Obs().PrevFlight(), req)
-	}
-	rec := g.sm.Obs().Flight()
-	resp := QueryTracesResp{MachineID: g.machineID, TotalRecorded: rec.Total()}
-	if req.TraceID != "" {
-		id, err := otrace.ParseTraceID(req.TraceID)
-		if err != nil {
-			return QueryTracesResp{}, fmt.Errorf("bad trace id %q", req.TraceID)
-		}
-		records, ok := rec.Trace(id)
-		if !ok {
-			return QueryTracesResp{}, fmt.Errorf("trace %s not retained", req.TraceID)
-		}
-		resp.Traces = records
-	} else {
-		resp.Traces = rec.Traces(req.Limit)
-	}
-	if req.Events {
-		resp.Events = rec.Events(req.Limit)
-	}
-	return resp, nil
+	o := g.sm.Obs()
+	return queryTraces(g.machineID, o.Flight(), o.PrevFlight(), req)
 }
 
 // Submit launches a guest job. FGCS allows a single guest process per
@@ -400,80 +373,21 @@ func statusOf(j *Job) JobStatusResp {
 	}
 }
 
-// Handler serves the gateway protocol over TCP. Every served request is
-// timed and counted in the node's metrics registry, by request type; when the
-// node has a tracer, each request runs under a server span continuing the
-// trace named by the envelope's trace header (or a fresh trace on a sampled
-// untraced request).
-func (g *Gateway) Handler() Handler {
-	o := g.sm.Obs()
-	return func(req Request) (interface{}, error) {
-		start := time.Now()
-		ctx, span := o.TracerOrNil().StartRemote(context.Background(), req.Trace.Link(), "gateway.dispatch")
-		if span != nil {
-			span.SetAttr(otrace.String("machine", g.machineID), otrace.String("rpc", req.Type))
-		}
-		payload, err := g.dispatch(ctx, req)
-		span.SetError(err)
-		span.End()
-		o.observeRPC(req.Type, err, time.Since(start))
-		return payload, err
-	}
+// gatewayRoutes is every RPC a host gateway serves.
+var gatewayRoutes = []route[*Gateway]{
+	on(MsgQueryTR, "query", false, (*Gateway).QueryTR),
+	on(MsgSubmit, "submit", false, (*Gateway).Submit),
+	on(MsgJobStatus, "status", false, (*Gateway).JobStatus),
+	on(MsgKillJob, "kill", false, (*Gateway).Kill),
+	on(MsgQueryStats, "stats", true, (*Gateway).QueryStats),
+	on(MsgQueryTraces, "traces", true, (*Gateway).QueryTraces),
+	on(MsgQueryObs, "obs", true, (*Gateway).QueryObs),
 }
 
-func (g *Gateway) dispatch(ctx context.Context, req Request) (interface{}, error) {
-	switch req.Type {
-	case MsgQueryTR:
-		var q QueryTRReq
-		if err := json.Unmarshal(req.Payload, &q); err != nil {
-			return nil, fmt.Errorf("malformed query payload")
-		}
-		return g.QueryTR(ctx, q)
-	case MsgSubmit:
-		var s SubmitReq
-		if err := json.Unmarshal(req.Payload, &s); err != nil {
-			return nil, fmt.Errorf("malformed submit payload")
-		}
-		return g.Submit(ctx, s)
-	case MsgJobStatus:
-		var s JobStatusReq
-		if err := json.Unmarshal(req.Payload, &s); err != nil {
-			return nil, fmt.Errorf("malformed status payload")
-		}
-		return g.JobStatus(ctx, s)
-	case MsgKillJob:
-		var s JobStatusReq
-		if err := json.Unmarshal(req.Payload, &s); err != nil {
-			return nil, fmt.Errorf("malformed kill payload")
-		}
-		return g.Kill(ctx, s)
-	case MsgQueryStats:
-		var s QueryStatsReq
-		if req.Payload != nil {
-			if err := json.Unmarshal(req.Payload, &s); err != nil {
-				return nil, fmt.Errorf("malformed stats payload")
-			}
-		}
-		return g.QueryStats(ctx, s)
-	case MsgQueryTraces:
-		var s QueryTracesReq
-		if req.Payload != nil {
-			if err := json.Unmarshal(req.Payload, &s); err != nil {
-				return nil, fmt.Errorf("malformed traces payload")
-			}
-		}
-		return g.QueryTraces(ctx, s)
-	case MsgQueryObs:
-		var s QueryObsReq
-		if req.Payload != nil {
-			if err := json.Unmarshal(req.Payload, &s); err != nil {
-				return nil, fmt.Errorf("malformed obs payload")
-			}
-		}
-		return g.QueryObs(ctx, s)
-	default:
-		return nil, fmt.Errorf("gateway: unknown request type %q", req.Type)
-	}
+// Handler serves gatewayRoutes behind the shared serving shell (serveRoutes).
+func (g *Gateway) Handler() Handler {
+	o := g.sm.Obs()
+	return serveRoutes(g, gatewayRoutes, "gateway", "machine", g.machineID, o.TracerOrNil, o)
 }
 
 // Serve starts the gateway's TCP endpoint under the default server config,
@@ -484,8 +398,5 @@ func (g *Gateway) Serve(addr string) (*Server, error) {
 
 // ServeConfig is Serve with explicit admission-control and deadline bounds.
 func (g *Gateway) ServeConfig(addr string, cfg ServerConfig) (*Server, error) {
-	if cfg.Metrics == nil {
-		cfg.Metrics = g.sm.Obs().serverMetrics()
-	}
-	return NewServerConfig(addr, g.Handler(), cfg)
+	return listenRoutes(addr, g.Handler(), cfg, g.sm.Obs())
 }

@@ -2,7 +2,9 @@ package ishare
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"io/fs"
 	"log/slog"
 	"time"
 
@@ -44,7 +46,9 @@ type NodeConfig struct {
 	Preloaded *trace.Machine
 	// HistoryDays bounds the SMP day pool (0 = all).
 	HistoryDays int
-	// HeartbeatPath enables the t_monitor heartbeat file.
+	// HeartbeatPath enables the t_monitor heartbeat file: written on every
+	// sample, and read once at start to record a revocation (URR) as down
+	// samples.
 	HeartbeatPath string
 	// Logger, when non-nil, receives structured records from the node's
 	// daemons (monitor tick failures, recorder drops). It should already
@@ -61,9 +65,6 @@ type NodeConfig struct {
 	// from whichever registered predictor currently holds the best rolling
 	// Brier score for this machine, with SMP as the fallback.
 	Ensemble bool
-	// EnsembleConfig tunes the router when Ensemble is set (zero-value
-	// fields take the documented defaults).
-	EnsembleConfig RouterConfig
 	// Predictor, when non-empty, pins QueryTR serving to one registered
 	// predictor plugin regardless of Ensemble (shadow scoring continues).
 	Predictor string
@@ -86,7 +87,7 @@ func NewHostNode(cfg NodeConfig, src monitor.LoadSource) (*HostNode, error) {
 	var deps SharedDeps
 	if cfg.Ensemble {
 		deps.Obs = NewNodeObs()
-		deps.Router = NewRouter(deps.Obs.Tracker, cfg.EnsembleConfig)
+		deps.Router = NewRouter(deps.Obs.Tracker, RouterConfig{})
 		deps.Router.SetMetrics(deps.Obs.RouterDecisions, deps.Obs.RouterSwitches)
 	}
 	sm, err := NewStateManagerShared(cfg.MachineID, cfg.Period, cfg.Cfg, cfg.Clock, cfg.Preloaded, cfg.HistoryDays, deps)
@@ -115,6 +116,9 @@ func NewHostNode(cfg NodeConfig, src monitor.LoadSource) (*HostNode, error) {
 		}
 		sink = persist
 	}
+	if cfg.HeartbeatPath != "" {
+		recordRevocation(cfg, sink)
+	}
 	obsv := sm.Obs()
 	mon, err := monitor.New(monitor.Config{
 		Period:        cfg.Period,
@@ -130,6 +134,31 @@ func NewHostNode(cfg NodeConfig, src monitor.LoadSource) (*HostNode, error) {
 		return nil, err
 	}
 	return &HostNode{Gateway: gw, Monitor: mon, SM: sm, Persist: persist, clock: cfg.Clock, period: cfg.Period}, nil
+}
+
+// recordRevocation is the paper's URR detection (Section 5.2), run once as the
+// node starts: a t_monitor heartbeat older than the recorder's gap threshold
+// means the machine, or FGCS on it, was down since, and [t_monitor, now) goes
+// through the node's sink as down samples — so the history log, and a WAL,
+// hold the outage before the first live sample. No file is a first boot.
+func recordRevocation(cfg NodeConfig, sink monitor.Sink) {
+	from, to, err := monitor.DetectRevocation(cfg.HeartbeatPath, cfg.Clock.Now(), 3*cfg.Period)
+	switch {
+	case errors.Is(err, monitor.ErrNoGap), errors.Is(err, fs.ErrNotExist):
+	case err != nil:
+		if cfg.Logger != nil {
+			cfg.Logger.Warn("heartbeat unreadable, revocation not checked",
+				slog.String("path", cfg.HeartbeatPath), slog.String("err", err.Error()))
+		}
+	default:
+		for t := from.Add(cfg.Period); t.Before(to); t = t.Add(cfg.Period) {
+			sink.Record(t, trace.Sample{Up: false})
+		}
+		if cfg.Logger != nil {
+			cfg.Logger.Info("revocation recorded", slog.String("path", cfg.HeartbeatPath),
+				slog.Time("down_from", from), slog.Time("down_to", to))
+		}
+	}
 }
 
 // Obs exposes the node's observability bundle (metrics registry + accuracy
@@ -165,7 +194,7 @@ func (n *HostNode) Serve(addr, registryAddr string) (*Server, error) {
 // a missed heartbeat is exactly the signal the TTL is there to catch. The
 // returned stop function ends the heartbeat (idempotent).
 func (n *HostNode) StartHeartbeat(caller *Caller, registryAddr, gatewayAddr string, ttl, every time.Duration, timeout time.Duration) (stop func()) {
-	return startLoop(n.clock, every, func() {
+	return StartLoop(n.clock, every, func() {
 		_ = RegisterWithTTL(context.Background(), caller, registryAddr, n.Gateway.MachineID(), gatewayAddr, ttl, timeout)
 	})
 }

@@ -96,16 +96,6 @@ func (m *ServerMetrics) Snapshot() WireStats {
 	}
 }
 
-// gatewayRPCTypes are the request types a gateway serves — host-node RPCs
-// plus the federation verbs a peer gateway dispatches; their counters and
-// latency histograms are registered up front so the serving path never
-// formats a metric name.
-var gatewayRPCTypes = []string{
-	MsgQueryTR, MsgSubmit, MsgJobStatus, MsgKillJob, MsgQueryStats, MsgQueryTraces,
-	MsgQueryObs, MsgRegister, MsgDiscover,
-	MsgFedQueryTR, MsgFedSubmit, MsgFedJobStatus, MsgFedKill, MsgFedRank, MsgFedSync,
-}
-
 // NodeObs bundles one host node's observability: the metrics registry every
 // component records into, and the online accuracy tracker that scores issued
 // TR predictions against observed availability outcomes. A nil *NodeObs is
@@ -146,12 +136,11 @@ type NodeObs struct {
 	opsPrevReqs  uint64
 	opsPrevOpens uint64
 
+	// Served-RPC series by request type: one entry per row of the route
+	// tables (gatewayRPCTypes) plus rpcOther for every type no row serves.
 	requests   map[string]*obs.Counter
 	errors     map[string]*obs.Counter
 	rpcSeconds map[string]*obs.Histogram
-	reqOther   *obs.Counter
-	errOther   *obs.Counter
-	rpcOther   *obs.Histogram
 
 	// prevFlight is the flight snapshot the previous process saved on
 	// shutdown (nil = none found). Installed once at boot, before serving.
@@ -167,9 +156,9 @@ func NewNodeObs() *NodeObs {
 		Tracker:    obs.NewTracker(),
 		Engine:     predict.NewEngineMetrics(r),
 		Monitor:    monitor.NewMetrics(r),
-		requests:   make(map[string]*obs.Counter, len(gatewayRPCTypes)),
-		errors:     make(map[string]*obs.Counter, len(gatewayRPCTypes)),
-		rpcSeconds: make(map[string]*obs.Histogram, len(gatewayRPCTypes)),
+		requests:   make(map[string]*obs.Counter, len(gatewayRPCTypes)+1),
+		errors:     make(map[string]*obs.Counter, len(gatewayRPCTypes)+1),
+		rpcSeconds: make(map[string]*obs.Histogram, len(gatewayRPCTypes)+1),
 	}
 	o.Caller = &CallerMetrics{
 		Attempts:        r.Counter("fgcs_client_rpc_attempts_total", "Outbound RPC attempts (first tries and retries)."),
@@ -182,16 +171,16 @@ func NewNodeObs() *NodeObs {
 	o.RouterSwitches = r.Counter("fgcs_router_switches_total", "Ensemble routing switches to a different predictor.")
 	o.Alerts = obs.NewAlertRing(0)
 	o.Drift = obs.NewDriftWatcher(o.Tracker, o.Alerts, obs.DriftConfig{})
-	for _, typ := range gatewayRPCTypes {
+	register := func(typ string) {
 		l := obs.Label{Key: "type", Value: typ}
 		o.requests[typ] = r.Counter("fgcs_gateway_requests_total", "Gateway RPCs served, by request type.", l)
 		o.errors[typ] = r.Counter("fgcs_gateway_errors_total", "Gateway RPCs that returned an application error, by request type.", l)
 		o.rpcSeconds[typ] = r.Histogram("fgcs_gateway_rpc_seconds", "Gateway RPC handling latency, by request type.", nil, l)
 	}
-	l := obs.Label{Key: "type", Value: "other"}
-	o.reqOther = r.Counter("fgcs_gateway_requests_total", "Gateway RPCs served, by request type.", l)
-	o.errOther = r.Counter("fgcs_gateway_errors_total", "Gateway RPCs that returned an application error, by request type.", l)
-	o.rpcOther = r.Histogram("fgcs_gateway_rpc_seconds", "Gateway RPC handling latency, by request type.", nil, l)
+	for _, typ := range gatewayRPCTypes {
+		register(typ)
+	}
+	register(rpcOther)
 	return o
 }
 
@@ -240,29 +229,35 @@ func (o *NodeObs) PrevFlight() *otrace.FlightSnapshot {
 	return o.prevFlight
 }
 
-// prevFlightResp serves a QueryTraces request against a persisted flight
-// snapshot — the shared Previous path of the host gateway and the
-// federation peer.
-func prevFlightResp(machineID string, snap *otrace.FlightSnapshot, req QueryTracesReq) (QueryTracesResp, error) {
-	if snap == nil {
+// queryTraces answers query-traces for a host gateway and a federation peer
+// alike: the recent-trace listing, or every retained record of one trace when
+// the request names a trace ID, from the live flight recorder or — with
+// Previous set — from the flight the previous process saved on shutdown. With
+// tracing disabled (nil live recorder) it returns an empty snapshot rather
+// than an error, so operator tooling degrades gracefully.
+func queryTraces(id string, live *otrace.Recorder, prev *otrace.FlightSnapshot, req QueryTracesReq) (QueryTracesResp, error) {
+	flight, missing := prev, "in the previous flight"
+	if !req.Previous {
+		flight, missing = live.Snapshot(time.Time{}), "retained"
+	} else if prev == nil {
 		return QueryTracesResp{}, fmt.Errorf("no previous flight snapshot (node not started with -data-dir, or first run)")
 	}
-	resp := QueryTracesResp{MachineID: machineID, TotalRecorded: snap.Total}
+	resp := QueryTracesResp{MachineID: id, TotalRecorded: flight.Total}
 	if req.TraceID != "" {
-		id, err := otrace.ParseTraceID(req.TraceID)
+		tid, err := otrace.ParseTraceID(req.TraceID)
 		if err != nil {
 			return QueryTracesResp{}, fmt.Errorf("bad trace id %q", req.TraceID)
 		}
-		records, ok := snap.Trace(id)
+		records, ok := flight.Trace(tid)
 		if !ok {
-			return QueryTracesResp{}, fmt.Errorf("trace %s not in the previous flight", req.TraceID)
+			return QueryTracesResp{}, fmt.Errorf("trace %s not %s", req.TraceID, missing)
 		}
 		resp.Traces = records
 	} else {
-		resp.Traces = snap.TracesLimit(req.Limit)
+		resp.Traces = flight.TracesLimit(req.Limit)
 	}
 	if req.Events {
-		resp.Events = snap.EventsLimit(req.Limit)
+		resp.Events = flight.EventsLimit(req.Limit)
 	}
 	return resp, nil
 }
@@ -294,61 +289,38 @@ func (o *NodeObs) observeRPC(typ string, err error, dur time.Duration) {
 	if o == nil {
 		return
 	}
-	req, ok := o.requests[typ]
+	served, ok := o.requests[typ]
 	if !ok {
-		o.reqOther.Inc()
-		if err != nil {
-			o.errOther.Inc()
-		}
-		o.rpcOther.Observe(dur.Seconds())
-		return
+		typ = rpcOther
+		served = o.requests[typ]
 	}
-	req.Inc()
+	served.Inc()
 	if err != nil {
 		o.errors[typ].Inc()
 	}
 	o.rpcSeconds[typ].Observe(dur.Seconds())
 }
 
-// serverMetrics is the nil-safe accessor the serve paths use.
-func (o *NodeObs) serverMetrics() *ServerMetrics {
+// servingStats fills the part of a query-stats answer a host gateway and a
+// federation peer both report: served and failed RPCs by type (only types with
+// at least one request appear), the wire snapshot and the SLO verdicts.
+// Without observability the fields stay absent on the wire.
+func (o *NodeObs) servingStats(resp *QueryStatsResp) {
 	if o == nil {
-		return nil
+		return
 	}
-	return o.Server
-}
-
-// wireStats snapshots the serving-path counters for QueryStats (nil when
-// observability is off, so the field stays absent on the wire).
-func (o *NodeObs) wireStats() *WireStats {
-	if o == nil || o.Server == nil {
-		return nil
-	}
-	w := o.Server.Snapshot()
-	return &w
-}
-
-// requestCounts snapshots the per-type served/error counters (only types
-// with at least one request appear).
-func (o *NodeObs) requestCounts() (reqs, errs map[string]uint64) {
-	if o == nil {
-		return nil, nil
-	}
-	reqs = make(map[string]uint64)
-	errs = make(map[string]uint64)
+	resp.Requests, resp.Errors = make(map[string]uint64), make(map[string]uint64)
 	for typ, c := range o.requests {
 		if v := c.Value(); v > 0 {
-			reqs[typ] = v
+			resp.Requests[typ] = v
 		}
 		if v := o.errors[typ].Value(); v > 0 {
-			errs[typ] = v
+			resp.Errors[typ] = v
 		}
 	}
-	if v := o.reqOther.Value(); v > 0 {
-		reqs["other"] = v
+	if o.Server != nil {
+		w := o.Server.Snapshot()
+		resp.Wire = &w
 	}
-	if v := o.errOther.Value(); v > 0 {
-		errs["other"] = v
-	}
-	return reqs, errs
+	resp.SLO = o.SLOStatuses()
 }

@@ -110,11 +110,9 @@ func (o *NodeObs) RecordSLOSample(now time.Time) {
 	for _, c := range o.requests {
 		s.Requests += c.Value()
 	}
-	s.Requests += o.reqOther.Value()
 	for _, c := range o.errors {
 		s.Errors += c.Value()
 	}
-	s.Errors += o.errOther.Value()
 	s.Latency = o.mergedRPCLatency()
 	for _, m := range ms {
 		m.Record(s)
@@ -176,7 +174,6 @@ func (o *NodeObs) stepOps(now time.Time) []obs.Alert {
 	for _, c := range o.requests {
 		reqs += c.Value()
 	}
-	reqs += o.reqOther.Value()
 	dShed, dReqs := shed-o.opsPrevShed, reqs-o.opsPrevReqs
 	o.opsPrevShed, o.opsPrevReqs = shed, reqs
 	if total := dShed + dReqs; total >= shedRateMinEvents {
@@ -220,13 +217,21 @@ func (g *Gateway) QueryObs(ctx context.Context, req QueryObsReq) (QueryObsResp, 
 	return QueryObsResp{Peer: g.machineID, Snapshot: g.sm.Obs().ExportObs(g.machineID)}, nil
 }
 
+// queryObs is a peer's query-obs: its own export for the local form (what
+// FleetObs fans out), otherwise the fleet view merged over the ring.
+func (f *FedGateway) queryObs(ctx context.Context, req QueryObsReq) (QueryObsResp, error) {
+	if req.Local {
+		return QueryObsResp{Peer: f.self.ID, Snapshot: f.obs.ExportObs(f.self.ID)}, nil
+	}
+	v := f.FleetObs(ctx).View(req.MaxAlerts)
+	return QueryObsResp{Peer: f.self.ID, Fleet: &v}, nil
+}
+
 // QueryObs fetches a node's observability export (an operator surface, like
 // QueryStats — deliberately not part of GatewayAPI). Idempotent: retried
 // under the caller's policy.
 func (r RemoteGateway) QueryObs(ctx context.Context, req QueryObsReq) (QueryObsResp, error) {
-	var resp QueryObsResp
-	err := r.Caller.CallRetry(ctx, r.Addr, MsgQueryObs, req, &resp, r.timeout())
-	return resp, err
+	return rpc[QueryObsResp](ctx, r.Caller, r.Addr, MsgQueryObs, req, r.Timeout, true)
 }
 
 // cachedPeerObs is a peer's last successfully fetched export, merged marked

@@ -149,7 +149,7 @@ func (s *snapshotter) StartSnapshots(every time.Duration) (stop func()) {
 	if every <= 0 {
 		every = 5 * time.Minute
 	}
-	return startLoop(simclock.Real{}, every, func() {
+	return StartLoop(simclock.Real{}, every, func() {
 		if err := s.snapshot(); err != nil {
 			s.warn("periodic snapshot failed", slog.String("err", err.Error()))
 		}
@@ -176,10 +176,11 @@ func (s *snapshotter) warn(msg string, args ...interface{}) {
 	}
 }
 
-// startLoop calls fn every interval on clock, on its own goroutine, until
+// StartLoop calls fn every interval on clock, on its own goroutine, until
 // the returned stop function is called; stop is idempotent and does not wait
-// for a call in flight. Snapshots, anti-entropy and heartbeats all run on it.
-func startLoop(clock simclock.Clock, every time.Duration, fn func()) (stop func()) {
+// for a call in flight. Every periodic duty of a daemon runs on it: snapshots,
+// anti-entropy, registry heartbeats, and ishared's obs step and archive.
+func StartLoop(clock simclock.Clock, every time.Duration, fn func()) (stop func()) {
 	done := make(chan struct{})
 	var once sync.Once
 	go func() {

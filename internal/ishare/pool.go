@@ -25,9 +25,6 @@ type Pool struct {
 	// MaxPerHost bounds how many connections the pool keeps per address
 	// (default 1 — pipelining makes one connection go a long way).
 	MaxPerHost int
-	// DialTimeout bounds connection establishment (default: the per-call
-	// timeout).
-	DialTimeout time.Duration
 
 	mu     sync.Mutex
 	conns  map[string][]*muxConn
@@ -274,12 +271,9 @@ func (m *muxConn) isDead() bool {
 	return m.dead
 }
 
-// get returns a live connection to addr, dialing one if needed. Dead
-// connections are pruned on the way.
+// get returns a live connection to addr, dialing one if needed within the
+// call's timeout. Dead connections are pruned on the way.
 func (p *Pool) get(addr string, timeout time.Duration) (*muxConn, error) {
-	if p.DialTimeout > 0 {
-		timeout = p.DialTimeout
-	}
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()

@@ -54,9 +54,6 @@ func RegisterWithTTL(ctx context.Context, caller *Caller, registryAddr, machineI
 // DiscoverWith fetches the published resources from a remote registry
 // through an optional Caller with retries.
 func DiscoverWith(ctx context.Context, caller *Caller, registryAddr string, timeout time.Duration) ([]Resource, error) {
-	var resp DiscoverResp
-	if err := caller.CallRetry(ctx, registryAddr, MsgDiscover, nil, &resp, timeout); err != nil {
-		return nil, err
-	}
-	return resp.Resources, nil
+	resp, err := rpc[DiscoverResp](ctx, caller, registryAddr, MsgDiscover, nil, timeout, true)
+	return resp.Resources, err
 }

@@ -241,6 +241,20 @@ func (c *Caller) NextKey(prefix string) string {
 	return fmt.Sprintf("%s/%s-k%d", prefix, c.instance, c.keySeq)
 }
 
+// keyed makes a submit safe to retry when the caller retries at all: it
+// attaches a fresh idempotency key under prefix (unless the job already
+// carries one) and reports true. A nil or single-attempt caller leaves the job
+// alone and reports false — the submit then gets exactly one attempt.
+func (c *Caller) keyed(job *SubmitReq, prefix string) (retry bool) {
+	if c == nil || c.Retry.MaxAttempts <= 1 {
+		return false
+	}
+	if job.IdempotencyKey == "" {
+		job.IdempotencyKey = c.NextKey(prefix)
+	}
+	return true
+}
+
 // Call performs a single-attempt round trip through the caller's dialer.
 // Use it for non-idempotent RPCs (Submit without a key, Kill). If ctx carries
 // a sampled span, the attempt is recorded as a child span and its link

@@ -1,0 +1,327 @@
+package ishare
+
+import (
+	"context"
+	"encoding/json"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"reflect"
+	"strconv"
+	"strings"
+	"testing"
+	"time"
+
+	"fgcs/internal/avail"
+	"fgcs/internal/otrace"
+	"fgcs/internal/simclock"
+)
+
+// wantMalformed is the wire contract of a payload that does not decode: the
+// error text each request type has always been refused with. A new table row
+// must state its text here before the matrix below passes.
+var wantMalformed = map[string]string{
+	MsgQueryTR:      "malformed query payload",
+	MsgSubmit:       "malformed submit payload",
+	MsgJobStatus:    "malformed status payload",
+	MsgKillJob:      "malformed kill payload",
+	MsgQueryStats:   "malformed stats payload",
+	MsgQueryTraces:  "malformed traces payload",
+	MsgQueryObs:     "malformed obs payload",
+	MsgRegister:     "malformed register payload",
+	MsgDiscover:     "malformed discover payload",
+	MsgFedQueryTR:   "malformed fed query payload",
+	MsgFedSubmit:    "malformed fed submit payload",
+	MsgFedJobStatus: "malformed fed status payload",
+	MsgFedKill:      "malformed fed kill payload",
+	MsgFedRank:      "malformed fed rank payload",
+	MsgFedSync:      "malformed fed sync payload",
+}
+
+// payloadOptional names the request types served without a payload.
+var payloadOptional = map[string]bool{
+	MsgQueryStats: true, MsgQueryTraces: true, MsgQueryObs: true, MsgDiscover: true, MsgFedRank: true,
+}
+
+func routeTypes[S any](routes []route[S]) []string {
+	var out []string
+	for _, r := range routes {
+		out = append(out, r.typ)
+	}
+	return out
+}
+
+// declaredMsgTypes parses the package for every string constant named Msg*.
+func declaredMsgTypes(t *testing.T) map[string]string {
+	t.Helper()
+	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]string)
+	for _, f := range pkgs["ishare"].Files {
+		for _, d := range f.Decls {
+			gd, ok := d.(*ast.GenDecl)
+			if !ok || gd.Tok != token.CONST {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				vs := spec.(*ast.ValueSpec)
+				for i, name := range vs.Names {
+					if !strings.HasPrefix(name.Name, "Msg") || i >= len(vs.Values) {
+						continue
+					}
+					lit, ok := vs.Values[i].(*ast.BasicLit)
+					if !ok || lit.Kind != token.STRING {
+						continue
+					}
+					v, err := strconv.Unquote(lit.Value)
+					if err != nil {
+						t.Fatal(err)
+					}
+					out[name.Name] = v
+				}
+			}
+		}
+	}
+	return out
+}
+
+// TestRouteTablesComplete: every Msg* constant is served by a table, no table
+// serves a type twice, and what NewNodeObs pre-registers is exactly the two
+// tables' union — so a request of a known type never lands in type="other".
+func TestRouteTablesComplete(t *testing.T) {
+	gwTypes, fedTypes := routeTypes(gatewayRoutes), routeTypes(fedRoutes)
+	served := make(map[string]bool)
+	for _, types := range [][]string{gwTypes, fedTypes} {
+		seen := make(map[string]bool)
+		for _, typ := range types {
+			if seen[typ] {
+				t.Errorf("%q has two rows in one table", typ)
+			}
+			seen[typ], served[typ] = true, true
+		}
+	}
+	msgs := declaredMsgTypes(t)
+	if len(msgs) < 15 {
+		t.Fatalf("found only %d Msg* constants: %v", len(msgs), msgs)
+	}
+	for name, typ := range msgs {
+		if !served[typ] {
+			t.Errorf("%s (%q) is served by no route table", name, typ)
+		}
+	}
+
+	o := NewNodeObs()
+	if len(o.requests) != len(served)+1 || len(gatewayRPCTypes) != len(served) {
+		t.Fatalf("NewNodeObs registers %d types beside %q (list has %d), the tables serve %d", len(o.requests)-1, rpcOther, len(gatewayRPCTypes), len(served))
+	}
+	for typ := range served {
+		if o.requests[typ] == nil || o.errors[typ] == nil || o.rpcSeconds[typ] == nil {
+			t.Errorf("%q has no pre-registered request/error/latency series", typ)
+		}
+	}
+	// Served through both shells, every type is counted under its own name.
+	node := testNode(t, simclock.NewVirtual(monday), nil)
+	gh := node.Gateway.Handler()
+	for _, typ := range gwTypes {
+		_, _ = gh(Request{Type: typ})
+	}
+	fobs := NewNodeObs()
+	fh := ringOfOne(t, FedConfig{Obs: fobs}).Handler()
+	for _, typ := range fedTypes {
+		_, _ = fh(Request{Type: typ})
+	}
+	for name, want := range map[string]struct {
+		o     *NodeObs
+		types []string
+	}{"gateway": {node.Obs(), gwTypes}, "fed": {fobs, fedTypes}} {
+		var st QueryStatsResp
+		want.o.servingStats(&st)
+		if st.Requests[rpcOther] != 0 || len(st.Requests) != len(want.types) {
+			t.Errorf("%s counted %v, want one series per served type %v and none under %q", name, st.Requests, want.types, rpcOther)
+		}
+	}
+}
+
+// TestRouteTablesRefuseMalformedPayloads drives the malformed-payload matrix
+// from the tables, for both servers: garbage is refused with the type's
+// contract text, and a missing payload is the zero request exactly where it
+// always was.
+func TestRouteTablesRefuseMalformedPayloads(t *testing.T) {
+	node := testNode(t, simclock.NewVirtual(monday), nil)
+	servers := []struct {
+		name    string
+		h       Handler
+		types   []string
+		unknown string
+	}{
+		{"gateway", node.Gateway.Handler(), routeTypes(gatewayRoutes), `gateway: unknown request type "bogus"`},
+		{"fed", ringOfOne(t, FedConfig{Obs: NewNodeObs()}).Handler(), routeTypes(fedRoutes), `fed: unknown request type "bogus"`},
+	}
+	for _, srv := range servers {
+		for _, typ := range srv.types {
+			want, ok := wantMalformed[typ]
+			if !ok {
+				t.Errorf("%s serves %q, which has no malformed-payload text in wantMalformed", srv.name, typ)
+				continue
+			}
+			for _, garbage := range []string{`{bad`, `[1]`, `"x"`} {
+				if _, err := srv.h(Request{Type: typ, Payload: json.RawMessage(garbage)}); err == nil || err.Error() != want {
+					t.Errorf("%s %s with payload %s: err = %v, want %q", srv.name, typ, garbage, err, want)
+				}
+			}
+			_, err := srv.h(Request{Type: typ})
+			if refused := err != nil && err.Error() == want; refused == payloadOptional[typ] {
+				t.Errorf("%s %s without a payload: err = %v, payload optional = %v", srv.name, typ, err, payloadOptional[typ])
+			}
+		}
+		if _, err := srv.h(Request{Type: "bogus"}); err == nil || err.Error() != srv.unknown {
+			t.Errorf("%s unknown type: err = %v, want %q", srv.name, err, srv.unknown)
+		}
+	}
+}
+
+// serveRow runs one table row directly — no shell, so no dispatch span lands
+// in the flight recorder under test.
+func serveRow[S any](t *testing.T, s S, routes []route[S], typ string, req interface{}) (interface{}, error) {
+	t.Helper()
+	raw, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range routes {
+		if r.typ == typ {
+			return r.serve(s, context.Background(), raw)
+		}
+	}
+	t.Fatalf("no row for %q", typ)
+	return nil, nil
+}
+
+// TestQueryTracesSameFromGatewayAndPeer: a host gateway and a federation peer
+// of the same name, over the same flight recorder and the same saved previous
+// flight, answer every form of query-traces identically.
+func TestQueryTracesSameFromGatewayAndPeer(t *testing.T) {
+	start := time.Date(2005, 9, 2, 8, 30, 0, 0, time.UTC)
+	record := func(rec *otrace.Recorder, seed uint64, names ...string) {
+		tr := otrace.New(otrace.Config{SampleRate: 1, Seed: seed, Recorder: rec, Clock: &tickClock{t: start}})
+		for _, name := range names {
+			_, span := tr.Start(context.Background(), name)
+			span.End()
+		}
+		rec.AddLogEvent(otrace.LogEvent{Time: start, Level: "WARN", Msg: names[0] + " warned"})
+	}
+	old := otrace.NewRecorder(8)
+	record(old, 3, "old-run.a", "old-run.b")
+	prev := old.Snapshot(start)
+	live := otrace.NewRecorder(8)
+	record(live, 4, "live.a", "live.b", "live.c")
+	tracer := otrace.New(otrace.Config{Recorder: live})
+
+	clock := &stepClock{now: start}
+	sm, err := NewStateManager("reg", period, avail.DefaultConfig(), clock, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sm.Obs().SetTracing(tracer)
+	gw, err := NewGateway("reg", avail.DefaultConfig(), period, clock, sm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	peerObs := NewNodeObs()
+	peer := ringOfOne(t, FedConfig{Tracer: tracer, Obs: peerObs})
+
+	liveID, prevID := live.Traces(1)[0].TraceID.String(), prev.Traces[0].TraceID.String()
+	cases := []struct {
+		name      string
+		req       QueryTracesReq
+		noPrev    bool
+		wantErr   string
+		wantSpans []string // root span names, in answer order
+		wantEvent string
+	}{
+		{name: "live listing", req: QueryTracesReq{}, wantSpans: []string{"live.c", "live.b", "live.a"}},
+		{name: "live limit", req: QueryTracesReq{Limit: 2}, wantSpans: []string{"live.c", "live.b"}},
+		{name: "live by id", req: QueryTracesReq{TraceID: liveID}, wantSpans: []string{"live.c"}},
+		{name: "live events", req: QueryTracesReq{Limit: 1, Events: true}, wantSpans: []string{"live.c"}, wantEvent: "live.a warned"},
+		{name: "live unknown id", req: QueryTracesReq{TraceID: prevID}, wantErr: "trace " + prevID + " not retained"},
+		{name: "bad id", req: QueryTracesReq{TraceID: "zz"}, wantErr: `bad trace id "zz"`},
+		{name: "previous listing", req: QueryTracesReq{Previous: true}, wantSpans: []string{"old-run.b", "old-run.a"}},
+		{name: "previous by id", req: QueryTracesReq{Previous: true, TraceID: prevID}, wantSpans: []string{"old-run.b"}},
+		{name: "previous events", req: QueryTracesReq{Previous: true, Events: true, Limit: 1}, wantSpans: []string{"old-run.b"}, wantEvent: "old-run.a warned"},
+		{name: "previous unknown id", req: QueryTracesReq{Previous: true, TraceID: liveID}, wantErr: "trace " + liveID + " not in the previous flight"},
+		{name: "previous never saved", req: QueryTracesReq{Previous: true}, noPrev: true,
+			wantErr: "no previous flight snapshot (node not started with -data-dir, or first run)"},
+	}
+	for _, tc := range cases {
+		saved := prev
+		if tc.noPrev {
+			saved = nil
+		}
+		sm.Obs().SetPrevFlight(saved)
+		peerObs.SetPrevFlight(saved)
+		fromGW, gwErr := serveRow(t, gw, gatewayRoutes, MsgQueryTraces, tc.req)
+		fromPeer, peerErr := serveRow(t, peer, fedRoutes, MsgQueryTraces, tc.req)
+		if tc.wantErr != "" {
+			if gwErr == nil || gwErr.Error() != tc.wantErr || peerErr == nil || peerErr.Error() != tc.wantErr {
+				t.Errorf("%s: gateway err %v, peer err %v, want %q from both", tc.name, gwErr, peerErr, tc.wantErr)
+			}
+			continue
+		}
+		if gwErr != nil || peerErr != nil {
+			t.Errorf("%s: gateway err %v, peer err %v", tc.name, gwErr, peerErr)
+			continue
+		}
+		if !reflect.DeepEqual(fromGW, fromPeer) {
+			t.Errorf("%s: gateway answered %+v, peer %+v", tc.name, fromGW, fromPeer)
+		}
+		resp := fromGW.(QueryTracesResp)
+		var spans []string
+		for _, rec := range resp.Traces {
+			spans = append(spans, rec.Root().Name)
+		}
+		wantTotal := uint64(3)
+		if tc.req.Previous {
+			wantTotal = 2
+		}
+		if resp.MachineID != "reg" || resp.TotalRecorded != wantTotal || !reflect.DeepEqual(spans, tc.wantSpans) {
+			t.Errorf("%s: answered %+v (roots %v), want roots %v of %d recorded", tc.name, resp, spans, tc.wantSpans, wantTotal)
+		}
+		if (tc.wantEvent == "") != (len(resp.Events) == 0) || (tc.wantEvent != "" && resp.Events[0].Msg != tc.wantEvent) {
+			t.Errorf("%s: events %+v, want %q", tc.name, resp.Events, tc.wantEvent)
+		}
+	}
+}
+
+// TestGatewayHandlerWarmQueryAllocs is a tripwire on the serving shell: a
+// warm query-tr through Gateway.Handler() — span check, row lookup, payload
+// decode, the state manager's cached answer, RPC metrics — costs six
+// allocations (the request struct, the response's interface box, and the
+// JSON decoder's and the query's own four).
+func TestGatewayHandlerWarmQueryAllocs(t *testing.T) {
+	if raceDetector {
+		t.Skip("sync.Pool drops puts at random under -race; the plain run measures")
+	}
+	clock := simclock.NewVirtual(time.Date(2005, 9, 16, 8, 30, 0, 0, time.UTC)) // a Friday
+	node := testNode(t, clock, historyMachine("lab-01", 25, 9))
+	node.Gateway.Record(clock.Now(), sample(5, 400))
+	h := node.Gateway.Handler()
+	req := Request{Type: MsgQueryTR, Payload: json.RawMessage(`{"length_seconds":3600,"guest_mem_mb":100}`)}
+	query := func() {
+		if _, err := h(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Fill the tracker's pending ring (4 096 entries, eight a query) so its
+	// doubling is behind us, as it is on any node that has served for a while.
+	for i := 0; i < 600; i++ {
+		query()
+	}
+	if got := testing.AllocsPerRun(200, query); got > 6 {
+		t.Fatalf("a warm query-tr through Gateway.Handler() makes %v allocations, want at most 6", got)
+	}
+}

@@ -33,19 +33,26 @@ type RemoteGateway struct {
 	Caller  *Caller
 }
 
-func (r RemoteGateway) timeout() time.Duration {
-	if r.Timeout <= 0 {
-		return 5 * time.Second
+// rpc is the client stub of every typed call: one request of type typ to
+// addr, answered into a Resp, within timeout (<= 0 = 5 s). retry marks a call
+// that is idempotent, or keyed (see Caller.keyed), and so safe to repeat under
+// the caller's policy; every other call gets a single attempt.
+func rpc[Resp any](ctx context.Context, c *Caller, addr, typ string, req interface{}, timeout time.Duration, retry bool) (resp Resp, err error) {
+	if timeout <= 0 {
+		timeout = 5 * time.Second
 	}
-	return r.Timeout
+	if retry {
+		err = c.CallRetry(ctx, addr, typ, req, &resp, timeout)
+	} else {
+		err = c.Call(ctx, addr, typ, req, &resp, timeout)
+	}
+	return resp, err
 }
 
 // QueryTR implements GatewayAPI. Idempotent: retried under the caller's
 // policy.
 func (r RemoteGateway) QueryTR(ctx context.Context, req QueryTRReq) (QueryTRResp, error) {
-	var resp QueryTRResp
-	err := r.Caller.CallRetry(ctx, r.Addr, MsgQueryTR, req, &resp, r.timeout())
-	return resp, err
+	return rpc[QueryTRResp](ctx, r.Caller, r.Addr, MsgQueryTR, req, r.Timeout, true)
 }
 
 // Submit implements GatewayAPI. Not idempotent by itself: without a key it
@@ -54,51 +61,35 @@ func (r RemoteGateway) QueryTR(ctx context.Context, req QueryTRReq) (QueryTRResp
 // the submit becomes safely retryable — the gateway replays the original
 // job ID for a duplicate key.
 func (r RemoteGateway) Submit(ctx context.Context, req SubmitReq) (SubmitResp, error) {
-	var resp SubmitResp
-	if r.Caller != nil && r.Caller.Retry.MaxAttempts > 1 {
-		if req.IdempotencyKey == "" {
-			req.IdempotencyKey = r.Caller.NextKey(r.Addr)
-		}
-		err := r.Caller.CallRetry(ctx, r.Addr, MsgSubmit, req, &resp, r.timeout())
-		return resp, err
-	}
-	err := r.Caller.Call(ctx, r.Addr, MsgSubmit, req, &resp, r.timeout())
-	return resp, err
+	retry := r.Caller.keyed(&req, r.Addr)
+	return rpc[SubmitResp](ctx, r.Caller, r.Addr, MsgSubmit, req, r.Timeout, retry)
 }
 
 // JobStatus implements GatewayAPI. Idempotent: retried under the caller's
 // policy.
 func (r RemoteGateway) JobStatus(ctx context.Context, req JobStatusReq) (JobStatusResp, error) {
-	var resp JobStatusResp
-	err := r.Caller.CallRetry(ctx, r.Addr, MsgJobStatus, req, &resp, r.timeout())
-	return resp, err
+	return rpc[JobStatusResp](ctx, r.Caller, r.Addr, MsgJobStatus, req, r.Timeout, true)
 }
 
 // Kill implements GatewayAPI. Killing twice is an application error, so a
 // kill gets a single attempt; callers that lose the ACK can confirm the
 // outcome with JobStatus.
 func (r RemoteGateway) Kill(ctx context.Context, req JobStatusReq) (JobStatusResp, error) {
-	var resp JobStatusResp
-	err := r.Caller.Call(ctx, r.Addr, MsgKillJob, req, &resp, r.timeout())
-	return resp, err
+	return rpc[JobStatusResp](ctx, r.Caller, r.Addr, MsgKillJob, req, r.Timeout, false)
 }
 
 // QueryStats fetches the node's observability snapshot. Idempotent: retried
 // under the caller's policy. (Deliberately not part of GatewayAPI — it is an
 // operator surface, not a scheduling one.)
 func (r RemoteGateway) QueryStats(ctx context.Context, req QueryStatsReq) (QueryStatsResp, error) {
-	var resp QueryStatsResp
-	err := r.Caller.CallRetry(ctx, r.Addr, MsgQueryStats, req, &resp, r.timeout())
-	return resp, err
+	return rpc[QueryStatsResp](ctx, r.Caller, r.Addr, MsgQueryStats, req, r.Timeout, true)
 }
 
 // QueryTraces fetches the node's flight-recorder snapshot. Idempotent:
 // retried under the caller's policy. (An operator surface like QueryStats,
 // so not part of GatewayAPI.)
 func (r RemoteGateway) QueryTraces(ctx context.Context, req QueryTracesReq) (QueryTracesResp, error) {
-	var resp QueryTracesResp
-	err := r.Caller.CallRetry(ctx, r.Addr, MsgQueryTraces, req, &resp, r.timeout())
-	return resp, err
+	return rpc[QueryTracesResp](ctx, r.Caller, r.Addr, MsgQueryTraces, req, r.Timeout, true)
 }
 
 // Candidate pairs a machine identity with its gateway API.

@@ -469,17 +469,13 @@ type AccuracyStats struct {
 	// Accuracy is the fraction of predictions whose 0.5-thresholded claim
 	// matched the outcome.
 	Accuracy float64 `json:"accuracy"`
-	// RollingBrier and RollingAccuracy cover only the most recent
-	// RollingWindowSize resolved predictions.
+	// RollingBrier and RollingAccuracy cover only the most recent 128
+	// resolved predictions.
 	RollingBrier    float64 `json:"rolling_brier"`
 	RollingAccuracy float64 `json:"rolling_accuracy"`
 	// Calibration is the 10-bucket reliability table.
 	Calibration []CalibrationBucket `json:"calibration,omitempty"`
 }
-
-// RollingWindowSize reports how many resolved predictions back the rolling
-// statistics.
-func RollingWindowSize() int { return rollingWindow }
 
 // summary is the reportable view of one key: the figures AccSums.Stats
 // derives from the sums, plus the rolling ones only this node's ring holds.
@@ -517,24 +513,6 @@ func (st *accStats) rollingBrier() (float64, int) {
 	return sum / float64(len(st.ring)), len(st.ring)
 }
 
-// RollingScore returns the rolling-window Brier score for one (machine,
-// predictor) and the number of resolved predictions backing it (0 when
-// nothing resolved yet). This is the selection signal the ensemble router
-// reads per query, so it is a mutex acquire plus a bounded ring scan and
-// allocates nothing.
-func (t *Tracker) RollingScore(machine, predictor string) (brier float64, n int) {
-	if t == nil {
-		return 0, 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	st, ok := t.stats[trackerKey{Machine: machine, Predictor: predictor}]
-	if !ok {
-		return 0, 0
-	}
-	return st.rollingBrier()
-}
-
 // RouteScore is one predictor's routing signal for one machine: the rolling
 // Brier score, how many resolved predictions back it, and the cumulative
 // resolved count (monotonic — the router's dwell clock, which must keep
@@ -542,8 +520,7 @@ func (t *Tracker) RollingScore(machine, predictor string) (brier float64, n int)
 type RouteScore struct {
 	// Brier is the rolling-window Brier score (meaningless when N is 0).
 	Brier float64
-	// N is the number of rolling entries backing Brier (at most
-	// RollingWindowSize).
+	// N is the number of rolling entries backing Brier (at most 128).
 	N int
 	// Resolved is the cumulative resolved-prediction count.
 	Resolved uint64

@@ -88,12 +88,6 @@ func Float(k string, v float64) Attr {
 	return Attr{Key: k, Value: strconv.FormatFloat(v, 'g', -1, 64)}
 }
 
-// Bool builds a boolean attribute.
-func Bool(k string, v bool) Attr { return Attr{Key: k, Value: strconv.FormatBool(v)} }
-
-// Duration builds a duration attribute in Go's duration syntax.
-func Duration(k string, v time.Duration) Attr { return Attr{Key: k, Value: v.String()} }
-
 // Event is a point-in-time annotation on a span (a breaker opening, a cache
 // hit, a retry backoff).
 type Event struct {

@@ -364,9 +364,7 @@ func TestAttrConstructors(t *testing.T) {
 	}{
 		{String("a", "b"), Attr{"a", "b"}},
 		{Int("n", 42), Attr{"n", "42"}},
-		{Bool("ok", true), Attr{"ok", "true"}},
 		{Float("f", 0.25), Attr{"f", "0.25"}},
-		{Duration("d", 1500*time.Millisecond), Attr{"d", "1.5s"}},
 	}
 	for _, c := range cases {
 		if c.got != c.want {

@@ -108,9 +108,6 @@ func NewEngine(cfg EngineConfig) *Engine {
 	return e
 }
 
-// Workers returns the batch worker-pool width.
-func (e *Engine) Workers() int { return e.workers }
-
 // engineKey identifies one cached result: the fingerprint of the day pool,
 // the query window, and the predictor identity — the full SMP estimator
 // configuration on the kernel path, or the plugin's registered name plus its
