@@ -148,13 +148,18 @@ fuzz:
 	$(GO) test ./internal/ishare/ -run '^$$' -fuzz '^FuzzDecodeRegSnapshot$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/durable/ -run '^$$' -fuzz '^FuzzDecodeRecords$$' -fuzztime $(FUZZTIME)
 
-# Golden-trace regression: fixed-seed workload, bit-exact predictor outputs.
-# Use `make golden-update` only when a numerical change is intended.
+# Golden-trace regression: fixed-seed workload, bit-exact predictor outputs;
+# and the paper's scorecard, regenerated at the canonical scale and compared
+# with the block EXPERIMENTS.md embeds (byte for byte, verdicts against the
+# recorded ones). Use `make golden-update` only when a numerical change is
+# intended.
 golden:
 	$(GO) test ./internal/predict/ -run 'TestGolden' -count=1
+	$(GO) test ./cmd/experiments/ -run 'TestScorecard' -count=1
 
 golden-update:
 	$(GO) test ./internal/predict/ -run 'TestGoldenPredictions' -count=1 -update
+	$(GO) test ./cmd/experiments/ -run 'TestScorecard' -count=1 -update
 
 # Chaos harnesses: a five-machine testbed over real TCP with seeded fault
 # injection (dial refusals, resets, corruption, partitions), and a

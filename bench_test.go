@@ -258,50 +258,6 @@ func BenchmarkAblationSolver(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationCensoring compares the censoring policies of the kernel
-// estimator (accuracy differences are discussed in the smp package docs).
-func BenchmarkAblationCensoring(b *testing.B) {
-	sp := benchSplit(b)
-	p := predict.SMP{Cfg: avail.DefaultConfig()}
-	w := predict.Window{Start: 8 * time.Hour, Length: 2 * time.Hour}
-	for _, mode := range []struct {
-		name string
-		m    smp.CensorMode
-	}{{"hazard", smp.CensorHazard}, {"ignore", smp.CensorIgnore}, {"survival", smp.CensorSurvival}} {
-		mode := mode
-		b.Run(mode.name, func(b *testing.B) {
-			pp := p
-			pp.Censoring = mode.m
-			for i := 0; i < b.N; i++ {
-				if _, err := pp.Predict(sp.Train, w); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblationEstimation compares restart vs absorb trajectory
-// extraction.
-func BenchmarkAblationEstimation(b *testing.B) {
-	sp := benchSplit(b)
-	w := predict.Window{Start: 8 * time.Hour, Length: 2 * time.Hour}
-	for _, mode := range []struct {
-		name string
-		m    predict.Estimation
-	}{{"restart", predict.EstimateRestart}, {"absorb", predict.EstimateAbsorb}} {
-		mode := mode
-		b.Run(mode.name, func(b *testing.B) {
-			p := predict.SMP{Cfg: avail.DefaultConfig(), Estimation: mode.m}
-			for i := 0; i < b.N; i++ {
-				if _, err := p.Predict(sp.Train, w); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // ---------------------------------------------------------- components ----
 
 // BenchmarkClassify measures the five-state classification of a full day.

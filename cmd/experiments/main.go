@@ -1,18 +1,22 @@
 // Command experiments regenerates every table and figure of the paper's
 // evaluation (Sections 3.2, 6.1 and 7) on the synthetic testbed trace:
 //
-//	experiments -run all            # everything (minutes)
+//	experiments -run all            # every experiment (under a minute)
 //	experiments -run f5 -machines 6 # one figure
 //	experiments -run f7 -trace t.bin
+//	experiments -run claims         # the scorecard EXPERIMENTS.md embeds
 //
-// Output is a plain-text table per experiment; EXPERIMENTS.md records these
-// numbers next to the paper's.
+// Output is a plain-text table per experiment; the scorecard judges the
+// paper's claims on them (internal/experiments.Claims).
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
+	"strings"
 	"time"
 
 	"fgcs/internal/avail"
@@ -25,9 +29,65 @@ import (
 	"fgcs/internal/workload"
 )
 
+// experiment is one row of the registry: what -run selects by id, the header
+// its table prints under, whether it reads the testbed trace, and the run,
+// which prints the table and leaves the result in env.res for the scorecard.
+type experiment struct {
+	id, title  string
+	needsTrace bool
+	run        func(*env) error
+}
+
+var registry = []experiment{
+	{"e1", "E1: CPU contention (Section 3.2.1) — reduction rate of host CPU usage", false, runE1},
+	{"e1b", "E1b: guest-priority policy alternatives (Section 3.2.1)", false, runE1b},
+	{"e2", "E2: CPU + memory contention (Section 3.2.2)", false, runE2},
+	{"f4", "F4: prediction cost vs window length (Figure 4)", true, runF4},
+	{"f5", "F5 (%s): relative error of predicted TR (Figure 5)", true, runF5},
+	{"f6", "F6: error vs training:test ratio, weekdays (Figure 6)", true, runF6},
+	{"f7", "F7: SMP vs linear time-series models, max error, 08:00 weekdays (Figure 7)", true, runF7},
+	{"f8", "F8: prediction discrepancy under injected noise (Figure 8)", true, runF8},
+	{"s6", "S6: unavailability occurrences per machine (Section 6.1)", true, runS6},
+	{"s7", "S7: resource monitoring overhead (Section 7.1)", false, runS7},
+	{"x1", "X1 (extension): proactive TR-aware scheduling vs oblivious placement", true, runX1},
+	{"x2", "X2 (extension): sensitivity to the history pool size N (Section 4.2)", true, runX2},
+	{"x3", "X3 (future work, Section 8): accuracy on an enterprise-desktop testbed", false, runX3},
+	{"x4", "X4 (extension): end-to-end job response time under each placement policy", false, runX4},
+}
+
+// env is what a run reads and writes.
+type env struct {
+	out            io.Writer
+	title          string
+	ds             *trace.Dataset // nil unless a selected experiment needs it
+	cfg            avail.Config
+	machines, days int
+	seed           uint64
+	quick          bool
+	res            experiments.Results
+}
+
+func (e *env) printf(format string, args ...any) { fmt.Fprintf(e.out, format, args...) }
+
+// feeds reports whether the scorecard reads claim c off x's result: the
+// claim's id starts with the experiment's.
+func (x experiment) feeds(c experiments.Claim) bool {
+	return strings.HasPrefix(strings.ToLower(c.ID), x.id+"-")
+}
+
+// valid lists the -run values: every experiment, the scorecard (the
+// experiments it reads run first, their tables discarded), or one registry id.
+func valid() string {
+	ids := "all, claims"
+	for _, x := range registry {
+		ids += ", " + x.id
+	}
+	return ids
+}
+
 func main() {
 	var (
-		run      = flag.String("run", "all", "experiment id: all, e1, e1b, e2, f4, f5, f6, f7, f8, s6, s7, x1, x2, x3, x4, a1")
+		run      = flag.String("run", "all", "experiment id: "+valid())
 		machines = flag.Int("machines", 6, "machines in the generated trace")
 		days     = flag.Int("days", 90, "days in the generated trace")
 		seed     = flag.Uint64("seed", 1, "generator seed")
@@ -37,175 +97,120 @@ func main() {
 	)
 	flag.Parse()
 	experiments.SetWorkers(*workers)
-	if err := realMain(*run, *machines, *days, *seed, *traceIn, *quick); err != nil {
+	if _, err := realMain(os.Stdout, *run, *machines, *days, *seed, *traceIn, *quick); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
 }
 
-func realMain(run string, machines, days int, seed uint64, traceIn string, quick bool) error {
-	want := func(id string) bool { return run == "all" || run == id }
-	cfg := avail.DefaultConfig()
-
-	var ds *trace.Dataset
-	needTrace := false
-	for _, id := range []string{"f4", "f5", "f6", "f7", "f8", "s6", "x1", "x2", "a1"} {
-		if want(id) {
-			needTrace = true
+// realMain runs what -run selects, printing to out, and returns the results
+// the runs left behind. Under "claims" the experiments' own tables are
+// discarded and out receives the scorecard alone.
+func realMain(out io.Writer, run string, machines, days int, seed uint64, traceIn string, quick bool) (*experiments.Results, error) {
+	var rows []experiment
+	for _, x := range registry {
+		if run == "all" || run == x.id || run == "claims" && slices.ContainsFunc(experiments.Claims, x.feeds) {
+			rows = append(rows, x)
 		}
 	}
-	if needTrace {
-		var err error
-		ds, err = loadOrGenerate(traceIn, machines, days, seed, quick)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("# trace: %d machines x %d days (%d machine-days)\n\n",
-			len(ds.Machines), len(ds.Machines[0].Days), ds.MachineDays())
+	if len(rows) == 0 {
+		return nil, fmt.Errorf("unknown experiment %q (valid: %s)", run, valid())
 	}
-
-	if want("e1") {
-		if err := runE1(quick); err != nil {
-			return err
-		}
+	var err error
+	e := &env{out: out, cfg: avail.DefaultConfig(), machines: machines, days: days, seed: seed, quick: quick}
+	if run == "claims" {
+		e.out = io.Discard
 	}
-	if want("e1b") {
-		if err := runE1b(quick); err != nil {
-			return err
+	if slices.ContainsFunc(rows, func(x experiment) bool { return x.needsTrace }) {
+		if e.ds, err = loadOrGenerate(traceIn, machines, days, seed, quick); err != nil {
+			return nil, err
 		}
+		e.printf("# trace: %d machines x %d days (%d machine-days)\n\n",
+			len(e.ds.Machines), len(e.ds.Machines[0].Days), e.ds.MachineDays())
 	}
-	if want("e2") {
-		if err := runE2(quick); err != nil {
-			return err
+	for _, x := range rows {
+		e.title = x.title
+		if !strings.Contains(x.title, "%") {
+			e.printf("== %s ==\n", x.title)
 		}
-	}
-	if want("f4") {
-		if err := runF4(ds, cfg); err != nil {
-			return err
+		if err := x.run(e); err != nil {
+			return nil, fmt.Errorf("%s: %w", x.id, err)
 		}
 	}
-	if want("f5") {
-		if err := runF5(ds, cfg); err != nil {
-			return err
+	if run == "claims" {
+		scale := fmt.Sprintf("%d machines × %d days, seed %d", len(e.ds.Machines), len(e.ds.Machines[0].Days), seed)
+		if quick {
+			scale += ", every design at its -quick size"
 		}
+		fmt.Fprint(out, experiments.Scorecard(&e.res, scale))
 	}
-	if want("f6") {
-		if err := runF6(ds, cfg, quick); err != nil {
-			return err
-		}
-	}
-	if want("f7") {
-		if err := runF7(ds); err != nil {
-			return err
-		}
-	}
-	if want("f8") {
-		if err := runF8(ds); err != nil {
-			return err
-		}
-	}
-	if want("s6") {
-		runS6(ds, cfg)
-	}
-	if want("s7") {
-		if err := runS7(quick); err != nil {
-			return err
-		}
-	}
-	if want("x1") {
-		if err := runX1(ds); err != nil {
-			return err
-		}
-	}
-	if want("x2") {
-		if err := runX2(ds, cfg, quick); err != nil {
-			return err
-		}
-	}
-	if want("a1") {
-		if err := runA1(ds, cfg, quick); err != nil {
-			return err
-		}
-	}
-	if want("x3") {
-		if err := runX3(machines, days, seed, quick); err != nil {
-			return err
-		}
-	}
-	if want("x4") {
-		if err := runX4(days, seed, quick); err != nil {
-			return err
-		}
-	}
-	return nil
+	return &e.res, nil
 }
 
-func runX4(days int, seed uint64, quick bool) error {
-	fmt.Println("== X4 (extension): end-to-end job response time under each placement policy ==")
-	nJobs := 100
-	if quick {
+func runX4(e *env) error {
+	days, nJobs := e.days, 100
+	if e.quick {
 		days, nJobs = 35, 20
 	}
 	if days < 28 {
 		days = 28
 	}
-	het, err := experiments.HeterogeneousTestbed(days, experiments.DefaultTestbedScales, seed+500)
+	het, err := experiments.HeterogeneousTestbed(days, experiments.DefaultTestbedScales, e.seed+500)
 	if err != nil {
 		return err
 	}
 	startDay := days / 2
-	jobs, err := fgcssim.PoissonJobs(nJobs, het, startDay, seed+1)
+	jobs, err := fgcssim.PoissonJobs(nJobs, het, startDay, e.seed+1)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%d jobs on %d machines over %d test days (response time is the paper's primary metric)\n",
+	e.printf("%d jobs on %d machines over %d test days (response time is the paper's primary metric)\n",
 		len(jobs), len(het.Machines), days-startDay)
-	fmt.Printf("%-13s %-11s %-14s %-14s %-7s %s\n", "policy", "completed", "mean response", "p95 response", "kills", "lost compute")
+	e.printf("%-13s %-11s %-14s %-14s %-7s %s\n", "policy", "completed", "mean response", "p95 response", "kills", "lost compute")
 	for _, pol := range []fgcssim.Policy{fgcssim.PolicyTRAware, fgcssim.PolicyRoundRobin, fgcssim.PolicyRandom} {
 		cfg := fgcssim.Config{
 			Dataset:  het,
 			Cfg:      avail.DefaultConfig(),
 			StartDay: startDay,
 			Policy:   pol,
-			Seed:     seed + 2,
+			Seed:     e.seed + 2,
 		}
 		res, err := fgcssim.Run(cfg, jobs)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%-13v %-11d %-14v %-14v %-7d %v\n",
+		e.printf("%-13v %-11d %-14v %-14v %-7d %v\n",
 			pol, res.CompletedJobs, res.MeanResponse.Round(time.Second), res.P95Response.Round(time.Second),
 			res.TotalKills, res.TotalLost.Round(time.Minute))
 	}
-	fmt.Println()
+	e.printf("\n")
 	return nil
 }
 
-func runX3(machines, days int, seed uint64, quick bool) error {
-	fmt.Println("== X3 (future work, Section 8): accuracy on an enterprise-desktop testbed ==")
-	if quick {
+func runX3(e *env) error {
+	machines, days := e.machines, e.days
+	if e.quick {
 		machines, days = 2, 28
 	}
 	// Working-hour placements: lengths that fit inside a 9:00-17:00 day.
 	lengths := []float64{1, 2, 3, 5}
-	rows, err := experiments.RunX3(machines, days, seed, lengths)
+	rows, err := experiments.RunX3(machines, days, e.seed, lengths)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%-12s %-8s %-10s %s\n", "profile", "hours", "avg err%", "windows")
+	e.printf("%-12s %-8s %-10s %s\n", "profile", "hours", "avg err%", "windows")
 	for _, r := range rows {
-		fmt.Printf("%-12s %-8.0f %-10.2f %d\n", r.Profile, r.WindowHours, 100*r.AvgErr, r.Windows)
+		e.printf("%-12s %-8.0f %-10.2f %d\n", r.Profile, r.WindowHours, 100*r.AvgErr, r.Windows)
 	}
-	fmt.Println()
+	e.printf("\n")
 	return nil
 }
 
-func runX1(ds *trace.Dataset) error {
-	fmt.Println("== X1 (extension): proactive TR-aware scheduling vs oblivious placement ==")
+func runX1(e *env) error {
 	// X1 uses its own heterogeneous testbed: availability-aware placement
 	// only has something to choose between when machines differ.
-	days := len(ds.Machines[0].Days)
-	het, err := experiments.HeterogeneousTestbed(days, experiments.DefaultTestbedScales, 100)
+	days := len(e.ds.Machines[0].Days)
+	het, err := experiments.HeterogeneousTestbed(days, experiments.DefaultTestbedScales, e.seed+99)
 	if err != nil {
 		return err
 	}
@@ -213,69 +218,42 @@ func runX1(ds *trace.Dataset) error {
 	if cfg.HistoryDays >= days {
 		cfg.HistoryDays = days / 2
 	}
-	fmt.Printf("heterogeneous testbed: %d machines (activity scales %v), %d days\n",
+	e.printf("heterogeneous testbed: %d machines (activity scales %v), %d days\n",
 		len(het.Machines), experiments.DefaultTestbedScales, days)
 	rows, err := experiments.RunX1(het, cfg)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%-13s %-11s %-8s %-10s %s\n", "policy", "completed", "killed", "success%", "wasted compute")
+	e.printf("%-13s %-11s %-8s %-10s %s\n", "policy", "completed", "killed", "success%", "wasted compute")
 	for _, r := range rows {
 		total := r.Completed + r.Killed
-		fmt.Printf("%-13s %-11d %-8d %-10.1f %.0f h\n",
+		e.printf("%-13s %-11d %-8d %-10.1f %.0f h\n",
 			r.Policy, r.Completed, r.Killed, 100*float64(r.Completed)/float64(total), r.WastedHours)
 	}
-	fmt.Println()
+	e.printf("\n")
 	return nil
 }
 
-func runX2(ds *trace.Dataset, cfg avail.Config, quick bool) error {
-	fmt.Println("== X2 (extension): sensitivity to the history pool size N (Section 4.2) ==")
+func runX2(e *env) error {
 	lengths := []float64{1, 3, 10}
 	pools := []int{2, 5, 10, 20, 0}
-	if quick {
+	if e.quick {
 		lengths = []float64{1, 3}
 		pools = []int{2, 10, 0}
 	}
-	rows, err := experiments.RunX2(ds, cfg, pools, lengths)
+	rows, err := experiments.RunX2(e.ds, e.cfg, pools, lengths)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%-10s %-10s %-10s %s\n", "N days", "avg err%", "max err%", "windows")
+	e.printf("%-10s %-10s %-10s %s\n", "N days", "avg err%", "max err%", "windows")
 	for _, r := range rows {
 		label := fmt.Sprintf("%d", r.HistoryDays)
 		if r.HistoryDays == 0 {
 			label = "all"
 		}
-		fmt.Printf("%-10s %-10.2f %-10.2f %d\n", label, 100*r.AvgErr, 100*r.MaxErr, r.Windows)
+		e.printf("%-10s %-10.2f %-10.2f %d\n", label, 100*r.AvgErr, 100*r.MaxErr, r.Windows)
 	}
-	fmt.Println()
-	return nil
-}
-
-func runA1(ds *trace.Dataset, cfg avail.Config, quick bool) error {
-	fmt.Println("== A1 (ablation): estimator design, average relative error ==")
-	lengths := []float64{1, 3, 10}
-	if quick {
-		lengths = []float64{1, 3}
-	}
-	rows, err := experiments.RunA1(ds, cfg, lengths)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%-28s", "variant")
-	for _, h := range lengths {
-		fmt.Printf("%-9s", fmt.Sprintf("%gh", h))
-	}
-	fmt.Println()
-	for _, r := range rows {
-		fmt.Printf("%-28s", r.Variant)
-		for _, e := range r.AvgErr {
-			fmt.Printf("%-9.1f", 100*e)
-		}
-		fmt.Println()
-	}
-	fmt.Println()
+	e.printf("\n")
 	return nil
 }
 
@@ -298,10 +276,9 @@ func loadOrGenerate(path string, machines, days int, seed uint64, quick bool) (*
 	return workload.Generate(p)
 }
 
-func runE1(quick bool) error {
-	fmt.Println("== E1: CPU contention (Section 3.2.1) — reduction rate of host CPU usage ==")
+func runE1(e *env) error {
 	cfg := host.DefaultE1Config()
-	if quick {
+	if e.quick {
 		cfg.GroupSizes = []int{1, 3}
 		cfg.Trials = 2
 		cfg.Duration = 5 * time.Minute
@@ -310,216 +287,199 @@ func runE1(quick bool) error {
 	if err != nil {
 		return err
 	}
+	e.res.E1 = res
 	for _, nice := range []int{0, 19} {
-		fmt.Printf("guest priority nice=%d\n", nice)
-		fmt.Printf("  %-8s", "L_H%")
+		e.printf("guest priority nice=%d\n", nice)
+		e.printf("  %-8s", "L_H%")
 		for _, size := range cfg.GroupSizes {
-			fmt.Printf("size=%-6d", size)
+			e.printf("size=%-6d", size)
 		}
-		fmt.Println()
+		e.printf("\n")
 		for ti := range cfg.Targets {
 			curve0 := res.Curves[nice][cfg.GroupSizes[0]]
-			fmt.Printf("  %-8.1f", curve0[ti].IsolatedCPU)
+			e.printf("  %-8.1f", curve0[ti].IsolatedCPU)
 			for _, size := range cfg.GroupSizes {
-				fmt.Printf("%-10.2f", 100*res.Curves[nice][size][ti].Reduction)
+				e.printf("%-10.2f", 100*res.Curves[nice][size][ti].Reduction)
 			}
-			fmt.Println()
+			e.printf("\n")
 		}
 	}
-	fmt.Printf("derived thresholds: Th1=%.0f%% Th2=%.0f%% (paper: 20%%, 60%%)\n\n", res.Th1, res.Th2)
+	e.printf("derived thresholds: Th1=%.0f%% Th2=%.0f%% (paper: 20%%, 60%%)\n\n", res.Th1, res.Th2)
 	return nil
 }
 
-func runE1b(quick bool) error {
-	fmt.Println("== E1b: guest-priority policy alternatives (Section 3.2.1) ==")
+func runE1b(e *env) error {
 	targets := []float64{0.10, 0.30, 0.50, 0.70, 0.90}
 	trials, dur := 4, 12*time.Minute
-	if quick {
+	if e.quick {
 		trials, dur = 2, 5*time.Minute
 	}
 	rows, err := host.RunE1b(host.DefaultMachine(), targets, trials, dur, 2)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%-15s %-8s %-12s %-10s %s\n", "policy", "L_H%", "reduction%", "guest%", "mean nice")
+	e.res.E1b = rows
+	e.printf("%-15s %-8s %-12s %-10s %s\n", "policy", "L_H%", "reduction%", "guest%", "mean nice")
 	for _, r := range rows {
-		fmt.Printf("%-15v %-8.0f %-12.2f %-10.1f %.1f\n",
+		e.printf("%-15v %-8.0f %-12.2f %-10.1f %.1f\n",
 			r.Policy, r.IsolatedCPU, 100*r.Reduction, r.GuestCPU, r.MeanNice)
 	}
-	fmt.Println("conclusion: gradual priorities track the two-threshold scheme (redundant);")
-	fmt.Println("the two thresholds reflect the availability levels without over-restriction.")
-	fmt.Println()
+	e.printf("conclusion: gradual priorities track the two-threshold scheme (redundant);\n")
+	e.printf("the two thresholds reflect the availability levels without over-restriction.\n\n")
 	return nil
 }
 
-func runE2(quick bool) error {
-	fmt.Println("== E2: CPU + memory contention (Section 3.2.2) ==")
+func runE2(e *env) error {
 	cfg := host.DefaultE2Config()
-	if quick {
+	if e.quick {
 		cfg.Duration = 4 * time.Minute
 	}
 	cells, err := host.RunE2(cfg)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%-14s %-14s %-5s %-8s %-10s %s\n", "guest", "host", "nice", "L_H%", "reduction%", "thrashing")
+	e.res.E2 = cells
+	e.printf("%-14s %-14s %-5s %-8s %-10s %s\n", "guest", "host", "nice", "L_H%", "reduction%", "thrashing")
 	for _, c := range cells {
-		fmt.Printf("%-14s %-14s %-5d %-8.1f %-10.2f %v\n",
+		e.printf("%-14s %-14s %-5d %-8.1f %-10.2f %v\n",
 			c.Guest, c.Host, c.GuestNice, c.HostIsolatedCPU, 100*c.Reduction, c.Thrashing)
 	}
-	fmt.Println()
+	e.printf("\n")
 	return nil
 }
 
-func runF4(ds *trace.Dataset, cfg avail.Config) error {
-	fmt.Println("== F4: prediction cost vs window length (Figure 4) ==")
+func runF4(e *env) (err error) {
 	hours := []float64{0.5, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	rows, exp, err := experiments.RunF4(ds.Machines[0], cfg, hours)
-	if err != nil {
+	if e.res.F4, e.res.F4Exponent, err = experiments.RunF4(e.ds.Machines[0], e.cfg, hours); err != nil {
 		return err
 	}
-	fmt.Printf("%-10s %-14s %-14s %-12s %s\n", "hours", "Q+H time", "total time", "solver ops", "TR")
-	for _, r := range rows {
-		fmt.Printf("%-10.1f %-14v %-14v %-12d %.4f\n", r.WindowHours, r.QHTime, r.TotalTime, r.Ops, r.TR)
+	e.printf("%-10s %-14s %-14s %-12s %s\n", "hours", "Q+H time", "total time", "solver ops", "TR")
+	for _, r := range e.res.F4 {
+		e.printf("%-10.1f %-14v %-14v %-12d %.4f\n", r.WindowHours, r.QHTime, r.TotalTime, r.Ops, r.TR)
 	}
-	fmt.Printf("power-law exponent of total time: %.2f (paper: 1.85)\n\n", exp)
+	e.printf("power-law exponent of total time: %.2f (paper: 1.85)\n\n", e.res.F4Exponent)
 	return nil
 }
 
-func runF5(ds *trace.Dataset, cfg avail.Config) error {
+func runF5(e *env) error {
 	for _, dt := range []trace.DayType{trace.Weekday, trace.Weekend} {
-		fmt.Printf("== F5 (%s): relative error of predicted TR (Figure 5) ==\n", dt)
+		e.printf("== "+e.title+" ==\n", dt)
 		fcfg := experiments.DefaultF5Config(dt)
-		fcfg.Cfg = cfg
-		rows, err := experiments.RunF5(ds, fcfg)
+		fcfg.Cfg = e.cfg
+		rows, err := experiments.RunF5(e.ds, fcfg)
 		if err != nil {
 			return err
 		}
-		printF5(rows)
+		e.res.F5[dt] = rows
+		e.printf("%-8s %-10s %-10s %-10s %-9s %s\n", "hours", "avg err%", "min err%", "max err%", "windows", "skipped")
+		var labels []string
+		var avg, max []float64
+		for _, r := range rows {
+			e.printf("%-8.0f %-10.2f %-10.2f %-10.2f %-9d %d\n",
+				r.WindowHours, 100*r.Err.Mean, 100*r.Err.Min, 100*r.Err.Max, r.Windows, r.Skipped)
+			labels = append(labels, fmt.Sprintf("%gh", r.WindowHours))
+			avg = append(avg, 100*r.Err.Mean)
+			max = append(max, 100*r.Err.Max)
+		}
+		e.printf("\n%s\n", txtplot.Chart("relative error (%) vs window length", labels, []txtplot.Series{
+			{Name: "avg", Y: avg},
+			{Name: "max", Y: max},
+		}, 10))
 	}
 	return nil
 }
 
-func printF5(rows []experiments.F5Row) {
-	fmt.Printf("%-8s %-10s %-10s %-10s %-9s %s\n", "hours", "avg err%", "min err%", "max err%", "windows", "skipped")
-	var labels []string
-	var avg, max []float64
-	for _, r := range rows {
-		fmt.Printf("%-8.0f %-10.2f %-10.2f %-10.2f %-9d %d\n",
-			r.WindowHours, 100*r.Err.Mean, 100*r.Err.Min, 100*r.Err.Max, r.Windows, r.Skipped)
-		labels = append(labels, fmt.Sprintf("%gh", r.WindowHours))
-		avg = append(avg, 100*r.Err.Mean)
-		max = append(max, 100*r.Err.Max)
-	}
-	fmt.Println()
-	fmt.Println(txtplot.Chart("relative error (%) vs window length", labels, []txtplot.Series{
-		{Name: "avg", Y: avg},
-		{Name: "max", Y: max},
-	}, 10))
-}
-
-func runF6(ds *trace.Dataset, cfg avail.Config, quick bool) error {
-	fmt.Println("== F6: error vs training:test ratio, weekdays (Figure 6) ==")
+func runF6(e *env) (err error) {
 	lengths := experiments.DefaultLengthsHours
-	if quick {
+	if e.quick {
 		lengths = []float64{1, 3}
 	}
-	rows, err := experiments.RunF6(ds, cfg, lengths)
-	if err != nil {
+	if e.res.F6, err = experiments.RunF6(e.ds, e.cfg, lengths); err != nil {
 		return err
 	}
-	fmt.Printf("%-8s %-14s %s\n", "ratio", "max-avg err%", "max err%")
-	best := rows[0]
-	for _, r := range rows {
-		fmt.Printf("%d:%-6d %-14.2f %.2f\n", r.TrainParts, r.TestParts, 100*r.MaxAvg, 100*r.Max)
+	e.printf("%-8s %-14s %s\n", "ratio", "max-avg err%", "max err%")
+	best := e.res.F6[0]
+	for _, r := range e.res.F6 {
+		e.printf("%d:%-6d %-14.2f %.2f\n", r.TrainParts, r.TestParts, 100*r.MaxAvg, 100*r.Max)
 		if r.MaxAvg < best.MaxAvg {
 			best = r
 		}
 	}
-	fmt.Printf("sweet spot: %d:%d (paper: 6:4)\n\n", best.TrainParts, best.TestParts)
+	e.printf("sweet spot: %d:%d (paper: 6:4)\n\n", best.TrainParts, best.TestParts)
 	return nil
 }
 
-func runF7(ds *trace.Dataset) error {
-	fmt.Println("== F7: SMP vs linear time-series models, max error, 08:00 weekdays (Figure 7) ==")
+func runF7(e *env) (err error) {
 	cfg := experiments.DefaultF7Config()
-	rows, err := experiments.RunF7(ds, cfg)
-	if err != nil {
+	if e.res.F7, err = experiments.RunF7(e.ds, cfg); err != nil {
 		return err
 	}
-	fmt.Printf("%-12s", "model")
-	for _, h := range cfg.LengthsHours {
-		fmt.Printf("%-9s", fmt.Sprintf("%gh", h))
-	}
-	fmt.Println()
+	e.printf("%-12s", "model")
 	var labels []string
 	for _, h := range cfg.LengthsHours {
 		labels = append(labels, fmt.Sprintf("%gh", h))
+		e.printf("%-9s", labels[len(labels)-1])
 	}
+	e.printf("\n")
 	var series []txtplot.Series
-	for _, r := range rows {
-		fmt.Printf("%-12s", r.Model)
+	for _, r := range e.res.F7 {
+		e.printf("%-12s", r.Model)
 		ys := make([]float64, len(r.MaxErr))
-		for i, e := range r.MaxErr {
-			fmt.Printf("%-9.1f", 100*e)
-			ys[i] = 100 * e
+		for i, v := range r.MaxErr {
+			e.printf("%-9.1f", 100*v)
+			ys[i] = 100 * v
 		}
-		fmt.Println()
+		e.printf("\n")
 		series = append(series, txtplot.Series{Name: r.Model, Y: ys})
 	}
-	fmt.Println()
-	fmt.Println(txtplot.Chart("max relative error (%) vs window length", labels, series, 12))
+	e.printf("\n%s\n", txtplot.Chart("max relative error (%) vs window length", labels, series, 12))
 	return nil
 }
 
-func runF8(ds *trace.Dataset) error {
-	fmt.Println("== F8: prediction discrepancy under injected noise (Figure 8) ==")
+func runF8(e *env) (err error) {
 	cfg := experiments.DefaultF8Config()
-	rows, err := experiments.RunF8(ds.Machines[0], cfg)
-	if err != nil {
+	if e.res.F8, err = experiments.RunF8(e.ds.Machines[0], cfg); err != nil {
 		return err
 	}
-	fmt.Printf("%-7s", "noise")
+	e.printf("%-7s", "noise")
 	for _, h := range cfg.LengthsHours {
-		fmt.Printf("%-9s", fmt.Sprintf("T=%gh", h))
+		e.printf("%-9s", fmt.Sprintf("T=%gh", h))
 	}
-	fmt.Println()
-	for _, r := range rows {
-		fmt.Printf("%-7d", r.Noise)
+	e.printf("\n")
+	for _, r := range e.res.F8 {
+		e.printf("%-7d", r.Noise)
 		for _, d := range r.Discrepancy {
-			fmt.Printf("%-9.2f", 100*d)
+			e.printf("%-9.2f", 100*d)
 		}
-		fmt.Println()
+		e.printf("\n")
 	}
-	fmt.Println()
+	e.printf("\n")
 	return nil
 }
 
-func runS6(ds *trace.Dataset, cfg avail.Config) {
-	fmt.Println("== S6: unavailability occurrences per machine (Section 6.1) ==")
-	rows := experiments.RunS6(ds, cfg)
-	fmt.Printf("%-10s %-6s %-8s %-6s %-6s %s\n", "machine", "days", "events", "S3", "S4", "S5")
+func runS6(e *env) error {
+	e.res.S6 = experiments.RunS6(e.ds, e.cfg)
+	e.printf("%-10s %-6s %-8s %-6s %-6s %s\n", "machine", "days", "events", "S3", "S4", "S5")
 	var counts []float64
-	for _, r := range rows {
-		fmt.Printf("%-10s %-6d %-8d %-6d %-6d %d\n",
+	for _, r := range e.res.S6 {
+		e.printf("%-10s %-6d %-8d %-6d %-6d %d\n",
 			r.MachineID, r.Days, r.Events, r.ByState[avail.S3], r.ByState[avail.S4], r.ByState[avail.S5])
 		counts = append(counts, float64(r.Events))
 	}
 	s := stats.Summarize(counts)
-	fmt.Printf("range %.0f-%.0f, mean %.0f (paper: 405-453 over 90 days)\n\n", s.Min, s.Max, s.Mean)
+	e.printf("range %.0f-%.0f, mean %.0f (paper: 405-453 over 90 days)\n\n", s.Min, s.Max, s.Mean)
+	return nil
 }
 
-func runS7(quick bool) error {
-	fmt.Println("== S7: resource monitoring overhead (Section 7.1) ==")
+func runS7(e *env) (err error) {
 	n := 200000
-	if quick {
+	if e.quick {
 		n = 20000
 	}
-	res, err := experiments.RunS7(n, trace.DefaultPeriod)
-	if err != nil {
+	if e.res.S7, err = experiments.RunS7(n, trace.DefaultPeriod); err != nil {
 		return err
 	}
-	fmt.Printf("per-sample cost: %v over %d samples\n", res.PerSample, res.Samples)
-	fmt.Printf("fraction of the 6 s period: %.6f%% (paper: < 1%%)\n\n", 100*res.PeriodFraction)
+	e.printf("per-sample cost: %v over %d samples\n", e.res.S7.PerSample, e.res.S7.Samples)
+	e.printf("fraction of the 6 s period: %.6f%% (paper: < 1%%)\n\n", 100*e.res.S7.PeriodFraction)
 	return nil
 }

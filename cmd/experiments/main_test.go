@@ -1,36 +1,64 @@
 package main
 
 import (
+	"bytes"
+	"flag"
+	"io"
 	"os"
+	"slices"
 	"strings"
 	"testing"
+
+	"fgcs/internal/experiments"
 )
 
+var update = flag.Bool("update", false, "rewrite the scorecard block of EXPERIMENTS.md")
+
 // The quick path of every experiment must run end to end; this is the
-// regression net for the harness plumbing (the statistical content is tested
-// in internal/experiments).
+// regression net for the harness plumbing (the statistical content is the
+// scorecard's).
 func TestRealMainQuickSingles(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real experiment code")
 	}
-	for _, id := range []string{"s7", "f4", "s6", "f8", "e1b", "e2", "x4"} {
-		if err := realMain(id, 2, 14, 1, "", true); err != nil {
+	for _, id := range []string{"s7", "f4", "s6", "f8", "e1b", "e2", "x4", "claims"} {
+		if _, err := realMain(io.Discard, id, 2, 14, 1, "", true); err != nil {
 			t.Errorf("%s: %v", id, err)
 		}
 	}
 }
 
-func TestRealMainUnknownIDIsNoop(t *testing.T) {
-	// Unknown ids simply select no experiment; the trace is not even
-	// generated.
-	if err := realMain("zzz", 1, 1, 1, "", true); err != nil {
-		t.Fatal(err)
+func TestRealMainUnknownIDIsError(t *testing.T) {
+	_, err := realMain(io.Discard, "zzz", 1, 1, 1, "", true)
+	if err == nil {
+		t.Fatal("unknown id ran nothing and reported success")
+	}
+	for _, id := range []string{`"zzz"`, "all", "claims", "e1b", "x4"} {
+		if !strings.Contains(err.Error(), id) {
+			t.Errorf("error %q does not name %s", err, id)
+		}
 	}
 }
 
 func TestRealMainBadTraceFile(t *testing.T) {
-	if err := realMain("s6", 1, 1, 1, "/nonexistent/file.bin", true); err == nil {
+	if _, err := realMain(io.Discard, "s6", 1, 1, 1, "/nonexistent/file.bin", true); err == nil {
 		t.Fatal("missing trace file accepted")
+	}
+}
+
+// Every claim must name, by its id's prefix, exactly one registry row: that is
+// how -run claims finds the experiments to run.
+func TestClaimsNameRegistryRows(t *testing.T) {
+	for _, c := range experiments.Claims {
+		n := 0
+		for _, x := range registry {
+			if x.feeds(c) {
+				n++
+			}
+		}
+		if n != 1 {
+			t.Errorf("claim %s is fed by %d registry rows", c.ID, n)
+		}
 	}
 }
 
@@ -58,27 +86,93 @@ func TestContentionBlocksMatchRecordedOutput(t *testing.T) {
 		if next := strings.Index(want[len(header):], "\n== "); next >= 0 {
 			want = want[:len(header)+next+1]
 		}
-
-		out, err := os.Create(t.TempDir() + "/stdout")
-		if err != nil {
-			t.Fatal(err)
-		}
-		stdout := os.Stdout
-		os.Stdout = out
-		err = realMain(id, 6, 90, 1, "", false)
-		os.Stdout = stdout
-		if err != nil {
+		var got bytes.Buffer
+		if _, err := realMain(&got, id, 6, 90, 1, "", false); err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
-		if err := out.Close(); err != nil {
+		if got.String() != want {
+			t.Errorf("%s differs from experiments_output.txt\n--- got ---\n%s--- recorded ---\n%s", id, &got, want)
+		}
+	}
+}
+
+// TestScorecard runs -run claims at the canonical scale and holds
+// EXPERIMENTS.md to it: the block between the markers must equal the
+// generated one byte for byte (-update rewrites it), and no verdict may
+// differ from the one recorded in experiments.Claims. Then it doctors the
+// results to prove the rules are not vacuous: each doctoring must flip
+// exactly the verdicts listed for it.
+func TestScorecard(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every claim's experiment at full scale")
+	}
+	var got bytes.Buffer
+	res, err := realMain(&got, "claims", 6, 90, 1, "", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(got.String(), "\n") {
+		if strings.Contains(line, "(recorded:") {
+			t.Errorf("verdict differs from the recorded one: %s", line)
+		}
+	}
+
+	const path = "../../EXPERIMENTS.md"
+	doc, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	begin := bytes.Index(doc, []byte(experiments.BlockBegin))
+	end := bytes.Index(doc, []byte(experiments.BlockEnd))
+	if begin < 0 || end < begin {
+		t.Fatalf("%s has no %s … %s block", path, experiments.BlockBegin, experiments.BlockEnd)
+	}
+	end += len(experiments.BlockEnd) + 1 // the marker's newline
+	if *update {
+		if err := os.WriteFile(path, slices.Concat(doc[:begin], got.Bytes(), doc[end:]), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		got, err := os.ReadFile(out.Name())
-		if err != nil {
-			t.Fatal(err)
+	} else if !bytes.Equal(doc[begin:end], got.Bytes()) {
+		t.Errorf("the scorecard in %s is not what -run claims prints (make golden-update rewrites it)\n--- generated ---\n%s", path, &got)
+	}
+
+	verdicts := func(r *experiments.Results) map[string]experiments.Verdict {
+		out := map[string]experiments.Verdict{}
+		for _, c := range experiments.Claims {
+			_, out[c.ID] = c.Judge(r)
 		}
-		if string(got) != want {
-			t.Errorf("%s differs from experiments_output.txt\n--- got ---\n%s--- recorded ---\n%s", id, got, want)
+		return out
+	}
+	honest := verdicts(res)
+	for _, d := range []struct {
+		name   string
+		doctor func(r *experiments.Results)
+		flips  map[string]experiments.Verdict
+	}{
+		{"F7: SMP's and AR's rows swapped", func(r *experiments.Results) {
+			r.F7 = slices.Clone(r.F7)
+			r.F7[0].MaxErr, r.F7[1].MaxErr = r.F7[1].MaxErr, r.F7[0].MaxErr
+		}, map[string]experiments.Verdict{"F7-rank": experiments.NotReproduced}},
+		{"E1: Th1 = 35", func(r *experiments.Results) {
+			e1 := *r.E1
+			e1.Th1 = 35
+			r.E1 = &e1
+		}, map[string]experiments.Verdict{"E1-Th1": experiments.ShapeOnly}},
+		{"F8: the 10-instance row zeroed", func(r *experiments.Results) {
+			r.F8 = slices.Clone(r.F8)
+			r.F8[10].Discrepancy = make([]float64, len(r.F8[10].Discrepancy))
+		}, map[string]experiments.Verdict{"F8-long": experiments.Reproduced, "F8-grows": experiments.NotReproduced}},
+	} {
+		doctored := *res
+		d.doctor(&doctored)
+		for id, v := range verdicts(&doctored) {
+			want, flips := d.flips[id]
+			if !flips {
+				want = honest[id]
+			}
+			if v != want {
+				t.Errorf("%s: %s is %v, want %v", d.name, id, v, want)
+			}
 		}
 	}
 }

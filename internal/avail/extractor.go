@@ -44,35 +44,19 @@ func (e *Extractor) Reset(cfg Config, period time.Duration) {
 	e.seqs = e.seqs[:0]
 }
 
-// AddWindow classifies one history window and appends its training
-// sequences to the accumulated set: every restart trajectory when absorb is
-// false (EstimateRestart semantics — see ExtractTrajectories), or the single
-// absorbed sojourn sequence when absorb is true (ExtractSojourns semantics).
-// It returns the window's initial availability state and whether that state
-// is recoverable. Empty windows contribute nothing and report an
-// unrecoverable start.
-func (e *Extractor) AddWindow(samples []trace.Sample, absorb bool) (State, bool) {
+// AddWindow classifies one history window and appends its restart
+// trajectories (see ExtractTrajectories) to the accumulated set. It returns
+// the window's initial availability state and whether that state is
+// recoverable. Empty windows contribute nothing and report an unrecoverable
+// start. The bool is ignored: it selected a removed extraction mode, and the
+// signature stays because bench/, which only a benchmark change may edit,
+// calls it.
+func (e *Extractor) AddWindow(samples []trace.Sample, _ bool) (State, bool) {
 	if len(samples) == 0 {
 		return S1, false
 	}
 	e.states = ClassifyInto(e.states, samples, e.cfg, e.period)
 	states := e.states
-	if absorb {
-		start := len(e.arena)
-		for i := 0; i < len(states); {
-			j := i
-			for j < len(states) && states[j] == states[i] {
-				j++
-			}
-			e.arena = append(e.arena, Sojourn{State: states[i], Units: j - i})
-			if states[i].Failure() {
-				break
-			}
-			i = j
-		}
-		e.spans = append(e.spans, [2]int{start, len(e.arena)})
-		return states[0], states[0].Recoverable()
-	}
 	curStart := -1
 	for i := 0; i < len(states); {
 		j := i

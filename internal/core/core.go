@@ -21,7 +21,6 @@ import (
 
 	"fgcs/internal/avail"
 	"fgcs/internal/predict"
-	"fgcs/internal/smp"
 	"fgcs/internal/trace"
 )
 
@@ -37,12 +36,6 @@ type Options struct {
 	// Smoothing adds a pseudo-count to the kernel estimate; 0 reproduces
 	// the paper's plain statistics.
 	Smoothing float64
-	// Censoring selects the censored-sojourn policy (default: the
-	// Kaplan–Meier hazard estimator).
-	Censoring smp.CensorMode
-	// Estimation selects restart (default) or absorb trajectory
-	// extraction.
-	Estimation predict.Estimation
 }
 
 // Predictor predicts temporal reliability for one machine from its history.
@@ -69,17 +62,9 @@ func NewPredictor(m *trace.Machine, opts Options) (*Predictor, error) {
 			Cfg:         cfg,
 			HistoryDays: opts.HistoryDays,
 			Smoothing:   opts.Smoothing,
-			Censoring:   opts.Censoring,
-			Estimation:  opts.Estimation,
 		},
 	}, nil
 }
-
-// Machine returns the underlying history.
-func (p *Predictor) Machine() *trace.Machine { return p.machine }
-
-// Config returns the availability-model configuration in use.
-func (p *Predictor) Config() avail.Config { return p.smp.Cfg }
 
 // TR predicts the temporal reliability of a window on a day of the given
 // type, pooling the machine's history days of that type.
@@ -89,16 +74,6 @@ func (p *Predictor) TR(dayType trace.DayType, w predict.Window) (predict.Predict
 		return predict.Prediction{}, fmt.Errorf("core: no %s history for %s", dayType, p.machine.ID)
 	}
 	return p.smp.Predict(days, w)
-}
-
-// TRFrom predicts TR given the machine's known current state (S1 or S2) —
-// the live scheduler query.
-func (p *Predictor) TRFrom(dayType trace.DayType, w predict.Window, init avail.State) (float64, error) {
-	days := p.machine.DaysOfType(dayType)
-	if len(days) == 0 {
-		return 0, fmt.Errorf("core: no %s history for %s", dayType, p.machine.ID)
-	}
-	return p.smp.PredictFrom(days, w, init)
 }
 
 // TRAt predicts the reliability of running a job of the given length
@@ -125,14 +100,4 @@ func (p *Predictor) TRAt(start time.Time, jobLength time.Duration) (float64, err
 		return 0, err
 	}
 	return pred.TR, nil
-}
-
-// Events returns the machine's unavailability occurrences per day — the
-// Section 6.1 statistics.
-func (p *Predictor) Events() map[string][]avail.Event {
-	out := make(map[string][]avail.Event, len(p.machine.Days))
-	for _, d := range p.machine.Days {
-		out[d.Date.Format("2006-01-02")] = avail.Events(d, p.smp.Cfg)
-	}
-	return out
 }

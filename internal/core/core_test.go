@@ -49,11 +49,8 @@ func TestNewPredictorValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Config().Th1 != 20 || p.Config().Th2 != 60 {
-		t.Fatalf("default config not applied: %+v", p.Config())
-	}
-	if p.Machine() != m {
-		t.Fatal("Machine accessor wrong")
+	if p.smp.Cfg != avail.DefaultConfig() {
+		t.Fatalf("default config not applied: %+v", p.smp.Cfg)
 	}
 }
 
@@ -80,21 +77,6 @@ func TestPredictorTR(t *testing.T) {
 	}
 }
 
-func TestPredictorTRFrom(t *testing.T) {
-	p, _ := NewPredictor(machineWithDailyFailure(14), Options{})
-	w := predict.Window{Start: 8 * time.Hour, Length: 2 * time.Hour}
-	tr, err := p.TRFrom(trace.Weekday, w, avail.S1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr < 0 || tr > 1 {
-		t.Fatalf("TR = %v", tr)
-	}
-	if _, err := p.TRFrom(trace.Weekday, w, avail.S3); err == nil {
-		t.Fatal("failure initial state accepted")
-	}
-}
-
 func TestPredictorTRAt(t *testing.T) {
 	p, _ := NewPredictor(machineWithDailyFailure(14), Options{})
 	// Predict for the Friday of the second week at 08:30.
@@ -116,21 +98,6 @@ func TestPredictorTRAt(t *testing.T) {
 	// No history before the first day.
 	if _, err := p.TRAt(monday.Add(time.Hour), time.Hour); err == nil {
 		t.Fatal("prediction without prior history accepted")
-	}
-}
-
-func TestPredictorEvents(t *testing.T) {
-	p, _ := NewPredictor(machineWithDailyFailure(6), Options{})
-	events := p.Events()
-	if len(events) != 6 {
-		t.Fatalf("days = %d", len(events))
-	}
-	total := 0
-	for _, evs := range events {
-		total += len(evs)
-	}
-	if total == 0 {
-		t.Fatal("no events found")
 	}
 }
 

@@ -100,24 +100,6 @@ func TestRunF5Basics(t *testing.T) {
 	}
 }
 
-func TestRunF5AccuracyHeadline(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full sweep")
-	}
-	// The paper's headline: short-window prediction accuracy well above
-	// 73%. Verify 1-hour windows average below 25% relative error.
-	ds := getTrace(t)
-	cfg := DefaultF5Config(trace.Weekday)
-	cfg.LengthsHours = []float64{1}
-	rows, err := RunF5(ds, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rows[0].Err.Mean > 0.25 {
-		t.Errorf("1h average relative error %v too high", rows[0].Err.Mean)
-	}
-}
-
 func TestRunF6CoversRatios(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ratio sweep is slow")
@@ -167,45 +149,6 @@ func TestRunF7SMPBeatsTimeSeriesLongTerm(t *testing.T) {
 	}
 	if _, err := RunF7(&trace.Dataset{}, cfg); err == nil {
 		t.Fatal("empty dataset accepted")
-	}
-}
-
-func TestRunF8NoiseShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("noise sweep is slow")
-	}
-	ds := getTrace(t)
-	cfg := DefaultF8Config()
-	cfg.NoiseCounts = []int{0, 4, 10}
-	cfg.LengthsHours = []float64{1, 10}
-	rows, err := RunF8(ds.Machines[0], cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	// Zero noise: zero discrepancy.
-	for _, d := range rows[0].Discrepancy {
-		if d != 0 {
-			t.Fatalf("discrepancy without noise: %v", rows[0].Discrepancy)
-		}
-	}
-	// Noise must move the prediction for the short quiet window.
-	if rows[2].Discrepancy[0] == 0 {
-		t.Error("10 injected occurrences left the 1h prediction unchanged")
-	}
-	// Discrepancy grows with the amount of injected noise at every
-	// window length (see EXPERIMENTS.md for how this relates to the
-	// paper's Figure 8, including the deviation on long windows).
-	for li := range cfg.LengthsHours {
-		if rows[1].Discrepancy[li] >= rows[2].Discrepancy[li]+0.15 {
-			t.Errorf("length %vh: discrepancy fell from %v (4 noise) to %v (10 noise)",
-				cfg.LengthsHours[li], rows[1].Discrepancy[li], rows[2].Discrepancy[li])
-		}
-		if rows[1].Discrepancy[li] == 0 {
-			t.Errorf("length %vh: 4 injected occurrences caused no discrepancy", cfg.LengthsHours[li])
-		}
 	}
 }
 

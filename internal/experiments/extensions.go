@@ -2,8 +2,8 @@ package experiments
 
 // Extension experiments beyond the paper's figures: the scheduling benefit
 // its introduction motivates (X1), the sensitivity to the history-day pool
-// N (X2, a companion to Figure 6), and the estimator-design ablation (A1)
-// for the choices documented in DESIGN.md §4.
+// N (X2, a companion to Figure 6), and the enterprise-desktop profile the
+// paper names as future work (X3).
 
 import (
 	"fmt"
@@ -11,7 +11,6 @@ import (
 	"fgcs/internal/avail"
 	"fgcs/internal/predict"
 	"fgcs/internal/rng"
-	"fgcs/internal/smp"
 	"fgcs/internal/stats"
 	"fgcs/internal/trace"
 	"fgcs/internal/workload"
@@ -219,69 +218,6 @@ func RunX2(ds *trace.Dataset, cfg avail.Config, pools []int, lengthsHours []floa
 		}
 		s := stats.Summarize(errs)
 		rows = append(rows, X2Row{HistoryDays: n, AvgErr: s.Mean, MaxErr: s.Max, Windows: s.N})
-	}
-	return rows, nil
-}
-
-// ------------------------------------------------------------------ A1 ----
-
-// A1Row reports one estimator variant's accuracy.
-type A1Row struct {
-	Variant string
-	// AvgErr per window length, aligned with the lengths passed in.
-	AvgErr []float64
-}
-
-// RunA1 scores the estimator-design ablation of DESIGN.md §4: every
-// combination of censoring policy and trajectory-extraction mode on the
-// Figure 5 weekday window set.
-func RunA1(ds *trace.Dataset, cfg avail.Config, lengthsHours []float64) ([]A1Row, error) {
-	starts := []int{0, 4, 8, 12, 16, 20}
-	variants := []struct {
-		name string
-		cen  smp.CensorMode
-		est  predict.Estimation
-	}{
-		{"hazard+restart (default)", smp.CensorHazard, predict.EstimateRestart},
-		{"hazard+absorb", smp.CensorHazard, predict.EstimateAbsorb},
-		{"ignore+restart", smp.CensorIgnore, predict.EstimateRestart},
-		{"survival+restart", smp.CensorSurvival, predict.EstimateRestart},
-	}
-	// The weekday half split depends only on the machine, not the variant.
-	splits := make([]trace.Split, len(ds.Machines))
-	for mi, m := range ds.Machines {
-		sp, err := trace.SplitHalf(m, trace.Weekday)
-		if err != nil {
-			return nil, err
-		}
-		splits[mi] = sp
-	}
-	var rows []A1Row
-	for _, v := range variants {
-		p := predict.SMP{Cfg: cfg, Censoring: v.cen, Estimation: v.est}
-		row := A1Row{Variant: v.name, AvgErr: make([]float64, len(lengthsHours))}
-		for li, h := range lengthsHours {
-			outs := make([][]float64, len(ds.Machines))
-			parallelFor(len(ds.Machines), func(mi int) {
-				for _, start := range starts {
-					w, ok := windowFor(float64(start), h)
-					if !ok {
-						continue
-					}
-					ev, err := predict.EvaluateSMP(p, splits[mi], w)
-					if err != nil || ev.TREmp == 0 {
-						continue
-					}
-					outs[mi] = append(outs[mi], ev.RelErr)
-				}
-			})
-			var errs []float64
-			for _, out := range outs {
-				errs = append(errs, out...)
-			}
-			row.AvgErr[li] = stats.Mean(errs)
-		}
-		rows = append(rows, row)
 	}
 	return rows, nil
 }

@@ -114,30 +114,6 @@ func TestRunX2PoolSweep(t *testing.T) {
 	}
 }
 
-func TestRunA1Variants(t *testing.T) {
-	if testing.Short() {
-		t.Skip("ablation sweep is slow")
-	}
-	ds := getTrace(t)
-	rows, err := RunA1(ds, avail.DefaultConfig(), []float64{1, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 4 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	if rows[0].Variant != "hazard+restart (default)" {
-		t.Fatalf("first variant = %s", rows[0].Variant)
-	}
-	for _, r := range rows {
-		for li, e := range r.AvgErr {
-			if e < 0 {
-				t.Fatalf("%s length %d: negative error", r.Variant, li)
-			}
-		}
-	}
-}
-
 func TestRunX3EnterpriseExpectation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("dual-testbed sweep is slow")

@@ -1,7 +1,6 @@
 package host
 
 import (
-	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -196,91 +195,12 @@ func TestReductionZeroFloor(t *testing.T) {
 	}
 }
 
-func TestRunE1DerivesPaperThresholds(t *testing.T) {
-	if testing.Short() {
-		t.Skip("E1 sweep is minutes-long")
-	}
-	cfg := DefaultE1Config()
-	// Trimmed design for test time: the headline sizes and loads.
-	cfg.GroupSizes = []int{1, 3}
-	cfg.Trials = 3
-	cfg.Duration = 10 * time.Minute
-	res, err := RunE1(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Th1 < 10 || res.Th1 > 30 {
-		t.Errorf("Th1 = %v, want ~20", res.Th1)
-	}
-	if res.Th2 < 45 || res.Th2 > 75 {
-		t.Errorf("Th2 = %v, want ~60", res.Th2)
-	}
-	if res.Th1 >= res.Th2 {
-		t.Errorf("Th1 %v must be below Th2 %v", res.Th1, res.Th2)
-	}
-	for _, nice := range []int{0, 19} {
-		for _, size := range cfg.GroupSizes {
-			if len(res.Curves[nice][size]) != len(cfg.Targets) {
-				t.Fatalf("curve for nice %d size %d incomplete", nice, size)
-			}
-		}
-	}
-}
-
 func TestRunE1Errors(t *testing.T) {
 	cfg := DefaultE1Config()
 	cfg.Trials = 0
 	if _, err := RunE1(cfg); err == nil {
 		t.Fatal("zero trials accepted")
 	}
-}
-
-func TestRunE2Separation(t *testing.T) {
-	if testing.Short() {
-		t.Skip("E2 sweep is minutes-long")
-	}
-	cfg := DefaultE2Config()
-	cfg.Duration = 8 * time.Minute
-	cells, err := RunE2(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cells) != len(SpecSuite())*len(MusbusSuite())*2 {
-		t.Fatalf("cell count = %d", len(cells))
-	}
-	for _, c := range cells {
-		wantThrash := memOf(c.Guest)+memOfHost(c.Host)+cfg.Machine.KernelMemMB > cfg.Machine.TotalMemMB
-		if c.Thrashing != wantThrash {
-			t.Errorf("%s + %s: thrashing = %v, want %v", c.Guest, c.Host, c.Thrashing, wantThrash)
-		}
-		if c.Thrashing && c.Reduction < 0.3 {
-			t.Errorf("%s + %s: thrashing reduction %v suspiciously low", c.Guest, c.Host, c.Reduction)
-		}
-		// Second observation: without thrashing, a reniced guest against
-		// light host load keeps the slowdown small.
-		if !c.Thrashing && c.GuestNice == 19 && c.HostIsolatedCPU < 50 && c.Reduction > 0.08 {
-			t.Errorf("%s + %s (nice 19, L=%v): reduction %v too high without thrashing",
-				c.Guest, c.Host, c.HostIsolatedCPU, c.Reduction)
-		}
-	}
-}
-
-func memOf(guestName string) float64 {
-	for _, g := range SpecSuite() {
-		if g.Name == guestName {
-			return g.MemMB
-		}
-	}
-	panic(fmt.Sprintf("unknown guest %q", guestName))
-}
-
-func memOfHost(hostName string) float64 {
-	for _, h := range MusbusSuite() {
-		if h.Name == hostName {
-			return h.MemMB
-		}
-	}
-	panic(fmt.Sprintf("unknown host workload %q", hostName))
 }
 
 func TestSuiteRangesMatchPaper(t *testing.T) {
@@ -344,48 +264,5 @@ func TestSimulatePolicyValidation(t *testing.T) {
 	}
 	if _, err := RunE1b(m, []float64{0.5}, 0, time.Minute, 1); err == nil {
 		t.Fatal("zero trials accepted")
-	}
-}
-
-// TestE1bConclusions reproduces Section 3.2.1's policy comparison: the
-// gradual policy's intermediate priorities are redundant (its host impact
-// matches the two-threshold scheme), so the two thresholds suffice.
-func TestE1bConclusions(t *testing.T) {
-	if testing.Short() {
-		t.Skip("policy sweep is slow")
-	}
-	rows, err := RunE1b(DefaultMachine(), []float64{0.1, 0.5, 0.9}, 3, 8*time.Minute, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	byKey := map[string]E1bRow{}
-	for _, r := range rows {
-		byKey[fmt.Sprintf("%v/%.0f", r.Policy, r.IsolatedCPU)] = r
-	}
-	for _, l := range []string{"10", "50", "90"} {
-		two := byKey["two-threshold/"+l]
-		grad := byKey["gradual/"+l]
-		// Redundancy: gradual buys no reduction improvement beyond noise.
-		if diff := grad.Reduction - two.Reduction; diff < -0.02 || diff > 0.02 {
-			t.Errorf("L=%s: gradual reduction %v differs from two-threshold %v beyond noise",
-				l, grad.Reduction, two.Reduction)
-		}
-		// And it does not meaningfully change guest throughput either.
-		if diff := grad.GuestCPU - two.GuestCPU; diff < -2 || diff > 2 {
-			t.Errorf("L=%s: gradual guest CPU %v vs two-threshold %v", l, grad.GuestCPU, two.GuestCPU)
-		}
-	}
-	// The two-threshold scheme runs the guest at default priority under
-	// light load and at the lowest priority under heavy load.
-	if byKey["two-threshold/10"].MeanNice > 6 {
-		t.Errorf("two-threshold mean nice %v at light load, want near 0",
-			byKey["two-threshold/10"].MeanNice)
-	}
-	if byKey["two-threshold/90"].MeanNice < 15 {
-		t.Errorf("two-threshold mean nice %v at heavy load, want near 19",
-			byKey["two-threshold/90"].MeanNice)
-	}
-	if byKey["always-lowest/10"].MeanNice != 19 {
-		t.Errorf("always-lowest mean nice %v", byKey["always-lowest/10"].MeanNice)
 	}
 }

@@ -7,7 +7,6 @@ package linalg
 
 import (
 	"errors"
-	"fmt"
 	"math"
 )
 
@@ -36,23 +35,6 @@ func (m *Matrix) Clone() *Matrix {
 	c := NewMatrix(m.Rows, m.Cols)
 	copy(c.Data, m.Data)
 	return c
-}
-
-// MulVec returns m·x.
-func (m *Matrix) MulVec(x []float64) ([]float64, error) {
-	if len(x) != m.Cols {
-		return nil, fmt.Errorf("linalg: MulVec dimension mismatch %d vs %d", len(x), m.Cols)
-	}
-	y := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		s := 0.0
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		for j, v := range row {
-			s += v * x[j]
-		}
-		y[i] = s
-	}
-	return y, nil
 }
 
 // ErrSingular is returned when a solve encounters a (numerically) singular

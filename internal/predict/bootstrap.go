@@ -65,8 +65,9 @@ func (p SMP) PredictCI(history []*trace.Day, w Window, level float64, resamples 
 	}
 	sort.Float64s(trs)
 	alpha := (1 - level) / 2
-	lo := trs[clampIndex(int(alpha*float64(len(trs))), len(trs))]
-	hi := trs[clampIndex(int((1-alpha)*float64(len(trs)))-1, len(trs))]
+	last := len(trs) - 1
+	lo := trs[min(max(int(alpha*float64(len(trs))), 0), last)]
+	hi := trs[min(max(int((1-alpha)*float64(len(trs)))-1, 0), last)]
 	if lo > point.TR {
 		lo = point.TR
 	}
@@ -74,14 +75,4 @@ func (p SMP) PredictCI(history []*trace.Day, w Window, level float64, resamples 
 		hi = point.TR
 	}
 	return Interval{TR: point.TR, Lo: lo, Hi: hi, Level: level, Resamples: resamples}, nil
-}
-
-func clampIndex(i, n int) int {
-	if i < 0 {
-		return 0
-	}
-	if i >= n {
-		return n - 1
-	}
-	return i
 }

@@ -38,7 +38,7 @@ func TestEngineMatchesSMP(t *testing.T) {
 		defaultSMP(),
 		{Cfg: avail.DefaultConfig(), HistoryDays: 5},
 		{Cfg: avail.DefaultConfig(), Smoothing: 0.5},
-		{Cfg: avail.DefaultConfig(), Estimation: EstimateAbsorb},
+		{Cfg: avail.DefaultConfig(), HistoryDays: 5, Smoothing: 0.5},
 	}
 	e := NewEngine(EngineConfig{})
 	for _, p := range preds {

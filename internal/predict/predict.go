@@ -77,27 +77,12 @@ func (w Window) Units(period time.Duration) int {
 	return int(w.Length / period)
 }
 
-// Estimation selects how history windows are turned into training
-// trajectories for the kernel estimator.
-type Estimation int
-
-const (
-	// EstimateRestart (the default) harvests every unavailability
-	// occurrence in a history window: the machine recovers after each
-	// failure and its subsequent samples start a fresh trajectory. This
-	// is what makes the prediction robust to isolated noise events
-	// (Section 7.3) — an injected occurrence is one observation among
-	// many.
-	EstimateRestart Estimation = iota
-	// EstimateAbsorb stops each history window at its first failure,
-	// directly estimating the per-window absorption law. It is sharper
-	// when failures recur at fixed clock times but treats every event as
-	// the sole fate of its window, so single noise events perturb it
-	// more. Retained as an ablation (BenchmarkAblationEstimation).
-	EstimateAbsorb
-)
-
-// SMP is the semi-Markov availability predictor.
+// SMP is the semi-Markov availability predictor. It harvests every
+// unavailability occurrence in a history window: the machine recovers after
+// each failure and its subsequent samples start a fresh trajectory, so an
+// isolated noise event is one observation among many (Section 7.3). Stopping
+// each window at its first failure was measured and removed; DESIGN.md §4
+// records why.
 type SMP struct {
 	// Cfg is the availability-model configuration (thresholds etc.).
 	Cfg avail.Config
@@ -107,11 +92,6 @@ type SMP struct {
 	HistoryDays int
 	// Smoothing is the optional pseudo-count passed to the estimator.
 	Smoothing float64
-	// Censoring selects the censored-sojourn policy.
-	Censoring smp.CensorMode
-	// Estimation selects restart (default) or absorb trajectory
-	// extraction.
-	Estimation Estimation
 }
 
 // Name implements a human-readable identifier used in experiment output.
@@ -211,7 +191,6 @@ func (p SMP) prepare(sc *scratch, history []*trace.Day, w Window) (*smp.Kernel, 
 	if units < 1 {
 		return nil, pred, 0, fmt.Errorf("predict: window %v shorter than the sampling period", w)
 	}
-	absorb := p.Estimation == EstimateAbsorb
 	var seqs [][]avail.Sojourn
 	var initCount [2]float64
 	windows := 0
@@ -225,7 +204,7 @@ func (p SMP) prepare(sc *scratch, history []*trace.Day, w Window) (*smp.Kernel, 
 			windows++
 			// One classification pass yields both the training
 			// sequences and the window's initial state.
-			if st, ok := sc.ex.AddWindow(samples, absorb); ok {
+			if st, ok := sc.ex.AddWindow(samples, false); ok {
 				if st == avail.S1 {
 					initCount[0]++
 				} else {
@@ -242,14 +221,10 @@ func (p SMP) prepare(sc *scratch, history []*trace.Day, w Window) (*smp.Kernel, 
 				continue
 			}
 			windows++
-			if absorb {
-				seqs = append(seqs, avail.ExtractSojourns(samples, p.Cfg, period))
-			} else {
-				// Restart: harvest every trajectory in the window — the
-				// machine recovers after each unavailability occurrence
-				// even though a guest job would not.
-				seqs = avail.AppendTrajectories(seqs, samples, p.Cfg, period)
-			}
+			// Harvest every trajectory in the window — the machine
+			// recovers after each unavailability occurrence even though a
+			// guest job would not.
+			seqs = avail.AppendTrajectories(seqs, samples, p.Cfg, period)
 			if st, ok := avail.InitialState(samples, p.Cfg, period); ok {
 				if st == avail.S1 {
 					initCount[0]++
@@ -266,7 +241,7 @@ func (p SMP) prepare(sc *scratch, history []*trace.Day, w Window) (*smp.Kernel, 
 	} else {
 		pred.InitProb = [2]float64{1, 0} // no usable history: assume idle start
 	}
-	est := smp.Estimator{Horizon: units, Smoothing: p.Smoothing, Censoring: p.Censoring}
+	est := smp.Estimator{Horizon: units, Smoothing: p.Smoothing}
 	kernel, err := est.Estimate(seqs)
 	if err != nil {
 		return nil, pred, 0, err

@@ -575,34 +575,21 @@ func TestEvaluateErrorsOnNoUsableTestDays(t *testing.T) {
 	}
 }
 
-func TestEstimationModes(t *testing.T) {
+// TestRestartSeesRecurringFailure pins what harvesting every trajectory must
+// still deliver on a strictly repetitive failure: the post-recovery data
+// dilutes the estimate, but the prediction stays substantially degraded.
+func TestRestartSeesRecurringFailure(t *testing.T) {
 	// A machine that fails at 09:00 every day, recovering afterwards.
 	var days []*trace.Day
 	for i := 0; i < 10; i++ {
 		days = append(days, failAt(idleDay(i), 9*time.Hour, 20*time.Minute))
 	}
-	w := Window{Start: 8 * time.Hour, Length: 3 * time.Hour}
-	absorb := SMP{Cfg: avail.DefaultConfig(), Estimation: EstimateAbsorb}
-	predA, err := absorb.Predict(days, w)
+	pred, err := defaultSMP().Predict(days, Window{Start: 8 * time.Hour, Length: 3 * time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Absorb semantics nails the deterministic per-window failure.
-	if predA.TR > 0.01 {
-		t.Fatalf("absorb TR = %v, want ~0", predA.TR)
-	}
-	restart := SMP{Cfg: avail.DefaultConfig(), Estimation: EstimateRestart}
-	predR, err := restart.Predict(days, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Restart semantics dilutes the estimate with post-recovery data but
-	// must still predict substantially degraded reliability.
-	if predR.TR >= 0.75 {
-		t.Fatalf("restart TR = %v, want well below 1", predR.TR)
-	}
-	if predR.TR < predA.TR {
-		t.Fatalf("restart TR %v below absorb TR %v", predR.TR, predA.TR)
+	if pred.TR >= 0.75 {
+		t.Fatalf("TR = %v, want well below 1", pred.TR)
 	}
 }
 

@@ -148,16 +148,3 @@ func (s *Stream) Categorical(weights []float64) int {
 	}
 	return len(weights) - 1
 }
-
-// Perm returns a random permutation of [0, n).
-func (s *Stream) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}

@@ -3,7 +3,6 @@ package rng
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestDeterminism(t *testing.T) {
@@ -227,26 +226,5 @@ func TestCategoricalPanics(t *testing.T) {
 			}()
 			New(1).Categorical(w)
 		}()
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	err := quick.Check(func(seed uint64, nRaw uint8) bool {
-		n := int(nRaw%20) + 1
-		p := New(seed).Perm(n)
-		if len(p) != n {
-			return false
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
 	}
 }

@@ -35,36 +35,15 @@ func Legal(from, to avail.State) bool {
 	return to >= avail.S1 && to <= avail.S5
 }
 
-// CensorMode selects how right-censored sojourns (still in progress when the
-// observation window ended) are used by the estimator.
-type CensorMode int
-
-const (
-	// CensorHazard (the default) is the discrete-time Kaplan–Meier
-	// competing-risks estimator: for each holding time l the
-	// cause-specific hazard h_ij(l) is the fraction of sojourns still
-	// under observation at l that transition to j exactly then, and the
-	// kernel mass is q_ij(l) = S_i(l-1)·h_ij(l) with S_i the
-	// product-limit survival. Right-censored sojourns contribute to the
-	// risk sets up to their censoring time and nothing afterwards —
-	// the statistically correct use of incomplete observations.
-	CensorHazard CensorMode = iota
-	// CensorIgnore estimates the kernel from completed sojourns only.
-	// It biases toward the quick transitions that manage to complete
-	// inside windows: failure-free (fully censored) history windows
-	// contribute nothing, so rare failures look certain. Retained as an
-	// ablation.
-	CensorIgnore
-	// CensorSurvival counts censored sojourns in a flat per-state
-	// exposure; the missing kernel mass becomes a per-visit "outlasts
-	// the horizon" probability. Because window-end censoring is shared
-	// by the whole trajectory but this treats it as independent per
-	// visit, the optimism compounds over the many sojourns of a long
-	// window and TR is overestimated. Retained as an ablation.
-	CensorSurvival
-)
-
-// Estimator configures kernel estimation from sojourn sequences.
+// Estimator configures kernel estimation from sojourn sequences. It is the
+// discrete-time Kaplan–Meier competing-risks estimator: for each holding time
+// l the cause-specific hazard h_ij(l) is the fraction of sojourns still under
+// observation at l that transition to j exactly then, and the kernel mass is
+// q_ij(l) = S_i(l-1)·h_ij(l) with S_i the product-limit survival. A
+// right-censored sojourn (still in progress when its window ended) stays in
+// the risk sets up to its censoring time and contributes nothing afterwards.
+// Dropping censored sojourns or counting them in a flat per-state exposure
+// were measured and removed; DESIGN.md §4 records why.
 type Estimator struct {
 	// Horizon is T/d: the number of discretization intervals in the
 	// prediction window. Holding times longer than the horizon are capped
@@ -74,8 +53,6 @@ type Estimator struct {
 	// holding-time 1..Horizon spread uniformly. Zero (the default)
 	// reproduces the plain empirical statistics the paper computes.
 	Smoothing float64
-	// Censoring selects the censored-sojourn policy.
-	Censoring CensorMode
 }
 
 // Kernel is the estimated one-step behavior of the semi-Markov process:
@@ -87,9 +64,6 @@ type Kernel struct {
 	// q[fi][int(to)][l]; fi is 0 for S1, 1 for S2; l runs 1..horizon
 	// (index 0 unused). Only legal targets are allocated.
 	q [2][avail.NumStates + 1][]float64
-	// exposures counts sojourns observed in each from-state (including
-	// censored ones under CensorSurvival); useful diagnostics.
-	exposures [2]float64
 }
 
 func fromIndex(s avail.State) int {
@@ -100,57 +74,6 @@ func fromIndex(s avail.State) int {
 		return 1
 	}
 	return -1
-}
-
-// Horizon returns the kernel's horizon in discretization units.
-func (k *Kernel) Horizon() int { return k.horizon }
-
-// Exposure returns the number of sojourns observed in the given from-state.
-func (k *Kernel) Exposure(from avail.State) float64 {
-	fi := fromIndex(from)
-	if fi < 0 {
-		return 0
-	}
-	return k.exposures[fi]
-}
-
-// Q returns the transition probability Q_from(to): the probability that the
-// process that entered from will enter to on its next transition within the
-// horizon.
-func (k *Kernel) Q(from, to avail.State) float64 {
-	fi := fromIndex(from)
-	if fi < 0 || !Legal(from, to) {
-		return 0
-	}
-	qs := k.q[fi][to]
-	total := 0.0
-	for _, v := range qs {
-		total += v
-	}
-	return total
-}
-
-// H returns the holding-time mass H_{from,to}(l): the probability that the
-// process remains at from for exactly l units before a transition to to,
-// conditioned on that transition happening. H(·, ·, 0) is 0 by construction
-// (Figure 3: transitions take a finite amount of time).
-func (k *Kernel) H(from, to avail.State, l int) float64 {
-	fi := fromIndex(from)
-	if fi < 0 || !Legal(from, to) || l < 1 || l > k.horizon {
-		return 0
-	}
-	qs := k.q[fi][to]
-	if qs == nil {
-		return 0
-	}
-	total := 0.0
-	for _, v := range qs {
-		total += v
-	}
-	if total == 0 {
-		return 0
-	}
-	return qs[l] / total
 }
 
 // qAt returns the raw kernel value q_{from,to}(l).
@@ -242,68 +165,37 @@ func (e Estimator) Estimate(seqs [][]avail.Sojourn) (*Kernel, error) {
 			nEvents[fi] += e.Smoothing
 		}
 	}
-	// Convert the in-place counts into the one-step kernel under the
-	// selected censoring policy.
+	// Convert the in-place counts into the one-step kernel: product-limit
+	// survival times the cause-specific hazard at each holding time.
 	for fi := 0; fi < 2; fi++ {
-		switch e.Censoring {
-		case CensorIgnore:
-			k.exposures[fi] = nEvents[fi]
-			if nEvents[fi] == 0 {
-				continue
-			}
-			inv := 1 / nEvents[fi]
+		risk := nEvents[fi] + nCensored[fi]
+		surv := 1.0
+		l := 1
+		for ; l <= e.Horizon && risk > 1e-12 && surv > 0; l++ {
+			atL := 0.0
 			for to := avail.S1; to <= avail.S5; to++ {
-				for l, c := range k.q[fi][to] {
-					if c != 0 {
-						k.q[fi][to][l] = c * inv
-					}
+				qs := k.q[fi][to]
+				if qs == nil {
+					continue
+				}
+				c := qs[l]
+				if c != 0 {
+					qs[l] = surv * c / risk
+					atL += c
 				}
 			}
-		case CensorSurvival:
-			total := nEvents[fi] + nCensored[fi]
-			k.exposures[fi] = total
-			if total == 0 {
-				continue
+			surv *= 1 - atL/risk
+			if surv < 0 {
+				surv = 0
 			}
-			inv := 1 / total
+			risk -= atL + censored[fi][l]
+		}
+		// Holding times past the early-exit point keep no mass:
+		// clear any raw counts left there.
+		for ; l <= e.Horizon; l++ {
 			for to := avail.S1; to <= avail.S5; to++ {
-				for l, c := range k.q[fi][to] {
-					if c != 0 {
-						k.q[fi][to][l] = c * inv
-					}
-				}
-			}
-		default: // CensorHazard
-			risk := nEvents[fi] + nCensored[fi]
-			k.exposures[fi] = risk
-			surv := 1.0
-			l := 1
-			for ; l <= e.Horizon && risk > 1e-12 && surv > 0; l++ {
-				atL := 0.0
-				for to := avail.S1; to <= avail.S5; to++ {
-					qs := k.q[fi][to]
-					if qs == nil {
-						continue
-					}
-					c := qs[l]
-					if c != 0 {
-						qs[l] = surv * c / risk
-						atL += c
-					}
-				}
-				surv *= 1 - atL/risk
-				if surv < 0 {
-					surv = 0
-				}
-				risk -= atL + censored[fi][l]
-			}
-			// Holding times past the early-exit point keep no mass:
-			// clear any raw counts left there.
-			for ; l <= e.Horizon; l++ {
-				for to := avail.S1; to <= avail.S5; to++ {
-					if qs := k.q[fi][to]; qs != nil {
-						qs[l] = 0
-					}
+				if qs := k.q[fi][to]; qs != nil {
+					qs[l] = 0
 				}
 			}
 		}
@@ -640,13 +532,4 @@ func (k *Kernel) FullInterval(units int) (*Interval, error) {
 		}
 	}
 	return iv, nil
-}
-
-// RowSum returns Σ_j P[init][j](m); always 1 up to floating-point error.
-func (iv *Interval) RowSum(fi, m int) float64 {
-	total := 0.0
-	for st := 0; st < avail.NumStates; st++ {
-		total += iv.P[fi][st][m]
-	}
-	return total
 }

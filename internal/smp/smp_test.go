@@ -47,45 +47,40 @@ func TestEstimateCounts(t *testing.T) {
 		{{State: avail.S1, Units: 3}, {State: avail.S2, Units: 2}, {State: avail.S3, Units: 5}},
 		{{State: avail.S1, Units: 4}},
 	}
-	k, err := Estimator{Horizon: 100, Censoring: CensorSurvival}.Estimate(seqs)
+	k, err := Estimator{Horizon: 100}.Estimate(seqs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// S1 exposure: one completed + one censored = 2; S2 exposure: 1.
-	if k.Exposure(avail.S1) != 2 || k.Exposure(avail.S2) != 1 {
-		t.Fatalf("exposures = %v %v", k.Exposure(avail.S1), k.Exposure(avail.S2))
-	}
-	// Q1(S2) = 1/2 under survival censoring; Q2(S3) = 1.
-	if got := k.Q(avail.S1, avail.S2); got != 0.5 {
+	// Q1(S2) = 1/2: the S1 risk set is 2, the censored sojourn still being
+	// at risk at l=3; Q2(S3) = 1.
+	if got := mass(k, avail.S1, avail.S2); got != 0.5 {
 		t.Fatalf("Q1(S2) = %v, want 0.5", got)
 	}
-	if got := k.Q(avail.S2, avail.S3); got != 1 {
+	if got := mass(k, avail.S2, avail.S3); got != 1 {
 		t.Fatalf("Q2(S3) = %v, want 1", got)
 	}
-	// H is concentrated at the observed holding times.
-	if got := k.H(avail.S1, avail.S2, 3); got != 1 {
-		t.Fatalf("H1,2(3) = %v, want 1", got)
+	// H is concentrated at the observed holding times: all of Q sits there.
+	if got := k.qAt(0, avail.S2, 3); got != 0.5 {
+		t.Fatalf("q1,2(3) = %v, want 0.5", got)
 	}
-	if got := k.H(avail.S2, avail.S3, 2); got != 1 {
-		t.Fatalf("H2,3(2) = %v, want 1", got)
+	if got := k.qAt(1, avail.S3, 2); got != 1 {
+		t.Fatalf("q2,3(2) = %v, want 1", got)
 	}
-	if k.H(avail.S1, avail.S2, 0) != 0 {
+	if k.q[0][avail.S2][0] != 0 {
 		t.Fatal("H(0) must be 0 (Figure 3)")
 	}
 }
 
-func TestEstimateCensorIgnore(t *testing.T) {
-	seqs := [][]avail.Sojourn{
-		{{State: avail.S1, Units: 3}, {State: avail.S2, Units: 2}, {State: avail.S3, Units: 5}},
-		{{State: avail.S1, Units: 4}},
+// mass is the paper's Q_from(to): the kernel's total mass on one transition,
+// read off the raw arrays so that an entry outside the legal pairs would show.
+func mass(k *Kernel, from, to avail.State) float64 {
+	total := 0.0
+	if fi := fromIndex(from); fi >= 0 {
+		for _, v := range k.q[fi][to] {
+			total += v
+		}
 	}
-	k, err := Estimator{Horizon: 100, Censoring: CensorIgnore}.Estimate(seqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := k.Q(avail.S1, avail.S2); got != 1 {
-		t.Fatalf("Q1(S2) = %v, want 1 under CensorIgnore", got)
-	}
+	return total
 }
 
 func TestEstimateErrors(t *testing.T) {
@@ -117,7 +112,7 @@ func TestEstimateOverHorizonSojournIsCensored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := k.Q(avail.S1, avail.S3); got != 0 {
+	if got := mass(k, avail.S1, avail.S3); got != 0 {
 		t.Fatalf("over-horizon sojourn produced event mass Q = %v", got)
 	}
 	tr, err := k.TR(avail.S1, 10)
@@ -126,10 +121,6 @@ func TestEstimateOverHorizonSojournIsCensored(t *testing.T) {
 	}
 	if tr != 1 {
 		t.Fatalf("TR = %v, want 1 (no failure observable within the horizon)", tr)
-	}
-	// It still counts as exposure under the hazard estimator.
-	if k.Exposure(avail.S1) != 1 {
-		t.Fatalf("exposure = %v", k.Exposure(avail.S1))
 	}
 }
 
@@ -155,13 +146,6 @@ func TestHazardEstimatorKaplanMeier(t *testing.T) {
 	}
 	if math.Abs(tr-0.6) > 1e-12 {
 		t.Fatalf("TR = %v, want 0.6 (Kaplan-Meier)", tr)
-	}
-	// CensorIgnore on the same data predicts certain failure: the bias
-	// the default mode exists to avoid.
-	ki, _ := Estimator{Horizon: 1200, Censoring: CensorIgnore}.Estimate(seqs)
-	tri, _ := ki.TR(avail.S1, 1200)
-	if tri != 0 {
-		t.Fatalf("CensorIgnore TR = %v, want 0", tri)
 	}
 }
 
@@ -270,8 +254,8 @@ func TestSolveMixedBranching(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p3 := k.Q(avail.S1, avail.S3)
-	p2 := k.Q(avail.S1, avail.S2)
+	p3 := mass(k, avail.S1, avail.S3)
+	p2 := mass(k, avail.S1, avail.S2)
 	if math.Abs(p3-2.0/3) > 1e-12 || math.Abs(p2-1.0/3) > 1e-12 {
 		t.Fatalf("Q = %v %v", p3, p2)
 	}
@@ -343,7 +327,7 @@ func TestSmoothingMakesQPositive(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range LegalTransitions {
-		if k.Q(p[0], p[1]) <= 0 {
+		if mass(k, p[0], p[1]) <= 0 {
 			t.Fatalf("smoothed Q%v = 0", p)
 		}
 	}
@@ -507,21 +491,15 @@ func TestKernelStochasticProperty(t *testing.T) {
 		for _, from := range []avail.State{avail.S1, avail.S2} {
 			rowSum := 0.0
 			for to := avail.S1; to <= avail.S5; to++ {
-				q := k.Q(from, to)
+				q := mass(k, from, to)
 				if q < 0 || q > 1+1e-9 {
 					return false
 				}
 				rowSum += q
-				if q > 0 {
-					hsum := 0.0
-					for l := 0; l <= k.Horizon(); l++ {
-						h := k.H(from, to, l)
-						if h < 0 {
-							return false
-						}
-						hsum += h
-					}
-					if math.Abs(hsum-1) > 1e-9 {
+				// H(i,j,·) = q/Q is a mass function when no entry is
+				// negative and nothing sits at holding time 0.
+				for l, v := range k.q[fromIndex(from)][to] {
+					if v < 0 || l == 0 && v != 0 {
 						return false
 					}
 				}
@@ -542,7 +520,7 @@ func TestSparsityProperty(t *testing.T) {
 	k := randomKernel(rng.New(99), 20)
 	for from := avail.S1; from <= avail.S5; from++ {
 		for to := avail.S1; to <= avail.S5; to++ {
-			if !Legal(from, to) && k.Q(from, to) != 0 {
+			if !Legal(from, to) && mass(k, from, to) != 0 {
 				t.Fatalf("illegal pair (%v,%v) carries mass", from, to)
 			}
 		}
@@ -650,7 +628,7 @@ func TestSparseSolverMatchesDenseGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if k.Q(avail.S1, avail.S2) == 0 {
+			if mass(k, avail.S1, avail.S2) == 0 {
 				t.Fatalf("%s %v: no cross mass, the convolution is not exercised", m.ID, length)
 			}
 			requireSolversAgree(t, k, ws, units)
@@ -771,7 +749,11 @@ func TestFullIntervalRowsSumToOne(t *testing.T) {
 		}
 		for fi := 0; fi < 2; fi++ {
 			for m := 0; m <= 40; m++ {
-				if sum := iv.RowSum(fi, m); math.Abs(sum-1) > 1e-9 {
+				sum := 0.0
+				for st := range iv.P[fi] {
+					sum += iv.P[fi][st][m]
+				}
+				if math.Abs(sum-1) > 1e-9 {
 					t.Fatalf("trial %d fi %d m %d: row sum = %v", trial, fi, m, sum)
 				}
 			}

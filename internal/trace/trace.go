@@ -196,12 +196,3 @@ func (ds *Dataset) Find(id string) *Machine {
 	}
 	return nil
 }
-
-// Clone returns a deep copy of the dataset.
-func (ds *Dataset) Clone() *Dataset {
-	c := &Dataset{}
-	for _, m := range ds.Machines {
-		c.Machines = append(c.Machines, m.Clone())
-	}
-	return c
-}

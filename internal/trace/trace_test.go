@@ -131,11 +131,6 @@ func TestDatasetHelpers(t *testing.T) {
 	if ds.Find("b") != m2 || ds.Find("zzz") != nil {
 		t.Fatal("Find wrong")
 	}
-	c := ds.Clone()
-	c.Machines[0].Days[0].Samples[0].CPU = 42
-	if ds.Machines[0].Days[0].Samples[0].CPU == 42 {
-		t.Fatal("Dataset.Clone aliases storage")
-	}
 }
 
 func TestSplitRatio(t *testing.T) {
