@@ -16,7 +16,8 @@ build:
 # metrics/accuracy registry. bench/ is a module of its own that pins this
 # module's API and checks its contracts (answers, engine miss counts, every
 # layer measured); vetting and testing it here makes a break fail locally.
-test: golden lint crash
+# `dead` fails the gate on a function under internal/ that nothing can reach.
+test: golden lint crash dead
 	$(GO) test ./...
 	$(GO) -C bench vet ./...
 	$(GO) -C bench test ./...
@@ -45,11 +46,15 @@ loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs cat | wc -l | xargs echo 'non-test Go lines:'
 	@$(GO) run ./cmd/doccheck | grep 'exported symbols'
 
-# The third size number: functions declared under internal/ that the linker
-# keeps in none of the commands, the examples or the bench binary (built with
-# inlining off, so a function that is only ever inlined still shows). Test
-# harness (faultnet, CrashFS, wiretest, simclock's test hooks) is in the count
-# by design; the list is left in $(DEAD)/unreached.txt.
+# The third size number, and a gate: functions declared under internal/ that
+# the linker keeps in none of the commands, the examples or the bench binary
+# (built with inlining off, so a function that is only ever inlined still
+# shows). Every one must match a line of dead.allow — test harness by pattern,
+# anything else by name with its reason — and every line there must still
+# match something, so a function nothing can reach is either listed or gone.
+# The list is a lower bound: the linker keeps every exported method of a type
+# that is stored in an interface, called or not. It is left in
+# $(DEAD)/unreached.txt.
 DEAD = .bench_build/dead
 dead:
 	@rm -rf $(DEAD) && mkdir -p $(DEAD)/bin
@@ -60,7 +65,7 @@ dead:
 		| sed -E 's/(\.func[0-9]+|\.gowrap[0-9]+|\.deferwrap[0-9]+|-fm|\.[0-9]+)+$$//' \
 		| sort -u > $(DEAD)/linked.txt
 	@for f in $$(find internal -name '*.go' ! -name '*_test.go'); do \
-		sed -nE -e 's/\[[^]]*\]//g' \
+		sed -nE -e 's/\[[^]]*\]//g' -e 't strip' -e ':strip' \
 			-e 's/^func \(([A-Za-z_0-9]+ )?\*([A-Za-z_0-9]+)\) ([A-Za-z_0-9]+).*/(*\2).\3/p;t' \
 			-e 's/^func \(([A-Za-z_0-9]+ )?([A-Za-z_0-9]+)\) ([A-Za-z_0-9]+).*/\2.\3/p;t' \
 			-e 's/^func ([A-Za-z_0-9]+).*/\1/p' $$f | sed "s|^|fgcs/$$(dirname $$f).|"; \
@@ -68,6 +73,15 @@ dead:
 	@comm -23 $(DEAD)/declared.txt $(DEAD)/linked.txt > $(DEAD)/unreached.txt
 	@$(MAKE) -s loc
 	@echo "unreached internal functions: $$(wc -l < $(DEAD)/unreached.txt) of $$(wc -l < $(DEAD)/declared.txt) declared ($(DEAD)/unreached.txt)"
+	@sed -E -e '/^[[:space:]]*(#|$$)/d' -e 's/[[:space:]]+#.*//' dead.allow > $(DEAD)/allow.txt
+	@bad=0; \
+	for fn in $$(grep -vE -f $(DEAD)/allow.txt $(DEAD)/unreached.txt); do \
+		echo "dead: $$fn is reached by no command, example or bench: call it, delete it, or list it in dead.allow"; bad=1; \
+	done; \
+	while read -r pat; do \
+		grep -qE -- "$$pat" $(DEAD)/unreached.txt || { echo "dead: dead.allow line matches nothing unreached: $$pat"; bad=1; }; \
+	done < $(DEAD)/allow.txt; \
+	exit $$bad
 
 # Per-package statement coverage summary.
 cover:

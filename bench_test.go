@@ -236,7 +236,7 @@ func BenchmarkAblationSolver(b *testing.B) {
 	units := w.Units(trace.DefaultPeriod)
 	var seqs [][]avail.Sojourn
 	for _, d := range sp.Train {
-		seqs = append(seqs, avail.ExtractTrajectories(d.Window(w.Start, w.Length), cfg, d.Period)...)
+		seqs = avail.AppendTrajectories(seqs, d.Window(w.Start, w.Length), cfg, d.Period)
 	}
 	kernel, err := smp.Estimator{Horizon: units}.Estimate(seqs)
 	if err != nil {
@@ -278,7 +278,7 @@ func BenchmarkExtractTrajectories(b *testing.B) {
 	cfg := avail.DefaultConfig()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		avail.ExtractTrajectories(day.Samples, cfg, day.Period)
+		avail.AppendTrajectories(nil, day.Samples, cfg, day.Period)
 	}
 }
 
@@ -289,7 +289,7 @@ func BenchmarkKernelEstimate(b *testing.B) {
 	w := predict.Window{Start: 8 * time.Hour, Length: 5 * time.Hour}
 	var seqs [][]avail.Sojourn
 	for _, d := range sp.Train {
-		seqs = append(seqs, avail.ExtractTrajectories(d.Window(w.Start, w.Length), cfg, d.Period)...)
+		seqs = avail.AppendTrajectories(seqs, d.Window(w.Start, w.Length), cfg, d.Period)
 	}
 	units := w.Units(trace.DefaultPeriod)
 	b.ReportAllocs()
@@ -395,7 +395,7 @@ func BenchmarkFullInterval(b *testing.B) {
 	units := w.Units(trace.DefaultPeriod)
 	var seqs [][]avail.Sojourn
 	for _, d := range sp.Train {
-		seqs = append(seqs, avail.ExtractTrajectories(d.Window(w.Start, w.Length), cfg, d.Period)...)
+		seqs = avail.AppendTrajectories(seqs, d.Window(w.Start, w.Length), cfg, d.Period)
 	}
 	kernel, err := smp.Estimator{Horizon: units}.Estimate(seqs)
 	if err != nil {
@@ -715,7 +715,8 @@ func BenchmarkRecover(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := st.WriteSnapshot([]byte("bench-node-state")); err != nil {
+		seq, off := st.Position()
+		if err := st.WriteSnapshotAt(seq, off, []byte("bench-node-state")); err != nil {
 			b.Fatal(err)
 		}
 		var coder durable.SampleCoder

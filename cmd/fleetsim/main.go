@@ -24,7 +24,6 @@ import (
 	"time"
 
 	"fgcs/internal/fleetsim"
-	"fgcs/internal/obs"
 )
 
 func main() {
@@ -63,7 +62,7 @@ func main() {
 		Ticks:           *ticks,
 		QueriesPerTick:  *queries,
 		Workers:         *workers,
-		Drift:           obs.DriftConfig{Lambda: *driftLambda},
+		DriftLambda:     *driftLambda,
 		PerturbFailRate: *perturbRate,
 		PerturbProfile:  *perturbProf,
 		PerturbTick:     *perturbTick,

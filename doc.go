@@ -20,8 +20,7 @@
 //     sampling + t_monitor heartbeat).
 //   - Prediction: avail (§3 five-state model), smp (§4 Q/H estimation and
 //     the Equation (3) solver), timeseries (Table 1 baselines), predict
-//     (pooling, evaluation, the caching concurrent Engine), jobest, core
-//     (the two-call embedder API: NewPredictor, TRAt).
+//     (pooling, evaluation, the caching concurrent Engine).
 //   - Runtime: ishare — gateway, state manager, registry, client scheduler,
 //     supervisor, retry/breaker stack, and the federated multi-gateway
 //     control plane (consistent-hash sharding, replication, forwarding);

@@ -24,7 +24,6 @@ import (
 	"time"
 
 	"fgcs/internal/avail"
-	"fgcs/internal/core"
 	"fgcs/internal/ishare"
 	"fgcs/internal/predict"
 	"fgcs/internal/simclock"
@@ -67,15 +66,12 @@ func main() {
 
 	// The TR-adaptive policy sizes its checkpoint interval so the
 	// predicted probability of losing an interval stays below 25%.
-	pred, err := core.NewPredictor(machine, core.Options{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	adaptive := chooseInterval(pred, 8*time.Hour)
+	weekdays := machine.DaysOfType(trace.Weekday)
+	adaptive := chooseInterval(weekdays, 8*time.Hour)
 	fmt.Printf("predicted TR at 08:00: 1h=%.3f 2h=%.3f 4h=%.3f -> adaptive checkpoint interval %v\n\n",
-		mustTR(pred, 8*time.Hour, time.Hour),
-		mustTR(pred, 8*time.Hour, 2*time.Hour),
-		mustTR(pred, 8*time.Hour, 4*time.Hour),
+		mustTR(weekdays, 8*time.Hour, time.Hour),
+		mustTR(weekdays, 8*time.Hour, 2*time.Hour),
+		mustTR(weekdays, 8*time.Hour, 4*time.Hour),
 		adaptive)
 
 	fmt.Printf("\n%-14s %-14s %-14s %-7s %s\n", "policy", "mean wall", "worst wall", "kills", "checkpoints")
@@ -107,8 +103,9 @@ func main() {
 	fmt.Println("the paper's prediction framework was built for.")
 }
 
-func mustTR(p *core.Predictor, start, length time.Duration) float64 {
-	pr, err := p.TR(trace.Weekday, predict.Window{Start: start, Length: length})
+// mustTR is the SMP's predicted TR of a window over the weekday history.
+func mustTR(days []*trace.Day, start, length time.Duration) float64 {
+	pr, err := predict.SMP{Cfg: avail.DefaultConfig()}.Predict(days, predict.Window{Start: start, Length: length})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -120,9 +117,9 @@ func mustTR(p *core.Predictor, start, length time.Duration) float64 {
 // reliability: lambda = -ln(TR(W))/W. This is exactly the proactive use of
 // the prediction the paper proposes — no failure log parsing, no manual
 // tuning, just a TR query.
-func chooseInterval(p *core.Predictor, start time.Duration) time.Duration {
+func chooseInterval(days []*trace.Day, start time.Duration) time.Duration {
 	window := jobWork
-	tr := mustTR(p, start, window)
+	tr := mustTR(days, start, window)
 	if tr >= 0.999 {
 		return jobWork // effectively no checkpointing needed
 	}

@@ -10,7 +10,7 @@ import (
 	"log"
 	"time"
 
-	"fgcs/internal/core"
+	"fgcs/internal/avail"
 	"fgcs/internal/predict"
 	"fgcs/internal/trace"
 	"fgcs/internal/workload"
@@ -31,10 +31,7 @@ func main() {
 
 	// 2. Build the predictor (Th1/Th2 thresholds, suspend limit and guest
 	//    working set all default to the paper's testbed values).
-	p, err := core.NewPredictor(machine, core.Options{})
-	if err != nil {
-		log.Fatal(err)
-	}
+	p := predict.SMP{Cfg: avail.DefaultConfig()}
 
 	// 3. Predict TR for guest jobs of different lengths at different
 	//    times of day.
@@ -50,7 +47,7 @@ func main() {
 		{8 * time.Hour, 10 * time.Hour}, // a long job across the day
 	} {
 		w := predict.Window{Start: q.start, Length: q.length}
-		pred, err := p.TR(trace.Weekday, w)
+		pred, err := p.Predict(machine.DaysOfType(trace.Weekday), w)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -58,10 +55,18 @@ func main() {
 	}
 
 	// 4. The scheduler-style query: a 3-hour job submitted "now".
+	//    It pools the same-type history days strictly before "now".
 	now := params.Start.AddDate(0, 0, 21).Add(10*time.Hour + 30*time.Minute)
-	tr, err := p.TRAt(now, 3*time.Hour)
+	midnight, w := predict.WindowAt(now, 3*time.Hour, machine.Period)
+	var days []*trace.Day
+	for _, d := range machine.DaysOfType(trace.TypeOfDate(midnight)) {
+		if d.Date.Before(midnight) {
+			days = append(days, d)
+		}
+	}
+	pred, err := p.Predict(days, w)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\n3h job at %v: TR = %.4f\n", now.Format("Mon 15:04"), tr)
+	fmt.Printf("\n3h job at %v: TR = %.4f\n", now.Format("Mon 15:04"), pred.TR)
 }

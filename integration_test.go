@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"fgcs/internal/avail"
-	"fgcs/internal/core"
 	"fgcs/internal/ishare"
 	"fgcs/internal/predict"
 	"fgcs/internal/simclock"
@@ -47,12 +46,10 @@ func TestEndToEndPipeline(t *testing.T) {
 	}
 
 	// 3. Library-level prediction over the reloaded history.
-	pred, err := core.NewPredictor(loaded.Machines[0], core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pred := predict.SMP{Cfg: avail.DefaultConfig()}
+	weekdays := loaded.Machines[0].DaysOfType(trace.Weekday)
 	w := predict.Window{Start: 9 * time.Hour, Length: 2 * time.Hour}
-	point, err := pred.TR(trace.Weekday, w)
+	point, err := pred.Predict(weekdays, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,8 +57,7 @@ func TestEndToEndPipeline(t *testing.T) {
 		t.Fatalf("TR = %v", point.TR)
 	}
 	// And with uncertainty.
-	iv, err := predict.SMP{Cfg: avail.DefaultConfig()}.
-		PredictCI(loaded.Machines[0].DaysOfType(trace.Weekday), w, 0.9, 30, 1)
+	iv, err := pred.PredictCI(weekdays, w, 0.9, 30, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +74,7 @@ func TestEndToEndPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	regSrv, err := reg.Serve("127.0.0.1:0")
+	regSrv, err := reg.ServeConfig("127.0.0.1:0", ishare.ServerConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,11 +92,14 @@ func TestEndToEndPipeline(t *testing.T) {
 			t.Fatal(err)
 		}
 		node.Gateway.Record(now, trace.Sample{CPU: 8, FreeMemMB: 350, Up: true})
-		srv, err := node.Serve("127.0.0.1:0", regSrv.Addr())
+		srv, err := node.Gateway.ServeConfig("127.0.0.1:0", ishare.ServerConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer srv.Close()
+		if err := ishare.RegisterWithTTL(context.Background(), nil, regSrv.Addr(), m.ID, srv.Addr(), 0, 5*time.Second); err != nil {
+			t.Fatal(err)
+		}
 		gateways = append(gateways, node.Gateway)
 	}
 	sched, err := ishare.FromRegistryWith(context.Background(), nil, regSrv.Addr(), 2*time.Second)
@@ -154,7 +153,7 @@ func TestEndToEndPipeline(t *testing.T) {
 	if runErr != nil {
 		t.Fatal(runErr)
 	}
-	if !run.Completed() {
+	if run.Final.State != "completed" {
 		t.Fatalf("supervised run = %+v", run.Final)
 	}
 }

@@ -257,29 +257,24 @@ func ExtractSojourns(samples []trace.Sample, cfg Config, period time.Duration) [
 	return out
 }
 
-// ExtractTrajectories splits the classified window into semi-Markov
+// AppendTrajectories splits the classified window into semi-Markov
 // trajectories for parameter estimation. A guest job is absorbed by the
 // first failure, but the MACHINE recovers and keeps generating statistics:
 // each failure ends one trajectory (contributing its transition) and the
 // next recoverable samples start a fresh one. This harvests every
 // unavailability occurrence in the window for Q and H, which is what makes
 // the estimates robust — an injected noise event is one more observation
-// among many, not the sole fate of its window (Section 7.3).
-func ExtractTrajectories(samples []trace.Sample, cfg Config, period time.Duration) [][]Sojourn {
-	return AppendTrajectories(nil, samples, cfg, period)
-}
-
-// AppendTrajectories is ExtractTrajectories appending into a caller-supplied
-// outer buffer, so loops that harvest trajectories from many history windows
-// reuse one backing array for the sequence list instead of growing a fresh
-// one per window.
+// among many, not the sole fate of its window (Section 7.3). The
+// trajectories are appended to dst (nil starts a fresh list), so loops that
+// harvest many history windows reuse one backing array for the sequence list
+// instead of growing a fresh one per window.
 func AppendTrajectories(dst [][]Sojourn, samples []trace.Sample, cfg Config, period time.Duration) [][]Sojourn {
 	states := Classify(samples, cfg, period)
 	return appendTrajectoriesFromStates(dst, states)
 }
 
 // appendTrajectoriesFromStates splits a classified window into trajectories
-// (see ExtractTrajectories) and appends them to dst.
+// (see AppendTrajectories) and appends them to dst.
 func appendTrajectoriesFromStates(dst [][]Sojourn, states []State) [][]Sojourn {
 	var cur []Sojourn
 	for i := 0; i < len(states); {

@@ -371,7 +371,7 @@ func TestExtractTrajectoriesRestartsAfterFailure(t *testing.T) {
 	cfg := DefaultConfig()
 	// S1(5) -> S3(15) -> S1(4) -> S2(3) -> [end]
 	cpu := append(append(append(rep(10, 5), rep(90, 15)...), rep(10, 4)...), rep(40, 3)...)
-	trajs := ExtractTrajectories(mk(cpu, 300, true), cfg, period)
+	trajs := AppendTrajectories(nil, mk(cpu, 300, true), cfg, period)
 	if len(trajs) != 2 {
 		t.Fatalf("trajectories = %d (%v), want 2", len(trajs), trajs)
 	}
@@ -396,7 +396,7 @@ func TestExtractTrajectoriesMergesConsecutiveFailures(t *testing.T) {
 	samples := mk(append(rep(10, 5), rep(90, 12)...), 300, true)
 	down := mk(rep(0, 7), 300, false)
 	samples = append(samples, down...)
-	trajs := ExtractTrajectories(samples, cfg, period)
+	trajs := AppendTrajectories(nil, samples, cfg, period)
 	if len(trajs) != 1 {
 		t.Fatalf("trajectories = %d, want 1", len(trajs))
 	}
@@ -412,7 +412,7 @@ func TestExtractTrajectoriesWindowStartsFailed(t *testing.T) {
 	// preceding trajectory and must be dropped.
 	samples := mk(rep(0, 6), 300, false)
 	samples = append(samples, mk(rep(10, 8), 300, true)...)
-	trajs := ExtractTrajectories(samples, cfg, period)
+	trajs := AppendTrajectories(nil, samples, cfg, period)
 	if len(trajs) != 1 {
 		t.Fatalf("trajectories = %d, want 1", len(trajs))
 	}
@@ -423,10 +423,10 @@ func TestExtractTrajectoriesWindowStartsFailed(t *testing.T) {
 
 func TestExtractTrajectoriesEmptyAndAllFailed(t *testing.T) {
 	cfg := DefaultConfig()
-	if trajs := ExtractTrajectories(nil, cfg, period); len(trajs) != 0 {
+	if trajs := AppendTrajectories(nil, nil, cfg, period); len(trajs) != 0 {
 		t.Fatal("empty input produced trajectories")
 	}
-	if trajs := ExtractTrajectories(mk(rep(0, 10), 300, false), cfg, period); len(trajs) != 0 {
+	if trajs := AppendTrajectories(nil, mk(rep(0, 10), 300, false), cfg, period); len(trajs) != 0 {
 		t.Fatal("all-down window produced trajectories")
 	}
 }
@@ -448,7 +448,7 @@ func TestExtractTrajectoriesProperty(t *testing.T) {
 			}
 		}
 		total := 0
-		for _, traj := range ExtractTrajectories(samples, cfg, period) {
+		for _, traj := range AppendTrajectories(nil, samples, cfg, period) {
 			if len(traj) == 0 {
 				return false
 			}

@@ -45,7 +45,7 @@ func (e *Extractor) Reset(cfg Config, period time.Duration) {
 }
 
 // AddWindow classifies one history window and appends its restart
-// trajectories (see ExtractTrajectories) to the accumulated set. It returns
+// trajectories (see AppendTrajectories) to the accumulated set. It returns
 // the window's initial availability state and whether that state is
 // recoverable. Empty windows contribute nothing and report an unrecoverable
 // start. The bool is ignored: it selected a removed extraction mode, and the

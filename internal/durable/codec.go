@@ -162,12 +162,9 @@ func DecodeRegister(p []byte) (machine, addr string, expiresUnixMs int64, err er
 	return machine, addr, expiresUnixMs, r.Done()
 }
 
-// EncodeUnregister appends a registry-removal payload.
-func EncodeUnregister(buf []byte, machine string) []byte {
-	return wire.AppendString(buf, machine)
-}
-
-// DecodeUnregister parses a RecUnregister payload.
+// DecodeUnregister parses a RecUnregister payload: the machine name as one
+// string. No binary writes the record any more (the replay of logs older
+// ones wrote is its only reader), so it has no encoder.
 func DecodeUnregister(p []byte) (machine string, err error) {
 	r := wire.NewReader(p, "durable: unregister record")
 	machine = r.String()

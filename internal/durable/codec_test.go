@@ -71,9 +71,9 @@ var byteCodecs = []struct {
 		m, a, exp, err := DecodeRegister(p)
 		return EncodeRegister(nil, m, a, exp), err
 	}},
-	{"unregister", EncodeUnregister(nil, "lab-02"), func(p []byte) ([]byte, error) {
+	{"unregister", wire.AppendString(nil, "lab-02"), func(p []byte) ([]byte, error) {
 		m, err := DecodeUnregister(p)
-		return EncodeUnregister(nil, m), err
+		return wire.AppendString(nil, m), err
 	}},
 	{"submitkey", EncodeSubmitKey(nil, "key-9", "lab-01-job-3"), func(p []byte) ([]byte, error) {
 		k, id, err := DecodeSubmitKey(p)

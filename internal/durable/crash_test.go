@@ -40,7 +40,7 @@ func runWorkload(fs FS, seed uint64) (attempted [][]byte, acked int) {
 		acked++
 		if (i+1)%17 == 0 {
 			snap := binary.AppendUvarint(nil, uint64(i+1))
-			if err := st.WriteSnapshot(snap); err != nil {
+			if err := snapshotNow(st, snap); err != nil {
 				return attempted, acked
 			}
 		}

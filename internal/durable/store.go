@@ -80,7 +80,7 @@ type Recovery struct {
 
 // Store is an append-only segment WAL plus snapshot retention over one FS
 // directory. Appends are framed with CRC32C and a seal record closes each
-// rotated segment; WriteSnapshot publishes application state atomically at
+// rotated segment; WriteSnapshotAt publishes application state atomically at
 // the current WAL position and prunes state older than the retention
 // window. A Store is safe for concurrent use.
 type Store struct {
@@ -349,31 +349,16 @@ func (st *Store) Position() (seq uint64, offset int64) {
 	return st.curSeq, st.curOff
 }
 
-// WriteSnapshot publishes payload as a snapshot of all state up to the
-// current WAL position, atomically, then prunes snapshots beyond the
-// retention window and the segments only they kept alive. The store is
-// locked for the duration, so the position is exact: every record appended
-// before the call is covered, every one after it will be replayed on top.
-// This is only correct when no mutation can slip between the caller's state
-// export and this call — callers whose WAL appends happen outside the lock
-// that guards the export must use WriteSnapshotAt instead.
-func (st *Store) WriteSnapshot(payload []byte) error {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.closed {
-		return ErrClosed
-	}
-	return st.writeSnapshotLocked(st.curSeq, st.curOff, payload)
-}
-
 // WriteSnapshotAt publishes payload as a snapshot of all state up to the WAL
-// position (seq, offset), which the caller captured with Position() BEFORE
-// exporting the state payload encodes. Capturing the position first closes
-// the export/append race: a record appended before the captured position
-// belongs to a mutation applied before the capture (components mutate, then
-// log), so the export already includes it; a record appended at or after
-// the position is replayed on top during recovery, which is safe because
-// restores are idempotent upserts. A position ahead of the WAL is rejected.
+// position (seq, offset), atomically, then prunes snapshots beyond the
+// retention window and the segments only they kept alive. The caller
+// captured the position with Position() BEFORE exporting the state payload
+// encodes. Capturing the position first closes the export/append race: a
+// record appended before the captured position belongs to a mutation applied
+// before the capture (components mutate, then log), so the export already
+// includes it; a record appended at or after the position is replayed on top
+// during recovery, which is safe because restores are idempotent upserts. A
+// position ahead of the WAL is rejected.
 func (st *Store) WriteSnapshotAt(seq uint64, offset int64, payload []byte) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()

@@ -8,7 +8,15 @@ import (
 	"time"
 
 	"fgcs/internal/trace"
+	"fgcs/internal/wire"
 )
+
+// snapshotNow publishes payload as a snapshot of all state up to the current
+// WAL position — exact here because the tests append from one goroutine.
+func snapshotNow(st *Store, payload []byte) error {
+	seq, off := st.Position()
+	return st.WriteSnapshotAt(seq, off, payload)
+}
 
 // reopen closes nothing (the store may be dead) and opens a fresh store over
 // the same FS.
@@ -91,7 +99,7 @@ func TestSnapshotCoversTailAndPrunes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := st.WriteSnapshot([]byte("state-at-50")); err != nil {
+	if err := snapshotNow(st, []byte("state-at-50")); err != nil {
 		t.Fatalf("snapshot: %v", err)
 	}
 	for i := 0; i < 7; i++ {
@@ -136,13 +144,13 @@ func TestSnapshotFallbackOnCorruptNewest(t *testing.T) {
 	if err := st.Append(RecSample, []byte("a")); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.WriteSnapshot([]byte("old")); err != nil {
+	if err := snapshotNow(st, []byte("old")); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Append(RecSample, []byte("b")); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.WriteSnapshot([]byte("new")); err != nil {
+	if err := snapshotNow(st, []byte("new")); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Close(); err != nil {
@@ -222,7 +230,7 @@ func TestAllSnapshotsCorruptRefuses(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := st.WriteSnapshot([]byte("full-state")); err != nil {
+	if err := snapshotNow(st, []byte("full-state")); err != nil {
 		t.Fatal(err)
 	}
 	if seq, _ := st.Position(); seq == 0 {
@@ -270,7 +278,7 @@ func TestAllSnapshotsCorruptFullWALProceeds(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := st.WriteSnapshot([]byte("state")); err != nil {
+	if err := snapshotNow(st, []byte("state")); err != nil {
 		t.Fatal(err)
 	}
 	_ = st.Close()
@@ -407,7 +415,7 @@ func TestCleanShutdownNeedsNoReplayAfterSnapshot(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := st.WriteSnapshot([]byte("final")); err != nil {
+	if err := snapshotNow(st, []byte("final")); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Close(); err != nil {
@@ -436,7 +444,7 @@ func TestStoreOSFS(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := st.WriteSnapshot([]byte("os-state")); err != nil {
+	if err := snapshotNow(st, []byte("os-state")); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Append(RecSample, []byte("tail")); err != nil {
@@ -505,7 +513,7 @@ func TestComponentCodecsRoundTrip(t *testing.T) {
 	if err != nil || m != "lab-01" || a != "10.0.0.1:7070" || exp != 1234567 {
 		t.Fatalf("register round trip: %q %q %d %v", m, a, exp, err)
 	}
-	m, err = DecodeUnregister(EncodeUnregister(nil, "lab-02"))
+	m, err = DecodeUnregister(wire.AppendString(nil, "lab-02"))
 	if err != nil || m != "lab-02" {
 		t.Fatalf("unregister round trip: %q %v", m, err)
 	}

@@ -18,13 +18,13 @@ import (
 // the chosen 0.5 while the armed perturbation accumulates well past it.
 func obsTestConfig() Config {
 	return Config{
-		Machines: 800,
-		Gateways: 4,
-		Profiles: 8,
-		Ticks:    36,
-		Workers:  4,
-		Seed:     5,
-		Drift:    obs.DriftConfig{Lambda: 0.5},
+		Machines:    800,
+		Gateways:    4,
+		Profiles:    8,
+		Ticks:       36,
+		Workers:     4,
+		Seed:        5,
+		DriftLambda: 0.5,
 	}
 }
 

@@ -100,9 +100,9 @@ type Config struct {
 	// EvictEvery is the tick interval between tracker eviction sweeps
 	// (default 4).
 	EvictEvery int
-	// Drift tunes the per-peer accuracy-drift watchers (zero fields select
-	// the obs package defaults).
-	Drift obs.DriftConfig
+	// DriftLambda is the Page–Hinkley alarm threshold of the per-peer
+	// accuracy-drift watchers (0 = the obs package default).
+	DriftLambda float64
 	// PerturbFailRate, when > 0, arms the drift scenario: behavior profile
 	// PerturbProfile switches to independent per-slot outages at this rate
 	// from PerturbTick on (default 0 = disabled).
@@ -426,7 +426,7 @@ func buildFleet(cfg Config, rep *Report) (*fleet, error) {
 			MaxMachines: cfg.TrackerMaxMachines,
 			IdleTTL:     cfg.TrackerIdleTTL,
 		})
-		o.SetDriftConfig(cfg.Drift)
+		o.Drift = obs.NewDriftWatcher(o.Tracker, o.Alerts, cfg.DriftLambda)
 		f.peerObs[i] = o
 	}
 	engine := predict.NewEngine(predict.EngineConfig{CacheSize: cfg.EngineCacheSize})
@@ -434,7 +434,7 @@ func buildFleet(cfg Config, rep *Report) (*fleet, error) {
 	if cfg.Ensemble {
 		f.routers = make([]*ishare.Router, cfg.Gateways)
 		for i := range f.routers {
-			f.routers[i] = ishare.NewRouter(f.peerObs[i].Tracker, ishare.RouterConfig{})
+			f.routers[i] = ishare.NewRouter(f.peerObs[i].Tracker)
 			f.routers[i].SetMetrics(f.peerObs[i].RouterDecisions, f.peerObs[i].RouterSwitches)
 		}
 	}
@@ -1008,7 +1008,7 @@ func (f *fleet) finalize(rep *Report) {
 			}
 			e.Switches += snap.Switches
 			e.RoutedMachines += snap.Machines
-			w, m := f.peerObs[i].Tracker.WinCounts(r.Config().MinSamples)
+			w, m := f.peerObs[i].Tracker.WinCounts(ishare.RouterMinSamples)
 			for name, n := range w {
 				wins[name] += n
 			}

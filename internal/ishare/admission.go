@@ -17,7 +17,6 @@ type admitter struct {
 	queues  map[interface{}]*connQueue
 	order   []*connQueue // round-robin ring over connections with waiters
 	rr      int          // next ring index to grant from
-	sheds   uint64
 }
 
 // connQueue is one connection's FIFO of waiters.
@@ -46,7 +45,6 @@ func (a *admitter) acquire(key interface{}, done <-chan struct{}) bool {
 		return true
 	}
 	if a.waiting >= a.maxWait {
-		a.sheds++
 		a.mu.Unlock()
 		return false
 	}
@@ -139,11 +137,4 @@ func (a *admitter) forget(key interface{}) {
 	// counting them out; their acquire returns false via done.
 	a.waiting -= len(q.waiters)
 	q.waiters = nil
-}
-
-// shedCount reports how many requests the admitter has shed.
-func (a *admitter) shedCount() uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.sheds
 }

@@ -35,9 +35,6 @@ func TestAdmitterImmediateGrantAndRelease(t *testing.T) {
 		t.Fatal("released slot was not granted")
 	}
 	a.release()
-	if got := a.shedCount(); got != 0 {
-		t.Fatalf("sheds = %d, want 0", got)
-	}
 }
 
 // TestAdmitterFairnessAndShed saturates a one-slot admitter, queues two
@@ -71,9 +68,6 @@ func TestAdmitterFairnessAndShed(t *testing.T) {
 	// The queue is at maxWait: the next request is shed, not queued.
 	if a.acquire("C", done) {
 		t.Fatal("overflow request was admitted past the waiter cap")
-	}
-	if got := a.shedCount(); got != 1 {
-		t.Fatalf("sheds = %d, want 1", got)
 	}
 
 	// Each release grants exactly one waiter; the grant order alternates

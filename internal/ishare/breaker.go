@@ -67,13 +67,6 @@ type breaker struct {
 	failures int       // consecutive failures while closed
 	openedAt time.Time // when the breaker last opened
 	probing  bool      // a half-open probe is in flight
-
-	// Cumulative outcome taxonomy: faults counts reported errors that fed
-	// the state machine; sheds counts typed overloaded rejections, which
-	// never do — a saturated-but-healthy machine must not be quarantined
-	// like a dead one.
-	faults uint64
-	sheds  uint64
 }
 
 // BreakerSet holds one circuit breaker per machine. A scheduler consults it
@@ -155,9 +148,9 @@ func (bs *BreakerSet) Allow(id string) bool {
 // Report records the outcome of an admitted request. A nil err closes the
 // breaker; an error while half-open re-opens it immediately, an error while
 // closed opens it once Threshold consecutive failures accumulate. A typed
-// overloaded shed is counted but does not move the state machine: the
-// machine answered, it is saturated rather than broken, and the retry
-// layer's backoff — not a quarantine — is the right response.
+// overloaded shed does not move the state machine: the machine answered, it
+// is saturated rather than broken, and the retry layer's backoff — not a
+// quarantine — is the right response.
 func (bs *BreakerSet) Report(id string, err error) {
 	bs.mu.Lock()
 	defer bs.mu.Unlock()
@@ -169,12 +162,10 @@ func (bs *BreakerSet) Report(id string, err error) {
 		return
 	}
 	if IsOverloaded(err) {
-		b.sheds++
 		// A shed probe is inconclusive; allow another one.
 		b.probing = false
 		return
 	}
-	b.faults++
 	switch b.state {
 	case BreakerHalfOpen:
 		bs.transition(id, b, BreakerOpen)
@@ -188,19 +179,6 @@ func (bs *BreakerSet) Report(id string, err error) {
 			b.failures = 0
 		}
 	}
-}
-
-// Counts returns the machine's cumulative reported-outcome taxonomy:
-// faults (transport and application errors that fed the state machine) and
-// sheds (typed overloaded rejections, which never do).
-func (bs *BreakerSet) Counts(id string) (faults, sheds uint64) {
-	bs.mu.Lock()
-	defer bs.mu.Unlock()
-	b, ok := bs.m[id]
-	if !ok {
-		return 0, 0
-	}
-	return b.faults, b.sheds
 }
 
 // State returns the machine's current breaker state (Closed for unknown

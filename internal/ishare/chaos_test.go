@@ -120,7 +120,7 @@ func runChaosOnce(t *testing.T, seed uint64, binary bool) chaosResult {
 		Breakers: NewBreakerSet(BreakerConfig{Threshold: 1, Cooldown: time.Hour}, clock),
 	}
 	for i, gw := range gws {
-		srv, err := gw.Serve("127.0.0.1:0")
+		srv, err := gw.ServeConfig("127.0.0.1:0", ServerConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -182,7 +182,7 @@ func TestChaosJobSurvivesPartitionsAndCrashes(t *testing.T) {
 	if a.err != nil {
 		t.Fatalf("chaos run failed: %v\nplacements: %+v", a.err, a.run.Placements)
 	}
-	if !a.run.Completed() {
+	if a.run.Final.State != "completed" {
 		t.Fatalf("job did not complete: final = %+v", a.run.Final)
 	}
 	if a.run.Migrations != 2 || len(a.run.Placements) != 3 {
@@ -258,7 +258,7 @@ func TestChaosJobSurvivesBinaryTransport(t *testing.T) {
 	if a.err != nil {
 		t.Fatalf("binary chaos run failed: %v\nplacements: %+v", a.err, a.run.Placements)
 	}
-	if !a.run.Completed() {
+	if a.run.Final.State != "completed" {
 		t.Fatalf("job did not complete: final = %+v", a.run.Final)
 	}
 	if a.run.Migrations < 1 {

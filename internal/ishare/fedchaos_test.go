@@ -106,7 +106,7 @@ func runFedChaosOnce(t *testing.T, seed uint64, binary bool) fedChaosResult {
 			t.Fatal(err)
 		}
 		gw.Record(start, sample(5, 400))
-		srv, err := gw.Serve("127.0.0.1:0")
+		srv, err := gw.ServeConfig("127.0.0.1:0", ServerConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -175,7 +175,7 @@ func runFedChaosOnce(t *testing.T, seed uint64, binary bool) fedChaosResult {
 	killed := -1
 	owner := nodes[0].gw.Candidates("m1")[0].ID
 	for i, n := range nodes {
-		if n.gw.Self().ID == owner {
+		if n.gw.self.ID == owner {
 			killed = i
 		}
 	}
@@ -386,7 +386,7 @@ func TestChaosFedDurableRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	host.Persist.Record(start, sample(5, 400))
-	hostSrv, err := host.Gateway.Serve("127.0.0.1:0")
+	hostSrv, err := host.Gateway.ServeConfig("127.0.0.1:0", ServerConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,10 +435,10 @@ func TestChaosFedDurableRestart(t *testing.T) {
 	}
 	var ringPeers []Peer
 	for _, n := range nodes {
-		ringPeers = append(ringPeers, n.gw.Self())
+		ringPeers = append(ringPeers, n.gw.self)
 	}
 	gw2, err := NewFedGateway(FedConfig{
-		Self: nodes[owner].gw.Self(), Peers: ringPeers, Replicas: -1,
+		Self: nodes[owner].gw.self, Peers: ringPeers, Replicas: -1,
 		Caller:  &Caller{Retry: RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 4 * time.Millisecond}},
 		Timeout: 2 * time.Second, Clock: clock,
 	})
@@ -452,7 +452,7 @@ func TestChaosFedDurableRestart(t *testing.T) {
 	if got := gw2.Export(); !reflect.DeepEqual(got, wantShard) {
 		t.Fatalf("restarted shard = %+v, want %+v", got, wantShard)
 	}
-	srv2, err := NewServer(ownerAddr, gw2.Handler())
+	srv2, err := NewServerConfig(ownerAddr, gw2.Handler(), ServerConfig{})
 	if err != nil {
 		t.Fatalf("rebind peer on %s: %v", ownerAddr, err)
 	}
@@ -473,7 +473,7 @@ func TestChaosFedDurableRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hostSrv2, err := host2.Gateway.Serve(hostAddr)
+	hostSrv2, err := host2.Gateway.ServeConfig(hostAddr, ServerConfig{})
 	if err != nil {
 		t.Fatalf("rebind host on %s: %v", hostAddr, err)
 	}
@@ -554,7 +554,7 @@ func runStitchedTrace(t *testing.T, binary bool) {
 		SampleRate: 1, Seed: seed + 9000,
 		Recorder: machineRec, Clock: &tickClock{t: start},
 	}))
-	srv, err := gw.Serve("127.0.0.1:0")
+	srv, err := gw.ServeConfig("127.0.0.1:0", ServerConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

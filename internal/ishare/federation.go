@@ -312,9 +312,6 @@ func NewFedGateway(cfg FedConfig) (*FedGateway, error) {
 	}, nil
 }
 
-// Self returns this peer's identity.
-func (f *FedGateway) Self() Peer { return f.self }
-
 // fanout is the size of each key's candidate set: the owner plus its
 // replicas.
 func (f *FedGateway) fanout() int { return 1 + f.replicas }
@@ -438,8 +435,8 @@ func (f *FedGateway) callPeer(ctx context.Context, p Peer, typ string, payload, 
 	}
 	if f.breakers != nil {
 		if IsTransport(err) || IsOverloaded(err) {
-			// The breaker counts overloaded sheds separately from
-			// transport faults and never opens on them.
+			// The breaker never opens on overloaded sheds, only on
+			// transport faults.
 			f.breakers.Report(p.ID, err)
 		} else {
 			f.breakers.Report(p.ID, nil)
@@ -902,13 +899,10 @@ func (f *FedGateway) Handler() Handler {
 	return serveRoutes(f, fedRoutes, "fed", "peer", f.self.ID, func() *otrace.Tracer { return f.tracer }, f.obs)
 }
 
-// Serve starts a protocol server for the peer on addr, with the peer's
-// serving-path metrics installed when observability is attached.
-func (f *FedGateway) Serve(addr string) (*Server, error) {
-	return f.ServeConfig(addr, ServerConfig{})
-}
-
-// ServeConfig is Serve with explicit admission-control and deadline bounds.
+// ServeConfig starts a protocol server for the peer on addr under cfg's
+// admission-control and deadline bounds (the zero ServerConfig selects every
+// default), with the peer's serving-path metrics installed when
+// observability is attached.
 func (f *FedGateway) ServeConfig(addr string, cfg ServerConfig) (*Server, error) {
 	return listenRoutes(addr, f.Handler(), cfg, f.obs)
 }

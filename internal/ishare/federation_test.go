@@ -32,7 +32,7 @@ type stubMachine struct {
 func newStubMachine(t *testing.T, id string, tr float64) *stubMachine {
 	t.Helper()
 	m := &stubMachine{id: id, tr: tr, submits: make(map[string]string)}
-	srv, err := NewServer("127.0.0.1:0", m.handler)
+	srv, err := NewServerConfig("127.0.0.1:0", m.handler, ServerConfig{})
 	if err != nil {
 		t.Fatalf("stub machine %s: %v", id, err)
 	}
@@ -131,7 +131,7 @@ func buildFederationWith(t *testing.T, n, replicas int, clock simclock.Clock, mu
 	servers := make([]*Server, n)
 	for i := range servers {
 		cells[i] = &handlerCell{}
-		srv, err := NewServer("127.0.0.1:0", cells[i].handle)
+		srv, err := NewServerConfig("127.0.0.1:0", cells[i].handle, ServerConfig{})
 		if err != nil {
 			t.Fatalf("fed server %d: %v", i, err)
 		}
@@ -188,7 +188,7 @@ func pickPeer(t *testing.T, nodes []*fedNode, machine string, inCandidates bool)
 		cands[p.ID] = true
 	}
 	for i, n := range nodes {
-		if cands[n.gw.Self().ID] == inCandidates {
+		if cands[n.gw.self.ID] == inCandidates {
 			return i
 		}
 	}
@@ -212,8 +212,8 @@ func TestFedRegisterRoutesToOwnerAndReplicates(t *testing.T) {
 	}
 	for _, n := range nodes {
 		_, ok := n.gw.lookup("m-route")
-		if want := cands[n.gw.Self().ID]; ok != want {
-			t.Errorf("peer %s holds entry = %v, want %v", n.gw.Self().ID, ok, want)
+		if want := cands[n.gw.self.ID]; ok != want {
+			t.Errorf("peer %s holds entry = %v, want %v", n.gw.self.ID, ok, want)
 		}
 	}
 
@@ -245,7 +245,7 @@ func TestFedReplicaFailoverUntilTTL(t *testing.T) {
 	}
 	var owner *fedNode
 	for _, n := range nodes {
-		if n.gw.Self().ID == cands[0].ID {
+		if n.gw.self.ID == cands[0].ID {
 			owner = n
 		}
 	}
@@ -287,7 +287,7 @@ func TestFedSubmitIdempotencyKeyAttachedAtEntry(t *testing.T) {
 	owner := nodes[0].gw.Candidates("m-submit")[0].ID
 	entry := 0
 	for i, n := range nodes {
-		if n.gw.Self().ID != owner {
+		if n.gw.self.ID != owner {
 			entry = i
 			break
 		}

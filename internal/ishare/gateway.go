@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"fgcs/internal/avail"
-	"fgcs/internal/predict"
 	"fgcs/internal/simclock"
 	"fgcs/internal/trace"
 )
@@ -186,9 +185,6 @@ func (g *Gateway) QueryTR(ctx context.Context, req QueryTRReq) (QueryTRResp, err
 	return g.sm.QueryTR(ctx, req)
 }
 
-// EngineStats reports the node's prediction-engine cache counters.
-func (g *Gateway) EngineStats() predict.EngineStats { return g.sm.EngineStats() }
-
 // QueryStats assembles the node's observability snapshot: engine cache
 // counters, per-type RPC counts, monitor throughput, and the online accuracy
 // summaries per predictor.
@@ -211,7 +207,7 @@ func (g *Gateway) QueryStats(ctx context.Context, req QueryStatsReq) (QueryStats
 	if r := g.sm.Router(); r != nil {
 		snap := r.Snapshot()
 		resp.Routing = &snap
-		resp.WinRates = o.Tracker.WinRates(r.Config().MinSamples)
+		resp.WinRates = o.Tracker.WinRates(RouterMinSamples)
 	}
 	if !req.Calibration {
 		for i := range resp.Accuracy {
@@ -390,13 +386,9 @@ func (g *Gateway) Handler() Handler {
 	return serveRoutes(g, gatewayRoutes, "gateway", "machine", g.machineID, o.TracerOrNil, o)
 }
 
-// Serve starts the gateway's TCP endpoint under the default server config,
-// with the node's serving-path metrics installed when observability is on.
-func (g *Gateway) Serve(addr string) (*Server, error) {
-	return g.ServeConfig(addr, ServerConfig{})
-}
-
-// ServeConfig is Serve with explicit admission-control and deadline bounds.
+// ServeConfig starts the gateway's TCP endpoint under cfg's admission-control
+// and deadline bounds (the zero ServerConfig selects every default), with the
+// node's serving-path metrics installed when observability is on.
 func (g *Gateway) ServeConfig(addr string, cfg ServerConfig) (*Server, error) {
 	return listenRoutes(addr, g.Handler(), cfg, g.sm.Obs())
 }

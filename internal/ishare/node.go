@@ -87,7 +87,7 @@ func NewHostNode(cfg NodeConfig, src monitor.LoadSource) (*HostNode, error) {
 	var deps SharedDeps
 	if cfg.Ensemble {
 		deps.Obs = NewNodeObs()
-		deps.Router = NewRouter(deps.Obs.Tracker, RouterConfig{})
+		deps.Router = NewRouter(deps.Obs.Tracker)
 		deps.Router.SetMetrics(deps.Obs.RouterDecisions, deps.Obs.RouterSwitches)
 	}
 	sm, err := NewStateManagerShared(cfg.MachineID, cfg.Period, cfg.Cfg, cfg.Clock, cfg.Preloaded, cfg.HistoryDays, deps)
@@ -171,22 +171,6 @@ func (n *HostNode) Start() { go n.Monitor.Run() }
 // Stop terminates the monitor loop.
 func (n *HostNode) Stop() { n.Monitor.Stop() }
 
-// Serve exposes the gateway on a TCP address and registers it with the
-// registry (empty registryAddr skips registration).
-func (n *HostNode) Serve(addr, registryAddr string) (*Server, error) {
-	srv, err := n.Gateway.Serve(addr)
-	if err != nil {
-		return nil, err
-	}
-	if registryAddr != "" {
-		if err := RegisterWithTTL(context.Background(), nil, registryAddr, n.Gateway.MachineID(), srv.Addr(), 0, 5*time.Second); err != nil {
-			_ = srv.Close()
-			return nil, err
-		}
-	}
-	return srv, nil
-}
-
 // StartHeartbeat re-registers the gateway with the registry every interval,
 // each time with the given TTL, so the registration stays live as long as
 // the node does and expires soon after it dies. Registration failures are
@@ -197,29 +181,4 @@ func (n *HostNode) StartHeartbeat(caller *Caller, registryAddr, gatewayAddr stri
 	return StartLoop(n.clock, every, func() {
 		_ = RegisterWithTTL(context.Background(), caller, registryAddr, n.Gateway.MachineID(), gatewayAddr, ttl, timeout)
 	})
-}
-
-// FeedDay drives the node synchronously through one simulated day of
-// samples, advancing from the given midnight. It returns the timestamp after
-// the last sample. This is how simulations and tests run a node without
-// real time passing; down samples are routed through the gateway's crash
-// path exactly as a dead monitor would manifest.
-func (n *HostNode) FeedDay(day *trace.Day) time.Time {
-	var sink monitor.Sink = n.Gateway
-	if n.Persist != nil {
-		sink = n.Persist
-	}
-	t := day.Date
-	for _, s := range day.Samples {
-		if s.Up {
-			sink.Record(t, s)
-		} else {
-			// The monitor cannot sample a dead machine; the guest dies
-			// with the node and the recorder later back-fills the gap.
-			n.Gateway.Crash()
-			sink.Record(t, s)
-		}
-		t = t.Add(day.Period)
-	}
-	return t
 }

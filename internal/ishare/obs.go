@@ -116,10 +116,10 @@ type NodeObs struct {
 	// default) disables tracing entirely — the serving path then pays two
 	// pointer reads and nothing else. Install one with SetTracing.
 	Tracer *otrace.Tracer
-	// Alerts is the node's bounded alert ring: accuracy-drift,
-	// calibration-skew, and serving-path ops alerts land here and are served
-	// over /alerts and query-obs. Drift is the watcher feeding it; retune
-	// with SetDriftConfig.
+	// Alerts is the node's bounded alert ring: accuracy-drift and
+	// serving-path ops alerts land here and are served over /alerts and
+	// query-obs. Drift is the watcher feeding it; replace it before
+	// StepObs starts running to retune its alarm threshold.
 	Alerts *obs.AlertRing
 	Drift  *obs.DriftWatcher
 	// RouterDecisions and RouterSwitches count the ensemble router's routing
@@ -170,7 +170,7 @@ func NewNodeObs() *NodeObs {
 	o.RouterDecisions = r.Counter("fgcs_router_decisions_total", "Ensemble routing decisions made for TR queries.")
 	o.RouterSwitches = r.Counter("fgcs_router_switches_total", "Ensemble routing switches to a different predictor.")
 	o.Alerts = obs.NewAlertRing(0)
-	o.Drift = obs.NewDriftWatcher(o.Tracker, o.Alerts, obs.DriftConfig{})
+	o.Drift = obs.NewDriftWatcher(o.Tracker, o.Alerts, 0)
 	register := func(typ string) {
 		l := obs.Label{Key: "type", Value: typ}
 		o.requests[typ] = r.Counter("fgcs_gateway_requests_total", "Gateway RPCs served, by request type.", l)

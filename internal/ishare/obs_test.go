@@ -77,7 +77,13 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	if p := tracker.Pending(); p != 0 {
 		t.Fatalf("pending = %d after all windows closed", p)
 	}
-	smp := tracker.Stats(machine, "SMP")
+	rows := map[string]obs.AccuracyStats{}
+	for _, row := range tracker.All() {
+		if row.Machine == machine {
+			rows[row.Predictor] = row
+		}
+	}
+	smp := rows["SMP"]
 	if smp.Resolved != uint64(queries) {
 		t.Fatalf("SMP resolved = %d, want %d", smp.Resolved, queries)
 	}
@@ -112,7 +118,7 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	}
 	// Every linear baseline is scored online alongside the SMP.
 	for _, name := range []string{"AR(8)", "BM(8)", "MA(8)", "ARMA(8,8)", "LAST"} {
-		bl := tracker.Stats(machine, name)
+		bl := rows[name]
 		if bl.Resolved != uint64(queries) {
 			t.Errorf("%s resolved = %d, want %d", name, bl.Resolved, queries)
 		}
@@ -126,7 +132,7 @@ func TestObservabilityEndToEnd(t *testing.T) {
 
 	// QueryStats over the real wire: server, client retry layer, and the
 	// capped decoders all participate.
-	srv, err := g.Serve("127.0.0.1:0")
+	srv, err := g.ServeConfig("127.0.0.1:0", ServerConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +172,7 @@ func TestObservabilityEndToEnd(t *testing.T) {
 
 	// The /metrics endpoint exposes the registry and the accuracy series.
 	rec := httptest.NewRecorder()
-	obs.Handler(node.Obs().Registry, tracker).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	obs.FleetHandler(node.Obs().Registry, tracker, nil).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	body := rec.Body.String()
 	for _, want := range []string{
 		"fgcs_engine_cache_hits_total",

@@ -53,15 +53,6 @@ func (o *NodeObs) ExportObs(peer string) []byte {
 	return o.ExportPeer(peer).EncodeBinary()
 }
 
-// SetDriftConfig rebuilds the node's accuracy-drift watcher with explicit
-// tuning. Call before StepObs starts running.
-func (o *NodeObs) SetDriftConfig(cfg obs.DriftConfig) {
-	if o == nil {
-		return
-	}
-	o.Drift = obs.NewDriftWatcher(o.Tracker, o.Alerts, cfg)
-}
-
 // AddSLO attaches a serving-path SLO monitor; StepObs feeds it cumulative
 // samples and SLOStatuses (served in query-stats) evaluates it.
 func (o *NodeObs) AddSLO(m *obs.SLOMonitor) {

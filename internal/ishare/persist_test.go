@@ -16,6 +16,7 @@ import (
 	"fgcs/internal/rng"
 	"fgcs/internal/simclock"
 	"fgcs/internal/trace"
+	"fgcs/internal/wire"
 )
 
 // persistStoreCfg keeps segments small so even short workloads rotate.
@@ -446,7 +447,7 @@ func TestRegPersisterRoundTrip(t *testing.T) {
 	}
 	// Post-snapshot churn lands in the WAL tail.
 	regTTL(t, reg, "m-c", "c:3", 0)
-	if err := st.Append(durable.RecUnregister, durable.EncodeUnregister(nil, "m-a")); err != nil {
+	if err := st.Append(durable.RecUnregister, wire.AppendString(nil, "m-a")); err != nil {
 		t.Fatal(err)
 	}
 	reg.RestoreRemove("m-a")
@@ -521,13 +522,14 @@ func TestRegPersisterParentFormatDataDir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.WriteSnapshot(snap); err != nil {
+	seq, off := st.Position()
+	if err := st.WriteSnapshotAt(seq, off, snap); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Append(durable.RecRegister, durable.EncodeRegister(nil, "lab-03", "10.0.0.3:7171", 0)); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Append(durable.RecUnregister, durable.EncodeUnregister(nil, "lab-02")); err != nil {
+	if err := st.Append(durable.RecUnregister, wire.AppendString(nil, "lab-02")); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Close(); err != nil {

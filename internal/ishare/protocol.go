@@ -313,13 +313,6 @@ type QueryTracesResp struct {
 	Events        []otrace.LogEvent    `json:"events,omitempty"`
 }
 
-// Call performs one request/response round trip to addr: a single untraced
-// attempt over the real network. Use a Caller to plug in a different
-// transport, a retry policy, or trace propagation.
-func Call(addr string, typ string, payload, out interface{}, timeout time.Duration) error {
-	return callOnce(netDialer{}, otrace.Link{}, addr, typ, payload, out, timeout)
-}
-
 // ErrMessageTooLarge reports a wire message that exceeded the decoder's byte
 // cap.
 var ErrMessageTooLarge = errors.New("ishare: message too large")
@@ -533,13 +526,9 @@ type Server struct {
 	conns map[net.Conn]struct{}
 }
 
-// NewServer starts listening on addr (use "127.0.0.1:0" for tests) and
-// serving requests with the handler, under the default ServerConfig.
-func NewServer(addr string, handler Handler) (*Server, error) {
-	return NewServerConfig(addr, handler, ServerConfig{})
-}
-
-// NewServerConfig is NewServer with explicit per-connection bounds.
+// NewServerConfig starts listening on addr (use "127.0.0.1:0" for tests) and
+// serving requests with the handler under cfg's bounds (the zero ServerConfig
+// selects every default).
 func NewServerConfig(addr string, handler Handler, cfg ServerConfig) (*Server, error) {
 	if handler == nil {
 		return nil, fmt.Errorf("ishare: nil handler")

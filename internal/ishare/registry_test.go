@@ -172,7 +172,7 @@ func TestHostNodeHeartbeat(t *testing.T) {
 	reg, regSrv := ring.gw, ring.srv
 
 	node := testNode(t, clock, nil)
-	gwSrv, err := node.Gateway.Serve("127.0.0.1:0")
+	gwSrv, err := node.Gateway.ServeConfig("127.0.0.1:0", ServerConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,13 +79,13 @@ func newManager(t *testing.T, deps ishare.SharedDeps) (*ishare.StateManager, *si
 // served when forced.
 func TestNinthPluginEndToEnd(t *testing.T) {
 	obs := ishare.NewNodeObs()
-	router := ishare.NewRouter(obs.Tracker, ishare.RouterConfig{})
+	router := ishare.NewRouter(obs.Tracker)
 	listed := false
 	for _, name := range router.Predictors() {
 		listed = listed || name == ninthName
 	}
 	if !listed {
-		t.Fatalf("zero-value RouterConfig candidates %v omit %s", router.Predictors(), ninthName)
+		t.Fatalf("router candidates %v omit %s", router.Predictors(), ninthName)
 	}
 	sm, clock := newManager(t, ishare.SharedDeps{Obs: obs, Router: router})
 
@@ -98,8 +98,14 @@ func TestNinthPluginEndToEnd(t *testing.T) {
 	// only an evaluated predictor has a prediction there to score.
 	clock.Advance(time.Hour + period)
 	sm.Record(clock.Now(), idle)
-	if row := obs.Tracker.Stats(machine, ninthName); row.Resolved != 1 || row.MeanTR != ninthTR {
-		t.Fatalf("tracker row for %s = %+v, want 1 resolved prediction of TR %v", ninthName, row, ninthTR)
+	scored := false
+	for _, row := range obs.Tracker.All() {
+		if row.Machine == machine && row.Predictor == ninthName {
+			scored = row.Resolved == 1 && row.MeanTR == ninthTR
+		}
+	}
+	if !scored {
+		t.Fatalf("tracker rows %+v lack 1 resolved prediction of TR %v for %s", obs.Tracker.All(), ninthTR, ninthName)
 	}
 
 	if err := sm.ForcePredictor(ninthName); err != nil {

@@ -76,8 +76,9 @@ func IsTransport(err error) bool {
 	return errors.As(err, &te)
 }
 
-// RetryPolicy shapes retries for idempotent RPCs: exponential backoff with
-// deterministic seeded jitter, capped per-attempt by the call timeout.
+// RetryPolicy shapes retries for idempotent RPCs: exponential backoff (the
+// delay doubles per attempt) with deterministic seeded jitter, capped
+// per-attempt by the call timeout.
 type RetryPolicy struct {
 	// MaxAttempts is the total number of attempts (1 or less = no retry).
 	MaxAttempts int
@@ -85,8 +86,6 @@ type RetryPolicy struct {
 	BaseDelay time.Duration
 	// MaxDelay caps the backoff growth (default 2 s).
 	MaxDelay time.Duration
-	// Multiplier grows the delay between attempts (default 2).
-	Multiplier float64
 }
 
 func (p RetryPolicy) baseDelay() time.Duration {
@@ -103,20 +102,13 @@ func (p RetryPolicy) maxDelay() time.Duration {
 	return p.MaxDelay
 }
 
-func (p RetryPolicy) multiplier() float64 {
-	if p.Multiplier <= 1 {
-		return 2
-	}
-	return p.Multiplier
-}
-
 // delay computes the backoff before attempt n (n >= 1 is the first retry),
 // with jitter drawn from the given stream: the second half of each delay is
 // randomized to decorrelate clients hammering a recovering node.
 func (p RetryPolicy) delay(n int, jitter *rng.Stream) time.Duration {
 	d := float64(p.baseDelay())
 	for i := 1; i < n; i++ {
-		d *= p.multiplier()
+		d *= 2
 		if d >= float64(p.maxDelay()) {
 			d = float64(p.maxDelay())
 			break

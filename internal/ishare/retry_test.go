@@ -42,7 +42,7 @@ func (d *countingDialer) count() int {
 func echoHandler(req Request) (interface{}, error) { return map[string]string{"ok": "yes"}, nil }
 
 func TestCallerRetriesTransportErrors(t *testing.T) {
-	srv, err := NewServer("127.0.0.1:0", echoHandler)
+	srv, err := NewServerConfig("127.0.0.1:0", echoHandler, ServerConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,9 +82,9 @@ func TestCallerExhaustsAttempts(t *testing.T) {
 }
 
 func TestCallerDoesNotRetryRemoteErrors(t *testing.T) {
-	srv, err := NewServer("127.0.0.1:0", func(Request) (interface{}, error) {
+	srv, err := NewServerConfig("127.0.0.1:0", func(Request) (interface{}, error) {
 		return nil, fmt.Errorf("application says no")
-	})
+	}, ServerConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestCallerDoesNotRetryRemoteErrors(t *testing.T) {
 }
 
 func TestNilCallerMatchesPlainCall(t *testing.T) {
-	srv, err := NewServer("127.0.0.1:0", echoHandler)
+	srv, err := NewServerConfig("127.0.0.1:0", echoHandler, ServerConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestNilCallerMatchesPlainCall(t *testing.T) {
 }
 
 func TestRetryPolicyBackoff(t *testing.T) {
-	p := RetryPolicy{BaseDelay: 100 * time.Millisecond, MaxDelay: 400 * time.Millisecond, Multiplier: 2}
+	p := RetryPolicy{BaseDelay: 100 * time.Millisecond, MaxDelay: 400 * time.Millisecond}
 	jitter := rng.New(1)
 	prevMax := time.Duration(0)
 	for n := 1; n <= 5; n++ {
@@ -185,7 +185,7 @@ func (d *ackLossDialer) DialTimeout(network, addr string, timeout time.Duration)
 func TestSubmitIdempotentUnderAckLoss(t *testing.T) {
 	clock := simclock.NewVirtual(monday)
 	node := testNode(t, clock, nil)
-	srv, err := node.Gateway.Serve("127.0.0.1:0")
+	srv, err := node.Gateway.ServeConfig("127.0.0.1:0", ServerConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +348,7 @@ func TestAcceptLoopBacksOff(t *testing.T) {
 	defer srv.Close()
 
 	start := time.Now()
-	if err := Call(srv.Addr(), MsgDiscover, nil, nil, 2*time.Second); err != nil {
+	if err := (*Caller)(nil).Call(context.Background(), srv.Addr(), MsgDiscover, nil, nil, 2*time.Second); err != nil {
 		t.Fatalf("call after transient accept failures = %v", err)
 	}
 	// 4 failures with backoff 5,10,20,20 ms = at least ~55 ms of pacing.

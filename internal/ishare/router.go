@@ -8,56 +8,24 @@ import (
 	"fgcs/internal/predict"
 )
 
-// RouterConfig tunes the ensemble router's selection rule and hysteresis.
-// The zero value selects the defaults documented on each field.
-type RouterConfig struct {
-	// Predictors is the candidate set, by registered plugin name. Empty
-	// selects every registered plugin (predict.PluginNames()). The list is
-	// sorted at construction so ties always break toward the
-	// lexicographically smallest name, independent of caller order.
-	Predictors []string
-	// MinSamples is how many rolling resolved predictions a predictor
-	// needs on a machine before it may be routed to (default 16). Below
-	// it, scores are noise — the router stays on the fallback.
-	MinSamples int
-	// MinDwell is the hysteresis dwell: at least this many predictions
-	// must resolve on a machine between routing switches (default 32).
-	// The dwell clock is the cumulative resolved count, so it keeps
-	// ticking after the rolling window saturates.
-	MinDwell int
-	// Margin is the hysteresis margin: a challenger must beat the
-	// incumbent's rolling Brier score by at least this much to take over
-	// (default 0.02). Negative selects exactly zero margin.
-	Margin float64
-	// Fallback is the predictor served while scores are thin (default
-	// "SMP", the paper's estimator).
-	Fallback string
-}
-
-// routerDefaults fills zero RouterConfig fields.
-func (c RouterConfig) withDefaults() RouterConfig {
-	if len(c.Predictors) == 0 {
-		c.Predictors = predict.PluginNames()
-	} else {
-		c.Predictors = append([]string(nil), c.Predictors...)
-	}
-	sort.Strings(c.Predictors)
-	if c.MinSamples <= 0 {
-		c.MinSamples = 16
-	}
-	if c.MinDwell <= 0 {
-		c.MinDwell = 32
-	}
-	if c.Margin == 0 {
-		c.Margin = 0.02
-	} else if c.Margin < 0 {
-		c.Margin = 0
-	}
-	if c.Fallback == "" {
-		c.Fallback = "SMP"
-	}
-	return c
-}
+// The ensemble router's selection rule and hysteresis.
+const (
+	// RouterMinSamples is how many rolling resolved predictions a predictor
+	// needs on a machine before it may be routed to. Below it, scores are
+	// noise — the router stays on the fallback.
+	RouterMinSamples = 16
+	// routerMinDwell is the hysteresis dwell: at least this many
+	// predictions must resolve on a machine between routing switches. The
+	// dwell clock is the cumulative resolved count, so it keeps ticking
+	// after the rolling window saturates.
+	routerMinDwell = 32
+	// routerMargin is the hysteresis margin: a challenger must beat the
+	// incumbent's rolling Brier score by at least this much to take over.
+	routerMargin = 0.02
+	// routerFallback is the predictor served while scores are thin (the
+	// paper's estimator).
+	routerFallback = "SMP"
+)
 
 // routeState is one machine's routing memory: the predictor currently
 // serving it and the cumulative resolved count at the last switch (the
@@ -82,8 +50,10 @@ type routeState struct {
 // frozen scores and reach the same decision regardless of interleaving —
 // the property the fleetsim transcript hash pins at 100k-machine scale.
 type Router struct {
-	cfg     RouterConfig
-	tracker *obs.Tracker
+	// predictors is the candidate set: every registered plugin, sorted so
+	// ties always break toward the lexicographically smallest name.
+	predictors []string
+	tracker    *obs.Tracker
 
 	mu       sync.Mutex
 	state    map[string]*routeState
@@ -95,15 +65,17 @@ type Router struct {
 	cSwitches  *obs.Counter
 }
 
-// NewRouter builds an ensemble router reading scores from the tracker.
-func NewRouter(tracker *obs.Tracker, cfg RouterConfig) *Router {
-	c := cfg.withDefaults()
+// NewRouter builds an ensemble router over every registered plugin
+// (predict.PluginNames()), reading scores from the tracker.
+func NewRouter(tracker *obs.Tracker) *Router {
+	names := predict.PluginNames()
+	sort.Strings(names)
 	return &Router{
-		cfg:      c,
-		tracker:  tracker,
-		state:    make(map[string]*routeState),
-		served:   make(map[string]uint64, len(c.Predictors)),
-		scoreBuf: make([]obs.RouteScore, len(c.Predictors)),
+		predictors: names,
+		tracker:    tracker,
+		state:      make(map[string]*routeState),
+		served:     make(map[string]uint64, len(names)),
+		scoreBuf:   make([]obs.RouteScore, len(names)),
 	}
 }
 
@@ -116,10 +88,7 @@ func (r *Router) SetMetrics(decisions, switches *obs.Counter) {
 }
 
 // Predictors returns the sorted candidate set.
-func (r *Router) Predictors() []string { return r.cfg.Predictors }
-
-// Config returns the effective configuration (defaults applied).
-func (r *Router) Config() RouterConfig { return r.cfg }
+func (r *Router) Predictors() []string { return r.predictors }
 
 // Route returns the predictor that should serve the machine's next query,
 // updating the routing memory and the served/switch counters.
@@ -127,23 +96,23 @@ func (r *Router) Route(machine string) string {
 	r.mu.Lock()
 	rs := r.state[machine]
 	if rs == nil {
-		rs = &routeState{current: r.cfg.Fallback}
+		rs = &routeState{current: routerFallback}
 		r.state[machine] = rs
 	}
 	// Candidate scores under one tracker lock (nested inside r.mu; nothing
 	// takes the locks in the other order).
-	r.tracker.RouteScores(machine, r.cfg.Predictors, r.scoreBuf)
+	r.tracker.RouteScores(machine, r.predictors, r.scoreBuf)
 	best, bestBrier := "", 0.0
 	var resolved uint64
 	incumbentN := 0
 	incumbentBrier := 0.0
-	for i, name := range r.cfg.Predictors {
+	for i, name := range r.predictors {
 		s := r.scoreBuf[i]
 		resolved += s.Resolved
 		if name == rs.current {
 			incumbentBrier, incumbentN = s.Brier, s.N
 		}
-		if s.N < r.cfg.MinSamples {
+		if s.N < RouterMinSamples {
 			continue
 		}
 		// Strict less keeps the first (lexicographically smallest) name
@@ -153,11 +122,11 @@ func (r *Router) Route(machine string) string {
 		}
 	}
 	switched := false
-	if best != "" && best != rs.current && resolved >= rs.dwellMark+uint64(r.cfg.MinDwell) {
+	if best != "" && best != rs.current && resolved >= rs.dwellMark+routerMinDwell {
 		// An incumbent without enough samples (the initial fallback, or a
 		// predictor whose machine was evicted and re-tracked) is unseated
 		// without a margin contest.
-		if incumbentN < r.cfg.MinSamples || bestBrier <= incumbentBrier-r.cfg.Margin {
+		if incumbentN < RouterMinSamples || bestBrier <= incumbentBrier-routerMargin {
 			rs.current = best
 			rs.dwellMark = resolved
 			r.switches++
@@ -187,7 +156,7 @@ func (r *Router) Snapshot() RoutingStats {
 		served[name] = n
 	}
 	return RoutingStats{
-		Predictors: append([]string(nil), r.cfg.Predictors...),
+		Predictors: append([]string(nil), r.predictors...),
 		Served:     served,
 		Switches:   r.switches,
 		Machines:   len(r.state),

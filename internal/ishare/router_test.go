@@ -1,10 +1,13 @@
 package ishare
 
 import (
+	"reflect"
+	"sort"
 	"testing"
 	"time"
 
 	"fgcs/internal/obs"
+	"fgcs/internal/predict"
 )
 
 // feedOutcomes records and resolves n predictions per listed predictor on
@@ -29,12 +32,7 @@ func feedOutcomes(tr *obs.Tracker, machine string, preds map[string]float64, sur
 // until the dwell elapses, then a switch to a strictly better challenger.
 func TestRouterFallbackAndSwitch(t *testing.T) {
 	tracker := obs.NewTracker()
-	r := NewRouter(tracker, RouterConfig{
-		Predictors: []string{"SMP", "FFT"},
-		MinSamples: 4,
-		MinDwell:   16,
-		Margin:     0.05,
-	})
+	r := NewRouter(tracker)
 
 	// Thin scores: the fallback serves.
 	if got := r.Route("m1"); got != "SMP" {
@@ -42,18 +40,24 @@ func TestRouterFallbackAndSwitch(t *testing.T) {
 	}
 
 	// FFT perfectly calibrated, SMP badly wrong: windows survive, FFT said
-	// 1.0, SMP said 0.1. Brier(FFT)=0, Brier(SMP)=0.81.
+	// 1.0, SMP said 0.1. Brier(FFT)=0, Brier(SMP)=0.81. 15 outcomes each
+	// is one short of the 16 a predictor needs to compete.
 	at := time.Date(2005, 8, 22, 8, 0, 0, 0, time.UTC)
-	at = feedOutcomes(tracker, "m1", map[string]float64{"SMP": 0.1, "FFT": 1.0}, true, 4, at)
+	at = feedOutcomes(tracker, "m1", map[string]float64{"SMP": 0.1, "FFT": 1.0}, true, 15, at)
+	if got := r.Route("m1"); got != "SMP" {
+		t.Fatalf("route below min samples = %q, want fallback SMP", got)
+	}
 
-	// 8 resolved outcomes total (4 per predictor) — below the 16 dwell, so
-	// the incumbent holds even though the challenger is clearly better.
+	// FFT's 16th outcome makes it eligible, but only 31 have resolved —
+	// below the 32 dwell, so the incumbent holds even though the challenger
+	// is clearly better.
+	at = feedOutcomes(tracker, "m1", map[string]float64{"FFT": 1.0}, true, 1, at)
 	if got := r.Route("m1"); got != "SMP" {
 		t.Fatalf("route before dwell = %q, want SMP held by hysteresis", got)
 	}
 
-	feedOutcomes(tracker, "m1", map[string]float64{"SMP": 0.1, "FFT": 1.0}, true, 4, at)
-	// 16 resolved: dwell satisfied, FFT beats SMP by far more than the
+	feedOutcomes(tracker, "m1", map[string]float64{"SMP": 0.1}, true, 1, at)
+	// 32 resolved: dwell satisfied, FFT beats SMP by far more than the
 	// margin, so the router switches.
 	if got := r.Route("m1"); got != "FFT" {
 		t.Fatalf("route after dwell = %q, want FFT", got)
@@ -65,30 +69,33 @@ func TestRouterFallbackAndSwitch(t *testing.T) {
 	if snap.Machines != 1 {
 		t.Fatalf("routed machines = %d, want 1", snap.Machines)
 	}
-	if snap.Served["SMP"] != 2 || snap.Served["FFT"] != 1 {
-		t.Fatalf("served = %v, want SMP=2 FFT=1", snap.Served)
+	if snap.Served["SMP"] != 3 || snap.Served["FFT"] != 1 {
+		t.Fatalf("served = %v, want SMP=3 FFT=1", snap.Served)
 	}
 }
 
 // TestRouterMarginHoldsIncumbent pins the margin rule: a challenger that is
-// better but not by the configured margin must not unseat the incumbent.
+// better but not by the 0.02 margin must not unseat the incumbent; one that
+// clears it does.
 func TestRouterMarginHoldsIncumbent(t *testing.T) {
 	tracker := obs.NewTracker()
-	r := NewRouter(tracker, RouterConfig{
-		Predictors: []string{"FFT", "SMP"},
-		MinSamples: 4,
-		MinDwell:   4,
-		Margin:     0.25,
-	})
+	r := NewRouter(tracker)
 	at := time.Date(2005, 8, 22, 8, 0, 0, 0, time.UTC)
-	// Both predict well; FFT slightly better (Brier 0.01 vs 0.04) — inside
-	// the 0.25 margin once SMP is incumbent.
-	feedOutcomes(tracker, "m1", map[string]float64{"SMP": 0.8, "FFT": 0.9}, true, 8, at)
+	// Both predict well; FFT slightly better (Brier 0.01 vs 0.0225) — inside
+	// the margin once SMP is incumbent. 16 outcomes each clear both the
+	// sample floor and the dwell, so only the margin holds SMP.
+	feedOutcomes(tracker, "m1", map[string]float64{"SMP": 0.85, "FFT": 0.9}, true, 16, at)
 	if got := r.Route("m1"); got != "SMP" {
 		t.Fatalf("route = %q, want incumbent SMP held by margin", got)
 	}
 	if s := r.Snapshot(); s.Switches != 0 {
 		t.Fatalf("switches = %d, want 0", s.Switches)
+	}
+	// Same history on another machine but SMP at 0.8 (Brier 0.04): the gap
+	// of 0.03 clears the margin.
+	feedOutcomes(tracker, "m2", map[string]float64{"SMP": 0.8, "FFT": 0.9}, true, 16, at)
+	if got := r.Route("m2"); got != "FFT" {
+		t.Fatalf("route = %q, want FFT past the margin", got)
 	}
 }
 
@@ -99,7 +106,7 @@ func TestRouterMarginHoldsIncumbent(t *testing.T) {
 func TestRouterDeterministic(t *testing.T) {
 	build := func() (*obs.Tracker, *Router) {
 		tracker := obs.NewTracker()
-		return tracker, NewRouter(tracker, RouterConfig{MinSamples: 4, MinDwell: 8})
+		return tracker, NewRouter(tracker)
 	}
 	tr1, r1 := build()
 	tr2, r2 := build()
@@ -115,8 +122,8 @@ func TestRouterDeterministic(t *testing.T) {
 			if !good {
 				preds = map[string]float64{"SMP": 0.9, "FFT": 0.1, "PCT": 0.5}
 			}
-			feedOutcomes(tr1, m, preds, true, 3, at)
-			feedOutcomes(tr2, m, preds, true, 3, at)
+			feedOutcomes(tr1, m, preds, true, 16, at)
+			feedOutcomes(tr2, m, preds, true, 16, at)
 		}
 		at = at.Add(time.Hour)
 		for _, m := range machines {
@@ -138,25 +145,18 @@ func TestRouterDeterministic(t *testing.T) {
 	if s1.Switches != s2.Switches {
 		t.Fatalf("switch counts diverged: %d vs %d", s1.Switches, s2.Switches)
 	}
+	if s1.Switches == 0 {
+		t.Fatal("no router ever switched: the replay compared nothing")
+	}
 }
 
-// TestRouterDefaults pins the documented zero-value behavior.
+// TestRouterDefaults pins the candidate set: every registered plugin, sorted
+// so ties break toward the smallest name.
 func TestRouterDefaults(t *testing.T) {
-	r := NewRouter(obs.NewTracker(), RouterConfig{})
-	cfg := r.Config()
-	if cfg.MinSamples != 16 || cfg.MinDwell != 32 || cfg.Margin != 0.02 || cfg.Fallback != "SMP" {
-		t.Fatalf("defaults = %+v", cfg)
-	}
-	if len(cfg.Predictors) == 0 {
-		t.Fatal("default candidate set empty, want every registered plugin")
-	}
-	for i := 1; i < len(cfg.Predictors); i++ {
-		if cfg.Predictors[i-1] >= cfg.Predictors[i] {
-			t.Fatalf("candidate set not sorted: %v", cfg.Predictors)
-		}
-	}
-	neg := NewRouter(obs.NewTracker(), RouterConfig{Margin: -1})
-	if neg.Config().Margin != 0 {
-		t.Fatalf("negative margin = %v, want exactly 0", neg.Config().Margin)
+	got := NewRouter(obs.NewTracker()).Predictors()
+	want := predict.PluginNames()
+	sort.Strings(want)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("candidates = %v, want every registered plugin sorted: %v", got, want)
 	}
 }

@@ -121,11 +121,6 @@ func (f RankFailure) Transient() bool {
 	return IsTransport(f.Err) || IsOverloaded(f.Err) || f.Err == ErrCircuitOpen
 }
 
-// String renders the failure as "machine: error" for logs and CLI output.
-func (f RankFailure) String() string {
-	return fmt.Sprintf("%s: %v", f.MachineID, f.Err)
-}
-
 // Scheduler is the client-side job scheduler of Figure 2: it queries the
 // gateways of available machines for their temporal reliability over the
 // job's execution window and submits to the most reliable one.

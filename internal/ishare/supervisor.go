@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"fgcs/internal/jobest"
 	"fgcs/internal/otrace"
 	"fgcs/internal/simclock"
 )
@@ -24,26 +23,15 @@ type Supervisor struct {
 	// PollInterval defaults to the monitoring period (6 s).
 	PollInterval time.Duration
 	// MaxMigrations bounds recovery attempts. nil defaults to 5; a
-	// pointer to 0 (e.g. ishare.Int(0)) means "never migrate" — the
-	// pointer form exists precisely so zero is expressible.
+	// pointer to 0 means "never migrate" — the pointer form exists
+	// precisely so zero is expressible.
 	MaxMigrations *int
-	// CheckpointFraction is how much of a killed job's progress survives
-	// in its last checkpoint. nil defaults to 1 (checkpoint-on-kill
-	// always succeeds, the paper's migration scenario); a pointer to 0
-	// (ishare.Float(0)) means every kill restarts from scratch. Values
-	// are clamped to [0, 1].
-	CheckpointFraction *float64
 	// UnreachableGrace distinguishes a network flake from a revoked
 	// machine: JobStatus transport failures are tolerated until they
 	// persist for this long, and only then is the machine declared
 	// unreachable (URR) and the job migrated. 0 keeps the strict
 	// behavior: the first failed poll migrates.
 	UnreachableGrace time.Duration
-	// Estimator, when set, closes the requirements loop: completed runs
-	// are recorded under the job's Name as its class, and RunClass can
-	// submit future jobs from those estimates (the paper's Section 5.1
-	// flow: execution-time and memory estimation feed the TR query).
-	Estimator *jobest.Estimator
 }
 
 // Placement records one stop of a supervised job.
@@ -70,16 +58,7 @@ type JobRun struct {
 	TransientErrors int
 }
 
-// Completed reports whether the job finished its work.
-func (jr JobRun) Completed() bool { return jr.Final.State == "completed" }
-
-// Int returns a pointer to v, for Supervisor.MaxMigrations.
-func Int(v int) *int { return &v }
-
-// Float returns a pointer to v, for Supervisor.CheckpointFraction.
-func Float(v float64) *float64 { return &v }
-
-func (sv *Supervisor) defaults() (simclock.Clock, time.Duration, int, float64) {
+func (sv *Supervisor) defaults() (simclock.Clock, time.Duration, int) {
 	clock := sv.Clock
 	if clock == nil {
 		clock = simclock.Real{}
@@ -92,17 +71,7 @@ func (sv *Supervisor) defaults() (simclock.Clock, time.Duration, int, float64) {
 	if sv.MaxMigrations != nil && *sv.MaxMigrations >= 0 {
 		max = *sv.MaxMigrations
 	}
-	cf := 1.0
-	if sv.CheckpointFraction != nil {
-		cf = *sv.CheckpointFraction
-	}
-	if cf < 0 {
-		cf = 0
-	}
-	if cf > 1 {
-		cf = 1
-	}
-	return clock, poll, max, cf
+	return clock, poll, max
 }
 
 // Run submits the job and supervises it to completion (or until the
@@ -114,7 +83,7 @@ func (sv *Supervisor) Run(ctx context.Context, job SubmitReq) (JobRun, error) {
 	if sv.Sched == nil {
 		return JobRun{}, fmt.Errorf("ishare: supervisor needs a scheduler")
 	}
-	clock, poll, maxMig, cf := sv.defaults()
+	clock, poll, maxMig := sv.defaults()
 	var run JobRun
 	progress := job.InitialProgressSeconds
 	for attempt := 0; ; attempt++ {
@@ -158,20 +127,14 @@ func (sv *Supervisor) Run(ctx context.Context, job SubmitReq) (JobRun, error) {
 			case "completed":
 				placement.Outcome = "completed"
 				run.Placements = append(run.Placements, placement)
-				if sv.Estimator != nil && job.Name != "" {
-					// Feed the run back into the requirements history.
-					_ = sv.Estimator.Record(job.Name, jobest.Run{
-						WorkSeconds: st.WorkSeconds,
-						MemMB:       job.MemMB,
-					})
-				}
 				return run, nil
 			case "killed":
 				placement.Outcome = "killed"
 				placement.Reason = st.Reason
 				run.Placements = append(run.Placements, placement)
-				// Resume from the checkpointed share of the progress.
-				progress = st.ProgressSeconds * cf
+				// Checkpoint-on-kill always succeeds (the paper's migration
+				// scenario): resume from the progress at the kill.
+				progress = st.ProgressSeconds
 				if progress >= job.WorkSeconds {
 					progress = job.WorkSeconds * 0.999
 				}
@@ -188,18 +151,4 @@ func (sv *Supervisor) Run(ctx context.Context, job SubmitReq) (JobRun, error) {
 			break // killed: re-place
 		}
 	}
-}
-
-// RunClass submits a job whose requirements come from the estimator's
-// history for the class (job name = class). It fails when the class lacks
-// history; callers then fall back to explicit requirements.
-func (sv *Supervisor) RunClass(ctx context.Context, class string) (JobRun, error) {
-	if sv.Estimator == nil {
-		return JobRun{}, fmt.Errorf("ishare: supervisor has no estimator")
-	}
-	est, err := sv.Estimator.Estimate(class)
-	if err != nil {
-		return JobRun{}, err
-	}
-	return sv.Run(ctx, SubmitReq{Name: class, WorkSeconds: est.WorkSeconds, MemMB: est.MemMB})
 }

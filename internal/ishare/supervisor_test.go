@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"fgcs/internal/avail"
-	"fgcs/internal/jobest"
 	"fgcs/internal/simclock"
 	"fgcs/internal/trace"
 )
@@ -80,7 +79,7 @@ func TestSupervisorCompletesOnHealthyMachine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !run.Completed() || run.Migrations != 0 {
+	if run.Final.State != "completed" || run.Migrations != 0 {
 		t.Fatalf("run = %+v", run)
 	}
 	if len(run.Placements) != 1 || run.Placements[0].MachineID != "good" {
@@ -129,7 +128,7 @@ func TestSupervisorMigratesAfterKill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !run.Completed() {
+	if run.Final.State != "completed" {
 		t.Fatalf("final = %+v", run.Final)
 	}
 	if run.Migrations != 1 || len(run.Placements) != 2 {
@@ -159,9 +158,7 @@ func TestSupervisorGivesUpAfterBudget(t *testing.T) {
 		Sched:         &Scheduler{Candidates: []Candidate{{MachineID: "good", API: good}}},
 		Clock:         clock,
 		PollInterval:  period,
-		MaxMigrations: Int(1),
-		// Checkpoints always lost: every kill restarts from zero.
-		CheckpointFraction: Float(0),
+		MaxMigrations: intp(1),
 	}
 	var err error
 	done := make(chan struct{})
@@ -185,93 +182,26 @@ func TestSupervisorValidation(t *testing.T) {
 	}
 }
 
-func TestSupervisorFeedsEstimator(t *testing.T) {
-	now := time.Date(2005, 9, 2, 8, 0, 0, 0, time.UTC)
-	clock := simclock.NewVirtual(now)
-	good, _ := supervisedPair(t, clock)
-	est := jobest.New(jobest.Config{MinRuns: 2})
-	sv := &Supervisor{
-		Sched:        &Scheduler{Candidates: []Candidate{{MachineID: "good", API: good}}},
-		Clock:        clock,
-		PollInterval: period,
-		Estimator:    est,
-	}
-	// No history yet: RunClass refuses.
-	if _, err := sv.RunClass(context.Background(), "mc-sim"); err == nil {
-		t.Fatal("class without history accepted")
-	}
-	// Two explicit runs build the history.
-	for i := 0; i < 2; i++ {
-		done := make(chan struct{})
-		var err error
-		go func() {
-			defer close(done)
-			_, err = sv.Run(context.Background(), SubmitReq{Name: "mc-sim", WorkSeconds: 120, MemMB: 64})
-		}()
-		drive(t, clock, done, func(now time.Time) {
-			good.Record(now, sample(5, 400))
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if est.Runs("mc-sim") != 2 {
-		t.Fatalf("estimator runs = %d", est.Runs("mc-sim"))
-	}
-	// Now RunClass works from estimated requirements.
-	done := make(chan struct{})
-	var run JobRun
-	var err error
-	go func() {
-		defer close(done)
-		run, err = sv.RunClass(context.Background(), "mc-sim")
-	}()
-	drive(t, clock, done, func(now time.Time) {
-		good.Record(now, sample(5, 400))
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !run.Completed() {
-		t.Fatalf("estimated run = %+v", run.Final)
-	}
-	if run.Final.WorkSeconds != 120 {
-		t.Fatalf("estimated work = %v, want 120 (P75 of identical runs)", run.Final.WorkSeconds)
-	}
-	// The estimated run itself was recorded too.
-	if est.Runs("mc-sim") != 3 {
-		t.Fatalf("estimator runs after RunClass = %d", est.Runs("mc-sim"))
-	}
-}
+func intp(v int) *int { return &v }
 
-func TestRunClassWithoutEstimator(t *testing.T) {
-	sv := &Supervisor{Sched: &Scheduler{}}
-	if _, err := sv.RunClass(context.Background(), "x"); err == nil {
-		t.Fatal("missing estimator accepted")
-	}
-}
-
-// TestSupervisorDefaults pins the zero-value semantics of the pointer
-// config fields: nil means "default", pointer-to-zero means zero. This is
-// the regression test for the old int/float fields, whose zero values were
-// silently remapped to 5 and 1.
+// TestSupervisorDefaults pins the zero-value semantics of MaxMigrations:
+// nil means "default", pointer-to-zero means zero. This is the regression
+// test for the old int field, whose zero value was silently remapped to 5.
 func TestSupervisorDefaults(t *testing.T) {
-	_, poll, max, cf := (&Supervisor{}).defaults()
-	if poll != 6*time.Second || max != 5 || cf != 1 {
-		t.Fatalf("nil defaults = (poll %v, max %d, cf %v), want (6s, 5, 1)", poll, max, cf)
+	_, poll, max := (&Supervisor{}).defaults()
+	if poll != 6*time.Second || max != 5 {
+		t.Fatalf("nil defaults = (poll %v, max %d), want (6s, 5)", poll, max)
 	}
-	_, _, max, cf = (&Supervisor{MaxMigrations: Int(0), CheckpointFraction: Float(0)}).defaults()
-	if max != 0 || cf != 0 {
-		t.Fatalf("explicit zeros = (max %d, cf %v), want (0, 0)", max, cf)
+	if _, _, max = (&Supervisor{MaxMigrations: intp(0)}).defaults(); max != 0 {
+		t.Fatalf("explicit zero = %d, want 0", max)
 	}
-	_, _, max, cf = (&Supervisor{MaxMigrations: Int(-1), CheckpointFraction: Float(2)}).defaults()
-	if max != 5 || cf != 1 {
-		t.Fatalf("out-of-range = (max %d, cf %v), want defaults (5, 1)", max, cf)
+	if _, _, max = (&Supervisor{MaxMigrations: intp(-1)}).defaults(); max != 5 {
+		t.Fatalf("out-of-range = %d, want the default 5", max)
 	}
 }
 
 // TestSupervisorZeroMigrationsMeansNoRecovery proves MaxMigrations:
-// Int(0) disables migration entirely — the first kill is terminal.
+// a pointer to 0 disables migration entirely — the first kill is terminal.
 func TestSupervisorZeroMigrationsMeansNoRecovery(t *testing.T) {
 	now := time.Date(2005, 9, 2, 8, 0, 0, 0, time.UTC)
 	clock := simclock.NewVirtual(now)
@@ -280,7 +210,7 @@ func TestSupervisorZeroMigrationsMeansNoRecovery(t *testing.T) {
 		Sched:         &Scheduler{Candidates: []Candidate{{MachineID: "good", API: good}}},
 		Clock:         clock,
 		PollInterval:  period,
-		MaxMigrations: Int(0),
+		MaxMigrations: intp(0),
 	}
 	var run JobRun
 	var err error
@@ -376,7 +306,7 @@ func TestSupervisorGraceForgivesTransientFlakes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !run.Completed() || run.Migrations != 0 || len(run.Placements) != 1 {
+	if run.Final.State != "completed" || run.Migrations != 0 || len(run.Placements) != 1 {
 		t.Fatalf("run = %+v, want completion in one placement", run)
 	}
 	if run.TransientErrors != 2 {
@@ -416,7 +346,7 @@ func TestSupervisorSustainedUnreachabilityMigrates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !run.Completed() || run.Migrations != 1 || len(run.Placements) != 2 {
+	if run.Final.State != "completed" || run.Migrations != 1 || len(run.Placements) != 2 {
 		t.Fatalf("run = %+v, want one URR migration", run)
 	}
 	if run.Placements[0].MachineID != "good" || !strings.Contains(run.Placements[0].Reason, "URR") {
@@ -474,7 +404,7 @@ func TestSupervisorRanksMigrationOverRemainingWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !run.Completed() || run.Migrations != 1 {
+	if run.Final.State != "completed" || run.Migrations != 1 {
 		t.Fatalf("run = %+v, want one migration to completion", run)
 	}
 	for _, api := range []*recordingAPI{first, second} {

@@ -73,11 +73,14 @@ func TestGatewayOverTCPEndToEnd(t *testing.T) {
 	node.Gateway.Record(now, sample(5, 400))
 
 	regSrv := buildFederation(t, 1, 0, nil)[0].srv
-	gwSrv, err := node.Serve("127.0.0.1:0", regSrv.Addr())
+	gwSrv, err := node.Gateway.ServeConfig("127.0.0.1:0", ServerConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer gwSrv.Close()
+	if err := RegisterWithTTL(context.Background(), nil, regSrv.Addr(), "lab-01", gwSrv.Addr(), 0, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
 
 	sched, err := FromRegistryWith(context.Background(), nil, regSrv.Addr(), time.Second)
 	if err != nil {
@@ -111,7 +114,7 @@ func TestGatewayOverTCPEndToEnd(t *testing.T) {
 }
 
 func TestServerRejectsMalformedStream(t *testing.T) {
-	srv, err := NewServer("127.0.0.1:0", func(Request) (interface{}, error) { return nil, nil })
+	srv, err := NewServerConfig("127.0.0.1:0", func(Request) (interface{}, error) { return nil, nil }, ServerConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,16 +137,16 @@ func TestServerRejectsMalformedStream(t *testing.T) {
 }
 
 func TestNewServerValidation(t *testing.T) {
-	if _, err := NewServer("127.0.0.1:0", nil); err == nil {
+	if _, err := NewServerConfig("127.0.0.1:0", nil, ServerConfig{}); err == nil {
 		t.Fatal("nil handler accepted")
 	}
-	if _, err := NewServer("256.256.256.256:0", func(Request) (interface{}, error) { return nil, nil }); err == nil {
+	if _, err := NewServerConfig("256.256.256.256:0", func(Request) (interface{}, error) { return nil, nil }, ServerConfig{}); err == nil {
 		t.Fatal("bad address accepted")
 	}
 }
 
 func TestCallErrors(t *testing.T) {
-	if err := Call("127.0.0.1:1", MsgDiscover, nil, nil, 50*time.Millisecond); err == nil {
+	if err := (*Caller)(nil).Call(context.Background(), "127.0.0.1:1", MsgDiscover, nil, nil, 50*time.Millisecond); err == nil {
 		t.Fatal("dial to closed port succeeded")
 	}
 }
@@ -162,29 +165,6 @@ func TestGatewayHandlerBadPayloads(t *testing.T) {
 	}
 }
 
-func TestHostNodeFeedDay(t *testing.T) {
-	clock := simclock.NewVirtual(monday)
-	node := testNode(t, clock, nil)
-	day := historyMachine("lab-01", 1, 9).Days[0]
-	end := node.FeedDay(day)
-	if want := monday.Add(24 * time.Hour); !end.Equal(want) {
-		t.Fatalf("FeedDay ended at %v", end)
-	}
-	m := node.SM.recorder.Snapshot()
-	if len(m.Days) != 1 {
-		t.Fatalf("recorded days = %d", len(m.Days))
-	}
-	down := 0
-	for _, s := range m.Days[0].Samples {
-		if !s.Up {
-			down++
-		}
-	}
-	if down == 0 {
-		t.Fatal("down samples not recorded")
-	}
-}
-
 func TestHostNodeStartStop(t *testing.T) {
 	clock := simclock.NewVirtual(monday)
 	node := testNode(t, clock, nil)
@@ -198,7 +178,7 @@ func TestHostNodeStartStop(t *testing.T) {
 	}
 	clock.Advance(period)
 	deadline = time.Now().Add(2 * time.Second)
-	for node.Monitor.Samples() == 0 {
+	for node.SM.recorder.Days() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("no samples after advance")
 		}

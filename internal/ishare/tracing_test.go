@@ -86,7 +86,7 @@ func runTracedFaultOnce(t *testing.T, seed uint64) tracedFaultRun {
 			SampleRate: 1, Seed: seed + uint64(i+1)*1000,
 			Recorder: otrace.NewRecorder(32), Clock: &tickClock{t: start},
 		}))
-		srv, err := gw.Serve("127.0.0.1:0")
+		srv, err := gw.ServeConfig("127.0.0.1:0", ServerConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -94,25 +94,14 @@ func SolveLU(a *Matrix, b []float64) ([]float64, error) {
 	return x, nil
 }
 
-// LeastSquares solves min ||A x - b||² via the regularized normal equations
-// (AᵀA + λI) x = Aᵀb. The small ridge term λ keeps nearly collinear designs
-// (common when fitting ARMA models to low-variance load windows) solvable
-// without materially biasing well-conditioned fits.
-func LeastSquares(a *Matrix, b []float64, ridge float64) ([]float64, error) {
-	if len(b) != a.Rows {
-		return nil, errors.New("linalg: LeastSquares rhs dimension mismatch")
-	}
-	return LeastSquaresRows(a.Rows, a.Cols, ridge, func(i int, row []float64) float64 {
-		copy(row, a.Data[i*a.Cols:(i+1)*a.Cols])
-		return b[i]
-	})
-}
-
-// LeastSquaresRows is LeastSquares over a design that is never materialized:
-// fill(i, row) writes row i of A into row (length cols) and returns b[i],
-// for i = 0..rows-1 in order. The normal equations only ever read one row at
-// a time, so a caller whose rows are windows onto a series (the ARMA fit)
-// needs no rows×cols matrix.
+// LeastSquaresRows solves min ||A x - b||² via the regularized normal
+// equations (AᵀA + λI) x = Aᵀb. The small ridge term λ keeps nearly collinear
+// designs (common when fitting ARMA models to low-variance load windows)
+// solvable without materially biasing well-conditioned fits. The design is
+// never materialized: fill(i, row) writes row i of A into row (length cols)
+// and returns b[i], for i = 0..rows-1 in order. The normal equations only
+// ever read one row at a time, so a caller whose rows are windows onto a
+// series (the ARMA fit) needs no rows×cols matrix.
 func LeastSquaresRows(rows, cols int, ridge float64, fill func(i int, row []float64) float64) ([]float64, error) {
 	if ridge < 0 {
 		return nil, errors.New("linalg: negative ridge")
@@ -141,16 +130,4 @@ func LeastSquaresRows(rows, cols int, ridge float64, fill func(i int, row []floa
 		ata.Data[j*n+j] += ridge
 	}
 	return SolveLU(ata, atb)
-}
-
-// Dot returns the inner product of two equal-length vectors.
-func Dot(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic("linalg: Dot length mismatch")
-	}
-	s := 0.0
-	for i := range a {
-		s += a[i] * b[i]
-	}
-	return s
 }

@@ -120,6 +120,14 @@ func TestSolveLUShapeErrors(t *testing.T) {
 	}
 }
 
+// leastSquares solves a materialized design through LeastSquaresRows.
+func leastSquares(a *Matrix, b []float64, ridge float64) ([]float64, error) {
+	return LeastSquaresRows(a.Rows, a.Cols, ridge, func(i int, row []float64) float64 {
+		copy(row, a.Data[i*a.Cols:(i+1)*a.Cols])
+		return b[i]
+	})
+}
+
 func TestLeastSquaresExact(t *testing.T) {
 	// Overdetermined but consistent: y = 2a + 3b.
 	a := NewMatrix(4, 2)
@@ -130,7 +138,7 @@ func TestLeastSquaresExact(t *testing.T) {
 		a.Set(i, 1, r[1])
 		b[i] = 2*r[0] + 3*r[1]
 	}
-	x, err := LeastSquares(a, b, 0)
+	x, err := leastSquares(a, b, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,10 +155,10 @@ func TestLeastSquaresRidgeHandlesCollinear(t *testing.T) {
 		a.Set(i, 1, float64(i+1))
 	}
 	b := []float64{2, 4, 6}
-	if _, err := LeastSquares(a, b, 0); err == nil {
+	if _, err := leastSquares(a, b, 0); err == nil {
 		t.Fatal("collinear design solved without ridge")
 	}
-	x, err := LeastSquares(a, b, 1e-6)
+	x, err := leastSquares(a, b, 1e-6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,24 +169,9 @@ func TestLeastSquaresRidgeHandlesCollinear(t *testing.T) {
 }
 
 func TestLeastSquaresErrors(t *testing.T) {
-	if _, err := LeastSquares(NewMatrix(2, 2), []float64{1}, 0); err == nil {
-		t.Fatal("rhs mismatch accepted")
-	}
-	if _, err := LeastSquares(NewMatrix(2, 2), []float64{1, 2}, -1); err == nil {
+	if _, err := leastSquares(NewMatrix(2, 2), []float64{1, 2}, -1); err == nil {
 		t.Fatal("negative ridge accepted")
 	}
-}
-
-func TestDot(t *testing.T) {
-	if Dot([]float64{1, 2, 3}, []float64{4, 5, 6}) != 32 {
-		t.Fatal("Dot wrong")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("length mismatch did not panic")
-		}
-	}()
-	Dot([]float64{1}, []float64{1, 2})
 }
 
 // Property: SolveLU(A, A·x) recovers x for random well-conditioned systems.
@@ -283,11 +276,10 @@ func TestLeastSquaresRowsMatchesMatrixForm(t *testing.T) {
 		if (err == nil) != (wantErr == nil) || calls != rows {
 			t.Fatalf("trial %d: err %v after %d rows, matrix form %v", trial, err, calls, wantErr)
 		}
-		viaMatrix, _ := LeastSquares(a, b, ridge)
 		for i := range want {
-			if math.Float64bits(got[i]) != math.Float64bits(want[i]) || math.Float64bits(viaMatrix[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("trial %d (%dx%d, ridge %g): x[%d] = %x from rows, %x through LeastSquares, %x from the matrix form",
-					trial, rows, cols, ridge, i, math.Float64bits(got[i]), math.Float64bits(viaMatrix[i]), math.Float64bits(want[i]))
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("trial %d (%dx%d, ridge %g): x[%d] = %x from rows, %x from the matrix form",
+					trial, rows, cols, ridge, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
 			}
 		}
 	}

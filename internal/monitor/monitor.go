@@ -55,12 +55,6 @@ type Sink interface {
 	Record(t time.Time, s trace.Sample)
 }
 
-// SinkFunc adapts a function to the Sink interface.
-type SinkFunc func(t time.Time, s trace.Sample)
-
-// Record implements Sink.
-func (f SinkFunc) Record(t time.Time, s trace.Sample) { f(t, s) }
-
 // Config configures a Monitor.
 type Config struct {
 	// Period is the sampling period (paper: 6 s).
@@ -85,9 +79,6 @@ type Monitor struct {
 	src   LoadSource
 	sinks []Sink
 
-	mu      sync.Mutex
-	samples int64
-	errs    int64
 	stopped chan struct{}
 	stopo   sync.Once
 }
@@ -107,20 +98,6 @@ func New(cfg Config, src LoadSource, sinks ...Sink) (*Monitor, error) {
 		cfg.Clock = simclock.Real{}
 	}
 	return &Monitor{cfg: cfg, src: src, sinks: sinks, stopped: make(chan struct{})}, nil
-}
-
-// Samples reports how many samples have been taken.
-func (m *Monitor) Samples() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.samples
-}
-
-// Errors reports how many source reads failed.
-func (m *Monitor) Errors() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.errs
 }
 
 // Stop terminates Run after the current tick.
@@ -149,10 +126,7 @@ func (m *Monitor) Tick(now time.Time) {
 		tickStart = time.Now()
 	}
 	cpu, free, err := m.src.Read()
-	m.mu.Lock()
 	if err != nil {
-		m.errs++
-		m.mu.Unlock()
 		if mx != nil {
 			mx.Errors.Inc()
 		}
@@ -162,8 +136,6 @@ func (m *Monitor) Tick(now time.Time) {
 		}
 		return
 	}
-	m.samples++
-	m.mu.Unlock()
 	s := trace.Sample{CPU: cpu, FreeMemMB: free, Up: true}
 	for _, sink := range m.sinks {
 		sink.Record(now, s)

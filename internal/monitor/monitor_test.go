@@ -8,15 +8,21 @@ import (
 	"testing"
 	"time"
 
+	"fgcs/internal/obs"
 	"fgcs/internal/simclock"
 	"fgcs/internal/trace"
 )
 
 var epoch = time.Date(2005, 8, 22, 0, 0, 0, 0, time.UTC)
 
+// sinkFunc adapts a function to the Sink interface.
+type sinkFunc func(t time.Time, s trace.Sample)
+
+func (f sinkFunc) Record(t time.Time, s trace.Sample) { f(t, s) }
+
 func TestNewValidation(t *testing.T) {
 	src := StaticSource{CPU: 10, FreeMemMB: 200}
-	sink := SinkFunc(func(time.Time, trace.Sample) {})
+	sink := sinkFunc(func(time.Time, trace.Sample) {})
 	if _, err := New(Config{Period: 0}, src, sink); err == nil {
 		t.Fatal("zero period accepted")
 	}
@@ -33,7 +39,7 @@ func TestMonitorSamplesPeriodically(t *testing.T) {
 	var mu sync.Mutex
 	var got []trace.Sample
 	var times []time.Time
-	sink := SinkFunc(func(ts time.Time, s trace.Sample) {
+	sink := sinkFunc(func(ts time.Time, s trace.Sample) {
 		mu.Lock()
 		defer mu.Unlock()
 		got = append(got, s)
@@ -91,15 +97,16 @@ func waitForTimer(t *testing.T, clock *simclock.Virtual) {
 }
 
 func TestMonitorCountsSourceErrors(t *testing.T) {
-	m, err := New(Config{Period: time.Second},
+	mx := NewMetrics(obs.NewRegistry())
+	m, err := New(Config{Period: time.Second, Metrics: mx},
 		StaticSource{Err: errors.New("boom")},
-		SinkFunc(func(time.Time, trace.Sample) { t.Fatal("sink called on error") }))
+		sinkFunc(func(time.Time, trace.Sample) { t.Fatal("sink called on error") }))
 	if err != nil {
 		t.Fatal(err)
 	}
 	m.Tick(epoch)
-	if m.Errors() != 1 || m.Samples() != 0 {
-		t.Fatalf("errors=%d samples=%d", m.Errors(), m.Samples())
+	if mx.Errors.Value() != 1 || mx.Samples.Value() != 0 {
+		t.Fatalf("errors=%d samples=%d", mx.Errors.Value(), mx.Samples.Value())
 	}
 }
 
@@ -156,7 +163,7 @@ func TestMonitorWritesHeartbeat(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "t_monitor")
 	m, err := New(Config{Period: time.Second, HeartbeatPath: path},
 		StaticSource{CPU: 1, FreeMemMB: 1},
-		SinkFunc(func(time.Time, trace.Sample) {}))
+		sinkFunc(func(time.Time, trace.Sample) {}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,6 +251,28 @@ func TestRecorderViewSeesAConsistentLog(t *testing.T) {
 		})
 	}
 	<-done
+}
+
+// TestRecorderStragglerDoesNotBackfill: a late sample (clock step) must not
+// rewind the gap detector. Six on-time samples, a straggler five periods
+// old, then the next on-time sample — no gap ever opened, so every recorded
+// sample stays up.
+func TestRecorderStragglerDoesNotBackfill(t *testing.T) {
+	const period = 6 * time.Second
+	r := NewRecorder("lab-01", period, 0)
+	up := trace.Sample{CPU: 5, FreeMemMB: 100, Up: true}
+	at := epoch.Add(time.Hour)
+	for i := -5; i <= 0; i++ {
+		r.Record(at.Add(time.Duration(i)*period), up)
+	}
+	r.Record(at.Add(-5*period), up)
+	r.Record(at.Add(period), up)
+	day := r.Snapshot().Days[0]
+	for i := day.IndexAt(time.Hour - 5*period); i <= day.IndexAt(time.Hour+period); i++ {
+		if !day.Samples[i].Up {
+			t.Fatalf("sample %d (offset %v) back-filled as down after a straggler", i, time.Duration(i)*period)
+		}
+	}
 }
 
 func TestRecorderIgnoresOutOfOrder(t *testing.T) {

@@ -67,7 +67,12 @@ func (r *Recorder) Record(t time.Time, s trace.Sample) {
 		}
 	}
 	r.put(t, s)
-	r.lastSample = t
+	// A straggler (clock step, late delivery) must not move lastSample
+	// backwards: the next on-time sample would then see a gap that never
+	// happened and back-fill recorded samples as downtime.
+	if t.After(r.lastSample) {
+		r.lastSample = t
+	}
 }
 
 // put writes one sample into its day slot, allocating days as needed.

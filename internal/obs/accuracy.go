@@ -48,7 +48,6 @@ type Tracker struct {
 	retention  RetentionPolicy
 	resolved   uint64
 	dropped    uint64
-	evicted    uint64
 
 	// resolutionSink, when set, is told about every resolved prediction so
 	// the persistence layer can log it. Resolutions are collected under t.mu
@@ -420,7 +419,6 @@ func (t *Tracker) EvictIdle(now time.Time) int {
 		kept = append(kept, k)
 	}
 	t.keys = kept
-	t.evicted += uint64(len(evict))
 	return len(evict)
 }
 
@@ -430,13 +428,6 @@ func (t *Tracker) Machines() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return len(t.machines)
-}
-
-// EvictedMachines reports the total machines removed by EvictIdle.
-func (t *Tracker) EvictedMachines() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.evicted
 }
 
 // CalibrationBucket is one row of the calibration table: of the predictions
@@ -612,18 +603,6 @@ func (t *Tracker) WinRates(minResolved int) map[string]float64 {
 		out[name] = float64(w) / float64(machines)
 	}
 	return out
-}
-
-// Stats returns the summary for one (machine, predictor), zero-valued when
-// nothing resolved yet. Machine "_all" aggregates across machines.
-func (t *Tracker) Stats(machine, predictor string) AccuracyStats {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	st, ok := t.stats[trackerKey{Machine: machine, Predictor: predictor}]
-	if !ok {
-		return AccuracyStats{Machine: machine, Predictor: predictor}
-	}
-	return st.summary(trackerKey{Machine: machine, Predictor: predictor})
 }
 
 // All returns every (machine, predictor) summary in sorted order.

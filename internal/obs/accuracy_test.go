@@ -14,6 +14,17 @@ import (
 
 var t0 = time.Date(2026, 3, 2, 9, 0, 0, 0, time.UTC)
 
+// statsOf is the summary row of one (machine, predictor), zero-valued when
+// nothing resolved yet. Machine "_all" aggregates across machines.
+func statsOf(tr *Tracker, machine, predictor string) AccuracyStats {
+	for _, s := range tr.All() {
+		if s.Machine == machine && s.Predictor == predictor {
+			return s
+		}
+	}
+	return AccuracyStats{Machine: machine, Predictor: predictor}
+}
+
 func TestTrackerResolvesSurvivalAndFailure(t *testing.T) {
 	tr := NewTracker()
 	// Window 1 survives; window 2 sees a failure mid-window.
@@ -30,7 +41,7 @@ func TestTrackerResolvesSurvivalAndFailure(t *testing.T) {
 	tr.Observe("m1", t0.Add(2*time.Hour+10*time.Minute), false)
 	tr.Observe("m1", t0.Add(3*time.Hour+time.Minute), true)
 
-	s := tr.Stats("m1", "SMP")
+	s := statsOf(tr, "m1", "SMP")
 	if s.Resolved != 2 || s.Survived != 1 {
 		t.Fatalf("resolved/survived = %d/%d, want 2/1", s.Resolved, s.Survived)
 	}
@@ -49,7 +60,7 @@ func TestTrackerResolvesSurvivalAndFailure(t *testing.T) {
 		t.Fatalf("accuracy = %g, want 0.5", s.Accuracy)
 	}
 	// The aggregate mirrors the single machine.
-	if agg := tr.Stats("_all", "SMP"); agg.Resolved != 2 || agg.Survived != 1 {
+	if agg := statsOf(tr, "_all", "SMP"); agg.Resolved != 2 || agg.Survived != 1 {
 		t.Fatalf("aggregate = %+v", agg)
 	}
 	if tr.Pending() != 0 {
@@ -63,7 +74,7 @@ func TestTrackerFailureBeforeWindowDoesNotCount(t *testing.T) {
 	// A failure before the window opens must not condemn the prediction.
 	tr.Observe("m1", t0.Add(-time.Minute), false)
 	tr.Observe("m1", t0.Add(time.Hour), true)
-	s := tr.Stats("m1", "SMP")
+	s := statsOf(tr, "m1", "SMP")
 	if s.Resolved != 1 || s.Survived != 1 {
 		t.Fatalf("resolved/survived = %d/%d, want 1/1", s.Resolved, s.Survived)
 	}
@@ -74,10 +85,10 @@ func TestTrackerPerPredictorSeparation(t *testing.T) {
 	tr.RecordPrediction("m1", "SMP", 0.9, t0, time.Hour)
 	tr.RecordPrediction("m1", "LAST", 0.1, t0, time.Hour)
 	tr.Observe("m1", t0.Add(time.Hour), true)
-	if s := tr.Stats("m1", "SMP"); s.Brier >= 0.02 {
+	if s := statsOf(tr, "m1", "SMP"); s.Brier >= 0.02 {
 		t.Fatalf("SMP brier = %g, want small", s.Brier)
 	}
-	if s := tr.Stats("m1", "LAST"); s.Brier <= 0.5 {
+	if s := statsOf(tr, "m1", "LAST"); s.Brier <= 0.5 {
 		t.Fatalf("LAST brier = %g, want large", s.Brier)
 	}
 	all := tr.All()
@@ -98,7 +109,7 @@ func TestTrackerCalibration(t *testing.T) {
 		}
 		tr.Observe("m1", start.Add(time.Hour), true)
 	}
-	s := tr.Stats("m1", "SMP")
+	s := statsOf(tr, "m1", "SMP")
 	b := s.Calibration[8]
 	if b.Count != 10 {
 		t.Fatalf("bucket count = %d, want 10 (%+v)", b.Count, s.Calibration)
@@ -122,7 +133,7 @@ func TestTrackerRollingWindow(t *testing.T) {
 		}
 		tr.Observe("m1", start.Add(time.Hour+time.Second), true)
 	}
-	s := tr.Stats("m1", "SMP")
+	s := statsOf(tr, "m1", "SMP")
 	if s.RollingBrier != 0 {
 		t.Fatalf("rolling brier = %g, want 0", s.RollingBrier)
 	}
@@ -166,7 +177,7 @@ func TestTrackerCapDropsOldest(t *testing.T) {
 		t.Fatalf("pending/dropped = %d/%d, want %d/%d", tr.Pending(), tr.DroppedPredictions(), defaultMaxPending, extra)
 	}
 	tr.Observe("m1", t0.Add(3*time.Hour), true)
-	s := tr.Stats("m1", "SMP")
+	s := statsOf(tr, "m1", "SMP")
 	if s.Resolved != defaultMaxPending || s.MeanTR != 1 {
 		t.Fatalf("resolved %d with mean TR %g: a prediction newer than the dropped ones is missing", s.Resolved, s.MeanTR)
 	}
@@ -216,7 +227,7 @@ func TestTrackerFailureHeldToDeadline(t *testing.T) {
 		t.Fatalf("pending/resolved = %d/%d after in-window failures, want 2/0", tr.Pending(), tr.Resolved())
 	}
 	tr.Observe("m1", t0.Add(time.Hour), false) // both deadlines: outside both windows
-	if a, b := tr.Stats("m1", "A"), tr.Stats("m1", "B"); a.Resolved != 1 || a.Survived != 0 || b.Resolved != 1 || b.Survived != 1 {
+	if a, b := statsOf(tr, "m1", "A"), statsOf(tr, "m1", "B"); a.Resolved != 1 || a.Survived != 0 || b.Resolved != 1 || b.Survived != 1 {
 		t.Fatalf("A resolved/survived %d/%d (want 1/0), B %d/%d (want 1/1)", a.Resolved, a.Survived, b.Resolved, b.Survived)
 	}
 }

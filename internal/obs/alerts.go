@@ -15,10 +15,6 @@ const (
 	// (machine, predictor) Brier stream decides the prediction error's mean
 	// has shifted upward — the predictor got worse, not just unlucky.
 	AlertAccuracyDrift = "accuracy-drift"
-	// AlertCalibrationSkew fires when a predictor's mean claimed TR and the
-	// empirically observed survival rate drift apart beyond the configured
-	// gap — the predictor is systematically over- or under-promising.
-	AlertCalibrationSkew = "calibration-skew"
 	// AlertShedRate fires when the server sheds more than the configured
 	// fraction of admissions over an evaluation step.
 	AlertShedRate = "shed-rate"
@@ -135,16 +131,6 @@ func (r *AlertRing) Alerts(limit int) []Alert {
 		out = out[len(out)-limit:]
 	}
 	return out
-}
-
-// Total reports how many alerts have ever been appended (retained or not).
-func (r *AlertRing) Total() uint64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.next
 }
 
 // AlertsHandler serves the ring as a JSON array, oldest first. Mount it at

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"fmt"
-	"math"
 	"time"
 )
 
@@ -19,59 +18,30 @@ import (
 //
 // One observation x_t is the mean Brier of the resolutions that arrived
 // since the previous emitted observation; a step emits nothing until at
-// least MinStepResolved resolutions have accumulated, so thin streams are
+// least driftMinStepResolved resolutions have accumulated, so thin streams are
 // batched rather than fed one noisy point at a time. Built from cumulative
 // sums (not the rolling ring), the stream is invariant to resolution
 // interleaving across machines and therefore byte-deterministic in the
 // fleet simulator.
 
-// DriftConfig tunes the detector. The zero value of every field selects the
-// documented default; the zero config watches per-machine streams and fleet
-// aggregates alike.
-type DriftConfig struct {
-	// Delta is the Page–Hinkley insensitivity δ: mean shifts smaller than
-	// this are ignored (default 0.005 Brier).
-	Delta float64
-	// Lambda is the alarm threshold λ on the PH statistic (default 0.05).
-	Lambda float64
-	// MinSteps is the minimum number of emitted observations before a
-	// stream may alarm (default 6) — a fresh stream must establish a
-	// baseline first.
-	MinSteps int
-	// MinResolved ignores keys with fewer lifetime resolutions
-	// (default 16).
-	MinResolved uint64
-	// MinStepResolved batches at least this many new resolutions into one
-	// observation (default 8).
-	MinStepResolved uint64
-	// FleetOnly restricts watching to the "_all" aggregate streams,
-	// skipping per-machine keys (default false: watch both).
-	FleetOnly bool
-	// CalibrationSkew, when > 0, also fires a calibration-skew alert when
-	// |mean claimed TR − empirical survival| exceeds it for a key with at
-	// least MinResolved resolutions. The alert latches and re-arms only
-	// after the gap falls back under half the threshold.
-	CalibrationSkew float64
-}
-
-func (c DriftConfig) withDefaults() DriftConfig {
-	if c.Delta == 0 {
-		c.Delta = 0.005
-	}
-	if c.Lambda == 0 {
-		c.Lambda = 0.05
-	}
-	if c.MinSteps == 0 {
-		c.MinSteps = 6
-	}
-	if c.MinResolved == 0 {
-		c.MinResolved = 16
-	}
-	if c.MinStepResolved == 0 {
-		c.MinStepResolved = 8
-	}
-	return c
-}
+// The detector's tuning. Per-machine streams and the fleet aggregates are
+// watched alike.
+const (
+	// driftDelta is the Page–Hinkley insensitivity δ: mean shifts smaller
+	// than this (in Brier) are ignored.
+	driftDelta = 0.005
+	// driftDefaultLambda is the alarm threshold λ on the PH statistic
+	// unless NewDriftWatcher is given another.
+	driftDefaultLambda = 0.05
+	// driftMinSteps is the minimum number of emitted observations before a
+	// stream may alarm — a fresh stream must establish a baseline first.
+	driftMinSteps = 6
+	// driftMinResolved ignores keys with fewer lifetime resolutions.
+	driftMinResolved = 16
+	// driftMinStepResolved batches at least this many new resolutions into
+	// one observation.
+	driftMinStepResolved = 8
+)
 
 // phState is the Page–Hinkley accumulator for one stream.
 type phState struct {
@@ -82,7 +52,6 @@ type phState struct {
 
 	lastResolved uint64  // cumulative counters at the last emitted observation
 	lastBrier    float64 //
-	skewFired    bool    // calibration-skew latch
 	stamp        uint64  // last Step that saw this key, for eviction sweeps
 }
 
@@ -92,50 +61,45 @@ type phState struct {
 // node). Detector state follows tracker retention: keys evicted from the
 // tracker are swept from the watcher.
 type DriftWatcher struct {
-	t    *Tracker
-	ring *AlertRing
-	cfg  DriftConfig
+	t      *Tracker
+	ring   *AlertRing
+	lambda float64
 
 	states map[trackerKey]*phState
 	steps  uint64
 }
 
 // NewDriftWatcher builds a watcher over t that appends alerts to ring (which
-// may be nil; Step still reports fired alerts to its caller).
-func NewDriftWatcher(t *Tracker, ring *AlertRing, cfg DriftConfig) *DriftWatcher {
-	return &DriftWatcher{t: t, ring: ring, cfg: cfg.withDefaults(), states: make(map[trackerKey]*phState)}
+// may be nil; Step still reports fired alerts to its caller). lambda is the
+// alarm threshold on the PH statistic; 0 selects the default 0.05.
+func NewDriftWatcher(t *Tracker, ring *AlertRing, lambda float64) *DriftWatcher {
+	if lambda == 0 {
+		lambda = driftDefaultLambda
+	}
+	return &DriftWatcher{t: t, ring: ring, lambda: lambda, states: make(map[trackerKey]*phState)}
 }
 
 // driftSample is one key's cumulative accuracy counters, captured under the
 // tracker lock.
 type driftSample struct {
-	key       trackerKey
-	resolved  uint64
-	brierSum  float64
-	meanTR    float64
-	empirical float64
+	key      trackerKey
+	resolved uint64
+	brierSum float64
 }
 
 // driftSamples snapshots the watched keys in sorted order. Cumulative sums
 // only: they are order-invariant under concurrent resolution, unlike the
 // rolling ring of the "_all" aggregates.
-func (t *Tracker) driftSamples(fleetOnly bool, minResolved uint64) []driftSample {
+func (t *Tracker) driftSamples() []driftSample {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	out := make([]driftSample, 0, len(t.keys))
 	for _, key := range t.keys {
-		if fleetOnly && key.Machine != "_all" {
-			continue
-		}
 		st := t.stats[key]
-		if st.resolved < minResolved {
+		if st.resolved < driftMinResolved {
 			continue
 		}
-		s := driftSample{key: key, resolved: st.resolved, brierSum: st.brierSum}
-		n := float64(st.resolved)
-		s.meanTR = st.sumTR / n
-		s.empirical = float64(st.survived) / n
-		out = append(out, s)
+		out = append(out, driftSample{key: key, resolved: st.resolved, brierSum: st.brierSum})
 	}
 	return out
 }
@@ -148,7 +112,7 @@ func (w *DriftWatcher) Step(now time.Time) []Alert {
 		return nil
 	}
 	w.steps++
-	samples := w.t.driftSamples(w.cfg.FleetOnly, w.cfg.MinResolved)
+	samples := w.t.driftSamples()
 	var fired []Alert
 	for _, s := range samples {
 		ph, ok := w.states[s.key]
@@ -158,9 +122,6 @@ func (w *DriftWatcher) Step(now time.Time) []Alert {
 		}
 		ph.stamp = w.steps
 		if a, did := w.stepKey(ph, s, now); did {
-			fired = append(fired, a)
-		}
-		if a, did := w.checkSkew(ph, s, now); did {
 			fired = append(fired, a)
 		}
 	}
@@ -180,7 +141,7 @@ func (w *DriftWatcher) Step(now time.Time) []Alert {
 // drift alert.
 func (w *DriftWatcher) stepKey(ph *phState, s driftSample, now time.Time) (Alert, bool) {
 	dr := s.resolved - ph.lastResolved
-	if dr < w.cfg.MinStepResolved && ph.lastResolved != 0 {
+	if dr < driftMinStepResolved && ph.lastResolved != 0 {
 		return Alert{}, false // batch until enough new resolutions arrived
 	}
 	if dr == 0 {
@@ -191,12 +152,12 @@ func (w *DriftWatcher) stepKey(ph *phState, s driftSample, now time.Time) (Alert
 	ph.lastBrier = s.brierSum
 	ph.n++
 	ph.mean += (x - ph.mean) / float64(ph.n)
-	ph.mT += x - ph.mean - w.cfg.Delta
+	ph.mT += x - ph.mean - driftDelta
 	if ph.mT < ph.minMT {
 		ph.minMT = ph.mT
 	}
 	stat := ph.mT - ph.minMT
-	if ph.n < w.cfg.MinSteps || stat <= w.cfg.Lambda {
+	if ph.n < driftMinSteps || stat <= w.lambda {
 		return Alert{}, false
 	}
 	a := w.emit(Alert{
@@ -204,45 +165,15 @@ func (w *DriftWatcher) stepKey(ph *phState, s driftSample, now time.Time) (Alert
 		Machine:   s.key.Machine,
 		Predictor: s.key.Predictor,
 		Value:     stat,
-		Threshold: w.cfg.Lambda,
+		Threshold: w.lambda,
 		Message: fmt.Sprintf("Brier mean shifted up: window %.4f vs baseline %.4f (PH %.4f > λ %.4f)",
-			x, ph.mean, stat, w.cfg.Lambda),
+			x, ph.mean, stat, w.lambda),
 		Time: now,
 	})
 	// Re-baseline: after an alarm the stream starts fresh at the post-change
 	// level, so a sustained (but stable) degradation fires once, not every
 	// step.
 	ph.n, ph.mean, ph.mT, ph.minMT = 0, 0, 0, 0
-	return a, true
-}
-
-// checkSkew fires the latched calibration-skew alert when claimed and
-// observed survival diverge.
-func (w *DriftWatcher) checkSkew(ph *phState, s driftSample, now time.Time) (Alert, bool) {
-	if w.cfg.CalibrationSkew <= 0 {
-		return Alert{}, false
-	}
-	gap := math.Abs(s.meanTR - s.empirical)
-	if ph.skewFired {
-		if gap < w.cfg.CalibrationSkew/2 {
-			ph.skewFired = false
-		}
-		return Alert{}, false
-	}
-	if gap <= w.cfg.CalibrationSkew {
-		return Alert{}, false
-	}
-	ph.skewFired = true
-	a := w.emit(Alert{
-		Kind:      AlertCalibrationSkew,
-		Machine:   s.key.Machine,
-		Predictor: s.key.Predictor,
-		Value:     gap,
-		Threshold: w.cfg.CalibrationSkew,
-		Message: fmt.Sprintf("claimed TR %.4f vs empirical %.4f: gap %.4f exceeds %.4f",
-			s.meanTR, s.empirical, gap, w.cfg.CalibrationSkew),
-		Time: now,
-	})
 	return a, true
 }
 

@@ -5,16 +5,11 @@ import (
 	"net/http"
 )
 
-// Handler serves the registry (and, when non-nil, the accuracy tracker)
-// in the Prometheus text exposition format. Mount it at /metrics.
-func Handler(r *Registry, t *Tracker) http.Handler {
-	return FleetHandler(r, t, nil)
-}
-
-// FleetHandler serves the local registry and tracker like Handler, and
-// additionally answers ?scope=fleet with the merged fleet snapshot obtained
-// from the fetch callback (a federated peer wires its fan-out here). With a
-// nil fetch, fleet scope answers 404.
+// FleetHandler serves the registry (and, when non-nil, the accuracy tracker)
+// in the Prometheus text exposition format — mount it at /metrics — and
+// answers ?scope=fleet with the merged fleet snapshot obtained from the fetch
+// callback (a federated peer wires its fan-out here). With a nil fetch, fleet
+// scope answers 404.
 func FleetHandler(r *Registry, t *Tracker, fleet func(*http.Request) (*FleetSnapshot, error)) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		if req.URL.Query().Get("scope") == "fleet" {

@@ -166,16 +166,6 @@ func NewSLOMonitor(slo SLO) *SLOMonitor {
 	return &SLOMonitor{slo: slo.withDefaults()}
 }
 
-// SLO returns the monitored objective with defaults applied.
-func (m *SLOMonitor) SLO() SLO {
-	if m == nil {
-		return SLO{}
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.slo
-}
-
 // Record appends one cumulative sample. Out-of-order samples are dropped.
 // History older than the long window is pruned, keeping one sample beyond
 // the edge as the window baseline.

@@ -22,7 +22,7 @@ func TestParseSLO(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := NewSLOMonitor(s).SLO()
+	d := NewSLOMonitor(s).slo
 	if d.FastBurn != 14.4 || d.SlowBurn != 6 || d.ShortWindow != 5*time.Minute || d.LongWindow != time.Hour {
 		t.Errorf("defaults not applied: %+v", d)
 	}

@@ -195,9 +195,6 @@ type Span struct {
 	ended bool
 }
 
-// Sampled reports whether the span is live (nil spans are not).
-func (s *Span) Sampled() bool { return s != nil }
-
 // Trace returns the span's trace ID (zero for nil spans).
 func (s *Span) Trace() TraceID {
 	if s == nil {

@@ -45,7 +45,7 @@ func TestNilSafety(t *testing.T) {
 	s.AddEvent("ev")
 	s.SetError(errors.New("boom"))
 	s.End()
-	if s.Sampled() || s.Trace() != 0 || s.ID() != 0 {
+	if s != nil || s.Trace() != 0 || s.ID() != 0 {
 		t.Fatalf("nil span not inert")
 	}
 	if s.StartChild("c") != nil {
@@ -86,7 +86,7 @@ func TestSampledTraceRecorded(t *testing.T) {
 	rec := NewRecorder(8)
 	tr := New(Config{SampleRate: 1, Seed: 42, Recorder: rec, Clock: newFixedClock()})
 	ctx, root := tr.Start(context.Background(), "query-tr")
-	if !root.Sampled() {
+	if root == nil {
 		t.Fatalf("rate-1 root not sampled")
 	}
 	root.SetAttr(String("machine", "m1"))
@@ -148,13 +148,13 @@ func TestSamplingIsPureFunctionOfTraceID(t *testing.T) {
 	first := make([]bool, 0, 64)
 	for i := 0; i < 64; i++ {
 		_, s := tr.Start(context.Background(), "op")
-		first = append(first, s.Sampled())
+		first = append(first, s != nil)
 		s.End()
 	}
 	tr2 := New(Config{SampleRate: 0.5, Seed: 9})
 	for i := 0; i < 64; i++ {
 		_, s := tr2.Start(context.Background(), "op")
-		if s.Sampled() != first[i] {
+		if (s != nil) != first[i] {
 			t.Fatalf("sampling decision %d differs across same-seed tracers", i)
 		}
 		s.End()
@@ -343,18 +343,6 @@ func TestParseLevel(t *testing.T) {
 			t.Errorf("ParseLevel(%q) = %v, want %v", in, got, want)
 		}
 	}
-}
-
-func TestSpanAttrs(t *testing.T) {
-	if got := SpanAttrs(nil); got != nil {
-		t.Fatalf("nil span attrs: %v", got)
-	}
-	tr := New(Config{SampleRate: 1, Seed: 21})
-	_, s := tr.Start(context.Background(), "op")
-	if got := SpanAttrs(s); len(got) != 2 {
-		t.Fatalf("span attrs: %v", got)
-	}
-	s.End()
 }
 
 func TestAttrConstructors(t *testing.T) {

@@ -133,16 +133,3 @@ func NewLogger(w io.Writer, level slog.Level, json bool, rec *Recorder) *slog.Lo
 	}
 	return slog.New(inner)
 }
-
-// SpanAttrs returns the span's identity as slog attributes, so log lines
-// emitted inside a traced operation carry its trace and span IDs. A nil span
-// yields nothing.
-func SpanAttrs(s *Span) []any {
-	if s == nil {
-		return nil
-	}
-	return []any{
-		slog.String("trace_id", s.Trace().String()),
-		slog.String("span_id", s.ID().String()),
-	}
-}

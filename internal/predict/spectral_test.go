@@ -164,7 +164,7 @@ func eventCounts(t *testing.T, fn func(ctx context.Context)) map[string]int {
 	t.Helper()
 	rec := otrace.NewRecorder(1)
 	ctx, span := otrace.New(otrace.Config{SampleRate: 1, Recorder: rec}).Start(context.Background(), "test")
-	if !span.Sampled() {
+	if span == nil {
 		t.Fatal("root span not sampled")
 	}
 	fn(ctx)

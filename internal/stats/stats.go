@@ -42,42 +42,6 @@ func Variance(xs []float64) float64 {
 // StdDev returns the population standard deviation of xs.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
-// MinMax returns the smallest and largest values in xs.
-// It returns (0, 0, ErrEmpty) for an empty slice.
-func MinMax(xs []float64) (min, max float64, err error) {
-	if len(xs) == 0 {
-		return 0, 0, ErrEmpty
-	}
-	min, max = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < min {
-			min = x
-		}
-		if x > max {
-			max = x
-		}
-	}
-	return min, max, nil
-}
-
-// Max returns the largest value in xs, or 0 for an empty slice.
-func Max(xs []float64) float64 {
-	_, max, err := MinMax(xs)
-	if err != nil {
-		return 0
-	}
-	return max
-}
-
-// Min returns the smallest value in xs, or 0 for an empty slice.
-func Min(xs []float64) float64 {
-	min, _, err := MinMax(xs)
-	if err != nil {
-		return 0
-	}
-	return min
-}
-
 // Quantile returns the q-quantile (0 <= q <= 1) of xs using linear
 // interpolation between order statistics. xs need not be sorted.
 func Quantile(xs []float64, q float64) (float64, error) {
@@ -120,24 +84,6 @@ func Autocovariance(xs []float64, maxLag int) []float64 {
 		acov[lag] = s / float64(n)
 	}
 	return acov
-}
-
-// Autocorrelation returns the sample autocorrelation of xs at lags 0..maxLag.
-// For a constant series every lag is reported as 0 except lag 0, which is 1.
-func Autocorrelation(xs []float64, maxLag int) []float64 {
-	acov := Autocovariance(xs, maxLag)
-	if len(acov) == 0 {
-		return nil
-	}
-	ac := make([]float64, len(acov))
-	ac[0] = 1
-	if acov[0] == 0 {
-		return ac
-	}
-	for i := 1; i < len(acov); i++ {
-		ac[i] = acov[i] / acov[0]
-	}
-	return ac
 }
 
 // LevinsonDurbin solves the Yule–Walker equations R a = r for the AR(p)
@@ -273,30 +219,4 @@ func Summarize(xs []float64) Summary {
 	s.Mean = Mean(finite)
 	s.Std = StdDev(finite)
 	return s
-}
-
-// Histogram counts xs into nbins equal-width bins spanning [lo, hi]. Values
-// outside the range are clamped to the first/last bin. It returns the counts
-// and the bin edges (nbins+1 values).
-func Histogram(xs []float64, lo, hi float64, nbins int) (counts []int, edges []float64) {
-	if nbins <= 0 || hi <= lo {
-		return nil, nil
-	}
-	counts = make([]int, nbins)
-	edges = make([]float64, nbins+1)
-	w := (hi - lo) / float64(nbins)
-	for i := range edges {
-		edges[i] = lo + float64(i)*w
-	}
-	for _, x := range xs {
-		b := int((x - lo) / w)
-		if b < 0 {
-			b = 0
-		}
-		if b >= nbins {
-			b = nbins - 1
-		}
-		counts[b]++
-	}
-	return counts, edges
 }

@@ -32,19 +32,6 @@ func TestVarianceAndStdDev(t *testing.T) {
 	}
 }
 
-func TestMinMax(t *testing.T) {
-	min, max, err := MinMax([]float64{3, -1, 7, 2})
-	if err != nil || min != -1 || max != 7 {
-		t.Fatalf("MinMax = %v %v %v", min, max, err)
-	}
-	if _, _, err := MinMax(nil); err != ErrEmpty {
-		t.Fatalf("MinMax(nil) err = %v", err)
-	}
-	if Max([]float64{1, 9, 3}) != 9 || Min([]float64{1, 9, 3}) != 1 {
-		t.Fatal("Max/Min helpers wrong")
-	}
-}
-
 func TestQuantile(t *testing.T) {
 	xs := []float64{4, 1, 3, 2}
 	med, err := Quantile(xs, 0.5)
@@ -65,13 +52,9 @@ func TestQuantile(t *testing.T) {
 }
 
 func TestAutocorrelationConstantSeries(t *testing.T) {
-	ac := Autocorrelation([]float64{5, 5, 5, 5, 5}, 3)
-	if ac[0] != 1 {
-		t.Fatalf("lag-0 autocorrelation = %v", ac[0])
-	}
-	for lag := 1; lag < len(ac); lag++ {
-		if ac[lag] != 0 {
-			t.Fatalf("constant series lag %d = %v", lag, ac[lag])
+	for lag, c := range Autocovariance([]float64{5, 5, 5, 5, 5}, 3) {
+		if c != 0 {
+			t.Fatalf("constant series lag %d autocovariance = %v", lag, c)
 		}
 	}
 }
@@ -85,12 +68,12 @@ func TestAutocorrelationAlternating(t *testing.T) {
 			xs[i] = -1
 		}
 	}
-	ac := Autocorrelation(xs, 2)
-	if !almost(ac[1], -1, 0.02) {
-		t.Fatalf("alternating lag-1 = %v, want ~-1", ac[1])
+	acov := Autocovariance(xs, 2)
+	if ac := acov[1] / acov[0]; !almost(ac, -1, 0.02) {
+		t.Fatalf("alternating lag-1 = %v, want ~-1", ac)
 	}
-	if !almost(ac[2], 1, 0.02) {
-		t.Fatalf("alternating lag-2 = %v, want ~1", ac[2])
+	if ac := acov[2] / acov[0]; !almost(ac, 1, 0.02) {
+		t.Fatalf("alternating lag-2 = %v, want ~1", ac)
 	}
 }
 
@@ -215,19 +198,6 @@ func TestSummarize(t *testing.T) {
 	}
 	if s := Summarize(nil); s.N != 0 {
 		t.Fatalf("empty summary N = %d", s.N)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	counts, edges := Histogram([]float64{0.5, 1.5, 2.5, -1, 100}, 0, 3, 3)
-	if len(counts) != 3 || len(edges) != 4 {
-		t.Fatalf("shape = %d %d", len(counts), len(edges))
-	}
-	if counts[0] != 2 || counts[1] != 1 || counts[2] != 2 {
-		t.Fatalf("counts = %v (out-of-range values must clamp)", counts)
-	}
-	if c, e := Histogram(nil, 3, 0, 3); c != nil || e != nil {
-		t.Fatal("invalid range accepted")
 	}
 }
 
