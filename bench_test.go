@@ -228,16 +228,13 @@ func BenchmarkS7MonitorOverhead(b *testing.B) {
 
 // BenchmarkAblationSolver compares the paper's dense Equation (3) recursion
 // (Kernel.Solve, the Figure 4 subject) with the sparse-support convolution
-// every serving entry point runs (identical results, different cost class).
+// the serving solve runs (identical results, different cost class).
 func BenchmarkAblationSolver(b *testing.B) {
 	sp := benchSplit(b)
 	cfg := avail.DefaultConfig()
 	w := predict.Window{Start: 8 * time.Hour, Length: 5 * time.Hour}
 	units := w.Units(trace.DefaultPeriod)
-	var seqs [][]avail.Sojourn
-	for _, d := range sp.Train {
-		seqs = avail.AppendTrajectories(seqs, d.Window(w.Start, w.Length), cfg, d.Period)
-	}
+	seqs := benchSeqs(sp.Train, w, cfg)
 	kernel, err := smp.Estimator{Horizon: units}.Estimate(seqs)
 	if err != nil {
 		b.Fatal(err)
@@ -251,7 +248,7 @@ func BenchmarkAblationSolver(b *testing.B) {
 	})
 	b.Run("sparse", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := kernel.Reliabilities(units); err != nil {
+			if _, _, err := kernel.ReliabilitiesWS(nil, units); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -271,14 +268,27 @@ func BenchmarkClassify(b *testing.B) {
 	}
 }
 
+// benchSeqs extracts the training sequences of one window over a day pool the
+// way SMP.prepare does: every day through one Extractor.
+func benchSeqs(days []*trace.Day, w predict.Window, cfg avail.Config) [][]avail.Sojourn {
+	ex := avail.NewExtractor(cfg, trace.DefaultPeriod)
+	for _, d := range days {
+		ex.AddWindow(d.Window(w.Start, w.Length), false)
+	}
+	return ex.Seqs()
+}
+
 // BenchmarkExtractTrajectories measures estimation preprocessing for one
-// full day.
+// full day on a warmed extractor, as the engine's pooled scratch holds it.
 func BenchmarkExtractTrajectories(b *testing.B) {
 	day := benchDataset(b).Machines[0].Days[0]
 	cfg := avail.DefaultConfig()
+	ex := avail.NewExtractor(cfg, day.Period)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		avail.AppendTrajectories(nil, day.Samples, cfg, day.Period)
+		ex.Reset(cfg, day.Period)
+		ex.AddWindow(day.Samples, false)
+		ex.Seqs()
 	}
 }
 
@@ -287,10 +297,7 @@ func BenchmarkKernelEstimate(b *testing.B) {
 	sp := benchSplit(b)
 	cfg := avail.DefaultConfig()
 	w := predict.Window{Start: 8 * time.Hour, Length: 5 * time.Hour}
-	var seqs [][]avail.Sojourn
-	for _, d := range sp.Train {
-		seqs = avail.AppendTrajectories(seqs, d.Window(w.Start, w.Length), cfg, d.Period)
-	}
+	seqs := benchSeqs(sp.Train, w, cfg)
 	units := w.Units(trace.DefaultPeriod)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -371,42 +378,6 @@ func BenchmarkTraceCodec(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkPredictCI measures the bootstrap confidence-interval machinery
-// (B=50 resamples on a 2-hour window).
-func BenchmarkPredictCI(b *testing.B) {
-	sp := benchSplit(b)
-	p := predict.SMP{Cfg: avail.DefaultConfig()}
-	w := predict.Window{Start: 8 * time.Hour, Length: 2 * time.Hour}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := p.PredictCI(sp.Train, w, 0.9, 50, uint64(i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFullInterval measures solving the complete Figure 3 P matrix.
-func BenchmarkFullInterval(b *testing.B) {
-	sp := benchSplit(b)
-	cfg := avail.DefaultConfig()
-	w := predict.Window{Start: 8 * time.Hour, Length: 2 * time.Hour}
-	units := w.Units(trace.DefaultPeriod)
-	var seqs [][]avail.Sojourn
-	for _, d := range sp.Train {
-		seqs = avail.AppendTrajectories(seqs, d.Window(w.Start, w.Length), cfg, d.Period)
-	}
-	kernel, err := smp.Estimator{Horizon: units}.Estimate(seqs)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := kernel.FullInterval(units); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkE1bPolicy measures one policy-controlled contention run.

@@ -234,8 +234,27 @@ type Sojourn struct {
 	Units int
 }
 
+// nextRun returns the end of the run that starts at states[i]: the maximal
+// stretch of one recoverable state, or of failure states of any kind. The
+// machine is unavailable through a whole failure stretch whichever resource
+// ran out first, so it is one run, named by its first state. Every consumer
+// of classified states walks them through this one step.
+func nextRun(states []State, i int) int {
+	j := i + 1
+	if states[i].Failure() {
+		for j < len(states) && states[j].Failure() {
+			j++
+		}
+		return j
+	}
+	for j < len(states) && states[j] == states[i] {
+		j++
+	}
+	return j
+}
+
 // ExtractSojourns compresses the classified window into a sequence of
-// sojourns, stopping after the first failure state: S3, S4 and S5 are
+// sojourns, stopping after the first failure run: S3, S4 and S5 are
 // unrecoverable for a guest job, so the semi-Markov process is absorbed
 // there (Figure 3's sparsity). The final sojourn of a window that never
 // fails is right-censored: the state was still occupied when the window
@@ -244,10 +263,7 @@ func ExtractSojourns(samples []trace.Sample, cfg Config, period time.Duration) [
 	states := Classify(samples, cfg, period)
 	var out []Sojourn
 	for i := 0; i < len(states); {
-		j := i
-		for j < len(states) && states[j] == states[i] {
-			j++
-		}
+		j := nextRun(states, i)
 		out = append(out, Sojourn{State: states[i], Units: j - i})
 		if states[i].Failure() {
 			break
@@ -257,82 +273,12 @@ func ExtractSojourns(samples []trace.Sample, cfg Config, period time.Duration) [
 	return out
 }
 
-// AppendTrajectories splits the classified window into semi-Markov
-// trajectories for parameter estimation. A guest job is absorbed by the
-// first failure, but the MACHINE recovers and keeps generating statistics:
-// each failure ends one trajectory (contributing its transition) and the
-// next recoverable samples start a fresh one. This harvests every
-// unavailability occurrence in the window for Q and H, which is what makes
-// the estimates robust — an injected noise event is one more observation
-// among many, not the sole fate of its window (Section 7.3). The
-// trajectories are appended to dst (nil starts a fresh list), so loops that
-// harvest many history windows reuse one backing array for the sequence list
-// instead of growing a fresh one per window.
-func AppendTrajectories(dst [][]Sojourn, samples []trace.Sample, cfg Config, period time.Duration) [][]Sojourn {
-	states := Classify(samples, cfg, period)
-	return appendTrajectoriesFromStates(dst, states)
-}
-
-// appendTrajectoriesFromStates splits a classified window into trajectories
-// (see AppendTrajectories) and appends them to dst.
-func appendTrajectoriesFromStates(dst [][]Sojourn, states []State) [][]Sojourn {
-	var cur []Sojourn
-	for i := 0; i < len(states); {
-		j := i
-		for j < len(states) && states[j] == states[i] {
-			j++
-		}
-		st := states[i]
-		if st.Failure() {
-			if len(cur) > 0 {
-				// The failure run (possibly spanning multiple failure
-				// states) ends the current trajectory with a single
-				// absorbing sojourn.
-				k := j
-				for k < len(states) && states[k].Failure() {
-					k++
-				}
-				cur = append(cur, Sojourn{State: st, Units: k - i})
-				dst = append(dst, cur)
-				cur = nil
-				i = k
-				continue
-			}
-			// Failure with no preceding recoverable sojourn (window
-			// starts failed): skip it.
-			i = j
-			continue
-		}
-		cur = append(cur, Sojourn{State: st, Units: j - i})
-		i = j
-	}
-	if len(cur) > 0 {
-		dst = append(dst, cur)
-	}
-	return dst
-}
-
 // WindowSurvives reports whether a guest job running throughout the window
 // would never encounter a failure state — the event whose probability is the
 // temporal reliability TR.
 func WindowSurvives(samples []trace.Sample, cfg Config, period time.Duration) bool {
-	for _, s := range ExtractSojourns(samples, cfg, period) {
-		if s.State.Failure() {
-			return false
-		}
-	}
-	return true
-}
-
-// InitialState returns the availability state at the start of the window.
-// The boolean reports whether the state is recoverable, i.e. whether a guest
-// job could be started at all.
-func InitialState(samples []trace.Sample, cfg Config, period time.Duration) (State, bool) {
-	if len(samples) == 0 {
-		return S1, true
-	}
-	states := Classify(samples, cfg, period)
-	return states[0], states[0].Recoverable()
+	sojs := ExtractSojourns(samples, cfg, period)
+	return len(sojs) == 0 || !sojs[len(sojs)-1].State.Failure()
 }
 
 // Event is one occurrence of resource unavailability in a day: the data
@@ -344,33 +290,22 @@ type Event struct {
 	Start, End time.Duration
 }
 
-// Events scans a full day and returns every entry into a failure state from
-// a recoverable state — the "occurrences of unavailability" whose per-machine
-// counts (405-453 over three months) motivate the paper's prediction work.
-// Unlike ExtractSojourns, scanning continues after failures: the machine
-// recovers even though any individual guest job would not.
+// Events scans a full day and returns every failure run — the "occurrences
+// of unavailability" whose per-machine counts (405-453 over three months)
+// motivate the paper's prediction work. Unlike ExtractSojourns, scanning
+// continues after failures: the machine recovers even though any individual
+// guest job would not.
 func Events(day *trace.Day, cfg Config) []Event {
 	states := Classify(day.Samples, cfg, day.Period)
 	var out []Event
 	for i := 0; i < len(states); {
-		j := i
-		for j < len(states) && states[j] == states[i] {
-			j++
-		}
-		if states[i].Failure() && (i == 0 || states[i-1].Recoverable()) {
-			// Merge the consecutive failure-state run(s) into one event
-			// spanning until the next recoverable sample.
-			k := j
-			for k < len(states) && states[k].Failure() {
-				k++
-			}
+		j := nextRun(states, i)
+		if states[i].Failure() {
 			out = append(out, Event{
 				State: states[i],
 				Start: time.Duration(i) * day.Period,
-				End:   time.Duration(k) * day.Period,
+				End:   time.Duration(j) * day.Period,
 			})
-			i = k
-			continue
 		}
 		i = j
 	}

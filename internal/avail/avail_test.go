@@ -1,6 +1,9 @@
 package avail
 
 import (
+	"math"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -211,23 +214,31 @@ func TestWindowSurvives(t *testing.T) {
 	}
 }
 
+// trajectories runs one window through a fresh Extractor, the way every
+// prediction does.
+func trajectories(samples []trace.Sample, cfg Config) [][]Sojourn {
+	ex := NewExtractor(cfg, period)
+	ex.AddWindow(samples, false)
+	return ex.Seqs()
+}
+
 func TestInitialState(t *testing.T) {
-	cfg := DefaultConfig()
-	st, ok := InitialState(mk(rep(10, 5), 300, true), cfg, period)
+	ex := NewExtractor(DefaultConfig(), period)
+	st, ok := ex.AddWindow(mk(rep(10, 5), 300, true), false)
 	if st != S1 || !ok {
-		t.Fatalf("InitialState = %v %v", st, ok)
+		t.Fatalf("initial state = %v %v", st, ok)
 	}
-	st, ok = InitialState(mk(rep(40, 5), 300, true), cfg, period)
+	st, ok = ex.AddWindow(mk(rep(40, 5), 300, true), false)
 	if st != S2 || !ok {
-		t.Fatalf("InitialState = %v %v", st, ok)
+		t.Fatalf("initial state = %v %v", st, ok)
 	}
-	st, ok = InitialState(mk(rep(90, 20), 300, true), cfg, period)
+	st, ok = ex.AddWindow(mk(rep(90, 20), 300, true), false)
 	if st != S3 || ok {
-		t.Fatalf("InitialState = %v %v", st, ok)
+		t.Fatalf("initial state = %v %v", st, ok)
 	}
-	st, ok = InitialState(nil, cfg, period)
-	if st != S1 || !ok {
-		t.Fatalf("InitialState(empty) = %v %v", st, ok)
+	// An empty window has no start a guest could be placed at.
+	if _, ok = ex.AddWindow(nil, false); ok {
+		t.Fatal("empty window reports a recoverable start")
 	}
 }
 
@@ -371,7 +382,7 @@ func TestExtractTrajectoriesRestartsAfterFailure(t *testing.T) {
 	cfg := DefaultConfig()
 	// S1(5) -> S3(15) -> S1(4) -> S2(3) -> [end]
 	cpu := append(append(append(rep(10, 5), rep(90, 15)...), rep(10, 4)...), rep(40, 3)...)
-	trajs := AppendTrajectories(nil, mk(cpu, 300, true), cfg, period)
+	trajs := trajectories(mk(cpu, 300, true), cfg)
 	if len(trajs) != 2 {
 		t.Fatalf("trajectories = %d (%v), want 2", len(trajs), trajs)
 	}
@@ -396,7 +407,7 @@ func TestExtractTrajectoriesMergesConsecutiveFailures(t *testing.T) {
 	samples := mk(append(rep(10, 5), rep(90, 12)...), 300, true)
 	down := mk(rep(0, 7), 300, false)
 	samples = append(samples, down...)
-	trajs := AppendTrajectories(nil, samples, cfg, period)
+	trajs := trajectories(samples, cfg)
 	if len(trajs) != 1 {
 		t.Fatalf("trajectories = %d, want 1", len(trajs))
 	}
@@ -412,7 +423,7 @@ func TestExtractTrajectoriesWindowStartsFailed(t *testing.T) {
 	// preceding trajectory and must be dropped.
 	samples := mk(rep(0, 6), 300, false)
 	samples = append(samples, mk(rep(10, 8), 300, true)...)
-	trajs := AppendTrajectories(nil, samples, cfg, period)
+	trajs := trajectories(samples, cfg)
 	if len(trajs) != 1 {
 		t.Fatalf("trajectories = %d, want 1", len(trajs))
 	}
@@ -423,10 +434,10 @@ func TestExtractTrajectoriesWindowStartsFailed(t *testing.T) {
 
 func TestExtractTrajectoriesEmptyAndAllFailed(t *testing.T) {
 	cfg := DefaultConfig()
-	if trajs := AppendTrajectories(nil, nil, cfg, period); len(trajs) != 0 {
+	if trajs := trajectories(nil, cfg); len(trajs) != 0 {
 		t.Fatal("empty input produced trajectories")
 	}
-	if trajs := AppendTrajectories(nil, mk(rep(0, 10), 300, false), cfg, period); len(trajs) != 0 {
+	if trajs := trajectories(mk(rep(0, 10), 300, false), cfg); len(trajs) != 0 {
 		t.Fatal("all-down window produced trajectories")
 	}
 }
@@ -448,7 +459,7 @@ func TestExtractTrajectoriesProperty(t *testing.T) {
 			}
 		}
 		total := 0
-		for _, traj := range AppendTrajectories(nil, samples, cfg, period) {
+		for _, traj := range trajectories(samples, cfg) {
 			if len(traj) == 0 {
 				return false
 			}
@@ -470,6 +481,103 @@ func TestExtractTrajectoriesProperty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// refTrajectories is the extraction written so it can be checked by reading:
+// one sample at a time, a failure run of any mix of failure states is one
+// absorbing sojourn, the first recoverable sample after it starts a new
+// trajectory, and a failure run with no trajectory before it is skipped.
+func refTrajectories(states []State) (out [][]Sojourn) {
+	var cur []Sojourn
+	for _, st := range states {
+		switch last := len(cur) - 1; {
+		case st.Failure() && len(cur) == 0:
+		case st.Failure() && cur[last].State.Failure():
+			cur[last].Units++
+		case !st.Failure() && len(cur) > 0 && cur[last].State.Failure():
+			out, cur = append(out, cur), []Sojourn{{st, 1}}
+		case len(cur) > 0 && cur[last].State == st:
+			cur[last].Units++
+		default:
+			cur = append(cur, Sojourn{st, 1})
+		}
+	}
+	if len(cur) > 0 {
+		out = append(out, cur)
+	}
+	return out
+}
+
+// fuzzSamples decodes one sample per byte: three values of eight idle, two in
+// the S2 band, one above Th2, one short of memory, one down.
+func fuzzSamples(data []byte) []trace.Sample {
+	out := make([]trace.Sample, len(data))
+	for i, b := range data {
+		s := trace.Sample{CPU: 10, FreeMemMB: 300, Up: true}
+		switch b % 8 {
+		case 3, 4:
+			s.CPU = 40
+		case 5:
+			s.CPU = 90
+		case 6:
+			s.FreeMemMB = 10
+		case 7:
+			s.Up = false
+		}
+		out[i] = s
+	}
+	return out
+}
+
+// FuzzExtractorMatchesReference holds the extractor every prediction runs on
+// against refTrajectories, sojourn for sojourn and initial state for initial
+// state: the data is cut into up to four windows that go through one
+// extractor twice, in both orders, with a Reset between — so the second pass
+// builds on an arena the first one filled.
+func FuzzExtractorMatchesReference(f *testing.F) {
+	high := func(n int) []byte { return []byte(strings.Repeat("\x05", n)) }
+	f.Add([]byte{}, uint8(0))
+	f.Add([]byte{0, 0, 3, 3, 7, 7, 6, 0, 4}, uint8(0))                    // S5 then S4: one failure run
+	f.Add(append(append([]byte{0, 0}, high(12)...), 0, 7, 0), uint8(0))   // S3, recovery, S5
+	f.Add(append(append(high(4), 1, 3), high(10)...), uint8(1))           // transient, then S3 cut by a window edge
+	f.Add(append([]byte{7, 6, 7, 0, 1, 4, 6}, high(11)...), uint8(3))     // leading failures, S4 into S3
+	f.Add([]byte{7, 7, 7, 6, 6, 6, 7, 7}, uint8(2))                       // nothing but failures
+	f.Add(append(append(high(10), 0, 3, 0, 3, 7), high(10)...), uint8(2)) // windows that start failed
+	f.Fuzz(func(t *testing.T, data []byte, cuts uint8) {
+		cfg := DefaultConfig()
+		samples := fuzzSamples(data)
+		n := 1 + int(cuts%4)
+		windows := make([][]trace.Sample, n)
+		for i := range windows {
+			windows[i] = samples[i*len(samples)/n : (i+1)*len(samples)/n]
+		}
+		ex := NewExtractor(cfg, period)
+		for pass := 0; pass < 2; pass++ {
+			ex.Reset(cfg, period)
+			var want [][]Sojourn
+			for _, w := range windows {
+				states := Classify(w, cfg, period)
+				st, ok := ex.AddWindow(w, false)
+				if wantOK := len(states) > 0 && states[0].Recoverable(); ok != wantOK || (len(states) > 0 && st != states[0]) {
+					t.Fatalf("pass %d: initial state %v %v of a window classified %v", pass, st, ok, states)
+				}
+				want = append(want, refTrajectories(states)...)
+			}
+			got := ex.Seqs()
+			if len(got) != len(want) {
+				t.Fatalf("pass %d: %d trajectories %v, want %d %v", pass, len(got), got, len(want), want)
+			}
+			for i := range want {
+				if !slices.Equal(got[i], want[i]) {
+					t.Fatalf("pass %d: trajectory %d = %v, want %v", pass, i, got[i], want[i])
+				}
+				if cap(got[i]) != len(got[i]) {
+					t.Fatalf("pass %d: trajectory %d can be appended into its neighbour", pass, i)
+				}
+			}
+			slices.Reverse(windows)
+		}
+	})
 }
 
 func TestSuspendUnitsPanicsOnBadPeriod(t *testing.T) {
@@ -536,5 +644,62 @@ func TestHourlyOccupancy(t *testing.T) {
 	}
 	if hours[3].Of(S1) != 1 {
 		t.Fatalf("hour 3 = %+v", hours[3])
+	}
+}
+
+// TestHourlyOccupancyStraddle: a run above Th2 of 12 samples — past the
+// 10-sample suspend limit at 6 s — split 6 + 6 across 09:00 is S3 in both
+// hours, as the day classifies it, not a transient excursion in each.
+func TestHourlyOccupancyStraddle(t *testing.T) {
+	cfg := DefaultConfig()
+	d := trace.NewDay(monday, period)
+	for i := range d.Samples {
+		d.Samples[i] = trace.Sample{CPU: 5, FreeMemMB: 300, Up: true}
+	}
+	nine := d.IndexAt(9 * time.Hour)
+	for i := nine - 6; i < nine+6; i++ {
+		d.Samples[i].CPU = 95
+	}
+	hours := HourlyOccupancy([]*trace.Day{d}, cfg)
+	perHour := float64(d.IndexAt(time.Hour))
+	for _, h := range []int{8, 9} {
+		if got, want := hours[h].Of(S3), 6/perHour; got != want {
+			t.Fatalf("hour %d S3 share = %v, want %v (%+v)", h, got, want, hours[h])
+		}
+	}
+}
+
+// Property: the hours partition the day, so the sample-weighted mean of the 24
+// hourly occupancies is the occupancy of the day classified whole.
+func TestHourlyOccupancyMatchesWholeDay(t *testing.T) {
+	cfg := DefaultConfig()
+	err := quick.Check(func(seed uint64) bool {
+		r := rng.New(seed)
+		// 7 s does not divide the hour: the hours hold unequal sample counts.
+		d := trace.NewDay(monday, []time.Duration{period, 7 * time.Second, 5 * time.Minute}[r.Intn(3)])
+		for i := range d.Samples {
+			d.Samples[i] = trace.Sample{CPU: r.Uniform(0, 100), FreeMemMB: r.Uniform(0, 400), Up: r.Bool(0.97)}
+			if i > 0 && r.Bool(0.9) {
+				d.Samples[i] = d.Samples[i-1] // runs long enough to reach S3
+			}
+		}
+		hours := HourlyOccupancy([]*trace.Day{d}, cfg)
+		var mean Occupancy
+		for h, o := range hours {
+			n := d.IndexAt(time.Duration(h+1)*time.Hour) - d.IndexAt(time.Duration(h)*time.Hour)
+			for i := range o {
+				mean[i] += o[i] * float64(n) / float64(d.Len())
+			}
+		}
+		whole := StateOccupancy(d.Samples, cfg, d.Period)
+		for i := range whole {
+			if math.Abs(mean[i]-whole[i]) > 1e-12 {
+				return false
+			}
+		}
+		return true
+	}, &quick.Config{MaxCount: 40})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

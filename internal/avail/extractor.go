@@ -45,12 +45,18 @@ func (e *Extractor) Reset(cfg Config, period time.Duration) {
 }
 
 // AddWindow classifies one history window and appends its restart
-// trajectories (see AppendTrajectories) to the accumulated set. It returns
-// the window's initial availability state and whether that state is
-// recoverable. Empty windows contribute nothing and report an unrecoverable
-// start. The bool is ignored: it selected a removed extraction mode, and the
-// signature stays because bench/, which only a benchmark change may edit,
-// calls it.
+// trajectories to the accumulated set. A guest job is absorbed by the first
+// failure, but the MACHINE recovers and keeps generating statistics: each
+// failure run ends one trajectory with a single absorbing sojourn and the next
+// recoverable samples start a fresh one, so every unavailability occurrence in
+// the window is harvested for Q and H — an injected noise event is one more
+// observation among many, not the sole fate of its window (Section 7.3). A
+// failure run with no trajectory before it (the window starts failed)
+// contributes nothing. AddWindow returns the window's initial availability
+// state and whether that state is recoverable. Empty windows contribute
+// nothing and report an unrecoverable start. The bool is ignored: it selected
+// a removed extraction mode, and the signature stays because bench/, which
+// only a benchmark change may edit, calls it.
 func (e *Extractor) AddWindow(samples []trace.Sample, _ bool) (State, bool) {
 	if len(samples) == 0 {
 		return S1, false
@@ -59,34 +65,18 @@ func (e *Extractor) AddWindow(samples []trace.Sample, _ bool) (State, bool) {
 	states := e.states
 	curStart := -1
 	for i := 0; i < len(states); {
-		j := i
-		for j < len(states) && states[j] == states[i] {
-			j++
-		}
-		st := states[i]
-		if st.Failure() {
-			if curStart >= 0 {
-				// The failure run (possibly spanning multiple failure
-				// states) ends the current trajectory with a single
-				// absorbing sojourn.
-				k := j
-				for k < len(states) && states[k].Failure() {
-					k++
-				}
-				e.arena = append(e.arena, Sojourn{State: st, Units: k - i})
-				e.spans = append(e.spans, [2]int{curStart, len(e.arena)})
-				curStart = -1
-				i = k
-				continue
-			}
-			// Failure with no preceding recoverable sojourn: skip it.
-			i = j
-			continue
-		}
-		if curStart < 0 {
+		j := nextRun(states, i)
+		failed := states[i].Failure()
+		if !failed && curStart < 0 {
 			curStart = len(e.arena)
 		}
-		e.arena = append(e.arena, Sojourn{State: st, Units: j - i})
+		if curStart >= 0 {
+			e.arena = append(e.arena, Sojourn{State: states[i], Units: j - i})
+			if failed {
+				e.spans = append(e.spans, [2]int{curStart, len(e.arena)})
+				curStart = -1
+			}
+		}
 		i = j
 	}
 	if curStart >= 0 {

@@ -23,49 +23,54 @@ func (o Occupancy) Of(s State) float64 {
 	return o[s-1]
 }
 
+// tally adds one count per classified sample; normalize turns the counts into
+// fractions of their total (an empty tally stays zero).
+func (o *Occupancy) tally(states []State) {
+	for _, s := range states {
+		o[s-1]++
+	}
+}
+
+func (o *Occupancy) normalize() {
+	n := 0.0
+	for _, c := range o {
+		n += c
+	}
+	if n == 0 {
+		return
+	}
+	inv := 1 / n
+	for i := range o {
+		o[i] *= inv
+	}
+}
+
 // StateOccupancy classifies the samples and returns the time fraction per
 // state. An empty input returns the zero Occupancy.
 func StateOccupancy(samples []trace.Sample, cfg Config, period time.Duration) Occupancy {
 	var o Occupancy
-	states := Classify(samples, cfg, period)
-	if len(states) == 0 {
-		return o
-	}
-	for _, s := range states {
-		o[s-1]++
-	}
-	inv := 1 / float64(len(states))
-	for i := range o {
-		o[i] *= inv
-	}
+	o.tally(Classify(samples, cfg, period))
+	o.normalize()
 	return o
 }
 
 // HourlyOccupancy computes per-clock-hour occupancies over a set of days —
 // the diurnal availability profile the SMP's same-clock-window pooling
-// exploits.
+// exploits. Each day is classified whole and its states bucketed by hour, so
+// an excursion above Th2 that straddles an hour boundary counts in both hours
+// as what the day classifies it, not as two shorter transients.
 func HourlyOccupancy(days []*trace.Day, cfg Config) [24]Occupancy {
 	var out [24]Occupancy
-	var counts [24]float64
+	var states []State
 	for _, d := range days {
-		for h := 0; h < 24; h++ {
-			w := d.Window(time.Duration(h)*time.Hour, time.Hour)
-			if len(w) == 0 {
-				continue
-			}
-			o := StateOccupancy(w, cfg, d.Period)
-			for i := range o {
-				out[h][i] += o[i]
-			}
-			counts[h]++
+		states = ClassifyInto(states, d.Samples, cfg, d.Period)
+		for h := range out {
+			lo, hi := d.IndexAt(time.Duration(h)*time.Hour), d.IndexAt(time.Duration(h+1)*time.Hour)
+			out[h].tally(states[lo:hi])
 		}
 	}
-	for h := 0; h < 24; h++ {
-		if counts[h] > 0 {
-			for i := range out[h] {
-				out[h][i] /= counts[h]
-			}
-		}
+	for h := range out {
+		out[h].normalize()
 	}
 	return out
 }

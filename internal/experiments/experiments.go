@@ -390,10 +390,7 @@ func RunF8(m *trace.Machine, cfg F8Config) ([]F8Row, error) {
 		noisy := trace.CloneDays(sp.Train)
 		// Target the most recent days — the ones inside the predictor's
 		// history horizon.
-		target := noisy
-		if cfg.HistoryDays > 0 && len(target) > cfg.HistoryDays {
-			target = target[len(target)-cfg.HistoryDays:]
-		}
+		target := predict.RecentDays(noisy, cfg.HistoryDays)
 		r := rng.New(cfg.Seed).SplitN("noise", count)
 		if _, err := trace.InjectNoise(target, count, cfg.Spec, r); err != nil {
 			return nil, err

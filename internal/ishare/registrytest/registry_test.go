@@ -33,10 +33,19 @@ var (
 )
 
 // constant is the smallest possible predictor: the same TR for every window.
+// It is neither SMP nor Cacheable, so the engine does not memoize it.
 type constant struct{}
 
-func (constant) Name() string                                   { return ninthName }
-func (constant) PredictTR(predict.PluginInput) (float64, error) { return ninthTR, nil }
+// constantCalls counts constant's evaluations and constantPrev the Prev
+// samples its latest one was handed.
+var constantCalls, constantPrev int
+
+func (constant) Name() string { return ninthName }
+func (constant) PredictTR(in predict.PluginInput) (float64, error) {
+	constantCalls++
+	constantPrev = len(in.Prev)
+	return ninthTR, nil
+}
 
 // broken never produces a TR.
 type broken struct{}
@@ -117,6 +126,43 @@ func TestNinthPluginEndToEnd(t *testing.T) {
 	}
 	if resp.Predictor != ninthName || resp.TR != ninthTR {
 		t.Fatalf("forced %s served by %q with TR %v, want TR %v", ninthName, resp.Predictor, resp.TR, ninthTR)
+	}
+}
+
+// TestUnmemoizedPluginIsLive: a plugin predict.Memoized does not name is
+// evaluated from the live origin — it is handed today's samples before the
+// window — once per recorded sample, and leaves no entry in the engine's LRU.
+func TestUnmemoizedPluginIsLive(t *testing.T) {
+	if predict.Memoized(constant{}) {
+		t.Fatal("a plugin that is neither SMP nor Cacheable reads as engine-memoized")
+	}
+	engine := predict.NewEngine(predict.EngineConfig{})
+	sm, clock := newManager(t, ishare.SharedDeps{Engine: engine})
+	ctx := context.Background()
+	req := ishare.QueryTRReq{LengthSeconds: 3600, GuestMemMB: 100}
+	constantCalls = 0
+	for i := 0; i < 3; i++ {
+		if _, err := sm.QueryTR(ctx, req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if constantCalls != 1 || constantPrev == 0 {
+		t.Fatalf("3 queries on one sample: %d evaluations over %d Prev samples, want 1 over the live log", constantCalls, constantPrev)
+	}
+	entries := engine.Stats().Entries
+	clock.Advance(period)
+	sm.Record(clock.Now(), idle)
+	if _, err := sm.QueryTR(ctx, req); err != nil {
+		t.Fatal(err)
+	}
+	if constantCalls != 2 {
+		t.Fatalf("%d evaluations after a new sample, want 2", constantCalls)
+	}
+	// The engine holds SMP's kernel, PCT's TR and FFT's TR per window, and
+	// FFT's spectrum once per day pool; the sample moved the window on, so each
+	// of the three adds one entry and the unmemoized plugins add none.
+	if got := engine.Stats().Entries; entries != 4 || got != 7 {
+		t.Fatalf("engine entries %d -> %d, want 4 -> 7", entries, got)
 	}
 }
 

@@ -139,11 +139,7 @@ func NewStateManagerShared(machineID string, period time.Duration, cfg avail.Con
 	opts := predict.PluginOptions{Cfg: cfg, HistoryDays: historyDays}
 	for _, name := range predict.PluginNames() {
 		pl, _ := predict.NewPlugin(name, opts)
-		// The engine memoizes SMP (kernel entries) and Cacheable plugins
-		// itself; the rest forecast from the live origin.
-		_, cacheable := pl.(predict.Cacheable)
-		_, isSMP := pl.(predict.SMP)
-		sm.plugins = append(sm.plugins, servedPlugin{name: name, plugin: pl, live: !cacheable && !isSMP})
+		sm.plugins = append(sm.plugins, servedPlugin{name: name, plugin: pl, live: !predict.Memoized(pl)})
 	}
 	if sm.engine == nil {
 		sm.engine = predict.NewEngine(predict.EngineConfig{})

@@ -3,7 +3,6 @@ package predict
 import (
 	"container/list"
 	"context"
-	"fmt"
 	"math"
 	"runtime"
 	"sync"
@@ -72,9 +71,9 @@ type EngineConfig struct {
 	Workers int
 }
 
-// DefaultCacheSize is the kernel-cache capacity used when EngineConfig
+// defaultCacheSize is the kernel-cache capacity used when EngineConfig
 // leaves CacheSize zero.
-const DefaultCacheSize = 256
+const defaultCacheSize = 256
 
 // maxDayHashes bounds the per-day content-hash memo; when exceeded the memo
 // is dropped and rebuilt on demand (hashing is cheap relative to
@@ -85,7 +84,7 @@ const maxDayHashes = 16384
 func NewEngine(cfg EngineConfig) *Engine {
 	size := cfg.CacheSize
 	if size == 0 {
-		size = DefaultCacheSize
+		size = defaultCacheSize
 	}
 	workers := cfg.Workers
 	if workers <= 0 {
@@ -99,12 +98,7 @@ func NewEngine(cfg EngineConfig) *Engine {
 		inflight:  make(map[engineKey]*inflightCall),
 		dayHashes: make(map[*trace.Day]uint64),
 	}
-	e.scratchPool.New = func() interface{} {
-		return &scratch{
-			ex: avail.NewExtractor(avail.DefaultConfig(), trace.DefaultPeriod),
-			ws: &smp.Workspace{},
-		}
-	}
+	e.scratchPool.New = func() interface{} { return &scratch{} }
 	return e
 }
 
@@ -227,13 +221,7 @@ func (e *Engine) PredictFromCtx(ctx context.Context, p SMP, history []*trace.Day
 	if err != nil {
 		return 0, err
 	}
-	switch init {
-	case avail.S1:
-		return entry.pred.TRByInit[0], nil
-	case avail.S2:
-		return entry.pred.TRByInit[1], nil
-	}
-	return 0, fmt.Errorf("smp: initial state %v is not recoverable", init)
+	return entry.pred.from(init)
 }
 
 // BatchRequest is one (machine, window) query of a PredictBatch call.
@@ -298,7 +286,7 @@ func (e *Engine) PredictBatch(p SMP, reqs []BatchRequest) []BatchResult {
 // truncation is folded into the fingerprint, so the key carries the
 // normalized configuration.
 func (e *Engine) lookup(ctx context.Context, p SMP, history []*trace.Day, w Window) (*engineEntry, error) {
-	days := truncDays(history, p.HistoryDays)
+	days := RecentDays(history, p.HistoryDays)
 	norm := p
 	norm.HistoryDays = 0
 	key := engineKey{fp: e.fingerprint(days), window: w, pred: norm, plugin: "SMP"}
@@ -399,34 +387,33 @@ func (e *Engine) memo(ctx context.Context, key engineKey, fit func(*otrace.Span,
 	return entry, nil
 }
 
-// PredictPluginCtx evaluates a registered predictor through the engine. SMP
-// lands on the same kernel entries as PredictCtx/PredictFromCtx (conditioned
-// on in.State when the caller knows it, the historical initial-state mix
-// otherwise). Plugins that implement Cacheable are memoized in the same LRU,
-// keyed by (history fingerprint, window, plugin name, configuration salt) —
-// the plugin identity in the key guarantees predictors never cross-serve.
-// Spectral additionally shares its fitted spectrum between the windows of one
-// day pool (see spectrum). The forecast-origin baselines, whose output
-// depends on the live Prev samples, are not memoized but build their series,
-// forecast and classification in pooled scratch; any other plugin is
-// evaluated directly.
+// PredictPluginCtx evaluates a registered predictor through the engine. The
+// plugins Memoized names are answered from the LRU: SMP lands on the same
+// kernel entries as PredictCtx/PredictFromCtx (conditioned on in.State when the
+// caller knows it, the historical initial-state mix otherwise), a Cacheable
+// plugin on an entry keyed by (history fingerprint, window, plugin name,
+// configuration salt) — the plugin identity in the key guarantees predictors
+// never cross-serve — and Spectral additionally shares its fitted spectrum
+// between the windows of one day pool (see spectrum). Any other plugin is
+// evaluated directly, the forecast-origin baselines on pooled scratch for
+// their series, forecast and classification.
 func (e *Engine) PredictPluginCtx(ctx context.Context, pl Plugin, in PluginInput) (float64, error) {
-	switch p := pl.(type) {
-	case SMP:
+	if !Memoized(pl) {
+		if ts, ok := pl.(TimeSeries); ok {
+			sc := e.scratchPool.Get().(*scratch)
+			defer e.scratchPool.Put(sc)
+			return ts.predictTR(sc, in)
+		}
+		return pl.PredictTR(in)
+	}
+	if p, ok := pl.(SMP); ok {
 		if in.HaveState && in.State.Recoverable() {
 			return e.PredictFromCtx(ctx, p, in.Days, in.Window, in.State)
 		}
 		pred, err := e.PredictCtx(ctx, p, in.Days, in.Window)
 		return pred.TR, err
-	case TimeSeries:
-		sc := e.scratchPool.Get().(*scratch)
-		defer e.scratchPool.Put(sc)
-		return p.predictTR(sc, in)
 	}
-	c, cacheable := pl.(Cacheable)
-	if !cacheable {
-		return pl.PredictTR(in)
-	}
+	c := pl.(Cacheable)
 	key := engineKey{fp: e.fingerprint(in.Days), window: in.Window, plugin: pl.Name(), salt: c.CacheSalt()}
 	entry, err := e.memo(ctx, key, func(span *otrace.Span, _ *EngineMetrics) (*engineEntry, error) {
 		var tr float64
@@ -502,7 +489,7 @@ func (e *Engine) compute(span *otrace.Span, m *EngineMetrics, p SMP, days []*tra
 	if m != nil {
 		solveStart = time.Now()
 	}
-	tr1, tr2, err := kernel.ReliabilitiesWS(sc.ws, units)
+	pred, err = pred.solve(sc, kernel, units)
 	if m != nil {
 		now := time.Now()
 		m.SolveSeconds.Observe(now.Sub(solveStart).Seconds())
@@ -515,8 +502,6 @@ func (e *Engine) compute(span *otrace.Span, m *EngineMetrics, p SMP, days []*tra
 	if err != nil {
 		return nil, err
 	}
-	pred.TRByInit = [2]float64{tr1, tr2}
-	pred.TR = pred.InitProb[0]*tr1 + pred.InitProb[1]*tr2
 	return &engineEntry{kernel: kernel, pred: pred}, nil
 }
 

@@ -2,6 +2,7 @@ package predict
 
 import (
 	"fmt"
+	"slices"
 
 	"fgcs/internal/avail"
 	"fgcs/internal/stats"
@@ -15,24 +16,31 @@ import (
 // would not have been placed there. The second result is the number of days
 // that contributed.
 func EmpiricalTR(days []*trace.Day, w Window, cfg avail.Config) (float64, int) {
-	survived, usable := 0, 0
+	tr, usable := empirical(days, w, cfg)
+	return tr, len(usable)
+}
+
+// empirical is EmpiricalTR returning the contributing days themselves. Each
+// day's window is classified once: the first state says whether the day is
+// usable, the absence of a failure state whether it survived.
+func empirical(days []*trace.Day, w Window, cfg avail.Config) (float64, []*trace.Day) {
+	var usable []*trace.Day
+	var states []avail.State
+	survived := 0
 	for _, d := range days {
-		samples := d.Window(w.Start, w.Length)
-		if len(samples) == 0 {
+		states = avail.ClassifyInto(states, d.Window(w.Start, w.Length), cfg, d.Period)
+		if len(states) == 0 || !states[0].Recoverable() {
 			continue
 		}
-		if _, ok := avail.InitialState(samples, cfg, d.Period); !ok {
-			continue
-		}
-		usable++
-		if avail.WindowSurvives(samples, cfg, d.Period) {
+		usable = append(usable, d)
+		if !slices.ContainsFunc(states, avail.State.Failure) {
 			survived++
 		}
 	}
-	if usable == 0 {
-		return 0, 0
+	if len(usable) == 0 {
+		return 0, nil
 	}
-	return float64(survived) / float64(usable), usable
+	return float64(survived) / float64(len(usable)), usable
 }
 
 // Evaluation is the outcome of comparing a prediction against the test set,
@@ -79,16 +87,7 @@ func EvaluateSMP(p SMP, sp trace.Split, w Window) (Evaluation, error) {
 func EvaluateTimeSeries(t TimeSeries, sp trace.Split, w Window) (Evaluation, error) {
 	// Restrict to test days usable for the empirical measurement so both
 	// sides of the comparison see the same population.
-	var usable []*trace.Day
-	for _, d := range sp.Test {
-		samples := d.Window(w.Start, w.Length)
-		if len(samples) == 0 {
-			continue
-		}
-		if _, ok := avail.InitialState(samples, t.Cfg, d.Period); ok {
-			usable = append(usable, d)
-		}
-	}
+	emp, usable := empirical(sp.Test, w, t.Cfg)
 	if len(usable) == 0 {
 		return Evaluation{}, fmt.Errorf("predict: no usable test days for window %v", w)
 	}
@@ -96,13 +95,12 @@ func EvaluateTimeSeries(t TimeSeries, sp trace.Split, w Window) (Evaluation, err
 	if err != nil {
 		return Evaluation{}, err
 	}
-	emp, n := EmpiricalTR(usable, w, t.Cfg)
 	return Evaluation{
 		Window:    w,
 		Predictor: t.Name(),
 		TRPred:    trPred,
 		TREmp:     emp,
 		RelErr:    stats.RelativeError(trPred, emp),
-		TestDays:  n,
+		TestDays:  len(usable),
 	}, nil
 }

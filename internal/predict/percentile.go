@@ -43,12 +43,7 @@ func (Percentile) Name() string { return "PCT" }
 // CacheSalt implements Cacheable: Percentile is a pure function of (Days,
 // Window, knobs), so the engine may memoize it.
 func (p Percentile) CacheSalt() uint64 {
-	h := uint64(fnvOffset64)
-	h = mix64(h, math.Float64bits(p.Cfg.Th1))
-	h = mix64(h, math.Float64bits(p.Cfg.Th2))
-	h = mix64(h, uint64(p.Cfg.SuspendLimit))
-	h = mix64(h, math.Float64bits(p.Cfg.GuestMemMB))
-	h = mix64(h, uint64(p.HistoryDays))
+	h := configSalt(p.Cfg, p.HistoryDays)
 	h = mix64(h, math.Float64bits(p.Quantile))
 	h = mix64(h, math.Float64bits(p.MarginFraction))
 	return h
@@ -71,7 +66,7 @@ func (p Percentile) PredictTR(in PluginInput) (float64, error) {
 	if q <= 0 || q > 1 {
 		return 0, fmt.Errorf("predict: percentile: quantile %g outside (0, 1]", q)
 	}
-	days := truncDays(in.Days, p.HistoryDays)
+	days := RecentDays(in.Days, p.HistoryDays)
 	if len(days) == 0 {
 		return 0, fmt.Errorf("predict: percentile: no history days")
 	}

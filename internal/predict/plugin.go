@@ -2,6 +2,7 @@ package predict
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -61,6 +62,30 @@ type PluginInput struct {
 type Cacheable interface {
 	// CacheSalt digests the plugin's configuration for the cache key.
 	CacheSalt() uint64
+}
+
+// configSalt starts a CacheSalt with the two settings every plugin shares (see
+// PluginOptions). It is the one place the fields of avail.Config are folded;
+// a plugin mixes its own knobs into the result.
+func configSalt(cfg avail.Config, historyDays int) uint64 {
+	h := uint64(fnvOffset64)
+	h = mix64(h, math.Float64bits(cfg.Th1))
+	h = mix64(h, math.Float64bits(cfg.Th2))
+	h = mix64(h, uint64(cfg.SuspendLimit))
+	h = mix64(h, math.Float64bits(cfg.GuestMemMB))
+	return mix64(h, uint64(historyDays))
+}
+
+// Memoized states once which plugins the engine answers from its LRU: SMP
+// (kernel entries) and every Cacheable plugin. PredictPluginCtx evaluates the
+// rest afresh on each call — they may read the live PluginInput.Prev — so a
+// caller that repeats a query between samples memoizes those itself.
+func Memoized(pl Plugin) bool {
+	switch pl.(type) {
+	case SMP, Cacheable:
+		return true
+	}
+	return false
 }
 
 // PluginOptions parameterizes plugin construction with the two settings
@@ -178,9 +203,9 @@ func (t TimeSeries) predictTR(sc *scratch, in PluginInput) (float64, error) {
 	return 0, nil
 }
 
-// truncDays applies the shared HistoryDays bound: keep the most recent n
-// days when n > 0.
-func truncDays(days []*trace.Day, n int) []*trace.Day {
+// RecentDays is the one HistoryDays cut: the most recent n days when n > 0,
+// every day otherwise.
+func RecentDays(days []*trace.Day, n int) []*trace.Day {
 	if n > 0 && len(days) > n {
 		return days[len(days)-n:]
 	}

@@ -2,6 +2,7 @@ package predict
 
 import (
 	"context"
+	"reflect"
 	"testing"
 	"time"
 
@@ -146,6 +147,31 @@ func TestPluginCacheSaltIsolation(t *testing.T) {
 		})
 		if ev["spectrum-fit"] != 1 || ev["spectrum-hit"] != 0 {
 			t.Fatalf("knob %s: events %v, want a spectrum-fit of its own", name, ev)
+		}
+	}
+
+	// Every field of avail.Config, found by reflection, moves both plugins'
+	// salts: a field added to the configuration cannot be left out of one
+	// plugin's cache key.
+	base := avail.DefaultConfig()
+	for i := 0; i < reflect.TypeOf(base).NumField(); i++ {
+		field := reflect.TypeOf(base).Field(i).Name
+		cfg := base
+		switch f := reflect.ValueOf(&cfg).Elem().Field(i); f.Kind() {
+		case reflect.Float64:
+			f.SetFloat(f.Float() + 1)
+		case reflect.Int64: // time.Duration
+			f.SetInt(f.Int() + 1)
+		default:
+			t.Fatalf("avail.Config.%s has kind %v: teach this test to perturb it", field, f.Kind())
+		}
+		fft, pct := DefaultSpectral(), DefaultPercentile()
+		fft.Cfg, pct.Cfg = cfg, cfg
+		if fft.CacheSalt() == DefaultSpectral().CacheSalt() {
+			t.Fatalf("avail.Config.%s is not in Spectral's cache salt", field)
+		}
+		if pct.CacheSalt() == DefaultPercentile().CacheSalt() {
+			t.Fatalf("avail.Config.%s is not in Percentile's cache salt", field)
 		}
 	}
 }

@@ -110,6 +110,18 @@ type Prediction struct {
 	HistoryWindows int
 }
 
+// from returns TR conditioned on a job starting in the given state, which
+// must be recoverable.
+func (pred Prediction) from(init avail.State) (float64, error) {
+	switch init {
+	case avail.S1:
+		return pred.TRByInit[0], nil
+	case avail.S2:
+		return pred.TRByInit[1], nil
+	}
+	return 0, fmt.Errorf("smp: initial state %v is not recoverable", init)
+}
+
 // Predict computes the temporal reliability for the window on a future day,
 // estimated from the history days (which must all be of the target day's
 // type; use trace.Machine.DaysOfType or a trace.Split to select them).
@@ -119,27 +131,22 @@ type Prediction struct {
 // initial states by their historical frequency, which is the right thing for
 // ahead-of-time evaluation.
 func (p SMP) Predict(history []*trace.Day, w Window) (Prediction, error) {
-	kernel, pred, units, err := p.prepare(nil, history, w)
+	sc := &scratch{}
+	kernel, pred, units, err := p.prepare(sc, history, w)
 	if err != nil {
 		return Prediction{}, err
 	}
-	tr1, tr2, err := kernel.Reliabilities(units)
-	if err != nil {
-		return Prediction{}, err
-	}
-	pred.TRByInit = [2]float64{tr1, tr2}
-	pred.TR = pred.InitProb[0]*tr1 + pred.InitProb[1]*tr2
-	return pred, nil
+	return pred.solve(sc, kernel, units)
 }
 
 // PredictFrom computes TR for a job starting in the given (recoverable)
 // current state — the live query issued by the iShare job scheduler.
 func (p SMP) PredictFrom(history []*trace.Day, w Window, init avail.State) (float64, error) {
-	kernel, _, units, err := p.prepare(nil, history, w)
+	pred, err := p.Predict(history, w)
 	if err != nil {
 		return 0, err
 	}
-	return kernel.TR(init, units)
+	return pred.from(init)
 }
 
 func periodOf(days []*trace.Day) time.Duration {
@@ -149,14 +156,15 @@ func periodOf(days []*trace.Day) time.Duration {
 	return days[0].Period
 }
 
-// scratch bundles the reusable per-query buffers of the engine's hot path:
-// the classification/extraction arena and the solver workspace for SMP, and
-// for a forecast-origin baseline the training series, its forecast, the
-// forecast as samples and their classification. The zero value is what a
-// call outside the engine starts from.
+// scratch bundles the reusable per-query buffers: the classification and
+// extraction arena and the solver workspace for SMP, and for a forecast-origin
+// baseline the training series, its forecast, the forecast as samples and
+// their classification. The engine pools them, so its miss path allocates
+// nothing at steady state beyond what it caches; a call outside the engine
+// starts from the zero value. Results do not depend on what a scratch held.
 type scratch struct {
-	ex *avail.Extractor
-	ws *smp.Workspace
+	ex avail.Extractor
+	ws smp.Workspace
 
 	series    []float64
 	forecast  []float64
@@ -164,13 +172,13 @@ type scratch struct {
 	states    []avail.State
 }
 
-// prepare extracts sojourn sequences from the history windows and estimates
-// the kernel, returning it along with the partially-filled Prediction
-// (initial-state distribution, window count) and the window length in
-// discretization units. The period is resolved once per history slice here;
-// callers must not recompute it per query. When sc is non-nil its reusable
-// buffers back classification and extraction (the engine's zero-alloc path);
-// results are identical either way.
+// prepare is the front half of the one pipeline from samples to TR: it cuts
+// the history to the most recent HistoryDays, extracts the restart
+// trajectories of the window on each day (one classification pass per day,
+// which also yields the day's initial state) and estimates the kernel. It
+// returns the kernel, the partially-filled Prediction (initial-state
+// distribution, window count) and the window length in discretization units;
+// Prediction.solve is the back half.
 func (p SMP) prepare(sc *scratch, history []*trace.Day, w Window) (*smp.Kernel, Prediction, int, error) {
 	var pred Prediction
 	if err := w.Validate(); err != nil {
@@ -182,59 +190,28 @@ func (p SMP) prepare(sc *scratch, history []*trace.Day, w Window) (*smp.Kernel, 
 	if len(history) == 0 {
 		return nil, pred, 0, fmt.Errorf("predict: no history days")
 	}
-	days := history
-	if p.HistoryDays > 0 && len(days) > p.HistoryDays {
-		days = days[len(days)-p.HistoryDays:] // most recent N
-	}
+	days := RecentDays(history, p.HistoryDays)
 	period := periodOf(days)
 	units := w.Units(period)
 	if units < 1 {
 		return nil, pred, 0, fmt.Errorf("predict: window %v shorter than the sampling period", w)
 	}
-	var seqs [][]avail.Sojourn
 	var initCount [2]float64
-	windows := 0
-	if sc != nil {
-		sc.ex.Reset(p.Cfg, period)
-		for _, d := range days {
-			samples := d.Window(w.Start, w.Length)
-			if len(samples) == 0 {
-				continue
-			}
-			windows++
-			// One classification pass yields both the training
-			// sequences and the window's initial state.
-			if st, ok := sc.ex.AddWindow(samples, false); ok {
-				if st == avail.S1 {
-					initCount[0]++
-				} else {
-					initCount[1]++
-				}
-			}
+	sc.ex.Reset(p.Cfg, period)
+	for _, d := range days {
+		samples := d.Window(w.Start, w.Length)
+		if len(samples) == 0 {
+			continue
 		}
-		seqs = sc.ex.Seqs()
-	} else {
-		seqs = make([][]avail.Sojourn, 0, len(days))
-		for _, d := range days {
-			samples := d.Window(w.Start, w.Length)
-			if len(samples) == 0 {
-				continue
-			}
-			windows++
-			// Harvest every trajectory in the window — the machine
-			// recovers after each unavailability occurrence even though a
-			// guest job would not.
-			seqs = avail.AppendTrajectories(seqs, samples, p.Cfg, period)
-			if st, ok := avail.InitialState(samples, p.Cfg, period); ok {
-				if st == avail.S1 {
-					initCount[0]++
-				} else {
-					initCount[1]++
-				}
+		pred.HistoryWindows++
+		if st, ok := sc.ex.AddWindow(samples, false); ok {
+			if st == avail.S1 {
+				initCount[0]++
+			} else {
+				initCount[1]++
 			}
 		}
 	}
-	pred.HistoryWindows = windows
 	total := initCount[0] + initCount[1]
 	if total > 0 {
 		pred.InitProb = [2]float64{initCount[0] / total, initCount[1] / total}
@@ -242,11 +219,24 @@ func (p SMP) prepare(sc *scratch, history []*trace.Day, w Window) (*smp.Kernel, 
 		pred.InitProb = [2]float64{1, 0} // no usable history: assume idle start
 	}
 	est := smp.Estimator{Horizon: units, Smoothing: p.Smoothing}
-	kernel, err := est.Estimate(seqs)
+	kernel, err := est.Estimate(sc.ex.Seqs())
 	if err != nil {
 		return nil, pred, 0, err
 	}
 	return kernel, pred, units, nil
+}
+
+// solve is the back half: the Equation (3) recursion over the estimated
+// kernel on sc's workspace, and the one place a Prediction gets its TRs —
+// TRByInit from the recursion, TR as their InitProb-weighted mix.
+func (pred Prediction) solve(sc *scratch, kernel *smp.Kernel, units int) (Prediction, error) {
+	tr1, tr2, err := kernel.ReliabilitiesWS(&sc.ws, units)
+	if err != nil {
+		return Prediction{}, err
+	}
+	pred.TRByInit = [2]float64{tr1, tr2}
+	pred.TR = pred.InitProb[0]*tr1 + pred.InitProb[1]*tr2
+	return pred, nil
 }
 
 // TimeSeries is the linear-time-series baseline predictor: fit on the window

@@ -592,87 +592,3 @@ func TestRestartSeesRecurringFailure(t *testing.T) {
 		t.Fatalf("TR = %v, want well below 1", pred.TR)
 	}
 }
-
-func TestPredictCIBracketsPoint(t *testing.T) {
-	var days []*trace.Day
-	for i := 0; i < 20; i++ {
-		d := idleDay(i)
-		if i%4 == 0 {
-			failAt(d, 9*time.Hour, 20*time.Minute)
-		}
-		days = append(days, d)
-	}
-	w := Window{Start: 8 * time.Hour, Length: 2 * time.Hour}
-	iv, err := defaultSMP().PredictCI(days, w, 0.9, 60, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if iv.Lo > iv.TR || iv.TR > iv.Hi {
-		t.Fatalf("interval [%v, %v] does not bracket the point %v", iv.Lo, iv.Hi, iv.TR)
-	}
-	if iv.Lo < 0 || iv.Hi > 1 {
-		t.Fatalf("interval outside [0,1]: %+v", iv)
-	}
-	// With 25% failing days, uncertainty must be visible.
-	if iv.Hi-iv.Lo < 0.01 {
-		t.Fatalf("interval [%v, %v] implausibly tight", iv.Lo, iv.Hi)
-	}
-	if iv.Level != 0.9 || iv.Resamples != 60 {
-		t.Fatalf("metadata %+v", iv)
-	}
-}
-
-func TestPredictCIDegenerateHistory(t *testing.T) {
-	days := []*trace.Day{idleDay(0), idleDay(1), idleDay(2)}
-	iv, err := defaultSMP().PredictCI(days, Window{Start: 8 * time.Hour, Length: time.Hour}, 0.9, 20, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if iv.TR != 1 || iv.Lo != 1 || iv.Hi != 1 {
-		t.Fatalf("all-clear history interval = %+v, want degenerate at 1", iv)
-	}
-}
-
-func TestPredictCIShrinksWithMoreData(t *testing.T) {
-	mk := func(n int) []*trace.Day {
-		var days []*trace.Day
-		for i := 0; i < n; i++ {
-			d := idleDay(i)
-			if i%4 == 0 {
-				failAt(d, 9*time.Hour, 20*time.Minute)
-			}
-			days = append(days, d)
-		}
-		return days
-	}
-	w := Window{Start: 8 * time.Hour, Length: 2 * time.Hour}
-	small, err := defaultSMP().PredictCI(mk(8), w, 0.9, 80, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	big, err := defaultSMP().PredictCI(mk(64), w, 0.9, 80, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if big.Hi-big.Lo >= small.Hi-small.Lo {
-		t.Fatalf("interval did not shrink: %v (n=8) vs %v (n=64)",
-			small.Hi-small.Lo, big.Hi-big.Lo)
-	}
-}
-
-func TestPredictCIValidation(t *testing.T) {
-	days := []*trace.Day{idleDay(0)}
-	w := Window{Start: 8 * time.Hour, Length: time.Hour}
-	if _, err := defaultSMP().PredictCI(days, w, 0, 50, 1); err == nil {
-		t.Fatal("level 0 accepted")
-	}
-	if _, err := defaultSMP().PredictCI(days, w, 1.2, 50, 1); err == nil {
-		t.Fatal("level > 1 accepted")
-	}
-	if _, err := defaultSMP().PredictCI(days, w, 0.9, 3, 1); err == nil {
-		t.Fatal("too few resamples accepted")
-	}
-	if _, err := defaultSMP().PredictCI(nil, w, 0.9, 50, 1); err == nil {
-		t.Fatal("empty history accepted")
-	}
-}

@@ -73,12 +73,7 @@ func (Spectral) Name() string { return "FFT" }
 // CacheSalt implements Cacheable: Spectral is a pure function of (Days,
 // Window, knobs), so the engine may memoize it. Every knob folds in.
 func (s Spectral) CacheSalt() uint64 {
-	h := uint64(fnvOffset64)
-	h = mix64(h, math.Float64bits(s.Cfg.Th1))
-	h = mix64(h, math.Float64bits(s.Cfg.Th2))
-	h = mix64(h, uint64(s.Cfg.SuspendLimit))
-	h = mix64(h, math.Float64bits(s.Cfg.GuestMemMB))
-	h = mix64(h, uint64(s.HistoryDays))
+	h := configSalt(s.Cfg, s.HistoryDays)
 	h = mix64(h, uint64(s.MaxSpectrumItems))
 	h = mix64(h, uint64(s.MinSpectrumItems))
 	h = mix64(h, math.Float64bits(s.LowAmplitudeThreshold))
@@ -108,7 +103,7 @@ func (s Spectral) predictTR(in PluginInput, fit func([]*trace.Day) (*spectrum, e
 	if err := s.Cfg.Validate(); err != nil {
 		return 0, err
 	}
-	days := truncDays(in.Days, s.HistoryDays)
+	days := RecentDays(in.Days, s.HistoryDays)
 	if len(days) == 0 {
 		return 0, fmt.Errorf("predict: spectral: no history days")
 	}

@@ -26,7 +26,7 @@ func referenceSpectralTR(s Spectral, in PluginInput) (float64, error) {
 	if err := cfg.Validate(); err != nil {
 		return 0, err
 	}
-	days := truncDays(in.Days, s.HistoryDays)
+	days := RecentDays(in.Days, s.HistoryDays)
 	if len(days) == 0 {
 		return 0, fmt.Errorf("predict: spectral: no history days")
 	}

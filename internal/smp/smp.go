@@ -221,13 +221,18 @@ type Result struct {
 // S2) over a window of the given number of discretization units, by the dense
 // recursion of Equation (3) exactly as the paper states it: every holding time
 // 1..m-1 enters the convolution at step m. Its Ops count is what the Figure 4
-// cost experiment plots, and it is the reference the serving solver (TR,
-// Reliabilities, ReliabilitiesWS, FullInterval) is differential-tested
-// against: the two agree bit for bit.
+// cost experiment plots, and it is the reference the serving solver
+// (ReliabilitiesWS) is differential-tested against: the two agree bit for bit.
 func (k *Kernel) Solve(init avail.State, units int) (Result, error) {
-	fi, err := k.checkQuery(init, units)
-	if err != nil {
-		return Result{}, err
+	fi := fromIndex(init)
+	if fi < 0 {
+		return Result{}, fmt.Errorf("smp: initial state %v is not recoverable", init)
+	}
+	if units < 0 {
+		return Result{}, fmt.Errorf("smp: negative window")
+	}
+	if units > k.horizon {
+		return Result{}, fmt.Errorf("smp: window of %d units exceeds kernel horizon %d", units, k.horizon)
 	}
 	sol, ops := k.solveDense(units)
 	res := Result{Units: units, Ops: ops, TR: sol.tr(fi, units)}
@@ -235,32 +240,6 @@ func (k *Kernel) Solve(init avail.State, units int) (Result, error) {
 		res.PFail[ji] = sol.p[fi][ji][units]
 	}
 	return res, nil
-}
-
-// TR returns the temporal reliability for a job starting in init over a
-// window of the given number of units: Solve's TR, bit for bit, computed over
-// the observed holding times only.
-func (k *Kernel) TR(init avail.State, units int) (float64, error) {
-	fi, err := k.checkQuery(init, units)
-	if err != nil {
-		return 0, err
-	}
-	return k.solve(nil, units).tr(fi, units), nil
-}
-
-// checkQuery validates a (init, units) query and returns init's from-index.
-func (k *Kernel) checkQuery(init avail.State, units int) (int, error) {
-	fi := fromIndex(init)
-	if fi < 0 {
-		return 0, fmt.Errorf("smp: initial state %v is not recoverable", init)
-	}
-	if units < 0 {
-		return 0, fmt.Errorf("smp: negative window")
-	}
-	if units > k.horizon {
-		return 0, fmt.Errorf("smp: window of %d units exceeds kernel horizon %d", units, k.horizon)
-	}
-	return fi, nil
 }
 
 // solution holds the six interval transition probabilities into the failure
@@ -437,99 +416,15 @@ func clamp01(x float64) float64 {
 	return x
 }
 
-// Reliabilities solves the model once and returns TR for both possible
-// initial states, useful when the caller mixes over the initial-state
-// distribution.
-func (k *Kernel) Reliabilities(units int) (trS1, trS2 float64, err error) {
-	return k.ReliabilitiesWS(nil, units)
-}
-
-// ReliabilitiesWS is Reliabilities solving into ws's reusable buffers (nil
-// behaves like Reliabilities): once the workspace has warmed up to the
-// largest horizon it sees, the backward recursion allocates nothing. This is
-// the prediction engine's cache-miss hot path.
+// ReliabilitiesWS is the serving solve: it runs the recursion once, into ws's
+// reusable buffers (nil solves into fresh ones), and returns TR for both
+// recoverable initial states — Solve's TR, bit for bit, computed over the
+// observed holding times only. Once the workspace has warmed up to the largest
+// horizon it sees, the backward recursion allocates nothing.
 func (k *Kernel) ReliabilitiesWS(ws *Workspace, units int) (trS1, trS2 float64, err error) {
 	if units < 0 || units > k.horizon {
 		return 0, 0, fmt.Errorf("smp: window of %d units outside kernel horizon %d", units, k.horizon)
 	}
 	sol := k.solve(ws, units)
 	return sol.tr(0, units), sol.tr(1, units), nil
-}
-
-// Interval is the full interval-transition-probability row set of Figure 3:
-// P[i][j](m) = Pr{S(m) = j | S(0) = i} for the recoverable initial states.
-// Columns S3..S5 accumulate absorption; columns S1/S2 track the recoverable
-// occupancy. Each row sums to 1 at every m (the process is somewhere).
-type Interval struct {
-	Units int
-	// P[fi][state-1][m], fi 0/1 for initial S1/S2, state 1..5.
-	P [2][avail.NumStates][]float64
-}
-
-// FullInterval solves the complete interval transition probabilities up to
-// the given horizon: the failure columns by the Equation (3) recursion and
-// the recoverable columns by the matching renewal equations
-//
-//	P_{i,i}(m) = S_i(m) + Σ_l q_{i,ī}(l)·P_{ī,i}(m-l)
-//	P_{i,ī}(m) =          Σ_l q_{i,ī}(l)·P_{ī,ī}(m-l)
-//
-// with S_i the first-sojourn survival and ī the other recoverable state.
-func (k *Kernel) FullInterval(units int) (*Interval, error) {
-	if units < 0 || units > k.horizon {
-		return nil, fmt.Errorf("smp: window of %d units outside kernel horizon %d", units, k.horizon)
-	}
-	iv := &Interval{Units: units}
-	for fi := 0; fi < 2; fi++ {
-		for st := 0; st < avail.NumStates; st++ {
-			iv.P[fi][st] = make([]float64, units+1)
-		}
-	}
-	// Failure columns from the standard solver.
-	sol := k.solve(nil, units)
-	for fi := 0; fi < 2; fi++ {
-		for ji := 0; ji < 3; ji++ {
-			copy(iv.P[fi][ji+2], sol.p[fi][ji])
-		}
-	}
-	// First-sojourn survival S_i(m) = 1 - Σ_{j,l<=m} q_{i,j}(l) and the
-	// cross kernels.
-	surv := [2][]float64{make([]float64, units+1), make([]float64, units+1)}
-	for fi := 0; fi < 2; fi++ {
-		cum := 0.0
-		surv[fi][0] = 1
-		for m := 1; m <= units; m++ {
-			for to := avail.S1; to <= avail.S5; to++ {
-				cum += k.qAt(fi, to, m)
-			}
-			s := 1 - cum
-			if s < 0 {
-				s = 0
-			}
-			surv[fi][m] = s
-		}
-	}
-	crossQ := [2][]float64{pad(k.q[0][avail.S2], units+1), pad(k.q[1][avail.S1], units+1)}
-	// Recoverable columns: mutual recursion over m.
-	iv.P[0][0][0] = 1 // P_{1,1}(0)
-	iv.P[1][1][0] = 1 // P_{2,2}(0)
-	for m := 1; m <= units; m++ {
-		for fi := 0; fi < 2; fi++ {
-			other := 1 - fi
-			own := surv[fi][m] // still in the very first sojourn
-			crossTo := 0.0
-			for l := 1; l <= m; l++ {
-				q := crossQ[fi][l]
-				if q == 0 {
-					continue
-				}
-				// After moving to the other state at l, be back in fi
-				// (own) or still in other (crossTo) at m.
-				own += q * iv.P[other][fi][m-l]
-				crossTo += q * iv.P[other][other][m-l]
-			}
-			iv.P[fi][fi][m] = clamp01(own)
-			iv.P[fi][other][m] = clamp01(crossTo)
-		}
-	}
-	return iv, nil
 }

@@ -115,7 +115,7 @@ func TestEstimateOverHorizonSojournIsCensored(t *testing.T) {
 	if got := mass(k, avail.S1, avail.S3); got != 0 {
 		t.Fatalf("over-horizon sojourn produced event mass Q = %v", got)
 	}
-	tr, err := k.TR(avail.S1, 10)
+	tr, err := servedTR(k, avail.S1, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestHazardEstimatorKaplanMeier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := k.TR(avail.S1, 1200)
+	tr, err := servedTR(k, avail.S1, 1200)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestHazardTwoStageKaplanMeier(t *testing.T) {
 	if got := k.qAt(0, avail.S5, 5); math.Abs(got-0.5) > 1e-12 {
 		t.Fatalf("q15(5) = %v, want 0.5", got)
 	}
-	tr, _ := k.TR(avail.S1, 10)
+	tr, _ := servedTR(k, avail.S1, 10)
 	if math.Abs(tr-0) > 1e-12 {
 		t.Fatalf("TR = %v, want 0 (all surviving mass absorbed by l=5)", tr)
 	}
@@ -197,7 +197,7 @@ func TestSolveSingleStepAnalytic(t *testing.T) {
 	if math.Abs(r.PFail[0]-0.5) > 1e-12 || r.PFail[1] != 0 || r.PFail[2] != 0 {
 		t.Fatalf("PFail = %v", r.PFail)
 	}
-	tr2, err := k.TR(avail.S2, 10)
+	tr2, err := servedTR(k, avail.S2, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestSolveTwoStepAnalytic(t *testing.T) {
 		units int
 		want  float64
 	}{{1, 1}, {4, 1}, {5, 0}, {20, 0}} {
-		tr, err := k.TR(avail.S1, c.units)
+		tr, err := servedTR(k, avail.S1, c.units)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -230,11 +230,11 @@ func TestSolveTwoStepAnalytic(t *testing.T) {
 		}
 	}
 	// From S2 the failure lands at unit 3.
-	tr, _ := k.TR(avail.S2, 2)
+	tr, _ := servedTR(k, avail.S2, 2)
 	if tr != 1 {
 		t.Fatalf("TR_S2(2) = %v, want 1", tr)
 	}
-	tr, _ = k.TR(avail.S2, 3)
+	tr, _ = servedTR(k, avail.S2, 3)
 	if tr != 0 {
 		t.Fatalf("TR_S2(3) = %v, want 0", tr)
 	}
@@ -264,7 +264,7 @@ func TestSolveMixedBranching(t *testing.T) {
 	for i := 0; i <= 2; i++ {
 		want += p3 * math.Pow(p2, float64(i))
 	}
-	tr, err := k.TR(avail.S1, 5)
+	tr, err := servedTR(k, avail.S1, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,9 +283,6 @@ func TestSolveErrors(t *testing.T) {
 	}
 	if _, err := k.Solve(avail.S1, 11); err == nil {
 		t.Fatal("window beyond horizon accepted")
-	}
-	if _, _, err := k.Reliabilities(11); err == nil {
-		t.Fatal("Reliabilities beyond horizon accepted")
 	}
 }
 
@@ -310,7 +307,7 @@ func TestReliabilitiesMatchesSolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr1, tr2, err := k.Reliabilities(20)
+	tr1, tr2, err := k.ReliabilitiesWS(nil, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,13 +328,19 @@ func TestSmoothingMakesQPositive(t *testing.T) {
 			t.Fatalf("smoothed Q%v = 0", p)
 		}
 	}
-	tr, err := k.TR(avail.S1, 10)
+	tr, err := servedTR(k, avail.S1, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tr >= 1 || tr <= 0 {
 		t.Fatalf("smoothed TR = %v, want strictly inside (0,1)", tr)
 	}
+}
+
+// servedTR is the serving solve's TR for one recoverable initial state.
+func servedTR(k *Kernel, init avail.State, units int) (float64, error) {
+	tr1, tr2, err := k.ReliabilitiesWS(nil, units)
+	return [2]float64{tr1, tr2}[fromIndex(init)], err
 }
 
 // randomKernel builds a kernel directly from random legal counts.
@@ -437,7 +440,7 @@ func TestSolveMatchesMonteCarlo(t *testing.T) {
 		k := randomKernel(r.SplitN("kernel", trial), 40)
 		for _, init := range []avail.State{avail.S1, avail.S2} {
 			for _, units := range []int{5, 17, 40} {
-				want, err := k.TR(init, units)
+				want, err := servedTR(k, init, units)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -467,7 +470,7 @@ func TestTRMonotoneProperty(t *testing.T) {
 		for _, init := range []avail.State{avail.S1, avail.S2} {
 			prev := 1.0
 			for units := 0; units <= 30; units++ {
-				tr, err := k.TR(init, units)
+				tr, err := servedTR(k, init, units)
 				if err != nil || tr < 0 || tr > 1 {
 					return false
 				}
@@ -545,7 +548,7 @@ func TestSolveOpsGrowSuperlinearly(t *testing.T) {
 
 // requireSolversAgree fails unless the serving solver and the dense reference
 // agree bit for bit at the given horizon: all six P_{i,j}(m) columns at every
-// m, and TR through every public entry point.
+// m, and the TRs ReliabilitiesWS returns.
 func requireSolversAgree(t *testing.T, k *Kernel, ws *Workspace, units int) {
 	t.Helper()
 	dense, _ := k.solveDense(units)
@@ -569,14 +572,8 @@ func requireSolversAgree(t *testing.T, k *Kernel, ws *Workspace, units int) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr, err := k.TR(init, units)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for name, got := range map[string]float64{"TR": tr, "ReliabilitiesWS": [2]float64{tr1, tr2}[fi]} {
-			if math.Float64bits(got) != math.Float64bits(ref.TR) {
-				t.Fatalf("units %d init %v: %s %v != Solve %v", units, init, name, got, ref.TR)
-			}
+		if got := [2]float64{tr1, tr2}[fi]; math.Float64bits(got) != math.Float64bits(ref.TR) {
+			t.Fatalf("units %d init %v: ReliabilitiesWS %v != Solve %v", units, init, got, ref.TR)
 		}
 	}
 }
@@ -724,147 +721,10 @@ func TestReliabilitiesWSWarmAllocatesNothing(t *testing.T) {
 
 func TestSparseSolverErrors(t *testing.T) {
 	k, _ := Estimator{Horizon: 10}.Estimate(nil)
-	if _, err := k.TR(avail.S4, 5); err == nil {
-		t.Fatal("failure initial state accepted")
-	}
-	if _, err := k.TR(avail.S1, 11); err == nil {
+	if _, _, err := k.ReliabilitiesWS(nil, 11); err == nil {
 		t.Fatal("window beyond horizon accepted")
 	}
-	if _, err := k.TR(avail.S1, -1); err == nil {
-		t.Fatal("negative window accepted")
-	}
 	if _, _, err := k.ReliabilitiesWS(&Workspace{}, -1); err == nil {
-		t.Fatal("negative window accepted by ReliabilitiesWS")
-	}
-}
-
-// TestFullIntervalRowsSumToOne: the process is always somewhere — every row
-// of the Figure 3 P matrix sums to 1 at every horizon.
-func TestFullIntervalRowsSumToOne(t *testing.T) {
-	for trial := 0; trial < 8; trial++ {
-		k := randomKernel(rng.New(uint64(trial)+31), 40)
-		iv, err := k.FullInterval(40)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for fi := 0; fi < 2; fi++ {
-			for m := 0; m <= 40; m++ {
-				sum := 0.0
-				for st := range iv.P[fi] {
-					sum += iv.P[fi][st][m]
-				}
-				if math.Abs(sum-1) > 1e-9 {
-					t.Fatalf("trial %d fi %d m %d: row sum = %v", trial, fi, m, sum)
-				}
-			}
-		}
-	}
-}
-
-// TestFullIntervalMatchesSolve: the failure columns must equal the standard
-// Equation (3) solver's output.
-func TestFullIntervalMatchesSolve(t *testing.T) {
-	k := randomKernel(rng.New(123), 30)
-	iv, err := k.FullInterval(30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, init := range []avail.State{avail.S1, avail.S2} {
-		fi := fromIndex(init)
-		for _, m := range []int{0, 7, 30} {
-			res, err := k.Solve(init, m)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for ji := 0; ji < 3; ji++ {
-				if math.Abs(iv.P[fi][ji+2][m]-res.PFail[ji]) > 1e-12 {
-					t.Fatalf("init %v m %d j %d: %v != %v", init, m, ji, iv.P[fi][ji+2][m], res.PFail[ji])
-				}
-			}
-		}
-	}
-}
-
-// TestFullIntervalMatchesMonteCarlo validates the recoverable-state
-// occupancy columns against forward simulation.
-func TestFullIntervalMatchesMonteCarlo(t *testing.T) {
-	r := rng.New(777)
-	k := randomKernel(r.Split("kern"), 30)
-	iv, err := k.FullInterval(30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 40000
-	units := 19
-	counts := [avail.NumStates + 1]int{}
-	sim := r.Split("sim")
-	for i := 0; i < n; i++ {
-		state := simulateState(k, sim, avail.S1, units)
-		counts[state]++
-	}
-	for st := avail.S1; st <= avail.S5; st++ {
-		want := iv.P[0][int(st)-1][units]
-		got := float64(counts[st]) / n
-		if math.Abs(got-want) > 0.015 {
-			t.Fatalf("state %v: MC %v vs solver %v", st, got, want)
-		}
-	}
-}
-
-// simulateState runs the process forward and returns the state occupied at
-// exactly `units`.
-func simulateState(k *Kernel, r *rng.Stream, init avail.State, units int) avail.State {
-	state := init
-	t := 0
-	for {
-		fi := fromIndex(state)
-		if fi < 0 {
-			return state // absorbed
-		}
-		x := r.Float64()
-		acc := 0.0
-		var to avail.State
-		var hold int
-		found := false
-	outer:
-		for s := avail.S1; s <= avail.S5; s++ {
-			qs := k.q[fi][s]
-			for l := 1; l < len(qs); l++ {
-				acc += qs[l]
-				if x < acc {
-					to, hold, found = s, l, true
-					break outer
-				}
-			}
-		}
-		if !found || t+hold > units {
-			return state // stays put past the horizon
-		}
-		t += hold
-		state = to
-		if state.Failure() {
-			return state
-		}
-		if t == units {
-			return state
-		}
-	}
-}
-
-func TestFullIntervalErrors(t *testing.T) {
-	k, _ := Estimator{Horizon: 10}.Estimate(nil)
-	if _, err := k.FullInterval(11); err == nil {
-		t.Fatal("beyond-horizon interval accepted")
-	}
-	if _, err := k.FullInterval(-1); err == nil {
-		t.Fatal("negative horizon accepted")
-	}
-	// Empty kernel: the process never leaves its initial state.
-	iv, err := k.FullInterval(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if iv.P[0][0][10] != 1 || iv.P[1][1][10] != 1 {
-		t.Fatalf("empty kernel occupancy: %v %v", iv.P[0][0][10], iv.P[1][1][10])
+		t.Fatal("negative window accepted")
 	}
 }
