@@ -7,10 +7,11 @@
 //     is mentioned in the README flag reference (-readme) and every flag
 //     table row there names a registered flag, so the operator docs can
 //     neither fall behind the binaries nor outlive a deleted flag;
-//   - every metric registered in the audited packages (-metricdirs) is
-//     hygienic: a literal fgcs_-prefixed snake_case name, help text that is
-//     a sentence ending in a period, and no label key whose cardinality
-//     grows with the fleet (machine ids, job ids, addresses);
+//   - every metric registered in the audited packages (-metricdirs), and
+//     every row of a derived-family table there, is hygienic: a literal
+//     fgcs_-prefixed snake_case name, help text that is a sentence ending in
+//     a period, and no label key whose cardinality grows with the fleet
+//     (machine ids, job ids, addresses), machine excepted in the table;
 //   - the predictor reference table in the authoring guide (-predictors)
 //     lists exactly the plugins registered in internal/predict — a plugin
 //     missing from the table or a documented name with no registration both

@@ -18,6 +18,9 @@ import (
 // scale with the fleet — machine ids, job ids, peer addresses — are banned
 // outright: one label value per machine turns a fixed-cardinality registry
 // into an unbounded one and breaks the federated merge's size assumptions.
+// The families obs derives at scrape time are rows of one []family table
+// rather than registrations; the table is held to the same rules, except that
+// a row may carry the machine label, which the tracker's retention bounds.
 
 // metricFuncs are the registry registration methods audited for hygiene.
 var metricFuncs = map[string]bool{"Counter": true, "Gauge": true, "Histogram": true}
@@ -54,6 +57,10 @@ func metricsHygiene(dirs []string) ([]string, error) {
 		for _, pkg := range pkgMap {
 			for _, file := range pkg.Files {
 				ast.Inspect(file, func(n ast.Node) bool {
+					if row, ok := n.(*ast.CompositeLit); ok {
+						out = append(out, familyRowHygiene(fset, row)...)
+						return true
+					}
 					call, ok := n.(*ast.CallExpr)
 					if !ok || len(call.Args) < 2 {
 						return true
@@ -84,15 +91,7 @@ func metricsHygiene(dirs []string) ([]string, error) {
 							return true
 						}
 					}
-					if !metricNameRE.MatchString(name) {
-						out = append(out, fmt.Sprintf("%s: metric name %q is not fgcs_-prefixed snake_case", at, name))
-					}
-					help, ok := stringLit(call.Args[1])
-					if !ok {
-						out = append(out, fmt.Sprintf("%s: metric %s help text is not a string literal", at, name))
-					} else if help == "" || !strings.HasSuffix(help, ".") {
-						out = append(out, fmt.Sprintf("%s: metric %s help text must be a sentence ending in a period", at, name))
-					}
+					out = append(out, nameHelpHygiene(at, name, call.Args[1])...)
 					for _, arg := range call.Args {
 						ast.Inspect(arg, func(m ast.Node) bool {
 							lit, ok := m.(*ast.CompositeLit)
@@ -111,6 +110,48 @@ func metricsHygiene(dirs []string) ([]string, error) {
 		}
 	}
 	return out, nil
+}
+
+// nameHelpHygiene applies the name and help rules to one family.
+func nameHelpHygiene(at, name string, helpExpr ast.Expr) []string {
+	var out []string
+	if !metricNameRE.MatchString(name) {
+		out = append(out, fmt.Sprintf("%s: metric name %q is not fgcs_-prefixed snake_case", at, name))
+	}
+	help, ok := stringLit(helpExpr)
+	if !ok {
+		out = append(out, fmt.Sprintf("%s: metric %s help text is not a string literal", at, name))
+	} else if help == "" || !strings.HasSuffix(help, ".") {
+		out = append(out, fmt.Sprintf("%s: metric %s help text must be a sentence ending in a period", at, name))
+	}
+	return out
+}
+
+// familyRowHygiene audits a composite literal with name and help fields — a
+// row of obs's derived-family table — by the registration rules, and its
+// labels field against the high-cardinality keys other than machine.
+func familyRowHygiene(fset *token.FileSet, row *ast.CompositeLit) []string {
+	fields := map[string]ast.Expr{}
+	for _, f := range row.Elts {
+		if kv, ok := f.(*ast.KeyValueExpr); ok {
+			fields[fmt.Sprint(kv.Key)] = kv.Value
+		}
+	}
+	name, ok := stringLit(fields["name"])
+	if !ok || fields["help"] == nil {
+		return nil
+	}
+	pos := fset.Position(row.Pos())
+	at := fmt.Sprintf("%s:%d", pos.Filename, pos.Line)
+	out := nameHelpHygiene(at, name, fields["help"])
+	if labels, ok := fields["labels"].(*ast.CompositeLit); ok {
+		for _, l := range labels.Elts {
+			if key, ok := stringLit(l); !ok || key != "machine" && highCardLabelKeys[key] {
+				out = append(out, fmt.Sprintf("%s: metric %s label key %q is not a literal or has unbounded cardinality", at, name, key))
+			}
+		}
+	}
+	return out
 }
 
 // stringLit unquotes a string literal expression.

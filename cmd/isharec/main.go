@@ -589,15 +589,12 @@ func printFleet(entry string, v *obs.FleetView) {
 		}
 	}
 	if len(v.Counters) > 0 {
-		ids := make([]string, 0, len(v.Counters))
-		for id := range v.Counters {
-			ids = append(ids, id)
+		lines := make([]string, 0, len(v.Counters))
+		for id, n := range v.Counters {
+			lines = append(lines, fmt.Sprintf("  %s %d", id, n))
 		}
-		sort.Strings(ids)
-		fmt.Println("merged counters:")
-		for _, id := range ids {
-			fmt.Printf("  %s %d\n", id, v.Counters[id])
-		}
+		sort.Strings(lines) // the order of the ids: a space sorts below whatever can extend an id
+		fmt.Println("merged counters:\n" + strings.Join(lines, "\n"))
 	}
 	fmt.Printf("alerts: %d total", v.AlertsTotal)
 	if len(v.Alerts) < v.AlertsTotal {

@@ -390,7 +390,7 @@ func runFed(rc runConfig) error {
 	// set quarantines dead peers so routing skips them without burning a
 	// dial timeout per request.
 	breakers := ishare.NewBreakerSet(ishare.BreakerConfig{Threshold: 3, Cooldown: 30 * time.Second}, nil)
-	ishare.InstrumentBreakers(breakers, nodeObs.Registry)
+	nodeObs.InstrumentBreakers(breakers)
 	gw, err := ishare.NewFedGateway(ishare.FedConfig{
 		Self:     self,
 		Peers:    peers,

@@ -15,7 +15,6 @@ import (
 	"hash/fnv"
 	"math"
 	"runtime"
-	"strings"
 	"sync"
 	"time"
 
@@ -868,9 +867,11 @@ func (f *fleet) churnPhase(rep *Report) {
 			fo.OutagePeersOK++
 		}
 	}
-	const fedQueryTRSeries = `fgcs_gateway_requests_total{type="fed-query-tr"}`
-	fo.OutageMergedFedQueryTR = chaos.Metrics.Counters[fedQueryTRSeries]
-	fo.OutageDirectFedQueryTR = f.sumGatewayRequests("fed-query-tr")
+	fedQueryTR := obs.Label{Key: "type", Value: "fed-query-tr"}
+	fo.OutageMergedFedQueryTR = chaos.Metrics.Find("fgcs_gateway_requests_total", fedQueryTR).Count
+	for _, o := range f.peerObs {
+		fo.OutageDirectFedQueryTR += o.Registry.Snapshot().Find("fgcs_gateway_requests_total", fedQueryTR).Count
+	}
 	rep.Perf.ObsPlaneSeconds += time.Since(obs0).Seconds()
 
 	// Restart gw00 from empty state and count anti-entropy rounds until
@@ -933,15 +934,15 @@ func (f *fleet) obsPhase(rep *Report) {
 	// block: they are pure functions of the seeded traffic, while e.g. the
 	// engine-cache counters depend on cross-worker scheduling.
 	fo.GatewayRequests = make(map[string]uint64)
-	for id, v := range snap.Metrics.Counters {
-		switch {
-		case strings.HasPrefix(id, "fgcs_gateway_requests_total"):
-			fo.GatewayRequests[id] = v
-		case strings.HasPrefix(id, "fgcs_gateway_errors_total") && v > 0:
+	for i := range snap.Metrics {
+		switch sr := &snap.Metrics[i]; {
+		case sr.Name == "fgcs_gateway_requests_total":
+			fo.GatewayRequests[sr.ID()] = sr.Count
+		case sr.Name == "fgcs_gateway_errors_total" && sr.Count > 0:
 			if fo.GatewayErrors == nil {
 				fo.GatewayErrors = make(map[string]uint64)
 			}
-			fo.GatewayErrors[id] = v
+			fo.GatewayErrors[sr.ID()] = sr.Count
 		}
 	}
 	fo.Resolved = snap.Resolved
@@ -976,9 +977,9 @@ func (f *fleet) finalize(rep *Report) {
 	// rollup across every peer's tracker, i.e. the number the obs plane
 	// serves to operators.
 	var all obs.AccuracyStats
-	for _, s := range f.fleetSnap.AccuracySums() {
+	for _, s := range f.fleetSnap.Accuracy() {
 		if s.Machine == "_all" && s.Predictor == "SMP" {
-			all = s.Stats(false)
+			all = s
 			break
 		}
 	}
@@ -1060,18 +1061,6 @@ func (f *fleet) stepObs(now time.Time) {
 			f.alerts = append(f.alerts, a)
 		}
 	}
-}
-
-// sumGatewayRequests reads one request-type counter directly off every peer
-// registry — the ground truth the merged fleet snapshot is checked against.
-func (f *fleet) sumGatewayRequests(typ string) uint64 {
-	var n uint64
-	for _, o := range f.peerObs {
-		n += o.Registry.Counter("fgcs_gateway_requests_total",
-			"Gateway RPCs served, by request type.",
-			obs.Label{Key: "type", Value: typ}).Value()
-	}
-	return n
 }
 
 // allReady reports whether every federation peer passes its readiness check

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"fgcs/internal/avail"
-	"fgcs/internal/obs"
 	"fgcs/internal/simclock"
 )
 
@@ -81,8 +80,8 @@ func TestBreakerLifecycle(t *testing.T) {
 func TestInstrumentBreakers(t *testing.T) {
 	clock := simclock.NewVirtual(monday)
 	bs := NewBreakerSet(BreakerConfig{Threshold: 1, Cooldown: time.Minute}, clock)
-	r := obs.NewRegistry()
-	InstrumentBreakers(bs, r)
+	o := NewNodeObs()
+	o.InstrumentBreakers(bs)
 	fail := errors.New("flake")
 
 	// Trip two machines, recover one.
@@ -95,7 +94,7 @@ func TestInstrumentBreakers(t *testing.T) {
 	bs.Report("m1", nil)
 
 	var text strings.Builder
-	if err := r.WriteText(&text); err != nil {
+	if err := o.Registry.Snapshot().WriteText(&text); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{

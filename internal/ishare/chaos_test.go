@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -52,13 +53,38 @@ func (c *stepClock) Sleep(d time.Duration) {
 }
 
 // chaosResult captures everything that must be identical across two runs
-// with the same seed.
+// with the same seed. While m1 is partitioned every dial to it is refused
+// without a draw, and how many such dials the client's real-time retry
+// backoff fits in before the supervisor gives up is wall-clock pacing, not a
+// seeded decision: trace holds each run of consecutive partition refusals
+// of one address as one line, and dialFails counts the seeded refusals only.
 type chaosResult struct {
 	run        JobRun
 	err        error
 	trace      []string
 	dialFails  int
 	transients int
+}
+
+// partitionRefusalRE matches the fault network's trace line for a dial
+// refused by a partition, capturing the address.
+var partitionRefusalRE = regexp.MustCompile(`^dial (\S+) #\d+: partitioned$`)
+
+// seededTrace collapses each run of consecutive partition refusals of one
+// address into a single line; it returns the collapsed trace and the number
+// of partition refusals it saw.
+func seededTrace(trace []string) (out []string, partitionRefusals int) {
+	for _, line := range trace {
+		if m := partitionRefusalRE.FindStringSubmatch(line); m != nil {
+			partitionRefusals++
+			line = "dial " + m[1] + ": partitioned"
+			if len(out) > 0 && out[len(out)-1] == line {
+				continue
+			}
+		}
+		out = append(out, line)
+	}
+	return out, partitionRefusals
 }
 
 // runChaosOnce brings up a five-machine iShare testbed over real TCP, routes
@@ -161,11 +187,12 @@ func runChaosOnce(t *testing.T, seed uint64, binary bool) chaosResult {
 		UnreachableGrace: 3 * period,
 	}
 	run, err := sv.Run(context.Background(), SubmitReq{Name: "chaos-job", WorkSeconds: 300, MemMB: 50})
+	trace, partitionRefusals := seededTrace(fn.Trace())
 	return chaosResult{
 		run:        run,
 		err:        err,
-		trace:      fn.Trace(),
-		dialFails:  fn.DialFailures(),
+		trace:      trace,
+		dialFails:  fn.DialFailures() - partitionRefusals,
 		transients: run.TransientErrors,
 	}
 }

@@ -113,6 +113,8 @@ func (c *handlerCell) handle(req Request) (interface{}, error) {
 type fedNode struct {
 	gw  *FedGateway
 	srv *Server
+	// cell holds the handler srv serves; a test swaps it to make the peer lie.
+	cell *handlerCell
 }
 
 // buildFederation starts n federation peers (fed0..fedN-1) on loopback
@@ -163,7 +165,7 @@ func buildFederationWith(t *testing.T, n, replicas int, clock simclock.Clock, mu
 			t.Fatalf("fed gateway %d: %v", i, err)
 		}
 		cells[i].set(gw.Handler())
-		nodes[i] = &fedNode{gw: gw, srv: servers[i]}
+		nodes[i] = &fedNode{gw: gw, srv: servers[i], cell: cells[i]}
 	}
 	return nodes
 }

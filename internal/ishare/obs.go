@@ -3,7 +3,6 @@ package ishare
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"fgcs/internal/monitor"
@@ -14,70 +13,27 @@ import (
 
 // ServerMetrics counts a server's wire-protocol and admission-control
 // activity: connections per negotiated protocol and requests shed per
-// reason. A nil *ServerMetrics records nothing, so bare NewServer callers
-// pay only a nil check. The raw counts are kept as atomics alongside the
-// registry counters so QueryStats can snapshot them without a registry
-// scrape.
+// reason. The zero ServerMetrics — what a server configured with none gets —
+// records nothing: its counters are nil. Each count lives once, in its
+// registry counter; QueryStats reads the same counters a scrape does.
 type ServerMetrics struct {
-	binaryConns uint64
-	jsonConns   uint64
-	shedAccept  uint64
-	shedInfl    uint64
-	shedPC      uint64
-
-	cBinary     *obs.Counter
-	cJSON       *obs.Counter
-	cShedAccept *obs.Counter
-	cShedInfl   *obs.Counter
-	cShedPC     *obs.Counter
+	cBinary, cJSON                  *obs.Counter
+	cShedAccept, cShedInfl, cShedPC *obs.Counter
 }
 
-// NewServerMetrics registers the serving-path counter families on r.
+// NewServerMetrics registers the serving-path counter families on r (nil: the
+// counters still count, for QueryStats alone).
 func NewServerMetrics(r *obs.Registry) *ServerMetrics {
+	conns := func(proto string) *obs.Counter {
+		return r.Counter("fgcs_server_conns_total", "Connections accepted, by negotiated protocol.", obs.Label{Key: "proto", Value: proto})
+	}
+	shed := func(reason string) *obs.Counter {
+		return r.Counter("fgcs_server_shed_total", "Requests or connections shed by admission control, by reason.", obs.Label{Key: "reason", Value: reason})
+	}
 	return &ServerMetrics{
-		cBinary:     r.Counter("fgcs_server_conns_total", "Connections accepted, by negotiated protocol.", obs.Label{Key: "proto", Value: "binary"}),
-		cJSON:       r.Counter("fgcs_server_conns_total", "Connections accepted, by negotiated protocol.", obs.Label{Key: "proto", Value: "json"}),
-		cShedAccept: r.Counter("fgcs_server_shed_total", "Requests or connections shed by admission control, by reason.", obs.Label{Key: "reason", Value: "accept-queue"}),
-		cShedInfl:   r.Counter("fgcs_server_shed_total", "Requests or connections shed by admission control, by reason.", obs.Label{Key: "reason", Value: "inflight"}),
-		cShedPC:     r.Counter("fgcs_server_shed_total", "Requests or connections shed by admission control, by reason.", obs.Label{Key: "reason", Value: "per-conn"}),
+		cBinary: conns("binary"), cJSON: conns("json"),
+		cShedAccept: shed("accept-queue"), cShedInfl: shed("inflight"), cShedPC: shed("per-conn"),
 	}
-}
-
-func (m *ServerMetrics) connOpened(binary bool) {
-	if m == nil {
-		return
-	}
-	if binary {
-		atomic.AddUint64(&m.binaryConns, 1)
-		m.cBinary.Inc()
-		return
-	}
-	atomic.AddUint64(&m.jsonConns, 1)
-	m.cJSON.Inc()
-}
-
-func (m *ServerMetrics) shedAcceptQueue() {
-	if m == nil {
-		return
-	}
-	atomic.AddUint64(&m.shedAccept, 1)
-	m.cShedAccept.Inc()
-}
-
-func (m *ServerMetrics) shedInflight() {
-	if m == nil {
-		return
-	}
-	atomic.AddUint64(&m.shedInfl, 1)
-	m.cShedInfl.Inc()
-}
-
-func (m *ServerMetrics) shedPerConn() {
-	if m == nil {
-		return
-	}
-	atomic.AddUint64(&m.shedPC, 1)
-	m.cShedPC.Inc()
 }
 
 // Snapshot returns the wire-stats view of the counters, stamped with the
@@ -88,11 +44,11 @@ func (m *ServerMetrics) Snapshot() WireStats {
 	}
 	return WireStats{
 		ProtoVersion:    FrameVersion,
-		BinaryConns:     atomic.LoadUint64(&m.binaryConns),
-		JSONConns:       atomic.LoadUint64(&m.jsonConns),
-		ShedAcceptQueue: atomic.LoadUint64(&m.shedAccept),
-		ShedInflight:    atomic.LoadUint64(&m.shedInfl),
-		ShedPerConn:     atomic.LoadUint64(&m.shedPC),
+		BinaryConns:     m.cBinary.Value(),
+		JSONConns:       m.cJSON.Value(),
+		ShedAcceptQueue: m.cShedAccept.Value(),
+		ShedInflight:    m.cShedInfl.Value(),
+		ShedPerConn:     m.cShedPC.Value(),
 	}
 }
 
@@ -130,6 +86,10 @@ type NodeObs struct {
 
 	sloMu sync.Mutex
 	slos  []*obs.SLOMonitor
+
+	// breakerOpens is the breaker-open transition counter InstrumentBreakers
+	// registered (nil, reading zero, on a node without breakers).
+	breakerOpens *obs.Counter
 
 	// ops-alert cursors, advanced only by StepObs (single caller).
 	opsPrevShed  uint64
@@ -263,14 +223,17 @@ func queryTraces(id string, live *otrace.Recorder, prev *otrace.FlightSnapshot, 
 }
 
 // InstrumentBreakers registers per-edge transition counters and an
-// open-breaker gauge on r and installs them as the set's OnTransition hook.
-// Call before the set is shared across goroutines.
-func InstrumentBreakers(bs *BreakerSet, r *obs.Registry) {
+// open-breaker gauge on the node's registry and installs them as the set's
+// OnTransition hook; StepObs watches the open counter for flapping. Call
+// before the set is shared across goroutines.
+func (o *NodeObs) InstrumentBreakers(bs *BreakerSet) {
+	r := o.Registry
 	transitions := map[BreakerState]*obs.Counter{
 		BreakerClosed:   r.Counter("fgcs_breaker_transitions_total", "Circuit breaker state changes, by target state.", obs.Label{Key: "to", Value: "closed"}),
 		BreakerOpen:     r.Counter("fgcs_breaker_transitions_total", "Circuit breaker state changes, by target state.", obs.Label{Key: "to", Value: "open"}),
 		BreakerHalfOpen: r.Counter("fgcs_breaker_transitions_total", "Circuit breaker state changes, by target state.", obs.Label{Key: "to", Value: "half-open"}),
 	}
+	o.breakerOpens = transitions[BreakerOpen]
 	open := r.Gauge("fgcs_breaker_open", "Machines currently quarantined by an open breaker.")
 	var openCount int64
 	bs.OnTransition = func(_ string, from, to BreakerState) {
@@ -322,5 +285,5 @@ func (o *NodeObs) servingStats(resp *QueryStatsResp) {
 		w := o.Server.Snapshot()
 		resp.Wire = &w
 	}
-	resp.SLO = o.SLOStatuses()
+	resp.SLO = o.sloStatuses()
 }

@@ -3,7 +3,6 @@ package ishare
 import (
 	"context"
 	"fmt"
-	"strings"
 	"time"
 
 	"fgcs/internal/obs"
@@ -38,23 +37,18 @@ type QueryObsResp struct {
 	Fleet    *obs.FleetView `json:"fleet,omitempty"`
 }
 
-// ExportPeer assembles this node's observability export under the given
-// peer identity. Nil-safe: a nil NodeObs exports an empty snapshot.
-func (o *NodeObs) ExportPeer(peer string) *obs.PeerObs {
+// exportPeer assembles this node's observability export under the given
+// peer identity; its EncodeBinary is the query-obs wire payload. Nil-safe: a
+// nil NodeObs exports an empty snapshot.
+func (o *NodeObs) exportPeer(peer string) *obs.PeerObs {
 	if o == nil {
 		return obs.ExportPeerObs(peer, nil, nil, nil)
 	}
 	return obs.ExportPeerObs(peer, o.Registry, o.Tracker, o.Alerts)
 }
 
-// ExportObs is ExportPeer rendered in the versioned binary codec — the
-// query-obs wire payload.
-func (o *NodeObs) ExportObs(peer string) []byte {
-	return o.ExportPeer(peer).EncodeBinary()
-}
-
 // AddSLO attaches a serving-path SLO monitor; StepObs feeds it cumulative
-// samples and SLOStatuses (served in query-stats) evaluates it.
+// samples and sloStatuses (served in query-stats) evaluates it.
 func (o *NodeObs) AddSLO(m *obs.SLOMonitor) {
 	if o == nil || m == nil {
 		return
@@ -64,10 +58,10 @@ func (o *NodeObs) AddSLO(m *obs.SLOMonitor) {
 	o.sloMu.Unlock()
 }
 
-// SLOStatuses evaluates every attached SLO monitor, in attachment order.
+// sloStatuses evaluates every attached SLO monitor, in attachment order.
 // Nil (not empty) when the node has no SLOs, so the query-stats field stays
 // absent on the wire.
-func (o *NodeObs) SLOStatuses() []obs.SLOStatus {
+func (o *NodeObs) sloStatuses() []obs.SLOStatus {
 	if o == nil {
 		return nil
 	}
@@ -84,13 +78,11 @@ func (o *NodeObs) SLOStatuses() []obs.SLOStatus {
 	return out
 }
 
-// RecordSLOSample feeds one cumulative serving-path sample — total gateway
-// requests, errors, and the merged RPC latency histogram — to every
-// attached monitor, stamped at now.
-func (o *NodeObs) RecordSLOSample(now time.Time) {
-	if o == nil {
-		return
-	}
+// recordSLOSample feeds one cumulative serving-path sample — total gateway
+// requests, errors, and the per-type RPC latency histograms merged into one
+// (they share the default bucket layout) — to every attached monitor, stamped
+// at now.
+func (o *NodeObs) recordSLOSample(now time.Time) {
 	o.sloMu.Lock()
 	ms := append([]*obs.SLOMonitor(nil), o.slos...)
 	o.sloMu.Unlock()
@@ -98,37 +90,19 @@ func (o *NodeObs) RecordSLOSample(now time.Time) {
 		return
 	}
 	s := obs.SLOSample{T: now}
-	for _, c := range o.requests {
+	for typ, c := range o.requests {
 		s.Requests += c.Value()
+		s.Errors += o.errors[typ].Value()
+		h := o.rpcSeconds[typ].Snapshot()
+		if s.Latency == nil {
+			s.Latency = &h
+		} else if err := s.Latency.Merge(h); err != nil {
+			panic(err) // NewNodeObs gave every type the same buckets
+		}
 	}
-	for _, c := range o.errors {
-		s.Errors += c.Value()
-	}
-	s.Latency = o.mergedRPCLatency()
 	for _, m := range ms {
 		m.Record(s)
 	}
-}
-
-// mergedRPCLatency merges the per-type gateway latency histograms into one
-// serving-path histogram (they share the default bucket layout).
-func (o *NodeObs) mergedRPCLatency() *obs.HistogramSnapshot {
-	snap := o.Registry.Snapshot()
-	var merged *obs.HistogramSnapshot
-	for id, h := range snap.Histograms {
-		if !strings.HasPrefix(id, "fgcs_gateway_rpc_seconds") {
-			continue
-		}
-		if merged == nil {
-			cp := h
-			merged = &cp
-			continue
-		}
-		if err := merged.Merge(h); err != nil {
-			return nil
-		}
-	}
-	return merged
 }
 
 // Ops-alert thresholds for StepObs: an admission-control shed rate above
@@ -150,7 +124,7 @@ func (o *NodeObs) StepObs(now time.Time) []obs.Alert {
 	if o == nil {
 		return nil
 	}
-	o.RecordSLOSample(now)
+	o.recordSLOSample(now)
 	fired := o.Drift.Step(now)
 	return append(fired, o.stepOps(now)...)
 }
@@ -179,13 +153,7 @@ func (o *NodeObs) stepOps(now time.Time) []obs.Alert {
 			}))
 		}
 	}
-	// Breaker opens are read back from the registry rather than hooked:
-	// InstrumentBreakers owns the set's OnTransition callback, and Counter
-	// dedups by series id, so this resolves to the very counter it
-	// registered (or a zero counter on a node without breakers).
-	opens := o.Registry.Counter("fgcs_breaker_transitions_total",
-		"Circuit breaker state changes, by target state.",
-		obs.Label{Key: "to", Value: "open"}).Value()
+	opens := o.breakerOpens.Value()
 	dOpens := opens - o.opsPrevOpens
 	o.opsPrevOpens = opens
 	if dOpens >= breakerFlapOpens {
@@ -205,14 +173,14 @@ func (o *NodeObs) stepOps(now time.Time) []obs.Alert {
 // aggregation. A host gateway only has its own snapshot, so the Local flag
 // is moot here.
 func (g *Gateway) QueryObs(ctx context.Context, req QueryObsReq) (QueryObsResp, error) {
-	return QueryObsResp{Peer: g.machineID, Snapshot: g.sm.Obs().ExportObs(g.machineID)}, nil
+	return QueryObsResp{Peer: g.machineID, Snapshot: g.sm.Obs().exportPeer(g.machineID).EncodeBinary()}, nil
 }
 
 // queryObs is a peer's query-obs: its own export for the local form (what
 // FleetObs fans out), otherwise the fleet view merged over the ring.
 func (f *FedGateway) queryObs(ctx context.Context, req QueryObsReq) (QueryObsResp, error) {
 	if req.Local {
-		return QueryObsResp{Peer: f.self.ID, Snapshot: f.obs.ExportObs(f.self.ID)}, nil
+		return QueryObsResp{Peer: f.self.ID, Snapshot: f.obs.exportPeer(f.self.ID).EncodeBinary()}, nil
 	}
 	v := f.FleetObs(ctx).View(req.MaxAlerts)
 	return QueryObsResp{Peer: f.self.ID, Fleet: &v}, nil
@@ -241,7 +209,7 @@ type cachedPeerObs struct {
 // visible in the snapshot's status rows.
 func (f *FedGateway) FleetObs(ctx context.Context) *obs.FleetSnapshot {
 	fs := obs.NewFleetSnapshot()
-	fs.Add(f.obs.ExportPeer(f.self.ID), obs.PeerStatus{Peer: f.self.ID, Status: obs.PeerOK})
+	fs.Add(f.obs.exportPeer(f.self.ID), obs.PeerStatus{Peer: f.self.ID, Status: obs.PeerOK})
 	for _, p := range f.ring.Peers() {
 		if p.ID == f.self.ID {
 			continue

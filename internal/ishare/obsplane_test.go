@@ -2,6 +2,8 @@ package ishare
 
 import (
 	"context"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -22,7 +24,7 @@ func TestStepObsShedRateAlert(t *testing.T) {
 
 	// 15 sheds against 85 served requests: 15% > the 10% threshold.
 	for i := 0; i < 15; i++ {
-		o.Server.shedInflight()
+		o.Server.cShedInfl.Inc()
 	}
 	o.requests[MsgQueryTR].Add(85)
 	fired := o.StepObs(now.Add(15 * time.Second))
@@ -37,7 +39,7 @@ func TestStepObsShedRateAlert(t *testing.T) {
 	}
 
 	// A quiet step (under the minimum event count) must not divide by noise.
-	o.Server.shedInflight()
+	o.Server.cShedInfl.Inc()
 	if fired := o.StepObs(now.Add(30 * time.Second)); len(fired) != 0 {
 		t.Fatalf("sub-minimum step fired %+v", fired)
 	}
@@ -45,19 +47,21 @@ func TestStepObsShedRateAlert(t *testing.T) {
 
 func TestStepObsBreakerFlapAlert(t *testing.T) {
 	o := NewNodeObs()
-	// The very counter InstrumentBreakers registers; Counter dedups by
-	// series id so stepOps reads this one back.
-	opens := o.Registry.Counter("fgcs_breaker_transitions_total",
-		"Circuit breaker state changes, by target state.",
-		obs.Label{Key: "to", Value: "open"})
+	bs := NewBreakerSet(BreakerConfig{}, nil)
+	o.InstrumentBreakers(bs)
+	opens := func(n int) {
+		for i := 0; i < n; i++ {
+			bs.OnTransition("m1", BreakerClosed, BreakerOpen)
+		}
+	}
 	now := time.Date(2026, 6, 4, 0, 0, 0, 0, time.UTC)
 	o.StepObs(now)
 
-	opens.Add(2) // two opens in a step: below the flap threshold
+	opens(2) // two opens in a step: below the flap threshold
 	if fired := o.StepObs(now.Add(15 * time.Second)); len(fired) != 0 {
 		t.Fatalf("two opens fired %+v", fired)
 	}
-	opens.Add(3)
+	opens(3)
 	fired := o.StepObs(now.Add(30 * time.Second))
 	if len(fired) != 1 || fired[0].Kind != obs.AlertBreakerFlap {
 		t.Fatalf("want one breaker-flap alert, got %+v", fired)
@@ -158,6 +162,71 @@ func TestFedFleetObsStaleAndUnreachable(t *testing.T) {
 	}
 	if st := statuses["fed2"]; st.Status != obs.PeerUnreachable || st.Err == "" {
 		t.Errorf("never-seen down peer: %+v, want unreachable with an error", st)
+	}
+}
+
+// TestFedFleetObsLyingPeer answers query-obs from one peer with exports no
+// registry could produce. At FGOS v1 the first was merged and printed as a
+// forged sample line on the aggregator's fleet page and the second panicked
+// the page's renderer; now the decoder turns both away, the liar shows as
+// unreachable — or stale, once an honest export of it is cached — with the
+// decode error on its row, and the page still renders with the honest peers
+// merged.
+func TestFedFleetObsLyingPeer(t *testing.T) {
+	forged := (&obs.PeerObs{Peer: "fed1", Metrics: obs.Snapshot{{Name: "fgcs_x 1\nfgcs_gateway_requests_total",
+		Labels: []obs.Label{{Key: "type", Value: "query-tr"}}, Count: 999999}}}).EncodeBinary()
+	broken := (&obs.PeerObs{Peer: "fed1", Metrics: obs.Snapshot{{Name: "fgcs_h{", Kind: obs.KindHistogram,
+		Hist: obs.HistogramSnapshot{Bounds: []float64{1}, Counts: []uint64{1, 0}, Sum: 1, Count: 1}}}}).EncodeBinary()
+
+	nodes := buildFederationWith(t, 3, 1, nil, func(i int, cfg *FedConfig) {
+		cfg.Obs = NewNodeObs()
+	})
+	agg, liar := nodes[0].gw, nodes[1]
+	honest := liar.gw.Handler()
+	fleetPage := func() string {
+		rec := httptest.NewRecorder()
+		obs.FleetHandler(nil, nil, func(r *http.Request) (*obs.FleetSnapshot, error) {
+			return agg.FleetObs(r.Context()), nil
+		}).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics?scope=fleet", nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("fleet page answered %d: %s", rec.Code, rec.Body)
+		}
+		return rec.Body.String()
+	}
+	for i, lie := range [][]byte{forged, broken} {
+		liar.cell.set(func(req Request) (interface{}, error) {
+			if req.Type == MsgQueryObs {
+				return QueryObsResp{Peer: "fed1", Snapshot: lie}, nil
+			}
+			return honest(req)
+		})
+		want := obs.PeerUnreachable
+		if i > 0 {
+			want = obs.PeerStale // the honest pass below cached an export
+		}
+		page := fleetPage()
+		for _, line := range []string{
+			`fgcs_fleet_peer_status{peer="fed1",status="` + want + `"} 1`,
+			`fgcs_fleet_peer_status{peer="fed2",status="ok"} 1`,
+			"# TYPE fgcs_gateway_requests_total counter",
+			`fgcs_gateway_requests_total{type="query-obs"}`,
+		} {
+			if !strings.Contains(page, line) {
+				t.Errorf("lie %d: fleet page lacks %q", i, line)
+			}
+		}
+		if strings.Contains(page, " 999999\n") || strings.Contains(page, "fgcs_h{") || strings.Contains(page, "fgcs_h_") {
+			t.Errorf("lie %d: the liar's series reached the fleet page:\n%s", i, page)
+		}
+		for _, p := range agg.FleetObs(context.Background()).Peers {
+			if p.Peer == "fed1" && (p.Status != want || !strings.Contains(p.Err, "malformed")) {
+				t.Errorf("lie %d: liar's status row %+v, want %s with the decode error", i, p, want)
+			}
+		}
+		liar.cell.set(honest)
+		if page := fleetPage(); !strings.Contains(page, `fgcs_fleet_peer_status{peer="fed1",status="ok"} 1`) {
+			t.Errorf("lie %d: the peer did not recover once it told the truth", i)
+		}
 	}
 }
 

@@ -276,10 +276,8 @@ func TestServerShedsAtAcceptQueue(t *testing.T) {
 		}
 		defer conn.Close()
 	}
-	const series = `fgcs_server_shed_total{reason="accept-queue"}`
 	deadline := time.Now().Add(5 * time.Second)
-	// The exported counter moves after the WireStats one, so wait on it.
-	for reg.Snapshot().Counters[series] == 0 {
+	for reg.Snapshot().Find("fgcs_server_shed_total", obs.Label{Key: "reason", Value: "accept-queue"}).Count == 0 {
 		if time.Now().After(deadline) {
 			t.Fatalf("no connection shed at a full accept queue (snapshot %+v)", sm.Snapshot())
 		}

@@ -543,6 +543,9 @@ func NewServerConfig(addr string, handler Handler, cfg ServerConfig) (*Server, e
 // ServeListener serves the protocol on an already-open listener — the hook
 // for wrapping the accept path in a fault-injecting transport.
 func ServeListener(ln net.Listener, handler Handler, cfg ServerConfig) *Server {
+	if cfg.Metrics == nil {
+		cfg.Metrics = &ServerMetrics{}
+	}
 	s := &Server{
 		ln:      ln,
 		handler: handler,
@@ -635,7 +638,7 @@ func (s *Server) acceptLoop() {
 		default:
 			// Accept queue full: shed at the door rather than buffering
 			// connections without bound.
-			s.cfg.Metrics.shedAcceptQueue()
+			s.cfg.Metrics.cShedAccept.Inc()
 			conn.Close()
 		}
 	}
@@ -688,11 +691,11 @@ func (s *Server) serve(conn net.Conn) {
 		return
 	}
 	if first[0] == frameMagic0 {
-		s.cfg.Metrics.connOpened(true)
+		s.cfg.Metrics.cBinary.Inc()
 		s.serveBinary(conn, br)
 		return
 	}
-	s.cfg.Metrics.connOpened(false)
+	s.cfg.Metrics.cJSON.Inc()
 	s.serveJSON(conn, br)
 }
 
@@ -724,7 +727,7 @@ func (s *Server) serveJSON(conn net.Conn, br *bufio.Reader) {
 			return
 		}
 		if !s.admit.acquire(key, connDone) {
-			s.cfg.Metrics.shedInflight()
+			s.cfg.Metrics.cShedInfl.Inc()
 			_ = conn.SetWriteDeadline(time.Now().Add(s.cfg.connDeadline()))
 			_ = enc.Encode(Response{OK: false, Error: "server overloaded", Code: CodeOverloaded})
 			continue
@@ -775,7 +778,7 @@ func (s *Server) serveBinary(conn net.Conn, br *bufio.Reader) {
 		}
 		if atomic.AddInt32(&inflight, 1) > int32(s.cfg.perConnInflight()) {
 			atomic.AddInt32(&inflight, -1)
-			s.cfg.Metrics.shedPerConn()
+			s.cfg.Metrics.cShedPC.Inc()
 			if writeFrame(f.ID, false, true, "server overloaded", nil) != nil {
 				return
 			}
@@ -786,7 +789,7 @@ func (s *Server) serveBinary(conn net.Conn, br *bufio.Reader) {
 			defer wg.Done()
 			defer atomic.AddInt32(&inflight, -1)
 			if !s.admit.acquire(key, connDone) {
-				s.cfg.Metrics.shedInflight()
+				s.cfg.Metrics.cShedInfl.Inc()
 				_ = writeFrame(f.ID, false, true, "server overloaded", nil)
 				return
 			}

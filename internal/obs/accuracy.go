@@ -1,10 +1,7 @@
 package obs
 
 import (
-	"fmt"
-	"io"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 )
@@ -641,61 +638,4 @@ func (t *Tracker) DroppedPredictions() uint64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.dropped
-}
-
-// WriteText renders the per-(machine, predictor) accuracy series in the
-// Prometheus text exposition format, complementing Registry.WriteText on a
-// /metrics endpoint. Calibration tables are omitted here (they are served
-// via the QueryStats RPC); the headline series are enough for dashboards.
-func (t *Tracker) WriteText(w io.Writer) error {
-	all := t.All()
-	t.mu.Lock()
-	pending := 0
-	for _, ms := range t.machines {
-		pending += ms.n
-	}
-	resolved, dropped := t.resolved, t.dropped
-	t.mu.Unlock()
-	if _, err := fmt.Fprintf(w,
-		"# HELP fgcs_accuracy_pending_predictions Unresolved TR predictions awaiting their window outcome.\n"+
-			"# TYPE fgcs_accuracy_pending_predictions gauge\nfgcs_accuracy_pending_predictions %d\n"+
-			"# HELP fgcs_accuracy_resolved_total TR predictions matched against an observed outcome.\n"+
-			"# TYPE fgcs_accuracy_resolved_total counter\nfgcs_accuracy_resolved_total %d\n"+
-			"# HELP fgcs_accuracy_dropped_total Predictions evicted unresolved by the pending cap.\n"+
-			"# TYPE fgcs_accuracy_dropped_total counter\nfgcs_accuracy_dropped_total %d\n",
-		pending, resolved, dropped); err != nil {
-		return err
-	}
-	if len(all) == 0 {
-		return nil
-	}
-	series := []struct {
-		name, help string
-		value      func(AccuracyStats) string
-	}{
-		{"fgcs_accuracy_resolved", "Resolved predictions per machine and predictor.",
-			func(s AccuracyStats) string { return strconv.FormatUint(s.Resolved, 10) }},
-		{"fgcs_accuracy_mean_tr", "Mean predicted temporal reliability.",
-			func(s AccuracyStats) string { return strconv.FormatFloat(s.MeanTR, 'g', -1, 64) }},
-		{"fgcs_accuracy_empirical_tr", "Observed survival rate of predicted windows.",
-			func(s AccuracyStats) string { return strconv.FormatFloat(s.Empirical, 'g', -1, 64) }},
-		{"fgcs_accuracy_brier", "Cumulative Brier score (lower is better).",
-			func(s AccuracyStats) string { return strconv.FormatFloat(s.Brier, 'g', -1, 64) }},
-		{"fgcs_accuracy_rolling_brier", "Brier score over the rolling window.",
-			func(s AccuracyStats) string { return strconv.FormatFloat(s.RollingBrier, 'g', -1, 64) }},
-		{"fgcs_accuracy_correct_rate", "Fraction of 0.5-thresholded predictions matching the outcome.",
-			func(s AccuracyStats) string { return strconv.FormatFloat(s.Accuracy, 'g', -1, 64) }},
-	}
-	for _, sr := range series {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n", sr.name, sr.help, sr.name); err != nil {
-			return err
-		}
-		for _, s := range all {
-			labels := labelString([]Label{{"machine", s.Machine}, {"predictor", s.Predictor}})
-			if _, err := fmt.Fprintf(w, "%s%s %s\n", sr.name, labels, sr.value(s)); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }

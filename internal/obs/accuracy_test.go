@@ -371,12 +371,14 @@ func TestTrackerWriteText(t *testing.T) {
 	tr.RecordPrediction("m1", "SMP", 0.75, t0, time.Hour)
 	tr.Observe("m1", t0.Add(time.Hour), true)
 	var sb strings.Builder
-	if err := tr.WriteText(&sb); err != nil {
+	if err := NodeSeries(nil, tr).WriteText(&sb); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
 	for _, want := range []string{
-		"fgcs_accuracy_resolved_total 1",
+		"# TYPE fgcs_accuracy_pending_predictions gauge\nfgcs_accuracy_pending_predictions 0\n",
+		"# TYPE fgcs_accuracy_resolved_total counter\nfgcs_accuracy_resolved_total 1\n",
+		`fgcs_accuracy_rolling_brier{machine="m1",predictor="SMP"} 0.0625`,
 		`fgcs_accuracy_mean_tr{machine="m1",predictor="SMP"} 0.75`,
 		`fgcs_accuracy_empirical_tr{machine="m1",predictor="SMP"} 1`,
 		`fgcs_accuracy_brier{machine="_all",predictor="SMP"} 0.0625`,
@@ -411,8 +413,7 @@ func TestTrackerConcurrentSnapshotWhileRecord(t *testing.T) {
 		for i := 0; i < 300; i++ {
 			_ = tr.All()
 			_ = tr.Pending()
-			var sb strings.Builder
-			_ = tr.WriteText(&sb)
+			_ = NodeSeries(nil, tr)
 		}
 	}()
 	wg.Wait()

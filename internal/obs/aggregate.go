@@ -1,10 +1,8 @@
 package obs
 
 import (
-	"fmt"
-	"io"
+	"regexp"
 	"sort"
-	"strconv"
 	"time"
 
 	"fgcs/internal/wire"
@@ -14,10 +12,10 @@ import (
 // A PeerObs carries the metrics-registry snapshot (counters sum, histograms
 // merge bucket-wise), the accuracy tracker's raw sums (which merge by
 // addition — derived figures like Brier are recomputed after the fold), and
-// the peer's recent alerts. The binary codec is versioned and canonical:
-// series and keys are encoded in sorted order, so equal states encode to
-// equal bytes, which is what the merge-commutativity and fleet-determinism
-// tests pin.
+// the peer's recent alerts. The binary codec is versioned and canonical: a
+// snapshot's series and the tracker's keys are in sorted order, so equal
+// states encode to equal bytes, which is what the merge-commutativity and
+// fleet-determinism tests pin.
 
 // Peer fetch statuses recorded in a merged fleet snapshot. A peer that
 // cannot be reached is never silently dropped: its row is marked stale
@@ -45,6 +43,8 @@ type AccSums struct {
 	CalibSurvived [CalibrationBuckets]uint64  `json:"calib_survived"`
 	CalibSumTR    [CalibrationBuckets]float64 `json:"calib_sum_tr"`
 }
+
+func (a *AccSums) key() trackerKey { return trackerKey{Machine: a.Machine, Predictor: a.Predictor} }
 
 // merge adds other's sums into a.
 func (a *AccSums) merge(other AccSums) {
@@ -93,28 +93,12 @@ func (a AccSums) Stats(calibration bool) AccuracyStats {
 	return out
 }
 
-// ExportSums returns the tracker's totals plus every (machine, predictor)
-// key's raw sums in sorted key order — the mergeable form of the accuracy
-// state, as shipped in a PeerObs.
-func (t *Tracker) ExportSums() (resolved, dropped uint64, sums []AccSums) {
-	if t == nil {
-		return 0, 0, nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	sums = make([]AccSums, 0, len(t.keys))
-	for _, key := range t.keys {
-		sums = append(sums, t.stats[key].sums(key))
-	}
-	return t.resolved, t.dropped, sums
-}
-
 // PeerObs is one peer's exported observability state: mergeable metrics,
 // mergeable accuracy sums, and the recent alert ring.
 type PeerObs struct {
 	// Peer is the exporting peer's identity.
 	Peer string
-	// Metrics is the registry snapshot (counters, gauges, histograms).
+	// Metrics is the registry snapshot.
 	Metrics Snapshot
 	// Resolved and Dropped are the tracker totals; Accuracy the per-key
 	// sums in sorted order.
@@ -126,45 +110,39 @@ type PeerObs struct {
 }
 
 // ExportPeerObs assembles a peer's export from its registry, tracker and
-// alert ring (each may be nil).
+// alert ring (each may be nil). The accuracy state goes in its mergeable
+// form: the totals and every key's raw sums, in sorted key order.
 func ExportPeerObs(peer string, r *Registry, t *Tracker, alerts *AlertRing) *PeerObs {
-	p := &PeerObs{Peer: peer}
-	if r != nil {
-		p.Metrics = r.Snapshot()
-	} else {
-		p.Metrics = emptySnapshot()
+	p := &PeerObs{Peer: peer, Metrics: r.Snapshot(), Alerts: alerts.Alerts(0)}
+	if t != nil {
+		t.mu.Lock()
+		defer t.mu.Unlock()
+		p.Resolved, p.Dropped = t.resolved, t.dropped
+		for _, key := range t.keys {
+			p.Accuracy = append(p.Accuracy, t.stats[key].sums(key))
+		}
 	}
-	p.Resolved, p.Dropped, p.Accuracy = t.ExportSums()
-	p.Alerts = alerts.Alerts(0)
 	return p
-}
-
-func emptySnapshot() Snapshot {
-	return Snapshot{
-		Counters:   make(map[string]uint64),
-		Gauges:     make(map[string]float64),
-		Histograms: make(map[string]HistogramSnapshot),
-	}
 }
 
 // ------------------------------------------------------------ binary codec
 
 var obsMagic = [4]byte{'F', 'G', 'O', 'S'}
 
-// obsVersion is the peer-obs snapshot format version.
-const obsVersion = 1
+// obsVersion is the peer-obs snapshot format version: 2 carries each series
+// as name, label pairs and kind where 1 carried a rendered id string. Exports
+// are exchanged live, never stored, and a peer that fails to decode shows as
+// stale or unreachable, so no reader for version 1 is kept.
+const obsVersion = 2
 
 // maxObsBounds caps the histogram bucket count a decoded snapshot may claim.
 const maxObsBounds = 4096
 
-func sortedKeys[V any](m map[string]V) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
+// A series name and a label key of the text exposition format.
+var (
+	seriesNameRE = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
+	labelKeyRE   = regexp.MustCompile(`^[a-zA-Z_][a-zA-Z0-9_]*$`)
+)
 
 // EncodeBinary serializes the export in the versioned FGOS format. The
 // encoding is canonical: series, keys and alerts appear in sorted order, so
@@ -173,29 +151,31 @@ func (p *PeerObs) EncodeBinary() []byte {
 	buf := wire.AppendHeader(nil, obsMagic, obsVersion)
 	buf = wire.AppendString(buf, p.Peer)
 
-	buf = wire.AppendUvarint(buf, uint64(len(p.Metrics.Counters)))
-	for _, k := range sortedKeys(p.Metrics.Counters) {
-		buf = wire.AppendString(buf, k)
-		buf = wire.AppendUvarint(buf, p.Metrics.Counters[k])
-	}
-	buf = wire.AppendUvarint(buf, uint64(len(p.Metrics.Gauges)))
-	for _, k := range sortedKeys(p.Metrics.Gauges) {
-		buf = wire.AppendString(buf, k)
-		buf = wire.AppendFloat64(buf, p.Metrics.Gauges[k])
-	}
-	buf = wire.AppendUvarint(buf, uint64(len(p.Metrics.Histograms)))
-	for _, k := range sortedKeys(p.Metrics.Histograms) {
-		h := p.Metrics.Histograms[k]
-		buf = wire.AppendString(buf, k)
-		buf = wire.AppendUvarint(buf, uint64(len(h.Bounds)))
-		for _, b := range h.Bounds {
-			buf = wire.AppendFloat64(buf, b)
+	buf = wire.AppendUvarint(buf, uint64(len(p.Metrics)))
+	for i := range p.Metrics {
+		s := &p.Metrics[i]
+		buf = wire.AppendString(buf, s.Name)
+		buf = wire.AppendUvarint(buf, uint64(len(s.Labels)))
+		for _, l := range s.Labels {
+			buf = wire.AppendString(wire.AppendString(buf, l.Key), l.Value)
 		}
-		for _, c := range h.Counts {
-			buf = wire.AppendUvarint(buf, c)
+		buf = wire.AppendUvarint(buf, uint64(s.Kind))
+		switch s.Kind {
+		case KindCounter:
+			buf = wire.AppendUvarint(buf, s.Count)
+		case KindGauge:
+			buf = wire.AppendFloat64(buf, s.Value)
+		case KindHistogram:
+			buf = wire.AppendUvarint(buf, uint64(len(s.Hist.Bounds)))
+			for _, b := range s.Hist.Bounds {
+				buf = wire.AppendFloat64(buf, b)
+			}
+			for _, c := range s.Hist.Counts {
+				buf = wire.AppendUvarint(buf, c)
+			}
+			buf = wire.AppendFloat64(buf, s.Hist.Sum)
+			buf = wire.AppendUvarint(buf, s.Hist.Count)
 		}
-		buf = wire.AppendFloat64(buf, h.Sum)
-		buf = wire.AppendUvarint(buf, h.Count)
 	}
 
 	buf = wire.AppendUvarint(buf, p.Resolved)
@@ -219,69 +199,76 @@ func (p *PeerObs) EncodeBinary() []byte {
 	return buf
 }
 
-// DecodeObsSnapshot parses a PeerObs encoded by EncodeBinary. The decoder
-// trusts nothing: wire.Reader bounds every claimed count by the bytes that
-// remain and rejects trailing bytes; on top of that series may not repeat
-// and histogram layouts are size-capped. Each Count argument is the size of
-// that element's smallest encoding (empty strings, one-byte uvarints).
+// DecodeObsSnapshot parses a PeerObs encoded by EncodeBinary. It is the one
+// place a peer's bytes become series: what it accepts, merge and WriteText
+// take on trust. wire.Reader bounds every claimed count by the bytes that
+// remain and rejects trailing bytes (each Count argument is that element's
+// smallest encoding). On top of that a series needs a name and label keys of
+// the exposition format, the keys strictly increasing and none of them le, a
+// known kind, and a place after the series before it in a family of one
+// kind, not a derived one; histogram layouts are increasing and size-capped.
 func DecodeObsSnapshot(data []byte) (*PeerObs, error) {
 	r := wire.NewReader(data, "obs: obs snapshot")
 	r.Header(obsMagic, obsVersion)
-	out := &PeerObs{Metrics: emptySnapshot(), Peer: r.String()}
+	out := &PeerObs{Peer: r.String()}
 
-	for n := r.Count(2, "counters"); n > 0 && r.Err() == nil; n-- {
-		k, v := r.String(), r.Uvarint()
-		if _, dup := out.Metrics.Counters[k]; dup {
-			r.Fail("duplicate counter series %q", k)
+	for n := r.Count(4, "series"); n > 0 && r.Err() == nil; n-- {
+		s := Series{Name: r.String()}
+		if !seriesNameRE.MatchString(s.Name) || derivedFamily(s.Name) != nil {
+			r.Fail("series name %q is malformed or reserved", s.Name)
 		}
-		out.Metrics.Counters[k] = v
-	}
-	for n := r.Count(9, "gauges"); n > 0 && r.Err() == nil; n-- {
-		k, v := r.String(), r.Float64()
-		if _, dup := out.Metrics.Gauges[k]; dup {
-			r.Fail("duplicate gauge series %q", k)
-		}
-		out.Metrics.Gauges[k] = v
-	}
-	for n := r.Count(12, "histograms"); n > 0 && r.Err() == nil; n-- {
-		k := r.String()
-		nb := r.Count(8, "histogram bounds")
-		if nb > maxObsBounds {
-			r.Fail("histogram claims %d bounds", nb)
-			break
-		}
-		h := HistogramSnapshot{Bounds: make([]float64, nb), Counts: make([]uint64, nb+1)}
-		for j := range h.Bounds {
-			h.Bounds[j] = r.Float64()
-			if j > 0 && h.Bounds[j] <= h.Bounds[j-1] {
-				r.Fail("histogram bounds not increasing")
+		s.Labels = make([]Label, r.Count(2, "labels"))
+		for j := range s.Labels {
+			s.Labels[j] = Label{Key: r.String(), Value: r.String()}
+			if key := s.Labels[j].Key; !labelKeyRE.MatchString(key) || key == "le" || j > 0 && key <= s.Labels[j-1].Key {
+				r.Fail("series %s: label key %q is malformed, reserved, repeated or out of order", s.Name, key)
 			}
 		}
-		for j := range h.Counts {
-			h.Counts[j] = r.Uvarint()
+		switch kind := r.Uvarint(); kind {
+		case uint64(KindCounter):
+			s.Count = r.Uvarint()
+		case uint64(KindGauge):
+			s.Kind, s.Value = KindGauge, r.Float64()
+		case uint64(KindHistogram):
+			s.Kind = KindHistogram
+			nb := r.Count(8, "histogram bounds")
+			if nb > maxObsBounds {
+				r.Fail("histogram claims %d bounds", nb)
+				break
+			}
+			s.Hist = HistogramSnapshot{Bounds: make([]float64, nb), Counts: make([]uint64, nb+1)}
+			for j := range s.Hist.Bounds {
+				s.Hist.Bounds[j] = r.Float64()
+				if j > 0 && s.Hist.Bounds[j] <= s.Hist.Bounds[j-1] {
+					r.Fail("histogram bounds not increasing")
+				}
+			}
+			for j := range s.Hist.Counts {
+				s.Hist.Counts[j] = r.Uvarint()
+			}
+			s.Hist.Sum, s.Hist.Count = r.Float64(), r.Uvarint()
+		default:
+			r.Fail("series %s: unknown kind %d", s.Name, kind)
 		}
-		h.Sum, h.Count = r.Float64(), r.Uvarint()
-		if _, dup := out.Metrics.Histograms[k]; dup {
-			r.Fail("duplicate histogram series %q", k)
+		if m := len(out.Metrics); m > 0 {
+			prev := &out.Metrics[m-1]
+			if prev.Name == s.Name && prev.Kind != s.Kind || compareKey(prev.Name, prev.Labels, s.Name, s.Labels) >= 0 {
+				r.Fail("series %q out of order, repeated, or of another kind than its family", s.ID())
+			}
 		}
-		out.Metrics.Histograms[k] = h
+		out.Metrics = append(out.Metrics, s)
 	}
 
 	out.Resolved, out.Dropped = r.Uvarint(), r.Uvarint()
-	n := r.Count(accSumsMinBytes, "accuracy keys")
-	seen := make(map[trackerKey]bool, n)
-	out.Accuracy = make([]AccSums, 0, n)
-	for ; n > 0 && r.Err() == nil; n-- {
+	for n := r.Count(accSumsMinBytes, "accuracy keys"); n > 0 && r.Err() == nil; n-- {
 		a := readAccSums(&r)
-		key := trackerKey{Machine: a.Machine, Predictor: a.Predictor}
-		if seen[key] {
-			r.Fail("duplicate accuracy key")
+		if k := len(out.Accuracy); k > 0 && !keyLess(out.Accuracy[k-1].key(), a.key()) {
+			r.Fail("accuracy key repeated or out of order")
 		}
-		seen[key] = true
 		out.Accuracy = append(out.Accuracy, a)
 	}
 
-	n = r.Count(22, "alerts")
+	n := r.Count(22, "alerts")
 	if n > maxAlertCap {
 		r.Fail("claims %d alerts, cap %d", n, maxAlertCap)
 	}
@@ -328,28 +315,28 @@ type FleetSnapshot struct {
 
 // NewFleetSnapshot builds an empty merge target.
 func NewFleetSnapshot() *FleetSnapshot {
-	return &FleetSnapshot{Metrics: emptySnapshot(), acc: make(map[trackerKey]*AccSums)}
+	return &FleetSnapshot{acc: make(map[trackerKey]*AccSums)}
 }
 
 // Add merges one peer's export under the given status row. Alerts are
-// stamped with the peer identity. Histogram layout conflicts are recorded
-// on the status row rather than aborting the merge.
+// stamped with the peer identity. A series whose kind or histogram layout
+// conflicts with what is already merged is left out and the conflict recorded
+// on the status row; the rest of the export still merges.
 func (f *FleetSnapshot) Add(p *PeerObs, status PeerStatus) {
 	if status.Peer == "" {
 		status.Peer = p.Peer
 	}
-	if err := f.Metrics.Merge(p.Metrics); err != nil && status.Err == "" {
+	if err := f.Metrics.merge(p.Metrics); err != nil && status.Err == "" {
 		status.Err = err.Error()
 	}
 	f.Resolved += p.Resolved
 	f.Dropped += p.Dropped
 	for _, a := range p.Accuracy {
-		key := trackerKey{Machine: a.Machine, Predictor: a.Predictor}
-		if cur, ok := f.acc[key]; ok {
+		if cur, ok := f.acc[a.key()]; ok {
 			cur.merge(a)
 		} else {
 			cp := a
-			f.acc[key] = &cp
+			f.acc[a.key()] = &cp
 		}
 	}
 	for _, a := range p.Alerts {
@@ -365,17 +352,16 @@ func (f *FleetSnapshot) AddUnreachable(peer, errMsg string) {
 	f.Peers = append(f.Peers, PeerStatus{Peer: peer, Status: PeerUnreachable, Err: errMsg})
 }
 
-// AccuracySums returns the merged per-key sums in sorted key order.
-func (f *FleetSnapshot) AccuracySums() []AccSums {
-	keys := make([]trackerKey, 0, len(f.acc))
-	for k := range f.acc {
-		keys = append(keys, k)
+// Accuracy returns the merged per-key summaries in sorted key order, each
+// derived from the key's summed raw state.
+func (f *FleetSnapshot) Accuracy() []AccuracyStats {
+	out := make([]AccuracyStats, 0, len(f.acc))
+	for _, a := range f.acc {
+		out = append(out, a.Stats(false))
 	}
-	sort.Slice(keys, func(i, j int) bool { return keyLess(keys[i], keys[j]) })
-	out := make([]AccSums, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, *f.acc[k])
-	}
+	sort.Slice(out, func(i, j int) bool {
+		return keyLess(trackerKey{out[i].Machine, out[i].Predictor}, trackerKey{out[j].Machine, out[j].Predictor})
+	})
 	return out
 }
 
@@ -402,17 +388,19 @@ type FleetView struct {
 func (f *FleetSnapshot) View(maxAlerts int) FleetView {
 	v := FleetView{
 		Peers:    append([]PeerStatus(nil), f.Peers...),
-		Counters: make(map[string]uint64, len(f.Metrics.Counters)),
+		Counters: make(map[string]uint64),
 		Resolved: f.Resolved,
 		Dropped:  f.Dropped,
 	}
 	sort.Slice(v.Peers, func(i, j int) bool { return v.Peers[i].Peer < v.Peers[j].Peer })
-	for k, c := range f.Metrics.Counters {
-		v.Counters[k] = c
+	for i := range f.Metrics {
+		if sr := &f.Metrics[i]; sr.Kind == KindCounter {
+			v.Counters[sr.ID()] = sr.Count
+		}
 	}
-	for _, a := range f.AccuracySums() {
+	for _, a := range f.Accuracy() {
 		if a.Machine == "_all" {
-			v.Accuracy = append(v.Accuracy, a.Stats(false))
+			v.Accuracy = append(v.Accuracy, a)
 		}
 	}
 	v.Alerts = sortedAlerts(f.Alerts)
@@ -434,202 +422,28 @@ func sortedAlerts(alerts []Alert) []Alert {
 	return out
 }
 
-// WriteText renders the merged snapshot in the Prometheus text exposition
-// format. Everything is emitted in sorted order — peers, series, alert
-// kinds — so the rendering is a deterministic function of the merged state
-// regardless of merge order (the commutativity property the tests pin).
-// Merged registry series carry no HELP/TYPE header (the merge sees series
-// ids, not registration metadata); the fleet-meta and accuracy series do.
-func (f *FleetSnapshot) WriteText(w io.Writer) error {
-	peers := append([]PeerStatus(nil), f.Peers...)
-	sort.Slice(peers, func(i, j int) bool { return peers[i].Peer < peers[j].Peer })
-	counts := map[string]int{}
-	for _, p := range peers {
+// Series is the fleet /metrics page as one snapshot: the fleet's own
+// families (peer and alert counts, a status series per peer), the accuracy
+// families from the merged sums, and the peers' merged registry series — a
+// function of the merged state alone, whatever order the peers were added in.
+func (f *FleetSnapshot) Series() Snapshot {
+	counts := map[string]float64{}
+	out := Snapshot{derivedFamily("fgcs_fleet_peers").series(float64(len(f.Peers))), derivedFamily("fgcs_fleet_alerts").series(float64(len(f.Alerts)))}
+	for _, p := range f.Peers {
 		counts[p.Status]++
+		out = append(out, derivedFamily("fgcs_fleet_peer_status").series(1, p.Peer, p.Status))
 	}
-	if _, err := fmt.Fprintf(w,
-		"# HELP fgcs_fleet_peers Peers contributing to this merged snapshot, by fetch status.\n"+
-			"# TYPE fgcs_fleet_peers gauge\n"+
-			"fgcs_fleet_peers %d\n"+
-			"fgcs_fleet_peers_ok %d\nfgcs_fleet_peers_stale %d\nfgcs_fleet_peers_unreachable %d\n",
-		len(peers), counts[PeerOK], counts[PeerStale], counts[PeerUnreachable]); err != nil {
-		return err
+	for _, status := range []string{PeerOK, PeerStale, PeerUnreachable} {
+		out = append(out, derivedFamily("fgcs_fleet_peers_"+status).series(counts[status]))
 	}
-	for _, p := range peers {
-		if _, err := fmt.Fprintf(w, "fgcs_fleet_peer_status%s 1\n",
-			labelString([]Label{{"peer", p.Peer}, {"status", p.Status}})); err != nil {
-			return err
-		}
-	}
-	for _, k := range sortedKeys(f.Metrics.Counters) {
-		if _, err := fmt.Fprintf(w, "%s %d\n", k, f.Metrics.Counters[k]); err != nil {
-			return err
-		}
-	}
-	for _, k := range sortedKeys(f.Metrics.Gauges) {
-		if _, err := fmt.Fprintf(w, "%s %s\n", k, formatFloat(f.Metrics.Gauges[k])); err != nil {
-			return err
-		}
-	}
-	for _, k := range sortedKeys(f.Metrics.Histograms) {
-		if err := writeHistText(w, k, f.Metrics.Histograms[k]); err != nil {
-			return err
-		}
-	}
-	if _, err := fmt.Fprintf(w,
-		"# HELP fgcs_accuracy_resolved_total TR predictions matched against an observed outcome (fleet total).\n"+
-			"# TYPE fgcs_accuracy_resolved_total counter\nfgcs_accuracy_resolved_total %d\n"+
-			"# HELP fgcs_accuracy_dropped_total Predictions evicted unresolved (fleet total).\n"+
-			"# TYPE fgcs_accuracy_dropped_total counter\nfgcs_accuracy_dropped_total %d\n",
-		f.Resolved, f.Dropped); err != nil {
-		return err
-	}
-	sums := f.AccuracySums()
-	if len(sums) > 0 {
-		series := []struct {
-			name, help string
-			value      func(AccuracyStats) string
-		}{
-			{"fgcs_accuracy_resolved", "Resolved predictions per machine and predictor (fleet merge).",
-				func(s AccuracyStats) string { return strconv.FormatUint(s.Resolved, 10) }},
-			{"fgcs_accuracy_mean_tr", "Mean predicted temporal reliability (fleet merge).",
-				func(s AccuracyStats) string { return formatFloat(s.MeanTR) }},
-			{"fgcs_accuracy_empirical_tr", "Observed survival rate of predicted windows (fleet merge).",
-				func(s AccuracyStats) string { return formatFloat(s.Empirical) }},
-			{"fgcs_accuracy_brier", "Cumulative Brier score (fleet merge; lower is better).",
-				func(s AccuracyStats) string { return formatFloat(s.Brier) }},
-		}
-		for _, sr := range series {
-			if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n", sr.name, sr.help, sr.name); err != nil {
-				return err
-			}
-			for _, a := range sums {
-				s := a.Stats(false)
-				labels := labelString([]Label{{"machine", s.Machine}, {"predictor", s.Predictor}})
-				if _, err := fmt.Fprintf(w, "%s%s %s\n", sr.name, labels, sr.value(s)); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	byKind := map[string]int{}
+	byKind := map[string]float64{}
 	for _, a := range f.Alerts {
 		byKind[a.Kind]++
 	}
-	kinds := make([]string, 0, len(byKind))
-	for k := range byKind {
-		kinds = append(kinds, k)
+	for kind, n := range byKind {
+		out = append(out, derivedFamily("fgcs_fleet_alerts_kind").series(n, kind))
 	}
-	sort.Strings(kinds)
-	if _, err := fmt.Fprintf(w,
-		"# HELP fgcs_fleet_alerts Merged alerts retained across peers, by kind.\n"+
-			"# TYPE fgcs_fleet_alerts gauge\nfgcs_fleet_alerts %d\n", len(f.Alerts)); err != nil {
-		return err
-	}
-	for _, k := range kinds {
-		if _, err := fmt.Fprintf(w, "fgcs_fleet_alerts_kind%s %d\n",
-			labelString([]Label{{"kind", k}}), byKind[k]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func formatFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-
-// writeHistText renders one histogram series with the cumulative _bucket /
-// _sum / _count invariants of the exposition format.
-func writeHistText(w io.Writer, id string, h HistogramSnapshot) error {
-	// The merged series id already carries the label set ("name{...}"); to
-	// splice in the le label the id is split back into name and labels.
-	name, labels := splitSeriesID(id)
-	var cum uint64
-	for i, c := range h.Counts {
-		cum += c
-		le := "+Inf"
-		if i < len(h.Bounds) {
-			le = strconv.FormatFloat(h.Bounds[i], 'g', -1, 64)
-		}
-		lab := spliceLabel(labels, "le", le)
-		if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", name, lab, cum); err != nil {
-			return err
-		}
-	}
-	_, err := fmt.Fprintf(w, "%s_sum%s %s\n%s_count%s %d\n",
-		name, labels, formatFloat(h.Sum), name, labels, h.Count)
-	return err
-}
-
-// splitSeriesID separates "name{labels}" into name and "{labels}" (labels
-// may be empty).
-func splitSeriesID(id string) (name, labels string) {
-	for i := 0; i < len(id); i++ {
-		if id[i] == '{' {
-			return id[:i], id[i:]
-		}
-	}
-	return id, ""
-}
-
-// spliceLabel inserts key="value" into a rendered label block, keeping the
-// exposition's sorted-key order.
-func spliceLabel(labels, key, value string) string {
-	pair := key + "=" + strconv.Quote(value)
-	if labels == "" {
-		return "{" + pair + "}"
-	}
-	inner := labels[1 : len(labels)-1]
-	// Insert before the first existing key that sorts after ours; label
-	// values are quoted, so scanning for top-level commas is unambiguous
-	// only because keys precede every quote. A simple split on `,` between
-	// pairs is safe here: series ids are produced by labelString, which
-	// quotes values (commas inside values stay inside quotes), so reuse a
-	// quote-aware scan.
-	parts := splitLabelPairs(inner)
-	out := make([]string, 0, len(parts)+1)
-	inserted := false
-	for _, p := range parts {
-		if !inserted && p > pair {
-			out = append(out, pair)
-			inserted = true
-		}
-		out = append(out, p)
-	}
-	if !inserted {
-		out = append(out, pair)
-	}
-	s := "{"
-	for i, p := range out {
-		if i > 0 {
-			s += ","
-		}
-		s += p
-	}
-	return s + "}"
-}
-
-// splitLabelPairs splits `k1="v1",k2="v2"` on commas outside quotes.
-func splitLabelPairs(s string) []string {
-	var out []string
-	start := 0
-	inQuote := false
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '\\':
-			if inQuote {
-				i++
-			}
-		case '"':
-			inQuote = !inQuote
-		case ',':
-			if !inQuote {
-				out = append(out, s[start:i])
-				start = i + 1
-			}
-		}
-	}
-	if start < len(s) {
-		out = append(out, s[start:])
-	}
-	return out
+	// DecodeObsSnapshot keeps the derived names out of every export, so the
+	// two lists share no family.
+	return append(accuracySeries(out, f.Resolved, f.Dropped, f.Accuracy(), false), f.Metrics...).sorted()
 }

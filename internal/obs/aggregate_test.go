@@ -73,7 +73,7 @@ func TestObsCodecNilSources(t *testing.T) {
 	if err != nil {
 		t.Fatalf("decode of empty export: %v", err)
 	}
-	if dec.Peer != "gw00" || len(dec.Metrics.Counters) != 0 || len(dec.Accuracy) != 0 || len(dec.Alerts) != 0 {
+	if dec.Peer != "gw00" || len(dec.Metrics) != 0 || len(dec.Accuracy) != 0 || len(dec.Alerts) != 0 {
 		t.Errorf("empty export round-tripped to %+v", dec)
 	}
 }
@@ -108,63 +108,79 @@ func TestObsDecodeRejections(t *testing.T) {
 	}
 }
 
+// forgedLineExport and brokenBlockExport are the two v1 defects in their v2
+// form. As a v1 counter id, "fgcs_x 1\nfgcs_gateway_requests_total{type=...}"
+// was decoded, merged and printed verbatim — a forged sample line on the
+// aggregator's fleet page; as a v1 histogram id, "fgcs_h{" panicked the label
+// splicer on every fleet scrape. twoKindsExport claims one id as a counter
+// and as a gauge.
+func forgedLineExport() []byte {
+	return (&PeerObs{Peer: "liar", Metrics: Snapshot{{Name: "fgcs_x 1\nfgcs_gateway_requests_total",
+		Labels: []Label{{"type", "query-tr"}}, Count: 999999}}}).EncodeBinary()
+}
+
+func brokenBlockExport() []byte {
+	return (&PeerObs{Peer: "liar", Metrics: Snapshot{{Name: "fgcs_h{", Kind: KindHistogram,
+		Hist: HistogramSnapshot{Bounds: []float64{1}, Counts: []uint64{1, 0}, Sum: 1, Count: 1}}}}).EncodeBinary()
+}
+
+func twoKindsExport() []byte {
+	return (&PeerObs{Peer: "liar", Metrics: Snapshot{{Name: "fgcs_x_total", Count: 1},
+		{Name: "fgcs_x_total", Kind: KindGauge, Value: 1}}}).EncodeBinary()
+}
+
 func TestObsDecodeRejectsDuplicatesAndBadClaims(t *testing.T) {
-	enc := func(p *PeerObs) []byte { return p.EncodeBinary() }
-
-	// Duplicate series cannot be produced by EncodeBinary (maps dedupe), so
-	// splice them by hand: encode one series, then duplicate its bytes and
-	// bump the count.
-	dupCounter := func() []byte {
-		p := &PeerObs{Peer: "x", Metrics: emptySnapshot()}
-		p.Metrics.Counters["fgcs_x_total"] = 1
-		b := enc(p)
-		// Layout: magic(4) version(1) peer(len+str) counterCount(uvarint=1)
-		// series... — find the count byte right after the peer string.
-		i := 5 + 1 + len("x")
-		if b[i] != 1 {
-			panic("layout drifted")
-		}
-		series := b[i+1 : i+1+1+len("fgcs_x_total")+1] // len byte + name + value uvarint
-		out := append([]byte(nil), b[:i]...)
-		out = append(out, 2)
-		out = append(out, series...)
-		out = append(out, series...)
-		out = append(out, b[i+1+len(series):]...)
-		return out
+	// EncodeBinary writes what it is given, so an export no registry could
+	// produce is built by handing it one.
+	export := func(series ...Series) []byte { return (&PeerObs{Peer: "x", Metrics: series}).EncodeBinary() }
+	labelled := func(labels ...Label) []byte { return export(Series{Name: "fgcs_x_total", Labels: labels}) }
+	hist := func(bounds ...float64) []byte {
+		return export(Series{Name: "fgcs_h", Kind: KindHistogram,
+			Hist: HistogramSnapshot{Bounds: bounds, Counts: make([]uint64, len(bounds)+1)}})
 	}
-	if _, err := DecodeObsSnapshot(dupCounter()); err == nil || !strings.Contains(err.Error(), "duplicate counter") {
-		t.Errorf("duplicate counter accepted: %v", err)
+	wide := make([]float64, maxObsBounds+1)
+	for j := range wide {
+		wide[j] = float64(j)
 	}
-
-	// Histograms with non-increasing bounds are invalid on the wire even
-	// though a local registry can never build one.
-	nonInc := &PeerObs{Peer: "x", Metrics: emptySnapshot()}
-	nonInc.Metrics.Histograms["fgcs_h"] = HistogramSnapshot{
-		Bounds: []float64{1, 1}, Counts: []uint64{0, 0, 0},
-	}
-	if _, err := DecodeObsSnapshot(enc(nonInc)); err == nil || !strings.Contains(err.Error(), "not increasing") {
-		t.Errorf("non-increasing bounds accepted: %v", err)
-	}
-
 	// A claimed element count larger than the remaining bytes must be
-	// rejected before any allocation proportional to the claim.
-	big := &PeerObs{Peer: "x", Metrics: emptySnapshot()}
-	b := enc(big)
-	i := 5 + 1 + len("x")
-	b[i] = 0xFF // counters count 127... larger than the remaining handful of bytes
-	if _, err := DecodeObsSnapshot(b); err == nil || !strings.Contains(err.Error(), "claims") {
-		t.Errorf("oversized claim accepted: %v", err)
-	}
+	// rejected before any allocation proportional to the claim. Layout:
+	// magic(4) version(1) peer(len+str) seriesCount(uvarint).
+	big := export()
+	big[5+1+len("x")] = 0xFF
 
-	// Oversized histogram layouts are capped regardless of payload size.
-	wide := &PeerObs{Peer: "x", Metrics: emptySnapshot()}
-	bounds := make([]float64, maxObsBounds+1)
-	for j := range bounds {
-		bounds[j] = float64(j)
+	cases := []struct {
+		name string
+		data []byte
+		want string
+	}{
+		{"forged sample line in a name", forgedLineExport(), "malformed"},
+		{"unterminated label block in a name", brokenBlockExport(), "malformed"},
+		{"one id under two kinds", twoKindsExport(), "another kind"},
+		{"one family under two kinds", export(Series{Name: "fgcs_x_total", Labels: []Label{{"a", "1"}}},
+			Series{Name: "fgcs_x_total", Labels: []Label{{"a", "2"}}, Kind: KindGauge}), "another kind"},
+		{"repeated series", export(Series{Name: "fgcs_x_total"}, Series{Name: "fgcs_x_total"}), "repeated"},
+		{"series out of order", export(Series{Name: "fgcs_y_total"}, Series{Name: "fgcs_x_total"}), "repeated"},
+		{"empty name", export(Series{}), "malformed"},
+		{"derived family", export(Series{Name: "fgcs_fleet_peers", Kind: KindGauge, Value: 9}), "reserved"},
+		{"unknown kind", export(Series{Name: "fgcs_x_total", Kind: 3}), "unknown kind"},
+		{"label key with a colon", labelled(Label{"a:b", ""}), "label key"},
+		{"reserved label key", labelled(Label{"le", "1"}), "label key"},
+		{"repeated label key", labelled(Label{"a", "1"}, Label{"a", "2"}), "label key"},
+		{"label keys out of order", labelled(Label{"b", "1"}, Label{"a", "2"}), "label key"},
+		// Invalid on the wire even though a local registry can never build one.
+		{"non-increasing bounds", hist(1, 1), "not increasing"},
+		// Capped regardless of payload size.
+		{"over-wide histogram", hist(wide...), "bounds"},
+		{"oversized claim", big, "claims"},
+		{"repeated accuracy key", (&PeerObs{Accuracy: []AccSums{{Machine: "m", Predictor: "SMP"}, {Machine: "m", Predictor: "SMP"}}}).EncodeBinary(), "accuracy key"},
+		{"accuracy keys out of order", (&PeerObs{Accuracy: []AccSums{{Machine: "m", Predictor: "SMP"}, {Machine: "m", Predictor: "LAST"}}}).EncodeBinary(), "accuracy key"},
 	}
-	wide.Metrics.Histograms["fgcs_h"] = HistogramSnapshot{Bounds: bounds, Counts: make([]uint64, len(bounds)+1)}
-	if _, err := DecodeObsSnapshot(enc(wide)); err == nil || !strings.Contains(err.Error(), "bounds") {
-		t.Errorf("over-wide histogram accepted: %v", err)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := DecodeObsSnapshot(tc.data); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("decoded, or rejected for another reason than %q: %v", tc.want, err)
+			}
+		})
 	}
 }
 
@@ -175,7 +191,7 @@ func TestFleetMergeCommutative(t *testing.T) {
 			f.Add(samplePeerObs(peer), PeerStatus{Status: PeerOK})
 		}
 		var buf bytes.Buffer
-		if err := f.WriteText(&buf); err != nil {
+		if err := f.Series().WriteText(&buf); err != nil {
 			t.Fatal(err)
 		}
 		return buf.String()
@@ -194,13 +210,13 @@ func TestFleetMergeSumsAndStatuses(t *testing.T) {
 	f.AddUnreachable("gw03", "connection refused")
 
 	id := `fgcs_gateway_requests_total{type="query-tr"}`
-	if got := f.Metrics.Counters[id]; got != 14 {
-		t.Errorf("merged counter %s = %d, want 14 (7 per peer)", id, got)
+	if got := f.Metrics.Find("fgcs_gateway_requests_total", Label{"type", "query-tr"}).Count; got != 14 || f.View(0).Counters[id] != 14 {
+		t.Errorf("merged counter %s = %d, want 14 (7 per peer) under that key of the view", id, got)
 	}
 	if f.Resolved != 80 {
 		t.Errorf("merged resolved %d, want 80", f.Resolved)
 	}
-	hist := f.Metrics.Histograms[`fgcs_query_seconds`]
+	hist := f.Metrics.Find("fgcs_query_seconds").Hist
 	if hist.Count != 8 {
 		t.Errorf("merged histogram count %d, want 8", hist.Count)
 	}
@@ -214,7 +230,7 @@ func TestFleetMergeSumsAndStatuses(t *testing.T) {
 
 	// Accuracy rolls up per key: each peer contributed 20 resolutions to
 	// (m01, SMP).
-	for _, a := range f.AccuracySums() {
+	for _, a := range f.Accuracy() {
 		if a.Machine == "m01" && a.Predictor == "SMP" && a.Resolved != 40 {
 			t.Errorf("(m01,SMP) resolved %d, want 40", a.Resolved)
 		}
@@ -240,7 +256,7 @@ func TestFleetMergeSumsAndStatuses(t *testing.T) {
 
 func TestFleetViewAlertTruncationKeepsNewest(t *testing.T) {
 	f := NewFleetSnapshot()
-	p := &PeerObs{Peer: "gw01", Metrics: emptySnapshot()}
+	p := &PeerObs{Peer: "gw01"}
 	for i := 1; i <= 6; i++ {
 		p.Alerts = append(p.Alerts, Alert{Seq: uint64(i), Kind: AlertShedRate})
 	}
@@ -255,43 +271,64 @@ func TestFleetViewAlertTruncationKeepsNewest(t *testing.T) {
 }
 
 func TestFleetMergeHistogramLayoutConflict(t *testing.T) {
-	a := &PeerObs{Peer: "gw01", Metrics: emptySnapshot()}
-	a.Metrics.Histograms["fgcs_h"] = HistogramSnapshot{Bounds: []float64{1}, Counts: []uint64{0, 0}}
-	b := &PeerObs{Peer: "gw02", Metrics: emptySnapshot()}
-	b.Metrics.Histograms["fgcs_h"] = HistogramSnapshot{Bounds: []float64{2}, Counts: []uint64{0, 0}}
-
+	hist := func(bound float64) Series {
+		return Series{Name: "fgcs_h", Kind: KindHistogram, Hist: HistogramSnapshot{Bounds: []float64{bound}, Counts: []uint64{0, 0}}}
+	}
 	f := NewFleetSnapshot()
-	f.Add(a, PeerStatus{Status: PeerOK})
-	f.Add(b, PeerStatus{Status: PeerOK})
-	if len(f.Peers) != 2 {
+	f.Add(&PeerObs{Peer: "gw01", Metrics: Snapshot{hist(1)}}, PeerStatus{Status: PeerOK})
+	f.Add(&PeerObs{Peer: "gw02", Metrics: Snapshot{hist(2)}}, PeerStatus{Status: PeerOK})
+	f.Add(&PeerObs{Peer: "gw03", Metrics: Snapshot{{Name: "fgcs_h", Kind: KindGauge}}}, PeerStatus{Status: PeerOK})
+	if len(f.Peers) != 3 {
 		t.Fatalf("%d peer rows", len(f.Peers))
 	}
-	// The conflict lands on the second peer's status row; the merge itself
-	// survives.
-	if f.Peers[1].Err == "" {
-		t.Error("histogram layout conflict not recorded on the peer status row")
+	// Each conflict lands on the status row of the peer that brought it; the
+	// merge itself survives, with the first peer's series.
+	if f.Peers[0].Err != "" || !strings.Contains(f.Peers[1].Err, "bucket layouts") || !strings.Contains(f.Peers[2].Err, "histogram here and a gauge there") {
+		t.Errorf("conflicts not recorded on the status rows of the peers that brought them: %+v", f.Peers)
+	}
+	if len(f.Metrics) != 1 || f.Metrics[0].Hist.Bounds[0] != 1 {
+		t.Errorf("merged series %+v, want the first peer's histogram alone", f.Metrics)
 	}
 }
 
 // TestFleetWriteTextConformance checks the Prometheus text exposition
-// invariants the fleet renderer promises: quoted and escaped label values,
-// sorted series, and cumulative histogram buckets ending in a +Inf bucket
-// equal to _count, with a _sum sample alongside.
+// invariants the fleet page promises: every family typed once ahead of its
+// samples, merged ones included; quoted and escaped label values; sorted
+// series; and cumulative histogram buckets ending in a +Inf bucket equal to
+// _count, with a _sum sample alongside.
 func TestFleetWriteTextConformance(t *testing.T) {
 	f := NewFleetSnapshot()
 	f.Add(samplePeerObs("gw01"), PeerStatus{Status: PeerOK})
 	f.Add(samplePeerObs("gw02"), PeerStatus{Status: PeerOK})
 	var buf bytes.Buffer
-	if err := f.WriteText(&buf); err != nil {
+	if err := f.Series().WriteText(&buf); err != nil {
 		t.Fatal(err)
 	}
 	text := buf.String()
 
-	if !strings.Contains(text, "fgcs_fleet_peers 2\n") {
-		t.Error("missing fgcs_fleet_peers sample")
+	kinds, err := checkExposition(text)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Label escaping: the odd value must appear quoted with escapes, as
-	// strconv.Quote renders it.
+	for family, want := range map[string]string{
+		"fgcs_gateway_requests_total": "counter", "fgcs_ring_peers": "gauge", "fgcs_query_seconds": "histogram",
+		"fgcs_fleet_peer_status": "gauge", "fgcs_accuracy_resolved_total": "counter", "fgcs_accuracy_brier": "gauge",
+	} {
+		if kinds[family] != want {
+			t.Errorf("family %s typed %q, want %s", family, kinds[family], want)
+		}
+	}
+	if kinds["fgcs_accuracy_rolling_brier"] != "" {
+		t.Error("a rolling figure on the fleet page: rolling windows do not merge")
+	}
+	if !strings.Contains(text, "# HELP fgcs_gateway_requests_total Gateway RPCs served, by request type.\n") {
+		t.Error("merged family lost its HELP line")
+	}
+	if !strings.Contains(text, "fgcs_fleet_peers 2\n") || !strings.Contains(text, "fgcs_fleet_alerts_kind{kind=\"shed-rate\"} 2\n") {
+		t.Error("missing fgcs_fleet_peers or fgcs_fleet_alerts_kind sample")
+	}
+	// Label escaping: the odd value must appear quoted with its quote and
+	// backslash escaped.
 	if !strings.Contains(text, `type="odd\"quoted\\value"`) {
 		t.Error("label value with quote and backslash not escaped")
 	}
@@ -346,21 +383,5 @@ func TestFleetWriteTextConformance(t *testing.T) {
 	}
 	if count == 0 || infCum != count {
 		t.Errorf("+Inf bucket %d != _count %d", infCum, count)
-	}
-}
-
-func TestSpliceLabelSortsAndSplits(t *testing.T) {
-	cases := []struct {
-		labels, key, value, want string
-	}{
-		{"", "le", "0.1", `{le="0.1"}`},
-		{`{type="a"}`, "le", "+Inf", `{le="+Inf",type="a"}`},
-		{`{a="x,y",z="1"}`, "le", "5", `{a="x,y",le="5",z="1"}`},
-		{`{a="quoted\"comma,inside"}`, "le", "5", `{a="quoted\"comma,inside",le="5"}`},
-	}
-	for _, tc := range cases {
-		if got := spliceLabel(tc.labels, tc.key, tc.value); got != tc.want {
-			t.Errorf("spliceLabel(%q) = %q, want %q", tc.labels, got, tc.want)
-		}
 	}
 }

@@ -30,8 +30,10 @@ func restoreTracker(data []byte) (*Tracker, error) {
 	return t, t.RestoreBinary(data)
 }
 
-// TestCodecGoldens pins both obs formats to bytes written by the commit
-// before internal/wire existed, and decodes them back to the same state.
+// TestCodecGoldens pins both obs formats to checked-in bytes and decodes them
+// back to the same state. FGAT is on disk: its bytes were written by the
+// commit before internal/wire existed. FGOS only ever crosses the wire between
+// live peers; its bytes are version 2's.
 func TestCodecGoldens(t *testing.T) {
 	src := sampleTracker(wrapped)
 	fgat := src.ExportBinary()
@@ -68,12 +70,12 @@ func TestCodecGoldens(t *testing.T) {
 // the same encoder: the FGOS accuracy section is the FGAT keys minus rings.
 func TestAccSumsOneLayout(t *testing.T) {
 	tr := sampleTracker(wrapped)
-	_, _, sums := tr.ExportSums()
+	sums := ExportPeerObs("", nil, tr, nil).Accuracy
 	var section []byte
 	for i := range sums {
 		section = appendAccSums(section, &sums[i])
 	}
-	p := &PeerObs{Metrics: emptySnapshot(), Accuracy: sums}
+	p := &PeerObs{Accuracy: sums}
 	if !bytes.Contains(p.EncodeBinary(), section) {
 		t.Error("FGOS accuracy section is not the appendAccSums encoding")
 	}

@@ -12,9 +12,10 @@ import (
 // FuzzDecodeObsSnapshot hammers the peer-obs wire decoder — the code path a
 // federated gateway runs on every query-obs response from a (possibly
 // compromised) peer — with arbitrary bytes. No input may panic it or make it
-// allocate out of proportion before it is rejected, and any input it accepts
-// must re-encode to a canonical fixpoint: encode(decode(x)) decodes again
-// and re-encodes byte-identically.
+// allocate out of proportion before it is rejected; any input it accepts
+// must re-encode to a canonical fixpoint (encode(decode(x)) decodes again
+// and re-encodes byte-identically) and must merge and render into a page
+// that meets the exposition grammar line by line.
 func FuzzDecodeObsSnapshot(f *testing.F) {
 	// A full export: counters, gauges, a histogram, accuracy sums, alerts.
 	f.Add(samplePeerObs("gw01").EncodeBinary())
@@ -31,7 +32,14 @@ func FuzzDecodeObsSnapshot(f *testing.F) {
 	f.Add(good[:len(good)/2])
 	f.Add(append(append([]byte(nil), good...), 0x00))
 	f.Add([]byte("FGOS"))
-	f.Add([]byte{'F', 'G', 'O', 'S', 1, 0xFF, 0xFF, 0xFF})
+	f.Add([]byte{'F', 'G', 'O', 'S', obsVersion, 0xFF, 0xFF, 0xFF})
+	// The v1 defects and a two-kind claim, all rejected; and what a hostile
+	// peer can still say: a label value of quotes, backslashes and newlines.
+	f.Add(forgedLineExport())
+	f.Add(brokenBlockExport())
+	f.Add(twoKindsExport())
+	f.Add((&PeerObs{Peer: "liar", Metrics: Snapshot{{Name: "fgcs_x_total",
+		Labels: []Label{{"type", "a\"} 1\nfgcs_y_total{type=\"b\\"}}, Count: 1}}}).EncodeBinary())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var p *PeerObs
@@ -52,8 +60,11 @@ func FuzzDecodeObsSnapshot(f *testing.F) {
 		fs.Add(p, PeerStatus{Status: PeerOK})
 		fs.Add(q, PeerStatus{Status: PeerStale, AgeSeconds: 1})
 		var buf bytes.Buffer
-		if err := fs.WriteText(&buf); err != nil {
+		if err := fs.Series().WriteText(&buf); err != nil {
 			t.Fatalf("merged fuzz snapshot failed to render: %v", err)
+		}
+		if _, err := checkExposition(buf.String()); err != nil {
+			t.Fatalf("merged fuzz snapshot renders outside the exposition grammar: %v", err)
 		}
 	})
 }

@@ -5,14 +5,16 @@ import (
 	"net/http"
 )
 
-// FleetHandler serves the registry (and, when non-nil, the accuracy tracker)
-// in the Prometheus text exposition format — mount it at /metrics — and
-// answers ?scope=fleet with the merged fleet snapshot obtained from the fetch
-// callback (a federated peer wires its fan-out here). With a nil fetch, fleet
-// scope answers 404.
+// FleetHandler serves NodeSeries(r, t) in the Prometheus text exposition
+// format — mount it at /metrics — and answers ?scope=fleet with the merged
+// fleet snapshot obtained from the fetch callback (a federated peer wires its
+// fan-out here). With a nil fetch, fleet scope answers 404.
 func FleetHandler(r *Registry, t *Tracker, fleet func(*http.Request) (*FleetSnapshot, error)) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		if req.URL.Query().Get("scope") == "fleet" {
+		var page Snapshot
+		if req.URL.Query().Get("scope") != "fleet" {
+			page = NodeSeries(r, t)
+		} else {
 			if fleet == nil {
 				http.Error(w, "fleet scope not available on this node", http.StatusNotFound)
 				return
@@ -22,19 +24,10 @@ func FleetHandler(r *Registry, t *Tracker, fleet func(*http.Request) (*FleetSnap
 				http.Error(w, fmt.Sprintf("fleet aggregation: %v", err), http.StatusBadGateway)
 				return
 			}
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-			_ = fs.WriteText(w)
-			return
+			page = fs.Series()
 		}
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if r != nil {
-			if err := r.WriteText(w); err != nil {
-				return
-			}
-		}
-		if t != nil {
-			_ = t.WriteText(w)
-		}
+		_ = page.WriteText(w) // the scraper hung up
 	})
 }
 

@@ -15,45 +15,20 @@
 //  2. Everything is registered up front; label sets are baked into the
 //     metric identity at registration time so serving a sample never
 //     formats a string.
-//  3. Snapshots are plain values that merge by addition, so per-shard or
-//     per-node registries can be folded into fleet-level totals.
+//  3. A snapshot is a plain list of typed series (series.go) that merges by
+//     addition, so per-node registries fold into fleet-level totals, and
+//     one writer renders every /metrics page from it.
 package obs
 
 import (
 	"fmt"
-	"io"
 	"math"
+	"slices"
 	"sort"
-	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
-
-// Label is one metric dimension, fixed at registration time.
-type Label struct {
-	Key   string
-	Value string
-}
-
-// labelString renders a label set in Prometheus exposition order. extra is
-// spliced in (used for histogram "le" labels).
-func labelString(labels []Label, extra ...Label) string {
-	all := make([]Label, 0, len(labels)+len(extra))
-	all = append(all, labels...)
-	all = append(all, extra...)
-	if len(all) == 0 {
-		return ""
-	}
-	sort.SliceStable(all, func(i, j int) bool { return all[i].Key < all[j].Key })
-	s := "{"
-	for i, l := range all {
-		if i > 0 {
-			s += ","
-		}
-		s += l.Key + "=" + strconv.Quote(l.Value)
-	}
-	return s + "}"
-}
 
 // ------------------------------------------------------------- counter ----
 
@@ -118,9 +93,9 @@ type Histogram struct {
 	count  atomic.Uint64
 }
 
-// NewHistogram builds a free-standing histogram (outside any registry) with
+// newHistogram builds a free-standing histogram (outside any registry) with
 // the given sorted upper bounds.
-func NewHistogram(bounds []float64) *Histogram {
+func newHistogram(bounds []float64) *Histogram {
 	b := make([]float64, len(bounds))
 	copy(b, bounds)
 	sort.Float64s(b)
@@ -153,30 +128,17 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 {
+// Snapshot captures a consistent-enough view (each field individually
+// atomic; cross-field skew is bounded by in-flight Observes). Nil-safe.
+func (h *Histogram) Snapshot() HistogramSnapshot {
 	if h == nil {
-		return 0
+		return HistogramSnapshot{}
 	}
-	return h.count.Load()
-}
-
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	return math.Float64frombits(h.sum.Load())
-}
-
-// snapshot captures a consistent-enough view (each field individually
-// atomic; cross-field skew is bounded by in-flight Observes).
-func (h *Histogram) snapshot() HistogramSnapshot {
 	s := HistogramSnapshot{
 		Bounds: h.bounds, // immutable after construction, safe to share
 		Counts: make([]uint64, len(h.counts)),
-		Sum:    h.Sum(),
-		Count:  h.Count(),
+		Sum:    math.Float64frombits(h.sum.Load()),
+		Count:  h.count.Load(),
 	}
 	for i := range h.counts {
 		s.Counts[i] = h.counts[i].Load()
@@ -195,13 +157,8 @@ type HistogramSnapshot struct {
 
 // Merge folds other into s. The bucket layouts must match.
 func (s *HistogramSnapshot) Merge(other HistogramSnapshot) error {
-	if len(other.Bounds) != len(s.Bounds) {
+	if !slices.Equal(s.Bounds, other.Bounds) {
 		return fmt.Errorf("obs: merging histograms with different bucket layouts")
-	}
-	for i, b := range other.Bounds {
-		if b != s.Bounds[i] {
-			return fmt.Errorf("obs: merging histograms with different bucket layouts")
-		}
 	}
 	for i := range s.Counts {
 		s.Counts[i] += other.Counts[i]
@@ -247,10 +204,10 @@ func (s HistogramSnapshot) Quantile(q float64) float64 {
 	return 0
 }
 
-// LatencyBuckets is the default latency bucket layout (seconds): log-spaced
+// latencyBuckets is the default latency bucket layout (seconds): log-spaced
 // from 1 µs to 10 s, which brackets everything from a cache hit to a cold
 // multi-day kernel estimation or a cross-continent RPC.
-func LatencyBuckets() []float64 {
+func latencyBuckets() []float64 {
 	return []float64{
 		1e-6, 2.5e-6, 5e-6,
 		1e-5, 2.5e-5, 5e-5,
@@ -264,184 +221,87 @@ func LatencyBuckets() []float64 {
 
 // ------------------------------------------------------------ registry ----
 
-type metricKind int
-
-const (
-	kindCounter metricKind = iota
-	kindGauge
-	kindHistogram
-)
-
-// metric is one registered instrument.
+// metric is one registered instrument: a series identity and the instrument
+// of its kind that holds the value.
 type metric struct {
 	name   string
 	help   string
-	labels []Label
-	kind   metricKind
+	labels []Label // sorted by key
+	kind   Kind
 
 	counter *Counter
 	gauge   *Gauge
 	hist    *Histogram
 }
 
-func (m *metric) id() string { return m.name + labelString(m.labels) }
-
 // Registry holds named metrics. Registration (Counter/Gauge/Histogram)
 // allocates and takes a lock; it is meant for startup. The returned
 // instruments are then used lock-free. Registering the same (name, labels)
 // twice returns the original instrument, so independent components can share
-// a series.
+// a series. A nil *Registry hands out free-standing instruments that count
+// but appear in no snapshot.
 type Registry struct {
-	mu    sync.Mutex
-	order []*metric
-	byID  map[string]*metric
+	mu      sync.Mutex
+	metrics []*metric // in Snapshot order
 }
 
 // NewRegistry builds an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{byID: make(map[string]*metric)}
-}
+func NewRegistry() *Registry { return &Registry{} }
 
 func (r *Registry) register(m *metric) *metric {
+	byKey := func(a, b Label) int { return strings.Compare(a.Key, b.Key) }
+	if !slices.IsSortedFunc(m.labels, byKey) {
+		m.labels = slices.Clone(m.labels)
+		slices.SortStableFunc(m.labels, byKey)
+	}
+	if r == nil {
+		return m
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if existing, ok := r.byID[m.id()]; ok {
-		return existing
+	i, ok := slices.BinarySearchFunc(r.metrics, m, func(e, m *metric) int {
+		return compareKey(e.name, e.labels, m.name, m.labels)
+	})
+	if ok {
+		return r.metrics[i]
 	}
-	r.order = append(r.order, m)
-	r.byID[m.id()] = m
+	r.metrics = slices.Insert(r.metrics, i, m)
 	return m
 }
 
 // Counter registers (or returns the existing) counter.
 func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
-	m := r.register(&metric{name: name, help: help, labels: labels, kind: kindCounter, counter: &Counter{}})
+	m := r.register(&metric{name: name, help: help, labels: labels, kind: KindCounter, counter: &Counter{}})
 	return m.counter
 }
 
 // Gauge registers (or returns the existing) gauge.
 func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	m := r.register(&metric{name: name, help: help, labels: labels, kind: kindGauge, gauge: &Gauge{}})
+	m := r.register(&metric{name: name, help: help, labels: labels, kind: KindGauge, gauge: &Gauge{}})
 	return m.gauge
 }
 
 // Histogram registers (or returns the existing) histogram with the given
-// bucket upper bounds (nil selects LatencyBuckets).
+// bucket upper bounds (nil selects latencyBuckets).
 func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Label) *Histogram {
 	if bounds == nil {
-		bounds = LatencyBuckets()
+		bounds = latencyBuckets()
 	}
-	m := r.register(&metric{name: name, help: help, labels: labels, kind: kindHistogram, hist: NewHistogram(bounds)})
+	m := r.register(&metric{name: name, help: help, labels: labels, kind: KindHistogram, hist: newHistogram(bounds)})
 	return m.hist
-}
-
-// Snapshot is a mergeable point-in-time copy of a registry: counters and
-// histogram buckets add, gauges keep the receiver's value when both sides
-// carry the series.
-type Snapshot struct {
-	Counters   map[string]uint64
-	Gauges     map[string]float64
-	Histograms map[string]HistogramSnapshot
 }
 
 // Snapshot captures every registered metric.
 func (r *Registry) Snapshot() Snapshot {
-	r.mu.Lock()
-	metrics := make([]*metric, len(r.order))
-	copy(metrics, r.order)
-	r.mu.Unlock()
-	s := Snapshot{
-		Counters:   make(map[string]uint64),
-		Gauges:     make(map[string]float64),
-		Histograms: make(map[string]HistogramSnapshot),
+	if r == nil {
+		return nil
 	}
-	for _, m := range metrics {
-		switch m.kind {
-		case kindCounter:
-			s.Counters[m.id()] = m.counter.Value()
-		case kindGauge:
-			s.Gauges[m.id()] = m.gauge.Value()
-		case kindHistogram:
-			s.Histograms[m.id()] = m.hist.snapshot()
-		}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	s := make(Snapshot, len(r.metrics))
+	for i, m := range r.metrics {
+		s[i] = Series{Name: m.name, Labels: m.labels, Kind: m.kind, Help: m.help,
+			Count: m.counter.Value(), Value: m.gauge.Value(), Hist: m.hist.Snapshot()}
 	}
 	return s
-}
-
-// Merge folds other into s (series union; counters and histograms add).
-func (s Snapshot) Merge(other Snapshot) error {
-	for k, v := range other.Counters {
-		s.Counters[k] += v
-	}
-	for k, v := range other.Gauges {
-		if _, ok := s.Gauges[k]; !ok {
-			s.Gauges[k] = v
-		}
-	}
-	for k, v := range other.Histograms {
-		if mine, ok := s.Histograms[k]; ok {
-			if err := mine.Merge(v); err != nil {
-				return fmt.Errorf("%s: %w", k, err)
-			}
-			s.Histograms[k] = mine
-		} else {
-			cp := HistogramSnapshot{Bounds: v.Bounds, Counts: append([]uint64(nil), v.Counts...), Sum: v.Sum, Count: v.Count}
-			s.Histograms[k] = cp
-		}
-	}
-	return nil
-}
-
-// WriteText renders the registry in the Prometheus text exposition format,
-// in registration order.
-func (r *Registry) WriteText(w io.Writer) error {
-	r.mu.Lock()
-	metrics := make([]*metric, len(r.order))
-	copy(metrics, r.order)
-	r.mu.Unlock()
-	seenHelp := make(map[string]bool)
-	for _, m := range metrics {
-		if !seenHelp[m.name] {
-			seenHelp[m.name] = true
-			typ := "counter"
-			switch m.kind {
-			case kindGauge:
-				typ = "gauge"
-			case kindHistogram:
-				typ = "histogram"
-			}
-			if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", m.name, m.help, m.name, typ); err != nil {
-				return err
-			}
-		}
-		switch m.kind {
-		case kindCounter:
-			if _, err := fmt.Fprintf(w, "%s%s %d\n", m.name, labelString(m.labels), m.counter.Value()); err != nil {
-				return err
-			}
-		case kindGauge:
-			if _, err := fmt.Fprintf(w, "%s%s %g\n", m.name, labelString(m.labels), m.gauge.Value()); err != nil {
-				return err
-			}
-		case kindHistogram:
-			snap := m.hist.snapshot()
-			var cum uint64
-			for i, c := range snap.Counts {
-				cum += c
-				le := "+Inf"
-				if i < len(snap.Bounds) {
-					le = strconv.FormatFloat(snap.Bounds[i], 'g', -1, 64)
-				}
-				if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", m.name, labelString(m.labels, Label{"le", le}), cum); err != nil {
-					return err
-				}
-			}
-			if _, err := fmt.Fprintf(w, "%s_sum%s %g\n%s_count%s %d\n",
-				m.name, labelString(m.labels), snap.Sum,
-				m.name, labelString(m.labels), snap.Count); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }

@@ -24,6 +24,13 @@ func TestCounterGaugeBasics(t *testing.T) {
 	if r.Counter("requests_total", "Requests served.") != c {
 		t.Fatal("re-registering a counter minted a new instrument")
 	}
+	// A nil registry hands out instruments that count but are listed nowhere.
+	var nr *Registry
+	if free := nr.Counter("requests_total", "Requests served."); free == nil || nr.Snapshot() != nil {
+		t.Fatal("nil registry: no instrument, or a snapshot")
+	} else if free.Inc(); free.Value() != 1 {
+		t.Fatal("free-standing counter does not count")
+	}
 	// Nil instruments are safe no-ops.
 	var nc *Counter
 	nc.Inc()
@@ -35,17 +42,17 @@ func TestCounterGaugeBasics(t *testing.T) {
 	ng.Set(1)
 	var nh *Histogram
 	nh.Observe(1)
-	if nh.Count() != 0 || nh.Sum() != 0 {
+	if s := nh.Snapshot(); s.Count != 0 || s.Sum != 0 {
 		t.Fatal("nil histogram carries observations")
 	}
 }
 
 func TestHistogramBuckets(t *testing.T) {
-	h := NewHistogram([]float64{1, 2, 4})
+	h := newHistogram([]float64{1, 2, 4})
 	for _, v := range []float64{0.5, 1, 1.5, 3, 100} {
 		h.Observe(v)
 	}
-	s := h.snapshot()
+	s := h.Snapshot()
 	want := []uint64{2, 1, 1, 1} // <=1: {0.5, 1}; <=2: {1.5}; <=4: {3}; +Inf: {100}
 	for i, c := range s.Counts {
 		if c != want[i] {
@@ -64,12 +71,12 @@ func TestHistogramBuckets(t *testing.T) {
 }
 
 func TestHistogramSnapshotMerge(t *testing.T) {
-	a := NewHistogram([]float64{1, 2})
-	b := NewHistogram([]float64{1, 2})
+	a := newHistogram([]float64{1, 2})
+	b := newHistogram([]float64{1, 2})
 	a.Observe(0.5)
 	b.Observe(1.5)
 	b.Observe(9)
-	sa, sb := a.snapshot(), b.snapshot()
+	sa, sb := a.Snapshot(), b.Snapshot()
 	if err := sa.Merge(sb); err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +86,7 @@ func TestHistogramSnapshotMerge(t *testing.T) {
 	if got := []uint64{sa.Counts[0], sa.Counts[1], sa.Counts[2]}; got[0] != 1 || got[1] != 1 || got[2] != 1 {
 		t.Fatalf("merged buckets = %v", got)
 	}
-	other := NewHistogram([]float64{1, 3}).snapshot()
+	other := newHistogram([]float64{1, 3}).Snapshot()
 	if err := sa.Merge(other); err == nil {
 		t.Fatal("merging mismatched bucket layouts should error")
 	}
@@ -93,17 +100,47 @@ func TestRegistrySnapshotMerge(t *testing.T) {
 	r1.Histogram("lat", "l", []float64{1}).Observe(0.5)
 	r2.Histogram("lat", "l", []float64{1}).Observe(2)
 	s := r1.Snapshot()
-	if err := s.Merge(r2.Snapshot()); err != nil {
+	if err := s.merge(r2.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
-	if s.Counters[`reqs{node="a"}`] != 5 {
-		t.Fatalf("merged counter = %d, want 5", s.Counters[`reqs{node="a"}`])
+	if got := s.Find("reqs", Label{"node", "a"}).Count; got != 5 {
+		t.Fatalf("merged counter = %d, want 5", got)
 	}
-	if s.Counters[`reqs{node="b"}`] != 7 {
-		t.Fatalf("union counter = %d, want 7", s.Counters[`reqs{node="b"}`])
+	if got := s.Find("reqs", Label{"node", "b"}).Count; got != 7 {
+		t.Fatalf("union counter = %d, want 7", got)
 	}
-	if h := s.Histograms["lat"]; h.Count != 2 || h.Sum != 2.5 {
+	if h := s.Find("lat").Hist; h.Count != 2 || h.Sum != 2.5 {
 		t.Fatalf("merged histogram = %+v", h)
+	}
+	if sr := s.Find("reqs", Label{"node", "b"}); sr.ID() != `reqs{node="b"}` {
+		t.Fatalf("series id = %s", sr.ID())
+	}
+	// Merging r2 once more must not have been adding into r2's own buckets.
+	if h := r2.Snapshot().Find("lat").Hist; h.Count != 1 {
+		t.Fatalf("merge mutated its argument: %+v", h)
+	}
+}
+
+// TestSnapshotMergeConflicts pins that a kind belongs to the family and a
+// bucket layout to the series: a conflicting series of the argument is left
+// out and reported, the receiver's stay, and the rest still merges.
+func TestSnapshotMergeConflicts(t *testing.T) {
+	mine := Snapshot{
+		{Name: "a_total", Labels: []Label{{"k", "2"}}, Count: 1},
+		{Name: "h", Kind: KindHistogram, Hist: HistogramSnapshot{Bounds: []float64{1}, Counts: []uint64{1, 0}, Count: 1}},
+	}
+	theirs := Snapshot{
+		{Name: "a_total", Labels: []Label{{"k", "1"}}, Kind: KindGauge, Value: 9}, // sorts before mine, other kind
+		{Name: "a_total", Labels: []Label{{"k", "2"}}, Kind: KindGauge, Value: 9}, // same series, other kind
+		{Name: "h", Kind: KindHistogram, Hist: HistogramSnapshot{Bounds: []float64{2}, Counts: []uint64{5, 0}, Count: 5}},
+		{Name: "z_total", Count: 4},
+	}
+	err := mine.merge(theirs)
+	if err == nil || !strings.Contains(err.Error(), "a_total is a counter here and a gauge there") {
+		t.Fatalf("first conflict = %v", err)
+	}
+	if len(mine) != 3 || mine.Find("a_total", Label{"k", "2"}).Count != 1 || mine.Find("h").Hist.Count != 1 || mine.Find("z_total").Count != 4 {
+		t.Fatalf("merged = %+v", mine)
 	}
 }
 
@@ -115,12 +152,14 @@ func TestWriteTextFormat(t *testing.T) {
 	h.Observe(0.05)
 	h.Observe(0.5)
 	var sb strings.Builder
-	if err := r.WriteText(&sb); err != nil {
+	if err := r.Snapshot().WriteText(&sb); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
 	for _, want := range []string{
+		"# HELP fgcs_latency_seconds Latency.\n# TYPE fgcs_latency_seconds histogram\nfgcs_latency_seconds_bucket",
 		"# TYPE fgcs_requests_total counter",
+		"# TYPE fgcs_up gauge\nfgcs_up 1\n",
 		`fgcs_requests_total{type="query-tr"} 12`,
 		"fgcs_up 1",
 		`fgcs_latency_seconds_bucket{le="0.1"} 1`,
@@ -163,7 +202,7 @@ func BenchmarkCounterAdd(b *testing.B) {
 }
 
 func BenchmarkHistogramObserve(b *testing.B) {
-	h := NewHistogram(LatencyBuckets())
+	h := newHistogram(latencyBuckets())
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		h.Observe(float64(i%1000) * 1e-5)
@@ -197,12 +236,12 @@ func TestConcurrentSnapshotWhileRecord(t *testing.T) {
 		defer close(done)
 		for i := 0; i < 200; i++ {
 			s := r.Snapshot()
-			if s.Counters["c"] > writers*perWriter {
-				t.Errorf("counter overshot: %d", s.Counters["c"])
+			if s.Find("c").Count > writers*perWriter {
+				t.Errorf("counter overshot: %d", s.Find("c").Count)
 				return
 			}
 			var sb strings.Builder
-			if err := r.WriteText(&sb); err != nil {
+			if err := s.WriteText(&sb); err != nil {
 				t.Error(err)
 				return
 			}
@@ -211,10 +250,10 @@ func TestConcurrentSnapshotWhileRecord(t *testing.T) {
 	wg.Wait()
 	<-done
 	s := r.Snapshot()
-	if s.Counters["c"] != writers*perWriter {
-		t.Fatalf("final counter = %d, want %d", s.Counters["c"], writers*perWriter)
+	if s.Find("c").Count != writers*perWriter {
+		t.Fatalf("final counter = %d, want %d", s.Find("c").Count, writers*perWriter)
 	}
-	hs := s.Histograms["h"]
+	hs := s.Find("h").Hist
 	if hs.Count != writers*perWriter {
 		t.Fatalf("final histogram count = %d, want %d", hs.Count, writers*perWriter)
 	}

@@ -145,8 +145,8 @@ func TestSLOP99Ceiling(t *testing.T) {
 	m := NewSLOMonitor(SLO{Name: "q", P99Ceiling: 0.05, ShortWindow: 5 * time.Minute})
 	f := &sloFeed{m: m, t: time.Date(2026, 6, 4, 0, 0, 0, 0, time.UTC)}
 
-	h := NewHistogram([]float64{0.001, 0.01, 0.1, 1})
-	snap := func() *HistogramSnapshot { s := h.snapshot(); return &s }
+	h := newHistogram([]float64{0.001, 0.01, 0.1, 1})
+	snap := func() *HistogramSnapshot { s := h.Snapshot(); return &s }
 	for i := 0; i < 6; i++ {
 		for j := 0; j < 100; j++ {
 			h.Observe(0.005) // everything fast
