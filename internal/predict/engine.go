@@ -12,24 +12,24 @@ import (
 	"fgcs/internal/avail"
 	"fgcs/internal/obs"
 	"fgcs/internal/otrace"
-	"fgcs/internal/smp"
 	"fgcs/internal/trace"
 )
 
 // Engine is a concurrent batch-prediction service over the SMP predictor: it
-// memoizes estimated kernels (and their solved reliabilities) in an LRU
-// keyed by (history fingerprint, window, estimator configuration), serves
-// any number of concurrent PredictCtx/PredictFromCtx queries against the
-// cache, and fans PredictBatch request slices across a bounded worker pool.
-// Cache misses run on pooled scratch buffers, so the extraction and
-// backward-recursion hot paths allocate nothing at steady state beyond the
-// cached kernel itself.
+// memoizes solved predictions in an LRU keyed by (history fingerprint,
+// window, estimator configuration), serves any number of concurrent
+// PredictCtx/PredictFromCtx queries against the cache, and fans PredictBatch
+// request slices across a bounded worker pool. Cache misses run on pooled
+// scratch buffers, so extraction, estimation and the backward recursion
+// allocate at steady state only the kernel's support, which the miss drops
+// once it is solved.
 //
-// The LRU holds three kinds of entry under one key type: an SMP kernel with
-// its solved reliabilities per (pool, window, estimator configuration); a
-// bare TR per (pool, window, plugin name, salt) for every other Cacheable
-// plugin; and, per (pool, "FFT", salt) with no window, the fitted spectrum
-// that all of a pool's Spectral windows are evaluated from.
+// The LRU holds three kinds of entry under one key type: an SMP Prediction
+// (its solved reliabilities and initial-state mix) per (pool, window,
+// estimator configuration); a bare TR per (pool, window, plugin name, salt)
+// for every other Cacheable plugin; and, per (pool, "FFT", salt) with no
+// window, the fitted spectrum that all of a pool's Spectral windows are
+// evaluated from.
 //
 // Cache coherence rests on one rule: history days are immutable once handed
 // to the engine. The fingerprint memoizes a per-*trace.Day content hash by
@@ -62,7 +62,7 @@ type Engine struct {
 
 // EngineConfig tunes an Engine.
 type EngineConfig struct {
-	// CacheSize bounds the number of cached kernels. Zero selects the
+	// CacheSize bounds the number of cached entries. Zero selects the
 	// default (256); a negative value disables caching entirely (every
 	// query recomputes — useful for benchmarking the cold path).
 	CacheSize int
@@ -71,7 +71,7 @@ type EngineConfig struct {
 	Workers int
 }
 
-// defaultCacheSize is the kernel-cache capacity used when EngineConfig
+// defaultCacheSize is the cache capacity used when EngineConfig
 // leaves CacheSize zero.
 const defaultCacheSize = 256
 
@@ -118,13 +118,13 @@ type engineKey struct {
 	salt   uint64
 }
 
-// engineEntry is one cached result: the estimated kernel plus everything a
-// query needs (the solved per-initial-state reliabilities and the empirical
-// initial-state distribution), so hits touch no predictor code at all.
+// engineEntry is one cached result: the answer, not what it was computed
+// from. An SMP entry is its solved Prediction (the per-initial-state
+// reliabilities and the empirical initial-state distribution), so hits touch
+// no predictor code at all; its kernel is dropped once solved.
 type engineEntry struct {
-	key    engineKey
-	kernel *smp.Kernel
-	pred   Prediction // fully populated: TR, TRByInit, InitProb, HistoryWindows
+	key  engineKey
+	pred Prediction // fully populated: TR, TRByInit, InitProb, HistoryWindows
 	// spectrum is set instead on a Spectral fit entry (see Engine.spectrum).
 	spectrum *spectrum
 }
@@ -418,11 +418,16 @@ func (e *Engine) PredictPluginCtx(ctx context.Context, pl Plugin, in PluginInput
 	entry, err := e.memo(ctx, key, func(span *otrace.Span, _ *EngineMetrics) (*engineEntry, error) {
 		var tr float64
 		var err error
-		if s, ok := pl.(Spectral); ok {
-			tr, err = s.predictTR(in, func(days []*trace.Day) (*spectrum, error) {
-				return e.spectrum(span, s, key, days)
+		switch p := pl.(type) {
+		case Spectral:
+			tr, err = p.predictTR(in, func(days []*trace.Day) (*spectrum, error) {
+				return e.spectrum(span, p, key, days)
 			})
-		} else {
+		case Percentile:
+			sc := e.scratchPool.Get().(*scratch)
+			tr, err = p.predictTR(sc, in)
+			e.scratchPool.Put(sc)
+		default:
 			tr, err = pl.PredictTR(in)
 		}
 		if err != nil {
@@ -502,7 +507,7 @@ func (e *Engine) compute(span *otrace.Span, m *EngineMetrics, p SMP, days []*tra
 	if err != nil {
 		return nil, err
 	}
-	return &engineEntry{kernel: kernel, pred: pred}, nil
+	return &engineEntry{pred: pred}, nil
 }
 
 // fingerprint hashes the identity and content of a day pool. Per-day content

@@ -34,11 +34,14 @@ func TestEngineMatchesSMP(t *testing.T) {
 		{Start: 8 * time.Hour, Length: 30 * time.Minute},
 		{Start: 0, Length: 10 * time.Hour},
 	}
+	// A Th1 above the busy spell's 45 % turns its S2 starts into S1 ones.
+	lenient := avail.DefaultConfig()
+	lenient.Th1 = 50
 	preds := []SMP{
 		defaultSMP(),
 		{Cfg: avail.DefaultConfig(), HistoryDays: 5},
-		{Cfg: avail.DefaultConfig(), Smoothing: 0.5},
-		{Cfg: avail.DefaultConfig(), HistoryDays: 5, Smoothing: 0.5},
+		{Cfg: lenient},
+		{Cfg: lenient, HistoryDays: 5},
 	}
 	e := NewEngine(EngineConfig{})
 	for _, p := range preds {

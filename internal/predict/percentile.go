@@ -51,6 +51,12 @@ func (p Percentile) CacheSalt() uint64 {
 
 // PredictTR implements Plugin.
 func (p Percentile) PredictTR(in PluginInput) (float64, error) {
+	return p.predictTR(&scratch{}, in)
+}
+
+// predictTR is PredictTR classifying into sc.states, which it may grow and
+// leaves dirty; the result does not depend on what sc held.
+func (p Percentile) predictTR(sc *scratch, in PluginInput) (float64, error) {
 	w := in.Window
 	if err := w.Validate(); err != nil {
 		return 0, err
@@ -71,20 +77,19 @@ func (p Percentile) PredictTR(in PluginInput) (float64, error) {
 		return 0, fmt.Errorf("predict: percentile: no history days")
 	}
 	scores := make([]float64, 0, len(days))
-	var states []avail.State // one classification buffer serves every day
 	for _, d := range days {
 		samples := d.Window(w.Start, w.Length)
 		if len(samples) == 0 {
 			continue
 		}
 		up := 0
-		states = avail.ClassifyInto(states, samples, cfg, d.Period)
-		for _, st := range states {
+		sc.states = avail.ClassifyInto(sc.states, samples, cfg, d.Period)
+		for _, st := range sc.states {
 			if st.Recoverable() {
 				up++
 			}
 		}
-		scores = append(scores, float64(up)/float64(len(states)))
+		scores = append(scores, float64(up)/float64(len(sc.states)))
 	}
 	if len(scores) == 0 {
 		return 0, fmt.Errorf("predict: percentile: no history windows overlap %v", w)

@@ -90,8 +90,6 @@ type SMP struct {
 	// pooled into the estimate (N in Section 4.2). Zero means all
 	// provided days.
 	HistoryDays int
-	// Smoothing is the optional pseudo-count passed to the estimator.
-	Smoothing float64
 }
 
 // Name implements a human-readable identifier used in experiment output.
@@ -157,11 +155,13 @@ func periodOf(days []*trace.Day) time.Duration {
 }
 
 // scratch bundles the reusable per-query buffers: the classification and
-// extraction arena and the solver workspace for SMP, and for a forecast-origin
-// baseline the training series, its forecast, the forecast as samples and
-// their classification. The engine pools them, so its miss path allocates
-// nothing at steady state beyond what it caches; a call outside the engine
-// starts from the zero value. Results do not depend on what a scratch held.
+// extraction arena and the estimation/solver workspace for SMP, a
+// classification buffer for Percentile, and for a forecast-origin baseline the
+// training series, its forecast, the forecast as samples and their
+// classification. The engine pools them, so at steady state its miss path
+// allocates only the kernel's support and what it caches; a call outside the
+// engine starts from the zero value. Results do not depend on what a scratch
+// held.
 type scratch struct {
 	ex avail.Extractor
 	ws smp.Workspace
@@ -218,8 +218,7 @@ func (p SMP) prepare(sc *scratch, history []*trace.Day, w Window) (*smp.Kernel, 
 	} else {
 		pred.InitProb = [2]float64{1, 0} // no usable history: assume idle start
 	}
-	est := smp.Estimator{Horizon: units, Smoothing: p.Smoothing}
-	kernel, err := est.Estimate(sc.ex.Seqs())
+	kernel, err := smp.Estimator{Horizon: units}.EstimateWS(&sc.ws, sc.ex.Seqs())
 	if err != nil {
 		return nil, pred, 0, err
 	}

@@ -145,8 +145,9 @@ func (s Spectral) fit(days []*trace.Day) (*spectrum, error) {
 	if total == 0 {
 		return nil, fmt.Errorf("predict: spectral: history days carry no samples")
 	}
-	// Binary availability signal; one classification buffer serves every day.
-	signal := make([]float64, 0, total)
+	// Binary availability signal, a byte a sample; one classification
+	// buffer serves every day.
+	signal := make([]uint8, 0, total)
 	var states []avail.State
 	for _, d := range days {
 		states = avail.ClassifyInto(states, d.Samples, s.Cfg, d.Period)
@@ -258,8 +259,9 @@ func (s Spectral) selectSpectrum(spec []complex128) []int {
 // averaging: output point i averages the source interval
 // [i*L/n, (i+1)*L/n), weighting partial source samples by their overlap.
 // Downsampling therefore anti-aliases (a box filter) and upsampling
-// replicates; both are exact and deterministic.
-func resampleBoxFilter(signal []float64, n int) []float64 {
+// replicates; both are exact and deterministic. A uint8 signal converts
+// exactly, so it resamples to the same values as its float64 copy.
+func resampleBoxFilter[T uint8 | float64](signal []T, n int) []float64 {
 	out := make([]float64, n)
 	l := float64(len(signal))
 	step := l / float64(n)
@@ -272,7 +274,7 @@ func resampleBoxFilter(signal []float64, n int) []float64 {
 			if b <= a {
 				continue
 			}
-			sum += signal[j] * (b - a)
+			sum += float64(signal[j]) * (b - a)
 			weight += b - a
 		}
 		if weight > 0 {

@@ -49,21 +49,21 @@ type Estimator struct {
 	// prediction window. Holding times longer than the horizon are capped
 	// (their exact length cannot matter within the window).
 	Horizon int
-	// Smoothing adds a pseudo-count to every legal transition target at
-	// holding-time 1..Horizon spread uniformly. Zero (the default)
-	// reproduces the plain empirical statistics the paper computes.
-	Smoothing float64
 }
 
 // Kernel is the estimated one-step behavior of the semi-Markov process:
-// q[i][j][l] = Pr{next state is j and the holding time is exactly l units |
-// the process just entered state i}. Q and H of the paper factor out of q as
-// Q_i(j) = Σ_l q_ij(l) and H_ij(l) = q_ij(l)/Q_i(j).
+// q_ij(l) = Pr{next state is j and the holding time is exactly l units | the
+// process just entered state i}. Q and H of the paper factor out of q as
+// Q_i(j) = Σ_l q_ij(l) and H_ij(l) = q_ij(l)/Q_i(j). It is stored sparse, as
+// §4 argues: for each of the eight legal pairs, only the holding times at
+// which an observed sojourn ended.
 type Kernel struct {
 	horizon int
-	// q[fi][int(to)][l]; fi is 0 for S1, 1 for S2; l runs 1..horizon
-	// (index 0 unused). Only legal targets are allocated.
-	q [2][avail.NumStates + 1][]float64
+	// hold[fi][int(to)] lists the holding times in 1..horizon at which
+	// q_{from,to} has mass, ascending, and q[fi][int(to)] the mass at each;
+	// fi is 0 for S1, 1 for S2. Illegal targets stay empty.
+	hold [2][avail.NumStates + 1][]int32
+	q    [2][avail.NumStates + 1][]float64
 }
 
 func fromIndex(s avail.State) int {
@@ -76,49 +76,37 @@ func fromIndex(s avail.State) int {
 	return -1
 }
 
-// qAt returns the raw kernel value q_{from,to}(l).
-func (k *Kernel) qAt(fi int, to avail.State, l int) float64 {
-	qs := k.q[fi][to]
-	if qs == nil || l < 1 || l >= len(qs) {
-		return 0
-	}
-	return qs[l]
-}
-
 // ErrNoHorizon is returned when the estimator is configured without a
 // positive horizon.
 var ErrNoHorizon = errors.New("smp: horizon must be positive")
 
-// Estimate builds a Kernel from sojourn sequences, one sequence per training
-// window (the same clock window on each of the most recent N same-type days,
-// per Section 4.2). Sequences may be empty. The final sojourn of a sequence
-// that does not end in a failure state is treated as right-censored, and a
-// sojourn longer than the horizon is censored at the horizon (its eventual
-// transition cannot matter within the window).
+// Estimate is EstimateWS on a fresh workspace.
 func (e Estimator) Estimate(seqs [][]avail.Sojourn) (*Kernel, error) {
+	return e.EstimateWS(nil, seqs)
+}
+
+// EstimateWS builds a Kernel from sojourn sequences, one sequence per training
+// window (the same clock window on each of the most recent N same-type days,
+// per Section 4.2), counting in ws's reusable buffers (nil counts in fresh
+// ones). Sequences may be empty. The final sojourn of a sequence that does not
+// end in a failure state is treated as right-censored, and a sojourn longer
+// than the horizon is censored at the horizon (its eventual transition cannot
+// matter within the window). The kernel's own support is all it allocates; ws
+// is left ready for the next call, also after an error.
+func (e Estimator) EstimateWS(ws *Workspace, seqs [][]avail.Sojourn) (*Kernel, error) {
 	if e.Horizon <= 0 {
 		return nil, ErrNoHorizon
 	}
-	if e.Smoothing < 0 {
-		return nil, fmt.Errorf("smp: negative smoothing")
+	if ws == nil {
+		ws = &Workspace{}
 	}
-	k := &Kernel{horizon: e.Horizon}
-	// Event counts accumulate directly in k.q[fi][to][l] (completed
-	// sojourns by holding time) and are normalized into kernel mass in
-	// place below — the estimator's only allocations are the kernel's own
-	// slices, which outlive the call. censored[fi][l] counts right-censored
-	// sojourns by observed length; both from-states share one backing
-	// array.
-	censBuf := make([]float64, 2*(e.Horizon+1))
-	censored := [2][]float64{censBuf[: e.Horizon+1 : e.Horizon+1], censBuf[e.Horizon+1:]}
-	var nEvents, nCensored [2]float64
-	for fi, from := 0, []avail.State{avail.S1, avail.S2}; fi < 2; fi++ {
-		for to := avail.S1; to <= avail.S5; to++ {
-			if Legal(from[fi], to) {
-				k.q[fi][to] = make([]float64, e.Horizon+1)
-			}
-		}
-	}
+	h := e.Horizon
+	ws.growCounts(h + 1)
+	// Count completed sojourns by (from, to, holding time) and censored ones
+	// by (from, observed length); nnz counts the distinct holding times of
+	// each pair, which bounds its support.
+	var nEvents, nCensored [2]int
+	var nnz [2][avail.NumStates + 1]int
 	for _, seq := range seqs {
 		for si, soj := range seq {
 			fi := fromIndex(soj.State)
@@ -131,73 +119,69 @@ func (e Estimator) Estimate(seqs [][]avail.Sojourn) (*Kernel, error) {
 				units = 1
 			}
 			completed := si+1 < len(seq)
-			if units > e.Horizon {
+			if units > h {
 				// Over-horizon sojourns are censored at the horizon.
-				units = e.Horizon
+				units = h
 				completed = false
 			}
-			if completed {
-				to := seq[si+1].State
-				if !Legal(soj.State, to) {
-					return nil, fmt.Errorf("smp: illegal transition %v -> %v in training sequence", soj.State, to)
-				}
-				k.q[fi][to][units]++
-				nEvents[fi]++
-			} else {
-				censored[fi][units]++
+			if !completed {
+				ws.censored[fi][units]++
 				nCensored[fi]++
+				continue
 			}
+			to := seq[si+1].State
+			if !Legal(soj.State, to) {
+				ws.clearCounts()
+				return nil, fmt.Errorf("smp: illegal transition %v -> %v in training sequence", soj.State, to)
+			}
+			if ws.events[fi][to][units] == 0 {
+				nnz[fi][to]++
+			}
+			ws.events[fi][to][units]++
+			nEvents[fi]++
 		}
 	}
-	// Smoothing: spread pseudo-events uniformly over legal targets and
-	// holding times.
-	if e.Smoothing > 0 {
-		per := e.Smoothing / float64(4*e.Horizon)
-		for fi := 0; fi < 2; fi++ {
-			for to := avail.S1; to <= avail.S5; to++ {
-				if k.q[fi][to] == nil {
-					continue
-				}
-				for l := 1; l <= e.Horizon; l++ {
-					k.q[fi][to][l] += per
-				}
-			}
-			nEvents[fi] += e.Smoothing
+	k := &Kernel{horizon: h}
+	total := 0
+	for fi := range nnz {
+		for _, n := range nnz[fi] {
+			total += n
 		}
 	}
-	// Convert the in-place counts into the one-step kernel: product-limit
-	// survival times the cause-specific hazard at each holding time.
+	holdBuf, qBuf := make([]int32, total), make([]float64, total)
+	for fi := range nnz {
+		for to, n := range nnz[fi] {
+			k.hold[fi][to], holdBuf = holdBuf[:0:n], holdBuf[n:]
+			k.q[fi][to], qBuf = qBuf[:0:n], qBuf[n:]
+		}
+	}
+	// Turn the counts into the one-step kernel — product-limit survival
+	// times the cause-specific hazard at each holding time — re-zeroing them
+	// as they are read. risk is the number of sojourns not yet read, so the
+	// walk stops early only once it has read them all.
 	for fi := 0; fi < 2; fi++ {
-		risk := nEvents[fi] + nCensored[fi]
+		risk := float64(nEvents[fi] + nCensored[fi])
 		surv := 1.0
-		l := 1
-		for ; l <= e.Horizon && risk > 1e-12 && surv > 0; l++ {
-			atL := 0.0
+		cens := ws.censored[fi]
+		for l := 1; l <= h && risk > 1e-12 && surv > 0; l++ {
+			atL := 0
 			for to := avail.S1; to <= avail.S5; to++ {
-				qs := k.q[fi][to]
-				if qs == nil {
+				row := ws.events[fi][to]
+				if row == nil || row[l] == 0 {
 					continue
 				}
-				c := qs[l]
-				if c != 0 {
-					qs[l] = surv * c / risk
-					atL += c
-				}
+				c := int(row[l])
+				row[l] = 0
+				k.hold[fi][to] = append(k.hold[fi][to], int32(l))
+				k.q[fi][to] = append(k.q[fi][to], surv*float64(c)/risk)
+				atL += c
 			}
-			surv *= 1 - atL/risk
+			surv *= 1 - float64(atL)/risk
 			if surv < 0 {
 				surv = 0
 			}
-			risk -= atL + censored[fi][l]
-		}
-		// Holding times past the early-exit point keep no mass:
-		// clear any raw counts left there.
-		for ; l <= e.Horizon; l++ {
-			for to := avail.S1; to <= avail.S5; to++ {
-				if qs := k.q[fi][to]; qs != nil {
-					qs[l] = 0
-				}
-			}
+			risk -= float64(atL + int(cens[l]))
+			cens[l] = 0
 		}
 	}
 	return k, nil
@@ -257,17 +241,19 @@ func (sol *solution) tr(fi, units int) float64 {
 	return clamp01(1 - total)
 }
 
-// Workspace holds reusable buffers for the Equation (3) recursion, so a
-// long-lived caller (the prediction engine's per-query scratch) can solve
-// repeatedly without allocating. The zero value is ready to use. Workspaces
-// are not safe for concurrent use.
+// Workspace holds reusable buffers for kernel estimation and the Equation (3)
+// recursion, so a long-lived caller (the prediction engine's per-query
+// scratch) can estimate and solve repeatedly without allocating beyond the
+// kernel's own support. The zero value is ready to use. Workspaces are not
+// safe for concurrent use.
 type Workspace struct {
 	sol solution
 	cum [2][3][]float64
-	// The non-zero support of the cross kernels q₁₂ (index 0) and q₂₁
-	// (index 1) inside the window: holding times ascending, and their mass.
-	crossL [2][]int
-	crossQ [2][]float64
+	// The estimator's counts, all zero between calls: events[fi][int(to)][l]
+	// completed sojourns of a legal pair by holding time, censored[fi][l]
+	// right-censored ones by observed length.
+	events   [2][avail.NumStates + 1][]int32
+	censored [2][]int32
 }
 
 // grow sizes the workspace buffers for n = units+1 entries, reusing capacity
@@ -295,19 +281,73 @@ func growZeroHead(buf []float64, n int) []float64 {
 	return buf
 }
 
+// growCounts sizes the estimator's count rows to n entries. Rows are zero
+// across their whole capacity between calls, so a reslice is all a smaller or
+// previously seen size needs; a larger one gets one fresh zeroed array.
+func (ws *Workspace) growCounts(n int) {
+	if cap(ws.censored[0]) < n {
+		buf := make([]int32, 10*n)
+		for fi, from := range [2]avail.State{avail.S1, avail.S2} {
+			for to := avail.S1; to <= avail.S5; to++ {
+				if Legal(from, to) {
+					ws.events[fi][to], buf = buf[:n:n], buf[n:]
+				}
+			}
+			ws.censored[fi], buf = buf[:n:n], buf[n:]
+		}
+		return
+	}
+	for fi := 0; fi < 2; fi++ {
+		for to, row := range ws.events[fi] {
+			if row != nil {
+				ws.events[fi][to] = row[:n]
+			}
+		}
+		ws.censored[fi] = ws.censored[fi][:n]
+	}
+}
+
+// clearCounts zeroes every count, for the one exit that does not read them
+// back.
+func (ws *Workspace) clearCounts() {
+	for fi := range ws.events {
+		for _, row := range ws.events[fi] {
+			clear(row)
+		}
+		clear(ws.censored[fi])
+	}
+}
+
 // directCum fills cum[fi][ji][m] = Σ_{l=1..m} q_{fi,j}(l), the probability of
-// a direct absorption into j within m units, for m = 1..units.
+// a direct absorption into j within m units, for m = 1..units, walking the
+// support: a holding time without mass would add exactly +0.
 func (k *Kernel) directCum(cum *[2][3][]float64, units int) {
 	for fi := 0; fi < 2; fi++ {
 		for ji := 0; ji < 3; ji++ {
-			to := avail.State(ji + 3)
-			run := 0.0
+			hold, q := k.hold[fi][ji+3], k.q[fi][ji+3]
+			run, i := 0.0, 0
 			for m := 1; m <= units; m++ {
-				run += k.qAt(fi, to, m)
+				if i < len(hold) && int(hold[i]) == m {
+					run += q[i]
+					i++
+				}
 				cum[fi][ji][m] = run
 			}
 		}
 	}
+}
+
+// dense returns q_{fi,to}(l) for l = 0..units as an array: the kernel as the
+// paper writes it, materialised for the dense solver.
+func (k *Kernel) dense(fi int, to avail.State, units int) []float64 {
+	out := make([]float64, units+1)
+	for i, l := range k.hold[fi][to] {
+		if int(l) > units {
+			break
+		}
+		out[l] = k.q[fi][to][i]
+	}
+	return out
 }
 
 // solve runs the dynamic program of Equation (3) for m = 0..units into ws (a
@@ -325,21 +365,14 @@ func (k *Kernel) solve(ws *Workspace, units int) *solution {
 	ws.grow(units + 1)
 	sol := &ws.sol
 	k.directCum(&ws.cum, units)
-	for fi, qs := range [2][]float64{k.q[0][avail.S2], k.q[1][avail.S1]} {
-		ls, vs := ws.crossL[fi][:0], ws.crossQ[fi][:0]
-		// Step m reads l < m ≤ units, so l = units is never used.
-		for l := 1; l < len(qs) && l < units; l++ {
-			if qs[l] != 0 {
-				ls, vs = append(ls, l), append(vs, qs[l])
-			}
-		}
-		ws.crossL[fi], ws.crossQ[fi] = ls, vs
-	}
+	// The cross kernels q₁₂ and q₂₁: step m reads their holding times l < m.
+	crossL := [2][]int32{k.hold[0][avail.S2], k.hold[1][avail.S1]}
+	crossQ := [2][]float64{k.q[0][avail.S2], k.q[1][avail.S1]}
 	for m := 1; m <= units; m++ {
 		for fi := 0; fi < 2; fi++ {
 			// The two reslices let the compiler drop the inner loop's
 			// bounds checks (a third off the solve on the bench history).
-			ls, vs := ws.crossL[fi], ws.crossQ[fi]
+			ls, vs := crossL[fi], crossQ[fi]
 			vs = vs[:len(ls)]
 			for ji := 0; ji < 3; ji++ {
 				acc := ws.cum[fi][ji][m]
@@ -347,10 +380,10 @@ func (k *Kernel) solve(ws *Workspace, units int) *solution {
 				// Convolution with the path through the other
 				// recoverable state.
 				for i, l := range ls {
-					if l >= m {
+					if int(l) >= m {
 						break
 					}
-					acc += vs[i] * po[m-l]
+					acc += vs[i] * po[m-int(l)]
 				}
 				if acc > 1 {
 					acc = 1
@@ -372,9 +405,9 @@ func (k *Kernel) solveDense(units int) (*solution, int64) {
 	sol, cum := &ws.sol, &ws.cum
 	k.directCum(cum, units)
 	ops := int64(6 * units)
-	// Cross-transition kernels, padded to units+1 so the inner loop needs
-	// no bounds logic.
-	crossQ := [2][]float64{pad(k.q[0][avail.S2], units+1), pad(k.q[1][avail.S1], units+1)}
+	// Cross-transition kernels as dense units+1 arrays, so the inner loop
+	// needs no bounds logic.
+	crossQ := [2][]float64{k.dense(0, avail.S2, units), k.dense(1, avail.S1, units)}
 	for m := 1; m <= units; m++ {
 		for fi := 0; fi < 2; fi++ {
 			q := crossQ[fi]
@@ -393,17 +426,6 @@ func (k *Kernel) solveDense(units int) (*solution, int64) {
 		}
 	}
 	return sol, ops
-}
-
-// pad returns qs extended with zeros to length n (aliasing qs when long
-// enough).
-func pad(qs []float64, n int) []float64 {
-	if len(qs) >= n {
-		return qs
-	}
-	out := make([]float64, n)
-	copy(out, qs)
-	return out
 }
 
 func clamp01(x float64) float64 {

@@ -1,6 +1,7 @@
 package smp
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -60,19 +61,30 @@ func TestEstimateCounts(t *testing.T) {
 		t.Fatalf("Q2(S3) = %v, want 1", got)
 	}
 	// H is concentrated at the observed holding times: all of Q sits there.
-	if got := k.qAt(0, avail.S2, 3); got != 0.5 {
+	if got := qAt(k, 0, avail.S2, 3); got != 0.5 {
 		t.Fatalf("q1,2(3) = %v, want 0.5", got)
 	}
-	if got := k.qAt(1, avail.S3, 2); got != 1 {
+	if got := qAt(k, 1, avail.S3, 2); got != 1 {
 		t.Fatalf("q2,3(2) = %v, want 1", got)
 	}
-	if k.q[0][avail.S2][0] != 0 {
-		t.Fatal("H(0) must be 0 (Figure 3)")
+	if hold := k.hold[0][avail.S2]; len(hold) != 1 || hold[0] != 3 {
+		t.Fatalf("support of q1,2 = %v, want [3] (H(0) is 0, Figure 3)", k.hold[0][avail.S2])
 	}
 }
 
+// qAt returns the kernel value q_{from,to}(l), zero off the support.
+func qAt(k *Kernel, fi int, to avail.State, l int) float64 {
+	for i, at := range k.hold[fi][to] {
+		if int(at) == l {
+			return k.q[fi][to][i]
+		}
+	}
+	return 0
+}
+
 // mass is the paper's Q_from(to): the kernel's total mass on one transition,
-// read off the raw arrays so that an entry outside the legal pairs would show.
+// read off the raw support so that an entry outside the legal pairs would
+// show.
 func mass(k *Kernel, from, to avail.State) float64 {
 	total := 0.0
 	if fi := fromIndex(from); fi >= 0 {
@@ -83,12 +95,98 @@ func mass(k *Kernel, from, to avail.State) float64 {
 	return total
 }
 
+// denseQ is a kernel as the paper writes it: q[fi][int(to)][l] for
+// l = 0..horizon, nil for an illegal target.
+type denseQ [2][avail.NumStates + 1][]float64
+
+// fromDense is the one dense → sparse conversion of the tests: the support is
+// every holding time with a non-zero entry.
+func fromDense(horizon int, q *denseQ) *Kernel {
+	k := &Kernel{horizon: horizon}
+	for fi := range q {
+		for to, qs := range q[fi] {
+			for l := 1; l < len(qs); l++ {
+				if qs[l] != 0 {
+					k.hold[fi][to] = append(k.hold[fi][to], int32(l))
+					k.q[fi][to] = append(k.q[fi][to], qs[l])
+				}
+			}
+		}
+	}
+	return k
+}
+
+// referenceEstimate is the estimator as it stood while the kernel was dense:
+// float64 counts accumulated in horizon+1 arrays per legal pair and turned
+// into mass in place. EstimateWS must reproduce it bit for bit.
+func referenceEstimate(horizon int, seqs [][]avail.Sojourn) (*denseQ, error) {
+	q := &denseQ{}
+	censored := [2][]float64{make([]float64, horizon+1), make([]float64, horizon+1)}
+	var nEvents, nCensored [2]float64
+	for fi, from := range [2]avail.State{avail.S1, avail.S2} {
+		for to := avail.S1; to <= avail.S5; to++ {
+			if Legal(from, to) {
+				q[fi][to] = make([]float64, horizon+1)
+			}
+		}
+	}
+	for _, seq := range seqs {
+		for si, soj := range seq {
+			fi := fromIndex(soj.State)
+			if fi < 0 {
+				break
+			}
+			units := max(soj.Units, 1)
+			completed := si+1 < len(seq)
+			if units > horizon {
+				units, completed = horizon, false
+			}
+			if !completed {
+				censored[fi][units]++
+				nCensored[fi]++
+				continue
+			}
+			to := seq[si+1].State
+			if !Legal(soj.State, to) {
+				return nil, fmt.Errorf("illegal transition %v -> %v", soj.State, to)
+			}
+			q[fi][to][units]++
+			nEvents[fi]++
+		}
+	}
+	for fi := 0; fi < 2; fi++ {
+		risk := nEvents[fi] + nCensored[fi]
+		surv := 1.0
+		l := 1
+		for ; l <= horizon && risk > 1e-12 && surv > 0; l++ {
+			atL := 0.0
+			for _, qs := range q[fi] {
+				if qs != nil && qs[l] != 0 {
+					c := qs[l]
+					qs[l] = surv * c / risk
+					atL += c
+				}
+			}
+			surv *= 1 - atL/risk
+			if surv < 0 {
+				surv = 0
+			}
+			risk -= atL + censored[fi][l]
+		}
+		for ; l <= horizon; l++ {
+			for _, qs := range q[fi] {
+				if qs != nil {
+					qs[l] = 0
+				}
+			}
+		}
+	}
+	return q, nil
+}
+
 func TestEstimateErrors(t *testing.T) {
 	if _, err := (Estimator{Horizon: 0}).Estimate(nil); err != ErrNoHorizon {
 		t.Fatalf("err = %v", err)
-	}
-	if _, err := (Estimator{Horizon: 10, Smoothing: -1}).Estimate(nil); err == nil {
-		t.Fatal("negative smoothing accepted")
 	}
 	// Illegal transition in training data (S1 -> S1 impossible after run
 	// compression, so fabricate S3 -> S1).
@@ -163,10 +261,10 @@ func TestHazardTwoStageKaplanMeier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := k.qAt(0, avail.S3, 2); math.Abs(got-0.25) > 1e-12 {
+	if got := qAt(k, 0, avail.S3, 2); math.Abs(got-0.25) > 1e-12 {
 		t.Fatalf("q13(2) = %v, want 0.25", got)
 	}
-	if got := k.qAt(0, avail.S5, 5); math.Abs(got-0.5) > 1e-12 {
+	if got := qAt(k, 0, avail.S5, 5); math.Abs(got-0.5) > 1e-12 {
 		t.Fatalf("q15(5) = %v, want 0.5", got)
 	}
 	tr, _ := servedTR(k, avail.S1, 10)
@@ -318,33 +416,25 @@ func TestReliabilitiesMatchesSolve(t *testing.T) {
 	}
 }
 
-func TestSmoothingMakesQPositive(t *testing.T) {
-	k, err := Estimator{Horizon: 10, Smoothing: 1}.Estimate(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range LegalTransitions {
-		if mass(k, p[0], p[1]) <= 0 {
-			t.Fatalf("smoothed Q%v = 0", p)
-		}
-	}
-	tr, err := servedTR(k, avail.S1, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr >= 1 || tr <= 0 {
-		t.Fatalf("smoothed TR = %v, want strictly inside (0,1)", tr)
-	}
-}
-
 // servedTR is the serving solve's TR for one recoverable initial state.
 func servedTR(k *Kernel, init avail.State, units int) (float64, error) {
 	tr1, tr2, err := k.ReliabilitiesWS(nil, units)
 	return [2]float64{tr1, tr2}[fromIndex(init)], err
 }
 
-// randomKernel builds a kernel directly from random legal counts.
+// randomKernel estimates a kernel from randomSeqs.
 func randomKernel(r *rng.Stream, horizon int) *Kernel {
+	k, err := Estimator{Horizon: horizon}.Estimate(randomSeqs(r, horizon))
+	if err != nil {
+		panic(err)
+	}
+	return k
+}
+
+// randomSeqs draws 3–22 legal training windows of the given length: holding
+// times up to half of it, toggling between the recoverable states or
+// absorbing, the last sojourn of an unabsorbed window censored.
+func randomSeqs(r *rng.Stream, horizon int) [][]avail.Sojourn {
 	var seqs [][]avail.Sojourn
 	nseq := 3 + r.Intn(20)
 	for i := 0; i < nseq; i++ {
@@ -387,11 +477,7 @@ func randomKernel(r *rng.Stream, horizon int) *Kernel {
 		}
 		seqs = append(seqs, seq)
 	}
-	k, err := Estimator{Horizon: horizon}.Estimate(seqs)
-	if err != nil {
-		panic(err)
-	}
-	return k
+	return seqs
 }
 
 // simulate runs the semi-Markov process forward once and reports whether it
@@ -409,11 +495,10 @@ func simulate(k *Kernel, r *rng.Stream, init avail.State, units int) bool {
 		found := false
 	outer:
 		for s := avail.S1; s <= avail.S5; s++ {
-			qs := k.q[fi][s]
-			for l := 1; l < len(qs); l++ {
-				acc += qs[l]
+			for i, l := range k.hold[fi][s] {
+				acc += k.q[fi][s][i]
 				if x < acc {
-					to, hold, found = s, l, true
+					to, hold, found = s, int(l), true
 					break outer
 				}
 			}
@@ -500,11 +585,14 @@ func TestKernelStochasticProperty(t *testing.T) {
 				}
 				rowSum += q
 				// H(i,j,·) = q/Q is a mass function when no entry is
-				// negative and nothing sits at holding time 0.
-				for l, v := range k.q[fromIndex(from)][to] {
-					if v < 0 || l == 0 && v != 0 {
+				// negative and the support is ascending inside
+				// 1..horizon (nothing sits at holding time 0).
+				fi, prev := fromIndex(from), int32(0)
+				for i, l := range k.hold[fi][to] {
+					if k.q[fi][to][i] < 0 || l <= prev || int(l) > k.horizon {
 						return false
 					}
+					prev = l
 				}
 			}
 			if rowSum > 1+1e-9 {
@@ -637,7 +725,7 @@ func TestSparseSolverMatchesDenseGolden(t *testing.T) {
 // 8*(l-1)+i is the mass, in 1/255ths, of LegalTransitions[i] at holding time
 // l (missing bytes are zero), scaled down per from-state when it sums past 1.
 func fuzzKernel(horizon int, data []byte) *Kernel {
-	k := &Kernel{horizon: horizon}
+	q := &denseQ{}
 	var total [2]float64
 	for i, p := range LegalTransitions {
 		fi := fromIndex(p[0])
@@ -648,16 +736,16 @@ func fuzzKernel(horizon int, data []byte) *Kernel {
 				total[fi] += qs[l]
 			}
 		}
-		k.q[fi][p[1]] = qs
+		q[fi][p[1]] = qs
 	}
 	for _, p := range LegalTransitions {
 		if fi := fromIndex(p[0]); total[fi] > 1 {
-			for l := range k.q[fi][p[1]] {
-				k.q[fi][p[1]][l] /= total[fi]
+			for l := range q[fi][p[1]] {
+				q[fi][p[1]][l] /= total[fi]
 			}
 		}
 	}
-	return k
+	return fromDense(horizon, q)
 }
 
 // FuzzSolverMatchesDense: whatever the kernel's support looks like, the
@@ -701,8 +789,117 @@ func FuzzSolverMatchesDense(f *testing.F) {
 	})
 }
 
-// TestReliabilitiesWSWarmAllocatesNothing: the non-zero index lives in the
-// workspace, so the engine's miss path solves without allocating.
+// requireEstimateMatchesDense fails unless EstimateWS on ws and the dense
+// reference agree: the same error or none, and then Float64bits-equal q at
+// every (from, to, l) with the support ascending inside 1..horizon. Either way
+// a non-nil ws must come back with every count zero.
+func requireEstimateMatchesDense(t *testing.T, ws *Workspace, horizon int, seqs [][]avail.Sojourn) {
+	t.Helper()
+	ref, refErr := referenceEstimate(horizon, seqs)
+	k, err := Estimator{Horizon: horizon}.EstimateWS(ws, seqs)
+	if (err == nil) != (refErr == nil) {
+		t.Fatalf("horizon %d: EstimateWS err %v, reference err %v", horizon, err, refErr)
+	}
+	for fi := 0; ws != nil && fi < 2; fi++ {
+		for _, row := range append(ws.events[fi][:], ws.censored[fi]) {
+			for l, c := range row[:cap(row)] {
+				if c != 0 {
+					t.Fatalf("horizon %d: workspace left count %d at fi %d, l %d", horizon, c, fi, l)
+				}
+			}
+		}
+	}
+	if err != nil {
+		return
+	}
+	for fi := 0; fi < 2; fi++ {
+		for to := avail.S1; to <= avail.S5; to++ {
+			prev := int32(0)
+			for _, l := range k.hold[fi][to] {
+				if l <= prev || int(l) > horizon {
+					t.Fatalf("horizon %d: support of (%d,%v) not ascending in 1..%d: %v", horizon, fi, to, horizon, k.hold[fi][to])
+				}
+				prev = l
+			}
+			for l := 0; l <= horizon; l++ {
+				want := 0.0
+				if ref[fi][to] != nil {
+					want = ref[fi][to][l]
+				}
+				if got := qAt(k, fi, to, l); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("horizon %d: q(%d,%v,%d) = %v, dense %v", horizon, fi, to, l, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestEstimateMatchesDense: the sparse estimator reproduces the dense one bit
+// for bit, with one workspace reused across horizons (60 → 7 → 60, so the
+// middle one caps and censors most sojourns), after an illegal transition
+// and after a walk that stops early (every S1 sojourn ends by l = 2).
+func TestEstimateMatchesDense(t *testing.T) {
+	ws := &Workspace{}
+	for trial := 0; trial < 10; trial++ {
+		seqs := randomSeqs(rng.New(uint64(trial)+300), 60)
+		for _, h := range []int{60, 7, 60} {
+			requireEstimateMatchesDense(t, ws, h, seqs)
+		}
+		requireEstimateMatchesDense(t, nil, 60, seqs)
+	}
+	illegal := [][]avail.Sojourn{
+		{{State: avail.S1, Units: 3}, {State: avail.S2, Units: 4}, {State: avail.S3, Units: 1}},
+		{{State: avail.S2, Units: 5}, {State: avail.S2, Units: 1}},
+	}
+	early := [][]avail.Sojourn{
+		{{State: avail.S1, Units: 1}, {State: avail.S3, Units: 1}},
+		{{State: avail.S1, Units: 2}, {State: avail.S2, Units: 9}},
+		{{State: avail.S2, Units: 40}},
+	}
+	for _, seqs := range [][][]avail.Sojourn{illegal, early, randomSeqs(rng.New(1), 60)} {
+		requireEstimateMatchesDense(t, ws, 60, seqs)
+	}
+}
+
+// fuzzSeqs decodes training windows from raw bytes, two a sojourn: a first
+// byte ≡ 0 (mod 6) closes the window, otherwise it names the state (S1..S5)
+// and the second byte the holding time (0..255, so some exceed any horizon).
+// Nothing keeps the transitions legal.
+func fuzzSeqs(data []byte) [][]avail.Sojourn {
+	var seqs [][]avail.Sojourn
+	var seq []avail.Sojourn
+	for i := 0; i+1 < len(data); i += 2 {
+		if data[i]%6 == 0 {
+			seqs, seq = append(seqs, seq), nil
+			continue
+		}
+		seq = append(seq, avail.Sojourn{State: avail.State(data[i] % 6), Units: int(data[i+1])})
+	}
+	return append(seqs, seq)
+}
+
+// FuzzEstimateMatchesDense: whatever the training windows, EstimateWS equals
+// the dense reference bit for bit, on one workspace reused at the horizon, a
+// shorter one and the horizon again.
+func FuzzEstimateMatchesDense(f *testing.F) {
+	f.Add(uint8(30), []byte{1, 3, 2, 2, 3, 5, 0, 0, 1, 4})                    // TestEstimateCounts' windows
+	f.Add(uint8(10), []byte{1, 200, 3, 1, 0, 0, 2, 7})                        // over-horizon and censored
+	f.Add(uint8(20), []byte{1, 2, 2, 3, 1, 4, 0, 0, 2, 1, 2, 1})              // S2 → S2 is illegal
+	f.Add(uint8(12), []byte{1, 1, 4, 1, 0, 0, 1, 1, 5, 1, 0, 0, 2, 12, 1, 6}) // early exit from S1
+	f.Fuzz(func(t *testing.T, horizon uint8, data []byte) {
+		if horizon == 0 {
+			t.Skip()
+		}
+		seqs, ws := fuzzSeqs(data), &Workspace{}
+		for _, h := range []int{int(horizon), 1 + int(horizon)/3, int(horizon)} {
+			requireEstimateMatchesDense(t, ws, h, seqs)
+		}
+	})
+}
+
+// TestReliabilitiesWSWarmAllocatesNothing: the solve reads the kernel's own
+// support and writes only the workspace, so the engine's miss path solves
+// without allocating.
 func TestReliabilitiesWSWarmAllocatesNothing(t *testing.T) {
 	k := randomKernel(rng.New(9), 400)
 	ws := &Workspace{}
@@ -716,6 +913,25 @@ func TestReliabilitiesWSWarmAllocatesNothing(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("warmed ReliabilitiesWS allocates %v times per solve", allocs)
+	}
+}
+
+// TestEstimateWSWarmAllocatesOnlyTheKernel: counting happens in the
+// workspace, so a warm estimate allocates the Kernel and the two backing
+// arrays of its support, nothing that grows with the horizon.
+func TestEstimateWSWarmAllocatesOnlyTheKernel(t *testing.T) {
+	seqs := randomSeqs(rng.New(9), 400)
+	ws := &Workspace{}
+	if _, err := (Estimator{Horizon: 400}).EstimateWS(ws, seqs); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := (Estimator{Horizon: 400}).EstimateWS(ws, seqs); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 3 {
+		t.Fatalf("warmed EstimateWS allocates %v times per estimate, want 3", allocs)
 	}
 }
 
