@@ -141,17 +141,18 @@ bench-fleet-base:
 	$(GO) run ./cmd/benchgate -fleet -in BENCH_fleet.json -baseline BENCH_fleet_base.json -write
 
 # Short fuzz pass over every decoder: wire protocol, trace codecs, WAL and
-# snapshot readers, and the internal/wire formats; and over the four
+# snapshot readers, and the internal/wire formats; and over the five
 # differential pairs: the trajectory extractor against its per-sample
 # reference, the kernel estimator and the Equation (3) solver against their
-# dense references and the tracker's pending ring against its slice
-# reference. The seed corpora
+# dense references, the MA/ARMA fits against their n-array references and
+# the tracker's pending ring against its slice reference. The seed corpora
 # (under testdata/fuzz or built by the target) also run as plain unit tests in
 # `make test`.
 fuzz:
 	$(GO) test ./internal/avail/ -run '^$$' -fuzz '^FuzzExtractorMatchesReference$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/smp/ -run '^$$' -fuzz '^FuzzEstimateMatchesDense$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/smp/ -run '^$$' -fuzz '^FuzzSolverMatchesDense$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/timeseries/ -run '^$$' -fuzz '^FuzzLinearFitsMatchReference$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ishare/ -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ishare/ -run '^$$' -fuzz '^FuzzDecodeResponse$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ishare/ -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime $(FUZZTIME)

@@ -304,68 +304,83 @@ func movedQueries(ctx context.Context, t *testing.T, sm *StateManager, clock *si
 }
 
 // TestQueryTRMovedWindowAllocCeiling is a tripwire for per-query work that
-// grows with the day history or rebuilds what the engine's scratch holds, and
-// for what a miss leaves in the cache. When every cold FFT window classified
-// and transformed the whole pool again, a moved one-hour window on this
-// 19-weekday pool allocated ≈5 MB; with the spectrum fitted once per pool but
-// each of the five baselines building its own series, forecast, samples and
-// ARMA design matrix, ≈375 KB; with those in scratch ≈89 KB at 1 h and
-// ≈739 KB at 10 h, most of it the dense kernel, which the LRU then kept
-// (≈40 KB and ≈386 KB live per query). With a sparse kernel counted in the
-// workspace and only the answer cached it measures ≈37 KB and ≈212 KB, and a
-// query leaves under 2 KB live; the ceilings sit between.
+// grows with the day history or the window, and for what a miss leaves in the
+// cache. When every cold FFT window classified and transformed the whole pool
+// again, a moved one-hour window on this 19-weekday pool allocated ≈5 MB;
+// with the spectrum fitted once per pool but each of the five baselines
+// building its own series, forecast, samples and ARMA design matrix,
+// ≈375 KB; with those in scratch, ≈89 KB at 1 h and ≈739 KB at 10 h, most of
+// it the dense kernel, which the LRU then kept. A sparse kernel with only the
+// answer cached brought that to ≈37 KB and ≈212 KB: what was left grew with
+// the window — the preceding window copied out of the recorder, and the MA
+// and ARMA residual arrays — and a manager on a fresh engine grew a scratch
+// pool of its own, ≈1 MB at 10 h. With one process-wide pool, the preceding
+// window copied into scratch and q-long residual windows, a moved query
+// allocates ≈12 KB at either length, on a fresh engine too.
 func TestQueryTRMovedWindowAllocCeiling(t *testing.T) {
 	if raceDetector {
 		t.Skip("sync.Pool drops puts at random under -race; the plain run measures")
 	}
-	// The engine's scratch pool keeps a Put in its P's private slot, which
-	// a Get on another P cannot take; on one P every miss reuses it.
+	// The scratch pool keeps a Put in its P's private slot, which a Get on
+	// another P cannot take; on one P every miss reuses it. With automatic
+	// collections off only the explicit ones below run, and a pooled scratch
+	// survives one of them (in the pool's victim cache) but not two.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	for _, leg := range []struct {
-		length          time.Duration
-		alloc, retained uint64
-	}{
-		{time.Hour, 64 << 10, 16 << 10},
-		{10 * time.Hour, 320 << 10, 16 << 10},
-	} {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const ceiling = 16 << 10 // allocated, and left live, per query
+	ctx := context.Background()
+	manager := func() (*StateManager, *simclock.Virtual) {
 		clock := simclock.NewVirtual(time.Date(2005, 9, 16, 8, 30, 0, 0, time.UTC)) // a Friday
 		sm, err := NewStateManager("m", period, avail.DefaultConfig(), clock, historyMachine("m", 25, 9), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ctx := context.Background()
-		movedQueries(ctx, t, sm, clock, leg.length, 2) // fit the spectrum, size the engine's scratch buffers
+		return sm, clock
+	}
+	// measure runs ten moved queries of the given length on sm and checks
+	// what each allocates and what each leaves live.
+	measure := func(what string, sm *StateManager, clock *simclock.Virtual, length time.Duration) {
 		const n = 10
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
-		// A collection inside the loop could drop the pooled scratch too.
-		gcPercent := debug.SetGCPercent(-1)
-		movedQueries(ctx, t, sm, clock, leg.length, n)
-		debug.SetGCPercent(gcPercent)
+		movedQueries(ctx, t, sm, clock, length, n)
 		runtime.ReadMemStats(&after)
-		if perQuery := (after.TotalAlloc - before.TotalAlloc) / n; perQuery > leg.alloc {
-			t.Errorf("a moved %v window's QueryTR allocates %d KB, ceiling %d KB", leg.length, perQuery>>10, leg.alloc>>10)
+		if perQuery := (after.TotalAlloc - before.TotalAlloc) / n; perQuery > ceiling {
+			t.Errorf("%s: a QueryTR allocates %d KB, ceiling %d KB", what, perQuery>>10, ceiling>>10)
 		}
 		runtime.GC()
 		runtime.ReadMemStats(&after)
 		if after.HeapAlloc > before.HeapAlloc {
-			if perQuery := (after.HeapAlloc - before.HeapAlloc) / n; perQuery > leg.retained {
-				t.Errorf("a moved %v window's QueryTR leaves %d KB live, ceiling %d KB", leg.length, perQuery>>10, leg.retained>>10)
+			if perQuery := (after.HeapAlloc - before.HeapAlloc) / n; perQuery > ceiling {
+				t.Errorf("%s: a QueryTR leaves %d KB live, ceiling %d KB", what, perQuery>>10, ceiling>>10)
 			}
 		}
 		runtime.KeepAlive(sm)
 	}
+	for _, length := range []time.Duration{time.Hour, 10 * time.Hour} {
+		sm, clock := manager()
+		movedQueries(ctx, t, sm, clock, length, 2) // fit the spectrum, size the pooled scratch
+		measure(fmt.Sprintf("a moved %v window", length), sm, clock, length)
+	}
+	// A manager on an engine of its own, warmed by one 1 h query that fits
+	// its spectrum: its 10 h windows run on the scratch the managers before
+	// it grew, not on buffers of its own.
+	sm, clock := manager()
+	movedQueries(ctx, t, sm, clock, time.Hour, 1)
+	measure("a fresh engine's moved 10h window", sm, clock, 10*time.Hour)
 }
 
-// TestSharedEngineScratchDoesNotEscape: the forecast-origin baselines build
-// their series, forecast and classification in scratch borrowed from the
-// engine's pool, which two managers on one engine share with each other and
-// with SMP's cold fits. Four goroutines, two a manager, ask for windows
-// nobody asked for before; every answer — the served one per query, and all
-// eight predictors' as the tracker resolves them — must be what the same
-// manager answers alone on an engine of its own. Under -race this is what
-// catches a model or a result that keeps a scratch buffer past its call.
+// TestSharedEngineScratchDoesNotEscape: the forecast-origin baselines read the
+// preceding window from, and build their series, forecast and classification
+// in, scratch borrowed from the process-wide pool, which every manager shares
+// with every other and with SMP's cold fits, whether or not their engines are
+// one. Four goroutines, two a manager, ask for windows nobody asked for
+// before, with the two managers first on one engine and then each on its
+// own; every answer — the served one per query, and all eight predictors' as
+// the tracker resolves them — must be what the same manager answers alone.
+// Under -race this is what catches a model or a result that keeps a scratch
+// buffer past its call.
 func TestSharedEngineScratchDoesNotEscape(t *testing.T) {
 	now := time.Date(2005, 9, 16, 12, 0, 0, 0, time.UTC) // a Friday
 	midnight := now.Truncate(24 * time.Hour)
@@ -437,37 +452,44 @@ func TestSharedEngineScratchDoesNotEscape(t *testing.T) {
 		sort.Strings(f.resolved)
 	}
 
-	shared := predict.NewEngine(predict.EngineConfig{})
-	together := [2]*fixture{build("a", shared), build("b", shared)}
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ask(together[g%2], lengths(g))
-		}()
-	}
-	wg.Wait()
+	var alone [2]*fixture
 	for i, id := range [2]string{"a", "b"} {
-		alone := build(id, nil)
-		ask(alone, append(lengths(i), lengths(i+2)...))
-		finish(alone)
-		finish(together[i])
-		if !reflect.DeepEqual(together[i].answerFor, alone.answerFor) {
-			t.Errorf("manager %s: answers on the shared engine %v, alone %v", id, together[i].answerFor, alone.answerFor)
-		}
-		if !reflect.DeepEqual(together[i].resolved, alone.resolved) {
-			t.Errorf("manager %s: the predictors' resolved claims differ:\nshared %v\nalone  %v", id, together[i].resolved, alone.resolved)
-		}
-		if n := len(alone.resolved); n != 16*len(predict.PluginNames()) {
+		alone[i] = build(id, nil)
+		ask(alone[i], append(lengths(i), lengths(i+2)...))
+		finish(alone[i])
+		if n := len(alone[i].resolved); n != 16*len(predict.PluginNames()) {
 			t.Errorf("manager %s: %d claims resolved, want every predictor's for 16 queries", id, n)
 		}
 		distinct := make(map[float64]bool)
-		for _, tr := range alone.answerFor {
+		for _, tr := range alone[i].answerFor {
 			distinct[tr] = true
 		}
 		if len(distinct) < 2 {
-			t.Errorf("manager %s answers %v to every window: the check cannot tell answers apart", id, alone.answerFor)
+			t.Errorf("manager %s answers %v to every window: the check cannot tell answers apart", id, alone[i].answerFor)
+		}
+	}
+	for _, leg := range []struct {
+		name   string
+		engine *predict.Engine // nil: an engine per manager
+	}{{"one engine", predict.NewEngine(predict.EngineConfig{})}, {"separate engines", nil}} {
+		together := [2]*fixture{build("a", leg.engine), build("b", leg.engine)}
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				ask(together[g%2], lengths(g))
+			}()
+		}
+		wg.Wait()
+		for i, id := range [2]string{"a", "b"} {
+			finish(together[i])
+			if !reflect.DeepEqual(together[i].answerFor, alone[i].answerFor) {
+				t.Errorf("manager %s on %s: answers %v concurrently, %v alone", id, leg.name, together[i].answerFor, alone[i].answerFor)
+			}
+			if !reflect.DeepEqual(together[i].resolved, alone[i].resolved) {
+				t.Errorf("manager %s on %s: the predictors' resolved claims differ:\nconcurrent %v\nalone      %v", id, leg.name, together[i].resolved, alone[i].resolved)
+			}
 		}
 	}
 }

@@ -25,8 +25,8 @@ import (
 // each one is evaluated and scored by the accuracy tracker, and the query is
 // answered by SMP, the forced predictor, or the router's choice.
 //
-// Queries run through a prediction engine that memoizes fitted kernels, so
-// repeated or concurrent QueryTR calls for the same clock window reuse one
+// Queries run through a prediction engine that memoizes solved predictions,
+// so repeated or concurrent QueryTR calls for the same clock window reuse one
 // estimation. The engine's cache keys include a content fingerprint of the
 // history days; the manager therefore maintains a stable snapshot of the
 // completed (pre-today) days — rebuilt only when the recorder rolls over to
@@ -432,7 +432,7 @@ func (sm *StateManager) QueryTR(ctx context.Context, req QueryTRReq) (QueryTRRes
 	// selects on — and pick out the fallback's and the serving predictor's TR.
 	in := predict.PluginInput{Days: days, Window: w, Period: sm.period, State: cur, HaveState: true}
 	issued := midnight.Add(w.Start)
-	live := sm.liveForecasts(ctx, midnight, in, cfg, plugins)
+	live := sm.liveForecasts(midnight, in, cfg, plugins)
 	var fallbackTR float64
 	var servingErr error
 	served := false
@@ -522,7 +522,7 @@ type liveTR struct {
 // same handful of queries between monitor samples, so the results are
 // memoized until the next sample lands — on the hot path this removes the
 // dominant per-query CPU cost (the refits) entirely.
-func (sm *StateManager) liveForecasts(ctx context.Context, midnight time.Time, in predict.PluginInput, cfg avail.Config, plugins []servedPlugin) []liveTR {
+func (sm *StateManager) liveForecasts(midnight time.Time, in predict.PluginInput, cfg avail.Config, plugins []servedPlugin) []liveTR {
 	key := liveKey{midnight: midnight.Unix(), window: in.Window, cfg: cfg}
 	ver := sm.sampleVer.Load()
 	sm.liveMu.Lock()
@@ -540,13 +540,18 @@ func (sm *StateManager) liveForecasts(ctx context.Context, midnight time.Time, i
 	if prevStart < 0 {
 		prevStart = 0
 	}
-	in.Prev = sm.recorder.DayWindow(midnight, prevStart, in.Window.Start-prevStart)
 	out = make([]liveTR, len(plugins))
-	for i, sp := range plugins {
-		if sp.live {
-			out[i].tr, out[i].err = sm.engine.PredictPluginCtx(ctx, sp.plugin, in)
+	// One scratch for every baseline: the preceding window is copied out of
+	// the recorder once, into it.
+	sm.engine.PredictLive(in, func(dst []trace.Sample) []trace.Sample {
+		return sm.recorder.AppendDayWindow(dst, midnight, prevStart, in.Window.Start-prevStart)
+	}, func(eval func(predict.Plugin) (float64, error)) {
+		for i, sp := range plugins {
+			if sp.live {
+				out[i].tr, out[i].err = eval(sp.plugin)
+			}
 		}
-	}
+	})
 
 	sm.liveMu.Lock()
 	// Re-check the version: a sample may have landed mid-fit, making this

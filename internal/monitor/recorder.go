@@ -113,30 +113,33 @@ func (r *Recorder) put(t time.Time, s trace.Sample) {
 	day.Samples[idx] = s
 }
 
-// DayWindow returns a copy of the recorded samples of the day containing
-// date, restricted to clock offsets [start, start+length). It returns nil
-// when that day has no samples yet. Unlike Snapshot it copies only the
-// requested window, so per-query callers (the online baseline predictors)
-// do not clone the whole history log.
+// DayWindow is AppendDayWindow into a fresh slice: nil when that day has no
+// samples in the window yet.
 func (r *Recorder) DayWindow(date time.Time, start, length time.Duration) []trace.Sample {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	return r.AppendDayWindow(nil, date, start, length)
+}
+
+// AppendDayWindow appends to dst the recorded samples of the day containing
+// date at clock offsets [start, start+length) and returns the extended slice
+// (dst unchanged when that day has none). Unlike Snapshot it copies only the
+// requested window, and into the caller's buffer, so a per-query caller (the
+// online baseline predictors) neither clones the history log nor allocates
+// once its buffer has grown; the lock is held only for the copy.
+func (r *Recorder) AppendDayWindow(dst []trace.Sample, date time.Time, start, length time.Duration) []trace.Sample {
 	date = date.UTC()
 	midnight := time.Date(date.Year(), date.Month(), date.Day(), 0, 0, 0, 0, time.UTC)
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	for i := len(r.machine.Days) - 1; i >= 0; i-- {
 		d := r.machine.Days[i]
 		if d.Date.Equal(midnight) {
-			w := d.Window(start, length)
-			if len(w) == 0 {
-				return nil
-			}
-			return append([]trace.Sample(nil), w...)
+			return append(dst, d.Window(start, length)...)
 		}
 		if d.Date.Before(midnight) {
-			return nil
+			break
 		}
 	}
-	return nil
+	return dst
 }
 
 // View runs fn on the live log and the timestamp of the most recent recorded

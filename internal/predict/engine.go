@@ -19,10 +19,12 @@ import (
 // memoizes solved predictions in an LRU keyed by (history fingerprint,
 // window, estimator configuration), serves any number of concurrent
 // PredictCtx/PredictFromCtx queries against the cache, and fans PredictBatch
-// request slices across a bounded worker pool. Cache misses run on pooled
-// scratch buffers, so extraction, estimation and the backward recursion
-// allocate at steady state only the kernel's support, which the miss drops
-// once it is solved.
+// request slices across a bounded worker pool. Cache misses run on scratch
+// buffers from one process-wide pool shared by every engine, so once the
+// pool holds buffers sized for the longest window a process asks for,
+// extraction, estimation and the backward recursion allocate only the
+// kernel's support, which the miss drops once it is solved. A collection may
+// empty the pool; the next misses grow it again.
 //
 // The LRU holds three kinds of entry under one key type: an SMP Prediction
 // (its solved reliabilities and initial-state mix) per (pool, window,
@@ -56,9 +58,13 @@ type Engine struct {
 
 	hashMu    sync.RWMutex
 	dayHashes map[*trace.Day]uint64
-
-	scratchPool sync.Pool
 }
+
+// scratchPool holds every engine's per-query working memory. A scratch is
+// per-goroutine state, not engine state: one pool per process means N engines
+// (one per state manager, unless they share one) do not each grow their own
+// set of horizon-sized buffers.
+var scratchPool = sync.Pool{New: func() any { return &scratch{} }}
 
 // EngineConfig tunes an Engine.
 type EngineConfig struct {
@@ -90,7 +96,7 @@ func NewEngine(cfg EngineConfig) *Engine {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	e := &Engine{
+	return &Engine{
 		workers:   workers,
 		cacheSize: size,
 		lru:       list.New(),
@@ -98,8 +104,6 @@ func NewEngine(cfg EngineConfig) *Engine {
 		inflight:  make(map[engineKey]*inflightCall),
 		dayHashes: make(map[*trace.Day]uint64),
 	}
-	e.scratchPool.New = func() interface{} { return &scratch{} }
-	return e
 }
 
 // engineKey identifies one cached result: the fingerprint of the day pool,
@@ -145,7 +149,8 @@ type EngineStats struct {
 	Misses uint64
 	// Evictions counts cache entries displaced by the LRU policy.
 	Evictions uint64
-	// Entries is the current number of cached kernels.
+	// Entries is the current number of cached entries: solved SMP
+	// predictions, plugin TRs and fitted spectra.
 	Entries int
 }
 
@@ -158,7 +163,8 @@ type EngineMetrics struct {
 	Hits      *obs.Counter
 	Misses    *obs.Counter
 	Evictions *obs.Counter
-	// Entries tracks the current number of cached kernels.
+	// Entries tracks the current number of cached entries (see
+	// EngineStats.Entries).
 	Entries *obs.Gauge
 	// FitSeconds observes the latency of the extract/estimate/solve
 	// pipeline on a cache miss; SolveSeconds the Equation (3) backward
@@ -197,13 +203,12 @@ func (e *Engine) Stats() EngineStats {
 }
 
 // PredictCtx is SMP.Predict through the cache: bit-identical results, but
-// repeated queries for the same (history, window, config) reuse the fitted
-// kernel and its solved reliabilities instead of re-running extraction,
-// estimation and the Equation (3) recursion. When ctx carries a sampled span,
-// the lookup marks a cache-hit or cache-miss event on it and a miss records
-// engine.fit/engine.solve child spans. With an untraced context the
-// instrumentation is two pointer reads — the cached warm path stays at 0
-// allocs/op.
+// repeated queries for the same (history, window, config) reuse the solved
+// prediction instead of re-running extraction, estimation and the Equation (3)
+// recursion. When ctx carries a sampled span, the lookup marks a cache-hit or
+// cache-miss event on it and a miss records engine.fit/engine.solve child
+// spans. With an untraced context the instrumentation is two pointer reads —
+// the cached warm path stays at 0 allocs/op.
 func (e *Engine) PredictCtx(ctx context.Context, p SMP, history []*trace.Day, w Window) (Prediction, error) {
 	entry, err := e.lookup(ctx, p, history, w)
 	if err != nil {
@@ -215,7 +220,7 @@ func (e *Engine) PredictCtx(ctx context.Context, p SMP, history []*trace.Day, w 
 // PredictFromCtx is SMP.PredictFrom through the cache: TR for a job starting
 // in the given (recoverable) current state. A PredictFromCtx after a
 // PredictCtx for the same query (or vice versa) is a cache hit — both are
-// served from the same solved kernel.
+// served from the same solved prediction.
 func (e *Engine) PredictFromCtx(ctx context.Context, p SMP, history []*trace.Day, w Window, init avail.State) (float64, error) {
 	entry, err := e.lookup(ctx, p, history, w)
 	if err != nil {
@@ -282,7 +287,7 @@ func (e *Engine) PredictBatch(p SMP, reqs []BatchRequest) []BatchResult {
 	return out
 }
 
-// lookup resolves an SMP query to its kernel entry. The HistoryDays
+// lookup resolves an SMP query to its prediction entry. The HistoryDays
 // truncation is folded into the fingerprint, so the key carries the
 // normalized configuration.
 func (e *Engine) lookup(ctx context.Context, p SMP, history []*trace.Day, w Window) (*engineEntry, error) {
@@ -389,22 +394,19 @@ func (e *Engine) memo(ctx context.Context, key engineKey, fit func(*otrace.Span,
 
 // PredictPluginCtx evaluates a registered predictor through the engine. The
 // plugins Memoized names are answered from the LRU: SMP lands on the same
-// kernel entries as PredictCtx/PredictFromCtx (conditioned on in.State when the
-// caller knows it, the historical initial-state mix otherwise), a Cacheable
+// prediction entries as PredictCtx/PredictFromCtx (conditioned on in.State when
+// the caller knows it, the historical initial-state mix otherwise), a Cacheable
 // plugin on an entry keyed by (history fingerprint, window, plugin name,
 // configuration salt) — the plugin identity in the key guarantees predictors
 // never cross-serve — and Spectral additionally shares its fitted spectrum
 // between the windows of one day pool (see spectrum). Any other plugin is
-// evaluated directly, the forecast-origin baselines on pooled scratch for
-// their series, forecast and classification.
+// evaluated directly, as PredictLive's one-plugin case on in.Prev.
 func (e *Engine) PredictPluginCtx(ctx context.Context, pl Plugin, in PluginInput) (float64, error) {
 	if !Memoized(pl) {
-		if ts, ok := pl.(TimeSeries); ok {
-			sc := e.scratchPool.Get().(*scratch)
-			defer e.scratchPool.Put(sc)
-			return ts.predictTR(sc, in)
-		}
-		return pl.PredictTR(in)
+		var tr float64
+		var err error
+		e.PredictLive(in, nil, func(eval func(Plugin) (float64, error)) { tr, err = eval(pl) })
+		return tr, err
 	}
 	if p, ok := pl.(SMP); ok {
 		if in.HaveState && in.State.Recoverable() {
@@ -424,9 +426,9 @@ func (e *Engine) PredictPluginCtx(ctx context.Context, pl Plugin, in PluginInput
 				return e.spectrum(span, p, key, days)
 			})
 		case Percentile:
-			sc := e.scratchPool.Get().(*scratch)
+			sc := scratchPool.Get().(*scratch)
 			tr, err = p.predictTR(sc, in)
-			e.scratchPool.Put(sc)
+			scratchPool.Put(sc)
 		default:
 			tr, err = pl.PredictTR(in)
 		}
@@ -439,6 +441,29 @@ func (e *Engine) PredictPluginCtx(ctx context.Context, pl Plugin, in PluginInput
 		return 0, err
 	}
 	return entry.pred.TR, nil
+}
+
+// PredictLive evaluates forecast-origin plugins — the ones Memoized rejects,
+// which read PluginInput.Prev — for one query, all on one pooled scratch.
+// When fill is non-nil it appends the samples preceding in.Window to the
+// scratch's own prev buffer, which then replaces in.Prev, so the preceding
+// window is copied once per query and into memory that is reused; fill holds
+// whatever lock guards its source only while it copies. each is handed the
+// evaluator and calls it once per plugin. Prev is reused once PredictLive
+// returns: nothing a plugin keeps may alias it.
+func (e *Engine) PredictLive(in PluginInput, fill func(dst []trace.Sample) []trace.Sample, each func(eval func(Plugin) (float64, error))) {
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	if fill != nil {
+		sc.prev = fill(sc.prev[:0])
+		in.Prev = sc.prev
+	}
+	each(func(pl Plugin) (float64, error) {
+		if ts, ok := pl.(TimeSeries); ok {
+			return ts.predictTR(sc, in)
+		}
+		return pl.PredictTR(in)
+	})
 }
 
 // spectrum is Spectral.fit through the cache: the fit reads the day pool and
@@ -473,8 +498,8 @@ func (e *Engine) spectrum(span *otrace.Span, s Spectral, key engineKey, days []*
 // when someone is watching; a sampled span gets engine.fit/engine.solve
 // child spans covering the same intervals the histograms observe.
 func (e *Engine) compute(span *otrace.Span, m *EngineMetrics, p SMP, days []*trace.Day, w Window) (*engineEntry, error) {
-	sc := e.scratchPool.Get().(*scratch)
-	defer e.scratchPool.Put(sc)
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
 	fitSpan := span.StartChild("engine.fit")
 	if fitSpan != nil {
 		fitSpan.SetAttr(otrace.Int("history-days", len(days)))

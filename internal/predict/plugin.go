@@ -39,7 +39,9 @@ type PluginInput struct {
 	Days []*trace.Day
 	// Prev holds today's samples for the window immediately preceding
 	// Window (equal length, clipped at midnight), for predictors that
-	// forecast from the live origin rather than from day structure.
+	// forecast from the live origin rather than from day structure. It may
+	// be a buffer the caller reuses once PredictTR returns (see
+	// Engine.PredictLive), so a plugin keeps nothing that aliases it.
 	Prev []trace.Sample
 	// Window is the query window.
 	Window Window
@@ -56,9 +58,9 @@ type PluginInput struct {
 // Cacheable marks plugins whose PredictTR is a pure function of (Days,
 // Window) plus the plugin's own configuration — ignoring the request-scoped
 // Prev and State fields entirely — so the engine may memoize their results in
-// the kernel LRU keyed by (history fingerprint, window, plugin name,
-// CacheSalt). CacheSalt must fold every knob that changes the output; two
-// configurations with different predictions must never share a salt.
+// its LRU keyed by (history fingerprint, window, plugin name, CacheSalt).
+// CacheSalt must fold every knob that changes the output; two configurations
+// with different predictions must never share a salt.
 type Cacheable interface {
 	// CacheSalt digests the plugin's configuration for the cache key.
 	CacheSalt() uint64
@@ -77,9 +79,10 @@ func configSalt(cfg avail.Config, historyDays int) uint64 {
 }
 
 // Memoized states once which plugins the engine answers from its LRU: SMP
-// (kernel entries) and every Cacheable plugin. PredictPluginCtx evaluates the
-// rest afresh on each call — they may read the live PluginInput.Prev — so a
-// caller that repeats a query between samples memoizes those itself.
+// (solved predictions) and every Cacheable plugin. PredictPluginCtx and
+// PredictLive evaluate the rest afresh on each call — they may read the live
+// PluginInput.Prev — so a caller that repeats a query between samples
+// memoizes those itself.
 func Memoized(pl Plugin) bool {
 	switch pl.(type) {
 	case SMP, Cacheable:

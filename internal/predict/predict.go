@@ -156,16 +156,18 @@ func periodOf(days []*trace.Day) time.Duration {
 
 // scratch bundles the reusable per-query buffers: the classification and
 // extraction arena and the estimation/solver workspace for SMP, a
-// classification buffer for Percentile, and for a forecast-origin baseline the
-// training series, its forecast, the forecast as samples and their
-// classification. The engine pools them, so at steady state its miss path
-// allocates only the kernel's support and what it caches; a call outside the
-// engine starts from the zero value. Results do not depend on what a scratch
-// held.
+// classification buffer for Percentile, and for the forecast-origin baselines
+// the preceding window they share, then each one's training series, its
+// forecast, the forecast as samples and their classification. One process-wide
+// pool holds them (scratchPool), so at steady state a miss allocates only the
+// kernel's support and what it caches, whatever the window length; a call
+// outside the engine starts from the zero value. Results do not depend on what
+// a scratch held.
 type scratch struct {
 	ex avail.Extractor
 	ws smp.Workspace
 
+	prev      []trace.Sample
 	series    []float64
 	forecast  []float64
 	predicted []trace.Sample

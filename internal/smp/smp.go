@@ -248,7 +248,6 @@ func (sol *solution) tr(fi, units int) float64 {
 // safe for concurrent use.
 type Workspace struct {
 	sol solution
-	cum [2][3][]float64
 	// The estimator's counts, all zero between calls: events[fi][int(to)][l]
 	// completed sojourns of a legal pair by holding time, censored[fi][l]
 	// right-censored ones by observed length.
@@ -262,7 +261,6 @@ func (ws *Workspace) grow(n int) {
 	for fi := 0; fi < 2; fi++ {
 		for ji := 0; ji < 3; ji++ {
 			ws.sol.p[fi][ji] = growZeroHead(ws.sol.p[fi][ji], n)
-			ws.cum[fi][ji] = growZeroHead(ws.cum[fi][ji], n)
 		}
 	}
 }
@@ -318,23 +316,25 @@ func (ws *Workspace) clearCounts() {
 	}
 }
 
-// directCum fills cum[fi][ji][m] = Σ_{l=1..m} q_{fi,j}(l), the probability of
-// a direct absorption into j within m units, for m = 1..units, walking the
-// support: a holding time without mass would add exactly +0.
-func (k *Kernel) directCum(cum *[2][3][]float64, units int) {
-	for fi := 0; fi < 2; fi++ {
-		for ji := 0; ji < 3; ji++ {
-			hold, q := k.hold[fi][ji+3], k.q[fi][ji+3]
-			run, i := 0.0, 0
-			for m := 1; m <= units; m++ {
-				if i < len(hold) && int(hold[i]) == m {
-					run += q[i]
-					i++
-				}
-				cum[fi][ji][m] = run
-			}
-		}
+// directSums carries the six probabilities of a direct absorption into
+// j ∈ {S3, S4, S5} within m units, Σ_{l=1..m} q_{fi,j}(l), as running sums
+// that the recursion advances one step at a time: a cursor walks each pair's
+// support, and a holding time without mass would add exactly +0.
+type directSums struct {
+	k    *Kernel
+	sum  [2][3]float64
+	next [2][3]int
+}
+
+// at returns the (fi, ji) sum at step m. The recursion asks for each pair
+// once per step, in ascending m.
+func (d *directSums) at(fi, ji, m int) float64 {
+	hold := d.k.hold[fi][ji+3]
+	if i := d.next[fi][ji]; i < len(hold) && int(hold[i]) == m {
+		d.sum[fi][ji] += d.k.q[fi][ji+3][i]
+		d.next[fi][ji]++
 	}
+	return d.sum[fi][ji]
 }
 
 // dense returns q_{fi,to}(l) for l = 0..units as an array: the kernel as the
@@ -353,7 +353,7 @@ func (k *Kernel) dense(fi int, to avail.State, units int) []float64 {
 // solve runs the dynamic program of Equation (3) for m = 0..units into ws (a
 // fresh workspace when nil). The six sequences P_{1,j}, P_{2,j} are mutually
 // recursive through the recoverable cross terms q_{1,2} and q_{2,1}; the
-// direct failure terms accumulate as prefix sums. The convolution runs over
+// direct failure terms accumulate as running sums. The convolution runs over
 // the non-zero support of the cross kernels only — the observed holding
 // times, the sparsity Section 4 relies on — in ascending l. A term it skips
 // is 0·P with P ∈ [0, 1], exactly +0, so the result equals solveDense's bit
@@ -364,7 +364,7 @@ func (k *Kernel) solve(ws *Workspace, units int) *solution {
 	}
 	ws.grow(units + 1)
 	sol := &ws.sol
-	k.directCum(&ws.cum, units)
+	direct := directSums{k: k}
 	// The cross kernels q₁₂ and q₂₁: step m reads their holding times l < m.
 	crossL := [2][]int32{k.hold[0][avail.S2], k.hold[1][avail.S1]}
 	crossQ := [2][]float64{k.q[0][avail.S2], k.q[1][avail.S1]}
@@ -375,7 +375,7 @@ func (k *Kernel) solve(ws *Workspace, units int) *solution {
 			ls, vs := crossL[fi], crossQ[fi]
 			vs = vs[:len(ls)]
 			for ji := 0; ji < 3; ji++ {
-				acc := ws.cum[fi][ji][m]
+				acc := direct.at(fi, ji, m)
 				po := sol.p[1-fi][ji][:m]
 				// Convolution with the path through the other
 				// recoverable state.
@@ -402,8 +402,8 @@ func (k *Kernel) solve(ws *Workspace, units int) *solution {
 func (k *Kernel) solveDense(units int) (*solution, int64) {
 	ws := &Workspace{}
 	ws.grow(units + 1)
-	sol, cum := &ws.sol, &ws.cum
-	k.directCum(cum, units)
+	sol := &ws.sol
+	direct := directSums{k: k}
 	ops := int64(6 * units)
 	// Cross-transition kernels as dense units+1 arrays, so the inner loop
 	// needs no bounds logic.
@@ -412,7 +412,7 @@ func (k *Kernel) solveDense(units int) (*solution, int64) {
 		for fi := 0; fi < 2; fi++ {
 			q := crossQ[fi]
 			for ji := 0; ji < 3; ji++ {
-				acc := cum[fi][ji][m]
+				acc := direct.at(fi, ji, m)
 				po := sol.p[1-fi][ji]
 				for l := 1; l < m; l++ {
 					acc += q[l] * po[m-l]

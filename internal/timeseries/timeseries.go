@@ -196,13 +196,14 @@ func (m MA) Fit(series []float64) (Model, error) {
 	if !ok {
 		return constModel{name: m.Name(), value: mean}, nil
 	}
-	// Recover the innovation sequence from the data so forecasting can
-	// use the most recent q residuals.
-	resid := make([]float64, len(series))
+	// Recover the innovation sequence from the data so forecasting can use
+	// the most recent q residuals. The recursion reads only the q before t,
+	// so recent holds those, most recent first, and ends as the model's.
+	recent := make([]float64, q)
 	for t := range series {
 		e := series[t] - mean
 		for j := 1; j <= q && j <= t; j++ {
-			e -= theta[j-1] * resid[t-j]
+			e -= theta[j-1] * recent[j-1]
 		}
 		// Clamp runaway residuals from a non-invertible fit.
 		if e > 1e6 {
@@ -211,11 +212,7 @@ func (m MA) Fit(series []float64) (Model, error) {
 		if e < -1e6 {
 			e = -1e6
 		}
-		resid[t] = e
-	}
-	recent := make([]float64, q)
-	for i := 0; i < q; i++ {
-		recent[i] = resid[len(resid)-1-i]
+		pushRecent(recent, e)
 	}
 	return &maModel{name: m.Name(), mean: mean, theta: theta, recent: recent}, nil
 }
@@ -253,6 +250,12 @@ func innovations(acov []float64, q int) ([]float64, bool) {
 	out := make([]float64, q)
 	copy(out, theta[q][1:])
 	return out, true
+}
+
+// pushRecent shifts v into a most-recent-first window, dropping the oldest.
+func pushRecent(window []float64, v float64) {
+	copy(window[1:], window)
+	window[0] = v
 }
 
 type maModel struct {
@@ -317,29 +320,35 @@ func (a ARMA) Fit(series []float64) (Model, error) {
 	if err != nil {
 		return constModel{name: a.Name(), value: mean}, nil
 	}
-	resid := make([]float64, n)
-	for t := longP; t < n; t++ {
+	// resid is the long AR's one-step residual at t >= longP.
+	resid := func(t int) float64 {
 		pred := 0.0
 		for i, c := range arCoef {
 			pred += c * (series[t-1-i] - mean)
 		}
-		resid[t] = (series[t] - mean) - pred
+		return (series[t] - mean) - pred
 	}
-	// Stage 2: regress x_t - mean on p lags of x and q lags of residuals.
-	start := longP + a.Q
+	// Stage 2: regress x_t - mean on p lags of x and q lags of residuals,
+	// from the first t that has both.
+	start := max(longP+a.Q, a.P)
 	if start >= n {
 		return constModel{name: a.Name(), value: mean}, nil
 	}
-	// Each design row is a window onto series and resid, so the rows are
-	// produced as the normal equations consume them rather than stored.
+	// Each design row is a window onto series and the residuals, so the rows
+	// are produced as the normal equations consume them (in order, once each)
+	// rather than stored. recent holds the Q residuals before row t's, most
+	// recent first; each row pushes its own, which leaves the model's.
+	recent := make([]float64, a.Q)
+	for t := longP; t < start; t++ {
+		pushRecent(recent, resid(t))
+	}
 	coef, err := linalg.LeastSquaresRows(n-start, a.P+a.Q, 1e-8, func(r int, row []float64) float64 {
 		t := start + r
 		for i := 0; i < a.P; i++ {
 			row[i] = series[t-1-i] - mean
 		}
-		for j := 0; j < a.Q; j++ {
-			row[a.P+j] = resid[t-1-j]
-		}
+		copy(row[a.P:], recent)
+		pushRecent(recent, resid(t))
 		return series[t] - mean
 	})
 	if err != nil {
@@ -348,10 +357,6 @@ func (a ARMA) Fit(series []float64) (Model, error) {
 	phi := coef[:a.P]
 	theta := coef[a.P:]
 	tail := centeredTail(series, mean, a.P)
-	recent := make([]float64, a.Q)
-	for i := 0; i < a.Q; i++ {
-		recent[i] = resid[n-1-i]
-	}
 	return &armaModel{name: a.Name(), mean: mean, phi: phi, theta: theta, tail: tail, recent: recent}, nil
 }
 

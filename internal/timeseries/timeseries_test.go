@@ -1,10 +1,14 @@
 package timeseries
 
 import (
+	"errors"
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"fgcs/internal/linalg"
 	"fgcs/internal/rng"
 	"fgcs/internal/stats"
 )
@@ -357,4 +361,226 @@ func TestForecastAppendsWithoutReadingDst(t *testing.T) {
 			}
 		}
 	}
+}
+
+// referenceMAFit is MA.Fit as first written: the whole residual sequence in an
+// n-long array, the model's recent residuals read off its end. It also counts
+// the residuals the ±1e6 clamp cut, so a test can show it reached the clamp.
+func referenceMAFit(m MA, series []float64) (Model, int, error) {
+	if len(series) == 0 {
+		return nil, 0, ErrEmptySeries
+	}
+	if m.Q < 1 {
+		return nil, 0, errors.New("timeseries: MA order must be >= 1")
+	}
+	q := m.Q
+	if q > len(series)-1 {
+		q = len(series) - 1
+	}
+	mean := stats.Mean(series)
+	if q < 1 {
+		return constModel{name: m.Name(), value: mean}, 0, nil
+	}
+	acov := stats.Autocovariance(series, q)
+	theta, ok := innovations(acov, q)
+	if !ok {
+		return constModel{name: m.Name(), value: mean}, 0, nil
+	}
+	clamped := 0
+	resid := make([]float64, len(series))
+	for t := range series {
+		e := series[t] - mean
+		for j := 1; j <= q && j <= t; j++ {
+			e -= theta[j-1] * resid[t-j]
+		}
+		if e > 1e6 {
+			e = 1e6
+			clamped++
+		}
+		if e < -1e6 {
+			e = -1e6
+			clamped++
+		}
+		resid[t] = e
+	}
+	recent := make([]float64, q)
+	for i := 0; i < q; i++ {
+		recent[i] = resid[len(resid)-1-i]
+	}
+	return &maModel{name: m.Name(), mean: mean, theta: theta, recent: recent}, clamped, nil
+}
+
+// referenceARMAFit is ARMA.Fit as first written, with its stage-2 start moved
+// up to P (the first row with P lags; before, an order P above longP+Q read
+// before the series): every stage-1 residual in an n-long array that the
+// stage-2 rows index into.
+func referenceARMAFit(a ARMA, series []float64) (Model, error) {
+	if len(series) == 0 {
+		return nil, ErrEmptySeries
+	}
+	if a.P < 1 || a.Q < 1 {
+		return nil, errors.New("timeseries: ARMA orders must be >= 1")
+	}
+	mean := stats.Mean(series)
+	n := len(series)
+	longP := a.P + a.Q + 4
+	if longP > n/3 {
+		longP = n / 3
+	}
+	if longP < 1 {
+		return constModel{name: a.Name(), value: mean}, nil
+	}
+	acov := stats.Autocovariance(series, longP)
+	arCoef, _, err := stats.LevinsonDurbin(acov, longP)
+	if err != nil {
+		return constModel{name: a.Name(), value: mean}, nil
+	}
+	resid := make([]float64, n)
+	for t := longP; t < n; t++ {
+		pred := 0.0
+		for i, c := range arCoef {
+			pred += c * (series[t-1-i] - mean)
+		}
+		resid[t] = (series[t] - mean) - pred
+	}
+	start := max(longP+a.Q, a.P)
+	if start >= n {
+		return constModel{name: a.Name(), value: mean}, nil
+	}
+	coef, err := linalg.LeastSquaresRows(n-start, a.P+a.Q, 1e-8, func(r int, row []float64) float64 {
+		t := start + r
+		for i := 0; i < a.P; i++ {
+			row[i] = series[t-1-i] - mean
+		}
+		for j := 0; j < a.Q; j++ {
+			row[a.P+j] = resid[t-1-j]
+		}
+		return series[t] - mean
+	})
+	if err != nil {
+		return constModel{name: a.Name(), value: mean}, nil
+	}
+	recent := make([]float64, a.Q)
+	for i := 0; i < a.Q; i++ {
+		recent[i] = resid[n-1-i]
+	}
+	return &armaModel{name: a.Name(), mean: mean, phi: coef[:a.P], theta: coef[a.P:],
+		tail: centeredTail(series, mean, a.P), recent: recent}, nil
+}
+
+// modelBits flattens a fitted MA, ARMA or constant model into the bits of
+// every parameter and state value it forecasts from, tagged by its kind.
+func modelBits(m Model) []uint64 {
+	var vals []float64
+	var kind uint64
+	switch m := m.(type) {
+	case constModel:
+		kind, vals = 1, []float64{m.value}
+	case *maModel:
+		kind, vals = 2, append(append([]float64{m.mean}, m.theta...), m.recent...)
+	case *armaModel:
+		kind = 3
+		vals = append(append(append(append([]float64{m.mean}, m.phi...), m.theta...), m.tail...), m.recent...)
+	}
+	out := []uint64{kind}
+	for _, v := range vals {
+		out = append(out, math.Float64bits(v))
+	}
+	return out
+}
+
+// checkLinearFitsMatchReference fits MA{Q: q} and ARMA{P: p, Q: q} to series
+// both ways and reports the first difference: in an error, in a parameter or
+// state value, or in a bit of the steps-long forecast. It returns how many
+// residuals the reference MA fit clamped.
+func checkLinearFitsMatchReference(series []float64, p, q, steps int) (int, error) {
+	maWant, clamped, errWant := referenceMAFit(MA{Q: q}, series)
+	maGot, errGot := MA{Q: q}.Fit(series)
+	if err := sameFit("MA", maWant, errWant, maGot, errGot, steps); err != nil {
+		return clamped, err
+	}
+	armaWant, errWant := referenceARMAFit(ARMA{P: p, Q: q}, series)
+	armaGot, errGot := ARMA{P: p, Q: q}.Fit(series)
+	return clamped, sameFit("ARMA", armaWant, errWant, armaGot, errGot, steps)
+}
+
+func sameFit(name string, want Model, errWant error, got Model, errGot error, steps int) error {
+	if (errWant == nil) != (errGot == nil) {
+		return fmt.Errorf("%s: error %v, reference %v", name, errGot, errWant)
+	}
+	if errWant != nil {
+		return nil
+	}
+	if w, g := modelBits(want), modelBits(got); !slices.Equal(w, g) {
+		return fmt.Errorf("%s: fitted %v, reference %v", name, g, w)
+	}
+	fw, fg := want.Forecast(nil, steps), got.Forecast(nil, steps)
+	for i := range fw {
+		if math.Float64bits(fg[i]) != math.Float64bits(fw[i]) {
+			return fmt.Errorf("%s: forecast step %d of %d is %v, reference %v", name, i+1, steps, fg[i], fw[i])
+		}
+	}
+	return nil
+}
+
+// TestLinearFitsMatchReference: MA and ARMA keep only the q residuals their
+// forecasts start from, and fit bit for bit what the n-array references fit —
+// on noisy series of every length from 1 to several times ARMA(8,8)'s
+// stage-1 order (P+Q+4 = 20), on constant series, and on a periodic series
+// whose MA fits are non-invertible and hit the ±1e6 residual clamp. The
+// orders include P > longP+Q, where ARMA once indexed before the series.
+func TestLinearFitsMatchReference(t *testing.T) {
+	r := rng.New(31)
+	var cases [][]float64
+	for n := 1; n <= 90; n++ {
+		s := make([]float64, n)
+		for i := range s {
+			s[i] = 40 + 25*math.Sin(float64(i)/5) + r.Normal(0, 8)
+		}
+		cases = append(cases, s)
+	}
+	for _, n := range []int{1, 2, 7, 30, 200} {
+		cases = append(cases, constant(37, n))
+	}
+	spikes := make([]float64, 200)
+	for i := 0; i < len(spikes); i += 3 {
+		spikes[i] = 100
+	}
+	cases = append(cases, spikes)
+	clamped := 0
+	for _, series := range cases {
+		for _, order := range [][2]int{{1, 1}, {2, 3}, {3, 2}, {8, 8}, {7, 4}, {12, 1}} {
+			c, err := checkLinearFitsMatchReference(series, order[0], order[1], 2000)
+			if err != nil {
+				t.Fatalf("series of %d, P=%d Q=%d: %v", len(series), order[0], order[1], err)
+			}
+			clamped += c
+		}
+	}
+	if clamped == 0 {
+		t.Fatal("no MA fit reached the ±1e6 residual clamp: the non-invertible case is not covered")
+	}
+}
+
+// FuzzLinearFitsMatchReference is TestLinearFitsMatchReference over arbitrary
+// series (one byte a sample, a CPU-like 0–255 range), orders 1–12 and 1–2000
+// forecast steps.
+func FuzzLinearFitsMatchReference(f *testing.F) {
+	f.Add([]byte{5}, uint8(8), uint8(8), uint16(2000))
+	f.Add([]byte{9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9}, uint8(2), uint8(3), uint16(40))
+	f.Add([]byte("a slowly varying load trace with a burst of activity in the middle"), uint8(8), uint8(8), uint16(700))
+	spikes := make([]byte, 150)
+	for i := 0; i < len(spikes); i += 3 {
+		spikes[i] = 255
+	}
+	f.Add(spikes, uint8(8), uint8(8), uint16(2000))
+	f.Fuzz(func(t *testing.T, data []byte, p, q uint8, steps uint16) {
+		series := make([]float64, len(data))
+		for i, b := range data {
+			series[i] = float64(b)
+		}
+		if _, err := checkLinearFitsMatchReference(series, 1+int(p)%12, 1+int(q)%12, 1+int(steps)%2000); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
