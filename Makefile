@@ -189,9 +189,11 @@ chaos:
 
 # Crash-injection harness: kill the WAL at every byte offset (durable layer)
 # — as a process kill and as a power loss that keeps only synced bytes — and
-# at seeded offsets under a live node (ishare layer), then prove recovery
-# is prefix-consistent, refuses silent corruption, and answers QueryTR
-# exactly as the pre-crash state. Byte-deterministic under fixed seeds.
+# at seeded offsets under a live node and at every chunk edge of a streamed
+# node snapshot (ishare layer), then prove recovery is prefix-consistent,
+# refuses silent corruption, and answers QueryTR exactly as the pre-crash
+# state; a snapshot payload of the wrong length publishes nothing.
+# Byte-deterministic under fixed seeds.
 crash:
-	$(GO) test -count=1 -run 'TestCrash|TestBitFlip|TestPowerLoss' ./internal/durable/
+	$(GO) test -count=1 -run 'TestCrash|TestBitFlip|TestPowerLoss|TestSnapshotSizeMismatch' ./internal/durable/
 	$(GO) test -count=1 -run 'TestPersisterCrash' ./internal/ishare/

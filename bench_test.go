@@ -8,6 +8,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"runtime"
 	"sync"
 	"testing"
@@ -687,7 +688,8 @@ func BenchmarkRecover(b *testing.B) {
 			b.Fatal(err)
 		}
 		seq, off := st.Position()
-		if err := st.WriteSnapshotAt(seq, off, []byte("bench-node-state")); err != nil {
+		state := []byte("bench-node-state")
+		if err := st.WriteSnapshotAt(seq, off, int64(len(state)), func(w io.Writer) error { _, err := w.Write(state); return err }); err != nil {
 			b.Fatal(err)
 		}
 		var coder durable.SampleCoder

@@ -3,9 +3,13 @@ package durable
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
+	"io"
+	"slices"
 	"testing"
 
+	"fgcs/internal/rng"
 	"fgcs/internal/wire"
 	"fgcs/internal/wire/wiretest"
 )
@@ -23,38 +27,114 @@ func encodeSnapshot(seq uint64, offset int64, payload []byte) []byte {
 }
 
 // TestSnapshotFileMatchesReference compares the file WriteSnapshotAt leaves
-// behind with the single-buffer encoding, byte for byte.
+// behind with the single-buffer encoding, byte for byte, whether the payload
+// arrives in one write or in seeded pieces that straddle the chunk edges.
 func TestSnapshotFileMatchesReference(t *testing.T) {
-	for _, size := range []int{0, 1, 4095, 1 << 20} {
-		fs := NewMemFS()
-		st, _, err := Open(Config{FS: fs})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := st.Append(RecSample, []byte("moves the position off the segment header")); err != nil {
-			t.Fatal(err)
-		}
+	r := rng.New(5)
+	for _, size := range []int{0, 1, 4095, 3*snapshotChunk - 20, 1 << 20} {
 		payload := make([]byte, size)
 		for i := range payload {
 			payload[i] = byte(i * 31)
 		}
+		for _, pieces := range []string{"one write", "seeded pieces"} {
+			fs := NewMemFS()
+			st, _, err := Open(Config{FS: fs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Append(RecSample, []byte("moves the position off the segment header")); err != nil {
+				t.Fatal(err)
+			}
+			seq, off := st.Position()
+			err = st.WriteSnapshotAt(seq, off, int64(size), func(w io.Writer) error {
+				for rest := payload; len(rest) > 0; {
+					n := len(rest)
+					if pieces != "one write" {
+						n = min(n, 1+int(r.Uint64()%(snapshotChunk+snapshotChunk/2)))
+					}
+					if _, err := w.Write(rest[:n]); err != nil {
+						return err
+					}
+					rest = rest[n:]
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := fs.ReadFile(snapshotName(seq, off))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := encodeSnapshot(seq, off, payload); !bytes.Equal(got, want) {
+				t.Fatalf("%d-byte payload in %s: snapshot file is %d bytes, reference %d, or differs in content", size, pieces, len(got), len(want))
+			}
+			if names, _ := fs.List(); len(names) != 2 {
+				t.Fatalf("%d-byte payload in %s: files %v, want one segment and one snapshot", size, pieces, names)
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// TestSnapshotSizeMismatchPublishesNothing: a payload that ends short of its
+// declared size or runs past it, or whose writer fails, leaves no snapshot
+// and no tmp file behind — also when whole chunks already reached the file —
+// and the store recovers the snapshot before it.
+func TestSnapshotSizeMismatchPublishesNothing(t *testing.T) {
+	fs := NewMemFS()
+	st, _, err := Open(Config{FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := snapshotNow(st, []byte("previous")); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Append(RecSample, []byte("tail")); err != nil {
+		t.Fatal(err)
+	}
+	before, _ := fs.List()
+	big := make([]byte, 3*snapshotChunk)
+	for _, c := range []struct {
+		name     string
+		declared int64
+		writes   [][]byte
+		fail     bool
+	}{
+		{"short", 10, [][]byte{big[:9]}, false},
+		{"long", 10, [][]byte{big[:11]}, false},
+		{"long by a second write", 10, [][]byte{big[:10], big[:1]}, false},
+		{"short after three chunks", int64(len(big)) + 1, [][]byte{big}, false},
+		{"writer error", 10, [][]byte{big[:10]}, true},
+	} {
 		seq, off := st.Position()
-		if err := st.WriteSnapshotAt(seq, off, payload); err != nil {
-			t.Fatal(err)
+		err := st.WriteSnapshotAt(seq, off, c.declared, func(w io.Writer) error {
+			for _, p := range c.writes {
+				if _, err := w.Write(p); err != nil {
+					return err
+				}
+			}
+			if c.fail {
+				return errors.New("exporter failed")
+			}
+			return nil
+		})
+		if err == nil {
+			t.Fatalf("%s: a payload declared as %d bytes was published", c.name, c.declared)
 		}
-		got, err := fs.ReadFile(snapshotName(seq, off))
-		if err != nil {
-			t.Fatal(err)
+		if after, _ := fs.List(); !slices.Equal(after, before) {
+			t.Fatalf("%s: files %v, want %v", c.name, after, before)
 		}
-		if want := encodeSnapshot(seq, off, payload); !bytes.Equal(got, want) {
-			t.Fatalf("%d-byte payload: snapshot file is %d bytes, reference %d, or differs in content", size, len(got), len(want))
-		}
-		if names, _ := fs.List(); len(names) != 2 {
-			t.Fatalf("%d-byte payload: files %v, want one segment and one snapshot", size, names)
-		}
-		if err := st.Close(); err != nil {
-			t.Fatal(err)
-		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st2, rec := reopen(t, fs, Config{})
+	defer st2.Close()
+	if string(rec.SnapshotPayload) != "previous" || len(rec.Records) != 1 {
+		t.Fatalf("recovered snapshot %q and %d records, want the previous one and the tail", rec.SnapshotPayload, len(rec.Records))
 	}
 }
 

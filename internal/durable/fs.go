@@ -132,16 +132,44 @@ func (fs *OSFS) List() ([]string, error) {
 // distinguishes written from synced bytes and created from dir-synced
 // files: SyncedOnly() models what a power loss before the next Sync/SyncDir
 // would leave behind, and Corrupt flips stored bits to model silent media
-// damage.
+// damage. A file is a list of chunks, so a written byte is copied once
+// however the writer splits its writes.
 type MemFS struct {
 	mu    sync.Mutex
 	files map[string]*memFile
 }
 
 type memFile struct {
-	data   []byte
+	chunks [][]byte // every chunk but the last is full
+	size   int
 	synced int  // bytes guaranteed durable
 	linked bool // dirent guaranteed durable (SyncDir or Rename happened)
+}
+
+func (f *memFile) write(p []byte) {
+	for len(p) > 0 {
+		last := len(f.chunks) - 1
+		if last < 0 || len(f.chunks[last]) == cap(f.chunks[last]) {
+			// A new chunk is as large as the full ones before it, 512 B to
+			// 64 KiB: a small file stays small, and past 64 KiB the chunk
+			// edges fall on multiples of 64 KiB.
+			f.chunks = append(f.chunks, make([]byte, 0, min(max(f.size, 512), 64<<10)))
+			last++
+		}
+		n := min(len(p), cap(f.chunks[last])-len(f.chunks[last]))
+		f.chunks[last] = append(f.chunks[last], p[:n]...)
+		f.size += n
+		p = p[n:]
+	}
+}
+
+// bytes returns a copy of the file's contents in one slice.
+func (f *memFile) bytes() []byte {
+	data := make([]byte, 0, f.size)
+	for _, c := range f.chunks {
+		data = append(data, c...)
+	}
+	return data
 }
 
 // NewMemFS returns an empty in-memory filesystem.
@@ -161,7 +189,7 @@ func (h *memHandle) Write(p []byte) (int, error) {
 	if !ok {
 		return 0, fmt.Errorf("durable: write to removed file %q", h.name)
 	}
-	f.data = append(f.data, p...)
+	f.write(p)
 	return len(p), nil
 }
 
@@ -169,7 +197,7 @@ func (h *memHandle) Sync() error {
 	h.fs.mu.Lock()
 	defer h.fs.mu.Unlock()
 	if f, ok := h.fs.files[h.name]; ok {
-		f.synced = len(f.data)
+		f.synced = f.size
 	}
 	return nil
 }
@@ -194,7 +222,7 @@ func (fs *MemFS) ReadFile(name string) ([]byte, error) {
 	if !ok {
 		return nil, os.ErrNotExist
 	}
-	return append([]byte(nil), f.data...), nil
+	return f.bytes(), nil
 }
 
 // Truncate implements FS.
@@ -205,13 +233,12 @@ func (fs *MemFS) Truncate(name string, size int64) error {
 	if !ok {
 		return os.ErrNotExist
 	}
-	if size < 0 || size > int64(len(f.data)) {
+	if size < 0 || size > int64(f.size) {
 		return fmt.Errorf("durable: truncate %q to %d out of range", name, size)
 	}
-	f.data = f.data[:size]
-	if f.synced > int(size) {
-		f.synced = int(size)
-	}
+	data := f.bytes()[:size]
+	*f = memFile{synced: min(f.synced, int(size)), linked: f.linked}
+	f.write(data)
 	return nil
 }
 
@@ -276,11 +303,9 @@ func (fs *MemFS) SyncedOnly() *MemFS {
 		if !f.linked {
 			continue
 		}
-		out.files[name] = &memFile{
-			data:   append([]byte(nil), f.data[:f.synced]...),
-			synced: f.synced,
-			linked: true,
-		}
+		g := &memFile{synced: f.synced, linked: true}
+		g.write(f.bytes()[:f.synced])
+		out.files[name] = g
 	}
 	return out
 }
@@ -291,10 +316,16 @@ func (fs *MemFS) Corrupt(name string, off int, mask byte) bool {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	f, ok := fs.files[name]
-	if !ok || off < 0 || off >= len(f.data) || mask == 0 {
+	if !ok || off < 0 || off >= f.size || mask == 0 {
 		return false
 	}
-	f.data[off] ^= mask
+	for _, c := range f.chunks {
+		if off < len(c) {
+			c[off] ^= mask
+			break
+		}
+		off -= len(c)
+	}
 	return true
 }
 
@@ -303,7 +334,7 @@ func (fs *MemFS) Size(name string) int64 {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	if f, ok := fs.files[name]; ok {
-		return int64(len(f.data))
+		return int64(f.size)
 	}
 	return -1
 }

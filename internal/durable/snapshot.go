@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 
 	"fgcs/internal/wire"
 )
@@ -75,11 +76,48 @@ func ReadSnapshot(data []byte) (seq uint64, offset int64, payload []byte, err er
 	return seq, int64(off), payload, nil
 }
 
-// writeSnapshotFile publishes payload as the snapshot covering (seq, offset)
-// atomically: tmp file, sync, rename into place. The payload is never copied
-// into a frame: header, payload and checksum trailer are written in turn, the
-// CRC32C running over the first two.
-func writeSnapshotFile(fs FS, seq uint64, offset int64, payload []byte) error {
+// snapshotChunk bounds the one buffer a snapshot file streams through.
+const snapshotChunk = 64 << 10
+
+// snapshotWriter streams a snapshot file through its chunk, writing full
+// chunks at multiples of snapshotChunk and a shorter one where the declared
+// bytes end; it runs the CRC32C and refuses bytes beyond the declared count.
+type snapshotWriter struct {
+	f     File
+	chunk []byte
+	sum   uint32
+	left  int64 // bytes still to come
+	err   error
+}
+
+func (w *snapshotWriter) Write(p []byte) (int, error) {
+	if w.err == nil && int64(len(p)) > w.left {
+		w.err = fmt.Errorf("durable: snapshot payload runs past its declared size")
+	}
+	if w.err != nil {
+		return 0, w.err
+	}
+	w.left -= int64(len(p))
+	w.sum = crc32.Update(w.sum, castagnoli, p)
+	for rest := p; len(rest) > 0 && w.err == nil; {
+		n := copy(w.chunk[len(w.chunk):cap(w.chunk)], rest)
+		w.chunk, rest = w.chunk[:len(w.chunk)+n], rest[n:]
+		if len(w.chunk) == cap(w.chunk) || w.left == 0 {
+			_, w.err = w.f.Write(w.chunk)
+			w.chunk = w.chunk[:0]
+		}
+	}
+	return len(p), w.err
+}
+
+// writeSnapshotFile publishes the snapshot covering (seq, offset) atomically:
+// tmp file, sync, rename into place. write streams exactly size payload bytes
+// between the header and the CRC32C trailer; anything else — fewer or more
+// bytes, an error from write or from the file — removes the tmp file.
+func writeSnapshotFile(fs FS, seq uint64, offset int64, size int64, write func(w io.Writer) error) error {
+	if size < 0 {
+		return fmt.Errorf("durable: snapshot payload size %d", size)
+	}
 	name := snapshotName(seq, offset)
 	tmp := name + ".tmp"
 	f, err := fs.Append(tmp)
@@ -89,12 +127,19 @@ func writeSnapshotFile(fs FS, seq uint64, offset int64, payload []byte) error {
 	hdr := wire.AppendHeader(make([]byte, 0, 5+3*binary.MaxVarintLen64), snapMagic, snapVersion)
 	hdr = wire.AppendUvarint(hdr, seq)
 	hdr = wire.AppendUvarint(hdr, uint64(offset))
-	hdr = wire.AppendUvarint(hdr, uint64(len(payload)))
-	sum := crc32.Update(crc32.Update(0, castagnoli, hdr), castagnoli, payload)
-	for _, part := range [][]byte{hdr, payload, binary.LittleEndian.AppendUint32(nil, sum)} {
-		if _, err = f.Write(part); err != nil {
-			break
-		}
+	hdr = wire.AppendUvarint(hdr, uint64(size))
+	total := int64(len(hdr)) + size
+	w := &snapshotWriter{f: f, chunk: make([]byte, 0, min(snapshotChunk, total+4)), left: total}
+	_, _ = w.Write(hdr) // a failed write sticks in w.err
+	if err = write(w); err == nil {
+		err = w.err // in case write dropped it
+	}
+	if err == nil && w.left > 0 {
+		err = fmt.Errorf("durable: snapshot payload ended %d bytes short of its declared %d", w.left, size)
+	}
+	if err == nil {
+		w.left = 4 // the trailer, checksummed by nothing
+		_, err = w.Write(binary.LittleEndian.AppendUint32(hdr[:0], w.sum))
 	}
 	if err == nil {
 		err = f.Sync()

@@ -3,6 +3,7 @@ package durable
 import (
 	"errors"
 	"fmt"
+	"io"
 	"sort"
 	"sync"
 )
@@ -86,6 +87,7 @@ type Recovery struct {
 type Store struct {
 	cfg Config
 
+	snap   sync.Mutex // serializes snapshot publications; appends never take it
 	mu     sync.Mutex
 	cur    File
 	curSeq uint64
@@ -349,17 +351,34 @@ func (st *Store) Position() (seq uint64, offset int64) {
 	return st.curSeq, st.curOff
 }
 
-// WriteSnapshotAt publishes payload as a snapshot of all state up to the WAL
-// position (seq, offset), atomically, then prunes snapshots beyond the
-// retention window and the segments only they kept alive. The caller
-// captured the position with Position() BEFORE exporting the state payload
-// encodes. Capturing the position first closes the export/append race: a
-// record appended before the captured position belongs to a mutation applied
-// before the capture (components mutate, then log), so the export already
-// includes it; a record appended at or after the position is replayed on top
-// during recovery, which is safe because restores are idempotent upserts. A
-// position ahead of the WAL is rejected.
-func (st *Store) WriteSnapshotAt(seq uint64, offset int64, payload []byte) error {
+// WriteSnapshotAt publishes a snapshot of all state up to the WAL position
+// (seq, offset), atomically, then prunes snapshots beyond the retention
+// window and the segments only they kept alive. write streams the payload,
+// exactly size bytes, into the file through one bounded chunk; appends go on
+// meanwhile, and write must not publish a snapshot itself. The caller
+// captured the position with Position() BEFORE exporting the state the
+// payload encodes. Capturing the position first closes the export/append
+// race: a record appended before the captured position belongs to a
+// mutation applied before the capture (components mutate, then log), so the
+// export already includes it; a record appended at or after the position is
+// replayed on top during recovery, which is safe because restores are
+// idempotent upserts. A position ahead of the WAL is rejected.
+func (st *Store) WriteSnapshotAt(seq uint64, offset int64, size int64, write func(w io.Writer) error) error {
+	st.snap.Lock()
+	defer st.snap.Unlock()
+	if err := st.syncThrough(seq, offset); err != nil {
+		return err
+	}
+	if err := writeSnapshotFile(st.cfg.FS, seq, offset, size, write); err != nil {
+		return err
+	}
+	st.prune()
+	return nil
+}
+
+// syncThrough makes the WAL a snapshot at (seq, offset) covers durable: the
+// active segment, since sealed ones were synced at rotation.
+func (st *Store) syncThrough(seq uint64, offset int64) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.closed {
@@ -368,31 +387,16 @@ func (st *Store) WriteSnapshotAt(seq uint64, offset int64, payload []byte) error
 	if seq > st.curSeq || (seq == st.curSeq && offset > st.curOff) {
 		return fmt.Errorf("durable: snapshot position %d/%d is ahead of the WAL at %d/%d", seq, offset, st.curSeq, st.curOff)
 	}
-	return st.writeSnapshotLocked(seq, offset, payload)
-}
-
-// writeSnapshotLocked publishes payload as a snapshot at (seq, offset) and
-// prunes. Callers hold st.mu with seq/offset at or before the current
-// position.
-func (st *Store) writeSnapshotLocked(seq uint64, offset int64, payload []byte) error {
-	if st.cfg.Sync != SyncNever {
-		// The snapshot claims to cover the log up to (seq, offset); make the
-		// tail durable first. Sealed segments were already synced at rotation,
-		// so the active segment is the only sync needed.
-		if err := st.cur.Sync(); err != nil {
-			return err
-		}
+	if st.cfg.Sync == SyncNever {
+		return nil
 	}
-	if err := writeSnapshotFile(st.cfg.FS, seq, offset, payload); err != nil {
-		return err
-	}
-	st.prune()
-	return nil
+	return st.cur.Sync()
 }
 
 // prune removes snapshots beyond KeepSnapshots and segments older than every
 // kept snapshot. Failures are ignored: retention is advisory, correctness
-// never depends on it. Callers hold st.mu.
+// never depends on it. Callers hold st.snap; the active segment is never
+// older than a snapshot, so appends need not wait.
 func (st *Store) prune() {
 	names, err := st.cfg.FS.List()
 	if err != nil {

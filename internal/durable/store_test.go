@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"testing"
 	"time"
 
@@ -15,7 +16,16 @@ import (
 // WAL position — exact here because the tests append from one goroutine.
 func snapshotNow(st *Store, payload []byte) error {
 	seq, off := st.Position()
-	return st.WriteSnapshotAt(seq, off, payload)
+	return snapshotAt(st, seq, off, payload)
+}
+
+// snapshotAt publishes payload at (seq, off) through the streaming path, in
+// one write.
+func snapshotAt(st *Store, seq uint64, off int64, payload []byte) error {
+	return st.WriteSnapshotAt(seq, off, int64(len(payload)), func(w io.Writer) error {
+		_, err := w.Write(payload)
+		return err
+	})
 }
 
 // reopen closes nothing (the store may be dead) and opens a fresh store over
@@ -196,7 +206,7 @@ func TestWriteSnapshotAtReplaysTailFromPosition(t *testing.T) {
 	if err := st.Append(RecRegister, []byte("in-flight")); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.WriteSnapshotAt(seq, off, []byte("state")); err != nil {
+	if err := snapshotAt(st, seq, off, []byte("state")); err != nil {
 		t.Fatalf("WriteSnapshotAt: %v", err)
 	}
 	if err := st.Close(); err != nil {
@@ -211,7 +221,7 @@ func TestWriteSnapshotAtReplaysTailFromPosition(t *testing.T) {
 		t.Fatalf("replayed %v, want just the in-flight record", rec.Records)
 	}
 	// A position ahead of the WAL is rejected outright.
-	if err := st2.WriteSnapshotAt(seq+1, 0, []byte("x")); err == nil {
+	if err := snapshotAt(st2, seq+1, 0, []byte("x")); err == nil {
 		t.Fatal("snapshot position ahead of the WAL accepted")
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
-	"runtime/debug"
 	"sort"
 	"strings"
 	"sync"
@@ -316,17 +315,11 @@ func movedQueries(ctx context.Context, t *testing.T, sm *StateManager, clock *si
 // and ARMA residual arrays — and a manager on a fresh engine grew a scratch
 // pool of its own, ≈1 MB at 10 h. With one process-wide pool, the preceding
 // window copied into scratch and q-long residual windows, a moved query
-// allocates ≈12 KB at either length, on a fresh engine too.
+// allocates ≈12 KB at either length, on a fresh engine too. With that pool a
+// sync.Pool, a collection emptied it and the next misses rebuilt ≈1.9 MB of
+// scratch; the free list that replaced it keeps its scratches across
+// collections, so each leg runs after two.
 func TestQueryTRMovedWindowAllocCeiling(t *testing.T) {
-	if raceDetector {
-		t.Skip("sync.Pool drops puts at random under -race; the plain run measures")
-	}
-	// The scratch pool keeps a Put in its P's private slot, which a Get on
-	// another P cannot take; on one P every miss reuses it. With automatic
-	// collections off only the explicit ones below run, and a pooled scratch
-	// survives one of them (in the pool's victim cache) but not two.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	const ceiling = 16 << 10 // allocated, and left live, per query
 	ctx := context.Background()
 	manager := func() (*StateManager, *simclock.Virtual) {
@@ -343,6 +336,7 @@ func TestQueryTRMovedWindowAllocCeiling(t *testing.T) {
 		const n = 10
 		var before, after runtime.MemStats
 		runtime.GC()
+		runtime.GC() // the second empties a sync.Pool, victim cache and all
 		runtime.ReadMemStats(&before)
 		movedQueries(ctx, t, sm, clock, length, n)
 		runtime.ReadMemStats(&after)
@@ -360,7 +354,7 @@ func TestQueryTRMovedWindowAllocCeiling(t *testing.T) {
 	}
 	for _, length := range []time.Duration{time.Hour, 10 * time.Hour} {
 		sm, clock := manager()
-		movedQueries(ctx, t, sm, clock, length, 2) // fit the spectrum, size the pooled scratch
+		movedQueries(ctx, t, sm, clock, length, 2) // fit the spectrum, size the scratch
 		measure(fmt.Sprintf("a moved %v window", length), sm, clock, length)
 	}
 	// A manager on an engine of its own, warmed by one 1 h query that fits
@@ -373,9 +367,9 @@ func TestQueryTRMovedWindowAllocCeiling(t *testing.T) {
 
 // TestSharedEngineScratchDoesNotEscape: the forecast-origin baselines read the
 // preceding window from, and build their series, forecast and classification
-// in, scratch borrowed from the process-wide pool, which every manager shares
-// with every other and with SMP's cold fits, whether or not their engines are
-// one. Four goroutines, two a manager, ask for windows nobody asked for
+// in, scratch borrowed from the process-wide free list, which every manager
+// shares with every other and with SMP's cold fits, whether or not their
+// engines are one. Four goroutines, two a manager, ask for windows nobody asked for
 // before, with the two managers first on one engine and then each on its
 // own; every answer — the served one per query, and all eight predictors' as
 // the tracker resolves them — must be what the same manager answers alone.

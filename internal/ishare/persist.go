@@ -2,8 +2,8 @@ package ishare
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
+	"io"
 	"log/slog"
 	"sort"
 	"sync"
@@ -116,11 +116,8 @@ func (p *Persister) Snapshot() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	seq, off := p.st.Position()
-	payload, err := p.encodeNodeSnapshot()
-	if err != nil {
-		return err
-	}
-	if err := p.st.WriteSnapshotAt(seq, off, payload); err != nil {
+	size, write := p.nodeSnapshot()
+	if err := p.st.WriteSnapshotAt(seq, off, size, write); err != nil {
 		return err
 	}
 	p.coder.Reset()
@@ -233,51 +230,52 @@ func (p *Persister) restore(rec *durable.Recovery) error {
 	return nil
 }
 
-// encodeNodeSnapshot serializes the node state. Callers hold p.mu; the
-// component exports take their own locks. The small tail (submit keys,
-// tracker blob) comes first so that one buffer can be sized for everything;
-// the history log is then encoded into it straight from the recorder. The
-// output is deterministic for a given state (sorted submit keys), which the
-// crash harness relies on.
-func (p *Persister) encodeNodeSnapshot() ([]byte, error) {
+// nodeSnapshot returns the size of the node's FGNS payload and the function
+// that streams it. Callers hold p.mu, which keeps samples, the only writers
+// of the history log, out from between the two. All but the log is encoded
+// up front; write streams the log day by day from the recorder under its
+// lock, which it holds for nothing else. The output is deterministic for a
+// given state (sorted submit keys), which the crash harness relies on.
+func (p *Persister) nodeSnapshot() (size int64, write func(w io.Writer) error) {
+	var histSize int
+	var rest []byte // what follows the log: last-sample time, recent ring, tail
+	recent := p.sm.viewHistory(func(m *trace.Machine, last time.Time) {
+		histSize = trace.BinarySize(&trace.Dataset{Machines: []*trace.Machine{m}})
+		rest = wire.AppendVarint(rest, timeToMs(last))
+	})
+	rest = wire.AppendUvarint(rest, uint64(len(recent)))
+	for _, s := range recent {
+		rest = wire.AppendFloat64(rest, s.CPU)
+		rest = wire.AppendFloat64(rest, s.FreeMemMB)
+		rest = wire.AppendBool(rest, s.Up)
+	}
 	submitted, nextID := p.gw.ExportSubmitted()
 	keys := make([]string, 0, len(submitted))
 	for k := range submitted {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	tail := wire.AppendUvarint(nil, uint64(len(keys)))
+	rest = wire.AppendUvarint(rest, uint64(len(keys)))
 	for _, k := range keys {
-		tail = wire.AppendString(tail, k)
-		tail = wire.AppendString(tail, submitted[k])
+		rest = wire.AppendString(rest, k)
+		rest = wire.AppendString(rest, submitted[k])
 	}
-	tail = wire.AppendUvarint(tail, uint64(nextID))
-	tail = wire.AppendBytes(tail, p.tracker.ExportBinary())
+	rest = wire.AppendUvarint(rest, uint64(nextID))
+	rest = wire.AppendBytes(rest, p.tracker.ExportBinary())
 
-	var buf []byte
-	var err error
-	recent := p.sm.viewHistory(func(m *trace.Machine, last time.Time) {
-		hist := trace.Dataset{Machines: []*trace.Machine{m}}
-		n := trace.BinarySize(&hist)
-		// Header, three varints, the history, a full recent ring, the tail.
-		buf = make([]byte, 0, 5+3*binary.MaxVarintLen64+n+recentSampleBytes*p.sm.recentCap+len(tail))
-		buf = wire.AppendHeader(buf, nodeSnapMagic, nodeSnapVersion)
-		buf = wire.AppendUvarint(buf, uint64(n))
-		if buf, err = trace.AppendBinary(buf, &hist); err != nil {
-			return
+	head := wire.AppendUvarint(wire.AppendHeader(nil, nodeSnapMagic, nodeSnapVersion), uint64(histSize))
+	return int64(len(head) + histSize + len(rest)), func(w io.Writer) error {
+		_, err := w.Write(head)
+		if err == nil {
+			p.sm.recorder.View(func(m *trace.Machine, _ time.Time) {
+				err = trace.WriteBinary(w, &trace.Dataset{Machines: []*trace.Machine{m}})
+			})
 		}
-		buf = wire.AppendVarint(buf, timeToMs(last))
-	})
-	if err != nil {
-		return nil, err
+		if err == nil {
+			_, err = w.Write(rest)
+		}
+		return err
 	}
-	buf = wire.AppendUvarint(buf, uint64(len(recent)))
-	for _, s := range recent {
-		buf = wire.AppendFloat64(buf, s.CPU)
-		buf = wire.AppendFloat64(buf, s.FreeMemMB)
-		buf = wire.AppendBool(buf, s.Up)
-	}
-	return append(buf, tail...), nil
 }
 
 const recentSampleBytes = 17 // one recent-ring sample: two float64 and a bool
@@ -418,7 +416,9 @@ func (rp *RegPersister) sink(e RegEntry) {
 // an idempotent upsert.
 func (rp *RegPersister) Snapshot() error {
 	seq, off := rp.st.Position()
-	return rp.st.WriteSnapshotAt(seq, off, encodeRegSnapshot(rp.reg.Export()))
+	payload := encodeRegSnapshot(rp.reg.Export())
+	write := func(w io.Writer) error { _, err := w.Write(payload); return err }
+	return rp.st.WriteSnapshotAt(seq, off, int64(len(payload)), write)
 }
 
 // encodeRegSnapshot serializes a sorted entry set (Export sorts).

@@ -56,11 +56,31 @@ func sampleNodeSnapshot(t testing.TB) []byte {
 	for i := 0; i < 3; i++ {
 		n.Obs().Tracker.RestoreResolution("lab-01", "SMP", 0.75, i != 1)
 	}
-	enc, err := n.Persist.encodeNodeSnapshot()
+	enc, err := encodeNodeSnapshot(t, n.Persist)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return enc
+}
+
+// encodeNodeSnapshot publishes p's FGNS payload through a fresh in-memory
+// store and returns what the snapshot file holds.
+func encodeNodeSnapshot(t testing.TB, p *Persister) ([]byte, error) {
+	t.Helper()
+	fs := durable.NewMemFS()
+	st, _, err := durable.Open(durable.Config{FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	size, write := p.nodeSnapshot()
+	seq, off := st.Position()
+	if err := st.WriteSnapshotAt(seq, off, size, write); err != nil {
+		return nil, err
+	}
+	return newestSnapshotPayload(t, fs), nil
 }
 
 // recodeNodeSnapshot installs data into a fresh node and encodes that node.
@@ -69,15 +89,40 @@ func recodeNodeSnapshot(t testing.TB, data []byte) ([]byte, error) {
 	if err := n.Persist.decodeNodeSnapshot(data); err != nil {
 		return nil, err
 	}
-	return n.Persist.encodeNodeSnapshot()
+	return encodeNodeSnapshot(t, n.Persist)
 }
 
-func sampleRegSnapshot() []byte {
-	return encodeRegSnapshot([]RegEntry{
+// sampleRegSnapshot is the FGRS payload a registry shard holding two
+// entries publishes through its RegPersister.
+func sampleRegSnapshot(t testing.TB) []byte {
+	t.Helper()
+	fs := durable.NewMemFS()
+	st, rec, err := durable.Open(persistStoreCfg(fs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := &fixedRegState{entries: []RegEntry{
 		{Machine: "lab-01", Addr: "10.0.0.1:7171", Expires: codecStart.Add(90 * time.Second)},
 		{Machine: "lab-02", Addr: "10.0.0.2:7171"},
-	})
+	}}
+	rp, err := NewRegPersister(st, rec, reg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rp.Close()
+	if err := rp.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	return newestSnapshotPayload(t, fs)
 }
+
+// fixedRegState is a RegState whose entry set is fixed.
+type fixedRegState struct{ entries []RegEntry }
+
+func (f *fixedRegState) SetSink(func(RegEntry)) {}
+func (f *fixedRegState) Export() []RegEntry     { return f.entries }
+func (f *fixedRegState) Restore([]RegEntry)     {}
+func (f *fixedRegState) RestoreRemove(string)   {}
 
 // TestSnapshotCodecs pins FGNS and FGRS to bytes written by the commit
 // before internal/wire existed, decodes them back to the same state, and
@@ -95,7 +140,7 @@ func TestSnapshotCodecs(t *testing.T) {
 		wiretest.CheckDecoder(t, good, bareDurableNode(t).Persist.decodeNodeSnapshot)
 	})
 	t.Run("FGRS", func(t *testing.T) {
-		good := sampleRegSnapshot()
+		good := sampleRegSnapshot(t)
 		wiretest.Golden(t, "testdata/golden/fgrs.hex", good)
 		entries, err := decodeRegSnapshot(good)
 		if err != nil || len(entries) != 2 || !entries[1].Expires.IsZero() || !bytes.Equal(encodeRegSnapshot(entries), good) {
@@ -116,7 +161,7 @@ func TestSnapshotCodecs(t *testing.T) {
 // used to size a map from the claim before the first key failed to parse.
 func TestNodeSnapshotSubmitKeyClaim(t *testing.T) {
 	empty := bareDurableNode(t)
-	good, err := empty.Persist.encodeNodeSnapshot()
+	good, err := encodeNodeSnapshot(t, empty.Persist)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +204,7 @@ func FuzzDecodeNodeSnapshot(f *testing.F) {
 		if wiretest.Bounded(t, data, n.Persist.decodeNodeSnapshot) != nil {
 			return
 		}
-		enc, err := n.Persist.encodeNodeSnapshot()
+		enc, err := encodeNodeSnapshot(t, n.Persist)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,7 +216,7 @@ func FuzzDecodeNodeSnapshot(f *testing.F) {
 
 // FuzzDecodeRegSnapshot does the same for the registry shard's FGRS format.
 func FuzzDecodeRegSnapshot(f *testing.F) {
-	good := sampleRegSnapshot()
+	good := sampleRegSnapshot(f)
 	f.Add(good)
 	f.Add(good[:len(good)-3])
 	f.Add(encodeRegSnapshot(nil))

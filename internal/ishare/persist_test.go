@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/hex"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"sync"
@@ -291,6 +293,89 @@ func TestPersisterCrashQueryTREquality(t *testing.T) {
 	}
 }
 
+// TestPersisterCrashMultiChunkSnapshot kills a node snapshot that spans
+// several write chunks: at every chunk edge and one byte either side, at its
+// last byte and at seeded offsets inside it. Every kill leaves the previous
+// snapshot and the WAL, and a node recovered from them replays every sample
+// and answers QueryTR as the live node did. (A power loss keeps the same
+// files here, less the tmp file recovery removes anyway: the store syncs
+// every append, and the torn tmp file was never linked.)
+func TestPersisterCrashMultiChunkSnapshot(t *testing.T) {
+	const samples, chunk = 30, 64 << 10
+	hist := historyMachine("lab-01", 2, 9)
+	today := monday.AddDate(0, 0, 2)
+	start := today.Add(8 * time.Hour)
+	clock := simclock.NewVirtual(start.Add(samples * period))
+	// run publishes a node's history in a first snapshot, records samples
+	// into the WAL and takes a second snapshot, which it returns the error
+	// of, with the bytes fs had taken before it.
+	run := func(fs *durable.CrashFS) (*HostNode, int64, error) {
+		st, rec, err := durable.Open(persistStoreCfg(fs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := newDurableNode(t, st, rec, clock, nil)
+		if err := n.SM.RestoreHistory(hist.Clone(), today.Add(-period), nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := n.Persist.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+		r := rng.New(3)
+		for i, at := 0, start; i < samples; i, at = i+1, at.Add(period) {
+			n.Persist.Record(at, persistSample(r))
+		}
+		before := fs.BytesWritten()
+		return n, before, n.Persist.Snapshot()
+	}
+	probe := durable.NewCrashFS(durable.NewMemFS(), -1)
+	live, before, err := run(probe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := probe.BytesWritten() - before
+	if size <= 2*chunk {
+		t.Fatalf("the snapshot is %d bytes, fewer than three write chunks", size)
+	}
+	want := []queryAnswer{askTR(t, live, 1800), askTR(t, live, 2*3600)}
+	if err := live.Persist.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	kills := []int64{size - 1}
+	for edge := int64(chunk); edge < size; edge += chunk {
+		kills = append(kills, edge-1, edge, edge+1)
+	}
+	r := rng.New(7).Split("snapshot-killpoints")
+	for i := 0; i < 3; i++ {
+		kills = append(kills, int64(r.Uint64()%uint64(size)))
+	}
+	for _, kill := range kills {
+		mem := durable.NewMemFS()
+		if _, _, err := run(durable.NewCrashFS(mem, before+kill)); !errors.Is(err, durable.ErrCrashed) {
+			t.Fatalf("kill at snapshot byte %d: snapshot returned %v", kill, err)
+		}
+		st, rec, err := durable.Open(persistStoreCfg(mem))
+		if err != nil {
+			t.Fatalf("kill at snapshot byte %d: recovery refused: %v", kill, err)
+		}
+		replayed := 0
+		for _, r := range rec.Records {
+			if r.Type == durable.RecSample {
+				replayed++
+			}
+		}
+		n := newDurableNode(t, st, rec, clock, nil)
+		if got := []queryAnswer{askTR(t, n, 1800), askTR(t, n, 2*3600)}; rec.SnapshotPayload == nil || replayed != samples || got[0] != want[0] || got[1] != want[1] {
+			t.Fatalf("kill at snapshot byte %d: replayed %d samples over the first snapshot (%v), answers %+v, live %+v",
+				kill, replayed, rec.SnapshotPayload != nil, got, want)
+		}
+		if err := n.Persist.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // raceRegState wraps a RegState so a test can run code at the worst possible
 // moment: after a snapshot exported the entry set but before it is written.
 type raceRegState struct {
@@ -523,7 +608,7 @@ func TestRegPersisterParentFormatDataDir(t *testing.T) {
 		t.Fatal(err)
 	}
 	seq, off := st.Position()
-	if err := st.WriteSnapshotAt(seq, off, snap); err != nil {
+	if err := st.WriteSnapshotAt(seq, off, int64(len(snap)), func(w io.Writer) error { _, err := w.Write(snap); return err }); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Append(durable.RecRegister, durable.EncodeRegister(nil, "lab-03", "10.0.0.3:7171", 0)); err != nil {

@@ -20,11 +20,10 @@ import (
 // window, estimator configuration), serves any number of concurrent
 // PredictCtx/PredictFromCtx queries against the cache, and fans PredictBatch
 // request slices across a bounded worker pool. Cache misses run on scratch
-// buffers from one process-wide pool shared by every engine, so once the
-// pool holds buffers sized for the longest window a process asks for,
+// buffers from one process-wide free list shared by every engine, so once
+// it holds buffers sized for the longest window a process asks for,
 // extraction, estimation and the backward recursion allocate only the
-// kernel's support, which the miss drops once it is solved. A collection may
-// empty the pool; the next misses grow it again.
+// kernel's support, which the miss drops once it is solved.
 //
 // The LRU holds three kinds of entry under one key type: an SMP Prediction
 // (its solved reliabilities and initial-state mix) per (pool, window,
@@ -60,11 +59,27 @@ type Engine struct {
 	dayHashes map[*trace.Day]uint64
 }
 
-// scratchPool holds every engine's per-query working memory. A scratch is
-// per-goroutine state, not engine state: one pool per process means N engines
-// (one per state manager, unless they share one) do not each grow their own
-// set of horizon-sized buffers.
-var scratchPool = sync.Pool{New: func() any { return &scratch{} }}
+// scratches is the free list of every engine's per-query working memory. A
+// scratch is per-goroutine state, not engine state: one list per process
+// means N engines do not each grow their own horizon-sized buffers. Unlike a
+// sync.Pool it keeps them across collections, at most GOMAXPROCS of them.
+var scratches = make(chan *scratch, runtime.GOMAXPROCS(0))
+
+func getScratch() *scratch {
+	select {
+	case sc := <-scratches:
+		return sc
+	default:
+		return &scratch{}
+	}
+}
+
+func putScratch(sc *scratch) {
+	select {
+	case scratches <- sc:
+	default:
+	}
+}
 
 // EngineConfig tunes an Engine.
 type EngineConfig struct {
@@ -426,9 +441,9 @@ func (e *Engine) PredictPluginCtx(ctx context.Context, pl Plugin, in PluginInput
 				return e.spectrum(span, p, key, days)
 			})
 		case Percentile:
-			sc := scratchPool.Get().(*scratch)
+			sc := getScratch()
 			tr, err = p.predictTR(sc, in)
-			scratchPool.Put(sc)
+			putScratch(sc)
 		default:
 			tr, err = pl.PredictTR(in)
 		}
@@ -452,8 +467,8 @@ func (e *Engine) PredictPluginCtx(ctx context.Context, pl Plugin, in PluginInput
 // evaluator and calls it once per plugin. Prev is reused once PredictLive
 // returns: nothing a plugin keeps may alias it.
 func (e *Engine) PredictLive(in PluginInput, fill func(dst []trace.Sample) []trace.Sample, each func(eval func(Plugin) (float64, error))) {
-	sc := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(sc)
+	sc := getScratch()
+	defer putScratch(sc)
 	if fill != nil {
 		sc.prev = fill(sc.prev[:0])
 		in.Prev = sc.prev
@@ -498,8 +513,8 @@ func (e *Engine) spectrum(span *otrace.Span, s Spectral, key engineKey, days []*
 // when someone is watching; a sampled span gets engine.fit/engine.solve
 // child spans covering the same intervals the histograms observe.
 func (e *Engine) compute(span *otrace.Span, m *EngineMetrics, p SMP, days []*trace.Day, w Window) (*engineEntry, error) {
-	sc := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(sc)
+	sc := getScratch()
+	defer putScratch(sc)
 	fitSpan := span.StartChild("engine.fit")
 	if fitSpan != nil {
 		fitSpan.SetAttr(otrace.Int("history-days", len(days)))

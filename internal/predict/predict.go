@@ -159,8 +159,8 @@ func periodOf(days []*trace.Day) time.Duration {
 // classification buffer for Percentile, and for the forecast-origin baselines
 // the preceding window they share, then each one's training series, its
 // forecast, the forecast as samples and their classification. One process-wide
-// pool holds them (scratchPool), so at steady state a miss allocates only the
-// kernel's support and what it caches, whatever the window length; a call
+// free list holds them (scratches), so at steady state a miss allocates only
+// the kernel's support and what it caches, whatever the window length; a call
 // outside the engine starts from the zero value. Results do not depend on what
 // a scratch held.
 type scratch struct {

@@ -28,42 +28,12 @@ const (
 
 // WriteBinary encodes the dataset in the compact binary format, a day a Write.
 func WriteBinary(w io.Writer, ds *Dataset) error {
-	_, err := encodeBinary(nil, ds, func(buf []byte) ([]byte, error) {
-		_, err := w.Write(buf)
-		return buf[:0], err
-	})
-	return err
-}
-
-// AppendBinary appends the bytes WriteBinary writes for ds to buf. Sizing buf
-// by BinarySize first makes it the only allocation.
-func AppendBinary(buf []byte, ds *Dataset) ([]byte, error) {
-	return encodeBinary(buf, ds, func(buf []byte) ([]byte, error) { return buf, nil })
-}
-
-// BinarySize returns the number of bytes WriteBinary and AppendBinary produce
-// for ds.
-func BinarySize(ds *Dataset) int {
-	n := len(binaryMagic) + 4
-	for _, m := range ds.Machines {
-		n += 2 + len(m.ID) + 8 + 4
-		for _, d := range m.Days {
-			n += 8 + 4 + sampleBytes*len(d.Samples)
-		}
-	}
-	return n
-}
-
-// encodeBinary is the one encoder of the binary format. It appends ds to buf
-// and passes buf through flush after every day and at the end; flush returns
-// the buffer to continue in.
-func encodeBinary(buf []byte, ds *Dataset, flush func([]byte) ([]byte, error)) ([]byte, error) {
 	le := binary.LittleEndian
-	buf = append(buf, binaryMagic...)
+	buf := append(make([]byte, 0, 64), binaryMagic...)
 	buf = le.AppendUint32(buf, uint32(len(ds.Machines)))
 	for _, m := range ds.Machines {
 		if len(m.ID) > math.MaxUint16 {
-			return nil, fmt.Errorf("trace: machine id too long")
+			return fmt.Errorf("trace: machine id too long")
 		}
 		buf = le.AppendUint16(buf, uint16(len(m.ID)))
 		buf = append(buf, m.ID...)
@@ -84,13 +54,26 @@ func encodeBinary(buf []byte, ds *Dataset, flush func([]byte) ([]byte, error)) (
 				}
 				off += sampleBytes
 			}
-			var err error
-			if buf, err = flush(buf); err != nil {
-				return nil, err
+			if _, err := w.Write(buf); err != nil {
+				return err
 			}
+			buf = buf[:0]
 		}
 	}
-	return flush(buf)
+	_, err := w.Write(buf)
+	return err
+}
+
+// BinarySize returns the number of bytes WriteBinary produces for ds.
+func BinarySize(ds *Dataset) int {
+	n := len(binaryMagic) + 4
+	for _, m := range ds.Machines {
+		n += 2 + len(m.ID) + 8 + 4
+		for _, d := range m.Days {
+			n += 8 + 4 + sampleBytes*len(d.Samples)
+		}
+	}
+	return n
 }
 
 // ReadBinary decodes a dataset written by WriteBinary.

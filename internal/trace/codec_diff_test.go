@@ -48,10 +48,6 @@ func TestBinaryCodecMatchesReference(t *testing.T) {
 			if err := trace.WriteBinary(&got, ds); err != nil || !bytes.Equal(got.Bytes(), want.Bytes()) {
 				t.Fatalf("%s seed %d: WriteBinary differs from the reference (%v)", c.name, seed, err)
 			}
-			appended, err := trace.AppendBinary([]byte("prefix"), ds)
-			if err != nil || !bytes.Equal(appended, append([]byte("prefix"), want.Bytes()...)) {
-				t.Fatalf("%s seed %d: AppendBinary differs from the reference (%v)", c.name, seed, err)
-			}
 			if n := trace.BinarySize(ds); n != want.Len() {
 				t.Fatalf("%s seed %d: BinarySize %d, encoded %d", c.name, seed, n, want.Len())
 			}
