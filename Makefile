@@ -1,10 +1,8 @@
 GO ?= go
 
-# Benchmarks gated against BENCH_baseline.json by `make benchstat`.
-BENCH_GATE = BenchmarkEngineCachedVsCold|BenchmarkPredictBatchParallel|BenchmarkEnginePredictTracing|BenchmarkQueryTRTracing|BenchmarkQueryTREnsemble|BenchmarkWALAppend|BenchmarkRecover
 FUZZTIME ?= 20s
 
-.PHONY: build test race vet lint loc dead cover bench benchstat benchbase bench-serve bench-serve-base bench-serve-wal bench-fleet bench-fleet-base fuzz golden golden-update chaos crash
+.PHONY: build test race vet lint loc dead cover bench bench-ensemble bench-fleet bench-fleet-base fuzz golden golden-update chaos crash
 
 build:
 	$(GO) build ./...
@@ -87,58 +85,31 @@ dead:
 cover:
 	$(GO) test -cover ./... | grep -v '\[no test files\]'
 
+# The one benchmark: four workloads, end to end and layer by layer (bench/README.md).
 bench:
-	$(GO) test -run '^$$' -bench . -benchmem .
+	bash bench/run.sh
 
-# Bench regression gate: run the engine benchmarks, record BENCH_predict.json,
-# and fail on >10% latency or an allocs/op regression beyond max(1, 0.1%)
-# slack (exactly zero for 0-alloc benchmarks) against the checked-in
-# baseline. Baselines are machine-specific — regenerate with `make benchbase`
-# when switching hardware.
-benchstat:
-	$(GO) test -run '^$$' -bench '$(BENCH_GATE)' -benchmem -count=3 . | tee bench_gate.out
-	$(GO) run ./cmd/benchgate -in bench_gate.out -out BENCH_predict.json -baseline BENCH_baseline.json
-	$(GO) run ./cmd/benchgate -ensemble -in bench_gate.out
-	@rm -f bench_gate.out
+# Kept until the ensemble is decided: median of ten same-run ensemble/single ratios within 10%.
+bench-ensemble:
+	@mkdir -p .bench_build
+	$(GO) test -c -o .bench_build/fgcs.test .
+	for i in 1 2 3 4 5 6 7 8 9 10; do \
+		.bench_build/fgcs.test -test.run '^$$' -test.bench QueryTREnsemble -test.benchmem -test.count 1 || exit 1; \
+	done > .bench_build/ensemble.out
+	$(GO) run ./cmd/benchgate -ensemble -in .bench_build/ensemble.out
 
-benchbase:
-	$(GO) test -run '^$$' -bench '$(BENCH_GATE)' -benchmem -count=3 . | tee bench_gate.out
-	$(GO) run ./cmd/benchgate -in bench_gate.out -baseline BENCH_baseline.json -write
-	@rm -f bench_gate.out
-
-# Serving-path gate: drive the seeded isharebench workload end to end over
-# both transports and fail unless the binary protocol beats dial-per-RPC JSON
-# by >=5x QPS at <=0.5x p99, within 10% of the recorded BENCH_serve_base.json
-# (machine-specific — regenerate with `make bench-serve-base`).
-bench-serve:
-	$(GO) run ./cmd/isharebench -selfhost -repeat 3 -out BENCH_serve.json
-	$(GO) run ./cmd/benchgate -serve -in BENCH_serve.json -baseline BENCH_serve_base.json
-
-bench-serve-base:
-	$(GO) run ./cmd/isharebench -selfhost -repeat 3 -out BENCH_serve.json
-	$(GO) run ./cmd/benchgate -serve -in BENCH_serve.json -baseline BENCH_serve_base.json -write
-
-# Durability tax on the serving path: the same workload with a WAL attached
-# (fsync always, a live sample stream appending throughout the run) must stay
-# within 10% of the WAL-less BENCH_serve_base.json. Fails when durability
-# leaks into the query path.
-bench-serve-wal:
-	$(GO) run ./cmd/isharebench -selfhost -wal -repeat 3 -out BENCH_serve_wal.json
-	$(GO) run ./cmd/benchgate -serve -in BENCH_serve_wal.json -baseline BENCH_serve_base.json
-
-# Fleet-scale gate: simulate a 100k-machine federated fleet entirely
-# in-process (virtual clock, in-memory transport) and fail unless the run is
-# failure-free, steady memory stays under -max-bytes-per-machine, throughput
-# reaches -min-predictions-per-sec, and both are within 10% of the recorded
-# BENCH_fleet_base.json (machine-specific — regenerate with
-# `make bench-fleet-base`).
+# The 100k-machine scale instrument, which no 20-second workload replaces; SLOs first, then the fleet gate.
 bench-fleet:
-	$(GO) run ./cmd/fleetsim -machines 100000 -out BENCH_fleet.json
-	$(GO) run ./cmd/benchgate -fleet -in BENCH_fleet.json -baseline BENCH_fleet_base.json
+	@mkdir -p .bench_build
+	$(GO) run ./cmd/fleetsim -machines 100000 -out .bench_build/fleet.json
+	$(GO) run ./cmd/benchgate -slo -in .bench_build/fleet.json
+	$(GO) run ./cmd/benchgate -fleet -in .bench_build/fleet.json -baseline BENCH_fleet_base.json
 
+# Re-records BENCH_fleet_base.json at HEAD, the base bench-fleet compares with; refuses a failing run.
 bench-fleet-base:
-	$(GO) run ./cmd/fleetsim -machines 100000 -out BENCH_fleet.json
-	$(GO) run ./cmd/benchgate -fleet -in BENCH_fleet.json -baseline BENCH_fleet_base.json -write
+	@mkdir -p .bench_build
+	$(GO) run ./cmd/fleetsim -machines 100000 -out .bench_build/fleet.json
+	$(GO) run ./cmd/benchgate -fleet -in .bench_build/fleet.json -baseline BENCH_fleet_base.json -write
 
 # Short fuzz pass over every decoder: wire protocol, trace codecs, WAL and
 # snapshot readers, and the internal/wire formats; and over the five

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sort"
+	"strings"
 )
 
 // fleetSim mirrors the deterministic section of a fleetsim report; only the
@@ -24,7 +26,6 @@ type fleetPerf struct {
 	RSSBytesPerMachine  float64 `json:"rss_bytes_per_machine"`
 	TotalSeconds        float64 `json:"total_seconds"`
 	ObsPlaneSeconds     float64 `json:"obs_plane_seconds"`
-	ObsBytesPerPeer     float64 `json:"obs_bytes_per_peer"`
 }
 
 // obsCostFraction is the share of total run wall time spent in the
@@ -51,11 +52,34 @@ func (r *fleetReport) bytesPerMachine() (float64, string) {
 	return r.Perf.HeapBytesPerMachine, "heap"
 }
 
+// missingKeys names, as "section.key" in sorted order, every key of the
+// report's sim and perf sections that the baseline's lacks.
+func missingKeys(report, baseline []byte) ([]string, error) {
+	var rep, base map[string]map[string]json.RawMessage
+	if err := json.Unmarshal(report, &rep); err != nil {
+		return nil, fmt.Errorf("parsing fleetsim report: %w", err)
+	}
+	if err := json.Unmarshal(baseline, &base); err != nil {
+		return nil, fmt.Errorf("parsing baseline: %w", err)
+	}
+	var missing []string
+	for _, section := range []string{"sim", "perf"} {
+		for k := range rep[section] {
+			if _, ok := base[section][k]; !ok {
+				missing = append(missing, section+"."+k)
+			}
+		}
+	}
+	sort.Strings(missing)
+	return missing, nil
+}
+
 // runFleet gates a fleetsim report: the run must be failure-free, steady
 // per-machine memory must come in at or under maxBytesPerMachine, prediction
 // throughput must reach minPredPerSec, and — against a recorded baseline —
-// neither may regress by more than the tolerance. With write set the report
-// becomes the new baseline instead.
+// neither may regress by more than the tolerance. A baseline that lacks a
+// key the report emits is refused, and nothing is compared against it. With
+// write set the report becomes the new baseline instead.
 func runFleet(in io.Reader, baselinePath string, write bool, tolerance, maxBytesPerMachine, minPredPerSec, maxObsCost float64, stderr io.Writer) error {
 	raw, err := io.ReadAll(in)
 	if err != nil {
@@ -115,18 +139,27 @@ func runFleet(in io.Reader, baselinePath string, write bool, tolerance, maxBytes
 	if err := json.Unmarshal(baseRaw, &base); err != nil {
 		return fmt.Errorf("parsing baseline %s: %w", baselinePath, err)
 	}
-	if base.Sim.Machines != rep.Sim.Machines {
-		fmt.Fprintf(stderr, "benchgate: note: fleet size changed %d -> %d machines; per-machine figures still compared\n",
-			base.Sim.Machines, rep.Sim.Machines)
+	missing, err := missingKeys(raw, baseRaw)
+	if err != nil {
+		return err
 	}
-	if base.Perf.PredictionsPerSec > 0 && rep.Perf.PredictionsPerSec < base.Perf.PredictionsPerSec*(1-tolerance) {
-		violations = append(violations, fmt.Sprintf("throughput %.0f predictions/s regressed more than %.0f%% below baseline %.0f",
-			rep.Perf.PredictionsPerSec, tolerance*100, base.Perf.PredictionsPerSec))
-	}
-	baseMem, _ := base.bytesPerMachine()
-	if baseMem > 0 && mem > baseMem*(1+tolerance) {
-		violations = append(violations, fmt.Sprintf("memory %.0f B/machine regressed more than %.0f%% above baseline %.0f B/machine",
-			mem, tolerance*100, baseMem))
+	if len(missing) > 0 {
+		violations = append(violations, fmt.Sprintf("baseline %s lacks key(s) the report emits, so older code recorded it: %s (re-record with make bench-fleet-base)",
+			baselinePath, strings.Join(missing, ", ")))
+	} else {
+		if base.Sim.Machines != rep.Sim.Machines {
+			fmt.Fprintf(stderr, "benchgate: note: fleet size changed %d -> %d machines; per-machine figures still compared\n",
+				base.Sim.Machines, rep.Sim.Machines)
+		}
+		if base.Perf.PredictionsPerSec > 0 && rep.Perf.PredictionsPerSec < base.Perf.PredictionsPerSec*(1-tolerance) {
+			violations = append(violations, fmt.Sprintf("throughput %.0f predictions/s regressed more than %.0f%% below baseline %.0f",
+				rep.Perf.PredictionsPerSec, tolerance*100, base.Perf.PredictionsPerSec))
+		}
+		baseMem, _ := base.bytesPerMachine()
+		if baseMem > 0 && mem > baseMem*(1+tolerance) {
+			violations = append(violations, fmt.Sprintf("memory %.0f B/machine regressed more than %.0f%% above baseline %.0f B/machine",
+				mem, tolerance*100, baseMem))
+		}
 	}
 
 	if len(violations) > 0 {

@@ -1,34 +1,15 @@
-// Command benchgate is the benchmark regression gate: it parses `go test
-// -bench` output, records the results as JSON, and compares them against a
-// checked-in baseline. The gate fails when a benchmark's latency regresses
-// by more than the tolerance (default 10%) or when its allocations per
-// operation increase beyond a small slack. Zero-alloc benchmarks are held
-// exactly at zero — a pooled hot path either allocates or it doesn't —
-// while allocating benchmarks get max(1, 0.1%) extra allocs of room:
-// observed counts jitter by a hair between runs (GC timing drains
-// sync.Pools; the runtime's tiny allocator packs sub-16-byte objects
-// differently depending on heap history), and a real leak blows through
-// one alloc of slack immediately. Latency gets a tolerance band because
-// wall-clock noise is far larger than either effect.
-//
-//	go test -run '^$' -bench 'Engine' -benchmem . | benchgate -out BENCH_predict.json -baseline BENCH_baseline.json
-//	go test -run '^$' -bench 'Engine' -benchmem . | benchgate -baseline BENCH_baseline.json -write
-//
-// With -serve the input is an isharebench compare report instead: the gate
-// requires the binary transport to beat JSON by -min-speedup in QPS and stay
-// at or under -max-p99-ratio of its p99, and compares the binary numbers
-// against a recorded BENCH_serve_base.json within the same tolerance:
-//
-//	isharebench -selfhost -out BENCH_serve.json
-//	benchgate -serve -in BENCH_serve.json -baseline BENCH_serve_base.json
+// Command benchgate holds the repository's three benchmark gates. Each reads
+// one input (-in, default stdin) and exits non-zero on a violation.
 //
 // With -fleet the input is a cmd/fleetsim report: the gate requires a
 // failure-free run, steady memory at or under -max-bytes-per-machine and
 // throughput of at least -min-predictions-per-sec, then compares both
-// figures against a recorded BENCH_fleet_base.json within the tolerance:
+// figures against a recorded BENCH_fleet_base.json within -tolerance. A
+// baseline whose sim or perf section lacks a key the report emits is
+// refused, so a base recorded by older code cannot pass a newer run:
 //
-//	fleetsim -machines 100000 -out BENCH_fleet.json
-//	benchgate -fleet -in BENCH_fleet.json -baseline BENCH_fleet_base.json
+//	fleetsim -machines 100000 -out .bench_build/fleet.json
+//	benchgate -fleet -in .bench_build/fleet.json -baseline BENCH_fleet_base.json
 //
 // Fleet mode also bounds the observability plane's cost: the share of run
 // wall time spent in SLO sampling, detector steps and federated metric
@@ -41,53 +22,43 @@
 //	isharec -fed localhost:7000 stats -json | benchgate -slo
 //	fleetsim -out report.json && benchgate -slo -in report.json
 //
-// With -ensemble the input is go test -bench output carrying the
-// BenchmarkQueryTREnsemble single/ensemble pair, and the gate requires the
-// ensemble serving path to stay within -tolerance of the single-predictor
-// path. The two sub-benchmarks run in one process on the same machine, so
-// the ratio needs no recorded baseline and holds across hardware:
+// With -ensemble the input is go test -bench output carrying one or more
+// runs of the BenchmarkQueryTREnsemble single/ensemble pair. The i-th
+// single line is paired with the i-th ensemble line, and the median of the
+// per-pair ensemble/single ratios must stay within -tolerance. Both halves of
+// a pair run back to back in one process, so the ratio needs no recorded
+// baseline and a change in the host's speed between runs cancels out:
 //
-//	go test -run '^$' -bench QueryTREnsemble -benchmem . | benchgate -ensemble
-//
-// Baselines are machine-specific: regenerate with -write when switching
-// hardware, and treat the latency gate as meaningful only on comparable
-// machines. Benchmark names are kept verbatim, including any trailing
-// -GOMAXPROCS tag, because sub-benchmarks may legitimately end in -N
-// (workers-2, workers-4) and stripping would collide them.
+//	for i in $(seq 10); do ./fgcs.test -test.run '^$' -test.bench QueryTREnsemble -test.count 1; done | benchgate -ensemble
 package main
 
 import (
 	"bufio"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 )
 
-// Result is one benchmark measurement.
+// Result is one benchmark line of `go test -bench` output.
 type Result struct {
-	Name        string  `json:"name"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	BytesPerOp  float64 `json:"bytes_per_op,omitempty"`
-	AllocsPerOp float64 `json:"allocs_per_op"`
-	// HasAllocs records whether -benchmem data was present; without it the
-	// allocation gate cannot run for this benchmark.
-	HasAllocs bool `json:"has_allocs"`
+	Name        string
+	NsPerOp     float64
+	BytesPerOp  float64
+	AllocsPerOp float64
+	// HasAllocs records whether the line carried -benchmem data.
+	HasAllocs bool
 }
 
-// parseBench extracts benchmark results from `go test -bench` output. When
-// the input carries repeated measurements of the same benchmark (`-count=N`),
-// the minimum of each metric is kept: the minimum is the noise-robust
-// statistic for a gate — scheduler preemption and GC pauses only ever push
-// measurements up, so the floor across runs is the closest observable to the
-// benchmark's true cost.
+// parseBench extracts every benchmark line from `go test -bench` output, in
+// input order. Repeated runs of one benchmark stay separate lines, so a
+// caller can pair measurements that were taken together. Names are kept
+// verbatim, including any trailing -GOMAXPROCS tag, because sub-benchmarks
+// may legitimately end in -N (workers-2, workers-4).
 func parseBench(r io.Reader) ([]Result, error) {
-	byName := make(map[string]*Result)
-	var order []string
+	var out []Result
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
 	for sc.Scan() {
@@ -113,143 +84,34 @@ func parseBench(r io.Reader) ([]Result, error) {
 				res.HasAllocs = true
 			}
 		}
-		if !ok {
-			continue
-		}
-		prev, seen := byName[res.Name]
-		if !seen {
-			r := res
-			byName[res.Name] = &r
-			order = append(order, res.Name)
-			continue
-		}
-		if res.NsPerOp < prev.NsPerOp {
-			prev.NsPerOp = res.NsPerOp
-		}
-		if res.BytesPerOp < prev.BytesPerOp {
-			prev.BytesPerOp = res.BytesPerOp
-		}
-		if res.HasAllocs && (!prev.HasAllocs || res.AllocsPerOp < prev.AllocsPerOp) {
-			prev.AllocsPerOp = res.AllocsPerOp
-			prev.HasAllocs = true
+		if ok {
+			out = append(out, res)
 		}
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	if len(byName) == 0 {
+	if len(out) == 0 {
 		return nil, fmt.Errorf("no benchmark results found in input")
 	}
-	out := make([]Result, 0, len(byName))
-	for _, name := range order {
-		out = append(out, *byName[name])
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out, nil
-}
-
-// compare checks current against baseline and returns one message per
-// violation.
-func compare(baseline, current []Result, tolerance float64) []string {
-	byName := make(map[string]Result, len(current))
-	for _, r := range current {
-		byName[r.Name] = r
-	}
-	var violations []string
-	for _, base := range baseline {
-		cur, ok := byName[base.Name]
-		if !ok {
-			violations = append(violations, fmt.Sprintf("%s: present in baseline but missing from current run", base.Name))
-			continue
-		}
-		if base.NsPerOp > 0 && cur.NsPerOp > base.NsPerOp*(1+tolerance) {
-			violations = append(violations, fmt.Sprintf("%s: latency %.1f ns/op exceeds baseline %.1f ns/op by more than %.0f%%",
-				base.Name, cur.NsPerOp, base.NsPerOp, tolerance*100))
-		}
-		// Zero-alloc benchmarks are gated exactly: a pooled path either
-		// allocates or it doesn't. Allocating benchmarks get max(1, 0.1%)
-		// slack, because observed counts jitter by a hair run to run — GC
-		// timing empties sync.Pools, and the tiny allocator packs
-		// sub-16-byte objects differently depending on heap history.
-		if base.HasAllocs && cur.HasAllocs {
-			slack := base.AllocsPerOp * 0.001
-			if base.AllocsPerOp > 0 && slack < 1 {
-				slack = 1
-			}
-			if cur.AllocsPerOp > base.AllocsPerOp+slack {
-				violations = append(violations, fmt.Sprintf("%s: allocations regressed %.0f -> %.0f allocs/op",
-					base.Name, base.AllocsPerOp, cur.AllocsPerOp))
-			}
-		}
-	}
-	return violations
-}
-
-func writeJSON(path string, results []Result) error {
-	out, err := json.MarshalIndent(results, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
-}
-
-func run(in io.Reader, outPath, baselinePath string, write bool, tolerance float64, stderr io.Writer) error {
-	current, err := parseBench(in)
-	if err != nil {
-		return err
-	}
-	if outPath != "" {
-		if err := writeJSON(outPath, current); err != nil {
-			return err
-		}
-	}
-	if write {
-		if err := writeJSON(baselinePath, current); err != nil {
-			return err
-		}
-		fmt.Fprintf(stderr, "benchgate: baseline %s rewritten (%d benchmarks)\n", baselinePath, len(current))
-		return nil
-	}
-	raw, err := os.ReadFile(baselinePath)
-	if err != nil {
-		return fmt.Errorf("reading baseline (run with -write to create it): %w", err)
-	}
-	var baseline []Result
-	if err := json.Unmarshal(raw, &baseline); err != nil {
-		return fmt.Errorf("parsing baseline %s: %w", baselinePath, err)
-	}
-	violations := compare(baseline, current, tolerance)
-	if len(violations) > 0 {
-		for _, v := range violations {
-			fmt.Fprintln(stderr, "benchgate: FAIL:", v)
-		}
-		return fmt.Errorf("%d benchmark regression(s)", len(violations))
-	}
-	fmt.Fprintf(stderr, "benchgate: OK: %d benchmarks within %.0f%% of baseline, no alloc regressions\n",
-		len(baseline), tolerance*100)
-	return nil
 }
 
 func main() {
 	var (
-		in        = flag.String("in", "-", "bench output file (- = stdin)")
-		out       = flag.String("out", "", "write current results to this JSON file")
-		baseline  = flag.String("baseline", "BENCH_baseline.json", "baseline JSON file")
-		write     = flag.Bool("write", false, "rewrite the baseline from the current run instead of comparing")
-		tolerance = flag.Float64("tolerance", 0.10, "allowed fractional latency regression")
+		in        = flag.String("in", "-", "input file (- = stdin)")
+		baseline  = flag.String("baseline", "BENCH_fleet_base.json", "fleet mode: baseline report")
+		write     = flag.Bool("write", false, "fleet mode: rewrite the baseline from the current run instead of comparing")
+		tolerance = flag.Float64("tolerance", 0.10, "allowed fractional regression: fleet throughput and memory against the baseline, ensemble median ratio above 1")
 
-		serve       = flag.Bool("serve", false, "gate an isharebench compare report instead of go test -bench output")
-		minSpeedup  = flag.Float64("min-speedup", 5.0, "serve mode: required binary/json QPS speedup")
-		maxP99Ratio = flag.Float64("max-p99-ratio", 0.5, "serve mode: allowed binary/json p99 latency ratio")
-
-		fleet      = flag.Bool("fleet", false, "gate a fleetsim report instead of go test -bench output")
+		fleet      = flag.Bool("fleet", false, "gate a fleetsim report")
 		maxPerMach = flag.Float64("max-bytes-per-machine", 48*1024, "fleet mode: allowed steady memory per machine (bytes)")
 		minPredSec = flag.Float64("min-predictions-per-sec", 2500, "fleet mode: required prediction throughput")
 		maxObsCost = flag.Float64("max-obs-cost-fraction", 0.02, "fleet mode: allowed share of run wall time spent in the observability plane")
 
 		slo = flag.Bool("slo", false, "gate SLO statuses: every slo in the input (isharec stats -json or a fleetsim report) must report ok")
 
-		ensemble = flag.Bool("ensemble", false, "gate the ensemble serving path: BenchmarkQueryTREnsemble's ensemble sub-benchmark must stay within -tolerance of its single sub-benchmark (same-run ratio, no baseline)")
+		ensemble = flag.Bool("ensemble", false, "gate the ensemble serving path: the median of BenchmarkQueryTREnsemble's per-run ensemble/single ratios must stay within -tolerance (same-run pairs, no baseline)")
 	)
 	flag.Parse()
 	var r io.Reader = os.Stdin
@@ -264,8 +126,6 @@ func main() {
 	}
 	var err error
 	switch {
-	case *serve:
-		err = runServe(r, *baseline, *write, *tolerance, *minSpeedup, *maxP99Ratio, os.Stderr)
 	case *fleet:
 		err = runFleet(r, *baseline, *write, *tolerance, *maxPerMach, *minPredSec, *maxObsCost, os.Stderr)
 	case *slo:
@@ -273,7 +133,7 @@ func main() {
 	case *ensemble:
 		err = runEnsemble(r, *tolerance, os.Stderr)
 	default:
-		err = run(r, *out, *baseline, *write, *tolerance, os.Stderr)
+		err = fmt.Errorf("choose a gate: -fleet, -slo or -ensemble")
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchgate:", err)

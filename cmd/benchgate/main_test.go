@@ -70,59 +70,3 @@ func TestParseBenchEmpty(t *testing.T) {
 		t.Fatal("no results accepted")
 	}
 }
-
-func TestCompare(t *testing.T) {
-	base := []Result{
-		{Name: "B/x", NsPerOp: 100, AllocsPerOp: 2, HasAllocs: true},
-		{Name: "B/y", NsPerOp: 1000, AllocsPerOp: 0, HasAllocs: true},
-	}
-	// Within tolerance, allocs flat: clean.
-	cur := []Result{
-		{Name: "B/x", NsPerOp: 109, AllocsPerOp: 2, HasAllocs: true},
-		{Name: "B/y", NsPerOp: 900, AllocsPerOp: 0, HasAllocs: true},
-	}
-	if v := compare(base, cur, 0.10); len(v) != 0 {
-		t.Fatalf("unexpected violations: %v", v)
-	}
-	// Latency blown on x, alloc regression on y, and a missing benchmark.
-	base = append(base, Result{Name: "B/z", NsPerOp: 5})
-	cur = []Result{
-		{Name: "B/x", NsPerOp: 150, AllocsPerOp: 2, HasAllocs: true},
-		{Name: "B/y", NsPerOp: 1000, AllocsPerOp: 1, HasAllocs: true},
-	}
-	v := compare(base, cur, 0.10)
-	if len(v) != 3 {
-		t.Fatalf("violations = %v, want 3 entries", v)
-	}
-	for _, want := range []string{"latency", "allocations regressed", "missing"} {
-		found := false
-		for _, msg := range v {
-			if strings.Contains(msg, want) {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("no violation mentioning %q in %v", want, v)
-		}
-	}
-}
-
-func TestRunWriteThenGate(t *testing.T) {
-	dir := t.TempDir()
-	baseline := dir + "/baseline.json"
-	out := dir + "/current.json"
-	var stderr strings.Builder
-	if err := run(strings.NewReader(sampleOutput), out, baseline, true, 0.10, &stderr); err != nil {
-		t.Fatal(err)
-	}
-	stderr.Reset()
-	if err := run(strings.NewReader(sampleOutput), out, baseline, false, 0.10, &stderr); err != nil {
-		t.Fatalf("identical run failed the gate: %v\n%s", err, stderr.String())
-	}
-	// A 2x slowdown on every benchmark must fail.
-	slowed := strings.ReplaceAll(sampleOutput, "237.1 ns/op", "601.0 ns/op")
-	stderr.Reset()
-	if err := run(strings.NewReader(slowed), out, baseline, false, 0.10, &stderr); err == nil {
-		t.Fatal("2x latency regression passed the gate")
-	}
-}

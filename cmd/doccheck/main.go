@@ -1,5 +1,5 @@
 // Command doccheck is the repository's documentation linter, run by `make
-// lint`. It enforces four freshness invariants that plain `go vet` does not:
+// lint`. It enforces five freshness invariants that plain `go vet` does not:
 //
 //   - every exported symbol in the audited packages (-pkgs) carries a doc
 //     comment, so `go doc` is never blank on API surface;
@@ -15,7 +15,10 @@
 //   - the predictor reference table in the authoring guide (-predictors)
 //     lists exactly the plugins registered in internal/predict — a plugin
 //     missing from the table or a documented name with no registration both
-//     fail, so the guide cannot drift from the registry.
+//     fail, so the guide cannot drift from the registry;
+//   - every BENCH_*.json at the repository root is written by a Makefile
+//     recipe, so no checked-in benchmark figure outlives the target that
+//     reproduces it at HEAD.
 //
 // It prints one line per violation and exits non-zero if any were found;
 // otherwise it prints how many exported symbols the audited packages hold.
@@ -73,6 +76,11 @@ func main() {
 		fatal(err)
 	}
 	problems = append(problems, metricProblems...)
+	benchProblems, err := unwrittenBenchFiles(".", "Makefile")
+	if err != nil {
+		fatal(err)
+	}
+	problems = append(problems, benchProblems...)
 	if *predictors != "" {
 		tableProblems, err := stalePredictorTable(*predictors, predict.PluginNames())
 		if err != nil {

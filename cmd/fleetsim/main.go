@@ -9,7 +9,7 @@
 // by -verify) and a measured "perf" section (throughput, latency, memory)
 // that cmd/benchgate gates with -fleet.
 //
-//	fleetsim -machines 100000 -out BENCH_fleet.json
+//	fleetsim -machines 100000 -out .bench_build/fleet.json
 //	fleetsim -machines 1000 -verify
 //
 // The report goes to -out (stdout with -out -); a human-readable summary

@@ -30,7 +30,9 @@
 //
 // The executables live under cmd/: ishared (host node / registry /
 // federation peer), isharec (client CLI), experiments, predict, tracegen,
-// traceinfo, benchgate and doccheck.
+// traceinfo, fleetsim (fleet-scale simulation), benchgate (the ensemble,
+// fleet and SLO gates) and doccheck. The benchmark is the separate bench/
+// module, run by `make bench`.
 //
 // See README.md for operations (quickstarts, flag reference,
 // troubleshooting), ARCHITECTURE.md for the codebase map, DESIGN.md for

@@ -249,17 +249,6 @@ func Generate(p Params) (*trace.Dataset, error) {
 	return ds, nil
 }
 
-// GenerateMachine produces a single machine's trace, convenient for focused
-// experiments.
-func GenerateMachine(p Params, index int) (*trace.Machine, error) {
-	p.Machines = index + 1
-	ds, err := Generate(p)
-	if err != nil {
-		return nil, err
-	}
-	return ds.Machines[index], nil
-}
-
 // dayState carries the per-tick simulation state.
 type dayState struct {
 	userPresent bool

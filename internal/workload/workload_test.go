@@ -282,30 +282,6 @@ func TestURROccurs(t *testing.T) {
 	}
 }
 
-func TestGenerateMachineMatchesGenerate(t *testing.T) {
-	p := smallParams()
-	p.Machines = 3
-	ds, err := Generate(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2, err := GenerateMachine(p, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := ds.Machines[2]
-	if m2.ID != want.ID {
-		t.Fatalf("ID %q != %q", m2.ID, want.ID)
-	}
-	for di := range want.Days {
-		for i := range want.Days[di].Samples {
-			if m2.Days[di].Samples[i] != want.Days[di].Samples[i] {
-				t.Fatal("GenerateMachine diverges from Generate")
-			}
-		}
-	}
-}
-
 func TestMachineDaysScale(t *testing.T) {
 	p := DefaultParams()
 	if p.Machines*p.Days != 1800 {
