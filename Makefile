@@ -2,7 +2,7 @@ GO ?= go
 
 FUZZTIME ?= 20s
 
-.PHONY: build test race vet lint loc dead cover bench bench-ensemble bench-fleet bench-fleet-base fuzz golden golden-update chaos crash
+.PHONY: build test race vet lint loc dead cover bench bench-fleet bench-fleet-base fuzz golden golden-update chaos crash
 
 build:
 	$(GO) build ./...
@@ -88,15 +88,6 @@ cover:
 # The one benchmark: four workloads, end to end and layer by layer (bench/README.md).
 bench:
 	bash bench/run.sh
-
-# Kept until the ensemble is decided: median of ten same-run ensemble/single ratios within 10%.
-bench-ensemble:
-	@mkdir -p .bench_build
-	$(GO) test -c -o .bench_build/fgcs.test .
-	for i in 1 2 3 4 5 6 7 8 9 10; do \
-		.bench_build/fgcs.test -test.run '^$$' -test.bench QueryTREnsemble -test.benchmem -test.count 1 || exit 1; \
-	done > .bench_build/ensemble.out
-	$(GO) run ./cmd/benchgate -ensemble -in .bench_build/ensemble.out
 
 # The 100k-machine scale instrument, which no 20-second workload replaces; SLOs first, then the fleet gate.
 bench-fleet:

@@ -1,13 +1,11 @@
 // Repository-level benchmarks for what neither `cmd/experiments -run` nor a
 // bench/ workload already times: the Equation (3) solver ablation, the
-// workload generator and trace codecs, the batch worker pool, the ensemble
-// serving path (gated by `make bench-ensemble`) and the fgcssim day. Run
-// them with `go test -run '^$' -bench . -benchmem .`.
+// workload generator and trace codecs, the batch worker pool and the
+// fgcssim day. Run them with `go test -run '^$' -bench . -benchmem .`.
 package fgcs_test
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -17,10 +15,7 @@ import (
 	"fgcs/internal/avail"
 	"fgcs/internal/experiments"
 	"fgcs/internal/fgcssim"
-	"fgcs/internal/ishare"
-	"fgcs/internal/monitor"
 	"fgcs/internal/predict"
-	"fgcs/internal/simclock"
 	"fgcs/internal/smp"
 	"fgcs/internal/trace"
 	"fgcs/internal/workload"
@@ -220,53 +215,6 @@ func BenchmarkPredictBatchParallel(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkQueryTREnsemble compares a full in-process QueryTR on a
-// single-predictor node against the same query on an ensemble node
-// (router-selected serving, FFT/PCT shadows through the engine cache). The
-// two sub-benchmarks run back to back in one process, so each run yields one
-// same-run pair: `make bench-ensemble` runs it ten times and `benchgate
-// -ensemble` gates the median of the ensemble/single ratios.
-func BenchmarkQueryTREnsemble(b *testing.B) {
-	m := benchDataset(b).Machines[0]
-	last := m.Days[len(m.Days)-1].Date
-	now := last.Add(24*time.Hour + 8*time.Hour + 30*time.Minute)
-	req := ishare.QueryTRReq{LengthSeconds: 7200, GuestMemMB: 100}
-	newNode := func(ensemble bool) *ishare.HostNode {
-		node, err := ishare.NewHostNode(ishare.NodeConfig{
-			MachineID: m.ID, Cfg: avail.DefaultConfig(), Period: m.Period,
-			Clock: simclock.NewVirtual(now), Preloaded: m,
-			Ensemble: ensemble,
-		}, monitor.StaticSource{CPU: 25, FreeMemMB: 300})
-		if err != nil {
-			b.Fatal(err)
-		}
-		node.SM.Record(now, trace.Sample{CPU: 5, FreeMemMB: 400, Up: true})
-		return node
-	}
-	b.Run("single", func(b *testing.B) {
-		node := newNode(false)
-		ctx := context.Background()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := node.SM.QueryTR(ctx, req); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("ensemble", func(b *testing.B) {
-		node := newNode(true)
-		ctx := context.Background()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := node.SM.QueryTR(ctx, req); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkFGCSSimDay measures simulating one full testbed-day of the

@@ -43,7 +43,6 @@ func main() {
 		perturbProf = flag.Int("perturb-profile", 0, "behavior class the perturbation hits")
 		perturbTick = flag.Int("perturb-tick", 0, "first perturbed tick (0 = ticks/2)")
 		driftLambda = flag.Float64("drift-lambda", 0, "Page–Hinkley alarm threshold for the accuracy-drift watchers (0 = default)")
-		ensemble    = flag.Bool("ensemble", false, "route TR queries through the predictor ensemble (per-peer routers over rolling Brier scores); the report gains a deterministic ensemble block")
 		out         = flag.String("out", "-", "write the full JSON report here (- = stdout)")
 		verify      = flag.Bool("verify", false, "run twice and fail unless the deterministic sections are byte-identical")
 		quiet       = flag.Bool("q", false, "suppress phase progress on stderr")
@@ -66,7 +65,6 @@ func main() {
 		PerturbFailRate: *perturbRate,
 		PerturbProfile:  *perturbProf,
 		PerturbTick:     *perturbTick,
-		Ensemble:        *ensemble,
 	}
 	if !*quiet {
 		cfg.Progress = func(format string, args ...any) {

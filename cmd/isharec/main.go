@@ -637,34 +637,6 @@ func printStats(st ishare.QueryStatsResp) {
 		}
 		fmt.Println()
 	}
-	if st.Routing != nil {
-		fmt.Printf("ensemble routing: %d machines, %d switches, predictors [%s]\n",
-			st.Routing.Machines, st.Routing.Switches, strings.Join(st.Routing.Predictors, " "))
-		if len(st.Routing.Served) > 0 {
-			names := make([]string, 0, len(st.Routing.Served))
-			for n := range st.Routing.Served {
-				names = append(names, n)
-			}
-			sort.Strings(names)
-			fmt.Printf("  served:")
-			for _, n := range names {
-				fmt.Printf(" %s=%d", n, st.Routing.Served[n])
-			}
-			fmt.Println()
-		}
-	}
-	if len(st.WinRates) > 0 {
-		names := make([]string, 0, len(st.WinRates))
-		for n := range st.WinRates {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		fmt.Printf("  win rates:")
-		for _, n := range names {
-			fmt.Printf(" %s=%.1f%%", n, 100*st.WinRates[n])
-		}
-		fmt.Println()
-	}
 	if len(st.Accuracy) == 0 {
 		fmt.Println("no resolved predictions yet")
 		return

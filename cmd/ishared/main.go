@@ -94,8 +94,6 @@ func main() {
 		snapEvery    = flag.Duration("snapshot-every", 5*time.Minute, "durable snapshot interval; a final snapshot is always written on clean shutdown")
 		fsyncMode    = flag.String("fsync", "always", "WAL sync policy: always (fsync per record), batch (fsync on rotation/snapshot) or off")
 		recoverMode  = flag.String("recover", "strict", "recovery policy when every retained snapshot is corrupt and the WAL is incomplete: strict (refuse to start) or best-effort (salvage the valid WAL suffix)")
-		ensemble     = flag.Bool("ensemble", false, "serve TR queries from the predictor ensemble: each query is answered by the registered predictor with the best rolling Brier score for this machine (SMP fallback)")
-		predictor    = flag.String("predictor", "", "pin TR serving to one registered predictor plugin (e.g. SMP, FFT, PCT, AR(8)); overrides -ensemble routing, shadow scoring continues")
 	)
 	flag.Parse()
 	flight := otrace.NewRecorder(*traceBuffer)
@@ -109,7 +107,6 @@ func main() {
 		traceSample: *traceSample, traceSeed: *traceSeed, flight: flight, logger: logger,
 		slo: *sloSpecs, obsEvery: *obsEvery,
 		dataDir: *dataDir, snapEvery: *snapEvery, fsync: *fsyncMode, recoverMode: *recoverMode,
-		ensemble: *ensemble, predictor: *predictor,
 		serveCfg: ishare.ServerConfig{
 			MaxInflight:      *maxInflight,
 			MaxQueuedWaiters: *maxQueued,
@@ -148,10 +145,6 @@ type runConfig struct {
 	// snapshot is corrupt and the WAL alone cannot rebuild full state) or
 	// "best-effort" (salvage the valid WAL suffix anyway).
 	recoverMode string
-	// ensemble turns on router-selected TR serving; predictor pins serving
-	// to one named plugin.
-	ensemble  bool
-	predictor string
 	// serveCfg carries the admission-control and connection-lifetime knobs
 	// into every protocol server this process starts.
 	serveCfg ishare.ServerConfig
@@ -526,8 +519,6 @@ func run(rc runConfig) error {
 		Logger:          nodeLogger,
 		Durable:         st,
 		DurableRecovery: rec,
-		Ensemble:        rc.ensemble,
-		Predictor:       rc.predictor,
 	}, src)
 	if err != nil {
 		return err

@@ -30,8 +30,8 @@
 //
 // The executables live under cmd/: ishared (host node / registry /
 // federation peer), isharec (client CLI), experiments, predict, tracegen,
-// traceinfo, fleetsim (fleet-scale simulation), benchgate (the ensemble,
-// fleet and SLO gates) and doccheck. The benchmark is the separate bench/
+// traceinfo, fleetsim (fleet-scale simulation), benchgate (the fleet and
+// SLO gates) and doccheck. The benchmark is the separate bench/
 // module, run by `make bench`.
 //
 // See README.md for operations (quickstarts, flag reference,

@@ -84,35 +84,7 @@ type SimStats struct {
 
 	Utilization UtilizationStats `json:"utilization"`
 
-	// Ensemble is the routing block of an -ensemble run (nil otherwise):
-	// which predictors served, how often routing switched, and the
-	// per-predictor win rates from the merged accuracy trackers. It sits in
-	// the deterministic section — two same-seed ensemble runs must produce
-	// byte-identical routing, which is exactly what the determinism check
-	// pins (Go's JSON marshaling sorts the map keys).
-	Ensemble *EnsembleStats `json:"ensemble,omitempty"`
-
 	FleetObs FleetObsStats `json:"fleet_obs"`
-}
-
-// EnsembleStats summarizes the ensemble router's behaviour over the run,
-// merged across federation peers in peer order.
-type EnsembleStats struct {
-	// Predictors is the sorted candidate set the routers selected over.
-	Predictors []string `json:"predictors"`
-	// Served counts queries answered per predictor.
-	Served map[string]uint64 `json:"served,omitempty"`
-	// Switches counts routing changes away from an incumbent predictor.
-	Switches uint64 `json:"switches"`
-	// RoutedMachines is the number of machines with routing state.
-	RoutedMachines int `json:"routed_machines"`
-	// WinRates is the fraction of scored machines on which each predictor
-	// holds the best rolling Brier score (tallies merged across the
-	// per-peer trackers before dividing).
-	WinRates map[string]float64 `json:"win_rates,omitempty"`
-	// WinMachines is the denominator of WinRates: machines where at least
-	// one predictor had enough resolved outcomes to compete.
-	WinMachines int `json:"win_machines"`
 }
 
 // FleetObsStats is the deterministic fleet-observability block: what the
@@ -244,21 +216,6 @@ func (r *Report) Summary() string {
 	fmt.Fprintf(&b, "utilization: up %.1f%%, mean load %.1f%%, harvestable %.1f%%; SMP accuracy %.3f (wasted %.3f), mean TR %.3f vs empirical %.3f\n",
 		100*u.UpFraction, u.MeanCPUPercent, 100*u.HarvestableFraction,
 		u.SMPAccuracy, u.WastedFraction, u.MeanPredictedTR, u.SMPEmpiricalSurvival)
-	if e := s.Ensemble; e != nil {
-		fmt.Fprintf(&b, "ensemble: %d routed machines, %d switches; served", e.RoutedMachines, e.Switches)
-		for _, name := range e.Predictors {
-			if n := e.Served[name]; n > 0 {
-				fmt.Fprintf(&b, " %s=%d", name, n)
-			}
-		}
-		fmt.Fprintf(&b, "; win rates (%d machines)", e.WinMachines)
-		for _, name := range e.Predictors {
-			if wr, ok := e.WinRates[name]; ok {
-				fmt.Fprintf(&b, " %s=%.1f%%", name, 100*wr)
-			}
-		}
-		fmt.Fprintln(&b)
-	}
 	fo := &s.FleetObs
 	sloState := "none"
 	if len(fo.SLO) > 0 {

@@ -110,13 +110,6 @@ type Config struct {
 	PerturbProfile int
 	// PerturbTick is the first perturbed tick (default Ticks/2).
 	PerturbTick int
-	// Ensemble routes every TR query through the predictor ensemble: each
-	// federation peer runs a router over its cohort's accuracy tracker, and
-	// queries are answered by the predictor with the best rolling Brier
-	// score per machine. The report then carries an ensemble block
-	// (per-predictor serve counts, switches, win rates) inside its
-	// deterministic section.
-	Ensemble bool
 	// Progress, when set, receives phase-level progress lines.
 	Progress func(format string, args ...any)
 }
@@ -270,9 +263,9 @@ func (w *workerState) foldQuery(tick, k int, machine string, lengthSec float64, 
 		return
 	}
 	// Cache counters are cumulative and scheduling-dependent, so they stay
-	// out of the transcript; TR is folded as exact bits. The serving
-	// predictor folds too (empty without the ensemble), so ensemble routing
-	// decisions are pinned by the determinism check along with the values.
+	// out of the transcript; TR is folded as exact bits. The predictor field
+	// folds too, always empty since SMP answers every query, which keeps the
+	// transcript hash the one earlier runs recorded.
 	w.fold(fmt.Sprintf("%d|%d|%s|%g|%016x|%d|%s|%s",
 		tick, k, machine, lengthSec, math.Float64bits(resp.TR), resp.HistoryWindows, resp.CurrentState, resp.Predictor))
 }
@@ -290,9 +283,6 @@ type fleet struct {
 	// the metrics and accuracy streams of its machine cohort and the fleet
 	// view only exists after federated aggregation — the production shape.
 	peerObs []*ishare.NodeObs
-	// routers is each peer's ensemble router (nil slices when the run is
-	// single-predictor); machine i routes through routers[i % Gateways].
-	routers []*ishare.Router
 	ctx     context.Context
 
 	registered int // machines registered in the initial storm
@@ -430,13 +420,6 @@ func buildFleet(cfg Config, rep *Report) (*fleet, error) {
 	}
 	engine := predict.NewEngine(predict.EngineConfig{CacheSize: cfg.EngineCacheSize})
 	engine.SetMetrics(f.peerObs[0].Engine)
-	if cfg.Ensemble {
-		f.routers = make([]*ishare.Router, cfg.Gateways)
-		for i := range f.routers {
-			f.routers[i] = ishare.NewRouter(f.peerObs[i].Tracker)
-			f.routers[i].SetMetrics(f.peerObs[i].RouterDecisions, f.peerObs[i].RouterSwitches)
-		}
-	}
 	f.slo = obs.NewSLOMonitor(obs.SLO{
 		Name: "fleet-query",
 		// Floor at a quarter of the configured fleet rate: deterministic
@@ -467,12 +450,8 @@ func buildFleet(cfg Config, rep *Report) (*fleet, error) {
 	for i := range f.machines {
 		id := fmt.Sprintf("m%06d", i)
 		prof := profs[i%len(profs)]
-		deps := ishare.SharedDeps{Obs: f.peerObs[i%cfg.Gateways], Engine: engine}
-		if f.routers != nil {
-			deps.Router = f.routers[i%cfg.Gateways]
-		}
 		sm, err := ishare.NewStateManagerShared(id, cfg.Period, availCfg, f.clock,
-			prof.machine, cfg.HistoryDays, deps)
+			prof.machine, cfg.HistoryDays, ishare.SharedDeps{Obs: f.peerObs[i%cfg.Gateways], Engine: engine})
 		if err != nil {
 			return nil, err
 		}
@@ -990,37 +969,6 @@ func (f *fleet) finalize(rep *Report) {
 	u.SMPAccuracy = all.Accuracy
 	if all.Resolved > 0 {
 		u.WastedFraction = 1 - all.Accuracy
-	}
-
-	if f.routers != nil {
-		e := &EnsembleStats{
-			Predictors: f.routers[0].Predictors(),
-			Served:     make(map[string]uint64),
-			WinRates:   make(map[string]float64),
-		}
-		// Merge per-peer router snapshots and win tallies in peer order —
-		// sums of deterministic per-peer figures, so the block lands in the
-		// deterministic report section.
-		wins := make(map[string]uint64)
-		for i, r := range f.routers {
-			snap := r.Snapshot()
-			for name, n := range snap.Served {
-				e.Served[name] += n
-			}
-			e.Switches += snap.Switches
-			e.RoutedMachines += snap.Machines
-			w, m := f.peerObs[i].Tracker.WinCounts(ishare.RouterMinSamples)
-			for name, n := range w {
-				wins[name] += n
-			}
-			e.WinMachines += m
-		}
-		if e.WinMachines > 0 {
-			for name, n := range wins {
-				e.WinRates[name] = float64(n) / float64(e.WinMachines)
-			}
-		}
-		rep.Sim.Ensemble = e
 	}
 
 	rep.Perf.ResponseBytes = f.net.ResponseBytes()

@@ -64,52 +64,6 @@ func TestFleetSimDeterministic(t *testing.T) {
 	}
 }
 
-// TestFleetSimEnsembleDeterministic runs the fleet with the predictor
-// ensemble routing every query: two same-seed runs must produce
-// byte-identical deterministic sections (which now fold each query's serving
-// predictor into the transcript hash), and the report must carry a populated
-// ensemble block.
-func TestFleetSimEnsembleDeterministic(t *testing.T) {
-	cfg := Config{Machines: 400, Workers: 4, Seed: 11, Ensemble: true}
-	r1, err := Run(cfg)
-	if err != nil {
-		t.Fatalf("run 1: %v", err)
-	}
-	r2, err := Run(cfg)
-	if err != nil {
-		t.Fatalf("run 2: %v", err)
-	}
-	b1, b2 := r1.DeterministicBytes(), r2.DeterministicBytes()
-	if !bytes.Equal(b1, b2) {
-		t.Fatalf("same-seed ensemble runs diverged:\n--- run 1 ---\n%s\n--- run 2 ---\n%s", b1, b2)
-	}
-	e := r1.Sim.Ensemble
-	if e == nil {
-		t.Fatal("ensemble run produced no ensemble block")
-	}
-	if len(e.Predictors) == 0 {
-		t.Error("ensemble block lists no predictors")
-	}
-	if e.RoutedMachines == 0 {
-		t.Error("no machines acquired routing state")
-	}
-	var served uint64
-	for _, n := range e.Served {
-		served += n
-	}
-	if served == 0 {
-		t.Error("ensemble served no queries")
-	}
-	if r1.Sim.QueryFailures != 0 {
-		t.Errorf("query failures = %d, want 0", r1.Sim.QueryFailures)
-	}
-	// The non-ensemble transcript must differ only via the predictor field;
-	// a plain run with the same seed must still be self-consistent.
-	if r1.Sim.TranscriptFNV == "" {
-		t.Error("empty transcript hash")
-	}
-}
-
 // TestFleetSimValidation pins the config guard rails.
 func TestFleetSimValidation(t *testing.T) {
 	cases := []struct {

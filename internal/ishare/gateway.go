@@ -204,11 +204,6 @@ func (g *Gateway) QueryStats(ctx context.Context, req QueryStatsReq) (QueryStats
 		Accuracy:           o.Tracker.All(),
 	}
 	o.servingStats(&resp)
-	if r := g.sm.Router(); r != nil {
-		snap := r.Snapshot()
-		resp.Routing = &snap
-		resp.WinRates = o.Tracker.WinRates(RouterMinSamples)
-	}
 	if !req.Calibration {
 		for i := range resp.Accuracy {
 			resp.Accuracy[i].Calibration = nil

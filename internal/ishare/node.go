@@ -61,13 +61,6 @@ type NodeConfig struct {
 	// DurableRecovery carries the state recovered by durable.Open to replay
 	// into the node before it starts serving. Nil on a fresh data dir.
 	DurableRecovery *durable.Recovery
-	// Ensemble turns on the predictor ensemble router: QueryTR answers come
-	// from whichever registered predictor currently holds the best rolling
-	// Brier score for this machine, with SMP as the fallback.
-	Ensemble bool
-	// Predictor, when non-empty, pins QueryTR serving to one registered
-	// predictor plugin regardless of Ensemble (shadow scoring continues).
-	Predictor string
 }
 
 // NewHostNode assembles a node around the given load source.
@@ -81,20 +74,8 @@ func NewHostNode(cfg NodeConfig, src monitor.LoadSource) (*HostNode, error) {
 	if cfg.Clock == nil {
 		cfg.Clock = simclock.Real{}
 	}
-	// The ensemble router needs the node's accuracy tracker before the state
-	// manager exists, so the observability bundle is built up front and
-	// injected; without the ensemble the manager builds its own.
-	var deps SharedDeps
-	if cfg.Ensemble {
-		deps.Obs = NewNodeObs()
-		deps.Router = NewRouter(deps.Obs.Tracker)
-		deps.Router.SetMetrics(deps.Obs.RouterDecisions, deps.Obs.RouterSwitches)
-	}
-	sm, err := NewStateManagerShared(cfg.MachineID, cfg.Period, cfg.Cfg, cfg.Clock, cfg.Preloaded, cfg.HistoryDays, deps)
+	sm, err := NewStateManager(cfg.MachineID, cfg.Period, cfg.Cfg, cfg.Clock, cfg.Preloaded, cfg.HistoryDays)
 	if err != nil {
-		return nil, err
-	}
-	if err := sm.ForcePredictor(cfg.Predictor); err != nil {
 		return nil, err
 	}
 	sm.SetLogger(cfg.Logger)

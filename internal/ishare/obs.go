@@ -78,11 +78,6 @@ type NodeObs struct {
 	// StepObs starts running to retune its alarm threshold.
 	Alerts *obs.AlertRing
 	Drift  *obs.DriftWatcher
-	// RouterDecisions and RouterSwitches count the ensemble router's routing
-	// decisions and predictor switches; they idle at zero on nodes running
-	// without the ensemble. Wire them with Router.SetMetrics.
-	RouterDecisions *obs.Counter
-	RouterSwitches  *obs.Counter
 
 	sloMu sync.Mutex
 	slos  []*obs.SLOMonitor
@@ -127,8 +122,6 @@ func NewNodeObs() *NodeObs {
 		Overloaded:      r.Counter("fgcs_client_rpc_overloaded_total", "Outbound RPC attempts shed by the server's admission control."),
 	}
 	o.Server = NewServerMetrics(r)
-	o.RouterDecisions = r.Counter("fgcs_router_decisions_total", "Ensemble routing decisions made for TR queries.")
-	o.RouterSwitches = r.Counter("fgcs_router_switches_total", "Ensemble routing switches to a different predictor.")
 	o.Alerts = obs.NewAlertRing(0)
 	o.Drift = obs.NewDriftWatcher(o.Tracker, o.Alerts, 0)
 	register := func(typ string) {

@@ -153,8 +153,9 @@ type QueryTRResp struct {
 	// the query load is served from memoized kernels.
 	CacheHits   uint64 `json:"cache_hits"`
 	CacheMisses uint64 `json:"cache_misses"`
-	// Predictor names the plugin that produced TR. Empty means the default
-	// (SMP, on nodes running without the ensemble router).
+	// Predictor is always empty: SMP produces every TR. It stays because
+	// bench/ compares it between answers and fleetsim folds it into its
+	// query transcript.
 	Predictor string `json:"predictor,omitempty"`
 }
 
@@ -251,23 +252,6 @@ type QueryStatsResp struct {
 	// ceiling, error-budget burn rates), present when SLO monitors are
 	// configured.
 	SLO []obs.SLOStatus `json:"slo,omitempty"`
-	// Routing is the ensemble router's snapshot, present when the node
-	// routes queries across the predictor ensemble.
-	Routing *RoutingStats `json:"routing,omitempty"`
-	// WinRates reports, per predictor, the fraction of tracked machines on
-	// which that predictor holds the best rolling Brier score (present
-	// alongside Routing).
-	WinRates map[string]float64 `json:"win_rates,omitempty"`
-}
-
-// RoutingStats is the ensemble router's wire snapshot: the candidate set,
-// how many queries each predictor served, how often routing switched, and
-// how many machines carry routing state.
-type RoutingStats struct {
-	Predictors []string          `json:"predictors"`
-	Served     map[string]uint64 `json:"served,omitempty"`
-	Switches   uint64            `json:"switches"`
-	Machines   int               `json:"machines"`
 }
 
 // WireStats is a server's wire-protocol and admission-control snapshot,

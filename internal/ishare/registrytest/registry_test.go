@@ -1,7 +1,7 @@
 // Package registrytest holds the tests that add to the process-global
 // predictor registry. It is a test binary of its own so that no other suite's
-// registered set — golden tables, router candidate lists, transcripts —
-// changes with it.
+// registered set — golden tables, tracker rows, transcripts — changes with
+// it.
 package registrytest
 
 import (
@@ -12,7 +12,6 @@ import (
 
 	"fgcs/internal/avail"
 	"fgcs/internal/ishare"
-	"fgcs/internal/otrace"
 	"fgcs/internal/predict"
 	"fgcs/internal/simclock"
 	"fgcs/internal/trace"
@@ -84,49 +83,23 @@ func newManager(t *testing.T, deps ishare.SharedDeps) (*ishare.StateManager, *si
 
 // TestNinthPluginEndToEnd is docs/PREDICTORS.md's "registration is the only
 // wiring step", checked: a plugin registered beside the eight built-ins is
-// listed by a default router, evaluated and scored on every QueryTR, and
-// served when forced.
+// evaluated and scored on every QueryTR.
 func TestNinthPluginEndToEnd(t *testing.T) {
-	obs := ishare.NewNodeObs()
-	router := ishare.NewRouter(obs.Tracker)
-	listed := false
-	for _, name := range router.Predictors() {
-		listed = listed || name == ninthName
-	}
-	if !listed {
-		t.Fatalf("router candidates %v omit %s", router.Predictors(), ninthName)
-	}
-	sm, clock := newManager(t, ishare.SharedDeps{Obs: obs, Router: router})
-
-	ctx := context.Background()
-	req := ishare.QueryTRReq{LengthSeconds: 3600, GuestMemMB: 100}
-	if _, err := sm.QueryTR(ctx, req); err != nil {
+	sm, clock := newManager(t, ishare.SharedDeps{})
+	if _, err := sm.QueryTR(context.Background(), ishare.QueryTRReq{LengthSeconds: 3600, GuestMemMB: 100}); err != nil {
 		t.Fatal(err)
 	}
 	// The window's outcome is observed once the monitor passes its deadline;
 	// only an evaluated predictor has a prediction there to score.
 	clock.Advance(time.Hour + period)
 	sm.Record(clock.Now(), idle)
-	scored := false
-	for _, row := range obs.Tracker.All() {
-		if row.Machine == machine && row.Predictor == ninthName {
-			scored = row.Resolved == 1 && row.MeanTR == ninthTR
+	rows := sm.Obs().Tracker.All()
+	for _, row := range rows {
+		if row.Machine == machine && row.Predictor == ninthName && row.Resolved == 1 && row.MeanTR == ninthTR {
+			return
 		}
 	}
-	if !scored {
-		t.Fatalf("tracker rows %+v lack 1 resolved prediction of TR %v for %s", obs.Tracker.All(), ninthTR, ninthName)
-	}
-
-	if err := sm.ForcePredictor(ninthName); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := sm.QueryTR(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Predictor != ninthName || resp.TR != ninthTR {
-		t.Fatalf("forced %s served by %q with TR %v, want TR %v", ninthName, resp.Predictor, resp.TR, ninthTR)
-	}
+	t.Fatalf("tracker rows %+v lack 1 resolved prediction of TR %v for %s", rows, ninthTR, ninthName)
 }
 
 // TestUnmemoizedPluginIsLive: a plugin predict.Memoized does not name is
@@ -166,45 +139,49 @@ func TestUnmemoizedPluginIsLive(t *testing.T) {
 	}
 }
 
-// TestForcedPredictorFallsBack forces a predictor that has no TR for the
-// window: SMP answers, and the sampled span says which predictor failed and
-// why.
-func TestForcedPredictorFallsBack(t *testing.T) {
-	sm, _ := newManager(t, ishare.SharedDeps{})
-	req := ishare.QueryTRReq{LengthSeconds: 3600, GuestMemMB: 100}
-	want, err := sm.QueryTR(context.Background(), req)
+// TestBrokenPluginCostsOnlyItsScore: a registered plugin that has no TR for
+// the window neither fails the query nor changes its answer — SMP's TR for
+// the same input is served — and it is the only predictor left without a
+// resolved claim; CONST and every built-in still resolve one.
+func TestBrokenPluginCostsOnlyItsScore(t *testing.T) {
+	sm, clock := newManager(t, ishare.SharedDeps{})
+	length := time.Hour
+	resp, err := sm.QueryTR(context.Background(), ishare.QueryTRReq{LengthSeconds: length.Seconds(), GuestMemMB: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sm.ForcePredictor(brokenName); err != nil {
-		t.Fatal(err)
-	}
-	tracer := otrace.New(otrace.Config{SampleRate: 1, Recorder: otrace.NewRecorder(4)})
-	ctx, root := tracer.Start(context.Background(), "test.query-tr")
-	resp, err := sm.QueryTR(ctx, req)
-	root.End()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Predictor != "SMP" || resp.TR != want.TR {
-		t.Fatalf("fallback served by %q with TR %v, want SMP with TR %v", resp.Predictor, resp.TR, want.TR)
-	}
-	for _, rec := range tracer.Recorder().Traces(0) {
-		for _, span := range rec.Spans {
-			for _, ev := range span.Events {
-				if ev.Name != "ensemble-fallback" {
-					continue
-				}
-				got := map[string]string{}
-				for _, a := range ev.Attrs {
-					got[a.Key] = a.Value
-				}
-				if got["predictor"] != brokenName || got["error"] != errBroken.Error() {
-					t.Fatalf("ensemble-fallback attrs = %v, want predictor %s and error %q", got, brokenName, errBroken)
-				}
-				return
-			}
+	midnight, w := predict.WindowAt(clock.Now(), length, period)
+	var days []*trace.Day
+	for _, d := range sm.History() {
+		if d.Date.Before(midnight) && d.Type() == trace.TypeOfDate(midnight) {
+			days = append(days, d)
 		}
 	}
-	t.Fatal("no ensemble-fallback event on the query's span")
+	cfg := avail.DefaultConfig()
+	cfg.GuestMemMB = 100
+	smp, _ := predict.NewPlugin("SMP", predict.PluginOptions{Cfg: cfg})
+	want, err := smp.PredictTR(predict.PluginInput{Days: days, Window: w, Period: period, State: sm.CurrentState(), HaveState: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.TR != want || resp.HistoryWindows != len(days) {
+		t.Fatalf("QueryTR = TR %v over %d days, want SMP's %v over %d", resp.TR, resp.HistoryWindows, want, len(days))
+	}
+
+	clock.Advance(length + period)
+	sm.Record(clock.Now(), idle)
+	resolved := map[string]uint64{}
+	for _, row := range sm.Obs().Tracker.All() {
+		if row.Machine == machine {
+			resolved[row.Predictor] = row.Resolved
+		}
+	}
+	if _, ok := resolved[brokenName]; ok {
+		t.Errorf("the tracker holds a %s row: %v", brokenName, resolved)
+	}
+	for _, name := range predict.PluginNames() {
+		if name != brokenName && resolved[name] != 1 {
+			t.Errorf("%s: %d resolved claims, want 1", name, resolved[name])
+		}
+	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"log/slog"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -22,8 +21,8 @@ import (
 // (Figure 2). It receives every monitor sample, maintains the machine's
 // current availability state, and answers temporal-reliability queries from
 // the gateway by running every predictor in the predict plugin registry:
-// each one is evaluated and scored by the accuracy tracker, and the query is
-// answered by SMP, the forced predictor, or the router's choice.
+// each one is evaluated and scored by the accuracy tracker, and SMP, the
+// paper's estimator, answers the query.
 //
 // Queries run through a prediction engine that memoizes solved predictions,
 // so repeated or concurrent QueryTR calls for the same clock window reuse one
@@ -49,8 +48,6 @@ type StateManager struct {
 	plugins   []servedPlugin
 	engine    *predict.Engine
 	obsv      *NodeObs
-	router    *Router       // nil = single-predictor serving
-	forced    string        // non-empty pins serving to one predictor
 	stateBuf  []avail.State // scratch for per-sample classification (under mu)
 	curState  avail.State   // last classified state, valid when recent is non-empty (under mu)
 	sampleVer atomic.Uint64 // bumped on every recorded sample
@@ -95,11 +92,6 @@ type SharedDeps struct {
 	// Engine is the prediction engine to query through (nil = own engine,
 	// wired to the bundle's engine metrics).
 	Engine *predict.Engine
-	// Router, when non-nil, turns on ensemble serving: each QueryTR is
-	// answered by the predictor the router selects from the shared
-	// accuracy tracker's rolling Brier scores. The router's tracker must
-	// be the bundle's tracker (shared across every manager using it).
-	Router *Router
 }
 
 // NewStateManagerShared is NewStateManager with injected shared
@@ -133,7 +125,6 @@ func NewStateManagerShared(machineID string, period time.Duration, cfg avail.Con
 		historyDays: historyDays,
 		engine:      deps.Engine,
 		obsv:        obsv,
-		router:      deps.Router,
 		stateBuf:    make([]avail.State, 0, recentCap),
 	}
 	opts := predict.PluginOptions{Cfg: cfg, HistoryDays: historyDays}
@@ -148,10 +139,9 @@ func NewStateManagerShared(machineID string, period time.Duration, cfg avail.Con
 	return sm, nil
 }
 
-// fallbackPredictor is the paper's estimator: it answers when no other
-// predictor is forced or routed, and when the chosen one has no TR for the
-// window. It is the only predictor whose failure fails the query.
-const fallbackPredictor = "SMP"
+// servingPredictor is the paper's estimator: it answers every query, and it
+// is the only predictor whose failure fails the query.
+const servingPredictor = "SMP"
 
 // servedPlugin is one registry-built predictor as QueryTR runs it.
 type servedPlugin struct {
@@ -191,25 +181,6 @@ func (sm *StateManager) EngineStats() predict.EngineStats { return sm.engine.Sta
 // Obs exposes the node's observability bundle: the metrics registry every
 // component on this node records into and the online accuracy tracker.
 func (sm *StateManager) Obs() *NodeObs { return sm.obsv }
-
-// Router returns the ensemble router serving this manager, nil when the node
-// runs single-predictor.
-func (sm *StateManager) Router() *Router { return sm.router }
-
-// ForcePredictor pins QueryTR serving to one registered predictor plugin
-// (shadow scoring of the others continues). Empty restores the default.
-// Call before queries flow; the name must be registered.
-func (sm *StateManager) ForcePredictor(name string) error {
-	known := name == ""
-	for _, sp := range sm.plugins {
-		known = known || sp.name == name
-	}
-	if !known {
-		return fmt.Errorf("ishare: unknown predictor %q (registered: %s)", name, strings.Join(predict.PluginNames(), ", "))
-	}
-	sm.forced = name
-	return nil
-}
 
 // Record implements monitor.Sink: it archives the sample, refreshes the
 // current-state estimate, and feeds the availability outcome to the accuracy
@@ -413,29 +384,17 @@ func (sm *StateManager) QueryTR(ctx context.Context, req QueryTRReq) (QueryTRRes
 	// snapshot so the engine can recognize repeated queries.
 	_, days := sm.completedDays(midnight)
 	resp := QueryTRResp{HistoryWindows: len(days), CurrentState: cur.String()}
-	// serving names the predictor that answers. Without history nothing can
-	// be fitted, so the fallback answers and the router is not consulted.
-	serving := fallbackPredictor
-	if sm.forced != "" || sm.router != nil {
-		resp.Predictor = fallbackPredictor
-		if len(days) > 0 {
-			serving = sm.servingPredictor()
-		}
-	}
 	if len(days) == 0 {
 		span.AddEvent("no-history")
 	}
 
 	// One pass over the registry: evaluate, register with the accuracy
 	// tracker — the paper's Section 5 comparison, scored online as each
-	// window's outcome is observed by the monitor, and the signal the router
-	// selects on — and pick out the fallback's and the serving predictor's TR.
+	// window's outcome is observed by the monitor — and pick out SMP's TR.
+	// Another predictor's error only costs it this query's score.
 	in := predict.PluginInput{Days: days, Window: w, Period: sm.period, State: cur, HaveState: true}
 	issued := midnight.Add(w.Start)
 	live := sm.liveForecasts(midnight, in, cfg, plugins)
-	var fallbackTR float64
-	var servingErr error
-	served := false
 	for i := range plugins {
 		sp := &plugins[i]
 		var tr float64
@@ -445,7 +404,7 @@ func (sm *StateManager) QueryTR(ctx context.Context, req QueryTRReq) (QueryTRRes
 			tr, err = live[i].tr, live[i].err
 		case len(days) > 0:
 			tr, err = sm.engine.PredictPluginCtx(ctx, sp.plugin, in)
-		case sp.name == fallbackPredictor:
+		case sp.name == servingPredictor:
 			// No history yet: report optimistic full availability; the
 			// scheduler treats all such machines equally.
 			tr = 1
@@ -453,48 +412,20 @@ func (sm *StateManager) QueryTR(ctx context.Context, req QueryTRReq) (QueryTRRes
 			continue
 		}
 		if err != nil {
-			if sp.name == fallbackPredictor {
+			if sp.name == servingPredictor {
 				span.SetError(err)
 				return QueryTRResp{}, err
-			}
-			if sp.name == serving {
-				servingErr = err
 			}
 			continue
 		}
 		sm.obsv.Tracker.RecordPrediction(sm.machineID, sp.name, tr, issued, w.Length)
-		if sp.name == fallbackPredictor {
-			fallbackTR = tr
+		if sp.name == servingPredictor {
+			resp.TR = tr
 		}
-		if sp.name == serving {
-			resp.TR, served = tr, true
-		}
-	}
-	switch {
-	case !served:
-		// The forced or routed predictor produced no TR for this window.
-		resp.TR = fallbackTR
-		reason := "predictor not registered"
-		if servingErr != nil {
-			reason = servingErr.Error()
-		}
-		span.AddEvent("ensemble-fallback", otrace.String("predictor", serving), otrace.String("error", reason))
-	case serving != fallbackPredictor:
-		resp.Predictor = serving
-		span.AddEvent("ensemble-routed", otrace.String("predictor", serving))
 	}
 	st := sm.engine.Stats()
 	resp.CacheHits, resp.CacheMisses = st.Hits, st.Misses
 	return resp, nil
-}
-
-// servingPredictor names the plugin that should answer the current query:
-// the forced override or the router's choice.
-func (sm *StateManager) servingPredictor() string {
-	if sm.forced != "" {
-		return sm.forced
-	}
-	return sm.router.Route(sm.machineID)
 }
 
 // liveKey identifies one set of forecast-origin predictions: the query

@@ -501,107 +501,6 @@ func (st *accStats) rollingBrier() (float64, int) {
 	return sum / float64(len(st.ring)), len(st.ring)
 }
 
-// RouteScore is one predictor's routing signal for one machine: the rolling
-// Brier score, how many resolved predictions back it, and the cumulative
-// resolved count (monotonic — the router's dwell clock, which must keep
-// advancing after the rolling ring saturates).
-type RouteScore struct {
-	// Brier is the rolling-window Brier score (meaningless when N is 0).
-	Brier float64
-	// N is the number of rolling entries backing Brier (at most 128).
-	N int
-	// Resolved is the cumulative resolved-prediction count.
-	Resolved uint64
-}
-
-// RouteScores fills out[i] with the routing signal of predictors[i] on the
-// machine, under one lock acquisition. out must be at least as long as
-// predictors; entries for unseen (machine, predictor) pairs are zeroed.
-// This is the ensemble router's per-query read, so it allocates nothing.
-func (t *Tracker) RouteScores(machine string, predictors []string, out []RouteScore) {
-	if t == nil {
-		for i := range predictors {
-			out[i] = RouteScore{}
-		}
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for i, p := range predictors {
-		st, ok := t.stats[trackerKey{Machine: machine, Predictor: p}]
-		if !ok {
-			out[i] = RouteScore{}
-			continue
-		}
-		brier, n := st.rollingBrier()
-		out[i] = RouteScore{Brier: brier, N: n, Resolved: st.resolved}
-	}
-}
-
-// WinCounts reports, for each predictor, the number of machines on which
-// that predictor currently holds the best (lowest) rolling Brier score, and
-// the number of machines where any predictor was eligible. Only predictors
-// with at least minResolved rolling entries compete on a machine; ties go to
-// the lexicographically smallest predictor name so the result is
-// deterministic. The "_all" aggregate rows are excluded. Counts (rather than
-// rates) let fleet-level callers merge the tallies of many trackers before
-// dividing.
-func (t *Tracker) WinCounts(minResolved int) (wins map[string]uint64, machines int) {
-	if t == nil {
-		return nil, 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	wins = make(map[string]uint64)
-	bestName := ""
-	bestBrier := 0.0
-	flush := func() {
-		if bestName != "" {
-			wins[bestName]++
-			machines++
-		}
-		bestName = ""
-	}
-	current := ""
-	for _, key := range t.keys { // sorted by (machine, predictor)
-		if key.Machine == "_all" {
-			continue
-		}
-		if key.Machine != current {
-			flush()
-			current = key.Machine
-		}
-		brier, n := t.stats[key].rollingBrier()
-		if n < minResolved || n == 0 {
-			continue
-		}
-		if bestName == "" || brier < bestBrier {
-			bestName, bestBrier = key.Predictor, brier
-		}
-	}
-	flush()
-	return wins, machines
-}
-
-// WinRates reports, for each predictor, the fraction of machines on which
-// that predictor currently holds the best (lowest) rolling Brier score —
-// WinCounts normalized by the eligible-machine count. Machines with no
-// eligible predictor do not count toward the denominator.
-func (t *Tracker) WinRates(minResolved int) map[string]float64 {
-	if t == nil {
-		return nil
-	}
-	wins, machines := t.WinCounts(minResolved)
-	if machines == 0 {
-		return map[string]float64{}
-	}
-	out := make(map[string]float64, len(wins))
-	for name, w := range wins {
-		out[name] = float64(w) / float64(machines)
-	}
-	return out
-}
-
 // All returns every (machine, predictor) summary in sorted order.
 func (t *Tracker) All() []AccuracyStats {
 	t.mu.Lock()

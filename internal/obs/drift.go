@@ -13,8 +13,8 @@ import (
 // M_T; the statistic PH = m_T − M_T measures how far the recent mean has
 // risen above the historical one, discounted by the insensitivity δ. PH
 // exceeding λ means the Brier score — the prediction error — has genuinely
-// shifted upward, which is exactly the signal the ensemble router (ROADMAP
-// item 1) needs to stop trusting a predictor.
+// shifted upward, and the watcher raises an accuracy-drift alert for that
+// (machine, predictor) stream.
 //
 // One observation x_t is the mean Brier of the resolutions that arrived
 // since the previous emitted observation; a step emits nothing until at

@@ -126,7 +126,7 @@ func NewEngine(cfg EngineConfig) *Engine {
 // configuration on the kernel path, or the plugin's registered name plus its
 // configuration salt on the cached-plugin path (see Cacheable). The plugin
 // name is always part of the key, so two predictors can never share an
-// entry: ensemble routing cannot serve one predictor's fitted result for
+// entry: the tracker never scores one predictor's fitted result as
 // another's. SMP and Window are comparable value types, so the key works
 // directly as a map key.
 type engineKey struct {

@@ -118,7 +118,7 @@ func TestGoldenPredictions(t *testing.T) {
 	}
 }
 
-// TestGoldenPredictionsPlugins pins the ensemble's day-structured plugins
+// TestGoldenPredictionsPlugins pins the non-paper day-structured plugins
 // (FFT, PCT) bit-for-bit over the same fixed-seed workload and windows as
 // TestGoldenPredictions; the spectral pipeline (classification, box-filter
 // resampling, radix-2 FFT, spectrum selection, series evaluation) and the

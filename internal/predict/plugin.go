@@ -11,17 +11,18 @@ import (
 	"fgcs/internal/trace"
 )
 
-// Plugin is the uniform predictor surface the ensemble router selects over:
-// fit from recorded day history and predict the temporal reliability of one
-// (start, length) window. Implementations must be deterministic — the same
-// PluginInput must always yield the same TR bit-for-bit, with no wall-clock
-// reads, map-iteration dependence, or unseeded randomness — because routing
-// decisions, golden traces, and the fleetsim transcript all hash predictor
+// Plugin is the uniform predictor surface every QueryTR evaluates and the
+// accuracy tracker scores: fit from recorded day history and predict the
+// temporal reliability of one (start, length) window. Implementations must
+// be deterministic — the same PluginInput must always yield the same TR
+// bit-for-bit, with no wall-clock reads, map-iteration dependence, or
+// unseeded randomness — because golden traces, the tracker's resolved
+// claims and the fleetsim accuracy figures all hash or sum predictor
 // output. See docs/PREDICTORS.md for the authoring contract and a worked
 // example.
 type Plugin interface {
-	// Name is the stable identifier used by the accuracy tracker, the
-	// router, query-stats output and the docs reference table.
+	// Name is the stable identifier used by the accuracy tracker,
+	// query-stats output and the docs reference table.
 	Name() string
 	// PredictTR returns the predicted probability, in [0, 1], that the
 	// machine stays available for guest execution throughout in.Window.
@@ -114,7 +115,7 @@ var (
 // RegisterPlugin adds a predictor factory under its stable name. Built-ins
 // register from this package's init; external predictors register from their
 // own. Re-registering a name panics — names are identity everywhere
-// (tracker keys, router state, docs table), so a silent overwrite would
+// (tracker keys, engine cache keys, docs table), so a silent overwrite would
 // corrupt scoring.
 func RegisterPlugin(name string, f PluginFactory) {
 	if name == "" || f == nil {

@@ -10,7 +10,7 @@ import (
 )
 
 // TestPluginRegistry pins the built-in predictor set and its registration
-// order: the ensemble's docs, router candidate lists and the doccheck
+// order: the predictor docs, the tracker's rows and the doccheck
 // cross-check all key off these names, and the serving path evaluates and
 // scores in this order (the tracker's pending queue evicts by arrival).
 func TestPluginRegistry(t *testing.T) {
