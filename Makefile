@@ -130,17 +130,20 @@ fuzz:
 	$(GO) test ./internal/durable/ -run '^$$' -fuzz '^FuzzDecodeRecords$$' -fuzztime $(FUZZTIME)
 
 # Golden-trace regression: fixed-seed workload, bit-exact predictor outputs;
-# and the paper's scorecard, regenerated at the canonical scale and compared
+# the paper's scorecard, regenerated at the canonical scale and compared
 # with the block EXPERIMENTS.md embeds (byte for byte, verdicts against the
-# recorded ones). Use `make golden-update` only when a numerical change is
-# intended.
+# recorded ones); and the sim block of the 3000-machine, 6-history-day fleet
+# run, byte for byte against internal/fleetsim/testdata. Use
+# `make golden-update` only when a change to those numbers is intended.
 golden:
 	$(GO) test ./internal/predict/ -run 'TestGolden' -count=1
 	$(GO) test ./cmd/experiments/ -run 'TestScorecard' -count=1
+	$(GO) test ./internal/fleetsim/ -run 'TestFleetSimGolden' -count=1
 
 golden-update:
 	$(GO) test ./internal/predict/ -run 'TestGoldenPredictions' -count=1 -update
 	$(GO) test ./cmd/experiments/ -run 'TestScorecard' -count=1 -update
+	$(GO) test ./internal/fleetsim/ -run 'TestFleetSimGolden' -count=1 -update
 
 # Chaos harnesses: a five-machine testbed over real TCP with seeded fault
 # injection (dial refusals, resets, corruption, partitions), and a

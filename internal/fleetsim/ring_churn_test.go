@@ -110,6 +110,7 @@ func TestFedConvergenceAfterRestart(t *testing.T) {
 			ctx := context.Background()
 			clock := simclock.NewVirtual(time.Date(2026, 6, 1, 12, 0, 0, 0, time.UTC))
 			net := newLoopNet()
+			defer net.close()
 			peers := make([]ishare.Peer, tc.gateways)
 			for i := range peers {
 				id := fmt.Sprintf("gw%02d", i)

@@ -374,6 +374,7 @@ func Run(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer f.net.close()
 	f.registerStorm(rep)
 	f.trafficPhase(rep)
 	f.churnPhase(rep)
@@ -490,7 +491,7 @@ func buildFleet(cfg Config, rep *Report) (*fleet, error) {
 func (f *fleet) registerStorm(rep *Report) {
 	t0 := time.Now()
 	bytes0 := f.net.RequestBytes()
-	dials0 := f.net.Dials()
+	rpcs0 := f.net.Requests()
 	now := f.clock.Now()
 	runWorkers(f.cfg.Workers, func(wi int) {
 		caller := f.newCaller()
@@ -506,7 +507,7 @@ func (f *fleet) registerStorm(rep *Report) {
 	f.lastActiveRefresh = now
 	rep.Perf.RegisterSeconds = time.Since(t0).Seconds()
 	rep.Sim.RegisterRequestBytes = f.net.RequestBytes() - bytes0
-	rep.Sim.RegisterRPCs = f.net.Dials() - dials0
+	rep.Sim.RegisterRPCs = f.net.Requests() - rpcs0
 	if rep.Perf.RegisterSeconds > 0 {
 		rep.Perf.RegistrationsPerSec = float64(f.registered) / rep.Perf.RegisterSeconds
 	}

@@ -2,6 +2,8 @@ package fleetsim
 
 import (
 	"bytes"
+	"flag"
+	"os"
 	"testing"
 )
 
@@ -81,5 +83,36 @@ func TestFleetSimValidation(t *testing.T) {
 				t.Fatal("invalid config accepted")
 			}
 		})
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite testdata/sim_3000x6.json")
+
+// TestFleetSimGolden holds the sim block of `fleetsim -machines 3000
+// -history-days 6 -workers 2` (seed 1) to testdata/sim_3000x6.json byte for
+// byte; `make golden-update` rewrites it. A change that moves any
+// deterministic figure of the fleet run shows as a diff of that file.
+func TestFleetSimGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a 3000-machine fleet")
+	}
+	rep, err := Run(Config{Machines: 3000, HistoryDays: 6, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := rep.DeterministicBytes()
+	const path = "testdata/sim_3000x6.json"
+	if *update {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("the sim block differs from %s (make golden-update rewrites it)\n--- generated ---\n%s", path, got)
 	}
 }

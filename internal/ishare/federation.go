@@ -4,7 +4,8 @@
 // replicated to each machine's successor peers, and any peer transparently
 // forwards machine-scoped RPCs it cannot serve from its own shard. Peer
 // hops ride the same Caller retry/breaker/trace stack as every other RPC,
-// so a forwarded request renders as one stitched span tree. A standalone
+// so a forwarded request renders as one stitched span tree, over one pooled
+// binary connection per peer; machine hops dial per RPC. A standalone
 // registry is the same type with a one-member ring: every key's candidate
 // set is the peer itself, so it serves from its shard and never dials.
 package ishare
@@ -185,7 +186,8 @@ type FedConfig struct {
 	Replicas int
 	// Caller performs peer and machine RPCs (nil = single-attempt calls
 	// over the real network). Give it a retry policy in production: peer
-	// hops and machine proxying inherit it.
+	// hops and machine proxying inherit it. Peer hops go through its Pool,
+	// or through one the peer builds over its Dialer when it has none.
 	Caller *Caller
 	// Breakers, when set, quarantines unreachable peers so routing skips
 	// them without burning a dial timeout per request.
@@ -215,7 +217,8 @@ type FedGateway struct {
 	self     Peer
 	ring     *Ring
 	replicas int
-	caller   *Caller
+	caller   *Caller // machine hops
+	peers    *Caller // peer hops: caller's settings over a Pool
 	breakers *BreakerSet
 	timeout  time.Duration
 	clock    simclock.Clock
@@ -301,6 +304,7 @@ func NewFedGateway(cfg FedConfig) (*FedGateway, error) {
 		ring:     ring,
 		replicas: replicas,
 		caller:   caller,
+		peers:    peerCaller(caller),
 		breakers: cfg.Breakers,
 		timeout:  timeout,
 		clock:    clock,
@@ -310,6 +314,24 @@ func NewFedGateway(cfg FedConfig) (*FedGateway, error) {
 		entries:  make(map[string]RegEntry),
 		lastSync: make(map[string]time.Time),
 	}, nil
+}
+
+// peerCaller is the Caller of a peer's hops to the rest of the ring: c
+// itself when it pools, otherwise c's retry policy, clock, jitter seed and
+// metrics over a Pool on c's Dialer. The ring is small and fixed, so each
+// peer is worth one long-lived multiplexed connection; machines are many
+// and churn, so machine hops keep c as configured, dialing per RPC.
+func peerCaller(c *Caller) *Caller {
+	if c.Pool != nil {
+		return c
+	}
+	return &Caller{
+		Pool:       &Pool{Dialer: c.Dialer},
+		Retry:      c.Retry,
+		Clock:      c.Clock,
+		JitterSeed: c.JitterSeed,
+		Metrics:    c.Metrics,
+	}
 }
 
 // fanout is the size of each key's candidate set: the owner plus its
@@ -429,9 +451,9 @@ func (f *FedGateway) callPeer(ctx context.Context, p Peer, typ string, payload, 
 	}
 	var err error
 	if retry {
-		err = f.caller.CallRetry(ctx, p.Addr, typ, payload, out, f.timeout)
+		err = f.peers.CallRetry(ctx, p.Addr, typ, payload, out, f.timeout)
 	} else {
-		err = f.caller.Call(ctx, p.Addr, typ, payload, out, f.timeout)
+		err = f.peers.Call(ctx, p.Addr, typ, payload, out, f.timeout)
 	}
 	if f.breakers != nil {
 		if IsTransport(err) || IsOverloaded(err) {

@@ -534,3 +534,51 @@ func TestRingOfOneNeverDials(t *testing.T) {
 		t.Errorf("ring stats = %+v", st)
 	}
 }
+
+// TestFedPeerHopsDialOncePerPeer counts every dial each peer of a 3-peer
+// ring makes through forwarded queries, forwarded registrations with their
+// replication, and an anti-entropy round: peer hops share one pooled
+// connection per peer, so no peer dials another more than once, while
+// machine hops still dial per RPC.
+func TestFedPeerHopsDialOncePerPeer(t *testing.T) {
+	dialers := make([]*countingDialer, 3)
+	nodes := buildFederationWith(t, 3, 1, nil, func(i int, cfg *FedConfig) {
+		dialers[i] = &countingDialer{}
+		cfg.Caller.Dialer = dialers[i]
+	})
+	ctx := context.Background()
+	const machines, rounds = 6, 5
+	for i := 0; i < machines; i++ {
+		id := fmt.Sprintf("m%d", i)
+		m := newStubMachine(t, id, 0.5)
+		fedRegister(t, nodes[pickPeer(t, nodes, id, false)].srv.Addr(), id, m.addr(), 0)
+	}
+	for r := 0; r < rounds; r++ {
+		for i := 0; i < machines; i++ {
+			id := fmt.Sprintf("m%d", i)
+			fc := FedClient{Addr: nodes[pickPeer(t, nodes, id, false)].srv.Addr(), Timeout: 2 * time.Second, Caller: &Caller{}}
+			if _, err := fc.QueryTR(ctx, id, QueryTRReq{LengthSeconds: 3600}); err != nil {
+				t.Fatalf("forwarded query for %s: %v", id, err)
+			}
+		}
+	}
+	for _, n := range nodes {
+		n.gw.SyncOnce(ctx)
+	}
+	forwarded := uint64(0)
+	for i, n := range nodes {
+		forwarded += n.gw.RingStats().Forwarded
+		peerDials, machineDials := 0, dialers[i].count()
+		for _, p := range nodes {
+			peerDials += dialers[i].countTo(p.srv.Addr())
+		}
+		machineDials -= peerDials
+		if peerDials > len(nodes)-1 {
+			t.Errorf("peer %d dialed its peers %d times, want at most %d", i, peerDials, len(nodes)-1)
+		}
+		t.Logf("peer %d: %d peer dials, %d machine dials", i, peerDials, machineDials)
+	}
+	if forwarded < machines*(rounds+1) {
+		t.Fatalf("ring forwarded %d requests, want at least %d", forwarded, machines*(rounds+1))
+	}
+}

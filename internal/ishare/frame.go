@@ -100,6 +100,12 @@ type Frame struct {
 // extended slice. A zero link omits the trace header, keeping untraced
 // requests as small as the pre-tracing protocol.
 func AppendRequestFrame(buf []byte, id uint64, typ string, link otrace.Link, payload []byte) []byte {
+	return append(appendRequestHead(buf, id, typ, link, len(payload)), payload...)
+}
+
+// appendRequestHead encodes a request frame up to its n payload bytes, so a
+// writer can send the payload from where it already is.
+func appendRequestHead(buf []byte, id uint64, typ string, link otrace.Link, n int) []byte {
 	flags := byte(0)
 	if link.TraceID != 0 {
 		flags |= frameFlagTrace
@@ -115,14 +121,17 @@ func AppendRequestFrame(buf []byte, id uint64, typ string, link otrace.Link, pay
 		buf = binary.BigEndian.AppendUint64(buf, uint64(link.TraceID))
 		buf = binary.BigEndian.AppendUint64(buf, uint64(link.SpanID))
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(payload)))
-	buf = append(buf, payload...)
-	return buf
+	return binary.AppendUvarint(buf, uint64(n))
 }
 
 // AppendResponseFrame encodes one response frame onto buf and returns the
 // extended slice. The error string is encoded only on failure.
 func AppendResponseFrame(buf []byte, id uint64, ok, overloaded bool, errMsg string, payload []byte) []byte {
+	return append(appendResponseHead(buf, id, ok, overloaded, errMsg, len(payload)), payload...)
+}
+
+// appendResponseHead encodes a response frame up to its n payload bytes.
+func appendResponseHead(buf []byte, id uint64, ok, overloaded bool, errMsg string, n int) []byte {
 	flags := byte(0)
 	if ok {
 		flags |= frameFlagOK
@@ -136,9 +145,7 @@ func AppendResponseFrame(buf []byte, id uint64, ok, overloaded bool, errMsg stri
 		buf = binary.AppendUvarint(buf, uint64(len(errMsg)))
 		buf = append(buf, errMsg...)
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(payload)))
-	buf = append(buf, payload...)
-	return buf
+	return binary.AppendUvarint(buf, uint64(n))
 }
 
 // ErrFrameVersion reports a frame encoded with a binary-protocol version
@@ -155,6 +162,24 @@ func DecodeFrame(br *bufio.Reader, maxPayload int64) (Frame, error) {
 	if maxPayload <= 0 {
 		maxPayload = 1 << 20
 	}
+	f, err := decodeFrameHead(br)
+	if err != nil {
+		return Frame{}, err
+	}
+	payload, err := readLenPrefixed(br, nil, maxPayload, "payload")
+	if err != nil {
+		return Frame{}, err
+	}
+	if len(payload) > 0 {
+		f.Payload = payload
+	}
+	return f, nil
+}
+
+// decodeFrameHead reads everything of one frame up to its payload length,
+// so a reader that learns the request ID first can choose where the payload
+// goes (the pool's reader puts it in the waiting call's buffer).
+func decodeFrameHead(br *bufio.Reader) (Frame, error) {
 	var hdr [5]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return Frame{}, fmt.Errorf("ishare: frame header: %w", err)
@@ -177,7 +202,7 @@ func DecodeFrame(br *bufio.Reader, maxPayload int64) (Frame, error) {
 	f.ID = id
 	switch f.Kind {
 	case FrameRequest:
-		typ, err := readLenPrefixed(br, maxFrameTypeBytes, "type")
+		typ, err := readLenPrefixed(br, nil, maxFrameTypeBytes, "type")
 		if err != nil {
 			return Frame{}, err
 		}
@@ -197,28 +222,22 @@ func DecodeFrame(br *bufio.Reader, maxPayload int64) (Frame, error) {
 		f.OK = flags&frameFlagOK != 0
 		f.Overloaded = flags&frameFlagOverloaded != 0
 		if !f.OK {
-			msg, err := readLenPrefixed(br, maxFrameErrBytes, "error")
+			msg, err := readLenPrefixed(br, nil, maxFrameErrBytes, "error")
 			if err != nil {
 				return Frame{}, err
 			}
 			f.Err = string(msg)
 		}
 	}
-	payload, err := readLenPrefixed(br, maxPayload, "payload")
-	if err != nil {
-		return Frame{}, err
-	}
-	if len(payload) > 0 {
-		f.Payload = payload
-	}
 	return f, nil
 }
 
-// readLenPrefixed reads a uvarint length and that many bytes, rejecting
-// lengths above max with ErrMessageTooLarge. The buffer grows in 64 KiB
-// chunks paced by actual arrival, so a lying length prefix on a truncated
-// stream cannot allocate more than one chunk beyond the received bytes.
-func readLenPrefixed(br *bufio.Reader, max int64, what string) ([]byte, error) {
+// readLenPrefixed reads a uvarint length and that many bytes, appended to
+// dst, rejecting lengths above max with ErrMessageTooLarge. The buffer grows
+// in 64 KiB chunks paced by actual arrival, so a lying length prefix on a
+// truncated stream cannot allocate more than one chunk beyond the received
+// bytes.
+func readLenPrefixed(br *bufio.Reader, dst []byte, max int64, what string) ([]byte, error) {
 	n, err := binary.ReadUvarint(br)
 	if err != nil {
 		return nil, fmt.Errorf("ishare: frame %s length: %w", what, err)
@@ -226,17 +245,10 @@ func readLenPrefixed(br *bufio.Reader, max int64, what string) ([]byte, error) {
 	if int64(n) < 0 || int64(n) > max {
 		return nil, fmt.Errorf("%w: frame %s of %d bytes (cap %d)", ErrMessageTooLarge, what, n, max)
 	}
-	if n == 0 {
-		return nil, nil
-	}
 	const chunk = 64 << 10
-	cap0 := int64(n)
-	if cap0 > chunk {
-		cap0 = chunk
-	}
-	buf := make([]byte, 0, cap0)
-	for int64(len(buf)) < int64(n) {
-		k := int64(n) - int64(len(buf))
+	buf := dst
+	for int64(len(buf)-len(dst)) < int64(n) {
+		k := int64(n) - int64(len(buf)-len(dst))
 		if k > chunk {
 			k = chunk
 		}

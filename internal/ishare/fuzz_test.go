@@ -1,15 +1,26 @@
 package ishare
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"testing"
 )
 
-// FuzzDecodeRequest hammers the capped request decoder (DecodeRequest's
-// comment says who reads with it) with arbitrary bytes. A successful decode
-// must survive a marshal/decode round trip, and no input may panic the
-// decoder under any byte cap.
+// readMessage reads one JSON envelope from data into out the way both JSON
+// request loops do — serveJSON a request, exchange a response: one capped
+// line through a bufio.Reader, then json.Unmarshal.
+func readMessage(data []byte, max int64, out interface{}) error {
+	line, err := readLineCapped(bufio.NewReader(bytes.NewReader(data)), max)
+	if err != nil {
+		return err
+	}
+	return json.Unmarshal(line, out)
+}
+
+// FuzzDecodeRequest hammers the server's capped request reader with
+// arbitrary bytes. A successful decode must survive a marshal/decode round
+// trip, and no input may panic the reader under any byte cap.
 func FuzzDecodeRequest(f *testing.F) {
 	f.Add([]byte(`{"type":"query-tr","payload":{"length_seconds":3600,"guest_mem_mb":100}}`))
 	f.Add([]byte(`{"type":"submit","payload":{"name":"sim1","work_seconds":7200,"mem_mb":100,"idempotency_key":"a/b-k1"}}`))
@@ -30,9 +41,10 @@ func FuzzDecodeRequest(f *testing.F) {
 	f.Add([]byte(`{"type":"query-tr","payload":{"length_seconds":60},"trace":{"trace_id":"00000000000007a5","future_field":1},"another_unknown":"x"}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// A tiny cap must degrade to an error, never a panic.
-		_, _ = DecodeRequest(bytes.NewReader(data), 8)
-		req, err := DecodeRequest(bytes.NewReader(data), 1<<16)
-		if err != nil {
+		var req Request
+		_ = readMessage(data, 8, &req)
+		req = Request{}
+		if err := readMessage(data, 1<<16, &req); err != nil {
 			return
 		}
 		// The trace header must never panic the link parser, and any
@@ -42,8 +54,8 @@ func FuzzDecodeRequest(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decoded request does not re-encode: %v", err)
 		}
-		again, err := DecodeRequest(bytes.NewReader(out), 1<<16)
-		if err != nil {
+		var again Request
+		if err := readMessage(out, 1<<16, &again); err != nil {
 			t.Fatalf("re-decode of %q: %v", out, err)
 		}
 		if again.Type != req.Type {
@@ -55,8 +67,8 @@ func FuzzDecodeRequest(f *testing.F) {
 	})
 }
 
-// FuzzDecodeResponse does the same for the client-side response decoder,
-// which reads whatever a (possibly compromised or buggy) far end sent back.
+// FuzzDecodeResponse does the same for the client's response reader, which
+// reads whatever a (possibly compromised or buggy) far end sent back.
 func FuzzDecodeResponse(f *testing.F) {
 	f.Add([]byte(`{"ok":true,"payload":{"tr":0.93,"history_windows":12}}`))
 	f.Add([]byte(`{"ok":false,"error":"machine lab-01 already runs a guest job"}`))
@@ -70,17 +82,18 @@ func FuzzDecodeResponse(f *testing.F) {
 	f.Add([]byte(`{"ok":true,"payload":{"machine_id":"m1","total_recorded":3,"traces":[{"trace_id":"00000000000007a5","spans":[{"trace_id":"00000000000007a5","span_id":"0000000000000001","name":"gateway.dispatch"}]}]}}`))
 	f.Add([]byte(`{"ok":true,"trace":{"trace_id":"00000000000007a5"},"future_field":[1,2,3]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_, _ = DecodeResponse(bytes.NewReader(data), 8)
-		resp, err := DecodeResponse(bytes.NewReader(data), 1<<16)
-		if err != nil {
+		var resp Response
+		_ = readMessage(data, 8, &resp)
+		resp = Response{}
+		if err := readMessage(data, 1<<16, &resp); err != nil {
 			return
 		}
 		out, err := json.Marshal(resp)
 		if err != nil {
 			t.Fatalf("decoded response does not re-encode: %v", err)
 		}
-		again, err := DecodeResponse(bytes.NewReader(out), 1<<16)
-		if err != nil {
+		var again Response
+		if err := readMessage(out, 1<<16, &again); err != nil {
 			t.Fatalf("re-decode of %q: %v", out, err)
 		}
 		if again.OK != resp.OK || again.Error != resp.Error {

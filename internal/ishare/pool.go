@@ -18,7 +18,7 @@ import (
 // back by ID, so many calls pipeline concurrently on one connection instead
 // of paying a dial + handshake each. A connection that fails is discarded
 // and every call pending on it gets a transport error; the next call dials
-// fresh.
+// fresh. Concurrent first calls to an address share one dial.
 type Pool struct {
 	// Dialer defaults to the real network (tests inject faultnet here).
 	Dialer Dialer
@@ -26,10 +26,18 @@ type Pool struct {
 	// (default 1 — pipelining makes one connection go a long way).
 	MaxPerHost int
 
-	mu     sync.Mutex
-	conns  map[string][]*muxConn
-	next   map[string]int // round-robin cursor per address
-	closed bool
+	mu      sync.Mutex
+	conns   map[string][]*muxConn
+	next    map[string]int       // round-robin cursor per address
+	dialing map[string]*poolDial // the dial in progress per address
+	closed  bool
+}
+
+// poolDial is one in-progress dial that later callers to the same address
+// wait on instead of dialing again.
+type poolDial struct {
+	done chan struct{} // closed when the dial has finished
+	err  error         // the dial's error, shared with every waiter
 }
 
 func (p *Pool) dialer() Dialer {
@@ -64,12 +72,23 @@ type batchWriter struct {
 	mu  sync.Mutex
 	buf []byte
 	err error
+	// queued counts every byte ever enqueued and sent every byte a Write
+	// reported written, both from the start of the connection: a frame
+	// whose end offset is past sent never fully left.
+	queued, sent int64
 }
 
 // batchBacklogMax bounds the pending buffer: a peer that stops draining
 // while this much queues is stuck, and the connection is poisoned rather
 // than buffering without limit.
 const batchBacklogMax = 8 << 20
+
+// poolBufMax is the largest buffer kept for reuse — by a flushed batch
+// writer, a recycled call slot or a server's response head. It holds
+// every message of the serving path, and nothing bigger: a long-lived
+// connection that once carried a bulk message (an anti-entropy push at
+// fleet scale) must not keep that much memory for the rest of its life.
+const poolBufMax = 4 << 10
 
 func newBatchWriter(conn net.Conn, deadline time.Duration, onError func(error)) *batchWriter {
 	w := &batchWriter{
@@ -84,17 +103,20 @@ func newBatchWriter(conn net.Conn, deadline time.Duration, onError func(error)) 
 	return w
 }
 
-// enqueue appends one encoded frame for the flusher. It fails fast once the
-// writer has seen an error or the backlog cap is exceeded; actual write
-// errors surface asynchronously through onError.
-func (w *batchWriter) enqueue(frame []byte) error {
+// enqueue appends a copy of one encoded frame — its head, then its payload
+// — for the flusher and returns the frame's end offset in the connection's
+// byte stream (see wrote). It fails fast once the writer has seen an error
+// or the backlog cap is exceeded; actual write errors surface
+// asynchronously through onError.
+func (w *batchWriter) enqueue(head, payload []byte) (end int64, err error) {
 	w.mu.Lock()
+	end = w.queued + int64(len(head)+len(payload))
 	if w.err != nil {
 		err := w.err
 		w.mu.Unlock()
-		return err
+		return end, err
 	}
-	if len(w.buf)+len(frame) > batchBacklogMax {
+	if len(w.buf)+len(head)+len(payload) > batchBacklogMax {
 		w.err = fmt.Errorf("ishare: write backlog over %d bytes", batchBacklogMax)
 		err := w.err
 		w.mu.Unlock()
@@ -102,15 +124,24 @@ func (w *batchWriter) enqueue(frame []byte) error {
 		if w.onError != nil {
 			w.onError(err)
 		}
-		return err
+		return end, err
 	}
-	w.buf = append(w.buf, frame...)
+	w.buf = append(append(w.buf, head...), payload...)
+	w.queued = end
 	w.mu.Unlock()
 	select {
 	case w.sig <- struct{}{}:
 	default:
 	}
-	return nil
+	return end, nil
+}
+
+// wrote reports whether the bytes up to end (an offset enqueue returned)
+// were all written to the connection.
+func (w *batchWriter) wrote(end int64) bool {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.sent >= end
 }
 
 func (w *batchWriter) loop() {
@@ -135,16 +166,21 @@ func (w *batchWriter) loop() {
 			out, w.buf = w.buf, out[:0]
 			w.mu.Unlock()
 			_ = w.conn.SetWriteDeadline(time.Now().Add(w.deadline))
-			if _, err := w.conn.Write(out); err != nil {
-				w.mu.Lock()
-				if w.err == nil {
-					w.err = err
-				}
-				w.mu.Unlock()
+			n, err := w.conn.Write(out)
+			w.mu.Lock()
+			w.sent += int64(n)
+			if err != nil && w.err == nil {
+				w.err = err
+			}
+			w.mu.Unlock()
+			if err != nil {
 				if w.onError != nil {
 					w.onError(err)
 				}
 				return
+			}
+			if cap(out) > poolBufMax {
+				out = nil
 			}
 		}
 	}
@@ -159,6 +195,47 @@ func (w *batchWriter) close() {
 // round trip itself, this only collects connections with a wedged peer.
 const poolWriteDeadline = 30 * time.Second
 
+// callSlot is what one pooled call needs besides its connection: the head
+// of its request frame, the buffer its response payload is read into, the
+// channel the reply arrives on and its deadline timer. Slots are recycled
+// across calls, and a slot is released only by a call that received from
+// its reply channel: a response that arrives after its call timed out lands
+// on a slot no later call will ever hold.
+type callSlot struct {
+	head    []byte
+	payload []byte
+	reply   chan Frame // cap 1: exactly one reply per registration
+	timer   *time.Timer
+}
+
+var callSlots = sync.Pool{New: func() interface{} { return &callSlot{reply: make(chan Frame, 1)} }}
+
+// getSlot returns a slot whose timer fires after timeout.
+func getSlot(timeout time.Duration) *callSlot {
+	s := callSlots.Get().(*callSlot)
+	if s.timer == nil {
+		s.timer = time.NewTimer(timeout)
+	} else {
+		s.timer.Reset(timeout)
+	}
+	return s
+}
+
+// release stops the timer and recycles the slot. A timer that fired unread
+// is drained here, so Reset starts the next call on a clean channel.
+func (s *callSlot) release() {
+	if !s.timer.Stop() {
+		select {
+		case <-s.timer.C:
+		default:
+		}
+	}
+	if cap(s.payload) > poolBufMax {
+		s.payload = nil
+	}
+	callSlots.Put(s)
+}
+
 // muxConn is one multiplexed connection: frame writes coalesce through a
 // batchWriter, a reader goroutine dispatches response frames to the pending
 // call registered under their request ID.
@@ -167,64 +244,45 @@ type muxConn struct {
 	bw   *batchWriter
 
 	mu      sync.Mutex
-	pending map[uint64]chan Frame
+	pending map[uint64]*callSlot
 	nextID  uint64
 	dead    bool
 	deadErr error
 	version byte
 }
 
-// roundTrip sends one request frame and waits for its response frame, up to
-// timeout. Transport failures poison the connection (all pending calls fail)
-// so the pool retires it.
-func (m *muxConn) roundTrip(typ string, link otrace.Link, payload []byte, timeout time.Duration) (Frame, error) {
+// send registers s under a fresh request ID and queues its request frame,
+// returning the ID and the frame's end offset in the byte stream. On a
+// connection already dead it fails with s unregistered. A failed enqueue
+// poisons the connection, which hands s its dead-connection reply like
+// every other pending call.
+func (m *muxConn) send(s *callSlot, typ string, link otrace.Link, payload []byte) (id uint64, end int64, err error) {
 	m.mu.Lock()
 	if m.dead {
 		err := m.deadErr
 		m.mu.Unlock()
-		return Frame{}, &transportError{fmt.Errorf("ishare: pooled conn dead: %w", err)}
+		return 0, 0, &transportError{fmt.Errorf("ishare: pooled conn dead: %w", err)}
 	}
 	m.nextID++
-	id := m.nextID
-	ch := make(chan Frame, 1)
-	m.pending[id] = ch
+	id = m.nextID
+	m.pending[id] = s
 	m.mu.Unlock()
-
-	buf := AppendRequestFrame(nil, id, typ, link, payload)
-	// The frame goes out through the connection's batching flusher; a write
-	// failure there poisons the connection asynchronously and this call is
-	// woken through its pending channel.
-	if werr := m.bw.enqueue(buf); werr != nil {
+	// The batch writer copies the frame, so s.head is free again on return.
+	s.head = appendRequestHead(s.head[:0], id, typ, link, len(payload))
+	end, werr := m.bw.enqueue(s.head, payload)
+	if werr != nil {
 		m.fail(fmt.Errorf("ishare: send: %w", werr))
-		return Frame{}, &transportError{fmt.Errorf("ishare: send: %w", werr)}
 	}
-
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case f, ok := <-ch:
-		if !ok {
-			m.mu.Lock()
-			err := m.deadErr
-			m.mu.Unlock()
-			return Frame{}, &transportError{fmt.Errorf("ishare: receive: %w", err)}
-		}
-		return f, nil
-	case <-timer.C:
-		m.mu.Lock()
-		delete(m.pending, id)
-		m.mu.Unlock()
-		// A response that arrives later is dropped by the reader.
-		return Frame{}, &transportError{fmt.Errorf("ishare: receive: timeout after %v", timeout)}
-	}
+	return id, end, nil
 }
 
 // readLoop dispatches response frames by request ID until the connection
-// dies, then fails every pending call.
+// dies, then fails every pending call. A response's payload is read into
+// its call's slot; one whose call has given up is read and dropped.
 func (m *muxConn) readLoop() {
 	br := bufio.NewReader(m.conn)
 	for {
-		f, err := DecodeFrame(br, maxResponseBytes)
+		f, err := decodeFrameHead(br)
 		if err != nil {
 			m.fail(err)
 			return
@@ -233,19 +291,29 @@ func (m *muxConn) readLoop() {
 		if m.version == 0 {
 			m.version = f.Version
 		}
-		ch, ok := m.pending[f.ID]
-		if ok {
-			delete(m.pending, f.ID)
-		}
+		s := m.pending[f.ID]
+		delete(m.pending, f.ID)
 		m.mu.Unlock()
-		if ok {
-			ch <- f
+		var buf []byte
+		if s != nil {
+			buf = s.payload[:0]
+		}
+		f.Payload, err = readLenPrefixed(br, buf, maxResponseBytes, "payload")
+		if err != nil {
+			if s != nil {
+				s.reply <- Frame{}
+			}
+			m.fail(err)
+			return
+		}
+		if s != nil {
+			s.reply <- f
 		}
 	}
 }
 
 // fail marks the connection dead, closes it, and wakes every pending call
-// with the error.
+// with the zero Frame, the dead-connection reply.
 func (m *muxConn) fail(err error) {
 	m.mu.Lock()
 	if m.dead {
@@ -255,12 +323,12 @@ func (m *muxConn) fail(err error) {
 	m.dead = true
 	m.deadErr = err
 	pending := m.pending
-	m.pending = make(map[uint64]chan Frame)
+	m.pending = nil
 	m.mu.Unlock()
 	m.bw.close()
 	_ = m.conn.Close()
-	for _, ch := range pending {
-		close(ch)
+	for _, s := range pending {
+		s.reply <- Frame{}
 	}
 }
 
@@ -272,50 +340,76 @@ func (m *muxConn) isDead() bool {
 }
 
 // get returns a live connection to addr, dialing one if needed within the
-// call's timeout. Dead connections are pruned on the way.
+// call's timeout. Dead connections are pruned on the way. Only one dial per
+// address is in flight: a caller that finds one waits for it instead of
+// dialing again, and shares its error if it fails.
 func (p *Pool) get(addr string, timeout time.Duration) (*muxConn, error) {
 	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return nil, &transportError{fmt.Errorf("ishare: pool closed")}
-	}
 	if p.conns == nil {
 		p.conns = make(map[string][]*muxConn)
 		p.next = make(map[string]int)
+		p.dialing = make(map[string]*poolDial)
 	}
-	live := p.conns[addr][:0]
-	for _, m := range p.conns[addr] {
-		if !m.isDead() {
-			live = append(live, m)
+	for {
+		if p.closed {
+			p.mu.Unlock()
+			return nil, &transportError{fmt.Errorf("ishare: pool closed")}
 		}
-	}
-	p.conns[addr] = live
-	if len(live) >= p.maxPerHost() {
-		m := live[p.next[addr]%len(live)]
-		p.next[addr]++
+		live := p.conns[addr][:0]
+		for _, m := range p.conns[addr] {
+			if !m.isDead() {
+				live = append(live, m)
+			}
+		}
+		p.conns[addr] = live
+		d := p.dialing[addr]
+		if len(live) >= p.maxPerHost() || (len(live) > 0 && d != nil) {
+			m := live[p.next[addr]%len(live)]
+			p.next[addr]++
+			p.mu.Unlock()
+			return m, nil
+		}
+		if d == nil {
+			break
+		}
 		p.mu.Unlock()
-		return m, nil
+		<-d.done
+		if d.err != nil {
+			return nil, d.err
+		}
+		p.mu.Lock()
 	}
+	d := &poolDial{done: make(chan struct{})}
+	p.dialing[addr] = d
 	p.mu.Unlock()
 
+	m, err := p.dial(addr, timeout)
+	p.mu.Lock()
+	delete(p.dialing, addr)
+	if err == nil && p.closed {
+		m.fail(fmt.Errorf("ishare: pool closed"))
+		m, err = nil, &transportError{fmt.Errorf("ishare: pool closed")}
+	}
+	if err == nil {
+		p.conns[addr] = append(p.conns[addr], m)
+	}
+	p.mu.Unlock()
+	d.err = err
+	close(d.done)
+	return m, err
+}
+
+// dial opens one multiplexed connection to addr and starts its reader.
+func (p *Pool) dial(addr string, timeout time.Duration) (*muxConn, error) {
 	conn, err := p.dialer().DialTimeout("tcp", addr, timeout)
 	if err != nil {
 		return nil, &transportError{fmt.Errorf("ishare: dial %s: %w", addr, err)}
 	}
-	m := &muxConn{conn: conn, pending: make(map[uint64]chan Frame)}
+	m := &muxConn{conn: conn, pending: make(map[uint64]*callSlot)}
 	m.bw = newBatchWriter(conn, poolWriteDeadline, func(err error) {
 		m.fail(fmt.Errorf("ishare: send: %w", err))
 	})
 	go m.readLoop()
-
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		m.fail(fmt.Errorf("ishare: pool closed"))
-		return nil, &transportError{fmt.Errorf("ishare: pool closed")}
-	}
-	p.conns[addr] = append(p.conns[addr], m)
-	p.mu.Unlock()
 	return m, nil
 }
 
@@ -329,14 +423,15 @@ func (p *Pool) call(link otrace.Link, addr, typ string, payload, out interface{}
 			return err
 		}
 	}
-	m, err := p.get(addr, timeout)
+	s := getSlot(timeout)
+	f, err := p.roundTrip(s, link, addr, typ, raw, timeout)
 	if err != nil {
 		return err
 	}
-	f, err := m.roundTrip(typ, link, raw, timeout)
-	if err != nil {
-		return err
-	}
+	defer func() {
+		s.payload = f.Payload
+		s.release()
+	}()
 	if !f.OK {
 		re := &RemoteError{Msg: f.Err}
 		if f.Overloaded {
@@ -350,6 +445,57 @@ func (p *Pool) call(link otrace.Link, addr, typ string, payload, out interface{}
 		}
 	}
 	return nil
+}
+
+// roundTrip sends one request frame through s to addr and waits for its
+// response until s's timer fires. A connection found dead before the frame
+// was fully written is replaced and the frame sent again, once, under the
+// same timer: a frame that never fully left cannot have run, so this is
+// safe even for a kill, and a peer restart costs a single-attempt caller
+// nothing. A frame that did leave is never resent. On success the caller
+// owns s until it is done with the frame's payload; on failure s has been
+// released, or dropped where a late response may still reach it.
+func (p *Pool) roundTrip(s *callSlot, link otrace.Link, addr, typ string, payload []byte, timeout time.Duration) (Frame, error) {
+	resent := false
+	for {
+		m, err := p.get(addr, timeout)
+		if err != nil {
+			s.release()
+			return Frame{}, err
+		}
+		id, end, err := m.send(s, typ, link, payload)
+		if err != nil {
+			if !resent {
+				resent = true
+				continue
+			}
+			s.release()
+			return Frame{}, err
+		}
+		select {
+		case f := <-s.reply:
+			if f.Kind != 0 {
+				return f, nil
+			}
+			// The dead connection is closed, so its flusher stops at once;
+			// after that the count of written bytes is final.
+			<-m.bw.done
+			if !resent && !m.bw.wrote(end) {
+				resent = true
+				continue
+			}
+			s.release()
+			m.mu.Lock()
+			err := m.deadErr
+			m.mu.Unlock()
+			return Frame{}, &transportError{fmt.Errorf("ishare: receive: %w", err)}
+		case <-s.timer.C:
+			m.mu.Lock()
+			delete(m.pending, id)
+			m.mu.Unlock()
+			return Frame{}, &transportError{fmt.Errorf("ishare: receive: timeout after %v", timeout)}
+		}
+	}
 }
 
 // Negotiated reports the binary protocol version observed on the pooled

@@ -306,79 +306,57 @@ var ErrMessageTooLarge = errors.New("ishare: message too large")
 // larger than the server-side request cap.
 const maxResponseBytes = 8 << 20
 
-// DecodeRequest reads one request envelope from r, enforcing the byte cap
-// (maxBytes <= 0 uses the server's 1 MiB default). It is how a transport
-// that hands over one message at a time reads a request — fleetsim's
-// in-memory network — and the entry point the protocol fuzz tests exercise;
-// Server reads its line-delimited JSON connections with readLineCapped.
-func DecodeRequest(r io.Reader, maxBytes int64) (Request, error) {
-	var req Request
-	if err := decodeCapped(r, maxBytes, &req); err != nil {
-		return Request{}, err
-	}
-	return req, nil
+// requestEnvelope is Request as a client writes it: the payload is
+// marshalled in place, so one json.Marshal encodes the whole message. Its
+// field tags are Request's, which keeps the bytes on the wire identical.
+type requestEnvelope struct {
+	Type    string       `json:"type"`
+	Payload interface{}  `json:"payload,omitempty"`
+	Trace   *TraceHeader `json:"trace,omitempty"`
 }
 
-// DecodeResponse reads one response envelope from r under the same cap
-// discipline (maxBytes <= 0 uses maxResponseBytes). Clients run it against
-// whatever the far end sent back.
-func DecodeResponse(r io.Reader, maxBytes int64) (Response, error) {
-	if maxBytes <= 0 {
-		maxBytes = maxResponseBytes
-	}
-	var resp Response
-	if err := decodeCapped(r, maxBytes, &resp); err != nil {
-		return Response{}, err
-	}
-	return resp, nil
-}
-
-// decodeCapped decodes one JSON value from at most maxBytes of r. The
-// decoder buffers for itself, so r is not wrapped in a bufio.Reader.
-func decodeCapped(r io.Reader, maxBytes int64, out interface{}) error {
-	if maxBytes <= 0 {
-		maxBytes = 1 << 20
-	}
-	limited := &io.LimitedReader{R: r, N: maxBytes}
-	if err := json.NewDecoder(limited).Decode(out); err != nil {
-		if limited.N <= 0 {
-			return ErrMessageTooLarge
-		}
-		return fmt.Errorf("ishare: malformed message: %w", err)
-	}
-	return nil
+// responseEnvelope is Response as a client reads it: the payload decodes
+// straight into the caller's out, in the same json.Unmarshal as the
+// envelope.
+type responseEnvelope struct {
+	OK      bool        `json:"ok"`
+	Error   string      `json:"error,omitempty"`
+	Code    string      `json:"code,omitempty"`
+	Payload interface{} `json:"payload,omitempty"`
 }
 
 // exchange runs the request/response protocol over an established
-// connection. Failures to send or receive are transport errors (the request
-// may or may not have executed remotely); a decoded Response{OK: false} is a
-// RemoteError (the request definitely executed and was rejected). A sampled
-// link is encoded as the envelope's optional trace header; the zero link
-// leaves the envelope exactly as the pre-tracing protocol sent it.
+// connection: one write of the request line, one read of the response line
+// through a pooled reader. Failures to send or receive are transport errors
+// (the request may or may not have executed remotely); a decoded
+// Response{OK: false} is a RemoteError (the request definitely executed and
+// was rejected). A sampled link is encoded as the envelope's optional trace
+// header; the zero link leaves the envelope exactly as the pre-tracing
+// protocol sent it.
 func exchange(conn net.Conn, link otrace.Link, typ string, payload, out interface{}) error {
-	var raw json.RawMessage
-	if payload != nil {
-		var err error
-		raw, err = json.Marshal(payload)
-		if err != nil {
-			return err
-		}
+	msg, err := json.Marshal(requestEnvelope{Type: typ, Payload: payload, Trace: headerFromLink(link)})
+	if err != nil {
+		return err
 	}
-	enc := json.NewEncoder(conn)
-	if err := enc.Encode(Request{Type: typ, Payload: raw, Trace: headerFromLink(link)}); err != nil {
+	if _, err := conn.Write(append(msg, '\n')); err != nil {
 		return &transportError{fmt.Errorf("ishare: send: %w", err)}
 	}
-	resp, err := DecodeResponse(conn, maxResponseBytes)
+	br := connReaders.Get().(*bufio.Reader)
+	br.Reset(conn)
+	defer func() {
+		br.Reset(nil)
+		connReaders.Put(br)
+	}()
+	line, err := readLineCapped(br, maxResponseBytes)
 	if err != nil {
+		return &transportError{fmt.Errorf("ishare: receive: %w", err)}
+	}
+	resp := responseEnvelope{Payload: out}
+	if err := json.Unmarshal(line, &resp); err != nil {
 		return &transportError{fmt.Errorf("ishare: receive: %w", err)}
 	}
 	if !resp.OK {
 		return &RemoteError{Msg: resp.Error, Code: resp.Code}
-	}
-	if out != nil && resp.Payload != nil {
-		if err := json.Unmarshal(resp.Payload, out); err != nil {
-			return &transportError{fmt.Errorf("ishare: decode payload: %w", err)}
-		}
 	}
 	return nil
 }
@@ -525,7 +503,10 @@ func NewServerConfig(addr string, handler Handler, cfg ServerConfig) (*Server, e
 }
 
 // ServeListener serves the protocol on an already-open listener — the hook
-// for wrapping the accept path in a fault-injecting transport.
+// for wrapping the accept path in a fault-injecting transport. A nil ln
+// gives a server with no listener that serves only the connections handed
+// to ServeConn, for a transport that has no accept loop (fleetsim's
+// in-memory network).
 func ServeListener(ln net.Listener, handler Handler, cfg ServerConfig) *Server {
 	if cfg.Metrics == nil {
 		cfg.Metrics = &ServerMetrics{}
@@ -535,24 +516,30 @@ func ServeListener(ln net.Listener, handler Handler, cfg ServerConfig) *Server {
 		handler: handler,
 		cfg:     cfg,
 		admit:   newAdmitter(cfg.maxInflight(), cfg.maxQueuedWaiters()),
-		queue:   make(chan net.Conn, cfg.acceptQueue()),
-		sem:     make(chan struct{}, cfg.maxConns()),
-		done:    make(chan struct{}),
-		conns:   make(map[net.Conn]struct{}),
 	}
-	go s.acceptLoop()
-	go s.dispatchLoop()
+	if ln != nil {
+		s.queue = make(chan net.Conn, cfg.acceptQueue())
+		s.sem = make(chan struct{}, cfg.maxConns())
+		s.done = make(chan struct{})
+		s.conns = make(map[net.Conn]struct{})
+		go s.acceptLoop()
+		go s.dispatchLoop()
+	}
 	return s
 }
 
 // Addr returns the bound address.
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
-// Close stops the server and severs every open connection, so pooled
-// clients observe the death instead of talking to a ghost. Safe to call
-// more than once: chaos harnesses kill servers mid-run and shared cleanup
-// paths close them again.
+// Close stops the server and severs every open connection it accepted, so
+// pooled clients observe the death instead of talking to a ghost. Safe to
+// call more than once: chaos harnesses kill servers mid-run and shared
+// cleanup paths close them again. A server without a listener has nothing
+// to stop.
 func (s *Server) Close() error {
+	if s.ln == nil {
+		return nil
+	}
 	err := error(nil)
 	s.closeOnce.Do(func() {
 		close(s.done)
@@ -645,21 +632,32 @@ func (s *Server) dispatchLoop() {
 			s.track(conn)
 			go func(c net.Conn) {
 				defer func() { <-s.sem }()
-				s.serve(c)
+				defer s.untrack(c)
+				s.ServeConn(c)
 			}(conn)
 		}
 	}
 }
 
-// connReaders recycles serve's read buffers: a dial-per-RPC JSON client
-// costs one accepted connection per request, and a fresh 4 KiB reader for
-// each was half of what such a request allocated.
+// connReaders recycles the read buffers of ServeConn and of the
+// dial-per-RPC JSON client: such a client costs one connection per request
+// on both ends, and a fresh 4 KiB reader for each was half of what such a
+// request allocated.
 var connReaders = sync.Pool{New: func() interface{} { return bufio.NewReader(nil) }}
 
-// serve sniffs the connection's protocol by its first byte and runs the
-// matching loop until the connection closes.
-func (s *Server) serve(conn net.Conn) {
-	defer s.untrack(conn)
+// responseHeads recycles the buffers serveBinary encodes response frame
+// heads into; the batch writer copies each frame, so a buffer is free again
+// as soon as it is queued.
+var responseHeads = sync.Pool{New: func() interface{} { return new([]byte) }}
+
+// ServeConn serves one connection: it sniffs the protocol by the first byte
+// and runs the matching loop, under s's admission control, until the
+// connection closes, then closes it. The accept path hands it every
+// accepted connection; a transport without a listener (fleetsim's
+// in-memory network, on a ServeListener(nil, ...) server) hands it its own.
+// Close severs only accepted connections: one handed in directly is its
+// caller's to sever.
+func (s *Server) ServeConn(conn net.Conn) {
 	defer conn.Close()
 	_ = conn.SetReadDeadline(time.Now().Add(s.cfg.connDeadline()))
 	br := connReaders.Get().(*bufio.Reader)
@@ -744,8 +742,13 @@ func (s *Server) serveBinary(conn net.Conn, br *bufio.Reader) {
 	bw := newBatchWriter(conn, s.cfg.connDeadline(), func(error) { _ = conn.Close() })
 	defer bw.close()
 	writeFrame := func(id uint64, ok, overloaded bool, errMsg string, payload []byte) error {
-		buf := AppendResponseFrame(nil, id, ok, overloaded, errMsg, payload)
-		return bw.enqueue(buf)
+		head := responseHeads.Get().(*[]byte)
+		*head = appendResponseHead((*head)[:0], id, ok, overloaded, errMsg, len(payload))
+		_, err := bw.enqueue(*head, payload)
+		if cap(*head) <= poolBufMax {
+			responseHeads.Put(head)
+		}
+		return err
 	}
 
 	for {
@@ -769,10 +772,13 @@ func (s *Server) serveBinary(conn net.Conn, br *bufio.Reader) {
 			continue
 		}
 		wg.Add(1)
+		// A request stops counting against the pipelining cap before its
+		// response is queued: a client that has its answer may send the
+		// next request at once, and must not find the slot still taken.
 		go func(f Frame) {
 			defer wg.Done()
-			defer atomic.AddInt32(&inflight, -1)
 			if !s.admit.acquire(key, connDone) {
+				atomic.AddInt32(&inflight, -1)
 				s.cfg.Metrics.cShedInfl.Inc()
 				_ = writeFrame(f.ID, false, true, "server overloaded", nil)
 				return
@@ -780,6 +786,7 @@ func (s *Server) serveBinary(conn net.Conn, br *bufio.Reader) {
 			req := Request{Type: f.Type, Payload: f.Payload, Trace: headerFromLink(f.Trace)}
 			resp := s.respond(req)
 			s.admit.release()
+			atomic.AddInt32(&inflight, -1)
 			_ = writeFrame(f.ID, resp.OK, false, resp.Error, resp.Payload)
 		}(f)
 	}
@@ -807,28 +814,32 @@ func (s *Server) respond(req Request) Response {
 // the cap with ErrMessageTooLarge. EOF with buffered partial data returns
 // the data (a client that writes a final unterminated message and closes
 // still gets served). Blank lines come back empty for the caller to skip.
+// A line that fits br's buffer is returned in place, without a copy: it is
+// valid until br's next read, which every caller's json.Unmarshal, copying
+// what it keeps, is done with by then.
 func readLineCapped(br *bufio.Reader, max int64) ([]byte, error) {
-	var line []byte
-	for {
-		chunk, err := br.ReadSlice('\n')
-		line = append(line, chunk...)
-		if int64(len(line)) > max {
-			return nil, ErrMessageTooLarge
+	line, err := br.ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		line = append([]byte(nil), line...)
+		for err == bufio.ErrBufferFull && int64(len(line)) <= max {
+			var chunk []byte
+			chunk, err = br.ReadSlice('\n')
+			line = append(line, chunk...)
 		}
-		if err == nil {
-			// Strip the terminator (and a CR, for telnet-style debugging).
-			line = line[:len(line)-1]
-			if len(line) > 0 && line[len(line)-1] == '\r' {
-				line = line[:len(line)-1]
-			}
-			return line, nil
-		}
-		if err == bufio.ErrBufferFull {
-			continue
-		}
-		if err == io.EOF && len(line) > 0 {
-			return line, nil
-		}
-		return nil, err
 	}
+	if int64(len(line)) > max {
+		return nil, ErrMessageTooLarge
+	}
+	if err == nil {
+		// Strip the terminator (and a CR, for telnet-style debugging).
+		line = line[:len(line)-1]
+		if len(line) > 0 && line[len(line)-1] == '\r' {
+			line = line[:len(line)-1]
+		}
+		return line, nil
+	}
+	if err == io.EOF && len(line) > 0 {
+		return line, nil
+	}
+	return nil, err
 }

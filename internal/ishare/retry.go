@@ -152,8 +152,8 @@ func (m *CallerMetrics) observe(attempt int, err error) {
 
 // Caller performs protocol round trips with a pluggable transport, a retry
 // policy for idempotent RPCs, and an idempotency-key source for RPCs that
-// must not double-execute. The zero value (and a nil *Caller) behaves
-// exactly like the package-level Call: real dialer, single attempt.
+// must not double-execute. The zero value (and a nil *Caller) makes one
+// attempt over a JSON connection dialed on the real network per call.
 type Caller struct {
 	// Dialer defaults to the real network.
 	Dialer Dialer

@@ -1,7 +1,10 @@
 package ishare
 
 import (
+	"bufio"
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -10,21 +13,28 @@ import (
 	"testing"
 	"time"
 
+	"fgcs/internal/otrace"
 	"fgcs/internal/rng"
 	"fgcs/internal/simclock"
 )
 
 // countingDialer fails the first failN dials with a transport-level error
-// and passes the rest through to the real network.
+// and passes the rest through to the real network, counting dials in total
+// and per address.
 type countingDialer struct {
-	mu    sync.Mutex
-	dials int
-	failN int
+	mu     sync.Mutex
+	dials  int
+	failN  int
+	byAddr map[string]int
 }
 
 func (d *countingDialer) DialTimeout(network, addr string, timeout time.Duration) (net.Conn, error) {
 	d.mu.Lock()
 	d.dials++
+	if d.byAddr == nil {
+		d.byAddr = make(map[string]int)
+	}
+	d.byAddr[addr]++
 	n := d.dials
 	d.mu.Unlock()
 	if n <= d.failN {
@@ -37,6 +47,12 @@ func (d *countingDialer) count() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.dials
+}
+
+func (d *countingDialer) countTo(addr string) int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.byAddr[addr]
 }
 
 func echoHandler(req Request) (interface{}, error) { return map[string]string{"ok": "yes"}, nil }
@@ -267,18 +283,21 @@ func TestServerMaxRequestBytes(t *testing.T) {
 	}
 }
 
-// TestDecodeRequestByteCap pins the cap of the envelope decoder that reads
-// straight from the connection: a message that fits decodes, one byte more
-// is ErrMessageTooLarge, and a message cut short inside the cap is malformed.
+// TestDecodeRequestByteCap pins the cap of the envelope reader both JSON
+// loops use: a message that fits decodes, one byte more is
+// ErrMessageTooLarge — also for a line longer than the reader's buffer — and
+// a message cut short inside the cap is malformed.
 func TestDecodeRequestByteCap(t *testing.T) {
 	msg := `{"type":"discover","payload":"` + strings.Repeat("x", 5000) + `"}`
-	if req, err := DecodeRequest(strings.NewReader(msg), int64(len(msg))); err != nil || req.Type != "discover" {
+	var req Request
+	if err := readMessage([]byte(msg), int64(len(msg)), &req); err != nil || req.Type != "discover" {
 		t.Fatalf("message of exactly the cap: %+v, %v", req.Type, err)
 	}
-	if _, err := DecodeRequest(strings.NewReader(msg), int64(len(msg))-1); !errors.Is(err, ErrMessageTooLarge) {
+	if err := readMessage([]byte(msg+"\n"), int64(len(msg)), &req); !errors.Is(err, ErrMessageTooLarge) {
 		t.Fatalf("message one byte over the cap: %v, want ErrMessageTooLarge", err)
 	}
-	if _, err := DecodeResponse(strings.NewReader(msg[:40]), 64); err == nil || errors.Is(err, ErrMessageTooLarge) {
+	var resp Response
+	if err := readMessage([]byte(msg[:40]), 64, &resp); err == nil || errors.Is(err, ErrMessageTooLarge) {
 		t.Fatalf("truncated message under the cap: %v, want a malformed-message error", err)
 	}
 }
@@ -381,5 +400,52 @@ func TestNextKeyDistinctAcrossCallers(t *testing.T) {
 	}
 	if len(s1) != len(a) {
 		t.Fatalf("seeded key %q and random key %q differ in length", s1, a)
+	}
+}
+
+// TestExchangeEnvelopeBytes pins the dial-per-RPC request line to what a
+// json.Encoder writes for the Request envelope with a pre-marshalled
+// payload — the line every daemon has always sent — for payloads with and
+// without a trace header, an empty payload and strings the encoder escapes.
+func TestExchangeEnvelopeBytes(t *testing.T) {
+	link := otrace.Link{TraceID: 0x7a5, SpanID: 0xdeadbeefcafef00d, Sampled: true}
+	cases := []struct {
+		payload interface{}
+		link    otrace.Link
+	}{
+		{nil, otrace.Link{}},
+		{QueryTRReq{LengthSeconds: 3600, GuestMemMB: 100}, otrace.Link{}},
+		{QueryTRReq{LengthSeconds: 60}, link},
+		{SubmitReq{Name: "<a&b>", WorkSeconds: 7200, MemMB: 100, IdempotencyKey: "fed/m1/x-k1"}, link},
+		{json.RawMessage(nil), otrace.Link{}},
+	}
+	for i, tc := range cases {
+		var raw json.RawMessage
+		if tc.payload != nil {
+			b, err := json.Marshal(tc.payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw = b
+		}
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(Request{Type: MsgQueryTR, Payload: raw, Trace: headerFromLink(tc.link)}); err != nil {
+			t.Fatal(err)
+		}
+		client, server := net.Pipe()
+		got := make(chan []byte, 1)
+		go func() {
+			line, _ := bufio.NewReader(server).ReadBytes('\n')
+			got <- line
+			server.Write([]byte("{\"ok\":true}\n"))
+			server.Close()
+		}()
+		if err := exchange(client, tc.link, MsgQueryTR, tc.payload, nil); err != nil {
+			t.Fatalf("case %d: %v", i, err)
+		}
+		client.Close()
+		if line := <-got; !bytes.Equal(line, want.Bytes()) {
+			t.Errorf("case %d: request line\n%s\nwant\n%s", i, line, want.Bytes())
+		}
 	}
 }
