@@ -102,12 +102,13 @@ bench-fleet-base:
 	$(GO) run ./cmd/fleetsim -machines 100000 -out .bench_build/fleet.json
 	$(GO) run ./cmd/benchgate -fleet -in .bench_build/fleet.json -baseline BENCH_fleet_base.json -write
 
-# Short fuzz pass over every decoder: wire protocol, trace codecs, WAL and
-# snapshot readers, and the internal/wire formats; and over the five
-# differential pairs: the trajectory extractor against its per-sample
+# Short fuzz pass over every decoder: wire protocol, trace codecs, the
+# streamed node snapshot decoder and the internal/wire formats; and over the
+# seven differential pairs: the trajectory extractor against its per-sample
 # reference, the kernel estimator and the Equation (3) solver against their
-# dense references, the MA/ARMA fits against their n-array references and
-# the tracker's pending ring against its slice reference. The seed corpora
+# dense references, the MA/ARMA fits against their n-array references, the
+# tracker's pending ring against its slice reference, and the streamed WAL
+# segment and snapshot scanners against their whole-buffer references. The seed corpora
 # (under testdata/fuzz or built by the target) also run as plain unit tests in
 # `make test`.
 fuzz:
@@ -157,8 +158,10 @@ chaos:
 # at seeded offsets under a live node and at every chunk edge of a streamed
 # node snapshot (ishare layer), then prove recovery is prefix-consistent,
 # refuses silent corruption, and answers QueryTR exactly as the pre-crash
-# state; a snapshot payload of the wrong length publishes nothing.
-# Byte-deterministic under fixed seeds.
+# state; a snapshot payload of the wrong length publishes nothing; a newest
+# snapshot damaged in its last payload byte falls back on the older one, and
+# a snapshot that changes after recovery validated it, or validates but does
+# not decode, installs nothing. Byte-deterministic under fixed seeds.
 crash:
 	$(GO) test -count=1 -run 'TestCrash|TestBitFlip|TestPowerLoss|TestSnapshotSizeMismatch' ./internal/durable/
-	$(GO) test -count=1 -run 'TestPersisterCrash' ./internal/ishare/
+	$(GO) test -count=1 -run 'TestPersisterCrash|TestSnapshotFallbackLastPayloadByte|TestSnapshotChangedAfterValidation|TestSnapshotInstallAllOrNothing' ./internal/ishare/

@@ -324,12 +324,18 @@ func openDurable(rc runConfig, logger *slog.Logger) (*durable.Store, *durable.Re
 	if err != nil {
 		return nil, nil, fmt.Errorf("open data dir %s: %w", rc.dataDir, err)
 	}
+	// After a fallback the snapshot line names the older file recovery used:
+	// its WAL position and payload size, next to how many newer ones it
+	// skipped.
 	logger.Info("durable state recovered",
 		slog.String("dir", rc.dataDir),
-		slog.Bool("snapshot", rec.SnapshotPayload != nil),
+		slog.Bool("snapshot", rec.Snapshot != ""),
+		slog.Uint64("snapshot_seq", rec.SnapshotSeq),
+		slog.Int64("snapshot_offset", rec.SnapshotOffset),
+		slog.Int64("snapshot_bytes", rec.SnapshotBytes),
+		slog.Int("snapshots_skipped", rec.SnapshotsSkipped),
 		slog.Int("replayed_records", len(rec.Records)),
-		slog.Int("torn_bytes", rec.TornBytes),
-		slog.Int("snapshots_skipped", rec.SnapshotsSkipped))
+		slog.Int("torn_bytes", rec.TornBytes))
 	return st, rec, nil
 }
 

@@ -62,7 +62,7 @@ func TestSnapshotFileMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := fs.ReadFile(snapshotName(seq, off))
+			got, err := readAll(fs, snapshotName(seq, off))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -133,15 +133,20 @@ func TestSnapshotSizeMismatchPublishesNothing(t *testing.T) {
 	}
 	st2, rec := reopen(t, fs, Config{})
 	defer st2.Close()
-	if string(rec.SnapshotPayload) != "previous" || len(rec.Records) != 1 {
-		t.Fatalf("recovered snapshot %q and %d records, want the previous one and the tail", rec.SnapshotPayload, len(rec.Records))
+	if string(snapshotPayload(t, rec)) != "previous" || len(rec.Records) != 1 {
+		t.Fatalf("recovered snapshot %q and %d records, want the previous one and the tail", snapshotPayload(t, rec), len(rec.Records))
 	}
 }
 
-// byteCodecs lists the slice-decoded formats of this package — the four
-// component record payloads and the snapshot file — each with one seeded
-// encoding and a recode function that decodes its input and re-encodes the
-// values it read.
+// codecReader is the buffer the snapshot entry of byteCodecs streams
+// through, allocated once so that wiretest.Bounded counts only what the
+// scan allocates.
+var codecReader = newFileReader(nil)
+
+// byteCodecs lists the formats of this package — the four component record
+// payloads, decoded from a slice, and the snapshot file, streamed — each
+// with one seeded encoding and a recode function that decodes its input and
+// re-encodes the values it read.
 var byteCodecs = []struct {
 	name   string
 	good   []byte
@@ -164,7 +169,8 @@ var byteCodecs = []struct {
 		return EncodeAccuracy(nil, m, pr, tr, sv), err
 	}},
 	{"snapshot", encodeSnapshot(4, 1234, []byte("application-state")), func(p []byte) ([]byte, error) {
-		seq, off, payload, err := ReadSnapshot(p)
+		codecReader.reset(bytes.NewReader(p))
+		seq, off, payload, err := scanSnapshotAll(codecReader)
 		return encodeSnapshot(seq, off, payload), err
 	}},
 }

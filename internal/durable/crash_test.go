@@ -60,8 +60,8 @@ func verifyPrefixConsistent(t *testing.T, fs FS, attempted [][]byte, acked int, 
 	}
 	defer st.Close()
 	base := 0
-	if rec.SnapshotPayload != nil {
-		v, vn := binary.Uvarint(rec.SnapshotPayload)
+	if rec.Snapshot != "" {
+		v, vn := binary.Uvarint(snapshotPayload(t, rec))
 		if vn <= 0 {
 			t.Fatalf("%s: unreadable snapshot payload", label)
 		}
@@ -91,7 +91,7 @@ func dumpFS(t *testing.T, fs *MemFS) map[string][]byte {
 	}
 	out := make(map[string][]byte, len(names))
 	for _, n := range names {
-		data, err := fs.ReadFile(n)
+		data, err := readAll(fs, n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -216,8 +216,8 @@ func TestCrashThenContinue(t *testing.T) {
 		// shorter than the attempted sequence when the crash cut unacked tail
 		// records away.
 		base := 0
-		if rec.SnapshotPayload != nil {
-			v, _ := binary.Uvarint(rec.SnapshotPayload)
+		if rec.Snapshot != "" {
+			v, _ := binary.Uvarint(snapshotPayload(t, rec))
 			base = int(v)
 		}
 		prefix := base + len(rec.Records)
@@ -267,8 +267,8 @@ func TestBitFlipNeverFabricates(t *testing.T) {
 			}
 			st.Close()
 			base := 0
-			if rec.SnapshotPayload != nil {
-				v, vn := binary.Uvarint(rec.SnapshotPayload)
+			if rec.Snapshot != "" {
+				v, vn := binary.Uvarint(snapshotPayload(t, rec))
 				if vn <= 0 {
 					t.Fatalf("flip %s@%d: snapshot payload mangled silently", name, off)
 				}

@@ -10,8 +10,10 @@
 package durable
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -35,9 +37,9 @@ type File interface {
 type FS interface {
 	// Append opens name for appending, creating it when absent.
 	Append(name string) (File, error)
-	// ReadFile returns the full contents of name in a slice that belongs to
-	// the caller: the FS keeps no reference to it and never writes to it.
-	ReadFile(name string) ([]byte, error)
+	// Open opens name for reading from its first byte. Recovery reads every
+	// file through it as a stream, never whole.
+	Open(name string) (io.ReadCloser, error)
 	// Truncate shortens name to size bytes.
 	Truncate(name string, size int64) error
 	// Rename atomically replaces newname with oldname.
@@ -80,8 +82,8 @@ func (fs *OSFS) Append(name string) (File, error) {
 	return os.OpenFile(fs.path(name), os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
 }
 
-// ReadFile implements FS.
-func (fs *OSFS) ReadFile(name string) ([]byte, error) { return os.ReadFile(fs.path(name)) }
+// Open implements FS.
+func (fs *OSFS) Open(name string) (io.ReadCloser, error) { return os.Open(fs.path(name)) }
 
 // Truncate implements FS.
 func (fs *OSFS) Truncate(name string, size int64) error { return os.Truncate(fs.path(name), size) }
@@ -214,15 +216,21 @@ func (fs *MemFS) Append(name string) (File, error) {
 	return &memHandle{fs: fs, name: name}, nil
 }
 
-// ReadFile implements FS.
-func (fs *MemFS) ReadFile(name string) ([]byte, error) {
+// Open implements FS. The reader serves the chunks the file holds when it
+// is opened, copying none of them; bytes written later are not seen, bits
+// Corrupt flips are.
+func (fs *MemFS) Open(name string) (io.ReadCloser, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	f, ok := fs.files[name]
 	if !ok {
 		return nil, os.ErrNotExist
 	}
-	return f.bytes(), nil
+	chunks := make([]io.Reader, len(f.chunks))
+	for i, c := range f.chunks {
+		chunks[i] = bytes.NewReader(c)
+	}
+	return io.NopCloser(io.MultiReader(chunks...)), nil
 }
 
 // Truncate implements FS.
@@ -437,12 +445,12 @@ func (fs *CrashFS) Append(name string) (File, error) {
 	return &crashHandle{fs: fs, inner: f}, nil
 }
 
-// ReadFile implements FS.
-func (fs *CrashFS) ReadFile(name string) ([]byte, error) {
+// Open implements FS.
+func (fs *CrashFS) Open(name string) (io.ReadCloser, error) {
 	if err := fs.check(); err != nil {
 		return nil, err
 	}
-	return fs.inner.ReadFile(name)
+	return fs.inner.Open(name)
 }
 
 // Truncate implements FS.

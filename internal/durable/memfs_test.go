@@ -33,7 +33,7 @@ func nextChunkEdge(n int) int {
 // third of them ending a byte before, on or after a chunk edge), syncs,
 // truncations, bit flips, renames, directory syncs and power-loss images
 // against a model that keeps each file in one flat slice. The listing and
-// every file's ReadFile and Size must match the model after every operation.
+// every file's contents (read through Open) and Size must match the model after every operation.
 func TestMemFSMatchesFlatModel(t *testing.T) {
 	r := rng.New(17)
 	names := []string{"a", "b", "c"}
@@ -128,7 +128,7 @@ func TestMemFSMatchesFlatModel(t *testing.T) {
 			t.Fatalf("step %d (%s): files %v (%v), model %v", step, op, listed, err, want)
 		}
 		for n, f := range model {
-			got, err := fs.ReadFile(n)
+			got, err := readAll(fs, n)
 			if err != nil || !bytes.Equal(got, f.data) || fs.Size(n) != int64(len(f.data)) {
 				t.Fatalf("step %d (%s): %s reads %d bytes, size %d (%v); model %d bytes, or the contents differ",
 					step, op, n, len(got), fs.Size(n), err, len(f.data))

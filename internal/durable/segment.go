@@ -106,77 +106,96 @@ type SegmentScan struct {
 	Sealed bool
 }
 
-// ReadSegment scans one segment file, streaming each good record to fn with
-// its start offset. last marks the active (highest-seq) segment: only there
-// is trailing damage treated as a torn write — reported via TornBytes so the
-// store can truncate — and only when nothing but the damage follows. Damage
-// in a sealed segment, or a bad record with more data after it, returns
-// ErrCorrupt: that cannot be a torn append, someone altered bytes at rest.
-// Record payloads passed to fn alias data; callers copy what they keep.
-// Claimed lengths above maxRecord (0 = DefaultMaxRecordBytes) are rejected
-// without allocating, so the reader is safe on untrusted input.
-func ReadSegment(data []byte, last bool, maxRecord int, fn func(off int64, r Record) error) (SegmentScan, error) {
+// scanSegment scans the segment file fr reads, streaming each good record to
+// fn with its start offset. last marks the active (highest-seq) segment:
+// only there is trailing damage treated as a torn write — reported via
+// TornBytes so the store can truncate — and only when nothing but the
+// damage follows. Damage in a sealed segment, or a bad record with more data
+// after it, returns ErrCorrupt: that cannot be a torn append, someone
+// altered bytes at rest. Record payloads passed to fn alias fr's buffer
+// until fn returns; callers copy what they keep. Claimed lengths above
+// maxRecord (0 = DefaultMaxRecordBytes) are rejected before anything is
+// read or allocated for them, so the buffer grows at most to the largest
+// frame and the reader is safe on untrusted input.
+func scanSegment(fr *fileReader, last bool, maxRecord int, fn func(off int64, r Record) error) (SegmentScan, error) {
 	if maxRecord <= 0 {
 		maxRecord = DefaultMaxRecordBytes
 	}
 	var scan SegmentScan
-	if len(data) < segHeaderLen {
+	hdr, err := fr.fill(segHeaderLen)
+	if err != nil {
+		return scan, err
+	}
+	if len(hdr) < segHeaderLen {
 		if last {
 			// A crash while writing the very first header of a fresh
 			// segment: nothing durable was acknowledged in it yet.
-			scan.TornBytes = len(data)
+			scan.TornBytes = len(hdr)
 			return scan, nil
 		}
 		return scan, fmt.Errorf("%w: short sealed segment", ErrCorrupt)
 	}
-	seq, err := parseSegmentHeader(data)
+	seq, err := parseSegmentHeader(hdr)
 	if err != nil {
 		return scan, err
 	}
 	scan.Seq = seq
-	off := int64(segHeaderLen)
-	// torn classifies trailing damage: a torn write in the active segment is
-	// truncated, anything else refuses.
-	torn := func(reason string) (SegmentScan, error) {
+	fr.skip(segHeaderLen)
+	// torn classifies trailing damage — the rest bytes left in the file: a
+	// torn write in the active segment is truncated, anything else refuses.
+	torn := func(rest int, reason string) (SegmentScan, error) {
 		if last && !scan.Sealed {
-			scan.Valid = off
-			scan.TornBytes = len(data) - int(off)
+			scan.Valid = fr.off
+			scan.TornBytes = rest
 			return scan, nil
 		}
-		return scan, fmt.Errorf("%w: %s at offset %d of segment %d", ErrCorrupt, reason, off, seq)
+		return scan, fmt.Errorf("%w: %s at offset %d of segment %d", ErrCorrupt, reason, fr.off, seq)
 	}
-	for int(off) < len(data) {
+	for {
+		// A varint ends within MaxVarintLen64 bytes or is malformed; one
+		// byte more tells the two apart.
+		rest, err := fr.fill(binary.MaxVarintLen64 + 1)
+		if err != nil {
+			return scan, err
+		}
+		if len(rest) == 0 {
+			break
+		}
 		if scan.Sealed {
 			// Data after a seal cannot come from an append — appends go to
 			// the next segment once this one is sealed.
 			return scan, fmt.Errorf("%w: data after seal in segment %d", ErrCorrupt, seq)
 		}
-		rest := data[off:]
 		n, vn := binary.Uvarint(rest)
 		if vn <= 0 {
 			if vn == 0 {
 				// Incomplete varint at EOF: a cut mid-length-prefix.
-				return torn("truncated record length")
+				return torn(len(rest), "truncated record length")
 			}
-			return scan, fmt.Errorf("%w: malformed record length at offset %d of segment %d", ErrCorrupt, off, seq)
+			return scan, fmt.Errorf("%w: malformed record length at offset %d of segment %d", ErrCorrupt, fr.off, seq)
 		}
 		if n == 0 || n > uint64(maxRecord) {
 			// A truncating cut shortens data, it never rewrites the length
 			// bytes — an impossible length is corruption wherever it sits.
-			return scan, fmt.Errorf("%w: record length %d out of range at offset %d of segment %d", ErrCorrupt, n, off, seq)
+			return scan, fmt.Errorf("%w: record length %d out of range at offset %d of segment %d", ErrCorrupt, n, fr.off, seq)
 		}
 		frame := vn + int(n) + 4
+		// The byte past the frame, if any, tells a tail record from one
+		// with data after it.
+		if rest, err = fr.fill(frame + 1); err != nil {
+			return scan, err
+		}
 		if frame > len(rest) {
-			return torn("truncated record")
+			return torn(len(rest), "truncated record")
 		}
 		want := binary.LittleEndian.Uint32(rest[frame-4 : frame])
 		if crc32.Checksum(rest[:frame-4], castagnoli) != want {
-			if last && int(off)+frame == len(data) {
+			if last && len(rest) == frame {
 				// Bad checksum on the final record with nothing after it:
 				// indistinguishable from a partially persisted final sector.
-				return torn("checksum mismatch on tail record")
+				return torn(frame, "checksum mismatch on tail record")
 			}
-			return scan, fmt.Errorf("%w: checksum mismatch at offset %d of segment %d", ErrCorrupt, off, seq)
+			return scan, fmt.Errorf("%w: checksum mismatch at offset %d of segment %d", ErrCorrupt, fr.off, seq)
 		}
 		typ := rest[vn]
 		if typ == recSeal {
@@ -184,19 +203,15 @@ func ReadSegment(data []byte, last bool, maxRecord int, fn func(off int64, r Rec
 				return scan, fmt.Errorf("%w: seal record with payload in segment %d", ErrCorrupt, seq)
 			}
 			scan.Sealed = true
-			off += int64(frame)
-			scan.Valid = off
-			continue
-		}
-		if fn != nil {
-			if err := fn(off, Record{Type: typ, Payload: rest[vn+1 : vn+int(n)]}); err != nil {
+		} else if fn != nil {
+			if err := fn(fr.off, Record{Type: typ, Payload: rest[vn+1 : vn+int(n)]}); err != nil {
 				return scan, err
 			}
 		}
-		off += int64(frame)
-		scan.Valid = off
+		fr.skip(frame)
+		scan.Valid = fr.off
 	}
-	scan.Valid = off
+	scan.Valid = fr.off
 	if !last && !scan.Sealed {
 		return scan, fmt.Errorf("%w: segment %d is not sealed but is not the active segment", ErrCorrupt, seq)
 	}

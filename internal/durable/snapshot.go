@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 
 	"fgcs/internal/wire"
 )
@@ -54,29 +55,66 @@ func parseSegmentName(name string) (seq uint64, ok bool) {
 	return s, true
 }
 
-// ReadSnapshot validates a snapshot file and returns the WAL position it
-// covers and its payload (aliasing data). Any damage — bad magic, claimed
-// length beyond the file, bytes between payload and checksum, checksum
-// mismatch — returns ErrCorrupt; snapshots are published atomically, so
-// unlike the active segment there is no torn state to tolerate.
-func ReadSnapshot(data []byte) (seq uint64, offset int64, payload []byte, err error) {
-	if len(data) < 4 {
-		return 0, 0, nil, fmt.Errorf("%w: short snapshot", ErrCorrupt)
+// snapHeaderMax bounds a snapshot header: magic, version, three uvarints.
+const snapHeaderMax = 5 + 3*binary.MaxVarintLen64
+
+// scanSnapshot validates the snapshot file fr reads — header, payload and
+// CRC32C trailer, streamed through fr's buffer — and returns the WAL
+// position it covers and its payload size. Once the header is read it hands
+// the payload to fn (nil skips it) as a reader of exactly size bytes;
+// whatever fn leaves unread is read and checksummed after it returns. Any
+// damage — bad magic, a payload or trailer cut short, bytes after the
+// trailer, a checksum mismatch — returns ErrCorrupt, in preference to fn's
+// own error, which the damage explains; snapshots are published atomically,
+// so unlike the active segment there is no torn state to tolerate.
+func scanSnapshot(fr *fileReader, fn func(seq uint64, offset, size int64, payload io.Reader) error) (seq uint64, offset, size int64, err error) {
+	corrupt := func(reason string) error { return fmt.Errorf("%w: snapshot: %s", ErrCorrupt, reason) }
+	hdr, err := fr.fill(snapHeaderMax)
+	if err != nil {
+		return 0, 0, 0, err
 	}
-	body, sum := data[:len(data)-4], binary.LittleEndian.Uint32(data[len(data)-4:])
-	r := wire.NewReader(body, "snapshot")
-	r.Header(snapMagic, snapVersion)
-	seq, off, payload := r.Uvarint(), r.Uvarint(), r.Bytes()
-	if r.Done() == nil && crc32.Checksum(body, castagnoli) != sum {
-		r.Fail("checksum mismatch")
+	if len(hdr) < 5 || [4]byte(hdr[:4]) != snapMagic || hdr[4] != snapVersion {
+		return 0, 0, 0, corrupt("bad magic or version")
 	}
-	if err := r.Err(); err != nil {
-		return 0, 0, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	var v [3]uint64 // seq, offset, payload size
+	rest := hdr[5:]
+	for i := range v {
+		x, n := binary.Uvarint(rest)
+		if n <= 0 {
+			return 0, 0, 0, corrupt("short or malformed header")
+		}
+		v[i], rest = x, rest[n:]
 	}
-	return seq, int64(off), payload, nil
+	if v[2] > math.MaxInt64 {
+		return 0, 0, 0, corrupt("payload size out of range")
+	}
+	sum := crc32.New(castagnoli)
+	sum.Write(hdr[:len(hdr)-len(rest)])
+	fr.skip(len(hdr) - len(rest))
+	left := &io.LimitedReader{R: fr, N: int64(v[2])}
+	payload := io.TeeReader(left, sum)
+	if fn != nil {
+		err = fn(v[0], int64(v[1]), int64(v[2]), payload)
+	}
+	if _, rerr := io.Copy(io.Discard, payload); rerr != nil {
+		return 0, 0, 0, rerr
+	}
+	trailer, rerr := fr.fill(5)
+	switch {
+	case rerr != nil:
+		return 0, 0, 0, rerr
+	case left.N > 0:
+		return 0, 0, 0, corrupt("payload cut short")
+	case len(trailer) != 4:
+		return 0, 0, 0, corrupt(fmt.Sprintf("%d bytes where the 4-byte checksum belongs", len(trailer)))
+	case binary.LittleEndian.Uint32(trailer) != sum.Sum32():
+		return 0, 0, 0, corrupt("checksum mismatch")
+	}
+	return v[0], int64(v[1]), int64(v[2]), err
 }
 
-// snapshotChunk bounds the one buffer a snapshot file streams through.
+// snapshotChunk bounds the one buffer a snapshot file is written through,
+// and the one recovery reads every file through (but for a larger frame).
 const snapshotChunk = 64 << 10
 
 // snapshotWriter streams a snapshot file through its chunk, writing full

@@ -58,17 +58,22 @@ type Config struct {
 	BestEffort bool
 }
 
-// Recovery reports what Open reconstructed from the data directory.
+// Recovery reports what Open reconstructed from the data directory. Open
+// reads every file as a stream through one bounded buffer and keeps no
+// snapshot payload: ReadSnapshot streams it from the file when the caller
+// is ready to decode it.
 type Recovery struct {
-	// SnapshotPayload is the newest valid snapshot's application state (nil
-	// when no snapshot was usable). It aliases the file Open read and
-	// validated, not a copy of it.
-	SnapshotPayload []byte
+	// Snapshot names the snapshot file Open chose: the newest whose header,
+	// payload and CRC32C trailer validated ("" when none did).
+	Snapshot string
 	// SnapshotSeq / SnapshotOffset is the WAL position the snapshot covers.
 	SnapshotSeq    uint64
 	SnapshotOffset int64
+	// SnapshotBytes is the size of the chosen snapshot's payload.
+	SnapshotBytes int64
 	// Records is the replayed WAL tail: every record appended after the
-	// snapshot position, in order.
+	// snapshot position, in order. The payloads of one segment's records
+	// share one buffer.
 	Records []Record
 	// TornBytes counts bytes truncated from the active segment's torn tail.
 	TornBytes int
@@ -77,6 +82,33 @@ type Recovery struct {
 	SnapshotsSkipped int
 	// Segments counts WAL segment files scanned.
 	Segments int
+
+	fs FS
+}
+
+// ReadSnapshot streams the chosen snapshot's payload to fn as a reader of
+// exactly SnapshotBytes bytes, through one bounded buffer; without a chosen
+// snapshot it does nothing. The file is read and checksummed again: if it
+// no longer holds what Open validated — another header, bytes missing or
+// added, a CRC32C mismatch at the trailer — ReadSnapshot returns
+// ErrCorrupt, whatever fn returned. Install what fn decoded only after a
+// nil return.
+func (rec *Recovery) ReadSnapshot(fn func(payload io.Reader) error) error {
+	if rec.Snapshot == "" {
+		return nil
+	}
+	f, err := rec.fs.Open(rec.Snapshot)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	_, _, _, err = scanSnapshot(newFileReader(f), func(seq uint64, offset, size int64, payload io.Reader) error {
+		if seq != rec.SnapshotSeq || offset != rec.SnapshotOffset || size != rec.SnapshotBytes {
+			return fmt.Errorf("%w: snapshot %s changed since it was validated", ErrCorrupt, rec.Snapshot)
+		}
+		return fn(payload)
+	})
+	return err
 }
 
 // Store is an append-only segment WAL plus snapshot retention over one FS
@@ -139,22 +171,27 @@ func Open(cfg Config) (*Store, *Recovery, error) {
 	// Newest snapshot first; fall back on damage.
 	sort.Slice(snaps, func(i, j int) bool { return snaps[i] > snaps[j] })
 
-	rec := &Recovery{}
+	rec := &Recovery{fs: cfg.FS}
+	fr := newFileReader(nil) // the one buffer every file is read through
 	for _, name := range snaps {
-		data, err := cfg.FS.ReadFile(name)
+		f, err := cfg.FS.Open(name)
 		if err != nil {
 			return nil, nil, err
 		}
-		seq, off, payload, err := ReadSnapshot(data)
-		if err != nil {
+		fr.reset(f)
+		seq, off, size, err := scanSnapshot(fr, nil)
+		f.Close()
+		if errors.Is(err, ErrCorrupt) {
 			rec.SnapshotsSkipped++
 			continue
 		}
-		rec.SnapshotPayload = payload
-		rec.SnapshotSeq, rec.SnapshotOffset = seq, off
+		if err != nil {
+			return nil, nil, err
+		}
+		rec.Snapshot, rec.SnapshotSeq, rec.SnapshotOffset, rec.SnapshotBytes = name, seq, off, size
 		break
 	}
-	if len(snaps) > 0 && rec.SnapshotPayload == nil && !cfg.BestEffort {
+	if len(snaps) > 0 && rec.Snapshot == "" && !cfg.BestEffort {
 		// Every retained snapshot failed validation. Replaying the surviving
 		// segments is only complete when they reach back to segment 0 (the
 		// start of history); otherwise pruned history existed solely in the
@@ -174,7 +211,7 @@ func Open(cfg Config) (*Store, *Recovery, error) {
 			scan = append(scan, seq)
 		}
 	}
-	if rec.SnapshotPayload != nil {
+	if rec.Snapshot != "" {
 		if len(scan) == 0 || scan[0] != rec.SnapshotSeq {
 			return nil, nil, fmt.Errorf("%w: snapshot covers segment %d but it is missing", ErrCorrupt, rec.SnapshotSeq)
 		}
@@ -187,23 +224,35 @@ func Open(cfg Config) (*Store, *Recovery, error) {
 	var lastScan SegmentScan
 	lastIdx := len(scan) - 1
 	for i, seq := range scan {
-		data, err := cfg.FS.ReadFile(segmentName(seq))
+		f, err := cfg.FS.Open(segmentName(seq))
 		if err != nil {
 			return nil, nil, err
 		}
+		fr.reset(f)
 		last := i == lastIdx
 		from := int64(segHeaderLen)
-		if rec.SnapshotPayload != nil && seq == rec.SnapshotSeq {
+		if rec.Snapshot != "" && seq == rec.SnapshotSeq {
 			from = rec.SnapshotOffset
 		}
-		sc, err := ReadSegment(data, last, DefaultMaxRecordBytes, func(off int64, r Record) error {
+		// The kept payloads go into one buffer per segment; a payload
+		// slice taken while it grew is re-pointed at its final array below.
+		var keep []byte
+		first := len(rec.Records)
+		sc, err := scanSegment(fr, last, DefaultMaxRecordBytes, func(off int64, r Record) error {
 			if off >= from {
-				rec.Records = append(rec.Records, Record{Type: r.Type, Payload: append([]byte(nil), r.Payload...)})
+				keep = append(keep, r.Payload...)
+				rec.Records = append(rec.Records, Record{Type: r.Type, Payload: keep[len(keep)-len(r.Payload):]})
 			}
 			return nil
 		})
+		f.Close()
 		if err != nil {
 			return nil, nil, err
+		}
+		for j, at := first, 0; j < len(rec.Records); j++ {
+			n := len(rec.Records[j].Payload)
+			rec.Records[j].Payload = keep[at : at+n : at+n]
+			at += n
 		}
 		if sc.Seq != seq && sc.Valid >= segHeaderLen {
 			return nil, nil, fmt.Errorf("%w: segment file %s claims seq %d", ErrCorrupt, segmentName(seq), sc.Seq)
@@ -232,7 +281,7 @@ func Open(cfg Config) (*Store, *Recovery, error) {
 		// Fresh directory (or everything pruned): start at the segment after
 		// the snapshot position so positions keep increasing monotonically.
 		start := rec.SnapshotSeq
-		if rec.SnapshotPayload != nil {
+		if rec.Snapshot != "" {
 			start++
 		}
 		if err := st.openSegment(start); err != nil {

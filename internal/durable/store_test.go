@@ -40,10 +40,21 @@ func reopen(t *testing.T, fs FS, cfg Config) (*Store, *Recovery) {
 	return st, rec
 }
 
+// snapshotPayload returns the payload of the snapshot rec chose, streamed by
+// Recovery.ReadSnapshot (nil when Open chose none).
+func snapshotPayload(t testing.TB, rec *Recovery) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := rec.ReadSnapshot(func(p io.Reader) error { _, err := buf.ReadFrom(p); return err }); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 func TestStoreRoundTrip(t *testing.T) {
 	fs := NewMemFS()
 	st, rec := reopen(t, fs, Config{})
-	if rec.SnapshotPayload != nil || len(rec.Records) != 0 {
+	if rec.Snapshot != "" || len(rec.Records) != 0 {
 		t.Fatalf("fresh dir recovered state: %+v", rec)
 	}
 	var want []Record
@@ -122,8 +133,8 @@ func TestSnapshotCoversTailAndPrunes(t *testing.T) {
 	}
 	st2, rec := reopen(t, fs, cfg)
 	defer st2.Close()
-	if string(rec.SnapshotPayload) != "state-at-50" {
-		t.Fatalf("snapshot payload %q", rec.SnapshotPayload)
+	if string(snapshotPayload(t, rec)) != "state-at-50" {
+		t.Fatalf("snapshot payload %q", snapshotPayload(t, rec))
 	}
 	if len(rec.Records) != 7 {
 		t.Fatalf("replayed %d records after snapshot, want 7", len(rec.Records))
@@ -178,8 +189,8 @@ func TestSnapshotFallbackOnCorruptNewest(t *testing.T) {
 	}
 	st2, rec := reopen(t, fs, cfg)
 	defer st2.Close()
-	if string(rec.SnapshotPayload) != "old" {
-		t.Fatalf("fallback snapshot payload %q, want old", rec.SnapshotPayload)
+	if string(snapshotPayload(t, rec)) != "old" {
+		t.Fatalf("fallback snapshot payload %q, want old", snapshotPayload(t, rec))
 	}
 	if rec.SnapshotsSkipped != 1 {
 		t.Fatalf("SnapshotsSkipped = %d", rec.SnapshotsSkipped)
@@ -214,8 +225,8 @@ func TestWriteSnapshotAtReplaysTailFromPosition(t *testing.T) {
 	}
 	st2, rec := reopen(t, fs, Config{})
 	defer st2.Close()
-	if string(rec.SnapshotPayload) != "state" {
-		t.Fatalf("snapshot payload %q", rec.SnapshotPayload)
+	if string(snapshotPayload(t, rec)) != "state" {
+		t.Fatalf("snapshot payload %q", snapshotPayload(t, rec))
 	}
 	if len(rec.Records) != 1 || string(rec.Records[0].Payload) != "in-flight" {
 		t.Fatalf("replayed %v, want just the in-flight record", rec.Records)
@@ -247,7 +258,7 @@ func TestAllSnapshotsCorruptRefuses(t *testing.T) {
 		t.Fatal("no rotation: the test needs pruned history")
 	}
 	_ = st.Close()
-	if _, err := fs.ReadFile(segmentName(0)); err == nil {
+	if _, err := readAll(fs, segmentName(0)); err == nil {
 		t.Fatal("segment 0 survived pruning; the WAL still covers full history")
 	}
 	names, _ := fs.List()
@@ -271,9 +282,9 @@ func TestAllSnapshotsCorruptRefuses(t *testing.T) {
 		t.Fatalf("best-effort open: %v", err)
 	}
 	defer st2.Close()
-	if rec.SnapshotPayload != nil || rec.SnapshotsSkipped != nsnaps || len(rec.Records) == 0 {
+	if rec.Snapshot != "" || rec.SnapshotsSkipped != nsnaps || len(rec.Records) == 0 {
 		t.Fatalf("salvage shape: snapshot=%v skipped=%d records=%d",
-			rec.SnapshotPayload != nil, rec.SnapshotsSkipped, len(rec.Records))
+			rec.Snapshot != "", rec.SnapshotsSkipped, len(rec.Records))
 	}
 }
 
@@ -302,8 +313,8 @@ func TestAllSnapshotsCorruptFullWALProceeds(t *testing.T) {
 	}
 	st2, rec := reopen(t, fs, Config{})
 	defer st2.Close()
-	if rec.SnapshotPayload != nil || rec.SnapshotsSkipped != 1 {
-		t.Fatalf("recovery shape: snapshot=%v skipped=%d", rec.SnapshotPayload != nil, rec.SnapshotsSkipped)
+	if rec.Snapshot != "" || rec.SnapshotsSkipped != 1 {
+		t.Fatalf("recovery shape: snapshot=%v skipped=%d", rec.Snapshot != "", rec.SnapshotsSkipped)
 	}
 	if len(rec.Records) != 10 {
 		t.Fatalf("replayed %d records from genesis, want 10", len(rec.Records))
@@ -437,8 +448,8 @@ func TestCleanShutdownNeedsNoReplayAfterSnapshot(t *testing.T) {
 		t.Fatalf("clean shutdown still needed replay: %d records, %d torn bytes",
 			len(rec.Records), rec.TornBytes)
 	}
-	if string(rec.SnapshotPayload) != "final" {
-		t.Fatalf("snapshot payload %q", rec.SnapshotPayload)
+	if string(snapshotPayload(t, rec)) != "final" {
+		t.Fatalf("snapshot payload %q", snapshotPayload(t, rec))
 	}
 }
 
@@ -465,8 +476,8 @@ func TestStoreOSFS(t *testing.T) {
 	}
 	st2, rec := reopen(t, osfs, Config{SegmentBytes: 512})
 	defer st2.Close()
-	if string(rec.SnapshotPayload) != "os-state" {
-		t.Fatalf("snapshot payload %q", rec.SnapshotPayload)
+	if string(snapshotPayload(t, rec)) != "os-state" {
+		t.Fatalf("snapshot payload %q", snapshotPayload(t, rec))
 	}
 	if len(rec.Records) != 1 || string(rec.Records[0].Payload) != "tail" {
 		t.Fatalf("replayed %v", rec.Records)

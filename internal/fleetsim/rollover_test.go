@@ -54,7 +54,7 @@ func TestDayRolloverUnderWAL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.SnapshotPayload != nil || len(rec.Records) != 0 {
+	if rec.Snapshot != "" || len(rec.Records) != 0 {
 		t.Fatal("fresh store not empty")
 	}
 	sm, p := boot(nil, st)

@@ -1,7 +1,8 @@
 package ishare
 
 import (
-	"bytes"
+	"bufio"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"log/slog"
@@ -193,12 +194,22 @@ func StartLoop(clock simclock.Clock, every time.Duration, fn func()) (stop func(
 	return func() { once.Do(func() { close(done) }) }
 }
 
-// restore applies recovered state: the snapshot payload, then the WAL tail
-// in order. Unknown record types are skipped with a warning so a newer
-// node's log does not brick an older binary.
+// restore applies recovered state: the snapshot, then the WAL tail in
+// order. The snapshot is decoded from its stream and installed only once
+// the stream has ended on a verified checksum and every field has decoded,
+// so a damaged one leaves the components untouched. Unknown record types
+// are skipped with a warning so a newer node's log does not brick an older
+// binary.
 func (p *Persister) restore(rec *durable.Recovery) error {
-	if rec.SnapshotPayload != nil {
-		if err := p.decodeNodeSnapshot(rec.SnapshotPayload); err != nil {
+	var install func() error
+	if err := rec.ReadSnapshot(func(payload io.Reader) (err error) {
+		install, err = p.decodeNodeSnapshot(payload)
+		return err
+	}); err != nil {
+		return fmt.Errorf("ishare: node snapshot: %w", err)
+	}
+	if install != nil {
+		if err := install(); err != nil {
 			return fmt.Errorf("ishare: node snapshot: %w", err)
 		}
 	}
@@ -280,40 +291,71 @@ func (p *Persister) nodeSnapshot() (size int64, write func(w io.Writer) error) {
 
 const recentSampleBytes = 17 // one recent-ring sample: two float64 and a bool
 
-// decodeNodeSnapshot installs a recovered snapshot payload into the
-// components.
-func (p *Persister) decodeNodeSnapshot(data []byte) error {
-	r := wire.NewReader(data, "FGNS")
-	r.Header(nodeSnapMagic, nodeSnapVersion)
-	hist := r.Bytes()
-	lastMs := r.Varint()
-	recent := make([]trace.Sample, r.Count(recentSampleBytes, "recent samples"))
-	for i := range recent {
-		recent[i] = trace.Sample{CPU: r.Float64(), FreeMemMB: r.Float64(), Up: r.Bool()}
+// decodeNodeSnapshot decodes an FGNS payload from r — the history log
+// straight from the stream, then the small tail after it — and returns the
+// function that installs it into the components. It installs nothing
+// itself: a payload that fails to decode, or a stream that fails its
+// checksum once decoded, leaves the node as it was.
+func (p *Persister) decodeNodeSnapshot(r io.Reader) (install func() error, err error) {
+	br := bufio.NewReaderSize(r, 16) // large reads pass it by
+	var head [5]byte
+	n, _ := io.ReadFull(br, head[:])
+	h := wire.NewReader(head[:n], "FGNS")
+	if h.Header(nodeSnapMagic, nodeSnapVersion); h.Err() != nil {
+		return nil, h.Err()
 	}
-	nkeys := r.Count(2, "submit keys")
-	submitted := make(map[string]string, nkeys)
-	for ; nkeys > 0 && r.Err() == nil; nkeys-- {
-		k, v := r.String(), r.String()
-		submitted[k] = v
-	}
-	nextID := r.Uvarint()
-	blob := r.Bytes()
-	if err := r.Done(); err != nil {
-		return err
-	}
-	ds, err := trace.ReadBinary(bytes.NewReader(hist))
+	histSize, err := binary.ReadUvarint(br)
 	if err != nil {
-		return fmt.Errorf("history: %w", err)
+		return nil, fmt.Errorf("FGNS: history size: %w", err)
+	}
+	// ReadBinary paces its allocations by the bytes that arrive, so the
+	// claimed size needs no check (past MaxInt64 it reads as empty); bytes
+	// it leaves inside the log are skipped.
+	hist := &io.LimitedReader{R: br, N: int64(histSize)}
+	ds, err := trace.ReadBinary(hist)
+	if err != nil {
+		return nil, fmt.Errorf("history: %w", err)
 	}
 	if len(ds.Machines) != 1 {
-		return fmt.Errorf("history carries %d machines", len(ds.Machines))
+		return nil, fmt.Errorf("history carries %d machines", len(ds.Machines))
 	}
-	if err := p.sm.RestoreHistory(ds.Machines[0], msToTime(lastMs), recent); err != nil {
-		return err
+	if _, err := io.Copy(io.Discard, hist); err != nil {
+		return nil, err
 	}
-	p.gw.RestoreSubmitted(submitted, int(nextID))
-	return p.tracker.RestoreBinary(blob)
+	tail, err := io.ReadAll(br)
+	if err != nil {
+		return nil, err
+	}
+	t := wire.NewReader(tail, "FGNS")
+	last := msToTime(t.Varint())
+	recent := make([]trace.Sample, t.Count(recentSampleBytes, "recent samples"))
+	for i := range recent {
+		recent[i] = trace.Sample{CPU: t.Float64(), FreeMemMB: t.Float64(), Up: t.Bool()}
+	}
+	nkeys := t.Count(2, "submit keys")
+	submitted := make(map[string]string, nkeys)
+	for ; nkeys > 0 && t.Err() == nil; nkeys-- {
+		k, v := t.String(), t.String()
+		submitted[k] = v
+	}
+	nextID := t.Uvarint()
+	blob := t.Bytes()
+	if err := t.Done(); err != nil {
+		return nil, err
+	}
+	installTracker, err := p.tracker.RestoreBinary(blob)
+	if err != nil {
+		return nil, err
+	}
+	return func() error {
+		// The only step that can fail checks before it changes anything.
+		if err := p.sm.RestoreHistory(ds.Machines[0], last, recent); err != nil {
+			return err
+		}
+		p.gw.RestoreSubmitted(submitted, int(nextID))
+		installTracker()
+		return nil
+	}, nil
 }
 
 // timeToMs maps a timestamp to unix milliseconds, keeping the zero time at
@@ -372,13 +414,17 @@ func NewRegPersister(st *durable.Store, rec *durable.Recovery, reg RegState, log
 	rp := &RegPersister{reg: reg}
 	rp.snapshotter = newSnapshotter(st, rp.Snapshot, logger)
 	if rec != nil {
-		if rec.SnapshotPayload != nil {
-			entries, err := decodeRegSnapshot(rec.SnapshotPayload)
-			if err != nil {
-				return nil, fmt.Errorf("ishare: registry snapshot: %w", err)
+		var entries []RegEntry
+		if err := rec.ReadSnapshot(func(payload io.Reader) error {
+			data, err := io.ReadAll(payload)
+			if err == nil {
+				entries, err = decodeRegSnapshot(data)
 			}
-			reg.Restore(entries)
+			return err
+		}); err != nil {
+			return nil, fmt.Errorf("ishare: registry snapshot: %w", err)
 		}
+		reg.Restore(entries)
 		for i, r := range rec.Records {
 			switch r.Type {
 			case durable.RecRegister:

@@ -83,10 +83,22 @@ func encodeNodeSnapshot(t testing.TB, p *Persister) ([]byte, error) {
 	return newestSnapshotPayload(t, fs), nil
 }
 
+// restoreInto returns a decoder that streams an FGNS payload through p's
+// decoder and installs what it decoded.
+func restoreInto(p *Persister) func(data []byte) error {
+	return func(data []byte) error {
+		install, err := p.decodeNodeSnapshot(bytes.NewReader(data))
+		if err == nil {
+			err = install()
+		}
+		return err
+	}
+}
+
 // recodeNodeSnapshot installs data into a fresh node and encodes that node.
 func recodeNodeSnapshot(t testing.TB, data []byte) ([]byte, error) {
 	n := bareDurableNode(t)
-	if err := n.Persist.decodeNodeSnapshot(data); err != nil {
+	if err := restoreInto(n.Persist)(data); err != nil {
 		return nil, err
 	}
 	return encodeNodeSnapshot(t, n.Persist)
@@ -137,7 +149,7 @@ func TestSnapshotCodecs(t *testing.T) {
 		// One node serves every input: a rejected payload installs nothing
 		// and an accepted one replaces the state wholesale. Building it
 		// outside keeps its allocations out of the decoder's account.
-		wiretest.CheckDecoder(t, good, bareDurableNode(t).Persist.decodeNodeSnapshot)
+		wiretest.CheckDecoder(t, good, restoreInto(bareDurableNode(t).Persist))
 	})
 	t.Run("FGRS", func(t *testing.T) {
 		good := sampleRegSnapshot(t)
@@ -179,7 +191,7 @@ func TestNodeSnapshotSubmitKeyClaim(t *testing.T) {
 
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	err = empty.Persist.decodeNodeSnapshot(crafted)
+	err = restoreInto(empty.Persist)(crafted)
 	runtime.ReadMemStats(&after)
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
 		t.Errorf("rejecting a %d-byte snapshot allocated %d bytes", len(crafted), grew)
@@ -201,7 +213,7 @@ func FuzzDecodeNodeSnapshot(f *testing.F) {
 	f.Add([]byte("FGNS\x01\x00"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		n := bareDurableNode(t)
-		if wiretest.Bounded(t, data, n.Persist.decodeNodeSnapshot) != nil {
+		if wiretest.Bounded(t, data, restoreInto(n.Persist)) != nil {
 			return
 		}
 		enc, err := encodeNodeSnapshot(t, n.Persist)

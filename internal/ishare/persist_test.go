@@ -91,7 +91,7 @@ func TestPersisterCleanShutdownZeroReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.SnapshotPayload != nil || len(rec.Records) != 0 {
+	if rec.Snapshot != "" || len(rec.Records) != 0 {
 		t.Fatalf("fresh dir recovered %d records", len(rec.Records))
 	}
 	n := newDurableNode(t, st, rec, clock, pre)
@@ -115,7 +115,7 @@ func TestPersisterCleanShutdownZeroReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec2.SnapshotPayload == nil {
+	if rec2.Snapshot == "" {
 		t.Fatal("no snapshot after clean shutdown")
 	}
 	if len(rec2.Records) != 0 {
@@ -366,9 +366,9 @@ func TestPersisterCrashMultiChunkSnapshot(t *testing.T) {
 			}
 		}
 		n := newDurableNode(t, st, rec, clock, nil)
-		if got := []queryAnswer{askTR(t, n, 1800), askTR(t, n, 2*3600)}; rec.SnapshotPayload == nil || replayed != samples || got[0] != want[0] || got[1] != want[1] {
+		if got := []queryAnswer{askTR(t, n, 1800), askTR(t, n, 2*3600)}; rec.Snapshot == "" || replayed != samples || got[0] != want[0] || got[1] != want[1] {
 			t.Fatalf("kill at snapshot byte %d: replayed %d samples over the first snapshot (%v), answers %+v, live %+v",
-				kill, replayed, rec.SnapshotPayload != nil, got, want)
+				kill, replayed, rec.Snapshot != "", got, want)
 		}
 		if err := n.Persist.Close(); err != nil {
 			t.Fatal(err)
@@ -545,8 +545,8 @@ func TestRegPersisterRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec2.SnapshotPayload == nil || len(rec2.Records) == 0 {
-		t.Fatalf("recovery shape: snapshot=%v records=%d", rec2.SnapshotPayload != nil, len(rec2.Records))
+	if rec2.Snapshot == "" || len(rec2.Records) == 0 {
+		t.Fatalf("recovery shape: snapshot=%v records=%d", rec2.Snapshot != "", len(rec2.Records))
 	}
 	reg2 := ringOfOne(t, FedConfig{Clock: clock})
 	rp2, err := NewRegPersister(st2, rec2, reg2, nil)

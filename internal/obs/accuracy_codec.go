@@ -98,10 +98,12 @@ func (t *Tracker) ExportBinary() []byte {
 	return buf
 }
 
-// RestoreBinary replaces the tracker's resolved statistics with a snapshot
-// produced by ExportBinary. Pending predictions are untouched (normally
-// empty at restore time).
-func (t *Tracker) RestoreBinary(data []byte) error {
+// RestoreBinary decodes a snapshot produced by ExportBinary and returns the
+// function that installs it, replacing the tracker's resolved statistics;
+// pending predictions are untouched (normally empty at restore time).
+// Nothing changes before install runs, so a caller restoring several
+// components can decode them all before it installs any.
+func (t *Tracker) RestoreBinary(data []byte) (install func(), err error) {
 	r := wire.NewReader(data, "obs: tracker snapshot")
 	r.Header(accMagic, accVersion)
 	resolved, dropped := r.Uvarint(), r.Uvarint()
@@ -138,25 +140,26 @@ func (t *Tracker) RestoreBinary(data []byte) error {
 		keys = append(keys, key)
 	}
 	if err := r.Done(); err != nil {
-		return err
+		return nil, err
 	}
 	sort.Slice(keys, func(i, j int) bool { return keyLess(keys[i], keys[j]) })
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.resolved = resolved
-	t.dropped = dropped
-	t.stats = stats
-	t.keys = keys
-	// Restored machines join the retention scan (zero activity until a
-	// live sample or prediction touches them); existing pending windows
-	// are untouched.
-	for _, key := range keys {
-		if key.Machine == "_all" {
-			continue
+	return func() {
+		t.mu.Lock()
+		defer t.mu.Unlock()
+		t.resolved = resolved
+		t.dropped = dropped
+		t.stats = stats
+		t.keys = keys
+		// Restored machines join the retention scan (zero activity until a
+		// live sample or prediction touches them); existing pending windows
+		// are untouched.
+		for _, key := range keys {
+			if key.Machine == "_all" {
+				continue
+			}
+			if _, ok := t.machines[key.Machine]; !ok {
+				t.machines[key.Machine] = &machineState{}
+			}
 		}
-		if _, ok := t.machines[key.Machine]; !ok {
-			t.machines[key.Machine] = &machineState{}
-		}
-	}
-	return nil
+	}, nil
 }

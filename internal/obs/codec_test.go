@@ -27,7 +27,19 @@ func sampleTracker(n int) *Tracker {
 
 func restoreTracker(data []byte) (*Tracker, error) {
 	t := NewTracker()
-	return t, t.RestoreBinary(data)
+	return t, restoreInto(t)(data)
+}
+
+// restoreInto returns a decoder that decodes a snapshot and installs it
+// into t.
+func restoreInto(t *Tracker) func(data []byte) error {
+	return func(data []byte) error {
+		install, err := t.RestoreBinary(data)
+		if err == nil {
+			install()
+		}
+		return err
+	}
 }
 
 // TestCodecGoldens pins both obs formats to checked-in bytes and decodes them
@@ -88,7 +100,7 @@ func TestAccSumsOneLayout(t *testing.T) {
 func TestCodecDecoderProperties(t *testing.T) {
 	t.Run("FGAT", func(t *testing.T) {
 		// One tracker takes every input: a rejected one installs nothing.
-		wiretest.CheckDecoder(t, sampleTracker(3).ExportBinary(), NewTracker().RestoreBinary)
+		wiretest.CheckDecoder(t, sampleTracker(3).ExportBinary(), restoreInto(NewTracker()))
 	})
 	t.Run("FGOS", func(t *testing.T) {
 		wiretest.CheckDecoder(t, samplePeerObs("gw01").EncodeBinary(), func(p []byte) error {

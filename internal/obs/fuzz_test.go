@@ -83,7 +83,7 @@ func FuzzRestoreBinary(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr := NewTracker()
-		if wiretest.Bounded(t, data, tr.RestoreBinary) != nil {
+		if wiretest.Bounded(t, data, restoreInto(tr)) != nil {
 			return
 		}
 		enc := tr.ExportBinary()

@@ -99,7 +99,13 @@ func ReadBinary(r io.Reader) (*Dataset, error) {
 		if _, err := io.ReadFull(br, field[:2]); err != nil {
 			return nil, err
 		}
-		id := make([]byte, le.Uint16(field))
+		// A claimed length is allocated only once its first buffer-full of
+		// bytes has arrived, like the samples below.
+		idLen := int(le.Uint16(field))
+		if _, err := br.Peek(min(idLen, br.Size())); err != nil {
+			return nil, err
+		}
+		id := make([]byte, idLen)
 		if _, err := io.ReadFull(br, id); err != nil {
 			return nil, err
 		}
@@ -125,12 +131,10 @@ func ReadBinary(r io.Reader) (*Dataset, error) {
 			}
 			// Grow the sample slice as records actually arrive rather than
 			// trusting the declared count: a corrupt or hostile header must
-			// not be able to demand a multi-gigabyte allocation up front.
-			capHint := ns
-			if capHint > 1<<16 {
-				capHint = 1 << 16
-			}
-			d := &Day{Date: time.Unix(unix, 0).UTC(), Period: m.Period, Samples: make([]Sample, 0, capHint)}
+			// not be able to demand an allocation before its first records
+			// are there, nor a multi-gigabyte one after.
+			capHint := min(ns, 1<<16)
+			d := &Day{Date: time.Unix(unix, 0).UTC(), Period: m.Period, Samples: []Sample{}}
 			for left := int(ns); left > 0; {
 				n := min(left, readChunk)
 				left -= n
@@ -138,7 +142,11 @@ func ReadBinary(r io.Reader) (*Dataset, error) {
 				if _, err := io.ReadFull(br, chunk); err != nil {
 					return nil, err
 				}
-				// The records are here, so the slice may grow by them.
+				// The records are here, so the slice may grow by them: the
+				// first ones buy the declared capacity.
+				if cap(d.Samples) == 0 {
+					d.Samples = make([]Sample, 0, capHint)
+				}
 				at := len(d.Samples)
 				d.Samples = slices.Grow(d.Samples, n)[:at+n]
 				for k, out := 0, d.Samples[at:]; k < n; k++ {

@@ -1,6 +1,7 @@
 // Package wire is the codec toolkit shared by the formats that are decoded
-// from a whole byte slice: FGAT and FGOS (internal/obs), the FGSP header and
-// the WAL record payloads (internal/durable), FGNS and FGRS (internal/ishare).
+// from a whole byte slice: FGAT and FGOS (internal/obs), the WAL record
+// payloads (internal/durable), FGRS and the fields after FGNS's history log
+// (internal/ishare). The FGSP header is appended here too.
 // The Append functions write fields; Reader reads them back and owns the
 // hardening rules, so no format restates them:
 //
@@ -12,10 +13,11 @@
 //     loop that inserts into a map or appends must stop on Err() != nil;
 //   - no trailing bytes: Done fails unless the input was consumed exactly.
 //
-// durable.ReadSegment's torn-vs-corrupt scan and the two stream decoders
-// (ishare.DecodeFrame on a bufio.Reader, trace.ReadBinary on a possibly
-// gzipped io.Reader) stay hand-written: a stream cannot see "bytes remaining"
-// and paces allocation by arrival instead, and a torn tail is not an error.
+// durable's streamed segment and snapshot scans, with the segment scan's
+// torn-vs-corrupt verdicts, and the stream decoders (ishare.DecodeFrame on a
+// bufio.Reader, trace.ReadBinary on a possibly gzipped io.Reader) stay
+// hand-written: a stream cannot see "bytes remaining" and paces allocation
+// by arrival instead, and a torn tail is not an error.
 package wire
 
 import (
