@@ -1,5 +1,5 @@
 // Command doccheck is the repository's documentation linter, run by `make
-// lint`. It enforces five freshness invariants that plain `go vet` does not:
+// lint`. It enforces four freshness invariants that plain `go vet` does not:
 //
 //   - every exported symbol in the audited packages (-pkgs) carries a doc
 //     comment, so `go doc` is never blank on API surface;
@@ -12,10 +12,6 @@
 //     fgcs_-prefixed snake_case name, help text that is a sentence ending in
 //     a period, and no label key whose cardinality grows with the fleet
 //     (machine ids, job ids, addresses), machine excepted in the table;
-//   - the predictor reference table in the authoring guide (-predictors)
-//     lists exactly the plugins registered in internal/predict — a plugin
-//     missing from the table or a documented name with no registration both
-//     fail, so the guide cannot drift from the registry;
 //   - every BENCH_*.json at the repository root is written by a Makefile
 //     recipe, so no checked-in benchmark figure outlives the target that
 //     reproduces it at HEAD.
@@ -39,8 +35,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-
-	"fgcs/internal/predict"
 )
 
 func main() {
@@ -49,7 +43,6 @@ func main() {
 		flagDirs   = flag.String("flagdirs", "cmd/ishared,cmd/isharec,cmd/fleetsim", "comma-separated command directories whose registered flags must appear in the README")
 		readme     = flag.String("readme", "README.md", "operator document that must mention every registered flag")
 		metricDirs = flag.String("metricdirs", "internal/ishare,internal/predict,internal/monitor,internal/obs,internal/fleetsim", "comma-separated package directories audited for metrics hygiene")
-		predictors = flag.String("predictors", "docs/PREDICTORS.md", "authoring guide whose reference table must list exactly the registered predictor plugins (empty disables the check)")
 	)
 	flag.Parse()
 	var problems []string
@@ -81,13 +74,6 @@ func main() {
 		fatal(err)
 	}
 	problems = append(problems, benchProblems...)
-	if *predictors != "" {
-		tableProblems, err := stalePredictorTable(*predictors, predict.PluginNames())
-		if err != nil {
-			fatal(err)
-		}
-		problems = append(problems, tableProblems...)
-	}
 	if len(problems) > 0 {
 		for _, p := range problems {
 			fmt.Fprintln(os.Stderr, p)

@@ -14,9 +14,9 @@ import (
 	"time"
 
 	"fgcs/internal/avail"
+	"fgcs/internal/obs"
 	"fgcs/internal/otrace"
 	"fgcs/internal/predict"
-	"fgcs/internal/rng"
 	"fgcs/internal/simclock"
 	"fgcs/internal/trace"
 )
@@ -318,7 +318,8 @@ func movedQueries(ctx context.Context, t *testing.T, sm *StateManager, clock *si
 // allocates ≈12 KB at either length, on a fresh engine too. With that pool a
 // sync.Pool, a collection emptied it and the next misses rebuilt ≈1.9 MB of
 // scratch; the free list that replaced it keeps its scratches across
-// collections, so each leg runs after two.
+// collections, so each leg runs after two. With the five baselines off the
+// serving path a moved query allocates ≈3.6 KB.
 func TestQueryTRMovedWindowAllocCeiling(t *testing.T) {
 	const ceiling = 16 << 10 // allocated, and left live, per query
 	ctx := context.Background()
@@ -365,17 +366,15 @@ func TestQueryTRMovedWindowAllocCeiling(t *testing.T) {
 	measure("a fresh engine's moved 10h window", sm, clock, 10*time.Hour)
 }
 
-// TestSharedEngineScratchDoesNotEscape: the forecast-origin baselines read the
-// preceding window from, and build their series, forecast and classification
-// in, scratch borrowed from the process-wide free list, which every manager
+// TestSharedEngineScratchDoesNotEscape: PCT classifies each history window
+// into scratch borrowed from the process-wide free list, which every manager
 // shares with every other and with SMP's cold fits, whether or not their
-// engines are one. Four goroutines, two a manager, ask for windows nobody asked for
-// before, with the two managers first on one engine and then each on its
-// own; every answer — SMP's served one per query, and all eight predictors'
-// (ARMA's, the baseline that borrows the most, among them) as the tracker
-// resolves them — must be what the same manager answers alone.
-// Under -race this is what catches a model or a result that keeps a scratch
-// buffer past its call.
+// engines are one. Four goroutines, two a manager, ask for windows nobody
+// asked for before, with the two managers first on one engine and then each
+// on its own; every answer — SMP's served one per query, and all three
+// predictors' (PCT's among them) as the tracker resolves them — must be what
+// the same manager answers alone. Under -race this is what catches a result
+// that keeps a scratch buffer past its call.
 func TestSharedEngineScratchDoesNotEscape(t *testing.T) {
 	now := time.Date(2005, 9, 16, 12, 0, 0, 0, time.UTC) // a Friday
 	midnight := now.Truncate(24 * time.Hour)
@@ -396,21 +395,9 @@ func TestSharedEngineScratchDoesNotEscape(t *testing.T) {
 		sm.Obs().Tracker.SetResolutionSink(func(_, predictor string, tr float64, _ bool) {
 			f.resolved = append(f.resolved, fmt.Sprintf("%s %x", predictor, math.Float64bits(tr)))
 		})
-		// A busy spell before the query — "a" 10:40–11:55, "b" 09:30–11:30 —
-		// so that a mean-reverting model's forecast crosses Th2 for some
-		// window lengths and not for others. The last minutes are idle: the
-		// machine is in a recoverable state when asked.
-		busyFrom, busyTo := 10*time.Hour+40*time.Minute, 11*time.Hour+55*time.Minute
-		if id == "b" {
-			busyFrom, busyTo = 9*time.Hour+30*time.Minute, 11*time.Hour+30*time.Minute
-		}
-		r := rng.New(uint64(id[0]))
+		// Idle when asked: the machine is in a recoverable state.
 		for at := midnight; !at.After(now); at = at.Add(period) {
-			level := 15.0
-			if off := at.Sub(midnight); off >= busyFrom && off < busyTo {
-				level = 82
-			}
-			sm.Record(at, sample(math.Max(level+r.Normal(0, 4), 0), 400))
+			sm.Record(at, sample(15, 400))
 		}
 		return f
 	}
@@ -446,19 +433,19 @@ func TestSharedEngineScratchDoesNotEscape(t *testing.T) {
 		alone[i] = build(id, nil)
 		ask(alone[i], append(lengths(i), lengths(i+2)...))
 		finish(alone[i])
-		if n := len(alone[i].resolved); n != 16*len(predict.PluginNames()) {
-			t.Errorf("manager %s: %d claims resolved, want every predictor's for 16 queries", id, n)
+		if n := len(alone[i].resolved); n != 16*3 {
+			t.Errorf("manager %s: %d claims resolved, want SMP's, FFT's and PCT's for 16 queries", id, n)
 		}
-		// ARMA's claims must differ between windows, or comparing them
+		// PCT's claims must differ between windows, or comparing them
 		// cannot tell a leaked scratch buffer from a correct answer.
-		arma := make(map[string]bool)
+		pct := make(map[string]bool)
 		for _, claim := range alone[i].resolved {
-			if strings.HasPrefix(claim, "ARMA(8,8) ") {
-				arma[claim] = true
+			if strings.HasPrefix(claim, "PCT ") {
+				pct[claim] = true
 			}
 		}
-		if len(arma) < 2 {
-			t.Errorf("manager %s: ARMA claims %v for every window: the check cannot tell answers apart", id, arma)
+		if len(pct) < 2 {
+			t.Errorf("manager %s: PCT claims %v for every window: the check cannot tell answers apart", id, pct)
 		}
 	}
 	for _, leg := range []struct {
@@ -484,6 +471,92 @@ func TestSharedEngineScratchDoesNotEscape(t *testing.T) {
 				t.Errorf("manager %s on %s: the predictors' resolved claims differ:\nconcurrent %v\nalone      %v", id, leg.name, together[i].resolved, alone[i].resolved)
 			}
 		}
+	}
+}
+
+// TestBrokenPluginCostsOnlyItsScore: a shadow that has no TR for the window
+// neither fails the query nor changes its answer. Every history day here was
+// recorded only until 08:00, so PCT finds no sample in a 08:30 window and
+// refuses, while SMP serves its TR for the same input and FFT, which fits the
+// whole recorded signal, still answers. PCT is the only predictor left
+// without a resolved claim.
+func TestBrokenPluginCostsOnlyItsScore(t *testing.T) {
+	history := historyMachine("m", 11, -1)
+	for _, d := range history.Days {
+		d.Samples = d.Samples[:d.IndexAt(8*time.Hour)]
+	}
+	now := monday.AddDate(0, 0, 11).Add(8*time.Hour + 30*time.Minute)
+	clock := simclock.NewVirtual(now)
+	sm, err := NewStateManager("m", period, avail.DefaultConfig(), clock, history, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sm.Record(now, sample(5, 400))
+	length := time.Hour
+	resp, err := sm.QueryTR(context.Background(), QueryTRReq{LengthSeconds: length.Seconds()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, w := predict.WindowAt(now, length, period)
+	days := history.DaysOfType(trace.Weekday)
+	if _, err := predict.DefaultPercentile().PredictTR(predict.PluginInput{Days: days, Window: w}); err == nil {
+		t.Fatal("PCT answers the window: the input does not break it")
+	}
+	pred, err := predict.SMP{Cfg: avail.DefaultConfig()}.Predict(days, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := pred.TRByInit[0]; sm.CurrentState() != avail.S1 || resp.TR != want || resp.HistoryWindows != len(days) {
+		t.Fatalf("QueryTR = TR %v over %d days, want SMP's %v over %d", resp.TR, resp.HistoryWindows, want, len(days))
+	}
+
+	clock.Advance(length + period)
+	sm.Record(clock.Now(), sample(5, 400))
+	resolved := map[string]uint64{}
+	for _, row := range sm.Obs().Tracker.All() {
+		resolved[row.Predictor] = row.Resolved
+	}
+	if want := map[string]uint64{"SMP": 1, "FFT": 1}; !reflect.DeepEqual(resolved, want) {
+		t.Fatalf("resolved claims by predictor %v, want %v", resolved, want)
+	}
+}
+
+// TestQueryObsExportsThreePredictorRows: after one query and its window's
+// resolution, the node's FGOS export (the query-obs payload) carries exactly
+// one accuracy row per predictor QueryTR scores — SMP, FFT and PCT — for the
+// machine, and the same three in the node's _all rollup.
+func TestQueryObsExportsThreePredictorRows(t *testing.T) {
+	now := time.Date(2005, 9, 2, 8, 30, 0, 0, time.UTC)
+	clock := simclock.NewVirtual(now)
+	sm, err := NewStateManager("m", period, avail.DefaultConfig(), clock, historyMachine("m", 11, 9), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := NewGateway("m", avail.DefaultConfig(), period, clock, sm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.Record(now, sample(5, 400))
+	if _, err := g.QueryTR(context.Background(), QueryTRReq{LengthSeconds: 3600}); err != nil {
+		t.Fatal(err)
+	}
+	clock.Advance(time.Hour + period)
+	g.Record(clock.Now(), sample(5, 400))
+
+	resp, err := g.QueryObs(context.Background(), QueryObsReq{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	export, err := obs.DecodeObsSnapshot(resp.Snapshot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []string
+	for _, a := range export.Accuracy {
+		rows = append(rows, fmt.Sprintf("%s/%s:%d", a.Machine, a.Predictor, a.Resolved))
+	}
+	if want := []string{"_all/FFT:1", "_all/PCT:1", "_all/SMP:1", "m/FFT:1", "m/PCT:1", "m/SMP:1"}; !reflect.DeepEqual(rows, want) {
+		t.Fatalf("exported accuracy rows %v, want %v", rows, want)
 	}
 }
 

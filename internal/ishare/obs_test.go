@@ -61,9 +61,8 @@ func TestObservabilityEndToEnd(t *testing.T) {
 					queries++
 				}
 			}
-			// A gentle deterministic load ripple keeps the machine idle
-			// (below Th1) while giving the AR/MA fitters a non-degenerate
-			// series to train on.
+			// A gentle deterministic load ripple that keeps the machine
+			// idle (below Th1).
 			cpu := 10 + 8*math.Sin(2*math.Pi*float64(off)/float64(3*time.Hour))
 			s := sample(cpu, 400)
 			if failing && off >= failStart && off < failEnd {
@@ -116,11 +115,15 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	if smp.Brier >= 0.5 {
 		t.Fatalf("SMP Brier = %.4f, want < 0.5", smp.Brier)
 	}
-	// Every linear baseline is scored online alongside the SMP.
-	for _, name := range []string{"AR(8)", "BM(8)", "MA(8)", "ARMA(8,8)", "LAST"} {
-		bl := rows[name]
-		if bl.Resolved != uint64(queries) {
-			t.Errorf("%s resolved = %d, want %d", name, bl.Resolved, queries)
+	// The tracker scores exactly the served predictor and its two shadows.
+	// A shadow has no score for a query made before its day type had
+	// history (the first Monday and the first Saturday here).
+	if len(rows) != 3 {
+		t.Errorf("tracker rows %v, want exactly SMP, FFT and PCT", rows)
+	}
+	for _, name := range []string{"FFT", "PCT"} {
+		if got := rows[name].Resolved; got == 0 || got >= smp.Resolved {
+			t.Errorf("%s resolved = %d, want between 1 and SMP's %d", name, got, smp.Resolved)
 		}
 	}
 
@@ -180,7 +183,7 @@ func TestObservabilityEndToEnd(t *testing.T) {
 		"fgcs_monitor_samples_total",
 		"fgcs_gateway_requests_total{type=\"query-stats\"}",
 		"fgcs_accuracy_brier{machine=\"lab-01\",predictor=\"SMP\"}",
-		"fgcs_accuracy_empirical_tr{machine=\"_all\",predictor=\"LAST\"}",
+		"fgcs_accuracy_empirical_tr{machine=\"_all\",predictor=\"PCT\"}",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q", want)

@@ -36,16 +36,10 @@ func TestObsPlaneEveryFamilyMoves(t *testing.T) {
 	const machine = "lab-01"
 	clock := simclock.NewVirtual(monday.AddDate(0, 0, 11).Add(8 * time.Hour))
 	o := NewNodeObs()
-	// A query asks the engine once per memoized predictor, so a cache of one
-	// slot would thrash without ever hitting; one slot each lets the second
-	// window evict the first and a repeat of it hit.
-	memoized := 0
-	for _, name := range predict.PluginNames() {
-		if pl, _ := predict.NewPlugin(name, predict.PluginOptions{Cfg: avail.DefaultConfig()}); predict.Memoized(pl) {
-			memoized++
-		}
-	}
-	engine := predict.NewEngine(predict.EngineConfig{CacheSize: memoized})
+	// A query asks the engine once per predictor — SMP, FFT and PCT — so a
+	// cache of one slot would thrash without ever hitting; one slot each lets
+	// the second window evict the first and a repeat of it hit.
+	engine := predict.NewEngine(predict.EngineConfig{CacheSize: 3})
 	engine.SetMetrics(o.Engine)
 	sm, err := NewStateManagerShared(machine, period, avail.DefaultConfig(), clock, historyMachine(machine, 11, -1), 0,
 		SharedDeps{Obs: o, Engine: engine})

@@ -6,7 +6,6 @@ import (
 	"log/slog"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"fgcs/internal/avail"
@@ -20,9 +19,9 @@ import (
 // StateManager stores history logs and predicts resource availability
 // (Figure 2). It receives every monitor sample, maintains the machine's
 // current availability state, and answers temporal-reliability queries from
-// the gateway by running every predictor in the predict plugin registry:
-// each one is evaluated and scored by the accuracy tracker, and SMP, the
-// paper's estimator, answers the query.
+// the gateway with SMP, the paper's estimator. Each query also evaluates two
+// fixed shadow predictors, FFT and PCT, and the accuracy tracker scores all
+// three.
 //
 // Queries run through a prediction engine that memoizes solved predictions,
 // so repeated or concurrent QueryTR calls for the same clock window reuse one
@@ -43,22 +42,13 @@ type StateManager struct {
 	recentCap int
 	// historyDays bounds every predictor's day pool (0 = all).
 	historyDays int
-	// plugins is every registered predictor, built for cfg, in registration
-	// order (the order QueryTR evaluates and scores them in).
-	plugins   []servedPlugin
-	engine    *predict.Engine
-	obsv      *NodeObs
-	stateBuf  []avail.State // scratch for per-sample classification (under mu)
-	curState  avail.State   // last classified state, valid when recent is non-empty (under mu)
-	sampleVer atomic.Uint64 // bumped on every recorded sample
-
-	// The forecast-origin predictions depend only on the queried window, the
-	// effective config and today's recorded samples, so repeated queries
-	// between samples refit nothing. The memo is invalidated wholesale
-	// whenever a sample lands (sampleVer moves).
-	liveMu   sync.Mutex
-	liveVer  uint64
-	liveMemo map[liveKey][]liveTR
+	// shadows are FFT and PCT built for cfg, in the order QueryTR scores
+	// them after SMP.
+	shadows  []predict.Plugin
+	engine   *predict.Engine
+	obsv     *NodeObs
+	stateBuf []avail.State // scratch for per-sample classification (under mu)
+	curState avail.State   // last classified state, valid when recent is non-empty (under mu)
 
 	histMu    sync.Mutex
 	histDays  []*trace.Day // completed days, stable across queries
@@ -126,11 +116,7 @@ func NewStateManagerShared(machineID string, period time.Duration, cfg avail.Con
 		engine:      deps.Engine,
 		obsv:        obsv,
 		stateBuf:    make([]avail.State, 0, recentCap),
-	}
-	opts := predict.PluginOptions{Cfg: cfg, HistoryDays: historyDays}
-	for _, name := range predict.PluginNames() {
-		pl, _ := predict.NewPlugin(name, opts)
-		sm.plugins = append(sm.plugins, servedPlugin{name: name, plugin: pl, live: !predict.Memoized(pl)})
+		shadows:     shadowsFor(cfg, historyDays),
 	}
 	if sm.engine == nil {
 		sm.engine = predict.NewEngine(predict.EngineConfig{})
@@ -143,32 +129,13 @@ func NewStateManagerShared(machineID string, period time.Duration, cfg avail.Con
 // is the only predictor whose failure fails the query.
 const servingPredictor = "SMP"
 
-// servedPlugin is one registry-built predictor as QueryTR runs it.
-type servedPlugin struct {
-	// name is the registered name, resolved once: the tracker retains it in
-	// every pending prediction, and TimeSeries.Name formats a fresh string
-	// per call.
-	name   string
-	plugin predict.Plugin
-	// live marks a forecast-origin predictor — one the engine does not
-	// memoize because it reads PluginInput.Prev — whose result is memoized
-	// per recorded sample instead (see liveForecasts).
-	live bool
-}
-
-// pluginsFor returns the predictor list configured for cfg: the list built
-// at construction, or a fresh build from the registry when a query overrides
-// the guest memory.
-func (sm *StateManager) pluginsFor(cfg avail.Config) []servedPlugin {
-	if cfg == sm.cfg {
-		return sm.plugins
-	}
-	out := append([]servedPlugin(nil), sm.plugins...)
-	opts := predict.PluginOptions{Cfg: cfg, HistoryDays: sm.historyDays}
-	for i := range out {
-		out[i].plugin, _ = predict.NewPlugin(out[i].name, opts)
-	}
-	return out
+// shadowsFor builds the shadow predictors for cfg: FFT and PCT at their
+// default knobs, over the manager's history bound.
+func shadowsFor(cfg avail.Config, historyDays int) []predict.Plugin {
+	fft, pct := predict.DefaultSpectral(), predict.DefaultPercentile()
+	fft.Cfg, fft.HistoryDays = cfg, historyDays
+	pct.Cfg, pct.HistoryDays = cfg, historyDays
+	return []predict.Plugin{fft, pct}
 }
 
 // SetLogger routes the history recorder's dropped-sample warnings through
@@ -212,7 +179,6 @@ func (sm *StateManager) pushRecent(samples ...trace.Sample) bool {
 		up = sm.curState.Recoverable()
 	}
 	sm.mu.Unlock()
-	sm.sampleVer.Add(1)
 	return up
 }
 
@@ -375,122 +341,43 @@ func (sm *StateManager) QueryTR(ctx context.Context, req QueryTRReq) (QueryTRRes
 	}
 	midnight, w := predict.WindowAt(now, time.Duration(req.LengthSeconds*float64(time.Second)), sm.period)
 
-	cfg := sm.cfg
-	if req.GuestMemMB > 0 {
+	cfg, shadows := sm.cfg, sm.shadows
+	if req.GuestMemMB > 0 && req.GuestMemMB != cfg.GuestMemMB {
 		cfg.GuestMemMB = req.GuestMemMB
+		shadows = shadowsFor(cfg, sm.historyDays)
 	}
-	plugins := sm.pluginsFor(cfg)
 	// History: same-type days strictly before today, drawn from the stable
 	// snapshot so the engine can recognize repeated queries.
 	_, days := sm.completedDays(midnight)
 	resp := QueryTRResp{HistoryWindows: len(days), CurrentState: cur.String()}
 	if len(days) == 0 {
+		// No history yet: report optimistic full availability; the
+		// scheduler treats all such machines equally, and the shadows have
+		// nothing to fit.
 		span.AddEvent("no-history")
+		resp.TR, shadows = 1, nil
+	} else {
+		tr, err := sm.engine.PredictFromCtx(ctx, predict.SMP{Cfg: cfg, HistoryDays: sm.historyDays}, days, w, cur)
+		if err != nil {
+			span.SetError(err)
+			return QueryTRResp{}, err
+		}
+		resp.TR = tr
 	}
 
-	// One pass over the registry: evaluate, register with the accuracy
-	// tracker — the paper's Section 5 comparison, scored online as each
-	// window's outcome is observed by the monitor — and pick out SMP's TR.
-	// Another predictor's error only costs it this query's score.
-	in := predict.PluginInput{Days: days, Window: w, Period: sm.period, State: cur, HaveState: true}
+	// Register every prediction with the accuracy tracker — the paper's
+	// Section 5 comparison, scored online as each window's outcome is
+	// observed by the monitor. A shadow's error only costs it this query's
+	// score.
 	issued := midnight.Add(w.Start)
-	live := sm.liveForecasts(midnight, in, cfg, plugins)
-	for i := range plugins {
-		sp := &plugins[i]
-		var tr float64
-		var err error
-		switch {
-		case sp.live:
-			tr, err = live[i].tr, live[i].err
-		case len(days) > 0:
-			tr, err = sm.engine.PredictPluginCtx(ctx, sp.plugin, in)
-		case sp.name == servingPredictor:
-			// No history yet: report optimistic full availability; the
-			// scheduler treats all such machines equally.
-			tr = 1
-		default:
-			continue
-		}
-		if err != nil {
-			if sp.name == servingPredictor {
-				span.SetError(err)
-				return QueryTRResp{}, err
-			}
-			continue
-		}
-		sm.obsv.Tracker.RecordPrediction(sm.machineID, sp.name, tr, issued, w.Length)
-		if sp.name == servingPredictor {
-			resp.TR = tr
+	sm.obsv.Tracker.RecordPrediction(sm.machineID, servingPredictor, resp.TR, issued, w.Length)
+	in := predict.PluginInput{Days: days, Window: w, Period: sm.period}
+	for _, pl := range shadows {
+		if tr, err := sm.engine.PredictPluginCtx(ctx, pl, in); err == nil {
+			sm.obsv.Tracker.RecordPrediction(sm.machineID, pl.Name(), tr, issued, w.Length)
 		}
 	}
 	st := sm.engine.Stats()
 	resp.CacheHits, resp.CacheMisses = st.Hits, st.Misses
 	return resp, nil
-}
-
-// liveKey identifies one set of forecast-origin predictions: the query
-// window, the day it targets, and the effective estimator config. The
-// recorded-sample version is carried beside the memo, not in the key: a new
-// sample invalidates every entry at once.
-type liveKey struct {
-	midnight int64
-	window   predict.Window
-	cfg      avail.Config
-}
-
-// liveTR is one forecast-origin predictor's outcome for a liveKey.
-type liveTR struct {
-	tr  float64
-	err error
-}
-
-// liveForecasts evaluates the forecast-origin predictors — the Table 1
-// linear estimators (AR, BM, MA, ARMA, LAST) and any registered plugin the
-// engine does not memoize — over the window preceding the query window in
-// today's live log. The result is indexed like plugins (entries of
-// engine-memoized plugins stay zero). The fits are pure functions of (window,
-// config, today's samples, current state), and the serving path repeats the
-// same handful of queries between monitor samples, so the results are
-// memoized until the next sample lands — on the hot path this removes the
-// dominant per-query CPU cost (the refits) entirely.
-func (sm *StateManager) liveForecasts(midnight time.Time, in predict.PluginInput, cfg avail.Config, plugins []servedPlugin) []liveTR {
-	key := liveKey{midnight: midnight.Unix(), window: in.Window, cfg: cfg}
-	ver := sm.sampleVer.Load()
-	sm.liveMu.Lock()
-	if sm.liveVer != ver || sm.liveMemo == nil {
-		sm.liveVer = ver
-		sm.liveMemo = make(map[liveKey][]liveTR)
-	}
-	out, hit := sm.liveMemo[key]
-	sm.liveMu.Unlock()
-	if hit {
-		return out
-	}
-
-	prevStart := in.Window.Start - in.Window.Length
-	if prevStart < 0 {
-		prevStart = 0
-	}
-	out = make([]liveTR, len(plugins))
-	// One scratch for every baseline: the preceding window is copied out of
-	// the recorder once, into it.
-	sm.engine.PredictLive(in, func(dst []trace.Sample) []trace.Sample {
-		return sm.recorder.AppendDayWindow(dst, midnight, prevStart, in.Window.Start-prevStart)
-	}, func(eval func(predict.Plugin) (float64, error)) {
-		for i, sp := range plugins {
-			if sp.live {
-				out[i].tr, out[i].err = eval(sp.plugin)
-			}
-		}
-	})
-
-	sm.liveMu.Lock()
-	// Re-check the version: a sample may have landed mid-fit, making this
-	// result stale for future queries (it is still the right answer for
-	// this one). The size cap only guards against adversarial query mixes.
-	if sm.liveVer == ver && len(sm.liveMemo) < 512 {
-		sm.liveMemo[key] = out
-	}
-	sm.liveMu.Unlock()
-	return out
 }

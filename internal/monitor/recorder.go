@@ -113,19 +113,11 @@ func (r *Recorder) put(t time.Time, s trace.Sample) {
 	day.Samples[idx] = s
 }
 
-// DayWindow is AppendDayWindow into a fresh slice: nil when that day has no
-// samples in the window yet.
+// DayWindow copies the recorded samples of the day containing date at clock
+// offsets [start, start+length): nil when that day has none in the window
+// yet. Unlike Snapshot it copies only the requested window, and the lock is
+// held only for the copy.
 func (r *Recorder) DayWindow(date time.Time, start, length time.Duration) []trace.Sample {
-	return r.AppendDayWindow(nil, date, start, length)
-}
-
-// AppendDayWindow appends to dst the recorded samples of the day containing
-// date at clock offsets [start, start+length) and returns the extended slice
-// (dst unchanged when that day has none). Unlike Snapshot it copies only the
-// requested window, and into the caller's buffer, so a per-query caller (the
-// online baseline predictors) neither clones the history log nor allocates
-// once its buffer has grown; the lock is held only for the copy.
-func (r *Recorder) AppendDayWindow(dst []trace.Sample, date time.Time, start, length time.Duration) []trace.Sample {
 	date = date.UTC()
 	midnight := time.Date(date.Year(), date.Month(), date.Day(), 0, 0, 0, 0, time.UTC)
 	r.mu.Lock()
@@ -133,13 +125,13 @@ func (r *Recorder) AppendDayWindow(dst []trace.Sample, date time.Time, start, le
 	for i := len(r.machine.Days) - 1; i >= 0; i-- {
 		d := r.machine.Days[i]
 		if d.Date.Equal(midnight) {
-			return append(dst, d.Window(start, length)...)
+			return append([]trace.Sample(nil), d.Window(start, length)...)
 		}
 		if d.Date.Before(midnight) {
 			break
 		}
 	}
-	return dst
+	return nil
 }
 
 // View runs fn on the live log and the timestamp of the most recent recorded

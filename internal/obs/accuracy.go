@@ -21,7 +21,7 @@ import (
 // predicted TR against the empirical survival rate, and a 10-bucket
 // calibration table.
 //
-// Every query records one prediction per registered predictor, so a served
+// Every query records one prediction per predictor it scores, so a served
 // machine's pending queue sits at its cap and the costs that matter are the
 // ones there: RecordPrediction is a mutex acquire, a map lookup and one slot
 // write into a ring that allocates only while doubling up to the cap, and

@@ -28,7 +28,7 @@ import (
 // The LRU holds three kinds of entry under one key type: an SMP Prediction
 // (its solved reliabilities and initial-state mix) per (pool, window,
 // estimator configuration); a bare TR per (pool, window, plugin name, salt)
-// for every other Cacheable plugin; and, per (pool, "FFT", salt) with no
+// for each shadow plugin; and, per (pool, "FFT", salt) with no
 // window, the fitted spectrum that all of a pool's Spectral windows are
 // evaluated from.
 //
@@ -123,8 +123,8 @@ func NewEngine(cfg EngineConfig) *Engine {
 
 // engineKey identifies one cached result: the fingerprint of the day pool,
 // the query window, and the predictor identity — the full SMP estimator
-// configuration on the kernel path, or the plugin's registered name plus its
-// configuration salt on the cached-plugin path (see Cacheable). The plugin
+// configuration on the kernel path, or the plugin's name plus its
+// configuration salt on the plugin path (see Cacheable). The plugin
 // name is always part of the key, so two predictors can never share an
 // entry: the tracker never scores one predictor's fitted result as
 // another's. SMP and Window are comparable value types, so the key works
@@ -407,31 +407,13 @@ func (e *Engine) memo(ctx context.Context, key engineKey, fit func(*otrace.Span,
 	return entry, nil
 }
 
-// PredictPluginCtx evaluates a registered predictor through the engine. The
-// plugins Memoized names are answered from the LRU: SMP lands on the same
-// prediction entries as PredictCtx/PredictFromCtx (conditioned on in.State when
-// the caller knows it, the historical initial-state mix otherwise), a Cacheable
-// plugin on an entry keyed by (history fingerprint, window, plugin name,
-// configuration salt) — the plugin identity in the key guarantees predictors
-// never cross-serve — and Spectral additionally shares its fitted spectrum
-// between the windows of one day pool (see spectrum). Any other plugin is
-// evaluated directly, as PredictLive's one-plugin case on in.Prev.
+// PredictPluginCtx evaluates a shadow predictor through the engine. Its TR
+// is cached under (history fingerprint, window, plugin name, configuration
+// salt) — the plugin identity in the key guarantees predictors never
+// cross-serve — and Spectral additionally shares its fitted spectrum between
+// the windows of one day pool (see spectrum).
 func (e *Engine) PredictPluginCtx(ctx context.Context, pl Plugin, in PluginInput) (float64, error) {
-	if !Memoized(pl) {
-		var tr float64
-		var err error
-		e.PredictLive(in, nil, func(eval func(Plugin) (float64, error)) { tr, err = eval(pl) })
-		return tr, err
-	}
-	if p, ok := pl.(SMP); ok {
-		if in.HaveState && in.State.Recoverable() {
-			return e.PredictFromCtx(ctx, p, in.Days, in.Window, in.State)
-		}
-		pred, err := e.PredictCtx(ctx, p, in.Days, in.Window)
-		return pred.TR, err
-	}
-	c := pl.(Cacheable)
-	key := engineKey{fp: e.fingerprint(in.Days), window: in.Window, plugin: pl.Name(), salt: c.CacheSalt()}
+	key := engineKey{fp: e.fingerprint(in.Days), window: in.Window, plugin: pl.Name(), salt: pl.CacheSalt()}
 	entry, err := e.memo(ctx, key, func(span *otrace.Span, _ *EngineMetrics) (*engineEntry, error) {
 		var tr float64
 		var err error
@@ -456,29 +438,6 @@ func (e *Engine) PredictPluginCtx(ctx context.Context, pl Plugin, in PluginInput
 		return 0, err
 	}
 	return entry.pred.TR, nil
-}
-
-// PredictLive evaluates forecast-origin plugins — the ones Memoized rejects,
-// which read PluginInput.Prev — for one query, all on one pooled scratch.
-// When fill is non-nil it appends the samples preceding in.Window to the
-// scratch's own prev buffer, which then replaces in.Prev, so the preceding
-// window is copied once per query and into memory that is reused; fill holds
-// whatever lock guards its source only while it copies. each is handed the
-// evaluator and calls it once per plugin. Prev is reused once PredictLive
-// returns: nothing a plugin keeps may alias it.
-func (e *Engine) PredictLive(in PluginInput, fill func(dst []trace.Sample) []trace.Sample, each func(eval func(Plugin) (float64, error))) {
-	sc := getScratch()
-	defer putScratch(sc)
-	if fill != nil {
-		sc.prev = fill(sc.prev[:0])
-		in.Prev = sc.prev
-	}
-	each(func(pl Plugin) (float64, error) {
-		if ts, ok := pl.(TimeSeries); ok {
-			return ts.predictTR(sc, in)
-		}
-		return pl.PredictTR(in)
-	})
 }
 
 // spectrum is Spectral.fit through the cache: the fit reads the day pool and

@@ -61,7 +61,7 @@ func TestEngineMatchesSMP(t *testing.T) {
 				}
 			}
 			for _, init := range []avail.State{avail.S1, avail.S2} {
-				wantTR, err := p.PredictFrom(days, w, init)
+				wantTR, err := want.from(init)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -40,7 +40,7 @@ func DefaultPercentile() Percentile {
 // Name implements Plugin.
 func (Percentile) Name() string { return "PCT" }
 
-// CacheSalt implements Cacheable: Percentile is a pure function of (Days,
+// CacheSalt implements Plugin: Percentile is a pure function of (Days,
 // Window, knobs), so the engine may memoize it.
 func (p Percentile) CacheSalt() uint64 {
 	h := configSalt(p.Cfg, p.HistoryDays)
@@ -62,8 +62,8 @@ func (p Percentile) predictTR(sc *scratch, in PluginInput) (float64, error) {
 		return 0, err
 	}
 	// Cacheable contract: only Days, Window and the receiver's own knobs
-	// may influence the result (in.Prev/State are ignored) — the cache
-	// salt covers exactly the receiver.
+	// may influence the result — the cache salt covers exactly the
+	// receiver.
 	cfg := p.Cfg
 	if err := cfg.Validate(); err != nil {
 		return 0, err

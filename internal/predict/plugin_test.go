@@ -9,41 +9,6 @@ import (
 	"fgcs/internal/avail"
 )
 
-// TestPluginRegistry pins the built-in predictor set and its registration
-// order: the predictor docs, the tracker's rows and the doccheck
-// cross-check all key off these names, and the serving path evaluates and
-// scores in this order (the tracker's pending queue evicts by arrival).
-func TestPluginRegistry(t *testing.T) {
-	names := PluginNames()
-	want := []string{"SMP", "AR(8)", "BM(8)", "MA(8)", "ARMA(8,8)", "LAST", "FFT", "PCT"}
-	if len(names) != len(want) {
-		t.Fatalf("registered plugins = %v, want %v", names, want)
-	}
-	for i, n := range want {
-		if names[i] != n {
-			t.Fatalf("registered plugins = %v, want %v", names, want)
-		}
-	}
-	for _, n := range names {
-		pl, ok := NewPlugin(n, PluginOptions{Cfg: avail.DefaultConfig()})
-		if !ok {
-			t.Fatalf("NewPlugin(%q) not found", n)
-		}
-		if pl.Name() != n {
-			t.Fatalf("plugin registered as %q names itself %q", n, pl.Name())
-		}
-	}
-	if _, ok := NewPlugin("no-such-predictor", PluginOptions{}); ok {
-		t.Fatal("unknown plugin constructed")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate registration did not panic")
-		}
-	}()
-	RegisterPlugin("SMP", func(PluginOptions) Plugin { return SMP{} })
-}
-
 // TestPluginDeterminism repeats every day-structured plugin on the same
 // input: the results must be bit-identical, the property golden traces and
 // the fleetsim transcript hash rely on.
@@ -176,53 +141,32 @@ func TestPluginCacheSaltIsolation(t *testing.T) {
 	}
 }
 
-// TestEnginePluginDifferential runs every registered plugin through the
-// engine and directly: the engine may memoize but never alter a prediction,
-// with caching on or off, whether or not the caller knows the current state.
-// An SMP plugin call lands on the kernel entry PredictFromCtx filled.
+// TestEnginePluginDifferential runs both shadow plugins through the engine
+// and directly: the engine may memoize but never alter a prediction, with
+// caching on or off, on a window each answers and on one neither can.
 func TestEnginePluginDifferential(t *testing.T) {
 	ctx := context.Background()
 	days := failHistory(10, 3)
 	w := Window{Start: 8 * time.Hour, Length: 2 * time.Hour}
-	base := PluginInput{
-		Days:   days,
-		Prev:   days[len(days)-1].Window(w.Start-w.Length, w.Length),
-		Window: w,
-		Period: period,
+	fft, pct := DefaultSpectral(), DefaultPercentile()
+	fft.HistoryDays, pct.HistoryDays = 7, 7
+	inputs := []PluginInput{
+		{Days: days, Window: w, Period: period},
+		{Window: w, Period: period}, // no history: both refuse
 	}
-	s1, s2 := base, base
-	s1.State, s1.HaveState = avail.S1, true
-	s2.State, s2.HaveState = avail.S2, true
-	opts := PluginOptions{Cfg: avail.DefaultConfig(), HistoryDays: 7}
 	for _, cacheSize := range []int{0, -1} {
 		e := NewEngine(EngineConfig{CacheSize: cacheSize})
-		for _, name := range PluginNames() {
-			pl, _ := NewPlugin(name, opts)
-			for _, in := range []PluginInput{base, s1, s2} {
+		for _, pl := range []Plugin{fft, pct} {
+			for _, in := range inputs {
 				want, wantErr := pl.PredictTR(in)
 				// Twice: with caching on, the second answer is a hit.
 				for pass := 0; pass < 2; pass++ {
 					got, err := e.PredictPluginCtx(ctx, pl, in)
 					if got != want || (err == nil) != (wantErr == nil) {
-						t.Fatalf("%s cache %d pass %d: engine (%v, %v) != direct (%v, %v)", name, cacheSize, pass, got, err, want, wantErr)
+						t.Fatalf("%s cache %d pass %d: engine (%v, %v) != direct (%v, %v)", pl.Name(), cacheSize, pass, got, err, want, wantErr)
 					}
 				}
 			}
 		}
-	}
-
-	e := NewEngine(EngineConfig{})
-	p := SMP{Cfg: opts.Cfg, HistoryDays: opts.HistoryDays}
-	want, err := e.PredictFromCtx(ctx, p, days, w, avail.S2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := e.Stats()
-	got, err := e.PredictPluginCtx(ctx, p, s2)
-	if err != nil || got != want {
-		t.Fatalf("PredictPluginCtx(SMP) = (%v, %v), PredictFromCtx gave %v", got, err, want)
-	}
-	if after := e.Stats(); after.Hits != before.Hits+1 || after.Misses != before.Misses {
-		t.Fatalf("PredictPluginCtx(SMP) after PredictFromCtx was not a hit: %+v -> %+v", before, after)
 	}
 }

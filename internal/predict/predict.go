@@ -137,16 +137,6 @@ func (p SMP) Predict(history []*trace.Day, w Window) (Prediction, error) {
 	return pred.solve(sc, kernel, units)
 }
 
-// PredictFrom computes TR for a job starting in the given (recoverable)
-// current state — the live query issued by the iShare job scheduler.
-func (p SMP) PredictFrom(history []*trace.Day, w Window, init avail.State) (float64, error) {
-	pred, err := p.Predict(history, w)
-	if err != nil {
-		return 0, err
-	}
-	return pred.from(init)
-}
-
 func periodOf(days []*trace.Day) time.Duration {
 	if len(days) == 0 {
 		return trace.DefaultPeriod
@@ -155,23 +145,15 @@ func periodOf(days []*trace.Day) time.Duration {
 }
 
 // scratch bundles the reusable per-query buffers: the classification and
-// extraction arena and the estimation/solver workspace for SMP, a
-// classification buffer for Percentile, and for the forecast-origin baselines
-// the preceding window they share, then each one's training series, its
-// forecast, the forecast as samples and their classification. One process-wide
-// free list holds them (scratches), so at steady state a miss allocates only
-// the kernel's support and what it caches, whatever the window length; a call
-// outside the engine starts from the zero value. Results do not depend on what
-// a scratch held.
+// extraction arena and the estimation/solver workspace for SMP, and a
+// classification buffer for Percentile. One process-wide free list holds them
+// (scratches), so at steady state a miss allocates only the kernel's support
+// and what it caches, whatever the window length; a call outside the engine
+// starts from the zero value. Results do not depend on what a scratch held.
 type scratch struct {
-	ex avail.Extractor
-	ws smp.Workspace
-
-	prev      []trace.Sample
-	series    []float64
-	forecast  []float64
-	predicted []trace.Sample
-	states    []avail.State
+	ex     avail.Extractor
+	ws     smp.Workspace
+	states []avail.State
 }
 
 // prepare is the front half of the one pipeline from samples to TR: it cuts
@@ -267,19 +249,10 @@ func (t TimeSeries) PredictDay(day *trace.Day, w Window) (bool, error) {
 	return t.PredictWindow(day.Window(prevStart, w.Start-prevStart), w, day.Period)
 }
 
-// PredictWindow is PredictDay for a live, partially recorded day: prev holds
-// the samples of the window immediately preceding w (equal length, clipped
-// at midnight), and period is their sampling period. This is what lets the
-// state manager score the linear baselines online, where "today" exists only
-// as the recorder's growing sample log rather than a completed trace day.
+// PredictWindow is PredictDay over explicit samples: prev holds the samples
+// of the window immediately preceding w (equal length, clipped at midnight),
+// and period is their sampling period.
 func (t TimeSeries) PredictWindow(prev []trace.Sample, w Window, period time.Duration) (bool, error) {
-	return t.predictWindow(&scratch{}, prev, w, period)
-}
-
-// predictWindow is PredictWindow on sc's buffers, which it may grow and
-// leaves dirty; nothing it returns, and nothing the fitted model keeps,
-// aliases them. The result does not depend on what sc held.
-func (t TimeSeries) predictWindow(sc *scratch, prev []trace.Sample, w Window, period time.Duration) (bool, error) {
 	if err := w.Validate(); err != nil {
 		return false, err
 	}
@@ -296,7 +269,7 @@ func (t TimeSeries) predictWindow(sc *scratch, prev []trace.Sample, w Window, pe
 	}
 	// Build the training series from reachable samples; machine-down
 	// samples carry no load observation.
-	series := slices.Grow(sc.series[:0], len(prev)+1)
+	series := make([]float64, 0, len(prev)+1)
 	lastFree := t.Cfg.GuestMemMB + 1 // optimistic default when unobserved
 	for _, s := range prev {
 		if s.Up {
@@ -309,14 +282,13 @@ func (t TimeSeries) predictWindow(sc *scratch, prev []trace.Sample, w Window, pe
 		// midnight after an outage): predict idle.
 		series = append(series, 0)
 	}
-	sc.series = series
 	model, err := t.Fitter.Fit(series)
 	if err != nil {
 		return false, err
 	}
-	sc.forecast = model.Forecast(sc.forecast[:0], w.Units(period))
-	predicted := slices.Grow(sc.predicted[:0], len(sc.forecast))
-	for _, cpu := range sc.forecast {
+	forecast := model.Forecast(nil, w.Units(period))
+	predicted := make([]trace.Sample, 0, len(forecast))
+	for _, cpu := range forecast {
 		if cpu < 0 {
 			cpu = 0
 		}
@@ -328,11 +300,10 @@ func (t TimeSeries) predictWindow(sc *scratch, prev []trace.Sample, w Window, pe
 		// signal.
 		predicted = append(predicted, trace.Sample{CPU: cpu, FreeMemMB: lastFree, Up: true})
 	}
-	sc.predicted = predicted
 	// The trajectory survives when no sample of it classifies as a failure
 	// state, which is what avail.WindowSurvives computes.
-	sc.states = avail.ClassifyInto(sc.states, predicted, t.Cfg, period)
-	return !slices.ContainsFunc(sc.states, avail.State.Failure), nil
+	states := avail.ClassifyInto(nil, predicted, t.Cfg, period)
+	return !slices.ContainsFunc(states, avail.State.Failure), nil
 }
 
 // Predict aggregates PredictDay over a set of days: the predicted temporal

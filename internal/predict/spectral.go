@@ -70,7 +70,7 @@ func DefaultSpectral() Spectral {
 // Name implements Plugin.
 func (Spectral) Name() string { return "FFT" }
 
-// CacheSalt implements Cacheable: Spectral is a pure function of (Days,
+// CacheSalt implements Plugin: Spectral is a pure function of (Days,
 // Window, knobs), so the engine may memoize it. Every knob folds in.
 func (s Spectral) CacheSalt() uint64 {
 	h := configSalt(s.Cfg, s.HistoryDays)
@@ -98,8 +98,8 @@ func (s Spectral) predictTR(in PluginInput, fit func([]*trace.Day) (*spectrum, e
 		return 0, err
 	}
 	// Cacheable contract: only Days, Window and the receiver's own knobs
-	// may influence the result (in.Prev/State are ignored) — the cache
-	// salt covers exactly the receiver.
+	// may influence the result — the cache salt covers exactly the
+	// receiver.
 	if err := s.Cfg.Validate(); err != nil {
 		return 0, err
 	}
