@@ -146,8 +146,8 @@ golden-update:
 	$(GO) test ./cmd/experiments/ -run 'TestScorecard' -count=1 -update
 	$(GO) test ./internal/fleetsim/ -run 'TestFleetSimGolden' -count=1 -update
 
-# Chaos harnesses: a five-machine testbed over real TCP with seeded fault
-# injection (dial refusals, resets, corruption, partitions), and a
+# Chaos harnesses: a five-machine testbed on faultnet's in-memory network
+# with seeded fault injection (dial refusals, resets, corruption, partitions), and a
 # three-peer federated control plane that loses a gateway mid-run. Each runs
 # twice per invocation to prove byte-determinism of the fault schedule.
 chaos:

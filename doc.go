@@ -24,7 +24,8 @@
 //   - Runtime: ishare — gateway, state manager, registry, client scheduler,
 //     supervisor, retry/breaker stack, and the federated multi-gateway
 //     control plane (consistent-hash sharding, replication, forwarding);
-//     faultnet injects deterministic network faults for the chaos tests.
+//     faultnet is the in-memory network, with seeded faults, that the chaos
+//     tests and fleetsim run on.
 //   - Evaluation: fgcssim (whole-deployment simulation) and experiments
 //     (the figure/table regeneration harness).
 //

@@ -1,38 +1,34 @@
-// Package faultnet injects reproducible network faults underneath the
-// iShare control plane. The paper's premise is that FGCS resources fail
-// constantly; this package makes the *network* fail just as deterministically
-// so the runtime's retry, circuit-breaker and liveness machinery can be
-// driven through every failure mode in tests.
+// Package faultnet is the in-memory network the chaos tests and fleetsim
+// run the iShare control plane on, and it fails on a seeded plan: the
+// paper's premise is that FGCS resources fail constantly, and this package
+// makes the network fail just as reproducibly.
 //
-// A Network wraps dialing and listening. Every fault decision is drawn from
-// a seeded, splittable RNG stream keyed by (peer address, operation index),
-// so a test that performs the same sequence of operations observes the same
-// faults on every run — the decision trace is byte-identical for a fixed
-// seed. Per-connection faults (mid-stream resets, corruption, partial
-// writes) are planned once at connection establishment and trigger at fixed
-// *byte offsets*, which makes them independent of how the kernel chunks
-// reads and writes.
+// Handle(addr, serve) registers a per-dial server. A connection is an
+// unbounded pipe each way with blocking reads; it honors deadlines in wall
+// time, and once closed it keeps no timer and no goroutine. The network
+// meters the bytes written by dialers and by servers.
 //
-// Supported fault modes:
-//
-//   - dial refusal (connection refused) with probability DialFailProb
-//   - injected dial latency, uniform in [0, DialLatency)
-//   - mid-stream connection reset after a planned number of bytes read
-//     or written (ResetProb)
-//   - partial write: a write delivers only a prefix and then errors
-//     (PartialWriteProb)
-//   - byte corruption: one read byte is flipped at a planned offset
-//     (CorruptProb)
-//   - full per-peer partitions via Partition/Heal: every dial to the peer
-//     fails immediately until healed, and established connections to the
-//     peer are severed — so pooled, long-lived connections observe the
-//     partition too, not just fresh dials
+// Faults: dial refusals, dial latency, mid-stream resets (the peer reads the
+// reset once it has drained what came before), partial writes, one flipped
+// byte, and Partition/Heal, which refuses dials and severs open connections
+// on both ends. Each decision is drawn from a seeded RNG stream keyed by
+// (address, operation index): "dial/<addr>" plans the dialing end and
+// "accept/<addr>" the server end. Stream faults trigger at planned
+// cumulative byte offsets, however the stream is chunked, so the same
+// operations in the same order meet the same faults and leave a
+// byte-identical Trace. The network's Config plans dialing ends only; a
+// per-peer profile (SetPeerConfig) replaces it for dials to that peer and
+// also plans the server ends the peer is handed.
 package faultnet
 
 import (
 	"fmt"
+	"io"
 	"net"
+	"os"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"fgcs/internal/rng"
@@ -61,13 +57,6 @@ type Config struct {
 	MaxFaultOffset int
 }
 
-func (c Config) maxOffset() int {
-	if c.MaxFaultOffset <= 0 {
-		return 128
-	}
-	return c.MaxFaultOffset
-}
-
 // ErrInjected marks every error produced by fault injection, so tests and
 // retry layers can tell injected faults from real network trouble.
 type ErrInjected struct {
@@ -80,10 +69,7 @@ func (e *ErrInjected) Error() string {
 	return fmt.Sprintf("faultnet: injected %s fault to %s: %s", e.Op, e.Addr, e.Why)
 }
 
-// Timeout reports false; injected faults are hard failures, not timeouts.
-func (e *ErrInjected) Timeout() bool { return false }
-
-// connMode is the planned fate of one connection.
+// connMode is the planned fate of one connection end.
 type connMode int
 
 const (
@@ -94,119 +80,116 @@ const (
 	modeCorrupt
 )
 
-func (m connMode) String() string {
-	switch m {
-	case modeClean:
-		return "clean"
-	case modeResetRead:
-		return "reset-read"
-	case modeResetWrite:
-		return "reset-write"
-	case modePartialWrite:
-		return "partial-write"
-	case modeCorrupt:
-		return "corrupt"
-	}
-	return "?"
+var modeNames = [...]string{"clean", "reset-read", "reset-write", "partial-write", "corrupt"}
+
+func (m connMode) String() string { return modeNames[m] }
+
+// Network is a deterministic fault-injecting in-memory network, safe for
+// concurrent use. Its decision trace is deterministic when the operations
+// happen in a deterministic order (e.g. a single-threaded client loop).
+type Network struct {
+	mu        sync.Mutex
+	seed      uint64
+	cfg       Config
+	servers   map[string]func(net.Conn)
+	peers     map[string]*peer
+	open      map[*link]struct{}
+	trace     []string
+	dialFails int
+
+	dialerBytes, serverBytes atomic.Int64
 }
 
-// Network is a deterministic fault-injecting transport. It is safe for
-// concurrent use; determinism of the decision trace additionally requires
-// that the operations themselves happen in a deterministic order (e.g. a
-// single-threaded client loop).
-type Network struct {
-	mu          sync.Mutex
-	seed        uint64
-	cfg         Config
-	alias       map[string]string // concrete addr -> logical peer name
-	peerCfg     map[string]Config // per-peer overrides
-	partitioned map[string]bool
-	dialSeq     map[string]uint64 // per-addr dial attempt counter
-	acceptSeq   map[string]uint64 // per-listener accept counter
-	open        map[*conn]struct{}
-	trace       []string
-	dialFails   int
+// peer is the fault state of one address, kept from its first per-peer
+// profile, partition or dial under a faulty network Config on: other
+// addresses dial clean and uncounted.
+type peer struct {
+	cfg         *Config // per-peer profile; nil selects the network's
+	partitioned bool
+	dials       int // dials planned so far
+	accepts     int // server ends planned from the per-peer profile so far
 }
 
 // New returns a Network seeded for reproducible fault schedules.
 func New(seed uint64, cfg Config) *Network {
 	return &Network{
-		seed:        seed,
-		cfg:         cfg,
-		alias:       make(map[string]string),
-		peerCfg:     make(map[string]Config),
-		partitioned: make(map[string]bool),
-		dialSeq:     make(map[string]uint64),
-		acceptSeq:   make(map[string]uint64),
-		open:        make(map[*conn]struct{}),
+		seed:    seed,
+		cfg:     cfg,
+		servers: make(map[string]func(net.Conn)),
+		peers:   make(map[string]*peer),
+		open:    make(map[*link]struct{}),
 	}
 }
 
-// Alias keys all fault decisions for addr by a stable logical name: RNG
-// streams, per-peer overrides, partitions and trace lines use the name
-// instead of the concrete address. Tests that listen on ephemeral ports
-// alias each address to a fixed name so the fault schedule — and the
-// decision trace — is byte-identical across runs regardless of which ports
-// the kernel hands out. SetPeerConfig, Partition, Heal and Partitioned then
-// take the logical name.
-func (n *Network) Alias(addr, name string) {
+// peer returns addr's fault state, creating it. Callers hold n.mu.
+func (n *Network) peer(addr string) *peer {
+	p := n.peers[addr]
+	if p == nil {
+		p = &peer{}
+		n.peers[addr] = p
+	}
+	return p
+}
+
+// Handle registers serve as the server at addr, replacing any earlier one:
+// each dial to addr runs serve on the server end of a fresh connection, on
+// a goroutine of its own, and closes that end when serve returns.
+// Handle(addr, nil) takes addr down: dials are refused and its open
+// connections are severed on both ends.
+func (n *Network) Handle(addr string, serve func(net.Conn)) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.alias[addr] = name
-}
-
-// key resolves a concrete address to its fault-schedule key. Callers hold
-// n.mu.
-func (n *Network) key(addr string) string {
-	if name, ok := n.alias[addr]; ok {
-		return name
+	if serve != nil {
+		n.servers[addr] = serve
+		return
 	}
-	return addr
+	delete(n.servers, addr)
+	n.cut(addr)
 }
 
-// SetPeerConfig overrides the fault profile for one peer address.
+// cut severs every open connection to addr. Callers hold n.mu.
+func (n *Network) cut(addr string) {
+	for l := range n.open {
+		if l.addr == addr {
+			l.sever()
+			delete(n.open, l)
+		}
+	}
+}
+
+// SetPeerConfig overrides the fault profile for one peer address: for the
+// dials to it and for the server ends it is handed.
 func (n *Network) SetPeerConfig(addr string, cfg Config) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.peerCfg[n.key(addr)] = cfg
+	n.peer(addr).cfg = &cfg
 }
 
 // Partition cuts all future dials to addr until Heal and severs every
-// established connection to it, so long-lived pooled connections observe
-// the partition instead of riding it out.
+// established connection to it on both ends, so long-lived pooled
+// connections observe the partition instead of riding it out.
 func (n *Network) Partition(addr string) {
 	n.mu.Lock()
-	key := n.key(addr)
-	n.partitioned[key] = true
-	n.trace = append(n.trace, fmt.Sprintf("partition %s", key))
-	var sever []*conn
-	for c := range n.open {
-		if c.addr == key {
-			sever = append(sever, c)
-			delete(n.open, c)
-		}
-	}
-	n.mu.Unlock()
-	// Close outside the lock: conn.Close re-enters the network to
-	// unregister itself.
-	for _, c := range sever {
-		_ = c.Conn.Close()
-	}
+	defer n.mu.Unlock()
+	n.peer(addr).partitioned = true
+	n.trace = append(n.trace, "partition "+addr)
+	n.cut(addr)
 }
 
 // Heal restores dials to addr.
 func (n *Network) Heal(addr string) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	delete(n.partitioned, n.key(addr))
-	n.trace = append(n.trace, fmt.Sprintf("heal %s", n.key(addr)))
+	n.peer(addr).partitioned = false
+	n.trace = append(n.trace, "heal "+addr)
 }
 
 // Partitioned reports whether addr is currently cut off.
 func (n *Network) Partitioned(addr string) bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.partitioned[n.key(addr)]
+	p := n.peers[addr]
+	return p != nil && p.partitioned
 }
 
 // Trace returns a copy of the decision log: one line per fault decision, in
@@ -215,9 +198,7 @@ func (n *Network) Partitioned(addr string) bool {
 func (n *Network) Trace() []string {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	out := make([]string, len(n.trace))
-	copy(out, n.trace)
-	return out
+	return slices.Clone(n.trace)
 }
 
 // DialFailures counts injected dial refusals (including partition refusals).
@@ -227,18 +208,19 @@ func (n *Network) DialFailures() int {
 	return n.dialFails
 }
 
-func (n *Network) cfgFor(addr string) Config {
-	if c, ok := n.peerCfg[addr]; ok {
-		return c
-	}
-	return n.cfg
-}
+// DialerBytes returns the bytes written so far by the dialing ends.
+func (n *Network) DialerBytes() int64 { return n.dialerBytes.Load() }
 
-// planConn draws a connection's fate from its dedicated stream. Callers hold
-// n.mu.
+// ServerBytes returns the bytes written so far by the server ends.
+func (n *Network) ServerBytes() int64 { return n.serverBytes.Load() }
+
+// planConn draws a connection end's fate from its dedicated stream.
 func planConn(s *rng.Stream, cfg Config) (connMode, int) {
+	if cfg.MaxFaultOffset <= 0 {
+		cfg.MaxFaultOffset = 128
+	}
 	u := s.Float64()
-	off := s.Intn(cfg.maxOffset()) + 1
+	off := s.Intn(cfg.MaxFaultOffset) + 1
 	switch {
 	case u < cfg.ResetProb/2:
 		return modeResetRead, off
@@ -252,192 +234,283 @@ func planConn(s *rng.Stream, cfg Config) (connMode, int) {
 	return modeClean, 0
 }
 
-// DialTimeout dials addr through the fault layer. It satisfies the iShare
-// transport's Dialer contract.
+// refuse records an injected dial refusal and returns its error. Callers
+// hold n.mu.
+func (n *Network) refuse(addr string, seq int, line, why string) error {
+	n.dialFails++
+	n.trace = append(n.trace, fmt.Sprintf("dial %s #%d: %s", addr, seq, line))
+	return &ErrInjected{Op: "dial", Addr: addr, Why: why}
+}
+
+// DialTimeout connects to the server at addr through the fault layer, as
+// the iShare Dialer contract asks. An in-memory dial waits only on its
+// injected latency, so network and timeout are ignored.
 func (n *Network) DialTimeout(network, addr string, timeout time.Duration) (net.Conn, error) {
 	n.mu.Lock()
-	key := n.key(addr)
-	seq := n.dialSeq[key]
-	n.dialSeq[key] = seq + 1
-	cfg := n.cfgFor(key)
-	if n.partitioned[key] {
-		n.dialFails++
-		n.trace = append(n.trace, fmt.Sprintf("dial %s #%d: partitioned", key, seq))
-		n.mu.Unlock()
-		return nil, &ErrInjected{Op: "dial", Addr: key, Why: "partitioned"}
+	defer n.mu.Unlock()
+	p := n.peers[addr]
+	if p == nil && n.cfg != (Config{}) {
+		p = n.peer(addr)
 	}
-	s := rng.New(n.seed).SplitN("dial/"+key, int(seq))
-	if cfg.DialFailProb > 0 && s.Float64() < cfg.DialFailProb {
-		n.dialFails++
-		n.trace = append(n.trace, fmt.Sprintf("dial %s #%d: refused", key, seq))
-		n.mu.Unlock()
-		return nil, &ErrInjected{Op: "dial", Addr: key, Why: "connection refused"}
+	mode, off := modeClean, 0
+	if p != nil {
+		seq := p.dials
+		p.dials++
+		if p.partitioned {
+			return nil, n.refuse(addr, seq, "partitioned", "partitioned")
+		}
+		cfg := n.cfg
+		if p.cfg != nil {
+			cfg = *p.cfg
+		}
+		s := rng.New(n.seed).SplitN("dial/"+addr, seq)
+		if cfg.DialFailProb > 0 && s.Float64() < cfg.DialFailProb {
+			return nil, n.refuse(addr, seq, "refused", "connection refused")
+		}
+		var delay time.Duration
+		if cfg.DialLatency > 0 {
+			delay = time.Duration(s.Float64() * float64(cfg.DialLatency))
+		}
+		mode, off = planConn(s.Split("conn"), cfg)
+		if mode != modeClean {
+			n.trace = append(n.trace, fmt.Sprintf("dial %s #%d: %s@%d", addr, seq, mode, off))
+		}
+		if delay > 0 {
+			n.mu.Unlock()
+			time.Sleep(delay)
+			n.mu.Lock()
+			// Checked again under the lock that registers the connection:
+			// a Partition during the sleep must not let this dial through.
+			if p.partitioned {
+				return nil, n.refuse(addr, seq, "partitioned", "partitioned")
+			}
+		}
 	}
-	var delay time.Duration
-	if cfg.DialLatency > 0 {
-		delay = time.Duration(s.Float64() * float64(cfg.DialLatency))
+	serve := n.servers[addr]
+	if serve == nil {
+		return nil, fmt.Errorf("faultnet: dial %s: connection refused", addr)
 	}
-	mode, off := planConn(s.Split("conn"), cfg)
-	if mode != modeClean {
-		n.trace = append(n.trace, fmt.Sprintf("dial %s #%d: %s@%d", key, seq, mode, off))
+	l := &link{net: n, addr: addr}
+	l.c2s.cond.L, l.s2c.cond.L = &l.c2s.mu, &l.s2c.mu
+	l.c2s.meter, l.s2c.meter = &n.dialerBytes, &n.serverBytes
+	client := &end{l: l, r: &l.s2c, w: &l.c2s, mode: mode, offset: off}
+	server := &end{l: l, r: &l.c2s, w: &l.s2c}
+	if p != nil && p.cfg != nil && *p.cfg != (Config{}) {
+		s := rng.New(n.seed).SplitN("accept/"+addr, p.accepts)
+		server.mode, server.offset = planConn(s, *p.cfg)
+		if server.mode != modeClean {
+			n.trace = append(n.trace, fmt.Sprintf("accept %s #%d: %s@%d", addr, p.accepts, server.mode, server.offset))
+		}
+		p.accepts++
 	}
-	n.mu.Unlock()
-
-	if delay > 0 {
-		time.Sleep(delay)
-	}
-	c, err := net.DialTimeout(network, addr, timeout)
-	if err != nil {
-		return nil, err
-	}
-	fc := &conn{Conn: c, net: n, addr: key, mode: mode, offset: off}
-	n.register(fc)
-	return fc, nil
+	n.open[l] = struct{}{}
+	go func() {
+		serve(server)
+		server.Close()
+	}()
+	return client, nil
 }
 
-// register tracks an established outbound connection so Partition can sever
-// it. A connection dialed to an already-partitioned peer cannot occur (the
-// dial fails first).
-func (n *Network) register(c *conn) {
-	n.mu.Lock()
-	n.open[c] = struct{}{}
-	n.mu.Unlock()
+// link is one connection: a pipe each way and the address it was dialed to.
+type link struct {
+	net      *Network
+	addr     string
+	c2s, s2c pipe
+	closed   atomic.Bool
 }
 
-func (n *Network) unregister(c *conn) {
-	n.mu.Lock()
-	delete(n.open, c)
-	n.mu.Unlock()
+// sever shuts both directions: each end drains its buffer, then reads EOF.
+func (l *link) sever() {
+	l.c2s.shut(io.EOF)
+	l.s2c.shut(io.EOF)
 }
 
-// Listen opens a fault-injecting listener: accepted connections get their
-// own planned faults, keyed by the listener address and accept index.
-func (n *Network) Listen(network, addr string) (net.Listener, error) {
-	ln, err := net.Listen(network, addr)
-	if err != nil {
-		return nil, err
+// close severs l and drops it from the network's registry.
+func (l *link) close() {
+	l.sever()
+	if l.closed.CompareAndSwap(false, true) {
+		l.net.mu.Lock()
+		delete(l.net.open, l)
+		l.net.mu.Unlock()
 	}
-	return n.WrapListener(ln), nil
 }
 
-// WrapListener wraps an existing listener with fault injection on accepted
-// connections.
-func (n *Network) WrapListener(ln net.Listener) net.Listener {
-	return &listener{Listener: ln, net: n}
-}
-
-type listener struct {
-	net.Listener
-	net *Network
-}
-
-// Accept plans faults for each inbound connection.
-func (l *listener) Accept() (net.Conn, error) {
-	c, err := l.Listener.Accept()
-	if err != nil {
-		return nil, err
-	}
-	l.net.mu.Lock()
-	key := l.net.key(l.Listener.Addr().String())
-	seq := l.net.acceptSeq[key]
-	l.net.acceptSeq[key] = seq + 1
-	cfg := l.net.cfgFor(key)
-	s := rng.New(l.net.seed).SplitN("accept/"+key, int(seq))
-	mode, off := planConn(s, cfg)
-	if mode != modeClean {
-		l.net.trace = append(l.net.trace, fmt.Sprintf("accept %s #%d: %s@%d", key, seq, mode, off))
-	}
-	l.net.mu.Unlock()
-	return &conn{Conn: c, addr: key, mode: mode, offset: off}, nil
-}
-
-// conn applies one planned fault to a real connection. Offsets count
-// cumulative bytes on the faulted direction, so the trigger point does not
-// depend on how the stream is chunked into Read/Write calls.
-type conn struct {
-	net.Conn
-	net    *Network // nil for accepted (inbound) connections
-	addr   string
+// end is one endpoint of a link with its planned fault, which triggers at a
+// cumulative byte offset in the faulted direction.
+type end struct {
+	l      *link
+	r, w   *pipe
 	mode   connMode
 	offset int
 
+	mu   sync.Mutex // serializes the faulted direction
+	seen int        // bytes so far in the faulted direction
+}
+
+// Close closes the whole connection: the peer reads EOF after its buffer.
+func (e *end) Close() error {
+	e.l.close()
+	return nil
+}
+
+// abort delivers an injected reset: the peer reads it after its buffer.
+func (e *end) abort() {
+	e.w.shut(&ErrInjected{Op: "read", Addr: e.l.addr, Why: "connection reset by peer"})
+	e.l.close()
+}
+
+func (e *end) Read(p []byte) (int, error) {
+	if e.mode != modeResetRead && e.mode != modeCorrupt {
+		return e.r.read(p)
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.mode == modeResetRead {
+		if e.seen >= e.offset {
+			e.abort()
+			return 0, &ErrInjected{Op: "read", Addr: e.l.addr, Why: "connection reset"}
+		}
+		// Never deliver bytes past the planned offset, so the reset fires
+		// at exactly offset cumulative bytes.
+		p = p[:min(len(p), e.offset-e.seen)]
+	}
+	n, err := e.r.read(p)
+	if e.mode == modeCorrupt && e.seen < e.offset && e.seen+n >= e.offset {
+		p[e.offset-e.seen-1] ^= 0xFF
+	}
+	e.seen += n
+	return n, err
+}
+
+func (e *end) Write(p []byte) (int, error) {
+	if e.mode != modeResetWrite && e.mode != modePartialWrite {
+		return e.w.write(p)
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.seen+len(p) <= e.offset {
+		n, err := e.w.write(p)
+		e.seen += n
+		return n, err
+	}
+	if e.mode == modeResetWrite {
+		e.abort()
+		return 0, &ErrInjected{Op: "write", Addr: e.l.addr, Why: "connection reset"}
+	}
+	n, _ := e.w.write(p[:max(e.offset-e.seen, 0)])
+	e.seen += n
+	e.l.close()
+	return n, &ErrInjected{Op: "write", Addr: e.l.addr, Why: "partial write"}
+}
+
+func (e *end) LocalAddr() net.Addr  { return memAddr(e.l.addr) }
+func (e *end) RemoteAddr() net.Addr { return memAddr(e.l.addr) }
+
+func (e *end) SetDeadline(t time.Time) error {
+	e.r.setDeadline(&e.r.readBy, t)
+	e.w.setDeadline(&e.w.writeBy, t)
+	return nil
+}
+
+func (e *end) SetReadDeadline(t time.Time) error  { e.r.setDeadline(&e.r.readBy, t); return nil }
+func (e *end) SetWriteDeadline(t time.Time) error { e.w.setDeadline(&e.w.writeBy, t); return nil }
+
+// memAddr is a Network address: the name a server was registered under.
+type memAddr string
+
+func (a memAddr) Network() string { return "faultnet" }
+func (a memAddr) String() string  { return string(a) }
+
+// pipe is one direction of a link: an unbounded buffer with blocking reads.
+// Writes never block, so neither end waits on the other, and a drained
+// buffer is dropped, so an idle connection holds no memory.
+type pipe struct {
 	mu      sync.Mutex
-	read    int
-	written int
-	done    bool // fault already delivered
+	cond    sync.Cond
+	buf     []byte
+	meter   *atomic.Int64 // the network's count of bytes written this way
+	err     error         // set once shut: what reads return after draining buf
+	readBy  time.Time     // the reading end's deadline
+	writeBy time.Time     // the writing end's deadline
+	timer   *time.Timer   // wakes a read blocked until readBy; shut stops it
 }
 
-// Close unregisters the connection from the partition registry before
-// closing the underlying socket.
-func (c *conn) Close() error {
-	if c.net != nil {
-		c.net.unregister(c)
+func (p *pipe) write(b []byte) (int, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	switch {
+	case p.err == io.EOF:
+		return 0, net.ErrClosed
+	case p.err != nil:
+		return 0, p.err
+	case !p.writeBy.IsZero() && !time.Now().Before(p.writeBy):
+		return 0, os.ErrDeadlineExceeded
 	}
-	return c.Conn.Close()
+	p.buf = append(p.buf, b...)
+	// Metered before the reader can see the bytes, so a reply never
+	// overtakes the count of the request it answers.
+	p.meter.Add(int64(len(b)))
+	p.cond.Broadcast()
+	return len(b), nil
 }
 
-func (c *conn) Read(p []byte) (int, error) {
-	c.mu.Lock()
-	mode, off, read, done := c.mode, c.offset, c.read, c.done
-	c.mu.Unlock()
-	if !done && mode == modeResetRead {
-		if read >= off {
-			c.fire()
-			_ = c.Conn.Close()
-			return 0, &ErrInjected{Op: "read", Addr: c.addr, Why: "connection reset"}
+func (p *pipe) read(b []byte) (int, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for {
+		if !p.readBy.IsZero() && !time.Now().Before(p.readBy) {
+			return 0, os.ErrDeadlineExceeded
 		}
-		// Never deliver bytes past the planned offset: cap this read so
-		// the reset fires at exactly off cumulative bytes, regardless of
-		// how the kernel chunks the stream.
-		if len(p) > off-read {
-			p = p[:off-read]
+		if len(p.buf) > 0 || p.err != nil {
+			break
 		}
-	}
-	n, err := c.Conn.Read(p)
-	if n > 0 && !done && mode == modeCorrupt && read < off && read+n >= off {
-		// Flip the byte at the planned cumulative offset.
-		p[off-read-1] ^= 0xFF
-		c.fire()
-	}
-	c.mu.Lock()
-	c.read += n
-	c.mu.Unlock()
-	return n, err
-}
-
-func (c *conn) Write(p []byte) (int, error) {
-	c.mu.Lock()
-	mode, off, written, done := c.mode, c.offset, c.written, c.done
-	c.mu.Unlock()
-	if !done && written+len(p) > off {
-		switch mode {
-		case modeResetWrite:
-			c.fire()
-			_ = c.Conn.Close()
-			return 0, &ErrInjected{Op: "write", Addr: c.addr, Why: "connection reset"}
-		case modePartialWrite:
-			k := off - written
-			if k < 0 {
-				k = 0
+		if !p.readBy.IsZero() {
+			d := time.Until(p.readBy)
+			if p.timer == nil {
+				p.timer = time.AfterFunc(d, p.wake)
+			} else {
+				p.timer.Reset(d)
 			}
-			n, _ := c.Conn.Write(p[:k])
-			c.fire()
-			_ = c.Conn.Close()
-			c.mu.Lock()
-			c.written += n
-			c.mu.Unlock()
-			return n, &ErrInjected{Op: "write", Addr: c.addr, Why: "partial write"}
 		}
+		p.cond.Wait()
 	}
-	n, err := c.Conn.Write(p)
-	c.mu.Lock()
-	c.written += n
-	c.mu.Unlock()
-	return n, err
+	if len(p.buf) == 0 {
+		return 0, p.err
+	}
+	n := copy(b, p.buf)
+	p.buf = p.buf[n:]
+	if len(p.buf) == 0 {
+		p.buf = nil
+	}
+	return n, nil
 }
 
-func (c *conn) fire() {
-	c.mu.Lock()
-	c.done = true
-	c.mu.Unlock()
+func (p *pipe) wake() {
+	p.mu.Lock()
+	p.cond.Broadcast()
+	p.mu.Unlock()
+}
+
+// setDeadline sets one of p's deadlines and wakes a blocked read to
+// re-evaluate it.
+func (p *pipe) setDeadline(dl *time.Time, t time.Time) {
+	p.mu.Lock()
+	*dl = t
+	p.cond.Broadcast()
+	p.mu.Unlock()
+}
+
+// shut ends the pipe: reads drain what is buffered and then return err, and
+// writes fail. The first shut decides the error.
+func (p *pipe) shut(err error) {
+	p.mu.Lock()
+	if p.err == nil {
+		p.err = err
+	}
+	if p.timer != nil {
+		p.timer.Stop()
+		p.timer = nil
+	}
+	p.cond.Broadcast()
+	p.mu.Unlock()
 }

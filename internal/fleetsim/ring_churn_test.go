@@ -3,9 +3,11 @@ package fleetsim
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"fgcs/internal/faultnet"
 	"fgcs/internal/ishare"
 	"fgcs/internal/rng"
 	"fgcs/internal/simclock"
@@ -109,12 +111,12 @@ func TestFedConvergenceAfterRestart(t *testing.T) {
 		t.Run(fmt.Sprintf("g%d-k%d-m%d", tc.gateways, tc.replicas, tc.machines), func(t *testing.T) {
 			ctx := context.Background()
 			clock := simclock.NewVirtual(time.Date(2026, 6, 1, 12, 0, 0, 0, time.UTC))
-			net := newLoopNet()
-			defer net.close()
+			net := faultnet.New(1, faultnet.Config{})
 			peers := make([]ishare.Peer, tc.gateways)
 			for i := range peers {
 				id := fmt.Sprintf("gw%02d", i)
 				peers[i] = ishare.Peer{ID: id, Addr: "fed/" + id}
+				defer net.Handle(peers[i].Addr, nil)
 			}
 			newCaller := func() *ishare.Caller {
 				return &ishare.Caller{Dialer: net, Retry: ishare.RetryPolicy{MaxAttempts: 1}, Clock: clock}
@@ -132,7 +134,7 @@ func TestFedConvergenceAfterRestart(t *testing.T) {
 			feds := make([]*ishare.FedGateway, tc.gateways)
 			for i := range feds {
 				feds[i] = newFed(i)
-				net.Register(peers[i].Addr, feds[i].Handler())
+				handle(net, peers[i].Addr, feds[i].Handler(), new(atomic.Int64))
 			}
 			caller := newCaller()
 			st := rng.New(42).Split("register")
@@ -150,10 +152,10 @@ func TestFedConvergenceAfterRestart(t *testing.T) {
 			}
 
 			// Crash and restart peer 0 with an empty shard.
-			net.SetDown(peers[0].Addr, true)
-			net.SetDown(peers[0].Addr, false)
+			net.Partition(peers[0].Addr)
+			net.Heal(peers[0].Addr)
 			feds[0] = newFed(0)
-			net.Register(peers[0].Addr, feds[0].Handler())
+			handle(net, peers[0].Addr, feds[0].Handler(), new(atomic.Int64))
 
 			sumAccepted := func() uint64 {
 				var n uint64

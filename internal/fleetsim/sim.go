@@ -1,6 +1,6 @@
 // Package fleetsim drives a federated iShare fleet — N gateway peers
 // serving M simulated machines — entirely in process: a virtual clock
-// instead of sleeps and an in-memory loopback transport instead of sockets,
+// instead of sleeps and faultnet's in-memory network instead of sockets,
 // with the production client, routing, registry and prediction stacks
 // otherwise unmodified. One run covers a registration storm, steady-state
 // replayed traffic across a day rollover, heartbeat refresh, leave/join
@@ -14,11 +14,14 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"net"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"fgcs/internal/avail"
+	"fgcs/internal/faultnet"
 	"fgcs/internal/ishare"
 	"fgcs/internal/obs"
 	"fgcs/internal/predict"
@@ -32,9 +35,23 @@ import (
 // query days' type under the estimator's weekday/weekend pooling.
 var simStart = time.Date(2026, 6, 3, 23, 0, 0, 0, time.UTC)
 
-// rpcTimeout bounds each in-process RPC. It is nominal: the loopback
-// transport never blocks on a network.
+// rpcTimeout bounds each in-process RPC. It is nominal: the in-memory
+// network never blocks on a wire.
 const rpcTimeout = 30 * time.Second
+
+// handle registers h at addr, counting its requests. Each connection gets a
+// listener-less ishare.Server of its own (the production loops, and no
+// server outlives its connection) with the in-flight caps lifted: the fleet
+// models no server capacity, and a shed would make the transcript depend on
+// scheduling.
+func handle(n *faultnet.Network, addr string, h ishare.Handler, requests *atomic.Int64) {
+	n.Handle(addr, func(c net.Conn) {
+		ishare.ServeListener(nil, func(req ishare.Request) (interface{}, error) {
+			requests.Add(1)
+			return h(req)
+		}, ishare.ServerConfig{MaxInflight: 1 << 20, PerConnInflight: 1 << 20}).ServeConn(c)
+	})
+}
 
 // queryLengthsSec are the requested job lengths (T) cycled by the replayed
 // client traffic.
@@ -272,9 +289,13 @@ func (w *workerState) foldQuery(tick, k int, machine string, lengthSec float64, 
 
 // fleet is the assembled simulation state shared by the phases.
 type fleet struct {
-	cfg      Config
-	clock    *simclock.Virtual
-	net      *loopNet
+	cfg   Config
+	clock *simclock.Virtual
+	// net carries every RPC, fault-free. Request bytes are a pure function
+	// of the traffic; response bytes carry scheduling-dependent cache
+	// counters, so they are perf-only.
+	net      *faultnet.Network
+	requests atomic.Int64 // requests served by every handler
 	peers    []ishare.Peer
 	feds     []*ishare.FedGateway
 	machines []*simMachine
@@ -374,7 +395,13 @@ func Run(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer f.net.close()
+	// Only peers hold pooled connections (the rest close with their RPC):
+	// taking them down ends every serving goroutine and pool reader.
+	defer func() {
+		for _, p := range f.peers {
+			f.net.Handle(p.Addr, nil)
+		}
+	}()
 	f.registerStorm(rep)
 	f.trafficPhase(rep)
 	f.churnPhase(rep)
@@ -392,7 +419,7 @@ func buildFleet(cfg Config, rep *Report) (*fleet, error) {
 	f := &fleet{
 		cfg:   cfg,
 		clock: simclock.NewVirtual(simStart),
-		net:   newLoopNet(),
+		net:   faultnet.New(cfg.Seed, faultnet.Config{}),
 		ctx:   context.Background(),
 	}
 	profs := genProfiles(cfg.Seed, cfg.Profiles, cfg.Period, cfg.HistoryDays, midnight0)
@@ -443,7 +470,7 @@ func buildFleet(cfg Config, rep *Report) (*fleet, error) {
 			return nil, err
 		}
 		f.feds[i] = fed
-		f.net.Register(f.peers[i].Addr, fed.Handler())
+		handle(f.net, f.peers[i].Addr, fed.Handler(), &f.requests)
 	}
 
 	availCfg := avail.DefaultConfig()
@@ -461,7 +488,7 @@ func buildFleet(cfg Config, rep *Report) (*fleet, error) {
 			return nil, err
 		}
 		addr := "node/" + id
-		f.net.Register(addr, gw.Handler())
+		handle(f.net, addr, gw.Handler(), &f.requests)
 		f.machines[i] = &simMachine{id: id, addr: addr, prof: prof, gw: gw}
 	}
 
@@ -490,8 +517,8 @@ func buildFleet(cfg Config, rep *Report) (*fleet, error) {
 // coming up at once.
 func (f *fleet) registerStorm(rep *Report) {
 	t0 := time.Now()
-	bytes0 := f.net.RequestBytes()
-	rpcs0 := f.net.Requests()
+	bytes0 := f.net.DialerBytes()
+	rpcs0 := f.requests.Load()
 	now := f.clock.Now()
 	runWorkers(f.cfg.Workers, func(wi int) {
 		caller := f.newCaller()
@@ -506,8 +533,8 @@ func (f *fleet) registerStorm(rep *Report) {
 	f.lastLeaverRefresh = now
 	f.lastActiveRefresh = now
 	rep.Perf.RegisterSeconds = time.Since(t0).Seconds()
-	rep.Sim.RegisterRequestBytes = f.net.RequestBytes() - bytes0
-	rep.Sim.RegisterRPCs = f.net.Requests() - rpcs0
+	rep.Sim.RegisterRequestBytes = f.net.DialerBytes() - bytes0
+	rep.Sim.RegisterRPCs = f.requests.Load() - rpcs0
 	if rep.Perf.RegisterSeconds > 0 {
 		rep.Perf.RegistrationsPerSec = float64(f.registered) / rep.Perf.RegisterSeconds
 	}
@@ -539,7 +566,7 @@ func (f *fleet) registerStorm(rep *Report) {
 // heartbeat re-registers every currently active machine, refreshing its
 // TTL — the fleet's periodic keepalive storm.
 func (f *fleet) heartbeat(tick int, rep *Report) {
-	bytes0 := f.net.RequestBytes()
+	bytes0 := f.net.DialerBytes()
 	runWorkers(f.cfg.Workers, func(wi int) {
 		caller := f.newCaller()
 		st := rng.New(f.cfg.Seed).Split(fmt.Sprintf("heartbeat/%d/%d", tick, wi))
@@ -556,7 +583,7 @@ func (f *fleet) heartbeat(tick int, rep *Report) {
 	}
 	f.lastActiveRefresh = now
 	rep.Sim.HeartbeatRounds++
-	rep.Sim.HeartbeatRequestBytes += f.net.RequestBytes() - bytes0
+	rep.Sim.HeartbeatRequestBytes += f.net.DialerBytes() - bytes0
 }
 
 // trafficPhase replays Ticks rounds of monitoring samples and client
@@ -604,7 +631,7 @@ func (f *fleet) trafficPhase(rep *Report) {
 		// Each worker targets only its own partition, so the per-machine
 		// prediction/observation order is deterministic.
 		q0 := time.Now()
-		qb0 := f.net.RequestBytes()
+		qb0 := f.net.DialerBytes()
 		runWorkers(cfg.Workers, func(wi int) {
 			ws := states[wi]
 			if len(f.active[wi]) == 0 {
@@ -635,7 +662,7 @@ func (f *fleet) trafficPhase(rep *Report) {
 			}
 		})
 		rep.Perf.QuerySeconds += time.Since(q0).Seconds()
-		queryBytes += f.net.RequestBytes() - qb0
+		queryBytes += f.net.DialerBytes() - qb0
 
 		if (tick+1)%cfg.HeartbeatEvery == 0 || tick == cfg.Ticks-1 {
 			f.heartbeat(tick, rep)
@@ -806,7 +833,7 @@ func (f *fleet) churnPhase(rep *Report) {
 	// Peer outage: gw00 drops off the network; queries entering elsewhere
 	// are served by the entry's replica fallback.
 	downAddr := f.peers[0].Addr
-	f.net.SetDown(downAddr, true)
+	f.net.Partition(downAddr)
 	activeList := f.machines[f.leavers:]
 	caller := f.newCaller()
 	st := rng.New(cfg.Seed).Split("outage")
@@ -862,8 +889,8 @@ func (f *fleet) churnPhase(rep *Report) {
 		panic(err)
 	}
 	f.feds[0] = fresh
-	f.net.Register(downAddr, fresh.Handler())
-	f.net.SetDown(downAddr, false)
+	handle(f.net, downAddr, fresh.Handler(), &f.requests)
+	f.net.Heal(downAddr)
 	for rounds := 0; rounds < 16; {
 		before := f.sumAccepted()
 		for _, fed := range f.feds {
@@ -890,13 +917,13 @@ const maxReportAlerts = 32
 // folds the deterministic fleet-observability block into the report.
 func (f *fleet) obsPhase(rep *Report) {
 	t0 := time.Now()
-	req0, resp0 := f.net.RequestBytes(), f.net.ResponseBytes()
+	req0, resp0 := f.net.DialerBytes(), f.net.ServerBytes()
 	snap := f.feds[1].FleetObs(f.ctx)
 	f.fleetSnap = snap
 	rep.Perf.ObsAggregateSeconds = time.Since(t0).Seconds()
 	rep.Perf.ObsPlaneSeconds += rep.Perf.ObsAggregateSeconds
 	if n := f.cfg.Gateways - 1; n > 0 {
-		rep.Perf.ObsBytesPerPeer = float64((f.net.RequestBytes()-req0)+(f.net.ResponseBytes()-resp0)) / float64(n)
+		rep.Perf.ObsBytesPerPeer = float64((f.net.DialerBytes()-req0)+(f.net.ServerBytes()-resp0)) / float64(n)
 	}
 
 	fo := &rep.Sim.FleetObs
@@ -972,7 +999,7 @@ func (f *fleet) finalize(rep *Report) {
 		u.WastedFraction = 1 - all.Accuracy
 	}
 
-	rep.Perf.ResponseBytes = f.net.ResponseBytes()
+	rep.Perf.ResponseBytes = f.net.ServerBytes()
 	rep.Perf.Goroutines = runtime.NumGoroutine()
 	runtime.GC()
 	runtime.GC()

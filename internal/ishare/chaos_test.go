@@ -87,10 +87,10 @@ func seededTrace(trace []string) (out []string, partitionRefusals int) {
 	return out, partitionRefusals
 }
 
-// runChaosOnce brings up a five-machine iShare testbed over real TCP, routes
-// every client RPC through a seeded fault network (25% dial refusals plus
-// mid-stream resets, partial writes and corruption), and supervises one job
-// through a scripted outage timeline:
+// runChaosOnce brings up a five-machine iShare testbed on an in-memory
+// network whose every client RPC rides a seeded fault plan (25% dial
+// refusals plus mid-stream resets, partial writes and corruption), and
+// supervises one job through a scripted outage timeline:
 //
 //	step  8: m1 (hosting the job) is partitioned — polls fail until the
 //	         grace window expires, then the supervisor migrates (URR).
@@ -99,8 +99,9 @@ func seededTrace(trace []string) (out []string, partitionRefusals int) {
 //	         again, onto m3.
 //	step 24: m1 heals (visible in the trace; the breaker keeps it benched).
 //
-// All faults are drawn from the seed; gateway addresses are aliased to
-// logical machine names so ephemeral ports do not perturb the schedule.
+// All faults are drawn from the seed; each gateway is registered under its
+// machine name, so the schedule is keyed by names that are the same on
+// every run.
 // With binary set, the client rides pooled multiplexed binary connections
 // through the same fault network (partitions sever the pooled connections);
 // otherwise it uses the JSON dial-per-RPC compat path.
@@ -146,16 +147,11 @@ func runChaosOnce(t *testing.T, seed uint64, binary bool) chaosResult {
 		Breakers: NewBreakerSet(BreakerConfig{Threshold: 1, Cooldown: time.Hour}, clock),
 	}
 	for i, gw := range gws {
-		srv, err := gw.ServeConfig("127.0.0.1:0", ServerConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer srv.Close()
 		id := fmt.Sprintf("m%d", i+1)
-		fn.Alias(srv.Addr(), id)
+		fn.Handle(id, memServe(gw.Handler()))
 		sched.Candidates = append(sched.Candidates, Candidate{
 			MachineID: id,
-			API:       RemoteGateway{Addr: srv.Addr(), Timeout: 2 * time.Second, Caller: caller},
+			API:       RemoteGateway{Addr: id, Timeout: 2 * time.Second, Caller: caller},
 		})
 	}
 

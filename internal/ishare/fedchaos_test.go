@@ -3,6 +3,7 @@ package ishare
 import (
 	"context"
 	"fmt"
+	"net"
 	"reflect"
 	"strings"
 	"testing"
@@ -26,12 +27,13 @@ type fedChaosResult struct {
 	killedPeer string
 }
 
-// runFedChaosOnce brings up a three-peer federation over real TCP fronting
-// five real prediction gateways, registers every machine with replication
-// (K=1 on three peers: each entry lives on two of the three, so every peer
-// both serves locally and forwards — with K=2 every peer would hold
-// everything and forwarding would never fire), then drives a scripted
-// client workload through a seeded fault network on the client→peer hop:
+// runFedChaosOnce brings up a three-peer federation on an in-memory
+// network fronting five real prediction gateways, registers every machine
+// with replication (K=1 on three peers: each entry lives on two of the
+// three, so every peer both serves locally and forwards — with K=2 every
+// peer would hold everything and forwarding would never fire), then drives
+// a scripted client workload through a seeded fault network on the
+// client→peer hop:
 //
 //	phase 1: QueryTR for every machine through every peer, a federation-wide
 //	         ranking, a submit and a status probe — the healthy baseline.
@@ -40,9 +42,10 @@ type fedChaosResult struct {
 //	         ranking (it must still see all five machines), a second submit,
 //	         and status + kill for the phase-1 job.
 //
-// Peer-to-peer and peer-to-machine hops run on a clean network: the chaos
-// under test is the dead peer plus the client-hop faults, and keeping the
-// inner hops clean makes every transcript value a pure function of the seed.
+// Peer-to-peer and peer-to-machine hops run on a clean network that serves
+// the same handlers: the chaos under test is the dead peer plus the
+// client-hop faults, and keeping the inner hops clean makes every transcript
+// value a pure function of the seed.
 //
 // With binary set, both the faulted client hop and the clean peer-to-peer
 // forwarding hop ride pooled multiplexed binary connections; killing a peer
@@ -61,6 +64,12 @@ func runFedChaosOnce(t *testing.T, seed uint64, binary bool) fedChaosResult {
 		ResetProb:        0.10,
 		PartialWriteProb: 0.05,
 	})
+	clean := faultnet.New(seed, faultnet.Config{})
+	// Peers are reachable on both networks, machines on the clean one only.
+	handle := func(addr string, serve func(net.Conn)) {
+		fn.Handle(addr, serve)
+		clean.Handle(addr, serve)
+	}
 	clientCaller := &Caller{
 		Dialer:     fn,
 		Retry:      RetryPolicy{MaxAttempts: 6, BaseDelay: time.Millisecond, MaxDelay: 4 * time.Millisecond},
@@ -72,10 +81,10 @@ func runFedChaosOnce(t *testing.T, seed uint64, binary bool) fedChaosResult {
 		clientCaller.Pool = pool
 	}
 
-	nodes := buildFederationWith(t, 3, 1, clock, func(i int, cfg *FedConfig) {
+	nodes := buildFederationWith(t, 3, 1, clock, clean, handle, func(i int, cfg *FedConfig) {
 		cfg.Caller.JitterSeed = seed + uint64(i+1)*100
 		if binary {
-			pool := &Pool{}
+			pool := &Pool{Dialer: clean}
 			t.Cleanup(func() { pool.Close() })
 			cfg.Caller.Pool = pool
 		}
@@ -84,10 +93,6 @@ func runFedChaosOnce(t *testing.T, seed uint64, binary bool) fedChaosResult {
 		// after the kill are identical on every run.
 		cfg.Breakers = NewBreakerSet(BreakerConfig{Threshold: 1, Cooldown: time.Hour}, clock)
 	})
-	for i, n := range nodes {
-		fn.Alias(n.srv.Addr(), fmt.Sprintf("fed%d", i))
-	}
-
 	// Five real machines. Two carry a daily 09:00 failure in their history,
 	// so the ranking has a real TR gradient to order.
 	const machines = 5
@@ -106,19 +111,15 @@ func runFedChaosOnce(t *testing.T, seed uint64, binary bool) fedChaosResult {
 			t.Fatal(err)
 		}
 		gw.Record(start, sample(5, 400))
-		srv, err := gw.ServeConfig("127.0.0.1:0", ServerConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer srv.Close()
+		clean.Handle(id, memServe(gw.Handler()))
 		// Registration goes over a clean hop, as a host heartbeat would.
-		fedRegister(t, nodes[i%len(nodes)].srv.Addr(), id, srv.Addr(), 0)
+		fedRegister(t, clean, nodes[i%len(nodes)].addr, id, id, 0)
 	}
 
 	res := fedChaosResult{}
 	clients := make([]FedClient, len(nodes))
 	for i, n := range nodes {
-		clients[i] = FedClient{Addr: n.srv.Addr(), Timeout: 2 * time.Second, Caller: clientCaller}
+		clients[i] = FedClient{Addr: n.addr, Timeout: 2 * time.Second, Caller: clientCaller}
 	}
 	add := func(format string, args ...interface{}) {
 		res.transcript = append(res.transcript, fmt.Sprintf(format, args...))
@@ -186,7 +187,7 @@ func runFedChaosOnce(t *testing.T, seed uint64, binary bool) fedChaosResult {
 	if st := nodes[killed].gw.RingStats(); st.Owned == 0 {
 		t.Fatalf("peer %s owns no entries; the kill would prove nothing", owner)
 	}
-	nodes[killed].srv.Close()
+	handle(nodes[killed].addr, nil)
 	add("kill-peer %s", owner)
 
 	// Phase 2: every machine must still answer through the survivors.
@@ -355,9 +356,10 @@ func TestChaosFedDurableRestart(t *testing.T) {
 	clock := simclock.NewVirtual(start)
 	ctx := context.Background()
 
+	mem := faultnet.New(0, faultnet.Config{})
 	// Replicas -1: every entry lives on exactly one peer, so a restarted
 	// peer's entries can only have come from its own WAL.
-	nodes := buildFederationWith(t, 3, -1, clock, nil)
+	nodes := buildFederationWith(t, 3, -1, clock, mem, mem.Handle, nil)
 	stores := make([]*durable.MemFS, len(nodes))
 	persisters := make([]*RegPersister, len(nodes))
 	for i, n := range nodes {
@@ -386,20 +388,18 @@ func TestChaosFedDurableRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	host.Persist.Record(start, sample(5, 400))
-	hostSrv, err := host.Gateway.ServeConfig("127.0.0.1:0", ServerConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hostAddr := hostSrv.Addr()
-	fedRegister(t, nodes[0].srv.Addr(), "m-dur", hostAddr, 0)
+	const hostAddr = "m-dur"
+	mem.Handle(hostAddr, memServe(host.Gateway.Handler()))
+	fedRegister(t, mem, nodes[0].addr, "m-dur", hostAddr, 0)
 	for i := 1; i <= 4; i++ {
-		m := newStubMachine(t, fmt.Sprintf("m%d", i), 0.5+float64(i)/10)
-		fedRegister(t, nodes[i%len(nodes)].srv.Addr(), m.id, m.addr(), 0)
+		m := &stubMachine{id: fmt.Sprintf("m%d", i), tr: 0.5 + float64(i)/10, submits: make(map[string]string)}
+		mem.Handle(m.id, memServe(m.handler))
+		fedRegister(t, mem, nodes[i%len(nodes)].addr, m.id, m.id, 0)
 	}
 
 	owner := pickPeer(t, nodes, "m-dur", true)
 	entry := pickPeer(t, nodes, "m-dur", false) // a survivor that must forward
-	fc := FedClient{Addr: nodes[entry].srv.Addr(), Timeout: 2 * time.Second, Caller: &Caller{}}
+	fc := FedClient{Addr: nodes[entry].addr, Timeout: 2 * time.Second, Caller: &Caller{Dialer: mem}}
 
 	before, err := fc.QueryTR(ctx, "m-dur", QueryTRReq{LengthSeconds: 3600, GuestMemMB: 100})
 	if err != nil {
@@ -413,14 +413,14 @@ func TestChaosFedDurableRestart(t *testing.T) {
 	if len(wantShard) == 0 {
 		t.Fatal("owner peer holds no entries; the kill would prove nothing")
 	}
-	ownerAddr := nodes[owner].srv.Addr()
+	ownerAddr := nodes[owner].addr
 
 	// Kill peer and host with no warning: dirty close, no final snapshot.
-	nodes[owner].srv.Close()
+	mem.Handle(ownerAddr, nil)
 	if err := persisters[owner].Close(); err != nil {
 		t.Fatal(err)
 	}
-	hostSrv.Close()
+	mem.Handle(hostAddr, nil)
 	if err := host.Persist.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -439,7 +439,7 @@ func TestChaosFedDurableRestart(t *testing.T) {
 	}
 	gw2, err := NewFedGateway(FedConfig{
 		Self: nodes[owner].gw.self, Peers: ringPeers, Replicas: -1,
-		Caller:  &Caller{Retry: RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 4 * time.Millisecond}},
+		Caller:  &Caller{Dialer: mem, Retry: RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 4 * time.Millisecond}},
 		Timeout: 2 * time.Second, Clock: clock,
 	})
 	if err != nil {
@@ -452,11 +452,7 @@ func TestChaosFedDurableRestart(t *testing.T) {
 	if got := gw2.Export(); !reflect.DeepEqual(got, wantShard) {
 		t.Fatalf("restarted shard = %+v, want %+v", got, wantShard)
 	}
-	srv2, err := NewServerConfig(ownerAddr, gw2.Handler(), ServerConfig{})
-	if err != nil {
-		t.Fatalf("rebind peer on %s: %v", ownerAddr, err)
-	}
-	defer srv2.Close()
+	mem.Handle(ownerAddr, memServe(gw2.Handler()))
 
 	// Restart the host node from its WAL on the registered address.
 	hst2, hrec2, err := durable.Open(persistStoreCfg(hostFS))
@@ -473,11 +469,7 @@ func TestChaosFedDurableRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hostSrv2, err := host2.Gateway.ServeConfig(hostAddr, ServerConfig{})
-	if err != nil {
-		t.Fatalf("rebind host on %s: %v", hostAddr, err)
-	}
-	defer hostSrv2.Close()
+	mem.Handle(hostAddr, memServe(host2.Gateway.Handler()))
 
 	// Forwarded requery through the surviving entry peer: identical answer.
 	after, err := fc.QueryTR(ctx, "m-dur", QueryTRReq{LengthSeconds: 3600, GuestMemMB: 100})
@@ -526,14 +518,15 @@ func runStitchedTrace(t *testing.T, binary bool) {
 	recs := make([]*otrace.Recorder, 3)
 	// Distinct seeds per process: no two participants may mint colliding
 	// span IDs into the same distributed trace.
-	nodes := buildFederationWith(t, 3, -1, nil, func(i int, cfg *FedConfig) {
+	mem := faultnet.New(seed, faultnet.Config{})
+	nodes := buildFederationWith(t, 3, -1, nil, mem, mem.Handle, func(i int, cfg *FedConfig) {
 		recs[i] = otrace.NewRecorder(32)
 		cfg.Tracer = otrace.New(otrace.Config{
 			SampleRate: 1, Seed: seed + uint64(i+1)*1000,
 			Recorder: recs[i], Clock: &tickClock{t: start},
 		})
 		if binary {
-			pool := &Pool{}
+			pool := &Pool{Dialer: mem}
 			t.Cleanup(func() { pool.Close() })
 			cfg.Caller.Pool = pool
 		}
@@ -554,12 +547,8 @@ func runStitchedTrace(t *testing.T, binary bool) {
 		SampleRate: 1, Seed: seed + 9000,
 		Recorder: machineRec, Clock: &tickClock{t: start},
 	}))
-	srv, err := gw.ServeConfig("127.0.0.1:0", ServerConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	fedRegister(t, nodes[0].srv.Addr(), "m-traced", srv.Addr(), 0)
+	mem.Handle("m-traced", memServe(gw.Handler()))
+	fedRegister(t, mem, nodes[0].addr, "m-traced", "m-traced", 0)
 
 	// No replication: exactly one peer holds the entry, so entering anywhere
 	// else guarantees a forward.
@@ -568,13 +557,13 @@ func runStitchedTrace(t *testing.T, binary bool) {
 	clientTracer := otrace.New(otrace.Config{
 		SampleRate: 1, Seed: seed, Recorder: clientRec, Clock: &tickClock{t: start},
 	})
-	clientCaller := &Caller{}
+	clientCaller := &Caller{Dialer: mem}
 	if binary {
-		pool := &Pool{}
+		pool := &Pool{Dialer: mem}
 		defer pool.Close()
 		clientCaller.Pool = pool
 	}
-	fc := FedClient{Addr: nodes[entry].srv.Addr(), Caller: clientCaller}
+	fc := FedClient{Addr: nodes[entry].addr, Caller: clientCaller}
 	ctx, root := clientTracer.Start(context.Background(), "client.query-tr")
 	resp, err := fc.QueryTR(ctx, "m-traced", QueryTRReq{LengthSeconds: 3600, GuestMemMB: 100})
 	root.End()
@@ -598,8 +587,7 @@ func runStitchedTrace(t *testing.T, binary bool) {
 			merged = append(merged, shard...)
 		}
 	}
-	rendered := ephemeralAddr.ReplaceAllString(
-		otrace.RenderTraceString(merged, otrace.RenderOptions{}), "GATEWAY")
+	rendered := otrace.RenderTraceString(merged, otrace.RenderOptions{})
 
 	// One stitched tree: a single root line (the client span at depth 0),
 	// with both peers' dispatch spans and the machine's dispatch underneath.

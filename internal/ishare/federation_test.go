@@ -111,38 +111,50 @@ func (c *handlerCell) handle(req Request) (interface{}, error) {
 }
 
 type fedNode struct {
-	gw  *FedGateway
-	srv *Server
-	// cell holds the handler srv serves; a test swaps it to make the peer lie.
+	gw   *FedGateway
+	srv  *Server // nil on an in-memory network
+	addr string
+	// cell holds the handler the peer serves; a test swaps it to make the peer lie.
 	cell *handlerCell
 }
+
+// memServe adapts h to an in-memory network's registration: one
+// listener-less Server serves the server end of every connection, as it
+// would the connections a TCP endpoint accepts.
+func memServe(h Handler) func(net.Conn) { return ServeListener(nil, h, ServerConfig{}).ServeConn }
 
 // buildFederation starts n federation peers (fed0..fedN-1) on loopback
 // with the given replica count and a shared clock, wired with tight retry
 // backoff so dead-peer failover is fast in tests.
 func buildFederation(t *testing.T, n, replicas int, clock simclock.Clock) []*fedNode {
 	t.Helper()
-	return buildFederationWith(t, n, replicas, clock, nil)
+	return buildFederationWith(t, n, replicas, clock, nil, nil, nil)
 }
 
-// buildFederationWith is buildFederation with a per-peer config hook
-// (tracers, breakers, fault-injecting dialers).
-func buildFederationWith(t *testing.T, n, replicas int, clock simclock.Clock, mutate func(i int, cfg *FedConfig)) []*fedNode {
+// buildFederationWith is buildFederation with a choice of network and a
+// per-peer config hook (tracers, breakers, pools). With handle nil the peers
+// listen on loopback TCP; otherwise handle registers peer i at the address
+// fed<i> of an in-memory network, which the peers reach through d.
+func buildFederationWith(t *testing.T, n, replicas int, clock simclock.Clock, d Dialer, handle func(addr string, serve func(net.Conn)), mutate func(i int, cfg *FedConfig)) []*fedNode {
 	t.Helper()
 	cells := make([]*handlerCell, n)
 	servers := make([]*Server, n)
-	for i := range servers {
+	peers := make([]Peer, n)
+	for i := range peers {
 		cells[i] = &handlerCell{}
+		peers[i] = Peer{ID: fmt.Sprintf("fed%d", i), Addr: fmt.Sprintf("fed%d", i)}
+		if handle != nil {
+			handle(peers[i].Addr, memServe(cells[i].handle))
+			t.Cleanup(func() { handle(peers[i].Addr, nil) })
+			continue
+		}
 		srv, err := NewServerConfig("127.0.0.1:0", cells[i].handle, ServerConfig{})
 		if err != nil {
 			t.Fatalf("fed server %d: %v", i, err)
 		}
 		servers[i] = srv
+		peers[i].Addr = srv.Addr()
 		t.Cleanup(func() { srv.Close() })
-	}
-	peers := make([]Peer, n)
-	for i := range peers {
-		peers[i] = Peer{ID: fmt.Sprintf("fed%d", i), Addr: servers[i].Addr()}
 	}
 	nodes := make([]*fedNode, n)
 	for i := range nodes {
@@ -151,6 +163,7 @@ func buildFederationWith(t *testing.T, n, replicas int, clock simclock.Clock, mu
 			Peers:    peers,
 			Replicas: replicas,
 			Caller: &Caller{
+				Dialer:     d,
 				Retry:      RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 4 * time.Millisecond},
 				JitterSeed: uint64(1000 + i),
 			},
@@ -165,16 +178,16 @@ func buildFederationWith(t *testing.T, n, replicas int, clock simclock.Clock, mu
 			t.Fatalf("fed gateway %d: %v", i, err)
 		}
 		cells[i].set(gw.Handler())
-		nodes[i] = &fedNode{gw: gw, srv: servers[i], cell: cells[i]}
+		nodes[i] = &fedNode{gw: gw, srv: servers[i], addr: peers[i].Addr, cell: cells[i]}
 	}
 	return nodes
 }
 
 // fedRegister registers a machine through the given peer over the wire,
-// exactly as a host node's heartbeat would.
-func fedRegister(t *testing.T, peerAddr, machine, machineAddr string, ttl time.Duration) {
+// exactly as a host node's heartbeat would; d nil dials over TCP.
+func fedRegister(t *testing.T, d Dialer, peerAddr, machine, machineAddr string, ttl time.Duration) {
 	t.Helper()
-	caller := &Caller{}
+	caller := &Caller{Dialer: d}
 	reg := RegisterReq{MachineID: machine, Addr: machineAddr, TTLSeconds: ttl.Seconds()}
 	if err := caller.Call(context.Background(), peerAddr, MsgRegister, reg, nil, 2*time.Second); err != nil {
 		t.Fatalf("register %s via %s: %v", machine, peerAddr, err)
@@ -203,7 +216,7 @@ func TestFedRegisterRoutesToOwnerAndReplicates(t *testing.T) {
 	machine := newStubMachine(t, "m-route", 0.9)
 
 	entry := pickPeer(t, nodes, "m-route", false) // a non-candidate peer
-	fedRegister(t, nodes[entry].srv.Addr(), "m-route", machine.addr(), 0)
+	fedRegister(t, nil, nodes[entry].srv.Addr(), "m-route", machine.addr(), 0)
 
 	cands := map[string]bool{}
 	for _, p := range nodes[0].gw.Candidates("m-route") {
@@ -251,7 +264,7 @@ func TestFedReplicaFailoverUntilTTL(t *testing.T) {
 			owner = n
 		}
 	}
-	fedRegister(t, owner.srv.Addr(), "m-failover", machine.addr(), 90*time.Second)
+	fedRegister(t, nil, owner.srv.Addr(), "m-failover", machine.addr(), 90*time.Second)
 
 	// Kill the owner. The entry must survive on the replica.
 	owner.srv.Close()
@@ -282,7 +295,7 @@ func TestFedReplicaFailoverUntilTTL(t *testing.T) {
 func TestFedSubmitIdempotencyKeyAttachedAtEntry(t *testing.T) {
 	nodes := buildFederation(t, 3, 2, nil)
 	machine := newStubMachine(t, "m-submit", 0.8)
-	fedRegister(t, nodes[0].srv.Addr(), "m-submit", machine.addr(), 0)
+	fedRegister(t, nil, nodes[0].srv.Addr(), "m-submit", machine.addr(), 0)
 
 	// Enter via a non-owner peer (with K=2 on three peers everyone holds a
 	// replica, so the interesting property is the key attachment itself).
@@ -327,7 +340,7 @@ func TestFedRankMergesAllShards(t *testing.T) {
 	trs := map[string]float64{"rank-a": 0.95, "rank-b": 0.55, "rank-c": 0.75, "rank-d": 0.15}
 	for id, tr := range trs {
 		m := newStubMachine(t, id, tr)
-		fedRegister(t, nodes[0].srv.Addr(), id, m.addr(), 0)
+		fedRegister(t, nil, nodes[0].srv.Addr(), id, m.addr(), 0)
 	}
 	// Shards must actually be disjoint for the test to mean anything.
 	total := 0
@@ -372,7 +385,7 @@ func TestFedRankMergesAllShards(t *testing.T) {
 func TestFedLocalRequestIsNeverReforwarded(t *testing.T) {
 	nodes := buildFederation(t, 2, -1, nil)
 	machine := newStubMachine(t, "m-local", 0.5)
-	fedRegister(t, nodes[0].srv.Addr(), "m-local", machine.addr(), 0)
+	fedRegister(t, nil, nodes[0].srv.Addr(), "m-local", machine.addr(), 0)
 
 	var holder, other *fedNode
 	for _, n := range nodes {
@@ -404,7 +417,7 @@ func TestFedLocalRequestIsNeverReforwarded(t *testing.T) {
 func TestFedSyncOnceHealsRestartedPeer(t *testing.T) {
 	nodes := buildFederation(t, 3, 2, nil)
 	machine := newStubMachine(t, "m-heal", 0.6)
-	fedRegister(t, nodes[0].srv.Addr(), "m-heal", machine.addr(), 0)
+	fedRegister(t, nil, nodes[0].srv.Addr(), "m-heal", machine.addr(), 0)
 
 	// Simulate an amnesiac restart: wipe one candidate's shard.
 	victim := pickPeer(t, nodes, "m-heal", true)
@@ -442,7 +455,7 @@ func TestFedSyncOnceHealsRestartedPeer(t *testing.T) {
 func TestFedQueryStatsCarriesRing(t *testing.T) {
 	nodes := buildFederation(t, 3, 1, nil)
 	machine := newStubMachine(t, "m-stats", 0.4)
-	fedRegister(t, nodes[0].srv.Addr(), "m-stats", machine.addr(), 0)
+	fedRegister(t, nil, nodes[0].srv.Addr(), "m-stats", machine.addr(), 0)
 
 	rg := RemoteGateway{Addr: nodes[0].srv.Addr(), Caller: &Caller{}}
 	st, err := rg.QueryStats(context.Background(), QueryStatsReq{})
@@ -542,7 +555,7 @@ func TestRingOfOneNeverDials(t *testing.T) {
 // machine hops still dial per RPC.
 func TestFedPeerHopsDialOncePerPeer(t *testing.T) {
 	dialers := make([]*countingDialer, 3)
-	nodes := buildFederationWith(t, 3, 1, nil, func(i int, cfg *FedConfig) {
+	nodes := buildFederationWith(t, 3, 1, nil, nil, nil, func(i int, cfg *FedConfig) {
 		dialers[i] = &countingDialer{}
 		cfg.Caller.Dialer = dialers[i]
 	})
@@ -551,7 +564,7 @@ func TestFedPeerHopsDialOncePerPeer(t *testing.T) {
 	for i := 0; i < machines; i++ {
 		id := fmt.Sprintf("m%d", i)
 		m := newStubMachine(t, id, 0.5)
-		fedRegister(t, nodes[pickPeer(t, nodes, id, false)].srv.Addr(), id, m.addr(), 0)
+		fedRegister(t, nil, nodes[pickPeer(t, nodes, id, false)].srv.Addr(), id, m.addr(), 0)
 	}
 	for r := 0; r < rounds; r++ {
 		for i := 0; i < machines; i++ {

@@ -74,7 +74,7 @@ func TestStepObsBreakerFlapAlert(t *testing.T) {
 func TestFedQueryObsLocalAndFleet(t *testing.T) {
 	// Peers need a NodeObs wired for served RPCs to count; buildFederation
 	// leaves it off (most tests do not want metric overhead).
-	nodes := buildFederationWith(t, 3, 1, nil, func(i int, cfg *FedConfig) {
+	nodes := buildFederationWith(t, 3, 1, nil, nil, nil, func(i int, cfg *FedConfig) {
 		cfg.Obs = NewNodeObs()
 	})
 	ctx := context.Background()
@@ -178,7 +178,7 @@ func TestFedFleetObsLyingPeer(t *testing.T) {
 	broken := (&obs.PeerObs{Peer: "fed1", Metrics: obs.Snapshot{{Name: "fgcs_h{", Kind: obs.KindHistogram,
 		Hist: obs.HistogramSnapshot{Bounds: []float64{1}, Counts: []uint64{1, 0}, Sum: 1, Count: 1}}}}).EncodeBinary()
 
-	nodes := buildFederationWith(t, 3, 1, nil, func(i int, cfg *FedConfig) {
+	nodes := buildFederationWith(t, 3, 1, nil, nil, nil, func(i int, cfg *FedConfig) {
 		cfg.Obs = NewNodeObs()
 	})
 	agg, liar := nodes[0].gw, nodes[1]

@@ -222,12 +222,15 @@ func getSlot(timeout time.Duration) *callSlot {
 }
 
 // release stops the timer and recycles the slot. A timer that fired unread
-// is drained here, so Reset starts the next call on a clean channel.
+// is drained here, so Reset starts the next call on a clean channel. One
+// that fired with nothing to drain may still be delivering its value, which
+// a Reset would let land in the next call: the slot drops it for a new one.
 func (s *callSlot) release() {
 	if !s.timer.Stop() {
 		select {
 		case <-s.timer.C:
 		default:
+			s.timer = nil
 		}
 	}
 	if cap(s.payload) > poolBufMax {

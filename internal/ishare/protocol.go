@@ -502,11 +502,10 @@ func NewServerConfig(addr string, handler Handler, cfg ServerConfig) (*Server, e
 	return ServeListener(ln, handler, cfg), nil
 }
 
-// ServeListener serves the protocol on an already-open listener — the hook
-// for wrapping the accept path in a fault-injecting transport. A nil ln
+// ServeListener serves the protocol on an already-open listener. A nil ln
 // gives a server with no listener that serves only the connections handed
-// to ServeConn, for a transport that has no accept loop (fleetsim's
-// in-memory network).
+// to ServeConn, for a transport that has no accept loop (faultnet's
+// in-memory network, which fleetsim and the chaos tests run on).
 func ServeListener(ln net.Listener, handler Handler, cfg ServerConfig) *Server {
 	if cfg.Metrics == nil {
 		cfg.Metrics = &ServerMetrics{}
@@ -653,7 +652,7 @@ var responseHeads = sync.Pool{New: func() interface{} { return new([]byte) }}
 // ServeConn serves one connection: it sniffs the protocol by the first byte
 // and runs the matching loop, under s's admission control, until the
 // connection closes, then closes it. The accept path hands it every
-// accepted connection; a transport without a listener (fleetsim's
+// accepted connection; a transport without a listener (faultnet's
 // in-memory network, on a ServeListener(nil, ...) server) hands it its own.
 // Close severs only accepted connections: one handed in directly is its
 // caller's to sever.

@@ -3,7 +3,6 @@ package ishare
 import (
 	"context"
 	"fmt"
-	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -13,13 +12,6 @@ import (
 	"fgcs/internal/faultnet"
 	"fgcs/internal/otrace"
 )
-
-// ephemeralAddr matches the one run-varying artifact in a rendered trace:
-// transport errors quote the gateway's ephemeral TCP port. Span names,
-// nesting, attrs and events never carry addresses (machine IDs stand in for
-// them), so masking the quoted dial target makes the rendering comparable
-// byte-for-byte across runs.
-var ephemeralAddr = regexp.MustCompile(`127\.0\.0\.1:\d+`)
 
 // tickClock is a deterministic otrace.Clock: every Now() advances one
 // millisecond, so span start times — and therefore sibling ordering in the
@@ -45,8 +37,7 @@ type tracedFaultRun struct {
 	server string
 }
 
-// runTracedFaultOnce stands up two host nodes over real TCP behind a seeded
-// fault network, ranks them three times under a client-side tracer —
+// runTracedFaultOnce stands up two host nodes on a seeded fault network, ranks them three times under a client-side tracer —
 // healthy, with m1 partitioned (exhausting the retry budget and tripping the
 // breaker), and with m1 benched by the open breaker — and returns the
 // structural renderings of every recorded trace on both sides of the wire.
@@ -86,15 +77,10 @@ func runTracedFaultOnce(t *testing.T, seed uint64) tracedFaultRun {
 			SampleRate: 1, Seed: seed + uint64(i+1)*1000,
 			Recorder: otrace.NewRecorder(32), Clock: &tickClock{t: start},
 		}))
-		srv, err := gw.ServeConfig("127.0.0.1:0", ServerConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer srv.Close()
-		fn.Alias(srv.Addr(), id)
+		fn.Handle(id, memServe(gw.Handler()))
 		sched.Candidates = append(sched.Candidates, Candidate{
 			MachineID: id,
-			API:       RemoteGateway{Addr: srv.Addr(), Timeout: 2 * time.Second, Caller: caller},
+			API:       RemoteGateway{Addr: id, Timeout: 2 * time.Second, Caller: caller},
 		})
 		gws[i] = gw
 	}
@@ -134,8 +120,8 @@ func runTracedFaultOnce(t *testing.T, seed uint64) tracedFaultRun {
 		}
 	}
 	return tracedFaultRun{
-		client: ephemeralAddr.ReplaceAllString(client.String(), "GATEWAY"),
-		server: ephemeralAddr.ReplaceAllString(server.String(), "GATEWAY"),
+		client: client.String(),
+		server: server.String(),
 	}
 }
 
