@@ -104,11 +104,12 @@ bench-fleet-base:
 
 # Short fuzz pass over every decoder: wire protocol, trace codecs, the
 # streamed node snapshot decoder and the internal/wire formats; and over the
-# seven differential pairs: the trajectory extractor against its per-sample
+# eight differential pairs: the trajectory extractor against its per-sample
 # reference, the kernel estimator and the Equation (3) solver against their
 # dense references, the MA/ARMA fits against their n-array references, the
-# tracker's pending ring against its slice reference, and the streamed WAL
-# segment and snapshot scanners against their whole-buffer references. The seed corpora
+# tracker's pending ring against its slice reference, the streamed WAL
+# segment and snapshot scanners against their whole-buffer references, and
+# the wire path's recycled JSON decoder against json.Unmarshal. The seed corpora
 # (under testdata/fuzz or built by the target) also run as plain unit tests in
 # `make test`.
 fuzz:
@@ -119,6 +120,7 @@ fuzz:
 	$(GO) test ./internal/ishare/ -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ishare/ -run '^$$' -fuzz '^FuzzDecodeResponse$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ishare/ -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/ishare/ -run '^$$' -fuzz '^FuzzRecycledDecodeMatchesUnmarshal$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace/ -run '^$$' -fuzz '^FuzzReadBinary$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace/ -run '^$$' -fuzz '^FuzzReadText$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/durable/ -run '^$$' -fuzz '^FuzzReadSegment$$' -fuzztime $(FUZZTIME)

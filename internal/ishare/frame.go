@@ -28,13 +28,29 @@
 // Payload bytes remain JSON-encoded: the binary layer replaces the envelope
 // (the per-request cost), not the payload schema, so the two transports stay
 // bit-compatible at the application layer.
+//
+// Every JSON encode and decode of the wire path, on both transports and both
+// ends, goes through one recycled codec: appendJSON writes exactly
+// json.Marshal's bytes onto a buffer the caller recycles, and decodeJSON
+// decodes exactly as json.Unmarshal does through a pooled json.Decoder, so
+// the bytes on the wire are those of a plain Marshal. Buffers are owned as
+// follows. A request frame's payload is read into its frameTask, and a JSON
+// line's payload into its connection's jsonConn: a handler may read
+// Request.Payload only until it returns. A response payload is encoded into
+// the task's (or jsonConn's) second buffer, and the frame head (or JSON
+// line) into a third; the batch writer copies head and payload, so both are
+// free again once enqueue returns. No buffer over poolBufMax goes back to a
+// pool.
 package ishare
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"io"
+	"sync"
 
 	"fgcs/internal/otrace"
 )
@@ -202,11 +218,9 @@ func decodeFrameHead(br *bufio.Reader) (Frame, error) {
 	f.ID = id
 	switch f.Kind {
 	case FrameRequest:
-		typ, err := readLenPrefixed(br, nil, maxFrameTypeBytes, "type")
-		if err != nil {
+		if f.Type, err = readFrameType(br); err != nil {
 			return Frame{}, err
 		}
-		f.Type = string(typ)
 		if flags&frameFlagTrace != 0 {
 			var ids [16]byte
 			if _, err := io.ReadFull(br, ids[:]); err != nil {
@@ -232,23 +246,73 @@ func decodeFrameHead(br *bufio.Reader) (Frame, error) {
 	return f, nil
 }
 
-// readLenPrefixed reads a uvarint length and that many bytes, appended to
-// dst, rejecting lengths above max with ErrMessageTooLarge. The buffer grows
-// in 64 KiB chunks paced by actual arrival, so a lying length prefix on a
-// truncated stream cannot allocate more than one chunk beyond the received
-// bytes.
-func readLenPrefixed(br *bufio.Reader, dst []byte, max int64, what string) ([]byte, error) {
+// servedTypes is every request type a route table serves (gatewayRPCTypes),
+// so readFrameType can hand back the table's own string. It is set in init:
+// the route tables reach decodeFrameHead through the federation's callers,
+// and an initializer naming them here would be an initialization cycle.
+var servedTypes []string
+
+func init() { servedTypes = gatewayRPCTypes }
+
+// readFrameType reads a request frame's type. A type some route table serves
+// comes back as that table's string without allocating; only an unknown type
+// is copied out of br. The type is peeked in place: its maxFrameTypeBytes cap
+// is well under a bufio.Reader's default buffer.
+func readFrameType(br *bufio.Reader) (string, error) {
+	n, err := readLen(br, maxFrameTypeBytes, "type")
+	if err != nil {
+		return "", err
+	}
+	b, err := br.Peek(int(n))
+	if err != nil {
+		return "", fmt.Errorf("ishare: frame type: %w", err)
+	}
+	typ := ""
+	for _, t := range servedTypes {
+		if string(b) == t {
+			typ = t
+			break
+		}
+	}
+	if typ == "" {
+		typ = string(b)
+	}
+	_, _ = br.Discard(int(n))
+	return typ, nil
+}
+
+// readLen reads a uvarint length, rejecting lengths above max with
+// ErrMessageTooLarge; the stream is then positioned at the first of the n
+// bytes, so a reader may still skip them (discardN).
+func readLen(br *bufio.Reader, max int64, what string) (uint64, error) {
 	n, err := binary.ReadUvarint(br)
 	if err != nil {
-		return nil, fmt.Errorf("ishare: frame %s length: %w", what, err)
+		return 0, fmt.Errorf("ishare: frame %s length: %w", what, err)
 	}
 	if int64(n) < 0 || int64(n) > max {
-		return nil, fmt.Errorf("%w: frame %s of %d bytes (cap %d)", ErrMessageTooLarge, what, n, max)
+		return n, fmt.Errorf("%w: frame %s of %d bytes (cap %d)", ErrMessageTooLarge, what, n, max)
 	}
+	return n, nil
+}
+
+// readLenPrefixed reads a uvarint length and that many bytes, appended to
+// dst, rejecting lengths above max with ErrMessageTooLarge.
+func readLenPrefixed(br *bufio.Reader, dst []byte, max int64, what string) ([]byte, error) {
+	n, err := readLen(br, max, what)
+	if err != nil {
+		return nil, err
+	}
+	return readN(br, dst, n, what)
+}
+
+// readN reads n bytes appended to dst. The buffer grows in 64 KiB chunks
+// paced by actual arrival, so a lying length prefix on a truncated stream
+// cannot allocate more than one chunk beyond the received bytes.
+func readN(br *bufio.Reader, dst []byte, n uint64, what string) ([]byte, error) {
 	const chunk = 64 << 10
 	buf := dst
-	for int64(len(buf)-len(dst)) < int64(n) {
-		k := int64(n) - int64(len(buf)-len(dst))
+	for uint64(len(buf)-len(dst)) < n {
+		k := n - uint64(len(buf)-len(dst))
 		if k > chunk {
 			k = chunk
 		}
@@ -259,4 +323,94 @@ func readLenPrefixed(br *bufio.Reader, dst []byte, max int64, what string) ([]by
 		}
 	}
 	return buf, nil
+}
+
+// discardN skips n bytes of br without keeping them.
+func discardN(br *bufio.Reader, n uint64) error {
+	for n > 0 {
+		k := n
+		if k > 1<<30 {
+			k = 1 << 30
+		}
+		if _, err := br.Discard(int(k)); err != nil {
+			return err
+		}
+		n -= k
+	}
+	return nil
+}
+
+// jsonEncoder is a recycled json.Encoder that writes onto the slice it is
+// handed (see appendJSON).
+type jsonEncoder struct {
+	enc *json.Encoder
+	dst []byte
+}
+
+func (e *jsonEncoder) Write(p []byte) (int, error) {
+	e.dst = append(e.dst, p...)
+	return len(p), nil
+}
+
+var jsonEncoders = sync.Pool{New: func() interface{} {
+	e := &jsonEncoder{}
+	e.enc = json.NewEncoder(e)
+	return e
+}}
+
+// appendJSON appends the JSON encoding of v to dst: exactly json.Marshal's
+// bytes, without the copy Marshal returns them in. A recycled json.Encoder
+// writes them onto dst, and the newline it ends them with is dropped. On
+// error dst comes back unchanged.
+func appendJSON(dst []byte, v interface{}) ([]byte, error) {
+	e := jsonEncoders.Get().(*jsonEncoder)
+	e.dst = dst
+	err := e.enc.Encode(v)
+	out := e.dst
+	e.dst = nil
+	jsonEncoders.Put(e)
+	if err != nil {
+		return dst, err
+	}
+	return out[:len(out)-1], nil
+}
+
+// jsonDecoder is a recycled json.Decoder reading from its own bytes.Reader
+// (see decodeJSON). A decoder goes back to the pool only with nothing
+// buffered, so the next message starts on a clean stream.
+type jsonDecoder struct {
+	r   bytes.Reader
+	dec *json.Decoder
+}
+
+var jsonDecoders = sync.Pool{New: func() interface{} {
+	d := &jsonDecoder{}
+	d.dec = json.NewDecoder(&d.r)
+	return d
+}}
+
+// decodeJSON decodes data into v with json.Unmarshal's result — the same
+// error or nil and the same value — through a recycled json.Decoder, which
+// keeps the decoder state Unmarshal allocates afresh on every call. Input
+// that is not exactly one valid JSON value, a decode that fails and a
+// message over poolBufMax all take json.Unmarshal itself (the first before
+// anything is decoded, so v is touched only as Unmarshal would touch it).
+// A decoder that failed, or stopped short of the end of data, is dropped.
+func decodeJSON(data []byte, v interface{}) error {
+	if len(data) > poolBufMax || !json.Valid(data) {
+		return json.Unmarshal(data, v)
+	}
+	d := jsonDecoders.Get().(*jsonDecoder)
+	d.r.Reset(data)
+	start := d.dec.InputOffset()
+	err := d.dec.Decode(v)
+	clean := err == nil && d.dec.InputOffset()-start == int64(len(data))
+	d.r.Reset(nil)
+	if clean {
+		jsonDecoders.Put(d)
+	}
+	if err != nil {
+		return json.Unmarshal(data, v)
+	}
+	return nil
 }

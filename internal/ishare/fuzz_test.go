@@ -4,18 +4,65 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"reflect"
 	"testing"
 )
 
 // readMessage reads one JSON envelope from data into out the way both JSON
 // request loops do — serveJSON a request, exchange a response: one capped
-// line through a bufio.Reader, then json.Unmarshal.
+// line through a bufio.Reader, then decodeJSON.
 func readMessage(data []byte, max int64, out interface{}) error {
 	line, err := readLineCapped(bufio.NewReader(bytes.NewReader(data)), max)
 	if err != nil {
 		return err
 	}
-	return json.Unmarshal(line, out)
+	return decodeJSON(line, out)
+}
+
+// FuzzRecycledDecodeMatchesUnmarshal holds decodeJSON to json.Unmarshal on
+// arbitrary bytes, decoded into a query payload, a request envelope and a
+// client's response envelope: the same error or nil, and the same value.
+// After each, a canonical message decoded through the same pool must come
+// out exact, so no state leaks from a failed or part-buffered decode.
+func FuzzRecycledDecodeMatchesUnmarshal(f *testing.F) {
+	// testdata/fuzz holds the canonical query, trailing bytes after a value,
+	// type errors, truncation, invalid UTF-8 and a message over poolBufMax.
+	for _, seed := range []string{
+		` {"guest_mem_mb":7}`,
+		`{"length_seconds":1e999}`,
+		``,
+		`null`,
+		`12`,
+		`"query-tr"`,
+		`{"type":"submit","payload":null}`,
+		`{"ok":true,"payload":{"tr":0.93,"history_windows":12,"current_state":"S1","cache_hits":4}}`,
+		`{"ok":false,"error":"server overloaded","code":"overloaded"}`,
+		`{"ok":true,"payload":[1,2]}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	canonical := []byte(`{"length_seconds":3600,"guest_mem_mb":100}`)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, mk := range []func() interface{}{
+			func() interface{} { return new(QueryTRReq) },
+			func() interface{} { return new(Request) },
+			func() interface{} { return &responseEnvelope{Payload: new(QueryTRResp)} },
+		} {
+			got, want := mk(), mk()
+			gotErr, wantErr := decodeJSON(data, got), json.Unmarshal(data, want)
+			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+				t.Fatalf("%T from %q: decodeJSON returned %v, json.Unmarshal %v", got, data, gotErr, wantErr)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%T from %q: decodeJSON gave %+v, json.Unmarshal %+v", got, data, got, want)
+			}
+			var next QueryTRReq
+			if err := decodeJSON(canonical, &next); err != nil || next != (QueryTRReq{LengthSeconds: 3600, GuestMemMB: 100}) {
+				t.Fatalf("after %q the canonical message decoded to %+v, %v", data, next, err)
+			}
+		}
+	})
 }
 
 // FuzzDecodeRequest hammers the server's capped request reader with

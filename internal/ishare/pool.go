@@ -2,7 +2,6 @@ package ishare
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"net"
 	"runtime"
@@ -196,13 +195,14 @@ func (w *batchWriter) close() {
 const poolWriteDeadline = 30 * time.Second
 
 // callSlot is what one pooled call needs besides its connection: the head
-// of its request frame, the buffer its response payload is read into, the
-// channel the reply arrives on and its deadline timer. Slots are recycled
-// across calls, and a slot is released only by a call that received from
-// its reply channel: a response that arrives after its call timed out lands
-// on a slot no later call will ever hold.
+// and payload of its request frame, the buffer its response payload is read
+// into, the channel the reply arrives on and its deadline timer. Slots are
+// recycled across calls, and a slot is released only by a call that received
+// from its reply channel: a response that arrives after its call timed out
+// lands on a slot no later call will ever hold.
 type callSlot struct {
 	head    []byte
+	body    []byte
 	payload []byte
 	reply   chan Frame // cap 1: exactly one reply per registration
 	timer   *time.Timer
@@ -232,6 +232,9 @@ func (s *callSlot) release() {
 		default:
 			s.timer = nil
 		}
+	}
+	if cap(s.body) > poolBufMax {
+		s.body = nil
 	}
 	if cap(s.payload) > poolBufMax {
 		s.payload = nil
@@ -418,15 +421,16 @@ func (p *Pool) dial(addr string, timeout time.Duration) (*muxConn, error) {
 
 // call performs one binary-protocol RPC through the pool.
 func (p *Pool) call(link otrace.Link, addr, typ string, payload, out interface{}, timeout time.Duration) error {
+	s := getSlot(timeout)
 	var raw []byte
 	if payload != nil {
 		var err error
-		raw, err = json.Marshal(payload)
-		if err != nil {
+		if raw, err = appendJSON(s.body[:0], payload); err != nil {
+			s.release()
 			return err
 		}
+		s.body = raw
 	}
-	s := getSlot(timeout)
 	f, err := p.roundTrip(s, link, addr, typ, raw, timeout)
 	if err != nil {
 		return err
@@ -443,7 +447,7 @@ func (p *Pool) call(link otrace.Link, addr, typ string, payload, out interface{}
 		return re
 	}
 	if out != nil && len(f.Payload) > 0 {
-		if err := json.Unmarshal(f.Payload, out); err != nil {
+		if err := decodeJSON(f.Payload, out); err != nil {
 			return &transportError{fmt.Errorf("ishare: decode payload: %w", err)}
 		}
 	}

@@ -81,7 +81,10 @@ func headerFromLink(link otrace.Link) *TraceHeader {
 // Request is the protocol envelope: one request per connection, one
 // response back.
 type Request struct {
-	Type    string          `json:"type"`
+	Type string `json:"type"`
+	// Payload is the request's JSON payload. On a server it is valid only
+	// until the handler returns: the server reuses its buffer for a later
+	// request. A handler that keeps the bytes copies them.
 	Payload json.RawMessage `json:"payload,omitempty"`
 	// Trace is the optional trace-context header (absent on untraced
 	// requests and on requests from peers that predate tracing).
@@ -307,7 +310,7 @@ var ErrMessageTooLarge = errors.New("ishare: message too large")
 const maxResponseBytes = 8 << 20
 
 // requestEnvelope is Request as a client writes it: the payload is
-// marshalled in place, so one json.Marshal encodes the whole message. Its
+// marshalled in place, so one appendJSON encodes the whole message. Its
 // field tags are Request's, which keeps the bytes on the wire identical.
 type requestEnvelope struct {
 	Type    string       `json:"type"`
@@ -316,8 +319,7 @@ type requestEnvelope struct {
 }
 
 // responseEnvelope is Response as a client reads it: the payload decodes
-// straight into the caller's out, in the same json.Unmarshal as the
-// envelope.
+// straight into the caller's out, in the same decodeJSON as the envelope.
 type responseEnvelope struct {
 	OK      bool        `json:"ok"`
 	Error   string      `json:"error,omitempty"`
@@ -334,11 +336,14 @@ type responseEnvelope struct {
 // header; the zero link leaves the envelope exactly as the pre-tracing
 // protocol sent it.
 func exchange(conn net.Conn, link otrace.Link, typ string, payload, out interface{}) error {
-	msg, err := json.Marshal(requestEnvelope{Type: typ, Payload: payload, Trace: headerFromLink(link)})
+	jc := jsonConns.Get().(*jsonConn)
+	defer jc.release()
+	msg, err := appendJSON(jc.line[:0], requestEnvelope{Type: typ, Payload: payload, Trace: headerFromLink(link)})
 	if err != nil {
 		return err
 	}
-	if _, err := conn.Write(append(msg, '\n')); err != nil {
+	jc.line = append(msg, '\n')
+	if _, err := conn.Write(jc.line); err != nil {
 		return &transportError{fmt.Errorf("ishare: send: %w", err)}
 	}
 	br := connReaders.Get().(*bufio.Reader)
@@ -352,7 +357,7 @@ func exchange(conn net.Conn, link otrace.Link, typ string, payload, out interfac
 		return &transportError{fmt.Errorf("ishare: receive: %w", err)}
 	}
 	resp := responseEnvelope{Payload: out}
-	if err := json.Unmarshal(line, &resp); err != nil {
+	if err := decodeJSON(line, &resp); err != nil {
 		return &transportError{fmt.Errorf("ishare: receive: %w", err)}
 	}
 	if !resp.OK {
@@ -362,6 +367,7 @@ func exchange(conn net.Conn, link otrace.Link, typ string, payload, out interfac
 }
 
 // Handler processes one decoded request and returns the response payload.
+// req.Payload is valid only until the handler returns (see Request).
 type Handler func(req Request) (payload interface{}, err error)
 
 // ServerConfig bounds per-connection resource use and tunes admission
@@ -644,11 +650,6 @@ func (s *Server) dispatchLoop() {
 // request allocated.
 var connReaders = sync.Pool{New: func() interface{} { return bufio.NewReader(nil) }}
 
-// responseHeads recycles the buffers serveBinary encodes response frame
-// heads into; the batch writer copies each frame, so a buffer is free again
-// as soon as it is queued.
-var responseHeads = sync.Pool{New: func() interface{} { return new([]byte) }}
-
 // ServeConn serves one connection: it sniffs the protocol by the first byte
 // and runs the matching loop, under s's admission control, until the
 // connection closes, then closes it. The accept path hands it every
@@ -689,122 +690,242 @@ func (s *Server) serveJSON(conn net.Conn, br *bufio.Reader) {
 	connDone := make(chan struct{})
 	defer s.admit.forget(key)
 	defer close(connDone)
-	enc := json.NewEncoder(conn)
+	jc := jsonConns.Get().(*jsonConn)
+	defer jc.release()
+	send := func(resp Response) error {
+		_ = conn.SetWriteDeadline(time.Now().Add(s.cfg.connDeadline()))
+		return jc.send(conn, resp)
+	}
 	for {
 		_ = conn.SetReadDeadline(time.Now().Add(s.cfg.connDeadline()))
 		line, err := readLineCapped(br, s.cfg.maxRequestBytes())
 		if err != nil {
 			if errors.Is(err, ErrMessageTooLarge) {
-				_ = enc.Encode(Response{OK: false, Error: "request too large"})
+				_ = send(Response{OK: false, Error: "request too large"})
 			}
 			return
 		}
 		if len(line) == 0 {
 			continue
 		}
-		var req Request
-		if err := json.Unmarshal(line, &req); err != nil {
-			_ = enc.Encode(Response{OK: false, Error: "malformed request"})
+		req, err := jc.decode(line)
+		if err != nil {
+			_ = send(Response{OK: false, Error: "malformed request"})
 			return
 		}
 		if !s.admit.acquire(key, connDone) {
 			s.cfg.Metrics.cShedInfl.Inc()
-			_ = conn.SetWriteDeadline(time.Now().Add(s.cfg.connDeadline()))
-			_ = enc.Encode(Response{OK: false, Error: "server overloaded", Code: CodeOverloaded})
+			_ = send(Response{OK: false, Error: "server overloaded", Code: CodeOverloaded})
 			continue
 		}
-		resp := s.respond(req)
+		resp := s.respond(req, jc.out)
 		s.admit.release()
-		_ = conn.SetWriteDeadline(time.Now().Add(s.cfg.connDeadline()))
-		if err := enc.Encode(resp); err != nil {
+		if resp.Payload != nil {
+			jc.out = resp.Payload
+		}
+		if err := send(resp); err != nil {
 			return
 		}
 	}
 }
 
+// jsonConn holds the buffers of one JSON connection, recycled across
+// connections. In the JSON loop the request payload decodes into in, the
+// response payload encodes into out and the response line into line; a
+// dial-per-RPC exchange encodes its request line into line. req and resp
+// are what decodeJSON and appendJSON are handed, held here so handing them
+// over allocates nothing.
+type jsonConn struct {
+	req           Request
+	resp          Response
+	in, out, line []byte
+}
+
+var jsonConns = sync.Pool{New: func() interface{} { return new(jsonConn) }}
+
+// decode decodes one request line. Its payload lands in jc's buffer and is
+// valid until the next decode.
+func (jc *jsonConn) decode(line []byte) (Request, error) {
+	jc.req = Request{Payload: jc.in[:0]}
+	err := decodeJSON(line, &jc.req)
+	req := jc.req
+	if cap(req.Payload) > 0 {
+		jc.in = req.Payload[:0]
+	}
+	// A request without a payload left the buffer empty: it has none.
+	if len(req.Payload) == 0 {
+		req.Payload = nil
+	}
+	return req, err
+}
+
+// send writes resp as one line in one Write.
+func (jc *jsonConn) send(conn net.Conn, resp Response) error {
+	jc.resp = resp
+	line, err := appendJSON(jc.line[:0], &jc.resp)
+	jc.resp = Response{}
+	if err != nil {
+		return err
+	}
+	jc.line = append(line, '\n')
+	_, err = conn.Write(jc.line)
+	return err
+}
+
+// release recycles jc, dropping any buffer grown past poolBufMax.
+func (jc *jsonConn) release() {
+	jc.req = Request{}
+	for _, b := range []*[]byte{&jc.in, &jc.out, &jc.line} {
+		if cap(*b) > poolBufMax {
+			*b = nil
+		}
+	}
+	jsonConns.Put(jc)
+}
+
+// binaryConn is one connection of the binary loop, shared by the
+// goroutines serving its frames.
+type binaryConn struct {
+	s        *Server
+	key      interface{} // the connection, as admission control knows it
+	done     chan struct{}
+	bw       *batchWriter
+	wg       sync.WaitGroup
+	inflight atomic.Int32
+}
+
+// frameTask is one request frame on its way through a handler. Tasks are
+// recycled: the request payload is read into the task's buffer, the
+// response payload is encoded into another, and both are free again once
+// the batch writer has copied the response frame.
+type frameTask struct {
+	id   uint64
+	typ  string // a route table's own string when a table serves it
+	link otrace.Link
+	req  []byte // request payload; valid until the handler returns
+	resp []byte // response payload
+	head []byte // response frame head
+}
+
+var frameTasks = sync.Pool{New: func() interface{} { return new(frameTask) }}
+
 // serveBinary runs the multiplexed binary loop: frames are decoded
 // sequentially, handled concurrently up to the pipelining cap, and
 // responses are written whole (one frame per write) as handlers finish —
-// possibly out of request order, which is what the request IDs are for.
+// possibly out of request order, which is what the request IDs are for. A
+// frame whose payload is over MaxRequestBytes is answered "request too
+// large" and skipped; the connection keeps serving.
 func (s *Server) serveBinary(conn net.Conn, br *bufio.Reader) {
-	key := interface{}(conn)
-	connDone := make(chan struct{})
-	var wg sync.WaitGroup
-	var inflight int32
-	defer s.admit.forget(key)
-	defer wg.Wait()
-	defer close(connDone)
+	c := &binaryConn{s: s, key: conn, done: make(chan struct{})}
+	defer s.admit.forget(c.key)
+	defer c.wg.Wait()
+	defer close(c.done)
 
 	// Responses coalesce through the connection's batching flusher: handlers
 	// finishing while a flush syscall is in flight ride the next batch. A
 	// write failure closes the connection, which pops the decode loop below.
-	bw := newBatchWriter(conn, s.cfg.connDeadline(), func(error) { _ = conn.Close() })
-	defer bw.close()
-	writeFrame := func(id uint64, ok, overloaded bool, errMsg string, payload []byte) error {
-		head := responseHeads.Get().(*[]byte)
-		*head = appendResponseHead((*head)[:0], id, ok, overloaded, errMsg, len(payload))
-		_, err := bw.enqueue(*head, payload)
-		if cap(*head) <= poolBufMax {
-			responseHeads.Put(head)
-		}
-		return err
-	}
+	c.bw = newBatchWriter(conn, s.cfg.connDeadline(), func(error) { _ = conn.Close() })
+	defer c.bw.close()
 
 	for {
 		// Satellite of the multiplexed design: the read deadline re-arms
 		// per frame, so a healthy idle connection survives while a stalled
 		// one is still collected.
 		_ = conn.SetReadDeadline(time.Now().Add(s.cfg.idleDeadline()))
-		f, err := DecodeFrame(br, s.cfg.maxRequestBytes())
-		if err != nil {
+		f, err := decodeFrameHead(br)
+		if err != nil || f.Kind != FrameRequest {
 			return
 		}
-		if f.Kind != FrameRequest {
-			return
-		}
-		if atomic.AddInt32(&inflight, 1) > int32(s.cfg.perConnInflight()) {
-			atomic.AddInt32(&inflight, -1)
-			s.cfg.Metrics.cShedPC.Inc()
-			if writeFrame(f.ID, false, true, "server overloaded", nil) != nil {
+		t := frameTasks.Get().(*frameTask)
+		t.id, t.typ, t.link = f.ID, f.Type, f.Trace
+		n, err := readLen(br, s.cfg.maxRequestBytes(), "payload")
+		if errors.Is(err, ErrMessageTooLarge) {
+			if c.finish(t, false, false, "request too large", nil) != nil || discardN(br, n) != nil {
 				return
 			}
 			continue
 		}
-		wg.Add(1)
-		// A request stops counting against the pipelining cap before its
-		// response is queued: a client that has its answer may send the
-		// next request at once, and must not find the slot still taken.
-		go func(f Frame) {
-			defer wg.Done()
-			if !s.admit.acquire(key, connDone) {
-				atomic.AddInt32(&inflight, -1)
-				s.cfg.Metrics.cShedInfl.Inc()
-				_ = writeFrame(f.ID, false, true, "server overloaded", nil)
+		if err == nil {
+			t.req, err = readN(br, t.req[:0], n, "payload")
+		}
+		if err != nil {
+			t.release()
+			return
+		}
+		if c.inflight.Add(1) > int32(s.cfg.perConnInflight()) {
+			c.inflight.Add(-1)
+			s.cfg.Metrics.cShedPC.Inc()
+			if c.finish(t, false, true, "server overloaded", nil) != nil {
 				return
 			}
-			req := Request{Type: f.Type, Payload: f.Payload, Trace: headerFromLink(f.Trace)}
-			resp := s.respond(req)
-			s.admit.release()
-			atomic.AddInt32(&inflight, -1)
-			_ = writeFrame(f.ID, resp.OK, false, resp.Error, resp.Payload)
-		}(f)
+			continue
+		}
+		c.wg.Add(1)
+		go c.serve(t)
 	}
 }
 
-// respond runs the handler for one decoded request and shapes the reply
-// envelope, shared by both protocol loops.
-func (s *Server) respond(req Request) Response {
-	payload, err := s.handler(req)
-	resp := Response{OK: err == nil}
-	if err != nil {
-		resp.Error = err.Error()
-	} else if payload != nil {
-		raw, merr := json.Marshal(payload)
-		if merr != nil {
-			resp = Response{OK: false, Error: "marshal response"}
-		} else {
-			resp.Payload = raw
+// serve runs one frame's handler under admission control and queues its
+// response. A request stops counting against the pipelining cap before its
+// response is queued: a client that has its answer may send the next
+// request at once, and must not find the slot still taken.
+func (c *binaryConn) serve(t *frameTask) {
+	defer c.wg.Done()
+	s := c.s
+	if !s.admit.acquire(c.key, c.done) {
+		c.inflight.Add(-1)
+		s.cfg.Metrics.cShedInfl.Inc()
+		_ = c.finish(t, false, true, "server overloaded", nil)
+		return
+	}
+	req := Request{Type: t.typ, Trace: headerFromLink(t.link)}
+	if len(t.req) > 0 {
+		req.Payload = t.req
+	}
+	resp := s.respond(req, t.resp)
+	s.admit.release()
+	c.inflight.Add(-1)
+	if resp.Payload != nil {
+		t.resp = resp.Payload
+	}
+	_ = c.finish(t, resp.OK, false, resp.Error, resp.Payload)
+}
+
+// finish queues t's response frame and recycles t; the batch writer has
+// copied the frame by the time enqueue returns.
+func (c *binaryConn) finish(t *frameTask, ok, overloaded bool, errMsg string, payload []byte) error {
+	t.head = appendResponseHead(t.head[:0], t.id, ok, overloaded, errMsg, len(payload))
+	_, err := c.bw.enqueue(t.head, payload)
+	t.release()
+	return err
+}
+
+// release recycles t, dropping any buffer grown past poolBufMax.
+func (t *frameTask) release() {
+	for _, b := range []*[]byte{&t.req, &t.resp, &t.head} {
+		if cap(*b) > poolBufMax {
+			*b = nil
 		}
+	}
+	t.typ, t.link = "", otrace.Link{}
+	frameTasks.Put(t)
+}
+
+// respond runs the handler for one decoded request and shapes the reply
+// envelope, shared by both protocol loops. The response payload is encoded
+// onto buf[:0], so it is buf's array when it fits.
+func (s *Server) respond(req Request, buf []byte) Response {
+	payload, err := s.handler(req)
+	if err != nil {
+		return Response{Error: err.Error()}
+	}
+	resp := Response{OK: true}
+	if payload != nil {
+		raw, merr := appendJSON(buf[:0], payload)
+		if merr != nil {
+			return Response{Error: "marshal response"}
+		}
+		resp.Payload = raw
 	}
 	return resp
 }

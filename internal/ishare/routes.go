@@ -26,7 +26,7 @@ func on[S, Req, Resp any](typ, what string, optional bool, fn func(S, context.Co
 	return route[S]{typ: typ, serve: func(s S, ctx context.Context, payload json.RawMessage) (interface{}, error) {
 		var req Req
 		if payload != nil || !optional {
-			if err := json.Unmarshal(payload, &req); err != nil {
+			if err := decodeJSON(payload, &req); err != nil {
 				return nil, fmt.Errorf("malformed %s payload", what)
 			}
 		}

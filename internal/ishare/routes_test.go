@@ -299,9 +299,11 @@ func TestQueryTracesSameFromGatewayAndPeer(t *testing.T) {
 
 // TestGatewayHandlerWarmQueryAllocs is a tripwire on the serving shell: a
 // warm query-tr through Gateway.Handler() — span check, row lookup, payload
-// decode, the state manager's cached answer, RPC metrics — costs six
-// allocations (the request struct, the response's interface box, and the
-// JSON decoder's and the query's own four).
+// decode, the state manager's cached answer, RPC metrics — costs two
+// allocations on linux/amd64 with go 1.24: the request struct the payload
+// decodes into and the response's interface box. It cost six while the
+// payload was decoded by json.Unmarshal, whose decoder state is allocated
+// afresh on every call; decodeJSON recycles it.
 func TestGatewayHandlerWarmQueryAllocs(t *testing.T) {
 	if raceDetector {
 		t.Skip("sync.Pool drops puts at random under -race; the plain run measures")
@@ -321,7 +323,7 @@ func TestGatewayHandlerWarmQueryAllocs(t *testing.T) {
 	for i := 0; i < 600; i++ {
 		query()
 	}
-	if got := testing.AllocsPerRun(200, query); got > 6 {
-		t.Fatalf("a warm query-tr through Gateway.Handler() makes %v allocations, want at most 6", got)
+	if got := testing.AllocsPerRun(200, query); got > 3 {
+		t.Fatalf("a warm query-tr through Gateway.Handler() makes %v allocations, want at most 3", got)
 	}
 }
