@@ -221,28 +221,6 @@ func run(cl client, cmd string, args []string) error {
 			MemMB:                  *mem,
 			InitialProgressSeconds: resume.Seconds(),
 		}
-		if cl.fed != "" {
-			// Federation-native verbs: the entry peer assembles the global
-			// machine list, queries each machine through ring routing, and
-			// returns the merged ranking — one client RPC either way.
-			fc := cl.fedClient()
-			if cmd == "rank" {
-				ranking, err := fc.Rank(ctx, job)
-				cl.finishRoot(root, err)
-				if err != nil {
-					return err
-				}
-				printRanking(ranking)
-				return nil
-			}
-			best, resp, err := fc.SubmitBest(ctx, job)
-			cl.finishRoot(root, err)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("submitted %s to %s (TR %.4f): job id %s\n", *name, best.MachineID, best.TR, resp.JobID)
-			return nil
-		}
 		sched, err := cl.scheduler(ctx)
 		if err != nil {
 			cl.finishRoot(root, err)
@@ -254,16 +232,7 @@ func run(cl client, cmd string, args []string) error {
 			if err != nil {
 				return err
 			}
-			var ranking ishare.FedRankResp // the shape printRanking takes; no entry peer
-			for _, r := range ranked {
-				ranking.Ranked = append(ranking.Ranked, ishare.FedRanked{
-					MachineID: r.MachineID, TR: r.TR, HistoryWindows: r.HistoryWindows, CurrentState: r.CurrentState})
-			}
-			for _, f := range fails {
-				ranking.Failures = append(ranking.Failures, ishare.FedRankFailure{
-					MachineID: f.MachineID, Err: f.Err.Error(), Transient: f.Transient()})
-			}
-			printRanking(ranking)
+			printRanking(ranked, fails)
 			return nil
 		}
 		best, resp, err := sched.SubmitBest(ctx, job)
@@ -439,18 +408,15 @@ func printJSON(v interface{}) error {
 }
 
 // printRanking renders a TR ranking, best machine first, then the machines
-// that could not be ranked; Entry is set when a federation peer produced it.
-func printRanking(ranking ishare.FedRankResp) {
-	if ranking.Entry != "" {
-		fmt.Printf("federation entry %s ranked %d machine(s)\n", ranking.Entry, len(ranking.Ranked))
-	}
+// that could not be ranked.
+func printRanking(ranked []ishare.Ranked, fails []ishare.RankFailure) {
 	fmt.Printf("%-12s %-8s %-8s %s\n", "machine", "TR", "state", "history")
-	for _, r := range ranking.Ranked {
+	for _, r := range ranked {
 		fmt.Printf("%-12s %-8.4f %-8s %d days\n", r.MachineID, r.TR, r.CurrentState, r.HistoryWindows)
 	}
-	for _, f := range ranking.Failures {
+	for _, f := range fails {
 		kind := "rejected"
-		if f.Transient {
+		if f.Transient() {
 			kind = "unreachable"
 		}
 		fmt.Printf("%-12s %-8s %v\n", f.MachineID, kind, f.Err)

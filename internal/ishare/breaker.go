@@ -181,6 +181,21 @@ func (bs *BreakerSet) Report(id string, err error) {
 	}
 }
 
+// observe records the outcome of one call to the machine: a transport fault
+// or an overloaded shed goes to Report as it is, and anything the far end
+// answered — a success or an application error such as a rejected submit —
+// proves it alive and goes in as nil. Every caller that holds a breaker
+// records through here. A nil set records nothing.
+func (bs *BreakerSet) observe(id string, err error) {
+	if bs == nil {
+		return
+	}
+	if err != nil && !IsTransport(err) && !IsOverloaded(err) {
+		err = nil
+	}
+	bs.Report(id, err)
+}
+
 // State returns the machine's current breaker state (Closed for unknown
 // machines). An open breaker past its cooldown reads as half-open.
 func (bs *BreakerSet) State(id string) BreakerState {

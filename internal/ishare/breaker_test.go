@@ -216,3 +216,29 @@ func TestSchedulerBreakerQuarantine(t *testing.T) {
 		t.Fatal("re-opened breaker admitted traffic before the next cooldown")
 	}
 }
+
+// rejectingAPI is a GatewayAPI stub whose QueryTR always answers with an
+// application error: the machine is up, it just cannot rank the job.
+type rejectingAPI struct{ failingAPI }
+
+func (*rejectingAPI) QueryTR(context.Context, QueryTRReq) (QueryTRResp, error) {
+	return QueryTRResp{}, &RemoteError{Msg: "no history yet"}
+}
+
+// TestRankApplicationErrorKeepsBreakerClosed: a machine that keeps answering
+// with an application error is alive, so ranking it never quarantines it.
+func TestRankApplicationErrorKeepsBreakerClosed(t *testing.T) {
+	clock := simclock.NewVirtual(time.Date(2005, 9, 2, 8, 30, 0, 0, time.UTC))
+	sched := &Scheduler{
+		Candidates: []Candidate{{MachineID: "young", API: &rejectingAPI{}}},
+		Breakers:   NewBreakerSet(BreakerConfig{Threshold: 2, Cooldown: time.Minute}, clock),
+	}
+	for i := 0; i < 3; i++ {
+		if _, fails, _ := sched.Rank(context.Background(), SubmitReq{WorkSeconds: 3600}); len(fails) != 1 {
+			t.Fatalf("rank %d failures = %v, want one", i+1, fails)
+		}
+	}
+	if st := sched.Breakers.State("young"); st != BreakerClosed {
+		t.Fatalf("breaker %s after application errors, want closed", st)
+	}
+}

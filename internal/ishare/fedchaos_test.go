@@ -143,18 +143,21 @@ func runFedChaosOnce(t *testing.T, seed uint64, binary bool) fedChaosResult {
 			}
 		}
 	}
-	rank := func(entry int) *FedRankResp {
-		ranking, err := clients[entry].Rank(context.Background(), SubmitReq{WorkSeconds: 3600, MemMB: 100})
+	rank := func(entry int) (ranked []Ranked, fails []RankFailure) {
+		sched, err := clients[entry].Scheduler(context.Background())
+		if err == nil {
+			ranked, fails, err = sched.Rank(context.Background(), SubmitReq{WorkSeconds: 3600, MemMB: 100})
+		}
 		if err != nil {
 			fail(fmt.Sprintf("rank fed%d", entry), err)
-			return nil
+			return nil, nil
 		}
-		ids := make([]string, 0, len(ranking.Ranked))
-		for _, r := range ranking.Ranked {
+		ids := make([]string, 0, len(ranked))
+		for _, r := range ranked {
 			ids = append(ids, r.MachineID)
 		}
-		add("rank fed%d n=%d failures=%d order=%s", entry, len(ranking.Ranked), len(ranking.Failures), strings.Join(ids, ">"))
-		return &ranking
+		add("rank fed%d n=%d failures=%d order=%s", entry, len(ranked), len(fails), strings.Join(ids, ">"))
+		return ranked, fails
 	}
 
 	// Phase 1: healthy baseline through every entry peer.
@@ -198,8 +201,8 @@ func runFedChaosOnce(t *testing.T, seed uint64, binary bool) fedChaosResult {
 		}
 	}
 	queryAll(survivors)
-	if ranking := rank(survivors[0]); ranking != nil && len(ranking.Ranked) != machines {
-		fail("rank after kill", fmt.Errorf("ranked %d machines, want %d (failures: %v)", len(ranking.Ranked), machines, ranking.Failures))
+	if ranked, fails := rank(survivors[0]); ranked != nil && len(ranked) != machines {
+		fail("rank after kill", fmt.Errorf("ranked %d machines, want %d (failures: %v)", len(ranked), machines, fails))
 	}
 	if job2, err := clients[survivors[1]].Submit(context.Background(), "m4", SubmitReq{Name: "fed-chaos-2", WorkSeconds: 120, MemMB: 40}); err != nil {
 		fail("submit m4", err)

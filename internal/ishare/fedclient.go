@@ -55,38 +55,6 @@ func (c FedClient) Discover(ctx context.Context) ([]Resource, error) {
 	return resp.Resources, err
 }
 
-// Rank asks the entry peer for a federation-wide TR ranking for a
-// prospective job, over the work the job has left (see Scheduler.Rank).
-func (c FedClient) Rank(ctx context.Context, job SubmitReq) (FedRankResp, error) {
-	left, err := job.remainingSeconds()
-	if err != nil {
-		return FedRankResp{}, err
-	}
-	return rpc[FedRankResp](ctx, c.Caller, c.Addr, MsgFedRank, FedRankReq{LengthSeconds: left, GuestMemMB: job.MemMB}, c.Timeout, true)
-}
-
-// SubmitBest ranks the federation and submits to the most reliable
-// machine, falling down the ranking when a launch is rejected — the
-// federated twin of Scheduler.SubmitBest.
-func (c FedClient) SubmitBest(ctx context.Context, job SubmitReq) (FedRanked, SubmitResp, error) {
-	ranking, err := c.Rank(ctx, job)
-	if err != nil {
-		return FedRanked{}, SubmitResp{}, err
-	}
-	if len(ranking.Ranked) == 0 {
-		return FedRanked{}, SubmitResp{}, fmt.Errorf("ishare: no machine answered the ranking (%d failures)", len(ranking.Failures))
-	}
-	var lastErr error
-	for _, cand := range ranking.Ranked {
-		resp, err := c.Submit(ctx, cand.MachineID, job)
-		if err == nil {
-			return cand, resp, nil
-		}
-		lastErr = err
-	}
-	return FedRanked{}, SubmitResp{}, fmt.Errorf("ishare: every ranked machine rejected the job: %w", lastErr)
-}
-
 // Gateway returns a GatewayAPI view of one machine reached through the
 // federation, so schedulers and supervisors built against single-gateway
 // clients work unchanged on a federated deployment.

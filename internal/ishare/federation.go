@@ -29,7 +29,6 @@ const (
 	MsgFedSubmit    = "fed-submit"     // client -> any peer (machine-scoped Submit)
 	MsgFedJobStatus = "fed-job-status" // client -> any peer (machine-scoped JobStatus)
 	MsgFedKill      = "fed-kill"       // client -> any peer (machine-scoped Kill)
-	MsgFedRank      = "fed-rank"       // client -> any peer (federation-wide ranking)
 	MsgFedSync      = "fed-sync"       // peer -> peer (replication / anti-entropy push)
 )
 
@@ -62,39 +61,6 @@ type FedJobReq struct {
 	Machine string       `json:"machine"`
 	Local   bool         `json:"local,omitempty"`
 	Job     JobStatusReq `json:"job"`
-}
-
-// FedRankReq asks a peer to rank every machine in the federation by
-// temporal reliability for a prospective job, wherever each machine's
-// entry lives.
-type FedRankReq struct {
-	LengthSeconds float64 `json:"length_seconds"`
-	GuestMemMB    float64 `json:"guest_mem_mb"`
-}
-
-// FedRanked is one machine's entry in a federation-wide ranking.
-type FedRanked struct {
-	MachineID      string  `json:"machine_id"`
-	TR             float64 `json:"tr"`
-	HistoryWindows int     `json:"history_windows"`
-	CurrentState   string  `json:"current_state"`
-}
-
-// FedRankFailure explains why one machine is missing from a ranking.
-type FedRankFailure struct {
-	MachineID string `json:"machine_id"`
-	Err       string `json:"err"`
-	// Transient marks transport-level failures (flake, dead peer,
-	// quarantine) as opposed to an application rejection.
-	Transient bool `json:"transient,omitempty"`
-}
-
-// FedRankResp is the federation-wide ranking, best machine first.
-type FedRankResp struct {
-	// Entry is the peer that served the ranking.
-	Entry    string           `json:"entry"`
-	Ranked   []FedRanked      `json:"ranked,omitempty"`
-	Failures []FedRankFailure `json:"failures,omitempty"`
 }
 
 // FedEntry is one registry entry on the replication wire, carrying its
@@ -443,8 +409,7 @@ func (f *FedGateway) warn(msg string, args ...interface{}) {
 // callPeer performs one peer RPC with retries, routed through the peer's
 // circuit breaker when one is configured. A quarantined peer fails fast
 // with a transport-class error so routing falls through to the next
-// replica, and only transport outcomes feed the breaker — an application
-// error proves the peer alive.
+// replica; the outcome feeds the breaker (BreakerSet.observe).
 func (f *FedGateway) callPeer(ctx context.Context, p Peer, typ string, payload, out interface{}, retry bool) error {
 	if f.breakers != nil && !f.breakers.Allow(p.ID) {
 		return &transportError{err: fmt.Errorf("ishare: peer %s: %w", p.ID, ErrCircuitOpen)}
@@ -455,15 +420,7 @@ func (f *FedGateway) callPeer(ctx context.Context, p Peer, typ string, payload, 
 	} else {
 		err = f.peers.Call(ctx, p.Addr, typ, payload, out, f.timeout)
 	}
-	if f.breakers != nil {
-		if IsTransport(err) || IsOverloaded(err) {
-			// The breaker never opens on overloaded sheds, only on
-			// transport faults.
-			f.breakers.Report(p.ID, err)
-		} else {
-			f.breakers.Report(p.ID, nil)
-		}
-	}
+	f.breakers.observe(p.ID, err)
 	return err
 }
 
@@ -789,40 +746,6 @@ func (f *FedGateway) globalResources(ctx context.Context) []Resource {
 	return out
 }
 
-// FedRank ranks every machine in the federation by temporal reliability
-// for a prospective job: the global machine list is assembled from all
-// reachable shards, each machine is queried through normal federated
-// routing (so entries owned elsewhere are forwarded), and the results are
-// sorted by TR descending with a stable order on ties. Machines that fail
-// to answer are reported, not fatal.
-func (f *FedGateway) FedRank(ctx context.Context, req FedRankReq) (FedRankResp, error) {
-	resp := FedRankResp{Entry: f.self.ID}
-	machines := f.globalResources(ctx)
-	if len(machines) == 0 {
-		return resp, fmt.Errorf("fed: no machines registered")
-	}
-	q := QueryTRReq{LengthSeconds: req.LengthSeconds, GuestMemMB: req.GuestMemMB}
-	for _, m := range machines {
-		tr, err := f.FedQueryTR(ctx, FedQueryTRReq{Machine: m.MachineID, Query: q})
-		if err != nil {
-			resp.Failures = append(resp.Failures, FedRankFailure{
-				MachineID: m.MachineID,
-				Err:       err.Error(),
-				Transient: IsTransport(err) || IsOverloaded(err),
-			})
-			continue
-		}
-		resp.Ranked = append(resp.Ranked, FedRanked{
-			MachineID:      m.MachineID,
-			TR:             tr.TR,
-			HistoryWindows: tr.HistoryWindows,
-			CurrentState:   tr.CurrentState,
-		})
-	}
-	sort.SliceStable(resp.Ranked, func(i, j int) bool { return resp.Ranked[i].TR > resp.Ranked[j].TR })
-	return resp, nil
-}
-
 // RingStats snapshots this peer's view of the ring for query-stats.
 func (f *FedGateway) RingStats() *RingStats {
 	now := f.clock.Now()
@@ -888,7 +811,6 @@ var fedRoutes = []route[*FedGateway]{
 	on(MsgFedSubmit, "fed submit", false, (*FedGateway).FedSubmit),
 	on(MsgFedJobStatus, "fed status", false, (*FedGateway).FedJobStatus),
 	on(MsgFedKill, "fed kill", false, (*FedGateway).FedKill),
-	on(MsgFedRank, "fed rank", true, (*FedGateway).FedRank),
 	on(MsgFedSync, "fed sync", false, func(f *FedGateway, _ context.Context, req FedSyncReq) (FedSyncResp, error) {
 		return f.fedSync(req), nil
 	}),

@@ -352,30 +352,34 @@ func TestFedRankMergesAllShards(t *testing.T) {
 	}
 
 	fc := FedClient{Addr: nodes[3].srv.Addr(), Caller: &Caller{}}
-	ranking, err := fc.Rank(context.Background(), SubmitReq{WorkSeconds: 3600})
+	sched, err := fc.Scheduler(context.Background())
+	if err != nil {
+		t.Fatalf("federated scheduler: %v", err)
+	}
+	ranked, fails, err := sched.Rank(context.Background(), SubmitReq{WorkSeconds: 3600})
 	if err != nil {
 		t.Fatalf("federated rank: %v", err)
 	}
-	if len(ranking.Failures) != 0 {
-		t.Fatalf("rank failures: %v", ranking.Failures)
+	if len(fails) != 0 {
+		t.Fatalf("rank failures: %v", fails)
 	}
 	want := []string{"rank-a", "rank-c", "rank-b", "rank-d"}
-	if len(ranking.Ranked) != len(want) {
-		t.Fatalf("ranked %d machines, want %d", len(ranking.Ranked), len(want))
+	if len(ranked) != len(want) {
+		t.Fatalf("ranked %d machines, want %d", len(ranked), len(want))
 	}
 	for i, id := range want {
-		if ranking.Ranked[i].MachineID != id {
-			t.Errorf("rank[%d] = %s (TR %v), want %s", i, ranking.Ranked[i].MachineID, ranking.Ranked[i].TR, id)
+		if ranked[i].MachineID != id {
+			t.Errorf("rank[%d] = %s (TR %v), want %s", i, ranked[i].MachineID, ranked[i].TR, id)
 		}
 	}
 
 	// SubmitBest lands on the top-ranked machine.
-	cand, sub, err := fc.SubmitBest(context.Background(), SubmitReq{Name: "best", WorkSeconds: 60})
+	best, sub, err := sched.SubmitBest(context.Background(), SubmitReq{Name: "best", WorkSeconds: 60})
 	if err != nil {
 		t.Fatalf("SubmitBest: %v", err)
 	}
-	if cand.MachineID != "rank-a" || !strings.HasPrefix(sub.JobID, "rank-a-job-") {
-		t.Errorf("SubmitBest placed on %s (job %s), want rank-a", cand.MachineID, sub.JobID)
+	if best.MachineID != "rank-a" || !strings.HasPrefix(sub.JobID, "rank-a-job-") {
+		t.Errorf("SubmitBest placed on %s (job %s), want rank-a", best.MachineID, sub.JobID)
 	}
 }
 
@@ -522,8 +526,8 @@ func (d failingDialer) DialTimeout(network, addr string, timeout time.Duration) 
 func TestRingOfOneNeverDials(t *testing.T) {
 	ctx := context.Background()
 	gw := ringOfOne(t, FedConfig{Caller: &Caller{Dialer: failingDialer{t}}})
-	if _, err := gw.FedRank(ctx, FedRankReq{LengthSeconds: 3600}); err == nil || !strings.Contains(err.Error(), "no machines") {
-		t.Errorf("FedRank on an empty shard: %v", err)
+	if resp, err := gw.discover(ctx, DiscoverReq{}); err != nil || len(resp.Resources) != 0 {
+		t.Errorf("discover on an empty shard: %+v, %v", resp, err)
 	}
 	regTTL(t, gw, "m-1", "10.0.0.1:7", time.Minute)
 	regTTL(t, gw, "m-2", "10.0.0.2:7", 0)

@@ -50,10 +50,3 @@ func RegisterWithTTL(ctx context.Context, caller *Caller, registryAddr, machineI
 	req := RegisterReq{MachineID: machineID, Addr: gatewayAddr, TTLSeconds: ttl.Seconds()}
 	return caller.CallRetry(ctx, registryAddr, MsgRegister, req, nil, timeout)
 }
-
-// DiscoverWith fetches the published resources from a remote registry
-// through an optional Caller with retries.
-func DiscoverWith(ctx context.Context, caller *Caller, registryAddr string, timeout time.Duration) ([]Resource, error) {
-	resp, err := rpc[DiscoverResp](ctx, caller, registryAddr, MsgDiscover, nil, timeout, true)
-	return resp.Resources, err
-}

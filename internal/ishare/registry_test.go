@@ -94,7 +94,7 @@ func TestRegistryTTLOverTCP(t *testing.T) {
 	if err := RegisterWithTTL(context.Background(), nil, srv.Addr(), "lab-01", "10.0.0.1:9000", 30*time.Second, time.Second); err != nil {
 		t.Fatal(err)
 	}
-	res, err := DiscoverWith(context.Background(), nil, srv.Addr(), time.Second)
+	res, err := FedClient{Addr: srv.Addr(), Timeout: time.Second}.Discover(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestRegistryTTLOverTCP(t *testing.T) {
 		t.Fatalf("discovered = %+v", res)
 	}
 	clock.Advance(31 * time.Second)
-	res, err = DiscoverWith(context.Background(), nil, srv.Addr(), time.Second)
+	res, err = FedClient{Addr: srv.Addr(), Timeout: time.Second}.Discover(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -128,7 +128,8 @@ type Scheduler struct {
 	Candidates []Candidate
 	// Breakers, when set, quarantines machines whose gateways keep
 	// failing: open-circuit machines are skipped in Rank without an RPC,
-	// and every query outcome feeds the breaker state machine.
+	// and every query and submit outcome feeds the breaker state machine
+	// (transport faults count against a machine, answers for it).
 	Breakers *BreakerSet
 }
 
@@ -138,7 +139,7 @@ type Scheduler struct {
 // policy (discover is idempotent), and every candidate gateway client
 // inherits the caller's transport and retries.
 func FromRegistryWith(ctx context.Context, caller *Caller, registryAddr string, timeout time.Duration) (*Scheduler, error) {
-	resources, err := DiscoverWith(ctx, caller, registryAddr, timeout)
+	resources, err := FedClient{Addr: registryAddr, Timeout: timeout, Caller: caller}.Discover(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -190,9 +191,7 @@ func (s *Scheduler) Rank(ctx context.Context, job SubmitReq) ([]Ranked, []RankFa
 			qspan.SetAttr(otrace.Float("tr", resp.TR))
 		}
 		qspan.End()
-		if s.Breakers != nil {
-			s.Breakers.Report(c.MachineID, err)
-		}
+		s.Breakers.observe(c.MachineID, err)
 		if err != nil {
 			failures = append(failures, RankFailure{MachineID: c.MachineID, Err: err})
 			continue
@@ -228,14 +227,12 @@ func (s *Scheduler) SubmitBest(ctx context.Context, job SubmitReq) (Ranked, Subm
 		resp, err := r.API.Submit(sctx, job)
 		sspan.SetError(err)
 		sspan.End()
+		s.Breakers.observe(r.MachineID, err)
 		if err == nil {
 			if span != nil {
 				span.SetAttr(otrace.String("placed-on", r.MachineID))
 			}
 			return r, resp, nil
-		}
-		if s.Breakers != nil && IsTransport(err) {
-			s.Breakers.Report(r.MachineID, err)
 		}
 		lastErr = err
 	}

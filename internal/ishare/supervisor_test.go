@@ -425,9 +425,6 @@ func TestSupervisorRanksMigrationOverRemainingWork(t *testing.T) {
 		if _, _, err := sched.Rank(context.Background(), bad); err == nil {
 			t.Errorf("Scheduler.Rank accepted %+v", bad)
 		}
-		if _, err := (FedClient{}).Rank(context.Background(), bad); err == nil {
-			t.Errorf("FedClient.Rank accepted %+v", bad)
-		}
 	}
 	if len(first.queried) != 2 {
 		t.Fatalf("out-of-range checkpoints were queried: %v", first.queried)

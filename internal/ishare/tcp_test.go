@@ -24,7 +24,7 @@ func TestRegistryOverTCP(t *testing.T) {
 	if err := RegisterWithTTL(ctx, nil, srv.Addr(), "lab-02", "10.0.0.2:9000", 0, time.Second); err != nil {
 		t.Fatal(err)
 	}
-	resources, err := DiscoverWith(ctx, nil, srv.Addr(), time.Second)
+	resources, err := FedClient{Addr: srv.Addr(), Timeout: time.Second}.Discover(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestRegistryOverTCP(t *testing.T) {
 	if err := RegisterWithTTL(ctx, nil, srv.Addr(), "lab-01", "10.0.0.1:9999", 0, time.Second); err != nil {
 		t.Fatal(err)
 	}
-	resources, _ = DiscoverWith(ctx, nil, srv.Addr(), time.Second)
+	resources, _ = FedClient{Addr: srv.Addr(), Timeout: time.Second}.Discover(ctx)
 	if len(resources) != 2 || resources[0].Addr != "10.0.0.1:9999" {
 		t.Fatalf("after refresh: %+v", resources)
 	}
