@@ -52,7 +52,6 @@ func main() {
 		retryBase = flag.Duration("retry-base", 50*time.Millisecond, "first retry backoff delay")
 		brkThresh = flag.Int("breaker-threshold", 3, "consecutive failures before a machine is quarantined (0 = no breaker)")
 		brkCool   = flag.Duration("breaker-cooldown", 30*time.Second, "quarantine duration before a probe is allowed")
-		proto     = flag.String("proto", "binary", "wire protocol: binary (pooled multiplexed frames) or json (dial-per-RPC compat/debug mode)")
 		traced    = flag.Bool("trace", false, "trace this command and print the client-side span tree to stderr")
 		traceSeed = flag.Uint64("trace-seed", 0, "seed for client trace IDs (0 = fixed default)")
 		logLevel  = flag.String("log-level", "warn", "log level: debug, info, warn or error")
@@ -69,20 +68,10 @@ func main() {
 		gateway:  *gateway,
 		fed:      *fed,
 		timeout:  *timeout,
-		caller:   &ishare.Caller{Retry: ishare.RetryPolicy{MaxAttempts: *retries, BaseDelay: *retryBase}},
+		caller:   &ishare.Caller{Pool: &ishare.Pool{}, Retry: ishare.RetryPolicy{MaxAttempts: *retries, BaseDelay: *retryBase}},
 		logger:   logger,
 	}
-	switch *proto {
-	case "binary":
-		cl.pool = &ishare.Pool{}
-		defer cl.pool.Close()
-		cl.caller.Pool = cl.pool
-	case "json":
-		// dial-per-RPC compat path: the zero Caller.
-	default:
-		fmt.Fprintf(os.Stderr, "isharec: -proto must be binary or json, got %q\n", *proto)
-		os.Exit(2)
-	}
+	defer cl.caller.Pool.Close()
 	if *brkThresh > 0 {
 		cl.breakers = ishare.NewBreakerSet(ishare.BreakerConfig{Threshold: *brkThresh, Cooldown: *brkCool}, nil)
 	}
@@ -103,13 +92,10 @@ type client struct {
 	fed               string
 	timeout           time.Duration
 	caller            *ishare.Caller
-	// pool is the multiplexed binary-transport connection pool (-proto
-	// binary); nil on the JSON compat path.
-	pool     *ishare.Pool
-	breakers *ishare.BreakerSet
-	tracer   *otrace.Tracer
-	flight   *otrace.Recorder
-	logger   *slog.Logger
+	breakers          *ishare.BreakerSet
+	tracer            *otrace.Tracer
+	flight            *otrace.Recorder
+	logger            *slog.Logger
 }
 
 // startRoot opens the command's client-side root span when -trace is set;
@@ -285,7 +271,7 @@ func run(cl client, cmd string, args []string) error {
 	case "stats":
 		fs := flag.NewFlagSet(cmd, flag.ExitOnError)
 		calib := fs.Bool("calibration", false, "include the per-predictor calibration tables")
-		verbose := fs.Bool("verbose", false, "include wire-protocol details: the negotiated protocol/version and the server's connection and shed counters")
+		verbose := fs.Bool("verbose", false, "include wire-protocol details: the server's connection and shed counters")
 		fleet := fs.Bool("fleet", false, "print the fleet-wide merged observability view instead (requires -fed: the entry peer fans query-obs out over the ring)")
 		alertLimit := fs.Int("alert-limit", 20, "with -fleet: newest merged alerts to keep (0 = all)")
 		asJSON := fs.Bool("json", false, "print the raw JSON snapshot")
@@ -330,7 +316,7 @@ func run(cl client, cmd string, args []string) error {
 		}
 		printStats(st)
 		if *verbose {
-			printWire(cl, gateway, st.Wire)
+			printWire(st.Wire)
 		}
 		return nil
 	case "alerts":
@@ -451,19 +437,9 @@ func printTraces(resp ishare.QueryTracesResp, opts otrace.RenderOptions) {
 	}
 }
 
-// printWire renders the wire-protocol line of `stats -verbose`: what this
-// client negotiated on its connection to the gateway, and the server's own
-// view of its connection mix and admission-control sheds.
-func printWire(cl client, gateway string, w *ishare.WireStats) {
-	negotiated := "json (dial-per-RPC compat mode)"
-	if cl.pool != nil {
-		if v := cl.pool.Negotiated(gateway); v > 0 {
-			negotiated = fmt.Sprintf("binary v%d (pooled, multiplexed)", v)
-		} else {
-			negotiated = "binary (no pooled connection established yet)"
-		}
-	}
-	fmt.Printf("wire: client negotiated %s\n", negotiated)
+// printWire renders the wire-protocol line of `stats -verbose`: the
+// server's view of its connection mix and admission-control sheds.
+func printWire(w *ishare.WireStats) {
 	if w == nil {
 		fmt.Println("wire: server reported no wire stats (observability disabled or pre-binary build)")
 		return

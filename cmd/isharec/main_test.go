@@ -91,11 +91,10 @@ func TestRankAndSubmitAgreeAcrossEntryModes(t *testing.T) {
 	}
 
 	entry := peers[1].Addr
-	pool := &ishare.Pool{}
-	defer pool.Close()
-	caller := &ishare.Caller{Pool: pool}
-	fed := client{fed: entry, timeout: 2 * time.Second, caller: caller, pool: pool}
-	reg := client{registry: entry, timeout: 2 * time.Second, caller: caller, pool: pool}
+	caller := &ishare.Caller{Pool: &ishare.Pool{}}
+	defer caller.Pool.Close()
+	fed := client{fed: entry, timeout: 2 * time.Second, caller: caller}
+	reg := client{registry: entry, timeout: 2 * time.Second, caller: caller}
 	want := `machine      TR       state    history
 m-a          0.9000   S1       7 days
 m-c          0.7000   S1       7 days

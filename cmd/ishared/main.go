@@ -563,7 +563,10 @@ func run(rc runConfig) error {
 		// Registration failures here are fatal (the operator asked to
 		// publish); later heartbeats retry under the caller's policy and
 		// otherwise rely on the TTL to advertise the node's death.
-		caller := &ishare.Caller{Retry: ishare.RetryPolicy{MaxAttempts: 3}, Metrics: node.Obs().Caller}
+		// One pooled connection carries the registration and every
+		// heartbeat after it.
+		caller := &ishare.Caller{Pool: &ishare.Pool{}, Retry: ishare.RetryPolicy{MaxAttempts: 3}, Metrics: node.Obs().Caller}
+		defer caller.Pool.Close()
 		if err := ishare.RegisterWithTTL(context.Background(), caller, registry, id, srv.Addr(), rc.ttl, 5*time.Second); err != nil {
 			return err
 		}

@@ -395,11 +395,15 @@ func Run(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Only peers hold pooled connections (the rest close with their RPC):
-	// taking them down ends every serving goroutine and pool reader.
+	// Peers, and machines a gateway keeps reaching, hold pooled
+	// connections (the rest close with their RPC): taking every address
+	// down ends every serving goroutine and pool reader.
 	defer func() {
 		for _, p := range f.peers {
 			f.net.Handle(p.Addr, nil)
+		}
+		for _, m := range f.machines {
+			f.net.Handle(m.addr, nil)
 		}
 	}()
 	f.registerStorm(rep)

@@ -555,8 +555,9 @@ func TestRingOfOneNeverDials(t *testing.T) {
 // TestFedPeerHopsDialOncePerPeer counts every dial each peer of a 3-peer
 // ring makes through forwarded queries, forwarded registrations with their
 // replication, and an anti-entropy round: peer hops share one pooled
-// connection per peer, so no peer dials another more than once, while
-// machine hops still dial per RPC.
+// connection per peer, so no peer dials another more than once, and a
+// machine is dialed three times at most: its first two hops dial per RPC,
+// and the hops after them ride one pooled connection.
 func TestFedPeerHopsDialOncePerPeer(t *testing.T) {
 	dialers := make([]*countingDialer, 3)
 	nodes := buildFederationWith(t, 3, 1, nil, nil, nil, func(i int, cfg *FedConfig) {
@@ -582,7 +583,7 @@ func TestFedPeerHopsDialOncePerPeer(t *testing.T) {
 	for _, n := range nodes {
 		n.gw.SyncOnce(ctx)
 	}
-	forwarded := uint64(0)
+	forwarded, allMachineDials := uint64(0), 0
 	for i, n := range nodes {
 		forwarded += n.gw.RingStats().Forwarded
 		peerDials, machineDials := 0, dialers[i].count()
@@ -590,12 +591,56 @@ func TestFedPeerHopsDialOncePerPeer(t *testing.T) {
 			peerDials += dialers[i].countTo(p.srv.Addr())
 		}
 		machineDials -= peerDials
+		allMachineDials += machineDials
 		if peerDials > len(nodes)-1 {
 			t.Errorf("peer %d dialed its peers %d times, want at most %d", i, peerDials, len(nodes)-1)
 		}
 		t.Logf("peer %d: %d peer dials, %d machine dials", i, peerDials, machineDials)
 	}
+	if allMachineDials > warmHops*machines {
+		t.Errorf("the ring dialed %d machines %d times, want at most %d", machines, allMachineDials, warmHops*machines)
+	}
 	if forwarded < machines*(rounds+1) {
 		t.Fatalf("ring forwarded %d requests, want at least %d", forwarded, machines*(rounds+1))
+	}
+}
+
+// TestFedMachineHopPoolsOnlyWhenWarm steps a one-peer ring's virtual clock
+// between hops to one machine: the first two hops of a run, each within
+// poolIdleMax of the one before, dial per RPC; from the third on the hops
+// ride the machine pool, which dials once and reuses its connection. A
+// longer gap starts a new run, whose first hop closes the pool's
+// connection, idle as long; the run's third hop redials it.
+func TestFedMachineHopPoolsOnlyWhenWarm(t *testing.T) {
+	clk := simclock.NewVirtual(time.Date(2005, 9, 2, 8, 30, 0, 0, time.UTC))
+	d := &countingDialer{}
+	gw := ringOfOne(t, FedConfig{Caller: &Caller{Dialer: d}, Clock: clk})
+	m := newStubMachine(t, "m", 0.5)
+	regTTL(t, gw, "m", m.addr(), 0)
+	for i, step := range []struct {
+		gap    time.Duration
+		dials  int
+		pooled bool // the machine pool holds a connection after the hop
+	}{
+		{0, 1, false},                         // a run's first hop dials per RPC
+		{time.Second, 2, false},               // and its second
+		{time.Second, 3, true},                // the third rides the pool, which dials
+		{time.Second, 3, true},                // its connection is reused
+		{poolIdleMax, 3, true},                // poolIdleMax later is the same run
+		{poolIdleMax + time.Second, 4, false}, // a new run dials per RPC and closes the idle pooled connection
+		{time.Second, 5, false},
+		{time.Second, 6, true}, // the pool redials
+		{time.Second, 6, true},
+	} {
+		clk.Advance(step.gap)
+		if resp, err := gw.FedQueryTR(context.Background(), FedQueryTRReq{Machine: "m"}); err != nil || resp.TR != 0.5 {
+			t.Fatalf("hop %d: %+v, %v", i, resp, err)
+		}
+		if got := d.count(); got != step.dials {
+			t.Fatalf("after hop %d: %d dials, want %d", i, got, step.dials)
+		}
+		if got := pooledConn(gw.machines.Pool, m.addr()) != nil; got != step.pooled {
+			t.Fatalf("after hop %d: machine pool holds a connection = %v, want %v", i, got, step.pooled)
+		}
 	}
 }

@@ -2,13 +2,16 @@ package ishare
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"net"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
 	"fgcs/internal/otrace"
+	"fgcs/internal/simclock"
 )
 
 // Pool holds long-lived multiplexed binary-protocol connections, one (or a
@@ -18,6 +21,13 @@ import (
 // of paying a dial + handshake each. A connection that fails is discarded
 // and every call pending on it gets a transport error; the next call dials
 // fresh. Concurrent first calls to an address share one dial.
+//
+// A pool bounds what it holds, from inside its calls, with no goroutine of
+// its own: a call closes every connection idle for over poolIdleMax, and a
+// dial past poolMaxConns open connections closes the least recently used
+// one. A connection with a call pending is never closed. Idle time is read
+// from the wall clock, or from the gateway's clock for a FedGateway's
+// machine pool.
 type Pool struct {
 	// Dialer defaults to the real network (tests inject faultnet here).
 	Dialer Dialer
@@ -25,12 +35,27 @@ type Pool struct {
 	// (default 1 — pipelining makes one connection go a long way).
 	MaxPerHost int
 
+	clock   simclock.Clock // a FedGateway machine pool's; nil reads the wall clock
 	mu      sync.Mutex
 	conns   map[string][]*muxConn
 	next    map[string]int       // round-robin cursor per address
 	dialing map[string]*poolDial // the dial in progress per address
+	open    int                  // connections in conns
+	uses    uint64               // connections handed out, the LRU order
+	sweepAt time.Time            // no connection is idle for over poolIdleMax before this
 	closed  bool
 }
+
+// poolIdleMax is how long a pooled connection may go unused before a call
+// closes it: below the server's 5 min IdleDeadline, so the client closes
+// first, and long enough that a connection in steady use is never redialed.
+const poolIdleMax = 90 * time.Second
+
+// poolMaxConns caps the connections one pool keeps open. Machines are many:
+// a gateway pooling every machine it reached often would keep a
+// connection, a reader and a flusher per machine, and as many at the
+// machines' servers.
+const poolMaxConns = 64
 
 // poolDial is one in-progress dial that later callers to the same address
 // wait on instead of dialing again.
@@ -247,6 +272,7 @@ func (s *callSlot) release() {
 // call registered under their request ID.
 type muxConn struct {
 	conn net.Conn
+	addr string
 	bw   *batchWriter
 
 	mu      sync.Mutex
@@ -254,7 +280,9 @@ type muxConn struct {
 	nextID  uint64
 	dead    bool
 	deadErr error
-	version byte
+
+	used time.Time // when the pool last handed it out (guarded by Pool.mu)
+	use  uint64    // the pool's use count then (guarded by Pool.mu)
 }
 
 // send registers s under a fresh request ID and queues its request frame,
@@ -294,9 +322,6 @@ func (m *muxConn) readLoop() {
 			return
 		}
 		m.mu.Lock()
-		if m.version == 0 {
-			m.version = f.Version
-		}
 		s := m.pending[f.ID]
 		delete(m.pending, f.ID)
 		m.mu.Unlock()
@@ -320,11 +345,25 @@ func (m *muxConn) readLoop() {
 
 // fail marks the connection dead, closes it, and wakes every pending call
 // with the zero Frame, the dead-connection reply.
-func (m *muxConn) fail(err error) {
+func (m *muxConn) fail(err error) { m.close(err, false) }
+
+// closeIdle closes the connection unless a call is pending on it, and
+// reports whether it is dead on return. The check and the close are one
+// critical section: a send racing it either registers first, and the
+// connection stays, or finds it dead before writing and sends again on a
+// fresh one.
+func (m *muxConn) closeIdle(err error) bool { return m.close(err, true) }
+
+// close is fail, or closeIdle when idleOnly is set.
+func (m *muxConn) close(err error, idleOnly bool) bool {
 	m.mu.Lock()
 	if m.dead {
 		m.mu.Unlock()
-		return
+		return true
+	}
+	if idleOnly && len(m.pending) > 0 {
+		m.mu.Unlock()
+		return false
 	}
 	m.dead = true
 	m.deadErr = err
@@ -336,6 +375,7 @@ func (m *muxConn) fail(err error) {
 	for _, s := range pending {
 		s.reply <- Frame{}
 	}
+	return true
 }
 
 // isDead reports whether the connection has been poisoned.
@@ -346,32 +386,31 @@ func (m *muxConn) isDead() bool {
 }
 
 // get returns a live connection to addr, dialing one if needed within the
-// call's timeout. Dead connections are pruned on the way. Only one dial per
-// address is in flight: a caller that finds one waits for it instead of
-// dialing again, and shares its error if it fails.
+// call's timeout. Dead connections are pruned on the way, idle ones closed
+// (see Pool). Only one dial per address is in flight: a caller that finds
+// one waits for it instead of dialing again, and shares its error if it
+// fails.
 func (p *Pool) get(addr string, timeout time.Duration) (*muxConn, error) {
+	now := p.now()
 	p.mu.Lock()
 	if p.conns == nil {
 		p.conns = make(map[string][]*muxConn)
 		p.next = make(map[string]int)
 		p.dialing = make(map[string]*poolDial)
 	}
+	p.sweep(now)
 	for {
 		if p.closed {
 			p.mu.Unlock()
 			return nil, &transportError{fmt.Errorf("ishare: pool closed")}
 		}
-		live := p.conns[addr][:0]
-		for _, m := range p.conns[addr] {
-			if !m.isDead() {
-				live = append(live, m)
-			}
-		}
-		p.conns[addr] = live
+		p.drop(addr, (*muxConn).isDead)
+		live := p.conns[addr]
 		d := p.dialing[addr]
 		if len(live) >= p.maxPerHost() || (len(live) > 0 && d != nil) {
 			m := live[p.next[addr]%len(live)]
 			p.next[addr]++
+			p.touch(m, now)
 			p.mu.Unlock()
 			return m, nil
 		}
@@ -397,12 +436,97 @@ func (p *Pool) get(addr string, timeout time.Duration) (*muxConn, error) {
 		m, err = nil, &transportError{fmt.Errorf("ishare: pool closed")}
 	}
 	if err == nil {
+		p.touch(m, now)
 		p.conns[addr] = append(p.conns[addr], m)
+		if p.open++; p.open > poolMaxConns {
+			p.evict(m)
+		}
 	}
 	p.mu.Unlock()
 	d.err = err
 	close(d.done)
 	return m, err
+}
+
+// now reads the pool's clock.
+func (p *Pool) now() time.Time {
+	if p.clock != nil {
+		return p.clock.Now()
+	}
+	return time.Now()
+}
+
+// reap closes the connections idle for over poolIdleMax, as a call does,
+// for a caller that passes the pool by.
+func (p *Pool) reap() {
+	now := p.now()
+	p.mu.Lock()
+	p.sweep(now)
+	p.mu.Unlock()
+}
+
+// touch marks m used now, the most recently used connection. Called with
+// p.mu held.
+func (p *Pool) touch(m *muxConn, now time.Time) {
+	p.uses++
+	m.used, m.use = now, p.uses
+}
+
+// drop forgets the connections to addr that gone reports true for, closing
+// none. Called with p.mu held.
+func (p *Pool) drop(addr string, gone func(m *muxConn) bool) {
+	list := p.conns[addr]
+	live := slices.DeleteFunc(list, gone)
+	p.open -= len(list) - len(live)
+	if len(live) == 0 {
+		delete(p.conns, addr)
+		delete(p.next, addr)
+		return
+	}
+	p.conns[addr] = live
+}
+
+// sweep closes the connections idle for over poolIdleMax once sweepAt has
+// passed, then sets sweepAt to when the next one can be. Called with p.mu
+// held.
+func (p *Pool) sweep(now time.Time) {
+	if !now.After(p.sweepAt) {
+		return
+	}
+	p.sweepAt = now.Add(poolIdleMax)
+	for addr := range p.conns {
+		p.drop(addr, func(m *muxConn) bool {
+			deadline := m.used.Add(poolIdleMax)
+			if now.After(deadline) {
+				return m.closeIdle(fmt.Errorf("ishare: pooled conn idle"))
+			}
+			if deadline.Before(p.sweepAt) {
+				p.sweepAt = deadline
+			}
+			return false
+		})
+	}
+}
+
+// evict closes the least recently used connection with no call pending,
+// other than keep, to bring the pool back to poolMaxConns. Called with p.mu
+// held.
+func (p *Pool) evict(keep *muxConn) {
+	var lru []*muxConn
+	for _, list := range p.conns {
+		for _, m := range list {
+			if m != keep {
+				lru = append(lru, m)
+			}
+		}
+	}
+	slices.SortFunc(lru, func(a, b *muxConn) int { return cmp.Compare(a.use, b.use) })
+	for _, victim := range lru {
+		if victim.closeIdle(fmt.Errorf("ishare: pool over %d connections", poolMaxConns)) {
+			p.drop(victim.addr, func(m *muxConn) bool { return m == victim })
+			return
+		}
+	}
 }
 
 // dial opens one multiplexed connection to addr and starts its reader.
@@ -411,7 +535,7 @@ func (p *Pool) dial(addr string, timeout time.Duration) (*muxConn, error) {
 	if err != nil {
 		return nil, &transportError{fmt.Errorf("ishare: dial %s: %w", addr, err)}
 	}
-	m := &muxConn{conn: conn, pending: make(map[uint64]*callSlot)}
+	m := &muxConn{conn: conn, addr: addr, pending: make(map[uint64]*callSlot)}
 	m.bw = newBatchWriter(conn, poolWriteDeadline, func(err error) {
 		m.fail(fmt.Errorf("ishare: send: %w", err))
 	})
@@ -505,30 +629,13 @@ func (p *Pool) roundTrip(s *callSlot, link otrace.Link, addr, typ string, payloa
 	}
 }
 
-// Negotiated reports the binary protocol version observed on the pooled
-// connection to addr (0 when no response has been seen yet or no connection
-// exists).
-func (p *Pool) Negotiated(addr string) byte {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, m := range p.conns[addr] {
-		m.mu.Lock()
-		v := m.version
-		m.mu.Unlock()
-		if v != 0 {
-			return v
-		}
-	}
-	return 0
-}
-
 // Close tears down every pooled connection; in-flight calls fail with a
 // transport error. The pool rejects use after Close.
 func (p *Pool) Close() {
 	p.mu.Lock()
 	p.closed = true
 	conns := p.conns
-	p.conns = nil
+	p.conns, p.open = nil, 0
 	p.mu.Unlock()
 	for _, list := range conns {
 		for _, m := range list {

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"fgcs/internal/obs"
+	"fgcs/internal/simclock"
 )
 
 type echoReq struct {
@@ -51,8 +52,7 @@ func echoServer(t *testing.T, cfg ServerConfig, block <-chan struct{}, entered c
 
 // TestPoolReusesAndPipelines drives sequential and concurrent calls through
 // one pooled connection: the server must see exactly one binary connection,
-// the client must negotiate the binary protocol version, and every pipelined
-// response must land on its own request.
+// and every pipelined response must land on its own request.
 func TestPoolReusesAndPipelines(t *testing.T) {
 	srv, sm := echoServer(t, ServerConfig{}, nil, nil)
 	pool := &Pool{}
@@ -92,9 +92,6 @@ func TestPoolReusesAndPipelines(t *testing.T) {
 
 	if got := sm.Snapshot(); got.BinaryConns != 1 || got.JSONConns != 0 {
 		t.Fatalf("server saw %d binary / %d json conns, want exactly 1 pooled binary conn", got.BinaryConns, got.JSONConns)
-	}
-	if v := pool.Negotiated(srv.Addr()); v != FrameVersion {
-		t.Fatalf("negotiated version = %d, want %d", v, FrameVersion)
 	}
 }
 
@@ -806,5 +803,217 @@ func TestRequestPayloadOwnership(t *testing.T) {
 				t.Error(err)
 			}
 		})
+	}
+}
+
+// addrNet is an in-memory transport for the pool-bound tests: every dial is
+// a net.Pipe served by one Server, counted per address.
+type addrNet struct {
+	srv   *Server
+	mu    sync.Mutex
+	dials map[string]int
+}
+
+func (n *addrNet) DialTimeout(network, addr string, timeout time.Duration) (net.Conn, error) {
+	n.mu.Lock()
+	if n.dials == nil {
+		n.dials = make(map[string]int)
+	}
+	n.dials[addr]++
+	n.mu.Unlock()
+	client, server := net.Pipe()
+	go n.srv.ServeConn(server)
+	return client, nil
+}
+
+func (n *addrNet) dialsTo(addr string) int {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.dials[addr]
+}
+
+// boundPool returns a Caller over a Pool timed on a virtual clock, as a
+// FedGateway builds it, dialing an addrNet whose handler parks "park"
+// requests until release closes.
+func boundPool(t *testing.T) (*Caller, *simclock.Virtual, *addrNet, chan struct{}) {
+	t.Helper()
+	release := make(chan struct{})
+	srv := ServeListener(nil, func(req Request) (interface{}, error) {
+		if req.Type == "park" {
+			<-release
+		}
+		return echoReq{N: 1}, nil
+	}, ServerConfig{})
+	n := &addrNet{srv: srv}
+	clk := simclock.NewVirtual(time.Date(2005, 9, 2, 8, 30, 0, 0, time.UTC))
+	caller := &Caller{Pool: &Pool{Dialer: n, clock: clk}}
+	t.Cleanup(func() { caller.Pool.Close(); srv.Close() })
+	return caller, clk, n, release
+}
+
+// pooledConn returns the pool's connection to addr, nil when it holds none.
+func pooledConn(p *Pool, addr string) *muxConn {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if list := p.conns[addr]; len(list) > 0 {
+		return list[0]
+	}
+	return nil
+}
+
+// goroutinesIn counts the goroutines whose stack passes through fn.
+func goroutinesIn(fn string) int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	n := 0
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, fn) {
+			n++
+		}
+	}
+	return n
+}
+
+// busy reports whether a call is pending on m.
+func busy(m *muxConn) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.pending) > 0
+}
+
+func callOK(t *testing.T, c *Caller, addr, typ string) {
+	t.Helper()
+	var out echoReq
+	if err := c.Call(context.Background(), addr, typ, nil, &out, 5*time.Second); err != nil || out.N != 1 {
+		t.Fatalf("call to %s: %v (answer %d)", addr, err, out.N)
+	}
+}
+
+// TestPoolClosesIdleConn lets a pooled connection sit idle past poolIdleMax
+// on the pool's virtual clock: the next call, to another address,
+// closes it, its reader and flusher exit, and a call back to it redials.
+// One idle exactly poolIdleMax is kept.
+func TestPoolClosesIdleConn(t *testing.T) {
+	caller, clk, n, _ := boundPool(t)
+	callOK(t, caller, "a", "echo")
+	a := pooledConn(caller.Pool, "a")
+	clk.Advance(poolIdleMax)
+	callOK(t, caller, "b", "echo")
+	if a.isDead() {
+		t.Fatal("a connection idle exactly poolIdleMax was closed")
+	}
+	readers, flushers := goroutinesIn("(*muxConn).readLoop"), goroutinesIn("(*batchWriter).loop")
+	clk.Advance(time.Second)
+	callOK(t, caller, "b", "echo")
+	if !a.isDead() || pooledConn(caller.Pool, "a") != nil {
+		t.Fatal("a connection idle past poolIdleMax survived the next call")
+	}
+	// a's reader exits, and its flushers at both ends.
+	deadline := time.Now().Add(5 * time.Second)
+	for goroutinesIn("(*muxConn).readLoop") > readers-1 || goroutinesIn("(*batchWriter).loop") > flushers-2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d pool readers and %d flushers left, want %d and %d", goroutinesIn("(*muxConn).readLoop"), goroutinesIn("(*batchWriter).loop"), readers-1, flushers-2)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	callOK(t, caller, "a", "echo")
+	if got := n.dialsTo("a"); got != 2 {
+		t.Fatalf("%d dials to a, want 2: the idle close and one redial", got)
+	}
+}
+
+// TestPoolEvictsLeastRecentlyUsed fills a pool to poolMaxConns, uses the
+// first connection again, and dials one more: the second connection, now
+// the least recently used, is the one closed.
+func TestPoolEvictsLeastRecentlyUsed(t *testing.T) {
+	caller, _, _, _ := boundPool(t)
+	p := caller.Pool
+	addr := func(i int) string { return fmt.Sprintf("m%d", i) }
+	conns := make([]*muxConn, poolMaxConns)
+	for i := range conns {
+		callOK(t, caller, addr(i), "echo")
+		conns[i] = pooledConn(p, addr(i))
+	}
+	callOK(t, caller, addr(0), "echo")
+	callOK(t, caller, addr(poolMaxConns), "echo")
+	for i, m := range conns {
+		if m.isDead() != (i == 1) {
+			t.Errorf("connection %d dead = %v; only connection 1, the least recently used, may be closed", i, m.isDead())
+		}
+	}
+	p.mu.Lock()
+	open := p.open
+	p.mu.Unlock()
+	if open != poolMaxConns {
+		t.Fatalf("pool holds %d connections, want %d", open, poolMaxConns)
+	}
+}
+
+// TestPoolKeepsBusyConn parks a call on the pool's least recently used
+// connection, then lets it fall idle and pushes the pool past its cap: the
+// connection with the pending call is neither closed as idle nor evicted,
+// and the call completes on it.
+func TestPoolKeepsBusyConn(t *testing.T) {
+	caller, clk, n, release := boundPool(t)
+	p := caller.Pool
+	parked := make(chan error, 1)
+	go func() {
+		parked <- caller.Call(context.Background(), "slow", "park", nil, nil, 5*time.Second)
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	var slow *muxConn
+	for slow == nil || !busy(slow) {
+		if time.Now().After(deadline) {
+			t.Fatal("the parked call never went pending")
+		}
+		time.Sleep(time.Millisecond)
+		slow = pooledConn(p, "slow")
+	}
+	clk.Advance(2 * poolIdleMax)
+	for i := 0; i <= poolMaxConns; i++ {
+		callOK(t, caller, fmt.Sprintf("m%d", i), "echo")
+	}
+	if slow.isDead() || pooledConn(p, "slow") != slow {
+		t.Fatal("a connection with a pending call was closed")
+	}
+	close(release)
+	if err := <-parked; err != nil {
+		t.Fatalf("the parked call failed: %v", err)
+	}
+	if got := n.dialsTo("slow"); got != 1 {
+		t.Fatalf("%d dials to slow, want 1", got)
+	}
+}
+
+// TestPoolBoundsFailNoCall runs single-attempt calls from many goroutines
+// over three times poolMaxConns addresses while the clock jumps past
+// poolIdleMax: the pool closes connections all the while, for idleness and
+// over its cap, and never one a call has sent on, so every call succeeds.
+func TestPoolBoundsFailNoCall(t *testing.T) {
+	caller, clk, _, _ := boundPool(t)
+	const workers, calls = 8, 150
+	errs := make(chan error, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < calls; i++ {
+				if w == 0 && i%10 == 0 {
+					clk.Advance(poolIdleMax + time.Second)
+				}
+				var out echoReq
+				addr := fmt.Sprintf("m%d", (w*calls+i*7)%(3*poolMaxConns))
+				if err := caller.Call(context.Background(), addr, "echo", nil, &out, 5*time.Second); err != nil {
+					errs <- fmt.Errorf("call %d of worker %d to %s: %w", i, w, addr, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }

@@ -56,6 +56,9 @@ func (e *RemoteError) Error() string { return fmt.Sprintf("ishare: remote error:
 // server shed the request under admission control without running the
 // handler, so retrying with backoff is safe and appropriate.
 func IsOverloaded(err error) bool {
+	if err == nil {
+		return false
+	}
 	var re *RemoteError
 	return errors.As(err, &re) && re.Code == CodeOverloaded
 }
@@ -72,6 +75,9 @@ func (e *transportError) Unwrap() error { return e.err }
 // to an application error returned by the remote handler). Callers use it to
 // tell "machine unreachable / network flake" from "machine said no".
 func IsTransport(err error) bool {
+	if err == nil {
+		return false
+	}
 	var te *transportError
 	return errors.As(err, &te)
 }

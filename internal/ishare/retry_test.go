@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"fgcs/internal/obs"
 	"fgcs/internal/otrace"
 	"fgcs/internal/rng"
 	"fgcs/internal/simclock"
@@ -132,6 +133,22 @@ func TestNilCallerMatchesPlainCall(t *testing.T) {
 	}
 	if err := c.Call(context.Background(), srv.Addr(), MsgDiscover, nil, nil, time.Second); err != nil {
 		t.Fatalf("nil caller Call = %v", err)
+	}
+}
+
+// TestObserveSuccessAllocatesNothing pins that counting a successful
+// attempt is free: IsTransport and IsOverloaded return on a nil error
+// before their errors.As target, which escapes, is declared.
+func TestObserveSuccessAllocatesNothing(t *testing.T) {
+	reg := obs.NewRegistry()
+	m := &CallerMetrics{
+		Attempts:        reg.Counter("attempts", "attempts"),
+		Retries:         reg.Counter("retries", "retries"),
+		TransportErrors: reg.Counter("transport", "transport errors"),
+		Overloaded:      reg.Counter("overloaded", "overloaded"),
+	}
+	if n := testing.AllocsPerRun(100, func() { m.observe(1, nil) }); n != 0 {
+		t.Fatalf("observe(1, nil) allocates %.1f times, want 0", n)
 	}
 }
 
