@@ -45,7 +45,7 @@ loc:
 	@$(GO) run ./cmd/doccheck | grep 'exported symbols'
 
 # The third size number, and a gate: functions declared under internal/ that
-# the linker keeps in none of the commands, the examples or the bench binary
+# the linker keeps in none of the commands or the bench binary
 # (built with inlining off, so a function that is only ever inlined still
 # shows). Every one must match a line of dead.allow — test harness by pattern,
 # anything else by name with its reason — and every line there must still
@@ -56,7 +56,7 @@ loc:
 DEAD = .bench_build/dead
 dead:
 	@rm -rf $(DEAD) && mkdir -p $(DEAD)/bin
-	@$(GO) build -gcflags=all=-l -o $(DEAD)/bin/ ./cmd/... ./examples/...
+	@$(GO) build -gcflags=all=-l -o $(DEAD)/bin/ ./cmd/...
 	@$(GO) -C bench build -gcflags=all=-l -o ../$(DEAD)/bin/bench .
 	@for b in $(DEAD)/bin/*; do $(GO) tool nm $$b; done \
 		| sed -nE 's/^ *[0-9a-f]+ +[A-Za-z] +(fgcs\/internal\/[^[]*).*/\1/p' \
@@ -74,7 +74,7 @@ dead:
 	@sed -E -e '/^[[:space:]]*(#|$$)/d' -e 's/[[:space:]]+#.*//' dead.allow > $(DEAD)/allow.txt
 	@bad=0; \
 	for fn in $$(grep -vE -f $(DEAD)/allow.txt $(DEAD)/unreached.txt); do \
-		echo "dead: $$fn is reached by no command, example or bench: call it, delete it, or list it in dead.allow"; bad=1; \
+		echo "dead: $$fn is reached by no command or bench: call it, delete it, or list it in dead.allow"; bad=1; \
 	done; \
 	while read -r pat; do \
 		grep -qE -- "$$pat" $(DEAD)/unreached.txt || { echo "dead: dead.allow line matches nothing unreached: $$pat"; bad=1; }; \

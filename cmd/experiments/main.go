@@ -14,6 +14,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"slices"
 	"strings"
@@ -23,6 +24,7 @@ import (
 	"fgcs/internal/experiments"
 	"fgcs/internal/fgcssim"
 	"fgcs/internal/host"
+	"fgcs/internal/predict"
 	"fgcs/internal/stats"
 	"fgcs/internal/trace"
 	"fgcs/internal/txtplot"
@@ -53,6 +55,7 @@ var registry = []experiment{
 	{"x2", "X2 (extension): sensitivity to the history pool size N (Section 4.2)", true, runX2},
 	{"x3", "X3 (future work, Section 8): accuracy on an enterprise-desktop testbed", false, runX3},
 	{"x4", "X4 (extension): end-to-end job response time under each placement policy", false, runX4},
+	{"x5", "X5 (extension): checkpoint intervals sized from the predicted TR vs blind ones", false, runX5},
 }
 
 // env is what a run reads and writes.
@@ -185,6 +188,93 @@ func runX4(e *env) error {
 	}
 	e.printf("\n")
 	return nil
+}
+
+// X5's job of 100 MB, submitted at 08:00, and the compute one checkpoint takes.
+const x5Start, x5Work, x5CkptCost = 8 * time.Hour, 4 * time.Hour, 2 * time.Minute
+
+// runX5 is the proactive job management the paper's prediction is for (§1,
+// §8): X5's job on each test weekday of one busy machine, so placement has no
+// choice, under four checkpoint intervals: the job's work (restart), two fixed
+// ones and x5Interval's. Wall time is response plus checkpoint cost.
+func runX5(e *env) error {
+	p := workload.DefaultParams()
+	p.Machines, p.Days, p.Seed, p.ActivityScale = 1, max(e.days, 28), e.seed, 1.3
+	if e.quick {
+		p.Days = 28
+	}
+	ds, err := workload.Generate(p)
+	if err != nil {
+		return err
+	}
+	m, startDay := ds.Machines[0], p.Days*2/3
+	var jobs []fgcssim.JobSpec
+	for d := startDay; d < p.Days-2; d++ {
+		if day := m.Days[d]; day.Type() == trace.Weekday {
+			jobs = append(jobs, fgcssim.JobSpec{ID: fmt.Sprintf("day-%02d", d), Arrival: day.Date.Add(x5Start), Work: x5Work, MemMB: 100})
+		}
+	}
+	adaptive, tr, err := x5Interval(m, startDay, e.cfg)
+	if err != nil {
+		return err
+	}
+	w := predict.Window{Start: x5Start, Length: x5Work}
+	e.printf("a 100 MB job over %v on each of %d weekdays from day %d of %s (%d days, activity x%.1f); a checkpoint costs %v of compute\n",
+		w, len(jobs), startDay, m.ID, p.Days, p.ActivityScale, x5CkptCost)
+	e.printf("predicted TR of %v over the weekdays before day %d: %.3f -> Young/Daly interval %v\n", w, startDay, tr, adaptive)
+	e.printf("%-13s %-10s %-11s %-11s %-11s %-7s %-13s %s\n", "policy", "interval", "completed", "mean wall", "worst wall", "kills", "checkpoints", "lost compute")
+	for _, row := range []experiments.X5Row{
+		{Policy: "restart", Interval: x5Work},
+		{Policy: "fixed-15m", Interval: 15 * time.Minute},
+		{Policy: "fixed-2h", Interval: 2 * time.Hour},
+		{Policy: "tr-adaptive", Interval: adaptive},
+	} {
+		res, err := fgcssim.Run(fgcssim.Config{Dataset: ds, Cfg: e.cfg, StartDay: startDay,
+			Policy: fgcssim.PolicyRoundRobin, CheckpointInterval: row.Interval, Seed: e.seed}, jobs)
+		if err != nil {
+			return err
+		}
+		var total time.Duration
+		for _, jr := range res.Jobs {
+			if jr.Completed {
+				wall := jr.Response + time.Duration(jr.Checkpoints)*x5CkptCost
+				total += wall
+				row.WorstWall = max(row.WorstWall, wall)
+				row.Completed++
+			}
+		}
+		row.MeanWall = total / time.Duration(max(row.Completed, 1))
+		row.Kills, row.Checkpoints, row.Lost = res.TotalKills, res.TotalCheckpoints, res.TotalLost
+		e.res.X5 = append(e.res.X5, row)
+		e.printf("%-13s %-10v %-11s %-11v %-11v %-7d %-13d %v\n", row.Policy, row.Interval,
+			fmt.Sprintf("%d/%d", row.Completed, len(jobs)), row.MeanWall.Round(time.Minute), row.WorstWall.Round(time.Minute),
+			row.Kills, row.Checkpoints, row.Lost.Round(time.Minute))
+	}
+	e.printf("\n")
+	return nil
+}
+
+// x5Interval is the Young/Daly interval sqrt(2 C / lambda), with the failure
+// rate lambda = -ln(TR) / W read off the SMP's predicted TR of X5's window
+// over the weekdays before startDay only: the history a scheduler has when
+// the first test job arrives. It also returns that TR.
+func x5Interval(m *trace.Machine, startDay int, cfg avail.Config) (time.Duration, float64, error) {
+	var hist []*trace.Day
+	for _, d := range m.Days[:startDay] {
+		if d.Type() == trace.Weekday {
+			hist = append(hist, d)
+		}
+	}
+	pr, err := predict.SMP{Cfg: cfg}.Predict(hist, predict.Window{Start: x5Start, Length: x5Work})
+	if err != nil {
+		return 0, 0, err
+	}
+	if pr.TR >= 0.999 {
+		return x5Work, pr.TR, nil // failures too rare to pay for a checkpoint
+	}
+	lambda := -math.Log(max(pr.TR, 1e-6)) / x5Work.Hours() // failures per hour
+	iv := time.Duration(math.Sqrt(2*x5CkptCost.Hours()/lambda) * float64(time.Hour)).Round(time.Minute)
+	return min(max(iv, 5*time.Minute), x5Work), pr.TR, nil
 }
 
 func runX3(e *env) error {

@@ -9,7 +9,10 @@ import (
 	"strings"
 	"testing"
 
+	"fgcs/internal/avail"
 	"fgcs/internal/experiments"
+	"fgcs/internal/trace"
+	"fgcs/internal/workload"
 )
 
 var update = flag.Bool("update", false, "rewrite the scorecard block of EXPERIMENTS.md")
@@ -21,10 +24,42 @@ func TestRealMainQuickSingles(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real experiment code")
 	}
-	for _, id := range []string{"s7", "f4", "s6", "f8", "e1b", "e2", "x4", "claims"} {
+	for _, id := range []string{"s7", "f4", "s6", "f8", "e1b", "e2", "x4", "x5", "claims"} {
 		if _, err := realMain(io.Discard, id, 2, 14, 1, "", true); err != nil {
 			t.Errorf("%s: %v", id, err)
 		}
+	}
+}
+
+// X5's adaptive interval is sized from the history a scheduler has when the
+// first test job arrives: rewriting every sample from the first test day on
+// (here, to a machine that is down all day) must not move it.
+func TestX5IntervalIgnoresTestDays(t *testing.T) {
+	p := workload.DefaultParams()
+	p.Machines, p.Days, p.ActivityScale = 1, 28, 1.3
+	ds, err := workload.Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, startDay := ds.Machines[0], 18
+	before, tr, err := x5Interval(m, startDay, avail.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if before <= 0 || before >= x5Work || tr <= 0 || tr >= 1 {
+		t.Fatalf("interval %v from TR %.3f: the history gives nothing to size", before, tr)
+	}
+	for _, d := range m.Days[startDay:] {
+		for i := range d.Samples {
+			d.Samples[i] = trace.Sample{}
+		}
+	}
+	after, _, err := x5Interval(m, startDay, avail.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after != before {
+		t.Errorf("interval %v became %v when the test days were rewritten", before, after)
 	}
 }
 
@@ -162,6 +197,10 @@ func TestScorecard(t *testing.T) {
 			r.F8 = slices.Clone(r.F8)
 			r.F8[10].Discrepancy = make([]float64, len(r.F8[10].Discrepancy))
 		}, map[string]experiments.Verdict{"F8-long": experiments.Reproduced, "F8-grows": experiments.NotReproduced}},
+		{"X5: the TR-sized policy given restart's mean wall", func(r *experiments.Results) {
+			r.X5 = slices.Clone(r.X5)
+			r.X5[len(r.X5)-1].MeanWall = r.X5[0].MeanWall
+		}, map[string]experiments.Verdict{"X5-ckpt": experiments.NotReproduced}},
 	} {
 		doctored := *res
 		d.doctor(&doctored)

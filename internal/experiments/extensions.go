@@ -7,6 +7,7 @@ package experiments
 
 import (
 	"fmt"
+	"time"
 
 	"fgcs/internal/avail"
 	"fgcs/internal/predict"
@@ -269,4 +270,15 @@ func RunX3(machines, days int, seed uint64, lengthsHours []float64) ([]X3Row, er
 		}
 	}
 	return rows, nil
+}
+
+// ------------------------------------------------------------------ X5 ----
+
+// X5Row is one checkpoint interval's outcome over X5's job stream, which
+// cmd/experiments runs: fgcssim imports this package. Wall time is response
+// plus the compute the job's checkpoints took; Lost is redone after kills.
+type X5Row struct {
+	Policy                              string
+	Interval, MeanWall, WorstWall, Lost time.Duration
+	Completed, Kills, Checkpoints       int
 }

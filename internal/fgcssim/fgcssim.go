@@ -71,6 +71,8 @@ type JobResult struct {
 	// LostCompute is the work redone because it postdated the last
 	// checkpoint.
 	LostCompute time.Duration
+	// Checkpoints counts the checkpoints the job took.
+	Checkpoints int
 	// Machines lists every machine the job ran on.
 	Machines []string
 }
@@ -91,7 +93,8 @@ type Config struct {
 	HistoryDays int
 	// CheckpointInterval is how much new progress a job accumulates
 	// before its next checkpoint is taken; progress past the last
-	// checkpoint is lost on a kill. Default: 30 minutes.
+	// checkpoint is lost on a kill. Default: 30 minutes. An interval of at
+	// least the job's work never checkpoints, so a kill restarts the job.
 	CheckpointInterval time.Duration
 	// Seed drives the random policy.
 	Seed uint64
@@ -109,6 +112,8 @@ type Result struct {
 	TotalKills int
 	// TotalLost is the compute redone across all jobs.
 	TotalLost time.Duration
+	// TotalCheckpoints counts the checkpoints taken across all jobs.
+	TotalCheckpoints int
 }
 
 // machineState is the simulator's view of one host node.
@@ -127,6 +132,7 @@ type activeJob struct {
 	checkpoint float64 // seconds of persisted progress
 	lost       float64 // compute seconds lost to kills
 	kills      int
+	ckpts      int
 	machines   []string
 	done       bool
 	doneAt     time.Time
@@ -271,6 +277,7 @@ func Run(cfg Config, jobs []JobSpec) (Result, error) {
 				default:
 					if st.ProgressSeconds-job.checkpoint >= ckptIv {
 						job.checkpoint = st.ProgressSeconds
+						job.ckpts++
 					}
 				}
 			}
@@ -294,13 +301,14 @@ func Run(cfg Config, jobs []JobSpec) (Result, error) {
 	var responses []float64
 	for _, job := range table {
 		jr := JobResult{JobSpec: job.spec, Completed: job.done, Kills: job.kills,
-			LostCompute: time.Duration(job.lost * float64(time.Second)), Machines: job.machines}
+			LostCompute: time.Duration(job.lost * float64(time.Second)), Checkpoints: job.ckpts, Machines: job.machines}
 		if job.done {
 			jr.Response = job.doneAt.Sub(job.spec.Arrival)
 			responses = append(responses, jr.Response.Seconds())
 			res.CompletedJobs++
 		}
 		res.TotalKills += job.kills
+		res.TotalCheckpoints += job.ckpts
 		res.TotalLost += time.Duration(job.lost * float64(time.Second))
 		res.Jobs = append(res.Jobs, jr)
 	}

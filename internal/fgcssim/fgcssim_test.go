@@ -146,6 +146,37 @@ func TestRunDeterministicPerSeed(t *testing.T) {
 	}
 }
 
+// TestCheckpointCount pins what X5's wall time charges for: a checkpoint is
+// counted each time a job's persisted progress advances, so an interval of at
+// least the job's work (restart from scratch) takes none, and a short one
+// takes some, summed into the run's total.
+func TestCheckpointCount(t *testing.T) {
+	ds := testbed(t)
+	jobs, err := PoissonJobs(8, ds, 14, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		interval time.Duration
+		some     bool
+	}{{6 * time.Hour, false}, {10 * time.Minute, true}} {
+		cfg := baseConfig(ds)
+		cfg.Policy = PolicyRoundRobin
+		cfg.CheckpointInterval = c.interval
+		res, err := Run(cfg, jobs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := 0
+		for _, jr := range res.Jobs {
+			sum += jr.Checkpoints
+		}
+		if sum != res.TotalCheckpoints || (res.TotalCheckpoints > 0) != c.some {
+			t.Errorf("interval %v: %d checkpoints (jobs sum to %d), want some = %v", c.interval, res.TotalCheckpoints, sum, c.some)
+		}
+	}
+}
+
 func TestPolicyNames(t *testing.T) {
 	if PolicyTRAware.String() != "tr-aware" || PolicyRandom.String() != "random" ||
 		PolicyRoundRobin.String() != "round-robin" || Policy(7).String() != "Policy(7)" {

@@ -86,7 +86,7 @@ func RunE1(cfg E1Config) (*E1Result, error) {
 				for trial := 0; trial < cfg.Trials; trial++ {
 					tr := root.SplitN(fmt.Sprintf("e1-%d-%d-%g", nice, size, target), trial)
 					hosts := randomGroup(tr, size, target)
-					iso, _, red, err := Reduction(cfg.Machine, hosts, Guest{Nice: nice, MemMB: 50}, cfg.Duration, tr.Uint64())
+					iso, red, err := reduction(cfg.Machine, hosts, Guest{Nice: nice, MemMB: 50}, cfg.Duration, tr.Uint64())
 					if err != nil {
 						return nil, err
 					}
@@ -238,7 +238,7 @@ func RunE2(cfg E2Config) ([]E2Cell, error) {
 			for _, nice := range []int{0, 19} {
 				hosts := []Proc{{Name: hw.Name, IsolatedCPU: hw.CPU, MemMB: hw.MemMB}}
 				tr := root.Split(g.Name + hw.Name)
-				iso, _, red, err := Reduction(cfg.Machine, hosts, Guest{Nice: nice, MemMB: g.MemMB}, cfg.Duration, tr.Uint64())
+				iso, red, err := reduction(cfg.Machine, hosts, Guest{Nice: nice, MemMB: g.MemMB}, cfg.Duration, tr.Uint64())
 				if err != nil {
 					return nil, err
 				}

@@ -285,22 +285,22 @@ func simulate(m Machine, hosts []Proc, guest *Guest, renice func(loadPct float64
 	return res, niceSum / total, nil
 }
 
-// Reduction measures the paper's metric: the reduction rate of host CPU
+// reduction measures the paper's metric: the reduction rate of host CPU
 // usage caused by running a guest alongside the host group.
 //
 //	reduction = (isolated - contended) / isolated
 //
 // Both runs use the same seed so the host workload realizations match.
-func Reduction(m Machine, hosts []Proc, guest Guest, d time.Duration, seed uint64) (isolated, contended, reduction float64, err error) {
+func reduction(m Machine, hosts []Proc, guest Guest, d time.Duration, seed uint64) (isolated, rate float64, err error) {
 	iso, err := Simulate(m, hosts, nil, d, seed)
 	if err != nil {
-		return 0, 0, 0, err
+		return 0, 0, err
 	}
 	con, err := Simulate(m, hosts, &guest, d, seed)
 	if err != nil {
-		return 0, 0, 0, err
+		return 0, 0, err
 	}
-	return iso.HostCPU, con.HostCPU, reductionRate(iso.HostCPU, con.HostCPU), nil
+	return iso.HostCPU, reductionRate(iso.HostCPU, con.HostCPU), nil
 }
 
 // reductionRate is (isolated - contended) / isolated, floored at zero.

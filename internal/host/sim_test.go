@@ -78,11 +78,11 @@ func TestLowPriorityGuestGentler(t *testing.T) {
 	m := DefaultMachine()
 	for _, l := range []float64{0.3, 0.5, 0.7} {
 		hosts := []Proc{{Name: "h", IsolatedCPU: l, MemMB: 20}}
-		_, _, red0, err := Reduction(m, hosts, Guest{Nice: 0, MemMB: 40}, simDur, 11)
+		_, red0, err := reduction(m, hosts, Guest{Nice: 0, MemMB: 40}, simDur, 11)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, _, red19, err := Reduction(m, hosts, Guest{Nice: 19, MemMB: 40}, simDur, 11)
+		_, red19, err := reduction(m, hosts, Guest{Nice: 19, MemMB: 40}, simDur, 11)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,7 +99,7 @@ func TestReductionGrowsWithLoad(t *testing.T) {
 		const trials = 4
 		for s := 0; s < trials; s++ {
 			hosts := []Proc{{Name: "h", IsolatedCPU: l, MemMB: 20}}
-			_, _, red, err := Reduction(m, hosts, Guest{Nice: nice, MemMB: 40}, simDur, uint64(100+s))
+			_, red, err := reduction(m, hosts, Guest{Nice: nice, MemMB: 40}, simDur, uint64(100+s))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -125,7 +125,7 @@ func TestEmergentThresholds(t *testing.T) {
 		const trials = 5
 		for s := 0; s < trials; s++ {
 			hosts := []Proc{{Name: "h", IsolatedCPU: l, MemMB: 20}}
-			_, _, red, err := Reduction(m, hosts, Guest{Nice: nice, MemMB: 40}, 20*time.Minute, uint64(1000+s))
+			_, red, err := reduction(m, hosts, Guest{Nice: nice, MemMB: 40}, 20*time.Minute, uint64(1000+s))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -185,7 +185,7 @@ func TestReductionZeroFloor(t *testing.T) {
 	m := DefaultMachine()
 	hosts := []Proc{{Name: "h", IsolatedCPU: 0.05, MemMB: 20}}
 	for s := uint64(0); s < 5; s++ {
-		_, _, red, err := Reduction(m, hosts, Guest{Nice: 19, MemMB: 20}, simDur, s)
+		_, red, err := reduction(m, hosts, Guest{Nice: 19, MemMB: 20}, simDur, s)
 		if err != nil {
 			t.Fatal(err)
 		}

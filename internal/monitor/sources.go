@@ -11,7 +11,7 @@ import (
 )
 
 // ReplaySource replays a recorded (or generated) trace day sample-by-sample:
-// the load source used by simulations and the examples.
+// the load source behind `ishared -source replay`.
 type ReplaySource struct {
 	mu      sync.Mutex
 	days    []*trace.Day
