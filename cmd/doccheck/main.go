@@ -16,8 +16,10 @@
 //     recipe, so no checked-in benchmark figure outlives the target that
 //     reproduces it at HEAD.
 //
-// It prints the exported-symbol count of each audited package, then one line
-// per violation and exits non-zero if any were found, or else the total.
+// It also holds the audited exported-symbol total to maxExported, so the API
+// surface can only shrink. It prints the exported-symbol count of each
+// audited package, then one line per violation and exits non-zero if any
+// were found, or else the total.
 //
 //	go run ./cmd/doccheck
 //	go run ./cmd/doccheck -pkgs internal/ishare -flagdirs cmd/ishared
@@ -36,6 +38,11 @@ import (
 	"strconv"
 	"strings"
 )
+
+// maxExported is the ceiling on the exported symbols of the audited packages.
+// Lower it when a change unexports or deletes API; a change that adds some
+// must take as much away elsewhere.
+const maxExported = 358
 
 func main() {
 	var (
@@ -60,6 +67,9 @@ func main() {
 		// The ROADMAP-tracked API surface, per package; `make loc` prints it.
 		fmt.Printf("doccheck: %4d exported symbols in %s\n", n, dir)
 		exported += n
+	}
+	if exported > maxExported {
+		problems = append(problems, fmt.Sprintf("doccheck: %d exported symbols audited, above the ceiling of %d: unexport or delete what no other package calls", exported, maxExported))
 	}
 	flagProblems, err := staleFlags(strings.Split(*flagDirs, ","), *readme)
 	if err != nil {

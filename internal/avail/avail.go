@@ -116,31 +116,25 @@ func (c Config) SuspendUnits(period time.Duration) int {
 	return u
 }
 
-// rawLevel is the per-sample classification before the transient rule is
-// applied. highCPU marks samples above Th2 that may yet be attributed to the
-// surrounding recoverable state.
-type rawLevel int
-
-const (
-	rawS1 rawLevel = iota
-	rawS2
-	rawHigh
-	rawS4
-	rawS5
-)
-
-func (c Config) raw(s trace.Sample) rawLevel {
+// RawState is one sample's state before the transient-excursion rule, for a
+// guest whose working set is memMB: S5 when the machine is down, S4 when free
+// memory is below memMB, S3 when the host CPU load is above Th2, else S2 or
+// S1 by Th1. An S3 here is tentative — the classifier attributes a run
+// shorter than the suspend limit to a recoverable neighbor. The classifier
+// passes GuestMemMB, and the gateway's online kill rule the job's own memory
+// request, so the two judge every sample by this one rule.
+func (c Config) RawState(s trace.Sample, memMB float64) State {
 	switch {
 	case !s.Up:
-		return rawS5
-	case s.FreeMemMB < c.GuestMemMB:
-		return rawS4
+		return S5
+	case s.FreeMemMB < memMB:
+		return S4
 	case s.CPU > c.Th2:
-		return rawHigh
+		return S3
 	case s.CPU >= c.Th1:
-		return rawS2
+		return S2
 	default:
-		return rawS1
+		return S1
 	}
 }
 
@@ -173,36 +167,24 @@ func ClassifyInto(dst []State, samples []trace.Sample, cfg Config, period time.D
 	limit := cfg.SuspendUnits(period)
 	i := 0
 	for i < n {
-		switch cfg.raw(samples[i]) {
-		case rawS1:
-			dst[i] = S1
+		st := cfg.RawState(samples[i], cfg.GuestMemMB)
+		if st != S3 {
+			dst[i] = st
 			i++
-		case rawS2:
-			dst[i] = S2
-			i++
-		case rawS4:
-			dst[i] = S4
-			i++
-		case rawS5:
-			dst[i] = S5
-			i++
-		case rawHigh:
-			j := i
-			for j+1 < n && cfg.raw(samples[j+1]) == rawHigh {
-				j++
-			}
-			j++ // j is now one past the end of the high run
-			var st State
-			if j-i >= limit {
-				st = S3
-			} else {
-				st = attributeTransient(samples, dst, cfg, i, j)
-			}
-			for k := i; k < j; k++ {
-				dst[k] = st
-			}
-			i = j
+			continue
 		}
+		j := i
+		for j+1 < n && cfg.RawState(samples[j+1], cfg.GuestMemMB) == S3 {
+			j++
+		}
+		j++ // j is now one past the end of the high run
+		if j-i < limit {
+			st = attributeTransient(samples, dst, cfg, i, j)
+		}
+		for k := i; k < j; k++ {
+			dst[k] = st
+		}
+		i = j
 	}
 	return dst
 }
@@ -216,11 +198,8 @@ func attributeTransient(samples []trace.Sample, out []State, cfg Config, i, j in
 		return out[i-1]
 	}
 	if j < len(samples) {
-		switch cfg.raw(samples[j]) {
-		case rawS1:
-			return S1
-		case rawS2:
-			return S2
+		if st := cfg.RawState(samples[j], cfg.GuestMemMB); st.Recoverable() {
+			return st
 		}
 	}
 	return S2

@@ -57,6 +57,31 @@ func handle(n *faultnet.Network, addr string, h ishare.Handler, requests *atomic
 // client traffic.
 var queryLengthsSec = [3]float64{900, 1800, 3600}
 
+// The fleet's fixed churn and retention settings.
+const (
+	// heartbeatEvery is the tick interval between fleet-wide registration
+	// refreshes; a final round always runs on the last tick.
+	heartbeatEvery = 8
+	// registryTTL is the registration lifetime; the accuracy tracker evicts
+	// a machine idle this long too.
+	registryTTL = 90 * time.Minute
+	// leaveFraction of initially registered machines stop heartbeating at
+	// the churn tick, and joinFraction of Machines are held back from the
+	// initial storm and registered there.
+	leaveFraction = 0.05
+	joinFraction  = 0.02
+	// outageQueries are replayed while one peer is down.
+	outageQueries = 500
+	// engineCacheSize is the shared prediction-engine kernel cache.
+	engineCacheSize = 8192
+	// evictEvery is the tick interval between tracker eviction sweeps.
+	evictEvery = 4
+)
+
+// churnTick is the tick after which the leave/join storm happens: 2/3 of
+// Ticks, so always before the last.
+func (c Config) churnTick() int { return c.Ticks * 2 / 3 }
+
 // Config parameterizes one fleet run. The zero value of any field selects
 // the documented default.
 type Config struct {
@@ -88,34 +113,6 @@ type Config struct {
 	// only when it stays fixed — it is therefore part of the deterministic
 	// config echo (default GOMAXPROCS).
 	Workers int
-	// HeartbeatEvery is the tick interval between fleet-wide registration
-	// refreshes (default 8); a final round always runs on the last tick.
-	HeartbeatEvery int
-	// RegistryTTL is the registration lifetime (default 90m).
-	RegistryTTL time.Duration
-	// ChurnTick is the tick after which the leave/join storm happens
-	// (default 2/3 of Ticks).
-	ChurnTick int
-	// LeaveFraction of initially registered machines that stop heartbeating
-	// at ChurnTick (default 0.05).
-	LeaveFraction float64
-	// JoinFraction of Machines held back from the initial storm and
-	// registered at ChurnTick (default 0.02).
-	JoinFraction float64
-	// OutageQueries replayed while one peer is down (default 500).
-	OutageQueries int
-	// TrackerMaxMachines caps accuracy-tracker machine state (default 0 =
-	// uncapped; the idle TTL still applies).
-	TrackerMaxMachines int
-	// TrackerIdleTTL evicts tracker state for machines idle this long
-	// (default RegistryTTL).
-	TrackerIdleTTL time.Duration
-	// EngineCacheSize is the shared prediction-engine kernel cache
-	// (default 8192).
-	EngineCacheSize int
-	// EvictEvery is the tick interval between tracker eviction sweeps
-	// (default 4).
-	EvictEvery int
 	// DriftLambda is the Page–Hinkley alarm threshold of the per-peer
 	// accuracy-drift watchers (0 = the obs package default).
 	DriftLambda float64
@@ -168,33 +165,6 @@ func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
-	if c.HeartbeatEvery <= 0 {
-		c.HeartbeatEvery = 8
-	}
-	if c.RegistryTTL <= 0 {
-		c.RegistryTTL = 90 * time.Minute
-	}
-	if c.ChurnTick <= 0 {
-		c.ChurnTick = c.Ticks * 2 / 3
-	}
-	if c.LeaveFraction == 0 {
-		c.LeaveFraction = 0.05
-	}
-	if c.JoinFraction == 0 {
-		c.JoinFraction = 0.02
-	}
-	if c.OutageQueries <= 0 {
-		c.OutageQueries = 500
-	}
-	if c.TrackerIdleTTL <= 0 {
-		c.TrackerIdleTTL = c.RegistryTTL
-	}
-	if c.EngineCacheSize == 0 {
-		c.EngineCacheSize = 8192
-	}
-	if c.EvictEvery <= 0 {
-		c.EvictEvery = 4
-	}
 	if c.PerturbFailRate > 0 && c.PerturbTick <= 0 {
 		c.PerturbTick = c.Ticks / 2
 	}
@@ -208,21 +178,10 @@ func (c Config) validate() error {
 	if c.Replicas >= c.Gateways {
 		return fmt.Errorf("fleetsim: replicas %d must be below gateways %d", c.Replicas, c.Gateways)
 	}
-	if c.ChurnTick >= c.Ticks {
-		return fmt.Errorf("fleetsim: churn tick %d must be below ticks %d", c.ChurnTick, c.Ticks)
-	}
-	if c.LeaveFraction < 0 || c.LeaveFraction >= 1 || c.JoinFraction < 0 || c.JoinFraction >= 0.5 {
-		return fmt.Errorf("fleetsim: leave/join fractions out of range")
-	}
-	joiners := int(c.JoinFraction * float64(c.Machines))
-	leavers := int(c.LeaveFraction * float64(c.Machines-joiners))
-	if leavers+joiners >= c.Machines {
-		return fmt.Errorf("fleetsim: churn storms exceed fleet size")
-	}
 	// Heartbeats must refresh registrations faster than they expire.
-	if time.Duration(c.HeartbeatEvery)*c.Period >= c.RegistryTTL {
+	if time.Duration(heartbeatEvery)*c.Period >= registryTTL {
 		return fmt.Errorf("fleetsim: heartbeat interval %v not below registry TTL %v",
-			time.Duration(c.HeartbeatEvery)*c.Period, c.RegistryTTL)
+			time.Duration(heartbeatEvery)*c.Period, registryTTL)
 	}
 	if c.PerturbFailRate > 0 {
 		if c.PerturbFailRate > 1 {
@@ -307,8 +266,8 @@ type fleet struct {
 	ctx     context.Context
 
 	registered int // machines registered in the initial storm
-	leavers    int // machines[0:leavers] leave at ChurnTick
-	joinStart  int // machines[joinStart:] join at ChurnTick
+	leavers    int // machines[0:leavers] leave at the churn tick
+	joinStart  int // machines[joinStart:] join at the churn tick
 
 	active [][]*simMachine // per-worker active machines (fed + queried)
 
@@ -443,14 +402,11 @@ func buildFleet(cfg Config, rep *Report) (*fleet, error) {
 	f.peerObs = make([]*ishare.NodeObs, cfg.Gateways)
 	for i := range f.peerObs {
 		o := ishare.NewNodeObs()
-		o.Tracker.SetRetention(obs.RetentionPolicy{
-			MaxMachines: cfg.TrackerMaxMachines,
-			IdleTTL:     cfg.TrackerIdleTTL,
-		})
+		o.Tracker.SetRetention(obs.RetentionPolicy{IdleTTL: registryTTL})
 		o.Drift = obs.NewDriftWatcher(o.Tracker, o.Alerts, cfg.DriftLambda)
 		f.peerObs[i] = o
 	}
-	engine := predict.NewEngine(predict.EngineConfig{CacheSize: cfg.EngineCacheSize})
+	engine := predict.NewEngine(predict.EngineConfig{CacheSize: engineCacheSize})
 	engine.SetMetrics(f.peerObs[0].Engine)
 	f.slo = obs.NewSLOMonitor(obs.SLO{
 		Name: "fleet-query",
@@ -496,10 +452,10 @@ func buildFleet(cfg Config, rep *Report) (*fleet, error) {
 		f.machines[i] = &simMachine{id: id, addr: addr, prof: prof, gw: gw}
 	}
 
-	joiners := int(cfg.JoinFraction * float64(cfg.Machines))
+	joiners := int(joinFraction * float64(cfg.Machines))
 	f.joinStart = cfg.Machines - joiners
 	f.registered = f.joinStart
-	f.leavers = int(cfg.LeaveFraction * float64(f.registered))
+	f.leavers = int(leaveFraction * float64(f.registered))
 	rep.Sim.LeaveMachines = f.leavers
 	rep.Sim.JoinMachines = joiners
 	rep.Sim.Registered = f.registered
@@ -529,7 +485,7 @@ func (f *fleet) registerStorm(rep *Report) {
 		st := rng.New(f.cfg.Seed).Split(fmt.Sprintf("register/%d", wi))
 		for _, m := range f.active[wi] {
 			entry := f.peers[st.Intn(len(f.peers))].Addr
-			if err := ishare.RegisterWithTTL(f.ctx, caller, entry, m.id, m.addr, f.cfg.RegistryTTL, rpcTimeout); err != nil {
+			if err := ishare.RegisterWithTTL(f.ctx, caller, entry, m.id, m.addr, registryTTL, rpcTimeout); err != nil {
 				panic(fmt.Sprintf("fleetsim: register %s: %v", m.id, err))
 			}
 		}
@@ -576,13 +532,13 @@ func (f *fleet) heartbeat(tick int, rep *Report) {
 		st := rng.New(f.cfg.Seed).Split(fmt.Sprintf("heartbeat/%d/%d", tick, wi))
 		for _, m := range f.active[wi] {
 			entry := f.peers[st.Intn(len(f.peers))].Addr
-			if err := ishare.RegisterWithTTL(f.ctx, caller, entry, m.id, m.addr, f.cfg.RegistryTTL, rpcTimeout); err != nil {
+			if err := ishare.RegisterWithTTL(f.ctx, caller, entry, m.id, m.addr, registryTTL, rpcTimeout); err != nil {
 				panic(fmt.Sprintf("fleetsim: heartbeat %s: %v", m.id, err))
 			}
 		}
 	})
 	now := f.clock.Now()
-	if tick <= f.cfg.ChurnTick {
+	if tick <= f.cfg.churnTick() {
 		f.lastLeaverRefresh = now
 	}
 	f.lastActiveRefresh = now
@@ -591,8 +547,8 @@ func (f *fleet) heartbeat(tick int, rep *Report) {
 }
 
 // trafficPhase replays Ticks rounds of monitoring samples and client
-// queries, with heartbeat refreshes, the leave/join storm at ChurnTick, and
-// periodic tracker eviction sweeps.
+// queries, with heartbeat refreshes, the leave/join storm at the churn tick,
+// and periodic tracker eviction sweeps.
 func (f *fleet) trafficPhase(rep *Report) {
 	cfg := f.cfg
 	t0 := time.Now()
@@ -668,13 +624,13 @@ func (f *fleet) trafficPhase(rep *Report) {
 		rep.Perf.QuerySeconds += time.Since(q0).Seconds()
 		queryBytes += f.net.DialerBytes() - qb0
 
-		if (tick+1)%cfg.HeartbeatEvery == 0 || tick == cfg.Ticks-1 {
+		if (tick+1)%heartbeatEvery == 0 || tick == cfg.Ticks-1 {
 			f.heartbeat(tick, rep)
 		}
-		if tick == cfg.ChurnTick {
+		if tick == cfg.churnTick() {
 			f.churnStorm(rep)
 		}
-		if (tick+1)%cfg.EvictEvery == 0 {
+		if (tick+1)%evictEvery == 0 {
 			for _, o := range f.peerObs {
 				rep.Sim.TrackerEvictedMachines += uint64(o.Tracker.EvictIdle(f.clock.Now()))
 			}
@@ -758,7 +714,7 @@ func (f *fleet) churnStorm(rep *Report) {
 	st := rng.New(f.cfg.Seed).Split("join")
 	for _, m := range joiners {
 		entry := f.peers[st.Intn(len(f.peers))].Addr
-		if err := ishare.RegisterWithTTL(f.ctx, caller, entry, m.id, m.addr, f.cfg.RegistryTTL, rpcTimeout); err != nil {
+		if err := ishare.RegisterWithTTL(f.ctx, caller, entry, m.id, m.addr, registryTTL, rpcTimeout); err != nil {
 			panic(fmt.Sprintf("fleetsim: join %s: %v", m.id, err))
 		}
 	}
@@ -812,8 +768,8 @@ func (f *fleet) churnPhase(rep *Report) {
 	// refresh has lapsed but the survivors' has not, then run one
 	// anti-entropy round so every peer expels the dead entries.
 	rep.Sim.EntriesBeforeReap = f.sumEntries()
-	leaverExpiry := f.lastLeaverRefresh.Add(cfg.RegistryTTL)
-	activeExpiry := f.lastActiveRefresh.Add(cfg.RegistryTTL)
+	leaverExpiry := f.lastLeaverRefresh.Add(registryTTL)
+	activeExpiry := f.lastActiveRefresh.Add(registryTTL)
 	reapTime := leaverExpiry.Add(activeExpiry.Sub(leaverExpiry) / 2)
 	if !reapTime.After(f.clock.Now()) {
 		reapTime = f.clock.Now().Add(cfg.Period)
@@ -842,7 +798,7 @@ func (f *fleet) churnPhase(rep *Report) {
 	caller := f.newCaller()
 	st := rng.New(cfg.Seed).Split("outage")
 	outage := &workerState{}
-	for k := 0; k < cfg.OutageQueries; k++ {
+	for k := 0; k < outageQueries; k++ {
 		target := activeList[st.Intn(len(activeList))]
 		entry := f.peers[1+st.Intn(len(f.peers)-1)]
 		length := queryLengthsSec[st.Intn(len(queryLengthsSec))]

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"flag"
 	"os"
+	"strings"
 	"testing"
+	"time"
 )
 
 // TestFleetSimDeterministic is the short-mode fleet smoke: two identically
@@ -71,16 +73,17 @@ func TestFleetSimValidation(t *testing.T) {
 	cases := []struct {
 		name string
 		cfg  Config
+		want string
 	}{
-		{"one gateway", Config{Gateways: 1}},
-		{"replicas ge gateways", Config{Gateways: 3, Replicas: 3}},
-		{"churn past end", Config{Ticks: 10, ChurnTick: 10}},
-		{"heartbeat past ttl", Config{HeartbeatEvery: 100, RegistryTTL: 10 * 60 * 1e9}},
+		{"one gateway", Config{Gateways: 1}, "at least 2 gateways"},
+		{"replicas ge gateways", Config{Gateways: 3, Replicas: 3}, "replicas 3"},
+		// 8 heartbeat ticks of 12 min reach the 90 min registry TTL.
+		{"heartbeat past ttl", Config{Period: 12 * time.Minute}, "heartbeat interval 1h36m0s"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := Run(tc.cfg); err == nil {
-				t.Fatal("invalid config accepted")
+			if _, err := Run(tc.cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want one naming %q", err, tc.want)
 			}
 		})
 	}

@@ -9,30 +9,30 @@ import (
 	"fgcs/internal/simclock"
 )
 
-// ErrCircuitOpen is reported for machines the breaker currently quarantines.
-var ErrCircuitOpen = errors.New("ishare: circuit open")
+// errCircuitOpen is reported for machines the breaker currently quarantines.
+var errCircuitOpen = errors.New("ishare: circuit open")
 
-// BreakerState is one of the classic three circuit-breaker states.
-type BreakerState int
+// breakerState is one of the classic three circuit-breaker states.
+type breakerState int
 
 const (
-	// BreakerClosed: traffic flows; failures are counted.
-	BreakerClosed BreakerState = iota
-	// BreakerOpen: the machine is quarantined until the cooldown elapses.
-	BreakerOpen
-	// BreakerHalfOpen: one probe request is allowed through; its outcome
+	// breakerClosed: traffic flows; failures are counted.
+	breakerClosed breakerState = iota
+	// breakerOpen: the machine is quarantined until the cooldown elapses.
+	breakerOpen
+	// breakerHalfOpen: one probe request is allowed through; its outcome
 	// decides between closing and re-opening.
-	BreakerHalfOpen
+	breakerHalfOpen
 )
 
 // String returns the conventional state name.
-func (s BreakerState) String() string {
+func (s breakerState) String() string {
 	switch s {
-	case BreakerClosed:
+	case breakerClosed:
 		return "closed"
-	case BreakerOpen:
+	case breakerOpen:
 		return "open"
-	case BreakerHalfOpen:
+	case breakerHalfOpen:
 		return "half-open"
 	}
 	return fmt.Sprintf("BreakerState(%d)", int(s))
@@ -63,7 +63,7 @@ func (c BreakerConfig) cooldown() time.Duration {
 }
 
 type breaker struct {
-	state    BreakerState
+	state    breakerState
 	failures int       // consecutive failures while closed
 	openedAt time.Time // when the breaker last opened
 	probing  bool      // a half-open probe is in flight
@@ -75,12 +75,12 @@ type breaker struct {
 // RPCs — the control-plane analogue of the paper's resource-failure
 // awareness.
 type BreakerSet struct {
-	// OnTransition, when non-nil, is invoked for every breaker state
+	// onTransition, when non-nil, is invoked for every breaker state
 	// change with the machine and the edge taken. It is called with the
 	// set's lock held, so it must be fast and must not call back into the
 	// BreakerSet — increment a counter, don't do I/O. Set it before the
 	// set is shared across goroutines.
-	OnTransition func(machineID string, from, to BreakerState)
+	onTransition func(machineID string, from, to breakerState)
 
 	mu    sync.Mutex
 	cfg   BreakerConfig
@@ -96,16 +96,16 @@ func NewBreakerSet(cfg BreakerConfig, clock simclock.Clock) *BreakerSet {
 	return &BreakerSet{cfg: cfg, clock: clock, m: make(map[string]*breaker)}
 }
 
-// transition moves a breaker to a new state, firing OnTransition on a real
+// transition moves a breaker to a new state, firing onTransition on a real
 // edge. Callers hold bs.mu.
-func (bs *BreakerSet) transition(id string, b *breaker, to BreakerState) {
+func (bs *BreakerSet) transition(id string, b *breaker, to breakerState) {
 	from := b.state
 	if from == to {
 		return
 	}
 	b.state = to
-	if bs.OnTransition != nil {
-		bs.OnTransition(id, from, to)
+	if bs.onTransition != nil {
+		bs.onTransition(id, from, to)
 	}
 }
 
@@ -118,24 +118,24 @@ func (bs *BreakerSet) get(id string) *breaker {
 	return b
 }
 
-// Allow reports whether a request to the machine may proceed. While open it
+// allow reports whether a request to the machine may proceed. While open it
 // returns false until the cooldown elapses, at which point exactly one
 // caller is admitted as the half-open probe.
-func (bs *BreakerSet) Allow(id string) bool {
+func (bs *BreakerSet) allow(id string) bool {
 	bs.mu.Lock()
 	defer bs.mu.Unlock()
 	b := bs.get(id)
 	switch b.state {
-	case BreakerClosed:
+	case breakerClosed:
 		return true
-	case BreakerOpen:
+	case breakerOpen:
 		if bs.clock.Now().Sub(b.openedAt) >= bs.cfg.cooldown() {
-			bs.transition(id, b, BreakerHalfOpen)
+			bs.transition(id, b, breakerHalfOpen)
 			b.probing = true
 			return true
 		}
 		return false
-	case BreakerHalfOpen:
+	case breakerHalfOpen:
 		if b.probing {
 			return false // a probe is already in flight
 		}
@@ -145,36 +145,36 @@ func (bs *BreakerSet) Allow(id string) bool {
 	return true
 }
 
-// Report records the outcome of an admitted request. A nil err closes the
+// report records the outcome of an admitted request. A nil err closes the
 // breaker; an error while half-open re-opens it immediately, an error while
 // closed opens it once Threshold consecutive failures accumulate. A typed
 // overloaded shed does not move the state machine: the machine answered, it
 // is saturated rather than broken, and the retry layer's backoff — not a
 // quarantine — is the right response.
-func (bs *BreakerSet) Report(id string, err error) {
+func (bs *BreakerSet) report(id string, err error) {
 	bs.mu.Lock()
 	defer bs.mu.Unlock()
 	b := bs.get(id)
 	if err == nil {
-		bs.transition(id, b, BreakerClosed)
+		bs.transition(id, b, breakerClosed)
 		b.failures = 0
 		b.probing = false
 		return
 	}
-	if IsOverloaded(err) {
+	if isOverloaded(err) {
 		// A shed probe is inconclusive; allow another one.
 		b.probing = false
 		return
 	}
 	switch b.state {
-	case BreakerHalfOpen:
-		bs.transition(id, b, BreakerOpen)
+	case breakerHalfOpen:
+		bs.transition(id, b, breakerOpen)
 		b.openedAt = bs.clock.Now()
 		b.probing = false
 	default:
 		b.failures++
 		if b.failures >= bs.cfg.threshold() {
-			bs.transition(id, b, BreakerOpen)
+			bs.transition(id, b, breakerOpen)
 			b.openedAt = bs.clock.Now()
 			b.failures = 0
 		}
@@ -190,23 +190,23 @@ func (bs *BreakerSet) observe(id string, err error) {
 	if bs == nil {
 		return
 	}
-	if err != nil && !IsTransport(err) && !IsOverloaded(err) {
+	if err != nil && !isTransport(err) && !isOverloaded(err) {
 		err = nil
 	}
-	bs.Report(id, err)
+	bs.report(id, err)
 }
 
-// State returns the machine's current breaker state (Closed for unknown
+// state returns the machine's current breaker state (Closed for unknown
 // machines). An open breaker past its cooldown reads as half-open.
-func (bs *BreakerSet) State(id string) BreakerState {
+func (bs *BreakerSet) state(id string) breakerState {
 	bs.mu.Lock()
 	defer bs.mu.Unlock()
 	b, ok := bs.m[id]
 	if !ok {
-		return BreakerClosed
+		return breakerClosed
 	}
-	if b.state == BreakerOpen && bs.clock.Now().Sub(b.openedAt) >= bs.cfg.cooldown() {
-		return BreakerHalfOpen
+	if b.state == breakerOpen && bs.clock.Now().Sub(b.openedAt) >= bs.cfg.cooldown() {
+		return breakerHalfOpen
 	}
 	return b.state
 }

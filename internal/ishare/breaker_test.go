@@ -18,61 +18,61 @@ func TestBreakerLifecycle(t *testing.T) {
 	id := "lab-01"
 	fail := errors.New("flake")
 
-	if bs.State(id) != BreakerClosed {
-		t.Fatalf("initial state = %v", bs.State(id))
+	if bs.state(id) != breakerClosed {
+		t.Fatalf("initial state = %v", bs.state(id))
 	}
 	// Two failures: still closed.
 	for i := 0; i < 2; i++ {
-		if !bs.Allow(id) {
+		if !bs.allow(id) {
 			t.Fatalf("closed breaker denied request %d", i)
 		}
-		bs.Report(id, fail)
+		bs.report(id, fail)
 	}
-	if bs.State(id) != BreakerClosed {
-		t.Fatalf("state after 2 failures = %v", bs.State(id))
+	if bs.state(id) != breakerClosed {
+		t.Fatalf("state after 2 failures = %v", bs.state(id))
 	}
 	// A success resets the consecutive count.
-	bs.Allow(id)
-	bs.Report(id, nil)
+	bs.allow(id)
+	bs.report(id, nil)
 	for i := 0; i < 2; i++ {
-		bs.Allow(id)
-		bs.Report(id, fail)
+		bs.allow(id)
+		bs.report(id, fail)
 	}
-	if bs.State(id) != BreakerClosed {
-		t.Fatalf("state = %v: success did not reset the failure count", bs.State(id))
+	if bs.state(id) != breakerClosed {
+		t.Fatalf("state = %v: success did not reset the failure count", bs.state(id))
 	}
 	// Third consecutive failure opens it.
-	bs.Allow(id)
-	bs.Report(id, fail)
-	if bs.State(id) != BreakerOpen {
-		t.Fatalf("state after threshold = %v, want open", bs.State(id))
+	bs.allow(id)
+	bs.report(id, fail)
+	if bs.state(id) != breakerOpen {
+		t.Fatalf("state after threshold = %v, want open", bs.state(id))
 	}
-	if bs.Allow(id) {
+	if bs.allow(id) {
 		t.Fatal("open breaker admitted a request inside the cooldown")
 	}
 	// Cooldown elapses: exactly one half-open probe is admitted.
 	clock.Advance(time.Minute)
-	if !bs.Allow(id) {
+	if !bs.allow(id) {
 		t.Fatal("half-open breaker denied the probe")
 	}
-	if bs.Allow(id) {
+	if bs.allow(id) {
 		t.Fatal("second concurrent probe admitted while one is in flight")
 	}
 	// Probe fails: open again, fresh cooldown.
-	bs.Report(id, fail)
-	if bs.State(id) != BreakerOpen || bs.Allow(id) {
+	bs.report(id, fail)
+	if bs.state(id) != breakerOpen || bs.allow(id) {
 		t.Fatal("failed probe did not re-open the breaker")
 	}
 	// Next cooldown, successful probe: closed.
 	clock.Advance(time.Minute)
-	if !bs.Allow(id) {
+	if !bs.allow(id) {
 		t.Fatal("probe denied after second cooldown")
 	}
-	bs.Report(id, nil)
-	if bs.State(id) != BreakerClosed {
-		t.Fatalf("state after successful probe = %v, want closed", bs.State(id))
+	bs.report(id, nil)
+	if bs.state(id) != breakerClosed {
+		t.Fatalf("state after successful probe = %v, want closed", bs.state(id))
 	}
-	if !bs.Allow(id) {
+	if !bs.allow(id) {
 		t.Fatal("closed breaker denied traffic")
 	}
 }
@@ -86,12 +86,12 @@ func TestInstrumentBreakers(t *testing.T) {
 
 	// Trip two machines, recover one.
 	for _, id := range []string{"m1", "m2"} {
-		bs.Allow(id)
-		bs.Report(id, fail)
+		bs.allow(id)
+		bs.report(id, fail)
 	}
 	clock.Advance(time.Minute)
-	bs.Allow("m1") // half-open probe
-	bs.Report("m1", nil)
+	bs.allow("m1") // half-open probe
+	bs.report("m1", nil)
 
 	var text strings.Builder
 	if err := o.Registry.Snapshot().WriteText(&text); err != nil {
@@ -110,8 +110,8 @@ func TestInstrumentBreakers(t *testing.T) {
 }
 
 func TestBreakerStateString(t *testing.T) {
-	for s, want := range map[BreakerState]string{
-		BreakerClosed: "closed", BreakerOpen: "open", BreakerHalfOpen: "half-open",
+	for s, want := range map[breakerState]string{
+		breakerClosed: "closed", breakerOpen: "open", breakerHalfOpen: "half-open",
 	} {
 		if s.String() != want {
 			t.Fatalf("%d.String() = %q", int(s), s.String())
@@ -198,7 +198,7 @@ func TestSchedulerBreakerQuarantine(t *testing.T) {
 	if dead.count() != 2 {
 		t.Fatalf("open breaker still let %d queries through", dead.count()-2)
 	}
-	if len(fails) != 1 || !errors.Is(fails[0].Err, ErrCircuitOpen) {
+	if len(fails) != 1 || !errors.Is(fails[0].Err, errCircuitOpen) {
 		t.Fatalf("failures = %v, want circuit-open", fails)
 	}
 	// After the cooldown one probe goes through (and fails, re-opening).
@@ -222,7 +222,7 @@ func TestSchedulerBreakerQuarantine(t *testing.T) {
 type rejectingAPI struct{ failingAPI }
 
 func (*rejectingAPI) QueryTR(context.Context, QueryTRReq) (QueryTRResp, error) {
-	return QueryTRResp{}, &RemoteError{Msg: "no history yet"}
+	return QueryTRResp{}, &remoteError{Msg: "no history yet"}
 }
 
 // TestRankApplicationErrorKeepsBreakerClosed: a machine that keeps answering
@@ -238,7 +238,7 @@ func TestRankApplicationErrorKeepsBreakerClosed(t *testing.T) {
 			t.Fatalf("rank %d failures = %v, want one", i+1, fails)
 		}
 	}
-	if st := sched.Breakers.State("young"); st != BreakerClosed {
+	if st := sched.Breakers.state("young"); st != breakerClosed {
 		t.Fatalf("breaker %s after application errors, want closed", st)
 	}
 }

@@ -546,7 +546,7 @@ func runStitchedTrace(t *testing.T, binary bool) {
 	}
 	gw.Record(start, sample(5, 400))
 	machineRec := otrace.NewRecorder(32)
-	sm.Obs().SetTracing(otrace.New(otrace.Config{
+	sm.obsv.SetTracing(otrace.New(otrace.Config{
 		SampleRate: 1, Seed: seed + 9000,
 		Recorder: machineRec, Clock: &tickClock{t: start},
 	}))
@@ -607,7 +607,7 @@ func runStitchedTrace(t *testing.T, binary bool) {
 		t.Fatalf("stitched trace has %d fed.dispatch spans, want 2 (entry + owner):\n%s", n, rendered)
 	}
 	for _, want := range []string{
-		"fed.dispatch", "rpc=" + MsgFedQueryTR, "rpc=" + MsgQueryTR,
+		"fed.dispatch", "rpc=" + msgFedQueryTR, "rpc=" + MsgQueryTR,
 		"gateway.dispatch", "machine=m-traced", "state.query-tr", "rpc.attempt",
 	} {
 		if !strings.Contains(rendered, want) {

@@ -23,7 +23,7 @@ type FedClient struct {
 // QueryTR asks the federation for the named machine's temporal
 // reliability. Idempotent: retried under the caller's policy.
 func (c FedClient) QueryTR(ctx context.Context, machine string, req QueryTRReq) (QueryTRResp, error) {
-	return rpc[QueryTRResp](ctx, c.Caller, c.Addr, MsgFedQueryTR, FedQueryTRReq{Machine: machine, Query: req}, c.Timeout, true)
+	return rpc[QueryTRResp](ctx, c.Caller, c.Addr, msgFedQueryTR, FedQueryTRReq{Machine: machine, Query: req}, c.Timeout, true)
 }
 
 // Submit launches a guest job on the named machine through the
@@ -33,25 +33,25 @@ func (c FedClient) QueryTR(ctx context.Context, machine string, req QueryTRReq) 
 // hop; without retries it gets a single attempt.
 func (c FedClient) Submit(ctx context.Context, machine string, req SubmitReq) (SubmitResp, error) {
 	retry := c.Caller.keyed(&req, "fed/"+machine)
-	return rpc[SubmitResp](ctx, c.Caller, c.Addr, MsgFedSubmit, FedSubmitReq{Machine: machine, Job: req}, c.Timeout, retry)
+	return rpc[SubmitResp](ctx, c.Caller, c.Addr, msgFedSubmit, fedSubmitReq{Machine: machine, Job: req}, c.Timeout, retry)
 }
 
 // JobStatus queries a job on the named machine. Idempotent: retried under
 // the caller's policy.
 func (c FedClient) JobStatus(ctx context.Context, machine string, req JobStatusReq) (JobStatusResp, error) {
-	return rpc[JobStatusResp](ctx, c.Caller, c.Addr, MsgFedJobStatus, FedJobReq{Machine: machine, Job: req}, c.Timeout, true)
+	return rpc[JobStatusResp](ctx, c.Caller, c.Addr, msgFedJobStatus, fedJobReq{Machine: machine, Job: req}, c.Timeout, true)
 }
 
 // Kill terminates a job on the named machine. Single attempt end to end
-// (see FedGateway.FedKill); confirm a lost ACK with JobStatus.
+// (see FedGateway.fedKill); confirm a lost ACK with JobStatus.
 func (c FedClient) Kill(ctx context.Context, machine string, req JobStatusReq) (JobStatusResp, error) {
-	return rpc[JobStatusResp](ctx, c.Caller, c.Addr, MsgFedKill, FedJobReq{Machine: machine, Job: req}, c.Timeout, false)
+	return rpc[JobStatusResp](ctx, c.Caller, c.Addr, msgFedKill, fedJobReq{Machine: machine, Job: req}, c.Timeout, false)
 }
 
-// Discover lists every machine registered anywhere in the federation (the
+// discover lists every machine registered anywhere in the federation (the
 // entry peer merges all reachable shards).
-func (c FedClient) Discover(ctx context.Context) ([]Resource, error) {
-	resp, err := rpc[DiscoverResp](ctx, c.Caller, c.Addr, MsgDiscover, DiscoverReq{}, c.Timeout, true)
+func (c FedClient) discover(ctx context.Context) ([]resource, error) {
+	resp, err := rpc[discoverResp](ctx, c.Caller, c.Addr, msgDiscover, discoverReq{}, c.Timeout, true)
 	return resp.Resources, err
 }
 
@@ -65,7 +65,7 @@ func (c FedClient) Gateway(machine string) GatewayAPI {
 // Scheduler builds a client-side Scheduler whose candidates are every
 // machine in the federation, each reached through the entry peer.
 func (c FedClient) Scheduler(ctx context.Context) (*Scheduler, error) {
-	resources, err := c.Discover(ctx)
+	resources, err := c.discover(ctx)
 	if err != nil {
 		return nil, err
 	}

@@ -27,11 +27,11 @@ import (
 
 // Federation request types.
 const (
-	MsgFedQueryTR   = "fed-query-tr"   // client -> any peer (machine-scoped QueryTR)
-	MsgFedSubmit    = "fed-submit"     // client -> any peer (machine-scoped Submit)
-	MsgFedJobStatus = "fed-job-status" // client -> any peer (machine-scoped JobStatus)
-	MsgFedKill      = "fed-kill"       // client -> any peer (machine-scoped Kill)
-	MsgFedSync      = "fed-sync"       // peer -> peer (replication / anti-entropy push)
+	msgFedQueryTR   = "fed-query-tr"   // client -> any peer (machine-scoped QueryTR)
+	msgFedSubmit    = "fed-submit"     // client -> any peer (machine-scoped Submit)
+	msgFedJobStatus = "fed-job-status" // client -> any peer (machine-scoped JobStatus)
+	msgFedKill      = "fed-kill"       // client -> any peer (machine-scoped Kill)
+	msgFedSync      = "fed-sync"       // peer -> peer (replication / anti-entropy push)
 )
 
 // FedQueryTRReq routes a QueryTR to the named machine through the
@@ -48,43 +48,43 @@ type FedQueryTRReq struct {
 	Query QueryTRReq `json:"query"`
 }
 
-// FedSubmitReq routes a Submit to the named machine through the federation.
+// fedSubmitReq routes a Submit to the named machine through the federation.
 // The entry peer attaches an idempotency key before any hop, so peer
 // forwarding and machine retries are replay-safe end to end.
-type FedSubmitReq struct {
+type fedSubmitReq struct {
 	Machine string    `json:"machine"`
 	Local   bool      `json:"local,omitempty"`
 	Job     SubmitReq `json:"job"`
 }
 
-// FedJobReq routes a JobStatus or Kill to the named machine through the
+// fedJobReq routes a JobStatus or Kill to the named machine through the
 // federation (the verb is the message type).
-type FedJobReq struct {
+type fedJobReq struct {
 	Machine string       `json:"machine"`
 	Local   bool         `json:"local,omitempty"`
 	Job     JobStatusReq `json:"job"`
 }
 
-// FedEntry is one registry entry on the replication wire, carrying its
+// fedEntry is one registry entry on the replication wire, carrying its
 // remaining TTL (0 = never expires) so receivers rebuild an absolute
 // expiry against their own clock.
-type FedEntry struct {
+type fedEntry struct {
 	MachineID  string  `json:"machine_id"`
 	Addr       string  `json:"addr"`
 	TTLSeconds float64 `json:"ttl_seconds,omitempty"`
 }
 
-// FedSyncReq pushes registry entries to a peer: single entries during
+// fedSyncReq pushes registry entries to a peer: single entries during
 // synchronous replication on register, batches during anti-entropy rounds.
-type FedSyncReq struct {
+type fedSyncReq struct {
 	// From identifies the pushing peer (empty for non-peer tooling).
 	From    string     `json:"from,omitempty"`
-	Entries []FedEntry `json:"entries"`
+	Entries []fedEntry `json:"entries"`
 }
 
-// FedSyncResp reports how many pushed entries the receiver actually
+// fedSyncResp reports how many pushed entries the receiver actually
 // applied (already-fresh entries are counted as accepted no-ops).
-type FedSyncResp struct {
+type fedSyncResp struct {
 	Accepted int `json:"accepted"`
 }
 
@@ -133,7 +133,7 @@ type RingStats struct {
 const fedUnknownMachine = "fed: machine not registered"
 
 // isUnknownMachine reports whether err is a peer's fedUnknownMachine
-// rejection (it crosses the wire as a RemoteError).
+// rejection (it crosses the wire as a remoteError).
 func isUnknownMachine(err error) bool {
 	if err == nil {
 		return false
@@ -450,16 +450,16 @@ func (f *FedGateway) lookup(machine string) (RegEntry, bool) {
 
 // localResources lists the live entries in this peer's shard, sorted by
 // machine ID.
-func (f *FedGateway) localResources() []Resource {
+func (f *FedGateway) localResources() []resource {
 	now := f.clock.Now()
 	f.mu.Lock()
-	out := make([]Resource, 0, len(f.entries))
+	out := make([]resource, 0, len(f.entries))
 	for id, ent := range f.entries {
 		if ent.expired(now) {
 			delete(f.entries, id)
 			continue
 		}
-		out = append(out, Resource{MachineID: id, Addr: ent.Addr})
+		out = append(out, resource{MachineID: id, Addr: ent.Addr})
 	}
 	f.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].MachineID < out[j].MachineID })
@@ -478,8 +478,8 @@ func (f *FedGateway) warn(msg string, args ...interface{}) {
 // with a transport-class error so routing falls through to the next
 // replica; the outcome feeds the breaker (BreakerSet.observe).
 func (f *FedGateway) callPeer(ctx context.Context, p Peer, typ string, payload, out interface{}, retry bool) error {
-	if f.breakers != nil && !f.breakers.Allow(p.ID) {
-		return &transportError{err: fmt.Errorf("ishare: peer %s: %w", p.ID, ErrCircuitOpen)}
+	if f.breakers != nil && !f.breakers.allow(p.ID) {
+		return &transportError{err: fmt.Errorf("ishare: peer %s: %w", p.ID, errCircuitOpen)}
 	}
 	var err error
 	if retry {
@@ -499,7 +499,7 @@ func (f *FedGateway) callPeer(ctx context.Context, p Peer, typ string, payload, 
 // is unreachable the entry peer stores the entry itself as a stray —
 // queries entering here still work, and anti-entropy repairs placement
 // once candidates return.
-func (f *FedGateway) register(ctx context.Context, reg RegisterReq) error {
+func (f *FedGateway) register(ctx context.Context, reg registerReq) error {
 	if reg.MachineID == "" || reg.Addr == "" {
 		return fmt.Errorf("fed: registration needs machine id and address")
 	}
@@ -517,12 +517,12 @@ func (f *FedGateway) register(ctx context.Context, reg RegisterReq) error {
 		}
 		fwd := reg
 		fwd.Forwarded = true
-		err := f.callPeer(ctx, p, MsgRegister, fwd, nil, true)
+		err := f.callPeer(ctx, p, msgRegister, fwd, nil, true)
 		if err == nil {
 			f.addForwarded()
 			return nil
 		}
-		if !IsTransport(err) {
+		if !isTransport(err) {
 			return err
 		}
 		f.warn("fed register forward failed", "machine", reg.MachineID, "peer", p.ID, "err", err)
@@ -535,7 +535,7 @@ func (f *FedGateway) register(ctx context.Context, reg RegisterReq) error {
 // replicateEntry pushes one entry to the other members of its replica set
 // cands, best effort: a dead replica is only logged (anti-entropy retries).
 func (f *FedGateway) replicateEntry(ctx context.Context, cands []Peer, machine, addr string, ttl time.Duration) {
-	ent := FedEntry{MachineID: machine, Addr: addr, TTLSeconds: ttl.Seconds()}
+	ent := fedEntry{MachineID: machine, Addr: addr, TTLSeconds: ttl.Seconds()}
 	if ttl <= 0 {
 		ent.TTLSeconds = 0
 	}
@@ -543,8 +543,8 @@ func (f *FedGateway) replicateEntry(ctx context.Context, cands []Peer, machine, 
 		if p.ID == f.self.ID {
 			continue
 		}
-		req := FedSyncReq{From: f.self.ID, Entries: []FedEntry{ent}}
-		if err := f.callPeer(ctx, p, MsgFedSync, req, nil, true); err != nil {
+		req := fedSyncReq{From: f.self.ID, Entries: []fedEntry{ent}}
+		if err := f.callPeer(ctx, p, msgFedSync, req, nil, true); err != nil {
 			f.warn("fed replicate failed", "machine", machine, "peer", p.ID, "err", err)
 			continue
 		}
@@ -556,7 +556,7 @@ func (f *FedGateway) replicateEntry(ctx context.Context, cands []Peer, machine, 
 // new here, fresher (later expiry) than what is stored, or replaces an
 // expired entry. Older pushes lose, so a stale anti-entropy round cannot
 // roll back a heartbeat refresh.
-func (f *FedGateway) fedSync(req FedSyncReq) FedSyncResp {
+func (f *FedGateway) fedSync(req fedSyncReq) fedSyncResp {
 	now := f.clock.Now()
 	f.mu.Lock()
 	if req.From != "" {
@@ -588,7 +588,7 @@ func (f *FedGateway) fedSync(req FedSyncReq) FedSyncResp {
 			sink(e)
 		}
 	}
-	return FedSyncResp{Accepted: accepted}
+	return fedSyncResp{Accepted: accepted}
 }
 
 // fedFreshSlack is the minimum expiry gain before a re-pushed entry counts
@@ -619,7 +619,7 @@ func fresher(cur RegEntry, expires time.Time, now time.Time) bool {
 // feeds Ready's convergence check.
 func (f *FedGateway) SyncOnce(ctx context.Context) int {
 	now := f.clock.Now()
-	batches := make(map[string][]FedEntry)
+	batches := make(map[string][]fedEntry)
 	addrs := make(map[string]Peer)
 	f.mu.Lock()
 	for id, ent := range f.entries {
@@ -627,7 +627,7 @@ func (f *FedGateway) SyncOnce(ctx context.Context) int {
 			delete(f.entries, id)
 			continue
 		}
-		we := FedEntry{MachineID: id, Addr: ent.Addr}
+		we := fedEntry{MachineID: id, Addr: ent.Addr}
 		if !ent.Expires.IsZero() {
 			we.TTLSeconds = ent.Expires.Sub(now).Seconds()
 		}
@@ -651,9 +651,9 @@ func (f *FedGateway) SyncOnce(ctx context.Context) int {
 	for _, id := range peerIDs {
 		batch := batches[id]
 		sort.Slice(batch, func(i, j int) bool { return batch[i].MachineID < batch[j].MachineID })
-		req := FedSyncReq{From: f.self.ID, Entries: batch}
-		var sr FedSyncResp
-		if err := f.callPeer(ctx, addrs[id], MsgFedSync, req, &sr, true); err != nil {
+		req := fedSyncReq{From: f.self.ID, Entries: batch}
+		var sr fedSyncResp
+		if err := f.callPeer(ctx, addrs[id], msgFedSync, req, &sr, true); err != nil {
 			f.warn("fed anti-entropy push failed", "peer", id, "entries", len(batch), "err", err)
 			allOK = false
 			continue
@@ -713,7 +713,7 @@ func (f *FedGateway) route(ctx context.Context, machine string, local bool, fedT
 			f.addForwarded()
 			return nil
 		}
-		if IsTransport(err) || IsOverloaded(err) || isUnknownMachine(err) {
+		if isTransport(err) || isOverloaded(err) || isUnknownMachine(err) {
 			lastErr = err
 			continue
 		}
@@ -735,50 +735,50 @@ func (f *FedGateway) FedQueryTR(ctx context.Context, req FedQueryTRReq) (QueryTR
 	var resp QueryTRResp
 	fwd := req
 	fwd.Local = true
-	err := f.route(ctx, req.Machine, req.Local, MsgFedQueryTR, fwd, &resp, true, func(addr string) error {
+	err := f.route(ctx, req.Machine, req.Local, msgFedQueryTR, fwd, &resp, true, func(addr string) error {
 		return f.machine(addr).CallRetry(ctx, addr, MsgQueryTR, req.Query, &resp, f.timeout)
 	})
 	return resp, err
 }
 
-// FedSubmit serves or forwards a federated Submit. The entry peer attaches
+// fedSubmit serves or forwards a federated Submit. The entry peer attaches
 // an idempotency key before the first hop (unless the client already chose
 // one), making every downstream retry — peer hop or machine attempt —
 // replay-safe.
-func (f *FedGateway) FedSubmit(ctx context.Context, req FedSubmitReq) (SubmitResp, error) {
+func (f *FedGateway) fedSubmit(ctx context.Context, req fedSubmitReq) (SubmitResp, error) {
 	if !req.Local && req.Job.IdempotencyKey == "" {
-		req.Job.IdempotencyKey = f.caller.NextKey("fed/" + req.Machine)
+		req.Job.IdempotencyKey = f.caller.nextKey("fed/" + req.Machine)
 	}
 	var resp SubmitResp
 	fwd := req
 	fwd.Local = true
-	err := f.route(ctx, req.Machine, req.Local, MsgFedSubmit, fwd, &resp, true, func(addr string) error {
+	err := f.route(ctx, req.Machine, req.Local, msgFedSubmit, fwd, &resp, true, func(addr string) error {
 		return f.machine(addr).CallRetry(ctx, addr, MsgSubmit, req.Job, &resp, f.timeout)
 	})
 	return resp, err
 }
 
-// FedJobStatus serves or forwards a federated JobStatus.
-func (f *FedGateway) FedJobStatus(ctx context.Context, req FedJobReq) (JobStatusResp, error) {
+// fedJobStatus serves or forwards a federated JobStatus.
+func (f *FedGateway) fedJobStatus(ctx context.Context, req fedJobReq) (JobStatusResp, error) {
 	var resp JobStatusResp
 	fwd := req
 	fwd.Local = true
-	err := f.route(ctx, req.Machine, req.Local, MsgFedJobStatus, fwd, &resp, true, func(addr string) error {
-		return f.machine(addr).CallRetry(ctx, addr, MsgJobStatus, req.Job, &resp, f.timeout)
+	err := f.route(ctx, req.Machine, req.Local, msgFedJobStatus, fwd, &resp, true, func(addr string) error {
+		return f.machine(addr).CallRetry(ctx, addr, msgJobStatus, req.Job, &resp, f.timeout)
 	})
 	return resp, err
 }
 
-// FedKill serves or forwards a federated Kill. Like RemoteGateway.Kill,
+// fedKill serves or forwards a federated Kill. Like RemoteGateway.Kill,
 // the machine hop gets a single attempt (killing twice is an application
 // error); peer hops are not retried either, so a lost ACK is surfaced to
 // the client, which can confirm the outcome with FedJobStatus.
-func (f *FedGateway) FedKill(ctx context.Context, req FedJobReq) (JobStatusResp, error) {
+func (f *FedGateway) fedKill(ctx context.Context, req fedJobReq) (JobStatusResp, error) {
 	var resp JobStatusResp
 	fwd := req
 	fwd.Local = true
-	err := f.route(ctx, req.Machine, req.Local, MsgFedKill, fwd, &resp, false, func(addr string) error {
-		return f.machine(addr).Call(ctx, addr, MsgKillJob, req.Job, &resp, f.timeout)
+	err := f.route(ctx, req.Machine, req.Local, msgFedKill, fwd, &resp, false, func(addr string) error {
+		return f.machine(addr).Call(ctx, addr, msgKillJob, req.Job, &resp, f.timeout)
 	})
 	return resp, err
 }
@@ -787,17 +787,17 @@ func (f *FedGateway) FedKill(ctx context.Context, req FedJobReq) (JobStatusResp,
 // this peer's entries plus a local-only discover against each other peer.
 // Unreachable peers are skipped — with replication the survivors still
 // cover their shards.
-func (f *FedGateway) globalResources(ctx context.Context) []Resource {
-	merged := make(map[string]Resource)
+func (f *FedGateway) globalResources(ctx context.Context) []resource {
+	merged := make(map[string]resource)
 	for _, r := range f.localResources() {
 		merged[r.MachineID] = r
 	}
-	for _, p := range f.ring.Peers() {
+	for _, p := range f.ring.members() {
 		if p.ID == f.self.ID {
 			continue
 		}
-		var dr DiscoverResp
-		if err := f.callPeer(ctx, p, MsgDiscover, DiscoverReq{Local: true}, &dr, true); err != nil {
+		var dr discoverResp
+		if err := f.callPeer(ctx, p, msgDiscover, discoverReq{Local: true}, &dr, true); err != nil {
 			f.warn("fed discover fan-out failed", "peer", p.ID, "err", err)
 			continue
 		}
@@ -805,7 +805,7 @@ func (f *FedGateway) globalResources(ctx context.Context) []Resource {
 			merged[r.MachineID] = r
 		}
 	}
-	out := make([]Resource, 0, len(merged))
+	out := make([]resource, 0, len(merged))
 	for _, r := range merged {
 		out = append(out, r)
 	}
@@ -818,7 +818,7 @@ func (f *FedGateway) RingStats() *RingStats {
 	now := f.clock.Now()
 	st := &RingStats{
 		Self:     f.self.ID,
-		Vnodes:   f.ring.Vnodes(),
+		Vnodes:   f.ring.vnodes,
 		Replicas: f.replicas,
 	}
 	ownerCount := make(map[string]int)
@@ -845,13 +845,13 @@ func (f *FedGateway) RingStats() *RingStats {
 		lastSync[id] = t
 	}
 	f.mu.Unlock()
-	for _, p := range f.ring.Peers() {
+	for _, p := range f.ring.members() {
 		row := RingPeerStats{ID: p.ID, Addr: p.Addr, OwnedEntries: ownerCount[p.ID]}
 		if p.ID == f.self.ID {
 			row.Self = true
 		} else {
 			if f.breakers != nil {
-				row.Breaker = f.breakers.State(p.ID).String()
+				row.Breaker = f.breakers.state(p.ID).String()
 			}
 			if t, ok := lastSync[p.ID]; ok {
 				row.LastSyncAgeSeconds = now.Sub(t).Seconds()
@@ -870,31 +870,31 @@ func (f *FedGateway) addSyncPushed(n uint64) { f.mu.Lock(); f.syncPushed += n; f
 
 // fedRoutes is every RPC a federation peer serves.
 var fedRoutes = []route[*FedGateway]{
-	on(MsgRegister, "register", false, func(f *FedGateway, ctx context.Context, reg RegisterReq) (interface{}, error) {
+	on(msgRegister, "register", false, func(f *FedGateway, ctx context.Context, reg registerReq) (interface{}, error) {
 		return nil, f.register(ctx, reg) // acknowledged without a payload
 	}),
-	on(MsgDiscover, "discover", true, (*FedGateway).discover),
-	on(MsgFedQueryTR, "fed query", false, (*FedGateway).FedQueryTR),
-	on(MsgFedSubmit, "fed submit", false, (*FedGateway).FedSubmit),
-	on(MsgFedJobStatus, "fed status", false, (*FedGateway).FedJobStatus),
-	on(MsgFedKill, "fed kill", false, (*FedGateway).FedKill),
-	on(MsgFedSync, "fed sync", false, func(f *FedGateway, _ context.Context, req FedSyncReq) (FedSyncResp, error) {
+	on(msgDiscover, "discover", true, (*FedGateway).discover),
+	on(msgFedQueryTR, "fed query", false, (*FedGateway).FedQueryTR),
+	on(msgFedSubmit, "fed submit", false, (*FedGateway).fedSubmit),
+	on(msgFedJobStatus, "fed status", false, (*FedGateway).fedJobStatus),
+	on(msgFedKill, "fed kill", false, (*FedGateway).fedKill),
+	on(msgFedSync, "fed sync", false, func(f *FedGateway, _ context.Context, req fedSyncReq) (fedSyncResp, error) {
 		return f.fedSync(req), nil
 	}),
-	on(MsgQueryStats, "stats", true, (*FedGateway).queryStats),
-	on(MsgQueryObs, "obs", true, (*FedGateway).queryObs),
-	on(MsgQueryTraces, "traces", true, func(f *FedGateway, _ context.Context, req QueryTracesReq) (QueryTracesResp, error) {
-		return queryTraces(f.self.ID, f.tracer.Recorder(), f.obs.PrevFlight(), req)
+	on(msgQueryStats, "stats", true, (*FedGateway).queryStats),
+	on(msgQueryObs, "obs", true, (*FedGateway).queryObs),
+	on(msgQueryTraces, "traces", true, func(f *FedGateway, _ context.Context, req QueryTracesReq) (QueryTracesResp, error) {
+		return queryTraces(f.self.ID, f.tracer.Recorder(), f.obs, req)
 	}),
 }
 
 // discover lists this peer's shard (the peer-to-peer fan-out form) or the
 // merged federation-wide view served to clients.
-func (f *FedGateway) discover(ctx context.Context, req DiscoverReq) (DiscoverResp, error) {
+func (f *FedGateway) discover(ctx context.Context, req discoverReq) (discoverResp, error) {
 	if req.Local {
-		return DiscoverResp{Resources: f.localResources()}, nil
+		return discoverResp{Resources: f.localResources()}, nil
 	}
-	return DiscoverResp{Resources: f.globalResources(ctx)}, nil
+	return discoverResp{Resources: f.globalResources(ctx)}, nil
 }
 
 // queryStats is a peer's query-stats: its ring view beside the serving-path

@@ -69,13 +69,13 @@ func (m *stubMachine) handler(req Request) (interface{}, error) {
 			m.submits[s.IdempotencyKey] = id
 		}
 		return SubmitResp{JobID: id}, nil
-	case MsgJobStatus:
+	case msgJobStatus:
 		var s JobStatusReq
 		if err := json.Unmarshal(req.Payload, &s); err != nil {
 			return nil, fmt.Errorf("malformed status")
 		}
 		return JobStatusResp{JobID: s.JobID, State: "running", WorkSeconds: 10}, nil
-	case MsgKillJob:
+	case msgKillJob:
 		var s JobStatusReq
 		if err := json.Unmarshal(req.Payload, &s); err != nil {
 			return nil, fmt.Errorf("malformed kill")
@@ -188,8 +188,8 @@ func buildFederationWith(t *testing.T, n, replicas int, clock simclock.Clock, d 
 func fedRegister(t *testing.T, d Dialer, peerAddr, machine, machineAddr string, ttl time.Duration) {
 	t.Helper()
 	caller := &Caller{Dialer: d}
-	reg := RegisterReq{MachineID: machine, Addr: machineAddr, TTLSeconds: ttl.Seconds()}
-	if err := caller.Call(context.Background(), peerAddr, MsgRegister, reg, nil, 2*time.Second); err != nil {
+	reg := registerReq{MachineID: machine, Addr: machineAddr, TTLSeconds: ttl.Seconds()}
+	if err := caller.Call(context.Background(), peerAddr, msgRegister, reg, nil, 2*time.Second); err != nil {
 		t.Fatalf("register %s via %s: %v", machine, peerAddr, err)
 	}
 }
@@ -406,7 +406,7 @@ func TestFedLocalRequestIsNeverReforwarded(t *testing.T) {
 	caller := &Caller{}
 	var resp QueryTRResp
 	req := FedQueryTRReq{Machine: "m-local", Local: true, Query: QueryTRReq{LengthSeconds: 60}}
-	err := caller.Call(context.Background(), other.srv.Addr(), MsgFedQueryTR, req, &resp, 2*time.Second)
+	err := caller.Call(context.Background(), other.srv.Addr(), msgFedQueryTR, req, &resp, 2*time.Second)
 	if err == nil {
 		t.Fatal("local-marked request for a foreign machine succeeded; it must not be re-forwarded")
 	}
@@ -526,18 +526,18 @@ func (d failingDialer) DialTimeout(network, addr string, timeout time.Duration) 
 func TestRingOfOneNeverDials(t *testing.T) {
 	ctx := context.Background()
 	gw := ringOfOne(t, FedConfig{Caller: &Caller{Dialer: failingDialer{t}}})
-	if resp, err := gw.discover(ctx, DiscoverReq{}); err != nil || len(resp.Resources) != 0 {
+	if resp, err := gw.discover(ctx, discoverReq{}); err != nil || len(resp.Resources) != 0 {
 		t.Errorf("discover on an empty shard: %+v, %v", resp, err)
 	}
 	regTTL(t, gw, "m-1", "10.0.0.1:7", time.Minute)
 	regTTL(t, gw, "m-2", "10.0.0.2:7", 0)
-	if err := gw.register(ctx, RegisterReq{MachineID: "m-3", Addr: "10.0.0.3:7", Forwarded: true}); err != nil {
+	if err := gw.register(ctx, registerReq{MachineID: "m-3", Addr: "10.0.0.3:7", Forwarded: true}); err != nil {
 		t.Fatal(err)
 	}
 	h := gw.Handler()
 	for _, payload := range []string{`{}`, `{"local":true}`} {
-		resp, err := h(Request{Type: MsgDiscover, Payload: json.RawMessage(payload)})
-		if err != nil || len(resp.(DiscoverResp).Resources) != 3 {
+		resp, err := h(Request{Type: msgDiscover, Payload: json.RawMessage(payload)})
+		if err != nil || len(resp.(discoverResp).Resources) != 3 {
 			t.Errorf("discover %s = %+v, %v", payload, resp, err)
 		}
 	}

@@ -55,16 +55,16 @@ import (
 	"fgcs/internal/otrace"
 )
 
-// FrameVersion is the binary protocol version this build speaks. Version
+// frameVersion is the binary protocol version this build speaks. Version
 // mismatches are rejected at decode time on both sides.
-const FrameVersion = 1
+const frameVersion = 1
 
 // Frame kinds.
 const (
-	// FrameRequest marks a client->server frame.
-	FrameRequest = 1
-	// FrameResponse marks a server->client frame.
-	FrameResponse = 2
+	// frameRequest marks a client->server frame.
+	frameRequest = 1
+	// frameResponse marks a server->client frame.
+	frameResponse = 2
 )
 
 const (
@@ -90,7 +90,7 @@ const (
 // Type/Trace, response frames populate OK/Overloaded/Err; both carry an ID
 // and an optional payload of JSON bytes.
 type Frame struct {
-	// Kind is FrameRequest or FrameResponse.
+	// Kind is frameRequest or frameResponse.
 	Kind byte
 	// Version is the protocol version the frame was encoded with.
 	Version byte
@@ -104,7 +104,7 @@ type Frame struct {
 	// OK reports handler success (response frames only).
 	OK bool
 	// Overloaded marks a response shed by server admission control; the
-	// client surfaces it as a RemoteError with CodeOverloaded.
+	// client surfaces it as a remoteError with codeOverloaded.
 	Overloaded bool
 	// Err is the application error message when !OK.
 	Err string
@@ -129,7 +129,7 @@ func appendRequestHead(buf []byte, id uint64, typ string, link otrace.Link, n in
 			flags |= frameFlagSampled
 		}
 	}
-	buf = append(buf, frameMagic0, frameMagic1, FrameVersion, FrameRequest, flags)
+	buf = append(buf, frameMagic0, frameMagic1, frameVersion, frameRequest, flags)
 	buf = binary.AppendUvarint(buf, id)
 	buf = binary.AppendUvarint(buf, uint64(len(typ)))
 	buf = append(buf, typ...)
@@ -155,7 +155,7 @@ func appendResponseHead(buf []byte, id uint64, ok, overloaded bool, errMsg strin
 	if overloaded {
 		flags |= frameFlagOverloaded
 	}
-	buf = append(buf, frameMagic0, frameMagic1, FrameVersion, FrameResponse, flags)
+	buf = append(buf, frameMagic0, frameMagic1, frameVersion, frameResponse, flags)
 	buf = binary.AppendUvarint(buf, id)
 	if !ok {
 		buf = binary.AppendUvarint(buf, uint64(len(errMsg)))
@@ -164,9 +164,9 @@ func appendResponseHead(buf []byte, id uint64, ok, overloaded bool, errMsg strin
 	return binary.AppendUvarint(buf, uint64(n))
 }
 
-// ErrFrameVersion reports a frame encoded with a binary-protocol version
+// errFrameVersion reports a frame encoded with a binary-protocol version
 // this build does not speak.
-var ErrFrameVersion = fmt.Errorf("ishare: unsupported binary protocol version")
+var errFrameVersion = fmt.Errorf("ishare: unsupported binary protocol version")
 
 // DecodeFrame reads one binary frame from br, enforcing the payload byte cap
 // (maxPayload <= 0 uses the server's 1 MiB default). Length prefixes are
@@ -203,12 +203,12 @@ func decodeFrameHead(br *bufio.Reader) (Frame, error) {
 	if hdr[0] != frameMagic0 || hdr[1] != frameMagic1 {
 		return Frame{}, fmt.Errorf("ishare: bad frame magic %#02x%02x", hdr[0], hdr[1])
 	}
-	if hdr[2] != FrameVersion {
-		return Frame{}, fmt.Errorf("%w: got %d, speak %d", ErrFrameVersion, hdr[2], FrameVersion)
+	if hdr[2] != frameVersion {
+		return Frame{}, fmt.Errorf("%w: got %d, speak %d", errFrameVersion, hdr[2], frameVersion)
 	}
 	f := Frame{Version: hdr[2], Kind: hdr[3]}
 	flags := hdr[4]
-	if f.Kind != FrameRequest && f.Kind != FrameResponse {
+	if f.Kind != frameRequest && f.Kind != frameResponse {
 		return Frame{}, fmt.Errorf("ishare: bad frame kind %d", f.Kind)
 	}
 	id, err := binary.ReadUvarint(br)
@@ -217,7 +217,7 @@ func decodeFrameHead(br *bufio.Reader) (Frame, error) {
 	}
 	f.ID = id
 	switch f.Kind {
-	case FrameRequest:
+	case frameRequest:
 		if f.Type, err = readFrameType(br); err != nil {
 			return Frame{}, err
 		}
@@ -232,7 +232,7 @@ func decodeFrameHead(br *bufio.Reader) (Frame, error) {
 				Sampled: flags&frameFlagSampled != 0,
 			}
 		}
-	case FrameResponse:
+	case frameResponse:
 		f.OK = flags&frameFlagOK != 0
 		f.Overloaded = flags&frameFlagOverloaded != 0
 		if !f.OK {
@@ -282,7 +282,7 @@ func readFrameType(br *bufio.Reader) (string, error) {
 }
 
 // readLen reads a uvarint length, rejecting lengths above max with
-// ErrMessageTooLarge; the stream is then positioned at the first of the n
+// errMessageTooLarge; the stream is then positioned at the first of the n
 // bytes, so a reader may still skip them (discardN).
 func readLen(br *bufio.Reader, max int64, what string) (uint64, error) {
 	n, err := binary.ReadUvarint(br)
@@ -290,13 +290,13 @@ func readLen(br *bufio.Reader, max int64, what string) (uint64, error) {
 		return 0, fmt.Errorf("ishare: frame %s length: %w", what, err)
 	}
 	if int64(n) < 0 || int64(n) > max {
-		return n, fmt.Errorf("%w: frame %s of %d bytes (cap %d)", ErrMessageTooLarge, what, n, max)
+		return n, fmt.Errorf("%w: frame %s of %d bytes (cap %d)", errMessageTooLarge, what, n, max)
 	}
 	return n, nil
 }
 
 // readLenPrefixed reads a uvarint length and that many bytes, appended to
-// dst, rejecting lengths above max with ErrMessageTooLarge.
+// dst, rejecting lengths above max with errMessageTooLarge.
 func readLenPrefixed(br *bufio.Reader, dst []byte, max int64, what string) ([]byte, error) {
 	n, err := readLen(br, max, what)
 	if err != nil {

@@ -27,10 +27,10 @@ func TestFrameRequestRoundTrip(t *testing.T) {
 	}{
 		{"bare", 1, MsgQueryTR, otrace.Link{}, nil},
 		{"payload", 1 << 40, MsgSubmit, otrace.Link{}, []byte(`{"work_seconds":300}`)},
-		{"traced", 7, MsgJobStatus, otrace.Link{TraceID: 0xdeadbeef, SpanID: 0x1234}, []byte(`{}`)},
-		{"sampled", 8, MsgQueryStats, otrace.Link{TraceID: 1, SpanID: 2, Sampled: true}, nil},
+		{"traced", 7, msgJobStatus, otrace.Link{TraceID: 0xdeadbeef, SpanID: 0x1234}, []byte(`{}`)},
+		{"sampled", 8, msgQueryStats, otrace.Link{TraceID: 1, SpanID: 2, Sampled: true}, nil},
 		// Crosses the 64 KiB chunk boundary of the alloc-capped reader.
-		{"large", 9, MsgFedQueryTR, otrace.Link{}, bytes.Repeat([]byte("x"), 70<<10)},
+		{"large", 9, msgFedQueryTR, otrace.Link{}, bytes.Repeat([]byte("x"), 70<<10)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -39,7 +39,7 @@ func TestFrameRequestRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if f.Kind != FrameRequest || f.Version != FrameVersion {
+			if f.Kind != frameRequest || f.Version != frameVersion {
 				t.Fatalf("kind/version = %d/%d", f.Kind, f.Version)
 			}
 			if f.ID != tc.id || f.Type != tc.typ || f.Trace != tc.link {
@@ -70,7 +70,7 @@ func TestFrameResponseRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if f.Kind != FrameResponse || f.ID != 42 {
+			if f.Kind != frameResponse || f.ID != 42 {
 				t.Fatalf("kind/id = %d/%d", f.Kind, f.ID)
 			}
 			if f.OK != tc.ok || f.Overloaded != tc.overloaded || f.Err != tc.errMsg {
@@ -116,8 +116,8 @@ func TestDecodeFrameRejects(t *testing.T) {
 
 	badVersion := append([]byte{}, valid...)
 	badVersion[2] = 99
-	if _, err := decodeBytes(t, badVersion, 0); !errors.Is(err, ErrFrameVersion) {
-		t.Fatalf("bad version: %v, want ErrFrameVersion", err)
+	if _, err := decodeBytes(t, badVersion, 0); !errors.Is(err, errFrameVersion) {
+		t.Fatalf("bad version: %v, want errFrameVersion", err)
 	}
 
 	badKind := append([]byte{}, valid...)
@@ -128,21 +128,21 @@ func TestDecodeFrameRejects(t *testing.T) {
 
 	// A declared payload length over the cap is rejected from the prefix
 	// alone — no allocation, no read.
-	oversize := []byte{frameMagic0, frameMagic1, FrameVersion, FrameRequest, 0}
+	oversize := []byte{frameMagic0, frameMagic1, frameVersion, frameRequest, 0}
 	oversize = binary.AppendUvarint(oversize, 1)
 	oversize = binary.AppendUvarint(oversize, uint64(len(MsgQueryTR)))
 	oversize = append(oversize, MsgQueryTR...)
 	oversize = binary.AppendUvarint(oversize, 1<<30)
-	if _, err := decodeBytes(t, oversize, 1<<20); !errors.Is(err, ErrMessageTooLarge) {
-		t.Fatalf("oversize payload: %v, want ErrMessageTooLarge", err)
+	if _, err := decodeBytes(t, oversize, 1<<20); !errors.Is(err, errMessageTooLarge) {
+		t.Fatalf("oversize payload: %v, want errMessageTooLarge", err)
 	}
 
 	// An oversize type length is rejected even under a generous payload cap.
-	badType := []byte{frameMagic0, frameMagic1, FrameVersion, FrameRequest, 0}
+	badType := []byte{frameMagic0, frameMagic1, frameVersion, frameRequest, 0}
 	badType = binary.AppendUvarint(badType, 1)
 	badType = binary.AppendUvarint(badType, maxFrameTypeBytes+1)
-	if _, err := decodeBytes(t, badType, 1<<20); !errors.Is(err, ErrMessageTooLarge) {
-		t.Fatalf("oversize type: %v, want ErrMessageTooLarge", err)
+	if _, err := decodeBytes(t, badType, 1<<20); !errors.Is(err, errMessageTooLarge) {
+		t.Fatalf("oversize type: %v, want errMessageTooLarge", err)
 	}
 
 	// Truncation anywhere in the frame is an error, never a hang or panic.
@@ -157,7 +157,7 @@ func TestDecodeFrameRejects(t *testing.T) {
 // that ends early: the chunked reader must fail on arrival, not trust the
 // prefix.
 func TestDecodeFrameLyingLength(t *testing.T) {
-	lying := []byte{frameMagic0, frameMagic1, FrameVersion, FrameRequest, 0}
+	lying := []byte{frameMagic0, frameMagic1, frameVersion, frameRequest, 0}
 	lying = binary.AppendUvarint(lying, 1)
 	lying = binary.AppendUvarint(lying, uint64(len(MsgQueryTR)))
 	lying = append(lying, MsgQueryTR...)
@@ -181,7 +181,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	// Bad magic (a JSON client on the binary port).
 	f.Add([]byte(`{"type":"query-tr"}` + "\n"))
 	// Oversize declared length on a truncated stream.
-	lying := []byte{frameMagic0, frameMagic1, FrameVersion, FrameRequest, 0, 1, byte(len(MsgQueryTR))}
+	lying := []byte{frameMagic0, frameMagic1, frameVersion, frameRequest, 0, 1, byte(len(MsgQueryTR))}
 	lying = append(lying, MsgQueryTR...)
 	f.Add(binary.AppendUvarint(lying, 1<<40))
 
@@ -192,7 +192,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		}
 		var buf []byte
 		encode := func(fr Frame) []byte {
-			if fr.Kind == FrameRequest {
+			if fr.Kind == frameRequest {
 				return AppendRequestFrame(nil, fr.ID, fr.Type, fr.Trace, fr.Payload)
 			}
 			return AppendResponseFrame(nil, fr.ID, fr.OK, fr.Overloaded, fr.Err, fr.Payload)

@@ -96,7 +96,7 @@ func FuzzDecodeRequest(f *testing.F) {
 		}
 		// The trace header must never panic the link parser, and any
 		// well-formed link must survive re-encoding.
-		link := req.Trace.Link()
+		link := req.Trace.link()
 		out, err := json.Marshal(req)
 		if err != nil {
 			t.Fatalf("decoded request does not re-encode: %v", err)
@@ -108,8 +108,8 @@ func FuzzDecodeRequest(f *testing.F) {
 		if again.Type != req.Type {
 			t.Fatalf("type changed across round trip: %q -> %q", req.Type, again.Type)
 		}
-		if again.Trace.Link() != link {
-			t.Fatalf("trace link changed across round trip: %+v -> %+v", link, again.Trace.Link())
+		if again.Trace.link() != link {
+			t.Fatalf("trace link changed across round trip: %+v -> %+v", link, again.Trace.link())
 		}
 	})
 }
@@ -129,9 +129,9 @@ func FuzzDecodeResponse(f *testing.F) {
 	f.Add([]byte(`{"ok":true,"payload":{"machine_id":"m1","total_recorded":3,"traces":[{"trace_id":"00000000000007a5","spans":[{"trace_id":"00000000000007a5","span_id":"0000000000000001","name":"gateway.dispatch"}]}]}}`))
 	f.Add([]byte(`{"ok":true,"trace":{"trace_id":"00000000000007a5"},"future_field":[1,2,3]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var resp Response
+		var resp response
 		_ = readMessage(data, 8, &resp)
-		resp = Response{}
+		resp = response{}
 		if err := readMessage(data, 1<<16, &resp); err != nil {
 			return
 		}
@@ -139,7 +139,7 @@ func FuzzDecodeResponse(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decoded response does not re-encode: %v", err)
 		}
-		var again Response
+		var again response
 		if err := readMessage(out, 1<<16, &again); err != nil {
 			t.Fatalf("re-decode of %q: %v", out, err)
 		}

@@ -7,56 +7,57 @@ import (
 	"time"
 
 	"fgcs/internal/avail"
+	"fgcs/internal/otrace"
 	"fgcs/internal/simclock"
 	"fgcs/internal/trace"
 )
 
-// JobState is the lifecycle state of a guest job under gateway control.
-type JobState int
+// jobState is the lifecycle state of a guest job under gateway control.
+type jobState int
 
 const (
-	// JobRunning: default priority, host load below Th1 (state S1).
-	JobRunning JobState = iota
-	// JobReniced: lowest priority, host load between Th1 and Th2 (S2).
-	JobReniced
-	// JobSuspended: host load transiently above Th2; the guest is stopped
+	// jobRunning: default priority, host load below Th1 (state S1).
+	jobRunning jobState = iota
+	// jobReniced: lowest priority, host load between Th1 and Th2 (S2).
+	jobReniced
+	// jobSuspended: host load transiently above Th2; the guest is stopped
 	// and will resume if the load drops within the suspend limit.
-	JobSuspended
-	// JobCompleted: the guest finished its work.
-	JobCompleted
-	// JobKilled: unrecoverable failure (S3, S4 or S5); the guest is gone.
-	JobKilled
+	jobSuspended
+	// jobCompleted: the guest finished its work.
+	jobCompleted
+	// jobKilled: unrecoverable failure (S3, S4 or S5); the guest is gone.
+	jobKilled
 )
 
 // String returns the protocol name of the state.
-func (s JobState) String() string {
+func (s jobState) String() string {
 	switch s {
-	case JobRunning:
+	case jobRunning:
 		return "running"
-	case JobReniced:
+	case jobReniced:
 		return "reniced"
-	case JobSuspended:
+	case jobSuspended:
 		return "suspended"
-	case JobCompleted:
+	case jobCompleted:
 		return "completed"
-	case JobKilled:
+	case jobKilled:
 		return "killed"
 	}
 	return fmt.Sprintf("JobState(%d)", int(s))
 }
 
 // Terminal reports whether no further transitions can happen.
-func (s JobState) Terminal() bool { return s == JobCompleted || s == JobKilled }
+func (s jobState) Terminal() bool { return s == jobCompleted || s == jobKilled }
 
-// Job is a guest process under gateway control. The guest is a simulated
+// guestJob is a guest process under gateway control. The guest is a simulated
 // CPU-bound computation: it accumulates progress whenever it is allowed to
 // run, at a rate set by the cycles the host load leaves over.
-type Job struct {
+type guestJob struct {
 	ID     string
 	Name   string
 	Work   float64 // seconds of pure compute needed
 	MemMB  float64
-	State  JobState
+	State  jobState
 	Reason string // why the job was killed
 
 	Progress         float64 // accumulated compute seconds
@@ -74,8 +75,8 @@ type Gateway struct {
 	period    time.Duration
 	clock     simclock.Clock
 	sm        *StateManager
-	job       *Job
-	history   []Job // terminal jobs
+	job       *guestJob
+	history   []guestJob // terminal jobs
 	nextID    int
 	submitted map[string]string // idempotency key -> job ID
 
@@ -83,7 +84,7 @@ type Gateway struct {
 	// idempotent replays) so the persistence layer can log it. It is invoked
 	// after g.mu is released, which is safe against concurrent snapshots in
 	// both directions: a snapshot captures its WAL position before calling
-	// ExportSubmitted, so a record logged before that position belongs to a
+	// exportSubmitted, so a record logged before that position belongs to a
 	// submit the export already saw, and a record logged after it is
 	// replayed on recovery as an idempotent upsert.
 	submitSink func(key, jobID string)
@@ -103,9 +104,6 @@ func NewGateway(machineID string, cfg avail.Config, period time.Duration, clock 
 	return &Gateway{machineID: machineID, cfg: cfg, period: period, clock: clock, sm: sm}, nil
 }
 
-// MachineID returns the node identity.
-func (g *Gateway) MachineID() string { return g.machineID }
-
 // Record implements monitor.Sink: every sample both feeds the state manager
 // and drives the guest-control state machine. This is the signal path
 // "monitor detects a state transition and signals the gateway" of Section 5.1.
@@ -117,29 +115,29 @@ func (g *Gateway) Record(t time.Time, s trace.Sample) {
 	if job == nil || job.State.Terminal() {
 		return
 	}
-	switch {
-	case !s.Up:
+	// The classifier's per-sample rule, judged against the job's own
+	// memory request.
+	switch g.cfg.RawState(s, job.MemMB) {
+	case avail.S5:
 		g.kill(job, "machine unavailable (URR, S5)")
-	case s.FreeMemMB < job.MemMB:
+	case avail.S4:
 		g.kill(job, "memory thrashing (UEC, S4)")
-	case s.CPU > g.cfg.Th2:
+	case avail.S3:
 		job.suspendedSamples++
-		if job.State != JobSuspended {
-			job.State = JobSuspended
-		}
+		job.State = jobSuspended
 		// Kill when the excursion reaches the classifier's S3 rule: a
 		// run of SuspendUnits samples above Th2.
 		if job.suspendedSamples >= g.cfg.SuspendUnits(g.period) {
 			g.kill(job, "host CPU load steadily above Th2 (UEC, S3)")
 		}
-	case s.CPU >= g.cfg.Th1:
-		job.State = JobReniced
+	case avail.S2:
+		job.State = jobReniced
 		job.suspendedSamples = 0
 	default:
-		job.State = JobRunning
+		job.State = jobRunning
 		job.suspendedSamples = 0
 	}
-	if job.State == JobRunning || job.State == JobReniced {
+	if job.State == jobRunning || job.State == jobReniced {
 		// The guest consumes the cycles the host leaves over.
 		rate := 1 - s.CPU/100
 		if rate < 0 {
@@ -148,7 +146,7 @@ func (g *Gateway) Record(t time.Time, s trace.Sample) {
 		job.Progress += rate * g.period.Seconds()
 		if job.Progress >= job.Work {
 			job.Progress = job.Work
-			job.State = JobCompleted
+			job.State = jobCompleted
 			g.retire(job)
 		}
 	}
@@ -165,14 +163,14 @@ func (g *Gateway) Crash() {
 }
 
 // kill retires the job with a reason. Callers hold g.mu.
-func (g *Gateway) kill(job *Job, reason string) {
-	job.State = JobKilled
+func (g *Gateway) kill(job *guestJob, reason string) {
+	job.State = jobKilled
 	job.Reason = reason
 	g.retire(job)
 }
 
 // retire moves a terminal job to history. Callers hold g.mu.
-func (g *Gateway) retire(job *Job) {
+func (g *Gateway) retire(job *guestJob) {
 	g.history = append(g.history, *job)
 	g.job = nil
 }
@@ -185,11 +183,11 @@ func (g *Gateway) QueryTR(ctx context.Context, req QueryTRReq) (QueryTRResp, err
 	return g.sm.QueryTR(ctx, req)
 }
 
-// QueryStats assembles the node's observability snapshot: engine cache
+// queryStats assembles the node's observability snapshot: engine cache
 // counters, per-type RPC counts, monitor throughput, and the online accuracy
 // summaries per predictor.
-func (g *Gateway) QueryStats(ctx context.Context, req QueryStatsReq) (QueryStatsResp, error) {
-	o := g.sm.Obs()
+func (g *Gateway) queryStats(ctx context.Context, req QueryStatsReq) (QueryStatsResp, error) {
+	o := g.sm.obsv
 	st := g.sm.EngineStats()
 	resp := QueryStatsResp{
 		MachineID: g.machineID,
@@ -212,10 +210,11 @@ func (g *Gateway) QueryStats(ctx context.Context, req QueryStatsReq) (QueryStats
 	return resp, nil
 }
 
-// QueryTraces serves the node's flight recorder (see queryTraces).
-func (g *Gateway) QueryTraces(ctx context.Context, req QueryTracesReq) (QueryTracesResp, error) {
-	o := g.sm.Obs()
-	return queryTraces(g.machineID, o.Flight(), o.PrevFlight(), req)
+// queryTraces serves the node's flight recorder through the package's
+// queryTraces.
+func (g *Gateway) queryTraces(ctx context.Context, req QueryTracesReq) (QueryTracesResp, error) {
+	o := g.sm.obsv
+	return queryTraces(g.machineID, o.Tracer.Recorder(), o, req)
 }
 
 // Submit launches a guest job. FGCS allows a single guest process per
@@ -242,13 +241,13 @@ func (g *Gateway) Submit(ctx context.Context, req SubmitReq) (SubmitResp, error)
 		return SubmitResp{}, fmt.Errorf("ishare: machine %s already runs a guest job", g.machineID)
 	}
 	g.nextID++
-	job := &Job{
+	job := &guestJob{
 		ID:       fmt.Sprintf("%s-job-%d", g.machineID, g.nextID),
 		Name:     req.Name,
 		Work:     req.WorkSeconds,
 		MemMB:    req.MemMB,
 		Progress: req.InitialProgressSeconds,
-		State:    JobRunning,
+		State:    jobRunning,
 	}
 	g.job = job
 	if req.IdempotencyKey != "" {
@@ -268,17 +267,17 @@ func (g *Gateway) Submit(ctx context.Context, req SubmitReq) (SubmitResp, error)
 	return SubmitResp{JobID: job.ID}, nil
 }
 
-// SetSubmitSink installs the persistence hook for accepted submits. Call
+// setSubmitSink installs the persistence hook for accepted submits. Call
 // before the gateway starts serving.
-func (g *Gateway) SetSubmitSink(fn func(key, jobID string)) {
+func (g *Gateway) setSubmitSink(fn func(key, jobID string)) {
 	g.mu.Lock()
 	g.submitSink = fn
 	g.mu.Unlock()
 }
 
-// ExportSubmitted deep-copies the idempotency table and the job-ID counter
+// exportSubmitted deep-copies the idempotency table and the job-ID counter
 // for a durable snapshot.
-func (g *Gateway) ExportSubmitted() (map[string]string, int) {
+func (g *Gateway) exportSubmitted() (map[string]string, int) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	out := make(map[string]string, len(g.submitted))
@@ -288,10 +287,10 @@ func (g *Gateway) ExportSubmitted() (map[string]string, int) {
 	return out, g.nextID
 }
 
-// RestoreSubmitted installs a recovered idempotency table and job-ID
+// restoreSubmitted installs a recovered idempotency table and job-ID
 // counter. The counter only ever moves forward, so replaying WAL records on
 // top of a snapshot that already contains them cannot reuse a job ID.
-func (g *Gateway) RestoreSubmitted(submitted map[string]string, nextID int) {
+func (g *Gateway) restoreSubmitted(submitted map[string]string, nextID int) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	for k, v := range submitted {
@@ -308,10 +307,10 @@ func (g *Gateway) RestoreSubmitted(submitted map[string]string, nextID int) {
 	}
 }
 
-// RestoreSubmitKey replays one logged submit: the key maps back to its job
+// restoreSubmitKey replays one logged submit: the key maps back to its job
 // ID (empty keys only advance the counter) and the counter is bumped past
 // the ID's sequence number, parsed from its "<machine>-job-<n>" suffix.
-func (g *Gateway) RestoreSubmitKey(key, jobID string) {
+func (g *Gateway) restoreSubmitKey(key, jobID string) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if key != "" {
@@ -354,7 +353,7 @@ func (g *Gateway) Kill(ctx context.Context, req JobStatusReq) (JobStatusResp, er
 	return statusOf(job), nil
 }
 
-func statusOf(j *Job) JobStatusResp {
+func statusOf(j *guestJob) JobStatusResp {
 	return JobStatusResp{
 		JobID:           j.ID,
 		State:           j.State.String(),
@@ -368,22 +367,22 @@ func statusOf(j *Job) JobStatusResp {
 var gatewayRoutes = []route[*Gateway]{
 	on(MsgQueryTR, "query", false, (*Gateway).QueryTR),
 	on(MsgSubmit, "submit", false, (*Gateway).Submit),
-	on(MsgJobStatus, "status", false, (*Gateway).JobStatus),
-	on(MsgKillJob, "kill", false, (*Gateway).Kill),
-	on(MsgQueryStats, "stats", true, (*Gateway).QueryStats),
-	on(MsgQueryTraces, "traces", true, (*Gateway).QueryTraces),
-	on(MsgQueryObs, "obs", true, (*Gateway).QueryObs),
+	on(msgJobStatus, "status", false, (*Gateway).JobStatus),
+	on(msgKillJob, "kill", false, (*Gateway).Kill),
+	on(msgQueryStats, "stats", true, (*Gateway).queryStats),
+	on(msgQueryTraces, "traces", true, (*Gateway).queryTraces),
+	on(msgQueryObs, "obs", true, (*Gateway).queryObs),
 }
 
 // Handler serves gatewayRoutes behind the shared serving shell (serveRoutes).
 func (g *Gateway) Handler() Handler {
-	o := g.sm.Obs()
-	return serveRoutes(g, gatewayRoutes, "gateway", "machine", g.machineID, o.TracerOrNil, o)
+	o := g.sm.obsv
+	return serveRoutes(g, gatewayRoutes, "gateway", "machine", g.machineID, func() *otrace.Tracer { return o.Tracer }, o)
 }
 
 // ServeConfig starts the gateway's TCP endpoint under cfg's admission-control
 // and deadline bounds (the zero ServerConfig selects every default), with the
 // node's serving-path metrics installed when observability is on.
 func (g *Gateway) ServeConfig(addr string, cfg ServerConfig) (*Server, error) {
-	return listenRoutes(addr, g.Handler(), cfg, g.sm.Obs())
+	return listenRoutes(addr, g.Handler(), cfg, g.sm.obsv)
 }

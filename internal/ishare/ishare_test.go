@@ -17,6 +17,7 @@ import (
 	"fgcs/internal/obs"
 	"fgcs/internal/otrace"
 	"fgcs/internal/predict"
+	"fgcs/internal/rng"
 	"fgcs/internal/simclock"
 	"fgcs/internal/trace"
 )
@@ -176,6 +177,85 @@ func TestGatewayKillsOnRevocation(t *testing.T) {
 	st, _ := g.JobStatus(context.Background(), JobStatusReq{JobID: resp.JobID})
 	if st.State != "killed" || !strings.Contains(st.Reason, "S5") {
 		t.Fatalf("state = %s (%s), want killed S5", st.State, st.Reason)
+	}
+}
+
+// TestGatewayKillsWhereClassifierFails holds the gateway's online kill rule
+// to the offline classifier over seeded sample streams, with the classifier's
+// guest working set set to the job's memory request. The guest dies at the
+// first S4 or S5 sample ClassifyInto reports. An S3 run is labeled S3 from
+// its start, which is known only after the fact: the guest dies at the
+// sample where the run above Th2 reaches SuspendUnits.
+func TestGatewayKillsWhereClassifierFails(t *testing.T) {
+	cfg := avail.DefaultConfig()
+	units := cfg.SuspendUnits(period)
+	kills := map[avail.State]int{}
+	for seed := uint64(1); seed <= 200; seed++ {
+		r := rng.New(seed)
+		memMB := float64(r.UniformInt(20, 200))
+		// Runs of one regime, up to twice the suspend limit, with the
+		// threshold and memory boundaries drawn exactly now and then.
+		samples := make([]trace.Sample, 0, 150)
+		for len(samples) < cap(samples) {
+			var cpu, free float64
+			up, k := true, r.Intn(40)
+			switch {
+			case k == 0:
+				up = false
+			case k == 1:
+				cpu, free = r.Uniform(0, 100), r.Uniform(0, memMB)
+			case k < 16:
+				cpu, free = r.Uniform(cfg.Th2, 100), memMB
+			case k < 24:
+				cpu, free = []float64{cfg.Th1, cfg.Th2}[k%2], memMB+r.Uniform(0, 400)
+			case k < 32:
+				cpu, free = r.Uniform(cfg.Th1, cfg.Th2), memMB+r.Uniform(0, 400)
+			default:
+				cpu, free = r.Uniform(0, cfg.Th1), memMB+r.Uniform(0, 400)
+			}
+			for n := r.UniformInt(1, 2*units); n > 0 && len(samples) < cap(samples); n-- {
+				samples = append(samples, trace.Sample{CPU: cpu, FreeMemMB: free, Up: up})
+			}
+		}
+
+		offline := cfg
+		offline.GuestMemMB = memMB
+		want, wantState := -1, avail.S1
+		for i, st := range avail.ClassifyInto(nil, samples, offline, period) {
+			if st.Failure() {
+				want, wantState = i, st
+				if st == avail.S3 {
+					want += units - 1
+				}
+				break
+			}
+		}
+
+		g := testNode(t, simclock.NewVirtual(monday), nil).Gateway
+		resp, err := g.Submit(context.Background(), SubmitReq{Name: "job", WorkSeconds: 1e9, MemMB: memMB})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, at := -1, monday
+		var st JobStatusResp
+		for i, s := range samples {
+			g.Record(at, s)
+			at = at.Add(period)
+			if st, _ = g.JobStatus(context.Background(), JobStatusReq{JobID: resp.JobID}); st.State == "killed" {
+				got = i
+				break
+			}
+		}
+		if got != want || (got >= 0 && !strings.Contains(st.Reason, wantState.String())) {
+			t.Fatalf("seed %d: guest died at sample %d (%s), classifier fails it at %d (%v)", seed, got, st.Reason, want, wantState)
+		}
+		if got >= 0 {
+			kills[wantState]++
+		}
+	}
+	// Every kill rule fired, and some guests outlived their stream.
+	if kills[avail.S3] == 0 || kills[avail.S4] == 0 || kills[avail.S5] == 0 || kills[avail.S3]+kills[avail.S4]+kills[avail.S5] == 200 {
+		t.Fatalf("kills by state %v over 200 streams: a rule went unexercised", kills)
 	}
 }
 
@@ -392,7 +472,7 @@ func TestSharedEngineScratchDoesNotEscape(t *testing.T) {
 			t.Fatal(err)
 		}
 		f := &fixture{sm: sm, answerFor: make(map[float64]float64)}
-		sm.Obs().Tracker.SetResolutionSink(func(_, predictor string, tr float64, _ bool) {
+		sm.obsv.Tracker.SetResolutionSink(func(_, predictor string, tr float64, _ bool) {
 			f.resolved = append(f.resolved, fmt.Sprintf("%s %x", predictor, math.Float64bits(tr)))
 		})
 		// Idle when asked: the machine is in a recoverable state.
@@ -513,7 +593,7 @@ func TestBrokenPluginCostsOnlyItsScore(t *testing.T) {
 	clock.Advance(length + period)
 	sm.Record(clock.Now(), sample(5, 400))
 	resolved := map[string]uint64{}
-	for _, row := range sm.Obs().Tracker.All() {
+	for _, row := range sm.obsv.Tracker.All() {
 		resolved[row.Predictor] = row.Resolved
 	}
 	if want := map[string]uint64{"SMP": 1, "FFT": 1}; !reflect.DeepEqual(resolved, want) {
@@ -543,7 +623,7 @@ func TestQueryObsExportsThreePredictorRows(t *testing.T) {
 	clock.Advance(time.Hour + period)
 	g.Record(clock.Now(), sample(5, 400))
 
-	resp, err := g.QueryObs(context.Background(), QueryObsReq{})
+	resp, err := g.queryObs(context.Background(), QueryObsReq{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -777,10 +857,10 @@ func TestStateManagerPoolsOverlappingDaysOnce(t *testing.T) {
 	}
 	// The recovered log: Thursday and Friday again, then on to today.
 	for tt := monday.AddDate(0, 0, 3); !tt.After(now); tt = tt.Add(period) {
-		sm.RestoreSample(tt, sample(11, 400))
+		sm.restoreSample(tt, sample(11, 400))
 	}
 
-	hist := sm.History()
+	hist := sm.history()
 	if len(hist) != 9 {
 		t.Fatalf("History holds %d days, want 8 distinct completed days + today", len(hist))
 	}

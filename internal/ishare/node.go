@@ -78,7 +78,7 @@ func NewHostNode(cfg NodeConfig, src monitor.LoadSource) (*HostNode, error) {
 	if err != nil {
 		return nil, err
 	}
-	sm.SetLogger(cfg.Logger)
+	sm.recorder.SetLogger(cfg.Logger)
 	gw, err := NewGateway(cfg.MachineID, cfg.Cfg, cfg.Period, cfg.Clock, sm)
 	if err != nil {
 		return nil, err
@@ -100,7 +100,7 @@ func NewHostNode(cfg NodeConfig, src monitor.LoadSource) (*HostNode, error) {
 	if cfg.HeartbeatPath != "" {
 		recordRevocation(cfg, sink)
 	}
-	obsv := sm.Obs()
+	obsv := sm.obsv
 	mon, err := monitor.New(monitor.Config{
 		Period:        cfg.Period,
 		Clock:         cfg.Clock,
@@ -144,7 +144,7 @@ func recordRevocation(cfg NodeConfig, sink monitor.Sink) {
 
 // Obs exposes the node's observability bundle (metrics registry + accuracy
 // tracker), shared by every component on the node.
-func (n *HostNode) Obs() *NodeObs { return n.SM.Obs() }
+func (n *HostNode) Obs() *NodeObs { return n.SM.obsv }
 
 // Start launches the monitor loop in the background.
 func (n *HostNode) Start() { go n.Monitor.Run() }
@@ -160,6 +160,6 @@ func (n *HostNode) Stop() { n.Monitor.Stop() }
 // returned stop function ends the heartbeat (idempotent).
 func (n *HostNode) StartHeartbeat(caller *Caller, registryAddr, gatewayAddr string, ttl, every time.Duration, timeout time.Duration) (stop func()) {
 	return StartLoop(n.clock, every, func() {
-		_ = RegisterWithTTL(context.Background(), caller, registryAddr, n.Gateway.MachineID(), gatewayAddr, ttl, timeout)
+		_ = RegisterWithTTL(context.Background(), caller, registryAddr, n.Gateway.machineID, gatewayAddr, ttl, timeout)
 	})
 }

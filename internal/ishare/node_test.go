@@ -58,7 +58,7 @@ func TestHostNodeRecordsRevocationFromHeartbeat(t *testing.T) {
 
 	down := 0
 	var urr []avail.Event
-	for _, day := range b.SM.History() {
+	for _, day := range b.SM.history() {
 		for _, s := range day.Samples {
 			if !s.Up {
 				down++
@@ -86,7 +86,7 @@ func TestHostNodeRecordsRevocationFromHeartbeat(t *testing.T) {
 	if err != nil {
 		t.Fatalf("corrupt heartbeat refused the boot: %v", err)
 	}
-	if got := c.SM.History(); len(got) != 0 {
+	if got := c.SM.history(); len(got) != 0 {
 		t.Fatalf("corrupt heartbeat recorded %d days", len(got))
 	}
 }

@@ -21,9 +21,9 @@ type ServerMetrics struct {
 	cShedAccept, cShedInfl, cShedPC *obs.Counter
 }
 
-// NewServerMetrics registers the serving-path counter families on r (nil: the
+// newServerMetrics registers the serving-path counter families on r (nil: the
 // counters still count, for QueryStats alone).
-func NewServerMetrics(r *obs.Registry) *ServerMetrics {
+func newServerMetrics(r *obs.Registry) *ServerMetrics {
 	conns := func(proto string) *obs.Counter {
 		return r.Counter("fgcs_server_conns_total", "Connections accepted, by negotiated protocol.", obs.Label{Key: "proto", Value: proto})
 	}
@@ -36,14 +36,14 @@ func NewServerMetrics(r *obs.Registry) *ServerMetrics {
 	}
 }
 
-// Snapshot returns the wire-stats view of the counters, stamped with the
+// wireStats returns the wire-stats view of the counters, stamped with the
 // binary protocol version this build speaks.
-func (m *ServerMetrics) Snapshot() WireStats {
+func (m *ServerMetrics) wireStats() WireStats {
 	if m == nil {
-		return WireStats{ProtoVersion: FrameVersion}
+		return WireStats{ProtoVersion: frameVersion}
 	}
 	return WireStats{
-		ProtoVersion:    FrameVersion,
+		ProtoVersion:    frameVersion,
 		BinaryConns:     m.cBinary.Value(),
 		JSONConns:       m.cJSON.Value(),
 		ShedAcceptQueue: m.cShedAccept.Value(),
@@ -121,7 +121,7 @@ func NewNodeObs() *NodeObs {
 		TransportErrors: r.Counter("fgcs_client_rpc_transport_errors_total", "Outbound RPC attempts that failed below the application."),
 		Overloaded:      r.Counter("fgcs_client_rpc_overloaded_total", "Outbound RPC attempts shed by the server's admission control."),
 	}
-	o.Server = NewServerMetrics(r)
+	o.Server = newServerMetrics(r)
 	o.Alerts = obs.NewAlertRing(0)
 	o.Drift = obs.NewDriftWatcher(o.Tracker, o.Alerts, 0)
 	register := func(typ string) {
@@ -146,25 +146,8 @@ func (o *NodeObs) SetTracing(t *otrace.Tracer) {
 	o.Tracer = t
 }
 
-// TracerOrNil is the nil-safe tracer accessor the serving path uses.
-func (o *NodeObs) TracerOrNil() *otrace.Tracer {
-	if o == nil {
-		return nil
-	}
-	return o.Tracer
-}
-
-// Flight returns the node's flight recorder (nil when tracing is off; all
-// Recorder methods are nil-safe).
-func (o *NodeObs) Flight() *otrace.Recorder {
-	if o == nil {
-		return nil
-	}
-	return o.Tracer.Recorder()
-}
-
 // SetPrevFlight installs the flight snapshot the previous process saved on
-// shutdown, served by QueryTraces with Previous set. Call at boot, before
+// shutdown, served by query-traces with Previous set. Call at boot, before
 // serving.
 func (o *NodeObs) SetPrevFlight(s *otrace.FlightSnapshot) {
 	if o == nil {
@@ -173,26 +156,22 @@ func (o *NodeObs) SetPrevFlight(s *otrace.FlightSnapshot) {
 	o.prevFlight = s
 }
 
-// PrevFlight returns the previous process's saved flight snapshot (nil if
-// none was loaded).
-func (o *NodeObs) PrevFlight() *otrace.FlightSnapshot {
-	if o == nil {
-		return nil
-	}
-	return o.prevFlight
-}
-
 // queryTraces answers query-traces for a host gateway and a federation peer
 // alike: the recent-trace listing, or every retained record of one trace when
 // the request names a trace ID, from the live flight recorder or — with
 // Previous set — from the flight the previous process saved on shutdown. With
 // tracing disabled (nil live recorder) it returns an empty snapshot rather
-// than an error, so operator tooling degrades gracefully.
-func queryTraces(id string, live *otrace.Recorder, prev *otrace.FlightSnapshot, req QueryTracesReq) (QueryTracesResp, error) {
-	flight, missing := prev, "in the previous flight"
+// than an error, so operator tooling degrades gracefully. The previous flight
+// is o's (o may be nil).
+func queryTraces(id string, live *otrace.Recorder, o *NodeObs, req QueryTracesReq) (QueryTracesResp, error) {
+	var flight *otrace.FlightSnapshot
+	if o != nil {
+		flight = o.prevFlight
+	}
+	missing := "in the previous flight"
 	if !req.Previous {
 		flight, missing = live.Snapshot(time.Time{}), "retained"
-	} else if prev == nil {
+	} else if flight == nil {
 		return QueryTracesResp{}, fmt.Errorf("no previous flight snapshot (node not started with -data-dir, or first run)")
 	}
 	resp := QueryTracesResp{MachineID: id, TotalRecorded: flight.Total}
@@ -217,23 +196,23 @@ func queryTraces(id string, live *otrace.Recorder, prev *otrace.FlightSnapshot, 
 
 // InstrumentBreakers registers per-edge transition counters and an
 // open-breaker gauge on the node's registry and installs them as the set's
-// OnTransition hook; StepObs watches the open counter for flapping. Call
+// onTransition hook; StepObs watches the open counter for flapping. Call
 // before the set is shared across goroutines.
 func (o *NodeObs) InstrumentBreakers(bs *BreakerSet) {
 	r := o.Registry
-	transitions := map[BreakerState]*obs.Counter{
-		BreakerClosed:   r.Counter("fgcs_breaker_transitions_total", "Circuit breaker state changes, by target state.", obs.Label{Key: "to", Value: "closed"}),
-		BreakerOpen:     r.Counter("fgcs_breaker_transitions_total", "Circuit breaker state changes, by target state.", obs.Label{Key: "to", Value: "open"}),
-		BreakerHalfOpen: r.Counter("fgcs_breaker_transitions_total", "Circuit breaker state changes, by target state.", obs.Label{Key: "to", Value: "half-open"}),
+	transitions := map[breakerState]*obs.Counter{
+		breakerClosed:   r.Counter("fgcs_breaker_transitions_total", "Circuit breaker state changes, by target state.", obs.Label{Key: "to", Value: "closed"}),
+		breakerOpen:     r.Counter("fgcs_breaker_transitions_total", "Circuit breaker state changes, by target state.", obs.Label{Key: "to", Value: "open"}),
+		breakerHalfOpen: r.Counter("fgcs_breaker_transitions_total", "Circuit breaker state changes, by target state.", obs.Label{Key: "to", Value: "half-open"}),
 	}
-	o.breakerOpens = transitions[BreakerOpen]
+	o.breakerOpens = transitions[breakerOpen]
 	open := r.Gauge("fgcs_breaker_open", "Machines currently quarantined by an open breaker.")
 	var openCount int64
-	bs.OnTransition = func(_ string, from, to BreakerState) {
+	bs.onTransition = func(_ string, from, to breakerState) {
 		transitions[to].Inc()
-		if to == BreakerOpen {
+		if to == breakerOpen {
 			openCount++
-		} else if from == BreakerOpen {
+		} else if from == breakerOpen {
 			openCount--
 		}
 		open.Set(float64(openCount))
@@ -275,7 +254,7 @@ func (o *NodeObs) servingStats(resp *QueryStatsResp) {
 		}
 	}
 	if o.Server != nil {
-		w := o.Server.Snapshot()
+		w := o.Server.wireStats()
 		resp.Wire = &w
 	}
 	resp.SLO = o.sloStatuses()

@@ -92,7 +92,7 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	cfg := avail.DefaultConfig()
 	cfg.GuestMemMB = job.GuestMemMB
 	w := predict.Window{Start: queryAt, Length: 4 * time.Hour}
-	hist := node.SM.History()
+	hist := node.SM.history()
 	if len(hist) != days {
 		t.Fatalf("recorded %d days, want %d", len(hist), days)
 	}
@@ -154,8 +154,8 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	if resp.Engine.Hits != st.Hits || resp.Engine.Misses != st.Misses {
 		t.Fatalf("RPC engine stats %+v != local %+v", resp.Engine, st)
 	}
-	if resp.Requests[MsgQueryStats] < 1 {
-		t.Fatalf("query-stats request count = %d, want >= 1", resp.Requests[MsgQueryStats])
+	if resp.Requests[msgQueryStats] < 1 {
+		t.Fatalf("query-stats request count = %d, want >= 1", resp.Requests[msgQueryStats])
 	}
 	var gotSMP *obs.AccuracyStats
 	for i := range resp.Accuracy {

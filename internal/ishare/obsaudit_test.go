@@ -95,8 +95,8 @@ func TestObsPlaneEveryFamilyMoves(t *testing.T) {
 	if err := RegisterWithTTL(ctx, caller, registry.Addr(), machine, srv.Addr(), time.Minute, time.Second); err != nil {
 		t.Fatal(err)
 	}
-	breakers.Allow("gone")
-	breakers.Report("gone", RegisterWithTTL(ctx, caller, dead.Addr().String(), machine, srv.Addr(), time.Minute, time.Second))
+	breakers.allow("gone")
+	breakers.report("gone", RegisterWithTTL(ctx, caller, dead.Addr().String(), machine, srv.Addr(), time.Minute, time.Second))
 
 	// The monitor: one failed read, one sample through the gateway.
 	mon.Tick(clock.Now())
@@ -120,7 +120,7 @@ func TestObsPlaneEveryFamilyMoves(t *testing.T) {
 	held := make(chan error, 1)
 	go func() { held <- caller.Call(ctx, srv.Addr(), "park", nil, nil, 5*time.Second) }()
 	<-parked
-	if err := caller.Call(ctx, srv.Addr(), MsgQueryStats, QueryStatsReq{}, nil, 5*time.Second); !IsOverloaded(err) {
+	if err := caller.Call(ctx, srv.Addr(), msgQueryStats, QueryStatsReq{}, nil, 5*time.Second); !isOverloaded(err) {
 		t.Fatalf("second pipelined request returned %v, want overloaded", err)
 	}
 	close(release)

@@ -133,7 +133,7 @@ func (o *NodeObs) StepObs(now time.Time) []obs.Alert {
 // accumulated since the previous step.
 func (o *NodeObs) stepOps(now time.Time) []obs.Alert {
 	var fired []obs.Alert
-	w := o.Server.Snapshot()
+	w := o.Server.wireStats()
 	shed := w.ShedAcceptQueue + w.ShedInflight + w.ShedPerConn
 	var reqs uint64
 	for _, c := range o.requests {
@@ -169,11 +169,11 @@ func (o *NodeObs) stepOps(now time.Time) []obs.Alert {
 	return fired
 }
 
-// QueryObs serves the node's observability export for federated
+// queryObs serves the node's observability export for federated
 // aggregation. A host gateway only has its own snapshot, so the Local flag
 // is moot here.
-func (g *Gateway) QueryObs(ctx context.Context, req QueryObsReq) (QueryObsResp, error) {
-	return QueryObsResp{Peer: g.machineID, Snapshot: g.sm.Obs().exportPeer(g.machineID).EncodeBinary()}, nil
+func (g *Gateway) queryObs(ctx context.Context, req QueryObsReq) (QueryObsResp, error) {
+	return QueryObsResp{Peer: g.machineID, Snapshot: g.sm.obsv.exportPeer(g.machineID).EncodeBinary()}, nil
 }
 
 // queryObs is a peer's query-obs: its own export for the local form (what
@@ -190,7 +190,7 @@ func (f *FedGateway) queryObs(ctx context.Context, req QueryObsReq) (QueryObsRes
 // QueryStats — deliberately not part of GatewayAPI). Idempotent: retried
 // under the caller's policy.
 func (r RemoteGateway) QueryObs(ctx context.Context, req QueryObsReq) (QueryObsResp, error) {
-	return rpc[QueryObsResp](ctx, r.Caller, r.Addr, MsgQueryObs, req, r.Timeout, true)
+	return rpc[QueryObsResp](ctx, r.Caller, r.Addr, msgQueryObs, req, r.Timeout, true)
 }
 
 // cachedPeerObs is a peer's last successfully fetched export, merged marked
@@ -210,12 +210,12 @@ type cachedPeerObs struct {
 func (f *FedGateway) FleetObs(ctx context.Context) *obs.FleetSnapshot {
 	fs := obs.NewFleetSnapshot()
 	fs.Add(f.obs.exportPeer(f.self.ID), obs.PeerStatus{Peer: f.self.ID, Status: obs.PeerOK})
-	for _, p := range f.ring.Peers() {
+	for _, p := range f.ring.members() {
 		if p.ID == f.self.ID {
 			continue
 		}
 		var resp QueryObsResp
-		err := f.callPeer(ctx, p, MsgQueryObs, QueryObsReq{Local: true}, &resp, true)
+		err := f.callPeer(ctx, p, msgQueryObs, QueryObsReq{Local: true}, &resp, true)
 		if err == nil {
 			po, derr := obs.DecodeObsSnapshot(resp.Snapshot)
 			if derr == nil {
@@ -269,7 +269,7 @@ func (f *FedGateway) Ready() error {
 	if f.recoveryPending {
 		return fmt.Errorf("durable-state recovery in flight")
 	}
-	if f.ring.Len() == 1 {
+	if len(f.ring.peers) == 1 {
 		return nil
 	}
 	if f.syncRounds == 0 {

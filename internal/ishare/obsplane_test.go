@@ -51,7 +51,7 @@ func TestStepObsBreakerFlapAlert(t *testing.T) {
 	o.InstrumentBreakers(bs)
 	opens := func(n int) {
 		for i := 0; i < n; i++ {
-			bs.OnTransition("m1", BreakerClosed, BreakerOpen)
+			bs.onTransition("m1", breakerClosed, breakerOpen)
 		}
 	}
 	now := time.Date(2026, 6, 4, 0, 0, 0, 0, time.UTC)
@@ -82,7 +82,7 @@ func TestFedQueryObsLocalAndFleet(t *testing.T) {
 
 	// The local form answers with this peer's binary export.
 	var resp QueryObsResp
-	if err := caller.Call(ctx, nodes[1].srv.Addr(), MsgQueryObs, QueryObsReq{Local: true}, &resp, 2*time.Second); err != nil {
+	if err := caller.Call(ctx, nodes[1].srv.Addr(), msgQueryObs, QueryObsReq{Local: true}, &resp, 2*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	if resp.Fleet != nil {
@@ -99,7 +99,7 @@ func TestFedQueryObsLocalAndFleet(t *testing.T) {
 	// The federated form fans out and merges: every peer ok, and the peers'
 	// serving counters (they each just served our RPCs) are in the merge.
 	resp = QueryObsResp{}
-	if err := caller.Call(ctx, nodes[0].srv.Addr(), MsgQueryObs, QueryObsReq{}, &resp, 2*time.Second); err != nil {
+	if err := caller.Call(ctx, nodes[0].srv.Addr(), msgQueryObs, QueryObsReq{}, &resp, 2*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	if resp.Fleet == nil {
@@ -195,7 +195,7 @@ func TestFedFleetObsLyingPeer(t *testing.T) {
 	}
 	for i, lie := range [][]byte{forged, broken} {
 		liar.cell.set(func(req Request) (interface{}, error) {
-			if req.Type == MsgQueryObs {
+			if req.Type == msgQueryObs {
 				return QueryObsResp{Peer: "fed1", Snapshot: lie}, nil
 			}
 			return honest(req)
@@ -258,8 +258,8 @@ func TestFedReadyTransitions(t *testing.T) {
 	// others restarted): the next round delivers it, peers newly accept, and
 	// readiness holds back until a round changes nothing.
 	caller := &Caller{}
-	push := FedSyncReq{From: "fed9", Entries: []FedEntry{{MachineID: "m-ready", Addr: "127.0.0.1:9", TTLSeconds: 300}}}
-	if err := caller.Call(ctx, nodes[0].srv.Addr(), MsgFedSync, push, nil, 2*time.Second); err != nil {
+	push := fedSyncReq{From: "fed9", Entries: []fedEntry{{MachineID: "m-ready", Addr: "127.0.0.1:9", TTLSeconds: 300}}}
+	if err := caller.Call(ctx, nodes[0].srv.Addr(), msgFedSync, push, nil, 2*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	gw.SyncOnce(ctx)

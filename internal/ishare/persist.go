@@ -60,14 +60,14 @@ func NewPersister(st *durable.Store, rec *durable.Recovery, sm *StateManager, gw
 	if st == nil || sm == nil || gw == nil {
 		return nil, fmt.Errorf("ishare: persister needs store, state manager and gateway")
 	}
-	p := &Persister{sm: sm, gw: gw, tracker: sm.Obs().Tracker}
+	p := &Persister{sm: sm, gw: gw, tracker: sm.obsv.Tracker}
 	p.snapshotter = newSnapshotter(st, p.Snapshot, logger)
 	if rec != nil {
 		if err := p.restore(rec); err != nil {
 			return nil, err
 		}
 	}
-	gw.SetSubmitSink(p.appendSubmit)
+	gw.setSubmitSink(p.appendSubmit)
 	p.tracker.SetResolutionSink(p.appendResolution)
 	return p, nil
 }
@@ -221,13 +221,13 @@ func (p *Persister) restore(rec *durable.Recovery) error {
 			if err != nil {
 				return fmt.Errorf("ishare: replay record %d: %w", i, err)
 			}
-			p.sm.RestoreSample(t, s)
+			p.sm.restoreSample(t, s)
 		case durable.RecSubmitKey:
 			key, jobID, err := durable.DecodeSubmitKey(r.Payload)
 			if err != nil {
 				return fmt.Errorf("ishare: replay record %d: %w", i, err)
 			}
-			p.gw.RestoreSubmitKey(key, jobID)
+			p.gw.restoreSubmitKey(key, jobID)
 		case durable.RecAccuracy:
 			machine, predictor, tr, survived, err := durable.DecodeAccuracy(r.Payload)
 			if err != nil {
@@ -260,7 +260,7 @@ func (p *Persister) nodeSnapshot() (size int64, write func(w io.Writer) error) {
 		rest = wire.AppendFloat64(rest, s.FreeMemMB)
 		rest = wire.AppendBool(rest, s.Up)
 	}
-	submitted, nextID := p.gw.ExportSubmitted()
+	submitted, nextID := p.gw.exportSubmitted()
 	keys := make([]string, 0, len(submitted))
 	for k := range submitted {
 		keys = append(keys, k)
@@ -352,7 +352,7 @@ func (p *Persister) decodeNodeSnapshot(r io.Reader) (install func() error, err e
 		if err := p.sm.RestoreHistory(ds.Machines[0], last, recent); err != nil {
 			return err
 		}
-		p.gw.RestoreSubmitted(submitted, int(nextID))
+		p.gw.restoreSubmitted(submitted, int(nextID))
 		installTracker()
 		return nil
 	}, nil
@@ -412,7 +412,7 @@ func NewRegPersister(st *durable.Store, rec *durable.Recovery, reg RegState, log
 		return nil, fmt.Errorf("ishare: reg persister needs store and registry")
 	}
 	rp := &RegPersister{reg: reg}
-	rp.snapshotter = newSnapshotter(st, rp.Snapshot, logger)
+	rp.snapshotter = newSnapshotter(st, rp.writeSnapshot, logger)
 	if rec != nil {
 		var entries []RegEntry
 		if err := rec.ReadSnapshot(func(payload io.Reader) error {
@@ -455,12 +455,12 @@ func (rp *RegPersister) sink(e RegEntry) {
 	}
 }
 
-// Snapshot publishes the full entry set. The WAL position is captured
+// writeSnapshot publishes the full entry set. The WAL position is captured
 // BEFORE Export: an entry record appended concurrently (the registry sinks
 // run outside the component lock) either precedes the position and is
 // already in the export, or lands after it and is replayed on recovery as
 // an idempotent upsert.
-func (rp *RegPersister) Snapshot() error {
+func (rp *RegPersister) writeSnapshot() error {
 	seq, off := rp.st.Position()
 	payload := encodeRegSnapshot(rp.reg.Export())
 	write := func(w io.Writer) error { _, err := w.Write(payload); return err }

@@ -122,7 +122,7 @@ func sampleRegSnapshot(t testing.TB) []byte {
 		t.Fatal(err)
 	}
 	defer rp.Close()
-	if err := rp.Snapshot(); err != nil {
+	if err := rp.writeSnapshot(); err != nil {
 		t.Fatal(err)
 	}
 	return newestSnapshotPayload(t, fs)

@@ -180,7 +180,7 @@ func TestRecoverAllocCeiling(t *testing.T) {
 	}
 	defer p.Close()
 	days := 0
-	for _, d := range fresh.SM.History() {
+	for _, d := range fresh.SM.history() {
 		days += d.Len()
 	}
 	if days != 30*int(24*time.Hour/period) {
@@ -198,7 +198,7 @@ func TestRecoverAllocCeiling(t *testing.T) {
 // table and the accuracy tracker.
 func restoredState(n *HostNode) string {
 	log, last, recent := n.SM.ExportHistory()
-	submitted, nextID := n.Gateway.ExportSubmitted()
+	submitted, nextID := n.Gateway.exportSubmitted()
 	return fmt.Sprintf("%d days, last %v, %d recent, submits %v next %d, tracker %x",
 		len(log.Days), last, len(recent), submitted, nextID, n.Obs().Tracker.ExportBinary())
 }

@@ -419,7 +419,7 @@ func TestRegPersisterSnapshotExportRace(t *testing.T) {
 		wrapped.onExport = nil
 		regTTL(t, reg, "m-inflight", "b:2", 0)
 	}
-	if err := rp.Snapshot(); err != nil {
+	if err := rp.writeSnapshot(); err != nil {
 		t.Fatal(err)
 	}
 	if err := rp.Close(); err != nil {
@@ -472,7 +472,7 @@ func TestRegPersisterSnapshotChurn(t *testing.T) {
 				return
 			default:
 			}
-			if err := rp.Snapshot(); err != nil {
+			if err := rp.writeSnapshot(); err != nil {
 				t.Errorf("snapshot during churn: %v", err)
 				return
 			}
@@ -527,7 +527,7 @@ func TestRegPersisterRoundTrip(t *testing.T) {
 	}
 	regTTL(t, reg, "m-a", "a:1", 0)
 	regTTL(t, reg, "m-b", "b:2", time.Hour)
-	if err := rp.Snapshot(); err != nil {
+	if err := rp.writeSnapshot(); err != nil {
 		t.Fatal(err)
 	}
 	// Post-snapshot churn lands in the WAL tail.

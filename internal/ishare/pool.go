@@ -564,9 +564,9 @@ func (p *Pool) call(link otrace.Link, addr, typ string, payload, out interface{}
 		s.release()
 	}()
 	if !f.OK {
-		re := &RemoteError{Msg: f.Err}
+		re := &remoteError{Msg: f.Err}
 		if f.Overloaded {
-			re.Code = CodeOverloaded
+			re.Code = codeOverloaded
 		}
 		return re
 	}

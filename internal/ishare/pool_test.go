@@ -28,7 +28,7 @@ type echoReq struct {
 // and park until block closes.
 func echoServer(t *testing.T, cfg ServerConfig, block <-chan struct{}, entered chan<- struct{}) (*Server, *ServerMetrics) {
 	t.Helper()
-	sm := NewServerMetrics(obs.NewRegistry())
+	sm := newServerMetrics(obs.NewRegistry())
 	cfg.Metrics = sm
 	srv, err := NewServerConfig("127.0.0.1:0", func(req Request) (interface{}, error) {
 		if block != nil {
@@ -90,7 +90,7 @@ func TestPoolReusesAndPipelines(t *testing.T) {
 		t.Error(err)
 	}
 
-	if got := sm.Snapshot(); got.BinaryConns != 1 || got.JSONConns != 0 {
+	if got := sm.wireStats(); got.BinaryConns != 1 || got.JSONConns != 0 {
 		t.Fatalf("server saw %d binary / %d json conns, want exactly 1 pooled binary conn", got.BinaryConns, got.JSONConns)
 	}
 }
@@ -138,16 +138,16 @@ func TestServerShedsTypedOverloaded(t *testing.T) {
 	start := time.Now()
 	var out echoReq
 	err := caller.Call(context.Background(), srv.Addr(), "echo", echoReq{N: 3}, &out, 5*time.Second)
-	if !IsOverloaded(err) {
+	if !isOverloaded(err) {
 		t.Fatalf("third request returned %v, want typed overloaded", err)
 	}
-	if IsTransport(err) {
+	if isTransport(err) {
 		t.Fatal("overloaded error must not classify as a transport fault")
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("shed took %v; load shedding must be immediate", elapsed)
 	}
-	if got := sm.Snapshot(); got.ShedInflight != 1 {
+	if got := sm.wireStats(); got.ShedInflight != 1 {
 		t.Fatalf("ShedInflight = %d, want 1 (snapshot %+v)", got.ShedInflight, got)
 	}
 
@@ -180,10 +180,10 @@ func TestServerShedsPerConnCap(t *testing.T) {
 
 	var out echoReq
 	err := caller.Call(context.Background(), srv.Addr(), "echo", echoReq{N: 2}, &out, 5*time.Second)
-	if !IsOverloaded(err) {
+	if !isOverloaded(err) {
 		t.Fatalf("second pipelined request returned %v, want typed overloaded", err)
 	}
-	if got := sm.Snapshot(); got.ShedPerConn != 1 {
+	if got := sm.wireStats(); got.ShedPerConn != 1 {
 		t.Fatalf("ShedPerConn = %d, want 1 (snapshot %+v)", got.ShedPerConn, got)
 	}
 	close(block)
@@ -214,11 +214,11 @@ func TestCallRetryBacksOffOnOverloaded(t *testing.T) {
 				if _, err := br.ReadString('\n'); err != nil {
 					return
 				}
-				var resp Response
+				var resp response
 				if atomic.AddInt64(&attempts, 1) <= 2 {
-					resp = Response{Error: "server overloaded", Code: CodeOverloaded}
+					resp = response{Error: "server overloaded", Code: codeOverloaded}
 				} else {
-					resp = Response{OK: true, Payload: json.RawMessage(`{"n":42}`)}
+					resp = response{OK: true, Payload: json.RawMessage(`{"n":42}`)}
 				}
 				b, _ := json.Marshal(resp)
 				conn.Write(append(b, '\n'))
@@ -249,7 +249,7 @@ func TestCallRetryBacksOffOnOverloaded(t *testing.T) {
 // the door and counted under reason="accept-queue".
 func TestServerShedsAtAcceptQueue(t *testing.T) {
 	reg := obs.NewRegistry()
-	sm := NewServerMetrics(reg)
+	sm := newServerMetrics(reg)
 	block := make(chan struct{})
 	entered := make(chan struct{}, 1)
 	srv, err := NewServerConfig("127.0.0.1:0", func(Request) (interface{}, error) {
@@ -265,7 +265,7 @@ func TestServerShedsAtAcceptQueue(t *testing.T) {
 
 	held := make(chan error, 1)
 	go func() {
-		held <- (*Caller)(nil).Call(context.Background(), srv.Addr(), MsgDiscover, nil, nil, 5*time.Second)
+		held <- (*Caller)(nil).Call(context.Background(), srv.Addr(), msgDiscover, nil, nil, 5*time.Second)
 	}()
 	<-entered // the only slot is held inside the handler
 	for i := 0; i < 3; i++ {
@@ -278,11 +278,11 @@ func TestServerShedsAtAcceptQueue(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for reg.Snapshot().Find("fgcs_server_shed_total", obs.Label{Key: "reason", Value: "accept-queue"}).Count == 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("no connection shed at a full accept queue (snapshot %+v)", sm.Snapshot())
+			t.Fatalf("no connection shed at a full accept queue (snapshot %+v)", sm.wireStats())
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
-	if got := sm.Snapshot().ShedAcceptQueue; got < 1 {
+	if got := sm.wireStats().ShedAcceptQueue; got < 1 {
 		t.Fatalf("WireStats.ShedAcceptQueue = %d, want >= 1", got)
 	}
 }
@@ -292,15 +292,15 @@ func TestServerShedsAtAcceptQueue(t *testing.T) {
 // the machine-fault signal breakers quarantine on.
 func TestBreakerCountsShedsSeparately(t *testing.T) {
 	bs := NewBreakerSet(BreakerConfig{Threshold: 1, Cooldown: time.Hour}, &stepClock{now: time.Unix(0, 0)})
-	shed := &RemoteError{Msg: "server overloaded", Code: CodeOverloaded}
+	shed := &remoteError{Msg: "server overloaded", Code: codeOverloaded}
 	for i := 0; i < 5; i++ {
-		bs.Report("m1", shed)
+		bs.report("m1", shed)
 	}
-	if !bs.Allow("m1") {
+	if !bs.allow("m1") {
 		t.Fatal("sheds tripped the breaker; only transport faults may")
 	}
-	bs.Report("m1", &transportError{err: fmt.Errorf("connection refused")})
-	if bs.Allow("m1") {
+	bs.report("m1", &transportError{err: fmt.Errorf("connection refused")})
+	if bs.allow("m1") {
 		t.Fatal("transport fault at threshold 1 did not open the breaker")
 	}
 }
@@ -377,7 +377,7 @@ func TestIdleDeadlineResetsPerFrame(t *testing.T) {
 		}
 		time.Sleep(400 * time.Millisecond)
 	}
-	if got := sm.Snapshot().BinaryConns; got != 1 {
+	if got := sm.wireStats().BinaryConns; got != 1 {
 		t.Fatalf("server saw %d connections during keep-alive, want 1", got)
 	}
 
@@ -387,7 +387,7 @@ func TestIdleDeadlineResetsPerFrame(t *testing.T) {
 	if err := call(6); err != nil {
 		t.Fatalf("call after idle reap: %v", err)
 	}
-	if got := sm.Snapshot().BinaryConns; got != 2 {
+	if got := sm.wireStats().BinaryConns; got != 2 {
 		t.Fatalf("server saw %d connections after idle reap, want 2 (reap + redial)", got)
 	}
 }
@@ -430,7 +430,7 @@ func TestPoolConcurrentFirstUseDialsOnce(t *testing.T) {
 	if n := d.count(); n != 1 || pooled != 1 {
 		t.Fatalf("32 concurrent first calls dialed %d times and left %d pooled connections, want 1 and 1", n, pooled)
 	}
-	if got := sm.Snapshot().BinaryConns; got != 1 {
+	if got := sm.wireStats().BinaryConns; got != 1 {
 		t.Fatalf("server saw %d binary conns, want 1", got)
 	}
 }
@@ -478,7 +478,7 @@ func TestPoolLateResponseNeverReachesNextCall(t *testing.T) {
 	ctx := context.Background()
 
 	var out echoReq
-	if err := caller.Call(ctx, srv.Addr(), "echo", slowReq{N: -1}, &out, 50*time.Millisecond); !IsTransport(err) {
+	if err := caller.Call(ctx, srv.Addr(), "echo", slowReq{N: -1}, &out, 50*time.Millisecond); !isTransport(err) {
 		t.Fatalf("blocked call returned %v, want a timeout", err)
 	}
 	for i := 1; i <= 20; i++ {
@@ -620,12 +620,12 @@ func TestPoolDoesNotResendWrittenKill(t *testing.T) {
 	d := &countingDialer{}
 	caller := &Caller{Pool: &Pool{Dialer: d}}
 	defer caller.Pool.Close()
-	err = caller.Call(context.Background(), ln.Addr().String(), MsgKillJob, JobStatusReq{JobID: "j1"}, nil, 2*time.Second)
-	if !IsTransport(err) {
+	err = caller.Call(context.Background(), ln.Addr().String(), msgKillJob, JobStatusReq{JobID: "j1"}, nil, 2*time.Second)
+	if !isTransport(err) {
 		t.Fatalf("kill on a connection that died after the frame left returned %v, want a transport error", err)
 	}
-	if f := <-frames; f.Type != MsgKillJob {
-		t.Fatalf("server read %q, want %q", f.Type, MsgKillJob)
+	if f := <-frames; f.Type != msgKillJob {
+		t.Fatalf("server read %q, want %q", f.Type, msgKillJob)
 	}
 	if n := d.count(); n != 1 || len(frames) != 0 {
 		t.Fatalf("the kill was resent: %d dials, %d more frames", n, len(frames))
@@ -727,7 +727,7 @@ func TestOversizedFrameAnsweredNotFatal(t *testing.T) {
 
 	big := map[string]string{"pad": strings.Repeat("x", 4<<10)}
 	err := caller.CallRetry(ctx, srv.Addr(), "echo", big, nil, 2*time.Second)
-	var re *RemoteError
+	var re *remoteError
 	if !errors.As(err, &re) || re.Msg != "request too large" || re.Code != "" {
 		t.Fatalf("an oversized frame returned %v, want the remote error \"request too large\"", err)
 	}

@@ -27,7 +27,7 @@ func TestQueryTracesPrevious(t *testing.T) {
 	}
 
 	// First run: nothing was ever persisted.
-	if _, err := gw.QueryTraces(context.Background(), QueryTracesReq{Previous: true}); err == nil {
+	if _, err := gw.queryTraces(context.Background(), QueryTracesReq{Previous: true}); err == nil {
 		t.Fatal("Previous with no loaded snapshot: want error")
 	} else if !strings.Contains(err.Error(), "no previous flight snapshot") {
 		t.Fatalf("unhelpful error: %v", err)
@@ -40,9 +40,9 @@ func TestQueryTracesPrevious(t *testing.T) {
 	_, span := tr.Start(context.Background(), "old-run.op")
 	span.End()
 	snap := prev.Snapshot(start)
-	sm.Obs().SetPrevFlight(snap)
+	sm.obsv.SetPrevFlight(snap)
 
-	resp, err := gw.QueryTraces(context.Background(), QueryTracesReq{Previous: true, Limit: 10})
+	resp, err := gw.queryTraces(context.Background(), QueryTracesReq{Previous: true, Limit: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestQueryTracesPrevious(t *testing.T) {
 	}
 	// The live recorder is empty — Previous must not fall through to it, and
 	// a live query must not see the old run.
-	live, err := gw.QueryTraces(context.Background(), QueryTracesReq{Limit: 10})
+	live, err := gw.queryTraces(context.Background(), QueryTracesReq{Limit: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,11 +61,11 @@ func TestQueryTracesPrevious(t *testing.T) {
 
 	// Per-trace lookup against the snapshot, and a miss stays a miss.
 	id := snap.Traces[0].TraceID.String()
-	one, err := gw.QueryTraces(context.Background(), QueryTracesReq{Previous: true, TraceID: id})
+	one, err := gw.queryTraces(context.Background(), QueryTracesReq{Previous: true, TraceID: id})
 	if err != nil || len(one.Traces) != 1 {
 		t.Fatalf("Previous by id: resp=%+v err=%v", one, err)
 	}
-	if _, err := gw.QueryTraces(context.Background(), QueryTracesReq{Previous: true, TraceID: "00000000000000ff"}); err == nil {
+	if _, err := gw.queryTraces(context.Background(), QueryTracesReq{Previous: true, TraceID: "00000000000000ff"}); err == nil {
 		t.Fatal("unknown trace id in previous flight: want error")
 	}
 }

@@ -28,15 +28,15 @@ import (
 
 // Message types.
 const (
-	MsgRegister    = "register"     // gateway -> registry
-	MsgDiscover    = "discover"     // client -> registry
+	msgRegister    = "register"     // gateway -> registry
+	msgDiscover    = "discover"     // client -> registry
 	MsgQueryTR     = "query-tr"     // client -> gateway
 	MsgSubmit      = "submit"       // client -> gateway
-	MsgJobStatus   = "job-status"   // client -> gateway
-	MsgKillJob     = "kill-job"     // client -> gateway
-	MsgQueryStats  = "query-stats"  // client -> gateway
-	MsgQueryTraces = "query-traces" // client -> gateway
-	MsgQueryObs    = "query-obs"    // client/peer -> gateway (obs plane)
+	msgJobStatus   = "job-status"   // client -> gateway
+	msgKillJob     = "kill-job"     // client -> gateway
+	msgQueryStats  = "query-stats"  // client -> gateway
+	msgQueryTraces = "query-traces" // client -> gateway
+	msgQueryObs    = "query-obs"    // client/peer -> gateway (obs plane)
 )
 
 // TraceHeader is the optional trace-context carried in a request envelope:
@@ -51,9 +51,9 @@ type TraceHeader struct {
 	Sampled bool `json:"sampled,omitempty"`
 }
 
-// Link decodes the header into an otrace link. Malformed IDs degrade to the
+// link decodes the header into an otrace link. Malformed IDs degrade to the
 // zero link (untraced) rather than failing the request.
-func (h *TraceHeader) Link() otrace.Link {
+func (h *TraceHeader) link() otrace.Link {
 	if h == nil {
 		return otrace.Link{}
 	}
@@ -91,18 +91,18 @@ type Request struct {
 	Trace *TraceHeader `json:"trace,omitempty"`
 }
 
-// Response is the reply envelope.
-type Response struct {
+// response is the reply envelope.
+type response struct {
 	OK    bool   `json:"ok"`
 	Error string `json:"error,omitempty"`
-	// Code is a machine-readable error class (CodeOverloaded for requests
+	// Code is a machine-readable error class (codeOverloaded for requests
 	// shed by admission control); empty for ordinary application errors.
 	Code    string          `json:"code,omitempty"`
 	Payload json.RawMessage `json:"payload,omitempty"`
 }
 
-// RegisterReq announces a host node to the registry.
-type RegisterReq struct {
+// registerReq announces a host node to the registry.
+type registerReq struct {
 	MachineID string `json:"machine_id"`
 	Addr      string `json:"addr"`
 	// TTLSeconds makes the registration expire unless refreshed within
@@ -114,23 +114,23 @@ type RegisterReq struct {
 	Forwarded bool `json:"forwarded,omitempty"`
 }
 
-// DiscoverReq is the optional discover payload. Plain registries ignore
+// discoverReq is the optional discover payload. Plain registries ignore
 // it; federation peers use Local to scope the answer to their own shard
 // (the peer-to-peer fan-out) instead of the merged federation-wide view
 // served to clients.
-type DiscoverReq struct {
+type discoverReq struct {
 	Local bool `json:"local,omitempty"`
 }
 
-// Resource is one published host node.
-type Resource struct {
+// resource is one published host node.
+type resource struct {
 	MachineID string `json:"machine_id"`
 	Addr      string `json:"addr"`
 }
 
-// DiscoverResp lists the published resources.
-type DiscoverResp struct {
-	Resources []Resource `json:"resources"`
+// discoverResp lists the published resources.
+type discoverResp struct {
+	Resources []resource `json:"resources"`
 }
 
 // QueryTRReq asks a gateway for the temporal reliability of running a guest
@@ -300,9 +300,9 @@ type QueryTracesResp struct {
 	Events        []otrace.LogEvent    `json:"events,omitempty"`
 }
 
-// ErrMessageTooLarge reports a wire message that exceeded the decoder's byte
+// errMessageTooLarge reports a wire message that exceeded the decoder's byte
 // cap.
-var ErrMessageTooLarge = errors.New("ishare: message too large")
+var errMessageTooLarge = errors.New("ishare: message too large")
 
 // maxResponseBytes caps what a client will buffer for one response envelope.
 // Responses can carry discovery lists and accuracy tables, so the cap is
@@ -331,7 +331,7 @@ type responseEnvelope struct {
 // connection: one write of the request line, one read of the response line
 // through a pooled reader. Failures to send or receive are transport errors
 // (the request may or may not have executed remotely); a decoded
-// Response{OK: false} is a RemoteError (the request definitely executed and
+// response{OK: false} is a remoteError (the request definitely executed and
 // was rejected). A sampled link is encoded as the envelope's optional trace
 // header; the zero link leaves the envelope exactly as the pre-tracing
 // protocol sent it.
@@ -361,7 +361,7 @@ func exchange(conn net.Conn, link otrace.Link, typ string, payload, out interfac
 		return &transportError{fmt.Errorf("ishare: receive: %w", err)}
 	}
 	if !resp.OK {
-		return &RemoteError{Msg: resp.Error, Code: resp.Code}
+		return &remoteError{Msg: resp.Error, Code: resp.Code}
 	}
 	return nil
 }
@@ -692,7 +692,7 @@ func (s *Server) serveJSON(conn net.Conn, br *bufio.Reader) {
 	defer close(connDone)
 	jc := jsonConns.Get().(*jsonConn)
 	defer jc.release()
-	send := func(resp Response) error {
+	send := func(resp response) error {
 		_ = conn.SetWriteDeadline(time.Now().Add(s.cfg.connDeadline()))
 		return jc.send(conn, resp)
 	}
@@ -700,8 +700,8 @@ func (s *Server) serveJSON(conn net.Conn, br *bufio.Reader) {
 		_ = conn.SetReadDeadline(time.Now().Add(s.cfg.connDeadline()))
 		line, err := readLineCapped(br, s.cfg.maxRequestBytes())
 		if err != nil {
-			if errors.Is(err, ErrMessageTooLarge) {
-				_ = send(Response{OK: false, Error: "request too large"})
+			if errors.Is(err, errMessageTooLarge) {
+				_ = send(response{OK: false, Error: "request too large"})
 			}
 			return
 		}
@@ -710,12 +710,12 @@ func (s *Server) serveJSON(conn net.Conn, br *bufio.Reader) {
 		}
 		req, err := jc.decode(line)
 		if err != nil {
-			_ = send(Response{OK: false, Error: "malformed request"})
+			_ = send(response{OK: false, Error: "malformed request"})
 			return
 		}
 		if !s.admit.acquire(key, connDone) {
 			s.cfg.Metrics.cShedInfl.Inc()
-			_ = send(Response{OK: false, Error: "server overloaded", Code: CodeOverloaded})
+			_ = send(response{OK: false, Error: "server overloaded", Code: codeOverloaded})
 			continue
 		}
 		resp := s.respond(req, jc.out)
@@ -737,7 +737,7 @@ func (s *Server) serveJSON(conn net.Conn, br *bufio.Reader) {
 // over allocates nothing.
 type jsonConn struct {
 	req           Request
-	resp          Response
+	resp          response
 	in, out, line []byte
 }
 
@@ -760,10 +760,10 @@ func (jc *jsonConn) decode(line []byte) (Request, error) {
 }
 
 // send writes resp as one line in one Write.
-func (jc *jsonConn) send(conn net.Conn, resp Response) error {
+func (jc *jsonConn) send(conn net.Conn, resp response) error {
 	jc.resp = resp
 	line, err := appendJSON(jc.line[:0], &jc.resp)
-	jc.resp = Response{}
+	jc.resp = response{}
 	if err != nil {
 		return err
 	}
@@ -833,13 +833,13 @@ func (s *Server) serveBinary(conn net.Conn, br *bufio.Reader) {
 		// one is still collected.
 		_ = conn.SetReadDeadline(time.Now().Add(s.cfg.idleDeadline()))
 		f, err := decodeFrameHead(br)
-		if err != nil || f.Kind != FrameRequest {
+		if err != nil || f.Kind != frameRequest {
 			return
 		}
 		t := frameTasks.Get().(*frameTask)
 		t.id, t.typ, t.link = f.ID, f.Type, f.Trace
 		n, err := readLen(br, s.cfg.maxRequestBytes(), "payload")
-		if errors.Is(err, ErrMessageTooLarge) {
+		if errors.Is(err, errMessageTooLarge) {
 			if c.finish(t, false, false, "request too large", nil) != nil || discardN(br, n) != nil {
 				return
 			}
@@ -914,16 +914,16 @@ func (t *frameTask) release() {
 // respond runs the handler for one decoded request and shapes the reply
 // envelope, shared by both protocol loops. The response payload is encoded
 // onto buf[:0], so it is buf's array when it fits.
-func (s *Server) respond(req Request, buf []byte) Response {
+func (s *Server) respond(req Request, buf []byte) response {
 	payload, err := s.handler(req)
 	if err != nil {
-		return Response{Error: err.Error()}
+		return response{Error: err.Error()}
 	}
-	resp := Response{OK: true}
+	resp := response{OK: true}
 	if payload != nil {
 		raw, merr := appendJSON(buf[:0], payload)
 		if merr != nil {
-			return Response{Error: "marshal response"}
+			return response{Error: "marshal response"}
 		}
 		resp.Payload = raw
 	}
@@ -931,7 +931,7 @@ func (s *Server) respond(req Request, buf []byte) Response {
 }
 
 // readLineCapped reads one newline-terminated message, rejecting lines over
-// the cap with ErrMessageTooLarge. EOF with buffered partial data returns
+// the cap with errMessageTooLarge. EOF with buffered partial data returns
 // the data (a client that writes a final unterminated message and closes
 // still gets served). Blank lines come back empty for the caller to skip.
 // A line that fits br's buffer is returned in place, without a copy: it is
@@ -948,7 +948,7 @@ func readLineCapped(br *bufio.Reader, max int64) ([]byte, error) {
 		}
 	}
 	if int64(len(line)) > max {
-		return nil, ErrMessageTooLarge
+		return nil, errMessageTooLarge
 	}
 	if err == nil {
 		// Strip the terminator (and a CR, for telnet-style debugging).

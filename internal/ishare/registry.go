@@ -47,6 +47,6 @@ func ttlDuration(seconds float64) (time.Duration, error) {
 // (registration is idempotent, so the caller's retry policy applies). The
 // gateway must re-register within the TTL — see HostNode.StartHeartbeat.
 func RegisterWithTTL(ctx context.Context, caller *Caller, registryAddr, machineID, gatewayAddr string, ttl, timeout time.Duration) error {
-	req := RegisterReq{MachineID: machineID, Addr: gatewayAddr, TTLSeconds: ttl.Seconds()}
-	return caller.CallRetry(ctx, registryAddr, MsgRegister, req, nil, timeout)
+	req := registerReq{MachineID: machineID, Addr: gatewayAddr, TTLSeconds: ttl.Seconds()}
+	return caller.CallRetry(ctx, registryAddr, msgRegister, req, nil, timeout)
 }

@@ -27,7 +27,7 @@ func ringOfOne(t *testing.T, cfg FedConfig) *FedGateway {
 // regTTL registers a machine in-process (ttl 0 = never expires).
 func regTTL(t *testing.T, gw *FedGateway, machine, addr string, ttl time.Duration) {
 	t.Helper()
-	req := RegisterReq{MachineID: machine, Addr: addr, TTLSeconds: ttl.Seconds()}
+	req := registerReq{MachineID: machine, Addr: addr, TTLSeconds: ttl.Seconds()}
 	if err := gw.register(context.Background(), req); err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestRegistryTTLOverTCP(t *testing.T) {
 	if err := RegisterWithTTL(context.Background(), nil, srv.Addr(), "lab-01", "10.0.0.1:9000", 30*time.Second, time.Second); err != nil {
 		t.Fatal(err)
 	}
-	res, err := FedClient{Addr: srv.Addr(), Timeout: time.Second}.Discover(context.Background())
+	res, err := FedClient{Addr: srv.Addr(), Timeout: time.Second}.discover(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestRegistryTTLOverTCP(t *testing.T) {
 		t.Fatalf("discovered = %+v", res)
 	}
 	clock.Advance(31 * time.Second)
-	res, err = FedClient{Addr: srv.Addr(), Timeout: time.Second}.Discover(context.Background())
+	res, err = FedClient{Addr: srv.Addr(), Timeout: time.Second}.discover(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestTTLDuration(t *testing.T) {
 	// Through the two call sites: register refuses, fed-sync skips.
 	reg := ringOfOne(t, FedConfig{Clock: simclock.NewVirtual(monday)})
 	for _, ttl := range []float64{-5, 9.3e9} {
-		err := reg.register(context.Background(), RegisterReq{MachineID: "m", Addr: "a:1", TTLSeconds: ttl})
+		err := reg.register(context.Background(), registerReq{MachineID: "m", Addr: "a:1", TTLSeconds: ttl})
 		if (err == nil) != (ttl < 0) {
 			t.Errorf("register ttl_seconds=%v: err = %v", ttl, err)
 		}
@@ -144,7 +144,7 @@ func TestTTLDuration(t *testing.T) {
 	if e, ok := reg.lookup("m"); !ok || !e.Expires.IsZero() {
 		t.Errorf("ttl_seconds=-5 stored as %+v, want a never-expiring entry", e)
 	}
-	sr := reg.fedSync(FedSyncReq{Entries: []FedEntry{
+	sr := reg.fedSync(fedSyncReq{Entries: []fedEntry{
 		{MachineID: "huge", Addr: "b:1", TTLSeconds: 1e10},
 		{MachineID: "fine", Addr: "c:1", TTLSeconds: 60},
 	}})
@@ -225,13 +225,13 @@ func TestRegistryConcurrentAccess(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				switch i % 4 {
 				case 0:
-					_ = reg.register(context.Background(), RegisterReq{
+					_ = reg.register(context.Background(), registerReq{
 						MachineID:  fmt.Sprintf("m-%d-%d", w, i%16),
 						Addr:       "10.0.0.1:1",
 						TTLSeconds: float64(1 + i%30),
 					})
 				case 1:
-					_, _ = h(Request{Type: MsgDiscover})
+					_, _ = h(Request{Type: msgDiscover})
 				case 2:
 					reg.SyncOnce(context.Background())
 				case 3:

@@ -30,18 +30,18 @@ func (netDialer) DialTimeout(network, addr string, timeout time.Duration) (net.C
 	return net.DialTimeout(network, addr, timeout)
 }
 
-// CodeOverloaded is the Response.Code a server attaches to requests it
+// codeOverloaded is the Response.Code a server attaches to requests it
 // sheds under admission control. Unlike ordinary remote errors, an
 // overloaded rejection is safe to retry (the handler never ran) and is
 // counted by breakers separately from transport faults.
-const CodeOverloaded = "overloaded"
+const codeOverloaded = "overloaded"
 
-// RemoteError is an application-level error returned by the far end. The
+// remoteError is an application-level error returned by the far end. The
 // RPC reached the server and was processed; retrying it would re-execute
 // the operation, so the retry layer never retries these — with one
-// exception: CodeOverloaded marks a request the server shed before running
+// exception: codeOverloaded marks a request the server shed before running
 // the handler, which the retry layer treats as retryable with backoff.
-type RemoteError struct {
+type remoteError struct {
 	Msg string
 	// Code is the machine-readable error class from the wire (empty for
 	// ordinary application errors).
@@ -50,17 +50,17 @@ type RemoteError struct {
 
 // Error formats the far end's message under an "ishare: remote error"
 // prefix so transport and application failures read differently in logs.
-func (e *RemoteError) Error() string { return fmt.Sprintf("ishare: remote error: %s", e.Msg) }
+func (e *remoteError) Error() string { return fmt.Sprintf("ishare: remote error: %s", e.Msg) }
 
-// IsOverloaded reports whether err is a typed overloaded rejection: the
+// isOverloaded reports whether err is a typed overloaded rejection: the
 // server shed the request under admission control without running the
 // handler, so retrying with backoff is safe and appropriate.
-func IsOverloaded(err error) bool {
+func isOverloaded(err error) bool {
 	if err == nil {
 		return false
 	}
-	var re *RemoteError
-	return errors.As(err, &re) && re.Code == CodeOverloaded
+	var re *remoteError
+	return errors.As(err, &re) && re.Code == codeOverloaded
 }
 
 // transportError marks a failure below the application: dial, send, receive
@@ -71,10 +71,10 @@ type transportError struct{ err error }
 func (e *transportError) Error() string { return e.err.Error() }
 func (e *transportError) Unwrap() error { return e.err }
 
-// IsTransport reports whether err is a transport-level failure (as opposed
+// isTransport reports whether err is a transport-level failure (as opposed
 // to an application error returned by the remote handler). Callers use it to
 // tell "machine unreachable / network flake" from "machine said no".
-func IsTransport(err error) bool {
+func isTransport(err error) bool {
 	if err == nil {
 		return false
 	}
@@ -148,10 +148,10 @@ func (m *CallerMetrics) observe(attempt int, err error) {
 	if attempt > 1 {
 		m.Retries.Inc()
 	}
-	if IsTransport(err) {
+	if isTransport(err) {
 		m.TransportErrors.Inc()
 	}
-	if IsOverloaded(err) {
+	if isOverloaded(err) {
 		m.Overloaded.Inc()
 	}
 }
@@ -212,7 +212,7 @@ func (c *Caller) nextJitter(n int) time.Duration {
 	return c.Retry.delay(n, c.jitter)
 }
 
-// NextKey returns a fresh idempotency key: a per-caller instance tag plus a
+// nextKey returns a fresh idempotency key: a per-caller instance tag plus a
 // counter. The instance tag makes keys from different client processes
 // distinct — gateways remember keys for as long as they run, so a bare
 // counter would collide across client invocations and silently hand the
@@ -220,7 +220,7 @@ func (c *Caller) nextJitter(n int) time.Duration {
 // is derived from the seed and the whole key sequence is reproducible;
 // otherwise it is drawn from crypto/rand once per caller. Both forms have
 // the same length, so message sizes stay run-independent.
-func (c *Caller) NextKey(prefix string) string {
+func (c *Caller) nextKey(prefix string) string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.instance == "" {
@@ -248,7 +248,7 @@ func (c *Caller) keyed(job *SubmitReq, prefix string) (retry bool) {
 		return false
 	}
 	if job.IdempotencyKey == "" {
-		job.IdempotencyKey = c.NextKey(prefix)
+		job.IdempotencyKey = c.nextKey(prefix)
 	}
 	return true
 }
@@ -308,7 +308,7 @@ func (c *Caller) CallRetry(ctx context.Context, addr, typ string, payload, out i
 		if c != nil {
 			c.Metrics.observe(n, err)
 		}
-		if err == nil || (!IsTransport(err) && !IsOverloaded(err)) || n >= attempts {
+		if err == nil || (!isTransport(err) && !isOverloaded(err)) || n >= attempts {
 			if err != nil && n > 1 {
 				return fmt.Errorf("ishare: %d attempts: %w", n, err)
 			}

@@ -69,7 +69,7 @@ func TestCallerRetriesTransportErrors(t *testing.T) {
 		Dialer: d,
 		Retry:  RetryPolicy{MaxAttempts: 4, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond},
 	}
-	if err := c.CallRetry(context.Background(), srv.Addr(), MsgDiscover, nil, nil, time.Second); err != nil {
+	if err := c.CallRetry(context.Background(), srv.Addr(), msgDiscover, nil, nil, time.Second); err != nil {
 		t.Fatalf("CallRetry = %v, want success on 3rd attempt", err)
 	}
 	if d.count() != 3 {
@@ -83,11 +83,11 @@ func TestCallerExhaustsAttempts(t *testing.T) {
 		Dialer: d,
 		Retry:  RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond},
 	}
-	err := c.CallRetry(context.Background(), "127.0.0.1:1", MsgDiscover, nil, nil, 100*time.Millisecond)
+	err := c.CallRetry(context.Background(), "127.0.0.1:1", msgDiscover, nil, nil, 100*time.Millisecond)
 	if err == nil {
 		t.Fatal("exhausted retries reported success")
 	}
-	if !IsTransport(err) {
+	if !isTransport(err) {
 		t.Fatalf("err = %v, want transport", err)
 	}
 	if d.count() != 3 {
@@ -108,13 +108,13 @@ func TestCallerDoesNotRetryRemoteErrors(t *testing.T) {
 	defer srv.Close()
 	d := &countingDialer{}
 	c := &Caller{Dialer: d, Retry: RetryPolicy{MaxAttempts: 5, BaseDelay: time.Millisecond}}
-	err = c.CallRetry(context.Background(), srv.Addr(), MsgDiscover, nil, nil, time.Second)
+	err = c.CallRetry(context.Background(), srv.Addr(), msgDiscover, nil, nil, time.Second)
 	if err == nil {
 		t.Fatal("remote error reported success")
 	}
-	var re *RemoteError
-	if !errors.As(err, &re) || IsTransport(err) {
-		t.Fatalf("err = %v, want a non-transport RemoteError", err)
+	var re *remoteError
+	if !errors.As(err, &re) || isTransport(err) {
+		t.Fatalf("err = %v, want a non-transport remoteError", err)
 	}
 	if d.count() != 1 {
 		t.Fatalf("dials = %d: remote application errors must not be retried", d.count())
@@ -128,16 +128,16 @@ func TestNilCallerMatchesPlainCall(t *testing.T) {
 	}
 	defer srv.Close()
 	var c *Caller
-	if err := c.CallRetry(context.Background(), srv.Addr(), MsgDiscover, nil, nil, time.Second); err != nil {
+	if err := c.CallRetry(context.Background(), srv.Addr(), msgDiscover, nil, nil, time.Second); err != nil {
 		t.Fatalf("nil caller CallRetry = %v", err)
 	}
-	if err := c.Call(context.Background(), srv.Addr(), MsgDiscover, nil, nil, time.Second); err != nil {
+	if err := c.Call(context.Background(), srv.Addr(), msgDiscover, nil, nil, time.Second); err != nil {
 		t.Fatalf("nil caller Call = %v", err)
 	}
 }
 
 // TestObserveSuccessAllocatesNothing pins that counting a successful
-// attempt is free: IsTransport and IsOverloaded return on a nil error
+// attempt is free: isTransport and isOverloaded return on a nil error
 // before their errors.As target, which escapes, is declared.
 func TestObserveSuccessAllocatesNothing(t *testing.T) {
 	reg := obs.NewRegistry()
@@ -302,7 +302,7 @@ func TestServerMaxRequestBytes(t *testing.T) {
 
 // TestDecodeRequestByteCap pins the cap of the envelope reader both JSON
 // loops use: a message that fits decodes, one byte more is
-// ErrMessageTooLarge — also for a line longer than the reader's buffer — and
+// errMessageTooLarge — also for a line longer than the reader's buffer — and
 // a message cut short inside the cap is malformed.
 func TestDecodeRequestByteCap(t *testing.T) {
 	msg := `{"type":"discover","payload":"` + strings.Repeat("x", 5000) + `"}`
@@ -310,11 +310,11 @@ func TestDecodeRequestByteCap(t *testing.T) {
 	if err := readMessage([]byte(msg), int64(len(msg)), &req); err != nil || req.Type != "discover" {
 		t.Fatalf("message of exactly the cap: %+v, %v", req.Type, err)
 	}
-	if err := readMessage([]byte(msg+"\n"), int64(len(msg)), &req); !errors.Is(err, ErrMessageTooLarge) {
-		t.Fatalf("message one byte over the cap: %v, want ErrMessageTooLarge", err)
+	if err := readMessage([]byte(msg+"\n"), int64(len(msg)), &req); !errors.Is(err, errMessageTooLarge) {
+		t.Fatalf("message one byte over the cap: %v, want errMessageTooLarge", err)
 	}
-	var resp Response
-	if err := readMessage([]byte(msg[:40]), 64, &resp); err == nil || errors.Is(err, ErrMessageTooLarge) {
+	var resp response
+	if err := readMessage([]byte(msg[:40]), 64, &resp); err == nil || errors.Is(err, errMessageTooLarge) {
 		t.Fatalf("truncated message under the cap: %v, want a malformed-message error", err)
 	}
 }
@@ -384,7 +384,7 @@ func TestAcceptLoopBacksOff(t *testing.T) {
 	defer srv.Close()
 
 	start := time.Now()
-	if err := (*Caller)(nil).Call(context.Background(), srv.Addr(), MsgDiscover, nil, nil, 2*time.Second); err != nil {
+	if err := (*Caller)(nil).Call(context.Background(), srv.Addr(), msgDiscover, nil, nil, 2*time.Second); err != nil {
 		t.Fatalf("call after transient accept failures = %v", err)
 	}
 	// 4 failures with backoff 5,10,20,20 ms = at least ~55 ms of pacing.
@@ -403,15 +403,15 @@ func TestAcceptLoopBacksOff(t *testing.T) {
 // client processes with bare-counter keys would collide and the second
 // would silently receive the first one's job.
 func TestNextKeyDistinctAcrossCallers(t *testing.T) {
-	a := (&Caller{}).NextKey("gw:1")
-	b := (&Caller{}).NextKey("gw:1")
+	a := (&Caller{}).nextKey("gw:1")
+	b := (&Caller{}).nextKey("gw:1")
 	if a == b {
 		t.Fatalf("two fresh callers produced the same key %q", a)
 	}
 	// With a pinned seed the sequence is reproducible (chaos-test runs
 	// depend on this) and key lengths match the random form.
-	s1 := (&Caller{JitterSeed: 9}).NextKey("gw:1")
-	s2 := (&Caller{JitterSeed: 9}).NextKey("gw:1")
+	s1 := (&Caller{JitterSeed: 9}).nextKey("gw:1")
+	s2 := (&Caller{JitterSeed: 9}).nextKey("gw:1")
 	if s1 != s2 {
 		t.Fatalf("seeded callers diverged: %q vs %q", s1, s2)
 	}

@@ -63,12 +63,6 @@ func NewRing(vnodes int) *Ring {
 	return &Ring{vnodes: vnodes, peers: make(map[string]Peer)}
 }
 
-// Vnodes returns the virtual-node count per peer.
-func (r *Ring) Vnodes() int { return r.vnodes }
-
-// Len returns the number of peers on the ring.
-func (r *Ring) Len() int { return len(r.peers) }
-
 // Add places a peer on the ring (or refreshes its address if the ID is
 // already present — the hash points depend only on the ID, so an address
 // change moves no keys).
@@ -114,8 +108,8 @@ func (r *Ring) Remove(id string) {
 	r.points = kept
 }
 
-// Peers lists the ring members sorted by ID.
-func (r *Ring) Peers() []Peer {
+// members lists the ring members sorted by ID.
+func (r *Ring) members() []Peer {
 	out := make([]Peer, 0, len(r.peers))
 	for _, p := range r.peers {
 		out = append(out, p)

@@ -167,8 +167,8 @@ func TestRingInsertionOrderIrrelevant(t *testing.T) {
 // mutation.
 func TestRingAddRemoveValidation(t *testing.T) {
 	r := NewRing(0)
-	if r.Vnodes() != DefaultVnodes {
-		t.Fatalf("Vnodes() = %d, want default %d", r.Vnodes(), DefaultVnodes)
+	if r.vnodes != DefaultVnodes {
+		t.Fatalf("vnodes = %d, want default %d", r.vnodes, DefaultVnodes)
 	}
 	if err := r.Add(Peer{ID: "", Addr: "x"}); err == nil {
 		t.Error("Add without ID should fail")
@@ -188,13 +188,13 @@ func TestRingAddRemoveValidation(t *testing.T) {
 	if ownerAfter.Addr != "a:2" || ownerAfter.ID != ownerBefore.ID {
 		t.Errorf("re-Add: owner = %+v, want same ID with refreshed addr", ownerAfter)
 	}
-	if r.Len() != 1 {
-		t.Errorf("Len() = %d, want 1", r.Len())
+	if len(r.peers) != 1 {
+		t.Errorf("peers = %d, want 1", len(r.peers))
 	}
 	r.Remove("nope") // no-op
 	r.Remove("gw-a")
-	if r.Len() != 0 {
-		t.Errorf("Len() after remove = %d, want 0", r.Len())
+	if len(r.peers) != 0 {
+		t.Errorf("peers after remove = %d, want 0", len(r.peers))
 	}
 	if _, ok := r.Owner("machine-1"); ok {
 		t.Error("Owner on emptied ring should report false")

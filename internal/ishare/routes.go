@@ -46,7 +46,7 @@ func serveRoutes[S any](s S, routes []route[S], name, idKey, id string, tracer f
 	spanName := name + ".dispatch"
 	return func(req Request) (payload interface{}, err error) {
 		start := time.Now()
-		ctx, span := tracer().StartRemote(context.Background(), req.Trace.Link(), spanName)
+		ctx, span := tracer().StartRemote(context.Background(), req.Trace.link(), spanName)
 		if span != nil {
 			span.SetAttr(otrace.String(idKey, id), otrace.String("rpc", req.Type))
 		}

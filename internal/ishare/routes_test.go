@@ -24,23 +24,23 @@ import (
 var wantMalformed = map[string]string{
 	MsgQueryTR:      "malformed query payload",
 	MsgSubmit:       "malformed submit payload",
-	MsgJobStatus:    "malformed status payload",
-	MsgKillJob:      "malformed kill payload",
-	MsgQueryStats:   "malformed stats payload",
-	MsgQueryTraces:  "malformed traces payload",
-	MsgQueryObs:     "malformed obs payload",
-	MsgRegister:     "malformed register payload",
-	MsgDiscover:     "malformed discover payload",
-	MsgFedQueryTR:   "malformed fed query payload",
-	MsgFedSubmit:    "malformed fed submit payload",
-	MsgFedJobStatus: "malformed fed status payload",
-	MsgFedKill:      "malformed fed kill payload",
-	MsgFedSync:      "malformed fed sync payload",
+	msgJobStatus:    "malformed status payload",
+	msgKillJob:      "malformed kill payload",
+	msgQueryStats:   "malformed stats payload",
+	msgQueryTraces:  "malformed traces payload",
+	msgQueryObs:     "malformed obs payload",
+	msgRegister:     "malformed register payload",
+	msgDiscover:     "malformed discover payload",
+	msgFedQueryTR:   "malformed fed query payload",
+	msgFedSubmit:    "malformed fed submit payload",
+	msgFedJobStatus: "malformed fed status payload",
+	msgFedKill:      "malformed fed kill payload",
+	msgFedSync:      "malformed fed sync payload",
 }
 
 // payloadOptional names the request types served without a payload.
 var payloadOptional = map[string]bool{
-	MsgQueryStats: true, MsgQueryTraces: true, MsgQueryObs: true, MsgDiscover: true,
+	msgQueryStats: true, msgQueryTraces: true, msgQueryObs: true, msgDiscover: true,
 }
 
 func routeTypes[S any](routes []route[S]) []string {
@@ -51,7 +51,8 @@ func routeTypes[S any](routes []route[S]) []string {
 	return out
 }
 
-// declaredMsgTypes parses the package for every string constant named Msg*.
+// declaredMsgTypes parses the package for every string constant named Msg*
+// or msg*.
 func declaredMsgTypes(t *testing.T) map[string]string {
 	t.Helper()
 	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", func(fi fs.FileInfo) bool {
@@ -70,7 +71,7 @@ func declaredMsgTypes(t *testing.T) map[string]string {
 			for _, spec := range gd.Specs {
 				vs := spec.(*ast.ValueSpec)
 				for i, name := range vs.Names {
-					if !strings.HasPrefix(name.Name, "Msg") || i >= len(vs.Values) {
+					if !strings.HasPrefix(strings.ToLower(name.Name), "msg") || i >= len(vs.Values) {
 						continue
 					}
 					lit, ok := vs.Values[i].(*ast.BasicLit)
@@ -89,8 +90,8 @@ func declaredMsgTypes(t *testing.T) map[string]string {
 	return out
 }
 
-// TestRouteTablesComplete: the Msg* constants and the types the tables serve
-// are the same set, no table serves a type twice, and what NewNodeObs
+// TestRouteTablesComplete: the Msg*/msg* constants and the types the tables
+// serve are the same set, no table serves a type twice, and what NewNodeObs
 // pre-registers is exactly the two tables' union — so a request of a known
 // type never lands in type="other".
 func TestRouteTablesComplete(t *testing.T) {
@@ -114,7 +115,7 @@ func TestRouteTablesComplete(t *testing.T) {
 	}
 	for typ := range served {
 		if !declared[typ] {
-			t.Errorf("%q is served but declared by no Msg* constant", typ)
+			t.Errorf("%q is served but declared by no Msg*/msg* constant", typ)
 		}
 	}
 
@@ -230,7 +231,7 @@ func TestQueryTracesSameFromGatewayAndPeer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sm.Obs().SetTracing(tracer)
+	sm.obsv.SetTracing(tracer)
 	gw, err := NewGateway("reg", avail.DefaultConfig(), period, clock, sm)
 	if err != nil {
 		t.Fatal(err)
@@ -265,10 +266,10 @@ func TestQueryTracesSameFromGatewayAndPeer(t *testing.T) {
 		if tc.noPrev {
 			saved = nil
 		}
-		sm.Obs().SetPrevFlight(saved)
+		sm.obsv.SetPrevFlight(saved)
 		peerObs.SetPrevFlight(saved)
-		fromGW, gwErr := serveRow(t, gw, gatewayRoutes, MsgQueryTraces, tc.req)
-		fromPeer, peerErr := serveRow(t, peer, fedRoutes, MsgQueryTraces, tc.req)
+		fromGW, gwErr := serveRow(t, gw, gatewayRoutes, msgQueryTraces, tc.req)
+		fromPeer, peerErr := serveRow(t, peer, fedRoutes, msgQueryTraces, tc.req)
 		if tc.wantErr != "" {
 			if gwErr == nil || gwErr.Error() != tc.wantErr || peerErr == nil || peerErr.Error() != tc.wantErr {
 				t.Errorf("%s: gateway err %v, peer err %v, want %q from both", tc.name, gwErr, peerErr, tc.wantErr)

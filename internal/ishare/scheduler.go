@@ -68,28 +68,28 @@ func (r RemoteGateway) Submit(ctx context.Context, req SubmitReq) (SubmitResp, e
 // JobStatus implements GatewayAPI. Idempotent: retried under the caller's
 // policy.
 func (r RemoteGateway) JobStatus(ctx context.Context, req JobStatusReq) (JobStatusResp, error) {
-	return rpc[JobStatusResp](ctx, r.Caller, r.Addr, MsgJobStatus, req, r.Timeout, true)
+	return rpc[JobStatusResp](ctx, r.Caller, r.Addr, msgJobStatus, req, r.Timeout, true)
 }
 
 // Kill implements GatewayAPI. Killing twice is an application error, so a
 // kill gets a single attempt; callers that lose the ACK can confirm the
 // outcome with JobStatus.
 func (r RemoteGateway) Kill(ctx context.Context, req JobStatusReq) (JobStatusResp, error) {
-	return rpc[JobStatusResp](ctx, r.Caller, r.Addr, MsgKillJob, req, r.Timeout, false)
+	return rpc[JobStatusResp](ctx, r.Caller, r.Addr, msgKillJob, req, r.Timeout, false)
 }
 
 // QueryStats fetches the node's observability snapshot. Idempotent: retried
 // under the caller's policy. (Deliberately not part of GatewayAPI — it is an
 // operator surface, not a scheduling one.)
 func (r RemoteGateway) QueryStats(ctx context.Context, req QueryStatsReq) (QueryStatsResp, error) {
-	return rpc[QueryStatsResp](ctx, r.Caller, r.Addr, MsgQueryStats, req, r.Timeout, true)
+	return rpc[QueryStatsResp](ctx, r.Caller, r.Addr, msgQueryStats, req, r.Timeout, true)
 }
 
 // QueryTraces fetches the node's flight-recorder snapshot. Idempotent:
 // retried under the caller's policy. (An operator surface like QueryStats,
 // so not part of GatewayAPI.)
 func (r RemoteGateway) QueryTraces(ctx context.Context, req QueryTracesReq) (QueryTracesResp, error) {
-	return rpc[QueryTracesResp](ctx, r.Caller, r.Addr, MsgQueryTraces, req, r.Timeout, true)
+	return rpc[QueryTracesResp](ctx, r.Caller, r.Addr, msgQueryTraces, req, r.Timeout, true)
 }
 
 // Candidate pairs a machine identity with its gateway API.
@@ -118,7 +118,7 @@ type RankFailure struct {
 // or quarantine) or an admission-control shed, rather than an application
 // rejection by the machine.
 func (f RankFailure) Transient() bool {
-	return IsTransport(f.Err) || IsOverloaded(f.Err) || f.Err == ErrCircuitOpen
+	return isTransport(f.Err) || isOverloaded(f.Err) || f.Err == errCircuitOpen
 }
 
 // Scheduler is the client-side job scheduler of Figure 2: it queries the
@@ -139,7 +139,7 @@ type Scheduler struct {
 // policy (discover is idempotent), and every candidate gateway client
 // inherits the caller's transport and retries.
 func FromRegistryWith(ctx context.Context, caller *Caller, registryAddr string, timeout time.Duration) (*Scheduler, error) {
-	resources, err := FedClient{Addr: registryAddr, Timeout: timeout, Caller: caller}.Discover(ctx)
+	resources, err := FedClient{Addr: registryAddr, Timeout: timeout, Caller: caller}.discover(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -176,9 +176,9 @@ func (s *Scheduler) Rank(ctx context.Context, job SubmitReq) ([]Ranked, []RankFa
 	var out []Ranked
 	var failures []RankFailure
 	for _, c := range s.Candidates {
-		if s.Breakers != nil && !s.Breakers.Allow(c.MachineID) {
+		if s.Breakers != nil && !s.Breakers.allow(c.MachineID) {
 			span.AddEvent("breaker-open", otrace.String("machine", c.MachineID))
-			failures = append(failures, RankFailure{MachineID: c.MachineID, Err: ErrCircuitOpen})
+			failures = append(failures, RankFailure{MachineID: c.MachineID, Err: errCircuitOpen})
 			continue
 		}
 		qctx, qspan := otrace.StartSpan(ctx, "scheduler.query-tr")

@@ -3,7 +3,6 @@ package ishare
 import (
 	"context"
 	"fmt"
-	"log/slog"
 	"sort"
 	"sync"
 	"time"
@@ -138,16 +137,8 @@ func shadowsFor(cfg avail.Config, historyDays int) []predict.Plugin {
 	return []predict.Plugin{fft, pct}
 }
 
-// SetLogger routes the history recorder's dropped-sample warnings through
-// the given logger (nil disables). Call before samples start flowing.
-func (sm *StateManager) SetLogger(l *slog.Logger) { sm.recorder.SetLogger(l) }
-
 // EngineStats reports the prediction engine's cache counters.
 func (sm *StateManager) EngineStats() predict.EngineStats { return sm.engine.Stats() }
-
-// Obs exposes the node's observability bundle: the metrics registry every
-// component on this node records into and the online accuracy tracker.
-func (sm *StateManager) Obs() *NodeObs { return sm.obsv }
 
 // Record implements monitor.Sink: it archives the sample, refreshes the
 // current-state estimate, and feeds the availability outcome to the accuracy
@@ -182,14 +173,14 @@ func (sm *StateManager) pushRecent(samples ...trace.Sample) bool {
 	return up
 }
 
-// RestoreSample is the WAL-replay twin of Record: it applies one recovered
+// restoreSample is the WAL-replay twin of Record: it applies one recovered
 // sample through the identical archival and classification path but skips
 // the observability side effects — the sample counter counts only what this
 // process ingested live, and the accuracy tracker's pending predictions are
 // not persisted, so replay has nothing to resolve. Because the live path
 // quantizes samples at ingest (see Persister), replaying the WAL rebuilds
 // recorder, recent ring and current state bit-identically.
-func (sm *StateManager) RestoreSample(t time.Time, s trace.Sample) {
+func (sm *StateManager) restoreSample(t time.Time, s trace.Sample) {
 	sm.recorder.Record(t, s)
 	sm.pushRecent(s)
 }
@@ -209,7 +200,7 @@ func (sm *StateManager) viewHistory(fn func(m *trace.Machine, last time.Time)) [
 // RestoreHistory installs recovered snapshot state: the recorded log, the
 // last-sample timestamp and the recent ring. The current availability state
 // is re-derived from the ring rather than persisted. Call before samples
-// flow; WAL-tail samples are then replayed through RestoreSample on top.
+// flow; WAL-tail samples are then replayed through restoreSample on top.
 func (sm *StateManager) RestoreHistory(m *trace.Machine, last time.Time, recent []trace.Sample) error {
 	if err := sm.recorder.Restore(m, last); err != nil {
 		return err
@@ -234,10 +225,10 @@ func (sm *StateManager) CurrentState() avail.State {
 	return sm.curState
 }
 
-// History returns the full day history available for prediction: the
+// history returns the full day history available for prediction: the
 // preloaded and the live-recorded days, merged chronologically with live data
 // winning on overlap.
-func (sm *StateManager) History() []*trace.Day {
+func (sm *StateManager) history() []*trace.Day {
 	var pre []*trace.Day
 	if sm.preloaded != nil {
 		pre = sm.preloaded.Days
@@ -314,7 +305,7 @@ func (sm *StateManager) completedDays(today time.Time) ([]*trace.Day, []*trace.D
 // everything it ever learned.
 func (sm *StateManager) Archive(path string) error {
 	merged := trace.NewMachine(sm.machineID, sm.period)
-	for _, d := range sm.History() {
+	for _, d := range sm.history() {
 		if err := merged.AddDay(d); err != nil {
 			return err
 		}

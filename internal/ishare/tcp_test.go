@@ -24,7 +24,7 @@ func TestRegistryOverTCP(t *testing.T) {
 	if err := RegisterWithTTL(ctx, nil, srv.Addr(), "lab-02", "10.0.0.2:9000", 0, time.Second); err != nil {
 		t.Fatal(err)
 	}
-	resources, err := FedClient{Addr: srv.Addr(), Timeout: time.Second}.Discover(ctx)
+	resources, err := FedClient{Addr: srv.Addr(), Timeout: time.Second}.discover(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestRegistryOverTCP(t *testing.T) {
 	if err := RegisterWithTTL(ctx, nil, srv.Addr(), "lab-01", "10.0.0.1:9999", 0, time.Second); err != nil {
 		t.Fatal(err)
 	}
-	resources, _ = FedClient{Addr: srv.Addr(), Timeout: time.Second}.Discover(ctx)
+	resources, _ = FedClient{Addr: srv.Addr(), Timeout: time.Second}.discover(ctx)
 	if len(resources) != 2 || resources[0].Addr != "10.0.0.1:9999" {
 		t.Fatalf("after refresh: %+v", resources)
 	}
@@ -43,14 +43,14 @@ func TestRegistryOverTCP(t *testing.T) {
 
 func TestRegistryRejectsBadRequests(t *testing.T) {
 	reg := ringOfOne(t, FedConfig{})
-	if err := reg.register(context.Background(), RegisterReq{}); err == nil {
+	if err := reg.register(context.Background(), registerReq{}); err == nil {
 		t.Fatal("empty resource accepted")
 	}
 	h := reg.Handler()
 	if _, err := h(Request{Type: "bogus"}); err == nil {
 		t.Fatal("unknown type accepted")
 	}
-	for _, typ := range []string{MsgRegister, MsgDiscover} {
+	for _, typ := range []string{msgRegister, msgDiscover} {
 		if _, err := h(Request{Type: typ, Payload: json.RawMessage(`{`)}); err == nil {
 			t.Fatalf("malformed %s payload accepted", typ)
 		}
@@ -127,7 +127,7 @@ func TestServerRejectsMalformedStream(t *testing.T) {
 	if _, err := conn.Write([]byte("this is not json\n")); err != nil {
 		t.Fatal(err)
 	}
-	var resp Response
+	var resp response
 	if err := json.NewDecoder(conn).Decode(&resp); err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestNewServerValidation(t *testing.T) {
 }
 
 func TestCallErrors(t *testing.T) {
-	if err := (*Caller)(nil).Call(context.Background(), "127.0.0.1:1", MsgDiscover, nil, nil, 50*time.Millisecond); err == nil {
+	if err := (*Caller)(nil).Call(context.Background(), "127.0.0.1:1", msgDiscover, nil, nil, 50*time.Millisecond); err == nil {
 		t.Fatal("dial to closed port succeeded")
 	}
 }
@@ -155,7 +155,7 @@ func TestGatewayHandlerBadPayloads(t *testing.T) {
 	clock := simclock.NewVirtual(monday)
 	node := testNode(t, clock, nil)
 	h := node.Gateway.Handler()
-	for _, typ := range []string{MsgQueryTR, MsgSubmit, MsgJobStatus, MsgKillJob} {
+	for _, typ := range []string{MsgQueryTR, MsgSubmit, msgJobStatus, msgKillJob} {
 		if _, err := h(Request{Type: typ, Payload: json.RawMessage(`{bad`)}); err == nil {
 			t.Errorf("malformed %s payload accepted", typ)
 		}
@@ -212,7 +212,7 @@ func TestProtocolRoundTripProperty(t *testing.T) {
 			QueryTRReq{LengthSeconds: r.Uniform(1, 1e5), GuestMemMB: r.Uniform(0, 512)},
 			SubmitReq{Name: "job", WorkSeconds: r.Uniform(1, 1e5), MemMB: r.Uniform(0, 512), InitialProgressSeconds: r.Uniform(0, 10)},
 			JobStatusReq{JobID: "j-1"},
-			RegisterReq{MachineID: "m", Addr: "127.0.0.1:1"},
+			registerReq{MachineID: "m", Addr: "127.0.0.1:1"},
 		}
 		for _, payload := range reqs {
 			raw, err := json.Marshal(payload)
@@ -243,8 +243,8 @@ func TestProtocolRoundTripProperty(t *testing.T) {
 				if err := json.Unmarshal(env.Payload, &got); err != nil || got != p {
 					return false
 				}
-			case RegisterReq:
-				var got RegisterReq
+			case registerReq:
+				var got registerReq
 				if err := json.Unmarshal(env.Payload, &got); err != nil || got != p {
 					return false
 				}

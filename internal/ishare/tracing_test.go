@@ -73,7 +73,7 @@ func runTracedFaultOnce(t *testing.T, seed uint64) tracedFaultRun {
 		// Distinct seeds per node: span IDs are drawn from the tracer's
 		// seeded sequence, and two nodes must never mint colliding IDs
 		// into the same distributed trace.
-		sm.Obs().SetTracing(otrace.New(otrace.Config{
+		sm.obsv.SetTracing(otrace.New(otrace.Config{
 			SampleRate: 1, Seed: seed + uint64(i+1)*1000,
 			Recorder: otrace.NewRecorder(32), Clock: &tickClock{t: start},
 		}))
@@ -103,7 +103,7 @@ func runTracedFaultOnce(t *testing.T, seed uint64) tracedFaultRun {
 	}
 	var server strings.Builder
 	for _, gw := range gws {
-		resp, err := gw.QueryTraces(context.Background(), QueryTracesReq{Limit: 100})
+		resp, err := gw.queryTraces(context.Background(), QueryTracesReq{Limit: 100})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -32,9 +32,8 @@ import (
 // Memory is bounded at fleet scale: rolling state grows lazily up to the
 // rolling-window cap per (machine, predictor), and a RetentionPolicy
 // (SetRetention + periodic EvictIdle calls) evicts machines that have gone
-// idle — stopped sampling and querying, i.e. left the fleet — and enforces
-// a hard machine-count cap. The "_all" aggregates are never evicted, so
-// fleet-level totals survive churn.
+// idle — stopped sampling and querying, i.e. left the fleet. The "_all"
+// aggregates are never evicted, so fleet-level totals survive churn.
 type Tracker struct {
 	mu       sync.Mutex
 	machines map[string]*machineState // pending window + last activity, keyed by machine
@@ -161,10 +160,6 @@ type ringEntry struct {
 // RetentionPolicy bounds tracker memory across fleet churn. The zero value
 // retains everything (the single-node default).
 type RetentionPolicy struct {
-	// MaxMachines caps the number of machines with tracked state; beyond
-	// it EvictIdle removes the least-recently-active machines first
-	// (0 = unlimited).
-	MaxMachines int
 	// IdleTTL evicts a machine whose last activity is at least this old
 	// at EvictIdle time — typically the registry TTL, so tracker state
 	// follows registration lifetime (0 = never).
@@ -360,44 +355,24 @@ func (st *accStats) add(tr float64, survived bool) {
 }
 
 // EvictIdle enforces the retention policy: machines whose last activity is
-// at least IdleTTL old are evicted, then the least-recently-active machines
-// beyond MaxMachines. Eviction removes the machine's pending window and its
-// per-machine stats; the "_all" aggregates keep every resolution ever
-// folded. Pending predictions discarded by eviction count as dropped. The
-// eviction order is deterministic (activity time, then machine name).
-// Returns the number of machines evicted.
+// at least IdleTTL old are evicted. Eviction removes the machine's pending
+// window and its per-machine stats; the "_all" aggregates keep every
+// resolution ever folded. Pending predictions discarded by eviction count as
+// dropped. Returns the number of machines evicted.
 func (t *Tracker) EvictIdle(now time.Time) int {
 	if t == nil {
 		return 0
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	p := t.retention
-	if p.MaxMachines <= 0 && p.IdleTTL <= 0 {
+	ttl := t.retention.IdleTTL
+	if ttl <= 0 {
 		return 0
 	}
 	evict := make(map[string]bool)
-	type liveMachine struct {
-		name string
-		last time.Time
-	}
-	var live []liveMachine
 	for name, ms := range t.machines {
-		if p.IdleTTL > 0 && now.Sub(ms.lastActive) >= p.IdleTTL {
+		if now.Sub(ms.lastActive) >= ttl {
 			evict[name] = true
-			continue
-		}
-		live = append(live, liveMachine{name: name, last: ms.lastActive})
-	}
-	if p.MaxMachines > 0 && len(live) > p.MaxMachines {
-		sort.Slice(live, func(i, j int) bool {
-			if !live[i].last.Equal(live[j].last) {
-				return live[i].last.Before(live[j].last)
-			}
-			return live[i].name < live[j].name
-		})
-		for _, m := range live[:len(live)-p.MaxMachines] {
-			evict[m.name] = true
 		}
 	}
 	if len(evict) == 0 {
@@ -465,10 +440,10 @@ type AccuracyStats struct {
 	Calibration []CalibrationBucket `json:"calibration,omitempty"`
 }
 
-// summary is the reportable view of one key: the figures AccSums.Stats
+// summary is the reportable view of one key: the figures AccSums.stats
 // derives from the sums, plus the rolling ones only this node's ring holds.
 func (st *accStats) summary(key trackerKey) AccuracyStats {
-	out := st.sums(key).Stats(true)
+	out := st.sums(key).stats(true)
 	if len(st.ring) > 0 {
 		var correct int
 		for _, e := range st.ring {

@@ -572,7 +572,7 @@ func driveTrackers(t *testing.T, maxPending int, ops []byte) {
 
 	ring, ref := NewTracker(), newReferenceTracker(maxPending)
 	ring.maxPending = maxPending
-	policy := RetentionPolicy{MaxMachines: 2, IdleTTL: 3 * time.Hour}
+	policy := RetentionPolicy{IdleTTL: 3 * time.Hour}
 	ring.SetRetention(policy)
 	ref.SetRetention(policy)
 	var ringLog, refLog []string

@@ -60,9 +60,9 @@ func (a *AccSums) merge(other AccSums) {
 	}
 }
 
-// Stats derives the reportable summary from the sums. Rolling figures stay
+// stats derives the reportable summary from the sums. Rolling figures stay
 // zero: they are per-node state and do not survive a merge.
-func (a AccSums) Stats(calibration bool) AccuracyStats {
+func (a AccSums) stats(calibration bool) AccuracyStats {
 	out := AccuracyStats{
 		Machine:   a.Machine,
 		Predictor: a.Predictor,
@@ -357,7 +357,7 @@ func (f *FleetSnapshot) AddUnreachable(peer, errMsg string) {
 func (f *FleetSnapshot) Accuracy() []AccuracyStats {
 	out := make([]AccuracyStats, 0, len(f.acc))
 	for _, a := range f.acc {
-		out = append(out, a.Stats(false))
+		out = append(out, a.stats(false))
 	}
 	sort.Slice(out, func(i, j int) bool {
 		return keyLess(trackerKey{out[i].Machine, out[i].Predictor}, trackerKey{out[j].Machine, out[j].Predictor})
@@ -422,11 +422,11 @@ func sortedAlerts(alerts []Alert) []Alert {
 	return out
 }
 
-// Series is the fleet /metrics page as one snapshot: the fleet's own
+// series is the fleet /metrics page as one snapshot: the fleet's own
 // families (peer and alert counts, a status series per peer), the accuracy
 // families from the merged sums, and the peers' merged registry series — a
 // function of the merged state alone, whatever order the peers were added in.
-func (f *FleetSnapshot) Series() Snapshot {
+func (f *FleetSnapshot) series() Snapshot {
 	counts := map[string]float64{}
 	out := Snapshot{derivedFamily("fgcs_fleet_peers").series(float64(len(f.Peers))), derivedFamily("fgcs_fleet_alerts").series(float64(len(f.Alerts)))}
 	for _, p := range f.Peers {

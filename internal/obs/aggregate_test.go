@@ -191,7 +191,7 @@ func TestFleetMergeCommutative(t *testing.T) {
 			f.Add(samplePeerObs(peer), PeerStatus{Status: PeerOK})
 		}
 		var buf bytes.Buffer
-		if err := f.Series().WriteText(&buf); err != nil {
+		if err := f.series().WriteText(&buf); err != nil {
 			t.Fatal(err)
 		}
 		return buf.String()
@@ -301,7 +301,7 @@ func TestFleetWriteTextConformance(t *testing.T) {
 	f.Add(samplePeerObs("gw01"), PeerStatus{Status: PeerOK})
 	f.Add(samplePeerObs("gw02"), PeerStatus{Status: PeerOK})
 	var buf bytes.Buffer
-	if err := f.Series().WriteText(&buf); err != nil {
+	if err := f.series().WriteText(&buf); err != nil {
 		t.Fatal(err)
 	}
 	text := buf.String()

@@ -60,7 +60,7 @@ func FuzzDecodeObsSnapshot(f *testing.F) {
 		fs.Add(p, PeerStatus{Status: PeerOK})
 		fs.Add(q, PeerStatus{Status: PeerStale, AgeSeconds: 1})
 		var buf bytes.Buffer
-		if err := fs.Series().WriteText(&buf); err != nil {
+		if err := fs.series().WriteText(&buf); err != nil {
 			t.Fatalf("merged fuzz snapshot failed to render: %v", err)
 		}
 		if _, err := checkExposition(buf.String()); err != nil {

@@ -24,7 +24,7 @@ func FleetHandler(r *Registry, t *Tracker, fleet func(*http.Request) (*FleetSnap
 				http.Error(w, fmt.Sprintf("fleet aggregation: %v", err), http.StatusBadGateway)
 				return
 			}
-			page = fs.Series()
+			page = fs.series()
 		}
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = page.WriteText(w) // the scraper hung up

@@ -73,8 +73,8 @@ func (g *Gauge) Set(v float64) {
 	g.bits.Store(math.Float64bits(v))
 }
 
-// Value returns the stored value.
-func (g *Gauge) Value() float64 {
+// value returns the stored value.
+func (g *Gauge) value() float64 {
 	if g == nil {
 		return 0
 	}
@@ -168,9 +168,9 @@ func (s *HistogramSnapshot) Merge(other HistogramSnapshot) error {
 	return nil
 }
 
-// Quantile estimates the q-quantile (0..1) from the bucket counts by linear
+// quantile estimates the q-quantile (0..1) from the bucket counts by linear
 // interpolation within the bucket; the +Inf bucket reports its lower bound.
-func (s HistogramSnapshot) Quantile(q float64) float64 {
+func (s HistogramSnapshot) quantile(q float64) float64 {
 	if s.Count == 0 {
 		return 0
 	}
@@ -301,7 +301,7 @@ func (r *Registry) Snapshot() Snapshot {
 	s := make(Snapshot, len(r.metrics))
 	for i, m := range r.metrics {
 		s[i] = Series{Name: m.name, Labels: m.labels, Kind: m.kind, Help: m.help,
-			Count: m.counter.Value(), Value: m.gauge.Value(), Hist: m.hist.Snapshot()}
+			Count: m.counter.Value(), Value: m.gauge.value(), Hist: m.hist.Snapshot()}
 	}
 	return s
 }

@@ -17,7 +17,7 @@ func TestCounterGaugeBasics(t *testing.T) {
 	}
 	g := r.Gauge("queue_depth", "Depth.")
 	g.Set(3.5)
-	if got := g.Value(); got != 3.5 {
+	if got := g.value(); got != 3.5 {
 		t.Fatalf("gauge = %g, want 3.5", got)
 	}
 	// Re-registration returns the same instrument.
@@ -62,10 +62,10 @@ func TestHistogramBuckets(t *testing.T) {
 	if s.Count != 5 || s.Sum != 106 {
 		t.Fatalf("count/sum = %d/%g, want 5/106", s.Count, s.Sum)
 	}
-	if q := s.Quantile(0.5); q < 1 || q > 2 {
+	if q := s.quantile(0.5); q < 1 || q > 2 {
 		t.Fatalf("p50 = %g, want within (1,2]", q)
 	}
-	if q := s.Quantile(1); q != 4 {
+	if q := s.quantile(1); q != 4 {
 		t.Fatalf("p100 = %g, want 4 (+Inf bucket reports its lower bound)", q)
 	}
 }

@@ -221,7 +221,7 @@ func (m *SLOMonitor) window(w time.Duration) SLOWindow {
 	}
 	if newest.Latency != nil && base.Latency != nil {
 		if d, ok := subtractHist(*newest.Latency, *base.Latency); ok && d.Count > 0 {
-			out.P99Seconds = d.Quantile(0.99)
+			out.P99Seconds = d.quantile(0.99)
 		}
 	}
 	return out

@@ -24,9 +24,9 @@ type FlightSnapshot struct {
 func (r *Recorder) Snapshot(at time.Time) *FlightSnapshot {
 	return &FlightSnapshot{
 		SavedAt: at,
-		Total:   r.Total(),
+		Total:   r.traceCount(),
 		Traces:  r.Traces(0),
-		Events:  r.Events(0),
+		Events:  r.logEvents(0),
 	}
 }
 

@@ -31,14 +31,14 @@ func TestFlightSaveLoadRoundTrip(t *testing.T) {
 	if snap == nil {
 		t.Fatal("LoadFlight returned nil for an existing file")
 	}
-	if !snap.SavedAt.Equal(savedAt) || snap.Total != rec.Total() {
-		t.Fatalf("header = (%v, %d), want (%v, %d)", snap.SavedAt, snap.Total, savedAt, rec.Total())
+	if !snap.SavedAt.Equal(savedAt) || snap.Total != rec.traceCount() {
+		t.Fatalf("header = (%v, %d), want (%v, %d)", snap.SavedAt, snap.Total, savedAt, rec.traceCount())
 	}
 	if !reflect.DeepEqual(snap.Traces, rec.Traces(0)) {
 		t.Fatalf("traces differ:\n got %+v\nwant %+v", snap.Traces, rec.Traces(0))
 	}
-	if !reflect.DeepEqual(snap.Events, rec.Events(0)) {
-		t.Fatalf("events differ:\n got %+v\nwant %+v", snap.Events, rec.Events(0))
+	if !reflect.DeepEqual(snap.Events, rec.logEvents(0)) {
+		t.Fatalf("events differ:\n got %+v\nwant %+v", snap.Events, rec.logEvents(0))
 	}
 	// The snapshot's lookup helpers mirror the live recorder's.
 	wantMerged, _ := rec.Trace(7)

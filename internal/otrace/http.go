@@ -48,9 +48,9 @@ func HTTPHandler(rec *Recorder) http.Handler {
 				})
 			}
 			writeJSON(w, map[string]interface{}{
-				"total_recorded": rec.Total(),
+				"total_recorded": rec.traceCount(),
 				"traces":         sums,
-				"events":         rec.Events(limit),
+				"events":         rec.logEvents(limit),
 			})
 			return
 		}
@@ -66,7 +66,7 @@ func HTTPHandler(rec *Recorder) http.Handler {
 		}
 		if r.URL.Query().Get("render") != "" {
 			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			RenderTrace(w, records, RenderOptions{Timings: true})
+			renderTrace(w, records, RenderOptions{Timings: true})
 			return
 		}
 		writeJSON(w, records)

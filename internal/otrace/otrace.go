@@ -9,7 +9,7 @@
 //
 //   - Zero overhead when off. A nil *Tracer and a nil *Span are fully inert:
 //     every method no-ops, StartSpan returns the context unchanged, and the
-//     instrumented-but-unsampled hot paths (Engine.PredictCtx, QueryTR) stay at
+//     instrumented-but-unsampled hot paths (Engine.predictCtx, QueryTR) stay at
 //     0 allocs/op. Sampling is decided once, at the root; an unsampled trace
 //     never materializes a span object at all.
 //
@@ -203,8 +203,8 @@ func (s *Span) Trace() TraceID {
 	return s.data.TraceID
 }
 
-// ID returns the span's own ID (zero for nil spans).
-func (s *Span) ID() SpanID {
+// spanID returns the span's own spanID (zero for nil spans).
+func (s *Span) spanID() SpanID {
 	if s == nil {
 		return 0
 	}
@@ -302,9 +302,9 @@ func (s *Span) StartChild(name string) *Span {
 // ctxKey keys the active span in a context.
 type ctxKey struct{}
 
-// ContextWith returns ctx carrying the span. A nil span returns ctx
+// contextWith returns ctx carrying the span. A nil span returns ctx
 // unchanged — the zero-allocation contract for unsampled paths.
-func ContextWith(ctx context.Context, s *Span) context.Context {
+func contextWith(ctx context.Context, s *Span) context.Context {
 	if s == nil {
 		return ctx
 	}
@@ -332,7 +332,7 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 		return ctx, nil
 	}
 	child := parent.StartChild(name)
-	return ContextWith(ctx, child), child
+	return contextWith(ctx, child), child
 }
 
 // ----------------------------------------------------------------- tracer ----
@@ -379,8 +379,8 @@ type Tracer struct {
 	clock    Clock
 }
 
-// DefaultSeed is used when Config.Seed is zero.
-const DefaultSeed = 0x07A5
+// defaultSeed is used when Config.Seed is zero.
+const defaultSeed = 0x07A5
 
 // New builds a tracer.
 func New(cfg Config) *Tracer {
@@ -393,7 +393,7 @@ func New(cfg Config) *Tracer {
 	}
 	seed := cfg.Seed
 	if seed == 0 {
-		seed = DefaultSeed
+		seed = defaultSeed
 	}
 	clock := cfg.Clock
 	if clock == nil {
@@ -442,7 +442,7 @@ func (t *Tracer) Start(ctx context.Context, name string) (context.Context, *Span
 	}
 	if parent := FromContext(ctx); parent != nil {
 		child := parent.StartChild(name)
-		return ContextWith(ctx, child), child
+		return contextWith(ctx, child), child
 	}
 	id := t.nextID()
 	if !t.sampledID(id) {
@@ -481,7 +481,7 @@ func (t *Tracer) root(ctx context.Context, traceID TraceID, parent SpanID, name 
 			Start:   t.now(),
 		},
 	}
-	return ContextWith(ctx, s), s
+	return contextWith(ctx, s), s
 }
 
 // splitmix is the SplitMix64 finalizer, the same mixer the repository's rng

@@ -45,7 +45,7 @@ func TestNilSafety(t *testing.T) {
 	s.AddEvent("ev")
 	s.SetError(errors.New("boom"))
 	s.End()
-	if s != nil || s.Trace() != 0 || s.ID() != 0 {
+	if s != nil || s.Trace() != 0 || s.spanID() != 0 {
 		t.Fatalf("nil span not inert")
 	}
 	if s.StartChild("c") != nil {
@@ -77,7 +77,7 @@ func TestUnsampledZeroAlloc(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("unsampled path allocates %v allocs/op, want 0", n)
 	}
-	if rec.Total() != 0 {
+	if rec.traceCount() != 0 {
 		t.Fatalf("unsampled traces reached the recorder")
 	}
 }
@@ -98,8 +98,8 @@ func TestSampledTraceRecorded(t *testing.T) {
 	failed.End()
 	root.End()
 
-	if rec.Total() != 1 {
-		t.Fatalf("recorded %d traces, want 1", rec.Total())
+	if rec.traceCount() != 1 {
+		t.Fatalf("recorded %d traces, want 1", rec.traceCount())
 	}
 	records, ok := rec.Trace(root.Trace())
 	if !ok || len(records) != 1 {
@@ -260,8 +260,8 @@ func TestEndIdempotentAndSealedAfterFlush(t *testing.T) {
 	root.End()
 	root.End()      // idempotent
 	straggler.End() // after flush: dropped, record is sealed
-	if rec.Total() != 1 {
-		t.Fatalf("double End recorded %d traces", rec.Total())
+	if rec.traceCount() != 1 {
+		t.Fatalf("double End recorded %d traces", rec.traceCount())
 	}
 	records, _ := rec.Trace(root.Trace())
 	if len(records[0].Spans) != 1 {
@@ -282,7 +282,7 @@ func TestCaptureHandler(t *testing.T) {
 	logger.ErrorContext(ctx, "read failed", slog.String("machine", "m1"))
 	span.End()
 
-	events := rec.Events(0)
+	events := rec.logEvents(0)
 	if len(events) != 2 {
 		t.Fatalf("captured %d events, want 2", len(events))
 	}
@@ -314,7 +314,7 @@ func TestCaptureHandlerWithAttrsAndGroup(t *testing.T) {
 		With(slog.String("component", "monitor")).
 		WithGroup("host")
 	logger.Warn("cpu read failed", slog.String("machine", "m2"))
-	events := rec.Events(0)
+	events := rec.logEvents(0)
 	if len(events) != 1 {
 		t.Fatalf("captured %d events, want 1", len(events))
 	}

@@ -116,9 +116,9 @@ func (r *Recorder) AddLogEvent(ev LogEvent) {
 	r.mu.Unlock()
 }
 
-// Total reports how many traces have ever been recorded (including those the
-// ring has since displaced).
-func (r *Recorder) Total() uint64 {
+// traceCount reports how many traces have ever been recorded (including
+// those the ring has since displaced).
+func (r *Recorder) traceCount() uint64 {
 	if r == nil {
 		return 0
 	}
@@ -173,9 +173,9 @@ func (r *Recorder) Trace(id TraceID) ([]TraceRecord, bool) {
 	return out, len(out) > 0
 }
 
-// Events returns up to limit of the most recent captured log events, newest
-// first (limit <= 0 returns all retained).
-func (r *Recorder) Events(limit int) []LogEvent {
+// logEvents returns up to limit of the most recent captured log events,
+// newest first (limit <= 0 returns all retained).
+func (r *Recorder) logEvents(limit int) []LogEvent {
 	if r == nil {
 		return nil
 	}
@@ -198,7 +198,7 @@ func (r *Recorder) Events(limit int) []LogEvent {
 
 // ------------------------------------------------------------- rendering ----
 
-// RenderOptions shapes RenderTrace output.
+// RenderOptions shapes renderTrace output.
 type RenderOptions struct {
 	// Timings includes start offsets and durations. Disable for
 	// deterministic comparisons across runs (wall-clock noise) — the
@@ -207,11 +207,11 @@ type RenderOptions struct {
 	Timings bool
 }
 
-// RenderTrace writes one merged trace as an indented span tree, the format
+// renderTrace writes one merged trace as an indented span tree, the format
 // `isharec traces` prints and the determinism tests compare. Records are
 // merged by span parentage: spans whose parent is absent from the merged set
 // render as top-level roots, in record order.
-func RenderTrace(w io.Writer, records []TraceRecord, opts RenderOptions) {
+func renderTrace(w io.Writer, records []TraceRecord, opts RenderOptions) {
 	if len(records) == 0 {
 		return
 	}
@@ -281,9 +281,9 @@ func RenderTrace(w io.Writer, records []TraceRecord, opts RenderOptions) {
 	}
 }
 
-// RenderTraceString is RenderTrace into a string.
+// RenderTraceString is renderTrace into a string.
 func RenderTraceString(records []TraceRecord, opts RenderOptions) string {
 	var b strings.Builder
-	RenderTrace(&b, records, opts)
+	renderTrace(&b, records, opts)
 	return b.String()
 }

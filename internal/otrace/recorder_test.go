@@ -14,8 +14,8 @@ func TestRecorderRingEviction(t *testing.T) {
 	for i := 1; i <= 6; i++ {
 		rec.addTrace(TraceID(i), []SpanData{{TraceID: TraceID(i), SpanID: SpanID(i), Name: "op"}})
 	}
-	if rec.Total() != 6 {
-		t.Fatalf("Total = %d, want 6", rec.Total())
+	if rec.traceCount() != 6 {
+		t.Fatalf("Total = %d, want 6", rec.traceCount())
 	}
 	got := rec.Traces(0)
 	if len(got) != 4 {
@@ -69,14 +69,14 @@ func TestEventRingEviction(t *testing.T) {
 	for i := 0; i < defaultEventCapacity+3; i++ {
 		rec.AddLogEvent(LogEvent{Level: "WARN", Msg: "m", Time: time.Unix(int64(i), 0)})
 	}
-	events := rec.Events(0)
+	events := rec.logEvents(0)
 	if len(events) != defaultEventCapacity {
 		t.Fatalf("retained %d events, want %d", len(events), defaultEventCapacity)
 	}
 	if events[0].Time.Unix() != int64(defaultEventCapacity+2) {
 		t.Fatalf("newest event wrong: %v", events[0].Time)
 	}
-	if limited := rec.Events(1); len(limited) != 1 {
+	if limited := rec.logEvents(1); len(limited) != 1 {
 		t.Fatalf("event limit ignored")
 	}
 }
@@ -85,7 +85,7 @@ func TestNilRecorderSafe(t *testing.T) {
 	var rec *Recorder
 	rec.addTrace(1, nil)
 	rec.AddLogEvent(LogEvent{})
-	if rec.Total() != 0 || rec.Traces(0) != nil || rec.Events(0) != nil {
+	if rec.traceCount() != 0 || rec.Traces(0) != nil || rec.logEvents(0) != nil {
 		t.Fatalf("nil recorder not inert")
 	}
 	if _, ok := rec.Trace(1); ok {

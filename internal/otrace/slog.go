@@ -7,11 +7,11 @@ import (
 	"strings"
 )
 
-// CaptureHandler wraps a slog.Handler and tees every record at or above
+// captureHandler wraps a slog.Handler and tees every record at or above
 // CaptureLevel (default WARN) into a flight recorder's log-event ring, so
 // the recent errors of a run survive next to its traces. Records flow to the
 // wrapped handler unchanged.
-type CaptureHandler struct {
+type captureHandler struct {
 	inner slog.Handler
 	rec   *Recorder
 	min   slog.Level
@@ -19,13 +19,13 @@ type CaptureHandler struct {
 	group string
 }
 
-// NewCaptureHandler tees WARN-and-above records from inner into rec.
-func NewCaptureHandler(inner slog.Handler, rec *Recorder) *CaptureHandler {
-	return &CaptureHandler{inner: inner, rec: rec, min: slog.LevelWarn}
+// newCaptureHandler tees WARN-and-above records from inner into rec.
+func newCaptureHandler(inner slog.Handler, rec *Recorder) *captureHandler {
+	return &captureHandler{inner: inner, rec: rec, min: slog.LevelWarn}
 }
 
 // Enabled implements slog.Handler.
-func (h *CaptureHandler) Enabled(ctx context.Context, level slog.Level) bool {
+func (h *captureHandler) Enabled(ctx context.Context, level slog.Level) bool {
 	// The recorder wants WARN+ even when the inner handler's level would
 	// drop them, so the flight recorder still has errors after a quiet
 	// -log-level=error run... but not the other way round: below min, defer
@@ -37,7 +37,7 @@ func (h *CaptureHandler) Enabled(ctx context.Context, level slog.Level) bool {
 }
 
 // Handle implements slog.Handler.
-func (h *CaptureHandler) Handle(ctx context.Context, r slog.Record) error {
+func (h *captureHandler) Handle(ctx context.Context, r slog.Record) error {
 	if h.rec != nil && r.Level >= h.min {
 		ev := LogEvent{Time: r.Time, Level: r.Level.String(), Msg: r.Message}
 		ev.Attrs = append(ev.Attrs, h.attrs...)
@@ -48,7 +48,7 @@ func (h *CaptureHandler) Handle(ctx context.Context, r slog.Record) error {
 		if span := FromContext(ctx); span != nil {
 			ev.Attrs = append(ev.Attrs,
 				String("trace_id", span.Trace().String()),
-				String("span_id", span.ID().String()))
+				String("span_id", span.spanID().String()))
 		}
 		h.rec.AddLogEvent(ev)
 	}
@@ -59,7 +59,7 @@ func (h *CaptureHandler) Handle(ctx context.Context, r slog.Record) error {
 }
 
 // render flattens a slog.Attr (including groups) into pre-rendered pairs.
-func (h *CaptureHandler) render(a slog.Attr) []Attr {
+func (h *captureHandler) render(a slog.Attr) []Attr {
 	key := a.Key
 	if h.group != "" {
 		key = h.group + "." + key
@@ -77,7 +77,7 @@ func (h *CaptureHandler) render(a slog.Attr) []Attr {
 }
 
 // WithAttrs implements slog.Handler.
-func (h *CaptureHandler) WithAttrs(attrs []slog.Attr) slog.Handler {
+func (h *captureHandler) WithAttrs(attrs []slog.Attr) slog.Handler {
 	next := *h
 	next.inner = h.inner.WithAttrs(attrs)
 	next.attrs = append(append([]Attr(nil), h.attrs...), func() []Attr {
@@ -91,7 +91,7 @@ func (h *CaptureHandler) WithAttrs(attrs []slog.Attr) slog.Handler {
 }
 
 // WithGroup implements slog.Handler.
-func (h *CaptureHandler) WithGroup(name string) slog.Handler {
+func (h *captureHandler) WithGroup(name string) slog.Handler {
 	next := *h
 	next.inner = h.inner.WithGroup(name)
 	if next.group == "" {
@@ -129,7 +129,7 @@ func NewLogger(w io.Writer, level slog.Level, json bool, rec *Recorder) *slog.Lo
 		inner = slog.NewTextHandler(w, opts)
 	}
 	if rec != nil {
-		return slog.New(NewCaptureHandler(inner, rec))
+		return slog.New(newCaptureHandler(inner, rec))
 	}
 	return slog.New(inner)
 }

@@ -18,7 +18,7 @@ import (
 // Engine is a concurrent batch-prediction service over the SMP predictor: it
 // memoizes solved predictions in an LRU keyed by (history fingerprint,
 // window, estimator configuration), serves any number of concurrent
-// PredictCtx/PredictFromCtx queries against the cache, and fans PredictBatch
+// predictCtx/PredictFromCtx queries against the cache, and fans PredictBatch
 // request slices across a bounded worker pool. Cache misses run on scratch
 // buffers from one process-wide free list shared by every engine, so once
 // it holds buffers sized for the longest window a process asks for,
@@ -124,7 +124,7 @@ func NewEngine(cfg EngineConfig) *Engine {
 // engineKey identifies one cached result: the fingerprint of the day pool,
 // the query window, and the predictor identity — the full SMP estimator
 // configuration on the kernel path, or the plugin's name plus its
-// configuration salt on the plugin path (see Cacheable). The plugin
+// configuration salt on the plugin path (see cacheable). The plugin
 // name is always part of the key, so two predictors can never share an
 // entry: the tracker never scores one predictor's fitted result as
 // another's. SMP and Window are comparable value types, so the key works
@@ -217,14 +217,14 @@ func (e *Engine) Stats() EngineStats {
 	}
 }
 
-// PredictCtx is SMP.Predict through the cache: bit-identical results, but
+// predictCtx is SMP.Predict through the cache: bit-identical results, but
 // repeated queries for the same (history, window, config) reuse the solved
 // prediction instead of re-running extraction, estimation and the Equation (3)
 // recursion. When ctx carries a sampled span, the lookup marks a cache-hit or
 // cache-miss event on it and a miss records engine.fit/engine.solve child
 // spans. With an untraced context the instrumentation is two pointer reads —
 // the cached warm path stays at 0 allocs/op.
-func (e *Engine) PredictCtx(ctx context.Context, p SMP, history []*trace.Day, w Window) (Prediction, error) {
+func (e *Engine) predictCtx(ctx context.Context, p SMP, history []*trace.Day, w Window) (Prediction, error) {
 	entry, err := e.lookup(ctx, p, history, w)
 	if err != nil {
 		return Prediction{}, err
@@ -234,7 +234,7 @@ func (e *Engine) PredictCtx(ctx context.Context, p SMP, history []*trace.Day, w 
 
 // PredictFromCtx is SMP.PredictFrom through the cache: TR for a job starting
 // in the given (recoverable) current state. A PredictFromCtx after a
-// PredictCtx for the same query (or vice versa) is a cache hit — both are
+// predictCtx for the same query (or vice versa) is a cache hit — both are
 // served from the same solved prediction.
 func (e *Engine) PredictFromCtx(ctx context.Context, p SMP, history []*trace.Day, w Window, init avail.State) (float64, error) {
 	entry, err := e.lookup(ctx, p, history, w)
@@ -276,7 +276,7 @@ func (e *Engine) PredictBatch(p SMP, reqs []BatchRequest) []BatchResult {
 	}
 	if workers <= 1 {
 		for i, r := range reqs {
-			pred, err := e.PredictCtx(context.Background(), p, r.History, r.Window)
+			pred, err := e.predictCtx(context.Background(), p, r.History, r.Window)
 			out[i] = BatchResult{Machine: r.Machine, Window: r.Window, Prediction: pred, Err: err}
 		}
 		return out
@@ -293,7 +293,7 @@ func (e *Engine) PredictBatch(p SMP, reqs []BatchRequest) []BatchResult {
 					return
 				}
 				r := reqs[i]
-				pred, err := e.PredictCtx(context.Background(), p, r.History, r.Window)
+				pred, err := e.predictCtx(context.Background(), p, r.History, r.Window)
 				out[i] = BatchResult{Machine: r.Machine, Window: r.Window, Prediction: pred, Err: err}
 			}
 		}()
@@ -413,7 +413,7 @@ func (e *Engine) memo(ctx context.Context, key engineKey, fit func(*otrace.Span,
 // cross-serve — and Spectral additionally shares its fitted spectrum between
 // the windows of one day pool (see spectrum).
 func (e *Engine) PredictPluginCtx(ctx context.Context, pl Plugin, in PluginInput) (float64, error) {
-	key := engineKey{fp: e.fingerprint(in.Days), window: in.Window, plugin: pl.Name(), salt: pl.CacheSalt()}
+	key := engineKey{fp: e.fingerprint(in.Days), window: in.Window, plugin: pl.Name(), salt: pl.cacheSalt()}
 	entry, err := e.memo(ctx, key, func(span *otrace.Span, _ *EngineMetrics) (*engineEntry, error) {
 		var tr float64
 		var err error

@@ -52,7 +52,7 @@ func TestEngineMatchesSMP(t *testing.T) {
 			}
 			// Twice: the second answer comes from the cache.
 			for pass := 0; pass < 2; pass++ {
-				got, err := e.PredictCtx(context.Background(), p, days, w)
+				got, err := e.predictCtx(context.Background(), p, days, w)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -85,11 +85,11 @@ func TestEngineCacheCounters(t *testing.T) {
 	w := Window{Start: 8 * time.Hour, Length: 2 * time.Hour}
 	e := NewEngine(EngineConfig{})
 	p := defaultSMP()
-	if _, err := e.PredictCtx(context.Background(), p, days, w); err != nil {
+	if _, err := e.predictCtx(context.Background(), p, days, w); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		if _, err := e.PredictCtx(context.Background(), p, days, w); err != nil {
+		if _, err := e.predictCtx(context.Background(), p, days, w); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -107,10 +107,10 @@ func TestEngineCacheCounters(t *testing.T) {
 	// the same cache entry.
 	limited := p
 	limited.HistoryDays = 6
-	if _, err := e.PredictCtx(context.Background(), limited, days, w); err != nil {
+	if _, err := e.predictCtx(context.Background(), limited, days, w); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.PredictCtx(context.Background(), p, days[len(days)-6:], w); err != nil {
+	if _, err := e.predictCtx(context.Background(), p, days[len(days)-6:], w); err != nil {
 		t.Fatal(err)
 	}
 	st = e.Stats()
@@ -124,14 +124,14 @@ func TestEngineInvalidationOnNewDay(t *testing.T) {
 	w := Window{Start: 8 * time.Hour, Length: 2 * time.Hour}
 	e := NewEngine(EngineConfig{})
 	p := defaultSMP()
-	first, err := e.PredictCtx(context.Background(), p, days, w)
+	first, err := e.predictCtx(context.Background(), p, days, w)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A new day arrives: the extended pool is a different fingerprint, so
 	// the stale entry cannot be served.
 	grown := append(append([]*trace.Day{}, days...), failAt(idleDay(8), 9*time.Hour, time.Hour))
-	second, err := e.PredictCtx(context.Background(), p, grown, w)
+	second, err := e.predictCtx(context.Background(), p, grown, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestEngineInvalidationOnNewDay(t *testing.T) {
 	for i, d := range days {
 		clones[i] = d.Clone()
 	}
-	got, err := e.PredictCtx(context.Background(), p, clones, w)
+	got, err := e.predictCtx(context.Background(), p, clones, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestEngineLRUEviction(t *testing.T) {
 		{Start: 10 * time.Hour, Length: time.Hour},
 	}
 	for _, w := range ws {
-		if _, err := e.PredictCtx(context.Background(), p, days, w); err != nil {
+		if _, err := e.predictCtx(context.Background(), p, days, w); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -179,11 +179,11 @@ func TestEngineLRUEviction(t *testing.T) {
 	}
 	// ws[0] was evicted (least recent); ws[1] and ws[2] still hit.
 	for _, w := range ws[1:] {
-		if _, err := e.PredictCtx(context.Background(), p, days, w); err != nil {
+		if _, err := e.predictCtx(context.Background(), p, days, w); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := e.PredictCtx(context.Background(), p, days, ws[0]); err != nil {
+	if _, err := e.predictCtx(context.Background(), p, days, ws[0]); err != nil {
 		t.Fatal(err)
 	}
 	st = e.Stats()
@@ -197,7 +197,7 @@ func TestEngineErrorsNotCached(t *testing.T) {
 	p := defaultSMP()
 	bad := Window{Start: -time.Hour, Length: time.Hour}
 	for i := 0; i < 2; i++ {
-		if _, err := e.PredictCtx(context.Background(), p, failHistory(3, 0), bad); err == nil {
+		if _, err := e.predictCtx(context.Background(), p, failHistory(3, 0), bad); err == nil {
 			t.Fatal("invalid window accepted")
 		}
 	}
@@ -217,7 +217,7 @@ func TestEngineCachingDisabled(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		got, err := e.PredictCtx(context.Background(), p, days, w)
+		got, err := e.predictCtx(context.Background(), p, days, w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -262,7 +262,7 @@ func TestEngineConcurrent(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
 				i := (g + r) % len(windows)
-				got, err := e.PredictCtx(context.Background(), p, days, windows[i])
+				got, err := e.predictCtx(context.Background(), p, days, windows[i])
 				if err != nil {
 					errs <- err
 					return

@@ -91,7 +91,7 @@ func EvaluateTimeSeries(t TimeSeries, sp trace.Split, w Window) (Evaluation, err
 	if len(usable) == 0 {
 		return Evaluation{}, fmt.Errorf("predict: no usable test days for window %v", w)
 	}
-	trPred, err := t.Predict(usable, w)
+	trPred, err := t.predictDays(usable, w)
 	if err != nil {
 		return Evaluation{}, err
 	}

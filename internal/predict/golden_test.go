@@ -74,7 +74,7 @@ func TestGoldenPredictions(t *testing.T) {
 			fmt.Fprintf(&b, "%s %v empirical %s over %d\n", m.ID, w, f64(emp), n)
 			for _, fit := range timeseries.ReferenceSuite() {
 				ts := TimeSeries{Cfg: cfg, Fitter: fit}
-				tr, err := ts.Predict(days, w)
+				tr, err := ts.predictDays(days, w)
 				if err != nil {
 					t.Fatalf("%s %v %s: %v", m.ID, w, fit.Name(), err)
 				}
@@ -204,7 +204,7 @@ func TestGoldenDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		ts := TimeSeries{Cfg: avail.DefaultConfig(), Fitter: timeseries.ReferenceSuite()[0]}
-		tr, err := ts.Predict(days, w)
+		tr, err := ts.predictDays(days, w)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -40,9 +40,9 @@ func DefaultPercentile() Percentile {
 // Name implements Plugin.
 func (Percentile) Name() string { return "PCT" }
 
-// CacheSalt implements Plugin: Percentile is a pure function of (Days,
+// cacheSalt implements Plugin: Percentile is a pure function of (Days,
 // Window, knobs), so the engine may memoize it.
-func (p Percentile) CacheSalt() uint64 {
+func (p Percentile) cacheSalt() uint64 {
 	h := configSalt(p.Cfg, p.HistoryDays)
 	h = mix64(h, math.Float64bits(p.Quantile))
 	h = mix64(h, math.Float64bits(p.MarginFraction))
@@ -61,7 +61,7 @@ func (p Percentile) predictTR(sc *scratch, in PluginInput) (float64, error) {
 	if err := w.Validate(); err != nil {
 		return 0, err
 	}
-	// Cacheable contract: only Days, Window and the receiver's own knobs
+	// cacheable contract: only Days, Window and the receiver's own knobs
 	// may influence the result — the cache salt covers exactly the
 	// receiver.
 	cfg := p.Cfg

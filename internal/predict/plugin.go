@@ -12,14 +12,14 @@ import (
 // (Percentile), which every QueryTR scores beside SMP's served answer: fit
 // from recorded day history and predict the temporal reliability of one
 // (start, length) window. A plugin's result is a pure function of (Days,
-// Window) and the knobs CacheSalt folds, so the engine memoizes it (see
+// Window) and the knobs cacheSalt folds, so the engine memoizes it (see
 // Engine.PredictPluginCtx). It must also be deterministic — the same
 // PluginInput always yields the same TR bit-for-bit, with no wall-clock
 // reads, map-iteration dependence or unseeded randomness — because golden
 // traces, the tracker's resolved claims and the fleetsim accuracy figures
 // all hash or sum predictor output.
 type Plugin interface {
-	Cacheable
+	cacheable
 	// Name is the stable identifier the accuracy tracker keys the
 	// predictor's rows by, and part of its engine cache key.
 	Name() string
@@ -41,15 +41,15 @@ type PluginInput struct {
 	Period time.Duration
 }
 
-// Cacheable is the half of Plugin the engine's cache key needs: CacheSalt
+// cacheable is the half of Plugin the engine's cache key needs: cacheSalt
 // must fold every knob that changes the output, so two configurations with
 // different predictions never share an entry.
-type Cacheable interface {
-	// CacheSalt digests the plugin's configuration for the cache key.
-	CacheSalt() uint64
+type cacheable interface {
+	// cacheSalt digests the plugin's configuration for the cache key.
+	cacheSalt() uint64
 }
 
-// configSalt starts a CacheSalt with the two settings every plugin shares:
+// configSalt starts a cacheSalt with the two settings every plugin shares:
 // the availability model and the history bound. It is the one place the
 // fields of avail.Config are folded; a plugin mixes its own knobs into the
 // result.

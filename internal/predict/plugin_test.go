@@ -50,7 +50,7 @@ func TestPluginCacheSaltIsolation(t *testing.T) {
 	plain := DefaultSpectral()
 	margined := DefaultSpectral()
 	margined.MarginFraction = 0.5
-	if plain.CacheSalt() == margined.CacheSalt() {
+	if plain.cacheSalt() == margined.cacheSalt() {
 		t.Fatal("different MarginFraction, same cache salt")
 	}
 	trPlain, err := e.PredictPluginCtx(context.Background(), plain, in)
@@ -96,15 +96,15 @@ func TestPluginCacheSaltIsolation(t *testing.T) {
 	// Two Spectral values that differ in any one knob share neither a salt
 	// nor a fitted spectrum: on the pool `plain` already fitted, each
 	// variant's first window pays for a fit of its own.
-	salts := map[uint64]string{plain.CacheSalt(): "default"}
+	salts := map[uint64]string{plain.cacheSalt(): "default"}
 	for name, s := range oneKnobVariants() {
 		if name == "default" {
 			continue
 		}
-		if other, dup := salts[s.CacheSalt()]; dup {
+		if other, dup := salts[s.cacheSalt()]; dup {
 			t.Fatalf("knob %s shares a cache salt with %s", name, other)
 		}
-		salts[s.CacheSalt()] = name
+		salts[s.cacheSalt()] = name
 		ev := eventCounts(t, func(ctx context.Context) {
 			if _, err := e.PredictPluginCtx(ctx, s, in); err != nil {
 				t.Fatal(err)
@@ -132,10 +132,10 @@ func TestPluginCacheSaltIsolation(t *testing.T) {
 		}
 		fft, pct := DefaultSpectral(), DefaultPercentile()
 		fft.Cfg, pct.Cfg = cfg, cfg
-		if fft.CacheSalt() == DefaultSpectral().CacheSalt() {
+		if fft.cacheSalt() == DefaultSpectral().cacheSalt() {
 			t.Fatalf("avail.Config.%s is not in Spectral's cache salt", field)
 		}
-		if pct.CacheSalt() == DefaultPercentile().CacheSalt() {
+		if pct.cacheSalt() == DefaultPercentile().cacheSalt() {
 			t.Fatalf("avail.Config.%s is not in Percentile's cache salt", field)
 		}
 	}

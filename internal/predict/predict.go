@@ -34,7 +34,8 @@ type Window struct {
 	Length time.Duration
 }
 
-// String formats the window, e.g. "08:00+2h".
+// String formats the window as the start clock time and the length in
+// time.Duration form, e.g. "08:00+2h0m0s".
 func (w Window) String() string {
 	h := int(w.Start / time.Hour)
 	m := int(w.Start/time.Minute) % 60
@@ -237,11 +238,11 @@ type TimeSeries struct {
 // Name returns the underlying model name.
 func (t TimeSeries) Name() string { return t.Fitter.Name() }
 
-// PredictDay forecasts the query window of one specific day from that day's
+// predictDay forecasts the query window of one specific day from that day's
 // preceding samples and reports whether the predicted trajectory survives
 // (no failure states). This mirrors RPS usage: the model sees only the
 // immediately preceding window of equal length.
-func (t TimeSeries) PredictDay(day *trace.Day, w Window) (bool, error) {
+func (t TimeSeries) predictDay(day *trace.Day, w Window) (bool, error) {
 	prevStart := w.Start - w.Length
 	if prevStart < 0 {
 		prevStart = 0
@@ -249,7 +250,7 @@ func (t TimeSeries) PredictDay(day *trace.Day, w Window) (bool, error) {
 	return t.PredictWindow(day.Window(prevStart, w.Start-prevStart), w, day.Period)
 }
 
-// PredictWindow is PredictDay over explicit samples: prev holds the samples
+// PredictWindow is predictDay over explicit samples: prev holds the samples
 // of the window immediately preceding w (equal length, clipped at midnight),
 // and period is their sampling period.
 func (t TimeSeries) PredictWindow(prev []trace.Sample, w Window, period time.Duration) (bool, error) {
@@ -306,16 +307,16 @@ func (t TimeSeries) PredictWindow(prev []trace.Sample, w Window, period time.Dur
 	return !slices.ContainsFunc(states, avail.State.Failure), nil
 }
 
-// Predict aggregates PredictDay over a set of days: the predicted temporal
+// predictDays aggregates predictDay over a set of days: the predicted temporal
 // reliability is the fraction of days whose forecast trajectory survives the
 // window.
-func (t TimeSeries) Predict(days []*trace.Day, w Window) (float64, error) {
+func (t TimeSeries) predictDays(days []*trace.Day, w Window) (float64, error) {
 	if len(days) == 0 {
 		return 0, fmt.Errorf("predict: no days")
 	}
 	survived := 0
 	for _, d := range days {
-		ok, err := t.PredictDay(d, w)
+		ok, err := t.predictDay(d, w)
 		if err != nil {
 			return 0, err
 		}

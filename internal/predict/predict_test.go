@@ -285,7 +285,7 @@ func TestSMPPredictErrors(t *testing.T) {
 
 func TestTimeSeriesPredictDayIdle(t *testing.T) {
 	ts := TimeSeries{Cfg: avail.DefaultConfig(), Fitter: timeseries.Last{}}
-	ok, err := ts.PredictDay(idleDay(0), Window{Start: 8 * time.Hour, Length: 2 * time.Hour})
+	ok, err := ts.predictDay(idleDay(0), Window{Start: 8 * time.Hour, Length: 2 * time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +300,7 @@ func TestTimeSeriesPredictDayHeavyLoadPersists(t *testing.T) {
 	d := idleDay(0)
 	busyAt(d, 6*time.Hour, 2*time.Hour, 90)
 	ts := TimeSeries{Cfg: avail.DefaultConfig(), Fitter: timeseries.Last{}}
-	ok, err := ts.PredictDay(d, Window{Start: 8 * time.Hour, Length: 2 * time.Hour})
+	ok, err := ts.predictDay(d, Window{Start: 8 * time.Hour, Length: 2 * time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +313,7 @@ func TestTimeSeriesPredictDayDownAtOrigin(t *testing.T) {
 	d := idleDay(0)
 	failAt(d, 7*time.Hour, time.Hour+time.Minute)
 	ts := TimeSeries{Cfg: avail.DefaultConfig(), Fitter: timeseries.Last{}}
-	ok, err := ts.PredictDay(d, Window{Start: 8 * time.Hour, Length: time.Hour})
+	ok, err := ts.predictDay(d, Window{Start: 8 * time.Hour, Length: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +325,7 @@ func TestTimeSeriesPredictDayDownAtOrigin(t *testing.T) {
 func TestTimeSeriesPredictDayWindowAtMidnight(t *testing.T) {
 	// No preceding samples: must not error, falls back to idle forecast.
 	ts := TimeSeries{Cfg: avail.DefaultConfig(), Fitter: timeseries.AR{P: 8}}
-	ok, err := ts.PredictDay(idleDay(0), Window{Start: 0, Length: time.Hour})
+	ok, err := ts.predictDay(idleDay(0), Window{Start: 0, Length: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,25 +338,25 @@ func TestTimeSeriesPredictAggregates(t *testing.T) {
 	days := []*trace.Day{idleDay(0), idleDay(1)}
 	busyAt(days[1], 6*time.Hour, 2*time.Hour, 90)
 	ts := TimeSeries{Cfg: avail.DefaultConfig(), Fitter: timeseries.Last{}}
-	tr, err := ts.Predict(days, Window{Start: 8 * time.Hour, Length: 2 * time.Hour})
+	tr, err := ts.predictDays(days, Window{Start: 8 * time.Hour, Length: 2 * time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tr != 0.5 {
 		t.Fatalf("aggregate TR = %v, want 0.5", tr)
 	}
-	if _, err := ts.Predict(nil, Window{Start: 0, Length: time.Hour}); err == nil {
+	if _, err := ts.predictDays(nil, Window{Start: 0, Length: time.Hour}); err == nil {
 		t.Fatal("empty day set accepted")
 	}
 }
 
 func TestTimeSeriesErrors(t *testing.T) {
 	ts := TimeSeries{Cfg: avail.DefaultConfig()}
-	if _, err := ts.PredictDay(idleDay(0), Window{Start: 0, Length: time.Hour}); err == nil {
+	if _, err := ts.predictDay(idleDay(0), Window{Start: 0, Length: time.Hour}); err == nil {
 		t.Fatal("nil fitter accepted")
 	}
 	ts.Fitter = timeseries.Last{}
-	if _, err := ts.PredictDay(idleDay(0), Window{Start: -1, Length: time.Hour}); err == nil {
+	if _, err := ts.predictDay(idleDay(0), Window{Start: -1, Length: time.Hour}); err == nil {
 		t.Fatal("invalid window accepted")
 	}
 }
@@ -452,7 +452,7 @@ func TestTimeSeriesScratchMatchesMaterialized(t *testing.T) {
 		outcomes := map[bool]int{}
 		for _, name := range names {
 			prev := windows[name]
-			// The query window has prev's length, as in PredictDay, and
+			// The query window has prev's length, as in predictDay, and
 			// starts where prev ends.
 			length := time.Duration(len(prev)) * period
 			if length == 0 {

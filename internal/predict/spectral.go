@@ -70,9 +70,9 @@ func DefaultSpectral() Spectral {
 // Name implements Plugin.
 func (Spectral) Name() string { return "FFT" }
 
-// CacheSalt implements Plugin: Spectral is a pure function of (Days,
+// cacheSalt implements Plugin: Spectral is a pure function of (Days,
 // Window, knobs), so the engine may memoize it. Every knob folds in.
-func (s Spectral) CacheSalt() uint64 {
+func (s Spectral) cacheSalt() uint64 {
 	h := configSalt(s.Cfg, s.HistoryDays)
 	h = mix64(h, uint64(s.MaxSpectrumItems))
 	h = mix64(h, uint64(s.MinSpectrumItems))
@@ -97,7 +97,7 @@ func (s Spectral) predictTR(in PluginInput, fit func([]*trace.Day) (*spectrum, e
 	if err := w.Validate(); err != nil {
 		return 0, err
 	}
-	// Cacheable contract: only Days, Window and the receiver's own knobs
+	// cacheable contract: only Days, Window and the receiver's own knobs
 	// may influence the result — the cache salt covers exactly the
 	// receiver.
 	if err := s.Cfg.Validate(); err != nil {
