@@ -50,6 +50,8 @@ loc:
 # shows). Every one must match a line of dead.allow — test harness by pattern,
 # anything else by name with its reason — and every line there must still
 # match something, so a function nothing can reach is either listed or gone.
+# A linked name's type arguments are stripped, innermost brackets first, so
+# a generic type's method matches its declaration.
 # The list is a lower bound: the linker keeps every exported method of a type
 # that is stored in an interface, called or not. It is left in
 # $(DEAD)/unreached.txt.
@@ -59,7 +61,8 @@ dead:
 	@$(GO) build -gcflags=all=-l -o $(DEAD)/bin/ ./cmd/...
 	@$(GO) -C bench build -gcflags=all=-l -o ../$(DEAD)/bin/bench .
 	@for b in $(DEAD)/bin/*; do $(GO) tool nm $$b; done \
-		| sed -nE 's/^ *[0-9a-f]+ +[A-Za-z] +(fgcs\/internal\/[^[]*).*/\1/p' \
+		| sed -E -e ':args' -e 's/\[[^][]*\]//' -e 't args' \
+		| sed -nE 's/^ *[0-9a-f]+ +[A-Za-z] +(fgcs\/internal\/[^ ]*).*/\1/p' \
 		| sed -E 's/(\.func[0-9]+|\.gowrap[0-9]+|\.deferwrap[0-9]+|-fm|\.[0-9]+)+$$//' \
 		| sort -u > $(DEAD)/linked.txt
 	@for f in $$(find internal -name '*.go' ! -name '*_test.go'); do \

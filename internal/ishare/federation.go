@@ -699,7 +699,8 @@ func (f *FedGateway) route(ctx context.Context, machine string, local bool, fedT
 		return serve(ent.Addr)
 	}
 	var lastErr error
-	for _, p := range f.Candidates(machine) {
+	var cands [4]Peer // the fanout of any replica count up to 3
+	for _, p := range f.ring.appendSuccessors(cands[:0], machine, f.fanout()) {
 		if p.ID == f.self.ID {
 			ent, ok := f.lookup(machine)
 			if !ok {
@@ -730,14 +731,29 @@ func (f *FedGateway) route(ctx context.Context, machine string, local bool, fedT
 	return fmt.Errorf("%s: %q", fedUnknownMachine, machine)
 }
 
+// fedQueryTRHop is what one FedQueryTR hands its hops as interface values.
+// They come from one pooled struct, so boxing them allocates nothing. Every
+// transport decodes in the calling goroutine (Pool.call, exchange), so
+// nothing writes a hop's scratch after its call returns.
+type fedQueryTRHop struct {
+	fwd   FedQueryTRReq
+	query QueryTRReq
+	resp  QueryTRResp
+}
+
+var fedQueryTRHops = sync.Pool{New: func() interface{} { return new(fedQueryTRHop) }}
+
 // FedQueryTR serves or forwards a federated QueryTR.
 func (f *FedGateway) FedQueryTR(ctx context.Context, req FedQueryTRReq) (QueryTRResp, error) {
-	var resp QueryTRResp
-	fwd := req
-	fwd.Local = true
-	err := f.route(ctx, req.Machine, req.Local, msgFedQueryTR, fwd, &resp, true, func(addr string) error {
-		return f.machine(addr).CallRetry(ctx, addr, MsgQueryTR, req.Query, &resp, f.timeout)
+	h := fedQueryTRHops.Get().(*fedQueryTRHop)
+	h.fwd, h.query = req, req.Query
+	h.fwd.Local = true
+	err := f.route(ctx, req.Machine, req.Local, msgFedQueryTR, &h.fwd, &h.resp, true, func(addr string) error {
+		return f.machine(addr).CallRetry(ctx, addr, MsgQueryTR, &h.query, &h.resp, f.timeout)
 	})
+	resp := h.resp
+	*h = fedQueryTRHop{}
+	fedQueryTRHops.Put(h)
 	return resp, err
 }
 

@@ -196,10 +196,11 @@ func DecodeFrame(br *bufio.Reader, maxPayload int64) (Frame, error) {
 // so a reader that learns the request ID first can choose where the payload
 // goes (the pool's reader puts it in the waiting call's buffer).
 func decodeFrameHead(br *bufio.Reader) (Frame, error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+	hdr, err := peekFull(br, 5)
+	if err != nil {
 		return Frame{}, fmt.Errorf("ishare: frame header: %w", err)
 	}
+	_, _ = br.Discard(5) // hdr stays valid: br reads nothing until ReadUvarint
 	if hdr[0] != frameMagic0 || hdr[1] != frameMagic1 {
 		return Frame{}, fmt.Errorf("ishare: bad frame magic %#02x%02x", hdr[0], hdr[1])
 	}
@@ -222,8 +223,8 @@ func decodeFrameHead(br *bufio.Reader) (Frame, error) {
 			return Frame{}, err
 		}
 		if flags&frameFlagTrace != 0 {
-			var ids [16]byte
-			if _, err := io.ReadFull(br, ids[:]); err != nil {
+			ids, err := peekFull(br, 16)
+			if err != nil {
 				return Frame{}, fmt.Errorf("ishare: frame trace header: %w", err)
 			}
 			f.Trace = otrace.Link{
@@ -231,6 +232,7 @@ func decodeFrameHead(br *bufio.Reader) (Frame, error) {
 				SpanID:  otrace.SpanID(binary.BigEndian.Uint64(ids[8:])),
 				Sampled: flags&frameFlagSampled != 0,
 			}
+			_, _ = br.Discard(16)
 		}
 	case frameResponse:
 		f.OK = flags&frameFlagOK != 0
@@ -244,6 +246,17 @@ func decodeFrameHead(br *bufio.Reader) (Frame, error) {
 		}
 	}
 	return f, nil
+}
+
+// peekFull is io.ReadFull of n bytes without the copy: the bytes are br's
+// own, valid until br next reads, and the caller discards them. n must fit
+// br's buffer (bufio's minimum is 16).
+func peekFull(br *bufio.Reader, n int) ([]byte, error) {
+	b, err := br.Peek(n)
+	if err == io.EOF && len(b) > 0 {
+		err = io.ErrUnexpectedEOF
+	}
+	return b, err
 }
 
 // servedTypes is every request type a route table serves (gatewayRPCTypes),

@@ -153,6 +153,38 @@ func TestDecodeFrameRejects(t *testing.T) {
 	}
 }
 
+// TestDecodeFrameHeadTruncated cuts a traced request frame inside its fixed
+// header and inside its trace header, the two parts read in place: every cut
+// fails as io.ReadFull fails (EOF on no bytes, unexpected EOF on some), and
+// whole frames still decode back to back through a reader whose buffer is
+// no bigger than the trace header.
+func TestDecodeFrameHeadTruncated(t *testing.T) {
+	link := otrace.Link{TraceID: 0x0102030405060708, SpanID: 0x1112131415161718, Sampled: true}
+	frame := AppendRequestFrame(nil, 9, MsgQueryTR, link, []byte(`{"length_seconds":60}`))
+	traceAt := 5 + 1 + 1 + len(MsgQueryTR) // fixed header, id 9, type length, type
+	for _, tc := range []struct {
+		what     string
+		from, to int
+	}{{"frame header", 0, 5}, {"frame trace header", traceAt, traceAt + 16}} {
+		for cut := tc.from; cut < tc.to; cut++ {
+			want := io.ErrUnexpectedEOF
+			if cut == tc.from {
+				want = io.EOF
+			}
+			if _, err := decodeBytes(t, frame[:cut], 0); !errors.Is(err, want) || !strings.Contains(err.Error(), tc.what+":") {
+				t.Errorf("cut at byte %d: %v, want %s: %v", cut, err, tc.what, want)
+			}
+		}
+	}
+	br := bufio.NewReaderSize(bytes.NewReader(append(append([]byte{}, frame...), frame...)), 16)
+	for i := 0; i < 2; i++ {
+		f, err := DecodeFrame(br, 0)
+		if err != nil || f.ID != 9 || f.Type != MsgQueryTR || f.Trace != link || string(f.Payload) != `{"length_seconds":60}` {
+			t.Fatalf("frame %d through a 16-byte reader: %+v, %v", i, f, err)
+		}
+	}
+}
+
 // TestDecodeFrameLyingLength declares an in-cap payload length on a stream
 // that ends early: the chunked reader must fail on arrival, not trust the
 // prefix.

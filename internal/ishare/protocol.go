@@ -89,6 +89,9 @@ type Request struct {
 	// Trace is the optional trace-context header (absent on untraced
 	// requests and on requests from peers that predate tracing).
 	Trace *TraceHeader `json:"trace,omitempty"`
+	// pooled is set by Server.respond: a route row may answer it with a
+	// pooledResp, which only respond knows to encode and release.
+	pooled bool
 }
 
 // response is the reply envelope.
@@ -913,21 +916,25 @@ func (t *frameTask) release() {
 
 // respond runs the handler for one decoded request and shapes the reply
 // envelope, shared by both protocol loops. The response payload is encoded
-// onto buf[:0], so it is buf's array when it fits.
+// onto buf[:0], so it is buf's array when it fits; a pooledResp is released
+// once encoded.
 func (s *Server) respond(req Request, buf []byte) response {
+	req.pooled = true
 	payload, err := s.handler(req)
 	if err != nil {
 		return response{Error: err.Error()}
 	}
-	resp := response{OK: true}
-	if payload != nil {
-		raw, merr := appendJSON(buf[:0], payload)
-		if merr != nil {
-			return response{Error: "marshal response"}
-		}
-		resp.Payload = raw
+	var raw []byte
+	if b, ok := payload.(pooledResp); ok {
+		raw, err = b.appendTo(buf[:0])
+		b.release()
+	} else if payload != nil {
+		raw, err = appendJSON(buf[:0], payload)
 	}
-	return resp
+	if err != nil {
+		return response{Error: "marshal response"}
+	}
+	return response{OK: true, Payload: raw}
 }
 
 // readLineCapped reads one newline-terminated message, rejecting lines over

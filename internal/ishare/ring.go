@@ -120,7 +120,8 @@ func (r *Ring) members() []Peer {
 
 // Owner returns the peer owning the key (false on an empty ring).
 func (r *Ring) Owner(key string) (Peer, bool) {
-	s := r.Successors(key, 1)
+	var buf [1]Peer
+	s := r.appendSuccessors(buf[:0], key, 1)
 	if len(s) == 0 {
 		return Peer{}, false
 	}
@@ -132,21 +133,28 @@ func (r *Ring) Owner(key string) (Peer, bool) {
 // This is the replica set — and the failover order — for the key: a
 // request for the key's machine is routed to these peers in this order.
 func (r *Ring) Successors(key string, n int) []Peer {
-	m := len(r.points)
-	if m == 0 || n <= 0 {
+	if len(r.points) == 0 || n <= 0 {
 		return nil
 	}
-	if n > len(r.peers) {
-		n = len(r.peers)
+	return r.appendSuccessors(make([]Peer, 0, min(n, len(r.peers))), key, n)
+}
+
+// appendSuccessors appends Successors(key, n) to dst, so a caller with a
+// stack buffer walks the replica set without allocating.
+func (r *Ring) appendSuccessors(dst []Peer, key string, n int) []Peer {
+	m := len(r.points)
+	if m == 0 || n <= 0 {
+		return dst
 	}
+	n = min(n, len(r.peers))
+	base := len(dst)
 	h := ringHash(key)
 	idx := sort.Search(m, func(i int) bool { return r.points[i].hash >= h }) % m
 	// Walk outward from the key in both directions, always consuming the
 	// closer of the next clockwise and next counter-clockwise point.
 	// Distances use mod-2^64 arithmetic, so wraparound is free.
 	si, pi := idx, (idx-1+m)%m
-	out := make([]Peer, 0, n)
-	for steps := 0; steps < m && len(out) < n; steps++ {
+	for steps := 0; steps < m && len(dst)-base < n; steps++ {
 		sp, pp := r.points[si], r.points[pi]
 		var pick ringPoint
 		if h-pp.hash < sp.hash-h {
@@ -161,8 +169,8 @@ func (r *Ring) Successors(key string, n int) []Peer {
 		// per call — Successors runs per routed request and per entry per
 		// anti-entropy round, where the map was the top allocation site.
 		dup := false
-		for i := range out {
-			if out[i].ID == pick.id {
+		for i := range dst[base:] {
+			if dst[base+i].ID == pick.id {
 				dup = true
 				break
 			}
@@ -170,9 +178,9 @@ func (r *Ring) Successors(key string, n int) []Peer {
 		if dup {
 			continue
 		}
-		out = append(out, r.peers[pick.id])
+		dst = append(dst, r.peers[pick.id])
 	}
-	return out
+	return dst
 }
 
 // ringHash maps a string onto the hash circle: FNV-1a 64 followed by a

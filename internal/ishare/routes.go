@@ -2,9 +2,9 @@ package ishare
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"slices"
+	"sync"
 	"time"
 
 	"fgcs/internal/otrace"
@@ -15,23 +15,73 @@ import (
 // payload type and serving method are declared, once.
 type route[S any] struct {
 	typ   string
-	serve func(s S, ctx context.Context, payload json.RawMessage) (interface{}, error)
+	serve func(s S, ctx context.Context, req Request) (interface{}, error)
 }
 
 // on declares one row: requests of type typ decode into Req and are served by
 // fn. A payload that does not decode is refused as "malformed <what> payload";
 // where optional is set a request without a payload is the zero Req. This is
 // the one place a request payload is decoded.
+//
+// The row keeps its Req values in a pool, and for a request Server.respond
+// serves (req.pooled) it returns fn's answer in a pooled respBox, which
+// respond encodes and gives back: a served request allocates neither. A
+// direct Handler call gets fn's typed answer.
 func on[S, Req, Resp any](typ, what string, optional bool, fn func(S, context.Context, Req) (Resp, error)) route[S] {
-	return route[S]{typ: typ, serve: func(s S, ctx context.Context, payload json.RawMessage) (interface{}, error) {
-		var req Req
-		if payload != nil || !optional {
-			if err := decodeJSON(payload, &req); err != nil {
+	reqs := &sync.Pool{New: func() interface{} { return new(Req) }}
+	boxes := &sync.Pool{}
+	boxes.New = func() interface{} { return &respBox[Resp]{pool: boxes} }
+	return route[S]{typ: typ, serve: func(s S, ctx context.Context, r Request) (interface{}, error) {
+		req := reqs.Get().(*Req)
+		var zero Req
+		if r.Payload != nil || !optional {
+			if err := decodeJSON(r.Payload, req); err != nil {
+				*req = zero // a failed decode may have set some fields
+				reqs.Put(req)
 				return nil, fmt.Errorf("malformed %s payload", what)
 			}
 		}
-		return fn(s, ctx, req)
+		resp, err := fn(s, ctx, *req)
+		*req = zero // the next decode would write into slices and maps fn kept
+		reqs.Put(req)
+		if !r.pooled {
+			return resp, err
+		}
+		if err != nil {
+			return nil, err
+		}
+		b := boxes.Get().(*respBox[Resp])
+		b.v = resp
+		return b, nil
 	}}
+}
+
+// pooledResp is a response payload that Server.respond encodes and then
+// releases, rather than encoding an interface box the GC must collect.
+type pooledResp interface {
+	appendTo(buf []byte) ([]byte, error)
+	release()
+}
+
+// respBox is a route row's pooled pooledResp.
+type respBox[Resp any] struct {
+	v    Resp
+	pool *sync.Pool
+}
+
+// appendTo appends v's JSON to buf; a nil interface v is no payload at all,
+// as a nil payload is to Server.respond.
+func (b *respBox[Resp]) appendTo(buf []byte) ([]byte, error) {
+	if p, ok := any(&b.v).(*interface{}); ok && *p == nil {
+		return nil, nil
+	}
+	return appendJSON(buf, &b.v)
+}
+
+func (b *respBox[Resp]) release() {
+	var zero Resp
+	b.v = zero
+	b.pool.Put(b)
 }
 
 // serveRoutes is the serving shell of a host gateway (name "gateway") and a
@@ -55,7 +105,7 @@ func serveRoutes[S any](s S, routes []route[S], name, idKey, id string, tracer f
 			i++
 		}
 		if i < len(routes) {
-			payload, err = routes[i].serve(s, ctx, req.Payload)
+			payload, err = routes[i].serve(s, ctx, req)
 		} else {
 			err = fmt.Errorf("%s: unknown request type %q", name, req.Type)
 		}

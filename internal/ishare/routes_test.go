@@ -3,13 +3,17 @@ package ishare
 import (
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -199,7 +203,7 @@ func serveRow[S any](t *testing.T, s S, routes []route[S], typ string, req inter
 	}
 	for _, r := range routes {
 		if r.typ == typ {
-			return r.serve(s, context.Background(), raw)
+			return r.serve(s, context.Background(), Request{Type: typ, Payload: raw})
 		}
 	}
 	t.Fatalf("no row for %q", typ)
@@ -301,13 +305,118 @@ func TestQueryTracesSameFromGatewayAndPeer(t *testing.T) {
 	}
 }
 
+// echoRow is a query-tr row that answers with its request: TR is the length
+// and HistoryWindows the memory. A negative length is refused, with an
+// answer beside the error as a handler may return one.
+func echoRow(seen func(QueryTRReq)) route[struct{}] {
+	return on(MsgQueryTR, "query", false, func(_ struct{}, _ context.Context, q QueryTRReq) (QueryTRResp, error) {
+		seen(q)
+		resp := QueryTRResp{TR: q.LengthSeconds, HistoryWindows: int(q.GuestMemMB)}
+		if q.LengthSeconds < 0 {
+			return resp, errors.New("refused")
+		}
+		return resp, nil
+	})
+}
+
+// TestPooledRowsKeepConcurrentAnswersApart holds 64 query-tr's of distinct
+// lengths inside one row's handler at once, all on one pooled connection:
+// each request and each boxed answer comes from the row's pools, and each
+// caller must still get its own answer.
+func TestPooledRowsKeepConcurrentAnswersApart(t *testing.T) {
+	const n = 64
+	entered, release := make(chan struct{}, n), make(chan struct{})
+	routes := []route[struct{}]{echoRow(func(QueryTRReq) {
+		entered <- struct{}{}
+		<-release
+	})}
+	h := serveRoutes(struct{}{}, routes, "gateway", "machine", "m", func() *otrace.Tracer { return nil }, nil)
+	pn := &pipeNet{srv: ServeListener(nil, h, ServerConfig{PerConnInflight: n})}
+	caller := &Caller{Pool: &Pool{Dialer: pn, MaxPerHost: 1}}
+	defer caller.Pool.Close()
+	errs := make(chan error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			req := QueryTRReq{LengthSeconds: float64(60 * (i + 1)), GuestMemMB: float64(i)}
+			var out QueryTRResp
+			if err := caller.Call(context.Background(), "m", MsgQueryTR, req, &out, 10*time.Second); err != nil {
+				errs <- err
+			} else if out.TR != req.LengthSeconds || out.HistoryWindows != i {
+				errs <- fmt.Errorf("request %d (length %v) got %+v", i, req.LengthSeconds, out)
+			}
+		}(i)
+	}
+	for i := 0; i < n; i++ {
+		<-entered
+	}
+	close(release)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if pn.dials != 1 {
+		t.Errorf("%d dials, want the one pooled connection", pn.dials)
+	}
+}
+
+// TestPooledRowGivesBackCleanValues: a payload that decodes partway before it
+// fails, and a request its handler refuses, both give the row's pooled
+// request back zeroed, so the next request sees only its own fields; a
+// refused request takes no answer box, and an answered one encodes exactly
+// its own answer. A direct Handler call still gets the typed answer beside
+// the error.
+func TestPooledRowGivesBackCleanValues(t *testing.T) {
+	var seen []QueryTRReq
+	row := echoRow(func(q QueryTRReq) { seen = append(seen, q) })
+	serve := func(payload string, pooled bool) (interface{}, error) {
+		return row.serve(struct{}{}, context.Background(), Request{Type: MsgQueryTR, Payload: json.RawMessage(payload), pooled: pooled})
+	}
+	answer := func(payload, want string) {
+		t.Helper()
+		p, err := serve(payload, true)
+		box, ok := p.(*respBox[QueryTRResp])
+		if err != nil || !ok {
+			t.Fatalf("%s answered %T, %v; want a pooled box", payload, p, err)
+		}
+		raw, err := box.appendTo(nil)
+		box.release()
+		if err != nil || string(raw) != want {
+			t.Fatalf("%s: box encodes %s, %v; want %s", payload, raw, err, want)
+		}
+	}
+	const tail = `,"current_state":"","cache_hits":0,"cache_misses":0}`
+	for i := 0; i < 3; i++ {
+		answer(`{"length_seconds":60,"guest_mem_mb":5}`, `{"tr":60,"history_windows":5`+tail)
+		if p, err := serve(`{"length_seconds":-1}`, true); err == nil || p != nil {
+			t.Fatalf("refused request served %v, %v; want no payload and the error", p, err)
+		}
+		// The decode sets the memory before it fails on the length.
+		if _, err := serve(`{"guest_mem_mb":7,"length_seconds":"x"}`, true); err == nil || err.Error() != wantMalformed[MsgQueryTR] {
+			t.Fatalf("malformed payload: %v", err)
+		}
+		answer(`{"length_seconds":60}`, `{"tr":60,"history_windows":0`+tail)
+	}
+	want := []QueryTRReq{{LengthSeconds: 60, GuestMemMB: 5}, {LengthSeconds: -1}, {LengthSeconds: 60}}
+	if want = slices.Concat(want, want, want); !reflect.DeepEqual(seen, want) {
+		t.Errorf("the handler saw %+v, want %+v: a pooled request came back dirty", seen, want)
+	}
+	if p, err := serve(`{"length_seconds":-2}`, false); err == nil || p != (QueryTRResp{TR: -2}) {
+		t.Errorf("direct refused call = %v, %v; want the typed answer and the error", p, err)
+	}
+}
+
 // TestGatewayHandlerWarmQueryAllocs is a tripwire on the serving shell: a
 // warm query-tr through Gateway.Handler() — span check, row lookup, payload
-// decode, the state manager's cached answer, RPC metrics — costs two
-// allocations on linux/amd64 with go 1.24: the request struct the payload
-// decodes into and the response's interface box. It cost six while the
-// payload was decoded by json.Unmarshal, whose decoder state is allocated
-// afresh on every call; decodeJSON recycles it.
+// decode, the state manager's cached answer, RPC metrics — costs one
+// allocation on linux/amd64 with go 1.24: the typed response's interface
+// box, which a direct call gets and a served one does not. It cost two
+// before the row pooled the request struct the payload decodes into, and
+// six while the payload was decoded by json.Unmarshal, whose decoder state
+// is allocated afresh on every call; decodeJSON recycles it.
 func TestGatewayHandlerWarmQueryAllocs(t *testing.T) {
 	if raceDetector {
 		t.Skip("sync.Pool drops puts at random under -race; the plain run measures")
@@ -327,7 +436,7 @@ func TestGatewayHandlerWarmQueryAllocs(t *testing.T) {
 	for i := 0; i < 600; i++ {
 		query()
 	}
-	if got := testing.AllocsPerRun(200, query); got > 3 {
-		t.Fatalf("a warm query-tr through Gateway.Handler() makes %v allocations, want at most 3", got)
+	if got := testing.AllocsPerRun(200, query); got > 2 {
+		t.Fatalf("a warm query-tr through Gateway.Handler() makes %v allocations, want at most 2", got)
 	}
 }

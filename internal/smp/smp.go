@@ -370,25 +370,27 @@ func (k *Kernel) solve(ws *Workspace, units int) *solution {
 	crossQ := [2][]float64{k.q[0][avail.S2], k.q[1][avail.S1]}
 	for m := 1; m <= units; m++ {
 		for fi := 0; fi < 2; fi++ {
-			// The two reslices let the compiler drop the inner loop's
-			// bounds checks (a third off the solve on the bench history).
+			// The reslices let the compiler drop the inner loop's bounds
+			// checks (a third off the solve on the bench history).
 			ls, vs := crossL[fi], crossQ[fi]
 			vs = vs[:len(ls)]
-			for ji := 0; ji < 3; ji++ {
-				acc := direct.at(fi, ji, m)
-				po := sol.p[1-fi][ji][:m]
-				// Convolution with the path through the other
-				// recoverable state.
-				for i, l := range ls {
-					if int(l) >= m {
-						break
-					}
-					acc += vs[i] * po[m-int(l)]
+			po := &sol.p[1-fi]
+			p0, p1, p2 := po[0][:m], po[1][:m], po[2][:m]
+			acc0, acc1, acc2 := direct.at(fi, 0, m), direct.at(fi, 1, m), direct.at(fi, 2, m)
+			// Convolution with the path through the other recoverable
+			// state: one walk of the support feeds all three targets,
+			// each summing its terms in the same ascending-l order.
+			for i, l := range ls {
+				if int(l) >= m {
+					break
 				}
-				if acc > 1 {
-					acc = 1
-				}
-				sol.p[fi][ji][m] = acc
+				v, j := vs[i], m-int(l)
+				acc0 += v * p0[j]
+				acc1 += v * p1[j]
+				acc2 += v * p2[j]
+			}
+			for ji, acc := range [3]float64{acc0, acc1, acc2} {
+				sol.p[fi][ji][m] = min(acc, 1)
 			}
 		}
 	}
