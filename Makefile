@@ -107,9 +107,10 @@ bench-fleet-base:
 
 # Short fuzz pass over every decoder: wire protocol, trace codecs, the
 # streamed node snapshot decoder and the internal/wire formats; and over the
-# eight differential pairs: the trajectory extractor against its per-sample
+# nine differential pairs: the trajectory extractor against its per-sample
 # reference, the kernel estimator and the Equation (3) solver against their
 # dense references, the MA/ARMA fits against their n-array references, the
+# FFT predictor's streamed fit against its resample-and-sort reference, the
 # tracker's pending ring against its slice reference, the streamed WAL
 # segment and snapshot scanners against their whole-buffer references, and
 # the wire path's recycled JSON decoder against json.Unmarshal. The seed corpora
@@ -120,6 +121,7 @@ fuzz:
 	$(GO) test ./internal/smp/ -run '^$$' -fuzz '^FuzzEstimateMatchesDense$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/smp/ -run '^$$' -fuzz '^FuzzSolverMatchesDense$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/timeseries/ -run '^$$' -fuzz '^FuzzLinearFitsMatchReference$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/predict/ -run '^$$' -fuzz '^FuzzSpectralMatchesReference$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ishare/ -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ishare/ -run '^$$' -fuzz '^FuzzDecodeResponse$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ishare/ -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime $(FUZZTIME)

@@ -446,15 +446,18 @@ func TestQueryTRMovedWindowAllocCeiling(t *testing.T) {
 	measure("a fresh engine's moved 10h window", sm, clock, 10*time.Hour)
 }
 
-// TestSharedEngineScratchDoesNotEscape: PCT classifies each history window
-// into scratch borrowed from the process-wide free list, which every manager
-// shares with every other and with SMP's cold fits, whether or not their
-// engines are one. Four goroutines, two a manager, ask for windows nobody
-// asked for before, with the two managers first on one engine and then each
-// on its own; every answer — SMP's served one per query, and all three
-// predictors' (PCT's among them) as the tracker resolves them — must be what
-// the same manager answers alone. Under -race this is what catches a result
-// that keeps a scratch buffer past its call.
+// TestSharedEngineScratchDoesNotEscape: PCT classifies each history window,
+// and FFT fits each day pool, on scratch borrowed from the process-wide free
+// list, which every manager shares with every other and with SMP's cold
+// fits, whether or not their engines are one. Four goroutines, two a
+// manager, ask for windows nobody asked for before, with the two managers
+// first on one engine and then each on its own; every answer — SMP's served
+// one per query, and all three predictors' (PCT's among them) as the tracker
+// resolves them — must be what the same manager answers alone. Each
+// manager's spectrum is fitted once and evaluated after SMP and PCT misses
+// have reused its scratch, so FFT's claims must also be what a fresh fit
+// answers for each window. Under -race this is what catches a result that
+// keeps a scratch buffer past its call.
 func TestSharedEngineScratchDoesNotEscape(t *testing.T) {
 	now := time.Date(2005, 9, 16, 12, 0, 0, 0, time.UTC) // a Friday
 	midnight := now.Truncate(24 * time.Hour)
@@ -465,9 +468,11 @@ func TestSharedEngineScratchDoesNotEscape(t *testing.T) {
 		answerFor map[float64]float64 // served TR by LengthSeconds, under mu
 	}
 	// build makes one manager with half a day of live samples behind it.
+	// Manager a fails daily at 13:00 and b at 14:00: SMP's TR depends on the
+	// length, and the two pools fit different spectra.
 	build := func(id string, engine *predict.Engine) *fixture {
 		sm, err := NewStateManagerShared(id, period, avail.DefaultConfig(), simclock.NewVirtual(now),
-			historyMachine(id, 25, 13), 0, SharedDeps{Engine: engine}) // fails daily at 13:00: SMP's TR depends on the length
+			historyMachine(id, 25, map[string]int{"a": 13, "b": 14}[id]), 0, SharedDeps{Engine: engine})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -507,12 +512,36 @@ func TestSharedEngineScratchDoesNotEscape(t *testing.T) {
 		f.sm.Record(now.Add(5*time.Hour), sample(10, 400))
 		sort.Strings(f.resolved)
 	}
+	// checkFFT compares f's resolved FFT claims with a fresh fit of its pool
+	// evaluated at each of the lengths it was asked for.
+	checkFFT := func(what string, f *fixture, seconds []float64) {
+		var got, want []string
+		for _, claim := range f.resolved {
+			if strings.HasPrefix(claim, "FFT ") {
+				got = append(got, claim)
+			}
+		}
+		for _, s := range seconds {
+			midnight, w := predict.WindowAt(now, time.Duration(s*float64(time.Second)), period)
+			_, days := f.sm.completedDays(midnight)
+			tr, err := f.sm.shadows[0].PredictTR(predict.PluginInput{Days: days, Window: w, Period: period})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, fmt.Sprintf("FFT %x", math.Float64bits(tr)))
+		}
+		sort.Strings(want)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: FFT claims %v, a fresh fit %v", what, got, want)
+		}
+	}
 
 	var alone [2]*fixture
 	for i, id := range [2]string{"a", "b"} {
 		alone[i] = build(id, nil)
 		ask(alone[i], append(lengths(i), lengths(i+2)...))
 		finish(alone[i])
+		checkFFT("manager "+id+" alone", alone[i], append(lengths(i), lengths(i+2)...))
 		if n := len(alone[i].resolved); n != 16*3 {
 			t.Errorf("manager %s: %d claims resolved, want SMP's, FFT's and PCT's for 16 queries", id, n)
 		}
@@ -544,6 +573,7 @@ func TestSharedEngineScratchDoesNotEscape(t *testing.T) {
 		wg.Wait()
 		for i, id := range [2]string{"a", "b"} {
 			finish(together[i])
+			checkFFT("manager "+id+" on "+leg.name, together[i], append(lengths(i), lengths(i+2)...))
 			if !reflect.DeepEqual(together[i].answerFor, alone[i].answerFor) {
 				t.Errorf("manager %s on %s: answers %v concurrently, %v alone", id, leg.name, together[i].answerFor, alone[i].answerFor)
 			}

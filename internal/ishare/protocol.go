@@ -86,9 +86,14 @@ type Request struct {
 	// until the handler returns: the server reuses its buffer for a later
 	// request. A handler that keeps the bytes copies them.
 	Payload json.RawMessage `json:"payload,omitempty"`
-	// Trace is the optional trace-context header (absent on untraced
-	// requests and on requests from peers that predate tracing).
+	// Trace is the optional trace-context header of a JSON request (absent
+	// on untraced requests and on requests from peers that predate
+	// tracing). The server reads link, not Trace.
 	Trace *TraceHeader `json:"trace,omitempty"`
+	// link is the request's trace context: a binary frame's link as it came
+	// off the wire, or the link a JSON line's Trace header names, both set
+	// by the server before the request is served.
+	link otrace.Link
 	// pooled is set by Server.respond: a route row may answer it with a
 	// pooledResp, which only respond knows to encode and release.
 	pooled bool
@@ -752,6 +757,7 @@ func (jc *jsonConn) decode(line []byte) (Request, error) {
 	jc.req = Request{Payload: jc.in[:0]}
 	err := decodeJSON(line, &jc.req)
 	req := jc.req
+	req.link = req.Trace.link()
 	if cap(req.Payload) > 0 {
 		jc.in = req.Payload[:0]
 	}
@@ -881,7 +887,7 @@ func (c *binaryConn) serve(t *frameTask) {
 		_ = c.finish(t, false, true, "server overloaded", nil)
 		return
 	}
-	req := Request{Type: t.typ, Trace: headerFromLink(t.link)}
+	req := Request{Type: t.typ, link: t.link}
 	if len(t.req) > 0 {
 		req.Payload = t.req
 	}

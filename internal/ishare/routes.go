@@ -86,7 +86,7 @@ func (b *respBox[Resp]) release() {
 
 // serveRoutes is the serving shell of a host gateway (name "gateway") and a
 // federation peer (name "fed"): every request runs under a <name>.dispatch
-// server span continuing the trace named by the envelope's trace header (or a
+// server span continuing the trace named by the request's trace link (or a
 // fresh trace on a sampled untraced request), tagged idKey=id and rpc=<type>;
 // it is served by its row of routes, or refused when no row has its type; and
 // it is timed and counted by request type in the node's metrics (o may be
@@ -96,7 +96,7 @@ func serveRoutes[S any](s S, routes []route[S], name, idKey, id string, tracer f
 	spanName := name + ".dispatch"
 	return func(req Request) (payload interface{}, err error) {
 		start := time.Now()
-		ctx, span := tracer().StartRemote(context.Background(), req.Trace.link(), spanName)
+		ctx, span := tracer().StartRemote(context.Background(), req.link, spanName)
 		if span != nil {
 			span.SetAttr(otrace.String(idKey, id), otrace.String("rpc", req.Type))
 		}

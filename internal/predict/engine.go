@@ -452,7 +452,9 @@ func (e *Engine) spectrum(span *otrace.Span, s Spectral, key engineKey, days []*
 	key.window = Window{}
 	entry, how, err := e.resolve(key, func() (*engineEntry, error) {
 		span.AddEvent("spectrum-fit", otrace.Int("history-days", len(days)))
-		sp, err := s.fit(days)
+		sc := getScratch()
+		sp, err := s.fit(sc, days)
+		putScratch(sc)
 		if err != nil {
 			return nil, err
 		}

@@ -369,3 +369,18 @@ func TestPredictBatchMatchesSerial(t *testing.T) {
 		}
 	}
 }
+
+// fingerprintSink keeps BenchmarkFingerprint's result live.
+var fingerprintSink uint64
+
+// BenchmarkFingerprint measures what a new engine pays the first time it
+// sees a seven-day pool: one content hash per day, then the pool's mix.
+func BenchmarkFingerprint(b *testing.B) {
+	days := failHistory(7, 3)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e := Engine{dayHashes: make(map[*trace.Day]uint64)}
+		fingerprintSink = e.fingerprint(days)
+	}
+}

@@ -146,15 +146,19 @@ func periodOf(days []*trace.Day) time.Duration {
 }
 
 // scratch bundles the reusable per-query buffers: the classification and
-// extraction arena and the estimation/solver workspace for SMP, and a
-// classification buffer for Percentile. One process-wide free list holds them
+// extraction arena and the estimation/solver workspace for SMP, a
+// classification buffer for Percentile and Spectral's fit, and the fit's
+// transform and top-k bins. One process-wide free list holds them
 // (scratches), so at steady state a miss allocates only the kernel's support
-// and what it caches, whatever the window length; a call outside the engine
-// starts from the zero value. Results do not depend on what a scratch held.
+// and what it caches, whatever the window length; an SMP or Percentile call
+// outside the engine starts from the zero value, and a direct Spectral call
+// takes one from the list. Results do not depend on what a scratch held.
 type scratch struct {
 	ex     avail.Extractor
 	ws     smp.Workspace
 	states []avail.State
+	fft    []complex128 // spectralSignalLen points, allocated on first fit
+	top    []binAmp
 }
 
 // prepare is the front half of the one pipeline from samples to TR: it cuts

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
-	"sort"
 	"time"
 
 	"fgcs/internal/avail"
@@ -84,14 +83,19 @@ func (s Spectral) cacheSalt() uint64 {
 // PredictTR implements Plugin: fit the spectrum of the day pool, then evaluate
 // it over the window.
 func (s Spectral) PredictTR(in PluginInput) (float64, error) {
-	return s.predictTR(in, s.fit)
+	return s.predictTR(in, func(days []*trace.Day) (*spectrum, error) {
+		sc := getScratch()
+		defer putScratch(sc)
+		return s.fit(sc, days)
+	})
 }
 
 // predictTR is PredictTR with the window-independent half supplied by fit:
-// s.fit itself when the plugin is called directly, the engine's memo of it
-// (Engine.spectrum) when the call comes through PredictPluginCtx. Refusals keep
-// one precedence either way: window, configuration, no days, a window shorter
-// than the sampling period, and only then whatever fit reports.
+// s.fit on a scratch from the free list when the plugin is called directly,
+// the engine's memo of it (Engine.spectrum) when the call comes through
+// PredictPluginCtx. Refusals keep one precedence either way: window,
+// configuration, no days, a window shorter than the sampling period, and
+// only then whatever fit reports.
 func (s Spectral) predictTR(in PluginInput, fit func([]*trace.Day) (*spectrum, error)) (float64, error) {
 	w := in.Window
 	if err := w.Validate(); err != nil {
@@ -135,9 +139,11 @@ type spectrumItem struct {
 }
 
 // fit runs the window-independent pipeline over the (already truncated,
-// non-empty) day pool: classify, concatenate oldest-first, box-resample to
-// spectralSignalLen, remove the mean, transform, keep the dominant bins.
-func (s Spectral) fit(days []*trace.Day) (*spectrum, error) {
+// non-empty) day pool in one pass: classify each day into sc.states, add each
+// recoverable sample's overlap with the spectralSignalLen box-filter cells
+// straight into sc.fft, remove the mean, transform, keep the dominant bins.
+// The spectrum copies its items out of sc, so the caller may reuse sc at once.
+func (s Spectral) fit(sc *scratch, days []*trace.Day) (*spectrum, error) {
 	total := 0
 	for _, d := range days {
 		total += len(d.Samples)
@@ -145,37 +151,69 @@ func (s Spectral) fit(days []*trace.Day) (*spectrum, error) {
 	if total == 0 {
 		return nil, fmt.Errorf("predict: spectral: history days carry no samples")
 	}
-	// Binary availability signal, a byte a sample; one classification
-	// buffer serves every day.
-	signal := make([]uint8, 0, total)
-	var states []avail.State
-	for _, d := range days {
-		states = avail.ClassifyInto(states, d.Samples, s.Cfg, d.Period)
-		for _, st := range states {
-			if st.Recoverable() {
-				signal = append(signal, 1)
-			} else {
-				signal = append(signal, 0)
-			}
-		}
-	}
-	resampled := resampleBoxFilter(signal, spectralSignalLen)
+	buf := sc.boxFilter(days, total, s.Cfg)
 	mean := 0.0
-	for _, v := range resampled {
-		mean += v
+	for _, v := range buf {
+		mean += real(v)
 	}
-	mean /= float64(len(resampled))
-	buf := make([]complex128, len(resampled))
-	for i, v := range resampled {
-		buf[i] = complex(v-mean, 0)
+	mean /= spectralSignalLen
+	for i, v := range buf {
+		buf[i] = complex(real(v)-mean, 0)
 	}
 	fftRadix2(buf)
-	bins := s.selectSpectrum(buf)
-	sp := &spectrum{total: total, period: periodOf(days), mean: mean, items: make([]spectrumItem, 0, len(bins))}
-	for _, bin := range bins {
-		sp.items = append(sp.items, spectrumItem{bin: bin, re: real(buf[bin]), im: imag(buf[bin])})
+	top := s.selectSpectrum(sc, buf)
+	sp := &spectrum{total: total, period: periodOf(days), mean: mean, items: make([]spectrumItem, len(top))}
+	for i, b := range top {
+		sp.items[i] = spectrumItem{bin: b.bin, re: real(buf[b.bin]), im: imag(buf[b.bin])}
 	}
 	return sp, nil
+}
+
+// boxFilter resamples the binary availability signal of days (1 where a
+// sample's state is recoverable), concatenated oldest-first, to
+// spectralSignalLen points by fractional block averaging, into sc.fft: point i
+// averages the signal over [i·step, (i+1)·step) with step = total/len,
+// weighting partial samples by their overlap, so downsampling anti-aliases
+// (a box filter) and upsampling replicates. The signal itself is never built:
+// each recoverable sample adds its overlap with the cells it meets, found by
+// walking the cell edge forward. The length is a power of two, so every cell
+// bound and every overlap is a multiple of 2⁻¹² below 2⁴¹ (for any total
+// below 2⁴¹ samples): each cell's sum is exact in any order, and a cell's
+// overlaps add up to step exactly, so sum/step is the weighted average.
+func (sc *scratch) boxFilter(days []*trace.Day, total int, cfg avail.Config) []complex128 {
+	if sc.fft == nil {
+		sc.fft = make([]complex128, spectralSignalLen)
+	}
+	buf := sc.fft
+	clear(buf)
+	step := float64(total) / spectralSignalLen
+	cell, hi := 0, step // the cell the walk is in and its upper edge
+	pos := 0.0          // start of the next sample in signal coordinates
+	for _, d := range days {
+		sc.states = avail.ClassifyInto(sc.states, d.Samples, cfg, d.Period)
+		for _, st := range sc.states {
+			lo, end := pos, pos+1
+			pos = end
+			if !st.Recoverable() {
+				continue
+			}
+			for hi <= lo {
+				cell++
+				hi += step
+			}
+			for hi < end {
+				buf[cell] += complex(hi-lo, 0)
+				lo = hi
+				cell++
+				hi += step
+			}
+			buf[cell] += complex(end-lo, 0)
+		}
+	}
+	for i, v := range buf {
+		buf[i] = complex(real(v)/step, 0)
+	}
+	return buf
 }
 
 // evaluate reconstructs the truncated series at the query window's positions
@@ -210,82 +248,56 @@ func (s Spectral) evaluate(sp *spectrum, w Window) float64 {
 	return tr
 }
 
+// binAmp is one candidate frequency bin of the half-spectrum and its
+// amplitude.
+type binAmp struct {
+	bin int
+	amp float64
+}
+
 // selectSpectrum picks the dominant frequency bins of the half-spectrum per
-// the crane-style knobs: amplitude-sorted (bin index breaks ties, so the
-// choice is deterministic), at most MaxSpectrumItems, at least
+// the crane-style knobs, strongest first: at most MaxSpectrumItems, at least
 // MinSpectrumItems of the strongest regardless of the amplitude cutoff, and
 // beyond the floor only bins at or above LowAmplitudeThreshold of the
-// strongest amplitude.
-func (s Spectral) selectSpectrum(spec []complex128) []int {
+// strongest amplitude. Bins are ranked by amplitude, descending, ties to the
+// lower bin, so the choice is deterministic. One insertion pass keeps the
+// best MaxSpectrumItems in sc.top, each amplitude computed once; the kept set
+// is a prefix of that ranking, and the result aliases sc.top.
+func (s Spectral) selectSpectrum(sc *scratch, spec []complex128) []binAmp {
 	half := len(spec) / 2
-	bins := make([]int, 0, half)
-	maxAmp := 0.0
-	for k := 1; k <= half; k++ {
-		bins = append(bins, k)
-		if a := cmplx.Abs(spec[k]); a > maxAmp {
-			maxAmp = a
-		}
-	}
-	sort.Slice(bins, func(i, j int) bool {
-		ai, aj := cmplx.Abs(spec[bins[i]]), cmplx.Abs(spec[bins[j]])
-		if ai != aj {
-			return ai > aj
-		}
-		return bins[i] < bins[j]
-	})
 	maxItems := s.MaxSpectrumItems
 	if maxItems <= 0 {
 		maxItems = 20
 	}
-	minItems := s.MinSpectrumItems
-	if minItems < 0 {
-		minItems = 0
-	}
-	cutoff := s.LowAmplitudeThreshold * maxAmp
-	kept := bins[:0]
-	for _, k := range bins {
-		if len(kept) >= maxItems {
-			break
-		}
-		if len(kept) >= minItems && cmplx.Abs(spec[k]) < cutoff {
-			break
-		}
-		kept = append(kept, k)
-	}
-	return kept
-}
-
-// resampleBoxFilter resamples signal to exactly n points by fractional block
-// averaging: output point i averages the source interval
-// [i*L/n, (i+1)*L/n), weighting partial source samples by their overlap.
-// Downsampling therefore anti-aliases (a box filter) and upsampling
-// replicates; both are exact and deterministic. A uint8 signal converts
-// exactly, so it resamples to the same values as its float64 copy.
-func resampleBoxFilter[T uint8 | float64](signal []T, n int) []float64 {
-	out := make([]float64, n)
-	l := float64(len(signal))
-	step := l / float64(n)
-	for i := 0; i < n; i++ {
-		lo := float64(i) * step
-		hi := lo + step
-		sum, weight := 0.0, 0.0
-		for j := int(lo); j < len(signal) && float64(j) < hi; j++ {
-			a, b := math.Max(lo, float64(j)), math.Min(hi, float64(j+1))
-			if b <= a {
-				continue
+	maxItems = min(maxItems, half)
+	minItems := max(s.MinSpectrumItems, 0)
+	top := sc.top[:0]
+	for k := 1; k <= half; k++ {
+		a := cmplx.Abs(spec[k])
+		if len(top) == maxItems {
+			if a <= top[maxItems-1].amp {
+				continue // bins arrive ascending: a tie ranks below
 			}
-			sum += float64(signal[j]) * (b - a)
-			weight += b - a
+			top = top[:maxItems-1]
 		}
-		if weight > 0 {
-			out[i] = sum / weight
+		i := len(top)
+		top = append(top, binAmp{})
+		for ; i > 0 && top[i-1].amp < a; i-- {
+			top[i] = top[i-1]
 		}
+		top[i] = binAmp{bin: k, amp: a}
 	}
-	return out
+	sc.top = top
+	cutoff := s.LowAmplitudeThreshold * top[0].amp
+	n := 0
+	for n < len(top) && (n < minItems || !(top[n].amp < cutoff)) {
+		n++
+	}
+	return top[:n]
 }
 
 // fftRadix2 is an in-place iterative radix-2 Cooley-Tukey FFT. len(buf) must
-// be a power of two (the resampler guarantees it).
+// be a power of two (spectralSignalLen is).
 func fftRadix2(buf []complex128) {
 	n := len(buf)
 	if n&(n-1) != 0 {

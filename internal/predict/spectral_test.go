@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/cmplx"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -63,7 +65,7 @@ func referenceSpectralTR(s Spectral, in PluginInput) (float64, error) {
 		buf[i] = complex(v-mean, 0)
 	}
 	fftRadix2(buf)
-	items := s.selectSpectrum(buf)
+	items := sortedSpectrum(s, buf)
 	m := float64(len(resampled))
 	scale := m / float64(total)
 	tr := math.Inf(1)
@@ -87,6 +89,76 @@ func referenceSpectralTR(s Spectral, in PluginInput) (float64, error) {
 		tr = 1
 	}
 	return tr, nil
+}
+
+// resampleBoxFilter resamples signal to exactly n points by fractional block
+// averaging: output point i averages the source interval [i*L/n, (i+1)*L/n),
+// weighting partial source samples by their overlap. It is the reference for
+// scratch.boxFilter, which adds the same overlaps without building the signal.
+func resampleBoxFilter(signal []float64, n int) []float64 {
+	out := make([]float64, n)
+	l := float64(len(signal))
+	step := l / float64(n)
+	for i := 0; i < n; i++ {
+		lo := float64(i) * step
+		hi := lo + step
+		sum, weight := 0.0, 0.0
+		for j := int(lo); j < len(signal) && float64(j) < hi; j++ {
+			a, b := math.Max(lo, float64(j)), math.Min(hi, float64(j+1))
+			if b <= a {
+				continue
+			}
+			sum += signal[j] * (b - a)
+			weight += b - a
+		}
+		if weight > 0 {
+			out[i] = sum / weight
+		}
+	}
+	return out
+}
+
+// sortedSpectrum is the reference for Spectral.selectSpectrum: sort every bin
+// of the half-spectrum by amplitude (descending, ties to the lower bin), then
+// keep at most MaxSpectrumItems, at least MinSpectrumItems, and beyond the
+// floor only bins at or above LowAmplitudeThreshold of the strongest.
+func sortedSpectrum(s Spectral, spec []complex128) []int {
+	half := len(spec) / 2
+	bins := make([]int, 0, half)
+	maxAmp := 0.0
+	for k := 1; k <= half; k++ {
+		bins = append(bins, k)
+		if a := cmplx.Abs(spec[k]); a > maxAmp {
+			maxAmp = a
+		}
+	}
+	sort.Slice(bins, func(i, j int) bool {
+		ai, aj := cmplx.Abs(spec[bins[i]]), cmplx.Abs(spec[bins[j]])
+		if ai != aj {
+			return ai > aj
+		}
+		return bins[i] < bins[j]
+	})
+	maxItems := s.MaxSpectrumItems
+	if maxItems <= 0 {
+		maxItems = 20
+	}
+	minItems := s.MinSpectrumItems
+	if minItems < 0 {
+		minItems = 0
+	}
+	cutoff := s.LowAmplitudeThreshold * maxAmp
+	kept := bins[:0]
+	for _, k := range bins {
+		if len(kept) >= maxItems {
+			break
+		}
+		if len(kept) >= minItems && cmplx.Abs(spec[k]) < cutoff {
+			break
+		}
+		kept = append(kept, k)
+	}
+	return kept
 }
 
 // spectralHistory is a day pool with enough structure for a non-trivial
@@ -122,39 +194,287 @@ func oneKnobVariants() map[string]Spectral {
 	return v
 }
 
-// TestSpectralMatchesReference: fit-then-evaluate, called directly and
-// through an engine that shares one fit between all the windows, equals the
-// single-pass reference bit for bit over a grid of windows and knobs.
-func TestSpectralMatchesReference(t *testing.T) {
-	days := spectralHistory(7)
+// spectralDays builds n days of the given period, each cut to keep samples,
+// where sample i of day d is idle when up(d, i) and down otherwise.
+func spectralDays(n int, p time.Duration, keep int, up func(d, i int) bool) []*trace.Day {
+	days := make([]*trace.Day, n)
+	for d := range days {
+		day := trace.NewDay(monday.AddDate(0, 0, d), p)
+		day.Samples = day.Samples[:min(keep, len(day.Samples))]
+		for i := range day.Samples {
+			day.Samples[i] = trace.Sample{CPU: 5, FreeMemMB: 400, Up: up(d, i)}
+		}
+		days[d] = day
+	}
+	return days
+}
+
+// spectralPools are the day pools the fit must reproduce the reference on.
+// The box filter downsamples most of them; "upsampled" has fewer samples than
+// transform points, "comb" exactly as many, and every other total is not a
+// multiple of spectralSignalLen.
+func spectralPools() map[string][]*trace.Day {
+	ragged := spectralHistory(5)
+	for i, d := range ragged {
+		d.Samples = d.Samples[:d.IndexAt(24*time.Hour-time.Duration(i)*(3*time.Hour+37*time.Minute))]
+	}
+	upsampled := spectralDays(2, time.Minute, 1440, func(int, int) bool { return true })
+	for _, d := range upsampled {
+		failAt(d, 9*time.Hour, 30*time.Minute)
+		busyAt(d, 14*time.Hour, 90*time.Minute, 90)
+	}
+	return map[string][]*trace.Day{
+		"weekdays":  spectralHistory(7),
+		"ragged":    ragged,
+		"upsampled": upsampled,
+		"all up":    spectralDays(3, period, 1<<20, func(int, int) bool { return true }),
+		"all down":  spectralDays(3, period, 1<<20, func(int, int) bool { return false }),
+		"comb":      combDays(),
+	}
+}
+
+// combDays is 4 096 samples, up every eighth: its spectrum is a comb of four
+// harmonics of exactly equal amplitude.
+func combDays() []*trace.Day {
+	return spectralDays(2, period, spectralSignalLen/2, func(_, i int) bool { return i%8 == 0 })
+}
+
+// spectralWindows are the windows TestSpectralMatchesReference evaluates a
+// pool of period p at.
+func spectralWindows(p time.Duration) []Window {
 	var windows []Window
 	for start := time.Duration(0); start < 24*time.Hour; start += 5*time.Hour + 7*time.Minute {
-		for _, length := range []time.Duration{period, time.Hour, 5 * time.Hour, 10 * time.Hour} {
+		for _, length := range []time.Duration{p, time.Hour, 5 * time.Hour, 10 * time.Hour} {
 			if w := (Window{Start: start, Length: length}); w.Validate() == nil {
 				windows = append(windows, w)
 			}
 		}
 	}
-	for name, s := range oneKnobVariants() {
-		e := NewEngine(EngineConfig{})
-		for _, w := range windows {
-			in := PluginInput{Days: days, Window: w, Period: period}
-			want, err := referenceSpectralTR(s, in)
-			if err != nil {
-				t.Fatalf("%s %v: reference: %v", name, w, err)
-			}
-			direct, err := s.PredictTR(in)
-			if err != nil {
-				t.Fatalf("%s %v: %v", name, w, err)
-			}
-			viaEngine, err := e.PredictPluginCtx(context.Background(), s, in)
-			if err != nil {
-				t.Fatalf("%s %v: engine: %v", name, w, err)
-			}
-			if math.Float64bits(direct) != math.Float64bits(want) || math.Float64bits(viaEngine) != math.Float64bits(want) {
-				t.Fatalf("%s %v: direct %v, engine %v, reference %v", name, w, direct, viaEngine, want)
+	return windows
+}
+
+// matchReference checks s on one input against referenceSpectralTR, called
+// directly and through e: the same error, or the same TR bit for bit. It
+// returns the reference's refusal, if any.
+func matchReference(t *testing.T, name string, e *Engine, s Spectral, in PluginInput) error {
+	t.Helper()
+	want, refErr := referenceSpectralTR(s, in)
+	direct, err := s.PredictTR(in)
+	viaEngine, engineErr := e.PredictPluginCtx(context.Background(), s, in)
+	if refErr != nil {
+		for how, err := range map[string]error{"direct": err, "engine": engineErr} {
+			if err == nil || err.Error() != refErr.Error() {
+				t.Fatalf("%s %v (%s): error %v, reference %v", name, in.Window, how, err, refErr)
 			}
 		}
+		return refErr
+	}
+	if err != nil || engineErr != nil {
+		t.Fatalf("%s %v: direct error %v, engine error %v, reference %v", name, in.Window, err, engineErr, want)
+	}
+	if math.Float64bits(direct) != math.Float64bits(want) || math.Float64bits(viaEngine) != math.Float64bits(want) {
+		t.Fatalf("%s %v: direct %v, engine %v, reference %v", name, in.Window, direct, viaEngine, want)
+	}
+	return nil
+}
+
+// TestSpectralMatchesReference: fit-then-evaluate, called directly and
+// through an engine that shares one fit between all the windows, equals the
+// single-pass reference bit for bit over every pool, window and one-knob
+// variant.
+func TestSpectralMatchesReference(t *testing.T) {
+	for pool, days := range spectralPools() {
+		windows := spectralWindows(days[0].Period)
+		for knob, s := range oneKnobVariants() {
+			e := NewEngine(EngineConfig{})
+			for _, w := range windows {
+				in := PluginInput{Days: days, Window: w, Period: days[0].Period}
+				if err := matchReference(t, pool+" "+knob, e, s, in); err != nil {
+					t.Fatalf("%s %s %v: reference: %v", pool, knob, w, err)
+				}
+			}
+		}
+	}
+}
+
+// TestSpectralTieAtMaxItems: on the comb, whose kept harmonics have exactly
+// equal amplitudes, MaxSpectrumItems is set to split the tie. The fit keeps
+// the lower bins of the tie and still matches the sort-based reference.
+func TestSpectralTieAtMaxItems(t *testing.T) {
+	days := combDays()
+	s := DefaultSpectral()
+	s.MaxSpectrumItems, s.MinSpectrumItems = spectralSignalLen/2, spectralSignalLen/2
+	all, err := s.fit(&scratch{}, days)
+	if err != nil {
+		t.Fatal(err)
+	}
+	amp := func(i int) float64 { return cmplx.Abs(complex(all.items[i].re, all.items[i].im)) }
+	split := 0
+	for i := 1; i < len(all.items) && split == 0; i++ {
+		if amp(i) == amp(i-1) && amp(i) > 0 {
+			split = i
+		}
+	}
+	if split == 0 {
+		t.Fatalf("no two bins of the comb tie in amplitude: %v", all.items[:min(len(all.items), 8)])
+	}
+	if lo, hi := all.items[split-1].bin, all.items[split].bin; lo > hi {
+		t.Fatalf("tied bins ranked %d before %d, want the lower bin first", lo, hi)
+	}
+	s.MaxSpectrumItems, s.MinSpectrumItems = split, split
+	e := NewEngine(EngineConfig{})
+	for _, w := range spectralWindows(days[0].Period) {
+		if err := matchReference(t, "comb split at the tie", e, s, PluginInput{Days: days, Window: w}); err != nil {
+			t.Fatalf("%v: reference: %v", w, err)
+		}
+	}
+}
+
+// fuzzDays decodes a day log: a head byte picks the number of days (one to
+// four) and the period, then each day takes two bytes for how many samples
+// it drops from the end and a byte per run of identical samples (idle, busy,
+// reniced, short of memory, down) for the rest. A log that runs out reads
+// as zero bytes: idle, one sample a run.
+func fuzzDays(log []byte) []*trace.Day {
+	next := func() byte {
+		if len(log) == 0 {
+			return 0
+		}
+		b := log[0]
+		log = log[1:]
+		return b
+	}
+	kinds := []trace.Sample{
+		{CPU: 5, FreeMemMB: 400, Up: true},
+		{CPU: 90, FreeMemMB: 400, Up: true},
+		{CPU: 40, FreeMemMB: 400, Up: true},
+		{CPU: 5, FreeMemMB: 50, Up: true},
+		{Up: false},
+	}
+	periods := []time.Duration{period, time.Minute, 7 * time.Minute}
+	head := next()
+	days := make([]*trace.Day, 1+int(head%4))
+	for i := range days {
+		d := trace.NewDay(monday.AddDate(0, 0, i), periods[int(head/4)%len(periods)])
+		drop := int(next())<<8 | int(next())
+		d.Samples = d.Samples[:len(d.Samples)-drop%(len(d.Samples)+1)]
+		for j := 0; j < len(d.Samples); {
+			b := next()
+			run := 1 + int(b/5)*(1+len(d.Samples)/512)
+			for end := min(j+run, len(d.Samples)); j < end; j++ {
+				d.Samples[j] = kinds[b%5]
+			}
+		}
+		days[i] = d
+	}
+	return days
+}
+
+// FuzzSpectralMatchesReference: over random day logs, knobs and windows, the
+// fit-then-evaluate pipeline refuses what the reference refuses, with the
+// same error, and otherwise returns its TR bit for bit, directly and through
+// an engine.
+func FuzzSpectralMatchesReference(f *testing.F) {
+	f.Add([]byte{0}, uint64(0), uint32(8*60))
+	f.Add([]byte{5, 0, 0, 7, 200, 4, 0, 9, 3, 1, 0}, uint64(0x1234567), uint32(600|120<<11))
+	f.Add([]byte{3, 1, 0, 40, 41, 42, 43, 44, 2, 0, 10, 14, 255}, uint64(0xdeadbeef), uint32(13*60|600<<11))
+	f.Add([]byte{11, 0, 0, 4, 0, 0, 4, 0, 0, 4, 0, 0, 4}, uint64(7<<3|7<<9), uint32(1439|3<<11))
+	f.Fuzz(func(t *testing.T, log []byte, knobs uint64, window uint32) {
+		days := fuzzDays(log)
+		s := DefaultSpectral()
+		s.HistoryDays = int(knobs % 5)
+		s.MaxSpectrumItems = int(knobs >> 3 % 41)
+		s.MinSpectrumItems = int(knobs>>9%33) - 2
+		s.LowAmplitudeThreshold = float64(knobs>>15&0xff) / 200
+		s.MarginFraction = float64(knobs>>23&0x3f) / 100
+		w := Window{
+			Start:  time.Duration(window%1440) * time.Minute,
+			Length: time.Duration(1+(window>>11)%86400) * time.Second,
+		}
+		matchReference(t, "fuzz", NewEngine(EngineConfig{}), s, PluginInput{Days: days, Window: w})
+	})
+}
+
+// TestSpectralFitAllocCeiling: on a warm scratch a fit allocates its answer
+// and nothing else: the spectrum and its items. Before the fit streamed into
+// scratch it allocated the byte signal, the resampled slice, the transform,
+// the bin list and the sort's closure on every call.
+func TestSpectralFitAllocCeiling(t *testing.T) {
+	if raceDetector {
+		t.Skip("allocation counts of a -race build are not the program's")
+	}
+	days := spectralHistory(7)
+	s := DefaultSpectral()
+	sc := &scratch{}
+	fit := func() {
+		if _, err := s.fit(sc, days); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fit()
+	if n := testing.AllocsPerRun(20, fit); n > 2 {
+		t.Fatalf("a fit on a warm scratch allocates %.1f times, want <= 2 (the spectrum and its items)", n)
+	}
+}
+
+// TestSpectrumOutlivesItsScratch: a spectrum evaluates the same after the
+// scratch it was fitted on serves an SMP miss, a PCT miss and the fit of
+// another pool: nothing the spectrum keeps aliases scratch.
+func TestSpectrumOutlivesItsScratch(t *testing.T) {
+	days, other := spectralHistory(7), spectralPools()["ragged"]
+	s := DefaultSpectral()
+	sc := &scratch{}
+	sp, err := s.fit(sc, days)
+	if err != nil {
+		t.Fatal(err)
+	}
+	windows := spectralWindows(period)
+	before := make([]float64, len(windows))
+	for i, w := range windows {
+		before[i] = s.evaluate(sp, w)
+	}
+	w := Window{Start: 8 * time.Hour, Length: 10 * time.Hour}
+	kernel, pred, units, err := defaultSMP().prepare(sc, other, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pred.solve(sc, kernel, units); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DefaultPercentile().predictTR(sc, PluginInput{Days: other, Window: w}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.fit(sc, other); err != nil {
+		t.Fatal(err)
+	}
+	for i, w := range windows {
+		if after := s.evaluate(sp, w); math.Float64bits(after) != math.Float64bits(before[i]) {
+			t.Fatalf("%v: the spectrum evaluates to %v after its scratch was reused, %v before", w, after, before[i])
+		}
+	}
+}
+
+// spectrumSink keeps BenchmarkSpectralFit's result live.
+var spectrumSink *spectrum
+
+// BenchmarkSpectralFit measures one fit of a seven-weekday pool at the
+// default period on a warm scratch.
+func BenchmarkSpectralFit(b *testing.B) {
+	days := spectralHistory(7)
+	s := DefaultSpectral()
+	sc := &scratch{}
+	fit := func() {
+		sp, err := s.fit(sc, days)
+		if err != nil {
+			b.Fatal(err)
+		}
+		spectrumSink = sp
+	}
+	fit()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fit()
 	}
 }
 
