@@ -116,7 +116,7 @@ func (c client) finishRoot(span *otrace.Span, err error) {
 	span.SetError(err)
 	id := span.Trace()
 	span.End()
-	if recs, ok := c.flight.Trace(id); ok && len(recs) > 0 {
+	if recs, ok := c.flight.Snapshot(time.Time{}).Trace(id); ok {
 		fmt.Fprint(os.Stderr, otrace.RenderTraceString(recs, otrace.RenderOptions{Timings: true}))
 	}
 }

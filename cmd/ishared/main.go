@@ -50,7 +50,6 @@ import (
 	"syscall"
 	"time"
 
-	"fgcs/internal/avail"
 	"fgcs/internal/durable"
 	"fgcs/internal/ishare"
 	"fgcs/internal/monitor"
@@ -61,60 +60,44 @@ import (
 )
 
 func main() {
-	var (
-		id           = flag.String("id", hostnameOr("node"), "machine id")
-		listen       = flag.String("listen", "127.0.0.1:7070", "gateway listen address")
-		registry     = flag.String("registry", "", "registry address to publish to")
-		registryOnly = flag.Bool("registry-only", false, "run a registry instead of a host node: a federation ring whose only peer is -id at -listen")
-		source       = flag.String("source", "proc", "load source: proc or replay")
-		traceFile    = flag.String("trace", "", "trace file for -source replay / preloaded history")
-		heartbeat    = flag.String("heartbeat", "", "t_monitor heartbeat file path")
-		histDays     = flag.Int("history", 0, "most recent N days to pool (0 = all)")
-		archive      = flag.String("archive", "", "archive history logs to this trace file periodically and on shutdown")
-		archiveEvery = flag.Duration("archive-every", 10*time.Minute, "archive interval")
-		ttl          = flag.Duration("ttl", 90*time.Second, "registration TTL; re-registered by the heartbeat (0 = register once, never expires)")
-		hbEvery      = flag.Duration("heartbeat-every", 30*time.Second, "registry re-registration interval")
-		peers        = flag.String("peers", "", "comma-separated id=addr federation ring membership; enables federation mode (the list must include this peer's -id)")
-		vnodes       = flag.Int("vnodes", ishare.DefaultVnodes, "federation: virtual nodes per peer on the consistent-hash ring")
-		replicas     = flag.Int("replicas", ishare.DefaultReplicas, "federation: successor peers mirroring each registry entry (-1 = none)")
-		syncEvery    = flag.Duration("sync-every", 30*time.Second, "federation: anti-entropy push interval (0 = on-register replication only)")
-		obsAddr      = flag.String("obs-addr", "", "serve Prometheus /metrics, /debug/pprof and /traces on this HTTP address (empty = disabled)")
-		maxInflight  = flag.Int("max-inflight", 0, "admission control: max concurrently served requests across all connections (0 = default 256)")
-		maxQueued    = flag.Int("max-queued", 0, "admission control: max requests queued for an in-flight slot before shedding with the typed overloaded error (0 = same as -max-inflight)")
-		perConnInfl  = flag.Int("per-conn-inflight", 0, "admission control: max pipelined requests in flight per connection (0 = default 32)")
-		idleDeadline = flag.Duration("idle-deadline", 0, "close connections with no frame activity for this long; reset per frame on long-lived connections (0 = default 5m)")
-		logLevel     = flag.String("log-level", "info", "log level: debug, info, warn or error")
-		logJSON      = flag.Bool("log-json", false, "emit logs as JSON instead of text")
-		traceSample  = flag.Float64("trace-sample", 1, "fraction of served requests to trace into the flight recorder (0 disables tracing)")
-		traceSeed    = flag.Uint64("trace-seed", 0, "seed for trace IDs and sampling decisions (0 = fixed default; any fixed seed gives reproducible traces)")
-		traceBuffer  = flag.Int("trace-buffer", otrace.DefaultCapacity, "completed traces retained by the flight recorder")
-		sloSpecs     = flag.String("slo", "", "comma-separated serving-path SLOs, each name:qps=<floor>;p99=<dur>;budget=<fraction> (optional ;fast=;slow=;short=;long= burn tuning); statuses are served in query-stats and violations fire burn-rate alerts")
-		obsEvery     = flag.Duration("obs-every", 15*time.Second, "SLO sampling and drift/ops detector step interval (0 disables the loop)")
-		dataDir      = flag.String("data-dir", "", "durable state directory: WAL + snapshots, recovered on restart (empty = stateless)")
-		snapEvery    = flag.Duration("snapshot-every", 5*time.Minute, "durable snapshot interval; a final snapshot is always written on clean shutdown")
-		fsyncMode    = flag.String("fsync", "always", "WAL sync policy: always (fsync per record), batch (fsync on rotation/snapshot) or off")
-		recoverMode  = flag.String("recover", "strict", "recovery policy when every retained snapshot is corrupt and the WAL is incomplete: strict (refuse to start) or best-effort (salvage the valid WAL suffix)")
-	)
+	var rc runConfig
+	flag.StringVar(&rc.id, "id", hostnameOr("node"), "machine id")
+	flag.StringVar(&rc.listen, "listen", "127.0.0.1:7070", "gateway listen address")
+	flag.StringVar(&rc.registry, "registry", "", "registry address to publish to")
+	flag.BoolVar(&rc.registryOnly, "registry-only", false, "run a registry instead of a host node: a federation ring whose only peer is -id at -listen")
+	flag.StringVar(&rc.source, "source", "proc", "load source: proc or replay")
+	flag.StringVar(&rc.traceFile, "trace", "", "trace file for -source replay / preloaded history")
+	flag.StringVar(&rc.heartbeat, "heartbeat", "", "t_monitor heartbeat file path")
+	flag.IntVar(&rc.histDays, "history", 0, "most recent N days to pool (0 = all)")
+	flag.StringVar(&rc.archive, "archive", "", "archive history logs to this trace file periodically and on shutdown")
+	flag.DurationVar(&rc.archiveEvery, "archive-every", 10*time.Minute, "archive interval")
+	flag.DurationVar(&rc.ttl, "ttl", 90*time.Second, "registration TTL; re-registered by the heartbeat (0 = register once, never expires)")
+	flag.DurationVar(&rc.hbEvery, "heartbeat-every", 30*time.Second, "registry re-registration interval")
+	flag.StringVar(&rc.peers, "peers", "", "comma-separated id=addr federation ring membership; enables federation mode (the list must include this peer's -id)")
+	flag.IntVar(&rc.vnodes, "vnodes", ishare.DefaultVnodes, "federation: virtual nodes per peer on the consistent-hash ring")
+	flag.IntVar(&rc.replicas, "replicas", ishare.DefaultReplicas, "federation: successor peers mirroring each registry entry (-1 = none)")
+	flag.DurationVar(&rc.syncEvery, "sync-every", 30*time.Second, "federation: anti-entropy push interval (0 = on-register replication only)")
+	flag.StringVar(&rc.obsAddr, "obs-addr", "", "serve Prometheus /metrics, /debug/pprof and /traces on this HTTP address (empty = disabled)")
+	flag.IntVar(&rc.serveCfg.MaxInflight, "max-inflight", 0, "admission control: max concurrently served requests across all connections (0 = default 256)")
+	flag.IntVar(&rc.serveCfg.MaxQueuedWaiters, "max-queued", 0, "admission control: max requests queued for an in-flight slot before shedding with the typed overloaded error (0 = same as -max-inflight)")
+	flag.IntVar(&rc.serveCfg.PerConnInflight, "per-conn-inflight", 0, "admission control: max pipelined requests in flight per connection (0 = default 32)")
+	flag.DurationVar(&rc.serveCfg.IdleDeadline, "idle-deadline", 0, "close connections with no frame activity for this long; reset per frame on long-lived connections (0 = default 5m)")
+	logLevel := flag.String("log-level", "info", "log level: debug, info, warn or error")
+	logJSON := flag.Bool("log-json", false, "emit logs as JSON instead of text")
+	flag.Float64Var(&rc.traceSample, "trace-sample", 1, "fraction of served requests to trace into the flight recorder (0 disables tracing)")
+	flag.Uint64Var(&rc.traceSeed, "trace-seed", 0, "seed for trace IDs and sampling decisions (0 = fixed default; any fixed seed gives reproducible traces)")
+	traceBuffer := flag.Int("trace-buffer", otrace.DefaultCapacity, "completed traces retained by the flight recorder")
+	flag.StringVar(&rc.slo, "slo", "", "comma-separated serving-path SLOs, each name:qps=<floor>;p99=<dur>;budget=<fraction> (optional ;fast=;slow=;short=;long= burn tuning); statuses are served in query-stats and violations fire burn-rate alerts")
+	flag.DurationVar(&rc.obsEvery, "obs-every", 15*time.Second, "SLO sampling and drift/ops detector step interval (0 disables the loop)")
+	flag.StringVar(&rc.dataDir, "data-dir", "", "durable state directory: WAL + snapshots, recovered on restart (empty = stateless)")
+	flag.DurationVar(&rc.snapEvery, "snapshot-every", 5*time.Minute, "durable snapshot interval; a final snapshot is always written on clean shutdown")
+	flag.StringVar(&rc.fsync, "fsync", "always", "WAL sync policy: always (fsync per record), batch (fsync on rotation/snapshot) or off")
+	flag.StringVar(&rc.recoverMode, "recover", "strict", "recovery policy when every retained snapshot is corrupt and the WAL is incomplete: strict (refuse to start) or best-effort (salvage the valid WAL suffix)")
 	flag.Parse()
-	flight := otrace.NewRecorder(*traceBuffer)
-	logger := otrace.NewLogger(os.Stderr, otrace.ParseLevel(*logLevel), *logJSON, flight)
-	if err := run(runConfig{
-		id: *id, listen: *listen, registry: *registry, registryOnly: *registryOnly,
-		source: *source, traceFile: *traceFile, heartbeat: *heartbeat, histDays: *histDays,
-		archive: *archive, archiveEvery: *archiveEvery,
-		ttl: *ttl, hbEvery: *hbEvery, obsAddr: *obsAddr,
-		peers: *peers, vnodes: *vnodes, replicas: *replicas, syncEvery: *syncEvery,
-		traceSample: *traceSample, traceSeed: *traceSeed, flight: flight, logger: logger,
-		slo: *sloSpecs, obsEvery: *obsEvery,
-		dataDir: *dataDir, snapEvery: *snapEvery, fsync: *fsyncMode, recoverMode: *recoverMode,
-		serveCfg: ishare.ServerConfig{
-			MaxInflight:      *maxInflight,
-			MaxQueuedWaiters: *maxQueued,
-			PerConnInflight:  *perConnInfl,
-			IdleDeadline:     *idleDeadline,
-		},
-	}); err != nil {
-		logger.Error("exiting", slog.String("err", err.Error()))
+	rc.flight = otrace.NewRecorder(*traceBuffer)
+	rc.logger = otrace.NewLogger(os.Stderr, otrace.ParseLevel(*logLevel), *logJSON, rc.flight)
+	if err := run(rc); err != nil {
+		rc.logger.Error("exiting", slog.String("err", err.Error()))
 		os.Exit(1)
 	}
 }
@@ -150,18 +133,287 @@ type runConfig struct {
 	serveCfg ishare.ServerConfig
 }
 
-// tracer builds the served-request tracer over the flight recorder, or nil
-// (tracing off) at -trace-sample 0.
-func (rc runConfig) tracer() *otrace.Tracer {
-	if rc.traceSample <= 0 {
-		return nil
+func run(rc runConfig) error {
+	if rc.registryOnly && rc.peers == "" {
+		rc.peers = rc.id + "=" + rc.listen // a standalone registry is a ring of one
 	}
-	return otrace.New(otrace.Config{SampleRate: rc.traceSample, Seed: rc.traceSeed, Recorder: rc.flight})
+	if rc.peers != "" {
+		return runFed(rc)
+	}
+	return runHost(rc)
 }
+
+// runFed runs one federated control-plane peer: a consistent-hash shard of
+// the machine registry plus transparent forwarding for everything else.
+func runFed(rc runConfig) error {
+	peers, err := parsePeers(rc.peers)
+	if err != nil {
+		return err
+	}
+	var self ishare.Peer
+	for _, p := range peers {
+		if p.ID == rc.id {
+			self = p
+		}
+	}
+	if self.ID == "" {
+		return fmt.Errorf("-peers does not list this peer's -id %q", rc.id)
+	}
+	logger := rc.logger.With(slog.String("peer", self.ID))
+	return serve(rc, logger, func(st *durable.Store, rec *durable.Recovery) (daemon, error) {
+		o := ishare.NewNodeObs()
+		gw, err := ishare.NewFedGateway(ishare.FedConfig{Self: self, Peers: peers, Vnodes: rc.vnodes, Replicas: rc.replicas, Logger: logger, Obs: o})
+		if err != nil {
+			return daemon{}, err
+		}
+		d := daemon{obs: o, listen: gw.ServeConfig, ready: gw.Ready,
+			fleet: func(req *http.Request) (*obs.FleetSnapshot, error) { return gw.FleetObs(req.Context()), nil },
+			up: func(addr string) (func() error, error) {
+				stop := func() {}
+				if rc.syncEvery > 0 {
+					stop = gw.StartSync(rc.syncEvery)
+				}
+				logger.Info("federation peer up",
+					slog.String("addr", addr),
+					slog.Int("peers", len(peers)),
+					slog.Int("vnodes", rc.vnodes),
+					slog.Int("replicas", gw.RingStats().Replicas), // what the ring uses: capped at peers-1
+					slog.Duration("sync_every", rc.syncEvery))
+				return func() error { stop(); return nil }, nil
+			}}
+		// Durable shard state: this peer's owned and replicated registry
+		// entries, restored before serving, so the peer rejoins the ring
+		// with its shard intact instead of waiting for anti-entropy.
+		if st != nil {
+			persist, err := ishare.NewRegPersister(st, rec, gw, logger)
+			if err != nil {
+				return daemon{}, err
+			}
+			d.persist = persist
+		}
+		return d, nil
+	})
+}
+
+// runHost runs a host node over the -source load source: the gateway,
+// monitor and state manager of Figure 2.
+func runHost(rc runConfig) error {
+	if rc.source == "replay" && rc.traceFile == "" {
+		return fmt.Errorf("-source replay needs -trace")
+	}
+	var preloaded *trace.Machine
+	if rc.traceFile != "" {
+		ds, err := trace.LoadFile(rc.traceFile)
+		if err != nil {
+			return err
+		}
+		preloaded = ds.Find(rc.id)
+		if preloaded == nil && rc.source == "replay" {
+			if len(ds.Machines) == 0 {
+				return fmt.Errorf("trace file has no machines")
+			}
+			preloaded = ds.Machines[0]
+		}
+	}
+	var src monitor.LoadSource
+	switch rc.source {
+	case "proc":
+		src = monitor.NewProcSource()
+	case "replay":
+		rs, err := monitor.NewReplaySource(preloaded.Days)
+		if err != nil {
+			return err
+		}
+		src = rs
+	default:
+		return fmt.Errorf("unknown source %q", rc.source)
+	}
+	logger := rc.logger.With(slog.String("machine", rc.id))
+	return serve(rc, logger, func(st *durable.Store, rec *durable.Recovery) (daemon, error) {
+		node, err := ishare.NewHostNode(ishare.NodeConfig{
+			MachineID:       rc.id,
+			Preloaded:       preloaded,
+			HistoryDays:     rc.histDays,
+			HeartbeatPath:   rc.heartbeat,
+			Logger:          logger,
+			Durable:         st,
+			DurableRecovery: rec,
+		}, src)
+		if err != nil {
+			return daemon{}, err
+		}
+		// Durable recovery already landed (NewHostNode is synchronous), so
+		// readiness waits only on the registration and monitor start.
+		var started atomic.Bool
+		d := daemon{obs: node.Obs(), listen: node.Gateway.ServeConfig,
+			ready: func() error {
+				if !started.Load() {
+					return fmt.Errorf("startup in flight: registration or monitor start pending")
+				}
+				return nil
+			},
+			up: func(addr string) (func() error, error) {
+				stop, err := hostUp(rc, logger, node, addr)
+				started.Store(err == nil)
+				return stop, err
+			}}
+		if node.Persist != nil {
+			d.persist = node.Persist
+		}
+		return d, nil
+	})
+}
+
+// hostUp publishes the node to -registry (fatal on failure: the operator
+// asked to publish), starts its monitor and the -archive loop. The stop it
+// returns halts the monitor first, so no sample lands between the final
+// snapshot and close, and writes the final archive.
+func hostUp(rc runConfig, logger *slog.Logger, node *ishare.HostNode, addr string) (func() error, error) {
+	unpublish := func() {}
+	if rc.registry != "" {
+		var err error
+		if unpublish, err = node.Publish(rc.registry, addr, rc.ttl, rc.hbEvery); err != nil {
+			return nil, err
+		}
+	}
+	node.Start()
+	logger.Info("host node up",
+		slog.String("gateway", addr),
+		slog.Duration("period", trace.DefaultPeriod),
+		slog.String("source", rc.source),
+		slog.Float64("trace_sample", rc.traceSample))
+	if rc.registry != "" {
+		logger.Info("registered",
+			slog.String("registry", rc.registry),
+			slog.Duration("ttl", rc.ttl), slog.Duration("heartbeat_every", rc.hbEvery))
+	}
+	stopArchive := func() {}
+	if rc.archive != "" {
+		stopArchive = ishare.StartLoop(simclock.Real{}, rc.archiveEvery, func() {
+			if err := node.SM.Archive(rc.archive); err != nil {
+				logger.Error("archive failed",
+					slog.String("component", "archiver"), slog.String("err", err.Error()))
+			}
+		})
+	}
+	return func() error {
+		stopArchive()
+		node.Stop()
+		unpublish()
+		if rc.archive == "" {
+			return nil
+		}
+		if err := node.SM.Archive(rc.archive); err != nil {
+			return fmt.Errorf("final archive: %w", err)
+		}
+		logger.Info("history archived", slog.String("path", rc.archive))
+		return nil
+	}, nil
+}
+
+// daemon is what a mode, host node or federation peer, hands the lifecycle
+// both share (serve).
+type daemon struct {
+	obs *ishare.NodeObs
+	// persist is *ishare.Persister or *ishare.RegPersister (nil without
+	// -data-dir).
+	persist interface {
+		StartSnapshots(every time.Duration) (stop func())
+		Flush() error
+	}
+	listen func(addr string, cfg ishare.ServerConfig) (*ishare.Server, error)
+	ready  func() error
+	// fleet serves /metrics?scope=fleet (nil = none).
+	fleet func(*http.Request) (*obs.FleetSnapshot, error)
+	// up runs once the server listens at addr. The stop it returns runs at
+	// shutdown, before the final durable snapshot.
+	up func(addr string) (stop func() error, err error)
+}
+
+// flightFile is the persisted flight-recorder snapshot inside -data-dir.
+const flightFile = "flight.json"
 
 // obsDrainTimeout bounds how long shutdown waits for in-flight /metrics,
 // pprof and /traces responses to finish before closing the listener.
 const obsDrainTimeout = 5 * time.Second
+
+// serve is the one lifecycle of every mode: open durable state, build the
+// mode's daemon over what it recovered, start periodic snapshots and the
+// SLO/obs loop, install the previous run's flight snapshot (so `isharec
+// traces -previous` can inspect the run that just ended), serve the protocol
+// and the obs endpoint, and bring the mode up. On SIGINT or SIGTERM it
+// drains the obs endpoint, stops the mode, flushes durable state and saves
+// the flight recorder for the next boot.
+func serve(rc runConfig, logger *slog.Logger, build func(*durable.Store, *durable.Recovery) (daemon, error)) error {
+	st, rec, err := openDurable(rc, logger)
+	if err != nil {
+		return err
+	}
+	d, err := build(st, rec)
+	if err != nil {
+		return err
+	}
+	if d.persist != nil {
+		defer d.persist.StartSnapshots(rc.snapEvery)()
+	}
+	stopObsOps, err := setupObsOps(d.obs, rc.slo, rc.obsEvery, logger)
+	if err != nil {
+		return err
+	}
+	defer stopObsOps()
+	flightPath := filepath.Join(rc.dataDir, flightFile)
+	if rc.dataDir != "" {
+		if snap, err := otrace.LoadFlight(flightPath); err != nil {
+			logger.Warn("previous flight snapshot unreadable", slog.String("err", err.Error()))
+		} else if snap != nil {
+			d.obs.SetPrevFlight(snap)
+			logger.Info("previous flight snapshot loaded",
+				slog.Int("traces", len(snap.Traces)), slog.Time("saved_at", snap.SavedAt))
+		}
+	}
+	if rc.traceSample > 0 {
+		d.obs.SetTracing(otrace.New(otrace.Config{SampleRate: rc.traceSample, Seed: rc.traceSeed, Recorder: rc.flight}))
+	}
+	srv, err := d.listen(rc.listen, rc.serveCfg)
+	if err != nil {
+		return err
+	}
+	defer srv.Close()
+	obsSrv, err := serveObs(rc, d.obs, logger, d.ready, d.fleet)
+	if err != nil {
+		return err
+	}
+	stop, err := d.up(srv.Addr())
+	if err != nil {
+		return err
+	}
+	ch := make(chan os.Signal, 1)
+	signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
+	<-ch
+	logger.Info("shutting down")
+	if obsSrv != nil {
+		// Drain in-flight /metrics, pprof and /traces responses before the
+		// listener closes, so a scrape racing the SIGTERM completes.
+		ctx, cancel := context.WithTimeout(context.Background(), obsDrainTimeout)
+		if err := obsSrv.Shutdown(ctx); err != nil {
+			logger.Warn("obs drain incomplete", slog.String("err", err.Error()))
+		}
+		cancel()
+	}
+	stopErr := stop()
+	if d.persist != nil {
+		if err := d.persist.Flush(); err != nil {
+			return fmt.Errorf("final durable snapshot: %w", err)
+		}
+		logger.Info("durable state flushed", slog.String("dir", rc.dataDir))
+	}
+	if rc.dataDir != "" {
+		if err := otrace.SaveFlight(flightPath, rc.flight, time.Now()); err != nil {
+			logger.Warn("flight snapshot not saved", slog.String("err", err.Error()))
+		}
+	}
+	return stopErr
+}
 
 // serveObs exposes the node's metrics registry (plus the fleet-wide merged
 // view under /metrics?scope=fleet when fleet is non-nil), liveness and
@@ -212,30 +464,6 @@ func serveObs(rc runConfig, o *ishare.NodeObs, logger *slog.Logger,
 	return srv, nil
 }
 
-// awaitShutdown is the tail every mode ends on: block until SIGINT or
-// SIGTERM, drain the obs endpoint, flush the mode's durable state (flush is
-// nil without -data-dir) and save the flight recorder for the next boot.
-func awaitShutdown(rc runConfig, logger *slog.Logger, obsSrv *http.Server, flush func() error) error {
-	waitForSignal(rc.logger)
-	if obsSrv != nil {
-		// Drain in-flight /metrics, pprof and /traces responses before the
-		// listener closes, so a scrape racing the SIGTERM completes.
-		ctx, cancel := context.WithTimeout(context.Background(), obsDrainTimeout)
-		if err := obsSrv.Shutdown(ctx); err != nil {
-			logger.Warn("obs drain incomplete", slog.String("err", err.Error()))
-		}
-		cancel()
-	}
-	if flush != nil {
-		if err := flush(); err != nil {
-			return fmt.Errorf("final durable snapshot: %w", err)
-		}
-		logger.Info("durable state flushed", slog.String("dir", rc.dataDir))
-	}
-	saveFlight(rc, logger)
-	return nil
-}
-
 // setupObsOps installs the -slo monitors, bridges every fired alert into a
 // WARN log line (which the otrace logger also retains next to the flight
 // recorder's traces), and starts the periodic loop that samples the SLOs and
@@ -264,38 +492,6 @@ func setupObsOps(o *ishare.NodeObs, sloSpecs string, every time.Duration, logger
 		return func() {}, nil
 	}
 	return ishare.StartLoop(simclock.Real{}, every, func() { o.StepObs(time.Now()) }), nil
-}
-
-// flightFile is the persisted flight-recorder snapshot inside -data-dir.
-const flightFile = "flight.json"
-
-// loadPrevFlight installs the previous run's flight snapshot (if any) so
-// `isharec traces -previous` can inspect the run that just ended.
-func loadPrevFlight(rc runConfig, o *ishare.NodeObs, logger *slog.Logger) {
-	if rc.dataDir == "" {
-		return
-	}
-	snap, err := otrace.LoadFlight(filepath.Join(rc.dataDir, flightFile))
-	if err != nil {
-		logger.Warn("previous flight snapshot unreadable", slog.String("err", err.Error()))
-		return
-	}
-	if snap != nil {
-		o.SetPrevFlight(snap)
-		logger.Info("previous flight snapshot loaded",
-			slog.Int("traces", len(snap.Traces)), slog.Time("saved_at", snap.SavedAt))
-	}
-}
-
-// saveFlight persists the flight recorder on shutdown; the next boot serves
-// it as the previous flight.
-func saveFlight(rc runConfig, logger *slog.Logger) {
-	if rc.dataDir == "" {
-		return
-	}
-	if err := otrace.SaveFlight(filepath.Join(rc.dataDir, flightFile), rc.flight, time.Now()); err != nil {
-		logger.Warn("flight snapshot not saved", slog.String("err", err.Error()))
-	}
 }
 
 // openDurable opens the WAL + snapshot store under rc.dataDir and logs the
@@ -364,263 +560,4 @@ func parsePeers(s string) ([]ishare.Peer, error) {
 		return nil, fmt.Errorf("-peers is empty")
 	}
 	return peers, nil
-}
-
-// runFed runs one federated control-plane peer: a consistent-hash shard of
-// the machine registry plus transparent forwarding for everything else.
-func runFed(rc runConfig) error {
-	peers, err := parsePeers(rc.peers)
-	if err != nil {
-		return err
-	}
-	var self ishare.Peer
-	for _, p := range peers {
-		if p.ID == rc.id {
-			self = p
-		}
-	}
-	if self.ID == "" {
-		return fmt.Errorf("-peers does not list this peer's -id %q", rc.id)
-	}
-	fedLogger := rc.logger.With(slog.String("peer", self.ID))
-	nodeObs := ishare.NewNodeObs()
-	nodeObs.SetTracing(rc.tracer())
-	// Peer hops and machine proxying share one retried caller; the breaker
-	// set quarantines dead peers so routing skips them without burning a
-	// dial timeout per request.
-	breakers := ishare.NewBreakerSet(ishare.BreakerConfig{Threshold: 3, Cooldown: 30 * time.Second}, nil)
-	nodeObs.InstrumentBreakers(breakers)
-	gw, err := ishare.NewFedGateway(ishare.FedConfig{
-		Self:     self,
-		Peers:    peers,
-		Vnodes:   rc.vnodes,
-		Replicas: rc.replicas,
-		Caller: &ishare.Caller{
-			Retry:   ishare.RetryPolicy{MaxAttempts: 3},
-			Metrics: nodeObs.Caller,
-		},
-		Breakers: breakers,
-		Logger:   fedLogger,
-		Tracer:   nodeObs.Tracer,
-		Obs:      nodeObs,
-	})
-	if err != nil {
-		return err
-	}
-	stopObsOps, err := setupObsOps(nodeObs, rc.slo, rc.obsEvery, fedLogger)
-	if err != nil {
-		return err
-	}
-	defer stopObsOps()
-	// Durable shard state: this peer's owned/replicated registry entries.
-	// Restored before serving, so the peer rejoins the ring with its shard
-	// intact instead of waiting for anti-entropy to repopulate it. /readyz
-	// reports the peer unready until recovery lands and a clean anti-entropy
-	// round has confirmed ring convergence.
-	gw.SetRecoveryPending(rc.dataDir != "")
-	st, rec, err := openDurable(rc, fedLogger)
-	if err != nil {
-		return err
-	}
-	var persist *ishare.RegPersister
-	if st != nil {
-		if persist, err = ishare.NewRegPersister(st, rec, gw, fedLogger); err != nil {
-			return err
-		}
-		stop := persist.StartSnapshots(rc.snapEvery)
-		defer stop()
-	}
-	gw.SetRecoveryPending(false)
-	loadPrevFlight(rc, nodeObs, fedLogger)
-	srv, err := gw.ServeConfig(rc.listen, rc.serveCfg)
-	if err != nil {
-		return err
-	}
-	defer srv.Close()
-	if rc.syncEvery > 0 {
-		stop := gw.StartSync(rc.syncEvery)
-		defer stop()
-	}
-	obsSrv, err := serveObs(rc, nodeObs, fedLogger, gw.Ready, func(req *http.Request) (*obs.FleetSnapshot, error) {
-		return gw.FleetObs(req.Context()), nil
-	})
-	if err != nil {
-		return err
-	}
-	fedLogger.Info("federation peer up",
-		slog.String("addr", srv.Addr()),
-		slog.Int("peers", len(peers)),
-		slog.Int("vnodes", rc.vnodes),
-		slog.Int("replicas", gw.RingStats().Replicas), // what the ring uses: capped at peers-1
-		slog.Duration("sync_every", rc.syncEvery))
-	var flush func() error
-	if persist != nil {
-		flush = persist.Flush
-	}
-	return awaitShutdown(rc, fedLogger, obsSrv, flush)
-}
-
-func run(rc runConfig) error {
-	id, listen, registry := rc.id, rc.listen, rc.registry
-	source, traceFile, heartbeat := rc.source, rc.traceFile, rc.heartbeat
-	histDays, archive, archiveEvery := rc.histDays, rc.archive, rc.archiveEvery
-	logger := rc.logger
-	if rc.registryOnly && rc.peers == "" {
-		rc.peers = id + "=" + listen // a standalone registry is a ring of one
-	}
-	if rc.peers != "" {
-		return runFed(rc)
-	}
-
-	var preloaded *trace.Machine
-	var src monitor.LoadSource
-	switch source {
-	case "proc":
-		src = monitor.NewProcSource()
-		if traceFile != "" {
-			ds, err := trace.LoadFile(traceFile)
-			if err != nil {
-				return err
-			}
-			if m := ds.Find(id); m != nil {
-				preloaded = m
-			}
-		}
-	case "replay":
-		if traceFile == "" {
-			return fmt.Errorf("-source replay needs -trace")
-		}
-		ds, err := trace.LoadFile(traceFile)
-		if err != nil {
-			return err
-		}
-		m := ds.Find(id)
-		if m == nil {
-			if len(ds.Machines) == 0 {
-				return fmt.Errorf("trace file has no machines")
-			}
-			m = ds.Machines[0]
-		}
-		rs, err := monitor.NewReplaySource(m.Days)
-		if err != nil {
-			return err
-		}
-		src = rs
-		preloaded = m
-	default:
-		return fmt.Errorf("unknown source %q", source)
-	}
-
-	nodeLogger := logger.With(slog.String("machine", id))
-	st, rec, err := openDurable(rc, nodeLogger)
-	if err != nil {
-		return err
-	}
-	node, err := ishare.NewHostNode(ishare.NodeConfig{
-		MachineID:       id,
-		Cfg:             avail.DefaultConfig(),
-		Preloaded:       preloaded,
-		HistoryDays:     histDays,
-		HeartbeatPath:   heartbeat,
-		Logger:          nodeLogger,
-		Durable:         st,
-		DurableRecovery: rec,
-	}, src)
-	if err != nil {
-		return err
-	}
-	if node.Persist != nil {
-		stop := node.Persist.StartSnapshots(rc.snapEvery)
-		defer stop()
-	}
-	stopObsOps, err := setupObsOps(node.Obs(), rc.slo, rc.obsEvery, nodeLogger)
-	if err != nil {
-		return err
-	}
-	defer stopObsOps()
-	loadPrevFlight(rc, node.Obs(), nodeLogger)
-	node.Obs().SetTracing(rc.tracer())
-	srv, err := node.Gateway.ServeConfig(listen, rc.serveCfg)
-	if err != nil {
-		return err
-	}
-	defer srv.Close()
-	// Host readiness: durable recovery already landed (NewHostNode is
-	// synchronous), so the remaining gate is the initial registration and
-	// monitor start below.
-	var started atomic.Bool
-	readyCheck := func() error {
-		if !started.Load() {
-			return fmt.Errorf("startup in flight: registration or monitor start pending")
-		}
-		return nil
-	}
-	obsSrv, err := serveObs(rc, node.Obs(), nodeLogger, readyCheck, nil)
-	if err != nil {
-		return err
-	}
-	if registry != "" {
-		// Registration failures here are fatal (the operator asked to
-		// publish); later heartbeats retry under the caller's policy and
-		// otherwise rely on the TTL to advertise the node's death.
-		// One pooled connection carries the registration and every
-		// heartbeat after it.
-		caller := &ishare.Caller{Pool: &ishare.Pool{}, Retry: ishare.RetryPolicy{MaxAttempts: 3}, Metrics: node.Obs().Caller}
-		defer caller.Pool.Close()
-		if err := ishare.RegisterWithTTL(context.Background(), caller, registry, id, srv.Addr(), rc.ttl, 5*time.Second); err != nil {
-			return err
-		}
-		if rc.ttl > 0 && rc.hbEvery > 0 {
-			stop := node.StartHeartbeat(caller, registry, srv.Addr(), rc.ttl, rc.hbEvery, 5*time.Second)
-			defer stop()
-		}
-	}
-	node.Start()
-	defer node.Stop()
-	started.Store(true)
-	nodeLogger.Info("host node up",
-		slog.String("gateway", srv.Addr()),
-		slog.Duration("period", trace.DefaultPeriod),
-		slog.String("source", source),
-		slog.Float64("trace_sample", rc.traceSample))
-	if registry != "" {
-		nodeLogger.Info("registered",
-			slog.String("registry", registry),
-			slog.Duration("ttl", rc.ttl), slog.Duration("heartbeat_every", rc.hbEvery))
-	}
-	if archive != "" {
-		stop := ishare.StartLoop(simclock.Real{}, archiveEvery, func() {
-			if err := node.SM.Archive(archive); err != nil {
-				nodeLogger.Error("archive failed",
-					slog.String("component", "archiver"), slog.String("err", err.Error()))
-			}
-		})
-		defer stop()
-	}
-	var flush func() error
-	if node.Persist != nil {
-		flush = func() error {
-			// Stop the monitor before the final snapshot so no sample lands
-			// between snapshot and close; the next boot then replays nothing.
-			node.Stop()
-			return node.Persist.Flush()
-		}
-	}
-	if err := awaitShutdown(rc, nodeLogger, obsSrv, flush); err != nil {
-		return err
-	}
-	if archive != "" {
-		if err := node.SM.Archive(archive); err != nil {
-			return fmt.Errorf("final archive: %w", err)
-		}
-		nodeLogger.Info("history archived", slog.String("path", archive))
-	}
-	return nil
-}
-
-func waitForSignal(logger *slog.Logger) {
-	ch := make(chan os.Signal, 1)
-	signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
-	<-ch
-	logger.Info("shutting down")
 }

@@ -6,12 +6,14 @@
 //
 // It prints TR per machine along with the empirical TR of the same window
 // measured over the history, so predictions can be sanity-checked at a
-// glance.
+// glance. A window past midnight is clipped there, as a served query-tr's
+// is, and the window printed is the one answered for.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"time"
@@ -33,15 +35,18 @@ func main() {
 		workers   = flag.Int("workers", runtime.GOMAXPROCS(0), "prediction worker pool size")
 	)
 	flag.Parse()
-	if err := run(*traceFile, *machine, *start, *length, *dayType, *histDays, *guestMem, *workers); err != nil {
+	if err := run(os.Stdout, *traceFile, *machine, *start, *length, *dayType, *histDays, *guestMem, *workers); err != nil {
 		fmt.Fprintln(os.Stderr, "predict:", err)
 		os.Exit(1)
 	}
 }
 
-func run(traceFile, machine string, start, length time.Duration, dayType string, histDays int, guestMem float64, workers int) error {
+func run(out io.Writer, traceFile, machine string, start, length time.Duration, dayType string, histDays int, guestMem float64, workers int) error {
 	if traceFile == "" {
 		return fmt.Errorf("-trace is required")
+	}
+	if start < 0 || start >= 24*time.Hour || length <= 0 {
+		return fmt.Errorf("window %v+%v: want a start inside the day and a positive length", start, length)
 	}
 	var dt trace.DayType
 	switch dayType {
@@ -56,14 +61,14 @@ func run(traceFile, machine string, start, length time.Duration, dayType string,
 	if err != nil {
 		return err
 	}
-	w := predict.Window{Start: start, Length: length}
-	if err := w.Validate(); err != nil {
-		return err
+	if len(ds.Machines) == 0 {
+		return fmt.Errorf("trace file has no machines")
 	}
+	_, w := predict.WindowAt(time.Time{}.Add(start), length, ds.Machines[0].Period)
 	cfg := avail.DefaultConfig()
 	cfg.GuestMemMB = guestMem
-	fmt.Printf("window %v on %ss, guest working set %g MB\n", w, dt, guestMem)
-	fmt.Printf("%-10s %-10s %-12s %-10s %s\n", "machine", "TR", "TR(S1)/(S2)", "emp TR", "history")
+	fmt.Fprintf(out, "window %v on %ss, guest working set %g MB\n", w, dt, guestMem)
+	fmt.Fprintf(out, "%-10s %-10s %-12s %-10s %s\n", "machine", "TR", "TR(S1)/(S2)", "emp TR", "history")
 	// Fan the per-machine predictions across the engine's worker pool;
 	// results come back in request order, so the report is stable.
 	var selected []*trace.Machine
@@ -84,7 +89,7 @@ func run(traceFile, machine string, start, length time.Duration, dayType string,
 		}
 		pred := res.Prediction
 		emp, n := predict.EmpiricalTR(m.DaysOfType(dt), w, cfg)
-		fmt.Printf("%-10s %-10.4f %.3f/%.3f  %-10.4f %d windows, %d days\n",
+		fmt.Fprintf(out, "%-10s %-10.4f %.3f/%.3f  %-10.4f %d windows, %d days\n",
 			m.ID, pred.TR, pred.TRByInit[0], pred.TRByInit[1], emp, pred.HistoryWindows, n)
 	}
 	return nil

@@ -275,8 +275,9 @@ func RunX3(machines, days int, seed uint64, lengthsHours []float64) ([]X3Row, er
 // ------------------------------------------------------------------ X5 ----
 
 // X5Row is one checkpoint interval's outcome over X5's job stream, which
-// cmd/experiments runs: fgcssim imports this package. Wall time is response
-// plus the compute the job's checkpoints took; Lost is redone after kills.
+// cmd/experiments runs: fgcssim imports this package. Wall time is the
+// response, whose replay pays each checkpoint's compute; Lost is what kills
+// threw away.
 type X5Row struct {
 	Policy                              string
 	Interval, MeanWall, WorstWall, Lost time.Duration

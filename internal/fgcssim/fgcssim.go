@@ -3,7 +3,9 @@
 // jobs, and a placement policy that decides where each job runs. Guest jobs
 // progress, get reniced, suspended and killed through the real iShare
 // gateway state machine; killed jobs are re-placed (resuming from
-// checkpointed progress) until they complete.
+// checkpointed progress) until they complete. A checkpoint costs the guest
+// CheckpointCost of compute inside the replay, and a kill loses a checkpoint
+// still being written.
 //
 // The simulator measures what the paper declares the primary performance
 // metric for compute-bound guest jobs — response time (Section 1) — and so
@@ -15,6 +17,7 @@ package fgcssim
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -68,10 +71,11 @@ type JobResult struct {
 	Response time.Duration
 	// Kills counts guest terminations the job survived via re-placement.
 	Kills int
-	// LostCompute is the work redone because it postdated the last
-	// checkpoint.
+	// LostCompute is the compute kills threw away: everything the guest ran
+	// after its last completed checkpoint, a checkpoint being written
+	// included.
 	LostCompute time.Duration
-	// Checkpoints counts the checkpoints the job took.
+	// Checkpoints counts the checkpoints the job completed.
 	Checkpoints int
 	// Machines lists every machine the job ran on.
 	Machines []string
@@ -92,9 +96,10 @@ type Config struct {
 	// HistoryDays bounds the predictor's day pool (0 = all).
 	HistoryDays int
 	// CheckpointInterval is how much new progress a job accumulates
-	// before its next checkpoint is taken; progress past the last
-	// checkpoint is lost on a kill. Default: 30 minutes. An interval of at
-	// least the job's work never checkpoints, so a kill restarts the job.
+	// before its next checkpoint is taken, each at CheckpointCost;
+	// progress past the last completed checkpoint is lost on a kill.
+	// Default: 30 minutes. An interval of at least the job's work never
+	// checkpoints, so a kill restarts the job.
 	CheckpointInterval time.Duration
 	// Seed drives the random policy.
 	Seed uint64
@@ -116,6 +121,10 @@ type Result struct {
 	TotalCheckpoints int
 }
 
+// CheckpointCost is the compute one checkpoint takes. The guest makes no
+// progress while it writes one.
+const CheckpointCost = 2 * time.Minute
+
 // machineState is the simulator's view of one host node.
 type machineState struct {
 	machine *trace.Machine
@@ -130,6 +139,7 @@ type machineState struct {
 type activeJob struct {
 	spec       JobSpec
 	checkpoint float64 // seconds of persisted progress
+	planned    int     // checkpoints the current placement takes if it runs to the end
 	lost       float64 // compute seconds lost to kills
 	kills      int
 	ckpts      int
@@ -159,26 +169,35 @@ func Run(cfg Config, jobs []JobSpec) (Result, error) {
 	if ckptIv <= 0 {
 		ckptIv = 30 * 60
 	}
+	// A placement runs the job from its checkpoint in segments of ckptIv of
+	// work, each but the last followed by a checkpoint: the gateway counts
+	// both as the guest's progress, so a placement's work is the remaining
+	// work plus its checkpoints' cost.
+	ckptCost := CheckpointCost.Seconds()
+	segment := ckptIv + ckptCost
 	period := cfg.Dataset.Machines[0].Period
 	clock := simclock.NewVirtual(cfg.Dataset.Machines[0].Days[cfg.StartDay].Date)
 	r := rng.New(cfg.Seed)
 
-	// Wire a gateway per machine; the days before StartDay are the history
-	// its state manager predicts from until the replayed days accumulate.
+	// Build a node per machine, without a monitor: the replay below feeds
+	// its gateway. The days before StartDay are the history its state
+	// manager predicts from until the replayed days accumulate.
 	var machines []*machineState
 	byID := make(map[string]int, len(cfg.Dataset.Machines))
 	for mi, m := range cfg.Dataset.Machines {
-		hist := &trace.Machine{ID: m.ID, Period: m.Period, Days: m.Days[:cfg.StartDay:cfg.StartDay]}
-		sm, err := ishare.NewStateManager(m.ID, period, cfg.Cfg, clock, hist, cfg.HistoryDays)
+		node, err := ishare.NewHostNode(ishare.NodeConfig{
+			MachineID:   m.ID,
+			Cfg:         cfg.Cfg,
+			Period:      period,
+			Clock:       clock,
+			Preloaded:   &trace.Machine{ID: m.ID, Period: m.Period, Days: m.Days[:cfg.StartDay:cfg.StartDay]},
+			HistoryDays: cfg.HistoryDays,
+		}, nil)
 		if err != nil {
 			return Result{}, err
 		}
 		byID[m.ID] = mi
-		gw, err := ishare.NewGateway(m.ID, cfg.Cfg, period, clock, sm)
-		if err != nil {
-			return Result{}, err
-		}
-		machines = append(machines, &machineState{machine: m, gateway: gw, sm: sm, jobIdx: -1})
+		machines = append(machines, &machineState{machine: m, gateway: node.Gateway, sm: node.SM, jobIdx: -1})
 	}
 
 	// Job table sorted by arrival.
@@ -206,9 +225,12 @@ func Run(cfg Config, jobs []JobSpec) (Result, error) {
 		if len(free) == 0 {
 			return false
 		}
+		// Checkpoints strictly before the end: one per full segment of
+		// work left, the last segment excepted.
+		job.planned = int(math.Ceil((job.spec.Work.Seconds()-job.checkpoint)/ckptIv)) - 1
 		req := ishare.SubmitReq{
 			Name:                   job.spec.ID,
-			WorkSeconds:            job.spec.Work.Seconds(),
+			WorkSeconds:            job.spec.Work.Seconds() + float64(job.planned)*ckptCost,
 			MemMB:                  job.spec.MemMB,
 			InitialProgressSeconds: job.checkpoint,
 		}
@@ -266,19 +288,22 @@ func Run(cfg Config, jobs []JobSpec) (Result, error) {
 				job := table[ms.jobIdx]
 				switch st.State {
 				case "completed":
+					job.ckpts += job.planned
 					job.done = true
 					job.doneAt = now
 					ms.jobIdx = -1
 				case "killed":
+					// The placement spent n full segments, whose
+					// checkpoints completed, then a remainder the kill
+					// lost.
+					spent := st.ProgressSeconds - job.checkpoint
+					n := min(int(spent/segment), job.planned)
+					job.ckpts += n
+					job.checkpoint += float64(n) * ckptIv
+					job.lost += spent - float64(n)*segment
 					job.kills++
-					job.lost += st.ProgressSeconds - job.checkpoint
 					queue = append(queue, ms.jobIdx)
 					ms.jobIdx = -1
-				default:
-					if st.ProgressSeconds-job.checkpoint >= ckptIv {
-						job.checkpoint = st.ProgressSeconds
-						job.ckpts++
-					}
 				}
 			}
 			// Admit arrivals.

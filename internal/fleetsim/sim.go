@@ -20,7 +20,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"fgcs/internal/avail"
 	"fgcs/internal/faultnet"
 	"fgcs/internal/ishare"
 	"fgcs/internal/obs"
@@ -35,21 +34,36 @@ import (
 // query days' type under the estimator's weekday/weekend pooling.
 var simStart = time.Date(2026, 6, 3, 23, 0, 0, 0, time.UTC)
 
-// rpcTimeout bounds each in-process RPC. It is nominal: the in-memory
-// network never blocks on a wire.
-const rpcTimeout = 30 * time.Second
+// The fleet builds its peers and machines as ishared does, through
+// ishare.NewFedGateway and ishare.NewHostNode at their zero config on the
+// virtual clock and the in-memory network, but for four named differences:
+// singleAttempt, rpcTimeout, the SharedDeps every machine takes from its
+// peer (see buildFleet), and liftedCaps.
+var (
+	// singleAttempt is every fleet RPC's retry policy, peer hops included:
+	// retries sleep on a clock, and nothing advances the virtual clock
+	// during an RPC. Failover is the federation's job, not the transport's.
+	singleAttempt = ishare.RetryPolicy{MaxAttempts: 1}
+	// rpcTimeout bounds every fleet RPC, peer hops included. It runs on
+	// the wall clock and is nominal: the in-memory network never blocks on
+	// a wire, and production's 5 s could expire on a starved CPU and open
+	// a breaker, making the transcript depend on scheduling.
+	rpcTimeout = 30 * time.Second
+	// liftedCaps is every fleet server's admission control: the fleet
+	// models no server capacity, and a shed would make the transcript
+	// depend on scheduling.
+	liftedCaps = ishare.ServerConfig{MaxInflight: 1 << 20, PerConnInflight: 1 << 20}
+)
 
 // handle registers h at addr, counting its requests. Each connection gets a
 // listener-less ishare.Server of its own (the production loops, and no
-// server outlives its connection) with the in-flight caps lifted: the fleet
-// models no server capacity, and a shed would make the transcript depend on
-// scheduling.
+// server outlives its connection) under liftedCaps.
 func handle(n *faultnet.Network, addr string, h ishare.Handler, requests *atomic.Int64) {
 	n.Handle(addr, func(c net.Conn) {
 		ishare.ServeListener(nil, func(req ishare.Request) (interface{}, error) {
 			requests.Add(1)
 			return h(req)
-		}, ishare.ServerConfig{MaxInflight: 1 << 20, PerConnInflight: 1 << 20}).ServeConn(c)
+		}, liftedCaps).ServeConn(c)
 	})
 }
 
@@ -76,6 +90,9 @@ const (
 	engineCacheSize = 8192
 	// evictEvery is the tick interval between tracker eviction sweeps.
 	evictEvery = 4
+	// syncEvery is the anti-entropy interval after the restart: ishared's
+	// default -sync-every, and the default breaker cooldown.
+	syncEvery = 30 * time.Second
 )
 
 // churnTick is the tick after which the leave/join storm happens: 2/3 of
@@ -288,28 +305,25 @@ func (f *fleet) progress(format string, args ...any) {
 	}
 }
 
+// newCaller is a fleet client's caller: registrations and queries.
 func (f *fleet) newCaller() *ishare.Caller {
-	return &ishare.Caller{
-		Dialer: f.net,
-		// Single attempt: retries sleep on the clock, and nothing advances
-		// the virtual clock during an RPC. Failover is the federation's
-		// job (replica fallback), not the transport's.
-		Retry: ishare.RetryPolicy{MaxAttempts: 1},
-		Clock: f.clock,
-	}
+	return &ishare.Caller{Dialer: f.net, Retry: singleAttempt, Clock: f.clock}
 }
 
-func (f *fleet) newFed(i int) (*ishare.FedGateway, error) {
-	return ishare.NewFedGateway(ishare.FedConfig{
+// fedConfig is peer i's config: identity, ring and observability bundle, the
+// simulated world's clock, and a caller on its network under singleAttempt
+// and rpcTimeout, counted into the bundle as the zero config's is.
+func (f *fleet) fedConfig(i int) ishare.FedConfig {
+	return ishare.FedConfig{
 		Self:     f.peers[i],
 		Peers:    f.peers,
 		Vnodes:   f.cfg.Vnodes,
 		Replicas: f.cfg.Replicas,
-		Caller:   f.newCaller(),
+		Caller:   &ishare.Caller{Dialer: f.net, Retry: singleAttempt, Metrics: f.peerObs[i].Caller},
 		Timeout:  rpcTimeout,
 		Clock:    f.clock,
 		Obs:      f.peerObs[i],
-	})
+	}
 }
 
 // runWorkers executes fn(0..n-1) concurrently and waits for all of them.
@@ -354,17 +368,7 @@ func Run(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Peers, and machines a gateway keeps reaching, hold pooled
-	// connections (the rest close with their RPC): taking every address
-	// down ends every serving goroutine and pool reader.
-	defer func() {
-		for _, p := range f.peers {
-			f.net.Handle(p.Addr, nil)
-		}
-		for _, m := range f.machines {
-			f.net.Handle(m.addr, nil)
-		}
-	}()
+	defer f.close()
 	f.registerStorm(rep)
 	f.trafficPhase(rep)
 	f.churnPhase(rep)
@@ -425,7 +429,7 @@ func buildFleet(cfg Config, rep *Report) (*fleet, error) {
 	}
 	f.feds = make([]*ishare.FedGateway, cfg.Gateways)
 	for i := range f.feds {
-		fed, err := f.newFed(i)
+		fed, err := ishare.NewFedGateway(f.fedConfig(i))
 		if err != nil {
 			return nil, err
 		}
@@ -433,23 +437,26 @@ func buildFleet(cfg Config, rep *Report) (*fleet, error) {
 		handle(f.net, f.peers[i].Addr, fed.Handler(), &f.requests)
 	}
 
-	availCfg := avail.DefaultConfig()
 	f.machines = make([]*simMachine, cfg.Machines)
 	for i := range f.machines {
 		id := fmt.Sprintf("m%06d", i)
 		prof := profs[i%len(profs)]
-		sm, err := ishare.NewStateManagerShared(id, cfg.Period, availCfg, f.clock,
-			prof.machine, cfg.HistoryDays, ishare.SharedDeps{Obs: f.peerObs[i%cfg.Gateways], Engine: engine})
-		if err != nil {
-			return nil, err
-		}
-		gw, err := ishare.NewGateway(id, availCfg, cfg.Period, f.clock, sm)
+		// No load source: the traffic phase feeds each gateway. Shared deps:
+		// a registry and kernel cache per machine would not fit 100k.
+		node, err := ishare.NewHostNode(ishare.NodeConfig{
+			MachineID:   id,
+			Period:      cfg.Period,
+			Clock:       f.clock,
+			Preloaded:   prof.machine,
+			HistoryDays: cfg.HistoryDays,
+			Shared:      ishare.SharedDeps{Obs: f.peerObs[i%cfg.Gateways], Engine: engine},
+		}, nil)
 		if err != nil {
 			return nil, err
 		}
 		addr := "node/" + id
-		handle(f.net, addr, gw.Handler(), &f.requests)
-		f.machines[i] = &simMachine{id: id, addr: addr, prof: prof, gw: gw}
+		handle(f.net, addr, node.Gateway.Handler(), &f.requests)
+		f.machines[i] = &simMachine{id: id, addr: addr, prof: prof, gw: node.Gateway}
 	}
 
 	joiners := int(joinFraction * float64(cfg.Machines))
@@ -470,6 +477,18 @@ func buildFleet(cfg Config, rep *Report) (*fleet, error) {
 	rep.Perf.BuildSeconds = time.Since(t0).Seconds()
 	f.progress("built %d machines on %d gateways in %.1fs", cfg.Machines, cfg.Gateways, rep.Perf.BuildSeconds)
 	return f, nil
+}
+
+// close takes every address down. Peers, and machines a gateway keeps
+// reaching, hold pooled connections (the rest close with their RPC), so
+// this ends every serving goroutine and pool reader.
+func (f *fleet) close() {
+	for _, p := range f.peers {
+		f.net.Handle(p.Addr, nil)
+	}
+	for _, m := range f.machines {
+		f.net.Handle(m.addr, nil)
+	}
 }
 
 // registerStorm publishes every non-holdback machine through a seeded
@@ -843,8 +862,10 @@ func (f *fleet) churnPhase(rep *Report) {
 
 	// Restart gw00 from empty state and count anti-entropy rounds until
 	// every peer reports Ready — a full round in which all pushes landed
-	// and nothing new was accepted.
-	fresh, err := f.newFed(0)
+	// and nothing new was accepted. Rounds run syncEvery apart on the
+	// virtual clock, as ishared's do on the wall clock, so the breakers the
+	// outage opened on gw00 cool down and admit their probe.
+	fresh, err := ishare.NewFedGateway(f.fedConfig(0))
 	if err != nil {
 		panic(err)
 	}
@@ -852,6 +873,7 @@ func (f *fleet) churnPhase(rep *Report) {
 	handle(f.net, downAddr, fresh.Handler(), &f.requests)
 	f.net.Heal(downAddr)
 	for rounds := 0; rounds < 16; {
+		f.clock.Advance(syncEvery)
 		before := f.sumAccepted()
 		for _, fed := range f.feds {
 			fed.SyncOnce(f.ctx)
@@ -1000,7 +1022,7 @@ func (f *fleet) stepObs(now time.Time) {
 }
 
 // allReady reports whether every federation peer passes its readiness check
-// (WAL recovered, a clean anti-entropy round completed, ring converged).
+// (a clean anti-entropy round completed, ring converged).
 func (f *fleet) allReady() bool {
 	for _, fed := range f.feds {
 		if fed.Ready() != nil {

@@ -68,6 +68,63 @@ func TestFleetSimDeterministic(t *testing.T) {
 	}
 }
 
+// TestFleetPeersAreProductionPeers holds the fleet's federation to the one
+// ishared runs. Each peer keeps the zero config's breakers and differs from
+// ishared's caller only by singleAttempt and rpcTimeout. The breakers then
+// quarantine a dead peer after three failed single-attempt pushes, and
+// admit a probe once the cooldown passes.
+func TestFleetPeersAreProductionPeers(t *testing.T) {
+	cfg := Config{Machines: 120, Gateways: 3, Workers: 1, Seed: 3}.withDefaults()
+	rep := &Report{}
+	f, err := buildFleet(cfg, rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.close()
+	for i := range f.feds {
+		c := f.fedConfig(i)
+		if c.Breakers != nil || c.Caller.Retry != singleAttempt || c.Timeout != rpcTimeout {
+			t.Fatalf("peer %d: breakers %v, retry %+v, timeout %v; want the zero config's breakers, singleAttempt and rpcTimeout",
+				i, c.Breakers, c.Caller.Retry, c.Timeout)
+		}
+	}
+	f.registerStorm(rep)
+
+	dead, pusher := f.peers[0], f.feds[1]
+	f.net.Partition(dead.Addr)
+	breaker := func() string {
+		for _, p := range pusher.RingStats().Peers {
+			if p.ID == dead.ID {
+				return p.Breaker
+			}
+		}
+		return ""
+	}
+	attempts := func() uint64 {
+		return f.peerObs[1].Registry.Snapshot().Find("fgcs_client_rpc_attempts_total").Count
+	}
+	for round := 1; round <= 3; round++ {
+		before := attempts()
+		pusher.SyncOnce(f.ctx)
+		// One attempt per live peer pushed to, and one to the dead peer.
+		if got, want := attempts()-before, uint64(len(f.peers)-1); got != want {
+			t.Fatalf("round %d: %d attempts, want %d (single attempt per push)", round, got, want)
+		}
+	}
+	if got := breaker(); got != "open" {
+		t.Fatalf("dead peer's breaker %q after three failed pushes, want open", got)
+	}
+	before := attempts()
+	pusher.SyncOnce(f.ctx)
+	if got, want := attempts()-before, uint64(len(f.peers)-2); got != want {
+		t.Fatalf("open breaker: %d attempts, want %d (the dead peer skipped)", got, want)
+	}
+	f.clock.Advance(syncEvery)
+	if got := breaker(); got != "half-open" {
+		t.Fatalf("breaker %q after the cooldown, want half-open", got)
+	}
+}
+
 // TestFleetSimValidation pins the config guard rails.
 func TestFleetSimValidation(t *testing.T) {
 	cases := []struct {

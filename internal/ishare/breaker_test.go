@@ -81,7 +81,7 @@ func TestInstrumentBreakers(t *testing.T) {
 	clock := simclock.NewVirtual(monday)
 	bs := NewBreakerSet(BreakerConfig{Threshold: 1, Cooldown: time.Minute}, clock)
 	o := NewNodeObs()
-	o.InstrumentBreakers(bs)
+	o.instrumentBreakers(bs)
 	fail := errors.New("flake")
 
 	// Trip two machines, recover one.

@@ -524,10 +524,11 @@ func runStitchedTrace(t *testing.T, binary bool) {
 	mem := faultnet.New(seed, faultnet.Config{})
 	nodes := buildFederationWith(t, 3, -1, nil, mem, mem.Handle, func(i int, cfg *FedConfig) {
 		recs[i] = otrace.NewRecorder(32)
-		cfg.Tracer = otrace.New(otrace.Config{
+		cfg.Obs = NewNodeObs()
+		cfg.Obs.SetTracing(otrace.New(otrace.Config{
 			SampleRate: 1, Seed: seed + uint64(i+1)*1000,
 			Recorder: recs[i], Clock: &tickClock{t: start},
-		})
+		}))
 		if binary {
 			pool := &Pool{Dialer: mem}
 			t.Cleanup(func() { pool.Close() })
@@ -579,14 +580,14 @@ func runStitchedTrace(t *testing.T, binary bool) {
 
 	// Merge every process's flight-recorder shard of the client's trace and
 	// render them as one tree.
-	clientTraces := clientRec.Traces(10)
+	clientTraces := clientRec.Snapshot(time.Time{}).TracesLimit(10)
 	if len(clientTraces) != 1 {
 		t.Fatalf("client recorded %d traces, want 1", len(clientTraces))
 	}
 	id := clientTraces[0].TraceID
 	merged := clientTraces
 	for _, rec := range append(recs, machineRec) {
-		if shard, ok := rec.Trace(id); ok {
+		if shard, ok := rec.Snapshot(time.Time{}).Trace(id); ok {
 			merged = append(merged, shard...)
 		}
 	}

@@ -152,16 +152,17 @@ type FedConfig struct {
 	// Replicas is how many successor peers mirror each entry beyond its
 	// owner (< 0 = none, 0 = DefaultReplicas, capped at len(Peers)-1).
 	Replicas int
-	// Caller performs peer and machine RPCs (nil = single-attempt calls
-	// over the real network). Give it a retry policy in production: peer
-	// hops and machine proxying inherit it. When it has a Pool, every hop
-	// rides that Pool. Otherwise the peer builds two over its Dialer: one
-	// for peer hops, and one, timed on Clock, for the hops to a machine
-	// from the third of a run, each within poolIdleMax of the one before;
-	// the hops before it dial per RPC.
+	// Caller performs peer and machine RPCs (nil = 3 attempts over the
+	// real network, backing off on the wall clock, counted into
+	// Obs.Caller). When it has a Pool, every hop rides that Pool.
+	// Otherwise the peer builds two over its Dialer: one for peer hops,
+	// and one, timed on Clock, for the hops to a machine from the third of
+	// a run, each within poolIdleMax of the one before; the hops before it
+	// dial per RPC.
 	Caller *Caller
-	// Breakers, when set, quarantines unreachable peers so routing skips
-	// them without burning a dial timeout per request.
+	// Breakers quarantines unreachable peers so routing skips them without
+	// burning a dial timeout per request (nil = the default BreakerConfig
+	// on Clock, its transitions counted on Obs).
 	Breakers *BreakerSet
 	// Timeout bounds each RPC hop (0 = 5 s).
 	Timeout time.Duration
@@ -170,10 +171,9 @@ type FedConfig struct {
 	// Logger receives WARN records for replication and routing degradation
 	// (nil = silent).
 	Logger *slog.Logger
-	// Tracer mints spans for served federation RPCs (nil = untraced).
-	Tracer *otrace.Tracer
 	// Obs, when set, counts served RPCs in the node metric families
-	// (fgcs_gateway_requests_total etc.).
+	// (fgcs_gateway_requests_total etc.), and its Tracer mints spans for
+	// them (nil = untraced).
 	Obs *NodeObs
 }
 
@@ -195,7 +195,6 @@ type FedGateway struct {
 	timeout  time.Duration
 	clock    simclock.Clock
 	logger   *slog.Logger
-	tracer   *otrace.Tracer
 	obs      *NodeObs
 
 	mu                                          sync.Mutex
@@ -208,7 +207,6 @@ type FedGateway struct {
 	syncRounds        uint64
 	lastRoundAccepted int
 	lastRoundOK       bool
-	recoveryPending   bool
 
 	// obsCache holds each peer's last good query-obs export so a fleet
 	// snapshot during an outage merges stale-marked data instead of
@@ -266,17 +264,27 @@ func NewFedGateway(cfg FedConfig) (*FedGateway, error) {
 	if replicas > len(cfg.Peers)-1 {
 		replicas = len(cfg.Peers) - 1
 	}
+	clock := cfg.Clock
+	if clock == nil {
+		clock = simclock.Real{}
+	}
 	caller := cfg.Caller
 	if caller == nil {
-		caller = &Caller{}
+		caller = &Caller{Retry: RetryPolicy{MaxAttempts: productionAttempts}}
+		if cfg.Obs != nil {
+			caller.Metrics = cfg.Obs.Caller
+		}
+	}
+	breakers := cfg.Breakers
+	if breakers == nil {
+		breakers = NewBreakerSet(BreakerConfig{}, clock)
+		if cfg.Obs != nil {
+			cfg.Obs.instrumentBreakers(breakers)
+		}
 	}
 	timeout := cfg.Timeout
 	if timeout <= 0 {
 		timeout = 5 * time.Second
-	}
-	clock := cfg.Clock
-	if clock == nil {
-		clock = simclock.Real{}
 	}
 	return &FedGateway{
 		self:     cfg.Self,
@@ -285,11 +293,10 @@ func NewFedGateway(cfg FedConfig) (*FedGateway, error) {
 		caller:   caller,
 		peers:    pooled(caller, nil),
 		machines: pooled(caller, clock),
-		breakers: cfg.Breakers,
+		breakers: breakers,
 		timeout:  timeout,
 		clock:    clock,
 		logger:   cfg.Logger,
-		tracer:   cfg.Tracer,
 		obs:      cfg.Obs,
 		entries:  make(map[string]RegEntry),
 		lastSync: make(map[string]time.Time),
@@ -466,6 +473,14 @@ func (f *FedGateway) localResources() []resource {
 	return out
 }
 
+// tracer is the observability bundle's tracer, nil without one.
+func (f *FedGateway) tracer() *otrace.Tracer {
+	if f.obs == nil {
+		return nil
+	}
+	return f.obs.Tracer
+}
+
 // warn logs at WARN level when a logger is installed.
 func (f *FedGateway) warn(msg string, args ...interface{}) {
 	if f.logger != nil {
@@ -474,11 +489,11 @@ func (f *FedGateway) warn(msg string, args ...interface{}) {
 }
 
 // callPeer performs one peer RPC with retries, routed through the peer's
-// circuit breaker when one is configured. A quarantined peer fails fast
-// with a transport-class error so routing falls through to the next
-// replica; the outcome feeds the breaker (BreakerSet.observe).
+// circuit breaker. A quarantined peer fails fast with a transport-class
+// error so routing falls through to the next replica; the outcome feeds the
+// breaker (BreakerSet.observe).
 func (f *FedGateway) callPeer(ctx context.Context, p Peer, typ string, payload, out interface{}, retry bool) error {
-	if f.breakers != nil && !f.breakers.allow(p.ID) {
+	if !f.breakers.allow(p.ID) {
 		return &transportError{err: fmt.Errorf("ishare: peer %s: %w", p.ID, errCircuitOpen)}
 	}
 	var err error
@@ -866,9 +881,7 @@ func (f *FedGateway) RingStats() *RingStats {
 		if p.ID == f.self.ID {
 			row.Self = true
 		} else {
-			if f.breakers != nil {
-				row.Breaker = f.breakers.state(p.ID).String()
-			}
+			row.Breaker = f.breakers.state(p.ID).String()
 			if t, ok := lastSync[p.ID]; ok {
 				row.LastSyncAgeSeconds = now.Sub(t).Seconds()
 			} else {
@@ -900,7 +913,7 @@ var fedRoutes = []route[*FedGateway]{
 	on(msgQueryStats, "stats", true, (*FedGateway).queryStats),
 	on(msgQueryObs, "obs", true, (*FedGateway).queryObs),
 	on(msgQueryTraces, "traces", true, func(f *FedGateway, _ context.Context, req QueryTracesReq) (QueryTracesResp, error) {
-		return queryTraces(f.self.ID, f.tracer.Recorder(), f.obs, req)
+		return queryTraces(f.self.ID, f.tracer().Recorder(), f.obs, req)
 	}),
 }
 
@@ -923,7 +936,7 @@ func (f *FedGateway) queryStats(context.Context, QueryStatsReq) (QueryStatsResp,
 
 // Handler serves fedRoutes behind the shared serving shell (serveRoutes).
 func (f *FedGateway) Handler() Handler {
-	return serveRoutes(f, fedRoutes, "fed", "peer", f.self.ID, func() *otrace.Tracer { return f.tracer }, f.obs)
+	return serveRoutes(f, fedRoutes, "fed", "peer", f.self.ID, f.tracer, f.obs)
 }
 
 // ServeConfig starts a protocol server for the peer on addr under cfg's

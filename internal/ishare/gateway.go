@@ -90,7 +90,8 @@ type Gateway struct {
 	submitSink func(key, jobID string)
 }
 
-// NewGateway wires a gateway to its state manager.
+// NewGateway wires a gateway to its state manager. A node is built with
+// NewHostNode; this constructor serves tests and bench.
 func NewGateway(machineID string, cfg avail.Config, period time.Duration, clock simclock.Clock, sm *StateManager) (*Gateway, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

@@ -685,7 +685,7 @@ func TestQueryTRTraceShowsSpectrumFitOrHit(t *testing.T) {
 		ctx, root := tracer.Start(context.Background(), "test")
 		movedQueries(ctx, t, sm, clock, time.Hour, 1)
 		root.End()
-		got := otrace.RenderTraceString(rec.Traces(1), otrace.RenderOptions{})
+		got := otrace.RenderTraceString(rec.Snapshot(time.Time{}).TracesLimit(1), otrace.RenderOptions{})
 		for _, line := range []string{"state.query-tr", "@ cache-miss", want} {
 			if !strings.Contains(got, line) {
 				t.Fatalf("trace of a moved-window query is missing %q:\n%s", line, got)

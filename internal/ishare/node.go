@@ -22,6 +22,7 @@ import (
 // prediction) and to the gateway (guest-process control).
 type HostNode struct {
 	Gateway *Gateway
+	// Monitor is nil on a node built without a load source.
 	Monitor *monitor.Monitor
 	SM      *StateManager
 	// Persist is the durability layer, nil unless NodeConfig.Durable was
@@ -29,14 +30,16 @@ type HostNode struct {
 	// sample path.
 	Persist *Persister
 
-	clock  simclock.Clock
-	period time.Duration
+	clock simclock.Clock
 }
 
-// NodeConfig configures a host node.
+// NodeConfig configures a host node. Its zero deps are what ishared runs:
+// the wall clock, the paper's 6 s period and model thresholds, and an
+// engine and observability bundle of the node's own.
 type NodeConfig struct {
 	MachineID string
-	// Cfg is the availability model configuration.
+	// Cfg is the availability model configuration (zero =
+	// avail.DefaultConfig).
 	Cfg avail.Config
 	// Period is the monitoring period (defaults to the paper's 6 s).
 	Period time.Duration
@@ -61,9 +64,18 @@ type NodeConfig struct {
 	// DurableRecovery carries the state recovered by durable.Open to replay
 	// into the node before it starts serving. Nil on a fresh data dir.
 	DurableRecovery *durable.Recovery
+	// Shared, when set, lends the node an engine and observability bundle
+	// that other nodes in the process use too (see SharedDeps).
+	Shared SharedDeps
 }
 
-// NewHostNode assembles a node around the given load source.
+// productionAttempts is what ishared gives an idempotent RPC: a peer's hops
+// and a host node's registrations, each bounded by publishTimeout.
+const productionAttempts, publishTimeout = 3, 5 * time.Second
+
+// NewHostNode assembles a node around the given load source. A nil source
+// builds no monitor: the caller feeds Gateway.Record itself, as a simulator
+// replaying recorded days does.
 func NewHostNode(cfg NodeConfig, src monitor.LoadSource) (*HostNode, error) {
 	if cfg.MachineID == "" {
 		return nil, fmt.Errorf("ishare: node needs a machine id")
@@ -74,7 +86,10 @@ func NewHostNode(cfg NodeConfig, src monitor.LoadSource) (*HostNode, error) {
 	if cfg.Clock == nil {
 		cfg.Clock = simclock.Real{}
 	}
-	sm, err := NewStateManager(cfg.MachineID, cfg.Period, cfg.Cfg, cfg.Clock, cfg.Preloaded, cfg.HistoryDays)
+	if cfg.Cfg == (avail.Config{}) {
+		cfg.Cfg = avail.DefaultConfig()
+	}
+	sm, err := NewStateManagerShared(cfg.MachineID, cfg.Period, cfg.Cfg, cfg.Clock, cfg.Preloaded, cfg.HistoryDays, cfg.Shared)
 	if err != nil {
 		return nil, err
 	}
@@ -100,8 +115,12 @@ func NewHostNode(cfg NodeConfig, src monitor.LoadSource) (*HostNode, error) {
 	if cfg.HeartbeatPath != "" {
 		recordRevocation(cfg, sink)
 	}
+	node := &HostNode{Gateway: gw, SM: sm, Persist: persist, clock: cfg.Clock}
+	if src == nil {
+		return node, nil
+	}
 	obsv := sm.obsv
-	mon, err := monitor.New(monitor.Config{
+	node.Monitor, err = monitor.New(monitor.Config{
 		Period:        cfg.Period,
 		Clock:         cfg.Clock,
 		HeartbeatPath: cfg.HeartbeatPath,
@@ -114,7 +133,7 @@ func NewHostNode(cfg NodeConfig, src monitor.LoadSource) (*HostNode, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &HostNode{Gateway: gw, Monitor: mon, SM: sm, Persist: persist, clock: cfg.Clock, period: cfg.Period}, nil
+	return node, nil
 }
 
 // recordRevocation is the paper's URR detection (Section 5.2), run once as the
@@ -146,20 +165,40 @@ func recordRevocation(cfg NodeConfig, sink monitor.Sink) {
 // tracker), shared by every component on the node.
 func (n *HostNode) Obs() *NodeObs { return n.SM.obsv }
 
-// Start launches the monitor loop in the background.
-func (n *HostNode) Start() { go n.Monitor.Run() }
+// Start launches the monitor loop in the background (none without a load
+// source).
+func (n *HostNode) Start() {
+	if n.Monitor != nil {
+		go n.Monitor.Run()
+	}
+}
 
 // Stop terminates the monitor loop.
-func (n *HostNode) Stop() { n.Monitor.Stop() }
+func (n *HostNode) Stop() {
+	if n.Monitor != nil {
+		n.Monitor.Stop()
+	}
+}
 
-// StartHeartbeat re-registers the gateway with the registry every interval,
-// each time with the given TTL, so the registration stays live as long as
-// the node does and expires soon after it dies. Registration failures are
-// retried under the caller's policy and otherwise left to the next beat —
-// a missed heartbeat is exactly the signal the TTL is there to catch. The
-// returned stop function ends the heartbeat (idempotent).
-func (n *HostNode) StartHeartbeat(caller *Caller, registryAddr, gatewayAddr string, ttl, every time.Duration, timeout time.Duration) (stop func()) {
-	return StartLoop(n.clock, every, func() {
-		_ = RegisterWithTTL(context.Background(), caller, registryAddr, n.Gateway.machineID, gatewayAddr, ttl, timeout)
-	})
+// Publish registers the node's gateway, listening at gatewayAddr, with the
+// registry under ttl and re-registers it every interval (never when ttl or
+// every is 0), so the registration expires soon after the node dies. One
+// pooled connection, under productionAttempts counted into Obs().Caller,
+// carries every registration. Only the first one's error is returned: a
+// missed heartbeat is the signal the TTL is there to catch. stop ends the
+// heartbeat and closes the connection.
+func (n *HostNode) Publish(registryAddr, gatewayAddr string, ttl, every time.Duration) (stop func(), err error) {
+	caller := &Caller{Pool: &Pool{}, Retry: RetryPolicy{MaxAttempts: productionAttempts}, Metrics: n.Obs().Caller}
+	register := func() error {
+		return RegisterWithTTL(context.Background(), caller, registryAddr, n.Gateway.machineID, gatewayAddr, ttl, publishTimeout)
+	}
+	if err := register(); err != nil {
+		caller.Pool.Close()
+		return nil, err
+	}
+	stopBeat := func() {}
+	if ttl > 0 && every > 0 {
+		stopBeat = StartLoop(n.clock, every, func() { _ = register() })
+	}
+	return func() { stopBeat(); caller.Pool.Close() }, nil
 }

@@ -82,7 +82,7 @@ type NodeObs struct {
 	sloMu sync.Mutex
 	slos  []*obs.SLOMonitor
 
-	// breakerOpens is the breaker-open transition counter InstrumentBreakers
+	// breakerOpens is the breaker-open transition counter instrumentBreakers
 	// registered (nil, reading zero, on a node without breakers).
 	breakerOpens *obs.Counter
 
@@ -194,11 +194,11 @@ func queryTraces(id string, live *otrace.Recorder, o *NodeObs, req QueryTracesRe
 	return resp, nil
 }
 
-// InstrumentBreakers registers per-edge transition counters and an
+// instrumentBreakers registers per-edge transition counters and an
 // open-breaker gauge on the node's registry and installs them as the set's
 // onTransition hook; StepObs watches the open counter for flapping. Call
 // before the set is shared across goroutines.
-func (o *NodeObs) InstrumentBreakers(bs *BreakerSet) {
+func (o *NodeObs) instrumentBreakers(bs *BreakerSet) {
 	r := o.Registry
 	transitions := map[breakerState]*obs.Counter{
 		breakerClosed:   r.Counter("fgcs_breaker_transitions_total", "Circuit breaker state changes, by target state.", obs.Label{Key: "to", Value: "closed"}),

@@ -56,7 +56,7 @@ func TestObsPlaneEveryFamilyMoves(t *testing.T) {
 		t.Fatal(err)
 	}
 	breakers := NewBreakerSet(BreakerConfig{Threshold: 1, Cooldown: time.Hour}, clock)
-	o.InstrumentBreakers(breakers)
+	o.instrumentBreakers(breakers)
 
 	// The gateway's own handler, plus a request type that parks so a second
 	// request on the connection finds its one pipelining slot taken.

@@ -248,27 +248,16 @@ func (f *FedGateway) FleetObs(ctx context.Context) *obs.FleetSnapshot {
 	return fs
 }
 
-// SetRecoveryPending marks durable-state recovery as in flight (or done).
-// A booting node sets it before replaying its WAL and clears it after, so
-// Ready gates readiness on recovery completing.
-func (f *FedGateway) SetRecoveryPending(pending bool) {
-	f.mu.Lock()
-	f.recoveryPending = pending
-	f.mu.Unlock()
-}
-
-// Ready reports nil when the peer can serve authoritatively: durable-state
-// recovery (if any) has finished, and the last anti-entropy round delivered
-// every push with nothing newly accepted — the ring has converged on this
-// peer's shard. A ring of one has no other member to converge with, so only
-// recovery gates it. Serve /readyz from it; the fleet simulator's restart
-// phase polls it instead of counting sync deltas by hand.
+// Ready reports nil when the peer can serve authoritatively: the last
+// anti-entropy round delivered every push with nothing newly accepted — the
+// ring has converged on this peer's shard. A ring of one has no other
+// member to converge with, so it is always ready. Durable-state recovery
+// needs no gate here: it finishes before the peer serves anything, /readyz
+// included. Serve /readyz from it; the fleet simulator's restart phase polls
+// it instead of counting sync deltas by hand.
 func (f *FedGateway) Ready() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.recoveryPending {
-		return fmt.Errorf("durable-state recovery in flight")
-	}
 	if len(f.ring.peers) == 1 {
 		return nil
 	}

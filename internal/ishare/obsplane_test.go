@@ -48,7 +48,7 @@ func TestStepObsShedRateAlert(t *testing.T) {
 func TestStepObsBreakerFlapAlert(t *testing.T) {
 	o := NewNodeObs()
 	bs := NewBreakerSet(BreakerConfig{}, nil)
-	o.InstrumentBreakers(bs)
+	o.instrumentBreakers(bs)
 	opens := func(n int) {
 		for i := 0; i < n; i++ {
 			bs.onTransition("m1", breakerClosed, breakerOpen)
@@ -243,12 +243,6 @@ func TestFedReadyTransitions(t *testing.T) {
 	if err := gw.Ready(); err == nil || !strings.Contains(err.Error(), "sync pending") {
 		t.Fatalf("fresh gateway ready: %v", err)
 	}
-	gw.SetRecoveryPending(true)
-	if err := gw.Ready(); err == nil || !strings.Contains(err.Error(), "recovery") {
-		t.Fatalf("recovering gateway: %v", err)
-	}
-	gw.SetRecoveryPending(false)
-
 	gw.SyncOnce(ctx)
 	if err := gw.Ready(); err != nil {
 		t.Fatalf("empty-registry gateway not ready after a sync round: %v", err)
@@ -273,15 +267,10 @@ func TestFedReadyTransitions(t *testing.T) {
 }
 
 // TestFedReadyRingOfOne: a peer with no other ring member has nothing to
-// converge with, so only recovery gates its readiness; a second member
-// brings the sync conditions back.
+// converge with, so it is ready at once; a second member brings the sync
+// conditions back.
 func TestFedReadyRingOfOne(t *testing.T) {
 	solo := ringOfOne(t, FedConfig{})
-	solo.SetRecoveryPending(true)
-	if err := solo.Ready(); err == nil || !strings.Contains(err.Error(), "recovery") {
-		t.Fatalf("recovering ring of one: %v", err)
-	}
-	solo.SetRecoveryPending(false)
 	if err := solo.Ready(); err != nil {
 		t.Fatalf("ring of one not ready without a sync round: %v", err)
 	}

@@ -45,7 +45,7 @@ func ttlDuration(seconds float64) (time.Duration, error) {
 
 // RegisterWithTTL publishes a gateway with a TTL through an optional Caller
 // (registration is idempotent, so the caller's retry policy applies). The
-// gateway must re-register within the TTL — see HostNode.StartHeartbeat.
+// gateway must re-register within the TTL — see HostNode.Publish.
 func RegisterWithTTL(ctx context.Context, caller *Caller, registryAddr, machineID, gatewayAddr string, ttl, timeout time.Duration) error {
 	req := registerReq{MachineID: machineID, Addr: gatewayAddr, TTLSeconds: ttl.Seconds()}
 	return caller.CallRetry(ctx, registryAddr, msgRegister, req, nil, timeout)

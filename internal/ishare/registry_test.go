@@ -179,10 +179,10 @@ func TestHostNodeHeartbeat(t *testing.T) {
 	defer gwSrv.Close()
 
 	ttl, every := 30*time.Second, 10*time.Second
-	if err := RegisterWithTTL(context.Background(), nil, regSrv.Addr(), "lab-01", gwSrv.Addr(), ttl, time.Second); err != nil {
+	stop, err := node.Publish(regSrv.Addr(), gwSrv.Addr(), ttl, every)
+	if err != nil {
 		t.Fatal(err)
 	}
-	stop := node.StartHeartbeat(nil, regSrv.Addr(), gwSrv.Addr(), ttl, every, time.Second)
 	// Beats at 10/20/30/40s keep the registration alive far past the
 	// original 30 s TTL.
 	for i := 0; i < 4; i++ {

@@ -241,9 +241,10 @@ func TestQueryTracesSameFromGatewayAndPeer(t *testing.T) {
 		t.Fatal(err)
 	}
 	peerObs := NewNodeObs()
-	peer := ringOfOne(t, FedConfig{Tracer: tracer, Obs: peerObs})
+	peerObs.SetTracing(tracer)
+	peer := ringOfOne(t, FedConfig{Obs: peerObs})
 
-	liveID, prevID := live.Traces(1)[0].TraceID.String(), prev.Traces[0].TraceID.String()
+	liveID, prevID := live.Snapshot(time.Time{}).TracesLimit(1)[0].TraceID.String(), prev.Traces[0].TraceID.String()
 	cases := []struct {
 		name      string
 		req       QueryTracesReq

@@ -58,7 +58,8 @@ type StateManager struct {
 
 // NewStateManager creates a state manager for one machine. preloaded may
 // carry history recorded by previous runs (loaded from a trace file); it may
-// be nil. historyDays bounds the SMP estimator's day pool (0 = all).
+// be nil. historyDays bounds the SMP estimator's day pool (0 = all). A node
+// is built with NewHostNode; this constructor serves tests and bench.
 func NewStateManager(machineID string, period time.Duration, cfg avail.Config, clock simclock.Clock, preloaded *trace.Machine, historyDays int) (*StateManager, error) {
 	return NewStateManagerShared(machineID, period, cfg, clock, preloaded, historyDays, SharedDeps{})
 }

@@ -98,7 +98,7 @@ func runTracedFaultOnce(t *testing.T, seed uint64) tracedFaultRun {
 
 	opts := otrace.RenderOptions{} // no timings: the structural tree is the deterministic part
 	var client strings.Builder
-	for _, rec := range clientRec.Traces(100) {
+	for _, rec := range clientRec.Snapshot(time.Time{}).TracesLimit(100) {
 		client.WriteString(otrace.RenderTraceString([]otrace.TraceRecord{rec}, opts))
 	}
 	var server strings.Builder

@@ -20,26 +20,38 @@ type FlightSnapshot struct {
 	Events  []LogEvent    `json:"events,omitempty"`
 }
 
-// Snapshot captures the recorder's full retained state.
+// Snapshot captures the recorder's full retained state. It is the one read
+// of a recorder: the live one and a saved one answer the same queries.
 func (r *Recorder) Snapshot(at time.Time) *FlightSnapshot {
-	return &FlightSnapshot{
-		SavedAt: at,
-		Total:   r.traceCount(),
-		Traces:  r.Traces(0),
-		Events:  r.logEvents(0),
+	s := &FlightSnapshot{SavedAt: at}
+	if r == nil {
+		return s
 	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	s.Total = r.total
+	s.Traces = newestFirst(r.traces, r.next, r.filled)
+	s.Events = newestFirst(r.events, r.evNext, r.evFilled)
+	return s
 }
 
 // TracesLimit returns up to limit snapshot traces, newest first (<= 0 = all).
-func (s *FlightSnapshot) TracesLimit(limit int) []TraceRecord {
-	if limit <= 0 || limit > len(s.Traces) {
-		limit = len(s.Traces)
+func (s *FlightSnapshot) TracesLimit(limit int) []TraceRecord { return firstN(s.Traces, limit) }
+
+// EventsLimit returns up to limit snapshot log events, newest first
+// (<= 0 = all).
+func (s *FlightSnapshot) EventsLimit(limit int) []LogEvent { return firstN(s.Events, limit) }
+
+func firstN[T any](xs []T, n int) []T {
+	if n <= 0 || n > len(xs) {
+		n = len(xs)
 	}
-	return s.Traces[:limit]
+	return xs[:n]
 }
 
-// Trace returns every snapshot record of one trace, oldest first, mirroring
-// Recorder.Trace.
+// Trace returns every snapshot record of one trace, oldest first (a
+// distributed trace has one record per local root). The second result is
+// false when the snapshot holds nothing for the ID.
 func (s *FlightSnapshot) Trace(id TraceID) ([]TraceRecord, bool) {
 	var out []TraceRecord
 	for i := len(s.Traces) - 1; i >= 0; i-- {
@@ -48,15 +60,6 @@ func (s *FlightSnapshot) Trace(id TraceID) ([]TraceRecord, bool) {
 		}
 	}
 	return out, len(out) > 0
-}
-
-// EventsLimit returns up to limit snapshot log events, newest first
-// (<= 0 = all).
-func (s *FlightSnapshot) EventsLimit(limit int) []LogEvent {
-	if limit <= 0 || limit > len(s.Events) {
-		limit = len(s.Events)
-	}
-	return s.Events[:limit]
 }
 
 // SaveFlight atomically writes the recorder's snapshot as JSON: the file is

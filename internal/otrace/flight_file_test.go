@@ -10,14 +10,18 @@ import (
 
 // TestFlightSaveLoadRoundTrip proves the shutdown snapshot survives a
 // restart byte-for-byte: everything the recorder retained — traces, log
-// events, the total counter — comes back from disk, and the lookup helpers
-// answer over the loaded copy exactly as the live recorder would.
+// events, the total counter — comes back from disk as the records the
+// recorder was given, and the lookup helpers answer over the loaded copy.
 func TestFlightSaveLoadRoundTrip(t *testing.T) {
+	client := TraceRecord{TraceID: 7, Spans: []SpanData{{TraceID: 7, SpanID: 1, Name: "client"}}}
+	other := TraceRecord{TraceID: 9, Spans: []SpanData{{TraceID: 9, SpanID: 5, Name: "other"}}}
+	server := TraceRecord{TraceID: 7, Spans: []SpanData{{TraceID: 7, SpanID: 2, Parent: 1, Name: "server"}}}
+	event := LogEvent{Level: "WARN", Msg: "disk slow", Time: time.Unix(100, 0).UTC()}
 	rec := NewRecorder(8)
-	rec.addTrace(7, []SpanData{{TraceID: 7, SpanID: 1, Name: "client"}})
-	rec.addTrace(9, []SpanData{{TraceID: 9, SpanID: 5, Name: "other"}})
-	rec.addTrace(7, []SpanData{{TraceID: 7, SpanID: 2, Parent: 1, Name: "server"}})
-	rec.AddLogEvent(LogEvent{Level: "WARN", Msg: "disk slow", Time: time.Unix(100, 0).UTC()})
+	for _, tr := range []TraceRecord{client, other, server} {
+		rec.addTrace(tr.TraceID, tr.Spans)
+	}
+	rec.AddLogEvent(event)
 
 	path := filepath.Join(t.TempDir(), "flight.json")
 	savedAt := time.Unix(500, 0).UTC()
@@ -31,20 +35,20 @@ func TestFlightSaveLoadRoundTrip(t *testing.T) {
 	if snap == nil {
 		t.Fatal("LoadFlight returned nil for an existing file")
 	}
-	if !snap.SavedAt.Equal(savedAt) || snap.Total != rec.traceCount() {
-		t.Fatalf("header = (%v, %d), want (%v, %d)", snap.SavedAt, snap.Total, savedAt, rec.traceCount())
+	if !snap.SavedAt.Equal(savedAt) || snap.Total != 3 {
+		t.Fatalf("header = (%v, %d), want (%v, 3)", snap.SavedAt, snap.Total, savedAt)
 	}
-	if !reflect.DeepEqual(snap.Traces, rec.Traces(0)) {
-		t.Fatalf("traces differ:\n got %+v\nwant %+v", snap.Traces, rec.Traces(0))
+	// The records the recorder was given, newest first.
+	if want := []TraceRecord{server, other, client}; !reflect.DeepEqual(snap.Traces, want) {
+		t.Fatalf("traces differ:\n got %+v\nwant %+v", snap.Traces, want)
 	}
-	if !reflect.DeepEqual(snap.Events, rec.logEvents(0)) {
-		t.Fatalf("events differ:\n got %+v\nwant %+v", snap.Events, rec.logEvents(0))
+	if want := []LogEvent{event}; !reflect.DeepEqual(snap.Events, want) {
+		t.Fatalf("events differ:\n got %+v\nwant %+v", snap.Events, want)
 	}
-	// The snapshot's lookup helpers mirror the live recorder's.
-	wantMerged, _ := rec.Trace(7)
+	// A distributed trace's records come back merged, oldest first.
 	gotMerged, ok := snap.Trace(7)
-	if !ok || !reflect.DeepEqual(gotMerged, wantMerged) {
-		t.Fatalf("snapshot Trace(7): ok=%v got %+v want %+v", ok, gotMerged, wantMerged)
+	if want := []TraceRecord{client, server}; !ok || !reflect.DeepEqual(gotMerged, want) {
+		t.Fatalf("snapshot Trace(7): ok=%v got %+v want %+v", ok, gotMerged, want)
 	}
 	if _, ok := snap.Trace(42); ok {
 		t.Fatal("snapshot Trace(42) found a trace that was never recorded")

@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"time"
 )
 
 // traceSummary is one row of the GET /traces listing.
@@ -35,7 +36,8 @@ func HTTPHandler(rec *Recorder) http.Handler {
 					limit = n
 				}
 			}
-			records := rec.Traces(limit)
+			snap := rec.Snapshot(time.Time{})
+			records := snap.TracesLimit(limit)
 			sums := make([]traceSummary, 0, len(records))
 			for _, tr := range records {
 				root := tr.Root()
@@ -48,9 +50,9 @@ func HTTPHandler(rec *Recorder) http.Handler {
 				})
 			}
 			writeJSON(w, map[string]interface{}{
-				"total_recorded": rec.traceCount(),
+				"total_recorded": snap.Total,
 				"traces":         sums,
-				"events":         rec.logEvents(limit),
+				"events":         snap.EventsLimit(limit),
 			})
 			return
 		}
@@ -59,7 +61,7 @@ func HTTPHandler(rec *Recorder) http.Handler {
 			http.Error(w, "bad trace id", http.StatusBadRequest)
 			return
 		}
-		records, ok := rec.Trace(id)
+		records, ok := rec.Snapshot(time.Time{}).Trace(id)
 		if !ok {
 			http.Error(w, "trace not retained", http.StatusNotFound)
 			return

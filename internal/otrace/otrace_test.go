@@ -77,7 +77,7 @@ func TestUnsampledZeroAlloc(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("unsampled path allocates %v allocs/op, want 0", n)
 	}
-	if rec.traceCount() != 0 {
+	if rec.Snapshot(time.Time{}).Total != 0 {
 		t.Fatalf("unsampled traces reached the recorder")
 	}
 }
@@ -98,10 +98,10 @@ func TestSampledTraceRecorded(t *testing.T) {
 	failed.End()
 	root.End()
 
-	if rec.traceCount() != 1 {
-		t.Fatalf("recorded %d traces, want 1", rec.traceCount())
+	if rec.Snapshot(time.Time{}).Total != 1 {
+		t.Fatalf("recorded %d traces, want 1", rec.Snapshot(time.Time{}).Total)
 	}
-	records, ok := rec.Trace(root.Trace())
+	records, ok := rec.Snapshot(time.Time{}).Trace(root.Trace())
 	if !ok || len(records) != 1 {
 		t.Fatalf("Trace lookup: ok=%v records=%d", ok, len(records))
 	}
@@ -134,7 +134,7 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 			attempt.End()
 		}
 		root.End()
-		recs, _ := rec.Trace(root.Trace())
+		recs, _ := rec.Snapshot(time.Time{}).Trace(root.Trace())
 		return root.Trace().String() + "\n" + RenderTraceString(recs, RenderOptions{Timings: true})
 	}
 	a, b := run(), run()
@@ -213,7 +213,7 @@ func TestStartRemoteContinuesTrace(t *testing.T) {
 
 func mustTrace(t *testing.T, rec *Recorder, id TraceID) []TraceRecord {
 	t.Helper()
-	records, ok := rec.Trace(id)
+	records, ok := rec.Snapshot(time.Time{}).Trace(id)
 	if !ok {
 		t.Fatalf("trace %s not retained", id)
 	}
@@ -260,10 +260,10 @@ func TestEndIdempotentAndSealedAfterFlush(t *testing.T) {
 	root.End()
 	root.End()      // idempotent
 	straggler.End() // after flush: dropped, record is sealed
-	if rec.traceCount() != 1 {
-		t.Fatalf("double End recorded %d traces", rec.traceCount())
+	if rec.Snapshot(time.Time{}).Total != 1 {
+		t.Fatalf("double End recorded %d traces", rec.Snapshot(time.Time{}).Total)
 	}
-	records, _ := rec.Trace(root.Trace())
+	records, _ := rec.Snapshot(time.Time{}).Trace(root.Trace())
 	if len(records[0].Spans) != 1 {
 		t.Fatalf("sealed record grew: %d spans", len(records[0].Spans))
 	}
@@ -282,7 +282,7 @@ func TestCaptureHandler(t *testing.T) {
 	logger.ErrorContext(ctx, "read failed", slog.String("machine", "m1"))
 	span.End()
 
-	events := rec.logEvents(0)
+	events := rec.Snapshot(time.Time{}).Events
 	if len(events) != 2 {
 		t.Fatalf("captured %d events, want 2", len(events))
 	}
@@ -314,7 +314,7 @@ func TestCaptureHandlerWithAttrsAndGroup(t *testing.T) {
 		With(slog.String("component", "monitor")).
 		WithGroup("host")
 	logger.Warn("cpu read failed", slog.String("machine", "m2"))
-	events := rec.logEvents(0)
+	events := rec.Snapshot(time.Time{}).Events
 	if len(events) != 1 {
 		t.Fatalf("captured %d events, want 1", len(events))
 	}

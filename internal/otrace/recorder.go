@@ -56,10 +56,9 @@ type Recorder struct {
 	filled bool
 	total  uint64
 
-	events    []LogEvent // ring
-	evNext    int
-	evFilled  bool
-	evDropped uint64
+	events   []LogEvent // ring
+	evNext   int
+	evFilled bool
 }
 
 // DefaultCapacity is the trace capacity used when NewRecorder is given a
@@ -104,9 +103,6 @@ func (r *Recorder) AddLogEvent(ev LogEvent) {
 		return
 	}
 	r.mu.Lock()
-	if r.evFilled {
-		r.evDropped++
-	}
 	r.events[r.evNext] = ev
 	r.evNext++
 	if r.evNext == len(r.events) {
@@ -116,82 +112,16 @@ func (r *Recorder) AddLogEvent(ev LogEvent) {
 	r.mu.Unlock()
 }
 
-// traceCount reports how many traces have ever been recorded (including
-// those the ring has since displaced).
-func (r *Recorder) traceCount() uint64 {
-	if r == nil {
-		return 0
+// newestFirst copies a ring's retained entries, newest first; next is the
+// slot the ring writes next.
+func newestFirst[T any](ring []T, next int, filled bool) []T {
+	n := next
+	if filled {
+		n = len(ring)
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.total
-}
-
-// Traces returns up to limit of the most recent records, newest first
-// (limit <= 0 returns all retained).
-func (r *Recorder) Traces(limit int) []TraceRecord {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := r.next
-	if r.filled {
-		n = len(r.traces)
-	}
-	if limit <= 0 || limit > n {
-		limit = n
-	}
-	out := make([]TraceRecord, 0, limit)
-	for i := 0; i < limit; i++ {
-		idx := (r.next - 1 - i + len(r.traces)) % len(r.traces)
-		out = append(out, r.traces[idx])
-	}
-	return out
-}
-
-// Trace returns every retained record belonging to the trace, oldest first
-// (a distributed trace has one record per local root). The second result is
-// false when the recorder holds nothing for the ID.
-func (r *Recorder) Trace(id TraceID) ([]TraceRecord, bool) {
-	if r == nil {
-		return nil, false
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := r.next
-	if r.filled {
-		n = len(r.traces)
-	}
-	var out []TraceRecord
-	for i := n - 1; i >= 0; i-- {
-		idx := (r.next - 1 - i + len(r.traces)) % len(r.traces)
-		if r.traces[idx].TraceID == id {
-			out = append(out, r.traces[idx])
-		}
-	}
-	return out, len(out) > 0
-}
-
-// logEvents returns up to limit of the most recent captured log events,
-// newest first (limit <= 0 returns all retained).
-func (r *Recorder) logEvents(limit int) []LogEvent {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := r.evNext
-	if r.evFilled {
-		n = len(r.events)
-	}
-	if limit <= 0 || limit > n {
-		limit = n
-	}
-	out := make([]LogEvent, 0, limit)
-	for i := 0; i < limit; i++ {
-		idx := (r.evNext - 1 - i + len(r.events)) % len(r.events)
-		out = append(out, r.events[idx])
+	out := make([]T, n)
+	for i := range out {
+		out[i] = ring[(next-1-i+len(ring))%len(ring)]
 	}
 	return out
 }

@@ -14,10 +14,11 @@ func TestRecorderRingEviction(t *testing.T) {
 	for i := 1; i <= 6; i++ {
 		rec.addTrace(TraceID(i), []SpanData{{TraceID: TraceID(i), SpanID: SpanID(i), Name: "op"}})
 	}
-	if rec.traceCount() != 6 {
-		t.Fatalf("Total = %d, want 6", rec.traceCount())
+	snap := rec.Snapshot(time.Time{})
+	if snap.Total != 6 {
+		t.Fatalf("Total = %d, want 6", snap.Total)
 	}
-	got := rec.Traces(0)
+	got := snap.Traces
 	if len(got) != 4 {
 		t.Fatalf("retained %d, want 4", len(got))
 	}
@@ -27,10 +28,10 @@ func TestRecorderRingEviction(t *testing.T) {
 			t.Fatalf("Traces[%d] = %s, want %s", i, got[i].TraceID, want)
 		}
 	}
-	if _, ok := rec.Trace(1); ok {
+	if _, ok := snap.Trace(1); ok {
 		t.Fatalf("displaced trace still retrievable")
 	}
-	if limited := rec.Traces(2); len(limited) != 2 || limited[0].TraceID != 6 {
+	if limited := snap.TracesLimit(2); len(limited) != 2 || limited[0].TraceID != 6 {
 		t.Fatalf("limit ignored: %+v", limited)
 	}
 }
@@ -41,7 +42,7 @@ func TestRecorderTraceMergesRecords(t *testing.T) {
 	rec.addTrace(7, []SpanData{{TraceID: 7, SpanID: 1, Name: "client"}})
 	rec.addTrace(9, []SpanData{{TraceID: 9, SpanID: 5, Name: "other"}})
 	rec.addTrace(7, []SpanData{{TraceID: 7, SpanID: 2, Parent: 1, Name: "server"}})
-	records, ok := rec.Trace(7)
+	records, ok := rec.Snapshot(time.Time{}).Trace(7)
 	if !ok || len(records) != 2 {
 		t.Fatalf("merge: ok=%v n=%d", ok, len(records))
 	}
@@ -69,14 +70,15 @@ func TestEventRingEviction(t *testing.T) {
 	for i := 0; i < defaultEventCapacity+3; i++ {
 		rec.AddLogEvent(LogEvent{Level: "WARN", Msg: "m", Time: time.Unix(int64(i), 0)})
 	}
-	events := rec.logEvents(0)
+	snap := rec.Snapshot(time.Time{})
+	events := snap.Events
 	if len(events) != defaultEventCapacity {
 		t.Fatalf("retained %d events, want %d", len(events), defaultEventCapacity)
 	}
 	if events[0].Time.Unix() != int64(defaultEventCapacity+2) {
 		t.Fatalf("newest event wrong: %v", events[0].Time)
 	}
-	if limited := rec.logEvents(1); len(limited) != 1 {
+	if limited := snap.EventsLimit(1); len(limited) != 1 {
 		t.Fatalf("event limit ignored")
 	}
 }
@@ -85,10 +87,11 @@ func TestNilRecorderSafe(t *testing.T) {
 	var rec *Recorder
 	rec.addTrace(1, nil)
 	rec.AddLogEvent(LogEvent{})
-	if rec.traceCount() != 0 || rec.Traces(0) != nil || rec.logEvents(0) != nil {
+	snap := rec.Snapshot(time.Time{})
+	if snap.Total != 0 || snap.Traces != nil || snap.Events != nil {
 		t.Fatalf("nil recorder not inert")
 	}
-	if _, ok := rec.Trace(1); ok {
+	if _, ok := snap.Trace(1); ok {
 		t.Fatalf("nil recorder found a trace")
 	}
 }

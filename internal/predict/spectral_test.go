@@ -490,7 +490,7 @@ func eventCounts(t *testing.T, fn func(ctx context.Context)) map[string]int {
 	fn(ctx)
 	span.End()
 	counts := map[string]int{}
-	for _, tr := range rec.Traces(0) {
+	for _, tr := range rec.Snapshot(time.Time{}).TracesLimit(0) {
 		for _, sd := range tr.Spans {
 			for _, ev := range sd.Events {
 				counts[ev.Name]++
