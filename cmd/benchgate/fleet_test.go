@@ -81,8 +81,9 @@ func TestFleetGateAbsoluteThresholds(t *testing.T) {
 	}
 }
 
-// checkedInBaseKeys is the key set of the BENCH_fleet_base.json recorded
-// before the report gained its fleet_obs block and obs_* costs.
+// checkedInBaseKeys is the key set of a BENCH_fleet_base.json recorded
+// before the report gained its fleet_obs block, its obs_* costs and the
+// traffic phase's heartbeat, storm, evict and obs steps.
 var checkedInBaseKeys = struct{ sim, perf []string }{
 	sim: []string{"machines", "gateways", "replicas", "vnodes", "profiles", "history_days", "period_seconds",
 		"ticks", "workers", "seed", "registered", "register_rpcs", "register_request_bytes", "heartbeat_rounds",
@@ -129,7 +130,8 @@ func TestFleetGateRefusesStaleSchemaBaseline(t *testing.T) {
 	}{
 		{"current report, same schema", current, current, nil},
 		{"current report, checked-in base", current, checkedIn,
-			[]string{"perf.obs_aggregate_seconds", "perf.obs_bytes_per_peer", "perf.obs_plane_seconds", "sim.fleet_obs"}},
+			[]string{"perf.churn_storm_seconds", "perf.evict_seconds", "perf.heartbeat_seconds", "perf.obs_aggregate_seconds",
+				"perf.obs_bytes_per_peer", "perf.obs_plane_seconds", "perf.traffic_obs_seconds", "sim.fleet_obs"}},
 		{"extra baseline keys are no refusal", reportWithKeys(t, []string{"machines"}, nil), checkedIn, nil},
 		{"both sections named", reportWithKeys(t, []string{"machines", "b"}, []string{"a"}),
 			reportWithKeys(t, []string{"machines"}, nil), []string{"perf.a", "sim.b"}},

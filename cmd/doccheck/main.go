@@ -42,7 +42,7 @@ import (
 // maxExported is the ceiling on the exported symbols of the audited packages.
 // Lower it when a change unexports or deletes API; a change that adds some
 // must take as much away elsewhere.
-const maxExported = 354
+const maxExported = 351
 
 func main() {
 	var (

@@ -521,15 +521,6 @@ func printFleet(entry string, v *obs.FleetView) {
 			fmt.Printf("  %-10s ok\n", p.Peer)
 		}
 	}
-	fmt.Printf("accuracy: %d resolved, %d dropped across the fleet\n", v.Resolved, v.Dropped)
-	if len(v.Accuracy) > 0 {
-		fmt.Printf("%-12s %-9s %9s %9s %8s %8s %8s %8s\n",
-			"machine", "predictor", "resolved", "survived", "meanTR", "empir", "brier", "acc")
-		for _, a := range v.Accuracy {
-			fmt.Printf("%-12s %-9s %9d %9d %8.4f %8.4f %8.4f %8.4f\n",
-				a.Machine, a.Predictor, a.Resolved, a.Survived, a.MeanTR, a.Empirical, a.Brier, a.Accuracy)
-		}
-	}
 	if len(v.Counters) > 0 {
 		lines := make([]string, 0, len(v.Counters))
 		for id, n := range v.Counters {

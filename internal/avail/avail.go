@@ -13,7 +13,7 @@ import (
 )
 
 // State is one of the five availability states of Figure 1.
-type State int
+type State uint8
 
 const (
 	// S1: full resource availability for the guest process (host CPU load

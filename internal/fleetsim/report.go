@@ -105,11 +105,9 @@ type FleetObsStats struct {
 	OutagePeersUnreachable int    `json:"outage_peers_unreachable"`
 	OutageMergedFedQueryTR uint64 `json:"outage_merged_fed_query_tr"`
 	OutageDirectFedQueryTR uint64 `json:"outage_direct_fed_query_tr"`
-	// Merged gateway counters by series id, and tracker totals.
+	// Merged gateway counters by series id.
 	GatewayRequests map[string]uint64 `json:"gateway_requests,omitempty"`
 	GatewayErrors   map[string]uint64 `json:"gateway_errors,omitempty"`
-	Resolved        uint64            `json:"resolved"`
-	Dropped         uint64            `json:"dropped"`
 	// Alerts fired over the run (AlertsTotal is the true count; Alerts
 	// keeps the newest maxReportAlerts).
 	AlertsTotal  int             `json:"alerts_total"`
@@ -134,7 +132,7 @@ type UtilizationStats struct {
 	HarvestableFraction float64 `json:"harvestable_fraction"`
 	// MeanPredictedTR averages the TR returned to clients.
 	MeanPredictedTR float64 `json:"mean_predicted_tr"`
-	// SMP outcome accounting from the fleet-wide accuracy tracker.
+	// SMP outcome accounting, summed over the peers' trackers.
 	SMPResolved          uint64  `json:"smp_resolved"`
 	SMPSurvived          uint64  `json:"smp_survived"`
 	SMPEmpiricalSurvival float64 `json:"smp_empirical_survival"`
@@ -149,11 +147,18 @@ type UtilizationStats struct {
 type PerfStats struct {
 	BuildSeconds    float64 `json:"build_seconds"`
 	RegisterSeconds float64 `json:"register_seconds"`
-	TrafficSeconds  float64 `json:"traffic_seconds"`
-	FeedSeconds     float64 `json:"feed_seconds"`
-	QuerySeconds    float64 `json:"query_seconds"`
-	ChurnSeconds    float64 `json:"churn_seconds"`
-	TotalSeconds    float64 `json:"total_seconds"`
+	// TrafficSeconds is the traffic phase, and the next six its steps:
+	// samples fed, queries, heartbeat rounds, the leave/join storm, tracker
+	// eviction sweeps and the obs plane's per-tick step.
+	TrafficSeconds    float64 `json:"traffic_seconds"`
+	FeedSeconds       float64 `json:"feed_seconds"`
+	QuerySeconds      float64 `json:"query_seconds"`
+	HeartbeatSeconds  float64 `json:"heartbeat_seconds"`
+	ChurnStormSeconds float64 `json:"churn_storm_seconds"`
+	EvictSeconds      float64 `json:"evict_seconds"`
+	TrafficObsSeconds float64 `json:"traffic_obs_seconds"`
+	ChurnSeconds      float64 `json:"churn_seconds"`
+	TotalSeconds      float64 `json:"total_seconds"`
 	// PredictionsPerSec is federation QueryTR round trips (client -> entry
 	// peer -> owner -> machine) per wall second of the query phases.
 	PredictionsPerSec   float64 `json:"predictions_per_sec"`
@@ -170,11 +175,17 @@ type PerfStats struct {
 	ResponseBytes       int64   `json:"response_bytes"`
 	Goroutines          int     `json:"goroutines"`
 	// Observability-plane cost: total wall time spent in obs work (SLO
-	// sampling, detector steps, federated aggregation), the final
-	// aggregation sweep alone, and aggregation traffic per remote peer.
+	// sampling, detector steps, federated aggregation; TrafficObsSeconds is
+	// the traffic phase's share), the final aggregation sweep alone, and
+	// aggregation traffic per remote peer.
 	ObsPlaneSeconds     float64 `json:"obs_plane_seconds"`
 	ObsAggregateSeconds float64 `json:"obs_aggregate_seconds"`
 	ObsBytesPerPeer     float64 `json:"obs_bytes_per_peer"`
+}
+
+// trafficStepSeconds is the sum of the traffic phase's timed steps.
+func (p *PerfStats) trafficStepSeconds() float64 {
+	return p.FeedSeconds + p.QuerySeconds + p.HeartbeatSeconds + p.ChurnStormSeconds + p.EvictSeconds + p.TrafficObsSeconds
 }
 
 // DeterministicBytes renders the Sim section alone; two same-seed runs must
@@ -234,6 +245,9 @@ func (r *Report) Summary() string {
 		float64(p.RSSBytes)/(1<<20), p.RSSBytesPerMachine)
 	fmt.Fprintf(&b, "wall: build %.1fs register %.1fs traffic %.1fs churn %.1fs total %.1fs\n",
 		p.BuildSeconds, p.RegisterSeconds, p.TrafficSeconds, p.ChurnSeconds, p.TotalSeconds)
+	fmt.Fprintf(&b, "traffic steps: feed %.2fs query %.2fs heartbeat %.2fs storm %.2fs evict %.2fs obs %.2fs (untimed %.2fs)\n",
+		p.FeedSeconds, p.QuerySeconds, p.HeartbeatSeconds, p.ChurnStormSeconds, p.EvictSeconds, p.TrafficObsSeconds,
+		p.TrafficSeconds-p.trafficStepSeconds())
 	fmt.Fprintf(&b, "transcript: %s / outage %s\n", s.TranscriptFNV, s.OutageTranscriptFNV)
 	return b.String()
 }

@@ -277,8 +277,10 @@ type fleet struct {
 	machines []*simMachine
 	// peerObs is each federation peer's observability bundle; machine i's
 	// serving stack records into peerObs[i % Gateways], so every peer owns
-	// the metrics and accuracy streams of its machine cohort and the fleet
-	// view only exists after federated aggregation — the production shape.
+	// the metrics and accuracy streams of its machine cohort (in ishared a
+	// host node keeps its own, DESIGN §16). The fleet view exists only
+	// after federated aggregation merges the peers' series and alerts;
+	// accuracy is read off the trackers.
 	peerObs []*ishare.NodeObs
 	ctx     context.Context
 
@@ -292,11 +294,10 @@ type fleet struct {
 	lastActiveRefresh time.Time // last registration covering survivors
 
 	// Obs-plane state: alerts fired across the run (peer-stamped, in
-	// peer-then-tick order), the fleet serving SLO fed on the virtual
-	// clock, and the post-churn merged snapshot finalize reports from.
-	alerts    []obs.Alert
-	slo       *obs.SLOMonitor
-	fleetSnap *obs.FleetSnapshot
+	// peer-then-tick order) and the fleet serving SLO fed on the virtual
+	// clock.
+	alerts []obs.Alert
+	slo    *obs.SLOMonitor
 }
 
 func (f *fleet) progress(format string, args ...any) {
@@ -400,9 +401,8 @@ func buildFleet(cfg Config, rep *Report) (*fleet, error) {
 	// One observability bundle (registry, accuracy tracker, drift watcher,
 	// alert ring) per federation peer: machine i records into its peer
 	// group's bundle, and the fleet-level view exists only after federated
-	// aggregation merges the per-peer exports — the production shape. The
-	// prediction engine stays fleet-shared; its cache metrics land on peer
-	// 0's registry.
+	// aggregation merges the per-peer exports. The prediction engine stays
+	// fleet-shared; its cache metrics land on peer 0's registry.
 	f.peerObs = make([]*ishare.NodeObs, cfg.Gateways)
 	for i := range f.peerObs {
 		o := ishare.NewNodeObs()
@@ -567,7 +567,8 @@ func (f *fleet) heartbeat(tick int, rep *Report) {
 
 // trafficPhase replays Ticks rounds of monitoring samples and client
 // queries, with heartbeat refreshes, the leave/join storm at the churn tick,
-// and periodic tracker eviction sweeps.
+// and periodic tracker eviction sweeps. Each of those steps, and the obs
+// plane's, is timed, so the steps add up to TrafficSeconds.
 func (f *fleet) trafficPhase(rep *Report) {
 	cfg := f.cfg
 	t0 := time.Now()
@@ -644,15 +645,21 @@ func (f *fleet) trafficPhase(rep *Report) {
 		queryBytes += f.net.DialerBytes() - qb0
 
 		if (tick+1)%heartbeatEvery == 0 || tick == cfg.Ticks-1 {
+			hb0 := time.Now()
 			f.heartbeat(tick, rep)
+			rep.Perf.HeartbeatSeconds += time.Since(hb0).Seconds()
 		}
 		if tick == cfg.churnTick() {
+			storm0 := time.Now()
 			f.churnStorm(rep)
+			rep.Perf.ChurnStormSeconds = time.Since(storm0).Seconds()
 		}
 		if (tick+1)%evictEvery == 0 {
+			evict0 := time.Now()
 			for _, o := range f.peerObs {
 				rep.Sim.TrackerEvictedMachines += uint64(o.Tracker.EvictIdle(f.clock.Now()))
 			}
+			rep.Perf.EvictSeconds += time.Since(evict0).Seconds()
 		}
 
 		// Obs plane: one cumulative SLO sample on the virtual clock, then
@@ -667,7 +674,7 @@ func (f *fleet) trafficPhase(rep *Report) {
 		}
 		f.slo.Record(obs.SLOSample{T: now, Requests: cumQ, Errors: cumF})
 		f.stepObs(now)
-		rep.Perf.ObsPlaneSeconds += time.Since(obs0).Seconds()
+		rep.Perf.TrafficObsSeconds += time.Since(obs0).Seconds()
 
 		if (tick+1)%8 == 0 {
 			f.progress("tick %d/%d: %s", tick+1, cfg.Ticks, f.clock.Now().Format("15:04"))
@@ -720,6 +727,7 @@ func (f *fleet) trafficPhase(rep *Report) {
 	if rep.Perf.FeedSeconds > 0 {
 		rep.Perf.SamplesPerSec = float64(rep.Sim.SamplesFed) / rep.Perf.FeedSeconds
 	}
+	rep.Perf.ObsPlaneSeconds += rep.Perf.TrafficObsSeconds
 	f.progress("traffic done: %d queries (%d failed), %d samples, %.0f predictions/s",
 		rep.Sim.Queries, rep.Sim.QueryFailures, rep.Sim.SamplesFed, rep.Perf.PredictionsPerSec)
 }
@@ -901,7 +909,6 @@ func (f *fleet) obsPhase(rep *Report) {
 	t0 := time.Now()
 	req0, resp0 := f.net.DialerBytes(), f.net.ServerBytes()
 	snap := f.feds[1].FleetObs(f.ctx)
-	f.fleetSnap = snap
 	rep.Perf.ObsAggregateSeconds = time.Since(t0).Seconds()
 	rep.Perf.ObsPlaneSeconds += rep.Perf.ObsAggregateSeconds
 	if n := f.cfg.Gateways - 1; n > 0 {
@@ -934,8 +941,6 @@ func (f *fleet) obsPhase(rep *Report) {
 			fo.GatewayErrors[sr.ID()] = sr.Count
 		}
 	}
-	fo.Resolved = snap.Resolved
-	fo.Dropped = snap.Dropped
 	fo.AlertsTotal = len(f.alerts)
 	if len(f.alerts) > 0 {
 		fo.AlertsByKind = make(map[string]int)
@@ -962,23 +967,30 @@ func (f *fleet) finalize(rep *Report) {
 		rep.Sim.TrackerMachines += tr.Machines()
 	}
 
-	// SMP outcome accounting from the merged fleet snapshot — the "_all"
-	// rollup across every peer's tracker, i.e. the number the obs plane
-	// serves to operators.
-	var all obs.AccuracyStats
-	for _, s := range f.fleetSnap.Accuracy() {
-		if s.Machine == "_all" && s.Predictor == "SMP" {
-			all = s
-			break
+	// SMP outcome accounting: the "_all" SMP rows of the peers' trackers,
+	// summed. A row carries its correct count only as Accuracy =
+	// correct/resolved; the count is recovered by rounding and must divide
+	// back to the same bits, so the sums are exact.
+	var resolved, survived, correct uint64
+	for _, o := range f.peerObs {
+		for _, s := range o.Tracker.All() {
+			if s.Machine != "_all" || s.Predictor != "SMP" || s.Resolved == 0 {
+				continue
+			}
+			c := uint64(math.Round(s.Accuracy * float64(s.Resolved)))
+			if float64(c)/float64(s.Resolved) != s.Accuracy {
+				panic(fmt.Sprintf("fleetsim: SMP accuracy %v is no count over %d resolved", s.Accuracy, s.Resolved))
+			}
+			resolved, survived, correct = resolved+s.Resolved, survived+s.Survived, correct+c
 		}
 	}
 	u := &rep.Sim.Utilization
-	u.SMPResolved = all.Resolved
-	u.SMPSurvived = all.Survived
-	u.SMPEmpiricalSurvival = all.Empirical
-	u.SMPAccuracy = all.Accuracy
-	if all.Resolved > 0 {
-		u.WastedFraction = 1 - all.Accuracy
+	u.SMPResolved = resolved
+	u.SMPSurvived = survived
+	if resolved > 0 {
+		u.SMPEmpiricalSurvival = float64(survived) / float64(resolved)
+		u.SMPAccuracy = float64(correct) / float64(resolved)
+		u.WastedFraction = 1 - u.SMPAccuracy
 	}
 
 	rep.Perf.ResponseBytes = f.net.ServerBytes()

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"fgcs/internal/avail"
-	"fgcs/internal/obs"
 	"fgcs/internal/otrace"
 	"fgcs/internal/predict"
 	"fgcs/internal/rng"
@@ -631,11 +630,13 @@ func TestBrokenPluginCostsOnlyItsScore(t *testing.T) {
 	}
 }
 
-// TestQueryObsExportsThreePredictorRows: after one query and its window's
-// resolution, the node's FGOS export (the query-obs payload) carries exactly
-// one accuracy row per predictor QueryTR scores — SMP, FFT and PCT — for the
-// machine, and the same three in the node's _all rollup.
-func TestQueryObsExportsThreePredictorRows(t *testing.T) {
+// TestQueryStatsServesThreePredictorRows: after one query and its window's
+// resolution, the node's query-stats answer carries exactly one accuracy row
+// per predictor QueryTR scores — SMP, FFT and PCT — for the machine, and the
+// same three in the node's _all rollup. query-stats (and the node's /metrics
+// page) is where a node's accuracy is read: the query-obs export carries
+// none.
+func TestQueryStatsServesThreePredictorRows(t *testing.T) {
 	now := time.Date(2005, 9, 2, 8, 30, 0, 0, time.UTC)
 	clock := simclock.NewVirtual(now)
 	sm, err := NewStateManager("m", period, avail.DefaultConfig(), clock, historyMachine("m", 11, 9), 0)
@@ -653,20 +654,16 @@ func TestQueryObsExportsThreePredictorRows(t *testing.T) {
 	clock.Advance(time.Hour + period)
 	g.Record(clock.Now(), sample(5, 400))
 
-	resp, err := g.queryObs(context.Background(), QueryObsReq{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	export, err := obs.DecodeObsSnapshot(resp.Snapshot)
+	resp, err := g.queryStats(context.Background(), QueryStatsReq{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var rows []string
-	for _, a := range export.Accuracy {
+	for _, a := range resp.Accuracy {
 		rows = append(rows, fmt.Sprintf("%s/%s:%d", a.Machine, a.Predictor, a.Resolved))
 	}
 	if want := []string{"_all/FFT:1", "_all/PCT:1", "_all/SMP:1", "m/FFT:1", "m/PCT:1", "m/SMP:1"}; !reflect.DeepEqual(rows, want) {
-		t.Fatalf("exported accuracy rows %v, want %v", rows, want)
+		t.Fatalf("served accuracy rows %v, want %v", rows, want)
 	}
 }
 

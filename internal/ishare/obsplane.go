@@ -9,15 +9,16 @@ import (
 )
 
 // The observability plane: query-obs is the RPC that exports one node's
-// mergeable metrics, accuracy sums, and recent alerts in the versioned
-// binary codec (obs.PeerObs). A federation peer answering the non-local
-// form fans the local form out over the ring — through the same
-// Caller/retry/breaker stack every other federation verb uses — and merges
-// the exports into one fleet-level snapshot: counters summed, histograms
-// merged bucket-wise, per-predictor accuracy rolled up, every alert stamped
-// with its peer. An unreachable peer's last good export is merged marked
-// stale rather than silently dropped, so a fleet view during an outage says
-// exactly how old each column is.
+// mergeable metrics and recent alerts in the versioned binary codec
+// (obs.PeerObs). A federation peer answering the non-local form fans the
+// local form out over the ring — through the same Caller/retry/breaker stack
+// every other federation verb uses — and merges the exports into one
+// fleet-level snapshot: counters summed, histograms merged bucket-wise, every
+// alert stamped with its peer. Accuracy is not exported: a host node scores
+// its own predictions and serves them in query-stats and on its /metrics
+// page. An unreachable peer's last good export is merged marked stale rather
+// than silently dropped, so a fleet view during an outage says exactly how
+// old each column is.
 
 // QueryObsReq asks a node for its observability export. Local asks a
 // federation peer for its own snapshot only (the fan-out form, and the only
@@ -42,9 +43,9 @@ type QueryObsResp struct {
 // nil NodeObs exports an empty snapshot.
 func (o *NodeObs) exportPeer(peer string) *obs.PeerObs {
 	if o == nil {
-		return obs.ExportPeerObs(peer, nil, nil, nil)
+		return obs.ExportPeerObs(peer, nil, nil)
 	}
-	return obs.ExportPeerObs(peer, o.Registry, o.Tracker, o.Alerts)
+	return obs.ExportPeerObs(peer, o.Registry, o.Alerts)
 }
 
 // AddSLO attaches a serving-path SLO monitor; StepObs feeds it cumulative
@@ -208,7 +209,7 @@ type cachedPeerObs struct {
 // with no cached export is recorded unreachable. Either way the peer stays
 // visible in the snapshot's status rows.
 func (f *FedGateway) FleetObs(ctx context.Context) *obs.FleetSnapshot {
-	fs := obs.NewFleetSnapshot()
+	fs := &obs.FleetSnapshot{}
 	fs.Add(f.obs.exportPeer(f.self.ID), obs.PeerStatus{Peer: f.self.ID, Status: obs.PeerOK})
 	for _, p := range f.ring.members() {
 		if p.ID == f.self.ID {

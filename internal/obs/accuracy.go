@@ -440,10 +440,10 @@ type AccuracyStats struct {
 	Calibration []CalibrationBucket `json:"calibration,omitempty"`
 }
 
-// summary is the reportable view of one key: the figures AccSums.stats
+// summary is the reportable view of one key: the figures accSums.stats
 // derives from the sums, plus the rolling ones only this node's ring holds.
 func (st *accStats) summary(key trackerKey) AccuracyStats {
-	out := st.sums(key).stats(true)
+	out := st.sums(key).stats()
 	if len(st.ring) > 0 {
 		var correct int
 		for _, e := range st.ring {

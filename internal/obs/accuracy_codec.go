@@ -22,10 +22,57 @@ const accVersion = 1
 // strings, three uvarints, two floats and the calibration buckets.
 const accSumsMinBytes = 2 + 3 + 2*8 + CalibrationBuckets*(1+1+8)
 
-// sums is the mergeable view of one key's statistics: everything but the
-// rolling ring.
-func (st *accStats) sums(key trackerKey) AccSums {
-	return AccSums{
+// accSums is the accuracy state for one (machine, predictor) key: the
+// tracker's raw sums, without the derived ratios or the rolling-window ring.
+// FGAT stores a key as its sums followed by its ring.
+type accSums struct {
+	Machine   string
+	Predictor string
+	Resolved  uint64
+	Survived  uint64
+	Correct   uint64
+	SumTR     float64
+	BrierSum  float64
+
+	CalibCount    [CalibrationBuckets]uint64
+	CalibSurvived [CalibrationBuckets]uint64
+	CalibSumTR    [CalibrationBuckets]float64
+}
+
+// stats derives the reportable summary from the sums, calibration table
+// included. Rolling figures stay zero: only the ring holds them.
+func (a accSums) stats() AccuracyStats {
+	out := AccuracyStats{
+		Machine:   a.Machine,
+		Predictor: a.Predictor,
+		Resolved:  a.Resolved,
+		Survived:  a.Survived,
+	}
+	if a.Resolved > 0 {
+		n := float64(a.Resolved)
+		out.MeanTR = a.SumTR / n
+		out.Empirical = float64(a.Survived) / n
+		out.Brier = a.BrierSum / n
+		out.Accuracy = float64(a.Correct) / n
+	}
+	for b := 0; b < CalibrationBuckets; b++ {
+		cb := CalibrationBucket{
+			Lo:    float64(b) / CalibrationBuckets,
+			Hi:    float64(b+1) / CalibrationBuckets,
+			Count: a.CalibCount[b],
+		}
+		if cb.Count > 0 {
+			cb.MeanTR = a.CalibSumTR[b] / float64(cb.Count)
+			cb.Empirical = float64(a.CalibSurvived[b]) / float64(cb.Count)
+		}
+		out.Calibration = append(out.Calibration, cb)
+	}
+	return out
+}
+
+// sums is one key's statistics without the rolling ring.
+func (st *accStats) sums(key trackerKey) accSums {
+	return accSums{
 		Machine:       key.Machine,
 		Predictor:     key.Predictor,
 		Resolved:      st.resolved,
@@ -39,8 +86,8 @@ func (st *accStats) sums(key trackerKey) AccSums {
 	}
 }
 
-// appendAccSums encodes one key's sums; FGAT and FGOS share the layout.
-func appendAccSums(buf []byte, a *AccSums) []byte {
+// appendAccSums encodes one key's sums.
+func appendAccSums(buf []byte, a *accSums) []byte {
 	buf = wire.AppendString(buf, a.Machine)
 	buf = wire.AppendString(buf, a.Predictor)
 	buf = wire.AppendUvarint(buf, a.Resolved)
@@ -57,7 +104,7 @@ func appendAccSums(buf []byte, a *AccSums) []byte {
 }
 
 // readAccSums decodes what appendAccSums wrote.
-func readAccSums(r *wire.Reader) (a AccSums) {
+func readAccSums(r *wire.Reader) (a accSums) {
 	a.Machine = r.String()
 	a.Predictor = r.String()
 	a.Resolved = r.Uvarint()

@@ -10,10 +10,10 @@ import (
 
 // Fleet aggregation: one peer's observability state as a mergeable value.
 // A PeerObs carries the metrics-registry snapshot (counters sum, histograms
-// merge bucket-wise), the accuracy tracker's raw sums (which merge by
-// addition — derived figures like Brier are recomputed after the fold), and
-// the peer's recent alerts. The binary codec is versioned and canonical: a
-// snapshot's series and the tracker's keys are in sorted order, so equal
+// merge bucket-wise) and the peer's recent alerts. Accuracy is not part of
+// it: a TR is scored on the host that made it, and that node serves its
+// accuracy itself (query-stats, its /metrics page). The binary codec is
+// versioned and canonical: a snapshot's series are in sorted order, so equal
 // states encode to equal bytes, which is what the merge-commutativity and
 // fleet-determinism tests pin.
 
@@ -26,114 +26,33 @@ const (
 	PeerUnreachable = "unreachable"
 )
 
-// AccSums is the mergeable accuracy state for one (machine, predictor) key:
-// the tracker's raw sums, without the derived ratios. Two AccSums for the
-// same key merge by field-wise addition. The rolling-window ring is
-// deliberately absent — rolling statistics do not merge across peers.
-type AccSums struct {
-	Machine   string  `json:"machine"`
-	Predictor string  `json:"predictor"`
-	Resolved  uint64  `json:"resolved"`
-	Survived  uint64  `json:"survived"`
-	Correct   uint64  `json:"correct"`
-	SumTR     float64 `json:"sum_tr"`
-	BrierSum  float64 `json:"brier_sum"`
-
-	CalibCount    [CalibrationBuckets]uint64  `json:"calib_count"`
-	CalibSurvived [CalibrationBuckets]uint64  `json:"calib_survived"`
-	CalibSumTR    [CalibrationBuckets]float64 `json:"calib_sum_tr"`
-}
-
-func (a *AccSums) key() trackerKey { return trackerKey{Machine: a.Machine, Predictor: a.Predictor} }
-
-// merge adds other's sums into a.
-func (a *AccSums) merge(other AccSums) {
-	a.Resolved += other.Resolved
-	a.Survived += other.Survived
-	a.Correct += other.Correct
-	a.SumTR += other.SumTR
-	a.BrierSum += other.BrierSum
-	for b := 0; b < CalibrationBuckets; b++ {
-		a.CalibCount[b] += other.CalibCount[b]
-		a.CalibSurvived[b] += other.CalibSurvived[b]
-		a.CalibSumTR[b] += other.CalibSumTR[b]
-	}
-}
-
-// stats derives the reportable summary from the sums. Rolling figures stay
-// zero: they are per-node state and do not survive a merge.
-func (a AccSums) stats(calibration bool) AccuracyStats {
-	out := AccuracyStats{
-		Machine:   a.Machine,
-		Predictor: a.Predictor,
-		Resolved:  a.Resolved,
-		Survived:  a.Survived,
-	}
-	if a.Resolved > 0 {
-		n := float64(a.Resolved)
-		out.MeanTR = a.SumTR / n
-		out.Empirical = float64(a.Survived) / n
-		out.Brier = a.BrierSum / n
-		out.Accuracy = float64(a.Correct) / n
-	}
-	if calibration {
-		for b := 0; b < CalibrationBuckets; b++ {
-			cb := CalibrationBucket{
-				Lo:    float64(b) / CalibrationBuckets,
-				Hi:    float64(b+1) / CalibrationBuckets,
-				Count: a.CalibCount[b],
-			}
-			if cb.Count > 0 {
-				cb.MeanTR = a.CalibSumTR[b] / float64(cb.Count)
-				cb.Empirical = float64(a.CalibSurvived[b]) / float64(cb.Count)
-			}
-			out.Calibration = append(out.Calibration, cb)
-		}
-	}
-	return out
-}
-
-// PeerObs is one peer's exported observability state: mergeable metrics,
-// mergeable accuracy sums, and the recent alert ring.
+// PeerObs is one peer's exported observability state: mergeable metrics and
+// the recent alert ring.
 type PeerObs struct {
 	// Peer is the exporting peer's identity.
 	Peer string
 	// Metrics is the registry snapshot.
 	Metrics Snapshot
-	// Resolved and Dropped are the tracker totals; Accuracy the per-key
-	// sums in sorted order.
-	Resolved uint64
-	Dropped  uint64
-	Accuracy []AccSums
 	// Alerts is the peer's retained alert ring, oldest first.
 	Alerts []Alert
 }
 
-// ExportPeerObs assembles a peer's export from its registry, tracker and
-// alert ring (each may be nil). The accuracy state goes in its mergeable
-// form: the totals and every key's raw sums, in sorted key order.
-func ExportPeerObs(peer string, r *Registry, t *Tracker, alerts *AlertRing) *PeerObs {
-	p := &PeerObs{Peer: peer, Metrics: r.Snapshot(), Alerts: alerts.Alerts(0)}
-	if t != nil {
-		t.mu.Lock()
-		defer t.mu.Unlock()
-		p.Resolved, p.Dropped = t.resolved, t.dropped
-		for _, key := range t.keys {
-			p.Accuracy = append(p.Accuracy, t.stats[key].sums(key))
-		}
-	}
-	return p
+// ExportPeerObs assembles a peer's export from its registry and alert ring
+// (either may be nil).
+func ExportPeerObs(peer string, r *Registry, alerts *AlertRing) *PeerObs {
+	return &PeerObs{Peer: peer, Metrics: r.Snapshot(), Alerts: alerts.Alerts(0)}
 }
 
 // ------------------------------------------------------------ binary codec
 
 var obsMagic = [4]byte{'F', 'G', 'O', 'S'}
 
-// obsVersion is the peer-obs snapshot format version: 2 carries each series
-// as name, label pairs and kind where 1 carried a rendered id string. Exports
-// are exchanged live, never stored, and a peer that fails to decode shows as
-// stale or unreachable, so no reader for version 1 is kept.
-const obsVersion = 2
+// obsVersion is the peer-obs snapshot format version: 3 carries the series
+// and the alerts; 2 also carried the tracker totals and per-key accuracy
+// sums, and 1 a rendered id string where 2 has name, label pairs and kind.
+// Exports are exchanged live, never stored, and a peer that fails to decode
+// shows as stale or unreachable, so no reader for an older version is kept.
+const obsVersion = 3
 
 // maxObsBounds caps the histogram bucket count a decoded snapshot may claim.
 const maxObsBounds = 4096
@@ -145,8 +64,8 @@ var (
 )
 
 // EncodeBinary serializes the export in the versioned FGOS format. The
-// encoding is canonical: series, keys and alerts appear in sorted order, so
-// equal states produce identical bytes.
+// encoding is canonical: series appear in sorted order and alerts in ring
+// order, so equal states produce identical bytes.
 func (p *PeerObs) EncodeBinary() []byte {
 	buf := wire.AppendHeader(nil, obsMagic, obsVersion)
 	buf = wire.AppendString(buf, p.Peer)
@@ -176,13 +95,6 @@ func (p *PeerObs) EncodeBinary() []byte {
 			buf = wire.AppendFloat64(buf, s.Hist.Sum)
 			buf = wire.AppendUvarint(buf, s.Hist.Count)
 		}
-	}
-
-	buf = wire.AppendUvarint(buf, p.Resolved)
-	buf = wire.AppendUvarint(buf, p.Dropped)
-	buf = wire.AppendUvarint(buf, uint64(len(p.Accuracy)))
-	for i := range p.Accuracy {
-		buf = appendAccSums(buf, &p.Accuracy[i])
 	}
 
 	buf = wire.AppendUvarint(buf, uint64(len(p.Alerts)))
@@ -259,15 +171,6 @@ func DecodeObsSnapshot(data []byte) (*PeerObs, error) {
 		out.Metrics = append(out.Metrics, s)
 	}
 
-	out.Resolved, out.Dropped = r.Uvarint(), r.Uvarint()
-	for n := r.Count(accSumsMinBytes, "accuracy keys"); n > 0 && r.Err() == nil; n-- {
-		a := readAccSums(&r)
-		if k := len(out.Accuracy); k > 0 && !keyLess(out.Accuracy[k-1].key(), a.key()) {
-			r.Fail("accuracy key repeated or out of order")
-		}
-		out.Accuracy = append(out.Accuracy, a)
-	}
-
 	n := r.Count(22, "alerts")
 	if n > maxAlertCap {
 		r.Fail("claims %d alerts, cap %d", n, maxAlertCap)
@@ -301,21 +204,12 @@ type PeerStatus struct {
 }
 
 // FleetSnapshot is the merged fleet-level view: counters summed, histograms
-// merged bucket-wise, accuracy sums rolled up per key, every peer's alerts
-// stamped with its identity, and a status row per peer.
+// merged bucket-wise, every peer's alerts stamped with its identity, and a
+// status row per peer. The zero value is an empty merge target.
 type FleetSnapshot struct {
-	Peers    []PeerStatus
-	Metrics  Snapshot
-	Resolved uint64
-	Dropped  uint64
-	Alerts   []Alert
-
-	acc map[trackerKey]*AccSums
-}
-
-// NewFleetSnapshot builds an empty merge target.
-func NewFleetSnapshot() *FleetSnapshot {
-	return &FleetSnapshot{acc: make(map[trackerKey]*AccSums)}
+	Peers   []PeerStatus
+	Metrics Snapshot
+	Alerts  []Alert
 }
 
 // Add merges one peer's export under the given status row. Alerts are
@@ -328,16 +222,6 @@ func (f *FleetSnapshot) Add(p *PeerObs, status PeerStatus) {
 	}
 	if err := f.Metrics.merge(p.Metrics); err != nil && status.Err == "" {
 		status.Err = err.Error()
-	}
-	f.Resolved += p.Resolved
-	f.Dropped += p.Dropped
-	for _, a := range p.Accuracy {
-		if cur, ok := f.acc[a.key()]; ok {
-			cur.merge(a)
-		} else {
-			cp := a
-			f.acc[a.key()] = &cp
-		}
 	}
 	for _, a := range p.Alerts {
 		a.Peer = status.Peer
@@ -352,19 +236,6 @@ func (f *FleetSnapshot) AddUnreachable(peer, errMsg string) {
 	f.Peers = append(f.Peers, PeerStatus{Peer: peer, Status: PeerUnreachable, Err: errMsg})
 }
 
-// Accuracy returns the merged per-key summaries in sorted key order, each
-// derived from the key's summed raw state.
-func (f *FleetSnapshot) Accuracy() []AccuracyStats {
-	out := make([]AccuracyStats, 0, len(f.acc))
-	for _, a := range f.acc {
-		out = append(out, a.stats(false))
-	}
-	sort.Slice(out, func(i, j int) bool {
-		return keyLess(trackerKey{out[i].Machine, out[i].Predictor}, trackerKey{out[j].Machine, out[j].Predictor})
-	})
-	return out
-}
-
 // FleetView is the JSON operator summary of a merged fleet snapshot, served
 // over query-obs and rendered by `isharec stats -fleet`.
 type FleetView struct {
@@ -372,11 +243,6 @@ type FleetView struct {
 	// Counters is every merged counter series (fixed-cardinality series
 	// only; nothing here is per-machine).
 	Counters map[string]uint64 `json:"counters,omitempty"`
-	// Resolved and Dropped are the fleet accuracy totals; Accuracy the
-	// "_all" per-predictor rollup.
-	Resolved uint64          `json:"resolved"`
-	Dropped  uint64          `json:"dropped"`
-	Accuracy []AccuracyStats `json:"accuracy,omitempty"`
 	// Alerts are the merged alerts (newest kept when truncated) and
 	// AlertsTotal the pre-truncation count.
 	Alerts      []Alert `json:"alerts,omitempty"`
@@ -389,18 +255,11 @@ func (f *FleetSnapshot) View(maxAlerts int) FleetView {
 	v := FleetView{
 		Peers:    append([]PeerStatus(nil), f.Peers...),
 		Counters: make(map[string]uint64),
-		Resolved: f.Resolved,
-		Dropped:  f.Dropped,
 	}
 	sort.Slice(v.Peers, func(i, j int) bool { return v.Peers[i].Peer < v.Peers[j].Peer })
 	for i := range f.Metrics {
 		if sr := &f.Metrics[i]; sr.Kind == KindCounter {
 			v.Counters[sr.ID()] = sr.Count
-		}
-	}
-	for _, a := range f.Accuracy() {
-		if a.Machine == "_all" {
-			v.Accuracy = append(v.Accuracy, a)
 		}
 	}
 	v.Alerts = sortedAlerts(f.Alerts)
@@ -423,9 +282,9 @@ func sortedAlerts(alerts []Alert) []Alert {
 }
 
 // series is the fleet /metrics page as one snapshot: the fleet's own
-// families (peer and alert counts, a status series per peer), the accuracy
-// families from the merged sums, and the peers' merged registry series — a
-// function of the merged state alone, whatever order the peers were added in.
+// families (peer and alert counts, a status series per peer) and the peers'
+// merged registry series — a function of the merged state alone, whatever
+// order the peers were added in.
 func (f *FleetSnapshot) series() Snapshot {
 	counts := map[string]float64{}
 	out := Snapshot{derivedFamily("fgcs_fleet_peers").series(float64(len(f.Peers))), derivedFamily("fgcs_fleet_alerts").series(float64(len(f.Alerts)))}
@@ -445,5 +304,5 @@ func (f *FleetSnapshot) series() Snapshot {
 	}
 	// DecodeObsSnapshot keeps the derived names out of every export, so the
 	// two lists share no family.
-	return append(accuracySeries(out, f.Resolved, f.Dropped, f.Accuracy(), false), f.Metrics...).sorted()
+	return append(out, f.Metrics...).sorted()
 }

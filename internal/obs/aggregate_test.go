@@ -9,7 +9,7 @@ import (
 )
 
 // samplePeerObs builds a realistic export: counters with escaped label
-// values, gauges, a histogram, accuracy sums and alerts.
+// values, gauges, a histogram and alerts.
 func samplePeerObs(peer string) *PeerObs {
 	r := NewRegistry()
 	r.Counter("fgcs_gateway_requests_total", "Gateway RPCs served, by request type.",
@@ -22,20 +22,14 @@ func samplePeerObs(peer string) *PeerObs {
 		h.Observe(v)
 	}
 
-	t := NewTracker()
 	base := time.Date(2026, 6, 3, 23, 0, 0, 0, time.UTC)
-	for i := 0; i < 20; i++ {
-		t.RestoreResolution("m01", "SMP", 0.9, i%5 != 0)
-		t.RestoreResolution("m02", "LAST", 0.6, i%3 != 0)
-	}
-
 	ring := NewAlertRing(8)
 	ring.Append(Alert{Kind: AlertAccuracyDrift, Machine: "m01", Predictor: "SMP",
 		Value: 0.2, Threshold: 0.05, Message: "Brier mean shifted up", Time: base.Add(time.Hour)})
 	ring.Append(Alert{Kind: AlertShedRate, Value: 0.5, Threshold: 0.25,
 		Message: "shed half the admissions", Time: base.Add(2 * time.Hour)})
 
-	return ExportPeerObs(peer, r, t, ring)
+	return ExportPeerObs(peer, r, ring)
 }
 
 func TestObsCodecRoundTrip(t *testing.T) {
@@ -48,11 +42,8 @@ func TestObsCodecRoundTrip(t *testing.T) {
 	if dec.Peer != "gw01" {
 		t.Errorf("peer %q after round trip", dec.Peer)
 	}
-	if dec.Resolved != p.Resolved || dec.Dropped != p.Dropped {
-		t.Errorf("totals %d/%d, want %d/%d", dec.Resolved, dec.Dropped, p.Resolved, p.Dropped)
-	}
-	if len(dec.Accuracy) != len(p.Accuracy) {
-		t.Fatalf("%d accuracy keys, want %d", len(dec.Accuracy), len(p.Accuracy))
+	if len(dec.Metrics) != len(p.Metrics) {
+		t.Fatalf("%d series, want %d", len(dec.Metrics), len(p.Metrics))
 	}
 	if len(dec.Alerts) != 2 || dec.Alerts[0].Kind != AlertAccuracyDrift {
 		t.Fatalf("alerts %+v", dec.Alerts)
@@ -68,12 +59,12 @@ func TestObsCodecRoundTrip(t *testing.T) {
 }
 
 func TestObsCodecNilSources(t *testing.T) {
-	p := ExportPeerObs("gw00", nil, nil, nil)
+	p := ExportPeerObs("gw00", nil, nil)
 	dec, err := DecodeObsSnapshot(p.EncodeBinary())
 	if err != nil {
 		t.Fatalf("decode of empty export: %v", err)
 	}
-	if dec.Peer != "gw00" || len(dec.Metrics) != 0 || len(dec.Accuracy) != 0 || len(dec.Alerts) != 0 {
+	if dec.Peer != "gw00" || len(dec.Metrics) != 0 || len(dec.Alerts) != 0 {
 		t.Errorf("empty export round-tripped to %+v", dec)
 	}
 }
@@ -172,8 +163,6 @@ func TestObsDecodeRejectsDuplicatesAndBadClaims(t *testing.T) {
 		// Capped regardless of payload size.
 		{"over-wide histogram", hist(wide...), "bounds"},
 		{"oversized claim", big, "claims"},
-		{"repeated accuracy key", (&PeerObs{Accuracy: []AccSums{{Machine: "m", Predictor: "SMP"}, {Machine: "m", Predictor: "SMP"}}}).EncodeBinary(), "accuracy key"},
-		{"accuracy keys out of order", (&PeerObs{Accuracy: []AccSums{{Machine: "m", Predictor: "SMP"}, {Machine: "m", Predictor: "LAST"}}}).EncodeBinary(), "accuracy key"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -186,7 +175,7 @@ func TestObsDecodeRejectsDuplicatesAndBadClaims(t *testing.T) {
 
 func TestFleetMergeCommutative(t *testing.T) {
 	text := func(order []string) string {
-		f := NewFleetSnapshot()
+		f := &FleetSnapshot{}
 		for _, peer := range order {
 			f.Add(samplePeerObs(peer), PeerStatus{Status: PeerOK})
 		}
@@ -204,7 +193,7 @@ func TestFleetMergeCommutative(t *testing.T) {
 }
 
 func TestFleetMergeSumsAndStatuses(t *testing.T) {
-	f := NewFleetSnapshot()
+	f := &FleetSnapshot{}
 	f.Add(samplePeerObs("gw01"), PeerStatus{Status: PeerOK})
 	f.Add(samplePeerObs("gw02"), PeerStatus{Status: PeerStale, AgeSeconds: 30, Err: "fetch timed out"})
 	f.AddUnreachable("gw03", "connection refused")
@@ -212,9 +201,6 @@ func TestFleetMergeSumsAndStatuses(t *testing.T) {
 	id := `fgcs_gateway_requests_total{type="query-tr"}`
 	if got := f.Metrics.Find("fgcs_gateway_requests_total", Label{"type", "query-tr"}).Count; got != 14 || f.View(0).Counters[id] != 14 {
 		t.Errorf("merged counter %s = %d, want 14 (7 per peer) under that key of the view", id, got)
-	}
-	if f.Resolved != 80 {
-		t.Errorf("merged resolved %d, want 80", f.Resolved)
 	}
 	hist := f.Metrics.Find("fgcs_query_seconds").Hist
 	if hist.Count != 8 {
@@ -225,14 +211,6 @@ func TestFleetMergeSumsAndStatuses(t *testing.T) {
 	for _, a := range f.Alerts {
 		if a.Peer != "gw01" && a.Peer != "gw02" {
 			t.Errorf("merged alert not stamped with a peer: %+v", a)
-		}
-	}
-
-	// Accuracy rolls up per key: each peer contributed 20 resolutions to
-	// (m01, SMP).
-	for _, a := range f.Accuracy() {
-		if a.Machine == "m01" && a.Predictor == "SMP" && a.Resolved != 40 {
-			t.Errorf("(m01,SMP) resolved %d, want 40", a.Resolved)
 		}
 	}
 
@@ -255,7 +233,7 @@ func TestFleetMergeSumsAndStatuses(t *testing.T) {
 }
 
 func TestFleetViewAlertTruncationKeepsNewest(t *testing.T) {
-	f := NewFleetSnapshot()
+	f := &FleetSnapshot{}
 	p := &PeerObs{Peer: "gw01"}
 	for i := 1; i <= 6; i++ {
 		p.Alerts = append(p.Alerts, Alert{Seq: uint64(i), Kind: AlertShedRate})
@@ -274,7 +252,7 @@ func TestFleetMergeHistogramLayoutConflict(t *testing.T) {
 	hist := func(bound float64) Series {
 		return Series{Name: "fgcs_h", Kind: KindHistogram, Hist: HistogramSnapshot{Bounds: []float64{bound}, Counts: []uint64{0, 0}}}
 	}
-	f := NewFleetSnapshot()
+	f := &FleetSnapshot{}
 	f.Add(&PeerObs{Peer: "gw01", Metrics: Snapshot{hist(1)}}, PeerStatus{Status: PeerOK})
 	f.Add(&PeerObs{Peer: "gw02", Metrics: Snapshot{hist(2)}}, PeerStatus{Status: PeerOK})
 	f.Add(&PeerObs{Peer: "gw03", Metrics: Snapshot{{Name: "fgcs_h", Kind: KindGauge}}}, PeerStatus{Status: PeerOK})
@@ -297,7 +275,7 @@ func TestFleetMergeHistogramLayoutConflict(t *testing.T) {
 // series; and cumulative histogram buckets ending in a +Inf bucket equal to
 // _count, with a _sum sample alongside.
 func TestFleetWriteTextConformance(t *testing.T) {
-	f := NewFleetSnapshot()
+	f := &FleetSnapshot{}
 	f.Add(samplePeerObs("gw01"), PeerStatus{Status: PeerOK})
 	f.Add(samplePeerObs("gw02"), PeerStatus{Status: PeerOK})
 	var buf bytes.Buffer
@@ -312,14 +290,16 @@ func TestFleetWriteTextConformance(t *testing.T) {
 	}
 	for family, want := range map[string]string{
 		"fgcs_gateway_requests_total": "counter", "fgcs_ring_peers": "gauge", "fgcs_query_seconds": "histogram",
-		"fgcs_fleet_peer_status": "gauge", "fgcs_accuracy_resolved_total": "counter", "fgcs_accuracy_brier": "gauge",
+		"fgcs_fleet_peer_status": "gauge", "fgcs_fleet_alerts_kind": "gauge",
 	} {
 		if kinds[family] != want {
 			t.Errorf("family %s typed %q, want %s", family, kinds[family], want)
 		}
 	}
-	if kinds["fgcs_accuracy_rolling_brier"] != "" {
-		t.Error("a rolling figure on the fleet page: rolling windows do not merge")
+	for family := range kinds {
+		if strings.HasPrefix(family, "fgcs_accuracy_") {
+			t.Errorf("accuracy family %s on the fleet page: a node serves its own accuracy", family)
+		}
 	}
 	if !strings.Contains(text, "# HELP fgcs_gateway_requests_total Gateway RPCs served, by request type.\n") {
 		t.Error("merged family lost its HELP line")

@@ -45,7 +45,7 @@ func restoreInto(t *Tracker) func(data []byte) error {
 // TestCodecGoldens pins both obs formats to checked-in bytes and decodes them
 // back to the same state. FGAT is on disk: its bytes were written by the
 // commit before internal/wire existed. FGOS only ever crosses the wire between
-// live peers; its bytes are version 2's.
+// live peers; its bytes are version 3's.
 func TestCodecGoldens(t *testing.T) {
 	src := sampleTracker(wrapped)
 	fgat := src.ExportBinary()
@@ -75,25 +75,6 @@ func TestCodecGoldens(t *testing.T) {
 	}
 	if !bytes.Equal(p.EncodeBinary(), fgos) {
 		t.Error("decoded peer obs encodes to different bytes")
-	}
-}
-
-// TestAccSumsOneLayout pins that FGAT and FGOS carry a key's sums through
-// the same encoder: the FGOS accuracy section is the FGAT keys minus rings.
-func TestAccSumsOneLayout(t *testing.T) {
-	tr := sampleTracker(wrapped)
-	sums := ExportPeerObs("", nil, tr, nil).Accuracy
-	var section []byte
-	for i := range sums {
-		section = appendAccSums(section, &sums[i])
-	}
-	p := &PeerObs{Accuracy: sums}
-	if !bytes.Contains(p.EncodeBinary(), section) {
-		t.Error("FGOS accuracy section is not the appendAccSums encoding")
-	}
-	one := appendAccSums(nil, &sums[0])
-	if !bytes.Contains(tr.ExportBinary(), one) {
-		t.Error("FGAT key record does not start with the appendAccSums encoding")
 	}
 }
 

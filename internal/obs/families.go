@@ -3,20 +3,17 @@ package obs
 import "slices"
 
 // family is one row of derivedFamilies. perKey marks an accuracy family with
-// one series per (machine, predictor) and computes its figure; a rolling
-// figure comes from the resolving node's ring and does not survive a merge,
-// so only the node form reports it.
+// one series per (machine, predictor) and computes its figure.
 type family struct {
 	name, help string
 	kind       Kind
 	labels     []string // label keys, in key order
 	perKey     func(AccuracyStats) float64
-	rolling    bool
 }
 
 // derivedFamilies is every family computed at scrape time rather than
-// registered: the accuracy tracker's (node form, and fleet form from merged
-// sums) and the fleet page's own. cmd/doccheck audits the rows by the
+// registered: the accuracy tracker's, on a node's page, and the fleet page's
+// own. cmd/doccheck audits the rows by the
 // registry's rules, except that the machine label is allowed here: the
 // tracker's retention bounds it.
 var derivedFamilies = []family{
@@ -28,7 +25,7 @@ var derivedFamilies = []family{
 	{name: "fgcs_accuracy_empirical_tr", kind: KindGauge, labels: []string{"machine", "predictor"}, help: "Observed survival rate of predicted windows.", perKey: func(s AccuracyStats) float64 { return s.Empirical }},
 	{name: "fgcs_accuracy_brier", kind: KindGauge, labels: []string{"machine", "predictor"}, help: "Cumulative Brier score (lower is better).", perKey: func(s AccuracyStats) float64 { return s.Brier }},
 	{name: "fgcs_accuracy_correct_rate", kind: KindGauge, labels: []string{"machine", "predictor"}, help: "Fraction of 0.5-thresholded predictions matching the outcome.", perKey: func(s AccuracyStats) float64 { return s.Accuracy }},
-	{name: "fgcs_accuracy_rolling_brier", kind: KindGauge, labels: []string{"machine", "predictor"}, help: "Brier score over the rolling window.", perKey: func(s AccuracyStats) float64 { return s.RollingBrier }, rolling: true},
+	{name: "fgcs_accuracy_rolling_brier", kind: KindGauge, labels: []string{"machine", "predictor"}, help: "Brier score over the rolling window.", perKey: func(s AccuracyStats) float64 { return s.RollingBrier }},
 	{name: "fgcs_fleet_peers", kind: KindGauge, help: "Peers in this merged snapshot."},
 	{name: "fgcs_fleet_peers_ok", kind: KindGauge, help: "Peers whose export was fetched for this snapshot."},
 	{name: "fgcs_fleet_peers_stale", kind: KindGauge, help: "Peers merged from a cached export after a failed fetch."},
@@ -59,14 +56,13 @@ func (f *family) series(value float64, values ...string) Series {
 }
 
 // accuracySeries appends the accuracy families to out: the two totals, then
-// for each (machine, predictor) summary one series per per-key family. The
-// fleet form (node false) leaves the rolling figures out.
-func accuracySeries(out Snapshot, resolved, dropped uint64, stats []AccuracyStats, node bool) Snapshot {
+// for each (machine, predictor) summary one series per per-key family.
+func accuracySeries(out Snapshot, resolved, dropped uint64, stats []AccuracyStats) Snapshot {
 	r, d := derivedFamily("fgcs_accuracy_resolved_total").series(0), derivedFamily("fgcs_accuracy_dropped_total").series(0)
 	r.Count, d.Count = resolved, dropped
 	var perKey []*family
 	for i := range derivedFamilies {
-		if f := &derivedFamilies[i]; f.perKey != nil && (node || !f.rolling) {
+		if f := &derivedFamilies[i]; f.perKey != nil {
 			perKey = append(perKey, f)
 		}
 	}
@@ -86,7 +82,7 @@ func NodeSeries(r *Registry, t *Tracker) Snapshot {
 	if t != nil {
 		// No registration uses a derived family's name: the lists share none.
 		s = append(s, derivedFamily("fgcs_accuracy_pending_predictions").series(float64(t.Pending())))
-		s = accuracySeries(s, t.Resolved(), t.DroppedPredictions(), t.All(), true).sorted()
+		s = accuracySeries(s, t.Resolved(), t.DroppedPredictions(), t.All()).sorted()
 	}
 	return s
 }

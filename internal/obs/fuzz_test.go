@@ -17,16 +17,16 @@ import (
 // and re-encodes byte-identically) and must merge and render into a page
 // that meets the exposition grammar line by line.
 func FuzzDecodeObsSnapshot(f *testing.F) {
-	// A full export: counters, gauges, a histogram, accuracy sums, alerts.
+	// A full export: counters, gauges, a histogram, alerts.
 	f.Add(samplePeerObs("gw01").EncodeBinary())
 	// A completely empty export from nil sources.
-	f.Add(ExportPeerObs("", nil, nil, nil).EncodeBinary())
+	f.Add(ExportPeerObs("", nil, nil).EncodeBinary())
 	// Alerts only, including an awkward escaped message and zero time.
 	ring := NewAlertRing(4)
 	ring.Append(Alert{Kind: AlertBreakerFlap, Message: `flap "rate" > 3\step`,
 		Time: time.Date(2026, 6, 4, 1, 2, 3, 4, time.UTC)})
 	ring.Append(Alert{Kind: AlertShedRate})
-	f.Add(ExportPeerObs("gw02", nil, nil, ring).EncodeBinary())
+	f.Add(ExportPeerObs("gw02", nil, ring).EncodeBinary())
 	// Truncations and corruptions of a valid snapshot.
 	good := samplePeerObs("gw03").EncodeBinary()
 	f.Add(good[:len(good)/2])
@@ -56,7 +56,7 @@ func FuzzDecodeObsSnapshot(f *testing.F) {
 		}
 		// An accepted snapshot must also merge without panicking, however
 		// adversarial its contents.
-		fs := NewFleetSnapshot()
+		fs := &FleetSnapshot{}
 		fs.Add(p, PeerStatus{Status: PeerOK})
 		fs.Add(q, PeerStatus{Status: PeerStale, AgeSeconds: 1})
 		var buf bytes.Buffer
