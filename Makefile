@@ -107,13 +107,15 @@ bench-fleet-base:
 
 # Short fuzz pass over every decoder: wire protocol, trace codecs, the
 # streamed node snapshot decoder and the internal/wire formats; and over the
-# nine differential pairs: the trajectory extractor against its per-sample
+# ten differential pairs: the trajectory extractor against its per-sample
 # reference, the kernel estimator and the Equation (3) solver against their
 # dense references, the MA/ARMA fits against their n-array references, the
 # FFT predictor's streamed fit against its resample-and-sort reference, the
 # tracker's pending ring against its slice reference, the streamed WAL
-# segment and snapshot scanners against their whole-buffer references, and
-# the wire path's recycled JSON decoder against json.Unmarshal. The seed corpora
+# segment and snapshot scanners against their whole-buffer references, the
+# wire path's recycled JSON decoder against json.Unmarshal, and the trace
+# format's day tag against a decimal-text exactness rule (compact days
+# bit-exact, float32 days FGCSTRC1's records). The seed corpora
 # (under testdata/fuzz or built by the target) also run as plain unit tests in
 # `make test`.
 fuzz:
@@ -128,6 +130,7 @@ fuzz:
 	$(GO) test ./internal/ishare/ -run '^$$' -fuzz '^FuzzRecycledDecodeMatchesUnmarshal$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace/ -run '^$$' -fuzz '^FuzzReadBinary$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace/ -run '^$$' -fuzz '^FuzzReadText$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/trace/ -run '^$$' -fuzz '^FuzzDayCodec$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/durable/ -run '^$$' -fuzz '^FuzzReadSegment$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/durable/ -run '^$$' -fuzz '^FuzzReadSnapshot$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/obs/ -run '^$$' -fuzz '^FuzzDecodeObsSnapshot$$' -fuzztime $(FUZZTIME)

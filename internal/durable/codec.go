@@ -27,22 +27,13 @@ const (
 	RecAccuracy byte = 0x05
 )
 
-// Sample quantization: CPU in 0.01% units, free memory in 1/16 MB units,
-// timestamps in milliseconds. QuantizeSample is applied on the ingest path
-// before a sample is either logged or fed to the state manager, so live
-// state and replayed state are bit-identical — the property the crash
-// harness pins with restart-and-requery QueryTR equality.
-const (
-	cpuUnit = 100.0 // CPU percent -> 0.01% integer units
-	memUnit = 16.0  // MB -> 1/16 MB integer units
-)
-
-// QuantizeSample rounds a sample to the WAL's storage precision.
-func QuantizeSample(s trace.Sample) trace.Sample {
-	s.CPU = math.Round(s.CPU*cpuUnit) / cpuUnit
-	s.FreeMemMB = math.Round(s.FreeMemMB*memUnit) / memUnit
-	return s
-}
+// QuantizeSample rounds a sample to the WAL's storage precision, trace's
+// units (trace.Quantize); timestamps are rounded to milliseconds
+// (QuantizeTime). Both are applied on the ingest path before a sample is
+// either logged or fed to the state manager, so live state and replayed
+// state are bit-identical — the property the crash harness pins with
+// restart-and-requery QueryTR equality.
+func QuantizeSample(s trace.Sample) trace.Sample { return trace.Quantize(s) }
 
 // QuantizeTime rounds a timestamp to the WAL's millisecond precision (UTC).
 func QuantizeTime(t time.Time) time.Time {
@@ -78,8 +69,8 @@ func (c *SampleCoder) Reset() { *c = SampleCoder{} }
 // already be quantized (QuantizeSample); Encode quantizes again to be safe.
 func (c *SampleCoder) Encode(buf []byte, t time.Time, s trace.Sample) []byte {
 	ms := t.UnixMilli()
-	cpu := int64(math.Round(s.CPU * cpuUnit))
-	mem := int64(math.Round(s.FreeMemMB * memUnit))
+	cpu := int64(math.Round(s.CPU * trace.CPUUnit))
+	mem := int64(math.Round(s.FreeMemMB * trace.MemUnit))
 	flags := byte(0)
 	if s.Up {
 		flags |= sampleFlagUp
@@ -134,8 +125,8 @@ func (c *SampleCoder) Decode(p []byte) (time.Time, trace.Sample, error) {
 	}
 	c.primed = true
 	s := trace.Sample{
-		CPU:       float64(c.lastCPU) / cpuUnit,
-		FreeMemMB: float64(c.lastMem) / memUnit,
+		CPU:       float64(c.lastCPU) / trace.CPUUnit,
+		FreeMemMB: float64(c.lastMem) / trace.MemUnit,
 		Up:        flags&sampleFlagUp != 0,
 	}
 	return time.UnixMilli(c.lastMs).UTC(), s, nil

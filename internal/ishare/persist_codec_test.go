@@ -38,9 +38,12 @@ func bareDurableNode(t testing.TB) *HostNode {
 }
 
 // sampleNodeSnapshot encodes a seeded node: one keyed submit, a recent ring,
-// a few resolved predictions, and a history log holding no day. A day of
-// history is 130 KB of trace.WriteBinary's format, which FGNS only frames;
-// TestPersisterCrashQueryTREquality covers snapshots that carry days.
+// a few resolved predictions, and a history log of two short days, one of
+// each FGCSTRC2 day tag: a compact day of samples at WAL precision, as a
+// node records them, and a float32 day holding one that is not, as a
+// preloaded trace may. A full day of history is ≈ 30–50 KB, which FGNS only
+// frames; TestPersisterCrashQueryTREquality covers snapshots that carry
+// full days.
 func sampleNodeSnapshot(t testing.TB) []byte {
 	t.Helper()
 	n := bareDurableNode(t)
@@ -49,6 +52,18 @@ func sampleNodeSnapshot(t testing.TB) []byte {
 	}
 	r := rng.New(41)
 	log, _, _ := n.SM.ExportHistory()
+	for i, exact := range []bool{true, false} {
+		day := &trace.Day{Date: codecStart.Truncate(24*time.Hour).AddDate(0, 0, i-2), Period: period}
+		for j := 0; j < 11; j++ {
+			day.Samples = append(day.Samples, persistSample(r))
+		}
+		if !exact {
+			day.Samples[3].CPU = 12.345
+		}
+		if err := log.AddDay(day); err != nil {
+			t.Fatal(err)
+		}
+	}
 	recent := []trace.Sample{persistSample(r), persistSample(r), {}, persistSample(r)}
 	if err := n.SM.RestoreHistory(log, codecStart, recent); err != nil {
 		t.Fatal(err)
@@ -136,15 +151,23 @@ func (f *fixedRegState) Export() []RegEntry     { return f.entries }
 func (f *fixedRegState) Restore([]RegEntry)     {}
 func (f *fixedRegState) RestoreRemove(string)   {}
 
-// TestSnapshotCodecs pins FGNS and FGRS to bytes written by the commit
-// before internal/wire existed, decodes them back to the same state, and
-// runs the shared decoder property check on each.
+// TestSnapshotCodecs pins FGNS, with its history in FGCSTRC2, and FGRS to
+// their encoders' bytes (FGRS's written by the commit before internal/wire
+// existed), decodes them back to the same state, and runs the shared
+// decoder property check on each. The FGNS payload of the parent format,
+// its history in FGCSTRC1, stays decodable: it installs, and the node it
+// installs into encodes it again in FGCSTRC2.
 func TestSnapshotCodecs(t *testing.T) {
 	t.Run("FGNS", func(t *testing.T) {
 		good := sampleNodeSnapshot(t)
-		wiretest.Golden(t, "testdata/golden/fgns.hex", good)
+		wiretest.Golden(t, "testdata/golden/fgns-fgcstrc2.hex", good)
 		if again, err := recodeNodeSnapshot(t, good); err != nil || !bytes.Equal(again, good) {
 			t.Fatalf("decode and re-encode differs from the original (%v)", err)
+		}
+		v1 := wiretest.Hex(t, "testdata/golden/fgns.hex")
+		want := bytes.Replace(v1, []byte("FGCSTRC1"), []byte("FGCSTRC2"), 1)
+		if again, err := recodeNodeSnapshot(t, v1); err != nil || !bytes.Equal(again, want) {
+			t.Fatalf("the parent format's payload re-encodes as\n%x\nwant\n%x (%v)", again, want, err)
 		}
 		// One node serves every input: a rejected payload installs nothing
 		// and an accepted one replaces the state wholesale. Building it

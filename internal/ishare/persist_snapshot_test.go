@@ -156,10 +156,12 @@ func TestSnapshotAllocCeiling(t *testing.T) {
 
 // TestRecoverAllocCeiling is the same tripwire for recovery: opening the
 // store and replaying a 30-day snapshot allocates the recovered days
-// themselves plus ≈0.10× the snapshot file (the day and machine structure
-// around the samples, the 64 KiB read buffers, the decoder's scratch).
-// Reading the snapshot file whole into memory cost ≈1.1×; a second copy of
-// the payload and a reflective decode made it ≈4×.
+// themselves plus ≈390 KB that do not grow with the file: the samples'
+// rounding up to whole pages (≈6.6 KB a day), the 64 KiB read buffers and
+// the decoder's scratch, one compact day body. The ceiling is the samples,
+// 256 KiB and 0.25× the file, so reading the file whole into memory (≈1.0×
+// its size more) trips it. Reading the snapshot file whole cost ≈1.1×; a
+// second copy of the payload and a reflective decode made it ≈4×.
 func TestRecoverAllocCeiling(t *testing.T) {
 	fs := durable.NewMemFS()
 	n, size := snapshotNode(t, fs, 30)
@@ -187,9 +189,9 @@ func TestRecoverAllocCeiling(t *testing.T) {
 		t.Fatalf("recovered %d samples", days)
 	}
 	sampleBytes := uint64(days) * uint64(unsafe.Sizeof(trace.Sample{}))
-	if ceiling := sampleBytes + uint64(0.25*float64(size)); grew > ceiling {
-		t.Fatalf("recovering a %d KB snapshot allocated %d KB: %d KB of samples + %.2f× the file, ceiling 0.25×",
-			size>>10, grew>>10, sampleBytes>>10, (float64(grew)-float64(sampleBytes))/float64(size))
+	if ceiling := sampleBytes + 256<<10 + uint64(0.25*float64(size)); grew > ceiling {
+		t.Fatalf("recovering a %d KB snapshot allocated %d KB: %d KB of samples + %d KB, ceiling 256 KB + 0.25× the file",
+			size>>10, grew>>10, sampleBytes>>10, (grew-sampleBytes)>>10)
 	}
 }
 

@@ -2,6 +2,7 @@ package monitor
 
 import (
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -107,6 +108,28 @@ func TestMonitorCountsSourceErrors(t *testing.T) {
 	m.Tick(epoch)
 	if mx.Errors.Value() != 1 || mx.Samples.Value() != 0 {
 		t.Fatalf("errors=%d samples=%d", mx.Errors.Value(), mx.Samples.Value())
+	}
+}
+
+// TestMonitorRefusesNonFiniteReadings: a NaN or infinite reading in either
+// column is a source error, and no sink sees it.
+func TestMonitorRefusesNonFiniteReadings(t *testing.T) {
+	for _, src := range []StaticSource{
+		{CPU: math.NaN(), FreeMemMB: 400},
+		{CPU: math.Inf(1), FreeMemMB: 400},
+		{CPU: 5, FreeMemMB: math.Inf(-1)},
+		{CPU: 5, FreeMemMB: math.NaN()},
+	} {
+		mx := NewMetrics(obs.NewRegistry())
+		m, err := New(Config{Period: time.Second, Metrics: mx}, src,
+			sinkFunc(func(_ time.Time, s trace.Sample) { t.Fatalf("sink called with %+v", s) }))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Tick(epoch)
+		if mx.Errors.Value() != 1 || mx.Samples.Value() != 0 {
+			t.Fatalf("%+v: errors=%d samples=%d", src, mx.Errors.Value(), mx.Samples.Value())
+		}
 	}
 }
 

@@ -20,10 +20,12 @@ func cutError(err error) bool {
 }
 
 // TestBinaryCodecMatchesReference holds the codec to the reflective one it
-// replaced, on seeded workload datasets: the same bytes from the io.Writer
-// form, the append form and the reference, the size function equal to their
-// length, DeepEqual datasets back from both decoders, and every truncated
-// prefix refused by both with the same error.
+// replaced, on seeded workload datasets. Their days are float32-tagged, and
+// FGCSTRC2 less its tags is the reference's bytes; the size function equals
+// the length; both decoders give back DeepEqual datasets from either
+// version; and every truncated prefix is refused, with the reference's
+// error for FGCSTRC1. The same datasets quantized are compact-tagged, decode
+// to the same bits, and refuse every truncated prefix too.
 func TestBinaryCodecMatchesReference(t *testing.T) {
 	for _, c := range []struct {
 		name           string
@@ -45,19 +47,21 @@ func TestBinaryCodecMatchesReference(t *testing.T) {
 			if err := trace.ReferenceWriteBinary(&want, ds); err != nil {
 				t.Fatal(err)
 			}
-			if err := trace.WriteBinary(&got, ds); err != nil || !bytes.Equal(got.Bytes(), want.Bytes()) {
+			if err := trace.WriteBinary(&got, ds); err != nil || !bytes.Equal(trace.Untag(t, got.Bytes()), want.Bytes()) {
 				t.Fatalf("%s seed %d: WriteBinary differs from the reference (%v)", c.name, seed, err)
 			}
-			if n := trace.BinarySize(ds); n != want.Len() {
-				t.Fatalf("%s seed %d: BinarySize %d, encoded %d", c.name, seed, n, want.Len())
+			if n := trace.BinarySize(ds); n != got.Len() {
+				t.Fatalf("%s seed %d: BinarySize %d, encoded %d", c.name, seed, n, got.Len())
 			}
 			ref, err := trace.ReferenceReadBinary(bytes.NewReader(want.Bytes()))
 			if err != nil {
 				t.Fatal(err)
 			}
-			dec, err := trace.ReadBinary(bytes.NewReader(want.Bytes()))
-			if err != nil || !reflect.DeepEqual(dec, ref) {
-				t.Fatalf("%s seed %d: ReadBinary differs from the reference (%v)", c.name, seed, err)
+			for _, enc := range [][]byte{want.Bytes(), got.Bytes()} {
+				dec, err := trace.ReadBinary(bytes.NewReader(enc))
+				if err != nil || !reflect.DeepEqual(dec, ref) {
+					t.Fatalf("%s seed %d: ReadBinary of %.8s differs from the reference (%v)", c.name, seed, enc, err)
+				}
 			}
 			for cut := 0; cut < want.Len(); cut += c.stride {
 				_, refErr := trace.ReferenceReadBinary(bytes.NewReader(want.Bytes()[:cut]))
@@ -69,6 +73,46 @@ func TestBinaryCodecMatchesReference(t *testing.T) {
 					t.Fatalf("%s seed %d: %d-byte prefix: %v, reference %v", c.name, seed, cut, err, refErr)
 				}
 			}
+			refusesPrefixes(t, got.Bytes(), c.stride)
+
+			for _, m := range ds.Machines {
+				for _, d := range m.Days {
+					for i := range d.Samples {
+						d.Samples[i] = trace.Quantize(d.Samples[i])
+					}
+				}
+			}
+			var compact bytes.Buffer
+			if err := trace.WriteBinary(&compact, ds); err != nil {
+				t.Fatal(err)
+			}
+			if n := trace.BinarySize(ds); n != compact.Len() || n*2 > got.Len() {
+				t.Fatalf("%s seed %d: quantized, BinarySize %d and encoded %d, against %d float32", c.name, seed, n, compact.Len(), got.Len())
+			}
+			dec, err := trace.ReadBinary(bytes.NewReader(compact.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, m := range ds.Machines {
+				for j, d := range m.Days {
+					if k, ok := trace.SameBits(d.Samples, dec.Machines[i].Days[j].Samples); !ok {
+						t.Fatalf("%s seed %d: machine %d day %d sample %d decoded as %+v, wrote %+v",
+							c.name, seed, i, j, k, dec.Machines[i].Days[j].Samples[k], d.Samples[k])
+					}
+				}
+			}
+			refusesPrefixes(t, compact.Bytes(), c.stride)
+		}
+	}
+}
+
+// refusesPrefixes fails t if ReadBinary accepts a proper prefix of enc,
+// trying every stride-th cut.
+func refusesPrefixes(t *testing.T, enc []byte, stride int) {
+	t.Helper()
+	for cut := 0; cut < len(enc); cut += stride {
+		if _, err := trace.ReadBinary(bytes.NewReader(enc[:cut])); err == nil {
+			t.Fatalf("%d-byte prefix of a %d-byte %.8s file accepted", cut, len(enc), enc)
 		}
 	}
 }

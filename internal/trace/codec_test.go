@@ -289,35 +289,50 @@ func TestSaveFileKeepsPreviousOnError(t *testing.T) {
 }
 
 // TestReadBinaryCapsInitialCapacity pins the two guards on a day's declared
-// sample count: one beyond a week of periods is refused outright, and a
-// plausible one with no record behind it costs at most the 65 536-sample
-// initial capacity before the read fails.
+// sample count, in both format versions and under both day tags: one beyond
+// a week of periods is refused outright, and a plausible one with no byte
+// behind it costs at most the 65 536-sample initial capacity of a float32
+// day, or the first 64 KiB of a compact body, before the read fails.
 func TestReadBinaryCapsInitialCapacity(t *testing.T) {
-	header := func(samples uint32) []byte {
-		m := NewMachine("m", time.Millisecond)
-		m.Days = []*Day{{Date: monday, Period: m.Period}}
+	m := NewMachine("m", time.Millisecond)
+	m.Days = []*Day{{Date: monday, Period: m.Period}}
+	ds := &Dataset{Machines: []*Machine{m}}
+	// file returns the encoding of ds, whose one day holds no sample, cut
+	// after the day's sample count, with the count set to samples and the
+	// day's tag and body prefix after it.
+	file := func(write func(io.Writer, *Dataset) error, cut int, samples uint32, rest ...byte) []byte {
 		var buf bytes.Buffer
-		if err := WriteBinary(&buf, &Dataset{Machines: []*Machine{m}}); err != nil {
+		if err := write(&buf, ds); err != nil {
 			t.Fatal(err)
 		}
-		b := buf.Bytes()
+		b := buf.Bytes()[:buf.Len()-cut]
 		binary.LittleEndian.PutUint32(b[len(b)-4:], samples)
-		return b
+		return append(b, rest...)
 	}
 	week := uint32(7 * 24 * time.Hour / time.Millisecond)
-	for _, read := range []func(io.Reader) (*Dataset, error){ReadBinary, referenceReadBinary} {
-		if _, err := read(bytes.NewReader(header(week + 1))); err == nil || !strings.Contains(err.Error(), "implausible sample count") {
-			t.Fatalf("oversized count: %v", err)
+	body := binary.LittleEndian.AppendUint32(nil, (week+7)/8+2*week) // the least a compact body of a week can hold
+	for _, c := range []struct {
+		name string
+		read func(io.Reader) (*Dataset, error)
+		file func(samples uint32) []byte
+	}{
+		{"reference v1", referenceReadBinary, func(n uint32) []byte { return file(referenceWriteBinary, 0, n) }},
+		{"v1", ReadBinary, func(n uint32) []byte { return file(referenceWriteBinary, 0, n) }},
+		{"v2 float32", ReadBinary, func(n uint32) []byte { return file(WriteBinary, 5, n, dayFloat32) }},
+		{"v2 compact", ReadBinary, func(n uint32) []byte { return file(WriteBinary, 5, n, append([]byte{dayCompact}, body...)...) }},
+	} {
+		if _, err := c.read(bytes.NewReader(c.file(week + 1))); err == nil || !strings.Contains(err.Error(), "implausible sample count") {
+			t.Fatalf("%s: oversized count: %v", c.name, err)
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		_, err := read(bytes.NewReader(header(week)))
+		_, err := c.read(bytes.NewReader(c.file(week)))
 		runtime.ReadMemStats(&after)
 		if err != io.EOF {
-			t.Fatalf("count with no record behind it: %v", err)
+			t.Fatalf("%s: count with no record behind it: %v", c.name, err)
 		}
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > 2<<20 {
-			t.Fatalf("a %d-sample claim allocated %d bytes", week, grew)
+			t.Fatalf("%s: a %d-sample claim allocated %d bytes", c.name, week, grew)
 		}
 	}
 }
@@ -325,7 +340,8 @@ func TestReadBinaryCapsInitialCapacity(t *testing.T) {
 // goldenDataset is small enough to read in hex and holds what a format change
 // would most likely disturb: a machine with no day, days shorter than their
 // period allows, and samples whose float32 forms are NaN, +Inf, -Inf, -0, an
-// overflow to +Inf, a subnormal, and a down sample.
+// overflow to +Inf, a subnormal, and a down sample. It is the dataset of the
+// FGCSTRC1 fixture.
 func goldenDataset() *Dataset {
 	m := NewMachine("lab-01", time.Hour)
 	for i, samples := range [][]Sample{
@@ -347,22 +363,184 @@ func goldenDataset() *Dataset {
 	return &Dataset{Machines: []*Machine{NewMachine("idle", DefaultPeriod), m}}
 }
 
-// TestBinaryGolden pins the binary format, sample records included, to bytes
-// written by the reflective encoder of an earlier commit.
+// goldenV2Dataset holds a day of each tag that decodes: a compact day of
+// nine samples (two bitmap bytes, deltas of either sign, the largest
+// compact value and a down sample), and a float32 day whose samples are -0,
+// a subnormal, and values with no exact form in WAL units.
+func goldenV2Dataset() *Dataset {
+	m := NewMachine("lab-01", time.Hour)
+	for i, samples := range [][]Sample{
+		{
+			{CPU: 12.5, FreeMemMB: 300.25, Up: true},
+			{CPU: 0, FreeMemMB: 0},
+			{CPU: 99.99, FreeMemMB: 1024.0625, Up: true},
+			{CPU: 0.01, FreeMemMB: 0.0625, Up: true},
+			{CPU: -3, FreeMemMB: 512, Up: true},
+			{CPU: 100, FreeMemMB: maxUnits / MemUnit, Up: true},
+			{CPU: 100, FreeMemMB: 511.5, Up: true},
+			{CPU: 7.25, FreeMemMB: 511.5},
+			{CPU: 7.25, FreeMemMB: 400, Up: true},
+		},
+		{
+			{CPU: math.Copysign(0, -1), FreeMemMB: 1e-40, Up: true},
+			{CPU: 99.99, FreeMemMB: 0.1},
+			{CPU: 12.345, FreeMemMB: 300, Up: true},
+		},
+	} {
+		if err := m.AddDay(&Day{Date: monday.AddDate(0, 0, i), Period: m.Period, Samples: samples}); err != nil {
+			panic(err)
+		}
+	}
+	return &Dataset{Machines: []*Machine{NewMachine("idle", DefaultPeriod), m}}
+}
+
+// TestBinaryGolden pins the FGCSTRC2 encoder's bytes, and holds the decoder
+// to them: the compact day comes back bit for bit, and decoding and
+// re-encoding gives the same bytes.
 func TestBinaryGolden(t *testing.T) {
+	ds := goldenV2Dataset()
 	var buf bytes.Buffer
-	if err := WriteBinary(&buf, goldenDataset()); err != nil {
+	if err := WriteBinary(&buf, ds); err != nil {
 		t.Fatal(err)
 	}
-	wiretest.Golden(t, "testdata/golden/fgcstrc1.hex", buf.Bytes())
+	wiretest.Golden(t, "testdata/golden/fgcstrc2.hex", buf.Bytes())
+	if n := BinarySize(ds); n != buf.Len() {
+		t.Fatalf("BinarySize %d, encoded %d", n, buf.Len())
+	}
 	got, err := ReadBinary(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if i, ok := sameBits(ds.Machines[1].Days[0].Samples, got.Machines[1].Days[0].Samples); !ok {
+		t.Fatalf("compact sample %d: %+v, wrote %+v", i, got.Machines[1].Days[0].Samples[i], ds.Machines[1].Days[0].Samples[i])
 	}
 	var again bytes.Buffer
 	if err := WriteBinary(&again, got); err != nil || !bytes.Equal(again.Bytes(), buf.Bytes()) {
 		t.Fatalf("decode and re-encode differs from the original (%v)", err)
 	}
+}
+
+// TestBinaryV1Golden keeps the parent format's fixture, written by the
+// reflective encoder of an earlier commit, as a decode-only one: its day
+// bodies are the float32 bodies FGCSTRC2 writes for the same dataset, byte
+// for byte, and the decoder reads it up to its first non-finite sample,
+// which it refuses by day and index.
+func TestBinaryV1Golden(t *testing.T) {
+	v1 := wiretest.Hex(t, "testdata/golden/fgcstrc1.hex")
+	var v2 bytes.Buffer
+	if err := WriteBinary(&v2, goldenDataset()); err != nil {
+		t.Fatal(err)
+	}
+	if got := untag(t, v2.Bytes()); !bytes.Equal(got, v1) {
+		t.Fatalf("FGCSTRC2 without its tags:\n%x\nFGCSTRC1 fixture:\n%x", got, v1)
+	}
+	const want = `machine "lab-01" day 2005-08-22 sample 1: not finite`
+	if _, err := ReadBinary(bytes.NewReader(v1)); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("decoding the fixture: %v, want %q", err, want)
+	}
+}
+
+// TestReadRefusesNonFinite: both decoders refuse a NaN or infinite value in
+// either column, naming its day and index.
+func TestReadRefusesNonFinite(t *testing.T) {
+	for _, bad := range []Sample{{CPU: math.NaN()}, {CPU: math.Inf(1)}, {FreeMemMB: math.Inf(-1)}, {FreeMemMB: math.NaN(), Up: true}} {
+		m := NewMachine("lab-01", time.Hour)
+		day := &Day{Date: monday.AddDate(0, 0, 1), Period: m.Period, Samples: []Sample{{CPU: 1, Up: true}, {CPU: 2}, bad}}
+		if err := m.AddDay(day); err != nil {
+			t.Fatal(err)
+		}
+		ds := &Dataset{Machines: []*Machine{m}}
+		const want = `machine "lab-01" day 2005-08-23 sample 2: not finite`
+		var bin, text bytes.Buffer
+		if err := WriteBinary(&bin, ds); err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteText(&text, ds); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadBinary(&bin); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%+v: ReadBinary: %v", bad, err)
+		}
+		if _, err := ReadText(&text); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%+v: ReadText: %v", bad, err)
+		}
+	}
+}
+
+// TestQuantizedDaysAreCompact: whatever Quantize returns for a finite
+// reading in range, a negative one that rounds to zero included, has an
+// exact form in WAL units, so a day of quantized samples is tagged compact
+// and decodes to the same bits.
+func TestQuantizedDaysAreCompact(t *testing.T) {
+	r := rng.New(5)
+	day := &Day{Date: monday, Period: DefaultPeriod}
+	for _, v := range []float64{-0.001, -0.004, 0.004999, 33.335, 1e9, -1e9} {
+		day.Samples = append(day.Samples, Quantize(Sample{CPU: v, FreeMemMB: v / 10, Up: true}))
+	}
+	for i := 0; i < 5000; i++ {
+		day.Samples = append(day.Samples, Quantize(Sample{CPU: r.Uniform(-1, 101), FreeMemMB: r.Uniform(0, 4096), Up: r.Bool(0.9)}))
+	}
+	m := NewMachine("q", DefaultPeriod)
+	m.Days = []*Day{day}
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, &Dataset{Machines: []*Machine{m}}); err != nil {
+		t.Fatal(err)
+	}
+	if tag := buf.Bytes()[dayTagAt(m.ID)]; tag != dayCompact {
+		t.Fatalf("a day of quantized samples is tagged %d", tag)
+	}
+	got, err := ReadBinary(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if i, ok := sameBits(day.Samples, got.Machines[0].Days[0].Samples); !ok {
+		t.Fatalf("sample %d: %+v, wrote %+v", i, got.Machines[0].Days[0].Samples[i], day.Samples[i])
+	}
+}
+
+// dayTagAt is the offset of the first day's tag in the FGCSTRC2 encoding of
+// one machine with the given id.
+func dayTagAt(id string) int { return len(binaryMagic) + 4 + 2 + len(id) + 8 + 4 + 8 + 4 }
+
+// sameBits reports whether two sample runs are equal bit for bit, and
+// otherwise the first index where they differ.
+func sameBits(a, b []Sample) (int, bool) {
+	for i := range max(len(a), len(b)) {
+		if i >= len(a) || i >= len(b) || a[i].Up != b[i].Up ||
+			math.Float64bits(a[i].CPU) != math.Float64bits(b[i].CPU) ||
+			math.Float64bits(a[i].FreeMemMB) != math.Float64bits(b[i].FreeMemMB) {
+			return i, false
+		}
+	}
+	return 0, true
+}
+
+// untag returns the FGCSTRC1 encoding of the dataset an FGCSTRC2 encoding
+// whose days are all float32-tagged holds: the same bytes, less the tags,
+// under the old magic.
+func untag(t testing.TB, v2 []byte) []byte {
+	t.Helper()
+	le := binary.LittleEndian
+	out := append([]byte(binaryMagicV1), v2[8:12]...)
+	p := 12
+	for nm := le.Uint32(v2[8:]); nm > 0; nm-- {
+		head := 2 + int(le.Uint16(v2[p:])) + 8 + 4
+		nd := le.Uint32(v2[p+head-4:])
+		out = append(out, v2[p:p+head]...)
+		for p += head; nd > 0; nd-- {
+			ns := int(le.Uint32(v2[p+8:]))
+			if tag := v2[p+12]; tag != dayFloat32 {
+				t.Fatalf("the day at byte %d is tagged %d", p, tag)
+			}
+			out = append(out, v2[p:p+12]...)
+			out = append(out, v2[p+13:p+13+sampleBytes*ns]...)
+			p += 13 + sampleBytes*ns
+		}
+	}
+	if p != len(v2) {
+		t.Fatalf("%d bytes after the last day", len(v2)-p)
+	}
+	return out
 }
 
 // referenceSampleRec is the fixed-width sample record as the reference codec
@@ -374,11 +552,11 @@ type referenceSampleRec struct {
 }
 
 // referenceWriteBinary is WriteBinary as it was before the format had a
-// non-reflective encoder: one binary.Write per field and per sample. The
+// non-reflective encoder, and FGCSTRC1 its format: one binary.Write per field and per sample. The
 // differential tests hold the codec to its bytes.
 func referenceWriteBinary(w io.Writer, ds *Dataset) error {
 	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(binaryMagic); err != nil {
+	if _, err := bw.WriteString(binaryMagicV1); err != nil {
 		return err
 	}
 	if err := binary.Write(bw, binary.LittleEndian, uint32(len(ds.Machines))); err != nil {
@@ -422,15 +600,15 @@ func referenceWriteBinary(w io.Writer, ds *Dataset) error {
 	return bw.Flush()
 }
 
-// referenceReadBinary is ReadBinary as it was before it read records in
-// chunks: one binary.Read per field and per sample.
+// referenceReadBinary is FGCSTRC1's ReadBinary as it was before it read
+// records in chunks: one binary.Read per field and per sample.
 func referenceReadBinary(r io.Reader) (*Dataset, error) {
 	br := bufio.NewReader(r)
-	magic := make([]byte, len(binaryMagic))
+	magic := make([]byte, len(binaryMagicV1))
 	if _, err := io.ReadFull(br, magic); err != nil {
 		return nil, fmt.Errorf("trace: reading magic: %w", err)
 	}
-	if string(magic) != binaryMagic {
+	if string(magic) != binaryMagicV1 {
 		return nil, fmt.Errorf("trace: bad magic %q", magic)
 	}
 	var nm uint32
@@ -497,4 +675,6 @@ func referenceReadBinary(r io.Reader) (*Dataset, error) {
 var (
 	ReferenceWriteBinary = referenceWriteBinary
 	ReferenceReadBinary  = referenceReadBinary
+	Untag                = untag
+	SameBits             = sameBits
 )

@@ -4,6 +4,7 @@
 package wiretest
 
 import (
+	"bytes"
 	"encoding/hex"
 	"os"
 	"runtime"
@@ -12,18 +13,28 @@ import (
 )
 
 // Golden fails t unless got equals the hex text checked in at path. The
-// formats are on disk, so an encoder's bytes may not change: the files were
-// written by the last commit before internal/wire existed and there is no
-// switch to regenerate them.
+// formats are on disk, so an encoder's bytes may not change: there is no
+// switch to regenerate the files. A format version's file stays as a
+// decode-only fixture (Hex) after its encoder moves on to the next version.
 func Golden(t *testing.T, path string, got []byte) {
 	t.Helper()
-	want, err := os.ReadFile(path)
+	if want := Hex(t, path); !bytes.Equal(got, want) {
+		t.Fatalf("%s: encoder output changed:\ngot  %x\nwant %x", path, got, want)
+	}
+}
+
+// Hex returns the bytes of the hex text checked in at path.
+func Hex(t testing.TB, path string) []byte {
+	t.Helper()
+	text, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.TrimSpace(string(want)) != hex.EncodeToString(got) {
-		t.Fatalf("%s: encoder output changed:\ngot  %x\nwant %s", path, got, want)
+	b, err := hex.DecodeString(strings.TrimSpace(string(text)))
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
 	}
+	return b
 }
 
 // Bounded runs decode(data) and returns its error. It fails t if decode
