@@ -173,5 +173,5 @@ chaos:
 # a snapshot that changes after recovery validated it, or validates but does
 # not decode, installs nothing. Byte-deterministic under fixed seeds.
 crash:
-	$(GO) test -count=1 -run 'TestCrash|TestBitFlip|TestPowerLoss|TestSnapshotSizeMismatch' ./internal/durable/
+	$(GO) test -count=1 -run 'TestCrash|TestBitFlip|TestPowerLoss|TestSnapshotSizeMismatch|TestPart' ./internal/durable/
 	$(GO) test -count=1 -run 'TestPersisterCrash|TestSnapshotFallbackLastPayloadByte|TestSnapshotChangedAfterValidation|TestSnapshotInstallAllOrNothing' ./internal/ishare/

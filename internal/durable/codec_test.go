@@ -14,14 +14,24 @@ import (
 	"fgcs/internal/wire/wiretest"
 )
 
-// encodeSnapshot frames payload as a snapshot covering (seq, offset) in one
-// buffer, as the store did before it streamed the three parts: the reference
-// the streamed file is held to.
-func encodeSnapshot(seq uint64, offset int64, payload []byte) []byte {
+// encodeSnapshot frames payload as a snapshot covering (seq, offset) that
+// lists parts, in one buffer, as the store did before it streamed the
+// file: the reference the streamed file is held to.
+func encodeSnapshot(seq uint64, offset int64, parts []partRef, payload []byte) []byte {
 	buf := make([]byte, 0, len(payload)+32)
-	buf = wire.AppendHeader(buf, snapMagic, snapVersion)
+	if len(parts) == 0 {
+		buf = wire.AppendHeader(buf, snapMagic, 1)
+	} else {
+		buf = wire.AppendHeader(buf, snapMagic, 2)
+	}
 	buf = wire.AppendUvarint(buf, seq)
 	buf = wire.AppendUvarint(buf, uint64(offset))
+	if len(parts) > 0 {
+		buf = wire.AppendUvarint(buf, uint64(len(parts)))
+		for _, p := range parts {
+			buf = binary.LittleEndian.AppendUint32(wire.AppendUvarint(buf, p.key), p.sum)
+		}
+	}
 	buf = wire.AppendBytes(buf, payload)
 	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
 }
@@ -66,7 +76,7 @@ func TestSnapshotFileMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := encodeSnapshot(seq, off, payload); !bytes.Equal(got, want) {
+			if want := encodeSnapshot(seq, off, nil, payload); !bytes.Equal(got, want) {
 				t.Fatalf("%d-byte payload in %s: snapshot file is %d bytes, reference %d, or differs in content", size, pieces, len(got), len(want))
 			}
 			if names, _ := fs.List(); len(names) != 2 {
@@ -168,10 +178,15 @@ var byteCodecs = []struct {
 		m, pr, tr, sv, err := DecodeAccuracy(p)
 		return EncodeAccuracy(nil, m, pr, tr, sv), err
 	}},
-	{"snapshot", encodeSnapshot(4, 1234, []byte("application-state")), func(p []byte) ([]byte, error) {
+	{"snapshot", encodeSnapshot(4, 1234, nil, []byte("application-state")), func(p []byte) ([]byte, error) {
 		codecReader.reset(bytes.NewReader(p))
-		seq, off, payload, err := scanSnapshotAll(codecReader)
-		return encodeSnapshot(seq, off, payload), err
+		seq, off, parts, payload, err := scanSnapshotAll(codecReader)
+		return encodeSnapshot(seq, off, parts, payload), err
+	}},
+	{"snapshot-parts", encodeSnapshot(5, 77, []partRef{{key: 1125446400, sum: 0xdeadbeef}, {key: 1125532800, sum: 7}}, []byte("the last day")), func(p []byte) ([]byte, error) {
+		codecReader.reset(bytes.NewReader(p))
+		seq, off, parts, payload, err := scanSnapshotAll(codecReader)
+		return encodeSnapshot(seq, off, parts, payload), err
 	}},
 }
 

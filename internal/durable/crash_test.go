@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"testing"
 
 	"fgcs/internal/rng"
@@ -16,11 +17,19 @@ func crashCfg(fs FS) Config {
 	return Config{FS: fs, SegmentBytes: 512, KeepSnapshots: 2, Sync: SyncAlways}
 }
 
+// snapEvery is how many records the crash workload appends between
+// snapshots.
+const snapEvery = 17
+
 // runWorkload drives a fixed, seeded append/snapshot sequence against fs
 // until it completes or the FS crashes. It returns every record payload whose
 // Append was attempted, in order, and how many of those were acknowledged
 // (returned nil). Snapshot payloads encode the number of records they cover,
-// so recovery can be checked without replaying application logic.
+// so recovery can be checked without replaying application logic, and each
+// snapshot lists one part per block of snapEvery records it covers, keyed
+// by the block's number from 1 and holding the block's payloads: the first
+// snapshot to list a block publishes its part, and the kill sweep cuts
+// through part files as it does through the rest.
 func runWorkload(fs FS, seed uint64) (attempted [][]byte, acked int) {
 	rs := rng.New(seed)
 	st, _, err := Open(crashCfg(fs))
@@ -38,14 +47,64 @@ func runWorkload(fs FS, seed uint64) (attempted [][]byte, acked int) {
 			return attempted, acked
 		}
 		acked++
-		if (i+1)%17 == 0 {
+		if (i+1)%snapEvery == 0 {
 			snap := binary.AppendUvarint(nil, uint64(i+1))
-			if err := snapshotNow(st, snap); err != nil {
+			var parts []Part
+			for k := 1; k*snapEvery <= i+1; k++ {
+				block := attempted[(k-1)*snapEvery : k*snapEvery]
+				parts = append(parts, Part{Key: uint64(k), Append: func(b []byte) []byte { return bytes.Join(append([][]byte{b}, block...), nil) }})
+			}
+			seq, off := st.Position()
+			if err := st.WriteSnapshotAt(seq, off, int64(len(snap)), func(w io.Writer) error { _, err := w.Write(snap); return err }, parts...); err != nil {
 				return attempted, acked
 			}
 		}
 	}
 	return attempted, acked
+}
+
+// snapshotBase reads the snapshot rec chose, its payload and its parts, and
+// returns the number of records it covers (0 without one). Every part must
+// hold the block of attempted records its key names, and the snapshot must
+// list every block it covers: a history the snapshot holds in parts comes
+// back whole or not at all.
+func snapshotBase(t *testing.T, rec *Recovery, attempted [][]byte, label string) int {
+	t.Helper()
+	var payload []byte
+	var keys []uint64
+	err := rec.ReadSnapshot(func(r io.Reader) (err error) {
+		payload, err = io.ReadAll(r)
+		return err
+	}, func(key uint64, r io.Reader) error {
+		data, err := io.ReadAll(r)
+		if err != nil {
+			return err
+		}
+		if key == 0 || int(key)*snapEvery > len(attempted) || !bytes.Equal(data, bytes.Join(attempted[(key-1)*snapEvery:key*snapEvery], nil)) {
+			t.Fatalf("%s: part %d holds other bytes than its block", label, key)
+		}
+		keys = append(keys, key)
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("%s: reading the snapshot: %v", label, err)
+	}
+	if rec.Snapshot == "" {
+		return 0
+	}
+	v, vn := binary.Uvarint(payload)
+	if vn <= 0 {
+		t.Fatalf("%s: unreadable snapshot payload", label)
+	}
+	if len(keys) != int(v)/snapEvery {
+		t.Fatalf("%s: a snapshot of %d records lists %d parts", label, v, len(keys))
+	}
+	for i, key := range keys {
+		if key != uint64(i+1) {
+			t.Fatalf("%s: parts %v", label, keys)
+		}
+	}
+	return int(v)
 }
 
 // verifyPrefixConsistent opens the surviving state and checks the recovered
@@ -59,14 +118,7 @@ func verifyPrefixConsistent(t *testing.T, fs FS, attempted [][]byte, acked int, 
 		t.Fatalf("%s: recovery failed: %v", label, err)
 	}
 	defer st.Close()
-	base := 0
-	if rec.Snapshot != "" {
-		v, vn := binary.Uvarint(snapshotPayload(t, rec))
-		if vn <= 0 {
-			t.Fatalf("%s: unreadable snapshot payload", label)
-		}
-		base = int(v)
-	}
+	base := snapshotBase(t, rec, attempted, label)
 	total := base + len(rec.Records)
 	if total < acked {
 		t.Fatalf("%s: lost acknowledged records: recovered %d, acked %d", label, total, acked)
@@ -215,12 +267,7 @@ func TestCrashThenContinue(t *testing.T) {
 		// The new record lands right after the recovered prefix, which may be
 		// shorter than the attempted sequence when the crash cut unacked tail
 		// records away.
-		base := 0
-		if rec.Snapshot != "" {
-			v, _ := binary.Uvarint(snapshotPayload(t, rec))
-			base = int(v)
-		}
-		prefix := base + len(rec.Records)
+		prefix := snapshotBase(t, rec, attempted, "continue") + len(rec.Records)
 		if prefix < acked {
 			t.Fatalf("killAt=%d: recovered %d < acked %d", killAt, prefix, acked)
 		}
@@ -266,14 +313,7 @@ func TestBitFlipNeverFabricates(t *testing.T) {
 				continue
 			}
 			st.Close()
-			base := 0
-			if rec.Snapshot != "" {
-				v, vn := binary.Uvarint(snapshotPayload(t, rec))
-				if vn <= 0 {
-					t.Fatalf("flip %s@%d: snapshot payload mangled silently", name, off)
-				}
-				base = int(v)
-			}
+			base := snapshotBase(t, rec, attempted, fmt.Sprintf("flip %s@%d", name, off))
 			if base+len(rec.Records) > len(attempted) {
 				t.Fatalf("flip %s@%d: invented records", name, off)
 			}

@@ -12,7 +12,6 @@ import (
 	"slices"
 	"testing"
 
-	"fgcs/internal/wire"
 	"fgcs/internal/wire/wiretest"
 )
 
@@ -21,26 +20,57 @@ import (
 const fuzzMaxRecord = 1 << 16
 
 // refReadSnapshot is the whole-buffer snapshot reader recovery ran before
-// it streamed, kept as the reference scanSnapshot is held to. It validates
-// a snapshot file and returns the WAL position it covers and its payload
-// (aliasing data). Any damage — bad magic, claimed length beyond the file,
-// bytes between payload and checksum, checksum mismatch — returns
-// ErrCorrupt.
-func refReadSnapshot(data []byte) (seq uint64, offset int64, payload []byte, err error) {
+// it streamed, kept as the reference scanFile is held to. It validates
+// a snapshot file and returns the WAL position it covers, the parts it
+// lists and its payload (aliasing data). Any damage — bad magic, an empty
+// part list, claimed length beyond the file, bytes between payload and
+// checksum, checksum mismatch — returns ErrCorrupt.
+func refReadSnapshot(data []byte) (seq uint64, offset int64, parts []partRef, payload []byte, err error) {
+	bad := func(reason string) (uint64, int64, []partRef, []byte, error) {
+		return 0, 0, nil, nil, fmt.Errorf("%w: %s", ErrCorrupt, reason)
+	}
 	if len(data) < 4 {
-		return 0, 0, nil, fmt.Errorf("%w: short snapshot", ErrCorrupt)
+		return bad("short snapshot")
 	}
 	body, sum := data[:len(data)-4], binary.LittleEndian.Uint32(data[len(data)-4:])
-	r := wire.NewReader(body, "snapshot")
-	r.Header(snapMagic, snapVersion)
-	seq, off, payload := r.Uvarint(), r.Uvarint(), r.Bytes()
-	if r.Done() == nil && crc32.Checksum(body, castagnoli) != sum {
-		r.Fail("checksum mismatch")
+	if len(body) < 5 || [4]byte(body[:4]) != snapMagic || (body[4] != 1 && body[4] != 2) {
+		return bad("bad magic or version")
 	}
-	if err := r.Err(); err != nil {
-		return 0, 0, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	p := body[5:]
+	uvarint := func() (uint64, bool) {
+		x, n := binary.Uvarint(p)
+		if n <= 0 {
+			return 0, false
+		}
+		p = p[n:]
+		return x, true
 	}
-	return seq, int64(off), payload, nil
+	s, ok1 := uvarint()
+	o, ok2 := uvarint()
+	if !ok1 || !ok2 {
+		return bad("short or malformed header")
+	}
+	if body[4] == 2 {
+		n, ok := uvarint()
+		if !ok || n == 0 {
+			return bad("short or empty part list")
+		}
+		for ; n > 0; n-- {
+			key, ok := uvarint()
+			if !ok || len(p) < 4 {
+				return bad("short part list")
+			}
+			parts = append(parts, partRef{key: key, sum: binary.LittleEndian.Uint32(p)})
+			p = p[4:]
+		}
+	}
+	if size, ok := uvarint(); !ok || size != uint64(len(p)) {
+		return bad("payload length")
+	}
+	if crc32.Checksum(body, castagnoli) != sum {
+		return bad("checksum mismatch")
+	}
+	return s, int64(o), parts, p, nil
 }
 
 // refReadSegment is the whole-buffer segment reader recovery ran before it
@@ -164,29 +194,29 @@ func memFileOf(data []byte) *MemFS {
 // compaction or a growth; snapshotChunk is what recovery uses.
 var scanBufs = []int{1, 16, snapshotChunk}
 
-// streamSnapshot runs scanSnapshot over the file "f" of fs through a buffer
+// streamSnapshot runs scanFile over the snapshot file "f" of fs through a buffer
 // of bufSize bytes.
-func streamSnapshot(fs FS, bufSize int) (seq uint64, offset int64, payload []byte, err error) {
+func streamSnapshot(fs FS, bufSize int) (seq uint64, offset int64, parts []partRef, payload []byte, err error) {
 	f, err := fs.Open("f")
 	if err != nil {
-		return 0, 0, nil, err
+		return 0, 0, nil, nil, err
 	}
 	defer f.Close()
 	return scanSnapshotAll(&fileReader{r: f, buf: make([]byte, bufSize)})
 }
 
-// scanSnapshotAll runs scanSnapshot over the file fr reads and returns what
+// scanSnapshotAll runs scanFile over the snapshot file fr reads and returns what
 // it read, the payload collected.
-func scanSnapshotAll(fr *fileReader) (seq uint64, offset int64, payload []byte, err error) {
+func scanSnapshotAll(fr *fileReader) (seq uint64, offset int64, parts []partRef, payload []byte, err error) {
 	var got bytes.Buffer
-	seq, offset, _, err = scanSnapshot(fr, func(_ uint64, _, _ int64, p io.Reader) error {
+	h, err := scanFile(fr, snapMagic, func(_ *fileHeader, p io.Reader) error {
 		_, err := got.ReadFrom(p)
 		return err
 	})
 	if err != nil {
-		return 0, 0, nil, err
+		return 0, 0, nil, nil, err
 	}
-	return seq, offset, got.Bytes(), nil
+	return h.seq, h.offset, h.parts, got.Bytes(), nil
 }
 
 // sameVerdict reports whether two scans agree: both accepted, or both
@@ -256,12 +286,14 @@ func segSeeds() map[string][]byte {
 
 // snapSeeds builds the checked-in seed corpus for FuzzReadSnapshot.
 func snapSeeds() map[string][]byte {
-	valid := encodeSnapshot(4, 1234, []byte("application-state"))
+	valid := encodeSnapshot(4, 1234, nil, []byte("application-state"))
 
-	truncated := encodeSnapshot(1, 99, []byte("soon-cut"))
+	withParts := encodeSnapshot(6, 4321, []partRef{{key: 1125446400, sum: 0x01020304}, {key: 1125532800, sum: 0xfffefdfc}}, []byte("the last day"))
+
+	truncated := encodeSnapshot(1, 99, nil, []byte("soon-cut"))
 	truncated = truncated[:len(truncated)-6]
 
-	badcrc := encodeSnapshot(2, 77, []byte("flip-me"))
+	badcrc := encodeSnapshot(2, 77, nil, []byte("flip-me"))
 	badcrc[len(badcrc)/2] ^= 0x01
 
 	oversize := append([]byte(nil), snapMagic[:]...)
@@ -269,6 +301,7 @@ func snapSeeds() map[string][]byte {
 
 	return map[string][]byte{
 		"valid":           valid,
+		"valid-parts":     withParts,
 		"truncated-tail":  truncated,
 		"bad-crc":         badcrc,
 		"oversize-length": oversize,
@@ -335,24 +368,24 @@ func FuzzReadSnapshot(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		wantSeq, wantOff, wantPayload, wantErr := refReadSnapshot(data)
+		wantSeq, wantOff, wantParts, wantPayload, wantErr := refReadSnapshot(data)
 		fs := memFileOf(data)
 		for _, size := range scanBufs {
-			seq, off, payload, err := streamSnapshot(fs, size)
-			if !sameVerdict(err, wantErr) || seq != wantSeq || off != wantOff || !bytes.Equal(payload, wantPayload) {
-				t.Fatalf("%d-byte buffer: streamed (%d, %d, %d bytes, %v); reference (%d, %d, %d bytes, %v)",
-					size, seq, off, len(payload), err, wantSeq, wantOff, len(wantPayload), wantErr)
+			seq, off, parts, payload, err := streamSnapshot(fs, size)
+			if !sameVerdict(err, wantErr) || seq != wantSeq || off != wantOff || !slices.Equal(parts, wantParts) || !bytes.Equal(payload, wantPayload) {
+				t.Fatalf("%d-byte buffer: streamed (%d, %d, %v, %d bytes, %v); reference (%d, %d, %v, %d bytes, %v)",
+					size, seq, off, parts, len(payload), err, wantSeq, wantOff, wantParts, len(wantPayload), wantErr)
 			}
 		}
 		fr := newFileReader(nil)
 		if wiretest.Bounded(t, data, func(p []byte) error {
 			fr.reset(bytes.NewReader(p))
-			_, _, _, err := scanSnapshot(fr, nil)
+			_, err := scanFile(fr, snapMagic, nil)
 			return err
 		}) != nil {
 			return
 		}
-		if again := encodeSnapshot(wantSeq, wantOff, wantPayload); !bytes.Equal(again, data) {
+		if again := encodeSnapshot(wantSeq, wantOff, wantParts, wantPayload); !bytes.Equal(again, data) {
 			t.Fatalf("snapshot encoding not canonical:\ngot  %x\nwant %x", again, data)
 		}
 	})

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	iofs "io/fs"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -60,11 +62,13 @@ type Config struct {
 
 // Recovery reports what Open reconstructed from the data directory. Open
 // reads every file as a stream through one bounded buffer and keeps no
-// snapshot payload: ReadSnapshot streams it from the file when the caller
-// is ready to decode it.
+// snapshot payload: ReadSnapshot streams it, and the parts the snapshot
+// lists, from their files through that buffer when the caller is ready to
+// decode them.
 type Recovery struct {
 	// Snapshot names the snapshot file Open chose: the newest whose header,
-	// payload and CRC32C trailer validated ("" when none did).
+	// payload and CRC32C trailer validated, and every part it lists ("" when
+	// none did).
 	Snapshot string
 	// SnapshotSeq / SnapshotOffset is the WAL position the snapshot covers.
 	SnapshotSeq    uint64
@@ -77,38 +81,75 @@ type Recovery struct {
 	Records []Record
 	// TornBytes counts bytes truncated from the active segment's torn tail.
 	TornBytes int
-	// SnapshotsSkipped counts corrupt snapshots passed over before a valid
-	// (or no) snapshot was chosen.
+	// SnapshotsSkipped counts corrupt snapshots, or snapshots with a part
+	// missing or corrupt, passed over before a valid (or no) snapshot was
+	// chosen.
 	SnapshotsSkipped int
 	// Segments counts WAL segment files scanned.
 	Segments int
 
-	fs FS
+	fs    FS
+	parts []partRef   // the chosen snapshot's part list
+	fr    *fileReader // the buffer Open read every file through
 }
 
 // ReadSnapshot streams the chosen snapshot's payload to fn as a reader of
-// exactly SnapshotBytes bytes, through one bounded buffer; without a chosen
-// snapshot it does nothing. The file is read and checksummed again: if it
-// no longer holds what Open validated — another header, bytes missing or
-// added, a CRC32C mismatch at the trailer — ReadSnapshot returns
-// ErrCorrupt, whatever fn returned. Install what fn decoded only after a
-// nil return.
-func (rec *Recovery) ReadSnapshot(fn func(payload io.Reader) error) error {
+// exactly SnapshotBytes bytes, then each part the snapshot lists, in its
+// order, to part with its key, all through the one buffer Open read them
+// with; without a chosen snapshot it does nothing. The files are read and
+// checksummed again: if one no longer holds what Open validated — another
+// header or part list, bytes missing or added, a CRC32C mismatch at the
+// trailer, a part gone — ReadSnapshot returns ErrCorrupt, whatever fn or
+// part returned. Install what they decoded only after a nil return.
+func (rec *Recovery) ReadSnapshot(fn func(payload io.Reader) error, part func(key uint64, r io.Reader) error) error {
 	if rec.Snapshot == "" {
 		return nil
 	}
-	f, err := rec.fs.Open(rec.Snapshot)
-	if err != nil {
-		return err
+	if len(rec.parts) > 0 && part == nil {
+		return fmt.Errorf("durable: snapshot %s lists %d parts and nothing reads them", rec.Snapshot, len(rec.parts))
 	}
-	defer f.Close()
-	_, _, _, err = scanSnapshot(newFileReader(f), func(seq uint64, offset, size int64, payload io.Reader) error {
-		if seq != rec.SnapshotSeq || offset != rec.SnapshotOffset || size != rec.SnapshotBytes {
+	if rec.fr == nil {
+		rec.fr = newFileReader(nil)
+	}
+	_, err := readFile(rec.fs, rec.fr, rec.Snapshot, snapMagic, func(h *fileHeader, payload io.Reader) error {
+		if h.seq != rec.SnapshotSeq || h.offset != rec.SnapshotOffset || h.size != rec.SnapshotBytes || !slices.Equal(h.parts, rec.parts) {
 			return fmt.Errorf("%w: snapshot %s changed since it was validated", ErrCorrupt, rec.Snapshot)
 		}
 		return fn(payload)
 	})
+	for _, ref := range rec.parts {
+		if err != nil {
+			break
+		}
+		err = readPart(rec.fs, rec.fr, ref, func(r io.Reader) error { return part(ref.key, r) })
+	}
 	return err
+}
+
+// readFile runs scanFile over the file name of fs through fr.
+func readFile(fs FS, fr *fileReader, name string, magic [4]byte, fn func(h *fileHeader, payload io.Reader) error) (fileHeader, error) {
+	f, err := fs.Open(name)
+	if err != nil {
+		return fileHeader{}, err
+	}
+	defer f.Close()
+	fr.reset(f)
+	return scanFile(fr, magic, fn)
+}
+
+// Part is one file a snapshot lists beside its payload, for state that
+// never changes once written, such as a completed day of history. The
+// first snapshot that lists a key publishes the part; every later one that
+// lists it refers to that file and writes nothing. Open accepts a snapshot
+// only with every part it lists whole, and retention removes a part once no
+// kept snapshot lists it.
+type Part struct {
+	// Key names the part. A key names the same bytes for the life of the
+	// data directory.
+	Key uint64
+	// Append appends the part's bytes to buf. The store calls it only for a
+	// key it has not published.
+	Append func(buf []byte) []byte
 }
 
 // Store is an append-only segment WAL plus snapshot retention over one FS
@@ -119,7 +160,13 @@ func (rec *Recovery) ReadSnapshot(fn func(payload io.Reader) error) error {
 type Store struct {
 	cfg Config
 
-	snap   sync.Mutex // serializes snapshot publications; appends never take it
+	snap sync.Mutex // serializes snapshot publications; appends never take it
+	// Under snap: the published parts, key to CRC32C trailer, and the
+	// scratch every snapshot and part file is written through.
+	parts   map[uint64]uint32
+	chunk   []byte
+	partBuf []byte
+
 	mu     sync.Mutex
 	cur    File
 	curSeq uint64
@@ -132,7 +179,8 @@ type Store struct {
 var ErrClosed = errors.New("durable: store closed")
 
 // Open recovers a store from cfg.FS: it loads the newest snapshot that
-// validates (falling back to older ones when damaged), replays the WAL tail
+// validates with every part it lists (falling back to older ones when one
+// is damaged or missing), replays the WAL tail
 // after the snapshot position, truncates a torn tail in the active segment,
 // and leaves the store ready to append. Unexplained damage — a bad checksum
 // with valid data after it, a sealed segment that fails validation, a gap in
@@ -171,16 +219,16 @@ func Open(cfg Config) (*Store, *Recovery, error) {
 	// Newest snapshot first; fall back on damage.
 	sort.Slice(snaps, func(i, j int) bool { return snaps[i] > snaps[j] })
 
-	rec := &Recovery{fs: cfg.FS}
 	fr := newFileReader(nil) // the one buffer every file is read through
+	rec := &Recovery{fs: cfg.FS, fr: fr}
 	for _, name := range snaps {
-		f, err := cfg.FS.Open(name)
-		if err != nil {
-			return nil, nil, err
+		h, err := readFile(cfg.FS, fr, name, snapMagic, nil)
+		for _, ref := range h.parts {
+			if err != nil {
+				break
+			}
+			err = readPart(cfg.FS, fr, ref, nil)
 		}
-		fr.reset(f)
-		seq, off, size, err := scanSnapshot(fr, nil)
-		f.Close()
 		if errors.Is(err, ErrCorrupt) {
 			rec.SnapshotsSkipped++
 			continue
@@ -188,7 +236,8 @@ func Open(cfg Config) (*Store, *Recovery, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		rec.Snapshot, rec.SnapshotSeq, rec.SnapshotOffset, rec.SnapshotBytes = name, seq, off, size
+		rec.Snapshot, rec.SnapshotSeq, rec.SnapshotOffset, rec.SnapshotBytes = name, h.seq, h.offset, h.size
+		rec.parts = h.parts
 		break
 	}
 	if len(snaps) > 0 && rec.Snapshot == "" && !cfg.BestEffort {
@@ -201,7 +250,10 @@ func Open(cfg Config) (*Store, *Recovery, error) {
 		}
 	}
 
-	st := &Store{cfg: cfg}
+	st := &Store{cfg: cfg, parts: make(map[uint64]uint32, len(rec.parts))}
+	for _, ref := range rec.parts {
+		st.parts[ref.key] = ref.sum
+	}
 	// Scan segments at or after the snapshot position. Sequence numbers must
 	// be contiguous from there: a missing middle segment is lost history.
 	scanFrom := rec.SnapshotSeq
@@ -310,6 +362,28 @@ func Open(cfg Config) (*Store, *Recovery, error) {
 	return st, rec, nil
 }
 
+// readPart validates the part file ref names — whole, and the file the
+// snapshot listing ref was written with — handing its payload to fn (nil
+// skips it) on the way. A missing part is ErrCorrupt, as a damaged one is:
+// the snapshot cannot be recovered without it.
+func readPart(fs FS, fr *fileReader, ref partRef, fn func(r io.Reader) error) error {
+	h, err := readFile(fs, fr, partName(ref.key), partMagic, func(h *fileHeader, r io.Reader) error {
+		if fn == nil || h.key != ref.key {
+			return nil
+		}
+		return fn(r)
+	})
+	switch {
+	case errors.Is(err, iofs.ErrNotExist):
+		return fmt.Errorf("%w: part %s is missing", ErrCorrupt, partName(ref.key))
+	case err != nil:
+		return err
+	case h.key != ref.key || h.sum != ref.sum:
+		return fmt.Errorf("%w: part %s is not the one the snapshot lists", ErrCorrupt, partName(ref.key))
+	}
+	return nil
+}
+
 // openSegment starts a fresh segment file with the given seq and writes its
 // header. Callers hold st.mu (or own st exclusively during Open).
 func (st *Store) openSegment(seq uint64) error {
@@ -402,9 +476,12 @@ func (st *Store) Position() (seq uint64, offset int64) {
 
 // WriteSnapshotAt publishes a snapshot of all state up to the WAL position
 // (seq, offset), atomically, then prunes snapshots beyond the retention
-// window and the segments only they kept alive. write streams the payload,
-// exactly size bytes, into the file through one bounded chunk; appends go on
-// meanwhile, and write must not publish a snapshot itself. The caller
+// window, the segments only they kept alive and the parts no kept snapshot
+// lists. The snapshot lists parts, in order: each one the store has not
+// published yet is published first, its own file, and a part published
+// before is listed without a byte written. write streams the payload,
+// exactly size bytes, into the file through one bounded chunk; appends go
+// on meanwhile, and write must not publish a snapshot itself. The caller
 // captured the position with Position() BEFORE exporting the state the
 // payload encodes. Capturing the position first closes the export/append
 // race: a record appended before the captured position belongs to a
@@ -412,16 +489,38 @@ func (st *Store) Position() (seq uint64, offset int64) {
 // export already includes it; a record appended at or after the position is
 // replayed on top during recovery, which is safe because restores are
 // idempotent upserts. A position ahead of the WAL is rejected.
-func (st *Store) WriteSnapshotAt(seq uint64, offset int64, size int64, write func(w io.Writer) error) error {
+func (st *Store) WriteSnapshotAt(seq uint64, offset int64, size int64, write func(w io.Writer) error, parts ...Part) error {
 	st.snap.Lock()
 	defer st.snap.Unlock()
 	if err := st.syncThrough(seq, offset); err != nil {
 		return err
 	}
-	if err := writeSnapshotFile(st.cfg.FS, seq, offset, size, write); err != nil {
+	if st.chunk == nil {
+		st.chunk = make([]byte, 0, snapshotChunk)
+	}
+	refs := make([]partRef, len(parts))
+	for i, p := range parts {
+		sum, ok := st.parts[p.Key]
+		if !ok {
+			if p.Append == nil {
+				return fmt.Errorf("durable: part %s was never published", partName(p.Key))
+			}
+			st.partBuf = p.Append(st.partBuf[:0])
+			var err error
+			sum, err = publishFile(st.cfg.FS, partName(p.Key), st.chunk, appendPartHeader(nil, p.Key, int64(len(st.partBuf))),
+				int64(len(st.partBuf)), func(w io.Writer) error { _, err := w.Write(st.partBuf); return err })
+			if err != nil {
+				return err
+			}
+			st.parts[p.Key] = sum
+		}
+		refs[i] = partRef{key: p.Key, sum: sum}
+	}
+	name := snapshotName(seq, offset)
+	if _, err := publishFile(st.cfg.FS, name, st.chunk, appendSnapshotHeader(nil, seq, offset, refs, size), size, write); err != nil {
 		return err
 	}
-	st.prune()
+	st.prune(name, refs)
 	return nil
 }
 
@@ -442,11 +541,15 @@ func (st *Store) syncThrough(seq uint64, offset int64) error {
 	return st.cur.Sync()
 }
 
-// prune removes snapshots beyond KeepSnapshots and segments older than every
-// kept snapshot. Failures are ignored: retention is advisory, correctness
-// never depends on it. Callers hold st.snap; the active segment is never
-// older than a snapshot, so appends need not wait.
-func (st *Store) prune() {
+// prune removes snapshots beyond KeepSnapshots, segments older than every
+// kept snapshot, and parts no kept snapshot lists. newest is the snapshot
+// just published, which lists refs; the other kept snapshots are read for
+// their part lists only when a part file is not in refs, and when one does
+// not validate no part is removed. Failures are
+// ignored: retention is advisory, correctness never depends on it. Callers
+// hold st.snap; the active segment is never older than a snapshot, so
+// appends need not wait.
+func (st *Store) prune(newest string, refs []partRef) {
 	names, err := st.cfg.FS.List()
 	if err != nil {
 		return
@@ -456,12 +559,14 @@ func (st *Store) prune() {
 		seq  uint64
 	}
 	var snaps []snap
-	var segs []uint64
+	var segs, unlisted []uint64
 	for _, name := range names {
 		if seq, _, ok := parseSnapshotName(name); ok {
 			snaps = append(snaps, snap{name: name, seq: seq})
 		} else if seq, ok := parseSegmentName(name); ok {
 			segs = append(segs, seq)
+		} else if key, ok := parsePartName(name); ok && !slices.ContainsFunc(refs, func(r partRef) bool { return r.key == key }) {
+			unlisted = append(unlisted, key)
 		}
 	}
 	sort.Slice(snaps, func(i, j int) bool { return snaps[i].name > snaps[j].name })
@@ -481,6 +586,27 @@ func (st *Store) prune() {
 	for _, seq := range segs {
 		if seq < keepFrom {
 			_ = st.cfg.FS.Remove(segmentName(seq))
+		}
+	}
+	if len(unlisted) == 0 {
+		return
+	}
+	fr := &fileReader{buf: make([]byte, 512)} // a rare read: no large buffer
+	for _, s := range snaps[:min(len(snaps), st.cfg.KeepSnapshots)] {
+		if s.name == newest {
+			continue
+		}
+		h, err := readFile(st.cfg.FS, fr, s.name, snapMagic, nil)
+		if err != nil {
+			return
+		}
+		unlisted = slices.DeleteFunc(unlisted, func(key uint64) bool {
+			return slices.ContainsFunc(h.parts, func(r partRef) bool { return r.key == key })
+		})
+	}
+	for _, key := range unlisted {
+		if st.cfg.FS.Remove(partName(key)) == nil {
+			delete(st.parts, key)
 		}
 	}
 }

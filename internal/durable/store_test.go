@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"testing"
 	"time"
 
@@ -41,11 +42,12 @@ func reopen(t *testing.T, fs FS, cfg Config) (*Store, *Recovery) {
 }
 
 // snapshotPayload returns the payload of the snapshot rec chose, streamed by
-// Recovery.ReadSnapshot (nil when Open chose none).
+// Recovery.ReadSnapshot (nil when Open chose none). The snapshot lists no
+// parts.
 func snapshotPayload(t testing.TB, rec *Recovery) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := rec.ReadSnapshot(func(p io.Reader) error { _, err := buf.ReadFrom(p); return err }); err != nil {
+	if err := rec.ReadSnapshot(func(p io.Reader) error { _, err := buf.ReadFrom(p); return err }, nil); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -526,6 +528,44 @@ func TestSampleCoderRoundTrip(t *testing.T) {
 	var dec3 SampleCoder
 	if _, _, err := dec3.Decode(frames[5]); err == nil {
 		t.Fatal("delta record without base decoded")
+	}
+}
+
+// TestSampleCoderStorableRange: every reading trace.Storable accepts round
+// trips through the coder at Float64bits, out to ±2^40 units and as a
+// delta from either end, and the readings past it that it refuses would
+// not: a CPU of 1e17 is 1e19 units, past int64, and came back as
+// −9.22e16 when the monitor still passed it to the log.
+func TestSampleCoderStorableRange(t *testing.T) {
+	edge := float64(1<<40) / trace.CPUUnit
+	memEdge := float64(1<<40) / trace.MemUnit
+	stored := []trace.Sample{
+		{CPU: edge, FreeMemMB: memEdge, Up: true},
+		{CPU: -edge, FreeMemMB: -memEdge},
+		{CPU: 12.34, FreeMemMB: 1000.0625, Up: true},
+		{CPU: edge, FreeMemMB: 0},
+	}
+	var enc, dec SampleCoder
+	at := time.Date(2026, 8, 9, 12, 0, 0, 0, time.UTC)
+	for i, s := range stored {
+		s = QuantizeSample(s)
+		if !trace.Storable(s) {
+			t.Fatalf("%+v is not storable", s)
+		}
+		_, got, err := dec.Decode(enc.Encode(nil, at, s))
+		if err != nil || math.Float64bits(got.CPU) != math.Float64bits(s.CPU) || math.Float64bits(got.FreeMemMB) != math.Float64bits(s.FreeMemMB) {
+			t.Fatalf("sample %d %+v came back as %+v (%v)", i, s, got, err)
+		}
+	}
+	for _, s := range []trace.Sample{{CPU: 1e17}, {CPU: edge + 1}, {FreeMemMB: -1e12}, {CPU: math.NaN()}} {
+		if trace.Storable(QuantizeSample(s)) {
+			t.Fatalf("%+v is storable", s)
+		}
+	}
+	var fresh SampleCoder
+	s := QuantizeSample(trace.Sample{CPU: 1e17})
+	if _, got, err := fresh.Decode(new(SampleCoder).Encode(nil, at, s)); err == nil && got.CPU == s.CPU {
+		t.Fatalf("%v round trips: the bound refuses a reading the coder keeps", s.CPU)
 	}
 }
 

@@ -43,13 +43,31 @@ type Persister struct {
 	mu    sync.Mutex
 	coder durable.SampleCoder
 	buf   []byte
+	hist  []byte // the inline history of the snapshot in progress
 }
 
-// nodeSnapMagic frames a host-node snapshot payload.
+// A host-node snapshot is an FGNS payload and, from version 2 on, one
+// durable part per sealed day — every recorded day before the last, which
+// no sample changes again — keyed by its midnight in unix seconds and
+// holding the day as trace.AppendDay writes it. The payload:
+//
+//	magic "FGNS" | version byte
+//	uvarint len | FGCSTRC dataset  one machine: its ID and period, and the
+//	                               days after the parts (version 2: the
+//	                               last day; version 1: every day)
+//	varint last-sample unix ms
+//	uvarint n | n recent samples   float64 CPU, float64 memory, up byte
+//	uvarint n | n submit keys      key, job ID (strings), sorted by key
+//	uvarint next job ID
+//	bytes tracker blob             obs.Tracker.ExportBinary
+//
+// A snapshot therefore writes the days sealed since the one before it,
+// the last day and the tail: its cost follows today, not the history.
 var nodeSnapMagic = [4]byte{'F', 'G', 'N', 'S'}
 
-// nodeSnapVersion is the host-node snapshot payload version.
-const nodeSnapVersion = 1
+// nodeSnapVersion is the host-node snapshot payload version; version 1,
+// with no parts and the whole history inline, is still read.
+const nodeSnapVersion = 2
 
 // NewPersister builds the persistence layer for one host node and replays
 // the recovered state into its components: snapshot first, then the WAL
@@ -76,10 +94,17 @@ func NewPersister(st *durable.Store, rec *durable.Recovery, sm *StateManager, gw
 // happens before the live components see the sample, which is what makes
 // replayed state bit-identical to live state. An append failure is logged
 // and the sample still applied — a monitoring sample is never client-
-// acknowledged, so availability wins over durability for it.
+// acknowledged, so availability wins over durability for it. A reading no
+// log can hold (trace.Storable) is dropped with a warning, neither logged
+// nor applied: the WAL's unit counts would garble it.
 func (p *Persister) Record(t time.Time, s trace.Sample) {
 	t = durable.QuantizeTime(t)
 	s = durable.QuantizeSample(s)
+	if !trace.Storable(s) {
+		p.warn("out-of-range sample dropped", slog.Time("sample_time", t),
+			slog.Float64("cpu", s.CPU), slog.Float64("free_mem_mb", s.FreeMemMB))
+		return
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.buf = p.coder.Encode(p.buf[:0], t, s)
@@ -106,7 +131,10 @@ func (p *Persister) appendResolution(machine, predictor string, tr float64, surv
 }
 
 // Snapshot publishes the node's full state and starts a fresh sample delta
-// chain, so replay from the snapshot never needs records before it. The WAL
+// chain, so replay from the snapshot never needs records before it. Of the
+// history it writes only the days sealed since the last snapshot, each a
+// part of its own, and the last day; the store lists the parts published
+// before (after a restart, those the recovered snapshot listed). The WAL
 // position is captured BEFORE the state is exported: a submit record
 // appended concurrently (the gateway's sink runs outside p.mu) either
 // precedes the captured position — then its mutation is already in the
@@ -117,8 +145,8 @@ func (p *Persister) Snapshot() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	seq, off := p.st.Position()
-	size, write := p.nodeSnapshot()
-	if err := p.st.WriteSnapshotAt(seq, off, size, write); err != nil {
+	parts, size, write := p.nodeSnapshot()
+	if err := p.st.WriteSnapshotAt(seq, off, size, write, parts...); err != nil {
 		return err
 	}
 	p.coder.Reset()
@@ -201,15 +229,18 @@ func StartLoop(clock simclock.Clock, every time.Duration, fn func()) (stop func(
 // are skipped with a warning so a newer node's log does not brick an older
 // binary.
 func (p *Persister) restore(rec *durable.Recovery) error {
-	var install func() error
+	var snap *nodeState
+	var dec trace.Decoder // one scratch for the inline days and every part
 	if err := rec.ReadSnapshot(func(payload io.Reader) (err error) {
-		install, err = p.decodeNodeSnapshot(payload)
+		snap, err = p.decodeNodeSnapshot(payload, &dec)
 		return err
+	}, func(key uint64, r io.Reader) error {
+		return snap.readPart(&dec, key, r)
 	}); err != nil {
 		return fmt.Errorf("ishare: node snapshot: %w", err)
 	}
-	if install != nil {
-		if err := install(); err != nil {
+	if snap != nil {
+		if err := snap.install(p); err != nil {
 			return fmt.Errorf("ishare: node snapshot: %w", err)
 		}
 	}
@@ -241,17 +272,28 @@ func (p *Persister) restore(rec *durable.Recovery) error {
 	return nil
 }
 
-// nodeSnapshot returns the size of the node's FGNS payload and the function
-// that streams it. Callers hold p.mu, which keeps samples, the only writers
-// of the history log, out from between the two. All but the log is encoded
-// up front; write streams the log day by day from the recorder under its
-// lock, which it holds for nothing else. The output is deterministic for a
-// given state (sorted submit keys), which the crash harness relies on.
-func (p *Persister) nodeSnapshot() (size int64, write func(w io.Writer) error) {
-	var histSize int
-	var rest []byte // what follows the log: last-sample time, recent ring, tail
+// nodeSnapshot returns the parts of the node's snapshot, one per sealed
+// day, and the size of its FGNS payload and the function that streams it.
+// Callers hold p.mu, which keeps samples, the only writers of the history
+// log, out until the snapshot is written. The payload is encoded up front,
+// the last day under the recorder's lock, which it holds for nothing else;
+// a part reads its day outside it when the store publishes it, safe
+// because the recorder writes no day before its last. The output is
+// deterministic for a given state (sorted submit keys), which the crash
+// harness relies on.
+func (p *Persister) nodeSnapshot() (parts []durable.Part, size int64, write func(w io.Writer) error) {
+	var err error
+	var rest []byte // what follows the history: last-sample time, recent ring, tail
 	recent := p.sm.viewHistory(func(m *trace.Machine, last time.Time) {
-		histSize = trace.BinarySize(&trace.Dataset{Machines: []*trace.Machine{m}})
+		inline := m.Days
+		if n := len(m.Days); n > 1 {
+			parts = make([]durable.Part, 0, n-1)
+			for _, d := range m.Days[:n-1] {
+				parts = append(parts, durable.Part{Key: uint64(d.Date.Unix()), Append: func(b []byte) []byte { return trace.AppendDay(b, d) }})
+			}
+			inline = m.Days[n-1:]
+		}
+		p.hist, err = trace.AppendBinary(p.hist[:0], &trace.Dataset{Machines: []*trace.Machine{{ID: m.ID, Period: m.Period, Days: inline}}})
 		rest = wire.AppendVarint(rest, timeToMs(last))
 	})
 	rest = wire.AppendUvarint(rest, uint64(len(recent)))
@@ -274,16 +316,12 @@ func (p *Persister) nodeSnapshot() (size int64, write func(w io.Writer) error) {
 	rest = wire.AppendUvarint(rest, uint64(nextID))
 	rest = wire.AppendBytes(rest, p.tracker.ExportBinary())
 
-	head := wire.AppendUvarint(wire.AppendHeader(nil, nodeSnapMagic, nodeSnapVersion), uint64(histSize))
-	return int64(len(head) + histSize + len(rest)), func(w io.Writer) error {
-		_, err := w.Write(head)
-		if err == nil {
-			p.sm.recorder.View(func(m *trace.Machine, _ time.Time) {
-				err = trace.WriteBinary(w, &trace.Dataset{Machines: []*trace.Machine{m}})
-			})
-		}
-		if err == nil {
-			_, err = w.Write(rest)
+	head := wire.AppendUvarint(wire.AppendHeader(nil, nodeSnapMagic, nodeSnapVersion), uint64(len(p.hist)))
+	return parts, int64(len(head) + len(p.hist) + len(rest)), func(w io.Writer) error {
+		for _, b := range [][]byte{head, p.hist, rest} {
+			if err == nil {
+				_, err = w.Write(b)
+			}
 		}
 		return err
 	}
@@ -291,17 +329,34 @@ func (p *Persister) nodeSnapshot() (size int64, write func(w io.Writer) error) {
 
 const recentSampleBytes = 17 // one recent-ring sample: two float64 and a bool
 
-// decodeNodeSnapshot decodes an FGNS payload from r — the history log
-// straight from the stream, then the small tail after it — and returns the
-// function that installs it into the components. It installs nothing
-// itself: a payload that fails to decode, or a stream that fails its
-// checksum once decoded, leaves the node as it was.
-func (p *Persister) decodeNodeSnapshot(r io.Reader) (install func() error, err error) {
+// nodeState is a decoded FGNS payload and the parts read after it: what
+// install puts into the components.
+type nodeState struct {
+	version   byte
+	hist      *trace.Machine // the ID, the period and the days after the parts
+	parts     []*trace.Day   // the parts' days, in the snapshot's order
+	last      time.Time
+	recent    []trace.Sample
+	submitted map[string]string
+	nextID    int
+	tracker   func() // installs the tracker
+}
+
+// decodeNodeSnapshot decodes an FGNS payload from r, version 2 or 1 — the
+// inline history straight from the stream through dec, then the small
+// tail after it. It installs nothing: a payload that fails to decode, a
+// part that does, or a stream that fails its checksum once decoded leaves
+// the node as it was.
+func (p *Persister) decodeNodeSnapshot(r io.Reader, dec *trace.Decoder) (*nodeState, error) {
 	br := bufio.NewReaderSize(r, 16) // large reads pass it by
 	var head [5]byte
 	n, _ := io.ReadFull(br, head[:])
 	h := wire.NewReader(head[:n], "FGNS")
-	if h.Header(nodeSnapMagic, nodeSnapVersion); h.Err() != nil {
+	version := byte(nodeSnapVersion)
+	if n == len(head) && head[4] == 1 {
+		version = 1
+	}
+	if h.Header(nodeSnapMagic, version); h.Err() != nil {
 		return nil, h.Err()
 	}
 	histSize, err := binary.ReadUvarint(br)
@@ -310,9 +365,9 @@ func (p *Persister) decodeNodeSnapshot(r io.Reader) (install func() error, err e
 	}
 	// ReadBinary paces its allocations by the bytes that arrive, so the
 	// claimed size needs no check (past MaxInt64 it reads as empty); bytes
-	// it leaves inside the log are skipped.
+	// it leaves inside the history are skipped.
 	hist := &io.LimitedReader{R: br, N: int64(histSize)}
-	ds, err := trace.ReadBinary(hist)
+	ds, err := dec.ReadBinary(hist)
 	if err != nil {
 		return nil, fmt.Errorf("history: %w", err)
 	}
@@ -327,35 +382,62 @@ func (p *Persister) decodeNodeSnapshot(r io.Reader) (install func() error, err e
 		return nil, err
 	}
 	t := wire.NewReader(tail, "FGNS")
-	last := msToTime(t.Varint())
-	recent := make([]trace.Sample, t.Count(recentSampleBytes, "recent samples"))
-	for i := range recent {
-		recent[i] = trace.Sample{CPU: t.Float64(), FreeMemMB: t.Float64(), Up: t.Bool()}
+	st := &nodeState{version: version, hist: ds.Machines[0], last: msToTime(t.Varint())}
+	st.recent = make([]trace.Sample, t.Count(recentSampleBytes, "recent samples"))
+	for i := range st.recent {
+		st.recent[i] = trace.Sample{CPU: t.Float64(), FreeMemMB: t.Float64(), Up: t.Bool()}
 	}
 	nkeys := t.Count(2, "submit keys")
-	submitted := make(map[string]string, nkeys)
+	st.submitted = make(map[string]string, nkeys)
 	for ; nkeys > 0 && t.Err() == nil; nkeys-- {
 		k, v := t.String(), t.String()
-		submitted[k] = v
+		st.submitted[k] = v
 	}
-	nextID := t.Uvarint()
+	st.nextID = int(t.Uvarint())
 	blob := t.Bytes()
 	if err := t.Done(); err != nil {
 		return nil, err
 	}
-	installTracker, err := p.tracker.RestoreBinary(blob)
-	if err != nil {
+	if st.tracker, err = p.tracker.RestoreBinary(blob); err != nil {
 		return nil, err
 	}
-	return func() error {
-		// The only step that can fail checks before it changes anything.
-		if err := p.sm.RestoreHistory(ds.Machines[0], last, recent); err != nil {
+	return st, nil
+}
+
+// readPart decodes the part key names, one sealed day, from r through dec.
+func (st *nodeState) readPart(dec *trace.Decoder, key uint64, r io.Reader) error {
+	if st.version == 1 {
+		return fmt.Errorf("FGNS: a version 1 payload with parts")
+	}
+	d, err := dec.ReadDay(r, st.hist)
+	if err != nil {
+		return fmt.Errorf("part %x: %w", key, err)
+	}
+	if uint64(d.Date.Unix()) != key {
+		return fmt.Errorf("part %x holds the day of %v", key, d.Date)
+	}
+	if n, _ := io.ReadFull(r, make([]byte, 1)); n != 0 {
+		return fmt.Errorf("part %x: bytes after its day", key)
+	}
+	st.parts = append(st.parts, d)
+	return nil
+}
+
+// install puts the decoded state into p's components. The steps that can
+// fail check before anything changes.
+func (st *nodeState) install(p *Persister) error {
+	m := trace.NewMachine(st.hist.ID, st.hist.Period)
+	for _, d := range append(st.parts, st.hist.Days...) {
+		if err := m.AddDay(d); err != nil {
 			return err
 		}
-		p.gw.restoreSubmitted(submitted, int(nextID))
-		installTracker()
-		return nil
-	}, nil
+	}
+	if err := p.sm.RestoreHistory(m, st.last, st.recent); err != nil {
+		return err
+	}
+	p.gw.restoreSubmitted(st.submitted, st.nextID)
+	st.tracker()
+	return nil
 }
 
 // timeToMs maps a timestamp to unix milliseconds, keeping the zero time at
@@ -421,7 +503,7 @@ func NewRegPersister(st *durable.Store, rec *durable.Recovery, reg RegState, log
 				entries, err = decodeRegSnapshot(data)
 			}
 			return err
-		}); err != nil {
+		}, nil); err != nil {
 			return nil, fmt.Errorf("ishare: registry snapshot: %w", err)
 		}
 		reg.Restore(entries)

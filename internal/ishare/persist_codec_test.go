@@ -3,6 +3,7 @@ package ishare
 import (
 	"bytes"
 	"context"
+	"maps"
 	"runtime"
 	"strings"
 	"testing"
@@ -37,14 +38,67 @@ func bareDurableNode(t testing.TB) *HostNode {
 	return n
 }
 
-// sampleNodeSnapshot encodes a seeded node: one keyed submit, a recent ring,
-// a few resolved predictions, and a history log of two short days, one of
-// each FGCSTRC2 day tag: a compact day of samples at WAL precision, as a
-// node records them, and a float32 day holding one that is not, as a
-// preloaded trace may. A full day of history is ≈ 30–50 KB, which FGNS only
-// frames; TestPersisterCrashQueryTREquality covers snapshots that carry
-// full days.
+// durableNodeFrom recovers a host node from the data directory fs holds.
+func durableNodeFrom(t testing.TB, fs durable.FS) *HostNode {
+	t.Helper()
+	st, rec, err := durable.Open(durable.Config{FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := NewHostNode(NodeConfig{
+		MachineID: "lab-01", Cfg: avail.DefaultConfig(), Period: period,
+		Clock: simclock.NewVirtual(codecStart.Add(time.Hour)), Durable: st, DurableRecovery: rec,
+	}, staticSource{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// snapshotFiles returns the payload of every snapshot and part file in fs,
+// by name.
+func snapshotFiles(t testing.TB, fs *durable.MemFS) map[string][]byte {
+	t.Helper()
+	names, err := fs.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string][]byte)
+	for _, name := range names {
+		if strings.HasPrefix(name, "snap-") || strings.HasPrefix(name, "part-") {
+			out[name] = filePayload(t, fs, name)
+		}
+	}
+	return out
+}
+
+// republish recovers a node from the snapshot fs holds and publishes that
+// node's snapshot through a fresh store, whose files it returns.
+func republish(t testing.TB, fs *durable.MemFS) (*durable.MemFS, error) {
+	t.Helper()
+	n := durableNodeFrom(t, fs)
+	defer n.Persist.Close()
+	return publishNodeSnapshot(t, n.Persist)
+}
+
+// sampleNodeSnapshot is the FGNS payload of sampleNode's snapshot.
 func sampleNodeSnapshot(t testing.TB) []byte {
+	t.Helper()
+	enc, err := encodeNodeSnapshot(t, sampleNode(t).Persist)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return enc
+}
+
+// sampleNode is a seeded node: one keyed submit, a recent ring, a few
+// resolved predictions, and a history log of two short days, one of each
+// FGCSTRC2 day tag: a compact day of samples at WAL precision, as a node
+// records them, which its snapshot writes as a part, and a float32 day
+// holding one that is not, as a preloaded trace may, which its FGNS
+// payload carries inline. A full day of history is ≈ 30–50 KB;
+// TestPersisterCrashQueryTREquality covers snapshots that carry full days.
+func sampleNode(t testing.TB) *HostNode {
 	t.Helper()
 	n := bareDurableNode(t)
 	if _, err := n.Gateway.Submit(context.Background(), SubmitReq{Name: "j", WorkSeconds: 3600, MemMB: 50, IdempotencyKey: "retry-1"}); err != nil {
@@ -71,16 +125,24 @@ func sampleNodeSnapshot(t testing.TB) []byte {
 	for i := 0; i < 3; i++ {
 		n.Obs().Tracker.RestoreResolution("lab-01", "SMP", 0.75, i != 1)
 	}
-	enc, err := encodeNodeSnapshot(t, n.Persist)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return enc
+	return n
 }
 
-// encodeNodeSnapshot publishes p's FGNS payload through a fresh in-memory
-// store and returns what the snapshot file holds.
+// encodeNodeSnapshot publishes p's snapshot through a fresh in-memory store
+// and returns its FGNS payload, what the snapshot file holds beside its
+// parts.
 func encodeNodeSnapshot(t testing.TB, p *Persister) ([]byte, error) {
+	t.Helper()
+	fs, err := publishNodeSnapshot(t, p)
+	if err != nil {
+		return nil, err
+	}
+	return newestSnapshotPayload(t, fs), nil
+}
+
+// publishNodeSnapshot publishes p's snapshot, its parts and its payload,
+// through a fresh in-memory store and returns the store's files.
+func publishNodeSnapshot(t testing.TB, p *Persister) (*durable.MemFS, error) {
 	t.Helper()
 	fs := durable.NewMemFS()
 	st, _, err := durable.Open(durable.Config{FS: fs})
@@ -90,21 +152,20 @@ func encodeNodeSnapshot(t testing.TB, p *Persister) ([]byte, error) {
 	defer st.Close()
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	size, write := p.nodeSnapshot()
+	parts, size, write := p.nodeSnapshot()
 	seq, off := st.Position()
-	if err := st.WriteSnapshotAt(seq, off, size, write); err != nil {
-		return nil, err
-	}
-	return newestSnapshotPayload(t, fs), nil
+	return fs, st.WriteSnapshotAt(seq, off, size, write, parts...)
 }
 
-// restoreInto returns a decoder that streams an FGNS payload through p's
-// decoder and installs what it decoded.
+// restoreInto returns a decoder that streams an FGNS payload, one whose
+// snapshot lists no parts, through p's decoder and installs what it
+// decoded.
 func restoreInto(p *Persister) func(data []byte) error {
 	return func(data []byte) error {
-		install, err := p.decodeNodeSnapshot(bytes.NewReader(data))
+		var dec trace.Decoder
+		st, err := p.decodeNodeSnapshot(bytes.NewReader(data), &dec)
 		if err == nil {
-			err = install()
+			err = st.install(p)
 		}
 		return err
 	}
@@ -151,23 +212,50 @@ func (f *fixedRegState) Export() []RegEntry     { return f.entries }
 func (f *fixedRegState) Restore([]RegEntry)     {}
 func (f *fixedRegState) RestoreRemove(string)   {}
 
-// TestSnapshotCodecs pins FGNS, with its history in FGCSTRC2, and FGRS to
-// their encoders' bytes (FGRS's written by the commit before internal/wire
-// existed), decodes them back to the same state, and runs the shared
-// decoder property check on each. The FGNS payload of the parent format,
-// its history in FGCSTRC1, stays decodable: it installs, and the node it
-// installs into encodes it again in FGCSTRC2.
+// TestSnapshotCodecs pins FGNS version 2 — its payload, the last day inline
+// in FGCSTRC2, and its one part, a sealed day — and FGRS to their encoders'
+// bytes (FGRS's written by the commit before internal/wire existed),
+// decodes them back to the same state, and runs the shared decoder property
+// check on each. The FGNS version 1 payloads of the parent formats, the
+// whole history inline in FGCSTRC2 or FGCSTRC1, stay decodable and
+// re-encode as version 2: the first holds the sample node's state.
+// TestPersisterParentFormatDataDir recovers FGCSTRC1 days.
 func TestSnapshotCodecs(t *testing.T) {
 	t.Run("FGNS", func(t *testing.T) {
-		good := sampleNodeSnapshot(t)
-		wiretest.Golden(t, "testdata/golden/fgns-fgcstrc2.hex", good)
+		fs, err := publishNodeSnapshot(t, sampleNode(t).Persist)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files := snapshotFiles(t, fs)
+		good := newestSnapshotPayload(t, fs)
+		if len(files) != 2 {
+			t.Fatalf("the sample node's snapshot is %d files, want the snapshot and one part", len(files))
+		}
+		wiretest.Golden(t, "testdata/golden/fgns-v2.hex", good)
+		for name, part := range files {
+			if strings.HasPrefix(name, "part-") {
+				wiretest.Golden(t, "testdata/golden/fgns-v2-part.hex", part)
+			}
+		}
+		if again, err := republish(t, fs); err != nil || !maps.EqualFunc(snapshotFiles(t, again), files, bytes.Equal) {
+			t.Fatalf("recover and snapshot again differs from the original (%v)", err)
+		}
+		// A payload carries whatever history its snapshot's parts do not:
+		// all of it, when there are none.
 		if again, err := recodeNodeSnapshot(t, good); err != nil || !bytes.Equal(again, good) {
 			t.Fatalf("decode and re-encode differs from the original (%v)", err)
 		}
-		v1 := wiretest.Hex(t, "testdata/golden/fgns.hex")
-		want := bytes.Replace(v1, []byte("FGCSTRC1"), []byte("FGCSTRC2"), 1)
-		if again, err := recodeNodeSnapshot(t, v1); err != nil || !bytes.Equal(again, want) {
-			t.Fatalf("the parent format's payload re-encodes as\n%x\nwant\n%x (%v)", again, want, err)
+		v1 := wiretest.Hex(t, "testdata/golden/fgns-fgcstrc2.hex")
+		if again, err := recodeNodeSnapshot(t, v1); err != nil || !bytes.Equal(again, good) {
+			t.Fatalf("the version 1 payload re-encodes as\n%x\nwant\n%x (%v)", again, good, err)
+		}
+		// fgns.hex holds no days: its history differs from its version 2
+		// re-encoding in the magic alone.
+		parent := wiretest.Hex(t, "testdata/golden/fgns.hex")
+		want := bytes.Replace(parent, []byte("FGCSTRC1"), []byte("FGCSTRC2"), 1)
+		want[4] = nodeSnapVersion
+		if again, err := recodeNodeSnapshot(t, parent); err != nil || !bytes.Equal(again, want) {
+			t.Fatalf("the FGCSTRC1 payload re-encodes as\n%x\nwant\n%x (%v)", again, want, err)
 		}
 		// One node serves every input: a rejected payload installs nothing
 		// and an accepted one replaces the state wholesale. Building it
@@ -239,12 +327,13 @@ func FuzzDecodeNodeSnapshot(f *testing.F) {
 		if wiretest.Bounded(t, data, restoreInto(n.Persist)) != nil {
 			return
 		}
-		enc, err := encodeNodeSnapshot(t, n.Persist)
+		fs, err := publishNodeSnapshot(t, n.Persist)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if again, err := recodeNodeSnapshot(t, enc); err != nil || !bytes.Equal(again, enc) {
-			t.Fatalf("snapshot of an accepted input does not restore to itself (%v):\n%x\n%x", err, enc, again)
+		want := snapshotFiles(t, fs)
+		if again, err := republish(t, fs); err != nil || !maps.EqualFunc(snapshotFiles(t, again), want, bytes.Equal) {
+			t.Fatalf("snapshot of an accepted input does not restore to itself (%v)", err)
 		}
 	})
 }

@@ -2,6 +2,7 @@ package ishare
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -61,8 +62,9 @@ func TestRecordSteadyStateAllocatesNothing(t *testing.T) {
 }
 
 // snapshotNode builds a durable node over fs whose recorder holds `days` full
-// days ending the day before the virtual clock's, and publishes one snapshot.
-// It returns the node and the size of that snapshot file.
+// days ending the day before the virtual clock's, and publishes one snapshot:
+// a part for each day but the last, and the snapshot file. It returns the
+// node and the size of that snapshot file.
 func snapshotNode(t *testing.T, fs *durable.MemFS, days int) (*HostNode, int64) {
 	t.Helper()
 	st, rec, err := durable.Open(durable.Config{FS: fs, Sync: durable.SyncBatch})
@@ -101,28 +103,55 @@ func newestSnapshot(t testing.TB, fs *durable.MemFS) string {
 	return newest
 }
 
-// newestSnapshotPayload returns the payload of the newest snapshot in fs:
-// what sits between the FGSP header and the CRC32C trailer.
+// newestSnapshotPayload returns the payload of the newest snapshot in fs.
 func newestSnapshotPayload(t testing.TB, fs *durable.MemFS) []byte {
 	t.Helper()
-	f, err := fs.Open(newestSnapshot(t, fs))
+	return filePayload(t, fs, newestSnapshot(t, fs))
+}
+
+// filePayload returns what sits between the header of the snapshot or part
+// file name — an FGSP header, its part list skipped, or an FGPT one — and
+// its CRC32C trailer.
+func filePayload(t testing.TB, fs *durable.MemFS, name string) []byte {
+	t.Helper()
+	f, err := fs.Open(name)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
 	data, err := io.ReadAll(f)
-	if err != nil || len(data) < 4 {
-		t.Fatalf("snapshot of %d bytes (%v)", len(data), err)
+	if err != nil || len(data) < 9 {
+		t.Fatalf("%s: %d bytes (%v)", name, len(data), err)
 	}
-	r := wire.NewReader(data[:len(data)-4], "FGSP")
-	r.Header([4]byte{'F', 'G', 'S', 'P'}, 1)
-	r.Uvarint() // seq
-	r.Uvarint() // offset
-	payload := r.Bytes()
-	if err := r.Done(); err != nil {
-		t.Fatal(err)
+	p := data[5 : len(data)-4]
+	uvarint := func() uint64 {
+		x, n := binary.Uvarint(p)
+		if n <= 0 {
+			t.Fatalf("%s: malformed header", name)
+		}
+		p = p[n:]
+		return x
 	}
-	return payload
+	switch string(data[:5]) {
+	case "FGSP\x01":
+		uvarint() // seq
+		uvarint() // offset
+	case "FGSP\x02":
+		uvarint()
+		uvarint()
+		for n := uvarint(); n > 0; n-- {
+			uvarint() // key
+			p = p[4:] // its file's CRC32C
+		}
+	case "FGPT\x01":
+		uvarint() // key
+	default:
+		t.Fatalf("%s: header %q", name, data[:5])
+	}
+	if size := uvarint(); size != uint64(len(p)) {
+		t.Fatalf("%s: a payload of %d bytes declared as %d", name, len(p), size)
+	}
+	return p
 }
 
 // allocatedBy returns the bytes fn allocates.
@@ -135,12 +164,15 @@ func allocatedBy(fn func()) uint64 {
 }
 
 // TestSnapshotAllocCeiling is a tripwire for copies on the publication path.
-// One snapshot of a 30-day log allocates ≈1.06× the file it writes: MemFS's
-// own copy (the "disk"), one day of trace.WriteBinary's buffer and the
-// 64 KiB chunk the file is streamed through. Encoding the whole payload into
-// one buffer first, and a MemFS that re-copied a growing file, cost ≈2.0×;
-// cloning the log, encoding it by reflection into a growing buffer and
-// framing the result twice cost ≈10×.
+// The second snapshot of a 30-day log lists the 29 parts the first one
+// published and writes only its own file, the last day and the tail, and
+// allocates ≈1.2× that file: MemFS's own copy (the "disk") and the part
+// list. The inline history and the chunk the file is streamed through are
+// scratch the persister and the store keep. When every snapshot wrote the
+// whole log it allocated ≈1.06–1.18× a file thirty times the size;
+// encoding the whole payload into one buffer first, and a MemFS that
+// re-copied a growing file, cost ≈2.0×; cloning the log, encoding it by
+// reflection into a growing buffer and framing the result twice cost ≈10×.
 func TestSnapshotAllocCeiling(t *testing.T) {
 	fs := durable.NewMemFS()
 	n, size := snapshotNode(t, fs, 30)
@@ -155,18 +187,24 @@ func TestSnapshotAllocCeiling(t *testing.T) {
 }
 
 // TestRecoverAllocCeiling is the same tripwire for recovery: opening the
-// store and replaying a 30-day snapshot allocates the recovered days
-// themselves plus ≈390 KB that do not grow with the file: the samples'
-// rounding up to whole pages (≈6.6 KB a day), the 64 KiB read buffers and
-// the decoder's scratch, one compact day body. The ceiling is the samples,
-// 256 KiB and 0.25× the file, so reading the file whole into memory (≈1.0×
-// its size more) trips it. Reading the snapshot file whole cost ≈1.1×; a
-// second copy of the payload and a reflective decode made it ≈4×.
+// store and replaying a 30-day snapshot, its file and 29 parts, allocates
+// the recovered days themselves plus ≈360 KB that do not grow with the
+// files: the samples' rounding up to whole pages (≈6.6 KB a day), the one
+// 64 KiB buffer Open and the decode read every file through, the decoder's
+// scratch, one compact day body, and each part's reader. The ceiling is the
+// samples, 256 KiB and 0.25× the files, so reading them whole into memory
+// (≈1.0× their size more) trips it, as would a read buffer or a body
+// scratch per part (≈100 KB each). Reading the snapshot file whole cost
+// ≈1.1×; a second copy of the payload and a reflective decode made it ≈4×.
 func TestRecoverAllocCeiling(t *testing.T) {
 	fs := durable.NewMemFS()
-	n, size := snapshotNode(t, fs, 30)
+	n, _ := snapshotNode(t, fs, 30)
 	if err := n.Persist.Close(); err != nil {
 		t.Fatal(err)
+	}
+	var size int64
+	for name := range snapshotFiles(t, fs) {
+		size += fs.Size(name)
 	}
 	fresh := testNode(t, simclock.NewVirtual(monday), nil)
 	var p *Persister
@@ -190,7 +228,7 @@ func TestRecoverAllocCeiling(t *testing.T) {
 	}
 	sampleBytes := uint64(days) * uint64(unsafe.Sizeof(trace.Sample{}))
 	if ceiling := sampleBytes + 256<<10 + uint64(0.25*float64(size)); grew > ceiling {
-		t.Fatalf("recovering a %d KB snapshot allocated %d KB: %d KB of samples + %d KB, ceiling 256 KB + 0.25× the file",
+		t.Fatalf("recovering a snapshot of %d KB in its files allocated %d KB: %d KB of samples + %d KB, ceiling 256 KB + 0.25× the files",
 			size>>10, grew>>10, sampleBytes>>10, (grew-sampleBytes)>>10)
 	}
 }

@@ -154,14 +154,18 @@ func TestPersisterCleanShutdownZeroReplay(t *testing.T) {
 	}
 }
 
-// TestPersisterRecoveryBitExact: a node recovered from a snapshot and a WAL
-// tail holds the live node's history at Float64bits, sample for sample —
-// two days it recorded itself, restored from the snapshot, and a tail that
-// crosses midnight, replayed on top — and the same last-sample time and
-// recent ring. QueryTR equality alone would not see a difference here: the
-// classifier's thresholds are integers.
+// TestPersisterRecoveryBitExact: a node recovered from a snapshot, its
+// parts and a WAL tail holds the live node's history at Float64bits, sample
+// for sample, and the same last-sample time and recent ring. Two days it
+// recorded itself are restored from a first snapshot, and a tail that
+// crosses midnight is replayed on top; the recovered node then records on,
+// across two more midnights and two more snapshots, which publish the days
+// as they end and nothing the recovered snapshot already listed, and a
+// second recovery holds what it recorded. QueryTR equality alone would not
+// see a difference here: the classifier's thresholds are integers.
 func TestPersisterRecoveryBitExact(t *testing.T) {
-	fs := durable.NewMemFS()
+	mem := durable.NewMemFS()
+	fs := &partCountFS{FS: mem}
 	start := time.Date(2005, 8, 31, 20, 0, 0, 0, time.UTC)
 	clock := simclock.NewVirtual(start)
 	cfg := durable.Config{FS: fs, Sync: durable.SyncBatch}
@@ -172,44 +176,58 @@ func TestPersisterRecoveryBitExact(t *testing.T) {
 	live := newDurableNode(t, st, rec, clock, nil)
 	r := rng.New(9)
 	tt := start
-	record := func(d time.Duration) {
-		for end := tt.Add(d); tt.Before(end); tt = tt.Add(period) {
-			live.Persist.Record(tt, persistSample(r))
+	snapshot := func(n *HostNode, parts int) {
+		t.Helper()
+		fs.published = nil
+		if err := n.Persist.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+		if len(fs.published) != parts {
+			t.Fatalf("a snapshot published parts %v, want %d", fs.published, parts)
 		}
 	}
-	record(48 * time.Hour)
-	if err := live.Persist.Snapshot(); err != nil {
-		t.Fatal(err)
+	// recoverAndCompare closes n, recovers a node from the data directory
+	// with a tail of the given length and compares the two.
+	recoverAndCompare := func(n *HostNode, days int, tail time.Duration) *HostNode {
+		t.Helper()
+		wantLog, wantLast, wantRecent := n.SM.ExportHistory()
+		if err := n.Persist.Close(); err != nil {
+			t.Fatal(err)
+		}
+		st, rec, err := durable.Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.Snapshot == "" || len(rec.Records) != int(tail/period) {
+			t.Fatalf("recovered snapshot %q and %d records, want a snapshot and a %v tail", rec.Snapshot, len(rec.Records), tail)
+		}
+		got := newDurableNode(t, st, rec, clock, nil)
+		gotLog, gotLast, gotRecent := got.SM.ExportHistory()
+		if len(gotLog.Days) != days || len(gotLog.Days) != len(wantLog.Days) || !gotLast.Equal(wantLast) {
+			t.Fatalf("recovered %d days to %v, live %d days to %v", len(gotLog.Days), gotLast, len(wantLog.Days), wantLast)
+		}
+		if d, j := sameHistory(got, wantLog); d >= 0 {
+			t.Fatalf("day %v sample %d: recovered %+v, live %+v", wantLog.Days[d].Date, j, gotLog.Days[d].Samples[max(j, 0)], wantLog.Days[d].Samples[max(j, 0)])
+		}
+		if j := firstBitDifference(gotRecent, wantRecent); j >= 0 {
+			t.Fatalf("recent sample %d: recovered %v, live %v", j, gotRecent, wantRecent)
+		}
+		return got
 	}
-	record(6 * time.Hour)
-	if err := live.Persist.Close(); err != nil {
-		t.Fatal(err)
-	}
+	record := func(n *HostNode, d time.Duration) { recordSpan(n.Persist, r, &tt, d) }
 
-	st, rec, err = durable.Open(cfg)
-	if err != nil {
+	record(live, 48*time.Hour)
+	snapshot(live, 2) // Aug 31 and Sep 1 ended
+	record(live, 6*time.Hour)
+	got := recoverAndCompare(live, 4, 6*time.Hour)
+	record(got, 24*time.Hour)
+	snapshot(got, 2) // Sep 2 and 3 ended; the recovered snapshot listed Aug 31 and Sep 1
+	record(got, 24*time.Hour)
+	snapshot(got, 1) // Sep 4 ended
+	record(got, 5*time.Hour)
+	again := recoverAndCompare(got, 6, 5*time.Hour)
+	if err := again.Persist.Close(); err != nil {
 		t.Fatal(err)
-	}
-	if rec.Snapshot == "" || len(rec.Records) != int(6*time.Hour/period) {
-		t.Fatalf("recovered snapshot %q and %d records, want a snapshot and a 6 h tail", rec.Snapshot, len(rec.Records))
-	}
-	got := newDurableNode(t, st, rec, clock, nil)
-	defer got.Persist.Close()
-	wantLog, wantLast, wantRecent := live.SM.ExportHistory()
-	gotLog, gotLast, gotRecent := got.SM.ExportHistory()
-	if len(gotLog.Days) != 4 || len(gotLog.Days) != len(wantLog.Days) || !gotLast.Equal(wantLast) {
-		t.Fatalf("recovered %d days to %v, live %d days to %v", len(gotLog.Days), gotLast, len(wantLog.Days), wantLast)
-	}
-	for i, d := range wantLog.Days {
-		if !gotLog.Days[i].Date.Equal(d.Date) {
-			t.Fatalf("day %d: recovered %v, live %v", i, gotLog.Days[i].Date, d.Date)
-		}
-		if j := firstBitDifference(gotLog.Days[i].Samples, d.Samples); j >= 0 {
-			t.Fatalf("day %v sample %d: recovered %+v, live %+v", d.Date, j, gotLog.Days[i].Samples[j], d.Samples[j])
-		}
-	}
-	if j := firstBitDifference(gotRecent, wantRecent); j >= 0 {
-		t.Fatalf("recent sample %d: recovered %v, live %v", j, gotRecent, wantRecent)
 	}
 }
 
@@ -256,6 +274,30 @@ func TestArchiveLoadsBitExact(t *testing.T) {
 		if fi, err := os.Stat(path); err != nil || fi.Size() >= int64(6*held) {
 			t.Fatalf("%s: %d samples archived in %v bytes (%v)", name, held, fi.Size(), err)
 		}
+	}
+}
+
+// TestArchiveAllocFlatInHistory: an archive shares the sealed days it writes
+// and copies only the last, so what Archive allocates beyond the encoder's
+// own does not grow with the days held: 56 days cost under 1 KiB a day more
+// than 7 (the day lists' pointers). Cloning the history cost 345.6 KB a day.
+func TestArchiveAllocFlatInHistory(t *testing.T) {
+	var grew [2]uint64
+	for i, days := range []int{7, 56} {
+		today := monday.AddDate(0, 0, days)
+		n := testNode(t, simclock.NewVirtual(today.Add(time.Hour)), nil)
+		if err := n.SM.RestoreHistory(historyMachine("lab-01", days, 9), today.Add(-period), nil); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "lab-01.trace")
+		var err error
+		grew[i] = allocatedBy(func() { err = n.SM.Archive(path) })
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if grew[1] > grew[0]+49<<10 {
+		t.Fatalf("archiving 7 days allocated %d KB, 56 days %d KB: more than 1 KiB a day more", grew[0]>>10, grew[1]>>10)
 	}
 }
 
@@ -413,24 +455,33 @@ func TestPersisterCrashQueryTREquality(t *testing.T) {
 	}
 }
 
-// TestPersisterCrashMultiChunkSnapshot kills a node snapshot that spans
-// several write chunks: at every chunk edge and one byte either side, at its
-// last byte and at seeded offsets inside it. Every kill leaves the previous
-// snapshot and the WAL, and a node recovered from them replays every sample
-// and answers QueryTR as the live node did. (A power loss keeps the same
-// files here, less the tmp file recovery removes anyway: the store syncs
-// every append, and the torn tmp file was never linked.)
+// TestPersisterCrashMultiChunkSnapshot kills a node snapshot inside the part
+// it publishes for the day that just ended, a part that spans two write
+// chunks: at the chunk edge and one byte either side, at its last byte,
+// between it and the snapshot file (the part published, the snapshot not
+// begun), at the snapshot file's last byte (the part published, the
+// snapshot never renamed into place) and at seeded offsets in both. Every
+// kill leaves the previous snapshot, its parts and the WAL, and a node
+// recovered from them replays every sample, answers QueryTR as the live
+// node did and holds the history a node recovered from the uncut run does
+// (the float32 day's, not the live node's float64 samples). (A power loss keeps the same files
+// here, less the tmp file recovery removes anyway: the store syncs every
+// append and every file it publishes, and the torn tmp file was never
+// linked.)
 func TestPersisterCrashMultiChunkSnapshot(t *testing.T) {
-	// Nine days of the history's steady load are ≈ 30 KB each in a
-	// snapshot, which is then four write chunks and a bit.
-	const samples, chunk, days = 30, 64 << 10, 9
+	// The last day of the history is off the WAL's precision, so its part
+	// is 9-byte float32 records: ≈ 130 KB, two write chunks.
+	const samples, chunk, days = 30, 64 << 10, 4
 	hist := historyMachine("lab-01", days, 9)
+	for i := range hist.Days[days-1].Samples {
+		hist.Days[days-1].Samples[i].CPU += 0.001
+	}
 	today := monday.AddDate(0, 0, days)
 	start := today.Add(8 * time.Hour)
 	clock := simclock.NewVirtual(start.Add(samples * period))
 	// run publishes a node's history in a first snapshot, records samples
-	// into the WAL and takes a second snapshot, which it returns the error
-	// of, with the bytes fs had taken before it.
+	// into the WAL, the first of a new day, and takes a second snapshot,
+	// which it returns the error of, with the bytes fs had taken before it.
 	run := func(fs *durable.CrashFS) (*HostNode, int64, error) {
 		st, rec, err := durable.Open(persistStoreCfg(fs))
 		if err != nil {
@@ -450,27 +501,38 @@ func TestPersisterCrashMultiChunkSnapshot(t *testing.T) {
 		before := fs.BytesWritten()
 		return n, before, n.Persist.Snapshot()
 	}
-	probe := durable.NewCrashFS(durable.NewMemFS(), -1)
+	mem := durable.NewMemFS()
+	probe := durable.NewCrashFS(mem, -1)
 	live, before, err := run(probe)
 	if err != nil {
 		t.Fatal(err)
 	}
 	size := probe.BytesWritten() - before
-	if size <= 2*chunk {
-		t.Fatalf("the snapshot is %d bytes, fewer than three write chunks", size)
+	part := mem.Size(dayPartName(today.AddDate(0, 0, -1)))
+	if part <= chunk || part >= size {
+		t.Fatalf("the new part is %d bytes of the snapshot's %d, not two write chunks", part, size)
 	}
 	want := []queryAnswer{askTR(t, live, 1800), askTR(t, live, 2*3600)}
 	if err := live.Persist.Close(); err != nil {
 		t.Fatal(err)
 	}
+	st, rec, err := durable.Open(persistStoreCfg(mem))
+	if err != nil {
+		t.Fatal(err)
+	}
+	uncut := newDurableNode(t, st, rec, clock, nil)
+	wantLog, _, _ := uncut.SM.ExportHistory()
+	if err := uncut.Persist.Close(); err != nil {
+		t.Fatal(err)
+	}
 
-	kills := []int64{size - 1}
-	for edge := int64(chunk); edge < size; edge += chunk {
+	kills := []int64{part - 1, part, part + 1, size - 1}
+	for edge := int64(chunk); edge < part; edge += chunk {
 		kills = append(kills, edge-1, edge, edge+1)
 	}
 	r := rng.New(7).Split("snapshot-killpoints")
 	for i := 0; i < 3; i++ {
-		kills = append(kills, int64(r.Uint64()%uint64(size)))
+		kills = append(kills, int64(r.Uint64()%uint64(part)), part+int64(r.Uint64()%uint64(size-part)))
 	}
 	for _, kill := range kills {
 		mem := durable.NewMemFS()
@@ -492,10 +554,29 @@ func TestPersisterCrashMultiChunkSnapshot(t *testing.T) {
 			t.Fatalf("kill at snapshot byte %d: replayed %d samples over the first snapshot (%v), answers %+v, live %+v",
 				kill, replayed, rec.Snapshot != "", got, want)
 		}
+		if d, j := sameHistory(n, wantLog); d >= 0 {
+			t.Fatalf("kill at snapshot byte %d: recovered day %d differs from the live node's at sample %d", kill, d, j)
+		}
 		if err := n.Persist.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}
+}
+
+// sameHistory compares n's history with want at Float64bits and returns
+// the first day and sample that differ, or -1 for both; a missing day
+// differs at sample -1.
+func sameHistory(n *HostNode, want *trace.Machine) (day, sample int) {
+	got, _, _ := n.SM.ExportHistory()
+	for i := range max(len(got.Days), len(want.Days)) {
+		if i >= len(got.Days) || i >= len(want.Days) || !got.Days[i].Date.Equal(want.Days[i].Date) {
+			return i, -1
+		}
+		if j := firstBitDifference(got.Days[i].Samples, want.Days[i].Samples); j >= 0 {
+			return i, j
+		}
+	}
+	return -1, -1
 }
 
 // raceRegState wraps a RegState so a test can run code at the worst possible

@@ -228,13 +228,14 @@ func (sm *StateManager) CurrentState() avail.State {
 
 // history returns the full day history available for prediction: the
 // preloaded and the live-recorded days, merged chronologically with live data
-// winning on overlap.
+// winning on overlap. Every day but the last recorded one is shared, not
+// copied (monitor.Recorder.History).
 func (sm *StateManager) history() []*trace.Day {
 	var pre []*trace.Day
 	if sm.preloaded != nil {
 		pre = sm.preloaded.Days
 	}
-	return mergeDays(pre, sm.recorder.Snapshot().Days)
+	return mergeDays(pre, sm.recorder.History())
 }
 
 // mergeDays merges two date-ordered day lists into one. A date both lists

@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -120,8 +119,9 @@ func (m *Monitor) Run() {
 
 // Tick performs a single sampling step at the given time. Exposed so tests
 // and simulations can drive the monitor deterministically. A failed read,
-// or a reading that is NaN or infinite, is counted as a source error and
-// records no sample.
+// or a reading no log can hold — NaN, infinite, or past trace's bound on
+// stored units (trace.Storable) — is counted as a source error and records
+// no sample.
 func (m *Monitor) Tick(now time.Time) {
 	mx := m.cfg.Metrics
 	var tickStart time.Time
@@ -129,10 +129,11 @@ func (m *Monitor) Tick(now time.Time) {
 		tickStart = time.Now()
 	}
 	cpu, free, err := m.src.Read()
-	if err == nil && (math.IsNaN(cpu) || math.IsInf(cpu, 0) || math.IsNaN(free) || math.IsInf(free, 0)) {
-		// No log can hold it: the WAL stores whole units, a trace file
-		// refuses it, and the state machine has no state for it.
-		err = fmt.Errorf("monitor: non-finite reading: cpu %v, free memory %v", cpu, free)
+	if err == nil && !trace.Storable(trace.Sample{CPU: cpu, FreeMemMB: free}) {
+		// No log can hold it: the WAL stores whole units in an int64, a
+		// trace file refuses a non-finite one, and the state machine has
+		// no state for it.
+		err = fmt.Errorf("monitor: reading out of range: cpu %v, free memory %v", cpu, free)
 	}
 	if err != nil {
 		if mx != nil {

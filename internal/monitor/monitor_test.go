@@ -112,13 +112,17 @@ func TestMonitorCountsSourceErrors(t *testing.T) {
 }
 
 // TestMonitorRefusesNonFiniteReadings: a NaN or infinite reading in either
-// column is a source error, and no sink sees it.
+// column is a source error, and no sink sees it; so is a finite reading past
+// the 2^40 units a log can hold, whose unit count would not survive the WAL.
 func TestMonitorRefusesNonFiniteReadings(t *testing.T) {
 	for _, src := range []StaticSource{
 		{CPU: math.NaN(), FreeMemMB: 400},
 		{CPU: math.Inf(1), FreeMemMB: 400},
 		{CPU: 5, FreeMemMB: math.Inf(-1)},
 		{CPU: 5, FreeMemMB: math.NaN()},
+		{CPU: 1e17, FreeMemMB: 400},
+		{CPU: -1e11, FreeMemMB: 400},
+		{CPU: 5, FreeMemMB: 1e11},
 	} {
 		mx := NewMetrics(obs.NewRegistry())
 		m, err := New(Config{Period: time.Second, Metrics: mx}, src,
@@ -206,12 +210,42 @@ func TestRecorderBuildsDays(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		r.Record(epoch.Add(time.Duration(i)*6*time.Second), trace.Sample{CPU: float64(i), FreeMemMB: 100, Up: true})
 	}
-	m := r.Snapshot()
+	m := logOf(r)
 	if len(m.Days) != 1 {
 		t.Fatalf("days = %d", len(m.Days))
 	}
 	if m.Days[0].Samples[50].CPU != 50 {
 		t.Fatalf("sample 50 = %+v", m.Days[0].Samples[50])
+	}
+}
+
+// logOf returns a deep copy of the log r holds, read through View.
+func logOf(r *Recorder) (log *trace.Machine) {
+	r.View(func(m *trace.Machine, _ time.Time) { log = m.Clone() })
+	return log
+}
+
+// TestRecorderHistoryCopiesTheLastDayOnly: History shares every day before
+// the last with the log, and hands out a copy of the last, which the next
+// sample writes and the copy does not see.
+func TestRecorderHistoryCopiesTheLastDayOnly(t *testing.T) {
+	r := NewRecorder("lab-01", 6*time.Second, 0)
+	at := epoch
+	for ; at.Before(epoch.Add(50 * time.Hour)); at = at.Add(time.Minute) {
+		r.Record(at, trace.Sample{CPU: 5, FreeMemMB: 100, Up: true})
+	}
+	hist := r.History()
+	var live []*trace.Day
+	r.View(func(m *trace.Machine, _ time.Time) { live = append(live, m.Days...) })
+	if len(hist) != 3 || len(live) != 3 {
+		t.Fatalf("History holds %d days, the log %d, want 3", len(hist), len(live))
+	}
+	if hist[0] != live[0] || hist[1] != live[1] || hist[2] == live[2] {
+		t.Fatal("History copied a sealed day or shared the last")
+	}
+	r.Record(at, trace.Sample{CPU: 77, FreeMemMB: 100, Up: true})
+	if i := hist[2].IndexAt(at.Sub(hist[2].Date)); hist[2].Samples[i].CPU == 77 {
+		t.Fatal("a sample recorded after History reached its copy of the last day")
 	}
 }
 
@@ -221,7 +255,7 @@ func TestRecorderSpansMidnight(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		r.Record(start.Add(time.Duration(i)*6*time.Second), trace.Sample{CPU: 5, FreeMemMB: 100, Up: true})
 	}
-	m := r.Snapshot()
+	m := logOf(r)
 	if len(m.Days) != 2 {
 		t.Fatalf("days = %d, want 2 (midnight crossing)", len(m.Days))
 	}
@@ -232,7 +266,7 @@ func TestRecorderBackfillsGapsAsDowntime(t *testing.T) {
 	r.Record(epoch, trace.Sample{CPU: 5, FreeMemMB: 100, Up: true})
 	// 5-minute gap: the machine was revoked.
 	r.Record(epoch.Add(5*time.Minute), trace.Sample{CPU: 5, FreeMemMB: 100, Up: true})
-	m := r.Snapshot()
+	m := logOf(r)
 	day := m.Days[0]
 	down := 0
 	for _, s := range day.Samples[:day.IndexAt(6*time.Minute)] {
@@ -290,7 +324,7 @@ func TestRecorderStragglerDoesNotBackfill(t *testing.T) {
 	}
 	r.Record(at.Add(-5*period), up)
 	r.Record(at.Add(period), up)
-	day := r.Snapshot().Days[0]
+	day := logOf(r).Days[0]
 	for i := day.IndexAt(time.Hour - 5*period); i <= day.IndexAt(time.Hour+period); i++ {
 		if !day.Samples[i].Up {
 			t.Fatalf("sample %d (offset %v) back-filled as down after a straggler", i, time.Duration(i)*period)

@@ -115,8 +115,8 @@ func (r *Recorder) put(t time.Time, s trace.Sample) {
 
 // DayWindow copies the recorded samples of the day containing date at clock
 // offsets [start, start+length): nil when that day has none in the window
-// yet. Unlike Snapshot it copies only the requested window, and the lock is
-// held only for the copy.
+// yet. It copies only the requested window, and the lock is held only for
+// the copy.
 func (r *Recorder) DayWindow(date time.Time, start, length time.Duration) []trace.Sample {
 	date = date.UTC()
 	midnight := time.Date(date.Year(), date.Month(), date.Day(), 0, 0, 0, 0, time.UTC)
@@ -170,7 +170,7 @@ func (r *Recorder) Restore(m *trace.Machine, last time.Time) error {
 // ones, sealed by this call — any straggler sample targeting them is
 // dropped (see put). Day pointers are stable across calls, which is what
 // lets the prediction engine recognize an unchanged history and reuse its
-// per-day content hashes; Snapshot's deep clone made every day rollover a
+// per-day content hashes; a deep clone made every day rollover a
 // full-history copy per machine, a measurable stall at fleet scale.
 func (r *Recorder) DaysBefore(midnight time.Time) []*trace.Day {
 	midnight = midnight.UTC()
@@ -194,11 +194,21 @@ func (r *Recorder) DaysBefore(midnight time.Time) []*trace.Day {
 	return out
 }
 
-// Snapshot returns a deep copy of the accumulated machine log.
-func (r *Recorder) Snapshot() *trace.Machine {
+// History returns the recorded days in order, copying only the last, which
+// samples still write: every day before it is the live one, shared, since
+// put writes no day but the last. A full-history archive costs one day's
+// copy, not the history's.
+func (r *Recorder) History() []*trace.Day {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.machine.Clone()
+	n := len(r.machine.Days)
+	if n == 0 {
+		return nil
+	}
+	out := make([]*trace.Day, n)
+	copy(out, r.machine.Days[:n-1])
+	out[n-1] = r.machine.Days[n-1].Clone()
+	return out
 }
 
 // Days returns the number of days with at least one sample.

@@ -71,6 +71,14 @@ func Quantize(s Sample) Sample {
 	return s
 }
 
+// Storable reports whether a sample can be logged: both readings within
+// ±2^40 units, where a unit count converts to a float64 and back exactly
+// and the WAL's deltas of unit counts cannot overflow. NaN and ±Inf are
+// not.
+func Storable(s Sample) bool {
+	return math.Abs(s.CPU*CPUUnit) <= maxUnits && math.Abs(s.FreeMemMB*MemUnit) <= maxUnits
+}
+
 // fastUnits returns v in units of 1/unit, and whether that count decodes
 // back to v's exact bits, for a count in [0, maxUnits), where truncation
 // rounds x+0.5. A false answer is final only from units, which also takes
@@ -106,30 +114,6 @@ func zigzag(x int64) uint64 { return uint64(x<<1) ^ uint64(x>>63) }
 
 // varintLen is the length of binary.AppendVarint(nil, x).
 func varintLen(x int64) int { return int(varintLens[bits.Len64(zigzag(x))]) }
-
-// daySize is the length of a day's header, tag and body: a compact body
-// when every sample has an exact form in WAL units, float32 records when
-// one has not.
-func daySize(samples []Sample) int {
-	n := 8 + 4 + 1 + 4 + (len(samples)+7)/8
-	var cpu, mem int64
-	for _, s := range samples {
-		c, okc := fastUnits(s.CPU, CPUUnit)
-		if !okc {
-			c, okc = units(s.CPU, CPUUnit)
-		}
-		m, okm := fastUnits(s.FreeMemMB, MemUnit)
-		if !okm {
-			m, okm = units(s.FreeMemMB, MemUnit)
-		}
-		if !okc || !okm {
-			return 8 + 4 + 1 + sampleBytes*len(samples)
-		}
-		n += varintLen(c-cpu) + varintLen(m-mem)
-		cpu, mem = c, m
-	}
-	return n
-}
 
 // appendDay appends a day's tag and body: compact if every sample has an
 // exact form in WAL units, which it finds out by encoding the day, float32
@@ -240,55 +224,84 @@ func putShort(out []byte, ux uint64) int {
 	return l
 }
 
+// AppendDay appends d as the binary format writes a day: its date, its
+// sample count, its tag and its body. It is the body of a snapshot part.
+func AppendDay(buf []byte, d *Day) []byte {
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(d.Date.Unix()))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(d.Samples)))
+	return appendDay(buf, d.Samples)
+}
+
 // WriteBinary encodes the dataset in the binary format, a day a Write.
 func WriteBinary(w io.Writer, ds *Dataset) error {
+	buf, err := encodeBinary(make([]byte, 0, 64), ds, func(day []byte) error {
+		_, err := w.Write(day)
+		return err
+	})
+	if err == nil {
+		_, err = w.Write(buf)
+	}
+	return err
+}
+
+// AppendBinary appends the dataset in the binary format to buf.
+func AppendBinary(buf []byte, ds *Dataset) ([]byte, error) {
+	return encodeBinary(buf, ds, nil)
+}
+
+// encodeBinary appends ds to buf, handing what buf holds to flush after
+// each day and starting it again empty (nil: buf takes everything).
+func encodeBinary(buf []byte, ds *Dataset, flush func([]byte) error) ([]byte, error) {
 	le := binary.LittleEndian
-	buf := append(make([]byte, 0, 64), binaryMagic...)
+	buf = append(buf, binaryMagic...)
 	buf = le.AppendUint32(buf, uint32(len(ds.Machines)))
 	for _, m := range ds.Machines {
 		if len(m.ID) > math.MaxUint16 {
-			return fmt.Errorf("trace: machine id too long")
+			return buf, fmt.Errorf("trace: machine id too long")
 		}
 		buf = le.AppendUint16(buf, uint16(len(m.ID)))
 		buf = append(buf, m.ID...)
 		buf = le.AppendUint64(buf, uint64(m.Period.Nanoseconds()))
 		buf = le.AppendUint32(buf, uint32(len(m.Days)))
 		for _, d := range m.Days {
-			buf = le.AppendUint64(buf, uint64(d.Date.Unix()))
-			buf = le.AppendUint32(buf, uint32(len(d.Samples)))
-			buf = appendDay(buf, d.Samples)
-			if _, err := w.Write(buf); err != nil {
-				return err
+			buf = AppendDay(buf, d)
+			if flush != nil {
+				if err := flush(buf); err != nil {
+					return buf, err
+				}
+				buf = buf[:0]
 			}
-			buf = buf[:0]
 		}
 	}
-	_, err := w.Write(buf)
-	return err
-}
-
-// BinarySize returns the number of bytes WriteBinary produces for ds. It
-// walks every sample, as WriteBinary does, and allocates nothing.
-func BinarySize(ds *Dataset) int {
-	n := len(binaryMagic) + 4
-	for _, m := range ds.Machines {
-		n += 2 + len(m.ID) + 8 + 4
-		for _, d := range m.Days {
-			n += daySize(d.Samples)
-		}
-	}
-	return n
+	return buf, nil
 }
 
 // ReadBinary decodes a dataset written by WriteBinary, in either format
 // version. It refuses a sample that is NaN or infinite.
 func ReadBinary(r io.Reader) (*Dataset, error) {
-	br := bufio.NewReader(r)
+	var dec Decoder
+	return dec.ReadBinary(r)
+}
+
+// Decoder reads the binary format through scratch it keeps from one call to
+// the next: what reads many days through one Decoder, a dataset and then
+// single days, grows its buffers once. The zero value is ready to use.
+type Decoder struct {
+	br    *bufio.Reader
+	field [12]byte // the fixed-width header fields
+	// chunk takes sample records or a compact body.
+	chunk []byte
+}
+
+// ReadBinary is the package's ReadBinary on d's scratch.
+func (dec *Decoder) ReadBinary(r io.Reader) (*Dataset, error) {
+	if dec.br == nil {
+		dec.br = new(bufio.Reader) // NewReader could hand back r itself
+	}
+	dec.br.Reset(r)
+	br, field := dec.br, dec.field[:]
+	defer br.Reset(nil) // keep no reference to r
 	le := binary.LittleEndian
-	// Scratch: field takes the fixed-width header fields, chunk sample
-	// records or a compact body.
-	field := make([]byte, 12)
-	var chunk []byte
 	magic := field[:len(binaryMagic)]
 	if _, err := io.ReadFull(br, magic); err != nil {
 		return nil, fmt.Errorf("trace: reading magic: %w", err)
@@ -329,33 +342,7 @@ func ReadBinary(r io.Reader) (*Dataset, error) {
 		}
 		nd := le.Uint32(field)
 		for j := uint32(0); j < nd; j++ {
-			if _, err := io.ReadFull(br, field[:12]); err != nil {
-				return nil, err
-			}
-			unix, ns := int64(le.Uint64(field)), le.Uint32(field[8:])
-			if plausible := 7 * 24 * time.Hour / m.Period; plausible < math.MaxUint32 && ns > uint32(plausible) {
-				return nil, fmt.Errorf("trace: implausible sample count %d", ns)
-			}
-			d := &Day{Date: time.Unix(unix, 0).UTC(), Period: m.Period, Samples: []Sample{}}
-			tag := dayFloat32
-			if tagged {
-				if _, err := io.ReadFull(br, field[:1]); err != nil {
-					return nil, err
-				}
-				tag = field[0]
-			}
-			var err error
-			switch tag {
-			case dayFloat32:
-				chunk, err = readFloat32Day(br, m.ID, d, int(ns), chunk)
-			case dayCompact:
-				if _, err := io.ReadFull(br, field[:4]); err != nil {
-					return nil, err
-				}
-				chunk, err = readCompactDay(br, m.ID, d, int(ns), int(le.Uint32(field)), chunk)
-			default:
-				err = fmt.Errorf("trace: machine %q day %s: unknown encoding %d", m.ID, d.Date.Format(time.DateOnly), tag)
-			}
+			d, err := dec.readDay(br, m, tagged)
 			if err != nil {
 				return nil, err
 			}
@@ -368,6 +355,50 @@ func ReadBinary(r io.Reader) (*Dataset, error) {
 	return ds, nil
 }
 
+// ReadDay reads one day of m as AppendDay wrote it from r, which it reads
+// no further; it does not add the day to m.
+func (dec *Decoder) ReadDay(r io.Reader, m *Machine) (*Day, error) {
+	return dec.readDay(r, m, true)
+}
+
+// readDay reads one day of m: its date, sample count, tag (untagged days,
+// FGCSTRC1's, are float32) and body.
+func (dec *Decoder) readDay(r io.Reader, m *Machine, tagged bool) (*Day, error) {
+	le := binary.LittleEndian
+	field := dec.field[:]
+	if _, err := io.ReadFull(r, field[:12]); err != nil {
+		return nil, err
+	}
+	unix, ns := int64(le.Uint64(field)), le.Uint32(field[8:])
+	if plausible := 7 * 24 * time.Hour / m.Period; plausible < math.MaxUint32 && ns > uint32(plausible) {
+		return nil, fmt.Errorf("trace: implausible sample count %d", ns)
+	}
+	d := &Day{Date: time.Unix(unix, 0).UTC(), Period: m.Period, Samples: []Sample{}}
+	tag := dayFloat32
+	if tagged {
+		if _, err := io.ReadFull(r, field[:1]); err != nil {
+			return nil, err
+		}
+		tag = field[0]
+	}
+	var err error
+	switch tag {
+	case dayFloat32:
+		dec.chunk, err = readFloat32Day(r, m.ID, d, int(ns), dec.chunk)
+	case dayCompact:
+		if _, err := io.ReadFull(r, field[:4]); err != nil {
+			return nil, err
+		}
+		dec.chunk, err = readCompactDay(r, m.ID, d, int(ns), int(le.Uint32(field)), dec.chunk)
+	default:
+		err = fmt.Errorf("trace: machine %q day %s: unknown encoding %d", m.ID, d.Date.Format(time.DateOnly), tag)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
 // expMask is a float32's exponent field, all ones only for NaN and ±Inf.
 const expMask = 0x7f800000
 
@@ -375,14 +406,14 @@ const expMask = 0x7f800000
 // records arrive rather than by the declared count: a corrupt or hostile
 // header must not be able to demand an allocation before its first records
 // are there, nor a multi-gigabyte one after.
-func readFloat32Day(br *bufio.Reader, id string, d *Day, n int, chunk []byte) ([]byte, error) {
+func readFloat32Day(r io.Reader, id string, d *Day, n int, chunk []byte) ([]byte, error) {
 	le := binary.LittleEndian
 	capHint := min(n, 1<<16)
 	for left := n; left > 0; {
 		k := min(left, readChunk)
 		left -= k
 		chunk = slices.Grow(chunk[:0], k*sampleBytes)[:k*sampleBytes]
-		if _, err := io.ReadFull(br, chunk); err != nil {
+		if _, err := io.ReadFull(r, chunk); err != nil {
 			return chunk, err
 		}
 		// The records are here, so the slice may grow by them: the first
@@ -412,7 +443,7 @@ func readFloat32Day(br *bufio.Reader, id string, d *Day, n int, chunk []byte) ([
 // d. The body is read into the scratch as its bytes arrive, and the samples
 // are allocated only once it is whole: every sample has cost at least two
 // bytes by then.
-func readCompactDay(br *bufio.Reader, id string, d *Day, n, size int, body []byte) ([]byte, error) {
+func readCompactDay(r io.Reader, id string, d *Day, n, size int, body []byte) ([]byte, error) {
 	bitmap := (n + 7) / 8
 	if size < bitmap+2*n || size > bitmap+2*binary.MaxVarintLen64*n {
 		return body, fmt.Errorf("trace: machine %q day %s: a compact body of %d bytes for %d samples",
@@ -423,7 +454,7 @@ func readCompactDay(br *bufio.Reader, id string, d *Day, n, size int, body []byt
 		at := len(body)
 		step := min(size-at, bodyChunk)
 		body = slices.Grow(body, step)[:at+step]
-		if _, err := io.ReadFull(br, body[at:]); err != nil {
+		if _, err := io.ReadFull(r, body[at:]); err != nil {
 			return body, err
 		}
 	}

@@ -404,8 +404,8 @@ func TestBinaryGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	wiretest.Golden(t, "testdata/golden/fgcstrc2.hex", buf.Bytes())
-	if n := BinarySize(ds); n != buf.Len() {
-		t.Fatalf("BinarySize %d, encoded %d", n, buf.Len())
+	if b, err := AppendBinary([]byte("x"), ds); err != nil || !bytes.Equal(b[1:], buf.Bytes()) {
+		t.Fatalf("AppendBinary differs from WriteBinary (%v)", err)
 	}
 	got, err := ReadBinary(bytes.NewReader(buf.Bytes()))
 	if err != nil {

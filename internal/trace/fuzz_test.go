@@ -58,9 +58,9 @@ func FuzzReadBinary(f *testing.F) {
 		if err := WriteBinary(&out2, again); err != nil || !bytes.Equal(out2.Bytes(), out.Bytes()) {
 			t.Fatalf("a decoded file re-encodes to other bytes (%v):\n%x\n%x", err, out.Bytes(), out2.Bytes())
 		}
-		// The encoder and its size agree.
-		if BinarySize(got) != out.Len() {
-			t.Fatalf("WriteBinary wrote %d bytes, BinarySize %d", out.Len(), BinarySize(got))
+		// The streaming and the appending encoder agree.
+		if b, err := AppendBinary(nil, got); err != nil || !bytes.Equal(b, out.Bytes()) {
+			t.Fatalf("AppendBinary differs from WriteBinary (%v):\n%x\n%x", err, b, out.Bytes())
 		}
 	})
 }
@@ -121,8 +121,8 @@ func FuzzDayCodec(f *testing.F) {
 		if err := WriteBinary(&enc, ds); err != nil {
 			t.Fatal(err)
 		}
-		if BinarySize(ds) != enc.Len() {
-			t.Fatalf("WriteBinary wrote %d bytes, BinarySize %d", enc.Len(), BinarySize(ds))
+		if b, err := AppendBinary(nil, ds); err != nil || !bytes.Equal(b, enc.Bytes()) {
+			t.Fatalf("AppendBinary differs from WriteBinary (%v)", err)
 		}
 		tag := enc.Bytes()[dayTagAt(m.ID)]
 		if (tag == dayCompact) != exact {
