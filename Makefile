@@ -165,13 +165,14 @@ chaos:
 
 # Crash-injection harness: kill the WAL at every byte offset (durable layer)
 # — as a process kill and as a power loss that keeps only synced bytes — and
-# at seeded offsets under a live node and at every chunk edge of a streamed
-# node snapshot (ishare layer), then prove recovery is prefix-consistent,
-# refuses silent corruption, and answers QueryTR exactly as the pre-crash
-# state; a snapshot payload of the wrong length publishes nothing; a newest
+# at seeded offsets under a live node and at every write boundary of a node
+# snapshot and its part (ishare layer), then prove recovery is
+# prefix-consistent, refuses silent corruption, and answers QueryTR exactly
+# as the pre-crash state; a write or sync that fails partway through
+# publishes nothing; a newest
 # snapshot damaged in its last payload byte falls back on the older one, and
 # a snapshot that changes after recovery validated it, or validates but does
 # not decode, installs nothing. Byte-deterministic under fixed seeds.
 crash:
-	$(GO) test -count=1 -run 'TestCrash|TestBitFlip|TestPowerLoss|TestSnapshotSizeMismatch|TestPart' ./internal/durable/
+	$(GO) test -count=1 -run 'TestCrash|TestBitFlip|TestPowerLoss|TestPublishFailure|TestPart' ./internal/durable/
 	$(GO) test -count=1 -run 'TestPersisterCrash|TestSnapshotFallbackLastPayloadByte|TestSnapshotChangedAfterValidation|TestSnapshotInstallAllOrNothing' ./internal/ishare/

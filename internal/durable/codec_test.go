@@ -5,8 +5,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
-	"io"
 	"slices"
+	"strings"
 	"testing"
 
 	"fgcs/internal/rng"
@@ -38,7 +38,7 @@ func encodeSnapshot(seq uint64, offset int64, parts []partRef, payload []byte) [
 
 // TestSnapshotFileMatchesReference compares the file WriteSnapshotAt leaves
 // behind with the single-buffer encoding, byte for byte, whether the payload
-// arrives in one write or in seeded pieces that straddle the chunk edges.
+// is one slice or seeded pieces.
 func TestSnapshotFileMatchesReference(t *testing.T) {
 	r := rng.New(5)
 	for _, size := range []int{0, 1, 4095, 3*snapshotChunk - 20, 1 << 20} {
@@ -46,7 +46,15 @@ func TestSnapshotFileMatchesReference(t *testing.T) {
 		for i := range payload {
 			payload[i] = byte(i * 31)
 		}
-		for _, pieces := range []string{"one write", "seeded pieces"} {
+		for _, pieces := range []string{"one slice", "seeded pieces"} {
+			var split [][]byte
+			for rest := payload; len(rest) > 0; {
+				n := len(rest)
+				if pieces != "one slice" {
+					n = min(n, 1+int(r.Uint64()%(snapshotChunk+snapshotChunk/2)))
+				}
+				split, rest = append(split, rest[:n]), rest[n:]
+			}
 			fs := NewMemFS()
 			st, _, err := Open(Config{FS: fs})
 			if err != nil {
@@ -56,20 +64,7 @@ func TestSnapshotFileMatchesReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			seq, off := st.Position()
-			err = st.WriteSnapshotAt(seq, off, int64(size), func(w io.Writer) error {
-				for rest := payload; len(rest) > 0; {
-					n := len(rest)
-					if pieces != "one write" {
-						n = min(n, 1+int(r.Uint64()%(snapshotChunk+snapshotChunk/2)))
-					}
-					if _, err := w.Write(rest[:n]); err != nil {
-						return err
-					}
-					rest = rest[n:]
-				}
-				return nil
-			})
-			if err != nil {
+			if err := st.WriteSnapshotAt(seq, off, split); err != nil {
 				t.Fatal(err)
 			}
 			got, err := readAll(fs, snapshotName(seq, off))
@@ -77,10 +72,10 @@ func TestSnapshotFileMatchesReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			if want := encodeSnapshot(seq, off, nil, payload); !bytes.Equal(got, want) {
-				t.Fatalf("%d-byte payload in %s: snapshot file is %d bytes, reference %d, or differs in content", size, pieces, len(got), len(want))
+				t.Fatalf("%d-byte payload as %s: snapshot file is %d bytes, reference %d, or differs in content", size, pieces, len(got), len(want))
 			}
 			if names, _ := fs.List(); len(names) != 2 {
-				t.Fatalf("%d-byte payload in %s: files %v, want one segment and one snapshot", size, pieces, names)
+				t.Fatalf("%d-byte payload as %s: files %v, want one segment and one snapshot", size, pieces, names)
 			}
 			if err := st.Close(); err != nil {
 				t.Fatal(err)
@@ -89,62 +84,104 @@ func TestSnapshotFileMatchesReference(t *testing.T) {
 	}
 }
 
-// TestSnapshotSizeMismatchPublishesNothing: a payload that ends short of its
-// declared size or runs past it, or whose writer fails, leaves no snapshot
-// and no tmp file behind — also when whole chunks already reached the file —
-// and the store recovers the snapshot before it.
-func TestSnapshotSizeMismatchPublishesNothing(t *testing.T) {
-	fs := NewMemFS()
-	st, _, err := Open(Config{FS: fs})
-	if err != nil {
-		t.Fatal(err)
+var errFault = errors.New("injected file fault")
+
+// failFS fails one operation on the .tmp files written through it: the
+// write numbered failWrite, counting from 0, after half its bytes have
+// reached the file, or the sync numbered failSync (-1: none).
+type failFS struct {
+	FS
+	failWrite, failSync int
+	writes, syncs       int
+}
+
+type failFile struct {
+	File
+	fs *failFS
+}
+
+func (fs *failFS) Append(name string) (File, error) {
+	f, err := fs.FS.Append(name)
+	if err != nil || !isTmp(name) {
+		return f, err
 	}
-	if err := snapshotNow(st, []byte("previous")); err != nil {
-		t.Fatal(err)
+	return failFile{File: f, fs: fs}, nil
+}
+
+func (f failFile) Write(p []byte) (int, error) {
+	if f.fs.writes++; f.fs.writes-1 == f.fs.failWrite {
+		n, _ := f.File.Write(p[:len(p)/2])
+		return n, errFault
 	}
-	if err := st.Append(RecSample, []byte("tail")); err != nil {
-		t.Fatal(err)
+	return f.File.Write(p)
+}
+
+func (f failFile) Sync() error {
+	if f.fs.syncs++; f.fs.syncs-1 == f.fs.failSync {
+		return errFault
 	}
-	before, _ := fs.List()
-	big := make([]byte, 3*snapshotChunk)
-	for _, c := range []struct {
-		name     string
-		declared int64
-		writes   [][]byte
-		fail     bool
-	}{
-		{"short", 10, [][]byte{big[:9]}, false},
-		{"long", 10, [][]byte{big[:11]}, false},
-		{"long by a second write", 10, [][]byte{big[:10], big[:1]}, false},
-		{"short after three chunks", int64(len(big)) + 1, [][]byte{big}, false},
-		{"writer error", 10, [][]byte{big[:10]}, true},
-	} {
+	return f.File.Sync()
+}
+
+// TestPublishFailureLeavesThePreviousSnapshot fails each write and each
+// sync of a snapshot that lists a published part and a new one in turn:
+// the new part's file takes writes 0-2 (header, bytes, trailer) and sync
+// 0, the snapshot's writes 3-6 (header, two payload pieces, trailer) and
+// sync 1. No failure leaves a snapshot or a .tmp file; a part whose own
+// file completed stays, unlisted. Recovery finds the previous snapshot
+// and its tail, and the store publishes the next snapshot once the faults
+// stop.
+func TestPublishFailureLeavesThePreviousSnapshot(t *testing.T) {
+	const writes, syncs = 7, 2
+	for i := 0; i < writes+syncs; i++ {
+		mem := NewMemFS()
+		fs := &failFS{FS: mem, failWrite: -1, failSync: -1}
+		st, _ := reopen(t, fs, Config{})
 		seq, off := st.Position()
-		err := st.WriteSnapshotAt(seq, off, c.declared, func(w io.Writer) error {
-			for _, p := range c.writes {
-				if _, err := w.Write(p); err != nil {
-					return err
-				}
-			}
-			if c.fail {
-				return errors.New("exporter failed")
-			}
-			return nil
-		})
-		if err == nil {
-			t.Fatalf("%s: a payload declared as %d bytes was published", c.name, c.declared)
+		if err := st.WriteSnapshotAt(seq, off, [][]byte{[]byte("previous")}, dayPart(1)); err != nil {
+			t.Fatal(err)
 		}
-		if after, _ := fs.List(); !slices.Equal(after, before) {
-			t.Fatalf("%s: files %v, want %v", c.name, after, before)
+		if err := st.Append(RecSample, []byte("tail")); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	st2, rec := reopen(t, fs, Config{})
-	defer st2.Close()
-	if string(snapshotPayload(t, rec)) != "previous" || len(rec.Records) != 1 {
-		t.Fatalf("recovered snapshot %q and %d records, want the previous one and the tail", snapshotPayload(t, rec), len(rec.Records))
+		want, _ := mem.List()
+		if i >= 3 && i < writes || i == writes+1 {
+			want = append(want, partName(2))
+			slices.Sort(want)
+		}
+		fs.writes, fs.syncs = 0, 0
+		if i < writes {
+			fs.failWrite = i
+		} else {
+			fs.failSync = i - writes
+		}
+		seq, off = st.Position()
+		next := [][]byte{[]byte("next "), []byte("snapshot")}
+		if err := st.WriteSnapshotAt(seq, off, next, dayPart(1), dayPart(2)); !errors.Is(err, errFault) {
+			t.Fatalf("fault %d: WriteSnapshotAt returned %v, want the fault", i, err)
+		}
+		if got, _ := mem.List(); !slices.Equal(got, want) {
+			t.Fatalf("fault %d: files %v, want %v", i, got, want)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		fs.failWrite, fs.failSync = -1, -1
+		st, rec := reopen(t, fs, Config{})
+		if payload, parts, err := readParts(t, rec); err != nil || string(payload) != "previous" || len(parts) != 1 || len(rec.Records) != 1 {
+			t.Fatalf("fault %d: recovered %q with %d parts and %d records (%v), want the previous snapshot and its tail", i, payload, len(parts), len(rec.Records), err)
+		}
+		seq, off = st.Position()
+		if err := st.WriteSnapshotAt(seq, off, next, dayPart(1), dayPart(2)); err != nil {
+			t.Fatalf("fault %d: the next snapshot failed: %v", i, err)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		_, rec = reopen(t, mem, Config{})
+		if payload, parts, err := readParts(t, rec); err != nil || string(payload) != "next snapshot" || strings.Join(parts, ",") != "part 1,part 2" {
+			t.Fatalf("fault %d: recovered %q with parts %q (%v) after the faults stopped", i, payload, parts, err)
+		}
 	}
 }
 

@@ -55,7 +55,7 @@ func runWorkload(fs FS, seed uint64) (attempted [][]byte, acked int) {
 				parts = append(parts, Part{Key: uint64(k), Append: func(b []byte) []byte { return bytes.Join(append([][]byte{b}, block...), nil) }})
 			}
 			seq, off := st.Position()
-			if err := st.WriteSnapshotAt(seq, off, int64(len(snap)), func(w io.Writer) error { _, err := w.Write(snap); return err }, parts...); err != nil {
+			if err := st.WriteSnapshotAt(seq, off, [][]byte{snap}, parts...); err != nil {
 				return attempted, acked
 			}
 		}

@@ -1,6 +1,8 @@
 // Package durable is the persistence substrate: an append-only segment log
-// (WAL) of CRC32C-framed binary records plus periodic snapshots written with
-// atomic rename-into-place. A Store recovers on open by loading the newest
+// (WAL) of CRC32C-framed binary records plus periodic snapshots, published
+// by atomic rename-into-place from the bytes the caller already holds, with
+// the parts that never change (sealed days) each written once, a file of
+// its own. A Store recovers on open by loading the newest
 // valid snapshot and replaying the log tail after it, tolerating a torn tail
 // (a crash mid-append) by truncation while refusing silently-corrupt
 // middles. All file access goes through the FS interface so tests and the

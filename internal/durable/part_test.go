@@ -39,7 +39,7 @@ func partSnapshot(t *testing.T, st *Store, n int) error {
 		parts = append(parts, dayPart(uint64(k)))
 	}
 	seq, off := st.Position()
-	return st.WriteSnapshotAt(seq, off, 1, func(w io.Writer) error { _, err := w.Write([]byte{byte(n)}); return err }, parts...)
+	return st.WriteSnapshotAt(seq, off, [][]byte{{byte(n)}}, parts...)
 }
 
 // readParts reads the snapshot rec chose and returns its payload and its
@@ -83,11 +83,11 @@ func TestPartsPublishedOnce(t *testing.T) {
 		t.Fatalf("recovered payload %v and parts %q (%v)", payload, parts, err)
 	}
 	seq, off := st.Position()
-	one := func(w io.Writer) error { _, err := w.Write([]byte{9}); return err }
-	if err := st.WriteSnapshotAt(seq, off, 1, one, Part{Key: 3}, dayPart(4)); err != nil || fs.parts != 4 {
+	one := [][]byte{{9}}
+	if err := st.WriteSnapshotAt(seq, off, one, Part{Key: 3}, dayPart(4)); err != nil || fs.parts != 4 {
 		t.Fatalf("after recovery, a snapshot listing parts 3 and 4 published %d parts in all (%v), want 4", fs.parts, err)
 	}
-	if err := st.WriteSnapshotAt(seq, off, 1, one, Part{Key: 5}); err == nil {
+	if err := st.WriteSnapshotAt(seq, off, one, Part{Key: 5}); err == nil {
 		t.Fatal("a snapshot listed a part nothing published")
 	}
 }
@@ -108,7 +108,7 @@ func TestPartPruning(t *testing.T) {
 			t.Fatal(err)
 		}
 		seq, off := st.Position()
-		if err := st.WriteSnapshotAt(seq, off, 0, func(io.Writer) error { return nil }, parts...); err != nil {
+		if err := st.WriteSnapshotAt(seq, off, nil, parts...); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -177,7 +177,7 @@ func TestPartDamageFallsBackOrRefuses(t *testing.T) {
 			other := NewMemFS()
 			st, _ := reopen(t, other, Config{FS: other})
 			seq, off := st.Position()
-			if err := st.WriteSnapshotAt(seq, off, 0, func(io.Writer) error { return nil }, Part{Key: 3, Append: func(b []byte) []byte { return append(b, "part 3!"...) }}); err != nil {
+			if err := st.WriteSnapshotAt(seq, off, nil, Part{Key: 3, Append: func(b []byte) []byte { return append(b, "part 3!"...) }}); err != nil {
 				t.Fatal(err)
 			}
 			data, _ := readAll(other, name)

@@ -298,69 +298,30 @@ func (c *crcWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// snapshotChunk bounds the one buffer a snapshot or part file is written
-// through, and the one recovery reads every file through (but for a larger
-// frame).
+// snapshotChunk is the buffer recovery reads every snapshot and part file
+// through (but for a larger frame).
 const snapshotChunk = 64 << 10
 
-// snapshotWriter streams a file through its chunk, writing full chunks at
-// multiples of snapshotChunk and a shorter one where the declared bytes
-// end; it runs the CRC32C and refuses bytes beyond the declared count.
-type snapshotWriter struct {
-	f     File
-	chunk []byte
-	sum   uint32
-	left  int64 // bytes still to come
-	err   error
-}
-
-func (w *snapshotWriter) Write(p []byte) (int, error) {
-	if w.err == nil && int64(len(p)) > w.left {
-		w.err = fmt.Errorf("durable: snapshot payload runs past its declared size")
-	}
-	if w.err != nil {
-		return 0, w.err
-	}
-	w.left -= int64(len(p))
-	w.sum = crc32.Update(w.sum, castagnoli, p)
-	for rest := p; len(rest) > 0 && w.err == nil; {
-		n := copy(w.chunk[len(w.chunk):cap(w.chunk)], rest)
-		w.chunk, rest = w.chunk[:len(w.chunk)+n], rest[n:]
-		if len(w.chunk) == cap(w.chunk) || w.left == 0 {
-			_, w.err = w.f.Write(w.chunk)
-			w.chunk = w.chunk[:0]
-		}
-	}
-	return len(p), w.err
-}
-
 // publishFile publishes the file name atomically — tmp file, sync, rename —
-// and returns its CRC32C trailer. It streams hdr, which ends in the payload
-// size, then the size payload bytes write streams, then the trailer,
-// through chunk (its capacity, at most snapshotChunk); anything else —
-// fewer or more bytes, an error from write or from the file — removes the
-// tmp file.
-func publishFile(fs FS, name string, chunk, hdr []byte, size int64, write func(w io.Writer) error) (uint32, error) {
-	if size < 0 {
-		return 0, fmt.Errorf("durable: snapshot payload size %d", size)
-	}
+// and returns its CRC32C trailer. It writes hdr, which ends in the payload
+// size, then each piece of the payload, then the trailer, one Write each;
+// an error from the file removes the tmp file.
+func publishFile(fs FS, name string, hdr []byte, payload ...[]byte) (uint32, error) {
 	tmp := name + ".tmp"
 	f, err := fs.Append(tmp)
 	if err != nil {
 		return 0, err
 	}
-	w := &snapshotWriter{f: f, chunk: chunk[:0], left: int64(len(hdr)) + size}
-	_, _ = w.Write(hdr) // a failed write sticks in w.err
-	if err = write(w); err == nil {
-		err = w.err // in case write dropped it
+	sum := crc32.Checksum(hdr, castagnoli)
+	_, err = f.Write(hdr)
+	for _, p := range payload {
+		if err == nil {
+			sum = crc32.Update(sum, castagnoli, p)
+			_, err = f.Write(p)
+		}
 	}
-	if err == nil && w.left > 0 {
-		err = fmt.Errorf("durable: snapshot payload ended %d bytes short of its declared %d", w.left, size)
-	}
-	sum := w.sum
 	if err == nil {
-		w.left = 4 // the trailer, checksummed by nothing
-		_, err = w.Write(binary.LittleEndian.AppendUint32(hdr[:0], sum))
+		_, err = f.Write(binary.LittleEndian.AppendUint32(hdr[:0], sum))
 	}
 	if err == nil {
 		err = f.Sync()

@@ -162,9 +162,8 @@ type Store struct {
 
 	snap sync.Mutex // serializes snapshot publications; appends never take it
 	// Under snap: the published parts, key to CRC32C trailer, and the
-	// scratch every snapshot and part file is written through.
+	// scratch a part's bytes are appended to.
 	parts   map[uint64]uint32
-	chunk   []byte
 	partBuf []byte
 
 	mu     sync.Mutex
@@ -479,24 +478,21 @@ func (st *Store) Position() (seq uint64, offset int64) {
 // window, the segments only they kept alive and the parts no kept snapshot
 // lists. The snapshot lists parts, in order: each one the store has not
 // published yet is published first, its own file, and a part published
-// before is listed without a byte written. write streams the payload,
-// exactly size bytes, into the file through one bounded chunk; appends go
-// on meanwhile, and write must not publish a snapshot itself. The caller
-// captured the position with Position() BEFORE exporting the state the
-// payload encodes. Capturing the position first closes the export/append
-// race: a record appended before the captured position belongs to a
-// mutation applied before the capture (components mutate, then log), so the
-// export already includes it; a record appended at or after the position is
-// replayed on top during recovery, which is safe because restores are
-// idempotent upserts. A position ahead of the WAL is rejected.
-func (st *Store) WriteSnapshotAt(seq uint64, offset int64, size int64, write func(w io.Writer) error, parts ...Part) error {
+// before is listed without a byte written. The payload is the
+// concatenation of its pieces, each written to the file as it is, without
+// a copy; appends go on meanwhile. The caller captured the position with
+// Position() BEFORE exporting the state the payload encodes. Capturing the
+// position first closes the export/append race: a record appended before
+// the captured position belongs to a mutation applied before the capture
+// (components mutate, then log), so the export already includes it; a
+// record appended at or after the position is replayed on top during
+// recovery, which is safe because restores are idempotent upserts. A
+// position ahead of the WAL is rejected.
+func (st *Store) WriteSnapshotAt(seq uint64, offset int64, payload [][]byte, parts ...Part) error {
 	st.snap.Lock()
 	defer st.snap.Unlock()
 	if err := st.syncThrough(seq, offset); err != nil {
 		return err
-	}
-	if st.chunk == nil {
-		st.chunk = make([]byte, 0, snapshotChunk)
 	}
 	refs := make([]partRef, len(parts))
 	for i, p := range parts {
@@ -507,8 +503,7 @@ func (st *Store) WriteSnapshotAt(seq uint64, offset int64, size int64, write fun
 			}
 			st.partBuf = p.Append(st.partBuf[:0])
 			var err error
-			sum, err = publishFile(st.cfg.FS, partName(p.Key), st.chunk, appendPartHeader(nil, p.Key, int64(len(st.partBuf))),
-				int64(len(st.partBuf)), func(w io.Writer) error { _, err := w.Write(st.partBuf); return err })
+			sum, err = publishFile(st.cfg.FS, partName(p.Key), appendPartHeader(nil, p.Key, int64(len(st.partBuf))), st.partBuf)
 			if err != nil {
 				return err
 			}
@@ -516,8 +511,12 @@ func (st *Store) WriteSnapshotAt(seq uint64, offset int64, size int64, write fun
 		}
 		refs[i] = partRef{key: p.Key, sum: sum}
 	}
+	var size int64
+	for _, b := range payload {
+		size += int64(len(b))
+	}
 	name := snapshotName(seq, offset)
-	if _, err := publishFile(st.cfg.FS, name, st.chunk, appendSnapshotHeader(nil, seq, offset, refs, size), size, write); err != nil {
+	if _, err := publishFile(st.cfg.FS, name, appendSnapshotHeader(nil, seq, offset, refs, size), payload...); err != nil {
 		return err
 	}
 	st.prune(name, refs)

@@ -20,13 +20,9 @@ func snapshotNow(st *Store, payload []byte) error {
 	return snapshotAt(st, seq, off, payload)
 }
 
-// snapshotAt publishes payload at (seq, off) through the streaming path, in
-// one write.
+// snapshotAt publishes payload at (seq, off).
 func snapshotAt(st *Store, seq uint64, off int64, payload []byte) error {
-	return st.WriteSnapshotAt(seq, off, int64(len(payload)), func(w io.Writer) error {
-		_, err := w.Write(payload)
-		return err
-	})
+	return st.WriteSnapshotAt(seq, off, [][]byte{payload})
 }
 
 // reopen closes nothing (the store may be dead) and opens a fresh store over

@@ -137,12 +137,12 @@ func NewHostNode(cfg NodeConfig, src monitor.LoadSource) (*HostNode, error) {
 }
 
 // recordRevocation is the paper's URR detection (Section 5.2), run once as the
-// node starts: a t_monitor heartbeat older than the recorder's gap threshold
-// means the machine, or FGCS on it, was down since, and [t_monitor, now) goes
-// through the node's sink as down samples — so the history log, and a WAL,
-// hold the outage before the first live sample. No file is a first boot.
+// node starts: after a t_monitor heartbeat older than monitor.OutageAfter,
+// monitor.Backfill sends [t_monitor, now) through the node's sink as down
+// samples — so the history log, and a WAL, hold the outage before the first
+// live sample. No file is a first boot.
 func recordRevocation(cfg NodeConfig, sink monitor.Sink) {
-	from, to, err := monitor.DetectRevocation(cfg.HeartbeatPath, cfg.Clock.Now(), 3*cfg.Period)
+	from, to, err := monitor.DetectRevocation(cfg.HeartbeatPath, cfg.Clock.Now(), monitor.OutageAfter(cfg.Period))
 	switch {
 	case errors.Is(err, monitor.ErrNoGap), errors.Is(err, fs.ErrNotExist):
 	case err != nil:
@@ -151,12 +151,10 @@ func recordRevocation(cfg NodeConfig, sink monitor.Sink) {
 				slog.String("path", cfg.HeartbeatPath), slog.String("err", err.Error()))
 		}
 	default:
-		for t := from.Add(cfg.Period); t.Before(to); t = t.Add(cfg.Period) {
-			sink.Record(t, trace.Sample{Up: false})
-		}
+		start := monitor.Backfill(from, to, cfg.Period, sink.Record)
 		if cfg.Logger != nil {
 			cfg.Logger.Info("revocation recorded", slog.String("path", cfg.HeartbeatPath),
-				slog.Time("down_from", from), slog.Time("down_to", to))
+				slog.Time("down_from", from), slog.Time("down_to", to), slog.Time("recorded_from", start))
 		}
 	}
 }

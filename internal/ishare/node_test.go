@@ -7,6 +7,8 @@ import (
 	"time"
 
 	"fgcs/internal/avail"
+	"fgcs/internal/durable"
+	"fgcs/internal/monitor"
 	"fgcs/internal/simclock"
 	"fgcs/internal/trace"
 )
@@ -88,5 +90,42 @@ func TestHostNodeRecordsRevocationFromHeartbeat(t *testing.T) {
 	}
 	if got := c.SM.history(); len(got) != 0 {
 		t.Fatalf("corrupt heartbeat recorded %d days", len(got))
+	}
+}
+
+// TestHostNodeBoundsRevocationBackfill: a t_monitor heartbeat 20 years old
+// sends only the last monitor.MaxBackfill of the outage through the node's
+// sink, so the WAL takes at most a week of down samples, not one per period
+// of the 20 years. An hourly period keeps the unbounded back-fill this
+// guards against small enough to fail fast.
+func TestHostNodeBoundsRevocationBackfill(t *testing.T) {
+	const hourly = time.Hour
+	path := filepath.Join(t.TempDir(), "t_monitor")
+	if err := monitor.WriteHeartbeat(path, monday); err != nil {
+		t.Fatal(err)
+	}
+	mem := durable.NewMemFS()
+	st, rec, err := durable.Open(persistStoreCfg(mem))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := NewHostNode(NodeConfig{
+		MachineID: "lab-01", Cfg: avail.DefaultConfig(), Period: hourly,
+		Clock: simclock.NewVirtual(monday.AddDate(20, 0, 0)), HeartbeatPath: path,
+		Durable: st, DurableRecovery: rec,
+	}, staticSource{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Persist.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, rec, err = durable.Open(persistStoreCfg(mem))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if week := int(monitor.MaxBackfill / hourly); len(rec.Records) < week-1 || len(rec.Records) > week {
+		t.Fatalf("the outage appended %d WAL records, want the last week's %d", len(rec.Records), week-1)
 	}
 }

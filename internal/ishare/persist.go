@@ -145,12 +145,14 @@ func (p *Persister) Snapshot() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	seq, off := p.st.Position()
-	parts, size, write := p.nodeSnapshot()
-	if err := p.st.WriteSnapshotAt(seq, off, size, write, parts...); err != nil {
-		return err
+	parts, payload, err := p.nodeSnapshot()
+	if err == nil {
+		err = p.st.WriteSnapshotAt(seq, off, payload, parts...)
 	}
-	p.coder.Reset()
-	return nil
+	if err == nil {
+		p.coder.Reset()
+	}
+	return err
 }
 
 // snapshotter is the snapshot lifecycle Persister and RegPersister share:
@@ -273,16 +275,15 @@ func (p *Persister) restore(rec *durable.Recovery) error {
 }
 
 // nodeSnapshot returns the parts of the node's snapshot, one per sealed
-// day, and the size of its FGNS payload and the function that streams it.
-// Callers hold p.mu, which keeps samples, the only writers of the history
-// log, out until the snapshot is written. The payload is encoded up front,
-// the last day under the recorder's lock, which it holds for nothing else;
-// a part reads its day outside it when the store publishes it, safe
-// because the recorder writes no day before its last. The output is
-// deterministic for a given state (sorted submit keys), which the crash
-// harness relies on.
-func (p *Persister) nodeSnapshot() (parts []durable.Part, size int64, write func(w io.Writer) error) {
-	var err error
+// day, and its FGNS payload as three pieces: the header, the last day and
+// what follows the history. Callers hold p.mu, which keeps samples, the
+// only writers of the history log, out until the snapshot is written. The
+// payload is encoded here, the last day under the recorder's lock, which
+// it holds for nothing else; a part reads its day outside it when the
+// store publishes it, safe because the recorder writes no day before its
+// last. The output is deterministic for a given state (sorted submit
+// keys), which the crash harness relies on.
+func (p *Persister) nodeSnapshot() (parts []durable.Part, payload [][]byte, err error) {
 	var rest []byte // what follows the history: last-sample time, recent ring, tail
 	recent := p.sm.viewHistory(func(m *trace.Machine, last time.Time) {
 		inline := m.Days
@@ -317,14 +318,7 @@ func (p *Persister) nodeSnapshot() (parts []durable.Part, size int64, write func
 	rest = wire.AppendBytes(rest, p.tracker.ExportBinary())
 
 	head := wire.AppendUvarint(wire.AppendHeader(nil, nodeSnapMagic, nodeSnapVersion), uint64(len(p.hist)))
-	return parts, int64(len(head) + len(p.hist) + len(rest)), func(w io.Writer) error {
-		for _, b := range [][]byte{head, p.hist, rest} {
-			if err == nil {
-				_, err = w.Write(b)
-			}
-		}
-		return err
-	}
+	return parts, [][]byte{head, p.hist, rest}, err
 }
 
 const recentSampleBytes = 17 // one recent-ring sample: two float64 and a bool
@@ -544,9 +538,7 @@ func (rp *RegPersister) sink(e RegEntry) {
 // an idempotent upsert.
 func (rp *RegPersister) writeSnapshot() error {
 	seq, off := rp.st.Position()
-	payload := encodeRegSnapshot(rp.reg.Export())
-	write := func(w io.Writer) error { _, err := w.Write(payload); return err }
-	return rp.st.WriteSnapshotAt(seq, off, int64(len(payload)), write)
+	return rp.st.WriteSnapshotAt(seq, off, [][]byte{encodeRegSnapshot(rp.reg.Export())})
 }
 
 // encodeRegSnapshot serializes a sorted entry set (Export sorts).

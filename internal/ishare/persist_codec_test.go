@@ -152,9 +152,12 @@ func publishNodeSnapshot(t testing.TB, p *Persister) (*durable.MemFS, error) {
 	defer st.Close()
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	parts, size, write := p.nodeSnapshot()
+	parts, payload, err := p.nodeSnapshot()
+	if err != nil {
+		return fs, err
+	}
 	seq, off := st.Position()
-	return fs, st.WriteSnapshotAt(seq, off, size, write, parts...)
+	return fs, st.WriteSnapshotAt(seq, off, payload, parts...)
 }
 
 // restoreInto returns a decoder that streams an FGNS payload, one whose

@@ -3,12 +3,13 @@ package ishare
 import (
 	"errors"
 	"fmt"
-	"io"
 	"strings"
 	"testing"
 	"time"
 
+	"fgcs/internal/avail"
 	"fgcs/internal/durable"
+	"fgcs/internal/monitor"
 	"fgcs/internal/rng"
 	"fgcs/internal/simclock"
 	"fgcs/internal/trace"
@@ -195,7 +196,7 @@ func TestPersisterV1DataDirPartsOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	seq, off := st.Position()
-	if err := st.WriteSnapshotAt(seq, off, int64(len(payload)), func(w io.Writer) error { _, err := w.Write(payload); return err }); err != nil {
+	if err := st.WriteSnapshotAt(seq, off, [][]byte{payload}); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Close(); err != nil {
@@ -280,4 +281,45 @@ func TestPersisterDropsOutOfRangeSample(t *testing.T) {
 	n = newDurableNode(t, st, rec, simclock.NewVirtual(codecStart), nil)
 	defer n.Persist.Close()
 	check(n, "replayed")
+}
+
+// TestPersisterBoundsOutageBackfill: a node whose last sample is 20 years
+// old back-fills only the last monitor.MaxBackfill of the gap, so the
+// sample that ends it adds at most a week and a day to the history, and
+// the next snapshot publishes at most that many parts, not a day of down
+// samples for each day of the 20 years. An hourly period keeps the
+// unbounded back-fill this guards against small enough to fail fast.
+func TestPersisterBoundsOutageBackfill(t *testing.T) {
+	const hourly = time.Hour
+	then := monday.Add(8 * time.Hour)
+	now := then.AddDate(20, 0, 0)
+	fs := &partCountFS{FS: durable.NewMemFS()}
+	st, rec, err := durable.Open(persistStoreCfg(fs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := NewHostNode(NodeConfig{
+		MachineID: "lab-01", Cfg: avail.DefaultConfig(), Period: hourly, Clock: simclock.NewVirtual(now),
+		Durable: st, DurableRecovery: rec,
+	}, staticSource{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Persist.Close()
+	up := trace.Sample{CPU: 5, FreeMemMB: 100, Up: true}
+	n.Persist.Record(then, up)
+	if err := n.Persist.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	n.Persist.Record(now, up)
+	bound := int(monitor.MaxBackfill/(24*time.Hour)) + 1
+	if days := len(n.SM.history()); days-1 > bound {
+		t.Errorf("the sample after a 20-year gap added %d days to the history, want at most %d", days-1, bound)
+	}
+	if err := n.Persist.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if len(fs.published) > bound {
+		t.Fatalf("the snapshot after a 20-year gap published %d parts, want at most %d", len(fs.published), bound)
+	}
 }

@@ -294,10 +294,7 @@ func TestSnapshotInstallAllOrNothing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := st.WriteSnapshotAt(0, 13, int64(len(c.payload)), func(w io.Writer) error {
-			_, err := w.Write(c.payload)
-			return err
-		}); err != nil {
+		if err := st.WriteSnapshotAt(0, 13, [][]byte{c.payload}); err != nil {
 			t.Fatal(err)
 		}
 		if err := st.Close(); err != nil {

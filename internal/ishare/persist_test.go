@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -456,11 +455,13 @@ func TestPersisterCrashQueryTREquality(t *testing.T) {
 }
 
 // TestPersisterCrashMultiChunkSnapshot kills a node snapshot inside the part
-// it publishes for the day that just ended, a part that spans two write
-// chunks: at the chunk edge and one byte either side, at its last byte,
-// between it and the snapshot file (the part published, the snapshot not
-// begun), at the snapshot file's last byte (the part published, the
-// snapshot never renamed into place) and at seeded offsets in both. Every
+// it publishes for the day that just ended and inside its three-piece
+// snapshot file: at every write boundary (a file's header|payload, between
+// payload pieces, payload|trailer) and one byte either side, at the part's
+// last byte, between it and the snapshot file (the part published, the
+// snapshot not begun), at the snapshot file's last byte (the part
+// published, the snapshot never renamed into place) and at seeded offsets
+// in both. Every
 // kill leaves the previous snapshot, its parts and the WAL, and a node
 // recovered from them replays every sample, answers QueryTR as the live
 // node did and holds the history a node recovered from the uncut run does
@@ -470,8 +471,8 @@ func TestPersisterCrashQueryTREquality(t *testing.T) {
 // linked.)
 func TestPersisterCrashMultiChunkSnapshot(t *testing.T) {
 	// The last day of the history is off the WAL's precision, so its part
-	// is 9-byte float32 records: ≈ 130 KB, two write chunks.
-	const samples, chunk, days = 30, 64 << 10, 4
+	// is 9-byte float32 records: ≈ 130 KB.
+	const samples, days = 30, 4
 	hist := historyMachine("lab-01", days, 9)
 	for i := range hist.Days[days-1].Samples {
 		hist.Days[days-1].Samples[i].CPU += 0.001
@@ -482,7 +483,10 @@ func TestPersisterCrashMultiChunkSnapshot(t *testing.T) {
 	// run publishes a node's history in a first snapshot, records samples
 	// into the WAL, the first of a new day, and takes a second snapshot,
 	// which it returns the error of, with the bytes fs had taken before it.
-	run := func(fs *durable.CrashFS) (*HostNode, int64, error) {
+	run := func(fs interface {
+		durable.FS
+		BytesWritten() int64
+	}) (*HostNode, int64, error) {
 		st, rec, err := durable.Open(persistStoreCfg(fs))
 		if err != nil {
 			t.Fatal(err)
@@ -502,15 +506,21 @@ func TestPersisterCrashMultiChunkSnapshot(t *testing.T) {
 		return n, before, n.Persist.Snapshot()
 	}
 	mem := durable.NewMemFS()
-	probe := durable.NewCrashFS(mem, -1)
+	probe := &writeEdgeFS{CrashFS: durable.NewCrashFS(mem, -1)}
 	live, before, err := run(probe)
 	if err != nil {
 		t.Fatal(err)
 	}
 	size := probe.BytesWritten() - before
 	part := mem.Size(dayPartName(today.AddDate(0, 0, -1)))
-	if part <= chunk || part >= size {
-		t.Fatalf("the new part is %d bytes of the snapshot's %d, not two write chunks", part, size)
+	var edges []int64 // where each write of the second snapshot starts
+	for _, e := range probe.edges {
+		if e >= before {
+			edges = append(edges, e-before)
+		}
+	}
+	if len(edges) != 8 || edges[3] != part {
+		t.Fatalf("the second snapshot's writes start at %v of its %d bytes, want the %d-byte part's three (header, bytes, trailer), then the snapshot file's five (header, three payload pieces, trailer)", edges, size, part)
 	}
 	want := []queryAnswer{askTR(t, live, 1800), askTR(t, live, 2*3600)}
 	if err := live.Persist.Close(); err != nil {
@@ -527,8 +537,8 @@ func TestPersisterCrashMultiChunkSnapshot(t *testing.T) {
 	}
 
 	kills := []int64{part - 1, part, part + 1, size - 1}
-	for edge := int64(chunk); edge < part; edge += chunk {
-		kills = append(kills, edge-1, edge, edge+1)
+	for _, edge := range edges {
+		kills = append(kills, max(edge-1, 0), edge, edge+1)
 	}
 	r := rng.New(7).Split("snapshot-killpoints")
 	for i := 0; i < 3; i++ {
@@ -561,6 +571,32 @@ func TestPersisterCrashMultiChunkSnapshot(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// writeEdgeFS records, for every write to a .tmp file, how many bytes its
+// CrashFS had taken before it: the write boundaries of the files a
+// snapshot publishes.
+type writeEdgeFS struct {
+	*durable.CrashFS
+	edges []int64
+}
+
+type writeEdgeFile struct {
+	durable.File
+	fs *writeEdgeFS
+}
+
+func (fs *writeEdgeFS) Append(name string) (durable.File, error) {
+	f, err := fs.CrashFS.Append(name)
+	if err != nil || filepath.Ext(name) != ".tmp" {
+		return f, err
+	}
+	return writeEdgeFile{File: f, fs: fs}, nil
+}
+
+func (f writeEdgeFile) Write(p []byte) (int, error) {
+	f.fs.edges = append(f.fs.edges, f.fs.BytesWritten())
+	return f.File.Write(p)
 }
 
 // sameHistory compares n's history with want at Float64bits and returns
@@ -824,7 +860,7 @@ func TestPersisterParentFormatDataDir(t *testing.T) {
 		t.Fatal(err)
 	}
 	seq, off := st.Position()
-	if err := st.WriteSnapshotAt(seq, off, int64(len(payload)), func(w io.Writer) error { _, err := w.Write(payload); return err }); err != nil {
+	if err := st.WriteSnapshotAt(seq, off, [][]byte{payload}); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Close(); err != nil {
@@ -888,7 +924,7 @@ func TestRegPersisterParentFormatDataDir(t *testing.T) {
 		t.Fatal(err)
 	}
 	seq, off := st.Position()
-	if err := st.WriteSnapshotAt(seq, off, int64(len(snap)), func(w io.Writer) error { _, err := w.Write(snap); return err }); err != nil {
+	if err := st.WriteSnapshotAt(seq, off, [][]byte{snap}); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Append(durable.RecRegister, durable.EncodeRegister(nil, "lab-03", "10.0.0.3:7171", 0)); err != nil {

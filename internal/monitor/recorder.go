@@ -9,18 +9,40 @@ import (
 	"fgcs/internal/trace"
 )
 
+// MaxBackfill bounds how much of an outage is recorded as down samples:
+// one week, the weekday/weekend cycle the estimator pools over. Of a longer
+// outage only the week before the sample that ends it is back-filled.
+const MaxBackfill = 7 * 24 * time.Hour
+
+// OutageAfter is the paper's URR detection rule (Section 5.2): a gap of more
+// than three periods between two samples, or from the t_monitor heartbeat to
+// a restart, means the machine, or FGCS on it, was down in between.
+func OutageAfter(period time.Duration) time.Duration { return 3 * period }
+
+// Backfill records the outage [from, to) through record: a down sample
+// each period after from and before to, of the last MaxBackfill only. It
+// returns where the back-fill starts, from or later; [from, start) was
+// not recorded.
+func Backfill(from, to time.Time, period time.Duration, record func(time.Time, trace.Sample)) (start time.Time) {
+	if start = to.Add(-MaxBackfill); start.Before(from) {
+		start = from
+	}
+	for t := start.Add(period); t.Before(to); t = t.Add(period) {
+		record(t, trace.Sample{Up: false})
+	}
+	return start
+}
+
 // Recorder is a Sink that accumulates samples into per-day trace structures
 // — the history logs the state manager stores and the SMP predictor reads.
-// Gaps between consecutive samples longer than the revocation threshold are
-// back-filled as machine-down samples, which is how URR periods become
-// visible in the logs (Section 5.2).
+// An outage between consecutive samples (OutageAfter) is back-filled as
+// machine-down samples, which is how URR periods become visible in the
+// logs (Section 5.2).
 type Recorder struct {
 	mu sync.Mutex
 	// period is the expected sampling period.
-	period time.Duration
-	// gapThreshold marks how large a sample gap is recorded as downtime.
-	gapThreshold time.Duration
-	machine      *trace.Machine
+	period  time.Duration
+	machine *trace.Machine
 	// lastSample is the timestamp of the most recent recorded sample.
 	lastSample time.Time
 	// sealedBefore marks days handed out by DaysBefore as immutable: a
@@ -32,21 +54,17 @@ type Recorder struct {
 }
 
 // NewRecorder creates a recorder for the given machine ID and sampling
-// period. gapThreshold defaults to three periods when zero.
-func NewRecorder(machineID string, period, gapThreshold time.Duration) *Recorder {
-	if gapThreshold <= 0 {
-		gapThreshold = 3 * period
-	}
-	return &Recorder{
-		period:       period,
-		gapThreshold: gapThreshold,
-		machine:      trace.NewMachine(machineID, period),
-	}
+// period. The third argument is ignored, OutageAfter being the one outage
+// rule; the signature stays because bench/, which only a benchmark change
+// may edit, calls it.
+func NewRecorder(machineID string, period, _ time.Duration) *Recorder {
+	return &Recorder{period: period, machine: trace.NewMachine(machineID, period)}
 }
 
 // SetLogger makes the recorder report dropped samples — otherwise silently
-// discarded clock-skew artifacts — as structured warnings. Call before the
-// monitor starts; the recorder itself adds the machine and component attrs.
+// discarded clock-skew artifacts, and the start of an outage too long to
+// back-fill — as structured warnings. Call before the monitor starts; the
+// recorder itself adds the machine and component attrs.
 func (r *Recorder) SetLogger(l *slog.Logger) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -60,10 +78,9 @@ func (r *Recorder) SetLogger(l *slog.Logger) {
 func (r *Recorder) Record(t time.Time, s trace.Sample) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if !r.lastSample.IsZero() && t.Sub(r.lastSample) > r.gapThreshold {
-		// Back-fill the revocation gap with down samples.
-		for ts := r.lastSample.Add(r.period); ts.Before(t); ts = ts.Add(r.period) {
-			r.put(ts, trace.Sample{Up: false})
+	if !r.lastSample.IsZero() && t.Sub(r.lastSample) > OutageAfter(r.period) {
+		if start := Backfill(r.lastSample, t, r.period, r.put); start.After(r.lastSample) && r.logger != nil {
+			r.logger.Warn("outage start not back-filled", slog.Time("dropped_from", r.lastSample), slog.Time("dropped_to", start))
 		}
 	}
 	r.put(t, s)

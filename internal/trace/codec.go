@@ -79,19 +79,8 @@ func Storable(s Sample) bool {
 	return math.Abs(s.CPU*CPUUnit) <= maxUnits && math.Abs(s.FreeMemMB*MemUnit) <= maxUnits
 }
 
-// fastUnits returns v in units of 1/unit, and whether that count decodes
-// back to v's exact bits, for a count in [0, maxUnits), where truncation
-// rounds x+0.5. A false answer is final only from units, which also takes
-// -0, NaN, ±Inf, negative counts and counts past maxUnits: the split keeps
-// fastUnits small enough to inline into the per-sample loops.
-func fastUnits(v, unit float64) (int64, bool) {
-	x := v*unit + 0.5
-	k := int64(x)
-	return k, x >= 0 && x < maxUnits && math.Float64bits(float64(k)/unit) == math.Float64bits(v)
-}
-
-// units is fastUnits for every v: false for -0, NaN, ±Inf and counts past
-// maxUnits.
+// units returns v in units of 1/unit, and whether that count decodes back
+// to v's exact bits: false for -0, NaN, ±Inf and counts past maxUnits.
 func units(v, unit float64) (int64, bool) {
 	x := math.Floor(v*unit + 0.5)
 	if !(x >= -maxUnits && x <= maxUnits) {
@@ -100,20 +89,6 @@ func units(v, unit float64) (int64, bool) {
 	k := int64(x)
 	return k, math.Float64bits(float64(k)/unit) == math.Float64bits(v)
 }
-
-// varintLens[b] is the length of a varint of b significant bits.
-var varintLens = func() (t [65]uint8) {
-	for b := range t {
-		t[b] = uint8(max(1, (b+6)/7))
-	}
-	return t
-}()
-
-// zigzag maps x to the unsigned value its varint encodes.
-func zigzag(x int64) uint64 { return uint64(x<<1) ^ uint64(x>>63) }
-
-// varintLen is the length of binary.AppendVarint(nil, x).
-func varintLen(x int64) int { return int(varintLens[bits.Len64(zigzag(x))]) }
 
 // appendDay appends a day's tag and body: compact if every sample has an
 // exact form in WAL units, which it finds out by encoding the day, float32
@@ -146,7 +121,7 @@ func appendDay(buf []byte, samples []Sample) []byte {
 func appendCompact(buf []byte, samples []Sample) ([]byte, bool) {
 	start := len(buf)
 	bitmap := (len(samples) + 7) / 8
-	buf = append(slices.Grow(buf, 5+bitmap+2*len(samples)+4*colBlock), dayCompact, 0, 0, 0, 0)
+	buf = append(slices.Grow(buf, 5+bitmap+2*len(samples)), dayCompact, 0, 0, 0, 0)
 	off := len(buf)
 	buf, ok := appendColumn(buf[:off+bitmap], samples, 0)
 	if ok {
@@ -168,60 +143,24 @@ func appendCompact(buf []byte, samples []Sample) ([]byte, bool) {
 	return buf, true
 }
 
-// colBlock is how many values appendColumn makes room for at a time.
-const colBlock = 256
-
 // appendColumn appends column col of the samples, 0 for CPU and 1 for
-// memory, or returns false at the first value with no exact form in WAL
-// units. It makes room a block of values at a time and writes each delta
-// into it with putShort; a value fastUnits does not take, or a varint of
-// four bytes or more, leaves the block's loop, which makes no call, for a
-// step of its own.
+// memory, as zigzag varint deltas, or returns false at the first value
+// with no exact form in WAL units.
 func appendColumn(buf []byte, samples []Sample, col int) ([]byte, bool) {
 	unit := [2]float64{CPUUnit, MemUnit}[col]
 	var last int64
-	for i := 0; i < len(samples); {
-		buf = slices.Grow(buf, 4*colBlock)
-		out, n := buf[:cap(buf)], len(buf)
-		end := min(i+colBlock, len(samples))
-		for ; i < end; i++ {
-			v := samples[i].CPU
-			if col == 1 {
-				v = samples[i].FreeMemMB
-			}
-			k, ok := fastUnits(v, unit)
-			ux := zigzag(k - last)
-			if !ok || ux >= 1<<21 {
-				break
-			}
-			n += putShort(out[n:n+4], ux)
-			last = k
-		}
-		buf = out[:n]
-		if i == end {
-			continue
-		}
-		v := samples[i].CPU
+	for _, s := range samples {
+		v := s.CPU
 		if col == 1 {
-			v = samples[i].FreeMemMB
+			v = s.FreeMemMB
 		}
 		k, ok := units(v, unit)
 		if !ok {
 			return buf, false
 		}
 		buf, last = binary.AppendVarint(buf, k-last), k
-		i++
 	}
 	return buf, true
-}
-
-// putShort writes the varint of ux < 1<<21, at most three bytes, as one
-// 32-bit store into out, its continuation bits masked in by its length
-// rather than branched on byte by byte, and returns its length.
-func putShort(out []byte, ux uint64) int {
-	l := int(varintLens[bits.Len64(ux)])
-	binary.LittleEndian.PutUint32(out, uint32(ux&0x7f|ux<<1&0x7f00|ux<<2&0x7f0000)|0x808080&(1<<(8*(l-1))-1))
-	return l
 }
 
 // AppendDay appends d as the binary format writes a day: its date, its
@@ -582,7 +521,8 @@ func shortDelta(w uint32) (int64, int) {
 // of the body, and one that is malformed or overlong.
 func readLong(p []byte) (int64, int) {
 	x, n := binary.Varint(p)
-	if n <= 0 || n != varintLen(x) {
+	var shortest [binary.MaxVarintLen64]byte
+	if n <= 0 || n != binary.PutVarint(shortest[:], x) {
 		return 0, 0
 	}
 	return x, n
