@@ -7,7 +7,7 @@ FUZZTIME ?= 20s
 build:
 	$(GO) build ./...
 
-# The default test gate includes lint (vet + doc/flag freshness), the
+# The default test gate includes lint (vet + doc freshness), the
 # golden-trace regression, the fuzz seed corpora (replayed as plain unit
 # tests by `go test`), and a race-detector pass over the concurrent layers:
 # networking, fault injection, the prediction engine, the monitor, and the
@@ -30,9 +30,9 @@ race:
 vet:
 	$(GO) vet ./...
 
-# lint = vet + documentation freshness: every exported symbol in the audited
-# packages must carry a doc comment, and every flag registered by
-# cmd/ishared / cmd/isharec must appear in the README flag reference.
+# lint = vet + documentation freshness (cmd/doccheck): every exported symbol
+# in the audited packages carries a doc comment, every metric registration is
+# hygienic, and every root BENCH_*.json is written by a recipe here.
 lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/doccheck
@@ -144,17 +144,22 @@ fuzz:
 # the paper's scorecard, regenerated at the canonical scale and compared
 # with the block EXPERIMENTS.md embeds (byte for byte, verdicts against the
 # recorded ones); and the sim block of the 3000-machine, 6-history-day fleet
-# run, byte for byte against internal/fleetsim/testdata. Use
-# `make golden-update` only when a change to those numbers is intended.
+# run, byte for byte against internal/fleetsim/testdata; and README's flag
+# tables, byte for byte against the flags ishared, isharec and fleetsim
+# register. Use `make golden-update` only when a change to those numbers is
+# intended, or after editing a flag.
+FLAGTABLES = ./cmd/ishared/ ./cmd/isharec/ ./cmd/fleetsim/
 golden:
 	$(GO) test ./internal/predict/ -run 'TestGolden' -count=1
 	$(GO) test ./cmd/experiments/ -run 'TestScorecard' -count=1
 	$(GO) test ./internal/fleetsim/ -run 'TestFleetSimGolden' -count=1
+	$(GO) test $(FLAGTABLES) -run 'TestFlagTable' -count=1
 
 golden-update:
 	$(GO) test ./internal/predict/ -run 'TestGoldenPredictions' -count=1 -update
 	$(GO) test ./cmd/experiments/ -run 'TestScorecard' -count=1 -update
 	$(GO) test ./internal/fleetsim/ -run 'TestFleetSimGolden' -count=1 -update
+	$(GO) test $(FLAGTABLES) -run 'TestFlagTable' -count=1 -update
 
 # Chaos harnesses: a five-machine testbed on faultnet's in-memory network
 # with seeded fault injection (dial refusals, resets, corruption, partitions), and a

@@ -43,10 +43,6 @@ var highCardLabelKeys = map[string]bool{
 func metricsHygiene(dirs []string) ([]string, error) {
 	var out []string
 	for _, dir := range dirs {
-		dir = strings.TrimSpace(dir)
-		if dir == "" {
-			continue
-		}
 		fset := token.NewFileSet()
 		pkgMap, err := parser.ParseDir(fset, dir, func(fi os.FileInfo) bool {
 			return !strings.HasSuffix(fi.Name(), "_test.go")

@@ -8,22 +8,14 @@
 //	isharec -gateway localhost:7070 stats
 //	isharec -gateway localhost:7070 traces -limit 5
 //
-// Against a federated control plane (ishared -peers), -fed names ANY live
-// peer: the entry peer resolves each machine through the consistent-hash
-// ring and forwards as needed, so the client never learns the sharding.
-// Machine-scoped commands (status, kill) then need -machine; stats shows
-// the entry peer's ring view.
+// Against a federated control plane (ishared -peers), -fed names any live
+// peer, and the machine-scoped commands (status, kill) need -machine:
 //
 //	isharec -fed localhost:7000 rank -work 2h -mem 100
-//	isharec -fed localhost:7000 submit -name sim1 -work 2h -mem 100
 //	isharec -fed localhost:7000 status -machine lab-01 -job lab-01-job-1
-//	isharec -fed localhost:7000 stats
 //
-// With -trace, the command runs under a client-side root span whose context
-// rides the request headers, so the server's flight recorder stitches the
-// client's retry attempts to its own dispatch spans; the client-side half of
-// the trace is printed to stderr when the command finishes. `traces` fetches
-// the server-side halves from a gateway's flight recorder.
+// Each flag's meaning is its usage string (isharec -help, or README's
+// generated tables).
 package main
 
 import (
@@ -43,46 +35,113 @@ import (
 )
 
 func main() {
-	var (
-		registry  = flag.String("registry", "", "registry address for discovery")
-		gateway   = flag.String("gateway", "", "direct gateway address (bypasses discovery)")
-		fed       = flag.String("fed", "", "federation entry-peer address (any live peer of an ishared -peers ring)")
-		timeout   = flag.Duration("timeout", 5*time.Second, "request timeout")
-		retries   = flag.Int("retries", 3, "attempts for idempotent RPCs (1 = no retry; submits are retried under an idempotency key)")
-		retryBase = flag.Duration("retry-base", 50*time.Millisecond, "first retry backoff delay")
-		brkThresh = flag.Int("breaker-threshold", 3, "consecutive failures before a machine is quarantined (0 = no breaker)")
-		brkCool   = flag.Duration("breaker-cooldown", 30*time.Second, "quarantine duration before a probe is allowed")
-		traced    = flag.Bool("trace", false, "trace this command and print the client-side span tree to stderr")
-		traceSeed = flag.Uint64("trace-seed", 0, "seed for client trace IDs (0 = fixed default)")
-		logLevel  = flag.String("log-level", "warn", "log level: debug, info, warn or error")
-		logJSON   = flag.Bool("log-json", false, "emit logs as JSON instead of text")
-	)
+	var g globals
+	registerGlobals(flag.CommandLine, &g)
 	flag.Parse()
-	logger := otrace.NewLogger(os.Stderr, otrace.ParseLevel(*logLevel), *logJSON, nil)
+	logger := otrace.NewLogger(os.Stderr, otrace.ParseLevel(g.logLevel), g.logJSON, nil)
 	if flag.NArg() < 1 {
-		fmt.Fprintln(os.Stderr, "usage: isharec [flags] rank|submit|run|status|kill|stats|alerts|traces [subflags]")
+		fmt.Fprintf(os.Stderr, "usage: isharec [flags] %s [subflags]\n", strings.Join(commands, "|"))
 		os.Exit(2)
 	}
 	cl := client{
-		registry: *registry,
-		gateway:  *gateway,
-		fed:      *fed,
-		timeout:  *timeout,
-		caller:   &ishare.Caller{Pool: &ishare.Pool{}, Retry: ishare.RetryPolicy{MaxAttempts: *retries, BaseDelay: *retryBase}},
+		registry: g.registry,
+		gateway:  g.gateway,
+		fed:      g.fed,
+		timeout:  g.timeout,
+		caller:   &ishare.Caller{Pool: &ishare.Pool{}, Retry: ishare.RetryPolicy{MaxAttempts: g.retries, BaseDelay: g.retryBase}},
 		logger:   logger,
 	}
 	defer cl.caller.Pool.Close()
-	if *brkThresh > 0 {
-		cl.breakers = ishare.NewBreakerSet(ishare.BreakerConfig{Threshold: *brkThresh, Cooldown: *brkCool}, nil)
+	if g.brkThresh > 0 {
+		cl.breakers = ishare.NewBreakerSet(ishare.BreakerConfig{Threshold: g.brkThresh, Cooldown: g.brkCool}, nil)
 	}
-	if *traced {
+	if g.traced {
 		cl.flight = otrace.NewRecorder(otrace.DefaultCapacity)
-		cl.tracer = otrace.New(otrace.Config{SampleRate: 1, Seed: *traceSeed, Recorder: cl.flight})
+		cl.tracer = otrace.New(otrace.Config{SampleRate: 1, Seed: g.traceSeed, Recorder: cl.flight})
 	}
 	err := run(cl, flag.Arg(0), flag.Args()[1:])
 	if err != nil {
 		logger.Error("command failed", slog.String("command", flag.Arg(0)), slog.String("err", err.Error()))
 		os.Exit(1)
+	}
+}
+
+// globals are the flags given before the subcommand.
+type globals struct {
+	registry, gateway, fed string
+	timeout, retryBase     time.Duration
+	retries, brkThresh     int
+	brkCool                time.Duration
+	traced, logJSON        bool
+	traceSeed              uint64
+	logLevel               string
+}
+
+// registerGlobals registers the flags given before the subcommand on fs,
+// into g. Their usage strings, and those of registerCommand, are the
+// operator reference: README's isharec tables are generated from them
+// (TestFlagTables).
+func registerGlobals(fs *flag.FlagSet, g *globals) {
+	fs.StringVar(&g.registry, "registry", "", "Registry address for discovery.")
+	fs.StringVar(&g.gateway, "gateway", "", "Direct gateway address (bypasses discovery).")
+	fs.StringVar(&g.fed, "fed", "", "Federation entry-peer address (any live peer of an ishared -peers ring).")
+	fs.DurationVar(&g.timeout, "timeout", 5*time.Second, "Per-request timeout.")
+	fs.IntVar(&g.retries, "retries", 3, "Attempts for idempotent RPCs (1 = no retry; submits are retried under an idempotency key).")
+	fs.DurationVar(&g.retryBase, "retry-base", 50*time.Millisecond, "First retry backoff delay.")
+	fs.IntVar(&g.brkThresh, "breaker-threshold", 3, "Consecutive transport failures before a machine is quarantined (0 = no breaker).")
+	fs.DurationVar(&g.brkCool, "breaker-cooldown", 30*time.Second, "Quarantine duration before a probe is allowed.")
+	fs.BoolVar(&g.traced, "trace", false, "Trace this command and print the client-side span tree to stderr.")
+	fs.Uint64Var(&g.traceSeed, "trace-seed", 0, "Seed for client trace IDs (0 = fixed default).")
+	fs.StringVar(&g.logLevel, "log-level", "warn", "Log level: debug, info, warn or error.")
+	fs.BoolVar(&g.logJSON, "log-json", false, "Emit logs as JSON instead of text.")
+}
+
+// commands are isharec's subcommands, in the order usage lists them.
+var commands = []string{"rank", "submit", "run", "status", "kill", "stats", "alerts", "traces"}
+
+// options are the flags given after a subcommand; each subcommand sets the
+// ones registerCommand registers for it.
+type options struct {
+	name, job, machine, id                                   string
+	work, resume, poll, grace                                time.Duration
+	mem                                                      float64
+	migrations, alertLimit, limit                            int
+	calib, verbose, fleet, asJSON, events, timings, previous bool
+}
+
+// registerCommand registers the flags of subcommand cmd on fs, into o.
+func registerCommand(cmd string, fs *flag.FlagSet, o *options) {
+	switch cmd {
+	case "rank", "submit", "run":
+		fs.StringVar(&o.name, "name", "guest-job", "Job name.")
+		fs.DurationVar(&o.work, "work", time.Hour, "Estimated compute time.")
+		fs.Float64Var(&o.mem, "mem", 100, "Working set in MB.")
+	case "status", "kill":
+		fs.StringVar(&o.job, "job", "", "Job id (required).")
+		fs.StringVar(&o.machine, "machine", "", "Machine hosting the job (required with -fed: the ring routes by machine name).")
+	case "stats":
+		fs.BoolVar(&o.calib, "calibration", false, "Include the per-predictor calibration tables.")
+		fs.BoolVar(&o.verbose, "verbose", false, "Include wire-protocol details: the server's connection and shed counters.")
+		fs.BoolVar(&o.fleet, "fleet", false, "Print the fleet-wide merged observability view instead (requires -fed: the entry peer fans query-obs out over the ring).")
+		fs.IntVar(&o.alertLimit, "alert-limit", 20, "With -fleet: newest merged alerts to keep (0 = all).")
+	case "alerts":
+		fs.IntVar(&o.limit, "limit", 20, "Newest alerts to print (0 = all retained).")
+	case "traces":
+		fs.IntVar(&o.limit, "limit", 10, "Most recent traces to fetch (ignored with -id).")
+		fs.StringVar(&o.id, "id", "", "Fetch one trace by id.")
+		fs.BoolVar(&o.events, "events", false, "Include retained WARN/ERROR log events.")
+		fs.BoolVar(&o.timings, "timings", false, "Include span durations (wall-clock; disable for run-to-run comparison).")
+		fs.BoolVar(&o.previous, "previous", false, "Serve the flight snapshot the node persisted on its last shutdown (-data-dir).")
+	}
+	switch cmd {
+	case "rank", "submit":
+		fs.DurationVar(&o.resume, "resume", 0, "Progress to resume from a checkpoint.")
+	case "run":
+		fs.DurationVar(&o.poll, "poll", 6*time.Second, "Status poll interval.")
+		fs.IntVar(&o.migrations, "migrations", 5, "Maximum recoveries after kills.")
+		fs.DurationVar(&o.grace, "grace", 18*time.Second, "Tolerate unreachable gateways this long before migrating (0 = migrate on first failed poll).")
+	case "stats", "alerts", "traces":
+		fs.BoolVar(&o.asJSON, "json", false, "Print the raw JSON response.")
 	}
 }
 
@@ -157,27 +216,23 @@ func (c client) scheduler(ctx context.Context) (*ishare.Scheduler, error) {
 
 func run(cl client, cmd string, args []string) error {
 	gateway, timeout := cl.gateway, cl.timeout
+	var o options
+	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
+	registerCommand(cmd, fs, &o)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	switch cmd {
 	case "run":
-		fs := flag.NewFlagSet(cmd, flag.ExitOnError)
-		name := fs.String("name", "guest-job", "job name")
-		work := fs.Duration("work", time.Hour, "estimated compute time")
-		mem := fs.Float64("mem", 100, "working set in MB")
-		poll := fs.Duration("poll", 6*time.Second, "status poll interval")
-		migrations := fs.Int("migrations", 5, "maximum recoveries after kills")
-		grace := fs.Duration("grace", 18*time.Second, "tolerate unreachable gateways this long before migrating (0 = migrate on first failed poll)")
-		if err := fs.Parse(args); err != nil {
-			return err
-		}
 		ctx, root := cl.startRoot("client.run")
 		sched, err := cl.scheduler(ctx)
 		if err != nil {
 			cl.finishRoot(root, err)
 			return err
 		}
-		sv := &ishare.Supervisor{Sched: sched, PollInterval: *poll, MaxMigrations: migrations, UnreachableGrace: *grace}
-		fmt.Printf("supervising %s (%v of compute)...\n", *name, *work)
-		run, err := sv.Run(ctx, ishare.SubmitReq{Name: *name, WorkSeconds: work.Seconds(), MemMB: *mem})
+		sv := &ishare.Supervisor{Sched: sched, PollInterval: o.poll, MaxMigrations: &o.migrations, UnreachableGrace: o.grace}
+		fmt.Printf("supervising %s (%v of compute)...\n", o.name, o.work)
+		run, err := sv.Run(ctx, ishare.SubmitReq{Name: o.name, WorkSeconds: o.work.Seconds(), MemMB: o.mem})
 		cl.finishRoot(root, err)
 		for _, pl := range run.Placements {
 			fmt.Printf("  %s on %s (TR %.3f): %s", pl.JobID, pl.MachineID, pl.TR, pl.Outcome)
@@ -192,20 +247,12 @@ func run(cl client, cmd string, args []string) error {
 		fmt.Printf("completed after %d migration(s)\n", run.Migrations)
 		return nil
 	case "rank", "submit":
-		fs := flag.NewFlagSet(cmd, flag.ExitOnError)
-		name := fs.String("name", "guest-job", "job name")
-		work := fs.Duration("work", time.Hour, "estimated compute time")
-		mem := fs.Float64("mem", 100, "working set in MB")
-		resume := fs.Duration("resume", 0, "progress to resume from a checkpoint")
-		if err := fs.Parse(args); err != nil {
-			return err
-		}
 		ctx, root := cl.startRoot("client." + cmd)
 		job := ishare.SubmitReq{
-			Name:                   *name,
-			WorkSeconds:            work.Seconds(),
-			MemMB:                  *mem,
-			InitialProgressSeconds: resume.Seconds(),
+			Name:                   o.name,
+			WorkSeconds:            o.work.Seconds(),
+			MemMB:                  o.mem,
+			InitialProgressSeconds: o.resume.Seconds(),
 		}
 		sched, err := cl.scheduler(ctx)
 		if err != nil {
@@ -226,19 +273,13 @@ func run(cl client, cmd string, args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("submitted %s to %s (TR %.4f): job id %s\n", *name, best.MachineID, best.TR, resp.JobID)
+		fmt.Printf("submitted %s to %s (TR %.4f): job id %s\n", o.name, best.MachineID, best.TR, resp.JobID)
 		return nil
 	case "status", "kill":
-		fs := flag.NewFlagSet(cmd, flag.ExitOnError)
-		jobID := fs.String("job", "", "job id (required)")
-		machine := fs.String("machine", "", "machine hosting the job (required with -fed)")
-		if err := fs.Parse(args); err != nil {
-			return err
-		}
-		if *jobID == "" {
+		if o.job == "" {
 			return fmt.Errorf("%s needs -job", cmd)
 		}
-		if cl.fed != "" && *machine == "" {
+		if cl.fed != "" && o.machine == "" {
 			return fmt.Errorf("%s -fed needs -machine (the ring routes by machine name)", cmd)
 		}
 		if cl.fed == "" && gateway == "" {
@@ -247,16 +288,16 @@ func run(cl client, cmd string, args []string) error {
 		ctx, root := cl.startRoot("client." + cmd)
 		var api ishare.GatewayAPI
 		if cl.fed != "" {
-			api = cl.fedClient().Gateway(*machine)
+			api = cl.fedClient().Gateway(o.machine)
 		} else {
 			api = ishare.RemoteGateway{Addr: gateway, Timeout: timeout, Caller: cl.caller}
 		}
 		var st ishare.JobStatusResp
 		var err error
 		if cmd == "status" {
-			st, err = api.JobStatus(ctx, ishare.JobStatusReq{JobID: *jobID})
+			st, err = api.JobStatus(ctx, ishare.JobStatusReq{JobID: o.job})
 		} else {
-			st, err = api.Kill(ctx, ishare.JobStatusReq{JobID: *jobID})
+			st, err = api.Kill(ctx, ishare.JobStatusReq{JobID: o.job})
 		}
 		cl.finishRoot(root, err)
 		if err != nil {
@@ -269,15 +310,6 @@ func run(cl client, cmd string, args []string) error {
 		fmt.Println()
 		return nil
 	case "stats":
-		fs := flag.NewFlagSet(cmd, flag.ExitOnError)
-		calib := fs.Bool("calibration", false, "include the per-predictor calibration tables")
-		verbose := fs.Bool("verbose", false, "include wire-protocol details: the server's connection and shed counters")
-		fleet := fs.Bool("fleet", false, "print the fleet-wide merged observability view instead (requires -fed: the entry peer fans query-obs out over the ring)")
-		alertLimit := fs.Int("alert-limit", 20, "with -fleet: newest merged alerts to keep (0 = all)")
-		asJSON := fs.Bool("json", false, "print the raw JSON snapshot")
-		if err := fs.Parse(args); err != nil {
-			return err
-		}
 		// A federation peer answers query-stats too (with its ring view), so
 		// -fed doubles as the stats target.
 		if gateway == "" {
@@ -286,13 +318,13 @@ func run(cl client, cmd string, args []string) error {
 		if gateway == "" {
 			return fmt.Errorf("stats needs -gateway or -fed")
 		}
-		if *fleet && cl.fed == "" {
+		if o.fleet && cl.fed == "" {
 			return fmt.Errorf("stats -fleet needs -fed (only a federation peer can merge the ring)")
 		}
 		ctx, root := cl.startRoot("client.stats")
 		api := ishare.RemoteGateway{Addr: gateway, Timeout: timeout, Caller: cl.caller}
-		if *fleet {
-			resp, err := api.QueryObs(ctx, ishare.QueryObsReq{MaxAlerts: *alertLimit})
+		if o.fleet {
+			resp, err := api.QueryObs(ctx, ishare.QueryObsReq{MaxAlerts: o.alertLimit})
 			cl.finishRoot(root, err)
 			if err != nil {
 				return err
@@ -300,32 +332,26 @@ func run(cl client, cmd string, args []string) error {
 			if resp.Fleet == nil {
 				return fmt.Errorf("peer %s returned no fleet view (not a federation peer?)", resp.Peer)
 			}
-			if *asJSON {
+			if o.asJSON {
 				return printJSON(resp.Fleet)
 			}
 			printFleet(resp.Peer, resp.Fleet)
 			return nil
 		}
-		st, err := api.QueryStats(ctx, ishare.QueryStatsReq{Calibration: *calib})
+		st, err := api.QueryStats(ctx, ishare.QueryStatsReq{Calibration: o.calib})
 		cl.finishRoot(root, err)
 		if err != nil {
 			return err
 		}
-		if *asJSON {
+		if o.asJSON {
 			return printJSON(st)
 		}
 		printStats(st)
-		if *verbose {
+		if o.verbose {
 			printWire(st.Wire)
 		}
 		return nil
 	case "alerts":
-		fs := flag.NewFlagSet(cmd, flag.ExitOnError)
-		limit := fs.Int("limit", 20, "newest alerts to print (0 = all retained)")
-		asJSON := fs.Bool("json", false, "print the raw JSON alerts")
-		if err := fs.Parse(args); err != nil {
-			return err
-		}
 		if gateway == "" {
 			gateway = cl.fed
 		}
@@ -342,26 +368,16 @@ func run(cl client, cmd string, args []string) error {
 			return fmt.Errorf("peer %s sent an undecodable obs snapshot: %w", resp.Peer, err)
 		}
 		alerts := po.Alerts
-		if *limit > 0 && len(alerts) > *limit {
-			alerts = alerts[len(alerts)-*limit:]
+		if o.limit > 0 && len(alerts) > o.limit {
+			alerts = alerts[len(alerts)-o.limit:]
 		}
-		if *asJSON {
+		if o.asJSON {
 			return printJSON(alerts)
 		}
 		fmt.Printf("node %s: %d alert(s) retained\n", resp.Peer, len(po.Alerts))
 		printAlerts(alerts)
 		return nil
 	case "traces":
-		fs := flag.NewFlagSet(cmd, flag.ExitOnError)
-		limit := fs.Int("limit", 10, "most recent traces to fetch (ignored with -id)")
-		id := fs.String("id", "", "fetch one trace by id")
-		events := fs.Bool("events", false, "include retained WARN/ERROR log events")
-		timings := fs.Bool("timings", false, "include span durations (wall-clock; disable for run-to-run comparison)")
-		previous := fs.Bool("previous", false, "serve the flight snapshot the node persisted on its last shutdown (-data-dir)")
-		asJSON := fs.Bool("json", false, "print the raw JSON snapshot")
-		if err := fs.Parse(args); err != nil {
-			return err
-		}
 		if gateway == "" {
 			gateway = cl.fed
 		}
@@ -369,14 +385,14 @@ func run(cl client, cmd string, args []string) error {
 			return fmt.Errorf("traces needs -gateway or -fed")
 		}
 		api := ishare.RemoteGateway{Addr: gateway, Timeout: timeout, Caller: cl.caller}
-		resp, err := api.QueryTraces(context.Background(), ishare.QueryTracesReq{Limit: *limit, TraceID: *id, Events: *events, Previous: *previous})
+		resp, err := api.QueryTraces(context.Background(), ishare.QueryTracesReq{Limit: o.limit, TraceID: o.id, Events: o.events, Previous: o.previous})
 		if err != nil {
 			return err
 		}
-		if *asJSON {
+		if o.asJSON {
 			return printJSON(resp)
 		}
-		printTraces(resp, otrace.RenderOptions{Timings: *timings})
+		printTraces(resp, otrace.RenderOptions{Timings: o.timings})
 		return nil
 	default:
 		return fmt.Errorf("unknown command %q", cmd)

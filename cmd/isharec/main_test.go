@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -9,8 +10,25 @@ import (
 	"testing"
 	"time"
 
+	"fgcs/internal/flagdoc"
 	"fgcs/internal/ishare"
 )
+
+var update = flag.Bool("update", false, "rewrite the isharec flag tables in README.md")
+
+// TestFlagTables holds README's two isharec tables, the global flags and
+// each subcommand's, to the registered flags (-update rewrites them).
+func TestFlagTables(t *testing.T) {
+	global := flag.NewFlagSet("isharec", flag.ContinueOnError)
+	registerGlobals(global, &globals{})
+	flagdoc.Check(t, "../../README.md", "isharec", flagdoc.Table(nil, global), *update)
+	sets := make([]*flag.FlagSet, len(commands))
+	for i, cmd := range commands {
+		sets[i] = flag.NewFlagSet(cmd, flag.ContinueOnError)
+		registerCommand(cmd, sets[i], &options{})
+	}
+	flagdoc.Check(t, "../../README.md", "isharec-commands", flagdoc.Table(commands, sets...), *update)
+}
 
 // serve starts a protocol server on a loopback port whose handler is read
 // per request, so a federation peer can listen before its ring is known.

@@ -8,30 +8,10 @@
 //	ishared -id gw1 -listen :7000 \
 //	    -peers gw1=host1:7000,gw2=host2:7000,gw3=host3:7000   # federation peer
 //
-// With -source proc (the default on Linux) the monitor samples the real host
-// via /proc; with -source replay it replays a machine from a trace file,
-// which is how a whole simulated testbed can be run on one box.
-//
-// With -peers the process runs a federated control-plane peer instead of a
-// host node: machines are sharded across the listed peers by consistent
-// hashing, every entry is replicated to -replicas successor peers, requests
-// for machines owned elsewhere are forwarded transparently, and a
-// -sync-every anti-entropy loop repairs replicas after restarts. Host nodes
-// point -registry at any peer; clients point isharec -fed at any peer.
-//
-// With -data-dir the process keeps its state durable: monitor samples,
-// accepted submits and accuracy statistics (host mode) or registry entries
-// (registry-only and federation modes) are written to a checksummed
-// write-ahead log with periodic snapshots (-snapshot-every), and a restart
-// recovers the newest valid snapshot plus the log tail. -fsync picks the
-// WAL sync policy. SIGTERM flushes the log and writes a final snapshot
-// before exit, so a clean restart replays nothing.
-//
-// Served requests are traced (sampled at -trace-sample) into a fixed-size
-// flight recorder, inspectable over HTTP (-obs-addr, GET /traces) and over
-// the gateway protocol (isharec traces). Logs go to stderr through log/slog
-// (-log-level, -log-json); WARN and above are also retained next to the
-// traces.
+// Each flag's meaning is its usage string (ishared -help, or README's
+// generated table); DESIGN.md describes the mechanisms behind them:
+// federation (§10), durable state (§12), tracing (§9) and the observability
+// plane (§8, §14).
 package main
 
 import (
@@ -61,45 +41,52 @@ import (
 
 func main() {
 	var rc runConfig
-	flag.StringVar(&rc.id, "id", hostnameOr("node"), "machine id")
-	flag.StringVar(&rc.listen, "listen", "127.0.0.1:7070", "gateway listen address")
-	flag.StringVar(&rc.registry, "registry", "", "registry address to publish to")
-	flag.BoolVar(&rc.registryOnly, "registry-only", false, "run a registry instead of a host node: a federation ring whose only peer is -id at -listen")
-	flag.StringVar(&rc.source, "source", "proc", "load source: proc or replay")
-	flag.StringVar(&rc.traceFile, "trace", "", "trace file for -source replay / preloaded history")
-	flag.StringVar(&rc.heartbeat, "heartbeat", "", "t_monitor heartbeat file path")
-	flag.IntVar(&rc.histDays, "history", 0, "most recent N days to pool (0 = all)")
-	flag.StringVar(&rc.archive, "archive", "", "archive history logs to this trace file periodically and on shutdown")
-	flag.DurationVar(&rc.archiveEvery, "archive-every", 10*time.Minute, "archive interval")
-	flag.DurationVar(&rc.ttl, "ttl", 90*time.Second, "registration TTL; re-registered by the heartbeat (0 = register once, never expires)")
-	flag.DurationVar(&rc.hbEvery, "heartbeat-every", 30*time.Second, "registry re-registration interval")
-	flag.StringVar(&rc.peers, "peers", "", "comma-separated id=addr federation ring membership; enables federation mode (the list must include this peer's -id)")
-	flag.IntVar(&rc.vnodes, "vnodes", ishare.DefaultVnodes, "federation: virtual nodes per peer on the consistent-hash ring")
-	flag.IntVar(&rc.replicas, "replicas", ishare.DefaultReplicas, "federation: successor peers mirroring each registry entry (-1 = none)")
-	flag.DurationVar(&rc.syncEvery, "sync-every", 30*time.Second, "federation: anti-entropy push interval (0 = on-register replication only)")
-	flag.StringVar(&rc.obsAddr, "obs-addr", "", "serve Prometheus /metrics, /debug/pprof and /traces on this HTTP address (empty = disabled)")
-	flag.IntVar(&rc.serveCfg.MaxInflight, "max-inflight", 0, "admission control: max concurrently served requests across all connections (0 = default 256)")
-	flag.IntVar(&rc.serveCfg.MaxQueuedWaiters, "max-queued", 0, "admission control: max requests queued for an in-flight slot before shedding with the typed overloaded error (0 = same as -max-inflight)")
-	flag.IntVar(&rc.serveCfg.PerConnInflight, "per-conn-inflight", 0, "admission control: max pipelined requests in flight per connection (0 = default 32)")
-	flag.DurationVar(&rc.serveCfg.IdleDeadline, "idle-deadline", 0, "close connections with no frame activity for this long; reset per frame on long-lived connections (0 = default 5m)")
-	logLevel := flag.String("log-level", "info", "log level: debug, info, warn or error")
-	logJSON := flag.Bool("log-json", false, "emit logs as JSON instead of text")
-	flag.Float64Var(&rc.traceSample, "trace-sample", 1, "fraction of served requests to trace into the flight recorder (0 disables tracing)")
-	flag.Uint64Var(&rc.traceSeed, "trace-seed", 0, "seed for trace IDs and sampling decisions (0 = fixed default; any fixed seed gives reproducible traces)")
-	traceBuffer := flag.Int("trace-buffer", otrace.DefaultCapacity, "completed traces retained by the flight recorder")
-	flag.StringVar(&rc.slo, "slo", "", "comma-separated serving-path SLOs, each name:qps=<floor>;p99=<dur>;budget=<fraction> (optional ;fast=;slow=;short=;long= burn tuning); statuses are served in query-stats and violations fire burn-rate alerts")
-	flag.DurationVar(&rc.obsEvery, "obs-every", 15*time.Second, "SLO sampling and drift/ops detector step interval (0 disables the loop)")
-	flag.StringVar(&rc.dataDir, "data-dir", "", "durable state directory: WAL + snapshots, recovered on restart (empty = stateless)")
-	flag.DurationVar(&rc.snapEvery, "snapshot-every", 5*time.Minute, "durable snapshot interval; a final snapshot is always written on clean shutdown")
-	flag.StringVar(&rc.fsync, "fsync", "always", "WAL sync policy: always (fsync per record), batch (fsync on rotation/snapshot) or off")
-	flag.StringVar(&rc.recoverMode, "recover", "strict", "recovery policy when every retained snapshot is corrupt and the WAL is incomplete: strict (refuse to start) or best-effort (salvage the valid WAL suffix)")
+	registerFlags(flag.CommandLine, &rc, hostnameOr("node"))
 	flag.Parse()
-	rc.flight = otrace.NewRecorder(*traceBuffer)
-	rc.logger = otrace.NewLogger(os.Stderr, otrace.ParseLevel(*logLevel), *logJSON, rc.flight)
+	rc.flight = otrace.NewRecorder(rc.traceBuffer)
+	rc.logger = otrace.NewLogger(os.Stderr, otrace.ParseLevel(rc.logLevel), rc.logJSON, rc.flight)
 	if err := run(rc); err != nil {
 		rc.logger.Error("exiting", slog.String("err", err.Error()))
 		os.Exit(1)
 	}
+}
+
+// registerFlags registers every ishared flag on fs, into rc; host is -id's
+// default. The usage strings are the operator reference: README's ishared
+// table is generated from them (TestFlagTable).
+func registerFlags(fs *flag.FlagSet, rc *runConfig, host string) {
+	fs.StringVar(&rc.id, "id", host, "Machine id (host node) or peer id (federation).")
+	fs.StringVar(&rc.listen, "listen", "127.0.0.1:7070", "Gateway / registry / federation listen address.")
+	fs.StringVar(&rc.registry, "registry", "", "Registry (or any federation peer) to publish this host node to.")
+	fs.BoolVar(&rc.registryOnly, "registry-only", false, "Run a registry instead of a host node: a federation ring of one (peer -id at -listen), so every federation flag, -obs-addr and -slo apply.")
+	fs.StringVar(&rc.source, "source", "proc", "Load source: proc samples the live machine, replay replays -trace.")
+	fs.StringVar(&rc.traceFile, "trace", "", "Trace file for -source replay / preloaded history.")
+	fs.StringVar(&rc.heartbeat, "heartbeat", "", "t_monitor heartbeat file: rewritten on every sample and read once at start. A heartbeat older than three sampling periods means the node was revoked (URR, paper §5.2): the time since it, at most its last week, is recorded as down samples before the first live one (through the WAL under -data-dir) and logged as \"revocation recorded\".")
+	fs.IntVar(&rc.histDays, "history", 0, "Most recent N days pooled by the predictor (0 = all).")
+	fs.StringVar(&rc.archive, "archive", "", "Archive history logs to this trace file periodically and on shutdown.")
+	fs.DurationVar(&rc.archiveEvery, "archive-every", 10*time.Minute, "Archive interval.")
+	fs.DurationVar(&rc.ttl, "ttl", 90*time.Second, "Registration TTL; re-registered by the heartbeat (0 = register once, never expires).")
+	fs.DurationVar(&rc.hbEvery, "heartbeat-every", 30*time.Second, "Registry re-registration interval.")
+	fs.StringVar(&rc.peers, "peers", "", "Comma-separated id=addr ring membership; enables federation mode (must include this peer's -id).")
+	fs.IntVar(&rc.vnodes, "vnodes", ishare.DefaultVnodes, "Federation: virtual nodes per peer on the consistent-hash ring.")
+	fs.IntVar(&rc.replicas, "replicas", ishare.DefaultReplicas, "Federation: successor peers mirroring each registry entry (-1 = none).")
+	fs.DurationVar(&rc.syncEvery, "sync-every", 30*time.Second, "Federation: anti-entropy push interval (0 = on-register replication only).")
+	fs.StringVar(&rc.obsAddr, "obs-addr", "", "Serve Prometheus /metrics, /healthz, /readyz, /alerts, /debug/pprof and /traces on this HTTP address (empty = disabled).")
+	fs.IntVar(&rc.serveCfg.MaxInflight, "max-inflight", 0, "Admission: server-wide concurrent request cap; excess queues, overflow is shed (0 = default 256).")
+	fs.IntVar(&rc.serveCfg.MaxQueuedWaiters, "max-queued", 0, "Admission: waiting requests queued before load shedding kicks in (0 = same as -max-inflight).")
+	fs.IntVar(&rc.serveCfg.PerConnInflight, "per-conn-inflight", 0, "Admission: pipelined requests in flight per binary connection before that connection is shed (0 = default 32).")
+	fs.DurationVar(&rc.serveCfg.IdleDeadline, "idle-deadline", 0, "Close connections idle this long; re-armed per frame on binary connections (0 = default 5m).")
+	fs.StringVar(&rc.logLevel, "log-level", "info", "Log level: debug, info, warn or error.")
+	fs.BoolVar(&rc.logJSON, "log-json", false, "Emit logs as JSON instead of text.")
+	fs.Float64Var(&rc.traceSample, "trace-sample", 1, "Fraction of served requests traced into the flight recorder (0 disables tracing).")
+	fs.Uint64Var(&rc.traceSeed, "trace-seed", 0, "Seed for trace IDs and sampling decisions (0 = fixed default; any fixed seed gives reproducible traces).")
+	fs.IntVar(&rc.traceBuffer, "trace-buffer", otrace.DefaultCapacity, "Completed traces retained by the flight recorder.")
+	fs.StringVar(&rc.slo, "slo", "", "Comma-separated serving-path SLOs, each name:qps=FLOOR;p99=DURATION;budget=FRACTION, optionally with ;fast=, ;slow=, ;short= and ;long= burn tuning. Statuses are served in query-stats; violations fire burn-rate alerts.")
+	fs.DurationVar(&rc.obsEvery, "obs-every", 15*time.Second, "SLO sampling and drift/ops detector step interval (0 disables the loop).")
+	fs.StringVar(&rc.dataDir, "data-dir", "", "Durable state directory: checksummed WAL + snapshots, recovered on restart (empty = stateless).")
+	fs.DurationVar(&rc.snapEvery, "snapshot-every", 5*time.Minute, "Durable snapshot interval; a final snapshot is always written on clean shutdown.")
+	fs.StringVar(&rc.fsync, "fsync", "always", "WAL sync policy: always (fsync per record), batch (fsync on rotation/snapshot) or off.")
+	fs.StringVar(&rc.recoverMode, "recover", "strict", "Recovery when every retained snapshot is corrupt and the WAL is incomplete: strict refuses to start, best-effort salvages the valid WAL suffix.")
 }
 
 type runConfig struct {
@@ -115,6 +102,9 @@ type runConfig struct {
 	syncEvery                    time.Duration
 	traceSample                  float64
 	traceSeed                    uint64
+	traceBuffer                  int
+	logLevel                     string
+	logJSON                      bool
 	flight                       *otrace.Recorder
 	logger                       *slog.Logger
 	// slo carries the -slo specs; obsEvery paces the detector/SLO loop.

@@ -113,7 +113,7 @@ func NewHostNode(cfg NodeConfig, src monitor.LoadSource) (*HostNode, error) {
 		sink = persist
 	}
 	if cfg.HeartbeatPath != "" {
-		recordRevocation(cfg, sink)
+		recordRevocation(cfg, sm.recorder, sink)
 	}
 	node := &HostNode{Gateway: gw, SM: sm, Persist: persist, clock: cfg.Clock}
 	if src == nil {
@@ -140,8 +140,11 @@ func NewHostNode(cfg NodeConfig, src monitor.LoadSource) (*HostNode, error) {
 // node starts: after a t_monitor heartbeat older than monitor.OutageAfter,
 // monitor.Backfill sends [t_monitor, now) through the node's sink as down
 // samples — so the history log, and a WAL, hold the outage before the first
-// live sample. No file is a first boot.
-func recordRevocation(cfg NodeConfig, sink monitor.Sink) {
+// live sample. No file is a first boot. A recorder that holds a sample of
+// its own back-fills the gap from it as the next sample lands, under the
+// same bound, so the sink then takes only the outage's last sample: sent
+// whole as well, the outage would be recorded twice, a week each.
+func recordRevocation(cfg NodeConfig, rec *monitor.Recorder, sink monitor.Sink) {
 	from, to, err := monitor.DetectRevocation(cfg.HeartbeatPath, cfg.Clock.Now(), monitor.OutageAfter(cfg.Period))
 	switch {
 	case errors.Is(err, monitor.ErrNoGap), errors.Is(err, fs.ErrNotExist):
@@ -151,7 +154,17 @@ func recordRevocation(cfg NodeConfig, sink monitor.Sink) {
 				slog.String("path", cfg.HeartbeatPath), slog.String("err", err.Error()))
 		}
 	default:
-		start := monitor.Backfill(from, to, cfg.Period, sink.Record)
+		var last time.Time
+		rec.View(func(_ *trace.Machine, l time.Time) { last = l })
+		record := sink.Record
+		if !last.IsZero() {
+			record = func(t time.Time, s trace.Sample) {
+				if !t.Add(cfg.Period).Before(to) {
+					sink.Record(t, s)
+				}
+			}
+		}
+		start := monitor.Backfill(from, to, cfg.Period, record)
 		if cfg.Logger != nil {
 			cfg.Logger.Info("revocation recorded", slog.String("path", cfg.HeartbeatPath),
 				slog.Time("down_from", from), slog.Time("down_to", to), slog.Time("recorded_from", start))

@@ -129,3 +129,66 @@ func TestHostNodeBoundsRevocationBackfill(t *testing.T) {
 		t.Fatalf("the outage appended %d WAL records, want the last week's %d", len(rec.Records), week-1)
 	}
 }
+
+// TestHostNodeBackfillsAnOutageOnce: a node restarted 20 years after its
+// last sample and its last t_monitor heartbeat holds at most
+// monitor.MaxBackfill of the outage as down samples, though two pieces of
+// evidence — the heartbeat at start and the recorder's own last sample —
+// each see the whole gap; and a replay of the WAL over the old snapshot
+// holds the same history. An hourly period keeps a week 168 samples.
+func TestHostNodeBackfillsAnOutageOnce(t *testing.T) {
+	const hourly = time.Hour
+	mem := durable.NewMemFS()
+	clock := simclock.NewVirtual(monday)
+	cfg := NodeConfig{
+		MachineID: "lab-01", Cfg: avail.DefaultConfig(), Period: hourly, Clock: clock,
+		HeartbeatPath: filepath.Join(t.TempDir(), "t_monitor"),
+	}
+	start := func() *HostNode {
+		t.Helper()
+		st, rec, err := durable.Open(persistStoreCfg(mem))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Durable, cfg.DurableRecovery = st, rec
+		n, err := NewHostNode(cfg, staticSource{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	down := func(n *HostNode) (down int) {
+		for _, day := range n.SM.history() {
+			for _, s := range day.Samples {
+				if !s.Up {
+					down++
+				}
+			}
+		}
+		return down
+	}
+
+	a := start()
+	for i := 0; i < 5; i++ {
+		clock.Advance(hourly)
+		a.Monitor.Tick(clock.Now())
+	}
+	if err := a.Persist.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	clock.Advance(20 * 365 * 24 * time.Hour)
+	b := start()
+	got := down(b)
+	if week := int(monitor.MaxBackfill / hourly); got < week-1 || got > week {
+		t.Errorf("the restart recorded %d down samples, want the last week's %d", got, week)
+	}
+	if err := b.Persist.Close(); err != nil {
+		t.Fatal(err)
+	}
+	cfg.HeartbeatPath = "" // the replay alone, no second revocation
+	c := start()
+	defer c.Persist.Close()
+	if replayed := down(c); replayed != got {
+		t.Errorf("the replay holds %d down samples, the live node held %d", replayed, got)
+	}
+}
