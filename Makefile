@@ -147,7 +147,8 @@ fuzz:
 # run, byte for byte against internal/fleetsim/testdata; and README's flag
 # tables, byte for byte against the flags ishared, isharec and fleetsim
 # register. Use `make golden-update` only when a change to those numbers is
-# intended, or after editing a flag.
+# intended, or after editing a flag; it rewrites the flag tables one package
+# at a time, since all three rewrite README.md.
 FLAGTABLES = ./cmd/ishared/ ./cmd/isharec/ ./cmd/fleetsim/
 golden:
 	$(GO) test ./internal/predict/ -run 'TestGolden' -count=1
@@ -159,7 +160,7 @@ golden-update:
 	$(GO) test ./internal/predict/ -run 'TestGoldenPredictions' -count=1 -update
 	$(GO) test ./cmd/experiments/ -run 'TestScorecard' -count=1 -update
 	$(GO) test ./internal/fleetsim/ -run 'TestFleetSimGolden' -count=1 -update
-	$(GO) test $(FLAGTABLES) -run 'TestFlagTable' -count=1 -update
+	$(GO) test -p 1 $(FLAGTABLES) -run 'TestFlagTable' -count=1 -update
 
 # Chaos harnesses: a five-machine testbed on faultnet's in-memory network
 # with seeded fault injection (dial refusals, resets, corruption, partitions), and a

@@ -19,7 +19,7 @@
 // report, and the gate fails when any declared serving-path SLO reports a
 // violated QPS floor, p99 ceiling, or error-budget burn rate:
 //
-//	isharec -fed localhost:7000 stats -json | benchgate -slo
+//	isharec -registry localhost:7000 stats -json | benchgate -slo
 //	fleetsim -out report.json && benchgate -slo -in report.json
 package main
 

@@ -2,17 +2,15 @@
 // queries their temporal reliability for a prospective guest job, and
 // submits the job to the most reliable machine.
 //
+// -registry names a registry or any live peer of a federated control plane
+// (ishared -peers); every call goes through it, so the machine-scoped
+// commands (status, kill) need -machine. -gateway talks to one node directly.
+//
 //	isharec -registry localhost:7000 rank -work 2h -mem 100
 //	isharec -registry localhost:7000 submit -name sim1 -work 2h -mem 100
-//	isharec -gateway localhost:7070 status -job lab-01-job-1
+//	isharec -registry localhost:7000 status -machine lab-01 -job lab-01-job-1
 //	isharec -gateway localhost:7070 stats
 //	isharec -gateway localhost:7070 traces -limit 5
-//
-// Against a federated control plane (ishared -peers), -fed names any live
-// peer, and the machine-scoped commands (status, kill) need -machine:
-//
-//	isharec -fed localhost:7000 rank -work 2h -mem 100
-//	isharec -fed localhost:7000 status -machine lab-01 -job lab-01-job-1
 //
 // Each flag's meaning is its usage string (isharec -help, or README's
 // generated tables).
@@ -46,7 +44,6 @@ func main() {
 	cl := client{
 		registry: g.registry,
 		gateway:  g.gateway,
-		fed:      g.fed,
 		timeout:  g.timeout,
 		caller:   &ishare.Caller{Pool: &ishare.Pool{}, Retry: ishare.RetryPolicy{MaxAttempts: g.retries, BaseDelay: g.retryBase}},
 		logger:   logger,
@@ -68,13 +65,13 @@ func main() {
 
 // globals are the flags given before the subcommand.
 type globals struct {
-	registry, gateway, fed string
-	timeout, retryBase     time.Duration
-	retries, brkThresh     int
-	brkCool                time.Duration
-	traced, logJSON        bool
-	traceSeed              uint64
-	logLevel               string
+	registry, gateway  string
+	timeout, retryBase time.Duration
+	retries, brkThresh int
+	brkCool            time.Duration
+	traced, logJSON    bool
+	traceSeed          uint64
+	logLevel           string
 }
 
 // registerGlobals registers the flags given before the subcommand on fs,
@@ -82,9 +79,8 @@ type globals struct {
 // operator reference: README's isharec tables are generated from them
 // (TestFlagTables).
 func registerGlobals(fs *flag.FlagSet, g *globals) {
-	fs.StringVar(&g.registry, "registry", "", "Registry address for discovery.")
-	fs.StringVar(&g.gateway, "gateway", "", "Direct gateway address (bypasses discovery).")
-	fs.StringVar(&g.fed, "fed", "", "Federation entry-peer address (any live peer of an ishared -peers ring).")
+	fs.StringVar(&g.registry, "registry", "", "Registry (or any federation peer) that discovers the machines and routes every call to them.")
+	fs.StringVar(&g.gateway, "gateway", "", "Direct gateway address of one node (bypasses the registry).")
 	fs.DurationVar(&g.timeout, "timeout", 5*time.Second, "Per-request timeout.")
 	fs.IntVar(&g.retries, "retries", 3, "Attempts for idempotent RPCs (1 = no retry; submits are retried under an idempotency key).")
 	fs.DurationVar(&g.retryBase, "retry-base", 50*time.Millisecond, "First retry backoff delay.")
@@ -118,11 +114,11 @@ func registerCommand(cmd string, fs *flag.FlagSet, o *options) {
 		fs.Float64Var(&o.mem, "mem", 100, "Working set in MB.")
 	case "status", "kill":
 		fs.StringVar(&o.job, "job", "", "Job id (required).")
-		fs.StringVar(&o.machine, "machine", "", "Machine hosting the job (required with -fed: the ring routes by machine name).")
+		fs.StringVar(&o.machine, "machine", "", "Machine hosting the job (required with -registry: the ring routes by machine name).")
 	case "stats":
 		fs.BoolVar(&o.calib, "calibration", false, "Include the per-predictor calibration tables.")
 		fs.BoolVar(&o.verbose, "verbose", false, "Include wire-protocol details: the server's connection and shed counters.")
-		fs.BoolVar(&o.fleet, "fleet", false, "Print the fleet-wide merged observability view instead (requires -fed: the entry peer fans query-obs out over the ring).")
+		fs.BoolVar(&o.fleet, "fleet", false, "Print the fleet-wide merged observability view instead (requires -registry: the peer fans query-obs out over the ring).")
 		fs.IntVar(&o.alertLimit, "alert-limit", 20, "With -fleet: newest merged alerts to keep (0 = all).")
 	case "alerts":
 		fs.IntVar(&o.limit, "limit", 20, "Newest alerts to print (0 = all retained).")
@@ -148,7 +144,6 @@ func registerCommand(cmd string, fs *flag.FlagSet, o *options) {
 // client bundles the fault-tolerance knobs every subcommand shares.
 type client struct {
 	registry, gateway string
-	fed               string
 	timeout           time.Duration
 	caller            *ishare.Caller
 	breakers          *ishare.BreakerSet
@@ -180,42 +175,50 @@ func (c client) finishRoot(span *otrace.Span, err error) {
 	}
 }
 
-// fedClient builds the any-peer federation client when -fed is set.
-func (c client) fedClient() ishare.FedClient {
-	return ishare.FedClient{Addr: c.fed, Timeout: c.timeout, Caller: c.caller}
+// direct is the -gateway node's client.
+func (c client) direct() ishare.RemoteGateway {
+	return ishare.RemoteGateway{Addr: c.gateway, Timeout: c.timeout, Caller: c.caller}
 }
 
+// fedClient is the -registry client: every call is routed through it.
+func (c client) fedClient() ishare.FedClient {
+	return ishare.FedClient{Addr: c.registry, Timeout: c.timeout, Caller: c.caller}
+}
+
+// scheduler ranks the -gateway node alone, or every machine the -registry
+// discovers.
 func (c client) scheduler(ctx context.Context) (*ishare.Scheduler, error) {
-	if c.fed != "" {
-		sched, err := c.fedClient().Scheduler(ctx)
-		if err != nil {
+	var sched *ishare.Scheduler
+	switch {
+	case c.gateway != "":
+		sched = &ishare.Scheduler{Candidates: []ishare.Candidate{{MachineID: c.gateway, API: c.direct()}}}
+	case c.registry == "":
+		return nil, fmt.Errorf("need -registry or -gateway")
+	default:
+		var err error
+		if sched, err = c.fedClient().Scheduler(ctx); err != nil {
 			return nil, err
 		}
-		sched.Breakers = c.breakers
-		return sched, nil
-	}
-	if c.gateway != "" {
-		return &ishare.Scheduler{
-			Candidates: []ishare.Candidate{{
-				MachineID: c.gateway,
-				API:       ishare.RemoteGateway{Addr: c.gateway, Timeout: c.timeout, Caller: c.caller},
-			}},
-			Breakers: c.breakers,
-		}, nil
-	}
-	if c.registry == "" {
-		return nil, fmt.Errorf("need -registry or -gateway")
-	}
-	sched, err := ishare.FromRegistryWith(ctx, c.caller, c.registry, c.timeout)
-	if err != nil {
-		return nil, err
 	}
 	sched.Breakers = c.breakers
 	return sched, nil
 }
 
+// observed is the address the observability commands (stats, alerts,
+// traces) ask: the -gateway node, or else the -registry peer, which answers
+// them for itself.
+func (c client) observed(cmd string) (ishare.RemoteGateway, error) {
+	api := c.direct()
+	if api.Addr == "" {
+		api.Addr = c.registry
+	}
+	if api.Addr == "" {
+		return api, fmt.Errorf("%s needs -gateway or -registry", cmd)
+	}
+	return api, nil
+}
+
 func run(cl client, cmd string, args []string) error {
-	gateway, timeout := cl.gateway, cl.timeout
 	var o options
 	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
 	registerCommand(cmd, fs, &o)
@@ -279,19 +282,17 @@ func run(cl client, cmd string, args []string) error {
 		if o.job == "" {
 			return fmt.Errorf("%s needs -job", cmd)
 		}
-		if cl.fed != "" && o.machine == "" {
-			return fmt.Errorf("%s -fed needs -machine (the ring routes by machine name)", cmd)
-		}
-		if cl.fed == "" && gateway == "" {
-			return fmt.Errorf("%s needs -gateway or -fed", cmd)
+		var api ishare.GatewayAPI = cl.direct()
+		if cl.gateway == "" {
+			if cl.registry == "" {
+				return fmt.Errorf("%s needs -gateway or -registry", cmd)
+			}
+			if o.machine == "" {
+				return fmt.Errorf("%s -registry needs -machine (the ring routes by machine name)", cmd)
+			}
+			api = cl.fedClient().Gateway(o.machine)
 		}
 		ctx, root := cl.startRoot("client." + cmd)
-		var api ishare.GatewayAPI
-		if cl.fed != "" {
-			api = cl.fedClient().Gateway(o.machine)
-		} else {
-			api = ishare.RemoteGateway{Addr: gateway, Timeout: timeout, Caller: cl.caller}
-		}
 		var st ishare.JobStatusResp
 		var err error
 		if cmd == "status" {
@@ -310,19 +311,18 @@ func run(cl client, cmd string, args []string) error {
 		fmt.Println()
 		return nil
 	case "stats":
-		// A federation peer answers query-stats too (with its ring view), so
-		// -fed doubles as the stats target.
-		if gateway == "" {
-			gateway = cl.fed
+		if o.fleet && cl.registry == "" {
+			return fmt.Errorf("stats -fleet needs -registry (only a federation peer can merge the ring)")
 		}
-		if gateway == "" {
-			return fmt.Errorf("stats needs -gateway or -fed")
+		// A federation peer answers query-stats too (with its ring view).
+		api, err := cl.observed(cmd)
+		if err != nil {
+			return err
 		}
-		if o.fleet && cl.fed == "" {
-			return fmt.Errorf("stats -fleet needs -fed (only a federation peer can merge the ring)")
+		if o.fleet {
+			api.Addr = cl.registry
 		}
 		ctx, root := cl.startRoot("client.stats")
-		api := ishare.RemoteGateway{Addr: gateway, Timeout: timeout, Caller: cl.caller}
 		if o.fleet {
 			resp, err := api.QueryObs(ctx, ishare.QueryObsReq{MaxAlerts: o.alertLimit})
 			cl.finishRoot(root, err)
@@ -352,13 +352,10 @@ func run(cl client, cmd string, args []string) error {
 		}
 		return nil
 	case "alerts":
-		if gateway == "" {
-			gateway = cl.fed
+		api, err := cl.observed(cmd)
+		if err != nil {
+			return err
 		}
-		if gateway == "" {
-			return fmt.Errorf("alerts needs -gateway or -fed")
-		}
-		api := ishare.RemoteGateway{Addr: gateway, Timeout: timeout, Caller: cl.caller}
 		resp, err := api.QueryObs(context.Background(), ishare.QueryObsReq{Local: true})
 		if err != nil {
 			return err
@@ -378,13 +375,10 @@ func run(cl client, cmd string, args []string) error {
 		printAlerts(alerts)
 		return nil
 	case "traces":
-		if gateway == "" {
-			gateway = cl.fed
+		api, err := cl.observed(cmd)
+		if err != nil {
+			return err
 		}
-		if gateway == "" {
-			return fmt.Errorf("traces needs -gateway or -fed")
-		}
-		api := ishare.RemoteGateway{Addr: gateway, Timeout: timeout, Caller: cl.caller}
 		resp, err := api.QueryTraces(context.Background(), ishare.QueryTracesReq{Limit: o.limit, TraceID: o.id, Events: o.events, Previous: o.previous})
 		if err != nil {
 			return err

@@ -63,8 +63,6 @@ func registerFlags(fs *flag.FlagSet, rc *runConfig, host string) {
 	fs.StringVar(&rc.traceFile, "trace", "", "Trace file for -source replay / preloaded history.")
 	fs.StringVar(&rc.heartbeat, "heartbeat", "", "t_monitor heartbeat file: rewritten on every sample and read once at start. A heartbeat older than three sampling periods means the node was revoked (URR, paper §5.2): the time since it, at most its last week, is recorded as down samples before the first live one (through the WAL under -data-dir) and logged as \"revocation recorded\".")
 	fs.IntVar(&rc.histDays, "history", 0, "Most recent N days pooled by the predictor (0 = all).")
-	fs.StringVar(&rc.archive, "archive", "", "Archive history logs to this trace file periodically and on shutdown.")
-	fs.DurationVar(&rc.archiveEvery, "archive-every", 10*time.Minute, "Archive interval.")
 	fs.DurationVar(&rc.ttl, "ttl", 90*time.Second, "Registration TTL; re-registered by the heartbeat (0 = register once, never expires).")
 	fs.DurationVar(&rc.hbEvery, "heartbeat-every", 30*time.Second, "Registry re-registration interval.")
 	fs.StringVar(&rc.peers, "peers", "", "Comma-separated id=addr ring membership; enables federation mode (must include this peer's -id).")
@@ -94,8 +92,7 @@ type runConfig struct {
 	registryOnly                 bool
 	source, traceFile, heartbeat string
 	histDays                     int
-	archive                      string
-	archiveEvery, ttl, hbEvery   time.Duration
+	ttl, hbEvery                 time.Duration
 	obsAddr                      string
 	peers                        string
 	vnodes, replicas             int
@@ -255,9 +252,8 @@ func runHost(rc runConfig) error {
 }
 
 // hostUp publishes the node to -registry (fatal on failure: the operator
-// asked to publish), starts its monitor and the -archive loop. The stop it
-// returns halts the monitor first, so no sample lands between the final
-// snapshot and close, and writes the final archive.
+// asked to publish) and starts its monitor. The stop it returns halts the
+// monitor first, so no sample lands between the final snapshot and close.
 func hostUp(rc runConfig, logger *slog.Logger, node *ishare.HostNode, addr string) (func() error, error) {
 	unpublish := func() {}
 	if rc.registry != "" {
@@ -277,26 +273,9 @@ func hostUp(rc runConfig, logger *slog.Logger, node *ishare.HostNode, addr strin
 			slog.String("registry", rc.registry),
 			slog.Duration("ttl", rc.ttl), slog.Duration("heartbeat_every", rc.hbEvery))
 	}
-	stopArchive := func() {}
-	if rc.archive != "" {
-		stopArchive = ishare.StartLoop(simclock.Real{}, rc.archiveEvery, func() {
-			if err := node.SM.Archive(rc.archive); err != nil {
-				logger.Error("archive failed",
-					slog.String("component", "archiver"), slog.String("err", err.Error()))
-			}
-		})
-	}
 	return func() error {
-		stopArchive()
 		node.Stop()
 		unpublish()
-		if rc.archive == "" {
-			return nil
-		}
-		if err := node.SM.Archive(rc.archive); err != nil {
-			return fmt.Errorf("final archive: %w", err)
-		}
-		logger.Info("history archived", slog.String("path", rc.archive))
 		return nil
 	}, nil
 }

@@ -31,8 +31,8 @@ func TestEndToEndPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// 2. Archive and reload through the compressed codec, as a state
-	//    manager would across restarts.
+	// 2. Save and reload through the compressed codec, as a trace file
+	//    ishared -trace preloads.
 	path := filepath.Join(t.TempDir(), "testbed.trace.gz")
 	if err := trace.SaveFile(path, ds); err != nil {
 		t.Fatal(err)
@@ -94,7 +94,7 @@ func TestEndToEndPipeline(t *testing.T) {
 		}
 		gateways = append(gateways, node.Gateway)
 	}
-	sched, err := ishare.FromRegistryWith(context.Background(), nil, regSrv.Addr(), 2*time.Second)
+	sched, err := ishare.FedClient{Addr: regSrv.Addr(), Timeout: 2 * time.Second}.Scheduler(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

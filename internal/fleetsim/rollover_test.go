@@ -21,21 +21,23 @@ import (
 func TestDayRolloverUnderWAL(t *testing.T) {
 	const (
 		period      = 5 * time.Minute
-		historyDays = 2
+		preloadDays = 2
 		seed        = 99
 	)
 	ctx := context.Background()
 	// A Wednesday: the two preloaded days (Mon, Tue) share its day type, so
-	// they all count as history under weekday/weekend pooling.
+	// they all count as history under weekday/weekend pooling. The state
+	// manager pools every day (no -history bound), so the completed day
+	// joining the history shows as one more window.
 	day0 := time.Date(2026, 6, 3, 0, 0, 0, 0, time.UTC)
 	start := day0.Add(23*time.Hour + 30*time.Minute)
 	clock := simclock.NewVirtual(start)
-	prof := genProfiles(seed, 1, period, historyDays, day0)[0]
+	prof := genProfiles(seed, 1, period, preloadDays, day0)[0]
 	availCfg := avail.DefaultConfig()
 	fs := durable.NewMemFS()
 
 	boot := func(rec *durable.Recovery, st *durable.Store) (*ishare.StateManager, *ishare.Persister) {
-		sm, err := ishare.NewStateManager("m0", period, availCfg, clock, prof.machine, historyDays)
+		sm, err := ishare.NewStateManager("m0", period, availCfg, clock, prof.machine, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,14 +79,14 @@ func TestDayRolloverUnderWAL(t *testing.T) {
 		p.Record(now, prof.sampleAt(now))
 		resp := query(sm)
 		if now.Before(day0.Add(24 * time.Hour)) {
-			if resp.HistoryWindows != historyDays {
-				t.Fatalf("%s: history windows = %d, want %d", now.Format("15:04"), resp.HistoryWindows, historyDays)
+			if resp.HistoryWindows != preloadDays {
+				t.Fatalf("%s: history windows = %d, want %d", now.Format("15:04"), resp.HistoryWindows, preloadDays)
 			}
 		} else {
 			sawRollover = true
-			if resp.HistoryWindows != historyDays+1 {
+			if resp.HistoryWindows != preloadDays+1 {
 				t.Fatalf("%s: history windows = %d after rollover, want %d (completed day missing: stale history)",
-					now.Format("15:04"), resp.HistoryWindows, historyDays+1)
+					now.Format("15:04"), resp.HistoryWindows, preloadDays+1)
 			}
 		}
 	}

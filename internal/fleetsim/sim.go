@@ -500,14 +500,7 @@ func (f *fleet) registerStorm(rep *Report) {
 	rpcs0 := f.requests.Load()
 	now := f.clock.Now()
 	runWorkers(f.cfg.Workers, func(wi int) {
-		caller := f.newCaller()
-		st := rng.New(f.cfg.Seed).Split(fmt.Sprintf("register/%d", wi))
-		for _, m := range f.active[wi] {
-			entry := f.peers[st.Intn(len(f.peers))].Addr
-			if err := ishare.RegisterWithTTL(f.ctx, caller, entry, m.id, m.addr, registryTTL, rpcTimeout); err != nil {
-				panic(fmt.Sprintf("fleetsim: register %s: %v", m.id, err))
-			}
-		}
+		f.register(f.active[wi], fmt.Sprintf("register/%d", wi))
 	})
 	f.lastLeaverRefresh = now
 	f.lastActiveRefresh = now
@@ -542,19 +535,25 @@ func (f *fleet) registerStorm(rep *Report) {
 		f.registered, rep.Perf.RegisterSeconds, rep.Sim.RegisterRPCs, rep.Sim.PlacementImbalance)
 }
 
+// register publishes ms through one caller, each to an entry peer drawn
+// from the seeded stream label, which a failure's panic names.
+func (f *fleet) register(ms []*simMachine, label string) {
+	caller := f.newCaller()
+	st := rng.New(f.cfg.Seed).Split(label)
+	for _, m := range ms {
+		entry := f.peers[st.Intn(len(f.peers))].Addr
+		if err := ishare.RegisterWithTTL(f.ctx, caller, entry, m.id, m.addr, registryTTL, rpcTimeout); err != nil {
+			panic(fmt.Sprintf("fleetsim: %s: register %s: %v", label, m.id, err))
+		}
+	}
+}
+
 // heartbeat re-registers every currently active machine, refreshing its
 // TTL — the fleet's periodic keepalive storm.
 func (f *fleet) heartbeat(tick int, rep *Report) {
 	bytes0 := f.net.DialerBytes()
 	runWorkers(f.cfg.Workers, func(wi int) {
-		caller := f.newCaller()
-		st := rng.New(f.cfg.Seed).Split(fmt.Sprintf("heartbeat/%d/%d", tick, wi))
-		for _, m := range f.active[wi] {
-			entry := f.peers[st.Intn(len(f.peers))].Addr
-			if err := ishare.RegisterWithTTL(f.ctx, caller, entry, m.id, m.addr, registryTTL, rpcTimeout); err != nil {
-				panic(fmt.Sprintf("fleetsim: heartbeat %s: %v", m.id, err))
-			}
-		}
+		f.register(f.active[wi], fmt.Sprintf("heartbeat/%d/%d", tick, wi))
 	})
 	now := f.clock.Now()
 	if tick <= f.cfg.churnTick() {
@@ -737,14 +736,7 @@ func (f *fleet) trafficPhase(rep *Report) {
 // tick on.
 func (f *fleet) churnStorm(rep *Report) {
 	joiners := f.machines[f.joinStart:]
-	caller := f.newCaller()
-	st := rng.New(f.cfg.Seed).Split("join")
-	for _, m := range joiners {
-		entry := f.peers[st.Intn(len(f.peers))].Addr
-		if err := ishare.RegisterWithTTL(f.ctx, caller, entry, m.id, m.addr, registryTTL, rpcTimeout); err != nil {
-			panic(fmt.Sprintf("fleetsim: join %s: %v", m.id, err))
-		}
-	}
+	f.register(joiners, "join")
 	for wi := range f.active {
 		f.active[wi] = f.active[wi][:0]
 	}

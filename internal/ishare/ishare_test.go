@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"path/filepath"
 	"reflect"
 	"runtime"
 	"sort"
@@ -805,75 +804,9 @@ func TestSchedulerErrors(t *testing.T) {
 	}
 }
 
-func TestStateManagerArchiveAndRestore(t *testing.T) {
-	dir := t.TempDir()
-	clock := simclock.NewVirtual(monday.AddDate(0, 0, 5))
-	pre := historyMachine("lab-01", 3, 9)
-	sm, err := NewStateManager("lab-01", period, avail.DefaultConfig(), clock, pre, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Live samples on a later day.
-	tt := monday.AddDate(0, 0, 5)
-	for i := 0; i < 100; i++ {
-		sm.Record(tt, sample(15, 350))
-		tt = tt.Add(period)
-	}
-	path := filepath.Join(dir, "lab-01.trace.gz")
-	if err := sm.Archive(path); err != nil {
-		t.Fatal(err)
-	}
-	ds, err := trace.LoadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ds.Machines) != 1 {
-		t.Fatalf("machines = %d", len(ds.Machines))
-	}
-	m := ds.Machines[0]
-	if len(m.Days) != 4 {
-		t.Fatalf("archived days = %d, want 3 preloaded + 1 live", len(m.Days))
-	}
-	// The live day's samples survived the round trip.
-	last := m.Days[len(m.Days)-1]
-	if last.Samples[50].CPU != 15 {
-		t.Fatalf("live sample = %+v", last.Samples[50])
-	}
-	// Restore: a new state manager over the archive answers queries.
-	sm2, err := NewStateManager("lab-01", period, avail.DefaultConfig(), clock, m, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sm2.Record(clock.Now(), sample(5, 400))
-	if _, err := sm2.QueryTR(context.Background(), QueryTRReq{LengthSeconds: 3600}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestStateManagerArchiveLiveWinsOnOverlap(t *testing.T) {
-	dir := t.TempDir()
-	clock := simclock.NewVirtual(monday)
-	pre := historyMachine("lab-01", 1, -1) // preloaded day 0, idle
-	sm, _ := NewStateManager("lab-01", period, avail.DefaultConfig(), clock, pre, 0)
-	// Live data lands on the SAME calendar day.
-	sm.Record(monday.Add(time.Hour), sample(77, 200))
-	path := filepath.Join(dir, "m.trace")
-	if err := sm.Archive(path); err != nil {
-		t.Fatal(err)
-	}
-	ds, _ := trace.LoadFile(path)
-	day := ds.Machines[0].Days[0]
-	if got := day.Samples[day.IndexAt(time.Hour)].CPU; got != 77 {
-		t.Fatalf("overlap sample CPU = %v, want the live 77", got)
-	}
-	if len(ds.Machines[0].Days) != 1 {
-		t.Fatalf("days = %d, want merged 1", len(ds.Machines[0].Days))
-	}
-}
-
-// TestStateManagerPoolsOverlappingDaysOnce: a node restarted over its data
-// dir with its own archive as preloaded history holds the archived days
-// twice. Each date must be pooled once, from the live copy, in date order.
+// TestStateManagerPoolsOverlappingDaysOnce: a node whose -trace preload
+// overlaps the dates it recorded holds those days twice. Each date must be
+// pooled once, from the live copy, in date order.
 func TestStateManagerPoolsOverlappingDaysOnce(t *testing.T) {
 	now := monday.AddDate(0, 0, 8).Add(8*time.Hour + 30*time.Minute) // Tuesday week two
 	clock := simclock.NewVirtual(now)
@@ -905,5 +838,22 @@ func TestStateManagerPoolsOverlappingDaysOnce(t *testing.T) {
 	}
 	if resp.HistoryWindows != 6 {
 		t.Fatalf("HistoryWindows = %d, want 6 distinct weekdays", resp.HistoryWindows)
+	}
+}
+
+// TestQueryTRReportsPooledHistoryWindows: under a history bound, a query
+// reports the days it pooled, not the same-type days the node holds.
+func TestQueryTRReportsPooledHistoryWindows(t *testing.T) {
+	clock := simclock.NewVirtual(monday.AddDate(0, 0, 7).Add(8*time.Hour + 30*time.Minute))
+	sm, err := NewStateManager("lab-01", period, avail.DefaultConfig(), clock, historyMachine("lab-01", 5, 9), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := sm.QueryTR(context.Background(), QueryTRReq{LengthSeconds: 3600})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.HistoryWindows != 2 {
+		t.Fatalf("HistoryWindows = %d over 5 weekdays, want the 2 that -history pools", resp.HistoryWindows)
 	}
 }

@@ -17,11 +17,11 @@ import (
 // only evidence a restarted node has of the time it was gone (Section 5.2).
 // Node A samples for ten minutes late on Monday and is revoked; two hours
 // later, on Tuesday, node B starts over the same heartbeat file with A's
-// archive as its history, and must hold those two hours as down — one URR —
-// where an unwritten stretch of day log reads as up with no free memory, a
-// UEC (S4). The outage runs over midnight so that it opens Tuesday's log:
+// history saved as its -trace preload, and must hold those two hours as
+// down — one URR — where an unwritten stretch of day log reads as up with no
+// free memory, a UEC (S4). The outage runs over midnight so that it opens Tuesday's log:
 // avail.Events labels a run of failure states by its first, and B's own
-// Monday starts unwritten (live days win over the archive's).
+// Monday starts unwritten (live days win over preloaded ones).
 func TestHostNodeRecordsRevocationFromHeartbeat(t *testing.T) {
 	dir := t.TempDir()
 	clock := simclock.NewVirtual(monday.Add(23*time.Hour + 40*time.Minute))
@@ -40,13 +40,14 @@ func TestHostNodeRecordsRevocationFromHeartbeat(t *testing.T) {
 		clock.Advance(period)
 		a.Monitor.Tick(clock.Now())
 	}
-	archive := filepath.Join(dir, "lab-01.trace")
-	if err := a.SM.Archive(archive); err != nil {
+	preload := filepath.Join(dir, "lab-01.trace")
+	hist, _, _ := a.SM.ExportHistory()
+	if err := trace.SaveFile(preload, &trace.Dataset{Machines: []*trace.Machine{hist}}); err != nil {
 		t.Fatal(err)
 	}
 
 	clock.Advance(2 * time.Hour)
-	ds, err := trace.LoadFile(archive)
+	ds, err := trace.LoadFile(preload)
 	if err != nil {
 		t.Fatal(err)
 	}

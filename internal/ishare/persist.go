@@ -207,7 +207,7 @@ func (s *snapshotter) warn(msg string, args ...interface{}) {
 // StartLoop calls fn every interval on clock, on its own goroutine, until
 // the returned stop function is called; stop is idempotent and does not wait
 // for a call in flight. Every periodic duty of a daemon runs on it: snapshots,
-// anti-entropy, registry heartbeats, and ishared's obs step and archive.
+// anti-entropy, registry heartbeats, and ishared's obs step.
 func StartLoop(clock simclock.Clock, every time.Duration, fn func()) (stop func()) {
 	done := make(chan struct{})
 	var once sync.Once

@@ -29,6 +29,17 @@ func (sm *StateManager) ExportHistory() (m *trace.Machine, last time.Time, recen
 	return m, last, recent
 }
 
+// history is every day a prediction can pool from: the preloaded days and a
+// deep copy of the recorded ones, merged as completedDays merges them.
+func (sm *StateManager) history() []*trace.Day {
+	var pre []*trace.Day
+	if sm.preloaded != nil {
+		pre = sm.preloaded.Days
+	}
+	live, _, _ := sm.ExportHistory()
+	return mergeDays(pre, live.Days)
+}
+
 // TestRecordSteadyStateAllocatesNothing holds Record to its comment. It
 // measures one run of many records rather than an average per call: a ring
 // that reallocates every fifteenth sample averages to zero.

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -227,76 +226,6 @@ func TestPersisterRecoveryBitExact(t *testing.T) {
 	again := recoverAndCompare(got, 6, 5*time.Hour)
 	if err := again.Persist.Close(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestArchiveLoadsBitExact: a node's archive, plain and gzipped, loads
-// through trace.LoadFile as the history the node holds, bit for bit, and its
-// recorded days, at WAL precision, cost under 6 B a sample on disk against
-// the 9 B of a float32 record, though the samples are uniform noise.
-func TestArchiveLoadsBitExact(t *testing.T) {
-	start := time.Date(2005, 9, 1, 12, 0, 0, 0, time.UTC)
-	st, rec, err := durable.Open(durable.Config{FS: durable.NewMemFS(), Sync: durable.SyncBatch})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := newDurableNode(t, st, rec, simclock.NewVirtual(start), nil)
-	defer n.Persist.Close()
-	r := rng.New(13)
-	samples := int(36 * time.Hour / period)
-	for i, tt := 0, start; i < samples; i, tt = i+1, tt.Add(period) {
-		n.Persist.Record(tt, persistSample(r))
-	}
-	want, _, _ := n.SM.ExportHistory()
-	held := 0
-	for _, d := range want.Days {
-		held += d.Len()
-	}
-	for _, name := range []string{"lab-01.trace", "lab-01.trace.gz"} {
-		path := filepath.Join(t.TempDir(), name)
-		if err := n.SM.Archive(path); err != nil {
-			t.Fatal(err)
-		}
-		ds, err := trace.LoadFile(path)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		got := ds.Find("lab-01")
-		if got == nil || len(got.Days) != len(want.Days) {
-			t.Fatalf("%s: loaded %+v, want %d days", name, ds, len(want.Days))
-		}
-		for i, d := range want.Days {
-			if j := firstBitDifference(got.Days[i].Samples, d.Samples); j >= 0 || !got.Days[i].Date.Equal(d.Date) {
-				t.Fatalf("%s: day %v differs from the node's at sample %d", name, d.Date, j)
-			}
-		}
-		if fi, err := os.Stat(path); err != nil || fi.Size() >= int64(6*held) {
-			t.Fatalf("%s: %d samples archived in %v bytes (%v)", name, held, fi.Size(), err)
-		}
-	}
-}
-
-// TestArchiveAllocFlatInHistory: an archive shares the sealed days it writes
-// and copies only the last, so what Archive allocates beyond the encoder's
-// own does not grow with the days held: 56 days cost under 1 KiB a day more
-// than 7 (the day lists' pointers). Cloning the history cost 345.6 KB a day.
-func TestArchiveAllocFlatInHistory(t *testing.T) {
-	var grew [2]uint64
-	for i, days := range []int{7, 56} {
-		today := monday.AddDate(0, 0, days)
-		n := testNode(t, simclock.NewVirtual(today.Add(time.Hour)), nil)
-		if err := n.SM.RestoreHistory(historyMachine("lab-01", days, 9), today.Add(-period), nil); err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(t.TempDir(), "lab-01.trace")
-		var err error
-		grew[i] = allocatedBy(func() { err = n.SM.Archive(path) })
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if grew[1] > grew[0]+49<<10 {
-		t.Fatalf("archiving 7 days allocated %d KB, 56 days %d KB: more than 1 KiB a day more", grew[0]>>10, grew[1]>>10)
 	}
 }
 

@@ -133,26 +133,6 @@ type Scheduler struct {
 	Breakers *BreakerSet
 }
 
-// FromRegistryWith builds a scheduler from the resources published at a
-// registry address through an optional shared Caller (nil = plain
-// single-attempt clients): discovery itself is retried under the caller's
-// policy (discover is idempotent), and every candidate gateway client
-// inherits the caller's transport and retries.
-func FromRegistryWith(ctx context.Context, caller *Caller, registryAddr string, timeout time.Duration) (*Scheduler, error) {
-	resources, err := FedClient{Addr: registryAddr, Timeout: timeout, Caller: caller}.discover(ctx)
-	if err != nil {
-		return nil, err
-	}
-	s := &Scheduler{}
-	for _, res := range resources {
-		s.Candidates = append(s.Candidates, Candidate{
-			MachineID: res.MachineID,
-			API:       RemoteGateway{Addr: res.Addr, Timeout: timeout, Caller: caller},
-		})
-	}
-	return s, nil
-}
-
 // Rank queries every candidate's TR for the job and returns them sorted by
 // decreasing reliability, together with one RankFailure per machine that
 // could not be ranked (breaker-open, unreachable, or query rejected). The

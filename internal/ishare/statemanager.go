@@ -141,7 +141,7 @@ func shadowsFor(cfg avail.Config, historyDays int) []predict.Plugin {
 // EngineStats reports the prediction engine's cache counters.
 func (sm *StateManager) EngineStats() predict.EngineStats { return sm.engine.Stats() }
 
-// Record implements monitor.Sink: it archives the sample, refreshes the
+// Record implements monitor.Sink: it logs the sample, refreshes the
 // current-state estimate, and feeds the availability outcome to the accuracy
 // tracker so pending TR predictions whose windows cover this instant are
 // scored. The classification reuses a scratch buffer, so the per-sample path
@@ -226,22 +226,11 @@ func (sm *StateManager) CurrentState() avail.State {
 	return sm.curState
 }
 
-// history returns the full day history available for prediction: the
-// preloaded and the live-recorded days, merged chronologically with live data
-// winning on overlap. Every day but the last recorded one is shared, not
-// copied (monitor.Recorder.History).
-func (sm *StateManager) history() []*trace.Day {
-	var pre []*trace.Day
-	if sm.preloaded != nil {
-		pre = sm.preloaded.Days
-	}
-	return mergeDays(pre, sm.recorder.History())
-}
-
 // mergeDays merges two date-ordered day lists into one. A date both lists
-// hold (a node restarted over a data dir with its own archive as preloaded
-// history) is taken from live only: pooled twice, the day would count double
-// in every estimate and halve the distinct days a history bound admits.
+// hold (a -trace preload that overlaps the dates the node recorded, as under
+// -source replay) is taken from live only: pooled twice, the day would
+// count double in every estimate and halve the distinct days a history bound
+// admits.
 func mergeDays(pre, live []*trace.Day) []*trace.Day {
 	out := make([]*trace.Day, 0, len(pre)+len(live))
 	for _, d := range live {
@@ -300,21 +289,6 @@ func (sm *StateManager) completedDays(today time.Time) ([]*trace.Day, []*trace.D
 	return sm.histDays, sm.histTyped
 }
 
-// Archive persists the full history (preloaded + live-recorded days, merged
-// chronologically with live data winning on overlap) to a trace file; the
-// extension selects the codec (".gz" recommended for long-running nodes).
-// A node restarted with the archive as its Preloaded history resumes with
-// everything it ever learned.
-func (sm *StateManager) Archive(path string) error {
-	merged := trace.NewMachine(sm.machineID, sm.period)
-	for _, d := range sm.history() {
-		if err := merged.AddDay(d); err != nil {
-			return err
-		}
-	}
-	return trace.SaveFile(path, &trace.Dataset{Machines: []*trace.Machine{merged}})
-}
-
 // QueryTR predicts the probability that this machine stays available for a
 // guest job of the given length and memory footprint starting now. Under a
 // sampled trace the query runs in a "state.query-tr" span; the prediction
@@ -342,7 +316,7 @@ func (sm *StateManager) QueryTR(ctx context.Context, req QueryTRReq) (QueryTRRes
 	// History: same-type days strictly before today, drawn from the stable
 	// snapshot so the engine can recognize repeated queries.
 	_, days := sm.completedDays(midnight)
-	resp := QueryTRResp{HistoryWindows: len(days), CurrentState: cur.String()}
+	resp := QueryTRResp{HistoryWindows: len(predict.RecentDays(days, sm.historyDays)), CurrentState: cur.String()}
 	if len(days) == 0 {
 		// No history yet: report optimistic full availability; the
 		// scheduler treats all such machines equally, and the shadows have

@@ -82,7 +82,7 @@ func TestGatewayOverTCPEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sched, err := FromRegistryWith(context.Background(), nil, regSrv.Addr(), time.Second)
+	sched, err := FedClient{Addr: regSrv.Addr(), Timeout: time.Second}.Scheduler(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

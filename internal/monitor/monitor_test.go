@@ -225,30 +225,6 @@ func logOf(r *Recorder) (log *trace.Machine) {
 	return log
 }
 
-// TestRecorderHistoryCopiesTheLastDayOnly: History shares every day before
-// the last with the log, and hands out a copy of the last, which the next
-// sample writes and the copy does not see.
-func TestRecorderHistoryCopiesTheLastDayOnly(t *testing.T) {
-	r := NewRecorder("lab-01", 6*time.Second, 0)
-	at := epoch
-	for ; at.Before(epoch.Add(50 * time.Hour)); at = at.Add(time.Minute) {
-		r.Record(at, trace.Sample{CPU: 5, FreeMemMB: 100, Up: true})
-	}
-	hist := r.History()
-	var live []*trace.Day
-	r.View(func(m *trace.Machine, _ time.Time) { live = append(live, m.Days...) })
-	if len(hist) != 3 || len(live) != 3 {
-		t.Fatalf("History holds %d days, the log %d, want 3", len(hist), len(live))
-	}
-	if hist[0] != live[0] || hist[1] != live[1] || hist[2] == live[2] {
-		t.Fatal("History copied a sealed day or shared the last")
-	}
-	r.Record(at, trace.Sample{CPU: 77, FreeMemMB: 100, Up: true})
-	if i := hist[2].IndexAt(at.Sub(hist[2].Date)); hist[2].Samples[i].CPU == 77 {
-		t.Fatal("a sample recorded after History reached its copy of the last day")
-	}
-}
-
 func TestRecorderSpansMidnight(t *testing.T) {
 	r := NewRecorder("lab-01", 6*time.Second, 0)
 	start := epoch.Add(24*time.Hour - 30*time.Second)

@@ -211,23 +211,6 @@ func (r *Recorder) DaysBefore(midnight time.Time) []*trace.Day {
 	return out
 }
 
-// History returns the recorded days in order, copying only the last, which
-// samples still write: every day before it is the live one, shared, since
-// put writes no day but the last. A full-history archive costs one day's
-// copy, not the history's.
-func (r *Recorder) History() []*trace.Day {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := len(r.machine.Days)
-	if n == 0 {
-		return nil
-	}
-	out := make([]*trace.Day, n)
-	copy(out, r.machine.Days[:n-1])
-	out[n-1] = r.machine.Days[n-1].Clone()
-	return out
-}
-
 // Days returns the number of days with at least one sample.
 func (r *Recorder) Days() int {
 	r.mu.Lock()

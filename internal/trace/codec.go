@@ -16,8 +16,8 @@ import (
 	"time"
 )
 
-// The binary trace format is what the state manager archives on disk and
-// what a node snapshot carries: a magic header followed by machines and
+// The binary trace format is what a trace file (tracegen's output, ishared's
+// -trace preload) holds and what a node snapshot carries: a magic header followed by machines and
 // days, each day's samples encoded by a one-byte tag. The text format is a
 // line-oriented human-readable equivalent used by the CLI tools.
 //
@@ -656,9 +656,9 @@ func ReadText(r io.Reader) (*Dataset, error) {
 }
 
 // SaveFile writes the dataset to path, choosing the codec by extension:
-// ".txt" for text, ".gz" for gzip-compressed binary (what the state manager
-// archives), anything else for plain binary. The file is written under path + ".tmp", synced and
-// renamed into place, so a failed save leaves the previous file as it was.
+// ".txt" for text, ".gz" for gzip-compressed binary, anything else for plain
+// binary. The file is written under path + ".tmp", synced and renamed into
+// place, so a failed save leaves the previous file as it was.
 func SaveFile(path string, ds *Dataset) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)

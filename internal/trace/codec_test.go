@@ -246,7 +246,7 @@ func TestGzipActuallyCompresses(t *testing.T) {
 	}
 }
 
-// TestSaveFileKeepsPreviousOnError is the archive's crash contract: a save
+// TestSaveFileKeepsPreviousOnError is SaveFile's crash contract: a save
 // that fails — the encoder refuses the dataset, or the disk is full — leaves
 // the file of the previous save loadable and no temporary file behind.
 func TestSaveFileKeepsPreviousOnError(t *testing.T) {

@@ -9,7 +9,7 @@ import (
 	"testing"
 )
 
-// FuzzReadBinary hardens the binary decoder against corrupt archives: it
+// FuzzReadBinary hardens the binary decoder against corrupt trace files: it
 // must reject or parse, never panic or over-allocate.
 func FuzzReadBinary(f *testing.F) {
 	ds := randomDataset(1)
