@@ -10,8 +10,9 @@ build:
 # The default test gate includes lint (vet + doc freshness), the
 # golden-trace regression, the fuzz seed corpora (replayed as plain unit
 # tests by `go test`), and a race-detector pass over the concurrent layers:
-# networking, fault injection, the prediction engine, the monitor, and the
-# metrics/accuracy registry. bench/ is a module of its own that pins this
+# networking, fault injection, the prediction engine, the monitor, the
+# metrics/accuracy registry, and the offline sweeps' worker pool at two
+# widths. bench/ is a module of its own that pins this
 # module's API and checks its contracts (answers, engine miss counts, every
 # layer measured); vetting and testing it here makes a break fail locally.
 # `dead` fails the gate on a function under internal/ that nothing can reach.
@@ -23,6 +24,7 @@ test: golden lint crash dead
 		./internal/predict/... ./internal/monitor/... ./internal/obs/... \
 		./internal/otrace/... ./internal/durable/... ./internal/fleetsim/... \
 		./internal/wire/...
+	$(GO) test -race -run 'TestSweepsWidthIndependent' ./internal/experiments/
 
 race:
 	$(GO) test -race ./...

@@ -1,13 +1,11 @@
 // Repository-level benchmarks for what neither `cmd/experiments -run` nor a
 // bench/ workload already times: the Equation (3) solver ablation, the
-// workload generator and trace codecs, the batch worker pool and the
-// fgcssim day. Run them with `go test -run '^$' -bench . -benchmem .`.
+// workload generator and trace codecs, and the fgcssim day. Run them with
+// `go test -run '^$' -bench . -benchmem .`.
 package fgcs_test
 
 import (
 	"bytes"
-	"fmt"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -161,56 +159,6 @@ func BenchmarkWorkloadProfiles(b *testing.B) {
 				p.Seed = uint64(i + 1)
 				if _, err := workload.Generate(p); err != nil {
 					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// ------------------------------------------------------------- engine ----
-
-// BenchmarkPredictBatchParallel compares a serial SMP.Predict loop against
-// Engine.PredictBatch over the same request set with caching disabled, so
-// every request recomputes and the comparison measures worker-pool
-// throughput rather than cache hits. The batch results are bit-identical to
-// the serial loop (asserted by TestPredictBatchMatchesSerial); on a host
-// with ≥4 cores the parallel variants are expected to run the batch ≥2×
-// faster than the serial loop.
-func BenchmarkPredictBatchParallel(b *testing.B) {
-	params := workload.DefaultParams()
-	params.Machines = 8
-	params.Days = 28
-	ds, err := workload.Generate(params)
-	if err != nil {
-		b.Fatal(err)
-	}
-	p := predict.SMP{Cfg: avail.DefaultConfig()}
-	var reqs []predict.BatchRequest
-	for _, m := range ds.Machines {
-		days := m.DaysOfType(trace.Weekday)
-		for _, hours := range []float64{1, 2, 3} {
-			w := predict.Window{Start: 8 * time.Hour, Length: time.Duration(hours * float64(time.Hour))}
-			reqs = append(reqs, predict.BatchRequest{Machine: m.ID, History: days, Window: w})
-		}
-	}
-	b.Run("serial", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, r := range reqs {
-				if _, err := p.Predict(r.History, r.Window); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-	for _, workers := range []int{2, 4, runtime.GOMAXPROCS(0)} {
-		workers := workers
-		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
-			e := predict.NewEngine(predict.EngineConfig{CacheSize: -1, Workers: workers})
-			for i := 0; i < b.N; i++ {
-				for _, r := range e.PredictBatch(p, reqs) {
-					if r.Err != nil {
-						b.Fatal(r.Err)
-					}
 				}
 			}
 		})

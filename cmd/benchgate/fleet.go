@@ -7,49 +7,42 @@ import (
 	"os"
 	"sort"
 	"strings"
+
+	"fgcs/internal/fleetsim"
 )
 
-// fleetSim mirrors the deterministic section of a fleetsim report; only the
-// fields the gate inspects are decoded.
-type fleetSim struct {
-	Machines       int   `json:"machines"`
-	Queries        int64 `json:"queries"`
-	QueryFailures  int64 `json:"query_failures"`
-	OutageQueries  int64 `json:"outage_queries"`
-	OutageFailures int64 `json:"outage_failures"`
-}
-
-// fleetPerf mirrors the measured section of a fleetsim report.
-type fleetPerf struct {
-	PredictionsPerSec   float64 `json:"predictions_per_sec"`
-	HeapBytesPerMachine float64 `json:"heap_bytes_per_machine"`
-	RSSBytesPerMachine  float64 `json:"rss_bytes_per_machine"`
-	TotalSeconds        float64 `json:"total_seconds"`
-	ObsPlaneSeconds     float64 `json:"obs_plane_seconds"`
-}
+// The fleet gate's thresholds. No run sets them: a change to one is a change
+// to the gate, made here.
+const (
+	// tolerance is the allowed fractional regression of throughput and
+	// memory against the baseline.
+	tolerance float64 = 0.10
+	// maxBytesPerMachine is the allowed steady memory per machine.
+	maxBytesPerMachine float64 = 48 * 1024
+	// minPredictionsPerSec is the required prediction throughput.
+	minPredictionsPerSec float64 = 2500
+	// maxObsCostFraction is the allowed share of run wall time spent in
+	// the observability plane (SLO sampling, detector steps, federated
+	// merges).
+	maxObsCostFraction float64 = 0.02
+)
 
 // obsCostFraction is the share of total run wall time spent in the
-// observability plane (SLO sampling, detector steps, federated merges).
-func (r *fleetReport) obsCostFraction() float64 {
-	if r.Perf.TotalSeconds <= 0 {
+// observability plane.
+func obsCostFraction(p fleetsim.PerfStats) float64 {
+	if p.TotalSeconds <= 0 {
 		return 0
 	}
-	return r.Perf.ObsPlaneSeconds / r.Perf.TotalSeconds
-}
-
-// fleetReport mirrors cmd/fleetsim's report envelope.
-type fleetReport struct {
-	Sim  fleetSim  `json:"sim"`
-	Perf fleetPerf `json:"perf"`
+	return p.ObsPlaneSeconds / p.TotalSeconds
 }
 
 // bytesPerMachine prefers the OS view of memory and falls back to the Go
 // heap where /proc is unavailable and RSS reads as zero.
-func (r *fleetReport) bytesPerMachine() (float64, string) {
-	if r.Perf.RSSBytesPerMachine > 0 {
-		return r.Perf.RSSBytesPerMachine, "rss"
+func bytesPerMachine(p fleetsim.PerfStats) (float64, string) {
+	if p.RSSBytesPerMachine > 0 {
+		return p.RSSBytesPerMachine, "rss"
 	}
-	return r.Perf.HeapBytesPerMachine, "heap"
+	return p.HeapBytesPerMachine, "heap"
 }
 
 // missingKeys names, as "section.key" in sorted order, every key of the
@@ -76,16 +69,18 @@ func missingKeys(report, baseline []byte) ([]string, error) {
 
 // runFleet gates a fleetsim report: the run must be failure-free, steady
 // per-machine memory must come in at or under maxBytesPerMachine, prediction
-// throughput must reach minPredPerSec, and — against a recorded baseline —
-// neither may regress by more than the tolerance. A baseline that lacks a
-// key the report emits is refused, and nothing is compared against it. With
-// write set the report becomes the new baseline instead.
-func runFleet(in io.Reader, baselinePath string, write bool, tolerance, maxBytesPerMachine, minPredPerSec, maxObsCost float64, stderr io.Writer) error {
+// throughput must reach minPredictionsPerSec, the observability plane must
+// stay under maxObsCostFraction, and — against a recorded baseline —
+// neither throughput nor memory may regress by more than the tolerance. A
+// baseline that lacks a key the report emits is refused, and nothing is
+// compared against it. With write set the report becomes the new baseline
+// instead.
+func runFleet(in io.Reader, baselinePath string, write bool, stderr io.Writer) error {
 	raw, err := io.ReadAll(in)
 	if err != nil {
 		return err
 	}
-	var rep fleetReport
+	var rep fleetsim.Report
 	if err := json.Unmarshal(raw, &rep); err != nil {
 		return fmt.Errorf("parsing fleetsim report: %w", err)
 	}
@@ -102,18 +97,18 @@ func runFleet(in io.Reader, baselinePath string, write bool, tolerance, maxBytes
 		violations = append(violations, fmt.Sprintf("%d of %d queries failed during the peer outage (replicas did not cover)",
 			rep.Sim.OutageFailures, rep.Sim.OutageQueries))
 	}
-	mem, memSrc := rep.bytesPerMachine()
+	mem, memSrc := bytesPerMachine(rep.Perf)
 	if mem > maxBytesPerMachine {
 		violations = append(violations, fmt.Sprintf("%s %.0f B/machine above allowed %.0f B/machine",
 			memSrc, mem, maxBytesPerMachine))
 	}
-	if rep.Perf.PredictionsPerSec < minPredPerSec {
+	if rep.Perf.PredictionsPerSec < minPredictionsPerSec {
 		violations = append(violations, fmt.Sprintf("throughput %.0f predictions/s below required %.0f",
-			rep.Perf.PredictionsPerSec, minPredPerSec))
+			rep.Perf.PredictionsPerSec, minPredictionsPerSec))
 	}
-	if cost := rep.obsCostFraction(); cost > maxObsCost {
+	if cost := obsCostFraction(rep.Perf); cost > maxObsCostFraction {
 		violations = append(violations, fmt.Sprintf("observability plane cost %.2f%% of run wall time above allowed %.2f%%",
-			100*cost, 100*maxObsCost))
+			100*cost, 100*maxObsCostFraction))
 	}
 
 	if write {
@@ -135,7 +130,7 @@ func runFleet(in io.Reader, baselinePath string, write bool, tolerance, maxBytes
 	if err != nil {
 		return fmt.Errorf("reading baseline (run with -write to create it): %w", err)
 	}
-	var base fleetReport
+	var base fleetsim.Report
 	if err := json.Unmarshal(baseRaw, &base); err != nil {
 		return fmt.Errorf("parsing baseline %s: %w", baselinePath, err)
 	}
@@ -155,7 +150,7 @@ func runFleet(in io.Reader, baselinePath string, write bool, tolerance, maxBytes
 			violations = append(violations, fmt.Sprintf("throughput %.0f predictions/s regressed more than %.0f%% below baseline %.0f",
 				rep.Perf.PredictionsPerSec, tolerance*100, base.Perf.PredictionsPerSec))
 		}
-		baseMem, _ := base.bytesPerMachine()
+		baseMem, _ := bytesPerMachine(base.Perf)
 		if baseMem > 0 && mem > baseMem*(1+tolerance) {
 			violations = append(violations, fmt.Sprintf("memory %.0f B/machine regressed more than %.0f%% above baseline %.0f B/machine",
 				mem, tolerance*100, baseMem))

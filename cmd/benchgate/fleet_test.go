@@ -29,11 +29,11 @@ const sampleFleetReport = `{
 func TestFleetGateWriteThenCompare(t *testing.T) {
 	baseline := t.TempDir() + "/fleet_base.json"
 	var stderr strings.Builder
-	if err := runFleet(strings.NewReader(sampleFleetReport), baseline, true, 0.10, 48*1024, 1500, 0.02, &stderr); err != nil {
+	if err := runFleet(strings.NewReader(sampleFleetReport), baseline, true, &stderr); err != nil {
 		t.Fatal(err)
 	}
 	stderr.Reset()
-	if err := runFleet(strings.NewReader(sampleFleetReport), baseline, false, 0.10, 48*1024, 1500, 0.02, &stderr); err != nil {
+	if err := runFleet(strings.NewReader(sampleFleetReport), baseline, false, &stderr); err != nil {
 		t.Fatalf("identical run failed the gate: %v\n%s", err, stderr.String())
 	}
 
@@ -50,7 +50,7 @@ func TestFleetGateWriteThenCompare(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			bad := strings.Replace(sampleFleetReport, tc.old, tc.new, 1)
 			var stderr strings.Builder
-			err := runFleet(strings.NewReader(bad), baseline, false, 0.10, 48*1024, 1500, 0.02, &stderr)
+			err := runFleet(strings.NewReader(bad), baseline, false, &stderr)
 			if err == nil {
 				t.Fatalf("run with %s passed the gate", tc.name)
 			}
@@ -63,20 +63,33 @@ func TestFleetGateWriteThenCompare(t *testing.T) {
 
 func TestFleetGateAbsoluteThresholds(t *testing.T) {
 	baseline := t.TempDir() + "/fleet_base.json"
-	var stderr strings.Builder
 	// Absolute ceilings apply even in -write mode: a failing run must not
 	// become the baseline.
-	if err := runFleet(strings.NewReader(sampleFleetReport), baseline, true, 0.10, 20000, 1500, 0.02, &stderr); err == nil {
-		t.Fatal("over-memory run recorded a baseline")
+	cases := []struct {
+		name, old, new, want string
+	}{
+		{"over memory", `"rss_bytes_per_machine": 30000`, `"rss_bytes_per_machine": 50000`, "rss 50000 B/machine above allowed 49152"},
+		{"under throughput", `"predictions_per_sec": 8000`, `"predictions_per_sec": 2000`, "below required 2500"},
+		{"obs plane cost", `"obs_plane_seconds": 0.5`, `"obs_plane_seconds": 2.5`, "above allowed 2.00%"},
+		// Heap is the fallback measure when RSS is unavailable.
+		{"heap fallback", "\"heap_bytes_per_machine\": 15000,\n    \"rss_bytes_per_machine\": 30000",
+			"\"heap_bytes_per_machine\": 50000,\n    \"rss_bytes_per_machine\": 0", "heap 50000 B/machine above allowed 49152"},
 	}
-	stderr.Reset()
-	if err := runFleet(strings.NewReader(sampleFleetReport), baseline, true, 0.10, 48*1024, 10000, 0.02, &stderr); err == nil {
-		t.Fatal("under-throughput run recorded a baseline")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := strings.Replace(sampleFleetReport, tc.old, tc.new, 1)
+			var stderr strings.Builder
+			if err := runFleet(strings.NewReader(bad), baseline, true, &stderr); err == nil {
+				t.Fatalf("%s run recorded a baseline", tc.name)
+			}
+			if !strings.Contains(stderr.String(), tc.want) {
+				t.Errorf("no violation mentioning %q in:\n%s", tc.want, stderr.String())
+			}
+		})
 	}
-	// Heap is the fallback measure when RSS is unavailable.
 	noRSS := strings.Replace(sampleFleetReport, `"rss_bytes_per_machine": 30000`, `"rss_bytes_per_machine": 0`, 1)
-	stderr.Reset()
-	if err := runFleet(strings.NewReader(noRSS), baseline, true, 0.10, 16000, 1500, 0.02, &stderr); err != nil {
+	var stderr strings.Builder
+	if err := runFleet(strings.NewReader(noRSS), baseline, true, &stderr); err != nil {
 		t.Fatalf("heap fallback under the ceiling failed: %v\n%s", err, stderr.String())
 	}
 }
@@ -155,7 +168,7 @@ func TestFleetGateRefusesStaleSchemaBaseline(t *testing.T) {
 		t.Fatal(err)
 	}
 	var stderr strings.Builder
-	if err := runFleet(strings.NewReader(sampleFleetReport), baseline, false, 0.10, 48*1024, 1500, 0.02, &stderr); err == nil {
+	if err := runFleet(strings.NewReader(sampleFleetReport), baseline, false, &stderr); err == nil {
 		t.Fatal("baseline without perf.obs_plane_seconds accepted")
 	}
 	if !strings.Contains(stderr.String(), "lacks key(s) the report emits") || !strings.Contains(stderr.String(), "perf.obs_plane_seconds") {

@@ -4,31 +4,24 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-)
 
-// sloStatus mirrors obs.SLOStatus; only the fields the gate reports on are
-// decoded.
-type sloStatus struct {
-	Name           string  `json:"name"`
-	OK             bool    `json:"ok"`
-	Reason         string  `json:"reason"`
-	BudgetConsumed float64 `json:"budget_consumed"`
-}
+	"fgcs/internal/obs"
+)
 
 // extractSLO pulls the SLO status list out of any of the shapes the tooling
 // emits: a bare array of statuses, an `isharec stats -json` snapshot
 // ({"slo": [...]}), or a fleetsim report ({"sim": {"fleet_obs": {"slo":
 // [...]}}}).
-func extractSLO(raw []byte) ([]sloStatus, error) {
-	var bare []sloStatus
+func extractSLO(raw []byte) ([]obs.SLOStatus, error) {
+	var bare []obs.SLOStatus
 	if err := json.Unmarshal(raw, &bare); err == nil {
 		return bare, nil
 	}
 	var stats struct {
-		SLO []sloStatus `json:"slo"`
+		SLO []obs.SLOStatus `json:"slo"`
 		Sim struct {
 			FleetObs struct {
-				SLO []sloStatus `json:"slo"`
+				SLO []obs.SLOStatus `json:"slo"`
 			} `json:"fleet_obs"`
 		} `json:"sim"`
 	}

@@ -34,7 +34,7 @@ import (
 // maxExported is the ceiling on the exported symbols of the audited packages.
 // Lower it when a change unexports or deletes API; a change that adds some
 // must take as much away elsewhere.
-const maxExported = 349
+const maxExported = 346
 
 // auditedPkgs are the package directories audited for exported-symbol doc
 // comments; their exported symbols are the API surface ROADMAP tracks.

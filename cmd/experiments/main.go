@@ -96,10 +96,8 @@ func main() {
 		seed     = flag.Uint64("seed", 1, "generator seed")
 		traceIn  = flag.String("trace", "", "load a trace file instead of generating")
 		quick    = flag.Bool("quick", false, "smaller designs for a fast smoke run")
-		workers  = flag.Int("workers", 0, "evaluation worker pool size (0 = GOMAXPROCS)")
 	)
 	flag.Parse()
-	experiments.SetWorkers(*workers)
 	if _, err := realMain(os.Stdout, *run, *machines, *days, *seed, *traceIn, *quick); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)

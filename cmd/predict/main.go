@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"time"
 
 	"fgcs/internal/avail"
@@ -32,16 +31,15 @@ func main() {
 		dayType   = flag.String("daytype", "weekday", "weekday or weekend")
 		histDays  = flag.Int("history", 0, "most recent N days to pool (0 = all)")
 		guestMem  = flag.Float64("mem", 100, "guest working set in MB (S4 threshold)")
-		workers   = flag.Int("workers", runtime.GOMAXPROCS(0), "prediction worker pool size")
 	)
 	flag.Parse()
-	if err := run(os.Stdout, *traceFile, *machine, *start, *length, *dayType, *histDays, *guestMem, *workers); err != nil {
+	if err := run(os.Stdout, *traceFile, *machine, *start, *length, *dayType, *histDays, *guestMem); err != nil {
 		fmt.Fprintln(os.Stderr, "predict:", err)
 		os.Exit(1)
 	}
 }
 
-func run(out io.Writer, traceFile, machine string, start, length time.Duration, dayType string, histDays int, guestMem float64, workers int) error {
+func run(out io.Writer, traceFile, machine string, start, length time.Duration, dayType string, histDays int, guestMem float64) error {
 	if traceFile == "" {
 		return fmt.Errorf("-trace is required")
 	}
@@ -69,26 +67,17 @@ func run(out io.Writer, traceFile, machine string, start, length time.Duration, 
 	cfg.GuestMemMB = guestMem
 	fmt.Fprintf(out, "window %v on %ss, guest working set %g MB\n", w, dt, guestMem)
 	fmt.Fprintf(out, "%-10s %-10s %-12s %-10s %s\n", "machine", "TR", "TR(S1)/(S2)", "emp TR", "history")
-	// Fan the per-machine predictions across the engine's worker pool;
-	// results come back in request order, so the report is stable.
-	var selected []*trace.Machine
-	var reqs []predict.BatchRequest
+	p := predict.SMP{Cfg: cfg, HistoryDays: histDays}
 	for _, m := range ds.Machines {
 		if machine != "" && m.ID != machine {
 			continue
 		}
-		selected = append(selected, m)
-		reqs = append(reqs, predict.BatchRequest{Machine: m.ID, History: m.DaysOfType(dt), Window: w})
-	}
-	p := predict.SMP{Cfg: cfg, HistoryDays: histDays}
-	engine := predict.NewEngine(predict.EngineConfig{Workers: workers})
-	for i, res := range engine.PredictBatch(p, reqs) {
-		m := selected[i]
-		if res.Err != nil {
-			return fmt.Errorf("%s: %w", m.ID, res.Err)
+		history := m.DaysOfType(dt)
+		pred, err := p.Predict(history, w)
+		if err != nil {
+			return fmt.Errorf("%s: %w", m.ID, err)
 		}
-		pred := res.Prediction
-		emp, n := predict.EmpiricalTR(m.DaysOfType(dt), w, cfg)
+		emp, n := predict.EmpiricalTR(history, w, cfg)
 		fmt.Fprintf(out, "%-10s %-10.4f %.3f/%.3f  %-10.4f %d windows, %d days\n",
 			m.ID, pred.TR, pred.TRByInit[0], pred.TRByInit[1], emp, pred.HistoryWindows, n)
 	}

@@ -148,7 +148,7 @@ func DefaultF5Config(t trace.DayType) F5Config {
 // RunF5 reproduces Figure 5: for every machine and start time it trains the
 // SMP predictor on the first part of the trace and scores the relative TR
 // error on the rest. The per-machine evaluations run across the package's
-// worker pool (SetWorkers); outputs are merged in machine order, so the
+// worker pool (parallelFor); outputs are merged in machine order, so the
 // summary statistics are bit-identical to a serial run.
 func RunF5(ds *trace.Dataset, cfg F5Config) ([]F5Row, error) {
 	if len(ds.Machines) == 0 {

@@ -70,7 +70,6 @@ func RunX1(ds *trace.Dataset, cfg X1Config) ([]X1Row, error) {
 		return nil, fmt.Errorf("experiments: history (%d) swallows the trace (%d days)", cfg.HistoryDays, days)
 	}
 	p := predict.SMP{Cfg: cfg.Cfg}
-	engine := predict.NewEngine(predict.EngineConfig{Workers: Workers()})
 	r := rng.New(cfg.Seed)
 	rows := []X1Row{{Policy: "oracle"}, {Policy: "tr-aware"}, {Policy: "round-robin"}, {Policy: "random"}}
 	rr := 0
@@ -110,20 +109,21 @@ func RunX1(ds *trace.Dataset, cfg X1Config) ([]X1Row, error) {
 			if oracle < 0 {
 				oracle = 0 // no machine survives: the oracle fails too
 			}
-			// The tr-aware scheduler queries every machine at once — the
-			// engine fans the batch across its workers, and the strict >
-			// keeps the first-best-machine tie-breaking of the serial loop.
-			reqs := make([]predict.BatchRequest, len(ds.Machines))
-			for mi, m := range ds.Machines {
-				reqs[mi] = predict.BatchRequest{Machine: m.ID, History: hists[mi], Window: w}
-			}
-			best, bestTR := 0, -1.0
-			for mi, res := range engine.PredictBatch(p, reqs) {
-				if res.Err != nil {
-					continue
+			// The tr-aware scheduler queries every machine at once, across
+			// the package's worker pool; the strict > keeps the
+			// first-best-machine tie-breaking of a serial loop, and a
+			// machine whose prediction fails is passed over.
+			trs := make([]float64, len(ds.Machines))
+			parallelFor(len(ds.Machines), func(mi int) {
+				trs[mi] = -1
+				if pred, err := p.Predict(hists[mi], w); err == nil {
+					trs[mi] = pred.TR
 				}
-				if res.Prediction.TR > bestTR {
-					best, bestTR = mi, res.Prediction.TR
+			})
+			best, bestTR := 0, -1.0
+			for mi, tr := range trs {
+				if tr > bestTR {
+					best, bestTR = mi, tr
 				}
 			}
 			picks := []int{oracle, best, rr % len(ds.Machines), r.Intn(len(ds.Machines))}
@@ -274,10 +274,11 @@ func RunX3(machines, days int, seed uint64, lengthsHours []float64) ([]X3Row, er
 
 // ------------------------------------------------------------------ X5 ----
 
-// X5Row is one checkpoint interval's outcome over X5's job stream, which
-// cmd/experiments runs: fgcssim imports this package. Wall time is the
-// response, whose replay pays each checkpoint's compute; Lost is what kills
-// threw away.
+// X5Row is one checkpoint interval's outcome over X5's job stream. X5 runs
+// in cmd/experiments beside X4, because both replay jobs through fgcssim and
+// the ishare runtime, which this package of offline sweeps does not import;
+// the row lives here for the scorecard. Wall time is the response, whose
+// replay pays each checkpoint's compute; Lost is what kills threw away.
 type X5Row struct {
 	Policy                              string
 	Interval, MeanWall, WorstWall, Lost time.Duration

@@ -6,36 +6,12 @@ import (
 	"sync/atomic"
 )
 
-// workerCount is the configured evaluation parallelism (0 = GOMAXPROCS).
-var workerCount atomic.Int64
-
-// SetWorkers bounds the worker pool the Run* sweeps fan their per-machine
-// evaluations across. Zero or negative restores the default
-// (runtime.GOMAXPROCS). All results are merged in machine order, so every
-// sweep is bit-identical to its serial execution regardless of the setting.
-func SetWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	workerCount.Store(int64(n))
-}
-
-// Workers reports the effective worker-pool width.
-func Workers() int {
-	if n := workerCount.Load(); n > 0 {
-		return int(n)
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// parallelFor runs fn(i) for every i in [0, n) across the configured worker
-// pool. fn must write only to its own index's output slot; callers reduce
-// the indexed outputs serially afterwards to keep results deterministic.
+// parallelFor runs fn(i) for every i in [0, n) across runtime.GOMAXPROCS
+// goroutines. fn must write only to its own index's output slot; callers
+// reduce the indexed outputs serially afterwards, so every sweep is
+// bit-identical to its serial run (GOMAXPROCS=1) at any width.
 func parallelFor(n int, fn func(i int)) {
-	workers := Workers()
-	if workers > n {
-		workers = n
-	}
+	workers := min(runtime.GOMAXPROCS(0), n)
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			fn(i)

@@ -36,9 +36,10 @@ var simStart = time.Date(2026, 6, 3, 23, 0, 0, 0, time.UTC)
 
 // The fleet builds its peers and machines as ishared does, through
 // ishare.NewFedGateway and ishare.NewHostNode at their zero config on the
-// virtual clock and the in-memory network, but for four named differences:
-// singleAttempt, rpcTimeout, the SharedDeps every machine takes from its
-// peer (see buildFleet), and liftedCaps.
+// virtual clock and the in-memory network, and its clients pool as isharec
+// does, but for four named differences: singleAttempt, rpcTimeout, the
+// SharedDeps every machine takes from its peer (see buildFleet), and
+// liftedCaps.
 var (
 	// singleAttempt is every fleet RPC's retry policy, peer hops included:
 	// retries sleep on a clock, and nothing advances the virtual clock
@@ -275,6 +276,11 @@ type fleet struct {
 	peers    []ishare.Peer
 	feds     []*ishare.FedGateway
 	machines []*simMachine
+	// callers are the fleet clients' transport, one per traffic worker for
+	// the whole run, each over a Pool of its own as isharec's and
+	// HostNode.Publish's are; the phases that run outside the workers use
+	// callers[0].
+	callers []*ishare.Caller
 	// peerObs is each federation peer's observability bundle; machine i's
 	// serving stack records into peerObs[i % Gateways], so every peer owns
 	// the metrics and accuracy streams of its machine cohort (in ishared a
@@ -304,11 +310,6 @@ func (f *fleet) progress(format string, args ...any) {
 	if f.cfg.Progress != nil {
 		f.cfg.Progress(format, args...)
 	}
-}
-
-// newCaller is a fleet client's caller: registrations and queries.
-func (f *fleet) newCaller() *ishare.Caller {
-	return &ishare.Caller{Dialer: f.net, Retry: singleAttempt, Clock: f.clock}
 }
 
 // fedConfig is peer i's config: identity, ring and observability bundle, the
@@ -437,6 +438,11 @@ func buildFleet(cfg Config, rep *Report) (*fleet, error) {
 		handle(f.net, f.peers[i].Addr, fed.Handler(), &f.requests)
 	}
 
+	f.callers = make([]*ishare.Caller, cfg.Workers)
+	for wi := range f.callers {
+		f.callers[wi] = &ishare.Caller{Pool: &ishare.Pool{Dialer: f.net}, Retry: singleAttempt}
+	}
+
 	f.machines = make([]*simMachine, cfg.Machines)
 	for i := range f.machines {
 		id := fmt.Sprintf("m%06d", i)
@@ -479,10 +485,13 @@ func buildFleet(cfg Config, rep *Report) (*fleet, error) {
 	return f, nil
 }
 
-// close takes every address down. Peers, and machines a gateway keeps
-// reaching, hold pooled connections (the rest close with their RPC), so
-// this ends every serving goroutine and pool reader.
+// close closes the clients' pools and takes every address down. Peers, and
+// machines a gateway keeps reaching, hold pooled connections (the rest close
+// with their RPC), so this ends every serving goroutine and pool reader.
 func (f *fleet) close() {
+	for _, c := range f.callers {
+		c.Pool.Close()
+	}
 	for _, p := range f.peers {
 		f.net.Handle(p.Addr, nil)
 	}
@@ -500,7 +509,7 @@ func (f *fleet) registerStorm(rep *Report) {
 	rpcs0 := f.requests.Load()
 	now := f.clock.Now()
 	runWorkers(f.cfg.Workers, func(wi int) {
-		f.register(f.active[wi], fmt.Sprintf("register/%d", wi))
+		f.register(f.callers[wi], f.active[wi], fmt.Sprintf("register/%d", wi))
 	})
 	f.lastLeaverRefresh = now
 	f.lastActiveRefresh = now
@@ -535,10 +544,9 @@ func (f *fleet) registerStorm(rep *Report) {
 		f.registered, rep.Perf.RegisterSeconds, rep.Sim.RegisterRPCs, rep.Sim.PlacementImbalance)
 }
 
-// register publishes ms through one caller, each to an entry peer drawn
-// from the seeded stream label, which a failure's panic names.
-func (f *fleet) register(ms []*simMachine, label string) {
-	caller := f.newCaller()
+// register publishes ms through caller, each to an entry peer drawn from
+// the seeded stream label, which a failure's panic names.
+func (f *fleet) register(caller *ishare.Caller, ms []*simMachine, label string) {
 	st := rng.New(f.cfg.Seed).Split(label)
 	for _, m := range ms {
 		entry := f.peers[st.Intn(len(f.peers))].Addr
@@ -553,7 +561,7 @@ func (f *fleet) register(ms []*simMachine, label string) {
 func (f *fleet) heartbeat(tick int, rep *Report) {
 	bytes0 := f.net.DialerBytes()
 	runWorkers(f.cfg.Workers, func(wi int) {
-		f.register(f.active[wi], fmt.Sprintf("heartbeat/%d/%d", tick, wi))
+		f.register(f.callers[wi], f.active[wi], fmt.Sprintf("heartbeat/%d/%d", tick, wi))
 	})
 	now := f.clock.Now()
 	if tick <= f.cfg.churnTick() {
@@ -620,7 +628,7 @@ func (f *fleet) trafficPhase(rep *Report) {
 			if wi < cfg.QueriesPerTick%cfg.Workers {
 				n++
 			}
-			caller := f.newCaller()
+			caller := f.callers[wi]
 			st := rng.New(cfg.Seed).Split(fmt.Sprintf("queries/%d/%d", tick, wi))
 			for k := 0; k < n; k++ {
 				target := f.active[wi][st.Intn(len(f.active[wi]))]
@@ -736,7 +744,7 @@ func (f *fleet) trafficPhase(rep *Report) {
 // tick on.
 func (f *fleet) churnStorm(rep *Report) {
 	joiners := f.machines[f.joinStart:]
-	f.register(joiners, "join")
+	f.register(f.callers[0], joiners, "join")
 	for wi := range f.active {
 		f.active[wi] = f.active[wi][:0]
 	}
@@ -814,7 +822,7 @@ func (f *fleet) churnPhase(rep *Report) {
 	downAddr := f.peers[0].Addr
 	f.net.Partition(downAddr)
 	activeList := f.machines[f.leavers:]
-	caller := f.newCaller()
+	caller := f.callers[0]
 	st := rng.New(cfg.Seed).Split("outage")
 	outage := &workerState{}
 	for k := 0; k < outageQueries; k++ {

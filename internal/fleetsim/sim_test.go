@@ -3,10 +3,14 @@ package fleetsim
 import (
 	"bytes"
 	"flag"
+	"net"
 	"os"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"fgcs/internal/ishare"
 )
 
 // TestFleetSimDeterministic is the short-mode fleet smoke: two identically
@@ -70,9 +74,12 @@ func TestFleetSimDeterministic(t *testing.T) {
 
 // TestFleetPeersAreProductionPeers holds the fleet's federation to the one
 // ishared runs. Each peer keeps the zero config's breakers and differs from
-// ishared's caller only by singleAttempt and rpcTimeout. The breakers then
-// quarantine a dead peer after three failed single-attempt pushes, and
-// admit a probe once the cooldown passes.
+// ishared's caller only by singleAttempt and rpcTimeout. Its clients pool
+// as isharec and HostNode.Publish do: a registration storm opens at most
+// one connection from each traffic worker to each peer, besides the peers'
+// own pooled hops, where a dial per RPC would open one per registration.
+// The breakers then quarantine a dead peer after three failed
+// single-attempt pushes, and admit a probe once the cooldown passes.
 func TestFleetPeersAreProductionPeers(t *testing.T) {
 	cfg := Config{Machines: 120, Gateways: 3, Workers: 1, Seed: 3}.withDefaults()
 	rep := &Report{}
@@ -88,7 +95,19 @@ func TestFleetPeersAreProductionPeers(t *testing.T) {
 				i, c.Breakers, c.Caller.Retry, c.Timeout)
 		}
 	}
+	var conns atomic.Int64
+	for i, p := range f.peers {
+		h := f.feds[i].Handler()
+		f.net.Handle(p.Addr, func(c net.Conn) {
+			conns.Add(1)
+			ishare.ServeListener(nil, h, liftedCaps).ServeConn(c)
+		})
+	}
 	f.registerStorm(rep)
+	if n, limit := conns.Load(), int64(len(f.peers)*(cfg.Workers+len(f.peers)-1)); n > limit {
+		t.Fatalf("registering %d machines opened %d connections to the peers, want at most %d (pooled clients and hops)",
+			f.registered, n, limit)
+	}
 
 	dead, pusher := f.peers[0], f.feds[1]
 	f.net.Partition(dead.Addr)

@@ -9,9 +9,9 @@
 //
 //   - Zero overhead when off. A nil *Tracer and a nil *Span are fully inert:
 //     every method no-ops, StartSpan returns the context unchanged, and the
-//     instrumented-but-unsampled hot paths (Engine.predictCtx, QueryTR) stay at
-//     0 allocs/op. Sampling is decided once, at the root; an unsampled trace
-//     never materializes a span object at all.
+//     instrumented-but-unsampled hot paths (Engine.PredictFromCtx, QueryTR)
+//     stay at 0 allocs/op. Sampling is decided once, at the root; an
+//     unsampled trace never materializes a span object at all.
 //
 //   - Determinism. Trace and span IDs are drawn from a seeded SplitMix64
 //     sequence and the sampling decision is a pure hash of the trace ID, so

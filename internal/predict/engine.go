@@ -15,15 +15,14 @@ import (
 	"fgcs/internal/trace"
 )
 
-// Engine is a concurrent batch-prediction service over the SMP predictor: it
-// memoizes solved predictions in an LRU keyed by (history fingerprint,
-// window, estimator configuration), serves any number of concurrent
-// predictCtx/PredictFromCtx queries against the cache, and fans PredictBatch
-// request slices across a bounded worker pool. Cache misses run on scratch
-// buffers from one process-wide free list shared by every engine, so once
-// it holds buffers sized for the longest window a process asks for,
-// extraction, estimation and the backward recursion allocate only the
-// kernel's support, which the miss drops once it is solved.
+// Engine is the serving cache over the SMP predictor: it memoizes solved
+// predictions in an LRU keyed by (history fingerprint, window, estimator
+// configuration) and serves any number of concurrent PredictFromCtx queries
+// against the cache. Cache misses run on scratch buffers from one
+// process-wide free list shared by every engine, so once it holds buffers
+// sized for the longest window a process asks for, extraction, estimation
+// and the backward recursion allocate only the kernel's support, which the
+// miss drops once it is solved.
 //
 // The LRU holds three kinds of entry under one key type: an SMP Prediction
 // (its solved reliabilities and initial-state mix) per (pool, window,
@@ -41,7 +40,6 @@ import (
 // entries for the old day set — the "new day arrived" semantics a
 // day-structured predictor wants.
 type Engine struct {
-	workers   int
 	cacheSize int
 
 	mu       sync.Mutex
@@ -87,9 +85,6 @@ type EngineConfig struct {
 	// default (256); a negative value disables caching entirely (every
 	// query recomputes — useful for benchmarking the cold path).
 	CacheSize int
-	// Workers bounds PredictBatch's worker pool. Zero selects
-	// runtime.GOMAXPROCS(0).
-	Workers int
 }
 
 // defaultCacheSize is the cache capacity used when EngineConfig
@@ -107,12 +102,7 @@ func NewEngine(cfg EngineConfig) *Engine {
 	if size == 0 {
 		size = defaultCacheSize
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	return &Engine{
-		workers:   workers,
 		cacheSize: size,
 		lru:       list.New(),
 		items:     make(map[engineKey]*list.Element),
@@ -217,89 +207,21 @@ func (e *Engine) Stats() EngineStats {
 	}
 }
 
-// predictCtx is SMP.Predict through the cache: bit-identical results, but
-// repeated queries for the same (history, window, config) reuse the solved
-// prediction instead of re-running extraction, estimation and the Equation (3)
-// recursion. When ctx carries a sampled span, the lookup marks a cache-hit or
-// cache-miss event on it and a miss records engine.fit/engine.solve child
-// spans. With an untraced context the instrumentation is two pointer reads —
-// the cached warm path stays at 0 allocs/op.
-func (e *Engine) predictCtx(ctx context.Context, p SMP, history []*trace.Day, w Window) (Prediction, error) {
-	entry, err := e.lookup(ctx, p, history, w)
-	if err != nil {
-		return Prediction{}, err
-	}
-	return entry.pred, nil
-}
-
-// PredictFromCtx is SMP.PredictFrom through the cache: TR for a job starting
-// in the given (recoverable) current state. A PredictFromCtx after a
-// predictCtx for the same query (or vice versa) is a cache hit — both are
-// served from the same solved prediction.
+// PredictFromCtx is TR for a job starting in the given (recoverable) current
+// state: SMP.Predict's TRByInit entry for init, bit-identical, through the
+// cache. Repeated queries for the same (history, window, config) reuse the
+// solved prediction, whatever their initial state, instead of re-running
+// extraction, estimation and the Equation (3) recursion. When ctx carries a
+// sampled span, the lookup marks a cache-hit or cache-miss event on it and a
+// miss records engine.fit/engine.solve child spans. With an untraced context
+// the instrumentation is two pointer reads — the cached warm path stays at 0
+// allocs/op.
 func (e *Engine) PredictFromCtx(ctx context.Context, p SMP, history []*trace.Day, w Window, init avail.State) (float64, error) {
 	entry, err := e.lookup(ctx, p, history, w)
 	if err != nil {
 		return 0, err
 	}
 	return entry.pred.from(init)
-}
-
-// BatchRequest is one (machine, window) query of a PredictBatch call.
-type BatchRequest struct {
-	// Machine labels the request in the result (it does not key the
-	// cache; the history fingerprint does).
-	Machine string
-	// History is the machine's day pool (same contract as SMP.Predict).
-	History []*trace.Day
-	// Window is the query window.
-	Window Window
-}
-
-// BatchResult is the outcome of one BatchRequest, with per-request error
-// capture: one failing machine does not abort the batch.
-type BatchResult struct {
-	Machine    string
-	Window     Window
-	Prediction Prediction
-	Err        error
-}
-
-// PredictBatch evaluates all requests across the engine's worker pool and
-// returns results in request order. Results are bit-identical to a serial
-// loop over SMP.Predict: each request's computation is independent and
-// deterministic, so scheduling order cannot perturb the numbers.
-func (e *Engine) PredictBatch(p SMP, reqs []BatchRequest) []BatchResult {
-	out := make([]BatchResult, len(reqs))
-	workers := e.workers
-	if workers > len(reqs) {
-		workers = len(reqs)
-	}
-	if workers <= 1 {
-		for i, r := range reqs {
-			pred, err := e.predictCtx(context.Background(), p, r.History, r.Window)
-			out[i] = BatchResult{Machine: r.Machine, Window: r.Window, Prediction: pred, Err: err}
-		}
-		return out
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(reqs) {
-					return
-				}
-				r := reqs[i]
-				pred, err := e.predictCtx(context.Background(), p, r.History, r.Window)
-				out[i] = BatchResult{Machine: r.Machine, Window: r.Window, Prediction: pred, Err: err}
-			}
-		}()
-	}
-	wg.Wait()
-	return out
 }
 
 // lookup resolves an SMP query to its prediction entry. The HistoryDays

@@ -3,6 +3,7 @@ package predict
 import (
 	"context"
 	"fmt"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -10,7 +11,6 @@ import (
 
 	"fgcs/internal/avail"
 	"fgcs/internal/trace"
-	"fgcs/internal/workload"
 )
 
 // failHistory builds n idle days where every k-th day fails inside 8:00-10:00.
@@ -24,6 +24,16 @@ func failHistory(n, k int) []*trace.Day {
 		days = append(days, d)
 	}
 	return days
+}
+
+// cached is SMP.Predict through e's cache: the solved entry every
+// PredictFromCtx for the same query reads.
+func cached(e *Engine, p SMP, history []*trace.Day, w Window) (Prediction, error) {
+	entry, err := e.lookup(context.Background(), p, history, w)
+	if err != nil {
+		return Prediction{}, err
+	}
+	return entry.pred, nil
 }
 
 func TestEngineMatchesSMP(t *testing.T) {
@@ -52,7 +62,7 @@ func TestEngineMatchesSMP(t *testing.T) {
 			}
 			// Twice: the second answer comes from the cache.
 			for pass := 0; pass < 2; pass++ {
-				got, err := e.predictCtx(context.Background(), p, days, w)
+				got, err := cached(e, p, days, w)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -85,11 +95,11 @@ func TestEngineCacheCounters(t *testing.T) {
 	w := Window{Start: 8 * time.Hour, Length: 2 * time.Hour}
 	e := NewEngine(EngineConfig{})
 	p := defaultSMP()
-	if _, err := e.predictCtx(context.Background(), p, days, w); err != nil {
+	if _, err := cached(e, p, days, w); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		if _, err := e.predictCtx(context.Background(), p, days, w); err != nil {
+		if _, err := cached(e, p, days, w); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -107,10 +117,10 @@ func TestEngineCacheCounters(t *testing.T) {
 	// the same cache entry.
 	limited := p
 	limited.HistoryDays = 6
-	if _, err := e.predictCtx(context.Background(), limited, days, w); err != nil {
+	if _, err := cached(e, limited, days, w); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.predictCtx(context.Background(), p, days[len(days)-6:], w); err != nil {
+	if _, err := cached(e, p, days[len(days)-6:], w); err != nil {
 		t.Fatal(err)
 	}
 	st = e.Stats()
@@ -124,14 +134,14 @@ func TestEngineInvalidationOnNewDay(t *testing.T) {
 	w := Window{Start: 8 * time.Hour, Length: 2 * time.Hour}
 	e := NewEngine(EngineConfig{})
 	p := defaultSMP()
-	first, err := e.predictCtx(context.Background(), p, days, w)
+	first, err := cached(e, p, days, w)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A new day arrives: the extended pool is a different fingerprint, so
 	// the stale entry cannot be served.
 	grown := append(append([]*trace.Day{}, days...), failAt(idleDay(8), 9*time.Hour, time.Hour))
-	second, err := e.predictCtx(context.Background(), p, grown, w)
+	second, err := cached(e, p, grown, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +157,7 @@ func TestEngineInvalidationOnNewDay(t *testing.T) {
 	for i, d := range days {
 		clones[i] = d.Clone()
 	}
-	got, err := e.predictCtx(context.Background(), p, clones, w)
+	got, err := cached(e, p, clones, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +179,7 @@ func TestEngineLRUEviction(t *testing.T) {
 		{Start: 10 * time.Hour, Length: time.Hour},
 	}
 	for _, w := range ws {
-		if _, err := e.predictCtx(context.Background(), p, days, w); err != nil {
+		if _, err := cached(e, p, days, w); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -179,11 +189,11 @@ func TestEngineLRUEviction(t *testing.T) {
 	}
 	// ws[0] was evicted (least recent); ws[1] and ws[2] still hit.
 	for _, w := range ws[1:] {
-		if _, err := e.predictCtx(context.Background(), p, days, w); err != nil {
+		if _, err := cached(e, p, days, w); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := e.predictCtx(context.Background(), p, days, ws[0]); err != nil {
+	if _, err := cached(e, p, days, ws[0]); err != nil {
 		t.Fatal(err)
 	}
 	st = e.Stats()
@@ -197,7 +207,7 @@ func TestEngineErrorsNotCached(t *testing.T) {
 	p := defaultSMP()
 	bad := Window{Start: -time.Hour, Length: time.Hour}
 	for i := 0; i < 2; i++ {
-		if _, err := e.predictCtx(context.Background(), p, failHistory(3, 0), bad); err == nil {
+		if _, err := cached(e, p, failHistory(3, 0), bad); err == nil {
 			t.Fatal("invalid window accepted")
 		}
 	}
@@ -217,7 +227,7 @@ func TestEngineCachingDisabled(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		got, err := e.predictCtx(context.Background(), p, days, w)
+		got, err := cached(e, p, days, w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -231,18 +241,22 @@ func TestEngineCachingDisabled(t *testing.T) {
 	}
 }
 
-// TestEngineConcurrent hammers one engine from many goroutines over a small
-// key set and checks, under -race, that every answer is identical to the
-// serial predictor and that the miss counter equals the number of distinct
-// keys (in-flight coalescing: concurrent misses for one key estimate once).
+// TestEngineConcurrent hammers one shared engine with PredictFromCtx from
+// many goroutines over a small key set, as a gateway's clients do, and checks
+// under -race that every answer is bit-identical to the serial predictor's
+// TRByInit entry and that the miss counter equals the number of distinct keys
+// (in-flight coalescing: concurrent misses for one key estimate once, and a
+// query in the other initial state is a hit on the same solve).
 func TestEngineConcurrent(t *testing.T) {
 	days := failHistory(12, 3)
+	busyAt(days[1], 8*time.Hour, 30*time.Minute, 45) // some S2 starts
 	p := defaultSMP()
 	windows := []Window{
 		{Start: 8 * time.Hour, Length: time.Hour},
 		{Start: 8 * time.Hour, Length: 2 * time.Hour},
 		{Start: 14 * time.Hour, Length: 3 * time.Hour},
 	}
+	inits := []avail.State{avail.S1, avail.S2}
 	want := make([]Prediction, len(windows))
 	for i, w := range windows {
 		var err error
@@ -251,7 +265,7 @@ func TestEngineConcurrent(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	e := NewEngine(EngineConfig{Workers: 8})
+	e := NewEngine(EngineConfig{})
 	const goroutines = 16
 	const rounds = 20
 	var wg sync.WaitGroup
@@ -262,13 +276,14 @@ func TestEngineConcurrent(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
 				i := (g + r) % len(windows)
-				got, err := e.predictCtx(context.Background(), p, days, windows[i])
+				k := (g / len(windows)) % len(inits)
+				got, err := e.PredictFromCtx(context.Background(), p, days, windows[i], inits[k])
 				if err != nil {
 					errs <- err
 					return
 				}
-				if !reflect.DeepEqual(got, want[i]) {
-					errs <- fmt.Errorf("window %v: %+v != %+v", windows[i], got, want[i])
+				if math.Float64bits(got) != math.Float64bits(want[i].TRByInit[k]) {
+					errs <- fmt.Errorf("window %v from %v: %v != serial %v", windows[i], inits[k], got, want[i].TRByInit[k])
 					return
 				}
 			}
@@ -285,88 +300,6 @@ func TestEngineConcurrent(t *testing.T) {
 	}
 	if total := st.Hits + st.Misses; total != goroutines*rounds {
 		t.Fatalf("hits+misses = %d, want %d", total, goroutines*rounds)
-	}
-
-	// PredictBatch from several goroutines against the same shared cache.
-	reqs := make([]BatchRequest, 0, 2*len(windows))
-	for i, w := range windows {
-		reqs = append(reqs, BatchRequest{Machine: fmt.Sprintf("m%d", i), History: days, Window: w})
-	}
-	for i, w := range windows {
-		reqs = append(reqs, BatchRequest{Machine: fmt.Sprintf("m%d'", i), History: days, Window: w})
-	}
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			res := e.PredictBatch(p, reqs)
-			for i, r := range res {
-				if r.Err != nil {
-					t.Error(r.Err)
-					return
-				}
-				if !reflect.DeepEqual(r.Prediction, want[i%len(windows)]) {
-					t.Errorf("batch result %d diverged", i)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// TestPredictBatchMatchesSerial is the determinism acceptance test: on a
-// 20-machine, 90-day generated testbed, PredictBatch across the worker pool
-// must be bit-identical to a serial SMP.Predict loop.
-func TestPredictBatchMatchesSerial(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full testbed generation in -short mode")
-	}
-	ds, err := workload.Generate(workload.DefaultParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ds.Machines) != 20 {
-		t.Fatalf("testbed has %d machines, want 20", len(ds.Machines))
-	}
-	p := SMP{Cfg: avail.DefaultConfig(), HistoryDays: 30}
-	windows := []Window{
-		{Start: 8 * time.Hour, Length: 2 * time.Hour},
-		{Start: 19 * time.Hour, Length: 3 * time.Hour},
-	}
-	var reqs []BatchRequest
-	for _, m := range ds.Machines {
-		days := m.DaysOfType(trace.Weekday)
-		for _, w := range windows {
-			reqs = append(reqs, BatchRequest{Machine: m.ID, History: days, Window: w})
-		}
-	}
-	// Serial reference, straight through the predictor.
-	serial := make([]Prediction, len(reqs))
-	for i, r := range reqs {
-		serial[i], err = p.Predict(r.History, r.Window)
-		if err != nil {
-			t.Fatalf("serial %s %v: %v", r.Machine, r.Window, err)
-		}
-	}
-	for _, workers := range []int{1, 4} {
-		e := NewEngine(EngineConfig{Workers: workers})
-		res := e.PredictBatch(p, reqs)
-		if len(res) != len(reqs) {
-			t.Fatalf("got %d results for %d requests", len(res), len(reqs))
-		}
-		for i, r := range res {
-			if r.Err != nil {
-				t.Fatalf("workers=%d %s: %v", workers, r.Machine, r.Err)
-			}
-			if r.Machine != reqs[i].Machine || r.Window != reqs[i].Window {
-				t.Fatalf("workers=%d: result %d out of order: %s %v", workers, i, r.Machine, r.Window)
-			}
-			if !reflect.DeepEqual(r.Prediction, serial[i]) {
-				t.Fatalf("workers=%d %s %v: parallel %+v != serial %+v",
-					workers, r.Machine, r.Window, r.Prediction, serial[i])
-			}
-		}
 	}
 }
 

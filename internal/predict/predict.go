@@ -126,7 +126,7 @@ func (pred Prediction) from(init avail.State) (float64, error) {
 // type; use trace.Machine.DaysOfType or a trace.Split to select them).
 //
 // When the caller knows the machine's current state (a live query at
-// W_init), use PredictFrom instead; Predict weights the two recoverable
+// W_init), use Engine.PredictFromCtx instead; Predict weights the two recoverable
 // initial states by their historical frequency, which is the right thing for
 // ahead-of-time evaluation.
 func (p SMP) Predict(history []*trace.Day, w Window) (Prediction, error) {
